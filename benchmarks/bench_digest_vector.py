@@ -8,19 +8,14 @@ with ``REPRO_BENCH_DIR``).  Two gates:
 - **bit-identity**: every (algorithm, batch) point's scalar and vector
   trials must report the same tag checksum — a vector lane that is fast
   but wrong would silently break the Eqn 4 integrity guarantee;
-- **speed**: with numpy available, the vector lane must deliver >= 5x
-  the scalar lane's tags/sec at batch >= 1024 (the ROADMAP item 2
-  acceptance floor; measured headroom is ~10-100x).
-
-Under ``REPRO_NO_NUMPY=1`` the vector trials fall back to the stdlib
-backend: bit-identity is still asserted, the 5x floor is not (the
-fallback exists for correctness, not speed).
+- **speed**: the vector lane must deliver >= 5x the scalar lane's
+  tags/sec at batch >= 1024 (the ROADMAP item 2 acceptance floor;
+  measured headroom is ~10-100x).
 """
 
 import os
 
 from repro.analysis import format_table
-from repro.crypto import vectorized
 from repro.engine import run_experiment, write_artifact
 
 #: The acceptance floor: vector lane tags/sec over scalar lane tags/sec.
@@ -67,13 +62,9 @@ def test_digest_vector_throughput(benchmark, report):
         title="Vectorized digest lane vs scalar (64 B C-DP material)"))
     report(f"artifact: {path}")
 
-    if vectorized.HAVE_NUMPY:
-        worst = min(floor_checked, key=lambda entry: entry[2])
-        report(f"worst speedup: {worst[2]:.1f}x ({worst[0]} batch={worst[1]}; "
-               f"acceptance floor: {SPEEDUP_FLOOR}x)")
-        assert worst[2] >= SPEEDUP_FLOOR, (
-            f"vector lane below the {SPEEDUP_FLOOR}x floor: "
-            f"{worst[0]} at batch={worst[1]} is only {worst[2]:.1f}x")
-    else:
-        report("numpy unavailable: stdlib fallback verified for "
-               "bit-identity only (no speed floor)")
+    worst = min(floor_checked, key=lambda entry: entry[2])
+    report(f"worst speedup: {worst[2]:.1f}x ({worst[0]} batch={worst[1]}; "
+           f"acceptance floor: {SPEEDUP_FLOOR}x)")
+    assert worst[2] >= SPEEDUP_FLOOR, (
+        f"vector lane below the {SPEEDUP_FLOOR}x floor: "
+        f"{worst[0]} at batch={worst[1]} is only {worst[2]:.1f}x")

@@ -3,18 +3,14 @@
 Every paper figure, table, and chaos scenario is a registered
 :class:`~repro.engine.spec.ExperimentSpec`; the generic ``run``
 subcommand executes any of them (with sweeps, worker sharding, caching,
-and ``BENCH_<name>.json`` artifacts), while the named legacy
-subcommands print the familiar paper-style tables on top of the same
-engine.
+and ``BENCH_<name>.json`` artifacts) and ``report`` renders the
+paper-style tables from those artifacts.
 
     python -m repro                  # list every registered experiment
     python -m repro run fig17 --workers 4
     python -m repro run fig21 --sweep hops=2,6,10 --short
     python -m repro run table3 --seed 99 --out-dir results/
     python -m repro report --dir results/   # markdown from BENCH_*.json
-    python -m repro fig16            # RouteScout defense (paper table)
-    python -m repro table2           # resource overhead (paper table)
-    python -m repro all              # every paper table
     python -m repro telemetry fig17  # instrumented run: JSONL trace +
                                      # Prometheus-style metrics dump
     python -m repro chaos            # fault-injection scenarios (all)
@@ -32,124 +28,6 @@ import argparse
 import sys
 
 from repro.analysis import format_table
-
-
-def cmd_fig16(args) -> None:
-    from repro.engine import run_experiment
-    run = run_experiment("fig16", sweep={
-        "duration_s": [args.duration],
-        "attack_start_s": [args.duration * 0.25]})
-    rows = [[t.params["mode"], f"{t.result['share_path1'] * 100:.1f}%",
-             f"{t.result['share_path2'] * 100:.1f}%",
-             t.result["epochs_skipped"], t.result["tamper_events"]]
-            for t in run.trials]
-    print(format_table(
-        ["mode", "path1", "path2", "epochs skipped", "tamper events"],
-        rows, title="Fig 16: RouteScout traffic distribution"))
-
-
-def cmd_fig17(args) -> None:
-    from repro.engine import run_experiment
-    run = run_experiment("fig17", sweep={
-        "duration_s": [min(args.duration, 10.0)]})
-    rows = [[t.params["mode"],
-             f"{t.result['shares']['s2'] * 100:.1f}%",
-             f"{t.result['shares']['s3'] * 100:.1f}%",
-             f"{t.result['shares']['s4'] * 100:.1f}%",
-             t.result["alerts"]]
-            for t in run.trials]
-    print(format_table(["mode", "via S2", "via S3", "via S4", "alerts"],
-                       rows, title="Fig 17: HULA traffic distribution"))
-
-
-def cmd_fig20(args) -> None:
-    from repro.engine import run_experiment
-    from repro.experiments.fig20_kmp import OPS
-    result = run_experiment("fig20").only()
-    rows = [[op, f"{result['mean_ms'][op]:.3f}",
-             result["footprint"][op][0], result["footprint"][op][1]]
-            for op in OPS]
-    print(format_table(["operation", "RTT (ms)", "messages", "bytes"],
-                       rows, title="Fig 20: key management RTT"))
-
-
-def cmd_fig21(args) -> None:
-    from repro.engine import run_experiment
-    from repro.experiments.fig21_multihop import curve_from_trials
-    run = run_experiment("fig21", sweep={"num_probes": [30]})
-    rows = [[r["hops"], f"{r['base_us']:.1f}", f"{r['p4auth_us']:.1f}",
-             f"{r['overhead_pct']:.2f}%"]
-            for r in curve_from_trials(run.results())]
-    print(format_table(["hops", "base (us)", "P4Auth (us)", "overhead"],
-                       rows, title="Fig 21: probe traversal vs hops"))
-
-
-def cmd_table1(args) -> None:
-    from repro.engine import run_experiment
-    run = run_experiment("table1")
-    matrix = {}
-    for trial in run.trials:
-        matrix.setdefault(trial.params["system"], {})[
-            trial.params["mode"]] = trial.result
-    rows = []
-    for system in sorted(matrix):
-        baseline, attack, p4auth = (matrix[system][mode] for mode in
-                                    ("baseline", "attack", "p4auth"))
-        rows.append([
-            system,
-            baseline["impact_metric"],
-            f"{baseline['impact_value']:.3f}",
-            f"{attack['impact_value']:.3f}",
-            f"{p4auth['impact_value']:.3f}",
-            "yes" if attack["state_poisoned"] else "no",
-            "yes" if p4auth["detected"] else "no",
-        ])
-    print(format_table(
-        ["system", "metric", "baseline", "attack", "attack+P4Auth",
-         "poisoned", "detected"],
-        rows, title="Table I: attack impact"))
-
-
-def cmd_table2(args) -> None:
-    from repro.engine import run_experiment
-    from repro.experiments.table2_resources import PROGRAM_LABELS, PROGRAMS
-    run = run_experiment("table2")
-    rows = []
-    for program in PROGRAMS:
-        report = run.result_for(program=program)
-        rows.append([PROGRAM_LABELS[program], f"{report['tcam_pct']}%",
-                     f"{report['sram_pct']}%", f"{report['hash_pct']}%",
-                     f"{report['phv_pct']}%"])
-    print(format_table(["program", "TCAM", "SRAM", "Hash Units", "PHV"],
-                       rows, title="Table II: resource overhead"))
-
-
-def cmd_table3(args) -> None:
-    from repro.engine import run_experiment
-    result = run_experiment("table3").only()
-    rows = [
-        ["init", result["init_messages"], result["formula_init_messages"],
-         result["init_bytes"], result["formula_init_bytes"]],
-        ["update", result["update_messages"],
-         result["formula_update_messages"],
-         result["update_bytes"], result["formula_update_bytes"]],
-    ]
-    print(format_table(
-        ["op", "measured msgs", "formula msgs", "measured B", "formula B"],
-        rows, title=f"Table III (live m={result['m_switches']}, "
-                    f"n={result['n_links']})"))
-
-
-def cmd_aggregation(args) -> None:
-    from repro.engine import run_experiment
-    run = run_experiment("aggregation")
-    rows = [[t.params["mode"],
-             f"{t.result['correct_chunks']}/{t.result['chunks']}",
-             f"{t.result['jct_rounds']:.2f}", t.result["alerts"]]
-            for t in run.trials]
-    print(format_table(
-        ["mode", "correct aggregates", "JCT (rounds)", "alerts"],
-        rows, title="Attack 2: in-network aggregation"))
 
 
 #: Experiments the ``telemetry`` subcommand can instrument.
@@ -240,21 +118,8 @@ def cmd_chaos(args) -> None:
 
 COMMANDS = {
     "chaos": cmd_chaos,
-    "fig16": cmd_fig16,
-    "fig17": cmd_fig17,
-    "fig20": cmd_fig20,
-    "fig21": cmd_fig21,
-    "table1": cmd_table1,
-    "table2": cmd_table2,
-    "table3": cmd_table3,
-    "aggregation": cmd_aggregation,
     "telemetry": cmd_telemetry,
 }
-
-#: Paper tables printed by ``python -m repro all``, in dependency-free
-#: cheap-first order.
-ALL_ORDER = ("table2", "fig20", "fig21", "table3", "fig16", "fig17",
-             "table1", "aggregation")
 
 
 def print_experiment_listing(stream=None) -> None:
@@ -271,7 +136,7 @@ def print_experiment_listing(stream=None) -> None:
     print("\nUsage: python -m repro run <name> [--sweep k=v1,v2] "
           "[--workers N] [--seed N] [--short]\n"
           "       python -m repro {list,report,serve,verify,"
-          + ",".join(sorted(COMMANDS)) + ",all}", file=stream)
+          + ",".join(sorted(COMMANDS)) + "}", file=stream)
 
 
 def cmd_run(argv) -> int:
@@ -393,25 +258,24 @@ def main(argv=None) -> int:
     if command == "serve":
         from repro.service.cli import cmd_serve
         return cmd_serve(rest)
-    if command not in COMMANDS and command != "all":
+    if command not in COMMANDS:
         print(f"unknown command {command!r}\n", file=sys.stderr)
         print_experiment_listing(sys.stderr)
         raise SystemExit(2)
 
     parser = argparse.ArgumentParser(
         prog="python -m repro",
-        description="Run P4Auth reproduction experiments.")
-    parser.add_argument("experiment",
-                        choices=sorted(COMMANDS) + ["all"],
-                        help="which paper experiment to run")
+        description="Instrumented and fault-injection runs.")
+    parser.add_argument("experiment", choices=sorted(COMMANDS),
+                        help="which instrumented run to perform")
     parser.add_argument("target", nargs="?", default=None,
                         help="for 'telemetry': which experiment to "
                              f"instrument {TELEMETRY_TARGETS} "
                              "(default: fig17); for 'chaos': a scenario "
                              "name, 'smoke', or 'all' (default)")
     parser.add_argument("--duration", type=float, default=30.0,
-                        help="simulated duration for trace-driven "
-                             "experiments (seconds)")
+                        help="for 'telemetry': simulated duration "
+                             "(seconds)")
     parser.add_argument("--seed", type=int, default=1,
                         help="for 'chaos': the fault-plan seed "
                              "(same seed => byte-identical trace)")
@@ -419,12 +283,7 @@ def main(argv=None) -> int:
                         help="for 'telemetry'/'chaos': JSONL trace "
                              "output path")
     args = parser.parse_args(argv)
-    if args.experiment == "all":
-        for name in ALL_ORDER:
-            COMMANDS[name](args)
-            print()
-    else:
-        COMMANDS[args.experiment](args)
+    COMMANDS[args.experiment](args)
     return 0
 
 

@@ -33,12 +33,15 @@ from repro.core.messages import (
     build_reg_read_request,
     build_reg_write_request,
 )
+from repro.core.requests import (
+    PendingRequest,
+    RequestLifecycle,
+    ResponseCallback,
+    RetryPolicy,
+)
 from repro.crypto.prng import XorShiftPrng
 from repro.dataplane.packet import Packet
 from repro.net.network import Network
-from repro.telemetry import RCT_BUCKETS
-
-ResponseCallback = Callable[[bool, int], None]
 
 #: Buckets for the signed-burst size histogram (requests per sign call).
 SIGN_BATCH_BUCKETS: Tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256)
@@ -94,19 +97,6 @@ class ControllerStats:
     rct_samples: List[RctSample] = field(default_factory=list)
 
 
-@dataclass
-class _Pending:
-    kind: str
-    switch: str
-    reg_name: str
-    sent_at: float
-    callback: Optional[ResponseCallback]
-    index: int = 0
-    value: int = 0
-    attempt: int = 1
-    timeout_handle: Optional[object] = None
-
-
 class P4AuthController:
     """The logically centralized controller of the P4Auth deployment."""
 
@@ -131,37 +121,26 @@ class P4AuthController:
         self.alerts: List[AlertRecord] = []
         self.tamper_events: List[TamperRecord] = []
         self.outstanding_threshold = outstanding_threshold
-        #: Opt-in bounded retries: when set, a request unanswered after
-        #: this long is re-issued (fresh seq) up to ``max_request_attempts``
-        #: times, then abandoned with a terminal ``callback(False, 0)``.
-        #: ``None`` (the default) keeps the fire-and-wait behaviour that
-        #: the DoS heuristics (``unacknowledged_seqs``) are tuned for.
-        self.request_timeout_s = request_timeout_s
-        self.max_request_attempts = max_request_attempts
         #: Encrypt register-op values end to end (the §XI extension);
         #: the matching switches must set P4AuthConfig.encrypt_regops.
         self.encrypt_regops = encrypt_regops
         self.on_tamper: List[Callable[[TamperRecord], None]] = []
         self.on_alert: List[Callable[[AlertRecord], None]] = []
-        #: Optional observer ``seq_listener(switch, seq)`` fired inside
-        #: :meth:`next_seq` *before* the number is handed to the caller
-        #: — the durability layer journals sequence-horizon reservations
-        #: here so a crash can never reuse a sequence number (the
-        #: skip-ahead rule; see repro.store).
-        self.seq_listener: Optional[Callable[[str, int], None]] = None
         #: Set by :meth:`halt` — a crashed process composes and sends
         #: nothing more, even if in-flight Python frames keep running.
         self.halted = False
-        self._seq: Dict[str, int] = {}
-        self._pending: Dict[Tuple[str, int], _Pending] = {}
-        # Per-switch departure horizon for composed requests.  Compose
-        # costs differ by kind (a read is ~6x cheaper to compose than a
-        # write), so with overlapping composes a later-seq read would
-        # depart before an earlier-seq write, the data plane's monotonic
-        # expected_seq would jump past the write, and the write would be
-        # rejected as a replay.  The compose pipeline is FIFO per
-        # switch: a request never departs before one composed earlier.
-        self._depart_horizon: Dict[str, float] = {}
+        #: Sequence numbers, the pending table, FIFO departure and the
+        #: opt-in bounded retries: with ``request_timeout_s`` set, a
+        #: request unanswered after that long is re-issued (fresh seq)
+        #: up to ``max_request_attempts`` times, then abandoned with a
+        #: terminal ``callback(False, 0)``.  ``None`` (the default) keeps
+        #: the fire-and-wait behaviour that the DoS heuristics
+        #: (``unacknowledged_seqs``) are tuned for.
+        self.requests = RequestLifecycle(
+            network, "P4Auth",
+            RetryPolicy(request_timeout_s, max_request_attempts),
+            self._issue, self.stats)
+        self._seq = self.requests.seq
         self._reg_ids: Dict[str, Dict[str, int]] = {}
         # Session-key fast path: ``derive_session_keys`` is a pure
         # function of the master key, so one derivation per live
@@ -187,12 +166,9 @@ class P4AuthController:
         """
         name = dataplane.switch.name
         self.keys.set_seed(name, dataplane.k_seed)
-        self._reg_ids[name] = {
-            reg_name: reg_id
-            for reg_id, reg_name in dataplane.switch.registers.id_map().items()
-        }
         self._seq.setdefault(name, 1)
         self.dataplanes[name] = dataplane
+        self.refresh_p4info(name)
         self.kmp.observe_dataplane(dataplane)
 
     def refresh_p4info(self, switch: str) -> None:
@@ -217,11 +193,7 @@ class P4AuthController:
             ) from None
 
     def next_seq(self, switch: str) -> int:
-        seq = self._seq[switch]
-        if self.seq_listener is not None:
-            self.seq_listener(switch, seq)
-        self._seq[switch] = (seq + 1) & 0xFFFFFFFF
-        return seq
+        return self.requests.next_seq(switch)
 
     def restore_seq(self, switch: str, next_seq: int) -> None:
         """Warm-restart entry point: resume issuing at ``next_seq``.
@@ -241,10 +213,7 @@ class P4AuthController:
         must not be used afterwards — recovery builds a fresh one.
         """
         self.halted = True
-        for pending in self._pending.values():
-            if pending.timeout_handle is not None:
-                pending.timeout_handle.cancel()
-        self._pending.clear()
+        self.requests.clear()
         self._session_cache.clear()
         if self.network.controller is self:
             self.network.controller = None
@@ -266,48 +235,20 @@ class P4AuthController:
     # ------------------------------------------------------------------
 
     def read_register(self, switch: str, reg_name: str, index: int,
-                      callback: Optional[ResponseCallback] = None,
-                      _attempt: int = 1) -> int:
+                      callback: Optional[ResponseCallback] = None) -> int:
         """Issue an authenticated ``readReq``; returns its seq number.
 
         ``callback(ok, value)`` fires when the (verified) response
         arrives.  A tampered response never reaches the callback — it is
         recorded as a :class:`TamperRecord` instead.
         """
-        seq = self.next_seq(switch)
-        request = build_reg_read_request(
-            self.register_id(switch, reg_name), index, seq,
-            key_ver=self.keys.local_key_version(switch),
-        )
-        if self.encrypt_regops:
-            request.get(P4AUTH)["flags"] = FLAG_ENCRYPTED
-        self._dispatch_request("read", switch, reg_name, seq, request,
-                               callback, self.costs.compose_read_s,
-                               index=index, value=0, attempt=_attempt)
-        return seq
+        return self._issue("read", switch, reg_name, index, 0, callback)
 
     def write_register(self, switch: str, reg_name: str, index: int,
                        value: int,
-                       callback: Optional[ResponseCallback] = None,
-                       _attempt: int = 1) -> int:
+                       callback: Optional[ResponseCallback] = None) -> int:
         """Issue an authenticated ``writeReq``; returns its seq number."""
-        seq = self.next_seq(switch)
-        key_ver = self.keys.local_key_version(switch)
-        plain_value = value
-        if self.encrypt_regops:
-            session = self._session_keys(switch, key_ver)
-            value = encrypt_value(session, seq, value)
-        request = build_reg_write_request(
-            self.register_id(switch, reg_name), index, value, seq,
-            key_ver=key_ver,
-        )
-        if self.encrypt_regops:
-            request.get(P4AUTH)["flags"] = FLAG_ENCRYPTED
-        self._dispatch_request("write", switch, reg_name, seq, request,
-                               callback, self.costs.compose_write_s,
-                               index=index, value=plain_value,
-                               attempt=_attempt)
-        return seq
+        return self._issue("write", switch, reg_name, index, value, callback)
 
     def request_many(self, switch: str, ops: Sequence[Tuple],
                      ) -> List[int]:
@@ -324,32 +265,12 @@ class P4AuthController:
         the assigned sequence numbers in op order.
         """
         key = self.keys.local_key(switch)
-        composed: List[Tuple] = []
-        for kind, reg_name, index, value, callback in ops:
-            seq = self.next_seq(switch)
-            key_ver = self.keys.local_key_version(switch)
-            if kind == "read":
-                request = build_reg_read_request(
-                    self.register_id(switch, reg_name), index, seq,
-                    key_ver=key_ver)
-                compose_cost = self.costs.compose_read_s
-                plain_value = 0
-            elif kind == "write":
-                plain_value = value
-                if self.encrypt_regops:
-                    session = self._session_keys(switch, key_ver)
-                    value = encrypt_value(session, seq, value)
-                request = build_reg_write_request(
-                    self.register_id(switch, reg_name), index, value, seq,
-                    key_ver=key_ver)
-                compose_cost = self.costs.compose_write_s
-            else:
-                raise ValueError(f"unknown request kind {kind!r}")
-            if self.encrypt_regops:
-                request.get(P4AUTH)["flags"] = FLAG_ENCRYPTED
-            composed.append((kind, reg_name, seq, request, callback,
-                             compose_cost, index, plain_value))
-        self.digest.sign_many(key, [entry[3] for entry in composed])
+        requests = [
+            PendingRequest(kind, switch, reg_name, index,
+                           value if kind == "write" else 0, callback)
+            for kind, reg_name, index, value, callback in ops]
+        composed = [self._compose(request) for request in requests]
+        self.digest.sign_many(key, [packet for _seq, packet in composed])
         if self.telemetry.enabled and composed:
             self.telemetry.metrics.counter(
                 "controller_sign_batches_total",
@@ -357,92 +278,72 @@ class P4AuthController:
             self.telemetry.metrics.histogram(
                 "controller_sign_batch_size",
                 buckets=SIGN_BATCH_BUCKETS).observe(len(composed))
-        for (kind, reg_name, seq, request, callback, compose_cost,
-             index, plain_value) in composed:
-            self._finalize_request(kind, switch, reg_name, seq, request,
-                                   callback, compose_cost, index=index,
-                                   value=plain_value, attempt=1)
-        return [entry[2] for entry in composed]
+        for request, (seq, packet) in zip(requests, composed):
+            self._dispatch(seq, packet, request)
+        return [seq for seq, _packet in composed]
 
-    def _dispatch_request(self, kind: str, switch: str, reg_name: str,
-                          seq: int, request: Packet,
-                          callback: Optional[ResponseCallback],
-                          compose_cost: float, index: int = 0,
-                          value: int = 0, attempt: int = 1) -> None:
-        self.digest.sign(self.keys.local_key(switch), request)
-        self._finalize_request(kind, switch, reg_name, seq, request,
-                               callback, compose_cost, index=index,
-                               value=value, attempt=attempt)
+    def _issue(self, kind: str, switch: str, reg_name: str, index: int,
+               value: int, callback: Optional[ResponseCallback],
+               attempt: int = 1) -> int:
+        """One request, first attempt or retry: compose, sign, dispatch."""
+        request = PendingRequest(kind, switch, reg_name, index, value,
+                                 callback, attempt)
+        seq, packet = self._compose(request)
+        self.digest.sign(self.keys.local_key(switch), packet)
+        self._dispatch(seq, packet, request)
+        return seq
 
-    def _finalize_request(self, kind: str, switch: str, reg_name: str,
-                          seq: int, request: Packet,
-                          callback: Optional[ResponseCallback],
-                          compose_cost: float, index: int = 0,
-                          value: int = 0, attempt: int = 1) -> None:
+    def _compose(self, request: PendingRequest) -> Tuple[int, Packet]:
+        """The unsigned Fig 8 message for ``request`` under a fresh seq.
+
+        ``request.value`` stays the plain operand; an encrypted write
+        carries ciphertext bound to *this* seq, so a retry re-encrypts.
+        """
+        switch = request.switch
+        seq = self.next_seq(switch)
+        key_ver = self.keys.local_key_version(switch)
+        reg_id = self.register_id(switch, request.reg_name)
+        if request.kind == "read":
+            packet = build_reg_read_request(reg_id, request.index, seq,
+                                            key_ver=key_ver)
+        elif request.kind == "write":
+            value = request.value
+            if self.encrypt_regops:
+                value = encrypt_value(self._session_keys(switch, key_ver),
+                                      seq, value)
+            packet = build_reg_write_request(reg_id, request.index, value,
+                                             seq, key_ver=key_ver)
+        else:
+            raise ValueError(f"unknown request kind {request.kind!r}")
+        if self.encrypt_regops:
+            packet.get(P4AUTH)["flags"] = FLAG_ENCRYPTED
+        return seq, packet
+
+    def _dispatch(self, seq: int, packet: Packet,
+                  request: PendingRequest) -> None:
         if self.halted:
             # A dead process's frame may still be mid-burst when the
             # kill lands: the request was composed but never reached
             # the NIC.  Dropping it here (no pending entry, no
             # departure) is the crash semantics recovery is built for.
             return
-        pending = _Pending(
-            kind, switch, reg_name, self.sim.now, callback,
-            index=index, value=value, attempt=attempt,
-        )
-        self._pending[(switch, seq)] = pending
+        compose_s = (self.costs.compose_read_s if request.kind == "read"
+                     else self.costs.compose_write_s)
+        self.requests.dispatch(
+            seq, request,
+            self.sim.now + compose_s + self.costs.controller_digest_s,
+            self.network.send_packet_out, request.switch, packet)
         self.stats.requests_sent += 1
-        if len(self._pending) > self.outstanding_threshold:
+        if self.requests.outstanding_count() > self.outstanding_threshold:
             self.stats.dos_suspected = True
-        depart_at = max(
-            self.sim.now + compose_cost + self.costs.controller_digest_s,
-            self._depart_horizon.get(switch, 0.0),
-        )
-        self._depart_horizon[switch] = depart_at
-        self.sim.schedule_at(
-            depart_at, self.network.send_packet_out, switch, request,
-        )
-        if self.request_timeout_s is not None:
-            pending.timeout_handle = self.sim.schedule_cancellable(
-                depart_at - self.sim.now + self.request_timeout_s,
-                self._request_timed_out, switch, seq,
-            )
-
-    def _request_timed_out(self, switch: str, seq: int) -> None:
-        pending = self._pending.pop((switch, seq), None)
-        if pending is None:
-            return  # answered in the meantime (handle raced cancellation)
-        if pending.attempt >= self.max_request_attempts:
-            self.stats.requests_abandoned += 1
-            if self.telemetry.enabled:
-                self.telemetry.metrics.counter(
-                    "controller_requests_abandoned_total",
-                    kind=pending.kind).inc()
-                self.telemetry.tracer.emit(
-                    "controller.request_abandoned", switch=switch,
-                    kind=pending.kind, reg=pending.reg_name, seq=seq,
-                    attempts=pending.attempt)
-            if pending.callback is not None:
-                pending.callback(False, 0)
-            return
-        self.stats.request_retries += 1
-        if self.telemetry.enabled:
-            self.telemetry.metrics.counter(
-                "controller_request_retries_total", kind=pending.kind).inc()
-        if pending.kind == "read":
-            self.read_register(switch, pending.reg_name, pending.index,
-                               pending.callback,
-                               _attempt=pending.attempt + 1)
-        else:
-            self.write_register(switch, pending.reg_name, pending.index,
-                                pending.value, pending.callback,
-                                _attempt=pending.attempt + 1)
 
     def outstanding_count(self) -> int:
-        return len(self._pending)
+        return self.requests.outstanding_count()
 
     def unacknowledged_seqs(self, switch: str) -> List[int]:
         """Sequence numbers sent but not yet answered (§VIII DoS defense)."""
-        return sorted(seq for (name, seq) in self._pending if name == switch)
+        return sorted(seq for (name, seq) in self.requests.pending
+                      if name == switch)
 
     # ------------------------------------------------------------------
     # PacketIn handling
@@ -495,9 +396,9 @@ class P4AuthController:
                                "register response digest mismatch")
             return
         seq = hdr["seqNum"]
-        pending = self._pending.pop((switch, seq), None)
-        if pending is not None and pending.timeout_handle is not None:
-            pending.timeout_handle.cancel()
+        # Response verification costs one controller-side digest.
+        pending = self.requests.complete(switch, seq,
+                                         self.costs.controller_digest_s)
         if pending is None:
             # An authenticated duplicate (replayed response) or a response
             # to a request we gave up on — or, for nAcks, fallout from an
@@ -515,15 +416,9 @@ class P4AuthController:
             self.stats.acks_received += 1
         else:
             self.stats.nacks_received += 1
-        # Response verification costs one controller-side digest.
-        rct = (self.sim.now + self.costs.controller_digest_s) - pending.sent_at
         self.stats.rct_samples.append(
-            RctSample(pending.kind, switch, rct, ok)
+            RctSample(pending.kind, switch, pending.rct_s, ok)
         )
-        if self.telemetry.enabled:
-            self.telemetry.metrics.histogram(
-                "runtime_rct_seconds", buckets=RCT_BUCKETS,
-                stack="P4Auth", kind=pending.kind).observe(rct)
         if pending.callback is not None:
             self.sim.schedule(self.costs.controller_digest_s,
                               pending.callback, ok, value)

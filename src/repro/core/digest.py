@@ -52,9 +52,8 @@ class DigestEngine:
         ``"halfsiphash"`` (BMv2 flavor) or ``"crc32"`` (Tofino flavor).
     lane:
         Software batch-lane policy: ``"auto"`` (vector at or above
-        :attr:`vector_threshold` when numpy is importable), ``"vector"``
-        (always batch through :mod:`repro.crypto.vectorized`, stdlib
-        fallback included), or ``"scalar"`` (never).
+        :attr:`vector_threshold`), ``"vector"`` (always batch through
+        :mod:`repro.crypto.vectorized`), or ``"scalar"`` (never).
     vector_threshold:
         Batch size at which ``"auto"`` switches lanes; defaults to
         :attr:`VECTOR_THRESHOLD`.
@@ -129,7 +128,7 @@ class DigestEngine:
             return "scalar"
         if self.lane == "vector":
             return "vector"
-        if batch_size >= self.vector_threshold and vectorized.HAVE_NUMPY:
+        if batch_size >= self.vector_threshold:
             return "vector"
         return "scalar"
 
@@ -201,16 +200,13 @@ class DigestEngine:
         if self.lane_for(count) == "vector":
             self.vector_batches += 1
             self.vector_messages += count
-            force_stdlib = not vectorized.HAVE_NUMPY
             if self._halfsiphash is not None:
                 return vectorized.digest_many_from_state(
                     self._schedule(key), materials,
                     self._halfsiphash.compression_rounds,
-                    self._halfsiphash.finalization_rounds,
-                    force_stdlib=force_stdlib)
+                    self._halfsiphash.finalization_rounds)
             return vectorized.crc32_many_keyed(key, materials,
-                                               engine=self._crc,
-                                               force_stdlib=force_stdlib)
+                                               engine=self._crc)
         self.scalar_batches += 1
         self.scalar_messages += count
         if self._halfsiphash is not None:

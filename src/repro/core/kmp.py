@@ -37,7 +37,7 @@ from repro.core.messages import (
     build_eak_message,
     build_keyctl_message,
 )
-from repro.crypto.prng import XorShiftPrng
+from repro.core.requests import RetryPolicy
 from repro.dataplane.packet import Packet
 from repro.telemetry import KMP_RTT_BUCKETS
 
@@ -120,47 +120,24 @@ class _Exchange:
 class KeyManagementProtocol:
     """Controller-resident KMP engine (owned by P4AuthController)."""
 
-    def __init__(self, controller, retry_timeout_s: float = 0.02,
-                 max_attempts: int = 3, backoff_factor: float = 2.0,
-                 max_backoff_s: float = 0.25, backoff_jitter: float = 0.1,
-                 backoff_seed: int = 0x5EED):
+    def __init__(self, controller, retry: Optional[RetryPolicy] = None):
         self.c = controller
         self.stats = KmpStats()
         #: Give an exchange this long before declaring the attempt lost
         #: (lost/tampered messages otherwise stall key management forever).
-        #: Retries back off exponentially (``backoff_factor`` per attempt,
-        #: capped at ``max_backoff_s``) with seeded positive jitter, so a
-        #: congested or blacked-out channel is not hammered on a fixed
-        #: timer and racing exchanges decorrelate.
-        self.retry_timeout_s = retry_timeout_s
-        self.max_attempts = max_attempts
-        self.backoff_factor = backoff_factor
-        self.max_backoff_s = max_backoff_s
-        self.backoff_jitter = backoff_jitter
+        #: Retries back off exponentially (capped) with seeded positive
+        #: jitter, so a congested or blacked-out channel is not hammered
+        #: on a fixed timer and racing exchanges decorrelate.
+        self.retry = retry or RetryPolicy(
+            0.02, max_attempts=3, factor=2.0, cap_s=0.25, jitter=0.1,
+            seed=0x5EED)
         #: Observers of abandoned exchanges (the terminal failure surface;
         #: ``bootstrap_all`` and chaos scenarios subscribe here).
         self.on_abandoned: List[Callable[[KmpFailure], None]] = []
-        self._backoff_prng = XorShiftPrng(backoff_seed)
         self._by_seq: Dict[Tuple[str, int], _Exchange] = {}
         self._by_port: Dict[Tuple[str, int], _Exchange] = {}
         self._rollover_interval: Optional[float] = None
         self._automation_enabled = False
-
-    def retry_delay(self, attempt: int) -> float:
-        """Watchdog timeout for the given attempt (1-based).
-
-        Attempt 1 uses the base timeout with no jitter (and consumes no
-        randomness, keeping clean runs byte-identical to a jitter-free
-        configuration); retries grow exponentially and add up to
-        ``backoff_jitter`` relative jitter from the seeded PRNG.
-        """
-        delay = self.retry_timeout_s * (self.backoff_factor ** (attempt - 1))
-        delay = min(delay, self.max_backoff_s)
-        if attempt > 1 and self.backoff_jitter > 0:
-            delay *= 1.0 + self.backoff_jitter * self._backoff_prng.uniform()
-        # The jitter multiplier applies before the ceiling, never above it:
-        # ``max_backoff_s`` is a hard bound, not a pre-jitter target.
-        return min(delay, self.max_backoff_s)
 
     # ------------------------------------------------------------------
     # dataplane instrumentation (called from controller.provision)
@@ -273,10 +250,10 @@ class KeyManagementProtocol:
         """Initialize local keys for every switch, then every port key.
 
         ``on_done`` fires when every operation has *resolved* — completed
-        or abandoned after ``max_attempts`` — never hanging silently on a
-        dead switch.  Callers inspect :attr:`KmpStats.failures` for the
-        outcome.  Port keys are only attempted across links whose both
-        endpoints obtained a local key.
+        or abandoned once :attr:`retry` is exhausted — never hanging
+        silently on a dead switch.  Callers inspect
+        :attr:`KmpStats.failures` for the outcome.  Port keys are only
+        attempted across links whose both endpoints obtained a local key.
         """
         switches = sorted(self.c.dataplanes)
         if not switches:
@@ -535,7 +512,7 @@ class KeyManagementProtocol:
 
     def _watch(self, exchange: _Exchange, restart) -> None:
         """Re-run the operation if it hasn't completed within the timeout."""
-        self.c.sim.schedule(self.retry_delay(exchange.attempt),
+        self.c.sim.schedule(self.retry.delay(exchange.attempt),
                             self._check_exchange, exchange, restart)
 
     def _check_exchange(self, exchange: _Exchange, restart) -> None:
@@ -543,7 +520,7 @@ class KeyManagementProtocol:
             return
         self._purge(exchange)
         telemetry = self.c.telemetry
-        if exchange.attempt >= self.max_attempts:
+        if self.retry.exhausted(exchange.attempt):
             self._abandon(exchange)
             return
         self.stats.retries += 1

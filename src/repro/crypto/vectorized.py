@@ -13,57 +13,33 @@ messages per call:
   CRC-32 over a batch (keyed form prepends the 64-bit key exactly like
   :meth:`repro.crypto.crc.Crc32.compute_keyed`).
 
-Two backends sit behind each function:
+The lanes are numpy (a hard dependency of the package): the 32-bit
+SipRound ALU ops and the CRC table step run across all message lanes at
+once as ``uint32`` array arithmetic.  Messages are grouped by byte
+length so every lane in a group walks the same block schedule — C-DP
+signing is the best case (every register-op request has identical
+material length).
 
-- **numpy** (when importable and not disabled): the 32-bit SipRound ALU
-  ops and the CRC table step run across all message lanes at once as
-  ``uint32`` array arithmetic.  Messages are grouped by byte length so
-  every lane in a group walks the same block schedule — C-DP signing is
-  the best case (every register-op request has identical material
-  length).
-- **pure stdlib** (fallback): a tight scalar loop that still amortizes
-  the key schedule and attribute lookups.  Same tags, no dependency.
-
-Bit-identity between both backends and the scalar
+Bit-identity with the scalar
 :class:`~repro.crypto.halfsiphash.HalfSipHash` /
 :class:`~repro.crypto.crc.Crc32` classes is load-bearing: P4Auth's
 integrity guarantee (Eqn. 4) holds only if controller and switch agree
 on every tag bit, so the differential battery in
-``tests/crypto/test_vector_differential.py`` pins all lanes against each
-other and against independent references.
-
-Set ``REPRO_NO_NUMPY=1`` to force the stdlib backend even when numpy is
-installed (CI runs the differential battery both ways).
+``tests/crypto/test_vector_differential.py`` pins the lanes against the
+scalar classes and against independent references.
 """
 
 from __future__ import annotations
 
-import os
 from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.crypto.crc import Crc32
 from repro.crypto.halfsiphash import HalfSipHash
 
-if os.environ.get("REPRO_NO_NUMPY"):
-    np = None  # type: ignore[assignment]
-else:
-    try:  # pragma: no cover - exercised via the REPRO_NO_NUMPY CI leg
-        import numpy as np  # type: ignore[import-untyped]
-    except ImportError:  # pragma: no cover
-        np = None  # type: ignore[assignment]
-
-#: True when the numpy backend is active in this process.
-HAVE_NUMPY = np is not None
-
-_MASK32 = 0xFFFFFFFF
-
 # Default CRC engine: IEEE reflected CRC-32, the Tofino hash-unit flavor.
 _CRC_DEFAULT = Crc32()
-
-
-def backend() -> str:
-    """Name of the active vector backend (``"numpy"`` or ``"stdlib"``)."""
-    return "numpy" if HAVE_NUMPY else "stdlib"
 
 
 # ---------------------------------------------------------------------------
@@ -72,45 +48,24 @@ def backend() -> str:
 
 
 def digest_many(key: int, messages: Sequence[bytes],
-                compression_rounds: int = 2, finalization_rounds: int = 4,
-                force_stdlib: bool = False) -> List[int]:
+                compression_rounds: int = 2,
+                finalization_rounds: int = 4) -> List[int]:
     """HalfSipHash tags for every message under one 64-bit ``key``.
 
     Bit-identical to ``[HalfSipHash(c, d).digest(key, m) for m in
-    messages]``, computed lane-parallel when numpy is available.
+    messages]``, computed lane-parallel.
     """
     hasher = HalfSipHash(compression_rounds, finalization_rounds)
     return digest_many_from_state(hasher.key_schedule(key), messages,
-                                  compression_rounds, finalization_rounds,
-                                  force_stdlib=force_stdlib)
+                                  compression_rounds, finalization_rounds)
 
 
 def digest_many_from_state(state: Tuple[int, int, int, int],
                            messages: Sequence[bytes],
                            compression_rounds: int = 2,
-                           finalization_rounds: int = 4,
-                           force_stdlib: bool = False) -> List[int]:
+                           finalization_rounds: int = 4) -> List[int]:
     """Tag a batch starting from a precomputed key schedule."""
-    if not messages:
-        return []
-    if HAVE_NUMPY and not force_stdlib:
-        return _digest_many_numpy(state, messages, compression_rounds,
-                                  finalization_rounds)
-    return _digest_many_stdlib(state, messages, compression_rounds,
-                               finalization_rounds)
-
-
-def _digest_many_stdlib(state: Tuple[int, int, int, int],
-                        messages: Sequence[bytes], c: int,
-                        d: int) -> List[int]:
-    hasher = HalfSipHash(c, d)
-    digest = hasher.digest_from_state  # hoist the bound method
-    return [digest(state, message) for message in messages]
-
-
-def _digest_many_numpy(state: Tuple[int, int, int, int],
-                       messages: Sequence[bytes], c: int,
-                       d: int) -> List[int]:
+    c, d = compression_rounds, finalization_rounds
     out: List[int] = [0] * len(messages)
     # Group lanes by message length so every lane in a group shares one
     # block schedule; C-DP material is fixed-width, so signing a burst
@@ -186,16 +141,15 @@ def _digest_group_numpy(state: Tuple[int, int, int, int],
 # ---------------------------------------------------------------------------
 
 
-def crc32_many(datas: Sequence[bytes], engine: Optional[Crc32] = None,
-               force_stdlib: bool = False) -> List[int]:
+def crc32_many(datas: Sequence[bytes],
+               engine: Optional[Crc32] = None) -> List[int]:
     """Unkeyed CRC-32 of every message (matches ``Crc32.compute``)."""
     engine = engine or _CRC_DEFAULT
-    return _crc32_many(datas, engine, engine.init, force_stdlib)
+    return _crc32_many(datas, engine, engine.init)
 
 
 def crc32_many_keyed(key: int, datas: Sequence[bytes],
-                     engine: Optional[Crc32] = None,
-                     force_stdlib: bool = False) -> List[int]:
+                     engine: Optional[Crc32] = None) -> List[int]:
     """Keyed CRC-32 of every message (matches ``Crc32.compute_keyed``).
 
     The 8-byte little-endian key prefix is identical across lanes, so
@@ -209,33 +163,11 @@ def crc32_many_keyed(key: int, datas: Sequence[bytes],
     state = engine.init
     for byte in key.to_bytes(8, "little"):
         state = (state >> 8) ^ table[(state ^ byte) & 0xFF]
-    return _crc32_many(datas, engine, state, force_stdlib)
+    return _crc32_many(datas, engine, state)
 
 
-def _crc32_many(datas: Sequence[bytes], engine: Crc32, init_state: int,
-                force_stdlib: bool) -> List[int]:
-    if not datas:
-        return []
-    if HAVE_NUMPY and not force_stdlib:
-        return _crc32_many_numpy(datas, engine, init_state)
-    return _crc32_many_stdlib(datas, engine, init_state)
-
-
-def _crc32_many_stdlib(datas: Sequence[bytes], engine: Crc32,
-                       init_state: int) -> List[int]:
-    table = engine._table
-    xor_out = engine.xor_out
-    out: List[int] = []
-    for data in datas:
-        crc = init_state
-        for byte in data:
-            crc = (crc >> 8) ^ table[(crc ^ byte) & 0xFF]
-        out.append(crc ^ xor_out)
-    return out
-
-
-def _crc32_many_numpy(datas: Sequence[bytes], engine: Crc32,
-                      init_state: int) -> List[int]:
+def _crc32_many(datas: Sequence[bytes], engine: Crc32,
+                init_state: int) -> List[int]:
     table = np.asarray(engine._table, dtype=np.uint32)
     xor_out = np.uint32(engine.xor_out)
     out: List[int] = [0] * len(datas)
@@ -260,8 +192,6 @@ def _crc32_many_numpy(datas: Sequence[bytes], engine: Crc32,
 
 
 __all__ = [
-    "HAVE_NUMPY",
-    "backend",
     "crc32_many",
     "crc32_many_keyed",
     "digest_many",

@@ -33,17 +33,13 @@ import math
 from collections import deque
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.auth_dataplane import P4AuthDataplane
-from repro.core.controller import P4AuthController
 from repro.crypto.prng import XorShiftPrng
 from repro.dataplane.switch import DataplaneSwitch
 from repro.engine.registry import register
 from repro.engine.spec import ExperimentSpec, TrialContext
 from repro.net.topology import random_regular_fabric
 from repro.runtime.batch import BatchController
-from repro.runtime.comparison import STACKS
-from repro.runtime.p4runtime import P4RuntimeStack
-from repro.runtime.plain import PlainController, PlainRegOpDataplane
+from repro.runtime.comparison import STACKS, attach_stack
 
 #: Virtual-time ceiling for one workload run; generous on purpose — the
 #: sequential m=400 point is thousands of serialized RTTs.
@@ -67,9 +63,6 @@ def build_batch_deployment(stack_name: str, m: int = 25, degree: int = 4,
     bootstrap so setup is loss-free and deterministic; loss applies only
     to the measured workload.
     """
-    if stack_name not in STACKS:
-        raise ValueError(f"stack must be one of {STACKS}")
-
     def factory(name: str, num_ports: int) -> DataplaneSwitch:
         node = int(name[2:])
         switch = DataplaneSwitch(name, num_ports=num_ports, seed=seed + node)
@@ -79,38 +72,15 @@ def build_batch_deployment(stack_name: str, m: int = 25, degree: int = 4,
     net, extras = random_regular_fabric(m, degree, seed, factory=factory,
                                         telemetry=telemetry)
     sim, switches = extras["sim"], extras["switches"]
-
-    if stack_name == "P4Runtime":
-        stack = P4RuntimeStack(net, request_timeout_s=request_timeout_s)
-        for name in switches:
-            stack.provision(net.switch(name))
-    elif stack_name == "DP-Reg-RW":
-        stack = PlainController(net, request_timeout_s=request_timeout_s)
-        for name in switches:
-            PlainRegOpDataplane(net.switch(name)).install() \
-                .map_register("target")
-            stack.provision(net.switch(name))
-    else:
-        # The outstanding-requests DoS heuristic budgets for ONE switch's
-        # worth of pipelining; a batched fleet legitimately holds up to
-        # m * window requests open, so the threshold must scale with it.
-        stack = P4AuthController(
-            net, request_timeout_s=request_timeout_s,
-            outstanding_threshold=max(1000, 2 * m * max_in_flight),
-            digest_lane=digest_lane)
-        done: List[object] = []
-        for name in switches:
-            node = int(name[2:])
-            dataplane = P4AuthDataplane(net.switch(name),
-                                        k_seed=0x1000 + node).install()
-            dataplane.map_register("target")
-            stack.provision(dataplane)
-        for name in switches:
-            stack.kmp.local_key_init(name, on_done=done.append)
-        sim.run(until=sim.now + BOOTSTRAP_DEADLINE_S)
-        if len(done) != m:
-            raise RuntimeError(
-                f"key bootstrap incomplete: {len(done)}/{m} switches")
+    # The outstanding-requests DoS heuristic budgets for ONE switch's
+    # worth of pipelining; a batched fleet legitimately holds up to
+    # m * window requests open, so the threshold must scale with it.
+    stack, _dataplanes = attach_stack(
+        stack_name, net, switches, ["target"],
+        {name: 0x1000 + int(name[2:]) for name in switches},
+        BOOTSTRAP_DEADLINE_S, request_timeout_s=request_timeout_s,
+        outstanding_threshold=max(1000, 2 * m * max_in_flight),
+        digest_lane=digest_lane)
 
     if loss_rate > 0.0:
         prng = XorShiftPrng(seed ^ 0xBADC0FFE)

@@ -86,8 +86,7 @@ def _trial(ctx: TrialContext) -> Dict[str, object]:
     return {
         "algorithm": p["algorithm"],
         "lane": p["lane"],
-        "backend": (vectorized.backend() if p["lane"] == "vector"
-                    else "scalar"),
+        "backend": "numpy" if p["lane"] == "vector" else "scalar",
         "batch": p["batch"],
         "msg_len": p["msg_len"],
         "wall_s": best_s,

@@ -20,18 +20,16 @@ from typing import Dict, List
 from repro.attacks.control_plane import RegisterResponseTamperer
 from repro.engine.registry import register
 from repro.engine.spec import ExperimentSpec, TrialContext
-from repro.core.auth_dataplane import P4AuthDataplane
-from repro.core.controller import P4AuthController
 from repro.dataplane.switch import DataplaneSwitch
 from repro.net.network import Network
 from repro.net.simulator import EventSimulator
 from repro.net.trace import TraceGenerator
-from repro.runtime.plain import PlainController, PlainRegOpDataplane
 from repro.systems.routescout import (
     RouteScoutController,
     RouteScoutDataplane,
     make_rs_packet,
 )
+from repro.systems.tableone import build_deployment
 
 MODES = ("baseline", "attack", "p4auth")
 
@@ -71,19 +69,8 @@ def run_routescout(mode: str, duration_s: float = 60.0, seed: int = 42,
     routescout = RouteScoutDataplane(switch).install()
 
     # Control stack: authenticated or plain, per mode.
-    if mode == "p4auth":
-        dataplane = P4AuthDataplane(switch, k_seed=0x5EC11E7).install()
-        dataplane.map_all_registers()
-        client = P4AuthController(net)
-        client.provision(dataplane)
-        client.kmp.local_key_init("edge")
-        sim.run(until=0.05)
-    else:
-        dataplane = None
-        plain_dp = PlainRegOpDataplane(switch).install()
-        plain_dp.map_all_registers()
-        client = PlainController(net)
-        client.provision(switch)
+    client, _dataplane = build_deployment(mode, switch, net, sim,
+                                          k_seed=0x5EC11E7)
 
     controller = RouteScoutController(client, sim, "edge", epoch_s=1.0)
     controller.start()

@@ -44,6 +44,7 @@ from repro.experiments.cdp_batch import (
 )
 from repro.faults.controller import ControllerKillSwitch
 from repro.runtime.batch import BatchController
+from repro.runtime.comparison import bootstrap_local_keys
 from repro.store import open_store, warm_restart
 from repro.store.journal import RECORD_TYPES
 from repro.store.recorder import StateRecorder
@@ -203,14 +204,7 @@ def _crash_trial(params, state_dir: str, m: int, kill_on: str, fsync: str,
     rebootstrapped = [sw for sw in switches
                       if not controller2.keys.has_local_key(sw)]
     if rebootstrapped:
-        done: List[object] = []
-        for sw in rebootstrapped:
-            controller2.kmp.local_key_init(sw, on_done=done.append)
-        sim.run(until=sim.now + 10.0)
-        if len(done) != len(rebootstrapped):
-            raise RuntimeError(
-                f"re-bootstrap incomplete: {len(done)}/"
-                f"{len(rebootstrapped)}")
+        bootstrap_local_keys(controller2, rebootstrapped, 10.0)
 
     # ---- phase 2: prove the fleet is fully usable --------------------
     phase2 = {"ok": 0, "failed": 0}

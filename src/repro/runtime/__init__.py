@@ -11,7 +11,9 @@
   :class:`repro.core.P4AuthDataplane` — DP-Reg-RW plus digests.
 
 :mod:`repro.runtime.harness` drives any of them with the paper's
-sequential request workload and reports RCT and throughput.
+sequential request workload and reports RCT and throughput;
+:func:`repro.runtime.comparison.attach_stack` is the one place that
+attaches any of them, by name, to a set of switches.
 """
 
 from repro.runtime.plain import (
@@ -21,7 +23,7 @@ from repro.runtime.plain import (
 )
 from repro.runtime.p4runtime import P4RuntimeStack
 from repro.runtime.harness import RunStats, run_sequential
-from repro.runtime.comparison import STACKS, build_stack, measure
+from repro.runtime.comparison import STACKS, attach_stack, build_stack, measure
 
 __all__ = [
     "CTL_HEADER",
@@ -31,6 +33,7 @@ __all__ = [
     "RunStats",
     "run_sequential",
     "STACKS",
+    "attach_stack",
     "build_stack",
     "measure",
 ]

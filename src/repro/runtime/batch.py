@@ -13,7 +13,7 @@ to different switches proceed concurrently — windowed pipelining plus
 cross-switch coalescing.
 
 Crucially the facade changes *scheduling only*: every request still goes
-through the wrapped stack's ``read_register``/``write_register``, so the
+through the wrapped stack's own compose path (``request_many``), so the
 per-message wire format, the Eqn 4 digest rule, sequence numbering, and
 every verify/replay/DoS invariant are byte-for-byte those of the
 underlying stack.  A batched deployment is exactly as authenticated as a
@@ -91,10 +91,9 @@ class BatchController:
     Parameters
     ----------
     stack:
-        Any object exposing ``read_register(switch, reg, index, cb)`` /
-        ``write_register(switch, reg, index, value, cb)`` with
-        completion callbacks and a ``sim`` attribute (all three runtime
-        stacks qualify).
+        Any object exposing ``request_many(switch, ops)`` with
+        completion callbacks and ``sim``/``network`` attributes (all
+        three runtime stacks qualify).
     max_in_flight:
         Per-switch window: at most this many requests are outstanding
         toward one switch at a time.  1 degenerates to the sequential
@@ -143,15 +142,14 @@ class BatchController:
     def read_register(self, switch: str, reg_name: str, index: int,
                       callback: Optional[ResponseCallback] = None) -> None:
         """Queue an authenticated read; issued as the window allows."""
-        self._submit(_QueuedRequest("read", switch, reg_name, index, 0,
-                                    callback, self.sim.now))
+        self.submit_many([("read", switch, reg_name, index, 0, callback)])
 
     def write_register(self, switch: str, reg_name: str, index: int,
                        value: int,
                        callback: Optional[ResponseCallback] = None) -> None:
         """Queue an authenticated write; issued as the window allows."""
-        self._submit(_QueuedRequest("write", switch, reg_name, index, value,
-                                    callback, self.sim.now))
+        self.submit_many([("write", switch, reg_name, index, value,
+                           callback)])
 
     def submit_many(self, ops: Sequence[Tuple]) -> None:
         """Queue a batch of requests, then fill each window once.
@@ -162,8 +160,8 @@ class BatchController:
         :meth:`write_register` per op — same FIFO order, same wire
         bytes — but the pump runs once per switch *after* everything is
         queued, so a whole window's worth of requests issues as one
-        burst.  Burst issue is what lets a stack exposing
-        ``request_many`` sign the burst in a single
+        burst.  Burst issue is what lets the P4Auth controller sign the
+        burst in a single
         :meth:`~repro.core.digest.DigestEngine.sign_many` call (and
         take the vectorized digest lane above its threshold).
         """
@@ -228,13 +226,6 @@ class BatchController:
     # internals
     # ------------------------------------------------------------------
 
-    def _submit(self, request: _QueuedRequest) -> None:
-        self.stats.submitted += 1
-        if self.telemetry.enabled:
-            self._counter_submitted.inc()
-        self._queues.setdefault(request.switch, deque()).append(request)
-        self._pump(request.switch)
-
     def _pump(self, switch: str) -> None:
         """Refill the switch's window from its FIFO queue."""
         queue = self._queues.get(switch)
@@ -256,12 +247,12 @@ class BatchController:
                      burst: List[_QueuedRequest]) -> None:
         """Hand a FIFO burst to the stack, window accounting first.
 
-        Stacks exposing ``request_many`` (the P4Auth controller) get
-        multi-request bursts in one call so all Eqn 4 digests are
-        signed together; other stacks — and single-request refills —
-        take the per-request path.  Either way the wire stream is
-        byte-identical: composition order, sequence numbers, and
-        departure times are those of back-to-back per-request issue.
+        Every refill — one request or a window's worth — goes through
+        the stack's ``request_many``, which the P4Auth controller uses
+        to sign all Eqn 4 digests of the burst together.  The wire
+        stream is byte-identical to per-request issue: composition
+        order, sequence numbers, and departure times are those of
+        back-to-back ``read_register``/``write_register`` calls.
         """
         now = self.sim.now
         if self.window_listener is not None \
@@ -275,27 +266,11 @@ class BatchController:
                 self.stats.in_flight_high_water = self._in_flight_total
             self.stats.issued += 1
             request.issued_at = now
-        request_many = getattr(self.stack, "request_many", None)
-        if request_many is not None and len(burst) > 1:
-            request_many(switch, [
-                (request.kind, request.reg_name, request.index,
-                 request.value,
-                 lambda ok, value, request=request:
-                     self._on_complete(request, ok, value))
-                for request in burst])
-            return
-        for request in burst:
-            def complete(ok: bool, value: int,
-                         request: _QueuedRequest = request) -> None:
-                self._on_complete(request, ok, value)
-
-            if request.kind == "read":
-                self.stack.read_register(switch, request.reg_name,
-                                         request.index, complete)
-            else:
-                self.stack.write_register(switch, request.reg_name,
-                                          request.index, request.value,
-                                          complete)
+        self.stack.request_many(switch, [
+            (request.kind, request.reg_name, request.index, request.value,
+             lambda ok, value, request=request:
+                 self._on_complete(request, ok, value))
+            for request in burst])
 
     def _on_complete(self, request: _QueuedRequest, ok: bool,
                      value: int) -> None:

@@ -7,7 +7,7 @@ sequential read/write workload against it.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.core.auth_dataplane import P4AuthDataplane
 from repro.core.controller import P4AuthController
@@ -23,30 +23,77 @@ from repro.runtime.plain import PlainController, PlainRegOpDataplane
 STACKS = ("P4Runtime", "DP-Reg-RW", "P4Auth")
 
 
+def attach_stack(stack_name: str, net: Network, switches: Sequence[str],
+                 registers: Optional[Sequence[str]],
+                 k_seeds: Mapping[str, int],
+                 bootstrap_deadline_s: Optional[float],
+                 request_timeout_s: Optional[float] = None,
+                 **p4auth_kwargs):
+    """Attach one register-access stack to already-programmed switches.
+
+    Installs the stack's data-plane half on every named switch, maps
+    ``registers`` (``None``: every program register), provisions the
+    controller, and for P4Auth runs the local-key bootstrap for up to
+    ``bootstrap_deadline_s`` of virtual time (``None`` skips it: the
+    caller installs key material itself), raising if a switch is left
+    unkeyed.  ``k_seeds`` (per switch) and ``p4auth_kwargs`` (controller
+    constructor) apply to P4Auth only.  Returns ``(stack, dataplanes)``
+    with ``dataplanes`` keyed by switch name (empty for P4Runtime).
+    """
+    if stack_name not in STACKS:
+        raise ValueError(f"stack must be one of {STACKS}")
+    dataplanes: Dict[str, object] = {}
+    if stack_name == "P4Runtime":
+        stack = P4RuntimeStack(net, request_timeout_s=request_timeout_s)
+    elif stack_name == "DP-Reg-RW":
+        stack = PlainController(net, request_timeout_s=request_timeout_s)
+    else:
+        stack = P4AuthController(net, request_timeout_s=request_timeout_s,
+                                 **p4auth_kwargs)
+    for name in switches:
+        switch = net.switch(name)
+        if stack_name == "P4Runtime":
+            stack.provision(switch)
+            continue
+        if stack_name == "DP-Reg-RW":
+            dataplane = PlainRegOpDataplane(switch).install()
+        else:
+            dataplane = P4AuthDataplane(switch,
+                                        k_seed=k_seeds[name]).install()
+        if registers is None:
+            dataplane.map_all_registers()
+        else:
+            for reg_name in registers:
+                dataplane.map_register(reg_name)
+        stack.provision(switch if stack_name == "DP-Reg-RW" else dataplane)
+        dataplanes[name] = dataplane
+    if stack_name == "P4Auth" and bootstrap_deadline_s is not None:
+        bootstrap_local_keys(stack, switches, bootstrap_deadline_s)
+    return stack, dataplanes
+
+
+def bootstrap_local_keys(controller: P4AuthController,
+                         switches: Sequence[str], deadline_s: float) -> None:
+    """Run the local-key handshakes in parallel for up to ``deadline_s``
+    of virtual time; raises if a switch is left unkeyed."""
+    done = []
+    for name in switches:
+        controller.kmp.local_key_init(name, on_done=done.append)
+    controller.sim.run(until=controller.sim.now + deadline_s)
+    if len(done) != len(switches):
+        raise RuntimeError(
+            f"key bootstrap incomplete: {len(done)}/{len(switches)} switches")
+
+
 def build_stack(name: str, costs=None, telemetry=None):
     """A fresh deployment of one stack; returns (sim, stack)."""
-    if name not in STACKS:
-        raise ValueError(f"stack must be one of {STACKS}")
     sim = EventSimulator(telemetry=telemetry)
     net = Network(sim, costs)
     switch = DataplaneSwitch("s1", num_ports=2)
     net.add_switch(switch)
     switch.registers.define("target", 64, 16)
-    if name == "P4Runtime":
-        stack = P4RuntimeStack(net)
-        stack.provision(switch)
-    elif name == "DP-Reg-RW":
-        dataplane = PlainRegOpDataplane(switch).install()
-        dataplane.map_register("target")
-        stack = PlainController(net)
-        stack.provision(switch)
-    else:
-        dataplane = P4AuthDataplane(switch, k_seed=0x42).install()
-        dataplane.map_register("target")
-        stack = P4AuthController(net)
-        stack.provision(dataplane)
-        stack.kmp.local_key_init("s1")
-        sim.run(until=0.1)
+    stack, _dataplanes = attach_stack(name, net, ["s1"], ["target"],
+                                      {"s1": 0x42}, 0.1)
     return sim, stack
 
 

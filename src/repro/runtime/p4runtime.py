@@ -18,15 +18,18 @@ same tap chain as PacketOut messages.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.constants import REG_OP, RegOpType
+from repro.core.requests import (
+    PendingRequest,
+    RequestLifecycle,
+    ResponseCallback,
+    RetryPolicy,
+)
 from repro.dataplane.switch import DataplaneSwitch
 from repro.net.network import Network
 from repro.runtime.plain import build_plain_request
-from repro.telemetry import RCT_BUCKETS
-
-ResponseCallback = Callable[[bool, int], None]
 
 
 class P4RuntimeStack:
@@ -38,103 +41,76 @@ class P4RuntimeStack:
         self.network = network
         self.sim = network.sim
         self.costs = network.costs
+        self.request_retries = 0
+        self.requests_abandoned = 0
         #: Opt-in bounded retries: ``None`` preserves the legacy behaviour
         #: where an OS-level drop makes the request time out *silently*;
         #: otherwise lost requests are re-issued after this delay up to
         #: ``max_request_attempts`` times, then abandoned via
-        #: ``callback(False, 0)``.
-        self.request_timeout_s = request_timeout_s
-        self.max_request_attempts = max_request_attempts
-        self.request_retries = 0
-        self.requests_abandoned = 0
+        #: ``callback(False, 0)``.  Requests to one switch ride one
+        #: ordered gRPC stream, so the lifecycle's per-switch FIFO horizon
+        #: is on *arrival* here: a cheap-to-compose read issued after a
+        #: write must not reach the server first.
+        self.requests = RequestLifecycle(
+            network, "P4Runtime",
+            RetryPolicy(request_timeout_s, max_request_attempts),
+            self._issue, self)
         self._switches: Dict[str, DataplaneSwitch] = {}
-        self._seq = 1
-        self._outstanding = 0
-        #: Per-switch monotonic arrival time: requests to one switch ride
-        #: one ordered gRPC stream, so a cheap-to-compose read issued after
-        #: a write must not reach the server first.
-        self._arrival_horizon: Dict[str, float] = {}
         self.rct_samples = []  # (kind, rct_s, ok)
 
     def provision(self, switch: DataplaneSwitch) -> None:
         self._switches[switch.name] = switch
+        self.requests.seq.setdefault(switch.name, 1)
 
     def outstanding_count(self) -> int:
         """Requests issued whose outcome (completion, loss, abandonment)
         has not yet been decided — the stack's true in-flight load."""
-        return self._outstanding
+        return self.requests.outstanding_count()
 
     def read_register(self, switch: str, reg_name: str, index: int,
                       callback: Optional[ResponseCallback] = None) -> int:
-        return self._issue("read", switch, reg_name, index, 0, callback,
-                           self.costs.compose_read_s)
+        return self._issue("read", switch, reg_name, index, 0, callback)
 
     def write_register(self, switch: str, reg_name: str, index: int,
                        value: int,
                        callback: Optional[ResponseCallback] = None) -> int:
-        return self._issue("write", switch, reg_name, index, value, callback,
-                           self.costs.compose_write_s)
+        return self._issue("write", switch, reg_name, index, value, callback)
+
+    def request_many(self, switch: str, ops: Sequence[Tuple]) -> List[int]:
+        """Issue a burst of ``(kind, reg_name, index, value, callback)``
+        ops back to back; returns their seq numbers."""
+        return self.requests.issue_each(switch, ops)
 
     def _issue(self, kind: str, switch: str, reg_name: str, index: int,
                value: int, callback: Optional[ResponseCallback],
-               compose_cost: float, attempt: int = 1) -> int:
-        seq = self._seq
-        self._seq += 1
-        self._outstanding += 1
-        sent_at = self.sim.now
+               attempt: int = 1) -> int:
+        seq = self.requests.next_seq(switch)
+        compose_s = (self.costs.compose_read_s if kind == "read"
+                     else self.costs.compose_write_s)
         # Compose + gRPC/P4Runtime server overhead, then one C-DP transit.
-        request_delay = (compose_cost + self.costs.p4runtime_overhead_s
+        request_delay = (compose_s + self.costs.p4runtime_overhead_s
                          + self.network.jittered(self.costs.cdp_one_way_s))
-        apply_at = max(self.sim.now + request_delay,
-                       self._arrival_horizon.get(switch, 0.0))
-        self._arrival_horizon[switch] = apply_at
-        self.sim.schedule_at(apply_at, self._apply, kind, switch, reg_name,
-                             index, value, seq, sent_at, callback, attempt)
+        request = PendingRequest(kind, switch, reg_name, index, value,
+                                 callback, attempt)
+        # Loss happens inside ``_apply``, where it is seen directly: no
+        # response timer, ``lost`` hands the request back instead.
+        self.requests.dispatch(seq, request, self.sim.now + request_delay,
+                               self._apply, seq, request, timed=False)
         return seq
 
-    def _lost(self, kind: str, switch: str, reg_name: str, index: int,
-              value: int, seq: int, callback: Optional[ResponseCallback],
-              attempt: int) -> None:
-        """A request or response died inside the switch OS."""
-        self._outstanding -= 1
-        if self.request_timeout_s is None:
-            return  # legacy: times out silently
-        if attempt >= self.max_request_attempts:
-            self.requests_abandoned += 1
-            telemetry = self.network.telemetry
-            if telemetry.enabled:
-                telemetry.metrics.counter(
-                    "runtime_requests_abandoned_total",
-                    stack="P4Runtime", kind=kind).inc()
-                telemetry.tracer.emit(
-                    "runtime.request_abandoned", stack="P4Runtime",
-                    switch=switch, kind=kind, reg=reg_name, seq=seq,
-                    attempts=attempt)
-            if callback is not None:
-                self.sim.schedule(0.0, callback, False, 0)
-            return
-        self.request_retries += 1
-        compose_cost = (self.costs.compose_read_s if kind == "read"
-                        else self.costs.compose_write_s)
-        self.sim.schedule(self.request_timeout_s, self._issue, kind, switch,
-                          reg_name, index, value, callback, compose_cost,
-                          attempt + 1)
-
-    def _apply(self, kind: str, switch: str, reg_name: str, index: int,
-               value: int, seq: int, sent_at: float,
-               callback: Optional[ResponseCallback],
-               attempt: int = 1) -> None:
+    def _apply(self, seq: int, request: PendingRequest) -> None:
         # The request parameters traverse the switch OS (SDK/driver), so
         # the compromised-OS tap chain gets its chance to mangle them.
+        kind, switch = request.kind, request.switch
         msg_type = RegOpType.READ_REQ if kind == "read" else RegOpType.WRITE_REQ
         device = self._switches[switch]
-        reg_id = device.registers.id_of(reg_name)
-        surrogate = build_plain_request(msg_type, reg_id, index, value, seq)
+        reg_id = device.registers.id_of(request.reg_name)
+        surrogate = build_plain_request(msg_type, reg_id, request.index,
+                                        request.value, seq)
         channel = self.network.control_channels[switch]
         survivor = channel.transit(surrogate, "c->dp")
         if survivor is None:
-            self._lost(kind, switch, reg_name, index, value, seq, callback,
-                       attempt)
+            self.requests.lost(switch, seq)
             return
         payload = survivor.get(REG_OP)
         register = device.registers.get(device.registers.name_of(
@@ -156,27 +132,18 @@ class P4RuntimeStack:
         )
         survivor_up = channel.transit(response, "dp->c")
         if survivor_up is None:
-            self._lost(kind, switch, reg_name, index, value, seq, callback,
-                       attempt)
+            self.requests.lost(switch, seq)
             return
         response_delay = (self.costs.switch_fwd_s
                           + self.network.jittered(self.costs.cdp_one_way_s)
                           + self.costs.controller_proc_s)
-        self.sim.schedule(response_delay, self._complete, kind, survivor_up,
-                          sent_at, callback)
+        self.sim.schedule(response_delay, self._complete, switch, seq,
+                          survivor_up)
 
-    def _complete(self, kind: str, response, sent_at: float,
-                  callback: Optional[ResponseCallback]) -> None:
-        self._outstanding -= 1
-        ctl = response.get("ctl")
-        ok = ctl["msgType"] == RegOpType.ACK
+    def _complete(self, switch: str, seq: int, response) -> None:
+        request = self.requests.complete(switch, seq)
+        ok = response.get("ctl")["msgType"] == RegOpType.ACK
         value = response.get(REG_OP)["value"]
-        rct_s = self.sim.now - sent_at
-        self.rct_samples.append((kind, rct_s, ok))
-        telemetry = self.network.telemetry
-        if telemetry.enabled:
-            telemetry.metrics.histogram(
-                "runtime_rct_seconds", buckets=RCT_BUCKETS,
-                stack="P4Runtime", kind=kind).observe(rct_s)
-        if callback is not None:
-            callback(ok, value)
+        self.rct_samples.append((request.kind, request.rct_s, ok))
+        if request.callback is not None:
+            request.callback(ok, value)

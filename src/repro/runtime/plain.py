@@ -9,26 +9,27 @@ tap can rewrite these messages and nobody notices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.constants import REG_OP, REG_OP_HEADER, RegOpType
+from repro.core.requests import (
+    PendingRequest,
+    RequestLifecycle,
+    ResponseCallback,
+    RetryPolicy,
+)
 from repro.dataplane.headers import HeaderType
 from repro.dataplane.packet import Packet
 from repro.dataplane.pipeline import PipelineContext
 from repro.dataplane.switch import DataplaneSwitch
 from repro.dataplane.tables import MatchActionTable, MatchKind, TableEntry
 from repro.net.network import Network
-from repro.telemetry import RCT_BUCKETS
 
 #: Unauthenticated control header: message type + sequence number only.
 CTL_HEADER = HeaderType("ctl", [
     ("msgType", 8),
     ("seqNum", 32),
 ])
-
-ResponseCallback = Callable[[bool, int], None]
-
 
 def build_plain_request(msg_type: RegOpType, reg_id: int, index: int,
                         value: int, seq_num: int) -> Packet:
@@ -112,18 +113,6 @@ class PlainRegOpDataplane:
         ctx.stop()
 
 
-@dataclass
-class _PlainPending:
-    kind: str
-    sent_at: float
-    callback: Optional[ResponseCallback]
-    reg_name: str = ""
-    index: int = 0
-    value: int = 0
-    attempt: int = 1
-    timeout_handle: Optional[object] = None
-
-
 class PlainController:
     """Controller for the DP-Reg-RW stack (no authentication).
 
@@ -138,19 +127,16 @@ class PlainController:
         self.network = network
         self.sim = network.sim
         self.costs = network.costs
+        self.request_retries = 0
+        self.requests_abandoned = 0
         #: Opt-in bounded retries (same contract as P4AuthController):
         #: ``None`` keeps legacy fire-and-wait, otherwise unanswered
         #: requests are re-issued then abandoned with ``callback(False, 0)``.
-        self.request_timeout_s = request_timeout_s
-        self.max_request_attempts = max_request_attempts
-        self.request_retries = 0
-        self.requests_abandoned = 0
-        self._seq: Dict[str, int] = {}
-        #: Per-switch monotonic departure time: composition is FIFO per
-        #: switch, so a cheap-to-compose read submitted after a write must
-        #: not leave the controller first (same rule as P4AuthController).
-        self._depart_horizon: Dict[str, float] = {}
-        self._pending: Dict[Tuple[str, int], _PlainPending] = {}
+        self.requests = RequestLifecycle(
+            network, "DP-Reg-RW",
+            RetryPolicy(request_timeout_s, max_request_attempts),
+            self._issue, self)
+        self._seq = self.requests.seq
         self._reg_ids: Dict[str, Dict[str, int]] = {}
         self.rct_samples = []  # (kind, rct_s, ok)
         self.acks = 0
@@ -164,99 +150,57 @@ class PlainController:
         }
         self._seq.setdefault(switch.name, 1)
 
-    def _next_seq(self, switch: str) -> int:
-        seq = self._seq[switch]
-        self._seq[switch] = (seq + 1) & 0xFFFFFFFF
-        return seq
-
     def outstanding_count(self) -> int:
         """Requests sent but not yet answered (uniform across stacks, so
         batching facades can gauge true in-flight load)."""
-        return len(self._pending)
+        return self.requests.outstanding_count()
 
     def read_register(self, switch: str, reg_name: str, index: int,
                       callback: Optional[ResponseCallback] = None) -> int:
-        return self._issue(RegOpType.READ_REQ, "read", switch, reg_name,
-                           index, 0, callback, self.costs.compose_read_s)
+        return self._issue("read", switch, reg_name, index, 0, callback)
 
     def write_register(self, switch: str, reg_name: str, index: int,
                        value: int,
                        callback: Optional[ResponseCallback] = None) -> int:
-        return self._issue(RegOpType.WRITE_REQ, "write", switch, reg_name,
-                           index, value, callback, self.costs.compose_write_s)
+        return self._issue("write", switch, reg_name, index, value, callback)
 
-    def _issue(self, msg_type: RegOpType, kind: str, switch: str,
-               reg_name: str, index: int, value: int,
-               callback: Optional[ResponseCallback],
-               compose_cost: float, attempt: int = 1) -> int:
-        seq = self._next_seq(switch)
+    def request_many(self, switch: str, ops: Sequence[Tuple]) -> List[int]:
+        """Issue a burst of ``(kind, reg_name, index, value, callback)``
+        ops back to back; returns their seq numbers."""
+        return self.requests.issue_each(switch, ops)
+
+    def _issue(self, kind: str, switch: str, reg_name: str, index: int,
+               value: int, callback: Optional[ResponseCallback],
+               attempt: int = 1) -> int:
+        seq = self.requests.next_seq(switch)
+        if kind == "read":
+            msg_type, compose_s = RegOpType.READ_REQ, self.costs.compose_read_s
+        else:
+            msg_type, compose_s = (RegOpType.WRITE_REQ,
+                                   self.costs.compose_write_s)
         request = build_plain_request(
             msg_type, self._reg_ids[switch][reg_name], index, value, seq
         )
-        pending = _PlainPending(kind, self.sim.now, callback,
-                                reg_name=reg_name, index=index, value=value,
-                                attempt=attempt)
-        self._pending[(switch, seq)] = pending
-        depart_at = max(self.sim.now + compose_cost,
-                        self._depart_horizon.get(switch, 0.0))
-        self._depart_horizon[switch] = depart_at
-        self.sim.schedule_at(depart_at, self.network.send_packet_out,
-                             switch, request)
-        if self.request_timeout_s is not None:
-            pending.timeout_handle = self.sim.schedule_cancellable(
-                depart_at - self.sim.now + self.request_timeout_s,
-                self._request_timed_out, switch, seq,
-            )
+        self.requests.dispatch(
+            seq, PendingRequest(kind, switch, reg_name, index, value,
+                                callback, attempt),
+            self.sim.now + compose_s,
+            self.network.send_packet_out, switch, request)
         return seq
-
-    def _request_timed_out(self, switch: str, seq: int) -> None:
-        pending = self._pending.pop((switch, seq), None)
-        if pending is None:
-            return
-        if pending.attempt >= self.max_request_attempts:
-            self.requests_abandoned += 1
-            telemetry = self.network.telemetry
-            if telemetry.enabled:
-                telemetry.metrics.counter(
-                    "runtime_requests_abandoned_total",
-                    stack="DP-Reg-RW", kind=pending.kind).inc()
-                telemetry.tracer.emit(
-                    "runtime.request_abandoned", stack="DP-Reg-RW",
-                    switch=switch, kind=pending.kind, reg=pending.reg_name,
-                    seq=seq, attempts=pending.attempt)
-            if pending.callback is not None:
-                pending.callback(False, 0)
-            return
-        self.request_retries += 1
-        msg_type = (RegOpType.READ_REQ if pending.kind == "read"
-                    else RegOpType.WRITE_REQ)
-        compose_cost = (self.costs.compose_read_s if pending.kind == "read"
-                        else self.costs.compose_write_s)
-        self._issue(msg_type, pending.kind, switch, pending.reg_name,
-                    pending.index, pending.value, pending.callback,
-                    compose_cost, attempt=pending.attempt + 1)
 
     def handle_packet_in(self, switch: str, packet: Packet) -> None:
         if not packet.has("ctl"):
             return
         ctl = packet.get("ctl")
-        pending = self._pending.pop((switch, ctl["seqNum"]), None)
+        pending = self.requests.complete(switch, ctl["seqNum"])
         if pending is None:
             return
-        if pending.timeout_handle is not None:
-            pending.timeout_handle.cancel()
         ok = ctl["msgType"] == RegOpType.ACK
         value = packet.get(REG_OP)["value"] if packet.has(REG_OP) else 0
         if ok:
             self.acks += 1
         else:
             self.nacks += 1
-        rct_s = self.sim.now - pending.sent_at
-        self.rct_samples.append((pending.kind, rct_s, ok))
-        telemetry = self.network.telemetry
-        if telemetry.enabled:
-            telemetry.metrics.histogram(
-                "runtime_rct_seconds", buckets=RCT_BUCKETS,
-                stack="DP-Reg-RW", kind=pending.kind).observe(rct_s)
+        self.rct_samples.append((pending.kind, pending.rct_s, ok))
         if pending.callback is not None:
             pending.callback(ok, value)

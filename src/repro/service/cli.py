@@ -18,6 +18,7 @@ import asyncio
 import signal
 import sys
 
+from repro.runtime.comparison import STACKS
 from repro.service.daemon import ControllerService, FleetConfig
 from repro.service.http import HttpServer
 
@@ -29,8 +30,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=9418,
                         help="TCP port (0 picks a free port)")
-    parser.add_argument("--stack", default="P4Auth",
-                        choices=["P4Auth", "DP-Reg-RW", "P4Runtime"])
+    parser.add_argument("--stack", default="P4Auth", choices=STACKS)
     parser.add_argument("--m", type=int, default=25,
                         help="fleet size (switches sw0..sw<m-1>)")
     parser.add_argument("--shards", type=int, default=2)

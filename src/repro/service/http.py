@@ -103,6 +103,10 @@ class HttpServer:
         self.host = host
         self.port = port
         self._server: Optional[asyncio.AbstractServer] = None
+        self._stopping = False
+        #: Live connections: handler task -> (reader, writer).
+        self._connections: Dict[asyncio.Task, Tuple[
+            asyncio.StreamReader, asyncio.StreamWriter]] = {}
 
     async def start(self) -> int:
         """Bind and listen; returns the bound port (useful with port 0)."""
@@ -112,10 +116,26 @@ class HttpServer:
         return self.port
 
     async def stop(self) -> None:
+        """Stop listening and leave no connection handler pending.
+
+        Every open connection sees end-of-input: one parked between
+        requests closes at once, one mid-request still gets its response
+        (with ``Connection: close``).  A handler left pending here would
+        be cancelled when the loop shuts down, which asyncio reports as
+        an exception in the stream protocol's callback.
+        """
+        self._stopping = True
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+        for reader, writer in self._connections.values():
+            # No more input: bytes arriving after feed_eof would trip
+            # the stream reader's own assertion.
+            writer.transport.pause_reading()
+            reader.feed_eof()
+        if self._connections:
+            await asyncio.wait(list(self._connections))
 
     @property
     def address(self) -> str:
@@ -123,8 +143,10 @@ class HttpServer:
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
+        task = asyncio.current_task()
+        self._connections[task] = (reader, writer)
         try:
-            while True:
+            while not self._stopping:
                 try:
                     request = await _read_request(reader)
                 except _BadRequest as exc:
@@ -148,13 +170,14 @@ class HttpServer:
                                f'"internal: {type(exc).__name__}"}}'
                                ).encode("utf-8")
                 close = (headers.get("connection", "").lower() == "close"
-                         or self.service.draining)
+                         or self.service.draining or self._stopping)
                 writer.write(_render_response(status, ctype, payload,
                                               close=close))
                 await writer.drain()
                 if close:
                     return
         finally:
+            del self._connections[task]
             writer.close()
             try:
                 await writer.wait_closed()

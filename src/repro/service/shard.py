@@ -39,15 +39,12 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.auth_dataplane import P4AuthDataplane
 from repro.core.controller import P4AuthController
 from repro.dataplane.switch import DataplaneSwitch
 from repro.net.network import Network
 from repro.net.simulator import EventSimulator
 from repro.runtime.batch import BatchController
-from repro.runtime.comparison import STACKS
-from repro.runtime.p4runtime import P4RuntimeStack
-from repro.runtime.plain import PlainController, PlainRegOpDataplane
+from repro.runtime.comparison import attach_stack, bootstrap_local_keys
 from repro.store.recovery import (
     restore_dataplane,
     store_exists,
@@ -136,55 +133,29 @@ def build_shard_stack(stack_name: str, switches: Sequence[str], seed: int,
     key material into both the controller and the (hardware-stand-in)
     dataplanes instead of negotiating fresh keys.
     """
-    if stack_name not in STACKS:
-        raise ValueError(f"stack must be one of {STACKS}")
     sim = EventSimulator(telemetry=telemetry)
     net = Network(sim)
-    dataplanes: Dict[str, object] = {}
     for offset, name in enumerate(switches):
         switch = DataplaneSwitch(name, num_ports=2, seed=seed + offset)
         net.add_switch(switch)
         for reg_name, width, size in registers:
             switch.registers.define(reg_name, width, size)
-
-    if stack_name == "P4Runtime":
-        stack = P4RuntimeStack(net)
-        for name in switches:
-            stack.provision(net.switch(name))
-    elif stack_name == "DP-Reg-RW":
-        stack = PlainController(net)
-        for name in switches:
-            dataplane = PlainRegOpDataplane(net.switch(name)).install()
-            for reg_name, _w, _s in registers:
-                dataplane.map_register(reg_name)
-            stack.provision(net.switch(name))
-            dataplanes[name] = dataplane
-    else:
-        # The shard's issue window must stay far below the DoS
-        # heuristic's budget — tripping our own defense would be a
-        # self-inflicted outage.  Keep the default threshold and assert
-        # the window fits under it with room for KMP chatter.
-        stack = P4AuthController(net, seed=0xC0FFEE ^ seed)
-        if issue_window * 2 > stack.outstanding_threshold:
-            raise ValueError(
-                f"issue_window={issue_window} would crowd the "
-                f"outstanding-request DoS budget "
-                f"({stack.outstanding_threshold}); add shards instead")
-        done: List[object] = []
-        for offset, name in enumerate(switches):
-            dataplane = P4AuthDataplane(
-                net.switch(name), k_seed=0x1000 + seed + offset).install()
-            for reg_name, _w, _s in registers:
-                dataplane.map_register(reg_name)
-            stack.provision(dataplane)
-            dataplanes[name] = dataplane
-        if bootstrap:
-            for name in switches:
-                stack.kmp.local_key_init(name, on_done=done.append)
-            sim.run(until=sim.now + BOOTSTRAP_DEADLINE_S)
-            if len(done) != len(switches):
-                raise RuntimeError(
-                    f"key bootstrap incomplete: {len(done)}/{len(switches)}")
+    stack, dataplanes = attach_stack(
+        stack_name, net, switches, [reg for reg, _w, _s in registers],
+        {name: 0x1000 + seed + offset
+         for offset, name in enumerate(switches)},
+        BOOTSTRAP_DEADLINE_S if bootstrap else None,
+        seed=0xC0FFEE ^ seed)
+    # The shard's issue window must stay far below the DoS heuristic's
+    # budget — tripping our own defense would be a self-inflicted
+    # outage.  Keep the default threshold and assert the window fits
+    # under it with room for KMP chatter.
+    if isinstance(stack, P4AuthController) \
+            and issue_window * 2 > stack.outstanding_threshold:
+        raise ValueError(
+            f"issue_window={issue_window} would crowd the "
+            f"outstanding-request DoS budget "
+            f"({stack.outstanding_threshold}); add shards instead")
     return sim, net, stack, dataplanes
 
 
@@ -326,14 +297,7 @@ class ShardWorker:
         missing = [name for name in self.switches
                    if not self.stack.keys.has_local_key(name)]
         if missing:
-            done: List[object] = []
-            for name in missing:
-                self.stack.kmp.local_key_init(name, on_done=done.append)
-            self.sim.run(until=self.sim.now + BOOTSTRAP_DEADLINE_S)
-            if len(done) != len(missing):
-                raise RuntimeError(
-                    f"post-recovery bootstrap incomplete: "
-                    f"{len(done)}/{len(missing)}")
+            bootstrap_local_keys(self.stack, missing, BOOTSTRAP_DEADLINE_S)
 
     async def stop(self) -> None:
         """Graceful drain: stop intake, finish queued work, exit."""

@@ -2,7 +2,7 @@
 
 :class:`StateRecorder` subscribes to the hook points the core exposes —
 :attr:`ControllerKeyStore.listener`,
-:attr:`P4AuthController.seq_listener`,
+:attr:`RequestLifecycle.seq_listener` (``controller.requests``),
 :attr:`BatchController.window_listener`,
 :attr:`RegionalKeyAuthority.on_epoch` — and appends a typed journal
 record for each change **before the controller acts on it** (all three
@@ -89,7 +89,7 @@ class StateRecorder:
         self._controller = controller
         self._journal_existing(controller, shard_id)
         controller.keys.listener = self._on_key
-        controller.seq_listener = self._on_seq
+        controller.requests.seq_listener = self._on_seq
         if batch is not None:
             self._batch = batch
             batch.window_listener = self._on_window
@@ -103,8 +103,8 @@ class StateRecorder:
         if controller is not None:
             if controller.keys.listener is self._on_key:
                 controller.keys.listener = None
-            if controller.seq_listener is self._on_seq:
-                controller.seq_listener = None
+            if controller.requests.seq_listener is self._on_seq:
+                controller.requests.seq_listener = None
         if self._batch is not None \
                 and self._batch.window_listener is self._on_window:
             self._batch.window_listener = None

@@ -21,11 +21,10 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.core.auth_dataplane import P4AuthDataplane
-from repro.core.controller import P4AuthController
 from repro.dataplane.switch import DataplaneSwitch
 from repro.net.network import Network
 from repro.net.simulator import EventSimulator
-from repro.runtime.plain import PlainController, PlainRegOpDataplane
+from repro.runtime.comparison import attach_stack
 
 MODES = ("baseline", "attack", "p4auth")
 
@@ -56,16 +55,7 @@ def build_deployment(mode: str, switch: DataplaneSwitch,
     stage wraps the existing pipeline and maps the existing registers).
     """
     check_mode(mode)
-    if mode == "p4auth":
-        dataplane = P4AuthDataplane(switch, k_seed=k_seed).install()
-        dataplane.map_all_registers()
-        client = P4AuthController(net)
-        client.provision(dataplane)
-        client.kmp.local_key_init(switch.name)
-        sim.run(until=sim.now + 0.05)
-        return client, dataplane
-    plain = PlainRegOpDataplane(switch).install()
-    plain.map_all_registers()
-    client = PlainController(net)
-    client.provision(switch)
-    return client, None
+    client, dataplanes = attach_stack(
+        "P4Auth" if mode == "p4auth" else "DP-Reg-RW", net, [switch.name],
+        None, {switch.name: k_seed}, 0.05)
+    return client, dataplanes[switch.name] if mode == "p4auth" else None

@@ -21,9 +21,9 @@ Trace-event vocabulary (see DESIGN.md "Observability"):
 ``packet.drop``, ``link.up``, ``link.down``, ``digest.verify_fail``,
 ``replay.reject``, ``alert.raised``, ``kmp.exchange``,
 ``kmp.exchange_abandoned``, ``controller.packet_in``,
-``controller.tamper``, ``controller.request_abandoned``,
-``runtime.request_abandoned``, ``sim.budget_exhausted``, and the
-``fault.*`` family emitted by :mod:`repro.faults` (``fault.armed``,
+``controller.tamper``, ``runtime.request_abandoned``,
+``sim.budget_exhausted``, and the ``fault.*`` family emitted by
+:mod:`repro.faults` (``fault.armed``,
 ``fault.disarmed``, ``fault.injected``, ``fault.node_crash``,
 ``fault.node_restart``, ``fault.blackout``, ``fault.clock_skew``).
 """

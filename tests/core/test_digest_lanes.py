@@ -13,7 +13,6 @@ import pytest
 from repro.core.constants import P4AUTH
 from repro.core.digest import DigestEngine, LANES
 from repro.core.messages import build_reg_write_request
-from repro.crypto import vectorized
 from repro.dataplane.externs import HashExtern
 
 KEY = 0xA5A5A5A55A5A5A5A
@@ -41,9 +40,8 @@ def test_lanes_constant_covers_ctor():
 def test_auto_lane_crossover_at_threshold():
     engine = DigestEngine()
     assert engine.lane_for(engine.vector_threshold - 1) == "scalar"
-    expected = "vector" if vectorized.HAVE_NUMPY else "scalar"
-    assert engine.lane_for(engine.vector_threshold) == expected
-    assert engine.lane_for(4096) == expected
+    assert engine.lane_for(engine.vector_threshold) == "vector"
+    assert engine.lane_for(4096) == "vector"
 
 
 def test_forced_lanes_ignore_threshold():
@@ -54,8 +52,7 @@ def test_forced_lanes_ignore_threshold():
 def test_custom_threshold_respected():
     engine = DigestEngine(vector_threshold=4)
     assert engine.lane_for(3) == "scalar"
-    if vectorized.HAVE_NUMPY:
-        assert engine.lane_for(4) == "vector"
+    assert engine.lane_for(4) == "vector"
 
 
 def test_extern_engine_reports_extern_lane():
@@ -132,15 +129,10 @@ def test_lane_counters_track_batches_and_messages():
     engine = DigestEngine()
     engine.compute_many(KEY, batch(engine.vector_threshold - 1))
     engine.compute_many(KEY, batch(engine.vector_threshold + 8))
-    if vectorized.HAVE_NUMPY:
-        assert engine.scalar_batches == 1
-        assert engine.scalar_messages == engine.vector_threshold - 1
-        assert engine.vector_batches == 1
-        assert engine.vector_messages == engine.vector_threshold + 8
-    else:
-        # auto never picks the vector lane without numpy.
-        assert engine.scalar_batches == 2
-        assert engine.vector_batches == 0
+    assert engine.scalar_batches == 1
+    assert engine.scalar_messages == engine.vector_threshold - 1
+    assert engine.vector_batches == 1
+    assert engine.vector_messages == engine.vector_threshold + 8
     forced = DigestEngine(lane="vector")
     forced.compute_many(KEY, batch(3))
     assert forced.vector_batches == 1

@@ -1,5 +1,7 @@
 """KMP failure recovery: retries under lossy and hostile channels."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.attacks.base import MessageDropper
@@ -27,7 +29,8 @@ def test_local_init_survives_lossy_channel():
     dep = Deployment(num_switches=1, bootstrap=False)
     # 30% loss kills ~3/4 of 4-message attempts; allow enough retries
     # that the run converges (deterministic PRNG seed).
-    dep.controller.kmp.max_attempts = 10
+    kmp = dep.controller.kmp
+    kmp.retry = replace(kmp.retry, max_attempts=10)
     tap = LossyTap(0.3, seed=5)
     dep.net.control_channels["s1"].add_tap(tap)
     records = []
@@ -66,7 +69,7 @@ def test_gives_up_after_max_attempts():
     failures = dep.controller.kmp.stats.failures
     assert len(failures) == 1
     assert failures[0].op == "local_init"
-    assert failures[0].attempts == dep.controller.kmp.max_attempts
+    assert failures[0].attempts == dep.controller.kmp.retry.max_attempts
     assert not dep.controller.keys.has_local_key("s1")
 
 
@@ -167,37 +170,37 @@ class TestDeadPeer:
 
 
 class TestBackoffCeiling:
-    """``retry_delay`` must never exceed ``max_backoff_s`` (the documented
-    hard ceiling), even after jitter is applied.  The historical bug
-    applied jitter *after* capping, overshooting the ceiling by up to
-    ``backoff_jitter`` on late attempts."""
+    """``retry.delay`` must never exceed ``cap_s`` (the documented hard
+    ceiling), even after jitter is applied.  The historical bug applied
+    jitter *after* capping, overshooting the ceiling by up to ``jitter``
+    on late attempts."""
 
     def test_jittered_delay_respects_max_backoff(self):
         dep = Deployment(num_switches=1, bootstrap=False)
-        kmp = dep.controller.kmp
+        retry = dep.controller.kmp.retry
         for attempt in range(1, 40):
-            delay = kmp.retry_delay(attempt)
-            assert delay <= kmp.max_backoff_s, (
+            delay = retry.delay(attempt)
+            assert delay <= retry.cap_s, (
                 f"attempt {attempt}: delay {delay} exceeds the "
-                f"max_backoff_s ceiling {kmp.max_backoff_s}")
+                f"cap_s ceiling {retry.cap_s}")
 
     def test_uncapped_attempts_still_grow_and_jitter(self):
         dep = Deployment(num_switches=1, bootstrap=False)
-        kmp = dep.controller.kmp
+        retry = dep.controller.kmp.retry
         # Attempt 1 is the bare base timeout (no jitter, no PRNG draw).
-        assert kmp.retry_delay(1) == kmp.retry_timeout_s
+        assert retry.delay(1) == retry.base_delay_s
         # Attempt 2 grows exponentially and adds positive jitter, but
         # stays below the ceiling when the base delay leaves headroom.
-        delay2 = kmp.retry_delay(2)
-        base2 = kmp.retry_timeout_s * kmp.backoff_factor
-        assert base2 <= delay2 <= base2 * (1.0 + kmp.backoff_jitter)
+        delay2 = retry.delay(2)
+        base2 = retry.base_delay_s * retry.factor
+        assert base2 <= delay2 <= base2 * (1.0 + retry.jitter)
 
     def test_ceiling_holds_at_the_cap_boundary(self):
         """Once the exponential schedule reaches the cap, jitter has no
-        headroom at all: the delay is exactly ``max_backoff_s``."""
+        headroom at all: the delay is exactly ``cap_s``."""
         dep = Deployment(num_switches=1, bootstrap=False)
-        kmp = dep.controller.kmp
+        retry = dep.controller.kmp.retry
         # With the defaults (0.02 * 2^(n-1), cap 0.25) attempt 5 onward
         # saturates the ceiling.
         for attempt in (5, 8, 13, 21):
-            assert kmp.retry_delay(attempt) == kmp.max_backoff_s
+            assert retry.delay(attempt) == retry.cap_s

@@ -14,9 +14,6 @@ This module pins :mod:`repro.crypto.vectorized` three independent ways:
   ``tests/crypto/vectors_halfsiphash.json`` — immune to a bug that
   lands in every live implementation at once.
 
-Every sweep runs on **both backends**: numpy (skipped when genuinely
-absent) and the pure-stdlib fallback (``force_stdlib=True``), so the
-CI leg with ``REPRO_NO_NUMPY=1`` exercises the same assertions.
 Batch sizes straddle the ``DigestEngine.VECTOR_THRESHOLD`` crossover
 (1, 2, 31, 32, 33) and go to 4096; message lengths cover 0..257 bytes
 — empty input, every tail residue mod 4, and the 256-boundary where
@@ -50,13 +47,9 @@ EDGE_LENGTHS = (0, 1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 31, 32, 33,
 
 VECTORS_PATH = Path(__file__).parent / "vectors_halfsiphash.json"
 
-needs_numpy = pytest.mark.skipif(not vectorized.HAVE_NUMPY,
-                                 reason="numpy unavailable")
-
-BACKENDS = [
-    pytest.param(True, id="stdlib"),
-    pytest.param(False, id="numpy", marks=needs_numpy),
-]
+#: One backend, one parameter value: the ``[numpy]`` suffix keeps these
+#: tests' node ids stable for whatever tracks the suite by id.
+NUMPY_LANE = pytest.mark.parametrize("_lane", ["numpy"])
 
 
 def _messages(rng: random.Random, count: int) -> list:
@@ -72,8 +65,8 @@ def _load_vectors():
         return json.load(fh)["vectors"]
 
 
-@pytest.mark.parametrize("force_stdlib", BACKENDS)
-def test_kat_corpus_digest_many(force_stdlib):
+@NUMPY_LANE
+def test_kat_corpus_digest_many(_lane):
     """Every pinned vector, replayed through the batch API per (c, d)."""
     by_params = {}
     for vec in _load_vectors():
@@ -84,14 +77,13 @@ def test_kat_corpus_digest_many(force_stdlib):
             key = int.from_bytes(bytes.fromhex(vec["key"]), "little")
             tags = vectorized.digest_many(
                 key, [bytes.fromhex(vec["msg"])],
-                compression_rounds=c, finalization_rounds=d,
-                force_stdlib=force_stdlib)
+                compression_rounds=c, finalization_rounds=d)
             assert tags == [vec["tag"]], \
                 f"KAT mismatch c={c} d={d} key={vec['key']} msg={vec['msg']}"
 
 
-@pytest.mark.parametrize("force_stdlib", BACKENDS)
-def test_kat_corpus_as_one_batch(force_stdlib):
+@NUMPY_LANE
+def test_kat_corpus_as_one_batch(_lane):
     """The same corpus as whole batches — exercises length-grouping."""
     by_params = {}
     for vec in _load_vectors():
@@ -102,8 +94,7 @@ def test_kat_corpus_as_one_batch(force_stdlib):
         key = int.from_bytes(bytes.fromhex(key0), "little")
         tags = vectorized.digest_many(
             key, [bytes.fromhex(v["msg"]) for v in same_key],
-            compression_rounds=c, finalization_rounds=d,
-            force_stdlib=force_stdlib)
+            compression_rounds=c, finalization_rounds=d)
         assert tags == [v["tag"] for v in same_key]
 
 
@@ -120,55 +111,52 @@ def test_kat_corpus_scalar_class_agrees():
 # vector lane vs scalar classes (the lane-equivalence contract)
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("force_stdlib", BACKENDS)
+@NUMPY_LANE
 @pytest.mark.parametrize("batch", BATCH_SIZES)
-def test_digest_many_matches_scalar_class(batch, force_stdlib):
+def test_digest_many_matches_scalar_class(batch, _lane):
     rng = random.Random(0xD1F0 + batch)
     engine = HalfSipHash()
     key = rng.getrandbits(64)
     messages = _messages(rng, batch)
-    tags = vectorized.digest_many(key, messages, force_stdlib=force_stdlib)
+    tags = vectorized.digest_many(key, messages)
     assert tags == [engine.digest(key, m) for m in messages]
 
 
-@pytest.mark.parametrize("force_stdlib", BACKENDS)
+@NUMPY_LANE
 @pytest.mark.parametrize("batch", BATCH_SIZES)
-def test_digest_many_from_state_matches_scalar_class(batch, force_stdlib):
+def test_digest_many_from_state_matches_scalar_class(batch, _lane):
     rng = random.Random(0x57A7E + batch)
     engine = HalfSipHash()
     key = rng.getrandbits(64)
     state = engine.key_schedule(key)
     messages = _messages(rng, batch)
-    tags = vectorized.digest_many_from_state(state, messages,
-                                             force_stdlib=force_stdlib)
+    tags = vectorized.digest_many_from_state(state, messages)
     assert tags == [engine.digest_from_state(state, m) for m in messages]
 
 
-@pytest.mark.parametrize("force_stdlib", BACKENDS)
+@NUMPY_LANE
 @pytest.mark.parametrize("batch", BATCH_SIZES)
-def test_crc32_many_keyed_matches_scalar_class(batch, force_stdlib):
+def test_crc32_many_keyed_matches_scalar_class(batch, _lane):
     rng = random.Random(0xC4C + batch)
     engine = Crc32()
     key = rng.getrandbits(64)
     datas = _messages(rng, batch)
-    tags = vectorized.crc32_many_keyed(key, datas, engine=engine,
-                                       force_stdlib=force_stdlib)
+    tags = vectorized.crc32_many_keyed(key, datas, engine=engine)
     assert tags == [engine.compute_keyed(key, d) for d in datas]
 
 
-@pytest.mark.parametrize("force_stdlib", BACKENDS)
+@NUMPY_LANE
 @pytest.mark.parametrize("batch", BATCH_SIZES)
-def test_crc32_many_matches_scalar_class(batch, force_stdlib):
+def test_crc32_many_matches_scalar_class(batch, _lane):
     rng = random.Random(0x32 + batch)
     engine = Crc32()
     datas = _messages(rng, batch)
-    tags = vectorized.crc32_many(datas, engine=engine,
-                                 force_stdlib=force_stdlib)
+    tags = vectorized.crc32_many(datas, engine=engine)
     assert tags == [engine.compute(d) for d in datas]
 
 
-@pytest.mark.parametrize("force_stdlib", BACKENDS)
-def test_nondefault_rounds_match_scalar_class(force_stdlib):
+@NUMPY_LANE
+def test_nondefault_rounds_match_scalar_class(_lane):
     """HalfSipHash-1-3 (the lighter parameterization) must track too."""
     rng = random.Random(0x13)
     engine = HalfSipHash(compression_rounds=1, finalization_rounds=3)
@@ -176,21 +164,19 @@ def test_nondefault_rounds_match_scalar_class(force_stdlib):
     messages = _messages(rng, 64)
     tags = vectorized.digest_many(key, messages,
                                   compression_rounds=1,
-                                  finalization_rounds=3,
-                                  force_stdlib=force_stdlib)
+                                  finalization_rounds=3)
     assert tags == [engine.digest(key, m) for m in messages]
 
 
-@pytest.mark.parametrize("force_stdlib", BACKENDS)
-def test_empty_batch_is_empty(force_stdlib):
-    assert vectorized.digest_many(1, [], force_stdlib=force_stdlib) == []
-    assert vectorized.crc32_many([], force_stdlib=force_stdlib) == []
-    assert vectorized.crc32_many_keyed(1, [],
-                                       force_stdlib=force_stdlib) == []
+@NUMPY_LANE
+def test_empty_batch_is_empty(_lane):
+    assert vectorized.digest_many(1, []) == []
+    assert vectorized.crc32_many([]) == []
+    assert vectorized.crc32_many_keyed(1, []) == []
 
 
-@pytest.mark.parametrize("force_stdlib", BACKENDS)
-def test_all_edge_lengths_in_one_batch(force_stdlib):
+@NUMPY_LANE
+def test_all_edge_lengths_in_one_batch(_lane):
     """One batch containing every edge length — grouping must reassemble
     results in submission order, not length order."""
     rng = random.Random(0x1E56)
@@ -198,11 +184,9 @@ def test_all_edge_lengths_in_one_batch(force_stdlib):
     crc = Crc32()
     key = rng.getrandbits(64)
     messages = [rng.randbytes(length) for length in EDGE_LENGTHS]
-    assert vectorized.digest_many(key, messages,
-                                  force_stdlib=force_stdlib) \
+    assert vectorized.digest_many(key, messages) \
         == [engine.digest(key, m) for m in messages]
-    assert vectorized.crc32_many_keyed(key, messages, engine=crc,
-                                       force_stdlib=force_stdlib) \
+    assert vectorized.crc32_many_keyed(key, messages, engine=crc) \
         == [crc.compute_keyed(key, m) for m in messages]
 
 
@@ -210,34 +194,33 @@ def test_all_edge_lengths_in_one_batch(force_stdlib):
 # vector lane vs the independent references (no shared code)
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("force_stdlib", BACKENDS)
-def test_digest_many_matches_independent_reference(force_stdlib):
+@NUMPY_LANE
+def test_digest_many_matches_independent_reference(_lane):
     rng = random.Random(0x5EF)
     key = rng.getrandbits(64)
     messages = _messages(rng, 200)
-    tags = vectorized.digest_many(key, messages, force_stdlib=force_stdlib)
+    tags = vectorized.digest_many(key, messages)
     key_bytes = key.to_bytes(8, "little")
     assert tags == [_ref_halfsiphash(2, 4, key_bytes, m) for m in messages]
 
 
-@pytest.mark.parametrize("force_stdlib", BACKENDS)
-def test_crc32_many_matches_zlib_and_bitserial(force_stdlib):
+@NUMPY_LANE
+def test_crc32_many_matches_zlib_and_bitserial(_lane):
     rng = random.Random(0x21B)
     datas = _messages(rng, 200)
-    tags = vectorized.crc32_many(datas, force_stdlib=force_stdlib)
+    tags = vectorized.crc32_many(datas)
     assert tags == [zlib.crc32(d) & MASK32 for d in datas]
     assert tags == [_ref_crc32_bitserial(d) for d in datas]
 
 
-@pytest.mark.parametrize("force_stdlib", BACKENDS)
-def test_crc32_many_keyed_is_crc_of_key_prefixed_data(force_stdlib):
+@NUMPY_LANE
+def test_crc32_many_keyed_is_crc_of_key_prefixed_data(_lane):
     """The keyed form must equal an independent CRC over key || data —
     the exact byte stream the P4 program feeds the hash unit."""
     rng = random.Random(0x6E7)
     key = rng.getrandbits(64)
     datas = _messages(rng, 200)
-    tags = vectorized.crc32_many_keyed(key, datas,
-                                       force_stdlib=force_stdlib)
+    tags = vectorized.crc32_many_keyed(key, datas)
     prefix = key.to_bytes(8, "little")
     assert tags == [zlib.crc32(prefix + d) & MASK32 for d in datas]
 
@@ -251,64 +234,37 @@ _message_lists = st.lists(st.binary(min_size=0, max_size=257),
                           min_size=0, max_size=40)
 
 
-@pytest.mark.parametrize("force_stdlib", BACKENDS)
+@NUMPY_LANE
 @settings(max_examples=60, deadline=None)
 @given(key=_keys, messages=_message_lists)
-def test_property_digest_many_bit_identical(force_stdlib, key, messages):
+def test_property_digest_many_bit_identical(_lane, key, messages):
     engine = HalfSipHash()
-    assert vectorized.digest_many(key, messages,
-                                  force_stdlib=force_stdlib) \
+    assert vectorized.digest_many(key, messages) \
         == [engine.digest(key, m) for m in messages]
 
 
-@pytest.mark.parametrize("force_stdlib", BACKENDS)
+@NUMPY_LANE
 @settings(max_examples=60, deadline=None)
 @given(key=_keys, messages=_message_lists)
-def test_property_digest_many_matches_reference(force_stdlib, key,
+def test_property_digest_many_matches_reference(_lane, key,
                                                 messages):
     key_bytes = key.to_bytes(8, "little")
-    assert vectorized.digest_many(key, messages,
-                                  force_stdlib=force_stdlib) \
+    assert vectorized.digest_many(key, messages) \
         == [_ref_halfsiphash(2, 4, key_bytes, m) for m in messages]
 
 
-@pytest.mark.parametrize("force_stdlib", BACKENDS)
+@NUMPY_LANE
 @settings(max_examples=60, deadline=None)
 @given(key=_keys, datas=_message_lists)
-def test_property_crc32_many_keyed_bit_identical(force_stdlib, key, datas):
+def test_property_crc32_many_keyed_bit_identical(_lane, key, datas):
     engine = Crc32()
-    assert vectorized.crc32_many_keyed(key, datas, engine=engine,
-                                       force_stdlib=force_stdlib) \
+    assert vectorized.crc32_many_keyed(key, datas, engine=engine) \
         == [engine.compute_keyed(key, d) for d in datas]
 
 
-@pytest.mark.parametrize("force_stdlib", BACKENDS)
+@NUMPY_LANE
 @settings(max_examples=60, deadline=None)
 @given(datas=_message_lists)
-def test_property_crc32_many_matches_zlib(force_stdlib, datas):
-    assert vectorized.crc32_many(datas, force_stdlib=force_stdlib) \
+def test_property_crc32_many_matches_zlib(_lane, datas):
+    assert vectorized.crc32_many(datas) \
         == [zlib.crc32(d) & MASK32 for d in datas]
-
-
-@settings(max_examples=40, deadline=None)
-@given(key=_keys, messages=st.lists(st.binary(max_size=64),
-                                    min_size=1, max_size=16))
-def test_property_backends_agree(key, messages):
-    """numpy and stdlib backends of the vector lane agree with each
-    other (skip-free: degenerates to stdlib==stdlib without numpy)."""
-    assert vectorized.digest_many(key, messages) \
-        == vectorized.digest_many(key, messages, force_stdlib=True)
-    assert vectorized.crc32_many_keyed(key, messages) \
-        == vectorized.crc32_many_keyed(key, messages, force_stdlib=True)
-
-
-# ---------------------------------------------------------------------------
-# backend gating
-# ---------------------------------------------------------------------------
-
-def test_backend_reports_active_lane():
-    assert vectorized.backend() in ("numpy", "stdlib")
-    if vectorized.HAVE_NUMPY:
-        assert vectorized.backend() == "numpy"
-    else:
-        assert vectorized.backend() == "stdlib"

@@ -12,6 +12,8 @@ invariants at quiescence:
 3. **Authenticated register ops still work** wherever a local key stands.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.crypto.prng import XorShiftPrng
@@ -35,7 +37,7 @@ def test_randomized_ops_with_loss_never_desync(seed):
                      connect_pairs=[("s1", 1, "s2", 1), ("s2", 2, "s3", 1)],
                      bootstrap=True, registers=[("demo", 64, 16)])
     kmp = dep.controller.kmp
-    kmp.max_attempts = 4
+    kmp.retry = replace(kmp.retry, max_attempts=4)
     prng = XorShiftPrng(seed)
 
     # Random loss on every channel and link (10%).

@@ -88,15 +88,19 @@ class TestLeafSpineHula:
 class TestCli:
     def test_table2(self, capsys):
         from repro.__main__ import main
-        assert main(["table2"]) == 0
+        assert main(["run", "table2", "--out-dir", ""]) == 0
         out = capsys.readouterr().out
-        assert "51.4%" in out and "Table II" in out
+        assert "hash_pct=51.4" in out and "table2[program=p4auth]" in out
 
-    def test_fig20(self, capsys):
+    def test_fig20(self, capsys, tmp_path):
         from repro.__main__ import main
-        assert main(["fig20"]) == 0
-        out = capsys.readouterr().out
-        assert "local_init" in out and "port_update" in out
+        from repro.engine import load_artifact
+        assert main(["run", "fig20", "--out-dir", str(tmp_path)]) == 0
+        assert "fig20" in capsys.readouterr().out
+        result = load_artifact(tmp_path / "BENCH_fig20.json")[
+            "trials"][0]["result"]
+        assert "local_init" in result["mean_ms"]
+        assert "port_update" in result["mean_ms"]
 
     def test_rejects_unknown_experiment(self):
         from repro.__main__ import main
