@@ -67,8 +67,8 @@ class DigestEngine:
     KEY_CACHE_MAX = 1024
 
     #: Default ``"auto"`` lane crossover.  Below this, numpy's per-call
-    #: overhead beats the scalar loop's per-message cost; measured
-    #: breakeven on C-DP-sized material is ~10-20 messages.
+    #: overhead beats the scalar kernel's per-message cost; measured
+    #: breakeven on 66-byte C-DP material is ~16 messages.
     VECTOR_THRESHOLD = 32
 
     def __init__(self, extern: Optional[HashExtern] = None,

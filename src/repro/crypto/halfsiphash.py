@@ -7,20 +7,41 @@ implements HalfSipHash-c-d exactly as specified by Aumasson & Bernstein's
 reference (the 32-bit-word variant of SipHash): a 64-bit key, 32-bit state
 words, and a 32-bit tag.
 
-The round function is written exclusively in terms of the restricted ALU
-helpers in :mod:`repro.crypto.ops`, demonstrating data-plane feasibility.
+Two forms of the SipRound live here.  :meth:`HalfSipHash._sip_round` is
+the *specification*: one round written exclusively in terms of the
+restricted ALU helpers in :mod:`repro.crypto.ops`, which is what the
+data-plane feasibility claim rests on; nothing in ``src/`` executes it, and
+``tests/crypto`` assembles a whole digest from it.
+:meth:`HalfSipHash.digest_from_state` is what the host *executes*: the same
+round inlined as masked integer expressions, because a Python call per
+32-bit ALU op (~650 per C-DP digest) was most of this repo's host time.
+The differential tests pin the two bit-for-bit for every ``(c, d)``.
 Round counts ``c`` and ``d`` are constructor constants — on the switch they
 are unrolled across pipeline stages, never looped at packet time.
 """
 
 from __future__ import annotations
 
+from struct import unpack_from
 from typing import Iterable, Tuple
 
 from repro.crypto.ops import MASK32, add32, rotl32, xor32
 
 _V2_INIT = 0x6C796765
 _V3_INIT = 0x74656462
+
+
+def pack_words(words: Iterable[int], word_bits: int = 32) -> bytes:
+    """Serialize unsigned words little-endian at a byte-multiple width."""
+    if word_bits % 8 != 0:
+        raise ValueError("word_bits must be a multiple of 8")
+    width = word_bits // 8
+    buf = bytearray()
+    for word in words:
+        if not 0 <= word < (1 << word_bits):
+            raise ValueError(f"word {word:#x} does not fit in {word_bits} bits")
+        buf += int(word).to_bytes(width, "little")
+    return bytes(buf)
 
 
 class HalfSipHash:
@@ -82,33 +103,36 @@ class HalfSipHash:
 
     def digest_from_state(self, state: Tuple[int, int, int, int],
                           message: bytes) -> int:
-        """Tag ``message`` starting from a precomputed key schedule."""
+        """Tag ``message`` starting from a precomputed key schedule.
+
+        The body is :meth:`_sip_round` inlined (see the module docstring);
+        ``message`` may be any bytes-like object.
+        """
         v0, v1, v2, v3 = state
-
         length = len(message)
-        # Whole 4-byte little-endian blocks.
-        full = length - (length % 4)
-        for offset in range(0, full, 4):
-            block = int.from_bytes(message[offset : offset + 4], "little")
-            v3 = xor32(v3, block)
-            for _ in range(self.compression_rounds):
-                v0, v1, v2, v3 = self._sip_round(v0, v1, v2, v3)
-            v0 = xor32(v0, block)
-
+        nblocks = length >> 2
         # Final block: remaining bytes plus the length byte in the top lane.
-        last = (length & 0xFF) << 24
-        remainder = message[full:]
-        for index, byte in enumerate(remainder):
-            last |= byte << (8 * index)
-        v3 = xor32(v3, last)
-        for _ in range(self.compression_rounds):
-            v0, v1, v2, v3 = self._sip_round(v0, v1, v2, v3)
-        v0 = xor32(v0, last)
-
-        v2 = xor32(v2, 0xFF)
-        for _ in range(self.finalization_rounds):
-            v0, v1, v2, v3 = self._sip_round(v0, v1, v2, v3)
-        return xor32(v1, v3)
+        last = (int.from_bytes(message[nblocks << 2:], "little")
+                | (length & 0xFF) << 24)
+        rounds = range(self.compression_rounds)
+        # ``None`` stands for finalization: no message word, ``d`` rounds.
+        for block in (*unpack_from("<%dI" % nblocks, message), last, None):
+            if block is None:
+                block, rounds = 0, range(self.finalization_rounds)
+                v2 ^= 0xFF
+            v3 ^= block
+            for _ in rounds:
+                v0 = (v0 + v1) & MASK32
+                v1 = (v1 << 5 & MASK32 | v1 >> 27) ^ v0
+                v2 = (v2 + v3) & MASK32
+                v3 = (v3 << 8 & MASK32 | v3 >> 24) ^ v2
+                v0 = ((v0 << 16 & MASK32 | v0 >> 16) + v3) & MASK32
+                v3 = (v3 << 7 & MASK32 | v3 >> 25) ^ v0
+                v2 = (v2 + v1) & MASK32
+                v1 = (v1 << 13 & MASK32 | v1 >> 19) ^ v2
+                v2 = v2 << 16 & MASK32 | v2 >> 16
+            v0 ^= block
+        return v1 ^ v3
 
     def digest_words(self, key: int, words: Iterable[int], word_bits: int = 32) -> int:
         """Digest an iterable of fixed-width unsigned words.
@@ -117,15 +141,7 @@ class HalfSipHash:
         containers) rather than byte strings.  Each word is serialized
         little-endian at its declared width.
         """
-        if word_bits % 8 != 0:
-            raise ValueError("word_bits must be a multiple of 8")
-        width = word_bits // 8
-        buf = bytearray()
-        for word in words:
-            if not 0 <= word < (1 << word_bits):
-                raise ValueError(f"word {word:#x} does not fit in {word_bits} bits")
-            buf += word.to_bytes(width, "little")
-        return self.digest(key, bytes(buf))
+        return self.digest(key, pack_words(words, word_bits))
 
 
 _DEFAULT = HalfSipHash()

@@ -25,19 +25,17 @@ _engine = HalfSipHash()
 
 def keystream(key: int, nonce: int, length: int) -> bytes:
     """``length`` bytes of keystream for (key, nonce)."""
-    if not 0 <= key <= MASK64:
-        raise ValueError("key must be a 64-bit unsigned integer")
     if not 0 <= nonce <= MASK64:
         raise ValueError("nonce must be a 64-bit unsigned integer")
     if length < 0:
         raise ValueError("length must be non-negative")
+    state = _engine.key_schedule(key)
+    prefix = nonce.to_bytes(8, "little")
     out = bytearray()
-    counter = 0
-    while len(out) < length:
-        block_input = nonce.to_bytes(8, "little") + counter.to_bytes(4, "little")
-        word = _engine.digest(key, block_input)
+    for counter in range((length + 3) // 4):
+        word = _engine.digest_from_state(
+            state, prefix + counter.to_bytes(4, "little"))
         out += word.to_bytes(4, "little")
-        counter += 1
     return bytes(out[:length])
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterable, List
 
 from repro.crypto.crc import Crc32
-from repro.crypto.halfsiphash import HalfSipHash
+from repro.crypto.halfsiphash import HalfSipHash, pack_words
 from repro.crypto.prng import XorShiftPrng
 
 
@@ -42,12 +42,9 @@ class HashExtern:
         Matches the BMv2 extern signature from §VII: a 64-bit secret key
         and a variable list of arguments over which the digest is computed.
         """
-        width = word_bits // 8
-        material = bytearray()
-        for word in words:
-            material += int(word).to_bytes(width, "little")
+        material = pack_words(words, word_bits)  # ValueError before counting
         self.invocations += 1
-        return self._compute(key, bytes(material))
+        return self._compute(key, material)
 
     def compute_digest_bytes(self, key: int, data: bytes) -> int:
         """Keyed 32-bit digest over raw bytes."""

@@ -7,11 +7,26 @@ with ``repro.crypto``: a from-scratch HalfSipHash written directly from
 the reference C (github.com/veorq/SipHash, ``halfsiphash.c``), stdlib
 ``zlib.crc32``, and a bit-serial (table-free) CRC-32.  1k random
 (key, message) pairs each, from a fixed seed.
+
+The last section pins the *executed* HalfSipHash kernel
+(``digest_from_state``, the SipRound inlined as host integer expressions)
+to the *specification* round ``HalfSipHash._sip_round`` (switch ALU ops
+from ``repro.crypto.ops`` only): the feasibility claim rests on the
+second, the host runs the first, and they must never differ by a bit.
 """
 
+import ast
+import inspect
+import json
 import random
+import textwrap
 import zlib
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.crypto import ops, vectorized
 from repro.crypto.crc import Crc32, crc32
 from repro.crypto.halfsiphash import HalfSipHash, halfsiphash
 
@@ -140,3 +155,120 @@ def test_halfsiphash_reference_vectors():
             == expected[length]
         assert halfsiphash(int.from_bytes(key, "little"),
                            message[:length]) == expected[length]
+
+
+# ---------------------------------------------------------------------------
+# executed kernel vs. the specification round
+# ---------------------------------------------------------------------------
+
+ROUND_COUNTS = ((2, 4), (1, 3), (3, 5), (1, 1))
+EDGE_KEYS = (0, (1 << 64) - 1, 0x0706050403020100)
+#: Every tail residue, the ``length & 0xFF`` wrap at 256, and long inputs.
+KERNEL_LENGTHS = (*range(258), 258, 511, 512, 1024)
+SRC_ROOT = Path(inspect.getsourcefile(ops)).parents[1]
+
+
+def _spec_digest(hasher: HalfSipHash, key: int, message: bytes) -> int:
+    """A whole digest assembled from ``HalfSipHash._sip_round`` and
+    ``ops.xor32`` — the digest as the switch would compute it."""
+    v0, v1, v2, v3 = hasher.key_schedule(key)
+    full = len(message) - len(message) % 4
+    blocks = [int.from_bytes(message[i:i + 4], "little")
+              for i in range(0, full, 4)]
+    blocks.append(int.from_bytes(message[full:], "little")
+                  | (len(message) & 0xFF) << 24)
+    for block in blocks:
+        v3 = ops.xor32(v3, block)
+        for _ in range(hasher.compression_rounds):
+            v0, v1, v2, v3 = HalfSipHash._sip_round(v0, v1, v2, v3)
+        v0 = ops.xor32(v0, block)
+    v2 = ops.xor32(v2, 0xFF)
+    for _ in range(hasher.finalization_rounds):
+        v0, v1, v2, v3 = HalfSipHash._sip_round(v0, v1, v2, v3)
+    return ops.xor32(v1, v3)
+
+
+def _check_kernel(c: int, d: int, key: int, message: bytes) -> None:
+    hasher = HalfSipHash(c, d)
+    tag = hasher.digest_from_state(hasher.key_schedule(key), message)
+    where = f"c={c} d={d} key={key:#x} len={len(message)}"
+    assert tag == _spec_digest(hasher, key, message), where
+    assert tag == _ref_halfsiphash(c, d, key.to_bytes(8, "little"),
+                                   message), where
+
+
+@pytest.mark.parametrize("c,d", ROUND_COUNTS)
+def test_kernel_matches_spec_and_reference_at_every_length(c, d):
+    rng = random.Random(0x5BEC ^ (c << 8) ^ d)
+    for index, length in enumerate(KERNEL_LENGTHS):
+        _check_kernel(c, d, EDGE_KEYS[index % len(EDGE_KEYS)],
+                      rng.randbytes(length))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rounds=st.sampled_from(ROUND_COUNTS),
+       key=st.one_of(st.sampled_from(EDGE_KEYS),
+                     st.integers(0, (1 << 64) - 1)),
+       length=st.sampled_from(KERNEL_LENGTHS), data=st.data())
+def test_property_kernel_matches_spec_and_reference(rounds, key, length, data):
+    message = data.draw(st.binary(min_size=length, max_size=length))
+    _check_kernel(*rounds, key, message)
+
+
+def test_kernel_and_spec_match_kat_corpus():
+    """Both forms against the pinned 106-vector corpus (2-4 and 1-3) —
+    immune to a bug shared by every live implementation."""
+    with (Path(__file__).parent / "vectors_halfsiphash.json").open() as fh:
+        vectors = json.load(fh)["vectors"]
+    assert {(v["c"], v["d"]) for v in vectors} == {(2, 4), (1, 3)}
+    for vec in vectors:
+        hasher = HalfSipHash(vec["c"], vec["d"])
+        key = int.from_bytes(bytes.fromhex(vec["key"]), "little")
+        message = bytes.fromhex(vec["msg"])
+        assert hasher.digest(key, message) == vec["tag"]
+        assert _spec_digest(hasher, key, message) == vec["tag"]
+
+
+def test_kernel_accepts_any_bytes_like_message():
+    hasher = HalfSipHash()
+    state = hasher.key_schedule(EDGE_KEYS[2])
+    for length in (0, 1, 3, 4, 5, 66, 257):
+        message = bytes(index * 7 & 0xFF for index in range(length))
+        tag = hasher.digest_from_state(state, message)
+        assert hasher.digest_from_state(state, bytearray(message)) == tag
+        assert hasher.digest_from_state(state, memoryview(message)) == tag
+        # A sliced view exercises a non-zero buffer offset.
+        padded = memoryview(b"\xAA" + message + b"\xBB")
+        assert hasher.digest_from_state(state, padded[1:-1]) == tag
+
+
+@pytest.mark.parametrize("c,d", [(1, 3), (2, 4)])
+def test_kernel_matches_vector_lane_on_one_batch(c, d):
+    rng = random.Random(0xBA7C)
+    hasher = HalfSipHash(c, d)
+    state = hasher.key_schedule(rng.getrandbits(64))
+    batch = [rng.randbytes(length) for length in KERNEL_LENGTHS]
+    assert vectorized.digest_many_from_state(state, batch, c, d) \
+        == [hasher.digest_from_state(state, m) for m in batch]
+
+
+def test_specification_round_uses_only_switch_alu_ops():
+    """The feasibility spec cannot drift into host idiom: every statement
+    of ``_sip_round`` is an assignment from add32/rotl32/xor32, and
+    nothing in ``src/`` executes it in place of the kernel."""
+    tree = ast.parse(textwrap.dedent(
+        inspect.getsource(HalfSipHash._sip_round)))
+    nodes = list(ast.walk(tree))
+    assert not [n for n in nodes
+                if isinstance(n, (ast.BinOp, ast.AugAssign, ast.UnaryOp,
+                                  ast.For, ast.While, ast.If))]
+    calls = [n.func.id for n in nodes if isinstance(n, ast.Call)]
+    assert len(calls) == 14
+    assert set(calls) == {"add32", "rotl32", "xor32"}
+    for name in set(calls):
+        assert HalfSipHash._sip_round.__globals__[name].__module__ \
+            == ops.__name__
+    callers = [path for path in SRC_ROOT.rglob("*.py")
+               if "_sip_round(" in path.read_text().replace(
+                   "def _sip_round(", "")]
+    assert callers == []

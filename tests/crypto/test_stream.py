@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.crypto.halfsiphash import HalfSipHash
 from repro.crypto.stream import crypt_word, keystream, xor_crypt
 
 KEY = 0x1122334455667788
@@ -35,6 +36,19 @@ def test_keystream_deterministic_and_extendable():
     short = keystream(KEY, 9, 8)
     long = keystream(KEY, 9, 16)
     assert long[:8] == short
+
+
+def test_keystream_is_halfsiphash_in_counter_mode():
+    """Word ``i`` is HalfSipHash(key, nonce || i), for every length
+    residue."""
+    nonce = 0x1122334455667788
+    for length in range(18):
+        words = b"".join(
+            HalfSipHash().digest(
+                KEY, nonce.to_bytes(8, "little") + i.to_bytes(4, "little")
+            ).to_bytes(4, "little")
+            for i in range((length + 3) // 4))
+        assert keystream(KEY, nonce, length) == words[:length]
 
 
 def test_keystream_nonzero():
