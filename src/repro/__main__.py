@@ -11,10 +11,11 @@ paper-style tables from those artifacts.
     python -m repro run fig21 --sweep hops=2,6,10 --short
     python -m repro run table3 --seed 99 --out-dir results/
     python -m repro report --dir results/   # markdown from BENCH_*.json
-    python -m repro telemetry fig17  # instrumented run: JSONL trace +
-                                     # Prometheus-style metrics dump
-    python -m repro chaos            # fault-injection scenarios (all)
-    python -m repro chaos kmp-blackout --seed 7 --trace-out chaos.jsonl
+    python -m repro run fig17 --trace-dir traces/  # instrumented run:
+                                     # per-trial JSONL trace + .prom dump
+    python -m repro run kmp-blackout --sweep seed=7 --trace-dir traces/
+                                     # chaos scenario; exit 1 if an
+                                     # invariant fails
     python -m repro verify --all     # static analysis of every program
     python -m repro verify p4auth --format json
     python -m repro verify --selftest  # mutant battery
@@ -30,98 +31,6 @@ import sys
 from repro.analysis import format_table
 
 
-#: Experiments the ``telemetry`` subcommand can instrument.
-TELEMETRY_TARGETS = ("fig17", "fig18", "fig20")
-
-
-def cmd_telemetry(args) -> None:
-    """Run one experiment with telemetry enabled; dump trace + metrics."""
-    from repro.telemetry import Telemetry
-
-    target = args.target or "fig17"
-    if target not in TELEMETRY_TARGETS:
-        raise SystemExit(
-            f"telemetry target must be one of {TELEMETRY_TARGETS}")
-    tel = Telemetry(enabled=True)
-
-    if target == "fig17":
-        from repro.experiments.fig17_hula import MODES, run_hula
-        rows = []
-        for mode in MODES:
-            result = run_hula(mode, duration_s=min(args.duration, 10.0),
-                              telemetry=tel)
-            rows.append([mode,
-                         f"{result.shares['s2'] * 100:.1f}%",
-                         f"{result.shares['s3'] * 100:.1f}%",
-                         f"{result.shares['s4'] * 100:.1f}%",
-                         result.alerts])
-        print(format_table(["mode", "via S2", "via S3", "via S4", "alerts"],
-                           rows, title="Fig 17: HULA traffic distribution"))
-    elif target == "fig18":
-        from repro.runtime.comparison import measure
-        table = measure(duration_s=min(args.duration, 10.0), telemetry=tel)
-        rows = [[name, kind, stats.completed,
-                 f"{stats.mean_rct_s * 1e6:.1f}"]
-                for (name, kind), stats in sorted(table.items())]
-        print(format_table(["stack", "op", "completed", "mean RCT (us)"],
-                           rows, title="Fig 18: stack comparison"))
-    else:
-        from repro.experiments.fig20_kmp import OPS, run_kmp_rtt
-        result = run_kmp_rtt(repeats=20, telemetry=tel)
-        rows = [[op, f"{result.mean_ms(op):.3f}"] for op in OPS]
-        print(format_table(["operation", "RTT (ms)"],
-                           rows, title="Fig 20: key management RTT"))
-
-    trace_path = args.trace_out or f"telemetry-{target}.jsonl"
-    count = tel.tracer.dump(trace_path)
-    print()
-    print(tel.render_prometheus())
-    print(f"# wrote {count} trace events to {trace_path}"
-          + (f" ({tel.tracer.evicted} evicted)" if tel.tracer.evicted else ""))
-
-
-def cmd_chaos(args) -> None:
-    """Run chaos scenarios under a fixed seed; non-zero exit on failure.
-
-    A target of ``smoke`` runs the two cheapest scenarios (the CI job);
-    no target runs everything.
-    """
-    from repro.faults import SCENARIOS, SMOKE_SCENARIOS, run_scenario
-    from repro.telemetry import Telemetry
-
-    if args.target is None or args.target == "all":
-        names = sorted(SCENARIOS)
-    elif args.target == "smoke":
-        names = list(SMOKE_SCENARIOS)
-    elif args.target in SCENARIOS:
-        names = [args.target]
-    else:
-        raise SystemExit(f"unknown chaos scenario {args.target!r} "
-                         f"(have: {sorted(SCENARIOS)} + 'smoke', 'all')")
-
-    failed = False
-    for index, name in enumerate(names):
-        tel = Telemetry(enabled=True)
-        report = run_scenario(name, seed=args.seed, telemetry=tel)
-        print(report.summary())
-        if args.trace_out:
-            path = (args.trace_out if len(names) == 1
-                    else f"{name}-{args.trace_out}")
-            count = tel.tracer.dump(path)
-            print(f"  # wrote {count} trace events to {path}")
-        if index < len(names) - 1:
-            print()
-        failed = failed or not report.passed
-    if failed:
-        raise SystemExit(1)
-
-
-COMMANDS = {
-    "chaos": cmd_chaos,
-    "telemetry": cmd_telemetry,
-}
-
-
 def print_experiment_listing(stream=None) -> None:
     """The registry, as a table: what ``repro run <name>`` accepts."""
     from repro.engine import all_specs
@@ -135,12 +44,16 @@ def print_experiment_listing(stream=None) -> None:
     print(table, file=stream)
     print("\nUsage: python -m repro run <name> [--sweep k=v1,v2] "
           "[--workers N] [--seed N] [--short]\n"
-          "       python -m repro {list,report,serve,verify,"
-          + ",".join(sorted(COMMANDS)) + "}", file=stream)
+          "                            [--trace-dir DIR]\n"
+          "       python -m repro {list,report,serve,verify}", file=stream)
 
 
 def cmd_run(argv) -> int:
-    """The generic engine front-end: run any registered spec."""
+    """The generic engine front-end: run any registered spec.
+
+    Returns 1 when a trial reports ``passed: false`` (the chaos specs'
+    invariants), after naming the failed invariants on stderr.
+    """
     from repro.engine import (
         ResultCache,
         get_spec,
@@ -176,8 +89,9 @@ def cmd_run(argv) -> int:
                         help="where BENCH_<name>.json is written "
                              "('' to skip the artifact)")
     parser.add_argument("--trace-dir", default=None,
-                        help="write per-trial telemetry JSONL traces here "
-                             "(specs that support telemetry only)")
+                        help="write a per-trial telemetry JSONL trace and "
+                             "Prometheus dump here (specs that support "
+                             "telemetry only; trials always execute)")
     args = parser.parse_args(argv)
 
     if args.name is None:
@@ -192,6 +106,8 @@ def cmd_run(argv) -> int:
         print_experiment_listing(sys.stderr)
         raise SystemExit(2)
     sweep = parse_sweep(spec, args.sweep) if args.sweep else None
+    if args.trace_dir is not None and not spec.supports_telemetry:
+        print(f"# {spec.name} does not emit telemetry; --trace-dir ignored")
 
     runner = Runner(
         workers=args.workers,
@@ -216,7 +132,15 @@ def cmd_run(argv) -> int:
           f"{meta['elapsed_s']:.2f}s")
     if run.artifact_path:
         print(f"# wrote {run.artifact_path}")
-    return 0
+    failed = [trial for trial in run.trials
+              if trial.result.get("passed") is False]
+    for trial in failed:
+        print(f"{trial.id}: FAILED", file=sys.stderr)
+        for inv in trial.result.get("invariants", ()):
+            if not inv["passed"]:
+                detail = f" — {inv['detail']}" if inv["detail"] else ""
+                print(f"  [FAIL] {inv['name']}{detail}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def cmd_report(argv) -> int:
@@ -258,33 +182,9 @@ def main(argv=None) -> int:
     if command == "serve":
         from repro.service.cli import cmd_serve
         return cmd_serve(rest)
-    if command not in COMMANDS:
-        print(f"unknown command {command!r}\n", file=sys.stderr)
-        print_experiment_listing(sys.stderr)
-        raise SystemExit(2)
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro",
-        description="Instrumented and fault-injection runs.")
-    parser.add_argument("experiment", choices=sorted(COMMANDS),
-                        help="which instrumented run to perform")
-    parser.add_argument("target", nargs="?", default=None,
-                        help="for 'telemetry': which experiment to "
-                             f"instrument {TELEMETRY_TARGETS} "
-                             "(default: fig17); for 'chaos': a scenario "
-                             "name, 'smoke', or 'all' (default)")
-    parser.add_argument("--duration", type=float, default=30.0,
-                        help="for 'telemetry': simulated duration "
-                             "(seconds)")
-    parser.add_argument("--seed", type=int, default=1,
-                        help="for 'chaos': the fault-plan seed "
-                             "(same seed => byte-identical trace)")
-    parser.add_argument("--trace-out", default=None,
-                        help="for 'telemetry'/'chaos': JSONL trace "
-                             "output path")
-    args = parser.parse_args(argv)
-    COMMANDS[args.experiment](args)
-    return 0
+    print(f"unknown command {command!r}\n", file=sys.stderr)
+    print_experiment_listing(sys.stderr)
+    raise SystemExit(2)
 
 
 if __name__ == "__main__":

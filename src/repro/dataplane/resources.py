@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 TCAM_BLOCKS = 288
 SRAM_BLOCKS = 960
@@ -72,14 +72,6 @@ class ResourceReport:
     sram_blocks: int
     hash_units: int
     phv_containers: int
-
-    def as_row(self) -> Dict[str, float]:
-        return {
-            "TCAM": self.tcam_pct,
-            "SRAM": self.sram_pct,
-            "Hash Units": self.hash_pct,
-            "PHV": self.phv_pct,
-        }
 
 
 class ProgramSpec:

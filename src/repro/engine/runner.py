@@ -1,8 +1,9 @@
 """Trial-matrix execution: serial or sharded across worker processes.
 
 The :class:`Runner` expands a spec into its deterministic trial list,
-executes each trial (optionally under a content-hash result cache and
-per-trial telemetry capture), and assembles the canonical artifact.
+executes each trial (optionally under a content-hash result cache, or
+with per-trial telemetry capture: ``<trial>.jsonl`` trace plus
+``<trial>.prom`` metrics dump), and assembles the canonical artifact.
 Because every trial's seed and parameters are fixed *before* execution
 (:meth:`ExperimentSpec.expand`), and results are collected by trial
 index rather than completion order, ``workers=1`` and ``workers=N``
@@ -90,10 +91,12 @@ def execute_trial(spec: ExperimentSpec, plan: TrialPlan,
         raise TypeError(f"trial for {spec.name!r} must return a mapping, "
                         f"got {type(result).__name__}")
     if telemetry is not None:
+        from repro.telemetry.exporters import write_prometheus
         os.makedirs(trace_dir, exist_ok=True)
         safe = plan.trial_id.replace("[", ".").replace("]", "")
-        path = os.path.join(trace_dir, f"{safe}.jsonl")
-        telemetry.tracer.dump(path)
+        stem = os.path.join(trace_dir, safe)
+        telemetry.tracer.dump(f"{stem}.jsonl")
+        write_prometheus(telemetry.metrics, f"{stem}.prom")
     return result
 
 
@@ -131,8 +134,11 @@ class Runner:
         results: List[Optional[Dict[str, Any]]] = [None] * len(plans)
         pending: List[int] = []
         cache_hits = 0
+        # A traced run executes every trial: a replayed cache hit would
+        # leave the requested trace unwritten.
+        tracing = self.trace_dir is not None and spec.supports_telemetry
         for index, plan in enumerate(plans):
-            if self.cache is not None:
+            if self.cache is not None and not tracing:
                 hit = self.cache.get(plan.cache_key(spec))
                 if hit is not None:
                     results[index] = hit

@@ -19,17 +19,17 @@ contributions with probability 1/2.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from repro.attacks.link import ProbeFieldTamperer
-from repro.core.auth_dataplane import P4AuthConfig, P4AuthDataplane
-from repro.core.controller import P4AuthController
+from repro.core.auth_dataplane import P4AuthConfig
 from repro.crypto.prng import XorShiftPrng
 from repro.engine.registry import register
 from repro.engine.spec import ExperimentSpec, TrialContext
 from repro.dataplane.switch import DataplaneSwitch
 from repro.net.network import Network
 from repro.net.simulator import EventSimulator
+from repro.runtime.comparison import attach_stack
 from repro.systems.inaggr import (
     AggregationConfig,
     AggregationDataplane,
@@ -70,19 +70,14 @@ def run_aggregation(mode: str, chunks: int = 30, num_workers: int = 4,
     ps_host = net.add_host("ps")
     net.connect("agg", 1, "ps", 1)
 
-    controller: Optional[P4AuthController] = None
-    dataplanes: Dict[str, P4AuthDataplane] = {}
+    controller = None
     if mode == "p4auth":
-        for index, name in enumerate(["agg"] + [s.name for s in
-                                                worker_switches]):
-            dataplanes[name] = P4AuthDataplane(
-                net.switch(name), k_seed=0xA660 + index,
-                config=P4AuthConfig(protected_headers={"agg_update"}),
-            ).install()
+        names = ["agg"] + [s.name for s in worker_switches]
+        controller, dataplanes = attach_stack(
+            "P4Auth", net, names, (),
+            {name: 0xA660 + index for index, name in enumerate(names)},
+            None, config=P4AuthConfig(protected_headers={"agg_update"}))
         dataplanes["agg"].map_register("agg_bitmap")
-        controller = P4AuthController(net)
-        for dataplane in dataplanes.values():
-            controller.provision(dataplane)
         controller.kmp.bootstrap_all()
         sim.run(until=1.0)
 
@@ -171,10 +166,6 @@ def run_aggregation(mode: str, chunks: int = 30, num_workers: int = 4,
         failed_chunks=len(failed),
         notes=f"received={len(received)}/{chunks}",
     )
-
-
-def run_all(chunks: int = 30) -> Dict[str, AggregationJobResult]:
-    return {mode: run_aggregation(mode, chunks=chunks) for mode in MODES}
 
 
 def _trial(ctx: TrialContext) -> AggregationJobResult:

@@ -23,18 +23,15 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.analysis import mean, percentile
-from repro.attacks.link import ProbeFieldTamperer
 from repro.engine.registry import register
 from repro.engine.spec import ExperimentSpec, TrialContext
-from repro.core.auth_dataplane import P4AuthConfig, P4AuthDataplane
-from repro.core.controller import P4AuthController
-from repro.net.topology import hula_fig3_topology
-from repro.systems.hula import (
-    HulaDataplane,
-    fig3_hula_configs,
-    make_data_packet,
-    make_probe,
+from repro.experiments.fig17_hula import (
+    fig3_hula_world,
+    protect_probes,
+    s1_share_meter,
+    tamper_s4_probes,
 )
+from repro.systems.hula import make_data_packet, make_probe
 
 MODES = ("baseline", "attack", "p4auth")
 
@@ -67,7 +64,7 @@ def run_fct(mode: str, duration_s: float = 3.0,
     """Measure foreground delivery latency under one Fig 3 scenario."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    net, extras = hula_fig3_topology()
+    net, extras, hulas = fig3_hula_world()
     sim = extras["sim"]
     for link in net.links:
         link.bandwidth_bps = LINK_BANDWIDTH_BPS
@@ -75,27 +72,15 @@ def run_fct(mode: str, duration_s: float = 3.0,
     # links are provisioned fat (the server port aggregates all paths).
     net.link_between("h1", "s1").bandwidth_bps = 1e9
     net.link_between("s5", "h5").bandwidth_bps = 1e9
-    hulas = {name: HulaDataplane(net.switch(name), config).install()
-             for name, config in fig3_hula_configs().items()}
 
     controller = None
     if mode == "p4auth":
-        dataplanes = {}
-        for index, name in enumerate(sorted(hulas)):
-            dataplanes[name] = P4AuthDataplane(
-                net.switch(name), k_seed=0xFC7 + index,
-                config=P4AuthConfig(protected_headers={"hula_probe"}),
-            ).install()
-        controller = P4AuthController(net)
-        for dataplane in dataplanes.values():
-            controller.provision(dataplane)
+        controller, _dataplanes = protect_probes(net, hulas, 0xFC7)
         controller.kmp.bootstrap_all()
         sim.run(until=0.1)
 
     if mode in ("attack", "p4auth"):
-        adversary = ProbeFieldTamperer("hula_probe", "path_util", 2,
-                                       direction_filter="b->a")
-        adversary.attach(net.link_between("s1", "s4"))
+        tamper_s4_probes(net)
 
     h1, h5 = extras["h1"], extras["h5"]
     base = sim.now
@@ -149,27 +134,18 @@ def run_fct(mode: str, duration_s: float = 3.0,
         sim.schedule(0.01, background, name, load)
     sim.schedule(0.05, foreground)
 
-    s1 = hulas["s1"]
-    snapshot: Dict[int, int] = {}
-    sim.schedule(warmup_s, lambda: snapshot.update(s1.data_tx_per_port))
+    shares = s1_share_meter(sim, hulas["s1"], extras["paths"], warmup_s)
     sim.run(until=end + 0.5)
 
-    counts = {port: s1.data_tx_per_port.get(port, 0) - snapshot.get(port, 0)
-              for port in (2, 3, 4)}
-    total = sum(counts.values()) or 1
     return FctResult(
         mode=mode,
         mean_latency_s=mean(samples),
         p95_latency_s=percentile(samples, 95),
         delivered=len(samples),
-        share_via_s4=counts[4] / total,
+        share_via_s4=shares()["s4"],
         alerts=len(controller.alerts) if controller else 0,
         samples=samples,
     )
-
-
-def run_all(duration_s: float = 3.0) -> Dict[str, FctResult]:
-    return {mode: run_fct(mode, duration_s) for mode in MODES}
 
 
 def _trial(ctx: TrialContext) -> dict:

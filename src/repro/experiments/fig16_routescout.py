@@ -15,7 +15,7 @@ Three runs over the same synthetic CAIDA-like trace:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import List
 
 from repro.attacks.control_plane import RegisterResponseTamperer
 from repro.engine.registry import register
@@ -132,10 +132,6 @@ def run_routescout(mode: str, duration_s: float = 60.0, seed: int = 42,
         result.tamper_events = len(client.tamper_events)
         result.alerts = len(client.alerts)
     return result
-
-
-def run_all(duration_s: float = 60.0, seed: int = 42) -> Dict[str, RouteScoutResult]:
-    return {mode: run_routescout(mode, duration_s, seed) for mode in MODES}
 
 
 def _trial(ctx: TrialContext) -> RouteScoutResult:

@@ -16,14 +16,16 @@ S5 -> {S2,S3,S4} -> S1; data flows S1 -> best hop -> S5.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.attacks.link import ProbeFieldTamperer
 from repro.engine.registry import register
 from repro.engine.spec import ExperimentSpec, TrialContext
-from repro.core.auth_dataplane import P4AuthConfig, P4AuthDataplane
+from repro.core.auth_dataplane import P4AuthConfig
 from repro.core.controller import P4AuthController
+from repro.net.network import Network
 from repro.net.topology import hula_fig3_topology
+from repro.runtime.comparison import attach_stack
 from repro.systems.hula import (
     HulaDataplane,
     fig3_hula_configs,
@@ -49,55 +51,55 @@ class HulaResult:
     alerts: int = 0
 
 
-def run_hula(mode: str, duration_s: float = 5.0, seed: int = 7,
-             probe_period_s: float = 0.005, data_period_s: float = 0.0002,
-             warmup_s: float = 0.5, telemetry=None) -> HulaResult:
-    """Run one Fig 17 scenario; shares measured after ``warmup_s``."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
+def fig3_hula_world(telemetry=None
+                    ) -> Tuple[Network, dict, Dict[str, HulaDataplane]]:
+    """The Fig 3 fabric with HULA on every switch: (net, extras, hulas)."""
     net, extras = hula_fig3_topology(telemetry=telemetry)
-    sim = extras["sim"]
-    configs = fig3_hula_configs()
-    hulas: Dict[str, HulaDataplane] = {}
-    for name, config in configs.items():
-        hulas[name] = HulaDataplane(net.switch(name), config).install()
+    hulas = {name: HulaDataplane(net.switch(name), config).install()
+             for name, config in fig3_hula_configs().items()}
+    return net, extras, hulas
 
-    controller = None
-    if mode == "p4auth":
-        # P4Auth wraps each switch's pipeline (verify first, sign last).
-        dataplanes = {}
-        for index, name in enumerate(sorted(configs)):
-            dataplane = P4AuthDataplane(
-                net.switch(name), k_seed=0xAB00 + index,
-                config=P4AuthConfig(protected_headers={"hula_probe"}),
-            ).install()
-            dataplanes[name] = dataplane
-        controller = P4AuthController(net)
-        for dataplane in dataplanes.values():
-            controller.provision(dataplane)
-        controller.kmp.bootstrap_all()
-        sim.run(until=0.1)
 
-    if mode in ("attack", "p4auth"):
-        link = net.link_between("s1", "s4")
-        # Probes travel S4 -> S1.  hula_fig3_topology connects
-        # ("s1", 4) <-> ("s4", 1), so that flow is direction "b->a".
-        adversary = ProbeFieldTamperer("hula_probe", "path_util", 2,
-                                       direction_filter="b->a")
-        adversary.attach(link)
-    else:
-        adversary = None
+def protect_probes(net: Network, hulas: Dict[str, HulaDataplane],
+                   k_seed_base: int,
+                   request_timeout_s: Optional[float] = None
+                   ) -> Tuple[P4AuthController, dict]:
+    """P4Auth around every HULA pipeline (verify first, sign last) with
+    ``hula_probe`` DP-DP protected; the caller runs the key bootstrap."""
+    names = sorted(hulas)
+    return attach_stack(
+        "P4Auth", net, names, (),
+        {name: k_seed_base + index for index, name in enumerate(names)},
+        None, request_timeout_s=request_timeout_s,
+        config=P4AuthConfig(protected_headers={"hula_probe"}))
 
+
+def tamper_s4_probes(net: Network) -> ProbeFieldTamperer:
+    """The MitM on the S1-S4 link: advertise the S4 path as nearly idle.
+
+    Probes travel S4 -> S1.  hula_fig3_topology connects
+    ("s1", 4) <-> ("s4", 1), so that flow is direction "b->a".
+    """
+    adversary = ProbeFieldTamperer("hula_probe", "path_util", 2,
+                                   direction_filter="b->a")
+    adversary.attach(net.link_between("s1", "s4"))
+    return adversary
+
+
+def start_fig3_traffic(sim, extras: dict, until_s: float,
+                       probe_period_s: float = 0.005,
+                       data_period_s: float = 0.0002) -> None:
+    """H5 probes from now and H1 data 50 ms later, until ``until_s``."""
     h1, h5 = extras["h1"], extras["h5"]
 
     def send_probe(probe_id: int = 0) -> None:
-        if sim.now >= duration_s:
+        if sim.now >= until_s:
             return
         h5.send(make_probe(DST_TOR, probe_id))
         sim.schedule(probe_period_s, send_probe, probe_id + 1)
 
     def send_data(seq: int = 0) -> None:
-        if sim.now >= duration_s:
+        if sim.now >= until_s:
             return
         h1.send(make_data_packet(DST_TOR, flow_id=seq, seq=seq & 0xFFFF))
         sim.schedule(data_period_s, send_data, seq + 1)
@@ -105,39 +107,56 @@ def run_hula(mode: str, duration_s: float = 5.0, seed: int = 7,
     sim.schedule(0.0, send_probe)
     sim.schedule(0.05, send_data)
 
-    # Snapshot S1's per-port counters at the end of warmup, then measure.
-    s1 = hulas["s1"]
+
+def s1_share_meter(sim, s1: HulaDataplane, paths: Dict[str, int],
+                   warmup_s: float) -> Callable[[], Dict[str, float]]:
+    """Snapshot S1's per-port data counters ``warmup_s`` from now; the
+    returned function gives each path's share of the data sent since."""
     snapshot: Dict[int, int] = {}
+    sim.schedule(warmup_s, lambda: snapshot.update(s1.data_tx_per_port))
 
-    def take_snapshot() -> None:
-        snapshot.update({port: count
-                         for port, count in s1.data_tx_per_port.items()})
+    def shares() -> Dict[str, float]:
+        counts = {name: s1.data_tx_per_port.get(port, 0)
+                  - snapshot.get(port, 0) for name, port in paths.items()}
+        total = sum(counts.values()) or 1
+        return {name: count / total for name, count in counts.items()}
 
-    sim.schedule(warmup_s, take_snapshot)
+    return shares
+
+
+def run_hula(mode: str, duration_s: float = 5.0, seed: int = 7,
+             probe_period_s: float = 0.005, data_period_s: float = 0.0002,
+             warmup_s: float = 0.5, telemetry=None) -> HulaResult:
+    """Run one Fig 17 scenario; shares measured after ``warmup_s``."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
+    net, extras, hulas = fig3_hula_world(telemetry)
+    sim = extras["sim"]
+
+    controller = None
+    if mode == "p4auth":
+        controller, _dataplanes = protect_probes(net, hulas, 0xAB00)
+        controller.kmp.bootstrap_all()
+        sim.run(until=0.1)
+    adversary = (tamper_s4_probes(net) if mode in ("attack", "p4auth")
+                 else None)
+
+    start_fig3_traffic(sim, extras, duration_s, probe_period_s,
+                       data_period_s)
+    shares = s1_share_meter(sim, hulas["s1"], extras["paths"], warmup_s)
     sim.run(until=duration_s)
 
-    port_to_path = {port: name for name, port in extras["paths"].items()}
-    counts = {
-        name: s1.data_tx_per_port.get(port, 0) - snapshot.get(port, 0)
-        for port, name in port_to_path.items()
-    }
-    total = sum(counts.values()) or 1
-    result = HulaResult(
+    return HulaResult(
         mode=mode,
-        shares={name: count / total for name, count in counts.items()},
-        data_sent=h1.sent_count,
-        data_delivered=len(h5.received),
+        shares=shares(),
+        data_sent=extras["h1"].sent_count,
+        data_delivered=len(extras["h5"].received),
         probes_tampered=adversary.stats.modified if adversary else 0,
         probes_dropped_at_s1=(
             net.nodes["s1"].switch.packets_dropped if mode == "p4auth" else 0
         ),
         alerts=len(controller.alerts) if controller is not None else 0,
     )
-    return result
-
-
-def run_all(duration_s: float = 5.0) -> Dict[str, HulaResult]:
-    return {mode: run_hula(mode, duration_s) for mode in MODES}
 
 
 def _trial(ctx: TrialContext) -> HulaResult:

@@ -14,13 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.core.auth_dataplane import P4AuthDataplane
-from repro.core.controller import P4AuthController
 from repro.dataplane.switch import DataplaneSwitch
 from repro.engine.registry import register
 from repro.engine.spec import ExperimentSpec, TrialContext
 from repro.net.network import Network
 from repro.net.simulator import EventSimulator
+from repro.runtime.comparison import attach_stack
 
 OPS = ("local_init", "local_update", "port_init", "port_update")
 
@@ -54,9 +53,8 @@ def run_kmp_rtt(repeats: int = 20, seed: int = 3,
         net = Network(sim)
         switch = DataplaneSwitch("s1", num_ports=2, seed=seed + run)
         net.add_switch(switch)
-        dataplane = P4AuthDataplane(switch, k_seed=0x11 + run).install()
-        controller = P4AuthController(net)
-        controller.provision(dataplane)
+        controller, _dataplanes = attach_stack(
+            "P4Auth", net, ["s1"], (), {"s1": 0x11 + run}, None)
         controller.kmp.local_key_init("s1")
         sim.run(until=0.1)
         samples.extend(controller.kmp.stats.rtts("local_init"))
@@ -65,15 +63,12 @@ def run_kmp_rtt(repeats: int = 20, seed: int = 3,
     # The other three run on one two-switch deployment.
     sim = EventSimulator(telemetry=telemetry)
     net = Network(sim)
-    dataplanes = []
     for index, name in enumerate(("s1", "s2")):
-        switch = DataplaneSwitch(name, num_ports=2, seed=seed * 7 + index)
-        net.add_switch(switch)
-        dataplanes.append(P4AuthDataplane(switch, k_seed=0x21 + index).install())
+        net.add_switch(DataplaneSwitch(name, num_ports=2,
+                                       seed=seed * 7 + index))
     net.connect("s1", 1, "s2", 1)
-    controller = P4AuthController(net)
-    for dataplane in dataplanes:
-        controller.provision(dataplane)
+    controller, _dataplanes = attach_stack(
+        "P4Auth", net, ["s1", "s2"], (), {"s1": 0x21, "s2": 0x22}, None)
     controller.kmp.bootstrap_all()
     sim.run(until=0.5)
 

@@ -12,11 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.core.auth_dataplane import P4AuthConfig, P4AuthDataplane
-from repro.core.controller import P4AuthController
+from repro.core.auth_dataplane import P4AuthConfig
 from repro.engine.registry import register
 from repro.engine.spec import ExperimentSpec, TrialContext
 from repro.net.topology import linear_chain
+from repro.runtime.comparison import attach_stack
 from repro.systems.hula import HulaDataplane, chain_hula_configs, make_probe
 
 #: ToR id used for chain probes (any value works; nothing routes on it).
@@ -46,15 +46,11 @@ def run_multihop(num_switches: int, with_p4auth: bool,
         HulaDataplane(net.switch(name), config).install()
 
     if with_p4auth:
-        dataplanes = []
-        for index, name in enumerate(extras["switches"]):
-            dataplanes.append(P4AuthDataplane(
-                net.switch(name), k_seed=0xC0DE00 + index,
-                config=P4AuthConfig(protected_headers={"hula_probe"}),
-            ).install())
-        controller = P4AuthController(net)
-        for dataplane in dataplanes:
-            controller.provision(dataplane)
+        controller, _dataplanes = attach_stack(
+            "P4Auth", net, extras["switches"], (),
+            {name: 0xC0DE00 + index
+             for index, name in enumerate(extras["switches"])}, None,
+            config=P4AuthConfig(protected_headers={"hula_probe"}))
         controller.kmp.bootstrap_all()
         sim.run(until=1.0)
 
@@ -86,26 +82,9 @@ def run_multihop(num_switches: int, with_p4auth: bool,
     return result
 
 
-def overhead_curve(hop_counts=range(2, 11),
-                   num_probes: int = 50) -> List[dict]:
-    """The Fig 21 series: per-hop traversal times and P4Auth overhead %."""
-    rows = []
-    for hops in hop_counts:
-        base = run_multihop(hops, with_p4auth=False, num_probes=num_probes)
-        auth = run_multihop(hops, with_p4auth=True, num_probes=num_probes)
-        overhead = (auth.mean_traversal_s / base.mean_traversal_s - 1.0) * 100
-        rows.append({
-            "hops": hops,
-            "base_us": base.mean_traversal_s * 1e6,
-            "p4auth_us": auth.mean_traversal_s * 1e6,
-            "overhead_pct": overhead,
-        })
-    return rows
-
-
 def curve_from_trials(results) -> List[dict]:
-    """Assemble the Fig 21 series from per-(hops, with_p4auth) trial
-    dicts (the engine's canonical form of :func:`overhead_curve`)."""
+    """The Fig 21 series (per-hop traversal times and P4Auth overhead %)
+    from per-(hops, with_p4auth) trial dicts."""
     by_key = {(r["num_switches"], r["with_p4auth"]): r for r in results}
     rows = []
     for hops in sorted({k for k, _ in by_key}):

@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Dict
 
 from repro.attacks.base import Adversary
-from repro.core.auth_dataplane import P4AuthConfig, P4AuthDataplane
-from repro.core.controller import P4AuthController
+from repro.core.auth_dataplane import P4AuthConfig
 from repro.engine.registry import register
 from repro.engine.spec import ExperimentSpec, TrialContext
 from repro.net.topology import linear_chain
+from repro.runtime.comparison import attach_stack
 from repro.systems.int_telemetry import (
     RECORD_BYTES,
     RECORD_FORMAT,
@@ -108,15 +107,11 @@ def run_int_manipulation(mode: str, num_switches: int = 4,
 
     controller = None
     if mode == "p4auth":
-        dataplanes = []
-        for index, name in enumerate(extras["switches"]):
-            dataplanes.append(P4AuthDataplane(
-                net.switch(name), k_seed=0x127 + index,
-                config=P4AuthConfig(protected_headers={"int_probe"}),
-            ).install())
-        controller = P4AuthController(net)
-        for dataplane in dataplanes:
-            controller.provision(dataplane)
+        controller, _dataplanes = attach_stack(
+            "P4Auth", net, extras["switches"], (),
+            {name: 0x127 + index
+             for index, name in enumerate(extras["switches"])}, None,
+            config=P4AuthConfig(protected_headers={"int_probe"}))
         controller.kmp.bootstrap_all()
         sim.run(until=1.0)
 
@@ -151,11 +146,6 @@ def run_int_manipulation(mode: str, num_switches: int = 4,
         tampered=adversary.stats.modified if adversary else 0,
         detected=visible or alerts > 0,
     )
-
-
-def run_all(num_probes: int = 40) -> Dict[str, IntResult]:
-    return {mode: run_int_manipulation(mode, num_probes=num_probes)
-            for mode in MODES}
 
 
 def _trial(ctx: TrialContext) -> IntResult:

@@ -35,8 +35,7 @@ from repro.attacks.personas import (
     PersonaWorld,
     build_persona,
 )
-from repro.core.auth_dataplane import P4AuthConfig, P4AuthDataplane
-from repro.core.controller import P4AuthController
+from repro.core.auth_dataplane import P4AuthConfig
 from repro.crypto.prng import XorShiftPrng
 from repro.dataplane.packet import Packet
 from repro.dataplane.switch import DataplaneSwitch
@@ -47,6 +46,7 @@ from repro.net.network import Network
 from repro.net.simulator import EventSimulator
 from repro.net.trace import TraceGenerator
 from repro.runtime.batch import BatchController
+from repro.runtime.comparison import attach_stack
 from repro.systems.blink import BLINK_DATA_HEADER, BlinkDataplane
 from repro.systems.hula import (
     HulaConfig,
@@ -128,16 +128,13 @@ def run_persona_trial(persona_kind: str, system: str,
     s1.registers.define("persona_reg", 64, 8)
 
     protected = {"hula_probe"} if system == "hula" else set()
-    dp1 = P4AuthDataplane(s1, k_seed=0xAD0001 + seed % 997,
-                          config=P4AuthConfig(
-                              protected_headers=set(protected))).install()
+    controller, dataplanes = attach_stack(
+        "P4Auth", net, ["s1", "s2"], (),
+        {"s1": 0xAD0001 + seed % 997, "s2": 0xAD1001 + seed % 997}, None,
+        request_timeout_s=0.05,
+        config=P4AuthConfig(protected_headers=protected))
+    dp1, dp2 = dataplanes["s1"], dataplanes["s2"]
     dp1.map_all_registers()
-    dp2 = P4AuthDataplane(s2, k_seed=0xAD1001 + seed % 997,
-                          config=P4AuthConfig(
-                              protected_headers=set(protected))).install()
-    controller = P4AuthController(net, request_timeout_s=0.05)
-    controller.provision(dp1)
-    controller.provision(dp2)
     controller.kmp.bootstrap_all()
     sim.run(until=0.3)
     base = sim.now

@@ -3,14 +3,10 @@
 Compiles the declarative :class:`~repro.dataplane.resources.ProgramSpec`
 inventories for the baseline L3 program and the P4Auth-augmented one
 through the Tofino-calibrated :class:`~repro.dataplane.resources.ResourceModel`
-and reports the utilization percentages the paper tabulates.  This used
-to live inline in ``__main__``/``analysis.report``; as a module it is a
-first-class experiment like every other table.
+and reports the utilization percentages the paper tabulates.
 """
 
 from __future__ import annotations
-
-from typing import Dict
 
 from repro.core.program import baseline_program_spec, p4auth_program_spec
 from repro.dataplane.resources import ResourceModel, ResourceReport
@@ -30,10 +26,6 @@ def run_table2(program: str) -> ResourceReport:
     spec = (baseline_program_spec() if program == "baseline"
             else p4auth_program_spec())
     return ResourceModel().report(spec)
-
-
-def run_all() -> Dict[str, ResourceReport]:
-    return {program: run_table2(program) for program in PROGRAMS}
 
 
 def _trial(ctx: TrialContext) -> ResourceReport:

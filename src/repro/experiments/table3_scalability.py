@@ -131,10 +131,6 @@ class MultiDomainResult:
     per_domain: ScalabilityResult
 
     @property
-    def per_controller_init_messages(self) -> int:
-        return self.per_domain.init_messages
-
-    @property
     def fleet_init_messages(self) -> int:
         return self.per_domain.init_messages * self.domains
 

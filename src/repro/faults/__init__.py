@@ -14,9 +14,9 @@ them:
 - :mod:`repro.faults.controller` — :class:`ControllerKillSwitch`, the
   controller-process SIGKILL action (crash at a chosen journal record
   or virtual time) driving the ``controller_crash_recovery`` experiment;
-- :mod:`repro.faults.scenarios` — :class:`ChaosScenario` runners that
+- :mod:`repro.faults.scenarios` — the chaos experiment specs, which
   replay Fig 17/20-style workloads under a plan and assert the paper's
-  invariants still hold (``python -m repro chaos``).
+  invariants still hold (``python -m repro run kmp-blackout``).
 
 Determinism contract: all randomness flows from ``FaultPlan.seed``
 through per-fault forked PRNGs, so a chaos run — including its telemetry
@@ -33,19 +33,11 @@ from repro.faults.plan import (
 )
 from repro.faults.controller import ControllerKillSwitch
 from repro.faults.injector import FaultInjector, InjectorStats
-from repro.faults.scenarios import (
-    ChaosReport,
-    ChaosScenario,
-    InvariantResult,
-    SCENARIOS,
-    SMOKE_SCENARIOS,
-    run_scenario,
-)
+from repro.faults.scenarios import ChaosReport, InvariantResult
 
 __all__ = [
     "ChannelBlackout",
     "ChaosReport",
-    "ChaosScenario",
     "ClockSkewFault",
     "ControllerKillSwitch",
     "FaultInjector",
@@ -55,7 +47,4 @@ __all__ = [
     "LINK_FAULT_KINDS",
     "LinkFault",
     "NodeFault",
-    "SCENARIOS",
-    "SMOKE_SCENARIOS",
-    "run_scenario",
 ]

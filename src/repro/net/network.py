@@ -217,11 +217,6 @@ class Network:
                 return link
         raise KeyError(f"no link between {name_a!r} and {name_b!r}")
 
-    def link_at(self, name: str, port: int) -> Link:
-        if (name, port) not in self._links:
-            raise KeyError(f"no link at ({name!r}, {port})")
-        return self._links[(name, port)]
-
     def attach_controller(self, controller) -> None:
         """Bind the (single, logical) controller.
 

@@ -51,13 +51,6 @@ class BoundaryLink:
     port_b: int
     latency_s: float
 
-    def end_in(self, region_id: str) -> Tuple[str, int]:
-        if region_id == self.region_a:
-            return self.switch_a, self.port_a
-        if region_id == self.region_b:
-            return self.switch_b, self.port_b
-        raise KeyError(f"{region_id!r} is not an endpoint of {self}")
-
 
 @dataclass
 class Region:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from repro.core.auth_dataplane import P4AuthDataplane
+from repro.core.auth_dataplane import P4AuthConfig, P4AuthDataplane
 from repro.core.controller import P4AuthController
 from repro.dataplane.switch import DataplaneSwitch
 from repro.engine.registry import register
@@ -28,6 +28,7 @@ def attach_stack(stack_name: str, net: Network, switches: Sequence[str],
                  k_seeds: Mapping[str, int],
                  bootstrap_deadline_s: Optional[float],
                  request_timeout_s: Optional[float] = None,
+                 config: Optional[P4AuthConfig] = None,
                  **p4auth_kwargs):
     """Attach one register-access stack to already-programmed switches.
 
@@ -35,8 +36,10 @@ def attach_stack(stack_name: str, net: Network, switches: Sequence[str],
     ``registers`` (``None``: every program register), provisions the
     controller, and for P4Auth runs the local-key bootstrap for up to
     ``bootstrap_deadline_s`` of virtual time (``None`` skips it: the
-    caller installs key material itself), raising if a switch is left
-    unkeyed.  ``k_seeds`` (per switch) and ``p4auth_kwargs`` (controller
+    caller bootstraps or installs key material itself), raising if a
+    switch is left unkeyed.  ``k_seeds`` (per switch), ``config`` (one
+    :class:`P4AuthConfig` shared by every data plane built here, e.g.
+    the DP-DP ``protected_headers``) and ``p4auth_kwargs`` (controller
     constructor) apply to P4Auth only.  Returns ``(stack, dataplanes)``
     with ``dataplanes`` keyed by switch name (empty for P4Runtime).
     """
@@ -58,8 +61,8 @@ def attach_stack(stack_name: str, net: Network, switches: Sequence[str],
         if stack_name == "DP-Reg-RW":
             dataplane = PlainRegOpDataplane(switch).install()
         else:
-            dataplane = P4AuthDataplane(switch,
-                                        k_seed=k_seeds[name]).install()
+            dataplane = P4AuthDataplane(switch, k_seed=k_seeds[name],
+                                        config=config).install()
         if registers is None:
             dataplane.map_all_registers()
         else:

@@ -137,10 +137,6 @@ class HttpServer:
         if self._connections:
             await asyncio.wait(list(self._connections))
 
-    @property
-    def address(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
         task = asyncio.current_task()

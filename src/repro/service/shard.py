@@ -34,7 +34,6 @@ with the number of shards, which is the point of the service.
 from __future__ import annotations
 
 import asyncio
-import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
@@ -106,14 +105,6 @@ class ShardStats:
         if self.first_issue_at is None or self.last_done_at is None:
             return 0.0
         return self.last_done_at - self.first_issue_at
-
-    def percentile_s(self, pct: float) -> float:
-        if not self.latency_samples:
-            return math.nan
-        ordered = sorted(self.latency_samples)
-        rank = min(len(ordered) - 1,
-                   max(0, int(pct / 100.0 * len(ordered))))
-        return ordered[rank]
 
 
 def build_shard_stack(stack_name: str, switches: Sequence[str], seed: int,

@@ -73,10 +73,6 @@ class RecoveryReport:
     duration_s: float = 0.0
 
     @property
-    def windows_pending(self) -> int:
-        return sum(1 for ok in self.windows.values() if ok is None)
-
-    @property
     def windows_reconciled(self) -> bool:
         return all(ok for ok in self.windows.values())
 

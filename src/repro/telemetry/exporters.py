@@ -8,7 +8,7 @@ re-exported here for symmetry.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Collection, List
 
 from repro.telemetry.metrics import MetricRegistry
 
@@ -36,17 +36,25 @@ def _format_number(value: float) -> str:
     return repr(float(value))
 
 
+#: Metrics that read the host clock; everything else is virtual-time.
+WALL_CLOCK_METRICS = frozenset({"sim_wall_seconds_total", "profile_seconds"})
+
+
 def render_prometheus(registry: MetricRegistry,
-                      prefix: str = METRIC_PREFIX) -> str:
+                      prefix: str = METRIC_PREFIX,
+                      skip: Collection[str] = ()) -> str:
     """The registry in Prometheus text exposition format.
 
     Output is deterministically ordered (by metric name, then labels), so
     two identical runs render byte-identical text modulo wall-clock
-    metrics (``sim_wall_seconds_total``, ``profile_seconds``).
+    metrics (:data:`WALL_CLOCK_METRICS`); ``skip`` names metrics to
+    leave out.
     """
     lines: List[str] = []
     typed = set()
     for metric in registry.snapshot():
+        if metric.name in skip:
+            continue
         full = f"{prefix}_{metric.name}" if prefix else metric.name
         if full not in typed:
             lines.append(f"# TYPE {full} {metric.kind}")
@@ -67,8 +75,11 @@ def render_prometheus(registry: MetricRegistry,
 
 def write_prometheus(registry: MetricRegistry, path: str,
                      prefix: str = METRIC_PREFIX) -> None:
+    """The per-trial metrics dump: everything but the wall-clock metrics,
+    so same-seed runs write byte-identical files."""
     with open(path, "w") as handle:
-        handle.write(render_prometheus(registry, prefix))
+        handle.write(render_prometheus(registry, prefix,
+                                       skip=WALL_CLOCK_METRICS))
 
 
 def write_jsonl(tracer, path: str) -> int:

@@ -93,6 +93,47 @@ class TestRun:
         second = capsys.readouterr().out
         assert "0 executed, 2 cached" in second
 
+    def test_run_exits_1_when_a_trial_reports_failed_invariants(
+            self, capsys):
+        # Cut short, the run ends before the blacked-out rollovers
+        # exhaust their retries: the abandonment invariant cannot hold,
+        # and the run must say so in its exit status.
+        assert main(["run", "kmp-blackout", "--sweep", "duration_s=0.3",
+                     "--out-dir", ""]) == 1
+        captured = capsys.readouterr()
+        assert "passed=False" in captured.out
+        assert "kmp-blackout[duration_s=0.3]: FAILED" in captured.err
+        assert ("[FAIL] ops_abandoned_not_hung — 0 abandoned (expected 2)"
+                in captured.err)
+        assert "bootstrap_completed" not in captured.err  # passing ones
+        assert main(["run", "kmp-blackout", "--out-dir", ""]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_run_trace_dir_executes_despite_warm_cache(self, tmp_path,
+                                                       capsys):
+        cache_dir = str(tmp_path / "cache")
+        base = ["run", "kmp-blackout", "--cache", "--cache-dir", cache_dir,
+                "--out-dir", ""]
+        assert main(base) == 0
+        assert "1 executed, 0 cached" in capsys.readouterr().out
+        traces = tmp_path / "traces"
+        assert main(base + ["--trace-dir", str(traces)]) == 0
+        assert "1 executed, 0 cached" in capsys.readouterr().out
+        assert (traces / "kmp-blackout.jsonl").stat().st_size > 0
+        assert (traces / "kmp-blackout.prom").stat().st_size > 0
+        # The traced run still populated the cache for untraced reruns.
+        assert main(base) == 0
+        assert "0 executed, 1 cached" in capsys.readouterr().out
+
+    def test_run_trace_dir_on_spec_without_telemetry_says_so(
+            self, tmp_path, capsys):
+        traces = tmp_path / "traces"
+        assert main(["run", "table2", "--out-dir", "",
+                     "--trace-dir", str(traces)]) == 0
+        assert ("# table2 does not emit telemetry; --trace-dir ignored"
+                in capsys.readouterr().out)
+        assert not traces.exists()
+
     def test_run_base_seed_recorded_in_artifact(self, tmp_path):
         assert main(["run", "table3", "--short", "--seed", "9",
                      "--out-dir", str(tmp_path)]) == 0

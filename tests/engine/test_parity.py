@@ -1,4 +1,4 @@
-"""Differential tests: each ported spec reproduces its legacy runner
+"""Differential tests: each spec reproduces its builder function
 exactly (same parameters + same seed => same numbers), and same-seed
 engine runs are deterministic.
 
@@ -68,10 +68,19 @@ class TestSpecLegacyParity:
             assert _canon(trial.result) == _canon(legacy)
 
     def test_chaos_spec_matches_scenario_runner(self):
-        from repro.faults.scenarios import report_to_dict, run_scenario
+        """The engine hands a chaos trial exactly the spec's defaults and
+        the plan its ``fault_plan`` hook derives from them: calling the
+        trial function with those by hand gives the same report."""
+        from repro.engine import TrialContext, get_spec
+        spec = get_spec("kmp-blackout")
+        params = {"scenario": "kmp-blackout", "seed": 1, "duration_s": 1.5}
+        direct = spec.trial(TrialContext(
+            params=params, seed=1, fault_plan=spec.fault_plan(params, 1)))
         run = run_experiment("kmp-blackout")
-        legacy = run_scenario("kmp-blackout", seed=1, duration_s=1.5)
-        assert _canon(run.only()) == _canon(report_to_dict(legacy))
+        assert run.trials[0].params == params
+        assert _canon(run.only()) == _canon(direct)
+        assert sorted(direct) == ["invariants", "metrics", "passed",
+                                  "scenario", "seed"]
 
 
 class TestDeterminism:

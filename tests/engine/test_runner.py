@@ -175,6 +175,7 @@ class TestRunnerMisc:
         run = Runner(trace_dir=str(tmp_path)).run(spec)
         assert run.only() == {"have_telemetry": True}
         assert os.path.exists(tmp_path / "_test-tel.jsonl")
+        assert os.path.exists(tmp_path / "_test-tel.prom")
 
 
 class TestRegistry:

@@ -1,40 +1,50 @@
-"""ChaosScenario runner: the smoke scenarios pass and report stably."""
+"""Chaos specs through the engine: the smoke scenarios pass and report
+stably."""
 
 import pytest
 
-from repro.faults import (
-    SCENARIOS,
-    SMOKE_SCENARIOS,
-    ChaosReport,
-    run_scenario,
-)
+from repro.engine import get_spec, run_experiment
+from repro.faults import ChaosReport
+
+#: The two cheap scenarios (CI's chaos-smoke job).
+SMOKE_SCENARIOS = ("kmp-blackout", "crash-restart")
 
 
 def test_smoke_scenarios_are_registered_and_cheap():
-    assert set(SMOKE_SCENARIOS) <= set(SCENARIOS)
-    assert "lossy-fig17" in SCENARIOS  # the expensive one stays out of smoke
-    assert "lossy-fig17" not in SMOKE_SCENARIOS
+    specs = {name: get_spec(name)
+             for name in SMOKE_SCENARIOS + ("lossy-fig17",)}
+    for name, spec in specs.items():
+        assert spec.source == "chaos" and "chaos" in spec.tags
+        assert spec.supports_telemetry and spec.fault_plan is not None
+        assert spec.defaults["scenario"] == name
+    # The expensive one stays out of smoke.
+    assert all(specs[name].defaults["duration_s"]
+               < specs["lossy-fig17"].defaults["duration_s"]
+               for name in SMOKE_SCENARIOS)
 
 
 @pytest.mark.parametrize("name", SMOKE_SCENARIOS)
 def test_smoke_scenario_passes(name):
-    report = run_scenario(name, seed=1)
-    assert report.scenario == name
-    assert report.seed == 1
-    assert report.passed, report.summary()
-    assert report.failures() == []
+    result = run_experiment(name).only()
+    assert result["scenario"] == name
+    assert result["seed"] == 1
+    assert result["passed"], result["invariants"]
+    assert all(inv["passed"] for inv in result["invariants"])
+    assert set(result) == {"scenario", "seed", "passed", "invariants",
+                           "metrics"}
 
 
 def test_unknown_scenario_raises():
     with pytest.raises(KeyError):
-        run_scenario("no-such-scenario")
+        run_experiment("no-such-scenario")
 
 
 def test_same_seed_gives_identical_reports():
-    first = run_scenario("kmp-blackout", seed=3)
-    second = run_scenario("kmp-blackout", seed=3)
-    assert first.invariants == second.invariants
-    assert first.metrics == second.metrics
+    first = run_experiment("kmp-blackout", sweep={"seed": [3]}).only()
+    second = run_experiment("kmp-blackout", sweep={"seed": [3]}).only()
+    assert first["seed"] == 3
+    assert first["invariants"] == second["invariants"]
+    assert first["metrics"] == second["metrics"]
 
 
 def test_report_summary_formatting():
@@ -47,3 +57,4 @@ def test_report_summary_formatting():
     assert "scenario 'demo' (seed=9): FAIL" in text
     assert "[ok ] holds — fine" in text
     assert "[FAIL] breaks — boom" in text
+    assert report.as_trial_result()["passed"] is False

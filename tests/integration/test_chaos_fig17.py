@@ -1,41 +1,44 @@
 """Chaos acceptance battery (ISSUE 2).
 
 Two promises are pinned here: a seeded chaos run is *byte*-deterministic
-(same seed, same plan, same workload => identical telemetry JSONL), and
-the headline lossy-Fig17 scenario holds every security invariant — zero
-forged writes land while the network drops, reorders, and replays.
+(same seed, same plan, same workload => identical telemetry JSONL and
+Prometheus dump), and the headline lossy-Fig17 scenario holds every
+security invariant — zero forged writes land while the network drops,
+reorders, and replays.
 """
 
 import json
 
 import pytest
 
-from repro.faults import run_scenario
-from repro.telemetry import Telemetry
+from repro.engine import run_experiment
 
 
-def _traced_run(name: str, seed: int):
-    telemetry = Telemetry(enabled=True)
-    report = run_scenario(name, seed=seed, telemetry=telemetry)
-    return report, telemetry
+def _traced_run(name: str, seed: int, trace_dir):
+    """One chaos trial at ``seed``: (result, JSONL bytes, .prom bytes)."""
+    run = run_experiment(name, sweep={"seed": [seed]},
+                         trace_dir=str(trace_dir))
+    stem = f"{name}.seed={seed}"
+    return (run.only(), (trace_dir / f"{stem}.jsonl").read_bytes(),
+            (trace_dir / f"{stem}.prom").read_bytes())
 
 
 @pytest.mark.parametrize("name", ["kmp-blackout", "crash-restart"])
-def test_chaos_trace_is_byte_deterministic(name):
-    (report_a, tel_a) = _traced_run(name, seed=11)
-    (report_b, tel_b) = _traced_run(name, seed=11)
-    assert report_a.passed, report_a.summary()
-    assert report_a.invariants == report_b.invariants
-    assert report_a.metrics == report_b.metrics
-    jsonl = tel_a.tracer.to_jsonl()
-    assert len(jsonl) > 0
-    assert jsonl == tel_b.tracer.to_jsonl()
+def test_chaos_trace_is_byte_deterministic(name, tmp_path):
+    result_a, jsonl_a, prom_a = _traced_run(name, 11, tmp_path / "a")
+    result_b, jsonl_b, prom_b = _traced_run(name, 11, tmp_path / "b")
+    assert result_a["passed"], result_a["invariants"]
+    assert result_a["invariants"] == result_b["invariants"]
+    assert result_a["metrics"] == result_b["metrics"]
+    assert len(jsonl_a) > 0
+    assert jsonl_a == jsonl_b
+    assert len(prom_a) > 0
+    assert prom_a == prom_b
 
 
-def test_chaos_trace_records_the_fault_lifecycle():
-    _report, telemetry = _traced_run("kmp-blackout", seed=1)
-    events = [json.loads(line)
-              for line in telemetry.tracer.to_jsonl().splitlines()]
+def test_chaos_trace_records_the_fault_lifecycle(tmp_path):
+    _result, jsonl, _prom = _traced_run("kmp-blackout", 1, tmp_path)
+    events = [json.loads(line) for line in jsonl.decode().splitlines()]
     names = {event["event"] for event in events}
     assert "fault.armed" in names
     assert "fault.injected" in names
@@ -48,22 +51,23 @@ def test_chaos_trace_records_the_fault_lifecycle():
 def test_different_seeds_change_the_lossy_fault_sequence():
     # Cheap version of the full scenario check: the same plan armed under
     # two seeds must shape traffic differently (forked PRNG streams).
-    first = run_scenario("kmp-blackout", seed=1)
-    second = run_scenario("kmp-blackout", seed=2)
+    run = run_experiment("kmp-blackout", sweep={"seed": [1, 2]})
+    first, second = run.results()
     # Blackouts are time-triggered (not probabilistic), so both pass; the
     # reports agree structurally even when seeds differ.
-    assert first.passed and second.passed
+    assert (first["seed"], second["seed"]) == (1, 2)
+    assert first["passed"] and second["passed"]
 
 
 def test_lossy_fig17_holds_all_invariants():
     """The acceptance run: Fig 17 under 5% loss + reorder + three live
     adversaries.  Zero unauthenticated mutations, KMP re-converges, and
     the run stays within its event budget."""
-    report = run_scenario("lossy-fig17", seed=1)
-    assert report.passed, report.summary()
-    names = {inv.name for inv in report.invariants}
+    result = run_experiment("lossy-fig17").only()
+    assert result["passed"], result["invariants"]
+    names = {inv["name"] for inv in result["invariants"]}
     assert {"zero_forged_writes_landed", "tampered_writes_rejected",
             "replays_rejected", "delivery_within_envelope",
             "kmp_reconverged", "within_event_budget"} <= names
-    assert report.metrics["fault_injections"] > 0
-    assert report.metrics["delivery_ratio"] >= 0.75
+    assert result["metrics"]["fault_injections"] > 0
+    assert result["metrics"]["delivery_ratio"] >= 0.75

@@ -96,26 +96,49 @@ def test_disabled_run_records_nothing():
     assert len(telemetry.tracer) == 0
 
 
-def test_cli_telemetry_subcommand(tmp_path, capsys):
+def _cli_fig17_p4auth(trace_dir):
+    """`repro run fig17 --trace-dir`, narrowed to the p4auth trial."""
     from repro.__main__ import main
 
-    trace_path = tmp_path / "trace.jsonl"
-    exit_code = main(["telemetry", "fig17", "--duration", "1.0",
-                      "--trace-out", str(trace_path)])
-    assert exit_code == 0
-    out = capsys.readouterr().out
+    return main(["run", "fig17", "--sweep", "mode=p4auth",
+                 "--sweep", "duration_s=1.0", "--out-dir", "",
+                 "--trace-dir", str(trace_dir)])
+
+
+def test_cli_telemetry_subcommand(tmp_path, capsys):
+    """The instrumented run is `repro run <spec> --trace-dir`: a JSONL
+    trace plus a Prometheus dump per trial."""
+    assert _cli_fig17_p4auth(tmp_path) == 0
+    assert "fig17[duration_s=1.0,mode=p4auth]" in capsys.readouterr().out
+    stem = "fig17.duration_s=1.0,mode=p4auth"
     # Prometheus dump includes the acceptance-criteria metric families.
-    assert "repro_net_link_bytes_total" in out
-    assert "repro_p4auth_digest_verify_total" in out
-    assert "repro_dataplane_drop_total" in out
+    prom = (tmp_path / f"{stem}.prom").read_text()
+    assert "repro_net_link_bytes_total" in prom
+    assert "repro_p4auth_digest_verify_total" in prom
+    assert "repro_dataplane_drop_total" in prom
+    assert "sim_wall_seconds_total" not in prom
     # The JSONL trace landed on disk and parses.
-    lines = trace_path.read_text().splitlines()
+    lines = (tmp_path / f"{stem}.jsonl").read_text().splitlines()
     assert lines
     assert all(json.loads(line)["event"] for line in lines)
 
 
-def test_cli_telemetry_rejects_unknown_target():
+def test_cli_prometheus_dump_is_byte_deterministic(tmp_path):
+    for name in ("a", "b"):
+        assert _cli_fig17_p4auth(tmp_path / name) == 0
+    names = sorted(path.name for path in (tmp_path / "a").iterdir())
+    assert [name.rsplit(".", 1)[1] for name in names] == ["jsonl", "prom"]
+    for name in names:
+        first = (tmp_path / "a" / name).read_bytes()
+        assert first and first == (tmp_path / "b" / name).read_bytes()
+
+
+def test_cli_telemetry_rejects_unknown_target(tmp_path, capsys):
     from repro.__main__ import main
 
-    with pytest.raises(SystemExit):
-        main(["telemetry", "nope"])
+    for argv in (["telemetry", "fig17"], ["chaos"],
+                 ["run", "nope", "--trace-dir", str(tmp_path)]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "Registered experiments" in capsys.readouterr().err
