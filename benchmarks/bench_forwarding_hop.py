@@ -1,0 +1,77 @@
+"""Per-hop constants — ``Packet.size_bytes`` and ``Header.__setitem__``.
+
+The forwarding walk reads a packet's size and sets header fields several
+times per hop.  Both are O(1) — a running byte total kept by
+``push``/``remove``, and width tables built when the header type is
+declared — and this gate keeps them from quietly going back to a walk
+over the header stack / the field list.  Two ratios, same process (a
+ratio holds across hosts where an absolute would not):
+
+- ``size_bytes`` on an 8-header packet costs <= 1.5x a 1-header packet
+  (the stack walk measured 2.5x);
+- ``Header.__setitem__`` on the last field of a 16-field type costs
+  <= 1.5x the first field (the field scan measured 2.1x).
+
+They guard the property, not the claim: what the memo buys end to end is
+``fwd_plain``'s ``ops_per_s`` in ``bench/run.py``.
+"""
+
+import time
+
+from repro.dataplane.headers import HeaderType
+from repro.dataplane.packet import Packet
+
+#: Slow case over fast case, at most.
+RATIO_CEILING = 1.5
+REPEATS, CALLS = 7, 20000
+
+WIDE = HeaderType("wide", [(f"f{index}", 16) for index in range(16)])
+
+
+def _best_ns(fn) -> float:
+    best = float("inf")
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        for _ in range(CALLS):
+            fn()
+        best = min(best, time.perf_counter() - start)
+    return best / CALLS * 1e9
+
+
+def _packet(headers: int) -> Packet:
+    packet = Packet(payload=b"x" * 64)
+    for index in range(headers):
+        packet.push(f"h{index}", WIDE.instantiate())
+    return packet
+
+
+def test_size_bytes_does_not_grow_with_the_header_stack(report):
+    shallow, deep = _packet(1), _packet(8)
+    assert deep.size_bytes == len(deep.serialize()) == 8 * 32 + 64
+    shallow_ns = _best_ns(lambda: shallow.size_bytes)
+    deep_ns = _best_ns(lambda: deep.size_bytes)
+    ratio = deep_ns / shallow_ns
+    report(f"Packet.size_bytes: 1 header {shallow_ns:.0f} ns, 8 headers "
+           f"{deep_ns:.0f} ns, {ratio:.2f}x (ceiling: {RATIO_CEILING}x)")
+    assert ratio <= RATIO_CEILING, (
+        f"size_bytes costs {ratio:.2f}x on 8 headers vs 1 "
+        f"(ceiling {RATIO_CEILING}x): it walks the stack again")
+
+
+def test_field_store_does_not_grow_with_field_position(report):
+    header = WIDE.instantiate()
+
+    def set_first():
+        header["f0"] = 0xBEEF
+
+    def set_last():
+        header["f15"] = 0xBEEF
+
+    first_ns, last_ns = _best_ns(set_first), _best_ns(set_last)
+    assert header["f0"] == header["f15"] == 0xBEEF
+    ratio = last_ns / first_ns
+    report(f"Header.__setitem__, 16 fields: first {first_ns:.0f} ns, last "
+           f"{last_ns:.0f} ns, {ratio:.2f}x (ceiling: {RATIO_CEILING}x)")
+    assert ratio <= RATIO_CEILING, (
+        f"storing the last of 16 fields costs {ratio:.2f}x the first "
+        f"(ceiling {RATIO_CEILING}x): field lookup scans again")

@@ -19,32 +19,36 @@ class HeaderType:
         if not fields:
             raise ValueError("header type needs at least one field")
         self.name = name
-        self.fields: List[Tuple[str, int]] = list(fields)
-        seen = set()
+        # A tuple: the width tables below are derived from it once, so it
+        # must not change after declaration.
+        self.fields: Tuple[Tuple[str, int], ...] = tuple(
+            (fname, bits) for fname, bits in fields)
+        self._widths: Dict[str, int] = {}
         total = 0
         for fname, bits in self.fields:
-            if fname in seen:
+            if fname in self._widths:
                 raise ValueError(f"duplicate field {fname!r} in header {name!r}")
             if bits <= 0:
                 raise ValueError(f"field {fname!r} must have positive width")
-            seen.add(fname)
+            self._widths[fname] = bits
             total += bits
         if total % 8 != 0:
             raise ValueError(
                 f"header {name!r} is {total} bits; headers must be byte-aligned"
             )
         self.bit_width = total
-
-    @property
-    def byte_width(self) -> int:
-        """Serialized size in bytes."""
-        return self.bit_width // 8
+        #: Serialized size in bytes.
+        self.byte_width = total // 8
+        # field -> first value that no longer fits (1 << width).
+        self._limits: Dict[str, int] = {
+            fname: 1 << bits for fname, bits in self.fields}
 
     def field_width(self, field: str) -> int:
-        for fname, bits in self.fields:
-            if fname == field:
-                return bits
-        raise KeyError(f"header {self.name!r} has no field {field!r}")
+        try:
+            return self._widths[field]
+        except KeyError:
+            raise KeyError(
+                f"header {self.name!r} has no field {field!r}") from None
 
     def instantiate(self, **values: int) -> "Header":
         """Create a header instance; unset fields default to zero."""
@@ -73,18 +77,23 @@ class Header:
 
     def __init__(self, header_type: HeaderType, values: Dict[str, int]):
         self.header_type = header_type
-        self._values: Dict[str, int] = {fname: 0 for fname, _ in header_type.fields}
+        self._values: Dict[str, int] = dict.fromkeys(header_type._widths, 0)
         for fname, value in values.items():
             self[fname] = value
 
     def __getitem__(self, field: str) -> int:
-        if field not in self._values:
-            raise KeyError(f"header {self.header_type.name!r} has no field {field!r}")
-        return self._values[field]
+        try:
+            return self._values[field]
+        except KeyError:
+            raise KeyError(
+                f"header {self.header_type.name!r} has no field {field!r}"
+            ) from None
 
     def __setitem__(self, field: str, value: int) -> None:
-        bits = self.header_type.field_width(field)
-        if not 0 <= value < (1 << bits):
+        header_type = self.header_type
+        limit = header_type._limits.get(field)
+        if limit is None or not 0 <= value < limit:
+            bits = header_type.field_width(field)  # KeyError if unknown
             raise ValueError(
                 f"value {value:#x} does not fit field {field!r} ({bits} bits)"
             )

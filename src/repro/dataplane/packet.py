@@ -20,7 +20,12 @@ class Packet:
     def __init__(self, headers: Optional[List[Tuple[str, Header]]] = None,
                  payload: bytes = b""):
         # Header stack in outer-to-inner order, each entry (name, header).
-        self._stack: List[Tuple[str, Header]] = list(headers or [])
+        self._stack: List[Tuple[str, Header]] = []
+        # Running sum of the stack's byte widths; push/remove are the only
+        # places the stack changes, so they keep it current.
+        self._header_bytes = 0
+        for name, header in headers or ():
+            self.push(name, header)
         self.payload = payload
         self.metadata: Dict[str, object] = {}
         self.packet_id = next(_packet_ids)
@@ -32,9 +37,13 @@ class Packet:
         if self.has(name):
             raise ValueError(f"packet already carries header {name!r}")
         self._stack.append((name, header))
+        self._header_bytes += header.header_type.byte_width
 
     def has(self, name: str) -> bool:
-        return any(hname == name for hname, _ in self._stack)
+        for hname, _ in self._stack:
+            if hname == name:
+                return True
+        return False
 
     def get(self, name: str) -> Header:
         for hname, header in self._stack:
@@ -46,6 +55,7 @@ class Packet:
         for index, (hname, header) in enumerate(self._stack):
             if hname == name:
                 del self._stack[index]
+                self._header_bytes -= header.header_type.byte_width
                 return header
         raise KeyError(f"packet has no header {name!r}")
 
@@ -57,7 +67,7 @@ class Packet:
     @property
     def size_bytes(self) -> int:
         """Wire size: all headers plus payload."""
-        return sum(h.header_type.byte_width for _, h in self._stack) + len(self.payload)
+        return self._header_bytes + len(self.payload)
 
     def serialize(self) -> bytes:
         return b"".join(h.serialize() for _, h in self._stack) + self.payload

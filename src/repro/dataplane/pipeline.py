@@ -142,10 +142,11 @@ class Pipeline:
         else:
             metrics = None
             switch_name = ""
+        trace = ctx.stage_trace
         for name, fn in self._stages:
-            if ctx.stopped:
+            if ctx._stopped:
                 break
-            ctx.stage_trace.append(name)
+            trace.append(name)
             if metrics is not None:
                 metrics.counter("dataplane_stage_packets_total",
                                 switch=switch_name, stage=name).inc()

@@ -20,23 +20,23 @@ class Register:
         self.name = name
         self.width_bits = width_bits
         self.size = size
+        #: Largest value a cell holds; the width is fixed at declaration.
+        self.mask = (1 << width_bits) - 1
         self._cells: List[int] = [0] * size
         self.read_count = 0
         self.write_count = 0
 
-    @property
-    def mask(self) -> int:
-        return (1 << self.width_bits) - 1
-
     def read(self, index: int) -> int:
         """Read the cell at ``index``."""
-        self._check_index(index)
+        if not 0 <= index < self.size:
+            self._check_index(index)
         self.read_count += 1
         return self._cells[index]
 
     def write(self, index: int, value: int) -> None:
         """Write ``value`` into the cell at ``index`` (must fit the width)."""
-        self._check_index(index)
+        if not 0 <= index < self.size:
+            self._check_index(index)
         if not 0 <= value <= self.mask:
             raise ValueError(
                 f"value {value:#x} does not fit register {self.name!r} "
@@ -47,7 +47,8 @@ class Register:
 
     def read_modify_write(self, index: int, fn: Callable[[int], int]) -> int:
         """Atomic read-modify-write, as a stateful ALU would perform."""
-        self._check_index(index)
+        if not 0 <= index < self.size:
+            self._check_index(index)
         new = fn(self._cells[index]) & self.mask
         self.read_count += 1
         self.write_count += 1

@@ -163,11 +163,12 @@ class DataplaneSwitch:
                 f"invalid ingress port {ingress_port} on switch {self.name!r}"
             )
         self.packets_processed += 1
+        # Grows while it is walked: a recirculation appends its next pass.
         pending = [(packet, ingress_port)]
         final: List[PipelineAction] = []
         passes = 0
-        while pending:
-            current, port = pending.pop(0)
+        drops = 0
+        for current, port in pending:
             passes += 1
             if passes > MAX_RECIRCULATIONS + 1:
                 raise RuntimeError(
@@ -176,16 +177,16 @@ class DataplaneSwitch:
                 )
             ctx = PipelineContext(self, current, port, now)
             for action in self.pipeline.run(ctx):
-                if isinstance(action, Recirculate):
+                kind = type(action)
+                if kind is Recirculate:
                     pending.append((action.packet, port))
                 else:
                     final.append(action)
-                    if isinstance(action, Drop):
+                    if kind is Drop:
+                        drops += 1
                         self._count_drop(action, ctx, telemetry)
         self.pipeline_passes += passes
-        self.packets_dropped += sum(
-            1 for a in final if isinstance(a, Drop)
-        )
+        self.packets_dropped += drops
         return final, passes
 
     def _count_drop(self, action: Drop, ctx: PipelineContext,

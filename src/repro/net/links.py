@@ -61,7 +61,12 @@ class Link:
         raise ValueError(f"({name}, {port}) is not an endpoint of this link")
 
     def direction_from(self, name: str, port: int) -> str:
-        return "a->b" if (name, port) == self.end_a else "b->a"
+        """The direction a packet leaving (name, port) travels."""
+        if (name, port) == self.end_a:
+            return "a->b"
+        if (name, port) == self.end_b:
+            return "b->a"
+        raise ValueError(f"({name}, {port}) is not an endpoint of this link")
 
     def joins(self, name_a: str, name_b: str) -> bool:
         """True if this link connects the two named nodes.
@@ -87,14 +92,12 @@ class Link:
         """Run taps over a packet in flight; None means dropped."""
         current: Optional[Packet] = packet
         for tap in self.taps:
-            if current is None:
-                break
             current = tap(current, direction)
-        if current is None:
-            self.packets_dropped_by_taps += 1
-        else:
-            self.packets_carried += 1
-            self.bytes_carried += current.size_bytes
+            if current is None:
+                self.packets_dropped_by_taps += 1
+                return None
+        self.packets_carried += 1
+        self.bytes_carried += current.size_bytes
         return current
 
     def delay_for(self, size_bytes: int) -> float:
@@ -110,10 +113,14 @@ class Link:
         from ``now`` to arrival at the far end.
         """
         serialization = size_bytes * 8.0 / self.bandwidth_bps
-        start = max(now, self._busy_until[direction])
+        busy_until = self._busy_until
+        start = busy_until[direction]
+        if start < now:
+            start = now
         queue_delay = start - now
-        self._busy_until[direction] = start + serialization
-        self.max_queue_delay_s = max(self.max_queue_delay_s, queue_delay)
+        busy_until[direction] = start + serialization
+        if queue_delay > self.max_queue_delay_s:
+            self.max_queue_delay_s = queue_delay
         return queue_delay + serialization + self.latency_s
 
     def __repr__(self) -> str:

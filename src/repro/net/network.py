@@ -15,7 +15,7 @@ primitive here (SDNsec): nothing disappears without a reason on record.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.dataplane.packet import Packet
 from repro.dataplane.pipeline import Drop, Emit, ToController
@@ -43,6 +43,23 @@ DeliveryShaper = Callable[["Link", str, Packet, float],
                           List[Tuple[Packet, float]]]
 
 
+class PortPlan(NamedTuple):
+    """What :meth:`Network.transmit` needs to know about one wired port.
+
+    Built once in :meth:`Network.connect`: wiring never changes after
+    that.  It holds the link *object* and the peer's *name* — ``link.up``,
+    ``link.taps`` and ``nodes[peer_name]`` are read at transmit time, so
+    link faults, taps and node replacement stay live.
+    """
+
+    link: Link
+    direction: str
+    peer_name: str
+    peer_port: int
+    packets_counter: object
+    bytes_counter: object
+
+
 class SwitchNode:
     """A data-plane switch attached to the network fabric."""
 
@@ -66,31 +83,35 @@ class SwitchNode:
 
     def receive(self, packet: Packet, ingress_port: int) -> None:
         """Handle an arriving packet: run the pipeline, schedule outcomes."""
-        sim = self.network.sim
-        costs = self.network.costs
+        network = self.network
+        sim = network.sim
+        costs = network.costs
         if not self.up:
-            self.network.count_drop(DROP_NODE_DOWN, self.name, ingress_port)
+            network.count_drop(DROP_NODE_DOWN, self.name, ingress_port)
             return
-        hash_before = self.switch.hash.invocations
-        actions = self.switch.process(packet, ingress_port,
-                                      now=sim.now + self.clock_skew_s)
-        hash_ops = self.switch.hash.invocations - hash_before
+        switch = self.switch
+        hash_extern = switch.hash
+        hash_before = hash_extern.invocations
+        actions = switch.process(packet, ingress_port,
+                                 now=sim.now + self.clock_skew_s)
+        hash_ops = hash_extern.invocations - hash_before
         self._packets_counter.inc()
         if hash_ops:
             self._hash_counter.inc(hash_ops)
         proc_delay = costs.switch_fwd_s + hash_ops * costs.digest_op_s
         for action in actions:
-            if isinstance(action, Emit):
+            kind = type(action)
+            if kind is Emit:
                 sim.schedule(
-                    proc_delay, self.network.transmit, self.name,
+                    proc_delay, network.transmit, self.name,
                     action.port, action.packet,
                 )
-            elif isinstance(action, ToController):
+            elif kind is ToController:
                 sim.schedule(
-                    proc_delay, self.network.send_packet_in,
+                    proc_delay, network.send_packet_in,
                     self.name, action.packet,
                 )
-            elif isinstance(action, Drop):
+            elif kind is Drop:
                 self.drops.append((sim.now, action.reason))
 
 
@@ -130,7 +151,8 @@ class Network:
         self.costs = costs or CostModel()
         self._jitter_prng = XorShiftPrng(jitter_seed)
         self.nodes: Dict[str, object] = {}
-        self._links: Dict[Tuple[str, int], Link] = {}
+        #: (node, port) -> its plan; the one table of what is wired where.
+        self._ports: Dict[Tuple[str, int], PortPlan] = {}
         self.links: List[Link] = []
         self.control_channels: Dict[str, ControlChannel] = {}
         self.controller = None  # set by attach_controller
@@ -140,8 +162,6 @@ class Network:
         #: Drop tally by reason — populated by every formerly silent
         #: drop path; always on (it is just a dict increment).
         self.drop_counts: Dict[str, int] = {}
-        # Per-(node, port) cached telemetry counters, built in connect().
-        self._link_counters: Dict[Tuple[str, int], Tuple[object, object]] = {}
 
     # -- construction ---------------------------------------------------------
 
@@ -188,20 +208,20 @@ class Network:
         for name, port in ((name_a, port_a), (name_b, port_b)):
             if name not in self.nodes:
                 raise KeyError(f"unknown node {name!r}")
-            if (name, port) in self._links:
+            if (name, port) in self._ports:
                 raise ValueError(f"port {port} on {name!r} is already wired")
         link = Link(
             (name_a, port_a), (name_b, port_b),
             latency_s if latency_s is not None else self.costs.link_latency_s,
             bandwidth_bps,
         )
-        self._links[(name_a, port_a)] = link
-        self._links[(name_b, port_b)] = link
         self.links.append(link)
         metrics = self.telemetry.metrics
-        for (name, port), direction in ((link.end_a, "a->b"),
-                                        (link.end_b, "b->a")):
-            self._link_counters[(name, port)] = (
+        for name, port in (link.end_a, link.end_b):
+            direction = link.direction_from(name, port)
+            peer_name, peer_port = link.peer_of(name, port)
+            self._ports[(name, port)] = PortPlan(
+                link, direction, peer_name, peer_port,
                 metrics.counter("net_link_packets_total", link=link.label,
                                 direction=direction),
                 metrics.counter("net_link_bytes_total", link=link.label,
@@ -250,38 +270,37 @@ class Network:
 
     def transmit(self, from_name: str, port: int, packet: Packet) -> None:
         """Put a packet on the wire out of (from_name, port)."""
-        key = (from_name, port)
-        if key not in self._links:
+        plan = self._ports.get((from_name, port))
+        if plan is None:
             # Unwired port: the packet falls off the edge (like real HW),
             # but the fall is on record.
             self.count_drop(DROP_UNWIRED_PORT, from_name, port)
             return
-        link = self._links[key]
+        (link, direction, peer_name, peer_port,
+         packets_counter, bytes_counter) = plan
         if not link.up:
             self.count_drop(DROP_LINK_DOWN, from_name, port)
             return
-        direction = link.direction_from(from_name, port)
         survivor = link.transit(packet, direction)
         if survivor is None:
             self.count_drop(DROP_TAP, from_name, port)
             return
-        packets_counter, bytes_counter = self._link_counters[key]
+        size_bytes = survivor.size_bytes
         packets_counter.inc()
-        bytes_counter.inc(survivor.size_bytes)
-        peer_name, peer_port = link.peer_of(from_name, port)
-        delay = link.transmit_delay(survivor.size_bytes, direction,
-                                    self.sim.now)
+        bytes_counter.inc(size_bytes)
+        sim = self.sim
+        delay = link.transmit_delay(size_bytes, direction, sim.now)
         peer = self.nodes[peer_name]
-        if self.delivery_shaper is None:
-            self.sim.schedule(delay, peer.receive, survivor, peer_port)
+        shaper = self.delivery_shaper
+        if shaper is None:
+            sim.schedule(delay, peer.receive, survivor, peer_port)
             return
-        deliveries = self.delivery_shaper(link, direction, survivor, delay)
+        deliveries = shaper(link, direction, survivor, delay)
         if not deliveries:
             self.count_drop(DROP_FAULT_INJECTED, from_name, port)
             return
         for shaped_packet, shaped_delay in deliveries:
-            self.sim.schedule(shaped_delay, peer.receive, shaped_packet,
-                              peer_port)
+            sim.schedule(shaped_delay, peer.receive, shaped_packet, peer_port)
 
     def jittered(self, delay: float) -> float:
         """Apply the cost model's uniform relative jitter (seeded)."""
@@ -344,10 +363,9 @@ class Network:
     def neighbor_ports(self, switch_name: str) -> Dict[int, Tuple[str, int]]:
         """Map of local port -> (peer switch, peer port), switches only."""
         result: Dict[int, Tuple[str, int]] = {}
-        for (name, port), link in self._links.items():
+        for (name, port), plan in self._ports.items():
             if name != switch_name:
                 continue
-            peer_name, peer_port = link.peer_of(name, port)
-            if isinstance(self.nodes.get(peer_name), SwitchNode):
-                result[port] = (peer_name, peer_port)
+            if isinstance(self.nodes.get(plan.peer_name), SwitchNode):
+                result[port] = (plan.peer_name, plan.peer_port)
         return result

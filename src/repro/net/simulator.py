@@ -13,9 +13,9 @@ trace events are stamped with deterministic simulated time.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import time
+from heapq import heappop, heappush
 from typing import Callable, List, Optional, Tuple
 
 from repro.telemetry import NULL_TELEMETRY, Telemetry
@@ -89,9 +89,14 @@ class EventSimulator:
 
     def schedule(self, delay: float, fn: Callable, *args) -> None:
         """Run ``fn(*args)`` after ``delay`` seconds of virtual time."""
-        if delay < 0:
+        # ``not >=`` rather than ``<``: NaN fails every comparison, and a
+        # NaN key would leave the heap unordered.
+        if not delay >= 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        self.schedule_at(self._now + delay, fn, *args)
+        queue = self._queue
+        heappush(queue, (self._now + delay, next(self._sequence), fn, args))
+        if len(queue) > self.heap_depth_high_water:
+            self.heap_depth_high_water = len(queue)
 
     def schedule_cancellable(self, delay: float, fn: Callable,
                              *args) -> EventHandle:
@@ -102,11 +107,12 @@ class EventSimulator:
 
     def schedule_at(self, at: float, fn: Callable, *args) -> None:
         """Run ``fn(*args)`` at absolute virtual time ``at``."""
-        if at < self._now:
+        if not at >= self._now:
             raise ValueError(f"cannot schedule into the past (at={at}, now={self._now})")
-        heapq.heappush(self._queue, (at, next(self._sequence), fn, args))
-        if len(self._queue) > self.heap_depth_high_water:
-            self.heap_depth_high_water = len(self._queue)
+        queue = self._queue
+        heappush(queue, (at, next(self._sequence), fn, args))
+        if len(queue) > self.heap_depth_high_water:
+            self.heap_depth_high_water = len(queue)
 
     def run(self, until: Optional[float] = None, max_events: int = 10_000_000) -> int:
         """Drain events (optionally only up to time ``until``).
@@ -120,13 +126,16 @@ class EventSimulator:
         """
         wall_start = time.perf_counter()
         executed = 0
-        while self._queue and executed < max_events:
-            at, seq, fn, args = self._queue[0]
-            if until is not None and at > until:
+        queue = self._queue
+        deferred_seen = self._deferred_seen
+        # until=None drains everything: no event is later than +inf.
+        horizon = float("inf") if until is None else until
+        while queue and executed < max_events:
+            if queue[0][0] > horizon:
                 break
-            heapq.heappop(self._queue)
-            if self._deferred_seen:
-                self._deferred_seen.discard(seq)
+            at, seq, fn, args = heappop(queue)
+            if deferred_seen:
+                deferred_seen.discard(seq)
             self._now = at
             fn(*args)
             executed += 1

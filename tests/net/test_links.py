@@ -22,6 +22,11 @@ def test_direction_naming():
     link = make_link()
     assert link.direction_from("a", 1) == "a->b"
     assert link.direction_from("b", 2) == "b->a"
+    # A foreign endpoint has no direction (it used to read as "b->a").
+    for name, port in (("c", 1), ("a", 2), ("b", 1)):
+        with pytest.raises(ValueError,
+                           match="is not an endpoint of this link"):
+            link.direction_from(name, port)
 
 
 def test_transit_without_taps_passes():

@@ -69,6 +69,20 @@ def test_cannot_schedule_into_past():
         sim.schedule_at(0.5, lambda: None)
 
 
+def test_cannot_schedule_at_nan():
+    # NaN compares false with everything: as a heap key it would make
+    # event order depend on insertion history.
+    sim = EventSimulator()
+    nan = float("nan")
+    with pytest.raises(ValueError, match="cannot schedule into the past"):
+        sim.schedule(nan, lambda: None)
+    with pytest.raises(ValueError, match="cannot schedule into the past"):
+        sim.schedule_at(nan, lambda: None)
+    with pytest.raises(ValueError, match="cannot schedule into the past"):
+        sim.schedule_cancellable(nan, lambda: None)
+    assert sim.pending() == 0
+
+
 def test_max_events_guard():
     sim = EventSimulator()
 
