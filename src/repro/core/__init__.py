@@ -40,7 +40,6 @@ from repro.core.keys import DataplaneKeyStore, ControllerKeyStore, VersionedKey
 from repro.core.auth_dataplane import P4AuthDataplane
 from repro.core.controller import P4AuthController
 from repro.core.kmp import KeyManagementProtocol, KmpStats
-from repro.core.program import baseline_program_spec, p4auth_program_spec
 
 __all__ = [
     "HdrType",
@@ -70,6 +69,4 @@ __all__ = [
     "P4AuthController",
     "KeyManagementProtocol",
     "KmpStats",
-    "baseline_program_spec",
-    "p4auth_program_spec",
 ]

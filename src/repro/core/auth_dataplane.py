@@ -48,6 +48,7 @@ from repro.core.messages import (
     build_eak_message,
     build_reg_response,
 )
+from repro.core.secrets import is_internal_register
 from repro.crypto.kdf import Kdf
 from repro.crypto.prng import XorShiftPrng
 from repro.dataplane.packet import Packet
@@ -130,10 +131,12 @@ class P4AuthDataplane:
         self._alert_window_start = 0.0
 
         # Fig 15's reg_id_to_name_mapping table: (regId, opType) -> action.
+        # Two entries per mapped register, in the 1024-entry allocation
+        # Table II prices (one SRAM block).
         self.mapping_table = MatchActionTable(
             "reg_id_to_name_mapping",
             [("regId", MatchKind.EXACT, 32), ("opType", MatchKind.EXACT, 8)],
-            max_entries=4096,
+            max_entries=1024,
         )
         # Explicit miss action: leaves ``_op_ok`` False so an unmapped
         # (regId, opType) still NACKs, but the table satisfies the PISA
@@ -189,7 +192,7 @@ class P4AuthDataplane:
         deliberately unmappable — the controller cannot read keys out of
         the data plane, and neither can an adversary with C-DP access.
         """
-        if name.startswith("p4auth_"):
+        if is_internal_register(name):
             raise PermissionError(
                 f"register {name!r} is P4Auth-internal state and must not "
                 "be exposed to C-DP operations"
@@ -218,7 +221,7 @@ class P4AuthDataplane:
         """Map every non-P4Auth register; returns name -> id."""
         mapping = {}
         for name in self.switch.registers.names():
-            if not name.startswith("p4auth_"):
+            if not is_internal_register(name):
                 mapping[name] = self.map_register(name)
         return mapping
 

@@ -1,20 +1,16 @@
-"""Declared verify-IR for the P4Auth data-plane program (Table II base).
+"""Verify-IR for the P4Auth overlay, composed over a base program.
 
-Two artifacts live here:
-
-* :func:`p4auth_program` — the static declaration of "baseline L3
-  forwarding + the P4Auth overlay" in the :mod:`repro.verify.ir` form.
-  Its table/register/hash/header inventory mirrors
-  :func:`repro.core.program.p4auth_program_spec` *number for number*, so
-  the resource linter's static totals and the dynamic Table II
-  reproduction agree (acceptance tolerance: 0.5 percentage points).  Its
-  op lists model the verify/sign/key-exchange data paths at the
-  granularity the taint engine needs: every place key material is read,
-  every digest, every KDF, every emission.
-* :func:`build_reference_switch` — a live switch carrying the same
-  program (baseline tables sized per §IX-B, P4Auth installed, one mapped
-  register), for the :mod:`repro.verify.live` declared-vs-installed
-  cross-check.
+:func:`p4auth_over` does to a base program's IR what
+:meth:`~repro.core.auth_dataplane.P4AuthDataplane.install` does to its
+pipeline — ``p4auth_verify`` first, the base stages, ``p4auth_sign``
+last — and reads the combined register/table inventory off the switch
+the overlay was installed on.  :func:`p4auth_program` applies it to the
+Table II evaluation point, the §IX-B L3 forwarder on a 64-port switch
+with its one register mapped.  The op lists model the
+verify/sign/key-exchange data paths at the granularity the taint engine
+needs: every place key material is read, every digest, every KDF, every
+emission.  The overlay's calibration claims (hash-unit counts, metadata
+PHV) are stated here, next to the ops, and nowhere else.
 
 Modeling notes for the taint engine:
 
@@ -35,11 +31,9 @@ from repro.core.constants import (
     ALERT_HEADER,
     EAK_HEADER,
     KEYCTL_HEADER,
-    KEY_VERSIONS,
     P4AUTH_HEADER,
     REG_OP_HEADER,
 )
-from repro.core.secrets import is_secret_register
 from repro.verify.ir import (
     ApplyTable,
     BinOp,
@@ -55,42 +49,18 @@ from repro.verify.ir import (
     RegRead,
     RegReadModifyWrite,
     RegWrite,
-    RegisterDecl,
     RequireValid,
     SendToController,
     SetField,
     SetMeta,
     StageDecl,
-    TableDecl,
 )
 
-#: Table II evaluation point: 64-port switch, one mapped register.
+#: Table II evaluation point: a 64-port switch.
 NUM_PORTS = 64
-MAPPED_REGISTERS = 1
 
 
-def _register_decls(num_ports: int) -> list:
-    size = num_ports + 1
-    layout = [
-        ("p4auth_keys_v0", 64, size),
-        ("p4auth_keys_v1", 64, size),
-        ("p4auth_key_version", 8, size),
-        ("p4auth_kauth", 64, 1),
-        ("p4auth_expected_seq", 32, 1),
-        ("p4auth_dp_seq", 32, 1),
-        ("p4auth_port_seq", 32, size),
-        ("p4auth_pending_r1", 64, size),
-        ("p4auth_pending_s1", 64, size),
-        ("p4auth_alert_count", 32, 1),
-        ("flow_stats", 32, 8192),
-    ]
-    return [
-        RegisterDecl(name, width, size_, secret=is_secret_register(name))
-        for name, width, size_ in layout
-    ]
-
-
-def _verify_stage() -> StageDecl:
+def _verify_stage(mapped: str) -> StageDecl:
     """The ``p4auth_verify`` ingress stage: authenticate, then dispatch."""
     ops = (
         RequireValid("p4auth"),
@@ -120,7 +90,7 @@ def _verify_stage() -> StageDecl:
         SetMeta("op_index", FieldRef("reg_op", "index")),
         ApplyTable("reg_id_to_name_mapping", (
             FieldRef("reg_op", "regId"), FieldRef("p4auth", "msgType"))),
-        RegRead("flow_stats", MetaRef("op_index"), "op_result"),
+        RegRead(mapped, MetaRef("op_index"), "op_result"),
         SetField("reg_op", "value", MetaRef("op_result")),
         # -- EAK respond (Fig 11): derive and store K_auth -------------
         RequireValid("eak"),
@@ -170,22 +140,6 @@ def _verify_stage() -> StageDecl:
     return StageDecl("p4auth_verify", ops)
 
 
-def _l3fwd_stage() -> StageDecl:
-    """The protected base program: LPM route + L2 rewrite + stats."""
-    ops = (
-        RequireValid("ethernet"),
-        RequireValid("ipv4"),
-        SetField("ipv4", "ttl", BinOp("sub", (
-            FieldRef("ipv4", "ttl"), Const(1, 8)))),
-        SetMeta("egress_port", Const(0, 16)),
-        ApplyTable("ipv4_lpm", (FieldRef("ipv4", "dst"),)),
-        ApplyTable("l2_rewrite", (MetaRef("egress_port"),)),
-        RegReadModifyWrite("flow_stats", FieldRef("ipv4", "flow_id"),
-                           Const(1), "flow_count"),
-    )
-    return StageDecl("l3fwd", ops)
-
-
 def _sign_stage() -> StageDecl:
     """The ``p4auth_sign`` egress stage: digest everything leaving."""
     ops = (
@@ -205,88 +159,40 @@ def _sign_stage() -> StageDecl:
     return StageDecl("p4auth_sign", ops)
 
 
-def p4auth_program(num_ports: int = NUM_PORTS,
-                   mapped_registers: int = MAPPED_REGISTERS) -> Program:
-    """The full declared program: baseline L3 forwarding + P4Auth."""
-    program = Program("p4auth")
-    program.registers = _register_decls(num_ports)
-    program.tables = [
-        TableDecl("ipv4_lpm", key_bits=32, entries=12288,
-                  match_kind="lpm", action_bits=64),
-        TableDecl("l2_rewrite", key_bits=48, entries=16384,
-                  match_kind="exact", action_bits=80),
-        TableDecl("reg_id_to_name_mapping", key_bits=40,
-                  entries=max(1024, 2 * mapped_registers),
-                  match_kind="exact", action_bits=32),
-    ]
-    program.hashes = [
-        HashDecl("digest_verify", 14),
-        HashDecl("digest_sign", 14),
-        HashDecl("kdf_prf_extract_expand", 4),
-        HashDecl("key_exchange_auth", 2),
-        HashDecl("alert_sign", 1),
-    ]
-    program.headers = [
-        HeaderDecl("ethernet", (("dst", 48), ("src", 48), ("etherType", 16))),
-        HeaderDecl("ipv4", (("src", 32), ("dst", 32), ("ttl", 8),
-                            ("proto", 8), ("flow_id", 16),
-                            ("options", 64))),  # pads to the 160b claim
-        HeaderDecl("intrinsic_metadata", (("data", 480),)),
-        HeaderDecl("p4auth", tuple(P4AUTH_HEADER.fields)),
-        HeaderDecl("reg_op", tuple(REG_OP_HEADER.fields)),
-        HeaderDecl("adhkd", tuple(ADHKD_HEADER.fields)),
-        HeaderDecl("eak", tuple(EAK_HEADER.fields)),
-        HeaderDecl("keyctl", tuple(KEYCTL_HEADER.fields)),
-        HeaderDecl("alert", tuple(ALERT_HEADER.fields)),
-        HeaderDecl("p4auth_metadata", (("scratch", 288),)),
-    ]
-    program.stages = [_verify_stage(), _l3fwd_stage(), _sign_stage()]
-    assert KEY_VERSIONS == 2, "register layout assumes two key versions"
-    return program
+def p4auth_over(base: Program, mapped: str) -> Program:
+    """Install the overlay on ``base``'s switch and compose the two IRs.
 
-
-def build_reference_switch(num_ports: int = NUM_PORTS):
-    """A live switch running the declared program, for repro.verify.live.
-
-    Baseline tables are sized per §IX-B (12288 LPM routes, 16384 exact
-    adjacencies, 8192 stats cells) rather than the smaller defaults the
-    scenario harnesses use, so the installed objects match the Table II
-    declaration above.
+    ``mapped`` is the base-program register exposed to authenticated
+    C-DP reads and writes.
     """
     from repro.core.auth_dataplane import P4AuthDataplane
-    from repro.dataplane.switch import DataplaneSwitch
-    from repro.dataplane.tables import MatchActionTable, MatchKind
 
-    switch = DataplaneSwitch("p4auth-ref", num_ports=num_ports)
-    route = MatchActionTable(
-        "ipv4_lpm", [("dst", MatchKind.LPM, 32)], max_entries=12288)
-    route.register_action("set_egress", lambda **_: None)
-    route.register_action("drop", lambda **_: None)
-    route.set_default("drop")
-    switch.add_table(route)
-    rewrite = MatchActionTable(
-        "l2_rewrite", [("dst_mac", MatchKind.EXACT, 48)],
-        max_entries=16384)
-    rewrite.register_action("rewrite", lambda **_: None)
-    rewrite.set_default("rewrite")
-    switch.add_table(rewrite)
-    switch.registers.define("flow_stats", 32, 8192)
-    switch.pipeline.add_stage("l3fwd", lambda ctx: None)
-    auth = P4AuthDataplane(switch, k_seed=0x5EED).install()
-    auth.map_register("flow_stats")
-    return switch
+    P4AuthDataplane(base.switch, k_seed=0x5EED).install().map_register(mapped)
+    return Program.from_switch(
+        "p4auth", base.switch,
+        [_verify_stage(mapped), *base.stages, _sign_stage()],
+        headers=[
+            *base.headers, P4AUTH_HEADER, REG_OP_HEADER, ADHKD_HEADER,
+            EAK_HEADER, KEYCTL_HEADER, ALERT_HEADER,
+            # Key, digest scratch and verdict carried between the stages.
+            HeaderDecl("p4auth_metadata", (("scratch", 288),)),
+        ],
+        # Hash distribution units, the dominant cost (Table II: 1.4% ->
+        # 51.4%): wide keyed digests over header+payload consume many
+        # crossbar slices; the KDF is 2 PRF runs x 2 units.
+        hashes=[
+            *base.hashes,
+            HashDecl("digest_verify", 14),
+            HashDecl("digest_sign", 14),
+            HashDecl("kdf_prf_extract_expand", 4),
+            HashDecl("key_exchange_auth", 2),
+            HashDecl("alert_sign", 1),
+        ],
+        action_bits={t.name: t.action_bits for t in base.tables})
 
 
-def reference_utilization_pct() -> dict:
-    """The dynamic Table II utilization numbers, keyed for RES003."""
-    from repro.core.program import p4auth_program_spec
-    from repro.dataplane.resources import ResourceModel
+def p4auth_program(num_ports: int = NUM_PORTS) -> Program:
+    """Table II's "With P4Auth" row: the overlay over the L3 forwarder."""
+    from repro.systems.l3fwd import verify_program
 
-    report = ResourceModel().report(
-        p4auth_program_spec(NUM_PORTS, MAPPED_REGISTERS))
-    return {
-        "tcam_blocks": report.tcam_pct,
-        "sram_blocks": report.sram_pct,
-        "hash_units": report.hash_pct,
-        "phv_containers": report.phv_pct,
-    }
+    return p4auth_over(verify_program(num_ports), "flow_stats")

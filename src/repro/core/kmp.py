@@ -193,36 +193,32 @@ class KeyManagementProtocol:
                       on_done: Optional[DoneCallback] = None,
                       _attempt: int = 1) -> None:
         """Redirected ADHKD between two data planes (Fig 14c)."""
-        peer, peer_port = self._peer_of(switch, port)
-        exchange = _Exchange("port_init", switch, self.c.sim.now, port=port,
-                             peer=peer, peer_port=peer_port, on_done=on_done,
-                             attempt=_attempt)
-        self._by_port[(switch, port)] = exchange
-        seq = self.c.next_seq(switch)
-        message = build_keyctl_message(KeyExchType.PORT_KEY_INIT, port, seq,
-                                       key_ver=self.c.keys.local_key_version(switch))
-        self.c.digest.sign(self.c.keys.local_key(switch), message)
-        self._send(exchange, switch, message)
-        self._watch(exchange,
-                    lambda: self._retry_port_op("port_init", switch, port,
-                                                on_done, exchange.attempt))
+        self._start_port_op("port_init", KeyExchType.PORT_KEY_INIT,
+                            switch, port, on_done, _attempt)
 
     def port_key_update(self, switch: str, port: int,
                         on_done: Optional[DoneCallback] = None,
                         _attempt: int = 1) -> None:
         """Direct DP-DP ADHKD under the current K_port (Fig 14d)."""
+        self._start_port_op("port_update", KeyExchType.PORT_KEY_UPDATE,
+                            switch, port, on_done, _attempt)
+
+    def _start_port_op(self, op: str, msg_type: KeyExchType, switch: str,
+                       port: int, on_done: Optional[DoneCallback],
+                       attempt: int) -> None:
+        """Ask ``switch`` to start (or roll) the key on ``port``."""
         peer, peer_port = self._peer_of(switch, port)
-        exchange = _Exchange("port_update", switch, self.c.sim.now, port=port,
+        exchange = _Exchange(op, switch, self.c.sim.now, port=port,
                              peer=peer, peer_port=peer_port, on_done=on_done,
-                             attempt=_attempt)
+                             attempt=attempt)
         self._by_port[(switch, port)] = exchange
         seq = self.c.next_seq(switch)
-        message = build_keyctl_message(KeyExchType.PORT_KEY_UPDATE, port, seq,
+        message = build_keyctl_message(msg_type, port, seq,
                                        key_ver=self.c.keys.local_key_version(switch))
         self.c.digest.sign(self.c.keys.local_key(switch), message)
         self._send(exchange, switch, message)
         self._watch(exchange,
-                    lambda: self._retry_port_op("port_update", switch, port,
+                    lambda: self._retry_port_op(op, switch, port,
                                                 on_done, exchange.attempt))
 
     # ------------------------------------------------------------------

@@ -5,15 +5,16 @@ leaving the data plane: the local/port key arrays, K_auth, and the
 pending Diffie-Hellman exponents of an in-flight ADHKD exchange are all
 values an adversary must never observe on the wire, in a mirrored
 packet, or through the C-DP register interface.  This module is the
-single authoritative list of those sources; the static analyzers in
-:mod:`repro.verify` consume it to seed the taint lattice, and the live
-cross-checker uses it to prove none of them is reachable through the
+single authoritative list of those sources: the verify IR
+(:meth:`repro.verify.ir.Program.from_switch`) takes its ``secret`` flags
+from it to seed the taint lattice, the register-mapping guards and the
+P4 generator ask :func:`is_internal_register`, and the live checker
+uses both to prove no such register is reachable through the
 ``reg_id_to_name_mapping`` table.
 
 The annotations are *name-based* on purpose: register names are the
-stable identity shared by the simulator (:class:`~repro.dataplane.registers.RegisterFile`),
-the resource inventories (:mod:`repro.core.program`), and the verify IR
-(:mod:`repro.core.auth_ir`), so one list covers all three.
+stable identity of a :class:`~repro.dataplane.registers.RegisterFile`
+array, and the verify IR and Table II are read off that file.
 """
 
 from __future__ import annotations

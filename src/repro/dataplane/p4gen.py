@@ -31,6 +31,7 @@ from repro.core.constants import (
     KeyExchType,
     RegOpType,
 )
+from repro.core.secrets import is_internal_register
 from repro.dataplane.headers import HeaderType
 
 _ALL_HEADERS = (P4AUTH_HEADER, REG_OP_HEADER, EAK_HEADER, ADHKD_HEADER,
@@ -108,7 +109,7 @@ def _emit_registers(out: io.StringIO, dataplane) -> None:
     out.write("/* -------- P4Auth state (10 register arrays, SVII) -------- */\n\n")
     registers = dataplane.switch.registers
     for name in registers.names():
-        if not name.startswith("p4auth_"):
+        if not is_internal_register(name):
             continue
         register = registers.get(name)
         out.write(f"register<bit<{register.width_bits}>>({register.size}) "

@@ -135,7 +135,7 @@ class RegisterFile:
         return sum(r.total_bits for r in self._by_name.values())
 
     def describe(self) -> Dict[str, Dict[str, int]]:
-        """Name -> layout record for every array (for repro.verify.live)."""
+        """Name -> layout record for every array (for repro.verify)."""
         return {name: reg.describe() for name, reg in self._by_name.items()}
 
     def __len__(self) -> int:

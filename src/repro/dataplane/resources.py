@@ -105,12 +105,8 @@ class ProgramSpec:
         self._phv_containers += math.ceil(bits / 32)
         return self
 
-    def add_phv_containers(self, count: int) -> "ProgramSpec":
-        self._phv_containers += count
-        return self
-
     def extend(self, other: "ProgramSpec") -> "ProgramSpec":
-        """Overlay another spec (how "baseline + P4Auth" is composed)."""
+        """Add another spec's constructs to this one."""
         self._tables.extend(other._tables)
         self._registers.extend(other._registers)
         self._hashes.extend(other._hashes)

@@ -92,9 +92,8 @@ class DataplaneSwitch:
         """Full static view of the installed program, for repro.verify.
 
         Returns the pipeline stage order plus per-table and per-register
-        layout records — everything the live cross-checker needs to diff
-        an installed switch against its declared IR without running a
-        single packet.
+        layout records — what ``Program.from_switch`` reads a program's
+        declarations from, without running a single packet.
         """
         return {
             "name": self.name,

@@ -37,7 +37,6 @@ import time
 from functools import partial
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.auth_dataplane import P4AuthDataplane
 from repro.core.controller import P4AuthController
 from repro.core.kmp import HierarchicalKMP, RegionalKeyAuthority
 from repro.dataplane.packet import Packet
@@ -53,6 +52,7 @@ from repro.net.topology import (
     regional_fabric,
 )
 from repro.runtime.batch import BatchController
+from repro.runtime.comparison import attach_stack
 
 #: Virtual-time budget for one region-wide bootstrap (parallel
 #: handshakes: a few C-DP RTTs regardless of m).
@@ -83,17 +83,13 @@ def _provision_p4auth(net, switches: List[str], seed: int,
                       region_index: int, m_for_threshold: int,
                       max_in_flight: int) -> P4AuthController:
     """One region controller with every switch provisioned (keys pending)."""
-    controller = P4AuthController(
-        net,
+    k_seeds = {name: 0x1000 + (region_index << 20) + _switch_index(name)
+               for name in switches}
+    controller, _dataplanes = attach_stack(
+        "P4Auth", net, switches, ["target"], k_seeds,
+        bootstrap_deadline_s=None,
         outstanding_threshold=max(1000,
                                   2 * m_for_threshold * max_in_flight))
-    for name in switches:
-        node = _switch_index(name)
-        dataplane = P4AuthDataplane(
-            net.switch(name),
-            k_seed=0x1000 + (region_index << 20) + node).install()
-        dataplane.map_register("target")
-        controller.provision(dataplane)
     return controller
 
 

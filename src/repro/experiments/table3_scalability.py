@@ -19,12 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.core.auth_dataplane import P4AuthDataplane
-from repro.core.controller import P4AuthController
 from repro.dataplane.switch import DataplaneSwitch
 from repro.engine.registry import register
 from repro.engine.spec import ExperimentSpec, TrialContext
 from repro.net.topology import random_regular_fabric
+from repro.runtime.comparison import attach_stack
 
 
 @dataclass
@@ -67,12 +66,10 @@ def build_regular_network(m: int = 25, degree: int = 4,
 
     net, extras = random_regular_fabric(m, degree, seed, factory=factory)
     sim, graph = extras["sim"], extras["graph"]
-    controller = P4AuthController(net)
-    for name in extras["switches"]:
-        node = int(name[2:])
-        dataplane = P4AuthDataplane(net.switch(name),
-                                    k_seed=0x1000 + node).install()
-        controller.provision(dataplane)
+    k_seeds = {name: 0x1000 + int(name[2:]) for name in extras["switches"]}
+    controller, _dataplanes = attach_stack(
+        "P4Auth", net, extras["switches"], (), k_seeds,
+        bootstrap_deadline_s=None)
     return sim, net, controller, graph
 
 

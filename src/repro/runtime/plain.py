@@ -18,6 +18,7 @@ from repro.core.requests import (
     ResponseCallback,
     RetryPolicy,
 )
+from repro.core.secrets import is_internal_register
 from repro.dataplane.headers import HeaderType
 from repro.dataplane.packet import Packet
 from repro.dataplane.pipeline import PipelineContext
@@ -87,7 +88,7 @@ class PlainRegOpDataplane:
         return {
             name: self.map_register(name)
             for name in self.switch.registers.names()
-            if not name.startswith("p4auth_")
+            if not is_internal_register(name)
         }
 
     def _stage(self, ctx: PipelineContext) -> None:

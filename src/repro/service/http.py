@@ -15,6 +15,7 @@ All authentication, routing, and status-code policy lives in
 from __future__ import annotations
 
 import asyncio
+import json
 from typing import Dict, Optional, Tuple
 
 #: Parser limits: generous for a control API, hard caps for a daemon.
@@ -26,7 +27,8 @@ REASONS = {
     200: "OK", 400: "Bad Request", 401: "Unauthorized", 404: "Not Found",
     408: "Request Timeout", 413: "Payload Too Large",
     431: "Request Header Fields Too Large", 500: "Internal Server Error",
-    503: "Service Unavailable", 505: "HTTP Version Not Supported",
+    501: "Not Implemented", 503: "Service Unavailable",
+    505: "HTTP Version Not Supported",
 }
 
 
@@ -43,6 +45,8 @@ async def _read_request(reader: asyncio.StreamReader
         line = await reader.readline()
     except (ConnectionResetError, asyncio.IncompleteReadError):
         return None
+    except ValueError:  # longer than the StreamReader's own limit
+        raise _BadRequest(431, "request line too long")
     if not line:
         return None
     if len(line) > MAX_REQUEST_LINE:
@@ -56,7 +60,10 @@ async def _read_request(reader: asyncio.StreamReader
     headers: Dict[str, str] = {}
     total = 0
     while True:
-        line = await reader.readline()
+        try:
+            line = await reader.readline()
+        except ValueError:
+            raise _BadRequest(431, "headers too large")
         if not line:
             raise _BadRequest(400, "connection closed mid-headers")
         total += len(line)
@@ -67,13 +74,19 @@ async def _read_request(reader: asyncio.StreamReader
         name, sep, value = line.decode("latin-1").partition(":")
         if not sep:
             raise _BadRequest(400, f"malformed header {line!r}")
-        headers[name.strip().lower()] = value.strip()
-    try:
-        length = int(headers.get("content-length", "0"))
-    except ValueError:
+        name, value = name.strip().lower(), value.strip()
+        if (name == "content-length"
+                and headers.get(name, value) != value):
+            raise _BadRequest(400, "conflicting Content-Length headers")
+        headers[name] = value
+    if "transfer-encoding" in headers:
+        # Bodies are framed by Content-Length only; reading on would
+        # parse the chunks as the next request.
+        raise _BadRequest(501, "Transfer-Encoding is not supported")
+    length_text = headers.get("content-length", "0")
+    if not (length_text.isascii() and length_text.isdigit()):
         raise _BadRequest(400, "malformed Content-Length")
-    if length < 0:
-        raise _BadRequest(400, "negative Content-Length")
+    length = int(length_text)
     if length > MAX_BODY_BYTES:
         raise _BadRequest(413, f"body over {MAX_BODY_BYTES} bytes")
     body = await reader.readexactly(length) if length else b""
@@ -146,8 +159,8 @@ class HttpServer:
                 try:
                     request = await _read_request(reader)
                 except _BadRequest as exc:
-                    body = (f'{{"ok": false, "error": "{exc}"}}'
-                            .encode("utf-8"))
+                    body = json.dumps(
+                        {"ok": False, "error": str(exc)}).encode("utf-8")
                     writer.write(_render_response(
                         exc.status, "application/json", body, close=True))
                     await writer.drain()

@@ -153,28 +153,16 @@ def run_scenario(mode: str, duration_s: float = 10.0,
 # static-verification metadata (consumed by repro.verify)
 # ---------------------------------------------------------------------------
 
-VERIFY_NUM_PREFIXES = 16
-
-
 def verify_program() -> "object":
-    """Declared IR of the Blink failover stage (reads precede writes)."""
+    """Verify IR of the Blink failover stage (reads precede writes)."""
     from repro.verify.ir import (
-        Const, EmitPacket, FieldRef, HeaderDecl, MetaRef, Program,
-        RegRead, RegReadModifyWrite, RegWrite, RegisterDecl, RequireValid,
-        SetMeta, StageDecl,
+        Const, EmitPacket, FieldRef, MetaRef, Program, RegRead,
+        RegReadModifyWrite, RegWrite, RequireValid, SetMeta, StageDecl,
     )
 
-    n = VERIFY_NUM_PREFIXES
-    program = Program("blink")
-    program.registers = [
-        RegisterDecl("blink_active_nh", 8, n),
-        RegisterDecl("blink_backup_nh", 8, n),
-        RegisterDecl("blink_loss_streak", 16, n),
-    ]
-    program.headers = [
-        HeaderDecl("blink_data", tuple(BLINK_DATA_HEADER.fields)),
-    ]
-    program.stages = [StageDecl("blink", (
+    switch = DataplaneSwitch("blink-verify", num_ports=4)
+    BlinkDataplane(switch).install()
+    return Program.from_switch("blink", switch, [StageDecl("blink", (
         RequireValid("blink_data"),
         SetMeta("prefix", FieldRef("blink_data", "prefix_id")),
         RegRead("blink_active_nh", MetaRef("prefix"), "active"),
@@ -184,12 +172,4 @@ def verify_program() -> "object":
         RegWrite("blink_backup_nh", MetaRef("prefix"), MetaRef("active")),
         RegWrite("blink_active_nh", MetaRef("prefix"), MetaRef("backup")),
         EmitPacket(headers=("blink_data",)),
-    ))]
-    return program
-
-
-def build_verify_switch() -> DataplaneSwitch:
-    """A live instance matching :func:`verify_program`, for cross-checks."""
-    switch = DataplaneSwitch("blink-verify", num_ports=4)
-    BlinkDataplane(switch, num_prefixes=VERIFY_NUM_PREFIXES).install()
-    return switch
+    ))], headers=[BLINK_DATA_HEADER])

@@ -146,25 +146,20 @@ def run_scenario(mode: str, seed: int = 5) -> TableIScenarioResult:
 # ---------------------------------------------------------------------------
 
 def verify_program() -> "object":
-    """Declared IR of the IBLT encode path.
+    """Verify IR of the IBLT encode path.
 
-    The executable model performs encoding host-side (:meth:`FlowRadarDataplane.record`),
-    so the declared ``fr_encode`` stage has no live pipeline twin — the
-    registry marks this program ``check_stages=False``.
+    The executable model performs encoding host-side
+    (:meth:`FlowRadarDataplane.record`), so the ``fr_encode`` stage has no
+    live pipeline twin and the stage-order check is switched off.
     """
     from repro.verify.ir import (
         Const, HashDecl, HashDigest, MetaRef, Program,
-        RegReadModifyWrite, RegisterDecl, SetMeta, StageDecl,
+        RegReadModifyWrite, SetMeta, StageDecl,
     )
 
-    program = Program("flowradar")
-    program.registers = [
-        RegisterDecl("fr_iblt_count", 32, IBLT_CELLS),
-        RegisterDecl("fr_iblt_idxor", 64, IBLT_CELLS),
-        RegisterDecl("fr_iblt_valsum", 64, IBLT_CELLS),
-    ]
-    program.hashes = [HashDecl("fr_iblt_hash", 3)]
-    program.stages = [StageDecl("fr_encode", (
+    switch = DataplaneSwitch("flowradar-verify", num_ports=4)
+    FlowRadarDataplane(switch)
+    return Program.from_switch("flowradar", switch, [StageDecl("fr_encode", (
         SetMeta("flow_id", Const(0, 32)),
         HashDigest("cell", (MetaRef("flow_id"),), keyed=False,
                    extern="iblt_hash"),
@@ -174,12 +169,4 @@ def verify_program() -> "object":
                            MetaRef("flow_id"), "cell_idxor"),
         RegReadModifyWrite("fr_iblt_valsum", MetaRef("cell"), Const(1),
                            "cell_valsum"),
-    ))]
-    return program
-
-
-def build_verify_switch() -> DataplaneSwitch:
-    """A live instance matching :func:`verify_program`, for cross-checks."""
-    switch = DataplaneSwitch("flowradar-verify", num_ports=4)
-    FlowRadarDataplane(switch)
-    return switch
+    ))], hashes=[HashDecl("fr_iblt_hash", 3)], check_stages=False)

@@ -277,36 +277,19 @@ def chain_hula_configs(num_switches: int) -> Dict[str, HulaConfig]:
 # static-verification metadata (consumed by repro.verify)
 # ---------------------------------------------------------------------------
 
-#: Canonical sizing for the verify declaration and its live twin.
-VERIFY_NUM_PORTS = 8
-VERIFY_MAX_TORS = 64
-
-
 def verify_program() -> "object":
-    """Declared IR of the HULA stage (probe + data paths, reads first)."""
+    """Verify IR of the HULA stage (probe + data paths, reads first)."""
     from repro.verify.ir import (
-        BinOp, Const, EmitPacket, FieldRef, HeaderDecl, MetaRef, Program,
-        RegRead, RegWrite, RegisterDecl, RequireValid, SetField, SetMeta,
-        StageDecl,
+        BinOp, Const, EmitPacket, FieldRef, MetaRef, Program, RegRead,
+        RegWrite, RequireValid, SetField, SetMeta, StageDecl,
     )
 
-    ports = VERIFY_NUM_PORTS + 1
-    program = Program("hula")
-    program.registers = [
-        RegisterDecl("hula_best_hop", 8, VERIFY_MAX_TORS),
-        RegisterDecl("hula_min_util", 32, VERIFY_MAX_TORS),
-        RegisterDecl("hula_last_update", 64, VERIFY_MAX_TORS),
-        RegisterDecl("hula_rx_util_bytes", 64, ports),
-        RegisterDecl("hula_rx_last_us", 64, ports),
-    ]
-    program.headers = [
-        HeaderDecl("hula_probe", tuple(HULA_PROBE_HEADER.fields)),
-        HeaderDecl("hula_data", tuple(HULA_DATA_HEADER.fields)),
-    ]
+    switch = DataplaneSwitch("hula-verify", num_ports=8)
+    HulaDataplane(switch, HulaConfig()).install()
     # One stage = one stateful-ALU pass per array: all reads precede all
     # writes (the probe and data paths are exclusive branches in the
     # executable form; the linearization keeps hardware ordering honest).
-    program.stages = [StageDecl("hula", (
+    return Program.from_switch("hula", switch, [StageDecl("hula", (
         RequireValid("hula_probe"),
         RequireValid("hula_data"),
         SetMeta("ingress_port", Const(0, 16)),
@@ -328,12 +311,4 @@ def verify_program() -> "object":
         SetField("hula_probe", "path_util", BinOp("max", (
             FieldRef("hula_probe", "path_util"), MetaRef("rx_bytes")))),
         EmitPacket(headers=("hula_probe", "hula_data")),
-    ))]
-    return program
-
-
-def build_verify_switch() -> DataplaneSwitch:
-    """A live instance matching :func:`verify_program`, for cross-checks."""
-    switch = DataplaneSwitch("hula-verify", num_ports=VERIFY_NUM_PORTS)
-    HulaDataplane(switch, HulaConfig(max_tors=VERIFY_MAX_TORS)).install()
-    return switch
+    ))], headers=[HULA_PROBE_HEADER, HULA_DATA_HEADER])

@@ -138,7 +138,7 @@ class AggregationJobResult:
 # ---------------------------------------------------------------------------
 
 def verify_program() -> "object":
-    """Declared IR of the aggregation stage.
+    """Verify IR of the aggregation stage.
 
     The result value comes from the atomic ``RegReadModifyWrite`` dst
     (the stateful ALU returns the updated sum), not from a plain read
@@ -146,23 +146,14 @@ def verify_program() -> "object":
     same stage (invariant INV002).
     """
     from repro.verify.ir import (
-        BinOp, Const, EmitPacket, FieldRef, HeaderDecl, MetaRef, Program,
-        RegRead, RegReadModifyWrite, RegWrite, RegisterDecl, RequireValid,
-        SetField, SetMeta, StageDecl,
+        BinOp, Const, EmitPacket, FieldRef, MetaRef, Program, RegRead,
+        RegReadModifyWrite, RegWrite, RequireValid, SetField, SetMeta,
+        StageDecl,
     )
 
-    size = AggregationConfig().max_chunks
-    program = Program("inaggr")
-    program.registers = [
-        RegisterDecl("agg_sum", 64, size),
-        RegisterDecl("agg_count", 16, size),
-        RegisterDecl("agg_bitmap", 32, size),
-    ]
-    program.headers = [
-        HeaderDecl("agg_update", tuple(AGG_HEADER.fields)),
-        HeaderDecl("agg_result", tuple(AGG_RESULT_HEADER.fields)),
-    ]
-    program.stages = [StageDecl("aggregate", (
+    switch = DataplaneSwitch("inaggr-verify", num_ports=4)
+    AggregationDataplane(switch).install()
+    return Program.from_switch("inaggr", switch, [StageDecl("aggregate", (
         RequireValid("agg_update"),
         RequireValid("agg_result"),
         SetMeta("chunk", FieldRef("agg_update", "chunk_id")),
@@ -178,12 +169,4 @@ def verify_program() -> "object":
                  FieldRef("agg_update", "chunk_id")),
         SetField("agg_result", "value", MetaRef("sum_new")),
         EmitPacket(headers=("agg_result",)),
-    ))]
-    return program
-
-
-def build_verify_switch() -> DataplaneSwitch:
-    """A live instance matching :func:`verify_program`, for cross-checks."""
-    switch = DataplaneSwitch("inaggr-verify", num_ports=4)
-    AggregationDataplane(switch).install()
-    return switch
+    ))], headers=[AGG_HEADER, AGG_RESULT_HEADER])

@@ -156,20 +156,16 @@ class IntCollector:
 # ---------------------------------------------------------------------------
 
 def verify_program() -> "object":
-    """Declared IR of the INT hop: append a record, bump the hop count."""
+    """Verify IR of the INT hop: append a record, bump the hop count."""
     from repro.verify.ir import (
         BinOp, Const, EmitPacket, FieldRef, HeaderDecl, MetaRef,
         ExportTelemetry, Program, RequireValid, SetField, SetMeta,
         StageDecl,
     )
 
-    program = Program("int")
-    program.headers = [
-        HeaderDecl("int_probe", tuple(INT_HEADER.fields)),
-    ]
-    # Per-hop record fields ride in the payload; claim their PHV scratch.
-    program.phv_container_bits = RECORD_BYTES * 8
-    program.stages = [StageDecl("int", (
+    switch = DataplaneSwitch("int-verify", num_ports=4)
+    IntTelemetryDataplane(switch, IntConfig(switch_id=1)).install()
+    return Program.from_switch("int", switch, [StageDecl("int", (
         RequireValid("int_probe"),
         SetMeta("hop_latency_us", Const(20, 16)),
         SetMeta("queue_depth", Const(4, 16)),
@@ -179,12 +175,8 @@ def verify_program() -> "object":
             MetaRef("hop_latency_us"), MetaRef("queue_depth"),
             FieldRef("int_probe", "flow_id"))),
         EmitPacket(headers=("int_probe",)),
-    ))]
-    return program
-
-
-def build_verify_switch() -> DataplaneSwitch:
-    """A live instance matching :func:`verify_program`, for cross-checks."""
-    switch = DataplaneSwitch("int-verify", num_ports=4)
-    IntTelemetryDataplane(switch, IntConfig(switch_id=1)).install()
-    return switch
+    ))], headers=[
+        INT_HEADER,
+        # Per-hop record fields ride in the payload; claim their PHV scratch.
+        HeaderDecl("int_record", (("scratch", RECORD_BYTES * 8),)),
+    ])

@@ -34,8 +34,11 @@ class L3ForwardingDataplane:
         self.route_table = MatchActionTable(
             "ipv4_lpm", [("dst", MatchKind.LPM, 32)], max_entries=12288
         )
+        # Keyed on the 48-bit next hop §IX-B's adjacency table resolves;
+        # this model's next-hop id is the egress port.
         self.rewrite_table = MatchActionTable(
-            "l2_rewrite", [("port", MatchKind.EXACT, 16)], max_entries=16384
+            "l2_rewrite", [("next_hop", MatchKind.EXACT, 48)],
+            max_entries=16384
         )
         switch.add_table(self.route_table)
         switch.add_table(self.rewrite_table)
@@ -95,26 +98,27 @@ class L3ForwardingDataplane:
 
 
 # ---------------------------------------------------------------------------
-# static-verification metadata (consumed by repro.verify)
+# static-verification metadata (consumed by repro.verify and Table II)
 # ---------------------------------------------------------------------------
 
-def verify_program() -> "object":
-    """Declared IR of the forwarder, mirroring the constructor defaults."""
+def verify_program(num_ports: int = 4) -> "object":
+    """The forwarder at the Table II sizing point (§IX-B), as verify IR.
+
+    Registers and tables are read off the installed switch; stated here
+    is what the simulator does not model — 8 192 stats cells (the closure
+    default is 256), the tables' action-data widths (egress port +
+    next-hop id; dst MAC + port) and the PHV of the Ethernet header, the
+    IPv4 options and the intrinsic metadata the closure never parses.
+    """
     from repro.verify.ir import (
         ApplyTable, BinOp, Const, EmitPacket, FieldRef, HeaderDecl,
-        MetaRef, Program, RegReadModifyWrite, RegisterDecl, RequireValid,
-        SetField, SetMeta, StageDecl, TableDecl,
+        MetaRef, Program, RegReadModifyWrite, RequireValid, SetField,
+        SetMeta, StageDecl,
     )
 
-    program = Program("l3fwd")
-    program.registers = [RegisterDecl("flow_stats", 32, 256)]
-    program.tables = [
-        TableDecl("ipv4_lpm", key_bits=32, entries=12288, match_kind="lpm"),
-        TableDecl("l2_rewrite", key_bits=16, entries=16384,
-                  match_kind="exact"),
-    ]
-    program.headers = [HeaderDecl("ipv4", tuple(IPV4_HEADER.fields))]
-    program.stages = [StageDecl("l3fwd", (
+    switch = DataplaneSwitch("l3fwd-verify", num_ports=num_ports)
+    L3ForwardingDataplane(switch, stats_size=8192).install()
+    return Program.from_switch("l3fwd", switch, [StageDecl("l3fwd", (
         RequireValid("ipv4"),
         SetField("ipv4", "ttl", BinOp("sub", (
             FieldRef("ipv4", "ttl"), Const(1, 8)))),
@@ -124,12 +128,9 @@ def verify_program() -> "object":
         RegReadModifyWrite("flow_stats", FieldRef("ipv4", "flow_id"),
                            Const(1), "flow_count"),
         EmitPacket(headers=("ipv4",)),
-    ))]
-    return program
-
-
-def build_verify_switch() -> DataplaneSwitch:
-    """A live instance matching :func:`verify_program`, for cross-checks."""
-    switch = DataplaneSwitch("l3fwd-verify", num_ports=4)
-    L3ForwardingDataplane(switch).install()
-    return switch
+    ))], headers=[
+        HeaderDecl("ethernet", (("dst", 48), ("src", 48), ("etherType", 16))),
+        IPV4_HEADER,
+        HeaderDecl("ipv4_options", (("options", 64),)),
+        HeaderDecl("intrinsic_metadata", (("data", 480),)),
+    ], action_bits={"ipv4_lpm": 64, "l2_rewrite": 80})

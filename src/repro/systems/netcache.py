@@ -177,25 +177,15 @@ def run_scenario(mode: str, queries: int = 4000,
 # ---------------------------------------------------------------------------
 
 def verify_program() -> "object":
-    """Declared IR of the NetCache stage (cache probe + sketch update)."""
+    """Verify IR of the NetCache stage (cache probe + sketch update)."""
     from repro.verify.ir import (
-        Const, EmitPacket, FieldRef, HashDecl, HashDigest, HeaderDecl,
-        MetaRef, Program, RegRead, RegReadModifyWrite, RegisterDecl,
-        RequireValid, StageDecl,
+        Const, EmitPacket, FieldRef, HashDecl, HashDigest, MetaRef,
+        Program, RegRead, RegReadModifyWrite, RequireValid, StageDecl,
     )
 
-    program = Program("netcache")
-    program.registers = [
-        RegisterDecl("nc_cache_keys", 32, CACHE_SLOTS),
-        RegisterDecl("nc_cache_vals", 64, CACHE_SLOTS),
-        RegisterDecl("nc_sketch_row0", 32, 256),
-        RegisterDecl("nc_sketch_row1", 32, 256),
-    ]
-    program.headers = [
-        HeaderDecl("nc_query", tuple(NC_QUERY_HEADER.fields)),
-    ]
-    program.hashes = [HashDecl("nc_sketch_hash", 2)]
-    program.stages = [StageDecl("netcache", (
+    switch = DataplaneSwitch("netcache-verify", num_ports=4)
+    NetCacheDataplane(switch).install()
+    return Program.from_switch("netcache", switch, [StageDecl("netcache", (
         RequireValid("nc_query"),
         RegRead("nc_cache_keys", Const(0), "cached_key"),
         RegRead("nc_cache_vals", Const(0), "cached_val"),
@@ -208,12 +198,4 @@ def verify_program() -> "object":
         RegReadModifyWrite("nc_sketch_row1", MetaRef("row1_idx"),
                            Const(1), "row1_count"),
         EmitPacket(headers=("nc_query",)),
-    ))]
-    return program
-
-
-def build_verify_switch() -> DataplaneSwitch:
-    """A live instance matching :func:`verify_program`, for cross-checks."""
-    switch = DataplaneSwitch("netcache-verify", num_ports=4)
-    NetCacheDataplane(switch).install()
-    return switch
+    ))], headers=[NC_QUERY_HEADER], hashes=[HashDecl("nc_sketch_hash", 2)])

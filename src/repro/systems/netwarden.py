@@ -192,24 +192,15 @@ def run_scenario(mode: str, packets_per_conn: int = 40,
 # ---------------------------------------------------------------------------
 
 def verify_program() -> "object":
-    """Declared IR of the NetWarden IPD-statistics stage."""
+    """Verify IR of the NetWarden IPD-statistics stage."""
     from repro.verify.ir import (
-        BinOp, Const, EmitPacket, FieldRef, HeaderDecl, MetaRef, Program,
-        RegRead, RegReadModifyWrite, RegWrite, RegisterDecl, RequireValid,
-        SetMeta, StageDecl,
+        BinOp, Const, EmitPacket, FieldRef, MetaRef, Program, RegRead,
+        RegReadModifyWrite, RegWrite, RequireValid, SetMeta, StageDecl,
     )
 
-    n = NUM_CONNECTIONS
-    program = Program("netwarden")
-    program.registers = [
-        RegisterDecl("nw_last_arrival_us", 64, n),
-        RegisterDecl("nw_ipd_count", 32, n),
-        RegisterDecl("nw_ipd_sum", 64, n),
-        RegisterDecl("nw_ipd_sq_sum", 64, n),
-        RegisterDecl("nw_blocked", 8, n),
-    ]
-    program.headers = [HeaderDecl("nw_pkt", tuple(NW_PKT_HEADER.fields))]
-    program.stages = [StageDecl("netwarden", (
+    switch = DataplaneSwitch("netwarden-verify", num_ports=4)
+    NetWardenDataplane(switch).install()
+    return Program.from_switch("netwarden", switch, [StageDecl("netwarden", (
         RequireValid("nw_pkt"),
         SetMeta("conn", FieldRef("nw_pkt", "conn_id")),
         SetMeta("now_us", Const(0, 64)),
@@ -224,12 +215,4 @@ def verify_program() -> "object":
                            MetaRef("ipd"), "ipd_sq_total"),
         RegWrite("nw_last_arrival_us", MetaRef("conn"), MetaRef("now_us")),
         EmitPacket(headers=("nw_pkt",)),
-    ))]
-    return program
-
-
-def build_verify_switch() -> DataplaneSwitch:
-    """A live instance matching :func:`verify_program`, for cross-checks."""
-    switch = DataplaneSwitch("netwarden-verify", num_ports=4)
-    NetWardenDataplane(switch).install()
-    return switch
+    ))], headers=[NW_PKT_HEADER])

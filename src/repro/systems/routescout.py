@@ -246,30 +246,17 @@ class RouteScoutController:
 # static-verification metadata (consumed by repro.verify)
 # ---------------------------------------------------------------------------
 
-VERIFY_NUM_PORTS = 4
-
-
 def verify_program() -> "object":
-    """Declared IR of the RouteScout stage."""
+    """Verify IR of the RouteScout stage."""
     from repro.verify.ir import (
-        Const, EmitPacket, FieldRef, HashDecl, HashDigest, HeaderDecl,
-        MetaRef, Program, RegRead, RegReadModifyWrite, RegWrite,
-        RegisterDecl, RequireValid, SetMeta, StageDecl,
+        Const, EmitPacket, FieldRef, HashDecl, HashDigest, MetaRef,
+        Program, RegRead, RegReadModifyWrite, RegWrite, RequireValid,
+        SetMeta, StageDecl,
     )
 
-    size = VERIFY_NUM_PORTS + 1
-    program = Program("routescout")
-    program.registers = [
-        RegisterDecl("rs_split", 8, 1),
-        RegisterDecl("rs_lat_sum", 64, 2),
-        RegisterDecl("rs_lat_cnt", 32, 2),
-        RegisterDecl("rs_util_window", 64, size),
-        RegisterDecl("rs_util_bytes_cur", 64, size),
-        RegisterDecl("rs_util_bytes_prev", 64, size),
-    ]
-    program.headers = [HeaderDecl("rs_data", tuple(RS_DATA_HEADER.fields))]
-    program.hashes = [HashDecl("rs_flow_bucket", 1)]
-    program.stages = [StageDecl("routescout", (
+    switch = DataplaneSwitch("routescout-verify", num_ports=4)
+    RouteScoutDataplane(switch).install()
+    return Program.from_switch("routescout", switch, [StageDecl("routescout", (
         RequireValid("rs_data"),
         SetMeta("port", Const(0, 16)),
         SetMeta("sample", Const(20, 32)),
@@ -287,12 +274,4 @@ def verify_program() -> "object":
         RegReadModifyWrite("rs_lat_cnt", MetaRef("bucket"), Const(1),
                            "lat_n"),
         EmitPacket(headers=("rs_data",)),
-    ))]
-    return program
-
-
-def build_verify_switch() -> DataplaneSwitch:
-    """A live instance matching :func:`verify_program`, for cross-checks."""
-    switch = DataplaneSwitch("routescout-verify", num_ports=VERIFY_NUM_PORTS)
-    RouteScoutDataplane(switch).install()
-    return switch
+    ))], headers=[RS_DATA_HEADER], hashes=[HashDecl("rs_flow_bucket", 1)])

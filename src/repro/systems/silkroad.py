@@ -165,24 +165,15 @@ def run_scenario(mode: str, pending_flows: int = 40,
 # ---------------------------------------------------------------------------
 
 def verify_program() -> "object":
-    """Declared IR of the SilkRoad stage."""
+    """Verify IR of the SilkRoad stage."""
     from repro.verify.ir import (
-        Const, EmitPacket, FieldRef, HashDecl, HashDigest, HeaderDecl,
-        MetaRef, Program, RegRead, RegWrite, RegisterDecl, RequireValid,
-        StageDecl,
+        Const, EmitPacket, FieldRef, HashDecl, HashDigest, MetaRef,
+        Program, RegRead, RegWrite, RequireValid, StageDecl,
     )
 
-    program = Program("silkroad")
-    program.registers = [
-        RegisterDecl("silk_pool_version", 8, 1),
-        RegisterDecl("silk_clear_trigger", 8, 1),
-        RegisterDecl("silk_transit", 1, 2048),
-    ]
-    program.headers = [
-        HeaderDecl("silk_conn", tuple(SILK_CONN_HEADER.fields)),
-    ]
-    program.hashes = [HashDecl("silk_bloom_hash", 2)]
-    program.stages = [StageDecl("silkroad", (
+    switch = DataplaneSwitch("silkroad-verify", num_ports=4)
+    SilkRoadDataplane(switch).install()
+    return Program.from_switch("silkroad", switch, [StageDecl("silkroad", (
         RequireValid("silk_conn"),
         RegRead("silk_clear_trigger", Const(0), "clear"),
         RegWrite("silk_clear_trigger", Const(0), Const(0, 8)),
@@ -191,12 +182,4 @@ def verify_program() -> "object":
                    keyed=False, extern="bloom"),
         RegRead("silk_transit", MetaRef("bloom_idx"), "in_transit"),
         EmitPacket(headers=("silk_conn",)),
-    ))]
-    return program
-
-
-def build_verify_switch() -> DataplaneSwitch:
-    """A live instance matching :func:`verify_program`, for cross-checks."""
-    switch = DataplaneSwitch("silkroad-verify", num_ports=4)
-    SilkRoadDataplane(switch).install()
-    return switch
+    ))], headers=[SILK_CONN_HEADER], hashes=[HashDecl("silk_bloom_hash", 2)])

@@ -33,16 +33,12 @@ def analyze_entry(entry: VerifyEntry) -> List[Finding]:
     from repro.verify.taint import analyze_taint
 
     program = entry.program()
-    reference = entry.reference_pct() if entry.reference_pct else None
     findings: List[Finding] = []
     findings.extend(analyze_taint(program))
-    findings.extend(analyze_resources(program, reference_pct=reference))
+    findings.extend(analyze_resources(program))
     findings.extend(analyze_invariants(program))
     findings.extend(analyze_surface(program))
-    if entry.build_switch is not None:
-        switch = entry.build_switch()
-        findings.extend(analyze_live(program, switch,
-                                     check_stages=entry.check_stages))
+    findings.extend(analyze_live(program, program.switch))
     return findings
 
 

@@ -1,7 +1,7 @@
 """Findings model for the static-analysis subsystem.
 
 Every analyzer (taint engine, resource linter, invariant checker, live
-cross-checker) reports :class:`Finding` records: a stable rule id, a
+exposure check) reports :class:`Finding` records: a stable rule id, a
 severity, the program and (where applicable) the stage/op location, and
 a human-readable message.  The CLI renders findings as text or JSON and
 exits nonzero iff any ERROR-severity finding is present.
@@ -19,13 +19,11 @@ TAINT004  ERROR     secret-derived value reaches a telemetry export
 TAINT005  ERROR     secret-derived value reaches a ToController payload
 RES001    ERROR     static resource usage exceeds a hardware budget
 RES002    WARNING   static resource usage above the watermark (85%)
-RES003    ERROR     static totals diverge from the Table II reference
 INV001    ERROR     table has no default action
 INV002    ERROR     register read after write within one stage
 INV003    ERROR     header field accessed without a validity guard
 INV004    ERROR     wire-format width inconsistent with core.wire
 INV005    ERROR     constant does not fit the written field width
-LIVE001   ERROR     declared IR diverges from the live switch objects
 LIVE002   ERROR     secret register reachable via the mapping table
 SURF001   WARNING   register write wire-influenced without a keyed digest
 ========  ========  ====================================================
@@ -62,8 +60,6 @@ RULES: Dict[str, tuple] = {
                "static resource usage exceeds a hardware budget"),
     "RES002": (Severity.WARNING,
                "static resource usage above the watermark"),
-    "RES003": (Severity.ERROR,
-               "static totals diverge from the Table II reference"),
     "INV001": (Severity.ERROR, "table has no default action"),
     "INV002": (Severity.ERROR,
                "register read after write within one stage"),
@@ -73,8 +69,6 @@ RULES: Dict[str, tuple] = {
                "wire-format width inconsistent with core.wire"),
     "INV005": (Severity.ERROR,
                "constant does not fit the written field width"),
-    "LIVE001": (Severity.ERROR,
-                "declared IR diverges from the live switch objects"),
     "LIVE002": (Severity.ERROR,
                 "secret register reachable via the mapping table"),
     "SURF001": (Severity.WARNING,

@@ -3,7 +3,9 @@
 Rules (all ERROR severity):
 
 * **INV001** — every declared table has a default action, and every
-  ``ApplyTable`` op references a declared table.  A PISA table with no
+  ``ApplyTable`` / register op references a table / register the program
+  has (the declarations are read off the installed switch, so a dangling
+  name is an op list that has drifted from it).  A PISA table with no
   default silently no-ops on miss, which has bitten real programs
   (unexpected forwarding of unauthenticated traffic).
 * **INV002** — no register read-after-write within a single stage.  A
@@ -126,6 +128,11 @@ def analyze_invariants(program: Program) -> List[Finding]:
                            subject=op.register)
             if isinstance(op, (RegWrite, RegReadModifyWrite)):
                 written_this_stage.add(op.register)
+            if (isinstance(op, (RegRead, RegWrite, RegReadModifyWrite))
+                    and op.register not in declared_registers):
+                report("INV001",
+                       f"op accesses undeclared register {op.register!r}",
+                       subject=op.register)
 
             # INV005: constants must fit their destination width.
             if isinstance(op, SetField):

@@ -4,15 +4,17 @@ The PISA simulator executes pipeline stages as opaque Python callables,
 which is great for behavioural fidelity and useless for static
 reasoning.  This module defines a small, PISA-shaped intermediate
 representation that each program under :mod:`repro.systems` (and the
-P4Auth overlay in :mod:`repro.core.auth_ir`) declares alongside its
+P4Auth overlay in :mod:`repro.core.auth_ir`) builds next to its
 executable form.  The IR is *data*: expressions over header fields,
 metadata, and constants; per-stage operation lists; and declarations of
 the tables, registers, hash externs, and headers a program owns.
 
-Analyzers never execute anything — they walk these objects.  The live
-cross-checker (:mod:`repro.verify.live`) closes the loop by diffing the
-declared IR against the objects an installed switch actually holds, so
-the declaration cannot silently rot.
+Analyzers never execute anything — they walk these objects.  A program's
+*static shape* is written down once, on the installed switch:
+:meth:`Program.from_switch` reads the register and table declarations
+off ``switch.introspect()``, so there is no second copy to drift.  What
+a program's factory still states is what a switch cannot tell: the op
+lists, and the calibration claims the simulator does not model.
 
 Expressions
 -----------
@@ -274,7 +276,56 @@ class Program:
     tables: List[TableDecl] = field(default_factory=list)
     headers: List[HeaderDecl] = field(default_factory=list)
     hashes: List[HashDecl] = field(default_factory=list)
-    phv_container_bits: int = 0
+    #: The installed switch the declarations were read from, if any.
+    switch: Optional[object] = field(default=None, repr=False, compare=False)
+
+    @classmethod
+    def from_switch(cls, name: str, switch, stages: Sequence[StageDecl],
+                    headers: Sequence[object] = (),
+                    hashes: Sequence[HashDecl] = (),
+                    action_bits: Optional[Dict[str, int]] = None,
+                    check_stages: bool = True) -> "Program":
+        """The program an installed switch runs, with ``stages`` as its ops.
+
+        Registers and tables are read off ``switch.introspect()``.  What
+        the simulator does not model is claimed here and nowhere else:
+        ``headers`` takes the ``HeaderType`` constants the stage closures
+        parse, or a :class:`HeaderDecl` for PHV they do not; ``hashes``
+        the hash-unit counts; ``action_bits`` table action-data widths
+        (default 32).  A stage name that is absent from, or out of order
+        in, the live pipeline raises — unless the caller says the program
+        installs no stage (``check_stages=False``).
+        """
+        # Imported here: ``import repro.verify`` must not load repro.core.
+        from repro.core.secrets import is_secret_register
+
+        view = switch.introspect()
+        if check_stages:
+            cursor = 0
+            for stage in stages:
+                try:
+                    cursor = view["stages"].index(stage.name, cursor) + 1
+                except ValueError:
+                    raise ValueError(
+                        f"{name}: declared stage {stage.name!r} is missing "
+                        f"from, or out of order in, the live pipeline "
+                        f"{view['stages']}") from None
+        widths = action_bits or {}
+        return cls(
+            name, list(stages),
+            registers=[
+                RegisterDecl(reg, layout["width_bits"], layout["size"],
+                             secret=is_secret_register(reg))
+                for reg, layout in view["registers"].items()],
+            tables=[
+                TableDecl(table, info["key_bits"], info["entries"],
+                          info["match_kind"], widths.get(table, 32),
+                          info["has_default"])
+                for table, info in view["tables"].items()],
+            headers=[
+                h if isinstance(h, HeaderDecl)
+                else HeaderDecl(h.name, tuple(h.fields)) for h in headers],
+            hashes=list(hashes), switch=switch)
 
     # -- convenience lookups -------------------------------------------------
 

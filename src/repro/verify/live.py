@@ -1,20 +1,9 @@
-"""Declared-vs-installed cross-checks (rules LIVE001 / LIVE002).
+"""What an installed switch exposes to C-DP operations (rule LIVE002).
 
-Static analysis is only as good as the declaration it analyzes.  This
-module diffs a program's verify IR against the objects an actually
-constructed :class:`~repro.dataplane.switch.DataplaneSwitch` holds —
-via the ``describe()``/``introspect()`` hooks — so the declaration
-cannot silently drift from the executable program:
-
-* **LIVE001** — register missing/extra or layout mismatch (width, size);
-  table missing/extra or shape mismatch (key bits, match kind, default
-  action); declared stages absent or out of order in the live pipeline;
-  secret annotations (:mod:`repro.core.secrets`) disagreeing with the
-  IR's ``secret`` flags.
-
-  Table *capacity* is deliberately not compared: ``max_entries`` is an
-  allocation policy of the live object, while the IR's ``entries``
-  models the Table II sizing point.
+A program's declarations are read off its switch
+(:meth:`repro.verify.ir.Program.from_switch`), so there is no layout to
+diff.  What is left to check on the live object is a property of the
+installed *entries*:
 
 * **LIVE002** — a P4Auth-internal or secret register reachable through
   the live ``reg_id_to_name_mapping`` table.  The install-time guard
@@ -27,100 +16,19 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.core.secrets import is_internal_register, is_secret_register
+from repro.core.secrets import is_internal_register
 from repro.verify.findings import Finding, make_finding
 from repro.verify.ir import Program
 
 MAPPING_TABLE = "reg_id_to_name_mapping"
 
 
-def _check_registers(program: Program, live_registers: dict,
-                     findings: List[Finding]) -> None:
-    declared = {r.name: r for r in program.registers}
-    for name, decl in declared.items():
-        layout = live_registers.get(name)
-        if layout is None:
-            findings.append(make_finding(
-                "LIVE001", program.name,
-                f"declared register {name!r} not present on the live "
-                f"switch", subject=name))
-            continue
-        if (layout["width_bits"] != decl.width_bits
-                or layout["size"] != decl.size):
-            findings.append(make_finding(
-                "LIVE001", program.name,
-                f"register {name!r} declared {decl.width_bits}b x "
-                f"{decl.size} but installed as {layout['width_bits']}b x "
-                f"{layout['size']}", subject=name))
-    for name in live_registers:
-        if name not in declared:
-            findings.append(make_finding(
-                "LIVE001", program.name,
-                f"live register {name!r} is not declared in the verify "
-                f"IR", subject=name))
-    # Secret-source annotations must agree with core.secrets.
-    for name, decl in declared.items():
-        if is_secret_register(name) != decl.secret:
-            findings.append(make_finding(
-                "LIVE001", program.name,
-                f"register {name!r}: IR secret flag {decl.secret} "
-                f"disagrees with core.secrets", subject=name))
-
-
-def _check_tables(program: Program, live_tables: dict,
-                  findings: List[Finding]) -> None:
-    declared = {t.name: t for t in program.tables}
-    for name, decl in declared.items():
-        info = live_tables.get(name)
-        if info is None:
-            findings.append(make_finding(
-                "LIVE001", program.name,
-                f"declared table {name!r} not present on the live switch",
-                subject=name))
-            continue
-        mismatches = []
-        if info["key_bits"] != decl.key_bits:
-            mismatches.append(
-                f"key_bits {decl.key_bits} vs {info['key_bits']}")
-        if info["match_kind"] != decl.match_kind:
-            mismatches.append(
-                f"match_kind {decl.match_kind} vs {info['match_kind']}")
-        if info["has_default"] != decl.has_default:
-            mismatches.append(
-                f"has_default {decl.has_default} vs {info['has_default']}")
-        if mismatches:
-            findings.append(make_finding(
-                "LIVE001", program.name,
-                f"table {name!r} diverges from the live switch: "
-                + "; ".join(mismatches), subject=name))
-    for name in live_tables:
-        if name not in declared:
-            findings.append(make_finding(
-                "LIVE001", program.name,
-                f"live table {name!r} is not declared in the verify IR",
-                subject=name))
-
-
-def _check_stages(program: Program, live_stages: List[str],
-                  findings: List[Finding]) -> None:
-    """Declared stages must appear in the live pipeline, in order."""
-    cursor = 0
-    for stage in program.stages:
-        try:
-            cursor = live_stages.index(stage.name, cursor) + 1
-        except ValueError:
-            findings.append(make_finding(
-                "LIVE001", program.name,
-                f"declared stage {stage.name!r} missing from (or out of "
-                f"order in) the live pipeline {live_stages}",
-                subject=stage.name))
-
-
-def _check_mapping_exposure(program: Program, switch,
-                            findings: List[Finding]) -> None:
+def analyze_live(program: Program, switch) -> List[Finding]:
+    """Report internal/secret registers the live mapping table exposes."""
+    findings: List[Finding] = []
     table = switch.tables.get(MAPPING_TABLE)
     if table is None:
-        return
+        return findings
     id_map = switch.registers.id_map()
     secret_names = set(program.secret_registers())
     for entry in table.entries():
@@ -134,18 +42,6 @@ def _check_mapping_exposure(program: Program, switch,
                 f"mapping table exposes internal/secret register "
                 f"{name!r} (regId {reg_id}) to C-DP operations",
                 subject=name))
-
-
-def analyze_live(program: Program, switch,
-                 check_stages: bool = True) -> List[Finding]:
-    """Diff the declared IR against a live switch's installed objects."""
-    findings: List[Finding] = []
-    view = switch.introspect()
-    _check_registers(program, view["registers"], findings)
-    _check_tables(program, view["tables"], findings)
-    if check_stages:
-        _check_stages(program, view["stages"], findings)
-    _check_mapping_exposure(program, switch, findings)
     return findings
 
 

@@ -106,16 +106,15 @@ def mutant_stripped_digest() -> Program:
 
 
 def _smuggled_mapping_switch():
-    """Build the live twin, then map a secret register behind the guard.
+    """Take p4auth's switch, then map a secret register behind the guard.
 
     ``map_register`` refuses ``p4auth_*`` names, so this installs the
     mapping-table entry directly — exactly the back door LIVE002 exists
     to catch.
     """
-    from repro.core.auth_ir import build_reference_switch
     from repro.dataplane.tables import TableEntry
 
-    switch = build_reference_switch()
+    switch = _p4auth_program().switch
     reg_id = switch.registers.id_of("p4auth_kauth")
     mapping = switch.tables["reg_id_to_name_mapping"]
     mapping.register_action("mut_kauth_read", lambda: None)
@@ -151,11 +150,10 @@ def _static_rules(program: Program) -> Set[str]:
 
 
 def _live_rules() -> Set[str]:
-    from repro.core.auth_ir import p4auth_program
     from repro.verify.live import analyze_live
 
     switch = _smuggled_mapping_switch()
-    return {f.rule for f in analyze_live(p4auth_program(), switch)}
+    return {f.rule for f in analyze_live(_p4auth_program(), switch)}
 
 
 _STATIC_MUTANTS: List = [

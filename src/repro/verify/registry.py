@@ -2,15 +2,9 @@
 
 Every program that the ``repro verify`` CLI can analyze is listed here:
 the ten in-network systems from :mod:`repro.systems` plus the P4Auth
-overlay pipeline itself (:mod:`repro.core.auth_ir`).  Each entry binds
-
-* a *program factory* returning the declarative verify IR,
-* optionally a *switch factory* building the live executable twin for
-  the LIVE-rule cross-checks,
-* whether the IR's stage names must appear in the live pipeline
-  (FlowRadar records host-side and installs no pipeline stage), and
-* optionally the reference utilization percentages (Table II point)
-  that the resource linter's RES003 drift check compares against.
+overlay composed over the L3 forwarder (:mod:`repro.core.auth_ir`).
+Each entry names the one factory that installs the program on a switch
+and returns its verify IR, read off that switch (``program.switch``).
 
 Modules are imported lazily at lookup time so that importing
 ``repro.verify`` never drags in every system implementation.
@@ -19,79 +13,49 @@ Modules are imported lazily at lookup time so that importing
 from __future__ import annotations
 
 import importlib
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, List
 
 from repro.verify.ir import Program
 
 
 @dataclass(frozen=True)
 class VerifyEntry:
-    """One verifiable program: factories plus per-program check policy."""
+    """One verifiable program and the factory that builds it."""
 
     name: str
-    program_factory: Callable[[], Program]
-    build_switch: Optional[Callable[[], object]] = None
-    check_stages: bool = True
-    reference_pct: Optional[Callable[[], Dict[str, float]]] = field(
-        default=None)
-
-    def program(self) -> Program:
-        return self.program_factory()
+    program: Callable[[], Program]
 
 
-#: name -> (module, has live switch twin, stage-order check applies)
-_SYSTEM_MODULES = {
-    "l3fwd": ("repro.systems.l3fwd", True, True),
-    "hula": ("repro.systems.hula", True, True),
-    "routescout": ("repro.systems.routescout", True, True),
-    "blink": ("repro.systems.blink", True, True),
-    "silkroad": ("repro.systems.silkroad", True, True),
-    "netcache": ("repro.systems.netcache", True, True),
-    # FlowRadar records host-side (``record()``); no pipeline stage to
-    # cross-check, so the live diff skips stage ordering for it.
-    "flowradar": ("repro.systems.flowradar", True, False),
-    "netwarden": ("repro.systems.netwarden", True, True),
-    "inaggr": ("repro.systems.inaggr", True, True),
-    "int": ("repro.systems.int_telemetry", True, True),
+#: name -> (module, factory)
+_FACTORIES = {
+    "l3fwd": ("repro.systems.l3fwd", "verify_program"),
+    "hula": ("repro.systems.hula", "verify_program"),
+    "routescout": ("repro.systems.routescout", "verify_program"),
+    "blink": ("repro.systems.blink", "verify_program"),
+    "silkroad": ("repro.systems.silkroad", "verify_program"),
+    "netcache": ("repro.systems.netcache", "verify_program"),
+    "flowradar": ("repro.systems.flowradar", "verify_program"),
+    "netwarden": ("repro.systems.netwarden", "verify_program"),
+    "inaggr": ("repro.systems.inaggr", "verify_program"),
+    "int": ("repro.systems.int_telemetry", "verify_program"),
+    "p4auth": ("repro.core.auth_ir", "p4auth_program"),
 }
-
-
-def _system_entry(name: str) -> VerifyEntry:
-    module_name, has_switch, check_stages = _SYSTEM_MODULES[name]
-    module = importlib.import_module(module_name)
-    return VerifyEntry(
-        name=name,
-        program_factory=module.verify_program,
-        build_switch=module.build_verify_switch if has_switch else None,
-        check_stages=check_stages,
-    )
-
-
-def _p4auth_entry() -> VerifyEntry:
-    auth_ir = importlib.import_module("repro.core.auth_ir")
-    return VerifyEntry(
-        name="p4auth",
-        program_factory=auth_ir.p4auth_program,
-        build_switch=auth_ir.build_reference_switch,
-        check_stages=True,
-        reference_pct=auth_ir.reference_utilization_pct,
-    )
 
 
 def program_names() -> List[str]:
     """All registered program names, systems first, p4auth last."""
-    return list(_SYSTEM_MODULES) + ["p4auth"]
+    return list(_FACTORIES)
 
 
 def get_entry(name: str) -> VerifyEntry:
     """Look up one registry entry; raises KeyError for unknown names."""
-    if name == "p4auth":
-        return _p4auth_entry()
-    if name in _SYSTEM_MODULES:
-        return _system_entry(name)
-    raise KeyError(
-        f"unknown program {name!r}; known: {', '.join(program_names())}")
+    if name not in _FACTORIES:
+        raise KeyError(
+            f"unknown program {name!r}; known: {', '.join(program_names())}")
+    module_name, factory = _FACTORIES[name]
+    return VerifyEntry(
+        name, getattr(importlib.import_module(module_name), factory))
 
 
 def all_entries() -> List[VerifyEntry]:

@@ -3,23 +3,18 @@
 The linter converts the verify IR (:class:`~repro.verify.ir.Program`)
 into the *same* :class:`~repro.dataplane.resources.ProgramSpec` cost
 model the dynamic Table II reproduction uses — one pricing formula, two
-consumers — then checks three things:
+consumers — then checks two things:
 
 * **RES001** (ERROR): a resource exceeds its hardware capacity.  This is
   the static twin of the ``RuntimeError`` that
   :meth:`~repro.dataplane.resources.ResourceModel.report` raises.
 * **RES002** (WARNING): usage above the 85% watermark — legal but one
   table-size bump away from not fitting.
-* **RES003** (ERROR): the static totals diverge from a supplied
-  reference report (e.g. the dynamic Table II numbers) by more than the
-  tolerance, meaning the declared IR has drifted from the executable
-  program.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.dataplane.resources import (
     HASH_UNITS,
@@ -33,9 +28,6 @@ from repro.verify.ir import Program
 
 #: Fraction of a capacity above which RES002 fires.
 WATERMARK = 0.85
-
-#: Default RES003 tolerance, in percentage points of utilization.
-REFERENCE_TOLERANCE_PCT = 0.5
 
 CAPACITIES: Dict[str, int] = {
     "tcam_blocks": TCAM_BLOCKS,
@@ -59,9 +51,6 @@ def spec_from_program(program: Program) -> ProgramSpec:
         spec.add_hash(hsh.name, hsh.units)
     for header in program.headers:
         spec.add_headers(header.name, header.bit_width)
-    if program.phv_container_bits:
-        spec.add_phv_containers(
-            math.ceil(program.phv_container_bits / 32))
     return spec
 
 
@@ -85,17 +74,8 @@ def static_utilization_pct(program: Program) -> Dict[str, float]:
     }
 
 
-def analyze_resources(
-    program: Program,
-    reference_pct: Optional[Dict[str, float]] = None,
-    tolerance_pct: float = REFERENCE_TOLERANCE_PCT,
-) -> List[Finding]:
-    """Budget + watermark checks, plus optional reference diffing.
-
-    ``reference_pct`` maps resource keys (``tcam_blocks`` etc.) to the
-    expected utilization percentages; pass the dynamic Table II numbers
-    to prove the static IR and the executable spec agree.
-    """
+def analyze_resources(program: Program) -> List[Finding]:
+    """Budget + watermark checks."""
     findings: List[Finding] = []
     usage = static_usage(program)
 
@@ -113,26 +93,11 @@ def analyze_resources(
                 f"{int(WATERMARK * 100)}% watermark",
                 subject=resource))
 
-    if reference_pct is not None:
-        actual_pct = static_utilization_pct(program)
-        for resource, expected in reference_pct.items():
-            if resource not in actual_pct:
-                continue
-            got = actual_pct[resource]
-            if abs(got - expected) > tolerance_pct:
-                findings.append(make_finding(
-                    "RES003", program.name,
-                    f"static {resource} utilization {got}% diverges "
-                    f"from reference {expected}% "
-                    f"(tolerance {tolerance_pct} pct-pts)",
-                    subject=resource))
-
     return findings
 
 
 __all__ = [
     "CAPACITIES",
-    "REFERENCE_TOLERANCE_PCT",
     "WATERMARK",
     "analyze_resources",
     "spec_from_program",

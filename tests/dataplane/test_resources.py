@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.core.program import (
-    baseline_program_spec,
-    p4auth_overlay_spec,
-    p4auth_program_spec,
-)
+from repro.core.auth_ir import p4auth_program
 from repro.dataplane.resources import (
     HASH_UNITS,
     PHV_CONTAINERS,
@@ -15,6 +11,8 @@ from repro.dataplane.resources import (
     ProgramSpec,
     ResourceModel,
 )
+from repro.systems.l3fwd import verify_program as l3fwd_program
+from repro.verify.resources_lint import spec_from_program
 
 
 def test_empty_program_costs_nothing():
@@ -66,31 +64,45 @@ def test_extend_overlays():
 
 def test_overfull_program_rejected():
     spec = ProgramSpec("huge")
-    spec.add_phv_containers(PHV_CONTAINERS + 1)
+    spec.add_headers("wide", 32 * (PHV_CONTAINERS + 1))
     with pytest.raises(RuntimeError):
         ResourceModel().report(spec)
 
 
+def _report(program):
+    return ResourceModel().report(spec_from_program(program))
+
+
 class TestTableII:
-    """The headline reproduction: Table II's utilization percentages."""
+    """The headline reproduction: Table II's utilization percentages,
+    lowered from the IR of the programs that run."""
 
     def test_baseline_row(self):
-        report = ResourceModel().report(baseline_program_spec())
+        report = _report(l3fwd_program())
         assert report.tcam_pct == 8.3
         assert report.sram_pct == 2.5
         assert report.hash_pct == 1.4
         assert report.phv_pct == 11.1  # paper: 11%
+        assert (report.tcam_blocks, report.sram_blocks, report.hash_units,
+                report.phv_containers) == (24, 24, 1, 24)
 
     def test_p4auth_row(self):
-        report = ResourceModel().report(p4auth_program_spec())
+        report = _report(p4auth_program())
         assert report.tcam_pct == 8.3   # P4Auth adds no TCAM
         assert report.sram_pct == 3.6
         assert report.hash_pct == 51.4
         assert report.phv_pct == 23.1
+        assert (report.tcam_blocks, report.sram_blocks, report.hash_units,
+                report.phv_containers) == (24, 35, 37, 50)
+
+    def test_table2_experiment_reports_the_same_rows(self):
+        from repro.experiments.table2_resources import run_table2
+        assert run_table2("baseline") == _report(l3fwd_program())
+        assert run_table2("p4auth") == _report(p4auth_program())
 
     def test_hash_units_are_the_dominant_cost(self):
-        base = ResourceModel().report(baseline_program_spec())
-        auth = ResourceModel().report(p4auth_program_spec())
+        base = _report(l3fwd_program())
+        auth = _report(p4auth_program())
         deltas = {
             "tcam": auth.tcam_pct - base.tcam_pct,
             "sram": auth.sram_pct - base.sram_pct,
@@ -100,20 +112,25 @@ class TestTableII:
         assert max(deltas, key=deltas.get) == "hash"
 
     def test_overlay_registers_match_implementation(self):
-        """The overlay's register list must mirror what P4AuthDataplane
-        actually allocates (10 arrays)."""
+        """What the overlay adds to the base inventory is what
+        P4AuthDataplane allocates (10 arrays) — the composed IR reads the
+        switch, so there is no list to keep in step."""
         from repro.dataplane.switch import DataplaneSwitch
         from repro.core.auth_dataplane import P4AuthDataplane
         switch = DataplaneSwitch("s1", num_ports=64)
         P4AuthDataplane(switch, k_seed=1)
         implementation = set(switch.registers.names())
-        overlay = p4auth_overlay_spec(num_ports=64)
-        spec_names = {r.name for r in overlay._registers}
-        assert spec_names == implementation
+        assert len(implementation) == 10
+        composed = {r.name for r in p4auth_program().registers}
+        base = {r.name for r in l3fwd_program().registers}
+        assert composed - base == implementation
 
     def test_sram_scales_linearly_with_ports(self):
         """Paper: key-register SRAM is 64*(M+1) bits — linear in ports."""
-        small = p4auth_overlay_spec(num_ports=64).sram_blocks()
+        small = p4auth_program(num_ports=64)
         # 64 ports fit in one block; thousands of ports need more.
-        huge = p4auth_overlay_spec(num_ports=10000).sram_blocks()
-        assert huge > small
+        huge = p4auth_program(num_ports=10000)
+        assert (spec_from_program(huge).sram_blocks()
+                > spec_from_program(small).sram_blocks())
+        key_array = huge.register("p4auth_keys_v0")
+        assert (key_array.width_bits, key_array.size) == (64, 10001)

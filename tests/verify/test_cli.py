@@ -48,13 +48,6 @@ class TestRegistry:
             assert program.name == entry.name
             assert program.stages, f"{entry.name} declares no stages"
 
-    def test_p4auth_entry_carries_reference(self):
-        entry = get_entry("p4auth")
-        assert entry.reference_pct is not None
-        reference = entry.reference_pct()
-        assert set(reference) == {"tcam_blocks", "sram_blocks",
-                                  "hash_units", "phv_containers"}
-
 
 class TestVerifyAll:
     def test_every_registered_program_is_error_free(self):

@@ -1,10 +1,10 @@
-"""Live cross-checker: declared IR vs installed switch objects."""
-
-from dataclasses import replace
+"""The IR is read off the installed switch; LIVE002 checks its entries."""
 
 import pytest
 
-from repro.systems.l3fwd import build_verify_switch, verify_program
+from repro.core.secrets import is_secret_register
+from repro.systems.l3fwd import verify_program
+from repro.verify.ir import Program, RegRead, Const, StageDecl
 from repro.verify.live import analyze_live
 
 
@@ -12,106 +12,106 @@ def rules(findings):
     return [f.rule for f in findings]
 
 
+def assert_decls_are_the_switch(program):
+    view = program.switch.introspect()
+    assert {r.name: (r.width_bits, r.size) for r in program.registers} == {
+        name: (layout["width_bits"], layout["size"])
+        for name, layout in view["registers"].items()}
+    assert {t.name: (t.key_bits, t.entries, t.match_kind, t.has_default)
+            for t in program.tables} == {
+        name: (info["key_bits"], info["entries"], info["match_kind"],
+               info["has_default"])
+        for name, info in view["tables"].items()}
+    assert all(r.secret == is_secret_register(r.name)
+               for r in program.registers)
+
+
 class TestAgreement:
     def test_l3fwd_declaration_matches_its_switch(self):
-        assert analyze_live(verify_program(), build_verify_switch()) == []
+        program = verify_program()
+        assert_decls_are_the_switch(program)
+        assert analyze_live(program, program.switch) == []
 
     def test_p4auth_declaration_matches_reference_switch(self):
-        from repro.core.auth_ir import build_reference_switch, \
-            p4auth_program
-        assert analyze_live(p4auth_program(),
-                            build_reference_switch()) == []
+        from repro.core.auth_ir import p4auth_program
+        program = p4auth_program()
+        assert_decls_are_the_switch(program)
+        assert set(program.secret_registers()) == {
+            "p4auth_keys_v0", "p4auth_keys_v1", "p4auth_kauth",
+            "p4auth_pending_r1", "p4auth_pending_s1"}
+        assert analyze_live(program, program.switch) == []
+
+    def test_every_registered_program_is_its_switch(self):
+        from repro.verify.registry import all_entries
+        for entry in all_entries():
+            assert_decls_are_the_switch(entry.program())
 
 
-class TestRegisterDivergence:
-    def test_declared_register_missing_live_fires_live001(self):
-        from repro.verify.ir import RegisterDecl
+class TestDerivation:
+    def test_constructor_argument_reaches_the_ir(self):
+        # No second edit: the declaration is whatever was installed.
+        from repro.dataplane.switch import DataplaneSwitch
+        from repro.systems.blink import BlinkDataplane
+        switch = DataplaneSwitch("b", num_ports=4)
+        BlinkDataplane(switch, num_prefixes=32).install()
+        program = Program.from_switch("blink", switch, [])
+        assert {r.name: r.size for r in program.registers} == {
+            "blink_active_nh": 32, "blink_backup_nh": 32,
+            "blink_loss_streak": 32}
+
+    def test_sizing_point_is_one_configuration_of_l3fwd(self):
         program = verify_program()
-        program.registers.append(RegisterDecl("phantom", 32, 4))
-        findings = analyze_live(program, build_verify_switch())
-        assert rules(findings) == ["LIVE001"]
+        assert program.register("flow_stats").size == 8192
+        assert program.table("l2_rewrite").key_bits == 48
+        assert (program.table("ipv4_lpm").action_bits,
+                program.table("l2_rewrite").action_bits) == (64, 80)
+
+    def test_op_on_a_register_the_switch_lacks_fires_inv001(self):
+        from repro.verify.invariants import analyze_invariants
+        program = verify_program()
+        program.stages.append(StageDecl("l3fwd", (
+            RegRead("phantom", Const(0), "x"),)))
+        findings = analyze_invariants(program)
+        assert rules(findings) == ["INV001"]
         assert findings[0].subject == "phantom"
 
-    def test_live_register_not_declared_fires_live001(self):
-        program = verify_program()
-        switch = build_verify_switch()
-        switch.registers.define("stowaway", 8, 2)
-        assert rules(analyze_live(program, switch)) == ["LIVE001"]
-
-    def test_width_mismatch_fires_live001(self):
-        program = verify_program()
-        program.registers = [
-            replace(r, width_bits=r.width_bits * 2)
-            if r.name == "flow_stats" else r
-            for r in program.registers
-        ]
-        findings = analyze_live(program, build_verify_switch())
-        assert rules(findings) == ["LIVE001"]
-        assert "flow_stats" in findings[0].message
-
-    def test_secret_flag_disagreement_fires_live001(self):
-        # flow_stats is not in core.secrets, so flagging it secret in the
-        # IR must be rejected — secrecy is centralized, not ad hoc.
-        program = verify_program()
-        program.registers = [
-            replace(r, secret=True) if r.name == "flow_stats" else r
-            for r in program.registers
-        ]
-        findings = analyze_live(program, build_verify_switch())
-        assert "LIVE001" in rules(findings)
-        assert any("secret flag" in f.message for f in findings)
-
-
-class TestTableDivergence:
-    def test_key_bits_mismatch_fires_live001(self):
-        program = verify_program()
-        program.tables = [
-            replace(t, key_bits=99) if t.name == "ipv4_lpm" else t
-            for t in program.tables
-        ]
-        findings = analyze_live(program, build_verify_switch())
-        assert rules(findings) == ["LIVE001"]
-        assert "key_bits" in findings[0].message
-
-    def test_entries_are_deliberately_not_compared(self):
-        # max_entries is allocation policy, not Table II sizing; a
-        # different count must NOT trip the live diff.
-        program = verify_program()
-        program.tables = [
-            replace(t, entries=7) if t.name == "ipv4_lpm" else t
-            for t in program.tables
-        ]
-        assert analyze_live(program, build_verify_switch()) == []
-
-    def test_declared_table_missing_live_fires_live001(self):
-        from repro.verify.ir import TableDecl
-        program = verify_program()
-        program.tables.append(TableDecl("ghost", key_bits=8, entries=4))
-        assert rules(analyze_live(program, build_verify_switch())) == \
-            ["LIVE001"]
+    def test_p4auth_composes_over_another_base(self):
+        from repro.core.auth_ir import p4auth_over
+        from repro.systems import hula
+        program = p4auth_over(hula.verify_program(), "hula_best_hop")
+        assert [s.name for s in program.stages] == [
+            "p4auth_verify", "hula", "p4auth_sign"]
+        assert program.register("hula_best_hop") is not None
+        assert program.register("p4auth_kauth").secret
+        assert analyze_live(program, program.switch) == []
 
 
 class TestStageDivergence:
-    def test_missing_stage_fires_live001_when_checked(self):
-        from repro.verify.ir import StageDecl
-        program = verify_program()
-        program.stages.append(StageDecl("imaginary", ()))
-        findings = analyze_live(program, build_verify_switch(),
-                                check_stages=True)
-        assert rules(findings) == ["LIVE001"]
+    def test_missing_stage_fails_at_construction(self):
+        switch = verify_program().switch
+        with pytest.raises(ValueError, match="'imaginary'"):
+            Program.from_switch("l3fwd", switch,
+                                [StageDecl("imaginary", ())])
+
+    def test_out_of_order_stage_fails_at_construction(self):
+        from repro.core.auth_ir import p4auth_program
+        switch = p4auth_program().switch
+        with pytest.raises(ValueError, match="'p4auth_verify'"):
+            Program.from_switch("p4auth", switch, [
+                StageDecl("l3fwd", ()), StageDecl("p4auth_verify", ())])
 
     def test_check_stages_false_skips_stage_diff(self):
-        from repro.verify.ir import StageDecl
-        program = verify_program()
-        program.stages.append(StageDecl("imaginary", ()))
-        assert analyze_live(program, build_verify_switch(),
-                            check_stages=False) == []
+        switch = verify_program().switch
+        program = Program.from_switch(
+            "l3fwd", switch, [StageDecl("imaginary", ())],
+            check_stages=False)
+        assert [s.name for s in program.stages] == ["imaginary"]
 
     def test_flowradar_has_no_live_stage_by_design(self):
         from repro.systems import flowradar
         program = flowradar.verify_program()
-        switch = flowradar.build_verify_switch()
-        assert analyze_live(program, switch, check_stages=False) == []
+        assert program.switch.introspect()["stages"] == []
+        assert [s.name for s in program.stages] == ["fr_encode"]
 
 
 class TestMappingExposure:

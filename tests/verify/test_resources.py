@@ -1,11 +1,10 @@
-"""Resource linter: budgets, watermark, and Table II agreement."""
+"""Resource linter: budgets, watermark, and Table II pricing."""
 
 from repro.dataplane.resources import TCAM_BLOCKS
 from repro.verify.ir import HashDecl, HeaderDecl, Program, RegisterDecl, \
     TableDecl
 from repro.verify.resources_lint import (
     CAPACITIES,
-    REFERENCE_TOLERANCE_PCT,
     analyze_resources,
     spec_from_program,
     static_usage,
@@ -68,43 +67,17 @@ class TestBudgetRules:
         assert rules == ["RES002"]
 
 
-class TestReferenceDiff:
-    def test_agreeing_reference_is_clean(self):
-        program = small_program()
-        reference = static_utilization_pct(program)
-        assert analyze_resources(program, reference_pct=reference) == []
-
-    def test_divergence_beyond_tolerance_fires_res003(self):
-        program = small_program()
-        reference = static_utilization_pct(program)
-        reference["sram_blocks"] += REFERENCE_TOLERANCE_PCT * 3
-        findings = analyze_resources(program, reference_pct=reference)
-        assert [f.rule for f in findings] == ["RES003"]
-        assert findings[0].subject == "sram_blocks"
-
-    def test_divergence_within_tolerance_is_clean(self):
-        program = small_program()
-        reference = static_utilization_pct(program)
-        reference["sram_blocks"] += REFERENCE_TOLERANCE_PCT * 0.5
-        assert analyze_resources(program, reference_pct=reference) == []
-
-
 class TestTable2Agreement:
     def test_static_p4auth_totals_match_dynamic_reference(self):
-        """The acceptance bar: IR-derived utilization equals the dynamic
-        Table II numbers within the documented 0.5 pct-pt tolerance."""
-        from repro.core.auth_ir import p4auth_program, \
-            reference_utilization_pct
+        """The linter's totals and the ``table2`` experiment's are one
+        lowering of one program, pinned to the paper's row."""
+        from repro.core.auth_ir import p4auth_program
+        from repro.experiments.table2_resources import run_table2
         static = static_utilization_pct(p4auth_program())
-        reference = reference_utilization_pct()
-        assert set(reference) <= set(static)
-        for resource, expected in reference.items():
-            assert abs(static[resource] - expected) <= \
-                REFERENCE_TOLERANCE_PCT, resource
-
-    def test_p4auth_reference_diff_clean_end_to_end(self):
-        from repro.core.auth_ir import p4auth_program, \
-            reference_utilization_pct
-        assert analyze_resources(
-            p4auth_program(),
-            reference_pct=reference_utilization_pct()) == []
+        report = run_table2("p4auth")
+        assert static == {
+            "tcam_blocks": report.tcam_pct, "sram_blocks": report.sram_pct,
+            "hash_units": report.hash_pct,
+            "phv_containers": report.phv_pct}
+        assert static == {"tcam_blocks": 8.3, "sram_blocks": 3.6,
+                          "hash_units": 51.4, "phv_containers": 23.1}
