@@ -36,7 +36,8 @@ def main() -> None:
     controller.kmp.local_key_init(
         "s1", on_done=lambda rec: print(
             f"[kmp] local key established in {rec.rtt_s * 1e3:.2f} ms "
-            f"({rec.messages} messages, {rec.bytes} bytes)"))
+            f"({rec.messages} messages, {rec.bytes} bytes)"
+            if rec.ok else f"[kmp] local key NOT established: {rec}"))
     sim.run(until=0.1)
 
     # --- authenticated register operations ---------------------------------

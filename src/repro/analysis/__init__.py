@@ -3,8 +3,7 @@
 from repro.analysis.metrics import (
     mean,
     percentile,
-    normalized_shares,
     format_table,
 )
 
-__all__ = ["mean", "percentile", "normalized_shares", "format_table"]
+__all__ = ["mean", "percentile", "format_table"]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Sequence
+from typing import Iterable, List, Sequence
 
 
 def mean(samples: Sequence[float]) -> float:
@@ -22,14 +22,6 @@ def percentile(samples: Sequence[float], pct: float) -> float:
     ordered = sorted(samples)
     rank = min(len(ordered) - 1, max(0, math.ceil(pct / 100.0 * len(ordered)) - 1))
     return ordered[rank]
-
-
-def normalized_shares(counts: Dict[object, int]) -> Dict[object, float]:
-    """Fractions summing to 1 (empty dict if all counts are zero)."""
-    total = sum(counts.values())
-    if total == 0:
-        return {}
-    return {key: value / total for key, value in counts.items()}
 
 
 def format_table(headers: List[str], rows: Iterable[Sequence[object]],

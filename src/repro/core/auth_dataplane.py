@@ -22,11 +22,10 @@ hash units (Table II) and to per-packet processing time (Figs 18/19/21).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.core.constants import (
     ADHKD,
-    ALERT,
     EAK,
     KEYCTL,
     P4AUTH,
@@ -48,13 +47,13 @@ from repro.core.messages import (
     build_eak_message,
     build_reg_response,
 )
+from repro.core.regops import RegOpTable
 from repro.core.secrets import is_internal_register
 from repro.crypto.kdf import Kdf
 from repro.crypto.prng import XorShiftPrng
 from repro.dataplane.packet import Packet
 from repro.dataplane.pipeline import Emit, PipelineContext
 from repro.dataplane.switch import DataplaneSwitch
-from repro.dataplane.tables import MatchActionTable, MatchKind, TableEntry
 
 
 #: ``flags`` bit marking an encrypted register-op value (see
@@ -133,27 +132,18 @@ class P4AuthDataplane:
         # Fig 15's reg_id_to_name_mapping table: (regId, opType) -> action.
         # Two entries per mapped register, in the 1024-entry allocation
         # Table II prices (one SRAM block).
-        self.mapping_table = MatchActionTable(
-            "reg_id_to_name_mapping",
-            [("regId", MatchKind.EXACT, 32), ("opType", MatchKind.EXACT, 8)],
-            max_entries=1024,
-        )
-        # Explicit miss action: leaves ``_op_ok`` False so an unmapped
+        self.regops = RegOpTable(switch, "reg_id_to_name_mapping",
+                                 max_entries=1024)
+        self.mapping_table = self.regops.table
+        # Explicit miss action: returns no result so an unmapped
         # (regId, opType) still NACKs, but the table satisfies the PISA
         # every-table-has-a-default invariant (verify rule INV001).
         self.mapping_table.register_action("reg_op_miss", lambda: None)
         self.mapping_table.set_default("reg_op_miss")
-        switch.add_table(self.mapping_table)
 
         # Host-CPU memo for derived session-key families (see
         # :meth:`_session_keys`; modeled hash-unit charges unchanged).
         self._session_cache: Dict[int, object] = {}
-
-        # Per-operation scratch (models PHV metadata within one packet).
-        self._op_index = 0
-        self._op_value = 0
-        self._op_result = 0
-        self._op_ok = False
 
         #: Out-of-band instrumentation hooks (measurement only, no wire
         #: traffic): fired when a key install completes.
@@ -197,33 +187,11 @@ class P4AuthDataplane:
                 f"register {name!r} is P4Auth-internal state and must not "
                 "be exposed to C-DP operations"
             )
-        register = self.switch.registers.get(name)
-        reg_id = self.switch.registers.id_of(name)
-
-        def do_read() -> None:
-            self._op_ok = True
-            self._op_result = register.read(self._op_index)
-
-        def do_write() -> None:
-            self._op_ok = True
-            register.write(self._op_index, self._op_value)
-            self._op_result = self._op_value
-
-        self.mapping_table.register_action(f"{name}_read", do_read)
-        self.mapping_table.register_action(f"{name}_write", do_write)
-        self.mapping_table.insert(TableEntry(
-            key=(reg_id, int(RegOpType.READ_REQ)), action=f"{name}_read"))
-        self.mapping_table.insert(TableEntry(
-            key=(reg_id, int(RegOpType.WRITE_REQ)), action=f"{name}_write"))
-        return reg_id
+        return self.regops.map_register(name)
 
     def map_all_registers(self) -> Dict[str, int]:
         """Map every non-P4Auth register; returns name -> id."""
-        mapping = {}
-        for name in self.switch.registers.names():
-            if not is_internal_register(name):
-                mapping[name] = self.map_register(name)
-        return mapping
+        return self.regops.map_all_registers()
 
     # ------------------------------------------------------------------
     # verify stage
@@ -393,18 +361,18 @@ class P4AuthDataplane:
             return
         self._expected_seq.write(0, (seq + 1) & 0xFFFFFFFF)
 
-        self._op_index = payload["index"]
-        self._op_value = payload["value"]
+        value = payload["value"]
         if encrypted:
             # Encrypt-then-MAC order: the digest already verified over the
             # ciphertext; decrypt only now (costs hash units).
             session = self._session_keys(hdr["keyVer"])
-            self._op_value = encrypt_value(session, seq, self._op_value)
+            value = encrypt_value(session, seq, value)
             self._charge_kdf()
-        self._op_ok = False
-        self._op_result = 0
-        self.mapping_table.lookup(payload["regId"], hdr["msgType"])
-        if not self._op_ok:
+        result = self.regops.apply(payload["regId"], hdr["msgType"],
+                                   payload["index"], value)
+        if result is None:
+            # Unmapped (regId, opType), or an index / value that does not
+            # fit the register: one NACK, one alert code.
             self.stats.unknown_register += 1
             self._raise_alert(ctx, AlertCode.UNKNOWN_REGISTER,
                               detail=payload["regId"])
@@ -414,7 +382,7 @@ class P4AuthDataplane:
             return
         self.stats.regops_served += 1
         self._respond_reg(ctx, ok=True, payload=payload, seq=seq,
-                          value=self._op_result, encrypted=encrypted,
+                          value=result, encrypted=encrypted,
                           key_ver=hdr["keyVer"])
 
     def _session_keys(self, key_ver: int):

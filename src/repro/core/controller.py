@@ -134,8 +134,8 @@ class P4AuthController:
         #: request unanswered after that long is re-issued (fresh seq)
         #: up to ``max_request_attempts`` times, then abandoned with a
         #: terminal ``callback(False, 0)``.  ``None`` (the default) keeps
-        #: the fire-and-wait behaviour that the DoS heuristics
-        #: (``unacknowledged_seqs``) are tuned for.
+        #: the fire-and-wait behaviour that the DoS heuristic
+        #: (``outstanding_threshold``) is tuned for.
         self.requests = RequestLifecycle(
             network, "P4Auth",
             RetryPolicy(request_timeout_s, max_request_attempts),
@@ -339,11 +339,6 @@ class P4AuthController:
 
     def outstanding_count(self) -> int:
         return self.requests.outstanding_count()
-
-    def unacknowledged_seqs(self, switch: str) -> List[int]:
-        """Sequence numbers sent but not yet answered (§VIII DoS defense)."""
-        return sorted(seq for (name, seq) in self.requests.pending
-                      if name == switch)
 
     # ------------------------------------------------------------------
     # PacketIn handling

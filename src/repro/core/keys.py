@@ -36,29 +36,14 @@ class VersionedKey:
     def by_version(self, version: int) -> int:
         return self.slots[version % KEY_VERSIONS]
 
-    def install(self, key: int) -> int:
-        """Write the new key into the inactive slot and flip to it.
-
-        The very first install occupies the current (empty) slot without
-        flipping, so version counters start at 0 on both endpoints and
-        stay in lockstep thereafter.  Returns the new active version,
-        which senders tag messages with.
-        """
-        if self.slots[self.active_version] == 0:
-            self.slots[self.active_version] = key
-            return self.active_version
-        new_version = (self.active_version + 1) % KEY_VERSIONS
-        self.slots[new_version] = key
-        self.active_version = new_version
-        return new_version
-
     def install_at(self, key: int, version: int) -> int:
         """Install into an explicit version slot and make it active.
 
-        Used when the protocol dictates the slot (the version is derived
-        from the authenticated exchange messages), so the two endpoints
-        cannot drift even if one of them completed an attempt the other
-        never saw.
+        The one install path: the protocol dictates the slot (the
+        version is derived from the authenticated exchange messages), so
+        the two endpoints cannot drift even if one of them completed an
+        attempt the other never saw.  Returns the new active version,
+        which senders tag messages with.
         """
         version %= KEY_VERSIONS
         self.slots[version] = key
@@ -97,21 +82,6 @@ class DataplaneKeyStore:
             version = self.active_version(index)
         return self._key_regs[version % KEY_VERSIONS].read(index)
 
-    def install(self, index: int, key: int) -> int:
-        """Two-version consistent install; returns the new version tag.
-
-        As in :class:`VersionedKey`, the first install of a slot occupies
-        the current (empty) version without flipping.
-        """
-        current = self.active_version(index)
-        if self._key_regs[current].read(index) == 0:
-            self._key_regs[current].write(index, key)
-            return current
-        new_version = (current + 1) % KEY_VERSIONS
-        self._key_regs[new_version].write(index, key)
-        self._write_version(index, new_version)
-        return new_version
-
     def install_at(self, index: int, key: int, version: int) -> int:
         """Install into an explicit version slot and make it active
         (see :meth:`VersionedKey.install_at`)."""
@@ -147,18 +117,10 @@ class DataplaneKeyStore:
     def local_key(self, version: Optional[int] = None) -> int:
         return self.get(LOCAL_KEY_INDEX, version)
 
-    def set_local_key(self, key: int) -> int:
-        return self.install(LOCAL_KEY_INDEX, key)
-
     def port_key(self, port: int, version: Optional[int] = None) -> int:
         if not 1 <= port <= self.num_ports:
             raise IndexError(f"port {port} out of range 1..{self.num_ports}")
         return self.get(port, version)
-
-    def set_port_key(self, port: int, key: int) -> int:
-        if not 1 <= port <= self.num_ports:
-            raise IndexError(f"port {port} out of range 1..{self.num_ports}")
-        return self.install(port, key)
 
     def has_port_key(self, port: int) -> bool:
         """True if the port has a nonzero key (zero = unprotected edge)."""
@@ -206,13 +168,6 @@ class ControllerKeyStore:
         return switch in self._auth
 
     # -- local key (from ADHKD), versioned --------------------------------------
-
-    def install_local_key(self, switch: str, k_local: int) -> int:
-        entry = self._local.setdefault(switch, VersionedKey())
-        version = entry.install(k_local)
-        if self.listener is not None:
-            self.listener(switch, "local", k_local, version)
-        return version
 
     def install_local_key_at(self, switch: str, k_local: int,
                              version: int) -> int:

@@ -22,13 +22,13 @@ establishment (LLDP-style port events) and periodic rollover.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, ClassVar, Dict, List, Optional, Tuple, Union
 
 from repro.core.constants import (
     ADHKD,
     EAK,
     P4AUTH,
-    HdrType,
     KeyExchType,
 )
 from repro.core.exchange import AdhkdEndpoint, EakEndpoint
@@ -41,12 +41,16 @@ from repro.core.requests import RetryPolicy
 from repro.dataplane.packet import Packet
 from repro.telemetry import KMP_RTT_BUCKETS
 
-DoneCallback = Callable[["KmpOpRecord"], None]
+#: A key operation's one terminal callback: called exactly once, with the
+#: :class:`KmpOpRecord` (``ok``) or, abandoned, the :class:`KmpFailure`.
+DoneCallback = Callable[[Union["KmpOpRecord", "KmpFailure"]], None]
 
 
 @dataclass
 class KmpOpRecord:
     """One completed key-management operation (a Fig 20 / Table III row)."""
+
+    ok: ClassVar[bool] = True
 
     op: str  # "local_init" | "local_update" | "port_init" | "port_update"
     switch: str
@@ -67,12 +71,6 @@ class KmpStats:
     def rtts(self, op: str) -> List[float]:
         return [r.rtt_s for r in self.records if r.op == op]
 
-    def mean_rtt(self, op: str) -> float:
-        samples = self.rtts(op)
-        if not samples:
-            raise ValueError(f"no completed {op!r} operations")
-        return sum(samples) / len(samples)
-
     def message_count(self, op: str) -> int:
         samples = [r.messages for r in self.records if r.op == op]
         if not samples:
@@ -92,6 +90,8 @@ class KmpStats:
 @dataclass
 class KmpFailure:
     """An operation that never completed (lost/tampered messages)."""
+
+    ok: ClassVar[bool] = False
 
     op: str
     switch: str
@@ -117,6 +117,26 @@ class _Exchange:
     completed: bool = False
 
 
+def _issue_all(ops: List[Callable[[DoneCallback], None]],
+               on_resolved: Callable[[], None]) -> None:
+    """The one key-operation barrier: issue ``ops`` (each a callable
+    taking its ``on_done``) in this order and call ``on_resolved``
+    exactly once, when every one has resolved — completed or abandoned,
+    so a dead switch cannot hang it."""
+    unresolved = len(ops)
+
+    def resolved(_outcome) -> None:
+        nonlocal unresolved
+        unresolved -= 1
+        if not unresolved:
+            on_resolved()
+
+    if not ops:
+        on_resolved()
+    for op in ops:
+        op(resolved)
+
+
 class KeyManagementProtocol:
     """Controller-resident KMP engine (owned by P4AuthController)."""
 
@@ -131,9 +151,6 @@ class KeyManagementProtocol:
         self.retry = retry or RetryPolicy(
             0.02, max_attempts=3, factor=2.0, cap_s=0.25, jitter=0.1,
             seed=0x5EED)
-        #: Observers of abandoned exchanges (the terminal failure surface;
-        #: ``bootstrap_all`` and chaos scenarios subscribe here).
-        self.on_abandoned: List[Callable[[KmpFailure], None]] = []
         self._by_seq: Dict[Tuple[str, int], _Exchange] = {}
         self._by_port: Dict[Tuple[str, int], _Exchange] = {}
         self._rollover_interval: Optional[float] = None
@@ -147,9 +164,6 @@ class KeyManagementProtocol:
         name = dataplane.switch.name
         dataplane.on_port_key_installed.append(
             lambda port, key, now, sw=name: self._port_key_done(sw, port, now)
-        )
-        dataplane.on_local_key_installed.append(
-            lambda key, now, sw=name: None  # completion tracked via MSG2
         )
         dataplane.on_dpdp_exchange_sent.append(
             lambda port, packet, sw=name: self._dpdp_sent(sw, port, packet)
@@ -190,27 +204,32 @@ class KeyManagementProtocol:
                                                   _attempt + 1))
 
     def port_key_init(self, switch: str, port: int,
-                      on_done: Optional[DoneCallback] = None,
-                      _attempt: int = 1) -> None:
+                      on_done: Optional[DoneCallback] = None) -> None:
         """Redirected ADHKD between two data planes (Fig 14c)."""
         self._start_port_op("port_init", KeyExchType.PORT_KEY_INIT,
-                            switch, port, on_done, _attempt)
+                            switch, port, on_done)
 
     def port_key_update(self, switch: str, port: int,
-                        on_done: Optional[DoneCallback] = None,
-                        _attempt: int = 1) -> None:
+                        on_done: Optional[DoneCallback] = None) -> None:
         """Direct DP-DP ADHKD under the current K_port (Fig 14d)."""
         self._start_port_op("port_update", KeyExchType.PORT_KEY_UPDATE,
-                            switch, port, on_done, _attempt)
+                            switch, port, on_done)
 
     def _start_port_op(self, op: str, msg_type: KeyExchType, switch: str,
                        port: int, on_done: Optional[DoneCallback],
-                       attempt: int) -> None:
+                       attempt: int = 1) -> None:
         """Ask ``switch`` to start (or roll) the key on ``port``."""
-        peer, peer_port = self._peer_of(switch, port)
         exchange = _Exchange(op, switch, self.c.sim.now, port=port,
-                             peer=peer, peer_port=peer_port, on_done=on_done,
-                             attempt=attempt)
+                             on_done=on_done, attempt=attempt)
+        try:
+            exchange.peer, exchange.peer_port = self._peer_of(switch, port)
+        except KeyError:
+            if attempt == 1:
+                raise
+            # The peer vanished between attempts (link removed, topology
+            # change): abandon instead of crashing the event loop.
+            self._abandon(exchange)
+            return
         self._by_port[(switch, port)] = exchange
         seq = self.c.next_seq(switch)
         message = build_keyctl_message(msg_type, port, seq,
@@ -218,8 +237,8 @@ class KeyManagementProtocol:
         self.c.digest.sign(self.c.keys.local_key(switch), message)
         self._send(exchange, switch, message)
         self._watch(exchange,
-                    lambda: self._retry_port_op(op, switch, port,
-                                                on_done, exchange.attempt))
+                    lambda: self._start_port_op(op, msg_type, switch, port,
+                                                on_done, attempt + 1))
 
     # ------------------------------------------------------------------
     # convenience: bootstrap, rollover, topology automation
@@ -251,61 +270,28 @@ class KeyManagementProtocol:
         :attr:`KmpStats.failures` for the outcome.  Port keys are only
         attempted across links whose both endpoints obtained a local key.
         """
-        switches = sorted(self.c.dataplanes)
-        if not switches:
-            if on_done is not None:
-                on_done()
-            return
-        state = {"phase": "locals",
-                 "locals": set(switches),
-                 "ports": set()}
-        hooks: List[Callable[[KmpFailure], None]] = []
-
-        def finish() -> None:
-            state["phase"] = "done"
-            if hooks:
-                self.on_abandoned.remove(hooks.pop())
-            if on_done is not None:
-                on_done()
-
-        def resolve_local(switch: str) -> None:
-            state["locals"].discard(switch)
-            if state["phase"] == "locals" and not state["locals"]:
-                start_ports()
-
-        def resolve_port(key: Tuple[str, Optional[int]]) -> None:
-            state["ports"].discard(key)
-            if state["phase"] == "ports" and not state["ports"]:
-                finish()
-
         def start_ports() -> None:
-            state["phase"] = "ports"
-            keyed = [
-                (sw_a, port_a)
-                for sw_a, port_a, sw_b, _port_b in self.switch_links()
-                if (self.c.keys.has_local_key(sw_a)
-                    and self.c.keys.has_local_key(sw_b))
-            ]
-            if not keyed:
-                finish()
-                return
-            state["ports"] = set(keyed)
-            for sw_a, port_a in keyed:
-                self.port_key_init(
-                    sw_a, port_a,
-                    on_done=lambda r: resolve_port((r.switch, r.port)))
+            _issue_all(
+                [partial(self.port_key_init, sw_a, port_a)
+                 for sw_a, port_a, sw_b, _port_b in self.switch_links()
+                 if (self.c.keys.has_local_key(sw_a)
+                     and self.c.keys.has_local_key(sw_b))],
+                on_done or (lambda: None))
 
-        def on_abandon(failure: KmpFailure) -> None:
-            if failure.op == "local_init":
-                resolve_local(failure.switch)
-            elif failure.op == "port_init":
-                resolve_port((failure.switch, failure.port))
+        _issue_all([partial(self.local_key_init, switch)
+                    for switch in sorted(self.c.dataplanes)], start_ports)
 
-        hooks.append(on_abandon)
-        self.on_abandoned.append(on_abandon)
-        for switch in switches:
-            self.local_key_init(switch,
-                                on_done=lambda r: resolve_local(r.switch))
+    def rollover_due(self) -> Tuple[List[str], List[Tuple[str, int]]]:
+        """What one full rollover updates: every held local key, then
+        every held port key from the initiator end — ``(switches,
+        [(switch, port), ...])`` in issue order."""
+        held = [switch for switch in sorted(self.c.dataplanes)
+                if self.c.keys.has_local_key(switch)]
+        ports = [(sw_a, port_a)
+                 for sw_a, port_a, _sw_b, _port_b in self.switch_links()
+                 if sw_a in self.c.dataplanes
+                 and self.c.dataplanes[sw_a].keys.has_port_key(port_a)]
+        return held, ports
 
     def schedule_rollover(self, interval_s: float) -> None:
         """Periodically update every local and port key (§VIII key-size
@@ -319,16 +305,13 @@ class KeyManagementProtocol:
         self._rollover_interval = None
 
     def _rollover_tick(self) -> None:
-        if self._rollover_interval is None or getattr(self.c, "halted",
-                                                      False):
+        if self._rollover_interval is None or self.c.halted:
             return
-        for switch in sorted(self.c.dataplanes):
-            if self.c.keys.has_local_key(switch):
-                self.local_key_update(switch)
-        for sw_a, port_a, _sw_b, _port_b in self.switch_links():
-            dataplane = self.c.dataplanes.get(sw_a)
-            if dataplane is not None and dataplane.keys.has_port_key(port_a):
-                self.port_key_update(sw_a, port_a)
+        held, ports = self.rollover_due()
+        for switch in held:
+            self.local_key_update(switch)
+        for switch, port in ports:
+            self.port_key_update(switch, port)
         self.c.sim.schedule(self._rollover_interval, self._rollover_tick)
 
     def enable_topology_automation(self) -> None:
@@ -383,7 +366,7 @@ class KeyManagementProtocol:
             self.c._record_tamper(switch, hdr["seqNum"],
                                   "EAK salt2 digest mismatch")
             return
-        self._count_recv(exchange, packet)
+        self._count(exchange, packet)
         k_auth = exchange.eak.finish(packet.get(EAK)["salt"])
         self.c.keys.set_auth_key(switch, k_auth)
         # Continue straight into ADHKD, authenticated with K_auth.
@@ -419,7 +402,7 @@ class KeyManagementProtocol:
             self.c._record_tamper(switch, hdr["seqNum"],
                                   "local-key ADHKD msg2 digest mismatch")
             return
-        self._count_recv(exchange, packet)
+        self._count(exchange, packet)
         payload = packet.get(ADHKD)
         master = exchange.adhkd.finish(payload["pk"], payload["salt"])
         if exchange.op == "local_init":
@@ -443,7 +426,7 @@ class KeyManagementProtocol:
             self.c._record_tamper(switch, hdr["seqNum"],
                                   "redirected ADHKD msg1 digest mismatch")
             return
-        self._count_recv(exchange, packet)
+        self._count(exchange, packet)
         payload = packet.get(ADHKD)
         peer, peer_port = exchange.peer, exchange.peer_port
         seq = self.c.next_seq(peer)
@@ -469,7 +452,7 @@ class KeyManagementProtocol:
             self.c._record_tamper(switch, hdr["seqNum"],
                                   "redirected ADHKD msg2 digest mismatch")
             return
-        self._count_recv(exchange, packet)
+        self._count(exchange, packet)
         payload = packet.get(ADHKD)
         initiator = exchange.switch
         seq = self.c.next_seq(initiator)
@@ -503,8 +486,7 @@ class KeyManagementProtocol:
                 return
             exchange = self._by_port.get((peer, peer_port))
         if exchange is not None:
-            exchange.messages += 1
-            exchange.bytes += packet.size_bytes
+            self._count(exchange, packet)
 
     def _watch(self, exchange: _Exchange, restart) -> None:
         """Re-run the operation if it hasn't completed within the timeout."""
@@ -512,7 +494,7 @@ class KeyManagementProtocol:
                             self._check_exchange, exchange, restart)
 
     def _check_exchange(self, exchange: _Exchange, restart) -> None:
-        if exchange.completed or getattr(self.c, "halted", False):
+        if exchange.completed or self.c.halted:
             return
         self._purge(exchange)
         telemetry = self.c.telemetry
@@ -526,7 +508,8 @@ class KeyManagementProtocol:
         restart()
 
     def _abandon(self, exchange: _Exchange) -> None:
-        """Terminal failure: record, count, and notify observers."""
+        """Terminal failure: record, count, and tell the operation's
+        ``on_done``."""
         failure = KmpFailure(exchange.op, exchange.switch, exchange.port,
                              exchange.attempt, self.c.sim.now)
         self.stats.failures.append(failure)
@@ -538,21 +521,8 @@ class KeyManagementProtocol:
                                   switch=exchange.switch,
                                   port=exchange.port,
                                   attempts=exchange.attempt)
-        for hook in list(self.on_abandoned):
-            hook(failure)
-
-    def _retry_port_op(self, op: str, switch: str, port: int,
-                       on_done, prior_attempt: int) -> None:
-        method = (self.port_key_init if op == "port_init"
-                  else self.port_key_update)
-        try:
-            method(switch, port, on_done=on_done,
-                   _attempt=prior_attempt + 1)
-        except KeyError:
-            # The peer vanished between attempts (link removed, topology
-            # change): abandon instead of crashing the event loop.
-            self._abandon(_Exchange(op, switch, self.c.sim.now, port=port,
-                                    attempt=prior_attempt + 1))
+        if exchange.on_done is not None:
+            exchange.on_done(failure)
 
     def _purge(self, exchange: _Exchange) -> None:
         """Drop all routing-table references to a stale exchange."""
@@ -590,16 +560,15 @@ class KeyManagementProtocol:
 
     def _send(self, exchange: _Exchange, switch: str, packet: Packet,
               delay: Optional[float] = None) -> None:
-        if getattr(self.c, "halted", False):
+        if self.c.halted:
             return  # a dead controller's timers send nothing
-        exchange.messages += 1
-        exchange.bytes += packet.size_bytes
+        self._count(exchange, packet)
         self.c.sim.schedule(
             delay if delay is not None else self.c.costs.controller_digest_s,
             self.c.network.send_packet_out, switch, packet,
         )
 
-    def _count_recv(self, exchange: _Exchange, packet: Packet) -> None:
+    def _count(self, exchange: _Exchange, packet: Packet) -> None:
         exchange.messages += 1
         exchange.bytes += packet.size_bytes
 
@@ -662,8 +631,6 @@ class RegionalKeyAuthority:
         self.telemetry = telemetry if telemetry is not None \
             else controller.telemetry
         self.convergences: List[RegionConvergence] = []
-        self.bootstraps = 0
-        self.rollovers = 0
         #: Observers ``hook(switch, epoch)`` of completed local-key
         #: updates (the durability layer journals epoch advances here).
         self.on_epoch: List[Callable[[str, int], None]] = []
@@ -691,18 +658,7 @@ class RegionalKeyAuthority:
     def bootstrap(self, on_done: Optional[Callable[["RegionConvergence"],
                                                    None]] = None) -> None:
         """Bootstrap the whole subtree (locals then ports) and time it."""
-        started = self.c.sim.now
-        records_before = len(self.kmp.stats.records)
-        failures_before = len(self.kmp.stats.failures)
-
-        def finish() -> None:
-            convergence = self._finish("bootstrap", started, records_before,
-                                       failures_before)
-            self.bootstraps += 1
-            if on_done is not None:
-                on_done(convergence)
-
-        self.kmp.bootstrap_all(on_done=finish)
+        self._timed("bootstrap", self.kmp.bootstrap_all, on_done)
 
     def rollover(self, on_done: Optional[Callable[["RegionConvergence"],
                                                   None]] = None) -> None:
@@ -717,60 +673,28 @@ class RegionalKeyAuthority:
             raise RuntimeError(
                 f"region {self.region_id!r}: rollover already in flight")
         self._rollover_active = True
-        started = self.c.sim.now
-        records_before = len(self.kmp.stats.records)
-        failures_before = len(self.kmp.stats.failures)
-        locals_due = [switch for switch in self.switches()
-                      if self.c.keys.has_local_key(switch)]
-        ports_due = []
-        for sw_a, port_a, _sw_b, _port_b in self.kmp.switch_links():
-            dataplane = self.c.dataplanes.get(sw_a)
-            if dataplane is not None and dataplane.keys.has_port_key(port_a):
-                ports_due.append((sw_a, port_a))
-        outstanding = ({("local", switch) for switch in locals_due}
-                       | {("port", switch, port)
-                          for switch, port in ports_due})
-        hooks: List[Callable[[KmpFailure], None]] = []
 
-        def finish() -> None:
+        def done(convergence: RegionConvergence) -> None:
             self._rollover_active = False
-            if hooks:
-                self.kmp.on_abandoned.remove(hooks.pop())
-            convergence = self._finish("rollover", started, records_before,
-                                       failures_before)
-            self.rollovers += 1
             if on_done is not None:
                 on_done(convergence)
 
-        def resolve(key: tuple) -> None:
-            outstanding.discard(key)
-            if not outstanding:
-                finish()
+        held, ports = self.kmp.rollover_due()
+        ops = ([partial(self._roll_local, switch) for switch in held]
+               + [partial(self.kmp.port_key_update, switch, port)
+                  for switch, port in ports])
+        self._timed("rollover", partial(_issue_all, ops), done)
 
-        def local_done(record: KmpOpRecord) -> None:
-            epoch = self._update_counts.get(record.switch, 0) + 1
-            self._update_counts[record.switch] = epoch
-            for hook in list(self.on_epoch):
-                hook(record.switch, epoch)
-            resolve(("local", record.switch))
+    def _roll_local(self, switch: str, on_done: DoneCallback) -> None:
+        def done(outcome) -> None:
+            if outcome.ok:
+                epoch = self._update_counts.get(switch, 0) + 1
+                self._update_counts[switch] = epoch
+                for hook in list(self.on_epoch):
+                    hook(switch, epoch)
+            on_done(outcome)
 
-        def on_abandon(failure: KmpFailure) -> None:
-            if failure.op == "local_update":
-                resolve(("local", failure.switch))
-            elif failure.op == "port_update":
-                resolve(("port", failure.switch, failure.port))
-
-        if not outstanding:
-            finish()
-            return
-        hooks.append(on_abandon)
-        self.kmp.on_abandoned.append(on_abandon)
-        for switch in locals_due:
-            self.kmp.local_key_update(switch, on_done=local_done)
-        for switch, port in ports_due:
-            self.kmp.port_key_update(
-                switch, port,
-                on_done=lambda r: resolve(("port", r.switch, r.port)))
+        self.kmp.local_key_update(switch, done)
 
     # -- consistency surfaces ----------------------------------------------
 
@@ -808,24 +732,35 @@ class RegionalKeyAuthority:
 
     # -- internals ---------------------------------------------------------
 
-    def _finish(self, op: str, started: float, records_before: int,
-                failures_before: int) -> RegionConvergence:
-        convergence = RegionConvergence(
-            region=self.region_id, op=op, started_s=started,
-            converged_s=self.c.sim.now,
-            completed=len(self.kmp.stats.records) - records_before,
-            failed=len(self.kmp.stats.failures) - failures_before)
-        self.convergences.append(convergence)
-        telemetry = self.telemetry
-        if telemetry is not None and telemetry.enabled:
-            metrics = telemetry.metrics
-            metrics.counter(f"kmp_region_{op}_total",
-                            region=self.region_id).inc()
-            metrics.histogram("kmp_region_convergence_seconds",
-                              buckets=KMP_CONVERGENCE_BUCKETS,
-                              region=self.region_id,
-                              op=op).observe(convergence.duration_s)
-        return convergence
+    def _timed(self, op: str, issue: Callable[[Callable[[], None]], None],
+               on_done: Optional[Callable[[RegionConvergence], None]]
+               ) -> None:
+        """Run one region-wide round through ``issue(on_resolved)`` and
+        record its :class:`RegionConvergence`."""
+        started = self.c.sim.now
+        records_before = len(self.kmp.stats.records)
+        failures_before = len(self.kmp.stats.failures)
+
+        def finish() -> None:
+            convergence = RegionConvergence(
+                region=self.region_id, op=op, started_s=started,
+                converged_s=self.c.sim.now,
+                completed=len(self.kmp.stats.records) - records_before,
+                failed=len(self.kmp.stats.failures) - failures_before)
+            self.convergences.append(convergence)
+            telemetry = self.telemetry
+            if telemetry is not None and telemetry.enabled:
+                metrics = telemetry.metrics
+                metrics.counter(f"kmp_region_{op}_total",
+                                region=self.region_id).inc()
+                metrics.histogram("kmp_region_convergence_seconds",
+                                  buckets=KMP_CONVERGENCE_BUCKETS,
+                                  region=self.region_id,
+                                  op=op).observe(convergence.duration_s)
+            if on_done is not None:
+                on_done(convergence)
+
+        issue(finish)
 
 
 class HierarchicalKMP:

@@ -14,8 +14,6 @@ controller's compose path, or the KMP).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.constants import (
     ADHKD,
     ADHKD_HEADER,
@@ -35,9 +33,6 @@ from repro.core.constants import (
     RegOpType,
 )
 from repro.dataplane.packet import Packet
-
-#: Header-stack names of all recognized P4Auth payloads, in match order.
-PAYLOAD_NAMES = (REG_OP, EAK, ADHKD, KEYCTL, ALERT)
 
 
 def _base_packet(hdr_type: HdrType, msg_type: int, seq_num: int,
@@ -118,14 +113,6 @@ def build_alert(code: AlertCode, detail: int, seq_num: int,
     """Alert from the data plane toward the controller (§VIII)."""
     payload = ALERT_HEADER.instantiate(code=int(code), detail=detail)
     return _base_packet(HdrType.ALERT, 0, seq_num, key_ver, ALERT, payload)
-
-
-def payload_of(packet: Packet) -> Optional[str]:
-    """Name of the packet's P4Auth payload header, if any."""
-    for name in PAYLOAD_NAMES:
-        if packet.has(name):
-            return name
-    return None
 
 
 def digest_material(packet: Packet) -> bytes:

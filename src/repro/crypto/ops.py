@@ -24,16 +24,6 @@ def xor32(a: int, b: int) -> int:
     return (a ^ b) & MASK32
 
 
-def and32(a: int, b: int) -> int:
-    """32-bit AND."""
-    return (a & b) & MASK32
-
-
-def or32(a: int, b: int) -> int:
-    """32-bit OR."""
-    return (a | b) & MASK32
-
-
 def rotl32(value: int, amount: int) -> int:
     """Rotate a 32-bit word left by a compile-time constant amount."""
     amount &= 31

@@ -105,14 +105,6 @@ class ProgramSpec:
         self._phv_containers += math.ceil(bits / 32)
         return self
 
-    def extend(self, other: "ProgramSpec") -> "ProgramSpec":
-        """Add another spec's constructs to this one."""
-        self._tables.extend(other._tables)
-        self._registers.extend(other._registers)
-        self._hashes.extend(other._hashes)
-        self._phv_containers += other._phv_containers
-        return self
-
     # -- cost computation --------------------------------------------------------
 
     def tcam_blocks(self) -> int:

@@ -48,39 +48,72 @@ RUN_DEADLINE_S = 600.0
 BOOTSTRAP_DEADLINE_S = 10.0
 
 
+def switch_index(name: str) -> int:
+    """Node index from ``sw<i>`` or ``r<k>sw<i>``."""
+    return int(name.rsplit("sw", 1)[1])
+
+
+def fleet_switch_factory(seed: int):
+    """The fleet's switch: random extern seeded ``seed + i``, one 16-slot
+    64-bit ``target`` register."""
+    def factory(name: str, num_ports: int) -> DataplaneSwitch:
+        switch = DataplaneSwitch(name, num_ports=num_ports,
+                                 seed=seed + switch_index(name))
+        switch.registers.define("target", 64, 16)
+        return switch
+
+    return factory
+
+
+def outstanding_budget(m: int, max_in_flight: int) -> int:
+    """The outstanding-requests DoS threshold for a batched fleet: the
+    heuristic budgets for ONE switch's worth of pipelining, but a fleet
+    legitimately holds up to m * window requests open, so the threshold
+    scales with it."""
+    return max(1000, 2 * m * max_in_flight)
+
+
+def attach_fleet_stack(stack_name: str, net, switches: List[str], m: int,
+                       max_in_flight: int = 8, k_seed_base: int = 0x1000,
+                       bootstrap: bool = True, **stack_kwargs):
+    """One stack over :func:`fleet_switch_factory` switches: ``target``
+    mapped, switch ``i`` seeded ``k_seed_base + i``, the DoS threshold
+    budgeted for an ``m``-switch fleet, local keys established unless
+    ``bootstrap`` is false (the caller runs the KMP itself)."""
+    stack, _dataplanes = attach_stack(
+        stack_name, net, switches, ["target"],
+        {name: k_seed_base + switch_index(name) for name in switches},
+        BOOTSTRAP_DEADLINE_S if bootstrap else None,
+        outstanding_threshold=outstanding_budget(m, max_in_flight),
+        **stack_kwargs)
+    return stack
+
+
 def build_batch_deployment(stack_name: str, m: int = 25, degree: int = 4,
                            seed: int = 1, telemetry=None,
                            request_timeout_s: Optional[float] = None,
                            loss_rate: float = 0.0,
                            max_in_flight: int = 8,
-                           digest_lane: str = "auto") -> Tuple:
+                           digest_lane: str = "auto",
+                           k_seed_base: int = 0x1000,
+                           bootstrap: bool = True) -> Tuple:
     """One stack deployed on the m-switch random-regular fabric.
 
     Returns ``(sim, net, stack, switch_names)`` with every switch
     carrying a 16-slot 64-bit ``target`` register, keys established
-    (P4Auth), and — when ``loss_rate`` > 0 — a seeded Bernoulli drop tap
-    on every control channel.  The tap is installed *after* key
-    bootstrap so setup is loss-free and deterministic; loss applies only
-    to the measured workload.
+    (P4Auth, see :func:`attach_fleet_stack`), and — when ``loss_rate``
+    > 0 — a seeded Bernoulli drop tap on every control channel.  The tap
+    is installed *after* key bootstrap so setup is loss-free and
+    deterministic; loss applies only to the measured workload.
     """
-    def factory(name: str, num_ports: int) -> DataplaneSwitch:
-        node = int(name[2:])
-        switch = DataplaneSwitch(name, num_ports=num_ports, seed=seed + node)
-        switch.registers.define("target", 64, 16)
-        return switch
-
-    net, extras = random_regular_fabric(m, degree, seed, factory=factory,
-                                        telemetry=telemetry)
+    net, extras = random_regular_fabric(
+        m, degree, seed, factory=fleet_switch_factory(seed),
+        telemetry=telemetry)
     sim, switches = extras["sim"], extras["switches"]
-    # The outstanding-requests DoS heuristic budgets for ONE switch's
-    # worth of pipelining; a batched fleet legitimately holds up to
-    # m * window requests open, so the threshold must scale with it.
-    stack, _dataplanes = attach_stack(
-        stack_name, net, switches, ["target"],
-        {name: 0x1000 + int(name[2:]) for name in switches},
-        BOOTSTRAP_DEADLINE_S, request_timeout_s=request_timeout_s,
-        outstanding_threshold=max(1000, 2 * m * max_in_flight),
-        digest_lane=digest_lane)
+    stack = attach_fleet_stack(
+        stack_name, net, switches, m, max_in_flight,
+        k_seed_base=k_seed_base, bootstrap=bootstrap,
+        request_timeout_s=request_timeout_s, digest_lane=digest_lane)
 
     if loss_rate > 0.0:
         prng = XorShiftPrng(seed ^ 0xBADC0FFE)
@@ -94,15 +127,23 @@ def build_batch_deployment(stack_name: str, m: int = 25, degree: int = 4,
     return sim, net, stack, switches
 
 
+def write_schedule(switches: List[str], rounds: int
+                   ) -> List[Tuple[str, int, int]]:
+    """``rounds`` requests per switch as ``(switch, index, value)``,
+    interleaving switches round-robin so batched windows fill evenly."""
+    return [(sw, i % 16, (0xAB00 + round_idx) & 0xFFFF)
+            for round_idx in range(rounds)
+            for i, sw in enumerate(switches)]
+
+
 def run_batch_workload(sim, stack, switches: List[str], mode: str = "batched",
                        kind: str = "write", requests_per_switch: int = 8,
                        max_in_flight: int = 8,
                        reg_name: str = "target") -> Dict[str, object]:
-    """Drive the same request list sequentially or batched; measure.
+    """Drive the :func:`write_schedule` sequentially or batched; measure.
 
-    The request list interleaves switches round-robin so the batched
-    windows fill evenly.  Throughput is completed requests over the span
-    from first issue to last terminal outcome (virtual time).
+    Throughput is completed requests over the span from first issue to
+    last terminal outcome (virtual time).
 
     ``mode="vectorized"`` schedules exactly like ``"batched"`` (the
     deployment's forced digest lane is what differs); both submit
@@ -112,11 +153,7 @@ def run_batch_workload(sim, stack, switches: List[str], mode: str = "batched",
     if mode not in ("sequential", "batched", "vectorized"):
         raise ValueError(
             "mode must be 'sequential', 'batched', or 'vectorized'")
-    requests = [
-        (sw, i % 16, (0xAB00 + round_idx) & 0xFFFF)
-        for round_idx in range(requests_per_switch)
-        for i, sw in enumerate(switches)
-    ]
+    requests = write_schedule(switches, requests_per_switch)
     start = sim.now
     state = {"ok": 0, "failed": 0, "last_done": start}
     rcts: List[float] = []

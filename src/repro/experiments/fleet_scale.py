@@ -40,57 +40,30 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.controller import P4AuthController
 from repro.core.kmp import HierarchicalKMP, RegionalKeyAuthority
 from repro.dataplane.packet import Packet
-from repro.dataplane.switch import DataplaneSwitch
 from repro.engine.registry import register
 from repro.engine.runner import run_region_tasks
 from repro.engine.spec import ExperimentSpec, TrialContext
-from repro.net.region import RegionalWorld
-from repro.net.topology import (
-    random_regular_fabric,
-    region_seed,
-    region_sizes,
-    regional_fabric,
+from repro.experiments.cdp_batch import (
+    attach_fleet_stack,
+    build_batch_deployment,
+    fleet_switch_factory,
+    run_batch_workload,
+    write_schedule,
 )
-from repro.runtime.batch import BatchController
-from repro.runtime.comparison import attach_stack
+from repro.net.region import RegionalWorld
+from repro.net.topology import region_seed, region_sizes, regional_fabric
 
 #: Virtual-time budget for one region-wide bootstrap (parallel
 #: handshakes: a few C-DP RTTs regardless of m).
 BOOTSTRAP_DEADLINE_S = 30.0
 ROLLOVER_DEADLINE_S = 30.0
-WORKLOAD_DEADLINE_S = 600.0
 #: Probe packets pushed across each boundary link per direction.
 BOUNDARY_PROBES = 4
 
 
-def _switch_index(name: str) -> int:
-    """Node index from ``sw<i>`` or ``r<k>sw<i>``."""
-    return int(name.rsplit("sw", 1)[1])
-
-
-def _make_factory(seed: int):
-    def factory(name: str, num_ports: int) -> DataplaneSwitch:
-        node = _switch_index(name)
-        switch = DataplaneSwitch(name, num_ports=num_ports,
-                                 seed=seed + node)
-        switch.registers.define("target", 64, 16)
-        return switch
-
-    return factory
-
-
-def _provision_p4auth(net, switches: List[str], seed: int,
-                      region_index: int, m_for_threshold: int,
-                      max_in_flight: int) -> P4AuthController:
-    """One region controller with every switch provisioned (keys pending)."""
-    k_seeds = {name: 0x1000 + (region_index << 20) + _switch_index(name)
-               for name in switches}
-    controller, _dataplanes = attach_stack(
-        "P4Auth", net, switches, ["target"], k_seeds,
-        bootstrap_deadline_s=None,
-        outstanding_threshold=max(1000,
-                                  2 * m_for_threshold * max_in_flight))
-    return controller
+def _k_seed_base(region_index: int) -> int:
+    """Each region's K_seeds live in their own 2**20 block."""
+    return 0x1000 + (region_index << 20)
 
 
 def build_fleet_deployment(m: int, regions: int, degree: int = 4,
@@ -102,14 +75,15 @@ def build_fleet_deployment(m: int, regions: int, degree: int = 4,
     """The lockstep multi-region P4Auth fleet (Phase B / chaos tests)."""
     world, extras = regional_fabric(
         m, regions=regions, degree=degree, seed=seed,
-        factory=_make_factory(seed),
+        factory=fleet_switch_factory(seed),
         boundary_links_per_pair=boundary_links_per_pair)
     controllers: Dict[str, P4AuthController] = {}
     authorities: Dict[str, RegionalKeyAuthority] = {}
     for region in world.regions:
-        controller = _provision_p4auth(
-            region.net, region.switches, seed, region.index,
-            m_for_threshold=m, max_in_flight=max_in_flight)
+        # One region controller, every switch provisioned, keys pending.
+        controller = attach_fleet_stack(
+            "P4Auth", region.net, region.switches, m, max_in_flight,
+            k_seed_base=_k_seed_base(region.index), bootstrap=False)
         controllers[region.id] = controller
         authorities[region.id] = RegionalKeyAuthority(region.id, controller)
     hier = HierarchicalKMP(world, authorities)
@@ -119,47 +93,24 @@ def build_fleet_deployment(m: int, regions: int, degree: int = 4,
 def _drive_batched_writes(sim, controller, switches: List[str],
                           requests_per_switch: int,
                           max_in_flight: int) -> Dict[str, object]:
-    """The cdp_batch write schedule + ground-truth end-state check."""
-    requests = [
-        (sw, i % 16, (0xAB00 + round_idx) & 0xFFFF)
-        for round_idx in range(requests_per_switch)
-        for i, sw in enumerate(switches)
-    ]
-    start = sim.now
-    state = {"ok": 0, "failed": 0, "last_done": start}
-
-    def on_done(ok: bool, _value: int) -> None:
-        state["ok" if ok else "failed"] += 1
-        state["last_done"] = sim.now
-
-    batch = BatchController(controller, max_in_flight=max_in_flight)
-    batch.submit_many([("write", sw, "target", index, value, on_done)
-                       for sw, index, value in requests])
-    sim.run(until=start + WORKLOAD_DEADLINE_S)
-
+    """The cdp_batch write workload + ground-truth end-state check."""
+    result = run_batch_workload(sim, controller, switches,
+                                requests_per_switch=requests_per_switch,
+                                max_in_flight=max_in_flight)
     # Ground truth: every register cell must hold the *last* value the
     # controller issued for it (per-switch FIFO ordering guarantees the
     # last submitted write lands last).  Anything else is a forged or
     # lost write.
-    expected: Dict[Tuple[str, int], int] = {}
-    for sw, index, value in requests:
-        expected[(sw, index)] = value
-    forged = 0
-    for (sw, index), value in expected.items():
-        actual = controller.network.switch(sw).registers.get(
-            "target").read(index)
-        if actual != value:
-            forged += 1
-    duration = state["last_done"] - start
-    return {
-        "submitted": len(requests),
-        "completed": state["ok"],
-        "failed": state["failed"],
-        "duration_s": duration,
-        "throughput_rps": (state["ok"] / duration) if duration > 0 else 0.0,
-        "in_flight_high_water": batch.stats.in_flight_high_water,
-        "bad_end_states": forged,
-    }
+    expected = {(sw, index): value for sw, index, value
+                in write_schedule(switches, requests_per_switch)}
+    workload = {key: result[key] for key in (
+        "submitted", "completed", "failed", "duration_s", "throughput_rps",
+        "in_flight_high_water")}
+    workload["bad_end_states"] = sum(
+        1 for (sw, index), value in expected.items()
+        if controller.network.switch(sw).registers.get(
+            "target").read(index) != value)
+    return workload
 
 
 def _region_task(region_id: str, m: int, regions: int, degree: int,
@@ -175,12 +126,10 @@ def _region_task(region_id: str, m: int, regions: int, degree: int,
     index = int(region_id[1:])
     size = region_sizes(m, regions)[index]
     rseed = region_seed(seed, index)
-    net, extras = random_regular_fabric(size, degree, rseed,
-                                        factory=_make_factory(rseed))
-    sim, switches = extras["sim"], extras["switches"]
-    controller = _provision_p4auth(net, switches, rseed, index,
-                                   m_for_threshold=size,
-                                   max_in_flight=max_in_flight)
+    sim, _net, controller, switches = build_batch_deployment(
+        "P4Auth", m=size, degree=degree, seed=rseed,
+        max_in_flight=max_in_flight, k_seed_base=_k_seed_base(index),
+        bootstrap=False)
     authority = RegionalKeyAuthority(region_id, controller)
 
     wall: Dict[str, float] = {}

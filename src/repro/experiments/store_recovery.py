@@ -29,18 +29,20 @@ it).
 
 from __future__ import annotations
 
-import os
 import shutil
 import tempfile
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.controller import P4AuthController
+from repro.core.kmp import RegionalKeyAuthority
 from repro.engine.registry import register
 from repro.engine.spec import ExperimentSpec, TrialContext
 from repro.experiments.cdp_batch import (
     build_batch_deployment,
+    outstanding_budget,
     run_batch_workload,
+    write_schedule,
 )
 from repro.faults.controller import ControllerKillSwitch
 from repro.runtime.batch import BatchController
@@ -62,39 +64,16 @@ PHASE_DEADLINE_S = 600.0
 KILL_POINTS = RECORD_TYPES + ("time",)
 
 
-def _seq_divergence(controller) -> Dict[str, int]:
-    """controller next-seq minus data-plane expected, per switch."""
-    divergence: Dict[str, int] = {}
-    for name, dataplane in controller.dataplanes.items():
-        expected = dataplane.switch.registers.get(
-            "p4auth_expected_seq").read(0)
-        divergence[name] = controller._seq[name] - expected
-    return divergence
-
-
-def _defense_counters(dataplanes) -> Dict[str, int]:
-    totals = {"replays_detected": 0, "digest_fail_cdp": 0,
-              "digest_fail_dpdp": 0, "alerts_raised": 0}
-    for dataplane in dataplanes:
-        stats = dataplane.stats
-        totals["replays_detected"] += stats.replays_detected
-        totals["digest_fail_cdp"] += stats.digest_fail_cdp
-        totals["digest_fail_dpdp"] += stats.digest_fail_dpdp
-        totals["alerts_raised"] += stats.alerts_raised
-    return totals
-
-
-def _submit_rounds(sim, batch, switches: List[str], rounds: int,
+def _submit_rounds(batch, switches: List[str], rounds: int,
                    counts: Dict[str, int]) -> None:
-    """Round-robin write workload through the batch facade."""
+    """The cdp_batch write schedule through an already-journaled batch
+    facade (the caller runs the clock: the kill lands mid-burst)."""
     def on_done(ok: bool, _value: int) -> None:
         counts["ok" if ok else "failed"] += 1
 
-    batch.submit_many([
-        ("write", sw, "target", i % 16, (0xAB00 + r) & 0xFFFF, on_done)
-        for r in range(rounds)
-        for i, sw in enumerate(switches)
-    ])
+    batch.submit_many([("write", sw, "target", index, value, on_done)
+                       for sw, index, value in write_schedule(switches,
+                                                              rounds)])
 
 
 def run_crash_trial(params: Dict[str, object],
@@ -145,10 +124,7 @@ def _crash_trial(params, state_dir: str, m: int, kill_on: str, fsync: str,
         journal, snapshots,
         seq_stride=int(params.get("seq_stride", 2)),
         snapshot_every=params.get("snapshot_every"))
-    authority = None
-    if rollover:
-        from repro.core.kmp import RegionalKeyAuthority
-        authority = RegionalKeyAuthority("r0", controller)
+    authority = RegionalKeyAuthority("r0", controller)
 
     kill = ControllerKillSwitch(net, recorder)
     # key_install and shard_map records only occur while attach()
@@ -158,7 +134,8 @@ def _crash_trial(params, state_dir: str, m: int, kill_on: str, fsync: str,
     if kill_on in ("key_install", "shard_map"):
         kill.arm_on_record(kill_on,
                            occurrence=int(params.get("occurrence", 1)))
-    recorder.attach(controller, batch=batch, authority=authority,
+    recorder.attach(controller, batch=batch,
+                    authority=authority if rollover else None,
                     shard_id="shard-0")
     if kill_on == "time":
         kill.arm_at(float(params.get("kill_delay_s", 0.002)))
@@ -169,8 +146,8 @@ def _crash_trial(params, state_dir: str, m: int, kill_on: str, fsync: str,
     # ---- phase 1: burst until the kill fires -------------------------
     phase1 = {"ok": 0, "failed": 0}
     if kill.kills == 0:
-        _submit_rounds(sim, batch, switches, rounds, phase1)
-        if authority is not None and kill.kills == 0:
+        _submit_rounds(batch, switches, rounds, phase1)
+        if rollover and kill.kills == 0:
             authority.rollover()
         sim.run(until=sim.now + PHASE_DEADLINE_S)
     if kill.kills == 0:
@@ -180,13 +157,13 @@ def _crash_trial(params, state_dir: str, m: int, kill_on: str, fsync: str,
     # The restart gap: in-flight phase-1 packets land and drop.
     sim.run(until=sim.now + RESTART_GAP_S)
     lost_in_flight = batch.in_flight() + batch.queued()
-    defenses_before = _defense_counters(controller.dataplanes.values())
+    defenses_before = authority.tamper_indicators()
 
     # ---- recovery ----------------------------------------------------
     dataplanes = list(controller.dataplanes.values())
     wall_start = time.perf_counter()
     controller2 = P4AuthController(
-        net, outstanding_threshold=max(1000, 2 * m * max_in_flight))
+        net, outstanding_threshold=outstanding_budget(m, max_in_flight))
     for dataplane in dataplanes:
         controller2.provision(dataplane)
     batch2 = BatchController(controller2, max_in_flight=max_in_flight)
@@ -208,13 +185,15 @@ def _crash_trial(params, state_dir: str, m: int, kill_on: str, fsync: str,
 
     # ---- phase 2: prove the fleet is fully usable --------------------
     phase2 = {"ok": 0, "failed": 0}
-    _submit_rounds(sim, batch2, switches, rounds, phase2)
+    _submit_rounds(batch2, switches, rounds, phase2)
     sim.run(until=sim.now + PHASE_DEADLINE_S)
 
-    divergence = _seq_divergence(controller2)
-    defenses_after = _defense_counters(dataplanes)
+    recovered = RegionalKeyAuthority("r0", controller2)
+    divergence = recovered.seq_divergence()
+    defenses_after = recovered.tamper_indicators()
     defense_trips = {key: defenses_after[key] - defenses_before[key]
-                     for key in defenses_after}
+                     for key in ("replays_detected", "digest_fail_cdp",
+                                 "digest_fail_dpdp", "alerts_raised")}
     result = {
         "m": m,
         "kill_on": kill_on,

@@ -9,9 +9,6 @@ whether the tamper was detected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List
-
 from repro.engine.registry import register
 from repro.engine.spec import ExperimentSpec, TrialContext
 from repro.systems import blink, flowradar, netcache, netwarden, silkroad
@@ -24,38 +21,6 @@ SYSTEMS = {
     "flowradar": flowradar.run_scenario,
     "netwarden": netwarden.run_scenario,
 }
-
-
-@dataclass
-class TableIResult:
-    #: system -> mode -> scenario result.
-    matrix: Dict[str, Dict[str, TableIScenarioResult]] = field(
-        default_factory=dict)
-
-    def rows(self) -> List[List[object]]:
-        out = []
-        for system, by_mode in self.matrix.items():
-            baseline = by_mode["baseline"]
-            attack = by_mode["attack"]
-            p4auth = by_mode["p4auth"]
-            out.append([
-                system,
-                baseline.impact_metric,
-                f"{baseline.impact_value:.3f}",
-                f"{attack.impact_value:.3f}",
-                f"{p4auth.impact_value:.3f}",
-                "yes" if attack.state_poisoned else "no",
-                "yes" if p4auth.detected else "no",
-            ])
-        return out
-
-
-def run_table1(systems: Dict = None) -> TableIResult:
-    """Run every Table I scenario in every mode."""
-    result = TableIResult()
-    for name, scenario in (systems or SYSTEMS).items():
-        result.matrix[name] = {mode: scenario(mode) for mode in MODES}
-    return result
 
 
 def _trial(ctx: TrialContext) -> TableIScenarioResult:

@@ -19,11 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.dataplane.switch import DataplaneSwitch
 from repro.engine.registry import register
 from repro.engine.spec import ExperimentSpec, TrialContext
-from repro.net.topology import random_regular_fabric
-from repro.runtime.comparison import attach_stack
+from repro.experiments.cdp_batch import build_batch_deployment
 
 
 @dataclass
@@ -55,29 +53,14 @@ def formulas(m: int, n: int) -> Dict[str, int]:
     }
 
 
-def build_regular_network(m: int = 25, degree: int = 4,
-                          seed: int = 1) -> tuple:
-    """An m-switch P4Auth deployment on the shared random-regular fabric
-    (m=25, d=4 gives exactly the paper's n=50 links)."""
-
-    def factory(name: str, num_ports: int) -> DataplaneSwitch:
-        node = int(name[2:])  # fabric names switches "sw<i>"
-        return DataplaneSwitch(name, num_ports=num_ports, seed=seed + node)
-
-    net, extras = random_regular_fabric(m, degree, seed, factory=factory)
-    sim, graph = extras["sim"], extras["graph"]
-    k_seeds = {name: 0x1000 + int(name[2:]) for name in extras["switches"]}
-    controller, _dataplanes = attach_stack(
-        "P4Auth", net, extras["switches"], (), k_seeds,
-        bootstrap_deadline_s=None)
-    return sim, net, controller, graph
-
-
 def run_table3(m: int = 25, degree: int = 4, seed: int = 1) -> ScalabilityResult:
     """Bootstrap and roll every key on a live m-switch network; count."""
-    sim, net, controller, graph = build_regular_network(m, degree, seed)
-    n = graph.number_of_edges()
+    # The batch fleet (m=25, d=4 gives exactly the paper's n=50 links)
+    # with no key established yet: the trial runs the KMP itself.
+    sim, _net, controller, _switches = build_batch_deployment(
+        "P4Auth", m=m, degree=degree, seed=seed, bootstrap=False)
     kmp = controller.kmp
+    n = len(kmp.switch_links())
 
     bootstrap_started = sim.now
     done = []
@@ -92,10 +75,11 @@ def run_table3(m: int = 25, degree: int = 4, seed: int = 1) -> ScalabilityResult
 
     # One full rollover: update every local key and every port key.
     before = len(kmp.stats.records)
-    for switch in sorted(controller.dataplanes):
+    held, ports = kmp.rollover_due()
+    for switch in held:
         kmp.local_key_update(switch)
-    for sw_a, port_a, _sw_b, _port_b in kmp.switch_links():
-        kmp.port_key_update(sw_a, port_a)
+    for switch, port in ports:
+        kmp.port_key_update(switch, port)
     sim.run(until=sim.now + 30.0)
     update_records = kmp.stats.records[before:]
     update_messages = sum(r.messages for r in update_records)
@@ -118,39 +102,6 @@ def run_table3(m: int = 25, degree: int = 4, seed: int = 1) -> ScalabilityResult
     )
 
 
-@dataclass
-class MultiDomainResult:
-    """The §XI multi-controller analysis (e.g., 8 ONOS instances)."""
-
-    total_switches: int
-    total_links: int
-    domains: int
-    per_domain: ScalabilityResult
-
-    @property
-    def fleet_init_messages(self) -> int:
-        return self.per_domain.init_messages * self.domains
-
-
-def run_multidomain(total_switches: int = 200, domains: int = 8,
-                    degree: int = 4, seed: int = 1) -> MultiDomainResult:
-    """§XI: a physically distributed controller splits the network into
-    per-controller domains; each domain's load is one Table III run.
-
-    The paper's example (205 switches, 414 links, 8 ONOS controllers ->
-    ~25 switches / ~50 links per controller) rounds to exactly the
-    m=25/degree-4 domain we can build live.
-    """
-    per_domain_switches = total_switches // domains
-    domain = run_table3(m=per_domain_switches, degree=degree, seed=seed)
-    return MultiDomainResult(
-        total_switches=total_switches,
-        total_links=domain.n_links * domains,
-        domains=domains,
-        per_domain=domain,
-    )
-
-
 def run_table3_regional(m: int, regions: int, degree: int = 4,
                         seed: int = 1) -> Dict[str, object]:
     """Table III counts on a region-sharded fleet (the ROADMAP-3 shape).
@@ -163,7 +114,7 @@ def run_table3_regional(m: int, regions: int, degree: int = 4,
     plus fleet totals.
     """
     # Local import: the flat regions=1 path must not drag in the whole
-    # fleet/batch machinery.
+    # fleet machinery.
     from repro.experiments.fleet_scale import build_fleet_deployment
 
     world, extras, hier, controllers = build_fleet_deployment(

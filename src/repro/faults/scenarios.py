@@ -69,22 +69,8 @@ class ChaosReport:
     def passed(self) -> bool:
         return all(inv.passed for inv in self.invariants)
 
-    def failures(self) -> List[InvariantResult]:
-        return [inv for inv in self.invariants if not inv.passed]
-
     def check(self, name: str, passed: bool, detail: str = "") -> None:
         self.invariants.append(InvariantResult(name, bool(passed), detail))
-
-    def summary(self) -> str:
-        lines = [f"scenario {self.scenario!r} (seed={self.seed}): "
-                 f"{'PASS' if self.passed else 'FAIL'}"]
-        for inv in self.invariants:
-            mark = "ok " if inv.passed else "FAIL"
-            detail = f" — {inv.detail}" if inv.detail else ""
-            lines.append(f"  [{mark}] {inv.name}{detail}")
-        for key in sorted(self.metrics):
-            lines.append(f"  {key} = {self.metrics[key]}")
-        return "\n".join(lines)
 
     def as_trial_result(self) -> dict:
         """Canonical trial form (includes the derived ``passed``)."""
@@ -199,7 +185,8 @@ def _crash_restart(ctx: TrialContext) -> dict:
     rekeyed: List[float] = []
     injector.on_node_restart.append(
         lambda switch: controller.kmp.local_key_init(
-            switch, on_done=lambda _r: rekeyed.append(sim.now)))
+            switch,
+            on_done=lambda r: r.ok and rekeyed.append(sim.now)))
 
     outcomes: Dict[str, Optional[bool]] = {
         "before": None, "during": None, "after": None}

@@ -62,8 +62,3 @@ class CostModel:
     #: processing (0 = fully deterministic).  With jitter the Fig 18 RCT
     #: measurement becomes a distribution, like the paper's CDF.
     jitter_fraction: float = 0.0
-
-    def bandwidth_delay(self, size_bytes: int,
-                        bandwidth_bps: float = 10e9) -> float:
-        """Serialization delay of a packet at the given line rate."""
-        return size_bytes * 8.0 / bandwidth_bps

@@ -100,10 +100,6 @@ class Link:
         self.bytes_carried += current.size_bytes
         return current
 
-    def delay_for(self, size_bytes: int) -> float:
-        """Propagation plus serialization delay for a packet."""
-        return self.latency_s + size_bytes * 8.0 / self.bandwidth_bps
-
     def transmit_delay(self, size_bytes: int, direction: str,
                        now: float) -> float:
         """Full delay including queueing behind earlier packets.

@@ -78,14 +78,17 @@ def attach_stack(stack_name: str, net: Network, switches: Sequence[str],
 def bootstrap_local_keys(controller: P4AuthController,
                          switches: Sequence[str], deadline_s: float) -> None:
     """Run the local-key handshakes in parallel for up to ``deadline_s``
-    of virtual time; raises if a switch is left unkeyed."""
-    done = []
+    of virtual time; raises, naming them, if switches are left unkeyed."""
+    outcomes = []
     for name in switches:
-        controller.kmp.local_key_init(name, on_done=done.append)
+        controller.kmp.local_key_init(name, on_done=outcomes.append)
     controller.sim.run(until=controller.sim.now + deadline_s)
-    if len(done) != len(switches):
+    keyed = {outcome.switch for outcome in outcomes if outcome.ok}
+    unkeyed = [name for name in switches if name not in keyed]
+    if unkeyed:
         raise RuntimeError(
-            f"key bootstrap incomplete: {len(done)}/{len(switches)} switches")
+            f"key bootstrap incomplete: {len(keyed)}/{len(switches)} "
+            f"switches, no local key on {unkeyed}")
 
 
 def build_stack(name: str, costs=None, telemetry=None):

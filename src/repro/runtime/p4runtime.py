@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.constants import REG_OP, RegOpType
+from repro.core.regops import apply_reg_op
 from repro.core.requests import (
     PendingRequest,
     RequestLifecycle,
@@ -113,22 +114,20 @@ class P4RuntimeStack:
             self.requests.lost(switch, seq)
             return
         payload = survivor.get(REG_OP)
-        register = device.registers.get(device.registers.name_of(
-            payload["regId"]))
-        ok = True
-        if kind == "read":
-            result = register.read(payload["index"])
+        try:
+            register = device.registers.get(device.registers.name_of(
+                payload["regId"]))
+        except KeyError:
+            # A tap rewrote the id to one the device lacks: NACK, like
+            # an index or value that does not fit.
+            result = None
         else:
-            try:
-                register.write(payload["index"], payload["value"])
-                result = payload["value"]
-            except (ValueError, IndexError):
-                ok = False
-                result = 0
+            result = apply_reg_op(register, kind == "write",
+                                  payload["index"], payload["value"])
         # Driver apply cost + response transit back through the OS.
         response = build_plain_request(
-            RegOpType.ACK if ok else RegOpType.NACK,
-            payload["regId"], payload["index"], result, seq,
+            RegOpType.NACK if result is None else RegOpType.ACK,
+            payload["regId"], payload["index"], result or 0, seq,
         )
         survivor_up = channel.transit(response, "dp->c")
         if survivor_up is None:

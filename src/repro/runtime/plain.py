@@ -12,18 +12,17 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.constants import REG_OP, REG_OP_HEADER, RegOpType
+from repro.core.regops import RegOpTable
 from repro.core.requests import (
     PendingRequest,
     RequestLifecycle,
     ResponseCallback,
     RetryPolicy,
 )
-from repro.core.secrets import is_internal_register
 from repro.dataplane.headers import HeaderType
 from repro.dataplane.packet import Packet
 from repro.dataplane.pipeline import PipelineContext
 from repro.dataplane.switch import DataplaneSwitch
-from repro.dataplane.tables import MatchActionTable, MatchKind, TableEntry
 from repro.net.network import Network
 
 #: Unauthenticated control header: message type + sequence number only.
@@ -47,16 +46,8 @@ class PlainRegOpDataplane:
 
     def __init__(self, switch: DataplaneSwitch):
         self.switch = switch
-        self.mapping_table = MatchActionTable(
-            "plain_reg_id_to_name",
-            [("regId", MatchKind.EXACT, 32), ("opType", MatchKind.EXACT, 8)],
-            max_entries=4096,
-        )
-        switch.add_table(self.mapping_table)
-        self._op_index = 0
-        self._op_value = 0
-        self._op_result = 0
-        self._op_ok = False
+        self.regops = RegOpTable(switch, "plain_reg_id_to_name",
+                                 max_entries=4096)
         self.regops_served = 0
 
     def install(self) -> "PlainRegOpDataplane":
@@ -64,32 +55,10 @@ class PlainRegOpDataplane:
         return self
 
     def map_register(self, name: str) -> int:
-        register = self.switch.registers.get(name)
-        reg_id = self.switch.registers.id_of(name)
-
-        def do_read() -> None:
-            self._op_ok = True
-            self._op_result = register.read(self._op_index)
-
-        def do_write() -> None:
-            self._op_ok = True
-            register.write(self._op_index, self._op_value)
-            self._op_result = self._op_value
-
-        self.mapping_table.register_action(f"{name}_read", do_read)
-        self.mapping_table.register_action(f"{name}_write", do_write)
-        self.mapping_table.insert(TableEntry(
-            key=(reg_id, int(RegOpType.READ_REQ)), action=f"{name}_read"))
-        self.mapping_table.insert(TableEntry(
-            key=(reg_id, int(RegOpType.WRITE_REQ)), action=f"{name}_write"))
-        return reg_id
+        return self.regops.map_register(name)
 
     def map_all_registers(self) -> Dict[str, int]:
-        return {
-            name: self.map_register(name)
-            for name in self.switch.registers.names()
-            if not is_internal_register(name)
-        }
+        return self.regops.map_all_registers()
 
     def _stage(self, ctx: PipelineContext) -> None:
         packet = ctx.packet
@@ -98,17 +67,16 @@ class PlainRegOpDataplane:
             return
         ctl = packet.get("ctl")
         payload = packet.get(REG_OP)
-        self._op_index = payload["index"]
-        self._op_value = payload["value"]
-        self._op_ok = False
-        self._op_result = 0
-        self.mapping_table.lookup(payload["regId"], ctl["msgType"])
-        msg_type = RegOpType.ACK if self._op_ok else RegOpType.NACK
-        if self._op_ok:
+        result = self.regops.apply(payload["regId"], ctl["msgType"],
+                                   payload["index"], payload["value"])
+        if result is None:
+            msg_type, result = RegOpType.NACK, 0
+        else:
+            msg_type = RegOpType.ACK
             self.regops_served += 1
         response = build_plain_request(
-            msg_type, payload["regId"], payload["index"],
-            self._op_result, ctl["seqNum"],
+            msg_type, payload["regId"], payload["index"], result,
+            ctl["seqNum"],
         )
         ctx.to_controller(response, reason="plain reg-op response")
         ctx.stop()

@@ -21,8 +21,10 @@ Endpoints (all JSON unless noted):
 ``GET /healthz``       liveness probe (unauthenticated)
 =====================  ======================================================
 
-Status codes: 401 bad/missing token, 400 malformed request, 404 unknown
-route/switch, 503 shard overload or draining (``Retry-After`` hint).
+Status codes: 401 bad/missing token, 400 malformed request or an op
+outside the fleet's register schema (index past the array, value wider
+than the cell), 404 unknown route/switch, 503 shard overload, draining
+or failed (``Retry-After`` hint).
 """
 
 from __future__ import annotations
@@ -179,7 +181,8 @@ class ControllerService:
             )
             for index, shard_id in enumerate(config.shard_ids)
         }
-        self._register_names = {name for name, _w, _s in config.registers}
+        self._registers = {name: (width, size)
+                           for name, width, size in config.registers}
         self._region_switches: Dict[str, List[str]] = {
             region_id: [] for region_id in config.region_ids}
         for switch in config.switch_names:
@@ -407,16 +410,24 @@ class ControllerService:
         if switch not in self._owner:
             raise KeyError(switch)
         register = payload.get("register", "target")
-        if register not in self._register_names:
+        if not isinstance(register, str) or register not in self._registers:
             raise ValueError(
                 f"unknown register {register!r} "
-                f"(fleet schema: {sorted(self._register_names)})")
+                f"(fleet schema: {sorted(self._registers)})")
+        # The op must fit the register it names (``bool`` is an ``int``
+        # to Python but not to this schema).
+        width, size = self._registers[register]
         index = payload.get("index", 0)
-        if not isinstance(index, int) or index < 0:
-            raise ValueError("'index' must be a non-negative integer")
+        if type(index) is not int or not 0 <= index < size:
+            raise ValueError(
+                f"'index' must be an integer in [0, {size}) for "
+                f"register {register!r}")
         value = payload.get("value", 0)
-        if need_value and not isinstance(value, int):
-            raise ValueError("'value' must be an integer")
+        if need_value and (type(value) is not int
+                           or not 0 <= value < 1 << width):
+            raise ValueError(
+                f"'value' must be an integer in [0, 2**{width}) for "
+                f"register {register!r}")
         kind = "write" if need_value else "read"
         return ShardOp(kind, switch, register, index,
                        value if need_value else 0)

@@ -34,6 +34,7 @@ with the number of shards, which is the point of the service.
 from __future__ import annotations
 
 import asyncio
+import traceback
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
@@ -64,7 +65,8 @@ OP_KINDS = ("read", "write", "rollover")
 
 class ShardOverload(RuntimeError):
     """The shard's bounded intake queue is full (or the shard is
-    draining); the daemon maps this to HTTP 503."""
+    draining, or its worker loop failed); the daemon maps this to HTTP
+    503."""
 
     def __init__(self, shard_id: str, reason: str):
         super().__init__(f"shard {shard_id}: {reason}")
@@ -189,8 +191,11 @@ class ShardWorker:
         self.batch: Optional[BatchController] = None
         self.dataplanes: Dict[str, object] = {}
         self._pending: Deque[ShardOp] = deque()
-        self._rollover_waiting: Dict[str, Deque[ShardOp]] = {}
-        self._outstanding = 0
+        #: Issued ops awaiting an outcome, by ``id``: what a failed
+        #: worker loop still owes an answer.
+        self._in_flight: Dict[int, ShardOp] = {}
+        #: The exception that killed the worker loop, if one did.
+        self.failure: Optional[BaseException] = None
         self._draining = False
         self._task: Optional[asyncio.Task] = None
         self._wake: Optional[asyncio.Event] = None
@@ -252,8 +257,6 @@ class ShardWorker:
             self.issue_window, bootstrap=not warm)
         self.batch = BatchController(self.stack,
                                      max_in_flight=self.max_in_flight)
-        if self.stack_name == "P4Auth":
-            self.stack.kmp.on_abandoned.append(self._on_kmp_abandoned)
         if durable:
             self.recorder, self.recovery_report = warm_restart(
                 self.state_dir, self.stack, batch=self.batch,
@@ -300,8 +303,10 @@ class ShardWorker:
         self._task = None
         if self.recorder is not None:
             # Drained: snapshot the final state so the next start
-            # replays (almost) nothing, then seal the journal.
-            self.recorder.snapshot()
+            # replays (almost) nothing, then seal the journal.  A failed
+            # loop stopped mid-event, so it leaves the journal as is.
+            if self.failure is None:
+                self.recorder.snapshot()
             self.recorder.detach()
             self.recorder.journal.close()
 
@@ -311,7 +316,7 @@ class ShardWorker:
 
     @property
     def idle(self) -> bool:
-        return not self._pending and self._outstanding == 0
+        return not self._pending and not self._in_flight
 
     # ------------------------------------------------------------------
     # intake (synchronous: the daemon calls this from dispatch)
@@ -320,21 +325,22 @@ class ShardWorker:
     def submit(self, op: ShardOp) -> asyncio.Future:
         """Enqueue one op; returns the future its caller awaits.
 
-        Raises :class:`ShardOverload` when the bounded queue is full or
-        the shard is draining — callers must not retry blindly.
+        Raises :class:`ShardOverload` when the bounded queue is full,
+        the shard is draining or its worker loop failed — callers must
+        not retry blindly.
         """
-        if self._task is None or self._draining:
+        reason = None
+        if self.failure is not None:
+            reason = "failed"
+        elif self._task is None or self._draining:
+            reason = "draining"
+        elif len(self._pending) + len(self._in_flight) >= self.queue_depth:
+            reason = f"queue full ({self.queue_depth} ops)"
+        if reason is not None:
             self.stats.rejected += 1
             if self._gauge_in_flight is not None:
                 self._counter_rejected.inc()
-            raise ShardOverload(self.shard_id, "draining")
-        if len(self._pending) + self._outstanding >= self.queue_depth:
-            self.stats.rejected += 1
-            if self._gauge_in_flight is not None:
-                self._counter_rejected.inc()
-            raise ShardOverload(
-                self.shard_id,
-                f"queue full ({self.queue_depth} ops)")
+            raise ShardOverload(self.shard_id, reason)
         op.future = asyncio.get_running_loop().create_future()
         op.submitted_at = self.sim.now
         self.stats.submitted += 1
@@ -350,21 +356,34 @@ class ShardWorker:
     # ------------------------------------------------------------------
 
     async def _run(self) -> None:
-        while True:
-            if self.idle:
-                if self._draining:
-                    break
-                self._wake.clear()
-                await self._wake.wait()
-                continue
-            self._top_up()
-            if self._outstanding:
-                # Advance the shard's virtual clock one step; completion
-                # callbacks fire inside run() and refill the window.
-                self.sim.run(until=self.sim.now + self.step_s)
-            # Yield so clients observe resolved futures and enqueue
-            # follow-up work before the next step.
-            await asyncio.sleep(0)
+        try:
+            while True:
+                if self.idle:
+                    if self._draining:
+                        break
+                    self._wake.clear()
+                    await self._wake.wait()
+                    continue
+                self._top_up()
+                if self._in_flight:
+                    # Advance the shard's virtual clock one step;
+                    # completion callbacks fire inside run() and refill
+                    # the window.
+                    self.sim.run(until=self.sim.now + self.step_s)
+                # Yield so clients observe resolved futures and enqueue
+                # follow-up work before the next step.
+                await asyncio.sleep(0)
+        except Exception as exc:  # noqa: BLE001 - shard boundary
+            # The deployment stopped mid-event and cannot be trusted to
+            # serve on: answer everything it owes as failed, refuse new
+            # work (503) and let stop() return, instead of dying
+            # silently with every caller left waiting.
+            traceback.print_exc()
+            self.failure = exc
+            self._in_flight.update((id(op), op) for op in self._pending)
+            self._pending.clear()
+            for op in list(self._in_flight.values()):
+                self._op_done(op, False, 0)
         if self._gauge_in_flight is not None:
             self._gauge_in_flight.set(0)
             self._gauge_queue.set(0)
@@ -380,9 +399,9 @@ class ShardWorker:
         guarantee interleaved clients rely on.
         """
         reg_ops: List[ShardOp] = []
-        while self._pending and self._outstanding < self.issue_window:
+        while self._pending and len(self._in_flight) < self.issue_window:
             op = self._pending.popleft()
-            self._outstanding += 1
+            self._in_flight[id(op)] = op
             if self.stats.first_issue_at is None:
                 self.stats.first_issue_at = self.sim.now
             if op.kind == "rollover":
@@ -393,7 +412,7 @@ class ShardWorker:
                 reg_ops.append(op)
         self._flush_reg_ops(reg_ops)
         if self._gauge_in_flight is not None:
-            self._gauge_in_flight.set(self._outstanding)
+            self._gauge_in_flight.set(len(self._in_flight))
             self._gauge_queue.set(len(self._pending))
 
     def _flush_reg_ops(self, reg_ops: List[ShardOp]) -> None:
@@ -405,32 +424,19 @@ class ShardWorker:
             for op in reg_ops])
 
     def _issue_rollover(self, op: ShardOp) -> None:
-        waiting = self._rollover_waiting.setdefault(op.switch, deque())
-        waiting.append(op)
-        self.stack.kmp.local_key_update(
-            op.switch,
-            on_done=lambda _record, sw=op.switch:
-                self._rollover_done(sw, True))
+        def done(outcome) -> None:
+            # An exchange that hit its retry cap fails the op instead of
+            # leaving its future pending forever.
+            if outcome.ok:
+                self.stats.rollovers += 1
+            self._op_done(op, outcome.ok,
+                          self.stack.keys.local_key_version(op.switch)
+                          if outcome.ok else 0)
 
-    def _rollover_done(self, switch: str, ok: bool) -> None:
-        waiting = self._rollover_waiting.get(switch)
-        if not waiting:
-            return
-        op = waiting.popleft()
-        if ok:
-            self.stats.rollovers += 1
-        version = (self.stack.keys.local_key_version(switch)
-                   if ok else 0)
-        self._op_done(op, ok, version)
-
-    def _on_kmp_abandoned(self, failure) -> None:
-        """A rollover exchange hit its retry cap: fail the waiting op
-        instead of leaving its future pending forever."""
-        if failure.op == "local_update":
-            self._rollover_done(failure.switch, False)
+        self.stack.kmp.local_key_update(op.switch, on_done=done)
 
     def _op_done(self, op: ShardOp, ok: bool, value: int) -> None:
-        self._outstanding -= 1
+        del self._in_flight[id(op)]
         self.stats.completed += 1 if ok else 0
         self.stats.failed += 0 if ok else 1
         self.stats.last_done_at = self.sim.now
@@ -438,7 +444,7 @@ class ShardWorker:
         self.stats.latency_samples.append(latency)
         if self._gauge_in_flight is not None:
             self._hists[op.kind].observe(latency)
-            self._gauge_in_flight.set(self._outstanding)
+            self._gauge_in_flight.set(len(self._in_flight))
             if not ok:
                 self._counter_failed.inc()
         if op.future is not None and not op.future.done():
@@ -456,7 +462,7 @@ class ShardWorker:
             "stack": self.stack_name,
             "switches": len(self.switches),
             "queued": len(self._pending),
-            "in_flight": self._outstanding,
+            "in_flight": len(self._in_flight),
             "issue_window": self.issue_window,
             "queue_depth": self.queue_depth,
             "submitted": self.stats.submitted,
@@ -466,6 +472,8 @@ class ShardWorker:
             "rollovers": self.stats.rollovers,
             "busy_virtual_s": self.stats.busy_s,
             "draining": self._draining,
+            "failure": (None if self.failure is None else
+                        f"{type(self.failure).__name__}: {self.failure}"),
         }
         if self.recorder is not None:
             report = self.recovery_report

@@ -65,15 +65,6 @@ def static_usage(program: Program) -> Dict[str, int]:
     }
 
 
-def static_utilization_pct(program: Program) -> Dict[str, float]:
-    """Utilization percentages keyed like the Table II rows."""
-    usage = static_usage(program)
-    return {
-        resource: round(100.0 * used / CAPACITIES[resource], 1)
-        for resource, used in usage.items()
-    }
-
-
 def analyze_resources(program: Program) -> List[Finding]:
     """Budget + watermark checks."""
     findings: List[Finding] = []
@@ -102,5 +93,4 @@ __all__ = [
     "analyze_resources",
     "spec_from_program",
     "static_usage",
-    "static_utilization_pct",
 ]

@@ -5,6 +5,7 @@ import pytest
 from repro.core.auth_dataplane import P4AuthConfig, P4AuthDataplane
 from repro.core.constants import AlertCode, HdrType, P4AUTH, RegOpType
 from repro.core.digest import DigestEngine
+from repro.core.keys import LOCAL_KEY_INDEX
 from repro.core.messages import (
     build_reg_read_request,
     build_reg_write_request,
@@ -24,7 +25,7 @@ def make_dataplane(**config_kwargs):
                                 config=P4AuthConfig(**config_kwargs))
     dataplane.install()
     dataplane.map_register("demo")
-    dataplane.keys.set_local_key(K_LOCAL)
+    dataplane.keys.install_at(LOCAL_KEY_INDEX, K_LOCAL, 0)
     return switch, dataplane
 
 
@@ -222,8 +223,8 @@ class TestDpDpProtection:
             "app", lambda ctx: ctx.emit(2) if ctx.packet.has("hula_probe")
             else None)
         dataplane.install()
-        dataplane.keys.set_port_key(1, 0x1111)
-        dataplane.keys.set_port_key(2, 0x2222)
+        dataplane.keys.install_at(1, 0x1111, 0)
+        dataplane.keys.install_at(2, 0x2222, 0)
         return switch, dataplane
 
     def test_sign_stage_adds_header_on_keyed_egress(self):
@@ -291,7 +292,7 @@ class TestDpDpProtection:
             config=P4AuthConfig(protected_headers={"hula_probe"}))
         switch2.pipeline.add_stage("app", lambda ctx: ctx.emit(3))
         dataplane2.install()
-        dataplane2.keys.set_port_key(1, 0x1111)
+        dataplane2.keys.install_at(1, 0x1111, 0)
         probe = self.probe()
         from repro.core.constants import P4AUTH_HEADER
         probe.push(P4AUTH, P4AUTH_HEADER.instantiate(

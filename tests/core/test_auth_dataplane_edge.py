@@ -11,6 +11,7 @@ from repro.core.constants import (
 )
 from repro.core.controller import P4AuthController
 from repro.core.digest import DigestEngine
+from repro.core.keys import LOCAL_KEY_INDEX
 from repro.core.messages import (
     build_adhkd_message,
     build_keyctl_message,
@@ -30,7 +31,7 @@ def keyed_dataplane(**config_kwargs):
     dataplane = P4AuthDataplane(switch, K_SEED,
                                 config=P4AuthConfig(**config_kwargs))
     dataplane.install()
-    dataplane.keys.set_local_key(K_LOCAL)
+    dataplane.keys.install_at(LOCAL_KEY_INDEX, K_LOCAL, 0)
     return switch, dataplane
 
 
@@ -62,7 +63,7 @@ class TestKeyExchangeEdges:
 
     def test_unexpected_exchange_type_on_link_dropped(self):
         switch, dataplane = keyed_dataplane()
-        dataplane.keys.set_port_key(1, 0x77)
+        dataplane.keys.install_at(1, 0x77, 0)
         message = build_keyctl_message(KeyExchType.PORT_KEY_INIT, 1, 1)
         DigestEngine().sign(0x77, message)
         actions = switch.process(message, 1)
@@ -89,7 +90,7 @@ class TestAlertSigningFallback:
         dataplane = P4AuthDataplane(
             switch, K_SEED,
             config=P4AuthConfig(protected_headers={"hula_probe"})).install()
-        dataplane.keys.set_port_key(1, 0x99)
+        dataplane.keys.install_at(1, 0x99, 0)
         controller = P4AuthController(net)
         controller.provision(dataplane)
         # A tampered probe on the keyed port, before K_local exists.
@@ -177,7 +178,7 @@ class TestSignStageEdges:
     def test_non_protected_emit_to_keyed_port_untouched(self):
         switch, dataplane = keyed_dataplane(
             protected_headers={"hula_probe"})
-        dataplane.keys.set_port_key(2, 0x22)
+        dataplane.keys.install_at(2, 0x22, 0)
         switch.pipeline.insert_stage(1, "app", lambda ctx: ctx.emit(2))
         packet = Packet(payload=b"plain data")
         actions = switch.process(packet, 1)
@@ -188,8 +189,8 @@ class TestSignStageEdges:
         from repro.systems.hula import make_probe
         switch, dataplane = keyed_dataplane(
             protected_headers={"hula_probe"})
-        dataplane.keys.set_port_key(2, 0x22)
-        dataplane.keys.set_port_key(3, 0x33)
+        dataplane.keys.install_at(2, 0x22, 0)
+        dataplane.keys.install_at(3, 0x33, 0)
 
         def fan(ctx):
             if ctx.packet.has("hula_probe"):

@@ -111,7 +111,8 @@ def test_outstanding_tracking(single_switch):
     dep = single_switch
     dep.controller.read_register("s1", "demo", 0)
     assert dep.controller.outstanding_count() == 1
-    assert dep.controller.unacknowledged_seqs("s1")
+    assert [switch for switch, _seq in dep.controller.requests.pending] \
+        == ["s1"]
     dep.run(1.0)
     assert dep.controller.outstanding_count() == 0
 

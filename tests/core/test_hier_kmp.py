@@ -3,20 +3,21 @@
 import pytest
 
 from repro.core.kmp import HierarchicalKMP, RegionalKeyAuthority
+from repro.experiments.cdp_batch import build_batch_deployment
 from repro.experiments.fleet_scale import build_fleet_deployment
-from repro.experiments.table3_scalability import build_regular_network
 from repro.telemetry import Telemetry
 
 
 def small_region(m=9, seed=1, telemetry=None):
-    sim, _net, controller, graph = build_regular_network(m=m, seed=seed)
+    sim, _net, controller, _switches = build_batch_deployment(
+        "P4Auth", m=m, seed=seed, bootstrap=False)
     authority = RegionalKeyAuthority("r0", controller, telemetry=telemetry)
-    return sim, controller, graph, authority
+    return sim, controller, len(controller.kmp.switch_links()), authority
 
 
 class TestRegionalKeyAuthority:
     def test_bootstrap_times_and_counts_the_round(self):
-        sim, controller, graph, authority = small_region()
+        sim, controller, links, authority = small_region()
         done = []
         authority.bootstrap(on_done=done.append)
         sim.run(until=30.0)
@@ -25,13 +26,13 @@ class TestRegionalKeyAuthority:
         assert convergence.op == "bootstrap"
         assert convergence.region == "r0"
         # One record per local init plus one per link's port init.
-        assert convergence.completed == 9 + graph.number_of_edges()
+        assert convergence.completed == 9 + links
         assert convergence.failed == 0
         assert convergence.duration_s > 0
-        assert authority.bootstraps == 1
+        assert [c.op for c in authority.convergences] == ["bootstrap"]
 
     def test_rollover_bumps_every_epoch_exactly_once(self):
-        sim, controller, _graph, authority = small_region()
+        sim, controller, _links, authority = small_region()
         authority.bootstrap()
         sim.run(until=30.0)
         assert all(authority.rollover_epoch(sw) == 0
@@ -42,10 +43,11 @@ class TestRegionalKeyAuthority:
         assert len(done) == 1 and done[0].failed == 0
         assert all(authority.rollover_epoch(sw) == 1
                    for sw in authority.switches())
-        assert authority.rollovers == 1
+        assert [c.op for c in authority.convergences] == [
+            "bootstrap", "rollover"]
 
     def test_concurrent_rollover_is_rejected(self):
-        sim, _controller, _graph, authority = small_region()
+        sim, _controller, _links, authority = small_region()
         authority.bootstrap()
         sim.run(until=30.0)
         authority.rollover()
@@ -54,10 +56,11 @@ class TestRegionalKeyAuthority:
         sim.run(until=sim.now + 30.0)  # let the first one finish
         authority.rollover()           # now legal again
         sim.run(until=sim.now + 30.0)
-        assert authority.rollovers == 2
+        assert [c.op for c in authority.convergences] == [
+            "bootstrap", "rollover", "rollover"]
 
     def test_clean_fleet_has_no_forgery_evidence(self):
-        sim, _controller, _graph, authority = small_region()
+        sim, _controller, _links, authority = small_region()
         authority.bootstrap()
         sim.run(until=30.0)
         divergence = authority.seq_divergence()
@@ -66,7 +69,7 @@ class TestRegionalKeyAuthority:
 
     def test_per_region_telemetry_labels(self):
         telemetry = Telemetry(enabled=True)
-        sim, _controller, _graph, authority = small_region(
+        sim, _controller, _links, authority = small_region(
             telemetry=telemetry)
         authority.bootstrap()
         sim.run(until=30.0)

@@ -18,13 +18,13 @@ def make_store(num_ports=4):
 class TestVersionedKey:
     def test_first_install_keeps_version_zero(self):
         key = VersionedKey()
-        assert key.install(0xAAAA) == 0
+        assert key.install_at(0xAAAA, 0) == 0
         assert key.current() == 0xAAAA
 
     def test_install_flips_slots(self):
         key = VersionedKey()
-        v1 = key.install(0xAAAA)
-        v2 = key.install(0xBBBB)
+        v1 = key.install_at(0xAAAA, 0)
+        v2 = key.install_at(0xBBBB, v1 + 1)
         assert key.current() == 0xBBBB
         assert v1 != v2
         # The previous key remains addressable by its version tag.
@@ -35,12 +35,12 @@ class TestDataplaneKeyStore:
     def test_local_key_at_index_zero(self):
         """Paper §VII: local key at index 0, port keys at port index."""
         store = make_store()
-        store.set_local_key(0x1111)
+        store.install_at(LOCAL_KEY_INDEX, 0x1111, 0)
         assert store.get(LOCAL_KEY_INDEX) == 0x1111
 
     def test_port_keys_at_port_index(self):
         store = make_store()
-        store.set_port_key(3, 0x3333)
+        store.install_at(3, 0x3333, 0)
         assert store.get(3) == 0x3333
         assert store.port_key(3) == 0x3333
 
@@ -49,13 +49,13 @@ class TestDataplaneKeyStore:
         with pytest.raises(IndexError):
             store.port_key(3)
         with pytest.raises(IndexError):
-            store.set_port_key(0, 1)  # port 0 is the local-key slot
+            store.port_key(0)  # index 0 is the local-key slot
 
     def test_two_version_consistency(self):
         """During an update the old key stays addressable (§VI-C)."""
         store = make_store()
-        v_old = store.set_local_key(0xAAAA)
-        v_new = store.set_local_key(0xBBBB)
+        v_old = store.install_at(LOCAL_KEY_INDEX, 0xAAAA, 0)
+        v_new = store.install_at(LOCAL_KEY_INDEX, 0xBBBB, v_old + 1)
         assert store.local_key() == 0xBBBB
         assert store.local_key(version=v_old) == 0xAAAA
         assert store.active_version(LOCAL_KEY_INDEX) == v_new
@@ -63,7 +63,7 @@ class TestDataplaneKeyStore:
     def test_has_port_key(self):
         store = make_store()
         assert not store.has_port_key(1)
-        store.set_port_key(1, 0x77)
+        store.install_at(1, 0x77, 0)
         assert store.has_port_key(1)
         assert not store.has_port_key(99)
 
@@ -95,8 +95,8 @@ class TestControllerKeyStore:
     def test_local_key_versioning(self):
         store = ControllerKeyStore()
         assert not store.has_local_key("s1")
-        v1 = store.install_local_key("s1", 0x1)
-        v2 = store.install_local_key("s1", 0x2)
+        v1 = store.install_local_key_at("s1", 0x1, 0)
+        v2 = store.install_local_key_at("s1", 0x2, v1 + 1)
         assert store.local_key("s1") == 0x2
         assert store.local_key("s1", version=v1) == 0x1
         assert store.local_key_version("s1") == v2

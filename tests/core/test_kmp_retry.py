@@ -131,8 +131,7 @@ class TestDeadPeer:
         dep = Deployment(num_switches=1, bootstrap=False)
         dep.net.nodes["s1"].up = False  # crashed before key exchange
         records = []
-        dep.controller.kmp.on_abandoned.append(records.append)
-        dep.controller.kmp.local_key_init("s1")
+        dep.controller.kmp.local_key_init("s1", on_done=records.append)
         dep.sim.run(until=10.0, max_events=5_000)
         # Bounded retries: the exchange is abandoned, not retried forever.
         assert dep.sim.budget_exhaustions == 0

@@ -18,7 +18,6 @@ from repro.core.messages import (
     build_reg_write_request,
     build_reg_response,
     digest_material,
-    payload_of,
 )
 
 
@@ -95,11 +94,6 @@ def test_builders_reject_wrong_types():
         build_adhkd_message(KeyExchType.EAK_SALT1, 0, 0, 1)
     with pytest.raises(ValueError):
         build_keyctl_message(KeyExchType.ADHKD_MSG2, 1, 1)
-
-
-def test_payload_of():
-    assert payload_of(build_reg_read_request(1, 0, 1)) == "reg_op"
-    assert payload_of(build_eak_message(KeyExchType.EAK_SALT1, 0, 1)) == "eak"
 
 
 def test_length_field_matches_payload():

@@ -54,14 +54,6 @@ def test_headers_claim_containers():
     assert spec.phv_containers() == 2
 
 
-def test_extend_overlays():
-    base = ProgramSpec("b").add_headers("h", 32)
-    extra = ProgramSpec("e").add_headers("h2", 32).add_hash("x", 5)
-    base.extend(extra)
-    assert base.phv_containers() == 2
-    assert base.hash_units() == 5
-
-
 def test_overfull_program_rejected():
     spec = ProgramSpec("huge")
     spec.add_headers("wide", 32 * (PHV_CONTAINERS + 1))

@@ -47,14 +47,12 @@ def test_same_seed_gives_identical_reports():
     assert first["metrics"] == second["metrics"]
 
 
-def test_report_summary_formatting():
+def test_report_trial_result_names_the_failure():
     report = ChaosReport(scenario="demo", seed=9)
     report.check("holds", True, "fine")
     report.check("breaks", False, "boom")
     assert not report.passed
-    assert [inv.name for inv in report.failures()] == ["breaks"]
-    text = report.summary()
-    assert "scenario 'demo' (seed=9): FAIL" in text
-    assert "[ok ] holds — fine" in text
-    assert "[FAIL] breaks — boom" in text
-    assert report.as_trial_result()["passed"] is False
+    result = report.as_trial_result()
+    assert result["passed"] is False
+    assert [(inv["name"], inv["detail"]) for inv in result["invariants"]
+            if not inv["passed"]] == [("breaks", "boom")]

@@ -5,8 +5,9 @@ import pytest
 
 from repro.experiments.fig20_kmp import run_kmp_rtt
 from repro.experiments.fig21_multihop import run_multihop
-from repro.experiments.table1_impact import run_table1
+from repro.experiments.table1_impact import SYSTEMS
 from repro.experiments.table3_scalability import formulas, run_table3
+from repro.systems.tableone import MODES
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +69,8 @@ class TestFig21:
 class TestTableI:
     @pytest.fixture(scope="class")
     def matrix(self):
-        return run_table1().matrix
+        return {name: {mode: scenario(mode) for mode in MODES}
+                for name, scenario in SYSTEMS.items()}
 
     def test_all_five_systems_covered(self, matrix):
         assert set(matrix) == {"blink", "silkroad", "netcache",
@@ -123,10 +125,3 @@ class TestTableIII:
         when done in parallel' — the live bootstrap overlaps exchanges."""
         result = run_table3(m=6, degree=2, seed=3)
         assert result.parallel_init_time_s < result.serial_init_time_s
-
-    def test_multidomain_partitioning(self):
-        from repro.experiments.table3_scalability import run_multidomain
-        result = run_multidomain(total_switches=16, domains=4, degree=2)
-        assert result.per_domain.m_switches == 4
-        assert (result.fleet_init_messages
-                == 4 * result.per_domain.init_messages)

@@ -40,8 +40,8 @@ def fresh_switch():
         switch, k_seed=0xF0F0,
         config=P4AuthConfig(protected_headers={"hula_probe"})).install()
     dataplane.map_register("app")
-    dataplane.keys.set_local_key(0x10CA1)
-    dataplane.keys.set_port_key(1, 0x9991)
+    dataplane.keys.install_at(0, 0x10CA1, 0)
+    dataplane.keys.install_at(1, 0x9991, 0)
     return switch, dataplane
 
 

@@ -1,7 +1,5 @@
 """Cost model: calibration invariants the benchmarks rely on."""
 
-import pytest
-
 from repro.net.costs import CostModel
 
 
@@ -12,12 +10,6 @@ def test_defaults_are_positive():
                  "compose_read_s", "compose_write_s",
                  "p4runtime_overhead_s", "controller_proc_s"):
         assert getattr(costs, name) > 0
-
-
-def test_bandwidth_delay():
-    costs = CostModel()
-    assert costs.bandwidth_delay(1250, bandwidth_bps=10e9) == pytest.approx(
-        1e-6)
 
 
 def test_fig19_ratio_anchor():

@@ -75,7 +75,8 @@ def test_remove_tap():
 
 def test_delay_includes_serialization():
     link = make_link(latency_s=1e-6, bandwidth_bps=8e6)  # 1 byte/us
-    assert link.delay_for(100) == pytest.approx(1e-6 + 100e-6)
+    assert link.transmit_delay(100, "a->b", 0.0) == pytest.approx(
+        1e-6 + 100e-6)
 
 
 def test_bytes_accounting():

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.analysis import format_table, mean, normalized_shares, percentile
+from repro.analysis import format_table, mean, percentile
 
 
 class TestMean:
@@ -35,15 +35,6 @@ class TestPercentile:
 
     def test_unsorted_input(self):
         assert percentile([5, 1, 3, 2, 4], 50) == 3
-
-
-class TestNormalizedShares:
-    def test_fractions_sum_to_one(self):
-        shares = normalized_shares({"a": 1, "b": 3})
-        assert shares == {"a": 0.25, "b": 0.75}
-
-    def test_all_zero_returns_empty(self):
-        assert normalized_shares({"a": 0, "b": 0}) == {}
 
 
 class TestFormatTable:
