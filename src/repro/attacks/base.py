@@ -1,11 +1,15 @@
-"""Adversary base machinery: tap lifecycle and bookkeeping."""
+"""Adversary base machinery: tap lifecycle, CPU-port injection, bookkeeping."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
+from repro.core.constants import P4AUTH, REG_OP
+from repro.core.messages import build_reg_write_request
 from repro.dataplane.packet import Packet
+from repro.dataplane.switch import DataplaneSwitch
+from repro.net.simulator import EventHandle
 
 
 @dataclass
@@ -17,11 +21,94 @@ class AdversaryStats:
     recorded: int = 0
 
 
+def reg_op_type(packet: Packet) -> Optional[int]:
+    """Message type of a register-op packet, plain (``ctl``) or P4Auth
+    framed; None for anything that is not a register op."""
+    if packet.has(REG_OP):
+        for framing in ("ctl", P4AUTH):
+            if packet.has(framing):
+                return packet.get(framing)["msgType"]
+    return None
+
+
+def forged_write(reg_id: int, index: int, value: int, seq_num: int,
+                 digest: int) -> Packet:
+    """A P4Auth write request under a *guessed* digest: the most a
+    keyless adversary can forge."""
+    forged = build_reg_write_request(reg_id, index, value, seq_num)
+    forged.get(P4AUTH)["digest"] = digest
+    return forged
+
+
+def inject_cpu(net, switch: str, packet: Packet,
+               delay_s: float = 0.0) -> EventHandle:
+    """Hand ``packet`` to ``switch``'s CPU port after ``delay_s``.
+
+    The one way an adversary below the controller injects: the frame
+    bypasses the controller but still traverses the data plane's checks.
+    Cancelling the returned handle withdraws a frame not yet delivered.
+    """
+    return net.sim.schedule_cancellable(
+        delay_s, net.nodes[switch].receive, packet, DataplaneSwitch.CPU_PORT)
+
+
+class PacedInjector:
+    """Feeds ``next_packet()`` into a switch's CPU port at ``rate_hz``.
+
+    One timer chain at most: :meth:`start` on a running injector only
+    extends its deadline (a second chain would double the rate), and
+    :meth:`stop` cancels the pending tick, so nothing fires afterwards.
+    Each injected frame counts in ``stats.injected``; a tick whose
+    ``next_packet()`` is None injects nothing and keeps the pace.
+    """
+
+    def __init__(self, net, switch: str, rate_hz: float,
+                 next_packet: Callable[[], Optional[Packet]],
+                 stats: AdversaryStats):
+        self.net = net
+        self.switch = switch
+        self.rate_hz = rate_hz
+        self.next_packet = next_packet
+        self.stats = stats
+        self._deadline = 0.0
+        self._timer: Optional[EventHandle] = None
+
+    def start(self, duration_s: float, delay_s: float = 0.0) -> None:
+        """Inject until ``now + duration_s``, from ``now + delay_s`` on."""
+        deadline = self.net.sim.now + duration_s
+        if self._timer is not None:
+            self._deadline = max(self._deadline, deadline)
+            return
+        self._deadline = deadline
+        if delay_s > 0:
+            self._timer = self.net.sim.schedule_cancellable(delay_s,
+                                                            self._tick)
+        else:
+            self._tick()
+
+    def stop(self) -> None:
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+
+    def _tick(self) -> None:
+        sim = self.net.sim
+        if sim.now >= self._deadline:
+            self._timer = None
+            return
+        packet = self.next_packet()
+        if packet is not None:
+            inject_cpu(self.net, self.switch, packet)
+            self.stats.injected += 1
+        self._timer = sim.schedule_cancellable(1.0 / self.rate_hz, self._tick)
+
+
 class Adversary:
     """Base class: attach to a link or control channel as a tap.
 
-    Subclasses implement :meth:`process`, returning the (possibly
-    modified) packet or None to drop it.  ``direction_filter`` restricts
+    Subclasses that tamper override :meth:`process`, returning the
+    (possibly modified) packet or None to drop it; an adversary that only
+    injects inherits the pass-through.  ``direction_filter`` restricts
     the adversary to one flow direction (``"a->b"``/``"b->a"`` on links,
     ``"c->dp"``/``"dp->c"`` on control channels); None taps both.
     """
@@ -67,7 +154,7 @@ class Adversary:
         return self.process(packet, direction)
 
     def process(self, packet: Packet, direction: str) -> Optional[Packet]:
-        raise NotImplementedError
+        return packet
 
 
 class Eavesdropper(Adversary):

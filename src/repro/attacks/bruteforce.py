@@ -10,40 +10,49 @@ detection rate.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List
 
-from repro.core.constants import P4AUTH
-from repro.core.messages import build_reg_write_request
+from repro.attacks.base import Adversary, forged_write, inject_cpu
 from repro.crypto.prng import XorShiftPrng
-from repro.dataplane.switch import DataplaneSwitch
+from repro.net.simulator import EventHandle
 
 
-class DigestBruteForcer:
+class DigestBruteForcer(Adversary):
     """Sends one crafted write request under many guessed digests."""
 
     def __init__(self, network, switch_name: str, reg_id: int, index: int,
                  value: int, seed: int = 0x5EED):
+        super().__init__("digest-bruteforcer")
         self.network = network
         self.switch_name = switch_name
         self.reg_id = reg_id
         self.index = index
         self.value = value
         self._prng = XorShiftPrng(seed)
-        self.attempts = 0
+        self._queued: List[EventHandle] = []
 
     def attempt(self, guesses: int, seq_num: int = 1,
                 spacing_s: float = 1e-4) -> None:
         """Schedule ``guesses`` forged messages, one digest guess each."""
-        node = self.network.nodes[self.switch_name]
         for trial in range(guesses):
-            forged = build_reg_write_request(self.reg_id, self.index,
-                                             self.value, seq_num)
-            forged.get(P4AUTH)["digest"] = self._prng.next_bits(32)
-            self.network.sim.schedule(
-                trial * spacing_s, node.receive, forged,
-                DataplaneSwitch.CPU_PORT,
-            )
-            self.attempts += 1
+            forged = forged_write(self.reg_id, self.index, self.value,
+                                  seq_num, self._prng.next_bits(32))
+            self._queued.append(inject_cpu(self.network, self.switch_name,
+                                           forged, trial * spacing_s))
+            self.stats.injected += 1
+
+    def stop(self) -> None:
+        """Withdraw (and uncount) every guess not yet delivered."""
+        for handle in self._queued:
+            if not handle.fired:
+                handle.cancel()
+                self.stats.injected -= 1
+        self._queued = []
+
+    @property
+    def attempts(self) -> int:
+        """Guesses delivered or still queued (alias of ``stats.injected``)."""
+        return self.stats.injected
 
     @staticmethod
     def expected_trials() -> int:

@@ -10,21 +10,19 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Tuple
 
+from repro.attacks.base import (
+    Adversary,
+    Eavesdropper,
+    PacedInjector,
+    forged_write,
+    inject_cpu,
+    reg_op_type,
+)
 from repro.core.constants import REG_OP, RegOpType
+from repro.crypto.prng import XorShiftPrng
 from repro.dataplane.packet import Packet
-from repro.dataplane.switch import DataplaneSwitch
-from repro.attacks.base import Adversary
 
 ValueTransform = Callable[[int], int]
-
-
-def _msg_type_of(packet: Packet) -> Optional[int]:
-    """Register-op message type, whether plain (ctl) or P4Auth framed."""
-    if packet.has("ctl"):
-        return packet.get("ctl")["msgType"]
-    if packet.has("p4auth"):
-        return packet.get("p4auth")["msgType"]
-    return None
 
 
 class RegisterResponseTamperer(Adversary):
@@ -43,9 +41,7 @@ class RegisterResponseTamperer(Adversary):
         self.transform = transform
 
     def process(self, packet: Packet, direction: str) -> Optional[Packet]:
-        if not packet.has(REG_OP):
-            return packet
-        if _msg_type_of(packet) != RegOpType.ACK:
+        if reg_op_type(packet) != RegOpType.ACK:
             return packet
         payload = packet.get(REG_OP)
         if (payload["regId"], payload["index"]) in self.targets:
@@ -70,9 +66,7 @@ class RegisterRequestTamperer(Adversary):
         self.index_transform = index_transform
 
     def process(self, packet: Packet, direction: str) -> Optional[Packet]:
-        if not packet.has(REG_OP):
-            return packet
-        if _msg_type_of(packet) != RegOpType.WRITE_REQ:
+        if reg_op_type(packet) != RegOpType.WRITE_REQ:
             return packet
         payload = packet.get(REG_OP)
         if payload["regId"] != self.reg_id:
@@ -84,7 +78,7 @@ class RegisterRequestTamperer(Adversary):
         return packet
 
 
-class ReplayAttacker(Adversary):
+class ReplayAttacker(Eavesdropper):
     """Records matching messages in flight, to re-inject them later (§VIII).
 
     Against P4Auth the replayed message carries a *valid* digest (the
@@ -94,15 +88,8 @@ class ReplayAttacker(Adversary):
 
     def __init__(self, predicate: Callable[[Packet], bool],
                  direction_filter: str = "c->dp"):
-        super().__init__("replayer", direction_filter)
-        self.predicate = predicate
-        self.recordings: List[Packet] = []
-
-    def process(self, packet: Packet, direction: str) -> Optional[Packet]:
-        if self.predicate(packet):
-            self.recordings.append(packet.copy())
-            self.stats.recorded += 1
-        return packet
+        super().__init__(predicate, direction_filter)
+        self.name = "replayer"
 
     def replay(self, network, switch_name: str,
                count: Optional[int] = None) -> int:
@@ -111,17 +98,14 @@ class ReplayAttacker(Adversary):
         The attacker sits below the controller, so injection bypasses the
         controller but still traverses the data plane's checks.
         """
-        node = network.nodes[switch_name]
-        replayed = 0
-        for packet in self.recordings[: count if count is not None else None]:
-            network.sim.schedule(0.0, node.receive, packet.copy(),
-                                 DataplaneSwitch.CPU_PORT)
-            self.stats.injected += 1
-            replayed += 1
-        return replayed
+        replayed = self.recordings[:count]
+        for packet in replayed:
+            inject_cpu(network, switch_name, packet.copy())
+        self.stats.injected += len(replayed)
+        return len(replayed)
 
 
-class DosFlooder:
+class DosFlooder(Adversary):
     """Floods forged register requests at a data plane (§VIII DoS).
 
     Each forged request carries a random digest; the data plane answers
@@ -132,54 +116,26 @@ class DosFlooder:
 
     def __init__(self, network, switch_name: str, reg_id: int,
                  rate_hz: float = 1000.0, seed: int = 0xBADC0DE):
-        from repro.core.messages import build_reg_write_request
-        from repro.crypto.prng import XorShiftPrng
-        self._build = build_reg_write_request
-        self.network = network
-        self.switch_name = switch_name
+        super().__init__("dos-flooder")
         self.reg_id = reg_id
-        self.rate_hz = rate_hz
         self._prng = XorShiftPrng(seed)
-        self.sent = 0
-        self._active = False
-        self._deadline = 0.0
-        # Timer-loop generation: every (re)start bumps it, and a pending
-        # ``_fire`` from an older generation dies on arrival, so there is
-        # never more than one live timer chain no matter how start/stop
-        # interleave.
-        self._generation = 0
+        self._pacer = PacedInjector(network, switch_name, rate_hz,
+                                    self._forge, self.stats)
+
+    def _forge(self) -> Packet:
+        bits = self._prng.next_bits
+        return forged_write(self.reg_id, 0, value=bits(32), seq_num=bits(31),
+                            digest=bits(32))
 
     def start(self, duration_s: float) -> None:
-        """Begin (or extend) the flood.
-
-        Calling ``start`` while already active only extends the deadline;
-        it never chains a second timer loop (which would double the
-        effective rate and corrupt ``sent``).
-        """
-        deadline = self.network.sim.now + duration_s
-        if self._active:
-            self._deadline = max(self._deadline, deadline)
-            return
-        self._active = True
-        self._deadline = deadline
-        self._generation += 1
-        self._fire(self._generation)
+        """Begin the flood, or extend a running one to ``duration_s``
+        from now (see :meth:`PacedInjector.start`)."""
+        self._pacer.start(duration_s)
 
     def stop(self) -> None:
-        self._active = False
+        self._pacer.stop()
 
-    def _fire(self, generation: Optional[int] = None) -> None:
-        sim = self.network.sim
-        if generation is None:
-            generation = self._generation
-        if (generation != self._generation or not self._active
-                or sim.now >= self._deadline):
-            return
-        forged = self._build(self.reg_id, index=0,
-                             value=self._prng.next_bits(32),
-                             seq_num=self._prng.next_bits(31))
-        forged.get("p4auth")["digest"] = self._prng.next_bits(32)
-        node = self.network.nodes[self.switch_name]
-        sim.schedule(0.0, node.receive, forged, DataplaneSwitch.CPU_PORT)
-        self.sent += 1
-        sim.schedule(1.0 / self.rate_hz, self._fire, generation)
+    @property
+    def sent(self) -> int:
+        """Forged requests injected so far (alias of ``stats.injected``)."""
+        return self.stats.injected

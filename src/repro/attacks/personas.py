@@ -12,39 +12,31 @@ turns into live adversaries with a uniform lifecycle::
     persona.disarm()         # withdraw cleanly
     persona.outcome()        # AdversaryStats-based outcome record
 
+A persona is not a class of its own: it is one :class:`Persona` whose
+``kind`` selects a row of the kind table :data:`_ARMERS` — six short
+functions, each composing the point adversaries of this package against
+the world and documenting the paper surface it exercises.
+
 Every persona is seeded (same spec + same world seed → byte-identical
 injected traffic) and reports a :class:`PersonaOutcome` built on the
 shared :class:`~repro.attacks.base.AdversaryStats` shape, so a persona ×
 system × load sweep (the ``persona_matrix`` experiment) can compare
 reach, detection, and DoS behaviour across the whole matrix.
-
-The six personas and the paper surface each exercises:
-
-========================  ====================================================
-kind                      threat modeled
-========================  ====================================================
-``switch-os-injector``    compromised switch OS (C-DP, Attack 1): tampers
-                          register write requests *and* read responses
-``probe-mitm``            in-path MitM on DP-DP feedback probes (Attack 2);
-                          personas arm it everywhere, but only systems with
-                          in-network feedback expose any reachable surface
-``replay-flooder``        records validly-signed C-DP writes and re-injects
-                          them at rate (§VIII sequence-number defense)
-``rollover-racer``        replays a recorded write the instant a new local
-                          key installs, racing the key-rollover window
-``digest-bruteforcer``    forges one write under many guessed digests
-                          (§VIII "Digest size")
-``dos-flooder``           floods forged requests to trip the alert rate
-                          limiter (§VIII DoS mitigation)
-========================  ====================================================
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Type
+from dataclasses import asdict, dataclass, field
+from itertools import count
+from typing import Callable, Dict, List, Optional, Set
 
-from repro.attacks.base import Adversary, AdversaryStats
+from repro.attacks.base import (
+    Adversary,
+    AdversaryStats,
+    PacedInjector,
+    inject_cpu,
+    reg_op_type,
+)
 from repro.attacks.bruteforce import DigestBruteForcer
 from repro.attacks.control_plane import (
     DosFlooder,
@@ -55,16 +47,6 @@ from repro.attacks.control_plane import (
 from repro.attacks.link import ProbeFieldTamperer
 from repro.core.constants import REG_OP, RegOpType
 from repro.dataplane.switch import DataplaneSwitch
-
-#: Every persona kind :func:`build_persona` knows how to instantiate.
-PERSONA_KINDS = (
-    "switch-os-injector",
-    "probe-mitm",
-    "replay-flooder",
-    "rollover-racer",
-    "digest-bruteforcer",
-    "dos-flooder",
-)
 
 
 @dataclass(frozen=True)
@@ -99,9 +81,7 @@ class PersonaSpec:
             raise ValueError("seed must be >= 0")
 
     def as_dict(self) -> Dict[str, object]:
-        return {"kind": self.kind, "rate_hz": self.rate_hz,
-                "seed": self.seed, "xor_mask": self.xor_mask,
-                "probe_value": self.probe_value}
+        return asdict(self)
 
 
 @dataclass
@@ -151,346 +131,207 @@ class PersonaOutcome:
             "kind": self.kind,
             "armed_at_s": self.armed_at_s,
             "disarmed_at_s": self.disarmed_at_s,
-            "seen": self.stats.seen,
-            "modified": self.stats.modified,
-            "dropped": self.stats.dropped,
-            "injected": self.stats.injected,
-            "recorded": self.stats.recorded,
+            **vars(self.stats),
             **self.extra,
         }
 
 
 class Persona:
-    """Base persona: uniform ``arm(world)/disarm()`` lifecycle."""
+    """One armable adversary: a spec, plus whatever arming it set up.
+
+    ``arm(world)`` runs the kind's row of :data:`_ARMERS`, which hands
+    every :class:`~repro.attacks.base.Adversary` it builds to
+    :meth:`attach` and everything else it starts (a timer, a hook) to
+    :meth:`undo`.  ``disarm()`` detaches every adversary and runs every
+    undo: from that instant the persona taps nothing, no frame it
+    scheduled reaches the switch, and ``outcome()`` stops moving.
+    """
 
     def __init__(self, spec: PersonaSpec):
         spec.validate()
         self.spec = spec
         self.world: Optional[PersonaWorld] = None
+        self.armed = False
         self.armed_at_s = -1.0
         self.disarmed_at_s = -1.0
-        self._armed = False
-
-    # -- lifecycle ---------------------------------------------------------
+        self.adversaries: List[Adversary] = []
+        #: Kind-specific outcome keys (``surface_reachable``, ...).
+        self.extra: Dict[str, float] = {}
+        self._undo: List[Callable[[], None]] = []
 
     def arm(self, world: PersonaWorld) -> "Persona":
-        if self._armed:
+        if self.armed:
             raise RuntimeError(f"{self.spec.kind} persona is already armed")
         self.world = world
+        self.armed = True
         self.armed_at_s = world.sim.now
-        self._armed = True
-        self._arm(world)
+        self.disarmed_at_s = -1.0
+        self.adversaries, self.extra = [], {}
+        _ARMERS[self.spec.kind](self, world)
         return self
 
-    def disarm(self) -> None:
-        if not self._armed:
-            return
-        self._armed = False
-        self.disarmed_at_s = self.world.sim.now
-        self._disarm(self.world)
+    def attach(self, adversary: Adversary, channel=None) -> Adversary:
+        """Own ``adversary`` (its stats count, disarm detaches it) and
+        tap ``channel`` with it, if one is given."""
+        self.adversaries.append(adversary)
+        if channel is not None:
+            adversary.attach(channel)
+        return adversary
 
-    @property
-    def armed(self) -> bool:
-        return self._armed
+    def undo(self, withdraw: Callable[[], None]) -> None:
+        """Register a callable that ``disarm()`` runs once."""
+        self._undo.append(withdraw)
+
+    def disarm(self) -> None:
+        if not self.armed:
+            return
+        self.armed = False
+        self.disarmed_at_s = self.world.sim.now
+        for adversary in self.adversaries:
+            adversary.detach_all()
+        for withdraw in self._undo:
+            withdraw()
+        self._undo = []
 
     def outcome(self) -> PersonaOutcome:
         now = self.world.sim.now if self.world is not None else -1.0
+        total = AdversaryStats()
+        for adversary in self.adversaries:
+            for name, value in vars(adversary.stats).items():
+                setattr(total, name, getattr(total, name) + value)
         return PersonaOutcome(
             kind=self.spec.kind,
             armed_at_s=self.armed_at_s,
             disarmed_at_s=(self.disarmed_at_s if self.disarmed_at_s >= 0
                            else now),
-            stats=self._stats(),
-            extra=self._extra(),
+            stats=total,
+            extra=dict(self.extra),
         )
 
-    # -- subclass hooks ----------------------------------------------------
 
-    def _arm(self, world: PersonaWorld) -> None:
-        raise NotImplementedError
-
-    def _disarm(self, world: PersonaWorld) -> None:
-        raise NotImplementedError
-
-    def _stats(self) -> AdversaryStats:
-        return AdversaryStats()
-
-    def _extra(self) -> Dict[str, float]:
-        return {}
-
-
-def _is_reg_write(packet) -> bool:
-    """True for register write requests, plain or P4Auth framed."""
-    if not packet.has(REG_OP):
-        return False
-    for framing in ("p4auth", "ctl"):
-        if packet.has(framing):
-            return packet.get(framing)["msgType"] == RegOpType.WRITE_REQ
-    return False
+def _arm_switch_os_injector(persona: Persona, world: PersonaWorld) -> None:
+    """Compromised switch OS (C-DP), the §II-A malicious preloaded
+    library: tampers write requests *and* read responses of the target
+    register (``v ^ xor_mask``) on the world's control channel."""
+    reg_id = world.target_reg_id()
+    mask = persona.spec.xor_mask
+    size = (world.net.switch(world.switch_name)
+            .registers.get(world.target_register).size)
+    persona.attach(
+        RegisterRequestTamperer(reg_id, transform=lambda v: v ^ mask),
+        world.control_channel)
+    persona.attach(
+        RegisterResponseTamperer([(reg_id, index) for index in range(size)],
+                                 transform=lambda v: v ^ mask),
+        world.control_channel)
 
 
-def _merge_stats(adversaries: List[Adversary]) -> AdversaryStats:
-    total = AdversaryStats()
-    for adversary in adversaries:
-        total.seen += adversary.stats.seen
-        total.modified += adversary.stats.modified
-        total.dropped += adversary.stats.dropped
-        total.injected += adversary.stats.injected
-        total.recorded += adversary.stats.recorded
-    return total
-
-
-class SwitchOsInjector(Persona):
-    """Compromised switch OS (C-DP): tampers requests and responses.
-
-    Wraps :class:`RegisterRequestTamperer` (write requests, ``v ^ mask``)
-    and :class:`RegisterResponseTamperer` (read responses of the target
-    register) on the world's control channel — the §II-A malicious
-    preloaded library, as one composable unit.
-    """
-
-    kind = "switch-os-injector"
-
-    def __init__(self, spec: PersonaSpec):
-        super().__init__(spec)
-        self._adversaries: List[Adversary] = []
-
-    def _arm(self, world: PersonaWorld) -> None:
-        reg_id = world.target_reg_id()
-        mask = self.spec.xor_mask
-        request = RegisterRequestTamperer(reg_id,
-                                          transform=lambda v: v ^ mask)
-        indices = range(world.net.switch(world.switch_name)
-                        .registers.get(world.target_register).size)
-        response = RegisterResponseTamperer(
-            targets=[(reg_id, index) for index in indices],
-            transform=lambda v: v ^ mask)
-        self._adversaries = [request, response]
-        for adversary in self._adversaries:
-            adversary.attach(world.control_channel)
-
-    def _disarm(self, world: PersonaWorld) -> None:
-        for adversary in self._adversaries:
-            adversary.detach_all()
-
-    def _stats(self) -> AdversaryStats:
-        return _merge_stats(self._adversaries)
-
-
-class ProbeMitm(Persona):
+def _arm_probe_mitm(persona: Persona, world: PersonaWorld) -> None:
     """In-path MitM on DP-DP feedback probes (Attack 2).
 
-    Arms a :class:`ProbeFieldTamperer` on the world's DP-DP link.  On a
-    world with no feedback link or probe header the persona arms as a
-    no-op — that asymmetry (zero reachable surface) is itself a measured
-    result of the matrix, not an error.
+    A world with no feedback link or probe header exposes no surface and
+    arming is a no-op — that asymmetry is itself a measured result of the
+    matrix, not an error.
     """
-
-    kind = "probe-mitm"
-
-    def __init__(self, spec: PersonaSpec):
-        super().__init__(spec)
-        self._tamperer: Optional[ProbeFieldTamperer] = None
-
-    def _arm(self, world: PersonaWorld) -> None:
-        if world.dp_link is None or world.probe_header is None:
-            return
-        self._tamperer = ProbeFieldTamperer(
-            world.probe_header, world.probe_field or "path_util",
-            self.spec.probe_value)
-        self._tamperer.attach(world.dp_link)
-
-    def _disarm(self, world: PersonaWorld) -> None:
-        if self._tamperer is not None:
-            self._tamperer.detach_all()
-
-    def _stats(self) -> AdversaryStats:
-        if self._tamperer is None:
-            return AdversaryStats()
-        return self._tamperer.stats
-
-    def _extra(self) -> Dict[str, float]:
-        return {"surface_reachable": 1.0 if self._tamperer else 0.0}
+    reachable = world.dp_link is not None and world.probe_header is not None
+    persona.extra["surface_reachable"] = 1.0 if reachable else 0.0
+    if reachable:
+        persona.attach(
+            ProbeFieldTamperer(world.probe_header,
+                               world.probe_field or "path_util",
+                               persona.spec.probe_value),
+            world.dp_link)
 
 
-class ReplayFlooder(Persona):
-    """Records validly-signed writes and re-injects them at rate (§VIII).
+def _arm_replay_flooder(persona: Persona, world: PersonaWorld) -> None:
+    """Records validly-signed writes and re-injects them, round-robin,
+    at ``rate_hz`` (§VIII).  Replays carry a bit-for-bit valid digest, so
+    only the sequence-number defense catches them."""
+    recorder = persona.attach(
+        ReplayAttacker(lambda p: reg_op_type(p) == RegOpType.WRITE_REQ),
+        world.control_channel)
+    cursor = count()
 
-    Replays carry a bit-for-bit valid digest, so only the
-    sequence-number defense catches them.  Re-injection is a seeded
-    timer loop: round-robin over the recordings at ``rate_hz``.
-    """
+    def next_replay():
+        recordings = recorder.recordings
+        if not recordings:
+            return None
+        return recordings[next(cursor) % len(recordings)].copy()
 
-    kind = "replay-flooder"
-
-    def __init__(self, spec: PersonaSpec):
-        super().__init__(spec)
-        self._recorder: Optional[ReplayAttacker] = None
-        self._cursor = 0
-        self._generation = 0
-
-    def _arm(self, world: PersonaWorld) -> None:
-        self._recorder = ReplayAttacker(_is_reg_write)
-        self._recorder.attach(world.control_channel)
-        self._generation += 1
-        # Give the recorder a moment to capture live traffic, then flood.
-        world.sim.schedule(min(0.05, world.duration_s / 4),
-                           self._tick, self._generation)
-
-    def _disarm(self, world: PersonaWorld) -> None:
-        self._generation += 1
-        if self._recorder is not None:
-            self._recorder.detach_all()
-
-    def _tick(self, generation: int) -> None:
-        world = self.world
-        if (generation != self._generation or not self._armed
-                or world.sim.now >= self.armed_at_s + world.duration_s):
-            return
-        recordings = self._recorder.recordings
-        if recordings:
-            packet = recordings[self._cursor % len(recordings)]
-            self._cursor += 1
-            node = world.net.nodes[world.switch_name]
-            world.sim.schedule(0.0, node.receive, packet.copy(),
-                               DataplaneSwitch.CPU_PORT)
-            self._recorder.stats.injected += 1
-        world.sim.schedule(1.0 / self.spec.rate_hz, self._tick, generation)
-
-    def _stats(self) -> AdversaryStats:
-        if self._recorder is None:
-            return AdversaryStats()
-        return self._recorder.stats
+    pacer = PacedInjector(world.net, world.switch_name, persona.spec.rate_hz,
+                          next_replay, recorder.stats)
+    # Give the recorder a moment to capture live traffic, then flood.
+    pacer.start(world.duration_s, delay_s=min(0.05, world.duration_s / 4))
+    persona.undo(pacer.stop)
 
 
-class RolloverRacer(Persona):
-    """Replays a recorded write the instant a new local key installs.
-
-    Hooks the data plane's ``on_local_key_installed`` notification and
-    fires a replay burst inside the rollover window — the narrow race
-    where a stale-keyed or stale-sequence message is most plausible.
-    """
-
-    kind = "rollover-racer"
-
-    #: Replays fired per observed key installation.
-    BURST = 4
-
-    def __init__(self, spec: PersonaSpec):
-        super().__init__(spec)
-        self._recorder: Optional[ReplayAttacker] = None
-        self._hook: Optional[Callable] = None
-        self.rollovers_raced = 0
-
-    def _arm(self, world: PersonaWorld) -> None:
-        self._recorder = ReplayAttacker(lambda p: p.has(REG_OP))
-        self._recorder.attach(world.control_channel)
-
-        def on_key_installed(_version: int, _now: float) -> None:
-            if not self._armed:
-                return
-            self.rollovers_raced += 1
-            recordings = self._recorder.recordings
-            node = world.net.nodes[world.switch_name]
-            for packet in recordings[-self.BURST:]:
-                world.sim.schedule(0.0, node.receive, packet.copy(),
-                                   DataplaneSwitch.CPU_PORT)
-                self._recorder.stats.injected += 1
-
-        self._hook = on_key_installed
-        world.dataplane.on_local_key_installed.append(self._hook)
-
-    def _disarm(self, world: PersonaWorld) -> None:
-        if self._recorder is not None:
-            self._recorder.detach_all()
-        if self._hook in world.dataplane.on_local_key_installed:
-            world.dataplane.on_local_key_installed.remove(self._hook)
-
-    def _stats(self) -> AdversaryStats:
-        if self._recorder is None:
-            return AdversaryStats()
-        return self._recorder.stats
-
-    def _extra(self) -> Dict[str, float]:
-        return {"rollovers_raced": float(self.rollovers_raced)}
+#: Replays the rollover-racer fires per observed key installation.
+_RACE_BURST = 4
 
 
-class DigestBruteForcerPersona(Persona):
-    """Forges one write under many guessed digests (§VIII).
+def _arm_rollover_racer(persona: Persona, world: PersonaWorld) -> None:
+    """Replays the latest recorded register ops the instant a new local
+    key installs — the narrow race where a stale-keyed or stale-sequence
+    message is most plausible."""
+    recorder = persona.attach(ReplayAttacker(lambda p: p.has(REG_OP)),
+                              world.control_channel)
+    persona.extra["rollovers_raced"] = 0.0
 
-    Schedules ``rate_hz * duration_s`` guesses, evenly spaced, at arm
-    time.  Every wrong guess is a digest failure at the data plane —
-    slow, loud, and exactly the detection-rate experiment the paper
-    describes.
-    """
+    def on_key_installed(_version: int, _now: float) -> None:
+        persona.extra["rollovers_raced"] += 1
+        for packet in recorder.recordings[-_RACE_BURST:]:
+            inject_cpu(world.net, world.switch_name, packet.copy())
+            recorder.stats.injected += 1
 
-    kind = "digest-bruteforcer"
-
-    def __init__(self, spec: PersonaSpec):
-        super().__init__(spec)
-        self._forcer: Optional[DigestBruteForcer] = None
-
-    def _arm(self, world: PersonaWorld) -> None:
-        self._forcer = DigestBruteForcer(
-            world.net, world.switch_name, world.target_reg_id(), index=0,
-            value=self.spec.xor_mask, seed=self.spec.seed)
-        guesses = max(1, int(self.spec.rate_hz * world.duration_s))
-        self._forcer.attempt(guesses, seq_num=1,
-                             spacing_s=1.0 / self.spec.rate_hz)
-
-    def _disarm(self, world: PersonaWorld) -> None:
-        pass  # all guesses were scheduled inside the armed window
-
-    def _stats(self) -> AdversaryStats:
-        stats = AdversaryStats()
-        if self._forcer is not None:
-            stats.injected = self._forcer.attempts
-        return stats
-
-    def _extra(self) -> Dict[str, float]:
-        return {"attempts": float(self._forcer.attempts
-                                  if self._forcer else 0)}
+    hooks = world.dataplane.on_local_key_installed
+    hooks.append(on_key_installed)
+    persona.undo(lambda: hooks.remove(on_key_installed))
 
 
-class DosFlooderPersona(Persona):
+def _arm_digest_bruteforcer(persona: Persona, world: PersonaWorld) -> None:
+    """Forges one write under ``rate_hz * duration_s`` guessed digests
+    (§VIII), evenly spaced and all queued at arm time.  Every wrong guess
+    is a digest failure at the data plane — slow and loud."""
+    forcer = persona.attach(DigestBruteForcer(
+        world.net, world.switch_name, world.target_reg_id(), index=0,
+        value=persona.spec.xor_mask, seed=persona.spec.seed))
+    forcer.attempt(max(1, int(persona.spec.rate_hz * world.duration_s)),
+                   seq_num=1, spacing_s=1.0 / persona.spec.rate_hz)
+
+    def withdraw() -> None:
+        forcer.stop()
+        persona.extra["attempts"] = float(forcer.attempts)
+
+    persona.extra["attempts"] = float(forcer.attempts)
+    persona.undo(withdraw)
+
+
+def _arm_dos_flooder(persona: Persona, world: PersonaWorld) -> None:
     """Floods forged requests to trip the alert rate limiter (§VIII)."""
-
-    kind = "dos-flooder"
-
-    def __init__(self, spec: PersonaSpec):
-        super().__init__(spec)
-        self._flooder: Optional[DosFlooder] = None
-
-    def _arm(self, world: PersonaWorld) -> None:
-        self._flooder = DosFlooder(
-            world.net, world.switch_name, world.target_reg_id(),
-            rate_hz=self.spec.rate_hz, seed=self.spec.seed)
-        self._flooder.start(world.duration_s)
-
-    def _disarm(self, world: PersonaWorld) -> None:
-        if self._flooder is not None:
-            self._flooder.stop()
-
-    def _stats(self) -> AdversaryStats:
-        stats = AdversaryStats()
-        if self._flooder is not None:
-            stats.injected = self._flooder.sent
-        return stats
+    flooder = persona.attach(DosFlooder(
+        world.net, world.switch_name, world.target_reg_id(),
+        rate_hz=persona.spec.rate_hz, seed=persona.spec.seed))
+    flooder.start(world.duration_s)
+    persona.undo(flooder.stop)
 
 
-_PERSONA_CLASSES: Dict[str, Type[Persona]] = {
-    cls.kind: cls
-    for cls in (SwitchOsInjector, ProbeMitm, ReplayFlooder, RolloverRacer,
-                DigestBruteForcerPersona, DosFlooderPersona)
+#: The kind table: what arming each persona kind means.
+_ARMERS: Dict[str, Callable[[Persona, PersonaWorld], None]] = {
+    "switch-os-injector": _arm_switch_os_injector,
+    "probe-mitm": _arm_probe_mitm,
+    "replay-flooder": _arm_replay_flooder,
+    "rollover-racer": _arm_rollover_racer,
+    "digest-bruteforcer": _arm_digest_bruteforcer,
+    "dos-flooder": _arm_dos_flooder,
 }
 
-assert set(_PERSONA_CLASSES) == set(PERSONA_KINDS)
+#: Every persona kind :func:`build_persona` knows how to instantiate.
+PERSONA_KINDS = tuple(_ARMERS)
 
 
 def build_persona(spec: PersonaSpec) -> Persona:
     """Instantiate the runtime persona for a spec."""
-    spec.validate()
-    return _PERSONA_CLASSES[spec.kind](spec)
+    return Persona(spec)
 
 
 # ---------------------------------------------------------------------------

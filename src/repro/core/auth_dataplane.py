@@ -146,7 +146,11 @@ class P4AuthDataplane:
         self._session_cache: Dict[int, object] = {}
 
         #: Out-of-band instrumentation hooks (measurement only, no wire
-        #: traffic): fired when a key install completes.
+        #: traffic): fired when a key install completes, as ``hook(slot,
+        #: now)`` / ``hook(port, slot, now)``.  ``slot`` is the version
+        #: slot the key went into (0 or 1), never the key: subscribers
+        #: include the controller's KMP, which must not learn K_port, and
+        #: whoever else reaches the data plane object.
         self.on_local_key_installed: List[Callable[[int, float], None]] = []
         self.on_port_key_installed: List[Callable[[int, int, float], None]] = []
         #: Fired whenever the DP emits a key-exchange message directly to a
@@ -467,6 +471,20 @@ class P4AuthDataplane:
             else:
                 ctx.drop(f"unexpected key-exchange msgType {msg_type} on link")
 
+    def _install_key(self, index: int, master: int, version: int,
+                     now: float, direction: int = 0) -> None:
+        """Install a derived key (a port key with its exchange
+        ``direction``) and notify the hooks — the one place they are
+        called from, and it tells them the slot, never ``master``."""
+        slot = self.keys.install_at(index, master, version)
+        if index == LOCAL_KEY_INDEX:
+            for hook in self.on_local_key_installed:
+                hook(slot, now)
+            return
+        self.keys.set_port_direction(index, direction)
+        for hook in self.on_port_key_installed:
+            hook(index, slot, now)
+
     def _eak_respond(self, ctx: PipelineContext, hdr) -> None:
         salt1 = ctx.packet.get(EAK)["salt"]
         endpoint = EakEndpoint(self.k_seed, self._prng, self._kdf)
@@ -493,19 +511,14 @@ class P4AuthDataplane:
                                         hdr["seqNum"])
             self.digest.sign(self._kauth.read(0), reply)
             ctx.to_controller(reply, reason="ADHKD msg2 (local key)")
-            self.keys.install_at(LOCAL_KEY_INDEX, master, 0)
-            for hook in self.on_local_key_installed:
-                hook(master, ctx.now)
+            self._install_key(LOCAL_KEY_INDEX, master, 0, ctx.now)
         else:
             reply = build_adhkd_message(KeyExchType.ADHKD_MSG2, pk2, salt2,
                                         hdr["seqNum"])
             reply.get(P4AUTH)["flags"] = context_port
             self._sign_local(reply)
             ctx.to_controller(reply, reason="ADHKD msg2 (port key, redirected)")
-            self.keys.install_at(context_port, master, 0)
-            self.keys.set_port_direction(context_port, 1)
-            for hook in self.on_port_key_installed:
-                hook(context_port, master, ctx.now)
+            self._install_key(context_port, master, 0, ctx.now, direction=1)
 
     def _upd_respond_cpu(self, ctx: PipelineContext, hdr) -> None:
         """updKeyExch leg 1 (Fig 14b): roll the local key.
@@ -524,9 +537,7 @@ class P4AuthDataplane:
                                     hdr["seqNum"], key_ver=request_ver)
         self.digest.sign(self.keys.local_key(request_ver), reply)
         ctx.to_controller(reply, reason="updKeyExch msg2 (local key)")
-        self.keys.install_at(LOCAL_KEY_INDEX, master, request_ver + 1)
-        for hook in self.on_local_key_installed:
-            hook(master, ctx.now)
+        self._install_key(LOCAL_KEY_INDEX, master, request_ver + 1, ctx.now)
 
     def _adhkd_finish_redirected(self, ctx: PipelineContext, hdr) -> None:
         """ADHKD_MSG2 via CPU: completes a redirected port-key init we
@@ -561,10 +572,7 @@ class P4AuthDataplane:
         reply.metadata["p4auth_signed"] = True
         self._count_dpdp(port, reply)
         ctx.emit(port, reply)
-        self.keys.install_at(port, master, request_ver + 1)
-        self.keys.set_port_direction(port, 1)
-        for hook in self.on_port_key_installed:
-            hook(port, master, ctx.now)
+        self._install_key(port, master, request_ver + 1, ctx.now, direction=1)
 
     def _adhkd_finish_link(self, ctx: PipelineContext, hdr) -> None:
         """ADHKD_MSG2 over a link: completes a direct port-key update."""
@@ -586,10 +594,7 @@ class P4AuthDataplane:
         self._charge_kdf()
         self._pending_r1.write(port, 0)
         self._pending_s1.write(port, 0)
-        self.keys.install_at(port, master, version)
-        self.keys.set_port_direction(port, 0)
-        for hook in self.on_port_key_installed:
-            hook(port, master, ctx.now)
+        self._install_key(port, master, version, ctx.now, direction=0)
 
     def _port_key_start(self, ctx: PipelineContext, hdr,
                         via_controller: bool) -> None:

@@ -163,7 +163,7 @@ class KeyManagementProtocol:
     def observe_dataplane(self, dataplane) -> None:
         name = dataplane.switch.name
         dataplane.on_port_key_installed.append(
-            lambda port, key, now, sw=name: self._port_key_done(sw, port, now)
+            lambda port, _slot, now, sw=name: self._port_key_done(sw, port, now)
         )
         dataplane.on_dpdp_exchange_sent.append(
             lambda port, packet, sw=name: self._dpdp_sent(sw, port, packet)
@@ -174,34 +174,35 @@ class KeyManagementProtocol:
     # ------------------------------------------------------------------
 
     def local_key_init(self, switch: str,
-                       on_done: Optional[DoneCallback] = None,
-                       _attempt: int = 1) -> None:
+                       on_done: Optional[DoneCallback] = None) -> None:
         """EAK + ADHKD: establish K_auth then K_local (Fig 14a)."""
-        exchange = _Exchange("local_init", switch, self.c.sim.now,
-                             on_done=on_done, attempt=_attempt)
-        exchange.eak = EakEndpoint(self.c.keys.seed(switch), self.c.prng)
-        salt1 = exchange.eak.start()
-        seq = self.c.next_seq(switch)
-        message = build_eak_message(KeyExchType.EAK_SALT1, salt1, seq)
-        self.c.digest.sign(self.c.keys.seed(switch), message)
-        self._by_seq[(switch, seq)] = exchange
-        self._send(exchange, switch, message)
-        self._watch(exchange,
-                    lambda: self.local_key_init(switch, on_done,
-                                                _attempt + 1))
+        self._start_local_op("local_init", switch, on_done)
 
     def local_key_update(self, switch: str,
-                         on_done: Optional[DoneCallback] = None,
-                         _attempt: int = 1) -> None:
+                         on_done: Optional[DoneCallback] = None) -> None:
         """ADHKD under the current K_local: roll to a new K_local (Fig 14b)."""
-        exchange = _Exchange("local_update", switch, self.c.sim.now,
-                             on_done=on_done, attempt=_attempt)
-        self._start_local_adhkd(exchange, switch,
-                                self.c.keys.local_key(switch),
-                                self.c.keys.local_key_version(switch))
+        self._start_local_op("local_update", switch, on_done)
+
+    def _start_local_op(self, op: str, switch: str,
+                        on_done: Optional[DoneCallback],
+                        attempt: int = 1) -> None:
+        exchange = _Exchange(op, switch, self.c.sim.now,
+                             on_done=on_done, attempt=attempt)
+        if op == "local_init":
+            exchange.eak = EakEndpoint(self.c.keys.seed(switch), self.c.prng)
+            salt1 = exchange.eak.start()
+            seq = self.c.next_seq(switch)
+            message = build_eak_message(KeyExchType.EAK_SALT1, salt1, seq)
+            self.c.digest.sign(self.c.keys.seed(switch), message)
+            self._by_seq[(switch, seq)] = exchange
+            self._send(exchange, switch, message)
+        else:
+            self._start_local_adhkd(exchange, switch,
+                                    self.c.keys.local_key(switch),
+                                    self.c.keys.local_key_version(switch))
         self._watch(exchange,
-                    lambda: self.local_key_update(switch, on_done,
-                                                  _attempt + 1))
+                    lambda: self._start_local_op(op, switch, on_done,
+                                                 attempt + 1))
 
     def port_key_init(self, switch: str, port: int,
                       on_done: Optional[DoneCallback] = None) -> None:

@@ -18,69 +18,29 @@ same tap chain as PacketOut messages.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional
 
 from repro.core.constants import REG_OP, RegOpType
 from repro.core.regops import apply_reg_op
-from repro.core.requests import (
-    PendingRequest,
-    RequestLifecycle,
-    ResponseCallback,
-    RetryPolicy,
-)
+from repro.core.requests import PendingRequest, ResponseCallback
 from repro.dataplane.switch import DataplaneSwitch
-from repro.net.network import Network
-from repro.runtime.plain import build_plain_request
+from repro.runtime.plain import _RegisterStack, build_plain_request
 
 
-class P4RuntimeStack:
-    """Register access via the (modeled) P4Runtime API."""
+class P4RuntimeStack(_RegisterStack):
+    """Register access via the (modeled) P4Runtime API.
 
-    def __init__(self, network: Network,
-                 request_timeout_s: Optional[float] = None,
-                 max_request_attempts: int = 3):
-        self.network = network
-        self.sim = network.sim
-        self.costs = network.costs
-        self.request_retries = 0
-        self.requests_abandoned = 0
-        #: Opt-in bounded retries: ``None`` preserves the legacy behaviour
-        #: where an OS-level drop makes the request time out *silently*;
-        #: otherwise lost requests are re-issued after this delay up to
-        #: ``max_request_attempts`` times, then abandoned via
-        #: ``callback(False, 0)``.  Requests to one switch ride one
-        #: ordered gRPC stream, so the lifecycle's per-switch FIFO horizon
-        #: is on *arrival* here: a cheap-to-compose read issued after a
-        #: write must not reach the server first.
-        self.requests = RequestLifecycle(
-            network, "P4Runtime",
-            RetryPolicy(request_timeout_s, max_request_attempts),
-            self._issue, self)
-        self._switches: Dict[str, DataplaneSwitch] = {}
-        self.rct_samples = []  # (kind, rct_s, ok)
+    With retries off, an OS-level drop makes the request time out
+    *silently*.  Requests to one switch ride one ordered gRPC stream, so
+    the lifecycle's per-switch FIFO horizon is on *arrival* here: a
+    cheap-to-compose read issued after a write must not reach the server
+    first.
+    """
+
+    STACK = "P4Runtime"
 
     def provision(self, switch: DataplaneSwitch) -> None:
-        self._switches[switch.name] = switch
         self.requests.seq.setdefault(switch.name, 1)
-
-    def outstanding_count(self) -> int:
-        """Requests issued whose outcome (completion, loss, abandonment)
-        has not yet been decided — the stack's true in-flight load."""
-        return self.requests.outstanding_count()
-
-    def read_register(self, switch: str, reg_name: str, index: int,
-                      callback: Optional[ResponseCallback] = None) -> int:
-        return self._issue("read", switch, reg_name, index, 0, callback)
-
-    def write_register(self, switch: str, reg_name: str, index: int,
-                       value: int,
-                       callback: Optional[ResponseCallback] = None) -> int:
-        return self._issue("write", switch, reg_name, index, value, callback)
-
-    def request_many(self, switch: str, ops: Sequence[Tuple]) -> List[int]:
-        """Issue a burst of ``(kind, reg_name, index, value, callback)``
-        ops back to back; returns their seq numbers."""
-        return self.requests.issue_each(switch, ops)
 
     def _issue(self, kind: str, switch: str, reg_name: str, index: int,
                value: int, callback: Optional[ResponseCallback],
@@ -104,7 +64,7 @@ class P4RuntimeStack:
         # the compromised-OS tap chain gets its chance to mangle them.
         kind, switch = request.kind, request.switch
         msg_type = RegOpType.READ_REQ if kind == "read" else RegOpType.WRITE_REQ
-        device = self._switches[switch]
+        device = self.network.switch(switch)
         reg_id = device.registers.id_of(request.reg_name)
         surrogate = build_plain_request(msg_type, reg_id, request.index,
                                         request.value, seq)

@@ -82,13 +82,13 @@ class PlainRegOpDataplane:
         ctx.stop()
 
 
-class PlainController:
-    """Controller for the DP-Reg-RW stack (no authentication).
+class _RegisterStack:
+    """What the two unauthenticated stacks share: the request lifecycle
+    and the register API :class:`repro.core.P4AuthController` also
+    speaks.  A subclass names its ``STACK`` and composes in ``_issue``."""
 
-    API-compatible with :class:`repro.core.P4AuthController` for register
-    operations, so in-network system controllers (e.g., RouteScout's) can
-    run over either stack.
-    """
+    #: Label on the shared ``runtime_*`` metrics.
+    STACK = ""
 
     def __init__(self, network: Network,
                  request_timeout_s: Optional[float] = None,
@@ -100,28 +100,19 @@ class PlainController:
         self.requests_abandoned = 0
         #: Opt-in bounded retries (same contract as P4AuthController):
         #: ``None`` keeps legacy fire-and-wait, otherwise unanswered
-        #: requests are re-issued then abandoned with ``callback(False, 0)``.
+        #: requests are re-issued after this delay up to
+        #: ``max_request_attempts`` times, then abandoned with
+        #: ``callback(False, 0)``.
         self.requests = RequestLifecycle(
-            network, "DP-Reg-RW",
+            network, self.STACK,
             RetryPolicy(request_timeout_s, max_request_attempts),
             self._issue, self)
-        self._seq = self.requests.seq
-        self._reg_ids: Dict[str, Dict[str, int]] = {}
         self.rct_samples = []  # (kind, rct_s, ok)
-        self.acks = 0
-        self.nacks = 0
-        network.attach_controller(self)
-
-    def provision(self, switch: DataplaneSwitch) -> None:
-        self._reg_ids[switch.name] = {
-            reg_name: reg_id
-            for reg_id, reg_name in switch.registers.id_map().items()
-        }
-        self._seq.setdefault(switch.name, 1)
 
     def outstanding_count(self) -> int:
-        """Requests sent but not yet answered (uniform across stacks, so
-        batching facades can gauge true in-flight load)."""
+        """Requests issued whose outcome (completion, loss, abandonment)
+        has not yet been decided — uniform across stacks, so batching
+        facades can gauge true in-flight load."""
         return self.requests.outstanding_count()
 
     def read_register(self, switch: str, reg_name: str, index: int,
@@ -137,6 +128,34 @@ class PlainController:
         """Issue a burst of ``(kind, reg_name, index, value, callback)``
         ops back to back; returns their seq numbers."""
         return self.requests.issue_each(switch, ops)
+
+
+class PlainController(_RegisterStack):
+    """Controller for the DP-Reg-RW stack (no authentication).
+
+    API-compatible with :class:`repro.core.P4AuthController` for register
+    operations, so in-network system controllers (e.g., RouteScout's) can
+    run over either stack.
+    """
+
+    STACK = "DP-Reg-RW"
+
+    def __init__(self, network: Network,
+                 request_timeout_s: Optional[float] = None,
+                 max_request_attempts: int = 3):
+        super().__init__(network, request_timeout_s, max_request_attempts)
+        self._seq = self.requests.seq
+        self._reg_ids: Dict[str, Dict[str, int]] = {}
+        self.acks = 0
+        self.nacks = 0
+        network.attach_controller(self)
+
+    def provision(self, switch: DataplaneSwitch) -> None:
+        self._reg_ids[switch.name] = {
+            reg_name: reg_id
+            for reg_id, reg_name in switch.registers.id_map().items()
+        }
+        self._seq.setdefault(switch.name, 1)
 
     def _issue(self, kind: str, switch: str, reg_name: str, index: int,
                value: int, callback: Optional[ResponseCallback],

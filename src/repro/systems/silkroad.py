@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.core.messages import build_reg_write_request
+from repro.attacks.base import forged_write, inject_cpu
 from repro.dataplane.headers import HeaderType
 from repro.dataplane.pipeline import PipelineContext
 from repro.dataplane.sketches import BloomFilter
@@ -130,10 +130,10 @@ def run_scenario(mode: str, pending_flows: int = 40,
         if mode == "attack":
             forged = build_plain_request(RegOpType.WRITE_REQ, reg_id, 0, 1,
                                          seq_num=0xFFFF)
-        else:
-            forged = build_reg_write_request(reg_id, 0, 1, seq_num=0xFFFF)
-            forged.get("p4auth")["digest"] = 0xDEADBEEF  # no key: a guess
-        sim.schedule(0.2, node.receive, forged, DataplaneSwitch.CPU_PORT)
+        else:  # no key: the digest is a guess
+            forged = forged_write(reg_id, 0, 1, seq_num=0xFFFF,
+                                  digest=0xDEADBEEF)
+        inject_cpu(net, "s1", forged, 0.2)
 
     # The legitimate clear, after all pending connections committed.
     def commit_and_clear() -> None:

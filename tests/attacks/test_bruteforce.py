@@ -36,3 +36,17 @@ def test_every_attempt_is_visible(single_switch):
 
 def test_expected_trials_is_2_to_31():
     assert DigestBruteForcer.expected_trials() == 2 ** 31
+
+
+def test_stop_withdraws_the_guesses_not_yet_delivered(single_switch):
+    dep = single_switch
+    reg_id = dep.switch("s1").registers.id_of("demo")
+    attacker = DigestBruteForcer(dep.net, "s1", reg_id, index=0, value=1)
+    attacker.attempt(guesses=10, spacing_s=0.01)
+    assert attacker.attempts == 10  # queued counts until withdrawn
+    dep.run(0.035)  # guesses at +0, +0.01, +0.02, +0.03 have landed
+    attacker.stop()
+    attacker.stop()  # idempotent
+    dep.run(1.0)
+    assert dep.dataplanes["s1"].stats.digest_fail_cdp == 4
+    assert attacker.attempts == attacker.stats.injected == 4

@@ -188,7 +188,7 @@ class TestDosFlooderLifecycle:
         reg_id = dep.switch("s1").registers.id_of("demo")
         flooder = DosFlooder(dep.net, "s1", reg_id, rate_hz=100.0)
         flooder.stop()
-        flooder._fire()
+        flooder._pacer._tick()
         dep.run(0.2)
         assert flooder.sent == 0
 

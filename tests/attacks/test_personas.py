@@ -79,18 +79,32 @@ class TestLifecycle:
     @pytest.mark.parametrize("kind", PERSONA_KINDS)
     def test_arm_disarm_symmetric(self, kind):
         sim, net, controller, dataplane = _deployment()
+        recorder = WireRecorder(net, "s1")
         persona = build_persona(PersonaSpec(kind=kind, rate_hz=50.0))
         assert not persona.armed
-        persona.arm(_world(sim, net, controller, dataplane))
+        persona.arm(_world(sim, net, controller, dataplane, duration=0.6))
         assert persona.armed
         assert persona.armed_at_s == sim.now
         with pytest.raises(RuntimeError, match="already armed"):
             persona.arm(_world(sim, net, controller, dataplane))
-        sim.run(until=sim.now + 0.1)
+        # One write, then one key rollover, both settled before the
+        # disarm, give the recording kinds something to replay.
+        controller.write_register("s1", "demo", 0, 0x77)
+        sim.run(until=sim.now + 0.05)
+        controller.kmp.local_key_update("s1")
+        sim.run(until=sim.now + 0.05)
         persona.disarm()
         assert not persona.armed
         assert persona.disarmed_at_s >= persona.armed_at_s
         persona.disarm()  # idempotent
+        # disarm() withdraws what arm() scheduled: the controller is
+        # silent from here on, so nothing may reach s1's CPU port.
+        frames = len(recorder.frames)
+        injected = persona.outcome().stats.injected
+        sim.run(until=sim.now + 0.9)
+        assert len(recorder.frames) == frames
+        assert persona.outcome().stats.injected == injected
+        recorder.restore()
 
     @pytest.mark.parametrize("kind", PERSONA_KINDS)
     def test_outcome_record_shape(self, kind):

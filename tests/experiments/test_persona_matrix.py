@@ -1,8 +1,11 @@
 """The persona_matrix experiment: registration, determinism, invariants."""
 
+import hashlib
+
 import pytest
 
 from repro.attacks.personas import PERSONA_KINDS
+from repro.engine.canon import canonical_json
 from repro.engine.registry import get_spec
 from repro.experiments.persona_matrix import (
     SYSTEMS,
@@ -11,6 +14,25 @@ from repro.experiments.persona_matrix import (
 )
 
 _CELL = dict(attack_rate_hz=400.0, duration_s=1.0, load_hz=60.0, seed=7)
+
+#: sha256 of the canonical JSON of ``run_persona_trial(kind, "hula",
+#: **_CELL)``, captured on the commit before personas became a kind table
+#: (the ``test_event_order_pin.py`` pattern).  Update only for a change
+#: that is *meant* to alter what a persona injects or when.
+PINNED_HULA_CELL_SHA256 = {
+    "switch-os-injector":
+        "c6924bde2b2d5b2b7c3fff1d0acf34966fda02fcd21b9ced34f2964d31bb7006",
+    "probe-mitm":
+        "70810d65ec68a82e8f553cc0fa02f99feb8495b004abf23694af0d63ca03ff2e",
+    "replay-flooder":
+        "ddeb19b3c21a008b742df71c2228f1a9ea4daaf19fd73bbdb9c8a74e50da35f1",
+    "rollover-racer":
+        "f78756c97721ba1654503b0857987e7124114eb155c493e7992ba17ef9e2ef2c",
+    "digest-bruteforcer":
+        "907fc2c11567b7cc49eeff70e3707c5dd5a748e5d217db729326f63cc4b14af6",
+    "dos-flooder":
+        "9b3af669709ea551a08f7da9f34d2dad70a72f2c1fa05ea9636a4aa73dd25695",
+}
 
 
 class TestSpecRegistration:
@@ -39,6 +61,13 @@ class TestSpecRegistration:
 
 
 class TestTrialInvariants:
+    @pytest.mark.parametrize("kind", PERSONA_KINDS)
+    def test_hula_cell_is_pinned(self, kind):
+        result = run_persona_trial(kind, "hula", **_CELL)
+        digest = hashlib.sha256(canonical_json(result).encode()).hexdigest()
+        assert digest == PINNED_HULA_CELL_SHA256[kind], (
+            f"{kind} vs hula changed: {result['persona_outcome']}")
+
     def test_unknown_system_rejected(self):
         with pytest.raises(ValueError, match="system"):
             run_persona_trial("dos-flooder", "bgp", **_CELL)
