@@ -1,11 +1,5 @@
-from setuptools import setup, find_packages
+# Shim for tools that still look for setup.py (old pips' editable
+# installs); every field, dependencies included, lives in pyproject.toml.
+from setuptools import setup
 
-setup(
-    name="repro",
-    version="1.0.0",
-    description="Reproduction of P4Auth (DSN 2025)",
-    package_dir={"": "src"},
-    packages=find_packages(where="src"),
-    python_requires=">=3.9",
-    install_requires=["numpy", "networkx"],
-)
+setup()

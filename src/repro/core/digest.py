@@ -28,7 +28,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.core.constants import P4AUTH
 from repro.core.messages import digest_material
-from repro.crypto import vectorized
 from repro.crypto.crc import Crc32
 from repro.crypto.halfsiphash import HalfSipHash
 from repro.dataplane.externs import HashExtern
@@ -198,6 +197,10 @@ class DigestEngine:
                     for p in packets]
         materials = [digest_material(p) for p in packets]
         if self.lane_for(count) == "vector":
+            # The only numpy importer, loaded by the first vector batch:
+            # a process that never signs one (every workload in bench/,
+            # every start) never pays for it.
+            from repro.crypto import vectorized
             self.vector_batches += 1
             self.vector_messages += count
             if self._halfsiphash is not None:

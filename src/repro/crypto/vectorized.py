@@ -13,7 +13,10 @@ messages per call:
   CRC-32 over a batch (keyed form prepends the 64-bit key exactly like
   :meth:`repro.crypto.crc.Crc32.compute_keyed`).
 
-The lanes are numpy (a hard dependency of the package): the 32-bit
+The lanes are numpy, and this module is the package's only numpy
+importer: it is imported where the vector lane is entered
+(``DigestEngine.compute_many``, the ``digest_vector`` experiment), so a
+process that never signs a vector batch never loads numpy.  The 32-bit
 SipRound ALU ops and the CRC table step run across all message lanes at
 once as ``uint32`` array arithmetic.  Messages are grouped by byte
 length so every lane in a group walks the same block schedule — C-DP
@@ -31,7 +34,7 @@ scalar classes and against independent references.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,6 +43,28 @@ from repro.crypto.halfsiphash import HalfSipHash
 
 # Default CRC engine: IEEE reflected CRC-32, the Tofino hash-unit flavor.
 _CRC_DEFAULT = Crc32()
+
+
+def _by_length(messages: Sequence[bytes]
+               ) -> Iterator[Tuple[int, List[int], np.ndarray]]:
+    """``(length, positions, lanes)`` per distinct message length.
+
+    ``positions`` are the indices of the messages that long and
+    ``lanes`` their bytes as an ``(n, length)`` uint8 array, so every
+    lane in a group walks one block schedule.  C-DP material is
+    fixed-width: signing a burst lands in a single group.
+    """
+    groups: dict = {}
+    for position, message in enumerate(messages):
+        groups.setdefault(len(message), []).append(position)
+    for length, positions in groups.items():
+        n = len(positions)
+        if length:
+            lanes = np.frombuffer(b"".join(messages[p] for p in positions),
+                                  dtype=np.uint8).reshape(n, length)
+        else:
+            lanes = np.zeros((n, 0), dtype=np.uint8)
+        yield length, positions, lanes
 
 
 # ---------------------------------------------------------------------------
@@ -65,17 +90,10 @@ def digest_many_from_state(state: Tuple[int, int, int, int],
                            compression_rounds: int = 2,
                            finalization_rounds: int = 4) -> List[int]:
     """Tag a batch starting from a precomputed key schedule."""
-    c, d = compression_rounds, finalization_rounds
     out: List[int] = [0] * len(messages)
-    # Group lanes by message length so every lane in a group shares one
-    # block schedule; C-DP material is fixed-width, so signing a burst
-    # lands in a single group.
-    groups: dict = {}
-    for position, message in enumerate(messages):
-        groups.setdefault(len(message), []).append(position)
-    for length, positions in groups.items():
-        tags = _digest_group_numpy(state, [messages[p] for p in positions],
-                                   length, c, d)
+    for _length, positions, lanes in _by_length(messages):
+        tags = _digest_group_numpy(state, lanes, compression_rounds,
+                                   finalization_rounds)
         for lane, position in enumerate(positions):
             out[position] = int(tags[lane])
     return out
@@ -101,14 +119,9 @@ def _sip_rounds_numpy(v0, v1, v2, v3, rounds: int):
     return v0, v1, v2, v3
 
 
-def _digest_group_numpy(state: Tuple[int, int, int, int],
-                        messages: List[bytes], length: int, c: int, d: int):
-    n = len(messages)
-    if length:
-        lanes = np.frombuffer(b"".join(messages),
-                              dtype=np.uint8).reshape(n, length)
-    else:
-        lanes = np.zeros((n, 0), dtype=np.uint8)
+def _digest_group_numpy(state: Tuple[int, int, int, int], lanes,
+                        c: int, d: int):
+    n, length = lanes.shape
     full = length - (length % 4)
     v0 = np.full(n, state[0], dtype=np.uint32)
     v1 = np.full(n, state[1], dtype=np.uint32)
@@ -171,17 +184,8 @@ def _crc32_many(datas: Sequence[bytes], engine: Crc32,
     table = np.asarray(engine._table, dtype=np.uint32)
     xor_out = np.uint32(engine.xor_out)
     out: List[int] = [0] * len(datas)
-    groups: dict = {}
-    for position, data in enumerate(datas):
-        groups.setdefault(len(data), []).append(position)
-    for length, positions in groups.items():
-        n = len(positions)
-        if length:
-            lanes = np.frombuffer(b"".join(datas[p] for p in positions),
-                                  dtype=np.uint8).reshape(n, length)
-        else:
-            lanes = np.zeros((n, 0), dtype=np.uint8)
-        crc = np.full(n, init_state, dtype=np.uint32)
+    for length, positions, lanes in _by_length(datas):
+        crc = np.full(len(positions), init_state, dtype=np.uint32)
         for column in range(length):
             crc = (crc >> np.uint32(8)) ^ table[(crc ^ lanes[:, column])
                                                 & np.uint32(0xFF)]

@@ -22,7 +22,6 @@ import random
 import time
 from typing import Callable, Dict, List
 
-from repro.crypto import vectorized
 from repro.crypto.crc import Crc32
 from repro.crypto.halfsiphash import HalfSipHash
 from repro.engine.registry import register
@@ -51,6 +50,9 @@ def _build_lane(algorithm: str, lane: str, key: int,
     schedule (the PR 5 fast path) and a hoisted bound method — so the
     reported speedup is vector-lane value, not strawman overhead.
     """
+    if lane == "vector":
+        # numpy loads with the first vector trial, not with the catalog.
+        from repro.crypto import vectorized
     if algorithm == "halfsiphash":
         hasher = HalfSipHash()
         state = hasher.key_schedule(key)

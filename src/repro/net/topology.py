@@ -23,9 +23,8 @@ the named nodes/ports a caller needs to run the experiment
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
-
-import networkx as nx
+import random
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.crypto.prng import XorShiftPrng
 from repro.dataplane.switch import DataplaneSwitch
@@ -37,6 +36,9 @@ from repro.net.region import (
     RegionalWorld,
 )
 from repro.net.simulator import EventSimulator
+
+if TYPE_CHECKING:
+    import networkx
 
 SwitchFactory = Callable[[str, int], DataplaneSwitch]
 
@@ -151,7 +153,8 @@ def random_regular_fabric(m: int, degree: int = 4, seed: int = 1,
     scale the same shape to m=100 and m=400.  Switch ``sw<i>`` gets
     ``degree`` ports, assigned to incident edges in sorted-edge order
     (ports 1..degree).  Node/edge iteration is sorted, so the wiring is a
-    pure function of ``(m, degree, seed)``.
+    pure function of ``(m, degree, seed)``; ``extras["graph"]`` is that
+    sorted ``(lo, hi)`` edge list.
 
     Since the region refactor this delegates to :func:`regional_fabric`
     with ``regions=1`` — same construction order, same event schedule,
@@ -207,6 +210,67 @@ def _boundary_plan(regions: int, sizes: List[int], seed: int,
     return plan
 
 
+def _pairable(edges, leftover) -> bool:
+    """Can two leftover nodes still be joined by an edge not in ``edges``?
+
+    networkx's ``_suitable``, quirk included: the swap rebinds the
+    *outer* loop's name for the rest of the inner loop, so later pairs
+    are tested against the swapped node.  Tidying that up changes which
+    attempts are abandoned — ``(degree=4, size=10, seed=14)`` diverges.
+    """
+    if not leftover:
+        return True
+    for s1 in leftover:
+        for s2 in leftover:
+            if s1 == s2:
+                break
+            if s1 > s2:
+                s1, s2 = s2, s1
+            if (s1, s2) not in edges:
+                return True
+    return False
+
+
+def _random_regular_edges(degree: int, size: int,
+                          seed: int) -> List[Tuple[int, int]]:
+    """Sorted ``(lo, hi)`` edges of a random ``degree``-regular graph on
+    ``range(size)``; needs ``0 < degree < size`` and ``size * degree`` even.
+
+    The Steger-Wormald pairing model exactly as networkx 3.x's
+    ``random_regular_graph(degree, size, seed=seed)`` runs it — the same
+    draws from ``random.Random(seed)``, the same leftover order, the same
+    abandoned attempts — so the result equals ``sorted(graph.edges)``
+    there and every fabric wired from it, port for port, is the one the
+    pinned fingerprints were recorded on
+    (``tests/net/test_random_regular.py``).
+    """
+    rng = random.Random(seed)
+    while True:
+        edges = set()
+        stubs = list(range(size)) * degree
+        while stubs:
+            # Shuffle the unpaired stubs and pair them off in order; a
+            # self-loop or repeated edge puts both ends back for the
+            # next round.
+            leftover: Dict[int, int] = {}
+            rng.shuffle(stubs)
+            ends = iter(stubs)
+            for s1, s2 in zip(ends, ends):
+                if s1 > s2:
+                    s1, s2 = s2, s1
+                if s1 != s2 and (s1, s2) not in edges:
+                    edges.add((s1, s2))
+                else:
+                    leftover[s1] = leftover.get(s1, 0) + 1
+                    leftover[s2] = leftover.get(s2, 0) + 1
+            if not _pairable(edges, leftover):
+                break  # dead end: start over with the generator as it is
+            stubs = [node for node, count in leftover.items()
+                     for _ in range(count)]
+        else:
+            return sorted(edges)
+
+
 def regional_fabric(m: int, regions: int = 1, degree: int = 4, seed: int = 1,
                     factory: Optional[SwitchFactory] = None,
                     costs: Optional[CostModel] = None,
@@ -227,6 +291,12 @@ def regional_fabric(m: int, regions: int = 1, degree: int = 4, seed: int = 1,
     Switch names are ``sw<i>`` when ``regions == 1`` (the legacy flat
     namespace) and ``r<k>sw<i>`` otherwise.  ``telemetry`` is attached to
     region 0's simulator (for ``regions == 1`` that is the whole world).
+    ``extras["graphs"]`` maps each region id to its sorted ``(lo, hi)``
+    edge list over switch indices.
+
+    Raises ``ValueError``, before any switch is built, when some region
+    admits no ``degree``-regular graph (size not above the degree, or an
+    odd ``size * degree``).
     """
     if regions == 1:
         boundary_plan: List[Tuple[int, int, int, int]] = []
@@ -235,9 +305,14 @@ def regional_fabric(m: int, regions: int = 1, degree: int = 4, seed: int = 1,
         sizes = region_sizes(m, regions)
         boundary_plan = _boundary_plan(regions, sizes, seed,
                                        boundary_links_per_pair)
-    if min(sizes) <= degree:
-        raise ValueError(f"need every region larger than degree={degree}; "
-                         f"sizes={sizes}")
+    if degree < 1:
+        raise ValueError(f"need degree >= 1, got {degree}")
+    for index, size in enumerate(sizes):
+        if size <= degree or (size * degree) % 2:
+            raise ValueError(
+                f"region r{index}: no {degree}-regular graph on {size} "
+                f"switches (need size > degree and size * degree even; "
+                f"sizes={sizes})")
     factory = factory or _default_factory
     # Boundary ports are planned before any switch exists so the factory
     # is called with the final port count.
@@ -249,24 +324,23 @@ def regional_fabric(m: int, regions: int = 1, degree: int = 4, seed: int = 1,
                                                         0) + 1
 
     region_objs: List[Region] = []
-    graphs: Dict[str, "nx.Graph"] = {}
+    graphs: Dict[str, List[Tuple[int, int]]] = {}
     switches_by_region: Dict[str, List[str]] = {}
     for index, size in enumerate(sizes):
         region_id = f"r{index}"
         prefix = "" if regions == 1 else region_id
-        graph = nx.random_regular_graph(degree, size,
-                                        seed=region_seed(seed, index))
+        graph = _random_regular_edges(degree, size, region_seed(seed, index))
         sim = EventSimulator(telemetry=telemetry if index == 0 else None)
         net = Network(sim, costs)
         names: List[str] = []
         next_port: Dict[str, int] = {}
-        for node in sorted(graph.nodes):
+        for node in range(size):
             name = f"{prefix}sw{node}"
             ports = degree + extra_ports.get((index, node), 0)
             net.add_switch(factory(name, ports))
             names.append(name)
             next_port[name] = 1
-        for a, b in sorted(graph.edges):
+        for a, b in graph:
             name_a, name_b = f"{prefix}sw{a}", f"{prefix}sw{b}"
             net.connect(name_a, next_port[name_a], name_b, next_port[name_b])
             next_port[name_a] += 1
@@ -303,12 +377,19 @@ def regional_fabric(m: int, regions: int = 1, degree: int = 4, seed: int = 1,
     return world, extras
 
 
-def as_graph(net: Network) -> "nx.Graph":
-    """Export the switch-level topology as a networkx graph.
+def as_graph(net: Network) -> "networkx.Graph":
+    """Export the switch-level topology as a networkx graph, for users
+    who want to run graph algorithms on a fabric.
 
-    Used by the scalability analysis (Table III) to count switches and
-    links, and available for users to run graph algorithms on the fabric.
+    Nothing the package itself runs needs networkx, so it is imported
+    here and installed by the ``graph`` extra.
     """
+    try:
+        import networkx as nx
+    except ImportError as error:
+        raise ImportError(
+            "as_graph() needs networkx: pip install 'repro[graph]'"
+        ) from error
     graph = nx.Graph()
     for name in net.switch_names():
         graph.add_node(name)

@@ -18,6 +18,20 @@ import asyncio
 import json
 from typing import Dict, Optional, Tuple
 
+# asyncio's selector transport asks for a fresh 256 KiB ``bytes`` on every
+# ``recv``.  glibc serves a request that large with mmap + two page faults
+# + munmap -- per read -- until it has seen one *freed* mapping at least
+# that big, which raises its mmap threshold for the life of the process
+# and puts the read buffer on the heap.  ``import numpy`` used to free
+# such a mapping at every start by accident; now that no start imports
+# numpy, free one on purpose, here, where the daemon and every client
+# that imports ``repro.service`` pass exactly once.  Measured per echo
+# round trip (two reads): 55-59 us CPU and 4.00 minor faults without this
+# line, 19-21 us and 0.00 with it (DESIGN.md "Controller service"; pinned
+# by tests/service/test_read_faults.py).  On an allocator without the
+# heuristic it is a 20 us no-op.
+bytearray(1 << 20)
+
 #: Parser limits: generous for a control API, hard caps for a daemon.
 MAX_REQUEST_LINE = 8 * 1024
 MAX_HEADER_BYTES = 32 * 1024

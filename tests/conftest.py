@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.auth_dataplane import P4AuthConfig, P4AuthDataplane
@@ -65,3 +71,21 @@ def switch_pair():
     return Deployment(num_switches=2,
                       connect_pairs=[("s1", 1, "s2", 1)],
                       registers=[("demo", 64, 16)])
+
+
+@pytest.fixture
+def fresh_interpreter():
+    """Run a script in a new ``sys.executable`` with ``src`` on the path
+    and return the JSON document it printed last: for properties of a
+    process's start (``sys.modules``, allocator state) that the test
+    process itself cannot show."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+
+    def run(script: str, *args: str):
+        done = subprocess.run([sys.executable, "-c", script, *args],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout.splitlines()[-1])
+
+    return run

@@ -1,6 +1,7 @@
 """Topology builders: wiring conventions of the experiment setups."""
 
-import networkx as nx
+import sys
+
 import pytest
 
 from repro.dataplane.packet import Packet
@@ -9,6 +10,8 @@ from repro.net.topology import (
     hula_fig3_topology,
     leaf_spine,
     linear_chain,
+    random_regular_fabric,
+    regional_fabric,
 )
 
 
@@ -46,6 +49,7 @@ class TestFig3:
             assert net.neighbor_ports(mid)[2][0] == "s5"
 
     def test_six_switch_links(self):
+        pytest.importorskip("networkx")
         net, _ = hula_fig3_topology()
         graph = as_graph(net)
         assert graph.number_of_nodes() == 5
@@ -54,6 +58,7 @@ class TestFig3:
 
 class TestLeafSpine:
     def test_structure(self):
+        nx = pytest.importorskip("networkx")
         net, extras = leaf_spine(num_leaves=4, num_spines=2)
         assert len(extras["leaves"]) == 4
         assert len(extras["spines"]) == 2
@@ -71,3 +76,52 @@ class TestLeafSpine:
             leaf_spine(num_leaves=1)
         with pytest.raises(ValueError):
             leaf_spine(num_spines=0)
+
+
+class TestRegularFabricRejections:
+    """No d-regular graph on that many switches: a ``ValueError`` that
+    names the region, before the factory has built a single switch."""
+
+    @staticmethod
+    def rejected(build, *args, **kwargs):
+        def factory(name, ports):
+            raise AssertionError(f"factory called for {name}")
+
+        with pytest.raises(ValueError) as caught:
+            build(*args, factory=factory, **kwargs)
+        return str(caught.value)
+
+    def test_odd_product_flat(self):
+        message = self.rejected(random_regular_fabric, 25, 3, 1)
+        assert "r0" in message and "25" in message and "3-regular" in message
+
+    def test_odd_product_names_the_region(self):
+        # 28 switches over 3 regions: sizes 10, 9, 9 at degree 3.
+        message = self.rejected(regional_fabric, 28, regions=3, degree=3,
+                                seed=7)
+        assert "region r1" in message and "9 switches" in message
+        assert "3-regular" in message
+
+    @pytest.mark.parametrize("degree", [0, -1])
+    def test_degree_below_one(self, degree):
+        assert "degree" in self.rejected(random_regular_fabric, 10, degree, 1)
+
+    @pytest.mark.parametrize("degree", [4, 5])
+    def test_degree_at_or_above_size(self, degree):
+        message = self.rejected(random_regular_fabric, 4, degree, 1)
+        assert "r0" in message and "4 switches" in message
+
+    def test_even_product_builds(self):
+        net, extras = random_regular_fabric(26, 3, 1)
+        edges = extras["graph"]
+        assert edges == sorted(set(edges)) and len(edges) == 26 * 3 // 2
+        assert all(0 <= lo < hi < 26 for lo, hi in edges)
+        assert all(len(net.neighbor_ports(name)) == 3
+                   for name in extras["switches"])
+
+
+def test_as_graph_without_networkx_names_the_extra(monkeypatch):
+    monkeypatch.setitem(sys.modules, "networkx", None)
+    net, _ = hula_fig3_topology()
+    with pytest.raises(ImportError, match=r"repro\[graph\]"):
+        as_graph(net)
