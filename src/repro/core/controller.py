@@ -261,8 +261,10 @@ class P4AuthController:
         same instant — same sequence numbers, same per-request compose
         costs, same FIFO departure horizon — but the Eqn 4 digests are
         computed in one :meth:`DigestEngine.sign_many` call, which lets
-        the engine take the vectorized lane for large bursts.  Returns
-        the assigned sequence numbers in op order.
+        the engine take the vectorized lane from two requests up.  A
+        burst that cannot be composed (a register the switch lacks)
+        raises before anything is dispatched.  Returns the assigned
+        sequence numbers in op order.
         """
         key = self.keys.local_key(switch)
         requests = [

@@ -10,10 +10,11 @@ Both compute:
 The controller-side software engine has two lanes:
 
 - the **scalar lane** — one message at a time, as the paper describes;
-- the **vector lane** (:mod:`repro.crypto.vectorized`) — whole batches
-  per call, selected transparently by :meth:`compute_many` when a batch
-  is at least :attr:`vector_threshold` messages (or forced via
-  ``lane="vector"``/``lane="scalar"``).
+- the **vector lane** (:mod:`repro.crypto.vectorized`) — a HalfSipHash
+  batch per call, selected transparently by :meth:`compute_many` when a
+  batch is at least :attr:`~DigestEngine.VECTOR_THRESHOLD` messages (or
+  forced via ``lane="vector"``/``lane="scalar"``).  CRC32 has one lane:
+  ``zlib`` per message.
 
 Lane selection is a host-CPU scheduling decision only: tags are
 bit-identical across lanes (pinned by the differential battery), so which
@@ -28,6 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.core.constants import P4AUTH
 from repro.core.messages import digest_material
+from repro.crypto import vectorized
 from repro.crypto.crc import Crc32
 from repro.crypto.halfsiphash import HalfSipHash
 from repro.dataplane.externs import HashExtern
@@ -51,11 +53,8 @@ class DigestEngine:
         ``"halfsiphash"`` (BMv2 flavor) or ``"crc32"`` (Tofino flavor).
     lane:
         Software batch-lane policy: ``"auto"`` (vector at or above
-        :attr:`vector_threshold`), ``"vector"`` (always batch through
+        :attr:`VECTOR_THRESHOLD`), ``"vector"`` (always batch through
         :mod:`repro.crypto.vectorized`), or ``"scalar"`` (never).
-    vector_threshold:
-        Batch size at which ``"auto"`` switches lanes; defaults to
-        :attr:`VECTOR_THRESHOLD`.
     """
 
     #: Per-key schedule cache bound: two live versions per switch means a
@@ -65,26 +64,23 @@ class DigestEngine:
     #: rolled master key auto-misses there too.
     KEY_CACHE_MAX = 1024
 
-    #: Default ``"auto"`` lane crossover.  Below this, numpy's per-call
-    #: overhead beats the scalar kernel's per-message cost; measured
-    #: breakeven on 66-byte C-DP material is ~16 messages.
-    VECTOR_THRESHOLD = 32
+    #: The ``"auto"`` lane crossover, measured on 64-byte C-DP material:
+    #: two messages in one int are 1.7x two scalar digests, and a group
+    #: of one is the scalar kernel with packing on top.
+    VECTOR_THRESHOLD = 2
 
     def __init__(self, extern: Optional[HashExtern] = None,
-                 algorithm: str = "halfsiphash", lane: str = "auto",
-                 vector_threshold: Optional[int] = None):
+                 algorithm: str = "halfsiphash", lane: str = "auto"):
         if lane not in LANES:
             raise ValueError(f"lane must be one of {LANES}")
         self._extern = extern
         self._halfsiphash: Optional[HalfSipHash] = None
-        self._crc: Optional[Crc32] = None
         if extern is None:
             if algorithm == "halfsiphash":
                 self._halfsiphash = HalfSipHash()
                 self._software = self._halfsiphash.digest
             elif algorithm == "crc32":
-                self._crc = Crc32()
-                self._software = self._crc.compute_keyed
+                self._software = Crc32().compute_keyed
             else:
                 raise ValueError(f"unknown algorithm {algorithm!r}")
             self.algorithm = algorithm
@@ -92,9 +88,6 @@ class DigestEngine:
             self._software = None
             self.algorithm = extern.algorithm
         self.lane = lane
-        self.vector_threshold = (self.VECTOR_THRESHOLD
-                                 if vector_threshold is None
-                                 else vector_threshold)
         # Software fast path: HalfSipHash's initial state depends only on
         # the key, so a batch of messages signed/verified under one
         # (switch, key_ver) key reuses a cached schedule instead of
@@ -123,11 +116,9 @@ class DigestEngine:
         """Which lane a ``batch_size``-message batch would take."""
         if self._extern is not None:
             return "extern"
-        if self.lane == "scalar":
+        if self._halfsiphash is None or self.lane == "scalar":
             return "scalar"
-        if self.lane == "vector":
-            return "vector"
-        if batch_size >= self.vector_threshold:
+        if self.lane == "vector" or batch_size >= self.VECTOR_THRESHOLD:
             return "vector"
         return "scalar"
 
@@ -197,19 +188,12 @@ class DigestEngine:
                     for p in packets]
         materials = [digest_material(p) for p in packets]
         if self.lane_for(count) == "vector":
-            # The only numpy importer, loaded by the first vector batch:
-            # a process that never signs one (every workload in bench/,
-            # every start) never pays for it.
-            from repro.crypto import vectorized
             self.vector_batches += 1
             self.vector_messages += count
-            if self._halfsiphash is not None:
-                return vectorized.digest_many_from_state(
-                    self._schedule(key), materials,
-                    self._halfsiphash.compression_rounds,
-                    self._halfsiphash.finalization_rounds)
-            return vectorized.crc32_many_keyed(key, materials,
-                                               engine=self._crc)
+            return vectorized.digest_many_from_state(
+                [self._schedule(key)] * count, materials,
+                self._halfsiphash.compression_rounds,
+                self._halfsiphash.finalization_rounds)
         self.scalar_batches += 1
         self.scalar_messages += count
         if self._halfsiphash is not None:

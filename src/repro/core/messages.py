@@ -14,6 +14,9 @@ controller's compose path, or the KMP).
 
 from __future__ import annotations
 
+from operator import itemgetter
+from struct import Struct
+
 from repro.core.constants import (
     ADHKD,
     ADHKD_HEADER,
@@ -115,6 +118,16 @@ def build_alert(code: AlertCode, detail: int, seq_num: int,
     return _base_packet(HdrType.ALERT, 0, seq_num, key_ver, ALERT, payload)
 
 
+#: The p4auth fields the digest covers: all but ``digest``, in
+#: declaration order.  Fields have mixed widths; each is serialized at
+#: 8 bytes little-endian for a fixed, unambiguous layout (this mirrors
+#: PHV container granularity).
+_COVERED_FIELDS = [name for name, _bits in P4AUTH_HEADER.fields
+                   if name != "digest"]
+_COVERED = itemgetter(*_COVERED_FIELDS)
+_COVERED_WORDS = Struct("<%dQ" % len(_COVERED_FIELDS))
+
+
 def digest_material(packet: Packet) -> bytes:
     """The byte string the digest is computed over (Eqn. 4).
 
@@ -123,17 +136,12 @@ def digest_material(packet: Packet) -> bytes:
     payload bytes.  Protected non-P4Auth headers riding on the same packet
     (e.g., a HULA probe being authenticated DP-DP) are also covered, so a
     MitM cannot tamper with the probe body while leaving the P4Auth
-    fields intact.
+    fields intact.  The p4auth words come first wherever the header sits
+    on the stack.
     """
-    p4auth = packet.get(P4AUTH)
-    material = bytearray()
-    for value in p4auth.field_words(exclude=("digest",)):
-        # Fields have mixed widths; serialize each at 8 bytes for a fixed,
-        # unambiguous layout (this mirrors PHV container granularity).
-        material += int(value).to_bytes(8, "little")
-    for name in packet.header_names():
-        if name == P4AUTH:
-            continue
-        material += packet.get(name).serialize()
-    material += packet.payload
-    return bytes(material)
+    parts = [_COVERED_WORDS.pack(*_COVERED(packet.get(P4AUTH).fields()))]
+    for name, header in packet.headers():
+        if name != P4AUTH:
+            parts.append(header.serialize())
+    parts.append(packet.payload)
+    return b"".join(parts)

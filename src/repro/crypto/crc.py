@@ -8,13 +8,20 @@ which is why Table II shows hash-unit utilization jumping from 1.4% to
 51.4% with P4Auth.
 
 This is the standard reflected CRC-32 (polynomial 0xEDB88320), bit-exact
-with ``zlib.crc32`` / IEEE 802.3, implemented table-driven the way a
-switch's hash unit would realize it in fixed hardware.
+with ``zlib.crc32`` / IEEE 802.3.  Two forms live here, as in
+:mod:`repro.crypto.halfsiphash`: :meth:`Crc32._walk` is the
+*specification*, table-driven the way a switch's hash unit realizes it in
+fixed hardware, and what a custom polynomial runs; with the IEEE
+parameters :meth:`Crc32.compute` *executes* ``zlib.crc32``.
+``tests/crypto/test_crc.py`` pins walk == zlib == compute.
 """
 
 from __future__ import annotations
 
+import zlib
+
 _POLY_REFLECTED = 0xEDB88320
+_IEEE = (_POLY_REFLECTED, 0xFFFFFFFF, 0xFFFFFFFF)
 
 
 def _build_table(poly: int) -> tuple:
@@ -44,9 +51,16 @@ class Crc32:
         self.init = init
         self.xor_out = xor_out
         self._table = _build_table(polynomial)
+        self._ieee = (polynomial, init, xor_out) == _IEEE
 
     def compute(self, data: bytes) -> int:
         """CRC of ``data`` as a 32-bit unsigned integer."""
+        if self._ieee:
+            return zlib.crc32(data)
+        return self._walk(data)
+
+    def _walk(self, data: bytes) -> int:
+        """The table walk: one lookup per byte, any parameters."""
         crc = self.init
         for byte in data:
             crc = (crc >> 8) ^ self._table[(crc ^ byte) & 0xFF]

@@ -106,8 +106,9 @@ class Header:
     def field_words(self, exclude: Iterable[str] = ()) -> List[int]:
         """Field values in declaration order, optionally excluding some.
 
-        Used by the digest module, which hashes all P4Auth header fields
-        *except* the digest field itself (paper Eqn. 4).
+        The digest covers all P4Auth header fields *except* the digest
+        field itself (paper Eqn. 4); the field-by-field reference for
+        ``digest_material`` in ``tests/core`` is built from this.
         """
         skip = set(exclude)
         return [

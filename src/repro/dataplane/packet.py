@@ -7,7 +7,7 @@ state, P4Auth verdicts).  It never appears on the wire.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.dataplane.headers import Header
 
@@ -61,6 +61,10 @@ class Packet:
 
     def header_names(self) -> List[str]:
         return [hname for hname, _ in self._stack]
+
+    def headers(self) -> Iterator[Tuple[str, Header]]:
+        """``(name, header)`` pairs in outer-to-inner order."""
+        return iter(self._stack)
 
     # -- size & serialization ---------------------------------------------
 

@@ -1,17 +1,18 @@
 """Digest-lane microbenchmark: vectorized vs scalar tag throughput.
 
 PR 5's batched issue path made host-CPU crypto the C-DP bottleneck, so
-this experiment tracks the raw digest rate of both software lanes for
-both target flavors (HalfSipHash-2-4 on BMv2, keyed CRC32 on Tofino) on
-C-DP-sized material.  It is the perf-trajectory anchor for ROADMAP
-item 2: ``benchmarks/bench_digest_vector.py`` runs it and gates on a
->=5x vector-over-scalar floor at batch >= 1024, and CI publishes the
-``BENCH_digest_vector.json`` artifact from the experiment-smoke matrix.
+this experiment tracks the raw HalfSipHash-2-4 digest rate of both
+software lanes on C-DP-sized material.  It is the perf-trajectory anchor
+for ROADMAP item 2: ``benchmarks/bench_digest_vector.py`` runs it and
+gates on a >=5x vector-over-scalar floor at batch >= 1024, and CI
+publishes the ``BENCH_digest_vector.json`` artifact from the
+experiment-smoke matrix.  Keyed CRC32 (the Tofino flavor) has one lane,
+``zlib`` per message, so it has no point here.
 
 Timing is wall-clock (the whole point is host-CPU speed), so throughput
 fields vary run to run — but every trial also reports a deterministic
 ``checksum`` XOR-fold of its tags, which must agree between the scalar
-and vector trials of one (algorithm, batch, msg_len, seed) point.  The
+and vector trials of one (batch, msg_len, seed) point.  The
 artifact therefore carries its own bit-identity cross-check alongside
 the timing numbers.
 """
@@ -22,7 +23,7 @@ import random
 import time
 from typing import Callable, Dict, List
 
-from repro.crypto.crc import Crc32
+from repro.crypto import vectorized
 from repro.crypto.halfsiphash import HalfSipHash
 from repro.engine.registry import register
 from repro.engine.spec import ExperimentSpec, TrialContext
@@ -31,7 +32,9 @@ from repro.engine.spec import ExperimentSpec, TrialContext
 #: plus the serialized reg_op payload.
 DEFAULT_MSG_LEN = 64
 
-ALGORITHMS = ("halfsiphash", "crc32")
+#: One value: the axis stays so the trial ids and params of every
+#: published ``BENCH_digest_vector.json`` keep naming what was hashed.
+ALGORITHMS = ("halfsiphash",)
 LANES = ("scalar", "vector")
 
 
@@ -42,7 +45,7 @@ def _checksum(tags: List[int]) -> int:
     return folded
 
 
-def _build_lane(algorithm: str, lane: str, key: int,
+def _build_lane(lane: str, key: int,
                 messages: List[bytes]) -> Callable[[], List[int]]:
     """The measured callable: one full batch of tags per invocation.
 
@@ -50,21 +53,13 @@ def _build_lane(algorithm: str, lane: str, key: int,
     schedule (the PR 5 fast path) and a hoisted bound method — so the
     reported speedup is vector-lane value, not strawman overhead.
     """
-    if lane == "vector":
-        # numpy loads with the first vector trial, not with the catalog.
-        from repro.crypto import vectorized
-    if algorithm == "halfsiphash":
-        hasher = HalfSipHash()
-        state = hasher.key_schedule(key)
-        if lane == "scalar":
-            digest = hasher.digest_from_state
-            return lambda: [digest(state, m) for m in messages]
-        return lambda: vectorized.digest_many_from_state(state, messages)
-    crc = Crc32()
+    hasher = HalfSipHash()
+    state = hasher.key_schedule(key)
     if lane == "scalar":
-        compute_keyed = crc.compute_keyed
-        return lambda: [compute_keyed(key, m) for m in messages]
-    return lambda: vectorized.crc32_many_keyed(key, messages, engine=crc)
+        digest = hasher.digest_from_state
+        return lambda: [digest(state, m) for m in messages]
+    states = [state] * len(messages)
+    return lambda: vectorized.digest_many_from_state(states, messages)
 
 
 def _trial(ctx: TrialContext) -> Dict[str, object]:
@@ -76,9 +71,9 @@ def _trial(ctx: TrialContext) -> Dict[str, object]:
     rng = random.Random(ctx.seed)
     messages = [rng.randbytes(p["msg_len"]) for _ in range(p["batch"])]
     key = rng.getrandbits(64)
-    run_batch = _build_lane(p["algorithm"], p["lane"], key, messages)
+    run_batch = _build_lane(p["lane"], key, messages)
 
-    tags = run_batch()  # warmup (numpy first-call setup, cache warming)
+    tags = run_batch()  # warmup (cache warming)
     best_s = float("inf")
     for _ in range(p["repeats"]):
         started = time.perf_counter()
@@ -88,7 +83,7 @@ def _trial(ctx: TrialContext) -> Dict[str, object]:
     return {
         "algorithm": p["algorithm"],
         "lane": p["lane"],
-        "backend": "numpy" if p["lane"] == "vector" else "scalar",
+        "backend": "int" if p["lane"] == "vector" else "scalar",
         "batch": p["batch"],
         "msg_len": p["msg_len"],
         "wall_s": best_s,

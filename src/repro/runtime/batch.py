@@ -162,14 +162,20 @@ class BatchController:
         queued, so a whole window's worth of requests issues as one
         burst.  Burst issue is what lets the P4Auth controller sign the
         burst in a single
-        :meth:`~repro.core.digest.DigestEngine.sign_many` call (and
-        take the vectorized digest lane above its threshold).
+        :meth:`~repro.core.digest.DigestEngine.sign_many` call (the
+        vectorized digest lane from two requests up).
+
+        All or nothing: an unknown ``kind`` raises before any op is
+        queued.  A burst the stack refuses (see :meth:`_pump`) fails
+        its own requests and nothing else; the first refusal is
+        re-raised once every touched switch has been pumped.
         """
+        for op in ops:
+            if op[0] not in ("read", "write"):
+                raise ValueError(f"unknown request kind {op[0]!r}")
         now = self.sim.now
         touched: Dict[str, None] = {}
         for kind, switch, reg_name, index, value, callback in ops:
-            if kind not in ("read", "write"):
-                raise ValueError(f"unknown request kind {kind!r}")
             self.stats.submitted += 1
             if self.telemetry.enabled:
                 self._counter_submitted.inc()
@@ -177,8 +183,14 @@ class BatchController:
                 _QueuedRequest(kind, switch, reg_name, index, value,
                                callback, now))
             touched[switch] = None
+        refused = None
         for switch in touched:
-            self._pump(switch)
+            try:
+                self._pump(switch)
+            except Exception as exc:  # noqa: BLE001 - re-raised below
+                refused = refused or exc
+        if refused is not None:
+            raise refused
 
     def broadcast_write(self, reg_name: str, index: int, value: int,
                         switches: List[str],
@@ -227,21 +239,29 @@ class BatchController:
     # ------------------------------------------------------------------
 
     def _pump(self, switch: str) -> None:
-        """Refill the switch's window from its FIFO queue."""
+        """Refill the switch's window from its FIFO queue.
+
+        A refused burst gave its slots back, so the next one takes the
+        window; the first refusal is re-raised when the window is full
+        or the queue empty — a bad op never strands what is behind it.
+        """
         queue = self._queues.get(switch)
-        if not queue:
-            return
-        burst: List[_QueuedRequest] = []
-        in_flight = self._in_flight.get(switch, 0)
-        while queue and in_flight + len(burst) < self.max_in_flight:
-            burst.append(queue.popleft())
-        if not burst:
-            return
-        self._issue_burst(switch, burst)
-        if self.telemetry.enabled:
-            self._hist_burst.observe(len(burst))
-            self._gauge_in_flight.set(self._in_flight_total)
-            self._gauge_queued.set(self.queued())
+        refused = None
+        while queue:
+            room = self.max_in_flight - self._in_flight.get(switch, 0)
+            burst = [queue.popleft() for _ in range(min(room, len(queue)))]
+            if not burst:
+                break
+            try:
+                self._issue_burst(switch, burst)
+            except Exception as exc:  # noqa: BLE001 - re-raised below
+                refused = refused or exc
+            if self.telemetry.enabled:
+                self._hist_burst.observe(len(burst))
+                self._gauge_in_flight.set(self._in_flight_total)
+                self._gauge_queued.set(self.queued())
+        if refused is not None:
+            raise refused
 
     def _issue_burst(self, switch: str,
                      burst: List[_QueuedRequest]) -> None:
@@ -253,6 +273,11 @@ class BatchController:
         stream is byte-identical to per-request issue: composition
         order, sequence numbers, and departure times are those of
         back-to-back ``read_register``/``write_register`` calls.
+
+        A stack that raises out of ``request_many`` dispatched nothing
+        of the burst (the contract of all three stacks): its window
+        slots are released and each of its requests completes once
+        with ``(False, 0)`` before the exception goes on.
         """
         now = self.sim.now
         if self.window_listener is not None \
@@ -266,14 +291,26 @@ class BatchController:
                 self.stats.in_flight_high_water = self._in_flight_total
             self.stats.issued += 1
             request.issued_at = now
-        self.stack.request_many(switch, [
-            (request.kind, request.reg_name, request.index, request.value,
-             lambda ok, value, request=request:
-                 self._on_complete(request, ok, value))
-            for request in burst])
+        try:
+            self.stack.request_many(switch, [
+                (request.kind, request.reg_name, request.index,
+                 request.value,
+                 lambda ok, value, request=request:
+                     self._on_complete(request, ok, value))
+                for request in burst])
+        except Exception:
+            for request in burst:
+                self._settle(request, False, 0)
+            raise
 
     def _on_complete(self, request: _QueuedRequest, ok: bool,
                      value: int) -> None:
+        self._settle(request, ok, value)
+        self._pump(request.switch)
+
+    def _settle(self, request: _QueuedRequest, ok: bool,
+                value: int) -> None:
+        """Give the request's slot back and report its outcome once."""
         switch = request.switch
         self._in_flight[switch] -= 1
         self._in_flight_total -= 1
@@ -308,7 +345,6 @@ class BatchController:
                     self.telemetry.tracer.emit(
                         "batch.callback_error", switch=switch,
                         kind=request.kind, error=type(exc).__name__)
-        self._pump(switch)
 
 
 __all__ = ["BURST_BUCKETS", "BatchController", "BatchSample", "BatchStats"]

@@ -42,6 +42,9 @@ class P4RuntimeStack(_RegisterStack):
     def provision(self, switch: DataplaneSwitch) -> None:
         self.requests.seq.setdefault(switch.name, 1)
 
+    def register_id(self, switch: str, reg_name: str) -> int:
+        return self.network.switch(switch).registers.id_of(reg_name)
+
     def _issue(self, kind: str, switch: str, reg_name: str, index: int,
                value: int, callback: Optional[ResponseCallback],
                attempt: int = 1) -> int:
@@ -65,9 +68,9 @@ class P4RuntimeStack(_RegisterStack):
         kind, switch = request.kind, request.switch
         msg_type = RegOpType.READ_REQ if kind == "read" else RegOpType.WRITE_REQ
         device = self.network.switch(switch)
-        reg_id = device.registers.id_of(request.reg_name)
-        surrogate = build_plain_request(msg_type, reg_id, request.index,
-                                        request.value, seq)
+        surrogate = build_plain_request(
+            msg_type, self.register_id(switch, request.reg_name),
+            request.index, request.value, seq)
         channel = self.network.control_channels[switch]
         survivor = channel.transit(surrogate, "c->dp")
         if survivor is None:

@@ -85,7 +85,8 @@ class PlainRegOpDataplane:
 class _RegisterStack:
     """What the two unauthenticated stacks share: the request lifecycle
     and the register API :class:`repro.core.P4AuthController` also
-    speaks.  A subclass names its ``STACK`` and composes in ``_issue``."""
+    speaks.  A subclass names its ``STACK``, resolves names in
+    ``register_id`` and composes in ``_issue``."""
 
     #: Label on the shared ``runtime_*`` metrics.
     STACK = ""
@@ -126,7 +127,15 @@ class _RegisterStack:
 
     def request_many(self, switch: str, ops: Sequence[Tuple]) -> List[int]:
         """Issue a burst of ``(kind, reg_name, index, value, callback)``
-        ops back to back; returns their seq numbers."""
+        ops back to back; returns their seq numbers.
+
+        A refused burst dispatched nothing: every op's register is
+        resolved (``KeyError`` for one the switch lacks) before the
+        first op is issued, as ``P4AuthController.request_many``
+        composes every request before it dispatches any.
+        """
+        for _kind, reg_name, *_rest in ops:
+            self.register_id(switch, reg_name)
         return self.requests.issue_each(switch, ops)
 
 
@@ -157,6 +166,9 @@ class PlainController(_RegisterStack):
         }
         self._seq.setdefault(switch.name, 1)
 
+    def register_id(self, switch: str, reg_name: str) -> int:
+        return self._reg_ids[switch][reg_name]
+
     def _issue(self, kind: str, switch: str, reg_name: str, index: int,
                value: int, callback: Optional[ResponseCallback],
                attempt: int = 1) -> int:
@@ -167,7 +179,7 @@ class PlainController(_RegisterStack):
             msg_type, compose_s = (RegOpType.WRITE_REQ,
                                    self.costs.compose_write_s)
         request = build_plain_request(
-            msg_type, self._reg_ids[switch][reg_name], index, value, seq
+            msg_type, self.register_id(switch, reg_name), index, value, seq
         )
         self.requests.dispatch(
             seq, PendingRequest(kind, switch, reg_name, index, value,

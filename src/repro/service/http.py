@@ -22,10 +22,11 @@ from typing import Dict, Optional, Tuple
 # ``recv``.  glibc serves a request that large with mmap + two page faults
 # + munmap -- per read -- until it has seen one *freed* mapping at least
 # that big, which raises its mmap threshold for the life of the process
-# and puts the read buffer on the heap.  ``import numpy`` used to free
-# such a mapping at every start by accident; now that no start imports
-# numpy, free one on purpose, here, where the daemon and every client
-# that imports ``repro.service`` pass exactly once.  Measured per echo
+# and puts the read buffer on the heap.  ``import numpy`` freed such a
+# mapping at every start by accident while the project depended on it
+# (until PR 21 took it off the start paths and PR 22 out of the tree);
+# this line frees one on purpose, here, where the daemon and every
+# client that imports ``repro.service`` pass exactly once.  Measured per echo
 # round trip (two reads): 55-59 us CPU and 4.00 minor faults without this
 # line, 19-21 us and 0.00 with it (DESIGN.md "Controller service"; pinned
 # by tests/service/test_read_faults.py).  On an allocator without the

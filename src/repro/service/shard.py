@@ -393,7 +393,7 @@ class ShardWorker:
 
         Register ops drain through :meth:`BatchController.submit_many`
         so a refill becomes per-switch bursts the stack can sign with
-        one ``sign_many`` call (the vectorized digest lane at scale).
+        one ``sign_many`` call (the vectorized digest lane).
         A rollover op flushes the accumulated run first — everything
         submitted before it still issues before it, preserving the FIFO
         guarantee interleaved clients rely on.

@@ -39,8 +39,8 @@ def test_lanes_constant_covers_ctor():
 
 def test_auto_lane_crossover_at_threshold():
     engine = DigestEngine()
-    assert engine.lane_for(engine.vector_threshold - 1) == "scalar"
-    assert engine.lane_for(engine.vector_threshold) == "vector"
+    assert engine.lane_for(engine.VECTOR_THRESHOLD - 1) == "scalar"
+    assert engine.lane_for(engine.VECTOR_THRESHOLD) == "vector"
     assert engine.lane_for(4096) == "vector"
 
 
@@ -50,9 +50,25 @@ def test_forced_lanes_ignore_threshold():
 
 
 def test_custom_threshold_respected():
-    engine = DigestEngine(vector_threshold=4)
+    """The crossover is the class constant, not a constructor knob: a
+    subclass that measured a different one overrides it there."""
+    class Engine(DigestEngine):
+        VECTOR_THRESHOLD = 4
+
+    engine = Engine()
     assert engine.lane_for(3) == "scalar"
     assert engine.lane_for(4) == "vector"
+    with pytest.raises(TypeError):
+        DigestEngine(vector_threshold=4)
+
+
+def test_crc32_engine_has_one_lane():
+    """No CRC lane exists (zlib per message beats a table gather), so a
+    crc32 engine reports and counts scalar whatever ``lane`` says."""
+    engine = DigestEngine(algorithm="crc32", lane="vector")
+    assert engine.lane_for(4096) == "scalar"
+    engine.compute_many(KEY, batch(8))
+    assert (engine.scalar_messages, engine.vector_messages) == (8, 0)
 
 
 def test_extern_engine_reports_extern_lane():
@@ -127,12 +143,12 @@ def test_extern_compute_many_counts_per_packet_invocations():
 
 def test_lane_counters_track_batches_and_messages():
     engine = DigestEngine()
-    engine.compute_many(KEY, batch(engine.vector_threshold - 1))
-    engine.compute_many(KEY, batch(engine.vector_threshold + 8))
+    engine.compute_many(KEY, batch(engine.VECTOR_THRESHOLD - 1))
+    engine.compute_many(KEY, batch(engine.VECTOR_THRESHOLD + 8))
     assert engine.scalar_batches == 1
-    assert engine.scalar_messages == engine.vector_threshold - 1
+    assert engine.scalar_messages == engine.VECTOR_THRESHOLD - 1
     assert engine.vector_batches == 1
-    assert engine.vector_messages == engine.vector_threshold + 8
+    assert engine.vector_messages == engine.VECTOR_THRESHOLD + 8
     forced = DigestEngine(lane="vector")
     forced.compute_many(KEY, batch(3))
     assert forced.vector_batches == 1

@@ -101,6 +101,66 @@ def test_length_field_matches_payload():
     assert message.get("p4auth")["length"] == 16
 
 
+def _material_field_by_field(packet):
+    """Eqn 4's byte string the way it was first written: every covered
+    p4auth field at 8 bytes little-endian, then every other header's
+    bytes by name, then the payload.  ``digest_material`` packs the same
+    bytes in one ``Struct`` call and one pass over the stack."""
+    material = bytearray()
+    for value in packet.get("p4auth").field_words(exclude=("digest",)):
+        material += int(value).to_bytes(8, "little")
+    for name in packet.header_names():
+        if name != "p4auth":
+            material += packet.get(name).serialize()
+    return bytes(material + packet.payload)
+
+
+def _dpdp_probe():
+    """A HULA probe with the DP-DP p4auth header pushed *after* it."""
+    from repro.systems.hula import make_probe
+    probe = make_probe(5, 1, path_util=10)
+    probe.push("p4auth", P4AUTH_HEADER.instantiate(
+        hdrType=int(HdrType.DP_FEEDBACK), seqNum=0xFFFFFFFF, keyVer=0xFF,
+        flags=0xFF, length=0xFFFF, digest=0xDEADBEEF))
+    return probe
+
+
+def _with_residual_payload():
+    message = build_reg_write_request(7, 15, (1 << 64) - 1, 0xFFFFFFFF,
+                                      key_ver=255)
+    message.payload = bytes(range(37))
+    return message
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_reg_read_request(7, 3, 0x01020304, key_ver=2),
+    lambda: build_reg_write_request(7, 3, 0x1122334455667788, 9, key_ver=1),
+    lambda: build_reg_response(True, 7, 3, 5, 9),
+    lambda: build_reg_response(False, 7, 3, 0, 9, key_ver=3),
+    lambda: build_eak_message(KeyExchType.EAK_SALT2, (1 << 64) - 1, 4),
+    lambda: build_adhkd_message(KeyExchType.UPD_MSG2, 1 << 63, 0x5A17, 5),
+    lambda: build_keyctl_message(KeyExchType.PORT_KEY_UPDATE, 0xFFFFFFFF, 6),
+    lambda: build_alert(AlertCode.REPLAY_SUSPECTED, (1 << 56) - 1, 7),
+    _dpdp_probe,
+    _with_residual_payload,
+], ids=["read_req", "write_req", "ack", "nack", "eak", "adhkd", "keyctl",
+        "alert", "dpdp_hula_probe", "residual_payload"])
+def test_digest_material_bytes_match_the_field_by_field_form(build):
+    packet = build()
+    material = digest_material(packet)
+    assert material == _material_field_by_field(packet)
+    # The six covered p4auth words come first, wherever the header sits.
+    assert material[:48] == b"".join(
+        packet.get("p4auth")[name].to_bytes(8, "little") for name in
+        ("hdrType", "msgType", "seqNum", "keyVer", "flags", "length"))
+
+
+def test_digest_material_needs_a_p4auth_header():
+    from repro.systems.hula import make_probe
+    with pytest.raises(KeyError, match="p4auth"):
+        digest_material(make_probe(5, 1, path_util=10))
+
+
 class TestDigestMaterial:
     def test_excludes_digest_field(self):
         message = build_reg_read_request(1, 0, 1)

@@ -1,4 +1,9 @@
-"""CRC32 engine: bit-exactness with zlib and keyed-digest behavior."""
+"""CRC32 engine: bit-exactness with zlib and keyed-digest behavior.
+
+``Crc32.compute`` executes ``zlib.crc32`` when its parameters are the
+IEEE ones; the table walk ``Crc32._walk`` is the specification (and what
+a custom polynomial runs).  Pinned three ways: walk == zlib == compute.
+"""
 
 import zlib
 
@@ -10,7 +15,15 @@ from repro.crypto.crc import Crc32, crc32
 
 @given(st.binary(max_size=256))
 def test_matches_zlib(data):
-    assert crc32(data) == zlib.crc32(data)
+    assert Crc32()._walk(data) == zlib.crc32(data) == crc32(data)
+
+
+@given(st.binary(min_size=1, max_size=64))
+def test_only_the_ieee_parameters_take_zlib(data):
+    """Any other polynomial, init or xor_out keeps the table walk."""
+    for engine in (Crc32(polynomial=0x82F63B78), Crc32(init=0),
+                   Crc32(xor_out=0)):
+        assert engine.compute(data) == engine._walk(data) != zlib.crc32(data)
 
 
 def test_known_vector():

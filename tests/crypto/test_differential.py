@@ -248,7 +248,8 @@ def test_kernel_matches_vector_lane_on_one_batch(c, d):
     hasher = HalfSipHash(c, d)
     state = hasher.key_schedule(rng.getrandbits(64))
     batch = [rng.randbytes(length) for length in KERNEL_LENGTHS]
-    assert vectorized.digest_many_from_state(state, batch, c, d) \
+    assert vectorized.digest_many_from_state([state] * len(batch), batch,
+                                             c, d) \
         == [hasher.digest_from_state(state, m) for m in batch]
 
 

@@ -15,9 +15,15 @@ This module pins :mod:`repro.crypto.vectorized` three independent ways:
   lands in every live implementation at once.
 
 Batch sizes straddle the ``DigestEngine.VECTOR_THRESHOLD`` crossover
-(1, 2, 31, 32, 33) and go to 4096; message lengths cover 0..257 bytes
-— empty input, every tail residue mod 4, and the 256-boundary where
-the ``len & 0xFF`` final-word byte wraps.
+(1, 2; 31, 32, 33 straddled the numpy lane's) and go to 4096; message
+lengths cover 0..257 bytes — empty input, every tail residue mod 4, and
+the 256-boundary where the ``len & 0xFF`` final-word byte wraps.
+
+The lanes are 64-bit strides of one ``int`` (32 value bits under 32
+guard bits), so the last section pins them where that layout can fail:
+per-lane states over 1-300 lanes, saturated words whose carries and
+rotate spills must die in the guard bits, and input order across
+length groups.
 """
 
 import json
@@ -37,8 +43,8 @@ from tests.crypto.test_differential import (
 )
 
 MASK32 = 0xFFFFFFFF
-#: Batch sizes straddling DigestEngine.VECTOR_THRESHOLD (32) plus the
-#: bench-scale point.
+#: Batch sizes straddling DigestEngine.VECTOR_THRESHOLD (2; 32 when
+#: the lane was numpy) plus the bench-scale point.
 BATCH_SIZES = (1, 2, 31, 32, 33, 4096)
 #: Message lengths covering 0, every residue mod 4, and the 255/256/257
 #: boundary where the length byte in the final word wraps.
@@ -47,8 +53,9 @@ EDGE_LENGTHS = (0, 1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 31, 32, 33,
 
 VECTORS_PATH = Path(__file__).parent / "vectors_halfsiphash.json"
 
-#: One backend, one parameter value: the ``[numpy]`` suffix keeps these
-#: tests' node ids stable for whatever tracks the suite by id.
+#: One backend, one parameter value.  The lane was numpy when these
+#: tests were written; the ``[numpy]`` suffix keeps their node ids
+#: stable for whatever tracks the suite by id.
 NUMPY_LANE = pytest.mark.parametrize("_lane", ["numpy"])
 
 
@@ -130,7 +137,7 @@ def test_digest_many_from_state_matches_scalar_class(batch, _lane):
     key = rng.getrandbits(64)
     state = engine.key_schedule(key)
     messages = _messages(rng, batch)
-    tags = vectorized.digest_many_from_state(state, messages)
+    tags = vectorized.digest_many_from_state([state] * batch, messages)
     assert tags == [engine.digest_from_state(state, m) for m in messages]
 
 
@@ -268,3 +275,91 @@ def test_property_crc32_many_keyed_bit_identical(_lane, key, datas):
 def test_property_crc32_many_matches_zlib(_lane, datas):
     assert vectorized.crc32_many(datas) \
         == [zlib.crc32(d) & MASK32 for d in datas]
+
+
+# ---------------------------------------------------------------------------
+# the integer lanes, where the layout can fail
+# ---------------------------------------------------------------------------
+
+def _random_lanes(rng: random.Random, lengths):
+    """A state and a message of the given length per lane."""
+    return ([tuple(rng.getrandbits(32) for _ in range(4)) for _ in lengths],
+            [rng.randbytes(length) for length in lengths])
+
+
+@settings(max_examples=60, deadline=None)
+@given(lane_count=st.integers(min_value=1, max_value=300),
+       lengths=st.lists(st.integers(min_value=0, max_value=300),
+                        min_size=1, max_size=4),
+       seed=st.integers(min_value=0, max_value=(1 << 32) - 1),
+       rounds=st.sampled_from([(1, 1), (2, 4), (4, 8)]))
+def test_property_per_lane_states_match_scalar_kernel(lane_count, lengths,
+                                                      seed, rounds):
+    """1-300 lanes, a state each, spread over a few lengths from 0-300:
+    groups of many lanes and groups of one in the same call."""
+    rng = random.Random(seed)
+    states, messages = _random_lanes(
+        rng, [rng.choice(lengths) for _ in range(lane_count)])
+    c, d = rounds
+    engine = HalfSipHash(c, d)
+    assert vectorized.digest_many_from_state(states, messages, c, d) \
+        == [engine.digest_from_state(state, message)
+            for state, message in zip(states, messages)]
+
+
+@pytest.mark.parametrize("length", (0, 1, 3, 4, 7, 64, 255, 256, 257, 300))
+def test_every_tail_and_length_byte_in_a_full_group(length):
+    """Every ``len % 4`` tail, the empty message and the wrapped length
+    byte, each as a group of its own (Hypothesis may not draw them)."""
+    engine = HalfSipHash()
+    states, messages = _random_lanes(random.Random(0x7A11 + length),
+                                     [length] * 9)
+    assert vectorized.digest_many_from_state(states, messages) \
+        == [engine.digest_from_state(s, m) for s, m in zip(states, messages)]
+
+
+_SATURATED = ((MASK32,) * 4, b"\xff" * 64)
+_ZERO = ((0,) * 4, bytes(64))
+
+
+@pytest.mark.parametrize("lanes", [
+    [_SATURATED] * 2, [_SATURATED] * 7, [_SATURATED] * 300,
+    [_SATURATED, _ZERO] * 4, [_ZERO, _SATURATED] * 4 + [_ZERO],
+], ids=["sat2", "sat7", "sat300", "sat_zero", "zero_sat"])
+@pytest.mark.parametrize("rounds", [(1, 1), (2, 4), (4, 8)],
+                         ids=["1-1", "2-4", "4-8"])
+def test_saturated_words_die_in_the_guard_bits(lanes, rounds):
+    """Every state and message word ``0xFFFFFFFF``: each add carries out
+    of bit 31 and each rotate spills 32 set bits, in every lane or in
+    every other lane beside an all-zero neighbour whose tag any leaked
+    bit changes.  Catches a 32-bit stride (no guard bits: the carry
+    becomes the next lane's bit 0, the rotate pulls the neighbour's
+    high bits in) and a mask that leaves the guard bits set (the next
+    ``>>`` rotates the stale carry back into value bits)."""
+    c, d = rounds
+    engine = HalfSipHash(c, d)
+    states = [state for state, _message in lanes]
+    messages = [message for _state, message in lanes]
+    assert vectorized.digest_many_from_state(states, messages, c, d) \
+        == [engine.digest_from_state(s, m) for s, m in lanes]
+
+
+def test_mixed_lengths_return_tags_in_input_order():
+    """Lengths interleaved so that group order differs from input
+    order, a state per lane so that no two lanes share a tag, two or
+    more lanes in every group but one.  Catches tags written back in
+    group order, states or messages gathered under the wrong positions,
+    and, like the saturation test, a stride or mask mutation, which
+    makes the lanes of a group bleed into each other."""
+    states, messages = _random_lanes(
+        random.Random(0x0DE5), [5, 64, 5, 0, 64, 300, 0, 257, 300, 64, 5, 0])
+    engine = HalfSipHash()
+    expected = [engine.digest_from_state(s, m)
+                for s, m in zip(states, messages)]
+    assert len(set(expected)) == len(expected)
+    assert vectorized.digest_many_from_state(states, messages) == expected
+
+
+def test_one_state_per_message_is_required():
+    with pytest.raises(ValueError):
+        vectorized.digest_many_from_state([(1, 2, 3, 4)], [b"a", b"b"])

@@ -6,15 +6,21 @@ experiment result payloads.  If it did, a deployment's security behavior
 would depend on the controller's host batch size, which is exactly the
 coupling :mod:`repro.core.digest` promises cannot exist.
 
-Two probes:
+Three probes:
 
 - a wire tap on every control channel of a P4Auth fabric, diffing the
   full per-switch byte streams between a scalar-lane and a
   vector-lane deployment driving the identical workload;
 - the ``cdp_batch_throughput`` experiment's ``batched`` vs
   ``vectorized`` trials, whose result payloads (virtual-time numbers;
-  deliberately lane-free) must be identical.
+  deliberately lane-free) must be identical;
+- per-switch bursts of 2-8 mixed reads and writes, the sizes ``auto``
+  moved to the vector lane when the crossover fell from 32 to 2: tap
+  bytes, sequence numbers and register end state against the scalar
+  lane's.
 """
+
+import pytest
 
 from repro.core.wire import serialize_message
 from repro.engine import canonical_json, run_experiment, to_jsonable
@@ -22,13 +28,14 @@ from repro.experiments.cdp_batch import (
     build_batch_deployment,
     run_batch_workload,
 )
+from repro.runtime.batch import BatchController
 
 M, DEGREE, SEED = 5, 4, 3
 
 
-def _drive(digest_lane: str, mode: str):
-    """Deploy P4Auth on the small fabric, tap every control channel,
-    run the standard workload; returns (per-switch wire, result, stack)."""
+def _deploy(digest_lane: str):
+    """P4Auth on the small fabric with a tap on every control channel;
+    returns (sim, net, stack, switches, per-switch wire)."""
     sim, net, stack, switches = build_batch_deployment(
         "P4Auth", m=M, degree=DEGREE, seed=SEED, digest_lane=digest_lane)
     wires = {name: [] for name in switches}
@@ -42,6 +49,13 @@ def _drive(digest_lane: str, mode: str):
 
     for name in switches:
         net.control_channels[name].add_tap(tap_for(name))
+    return sim, net, stack, switches, wires
+
+
+def _drive(digest_lane: str, mode: str):
+    """Run the standard workload on a tapped deployment; returns
+    (per-switch wire, result, stack)."""
+    sim, _net, stack, switches, wires = _deploy(digest_lane)
     result = run_batch_workload(sim, stack, switches, mode=mode,
                                 requests_per_switch=4, max_in_flight=4)
     assert result["completed"] == result["submitted"] == M * 4
@@ -89,3 +103,32 @@ def test_experiment_payloads_identical_across_modes():
     assert vectorized.pop("mode") == "vectorized"
     assert canonical_json(to_jsonable(batched)) \
         == canonical_json(to_jsonable(vectorized))
+
+
+def _drive_bursts(digest_lane: str, burst: int):
+    """Two windows of ``burst`` mixed ops per switch: the first issues as
+    one ``sign_many`` burst of that size, the refills one by one."""
+    sim, net, stack, switches, wires = _deploy(digest_lane)
+    outcomes = []
+    BatchController(stack, max_in_flight=burst).submit_many([
+        ("write" if i % 3 else "read", name, "target", i % 16, 0xB000 + i,
+         lambda ok, value, name=name, i=i:
+             outcomes.append((name, i, ok, value)))
+        for name in switches for i in range(2 * burst)])
+    sim.run()
+    assert len(outcomes) == M * 2 * burst and all(o[2] for o in outcomes)
+    registers = {name: net.switch(name).registers.get("target").snapshot()
+                 for name in switches}
+    return (wires, outcomes, dict(stack.requests.seq), registers,
+            stack.digest)
+
+
+@pytest.mark.parametrize("burst", range(2, 9))
+def test_small_bursts_identical_between_scalar_and_auto(burst):
+    *scalar, scalar_engine = _drive_bursts("scalar", burst)
+    *auto, auto_engine = _drive_bursts("auto", burst)
+    assert auto == scalar
+    # One burst of ``burst`` per switch took the lane under ``auto``.
+    assert scalar_engine.vector_messages == 0
+    assert auto_engine.vector_batches == M
+    assert auto_engine.vector_messages == M * burst

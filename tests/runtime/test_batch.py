@@ -132,6 +132,86 @@ class TestCallbackIsolation:
         assert batch.stats.callback_errors == 0
 
 
+class TestRefusedWork:
+    """A bad op fails itself and nothing else: no stranded queue entry,
+    no leaked window slot, no callback fired twice.  Both cases wedged
+    the facade before (``queued() == 1`` / ``in_flight(sw) == 1`` for
+    good, ``idle`` False forever)."""
+
+    @staticmethod
+    def _facade(stack_name):
+        sim, _net, stack, switches = build_batch_deployment(stack_name, m=8)
+        return sim, BatchController(stack, max_in_flight=2), switches
+
+    @staticmethod
+    def _follow_up_completes(sim, batch, switch):
+        done = []
+        batch.submit_many([
+            ("write", switch, "target", i, 40 + i,
+             lambda ok, value: done.append(ok)) for i in range(3)])
+        sim.run()
+        assert done == [True] * 3
+        assert batch.idle and batch.in_flight(switch) == 0
+
+    @pytest.mark.parametrize("stack_name", STACKS)
+    def test_unknown_kind_queues_nothing(self, stack_name):
+        sim, batch, switches = self._facade(stack_name)
+        fired = []
+        with pytest.raises(ValueError, match="erase"):
+            batch.submit_many([
+                ("write", switches[0], "target", 0, 7,
+                 lambda ok, value: fired.append(ok)),
+                ("erase", switches[0], "target", 0, 0, None)])
+        sim.run()
+        # All or nothing: the write before the bad op was not taken.
+        assert fired == [] and batch.stats.submitted == 0
+        assert batch.queued() == 0 and batch.idle
+        self._follow_up_completes(sim, batch, switches[0])
+
+    @pytest.mark.parametrize("stack_name", STACKS)
+    def test_refused_request_many_dispatched_nothing(self, stack_name):
+        """The contract the facade's release rests on, at the stack."""
+        sim, _net, stack, switches = build_batch_deployment(stack_name, m=8)
+        fired = []
+        with pytest.raises(KeyError, match="nope"):
+            stack.request_many(switches[0], [
+                ("write", "target", 0, 7, lambda ok, v: fired.append(ok)),
+                ("write", "nope", 0, 7, lambda ok, v: fired.append(ok))])
+        assert stack.outstanding_count() == 0
+        sim.run()
+        assert fired == []
+
+    @pytest.mark.parametrize("stack_name", STACKS)
+    def test_refused_burst_releases_its_window(self, stack_name):
+        sim, batch, switches = self._facade(stack_name)
+        switch, other = switches[:2]
+        fired = []
+
+        def record(tag):
+            return lambda ok, value: fired.append((tag, ok, value))
+
+        # Twice: two leaked slots would wedge the window of 2.
+        for attempt in range(2):
+            with pytest.raises(KeyError, match="nope"):
+                batch.submit_many([
+                    ("write", switch, "target", 0, 7, record("good")),
+                    ("write", switch, "nope", 0, 7, record("bad")),
+                    # Behind the refused burst, and on a switch pumped
+                    # after it: neither may be stranded.
+                    ("write", switch, "target", 1, 8, record("behind")),
+                    ("write", other, "target", 2, 9, record("other"))])
+            assert batch.in_flight(switch) == 1  # "behind" took the window
+            sim.run()
+            assert batch.idle and batch.in_flight(switch) == 0
+        # The refused burst dispatched nothing, so both of its requests
+        # fail, once each; everything else completes.
+        assert sorted(fired) == sorted(2 * [
+            ("good", False, 0), ("bad", False, 0),
+            ("behind", True, 8), ("other", True, 9)])
+        assert batch.stats.failed == 4 and batch.stats.completed == 8
+        self._follow_up_completes(sim, batch, switch)
+
+
 class TestCoalescing:
     def test_broadcast_write_reaches_every_switch(self):
         sim, net, stack, switches = build_batch_deployment(
