@@ -17,8 +17,7 @@ from repro.dataplane import DataplaneSwitch
 from repro.dataplane.p4gen import generate_p4, loc_estimate
 
 
-def main() -> None:
-    output = sys.argv[1] if len(sys.argv) > 1 else "p4auth_generated.p4"
+def build_dataplane() -> P4AuthDataplane:
     switch = DataplaneSwitch("s1", num_ports=64)
     # The application registers a RouteScout-style deployment would expose.
     switch.registers.define("rs_split", 8, 1)
@@ -26,8 +25,12 @@ def main() -> None:
     switch.registers.define("rs_lat_cnt", 32, 2)
     dataplane = P4AuthDataplane(switch, k_seed=0x5EED).install()
     dataplane.map_all_registers()
+    return dataplane
 
-    source = generate_p4(dataplane, program_name="p4auth_routescout")
+
+def main() -> None:
+    output = sys.argv[1] if len(sys.argv) > 1 else "p4auth_generated.p4"
+    source = generate_p4(build_dataplane(), program_name="p4auth_routescout")
     with open(output, "w") as handle:
         handle.write(source)
     print(f"Wrote {output}: {len(source.splitlines())} lines "

@@ -120,6 +120,12 @@ class Adversary:
         self.stats = AdversaryStats()
         self._attached: List[object] = []
 
+    def inject(self, net, switch: str, packet: Packet,
+               delay_s: float = 0.0) -> EventHandle:
+        """:func:`inject_cpu`, counted in ``stats.injected``."""
+        self.stats.injected += 1
+        return inject_cpu(net, switch, packet, delay_s)
+
     def attach(self, channel) -> "Adversary":
         """Install this adversary's tap on a Link or ControlChannel.
 

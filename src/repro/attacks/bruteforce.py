@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.attacks.base import Adversary, forged_write, inject_cpu
+from repro.attacks.base import Adversary, forged_write
 from repro.crypto.prng import XorShiftPrng
 from repro.net.simulator import EventHandle
 
@@ -37,9 +37,8 @@ class DigestBruteForcer(Adversary):
         for trial in range(guesses):
             forged = forged_write(self.reg_id, self.index, self.value,
                                   seq_num, self._prng.next_bits(32))
-            self._queued.append(inject_cpu(self.network, self.switch_name,
-                                           forged, trial * spacing_s))
-            self.stats.injected += 1
+            self._queued.append(self.inject(self.network, self.switch_name,
+                                            forged, trial * spacing_s))
 
     def stop(self) -> None:
         """Withdraw (and uncount) every guess not yet delivered."""

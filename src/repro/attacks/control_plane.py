@@ -15,7 +15,6 @@ from repro.attacks.base import (
     Eavesdropper,
     PacedInjector,
     forged_write,
-    inject_cpu,
     reg_op_type,
 )
 from repro.core.constants import REG_OP, RegOpType
@@ -100,8 +99,7 @@ class ReplayAttacker(Eavesdropper):
         """
         replayed = self.recordings[:count]
         for packet in replayed:
-            inject_cpu(network, switch_name, packet.copy())
-        self.stats.injected += len(replayed)
+            self.inject(network, switch_name, packet.copy())
         return len(replayed)
 
 

@@ -34,7 +34,6 @@ from repro.attacks.base import (
     Adversary,
     AdversaryStats,
     PacedInjector,
-    inject_cpu,
     reg_op_type,
 )
 from repro.attacks.bruteforce import DigestBruteForcer
@@ -280,8 +279,7 @@ def _arm_rollover_racer(persona: Persona, world: PersonaWorld) -> None:
     def on_key_installed(_version: int, _now: float) -> None:
         persona.extra["rollovers_raced"] += 1
         for packet in recorder.recordings[-_RACE_BURST:]:
-            inject_cpu(world.net, world.switch_name, packet.copy())
-            recorder.stats.injected += 1
+            recorder.inject(world.net, world.switch_name, packet.copy())
 
     hooks = world.dataplane.on_local_key_installed
     hooks.append(on_key_installed)

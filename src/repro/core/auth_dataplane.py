@@ -35,6 +35,7 @@ from repro.core.constants import (
     HdrType,
     KeyExchType,
     RegOpType,
+    payload_of,
 )
 from repro.core.confidentiality import derive_session_keys, encrypt_value
 from repro.crypto.stream import xor_crypt
@@ -59,6 +60,13 @@ from repro.dataplane.switch import DataplaneSwitch
 #: ``flags`` bit marking an encrypted register-op value (see
 #: :mod:`repro.core.confidentiality`).
 FLAG_ENCRYPTED = 0x1
+
+#: The message classes the data plane serves, and why it drops one whose
+#: grammar-named payload is missing.
+_MALFORMED = {
+    HdrType.REGISTER_OP: "register op without a reg_op payload",
+    HdrType.KEY_EXCHANGE: "key-exchange message with a malformed payload",
+}
 
 
 @dataclass
@@ -224,17 +232,15 @@ class P4AuthDataplane:
             ).inc()
 
         hdr_type = hdr["hdrType"]
-        if hdr_type == HdrType.REGISTER_OP:
-            if not packet.has(REG_OP):
-                ctx.drop("register op without a reg_op payload")
+        malformed = _MALFORMED.get(hdr_type)
+        if malformed is not None:
+            if not self._payload_present(packet, hdr):
+                ctx.drop(malformed)
                 return
-            self._handle_reg_op(ctx, hdr)
-            ctx.stop()
-        elif hdr_type == HdrType.KEY_EXCHANGE:
-            if not self._exchange_payload_ok(packet, hdr["msgType"]):
-                ctx.drop("key-exchange message with a malformed payload")
-                return
-            self._handle_key_exchange(ctx, hdr, from_cpu)
+            if hdr_type == HdrType.REGISTER_OP:
+                self._handle_reg_op(ctx, hdr)
+            else:
+                self._handle_key_exchange(ctx, hdr, from_cpu)
             ctx.stop()
         elif hdr_type == HdrType.DP_FEEDBACK:
             # Authenticated in-network feedback: let the host system's
@@ -249,6 +255,15 @@ class P4AuthDataplane:
         else:
             ctx.drop(f"unexpected hdrType {hdr_type} at data plane")
 
+    @staticmethod
+    def _payload_present(packet: Packet, hdr) -> bool:
+        """Structural check: the payload the grammar names is present."""
+        try:
+            payload_type = payload_of(hdr["hdrType"], hdr["msgType"])
+        except KeyError:
+            return False
+        return payload_type is None or packet.has(payload_type.name)
+
     def _select_key(self, hdr, ingress_port: int) -> Optional[int]:
         """Which key authenticates this message (None = no key material)."""
         key_ver = hdr["keyVer"]
@@ -256,19 +271,17 @@ class P4AuthDataplane:
             if not 1 <= ingress_port <= self.switch.num_ports:
                 return None
             return self.keys.port_key(ingress_port, key_ver) or None
-        hdr_type = hdr["hdrType"]
-        msg_type = hdr["msgType"]
-        if hdr_type == HdrType.KEY_EXCHANGE:
+        if hdr["hdrType"] == HdrType.KEY_EXCHANGE:
+            msg_type = hdr["msgType"]
             if msg_type == KeyExchType.EAK_SALT1:
                 return self.k_seed
-            if msg_type in (KeyExchType.ADHKD_MSG1, KeyExchType.ADHKD_MSG2):
-                if hdr["flags"] == 0:
-                    # Local-key *initialization* (initKeyExch, Fig 14a):
-                    # authenticated with K_auth.
-                    return self._kauth.read(0) or None
-                # Redirected port-key legs: the local key.
-                return self.keys.local_key(key_ver) or None
-            # updKeyExch and portKey* control messages: the local key.
+            if (msg_type in (KeyExchType.ADHKD_MSG1, KeyExchType.ADHKD_MSG2)
+                    and hdr["flags"] == 0):
+                # Local-key *initialization* (initKeyExch, Fig 14a):
+                # authenticated with K_auth.
+                return self._kauth.read(0) or None
+            # Redirected port-key legs (flags names the port), updKeyExch
+            # and portKey* control messages: the local key.
         return self.keys.local_key(key_ver) or None
 
     def _handle_unauthenticated(self, ctx: PipelineContext) -> None:
@@ -432,19 +445,6 @@ class P4AuthDataplane:
     # key management: the DP side of EAK / ADHKD (Figs 11, 12, 14)
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _exchange_payload_ok(packet: Packet, msg_type: int) -> bool:
-        """Structural check: the msgType's required payload is present."""
-        if msg_type in (KeyExchType.EAK_SALT1, KeyExchType.EAK_SALT2):
-            return packet.has(EAK)
-        if msg_type in (KeyExchType.ADHKD_MSG1, KeyExchType.ADHKD_MSG2,
-                        KeyExchType.UPD_MSG1, KeyExchType.UPD_MSG2):
-            return packet.has(ADHKD)
-        if msg_type in (KeyExchType.PORT_KEY_INIT,
-                        KeyExchType.PORT_KEY_UPDATE):
-            return packet.has(KEYCTL)
-        return False
-
     def _handle_key_exchange(self, ctx: PipelineContext, hdr,
                              from_cpu: bool) -> None:
         msg_type = hdr["msgType"]
@@ -500,21 +500,21 @@ class P4AuthDataplane:
         port-key init leg (flags carries the local port number)."""
         payload = ctx.packet.get(ADHKD)
         context_port = hdr["flags"]
+        if context_port and self._leg_port(ctx, context_port) is None:
+            return
         endpoint = AdhkdEndpoint(self._prng, kdf=self._kdf)
         pk2, salt2, master = endpoint.respond(payload["pk"], payload["salt"])
         self._charge_kdf()
+        reply = build_adhkd_message(KeyExchType.ADHKD_MSG2, pk2, salt2,
+                                    hdr["seqNum"])
         if context_port == 0:
             # Local-key initialization: the reply is authenticated with
             # K_auth, and the fresh key always (re)occupies version 0 so
             # retried initializations cannot drift the version counters.
-            reply = build_adhkd_message(KeyExchType.ADHKD_MSG2, pk2, salt2,
-                                        hdr["seqNum"])
             self.digest.sign(self._kauth.read(0), reply)
             ctx.to_controller(reply, reason="ADHKD msg2 (local key)")
             self._install_key(LOCAL_KEY_INDEX, master, 0, ctx.now)
         else:
-            reply = build_adhkd_message(KeyExchType.ADHKD_MSG2, pk2, salt2,
-                                        hdr["seqNum"])
             reply.get(P4AUTH)["flags"] = context_port
             self._sign_local(reply)
             ctx.to_controller(reply, reason="ADHKD msg2 (port key, redirected)")
@@ -543,10 +543,7 @@ class P4AuthDataplane:
         """ADHKD_MSG2 via CPU: completes a redirected port-key init we
         started with PORT_KEY_INIT."""
         context_port = hdr["flags"]
-        if context_port == 0 or self._pending_r1.read(context_port) == 0:
-            self._raise_alert(ctx, AlertCode.KEY_EXCHANGE_TAMPER,
-                              detail=context_port)
-            ctx.drop("ADHKD msg2 without a pending exchange")
+        if context_port and self._leg_port(ctx, context_port) is None:
             return
         # Redirected port-key *initialization*: always version 0.
         self._finish_port_exchange(ctx, hdr, context_port, version=0)
@@ -576,17 +573,29 @@ class P4AuthDataplane:
 
     def _adhkd_finish_link(self, ctx: PipelineContext, hdr) -> None:
         """ADHKD_MSG2 over a link: completes a direct port-key update."""
-        port = ctx.ingress_port
-        if self._pending_r1.read(port) == 0:
+        # Direct update: the new key installs at (authenticated keyVer + 1).
+        self._finish_port_exchange(ctx, hdr, ctx.ingress_port,
+                                   version=hdr["keyVer"] + 1)
+
+    def _leg_port(self, ctx: PipelineContext, port: int) -> Optional[int]:
+        """The local port a key-exchange leg names (``keyctl.port``, or
+        ``flags`` on a redirected leg) if this switch has it; otherwise
+        alert, drop and ``None`` — an authenticated message is still
+        not allowed to index past the per-port registers."""
+        if 1 <= port <= self.switch.num_ports:
+            return port
+        self._raise_alert(ctx, AlertCode.KEY_EXCHANGE_TAMPER, detail=port)
+        ctx.drop(f"portKey message for invalid port {port}")
+        return None
+
+    def _finish_port_exchange(self, ctx: PipelineContext, hdr, port: int,
+                              version: int) -> None:
+        """Complete the exchange pending on ``port`` (0: a MSG2 that
+        names none) and install its key at ``version``."""
+        if port == 0 or self._pending_r1.read(port) == 0:
             self._raise_alert(ctx, AlertCode.KEY_EXCHANGE_TAMPER, detail=port)
             ctx.drop("ADHKD msg2 without a pending exchange")
             return
-        # Direct update: the new key installs at (authenticated keyVer + 1).
-        self._finish_port_exchange(ctx, hdr, port,
-                                   version=hdr["keyVer"] + 1)
-
-    def _finish_port_exchange(self, ctx: PipelineContext, hdr, port: int,
-                              version: int = 0) -> None:
         payload = ctx.packet.get(ADHKD)
         endpoint = AdhkdEndpoint(self._prng, kdf=self._kdf)
         endpoint.resume(self._pending_r1.read(port), self._pending_s1.read(port))
@@ -598,10 +607,8 @@ class P4AuthDataplane:
 
     def _port_key_start(self, ctx: PipelineContext, hdr,
                         via_controller: bool) -> None:
-        port = ctx.packet.get(KEYCTL)["port"]
-        if not 1 <= port <= self.switch.num_ports:
-            self._raise_alert(ctx, AlertCode.KEY_EXCHANGE_TAMPER, detail=port)
-            ctx.drop(f"portKey message for invalid port {port}")
+        port = self._leg_port(ctx, ctx.packet.get(KEYCTL)["port"])
+        if port is None:
             return
         endpoint = AdhkdEndpoint(self._prng, kdf=self._kdf)
         pk1, salt1 = endpoint.start()

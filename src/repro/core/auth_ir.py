@@ -26,14 +26,7 @@ Modeling notes for the taint engine:
 
 from __future__ import annotations
 
-from repro.core.constants import (
-    ADHKD_HEADER,
-    ALERT_HEADER,
-    EAK_HEADER,
-    KEYCTL_HEADER,
-    P4AUTH_HEADER,
-    REG_OP_HEADER,
-)
+from repro.core.constants import P4AUTH_HEADERS
 from repro.verify.ir import (
     ApplyTable,
     BinOp,
@@ -172,8 +165,7 @@ def p4auth_over(base: Program, mapped: str) -> Program:
         "p4auth", base.switch,
         [_verify_stage(mapped), *base.stages, _sign_stage()],
         headers=[
-            *base.headers, P4AUTH_HEADER, REG_OP_HEADER, ADHKD_HEADER,
-            EAK_HEADER, KEYCTL_HEADER, ALERT_HEADER,
+            *base.headers, *P4AUTH_HEADERS,
             # Key, digest scratch and verdict carried between the stages.
             HeaderDecl("p4auth_metadata", (("scratch", 288),)),
         ],

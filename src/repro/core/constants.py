@@ -114,13 +114,50 @@ ALERT_HEADER = HeaderType("alert", [
     ("detail", 56),
 ])
 
-#: Name under which the P4Auth header rides on a packet's header stack.
+#: Name under which the P4Auth header rides on a packet's header stack;
+#: every payload rides under its header type's name.
 P4AUTH = "p4auth"
 REG_OP = "reg_op"
 EAK = "eak"
 ADHKD = "adhkd"
 KEYCTL = "keyctl"
 ALERT = "alert"
+
+#: The six wire headers: the P4Auth header, then its five payloads.
+P4AUTH_HEADERS = (P4AUTH_HEADER, REG_OP_HEADER, EAK_HEADER, ADHKD_HEADER,
+                  KEYCTL_HEADER, ALERT_HEADER)
+
+#: The message grammar (Fig 7, Fig 14): which payload header follows the
+#: P4Auth header, by ``(hdrType, msgType)``.  ``msgType`` ``None`` is
+#: "any"; a ``None`` payload is "no fixed payload" (the protected
+#: system's own headers follow).  The builders, the wire parser, the
+#: data plane's structural check and the emitted P4 parser all read this
+#: table; its row order is the P4 parser's ``select`` order.
+MESSAGE_GRAMMAR = {
+    (HdrType.REGISTER_OP, None): REG_OP_HEADER,
+    (HdrType.ALERT, None): ALERT_HEADER,
+    (HdrType.KEY_EXCHANGE, KeyExchType.EAK_SALT1): EAK_HEADER,
+    (HdrType.KEY_EXCHANGE, KeyExchType.EAK_SALT2): EAK_HEADER,
+    (HdrType.KEY_EXCHANGE, KeyExchType.ADHKD_MSG1): ADHKD_HEADER,
+    (HdrType.KEY_EXCHANGE, KeyExchType.ADHKD_MSG2): ADHKD_HEADER,
+    (HdrType.KEY_EXCHANGE, KeyExchType.UPD_MSG1): ADHKD_HEADER,
+    (HdrType.KEY_EXCHANGE, KeyExchType.UPD_MSG2): ADHKD_HEADER,
+    (HdrType.KEY_EXCHANGE, KeyExchType.PORT_KEY_INIT): KEYCTL_HEADER,
+    (HdrType.KEY_EXCHANGE, KeyExchType.PORT_KEY_UPDATE): KEYCTL_HEADER,
+    (HdrType.DP_FEEDBACK, None): None,
+}
+
+
+def payload_of(hdr_type: int, msg_type: int):
+    """The payload header type a ``(hdrType, msgType)`` message carries.
+
+    ``None`` when the message has no fixed payload; ``KeyError`` when the
+    pair is not a P4Auth message at all.
+    """
+    any_msg_type = (hdr_type, None)
+    return MESSAGE_GRAMMAR[any_msg_type if any_msg_type in MESSAGE_GRAMMAR
+                           else (hdr_type, msg_type)]
+
 
 #: Key version slots (two-version consistent updates, §VI-C).
 KEY_VERSIONS = 2

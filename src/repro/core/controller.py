@@ -15,7 +15,7 @@ talks to data planes only through (possibly adversarial) control channels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.auth_dataplane import FLAG_ENCRYPTED, P4AuthDataplane
 from repro.core.confidentiality import derive_session_keys, encrypt_value
@@ -38,6 +38,7 @@ from repro.core.requests import (
     RequestLifecycle,
     ResponseCallback,
     RetryPolicy,
+    sample_window,
 )
 from repro.crypto.prng import XorShiftPrng
 from repro.dataplane.packet import Packet
@@ -94,7 +95,7 @@ class ControllerStats:
     #: Requests that exhausted ``max_request_attempts`` and surfaced a
     #: terminal ``callback(False, 0)`` instead of hanging forever.
     requests_abandoned: int = 0
-    rct_samples: List[RctSample] = field(default_factory=list)
+    rct_samples: Deque[RctSample] = field(default_factory=sample_window)
 
 
 class P4AuthController:

@@ -417,55 +417,46 @@ class KeyManagementProtocol:
 
     def _handle_redirected_msg1(self, switch: str, packet: Packet, hdr) -> None:
         """MSG1 from the initiating DP of a port-key init; relay to peer."""
-        port = hdr["flags"]
-        exchange = self._by_port.get((switch, port))
-        if exchange is None or exchange.op != "port_init":
-            self.c.stats.unsolicited_responses += 1
-            return
-        if not self.c.digest.verify(
-                self.c.keys.local_key(switch, hdr["keyVer"]), packet):
-            self.c._record_tamper(switch, hdr["seqNum"],
-                                  "redirected ADHKD msg1 digest mismatch")
-            return
-        self._count(exchange, packet)
-        payload = packet.get(ADHKD)
-        peer, peer_port = exchange.peer, exchange.peer_port
-        seq = self.c.next_seq(peer)
-        relay = build_adhkd_message(
-            KeyExchType.ADHKD_MSG1, payload["pk"], payload["salt"], seq,
-            key_ver=self.c.keys.local_key_version(peer),
-        )
-        relay.get(P4AUTH)["flags"] = peer_port
-        self.c.digest.sign(self.c.keys.local_key(peer), relay)
-        self._by_seq[(peer, seq)] = exchange
-        # Relay cost: one verify + one sign at the controller.
-        self._send(exchange, peer, relay,
-                   delay=2 * self.c.costs.controller_digest_s)
+        self._relay(self._by_port.get((switch, hdr["flags"])), switch,
+                    packet, hdr, to_peer=True)
 
     def _handle_redirected_msg2(self, switch: str, packet: Packet, hdr) -> None:
-        """MSG2 from the responding DP; relay back to the initiator DP."""
-        exchange = self._by_seq.pop((switch, hdr["seqNum"]), None)
+        """MSG2 from the responding DP; relay back to the initiator DP.
+        Completion is observed via the initiator DP's install hook."""
+        self._relay(self._by_seq.pop((switch, hdr["seqNum"]), None), switch,
+                    packet, hdr, to_peer=False)
+
+    def _relay(self, exchange: Optional[_Exchange], switch: str,
+               packet: Packet, hdr, to_peer: bool) -> None:
+        """Verify one redirected port-key leg under the sender's local key
+        and forward it under the target's, ``flags`` naming the target's
+        port: MSG1 to the peer (whose MSG2 is then expected by seq), MSG2
+        back to the initiator."""
         if exchange is None or exchange.op != "port_init":
             self.c.stats.unsolicited_responses += 1
             return
         if not self.c.digest.verify(
                 self.c.keys.local_key(switch, hdr["keyVer"]), packet):
-            self.c._record_tamper(switch, hdr["seqNum"],
-                                  "redirected ADHKD msg2 digest mismatch")
+            self.c._record_tamper(
+                switch, hdr["seqNum"],
+                f"redirected ADHKD msg{1 if to_peer else 2} digest mismatch")
             return
         self._count(exchange, packet)
         payload = packet.get(ADHKD)
-        initiator = exchange.switch
-        seq = self.c.next_seq(initiator)
+        target, port = ((exchange.peer, exchange.peer_port) if to_peer
+                        else (exchange.switch, exchange.port))
+        seq = self.c.next_seq(target)
         relay = build_adhkd_message(
-            KeyExchType.ADHKD_MSG2, payload["pk"], payload["salt"], seq,
-            key_ver=self.c.keys.local_key_version(initiator),
+            KeyExchType(hdr["msgType"]), payload["pk"], payload["salt"], seq,
+            key_ver=self.c.keys.local_key_version(target),
         )
-        relay.get(P4AUTH)["flags"] = exchange.port
-        self.c.digest.sign(self.c.keys.local_key(initiator), relay)
-        self._send(exchange, initiator, relay,
+        relay.get(P4AUTH)["flags"] = port
+        self.c.digest.sign(self.c.keys.local_key(target), relay)
+        if to_peer:
+            self._by_seq[(target, seq)] = exchange
+        # Relay cost: one verify + one sign at the controller.
+        self._send(exchange, target, relay,
                    delay=2 * self.c.costs.controller_digest_s)
-        # Completion is observed via the initiator DP's install hook.
 
     # ------------------------------------------------------------------
     # completion & accounting
@@ -589,6 +580,16 @@ class KeyManagementProtocol:
 #: a few hundred milliseconds of virtual time.
 KMP_CONVERGENCE_BUCKETS = (0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
                            0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0)
+
+
+def observe_region_round(metrics, region: str, op: str,
+                         duration_s: float) -> None:
+    """Record one region-wide key round (``op`` "bootstrap" | "rollover"):
+    the lockstep authority and the service daemon emit the same pair."""
+    metrics.counter(f"kmp_region_{op}_total", region=region).inc()
+    metrics.histogram("kmp_region_convergence_seconds",
+                      buckets=KMP_CONVERGENCE_BUCKETS, region=region,
+                      op=op).observe(duration_s)
 
 
 @dataclass
@@ -751,13 +752,8 @@ class RegionalKeyAuthority:
             self.convergences.append(convergence)
             telemetry = self.telemetry
             if telemetry is not None and telemetry.enabled:
-                metrics = telemetry.metrics
-                metrics.counter(f"kmp_region_{op}_total",
-                                region=self.region_id).inc()
-                metrics.histogram("kmp_region_convergence_seconds",
-                                  buckets=KMP_CONVERGENCE_BUCKETS,
-                                  region=self.region_id,
-                                  op=op).observe(convergence.duration_s)
+                observe_region_round(telemetry.metrics, self.region_id, op,
+                                     convergence.duration_s)
             if on_done is not None:
                 on_done(convergence)
 

@@ -18,28 +18,26 @@ from operator import itemgetter
 from struct import Struct
 
 from repro.core.constants import (
-    ADHKD,
     ADHKD_HEADER,
-    ALERT,
-    ALERT_HEADER,
-    EAK,
     EAK_HEADER,
-    KEYCTL,
     KEYCTL_HEADER,
+    MESSAGE_GRAMMAR,
     P4AUTH,
     P4AUTH_HEADER,
-    REG_OP,
-    REG_OP_HEADER,
     AlertCode,
     HdrType,
     KeyExchType,
     RegOpType,
+    payload_of,
 )
+from repro.dataplane.headers import HeaderType
 from repro.dataplane.packet import Packet
 
 
 def _base_packet(hdr_type: HdrType, msg_type: int, seq_num: int,
-                 key_ver: int, payload_name: str, payload) -> Packet:
+                 key_ver: int, **payload_fields: int) -> Packet:
+    """The P4Auth header plus the payload the grammar names for it."""
+    payload_type = payload_of(hdr_type, msg_type)
     packet = Packet()
     p4auth = P4AUTH_HEADER.instantiate(
         hdrType=int(hdr_type),
@@ -47,75 +45,71 @@ def _base_packet(hdr_type: HdrType, msg_type: int, seq_num: int,
         seqNum=seq_num,
         keyVer=key_ver,
         flags=0,
-        length=payload.header_type.byte_width,
+        length=payload_type.byte_width,
         digest=0,
     )
     packet.push(P4AUTH, p4auth)
-    packet.push(payload_name, payload)
+    packet.push(payload_type.name, payload_type.instantiate(**payload_fields))
     return packet
+
+
+def _key_exchange_packet(msg_type: KeyExchType, carries: HeaderType,
+                         kind: str, seq_num: int, key_ver: int,
+                         **payload_fields: int) -> Packet:
+    if MESSAGE_GRAMMAR.get((HdrType.KEY_EXCHANGE, msg_type)) is not carries:
+        raise ValueError(f"{msg_type!r} is not {kind} message type")
+    return _base_packet(HdrType.KEY_EXCHANGE, msg_type, seq_num, key_ver,
+                        **payload_fields)
 
 
 def build_reg_read_request(reg_id: int, index: int, seq_num: int,
                            key_ver: int = 0) -> Packet:
     """``readReq``: controller asks the data plane for a register value."""
-    payload = REG_OP_HEADER.instantiate(regId=reg_id, index=index, value=0)
     return _base_packet(HdrType.REGISTER_OP, RegOpType.READ_REQ, seq_num,
-                        key_ver, REG_OP, payload)
+                        key_ver, regId=reg_id, index=index, value=0)
 
 
 def build_reg_write_request(reg_id: int, index: int, value: int,
                             seq_num: int, key_ver: int = 0) -> Packet:
     """``writeReq``: controller writes a register cell in the data plane."""
-    payload = REG_OP_HEADER.instantiate(regId=reg_id, index=index, value=value)
     return _base_packet(HdrType.REGISTER_OP, RegOpType.WRITE_REQ, seq_num,
-                        key_ver, REG_OP, payload)
+                        key_ver, regId=reg_id, index=index, value=value)
 
 
 def build_reg_response(ok: bool, reg_id: int, index: int, value: int,
                        seq_num: int, key_ver: int = 0) -> Packet:
     """``ack`` / ``nAck``: data plane's response, echoing the request seq."""
-    payload = REG_OP_HEADER.instantiate(regId=reg_id, index=index, value=value)
     msg_type = RegOpType.ACK if ok else RegOpType.NACK
     return _base_packet(HdrType.REGISTER_OP, msg_type, seq_num, key_ver,
-                        REG_OP, payload)
+                        regId=reg_id, index=index, value=value)
 
 
 def build_eak_message(msg_type: KeyExchType, salt: int, seq_num: int,
                       key_ver: int = 0) -> Packet:
     """EAK salt exchange message (Fig 11); total wire size 22 bytes."""
-    if msg_type not in (KeyExchType.EAK_SALT1, KeyExchType.EAK_SALT2):
-        raise ValueError(f"{msg_type!r} is not an EAK message type")
-    payload = EAK_HEADER.instantiate(salt=salt)
-    return _base_packet(HdrType.KEY_EXCHANGE, msg_type, seq_num, key_ver,
-                        EAK, payload)
+    return _key_exchange_packet(msg_type, EAK_HEADER, "an EAK", seq_num,
+                                key_ver, salt=salt)
 
 
 def build_adhkd_message(msg_type: KeyExchType, pk: int, salt: int,
                         seq_num: int, key_ver: int = 0) -> Packet:
     """ADHKD / updKeyExch message (Fig 12, Fig 14); wire size 30 bytes."""
-    if msg_type not in (KeyExchType.ADHKD_MSG1, KeyExchType.ADHKD_MSG2,
-                        KeyExchType.UPD_MSG1, KeyExchType.UPD_MSG2):
-        raise ValueError(f"{msg_type!r} is not an ADHKD message type")
-    payload = ADHKD_HEADER.instantiate(pk=pk, salt=salt)
-    return _base_packet(HdrType.KEY_EXCHANGE, msg_type, seq_num, key_ver,
-                        ADHKD, payload)
+    return _key_exchange_packet(msg_type, ADHKD_HEADER, "an ADHKD", seq_num,
+                                key_ver, pk=pk, salt=salt)
 
 
 def build_keyctl_message(msg_type: KeyExchType, port: int, seq_num: int,
                          key_ver: int = 0) -> Packet:
     """portKeyInit / portKeyUpdate (Fig 14); total wire size 18 bytes."""
-    if msg_type not in (KeyExchType.PORT_KEY_INIT, KeyExchType.PORT_KEY_UPDATE):
-        raise ValueError(f"{msg_type!r} is not a key-control message type")
-    payload = KEYCTL_HEADER.instantiate(port=port)
-    return _base_packet(HdrType.KEY_EXCHANGE, msg_type, seq_num, key_ver,
-                        KEYCTL, payload)
+    return _key_exchange_packet(msg_type, KEYCTL_HEADER, "a key-control",
+                                seq_num, key_ver, port=port)
 
 
 def build_alert(code: AlertCode, detail: int, seq_num: int,
                 key_ver: int = 0) -> Packet:
     """Alert from the data plane toward the controller (§VIII)."""
-    payload = ALERT_HEADER.instantiate(code=int(code), detail=detail)
-    return _base_packet(HdrType.ALERT, 0, seq_num, key_ver, ALERT, payload)
+    return _base_packet(HdrType.ALERT, 0, seq_num, key_ver,
+                        code=int(code), detail=detail)
 
 
 #: The p4auth fields the digest covers: all but ``digest``, in

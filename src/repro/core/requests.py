@@ -20,14 +20,25 @@ lives here once:
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Deque, Dict, Optional, Tuple
 
 from repro.crypto.prng import XorShiftPrng
 from repro.net.network import Network
 from repro.telemetry import RCT_BUCKETS
 
 ResponseCallback = Callable[[bool, int], None]
+
+#: How many per-request samples a stats object retains.  Every bounded
+#: run (experiments, benchmarks) completes far fewer; a daemon that runs
+#: for days keeps the newest window and exports the rest as histograms.
+SAMPLE_WINDOW = 1 << 16
+
+
+def sample_window() -> Deque:
+    """An empty per-request sample container (newest ``SAMPLE_WINDOW``)."""
+    return deque(maxlen=SAMPLE_WINDOW)
 
 
 @dataclass(frozen=True)

@@ -2,44 +2,29 @@
 
 :meth:`repro.dataplane.packet.Packet.serialize` already flattens a packet
 to bytes; this module provides the inverse for P4Auth protocol messages,
-reconstructing the header stack from the ``hdrType``/``msgType`` fields —
-i.e., the parser a real P4 program or controller stack would implement.
+reconstructing the header stack from the ``hdrType``/``msgType`` fields
+by reading :data:`repro.core.constants.MESSAGE_GRAMMAR` — the table the
+data plane's structural check and the emitted P4 parser read too.
 Byte counts produced here are exactly the Table III message sizes.
+
+No simulated path parses bytes: messages travel between controller,
+switches and adversaries as :class:`Packet` objects.  This is a codec
+for tests, benchmark probes and external tooling.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.core.constants import (
-    ADHKD,
-    ADHKD_HEADER,
-    ALERT,
-    ALERT_HEADER,
-    EAK,
-    EAK_HEADER,
-    KEYCTL,
-    KEYCTL_HEADER,
     P4AUTH,
     P4AUTH_HEADER,
-    REG_OP,
-    REG_OP_HEADER,
+    P4AUTH_HEADERS,
     HdrType,
-    KeyExchType,
+    payload_of,
 )
 from repro.dataplane.headers import HeaderType
 from repro.dataplane.packet import Packet
-
-_KEY_EXCHANGE_PAYLOADS = {
-    int(KeyExchType.EAK_SALT1): (EAK, EAK_HEADER),
-    int(KeyExchType.EAK_SALT2): (EAK, EAK_HEADER),
-    int(KeyExchType.ADHKD_MSG1): (ADHKD, ADHKD_HEADER),
-    int(KeyExchType.ADHKD_MSG2): (ADHKD, ADHKD_HEADER),
-    int(KeyExchType.UPD_MSG1): (ADHKD, ADHKD_HEADER),
-    int(KeyExchType.UPD_MSG2): (ADHKD, ADHKD_HEADER),
-    int(KeyExchType.PORT_KEY_INIT): (KEYCTL, KEYCTL_HEADER),
-    int(KeyExchType.PORT_KEY_UPDATE): (KEYCTL, KEYCTL_HEADER),
-}
 
 
 class WireFormatError(ValueError):
@@ -53,31 +38,7 @@ def wire_header_layouts() -> Dict[str, HeaderType]:
     compares each program's declared header layouts against this map, so
     an IR declaration cannot silently disagree with the codec.
     """
-    return {
-        P4AUTH: P4AUTH_HEADER,
-        REG_OP: REG_OP_HEADER,
-        EAK: EAK_HEADER,
-        ADHKD: ADHKD_HEADER,
-        KEYCTL: KEYCTL_HEADER,
-        ALERT: ALERT_HEADER,
-    }
-
-
-def _payload_type(hdr: Mapping[str, int]) -> Optional[Tuple[str, HeaderType]]:
-    hdr_type = hdr["hdrType"]
-    if hdr_type == HdrType.REGISTER_OP:
-        return REG_OP, REG_OP_HEADER
-    if hdr_type == HdrType.ALERT:
-        return ALERT, ALERT_HEADER
-    if hdr_type == HdrType.KEY_EXCHANGE:
-        entry = _KEY_EXCHANGE_PAYLOADS.get(hdr["msgType"])
-        if entry is None:
-            raise WireFormatError(
-                f"unknown key-exchange msgType {hdr['msgType']}")
-        return entry
-    if hdr_type == HdrType.DP_FEEDBACK:
-        return None  # the protected app headers follow, app-defined
-    raise WireFormatError(f"unknown hdrType {hdr_type}")
+    return {header_type.name: header_type for header_type in P4AUTH_HEADERS}
 
 
 def serialize_message(packet: Packet) -> bytes:
@@ -103,9 +64,15 @@ def parse_message(data: bytes,
     offset = P4AUTH_HEADER.byte_width
     packet = Packet()
     packet.push(P4AUTH, hdr)
-    entry = _payload_type(hdr)
-    if entry is not None:
-        name, header_type = entry
+    try:
+        header_type = payload_of(hdr["hdrType"], hdr["msgType"])
+    except KeyError:
+        if hdr["hdrType"] == HdrType.KEY_EXCHANGE:
+            raise WireFormatError(
+                f"unknown key-exchange msgType {hdr['msgType']}") from None
+        raise WireFormatError(f"unknown hdrType {hdr['hdrType']}") from None
+    if header_type is not None:
+        name = header_type.name
         if len(data) - offset < header_type.byte_width:
             raise WireFormatError(
                 f"truncated {name} payload: need {header_type.byte_width} "

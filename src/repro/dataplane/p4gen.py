@@ -4,8 +4,9 @@ The paper's artifact is a ~400-line P4 program (§VII).  This module emits
 that program's skeleton — headers, parser, registers, the
 ``reg_id_to_name_mapping`` table, and the verify/sign control blocks —
 *derived from the same constants the simulator runs on*:
-:data:`~repro.core.constants.P4AUTH_HEADER` drives the header declaration,
-a :class:`~repro.core.auth_dataplane.P4AuthDataplane` instance drives the
+:data:`~repro.core.constants.P4AUTH_HEADERS` drives the header
+declarations, :data:`~repro.core.constants.MESSAGE_GRAMMAR` the parser,
+a :class:`~repro.core.auth_dataplane.P4AuthDataplane` instance the
 register sizes and mapped-register actions.
 
 The output targets the v1model architecture (the BMv2 flavor of the
@@ -18,24 +19,16 @@ exactly as the paper describes the BMv2 implementation.
 from __future__ import annotations
 
 import io
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.constants import (
-    ADHKD_HEADER,
-    ALERT_HEADER,
-    EAK_HEADER,
-    KEYCTL_HEADER,
-    P4AUTH_HEADER,
-    REG_OP_HEADER,
+    MESSAGE_GRAMMAR,
+    P4AUTH_HEADERS,
     HdrType,
-    KeyExchType,
     RegOpType,
 )
 from repro.core.secrets import is_internal_register
 from repro.dataplane.headers import HeaderType
-
-_ALL_HEADERS = (P4AUTH_HEADER, REG_OP_HEADER, EAK_HEADER, ADHKD_HEADER,
-                KEYCTL_HEADER, ALERT_HEADER)
 
 
 def _emit_header(out: io.StringIO, header_type: HeaderType) -> None:
@@ -47,16 +40,47 @@ def _emit_header(out: io.StringIO, header_type: HeaderType) -> None:
 
 def _emit_headers(out: io.StringIO) -> None:
     out.write("/* -------- protocol headers (Fig 7) -------- */\n\n")
-    for header_type in _ALL_HEADERS:
+    for header_type in P4AUTH_HEADERS:
         _emit_header(out, header_type)
     out.write("struct headers_t {\n")
     out.write("    ethernet_t ethernet;\n")
-    for header_type in _ALL_HEADERS:
+    for header_type in P4AUTH_HEADERS:
         out.write(f"    {header_type.name}_t {header_type.name};\n")
     out.write("}\n\n")
 
 
 def _emit_parser(out: io.StringIO) -> None:
+    """One ``select`` row per grammar row: a ``hdrType`` with one payload
+    for any ``msgType`` extracts it, one whose payload depends on
+    ``msgType`` selects again, one with no fixed payload is accepted."""
+    classes: Dict[HdrType, List[Tuple[Optional[int], str]]] = {}
+    for (hdr_type, msg_type), payload in MESSAGE_GRAMMAR.items():
+        if payload is not None:
+            classes.setdefault(hdr_type, []).append((msg_type, payload.name))
+    hdr_rows, states, leaves = [], [], []
+    for hdr_type, rows in classes.items():
+        if rows[0][0] is None:
+            state = rows[0][1]
+            states.append(
+                f"    state parse_{state} {{\n"
+                f"        pkt.extract(hdr.{state});\n"
+                "        transition accept;\n"
+                "    }\n")
+        else:
+            state = hdr_type.name.lower()
+            states.append(
+                f"    state parse_{state} {{\n"
+                "        transition select(hdr.p4auth.msgType) {\n"
+                + "".join(f"            {int(msg_type)}: parse_{name};\n"
+                          for msg_type, name in rows) +
+                "            default: accept;\n"
+                "        }\n"
+                "    }\n")
+            for name in dict.fromkeys(name for _msg_type, name in rows):
+                leaves.append(
+                    f"    state parse_{name} {{ pkt.extract(hdr.{name}); "
+                    "transition accept; }\n")
+        hdr_rows.append(f"            {int(hdr_type)}: parse_{state};\n")
     out.write("/* -------- parser: dispatch on hdrType/msgType -------- */\n\n")
     out.write(
         "parser P4AuthParser(packet_in pkt, out headers_t hdr,\n"
@@ -72,36 +96,11 @@ def _emit_parser(out: io.StringIO) -> None:
         "    state parse_p4auth {\n"
         "        pkt.extract(hdr.p4auth);\n"
         "        transition select(hdr.p4auth.hdrType) {\n"
-        f"            {int(HdrType.REGISTER_OP)}: parse_reg_op;\n"
-        f"            {int(HdrType.ALERT)}: parse_alert;\n"
-        f"            {int(HdrType.KEY_EXCHANGE)}: parse_key_exchange;\n"
+        + "".join(hdr_rows) +
         "            default: accept;\n"
         "        }\n"
         "    }\n"
-        "    state parse_reg_op {\n"
-        "        pkt.extract(hdr.reg_op);\n"
-        "        transition accept;\n"
-        "    }\n"
-        "    state parse_alert {\n"
-        "        pkt.extract(hdr.alert);\n"
-        "        transition accept;\n"
-        "    }\n"
-        "    state parse_key_exchange {\n"
-        "        transition select(hdr.p4auth.msgType) {\n"
-        f"            {int(KeyExchType.EAK_SALT1)}: parse_eak;\n"
-        f"            {int(KeyExchType.EAK_SALT2)}: parse_eak;\n"
-        f"            {int(KeyExchType.ADHKD_MSG1)}: parse_adhkd;\n"
-        f"            {int(KeyExchType.ADHKD_MSG2)}: parse_adhkd;\n"
-        f"            {int(KeyExchType.UPD_MSG1)}: parse_adhkd;\n"
-        f"            {int(KeyExchType.UPD_MSG2)}: parse_adhkd;\n"
-        f"            {int(KeyExchType.PORT_KEY_INIT)}: parse_keyctl;\n"
-        f"            {int(KeyExchType.PORT_KEY_UPDATE)}: parse_keyctl;\n"
-        "            default: accept;\n"
-        "        }\n"
-        "    }\n"
-        "    state parse_eak { pkt.extract(hdr.eak); transition accept; }\n"
-        "    state parse_adhkd { pkt.extract(hdr.adhkd); transition accept; }\n"
-        "    state parse_keyctl { pkt.extract(hdr.keyctl); transition accept; }\n"
+        + "".join(states + leaves) +
         "}\n\n")
 
 

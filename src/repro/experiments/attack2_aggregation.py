@@ -29,7 +29,7 @@ from repro.engine.spec import ExperimentSpec, TrialContext
 from repro.dataplane.switch import DataplaneSwitch
 from repro.net.network import Network
 from repro.net.simulator import EventSimulator
-from repro.runtime.comparison import attach_stack
+from repro.runtime.comparison import attach_stack, k_seeds_from
 from repro.systems.inaggr import (
     AggregationConfig,
     AggregationDataplane,
@@ -75,8 +75,7 @@ def run_aggregation(mode: str, chunks: int = 30, num_workers: int = 4,
         names = ["agg"] + [s.name for s in worker_switches]
         controller, dataplanes = attach_stack(
             "P4Auth", net, names, (),
-            {name: 0xA660 + index for index, name in enumerate(names)},
-            None, config=P4AuthConfig(protected_headers={"agg_update"}))
+            k_seeds_from(0xA660, names), None, config=P4AuthConfig(protected_headers={"agg_update"}))
         dataplanes["agg"].map_register("agg_bitmap")
         controller.kmp.bootstrap_all()
         sim.run(until=1.0)

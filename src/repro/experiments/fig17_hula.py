@@ -25,7 +25,7 @@ from repro.core.auth_dataplane import P4AuthConfig
 from repro.core.controller import P4AuthController
 from repro.net.network import Network
 from repro.net.topology import hula_fig3_topology
-from repro.runtime.comparison import attach_stack
+from repro.runtime.comparison import attach_stack, k_seeds_from
 from repro.systems.hula import (
     HulaDataplane,
     fig3_hula_configs,
@@ -69,8 +69,8 @@ def protect_probes(net: Network, hulas: Dict[str, HulaDataplane],
     names = sorted(hulas)
     return attach_stack(
         "P4Auth", net, names, (),
-        {name: k_seed_base + index for index, name in enumerate(names)},
-        None, request_timeout_s=request_timeout_s,
+        k_seeds_from(k_seed_base, names), None,
+        request_timeout_s=request_timeout_s,
         config=P4AuthConfig(protected_headers={"hula_probe"}))
 
 

@@ -16,7 +16,7 @@ from repro.core.auth_dataplane import P4AuthConfig
 from repro.engine.registry import register
 from repro.engine.spec import ExperimentSpec, TrialContext
 from repro.net.topology import linear_chain
-from repro.runtime.comparison import attach_stack
+from repro.runtime.comparison import attach_stack, k_seeds_from
 from repro.systems.hula import HulaDataplane, chain_hula_configs, make_probe
 
 #: ToR id used for chain probes (any value works; nothing routes on it).
@@ -48,8 +48,7 @@ def run_multihop(num_switches: int, with_p4auth: bool,
     if with_p4auth:
         controller, _dataplanes = attach_stack(
             "P4Auth", net, extras["switches"], (),
-            {name: 0xC0DE00 + index
-             for index, name in enumerate(extras["switches"])}, None,
+            k_seeds_from(0xC0DE00, extras["switches"]), None,
             config=P4AuthConfig(protected_headers={"hula_probe"}))
         controller.kmp.bootstrap_all()
         sim.run(until=1.0)

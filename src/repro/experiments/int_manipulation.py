@@ -21,7 +21,7 @@ from repro.core.auth_dataplane import P4AuthConfig
 from repro.engine.registry import register
 from repro.engine.spec import ExperimentSpec, TrialContext
 from repro.net.topology import linear_chain
-from repro.runtime.comparison import attach_stack
+from repro.runtime.comparison import attach_stack, k_seeds_from
 from repro.systems.int_telemetry import (
     RECORD_BYTES,
     RECORD_FORMAT,
@@ -109,8 +109,7 @@ def run_int_manipulation(mode: str, num_switches: int = 4,
     if mode == "p4auth":
         controller, _dataplanes = attach_stack(
             "P4Auth", net, extras["switches"], (),
-            {name: 0x127 + index
-             for index, name in enumerate(extras["switches"])}, None,
+            k_seeds_from(0x127, extras["switches"]), None,
             config=P4AuthConfig(protected_headers={"int_probe"}))
         controller.kmp.bootstrap_all()
         sim.run(until=1.0)

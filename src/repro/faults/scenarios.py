@@ -46,7 +46,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import ChannelBlackout, FaultPlan, LinkFault, NodeFault
 from repro.net.network import Network
 from repro.net.simulator import EventSimulator
-from repro.runtime.comparison import attach_stack
+from repro.runtime.comparison import attach_stack, k_seeds_from
 
 
 @dataclass
@@ -102,8 +102,8 @@ def _keyed_chain(count: int, reg_name: str, telemetry,
         net.connect(name_a, 1, name_b, 1)
     controller, _dataplanes = attach_stack(
         "P4Auth", net, names, [reg_name],
-        {name: 0xBEE0 + index for index, name in enumerate(names, start=1)},
-        None, request_timeout_s=request_timeout_s)
+        k_seeds_from(0xBEE0 + 1, names), None,
+        request_timeout_s=request_timeout_s)
     bootstrapped: List[float] = []
     controller.kmp.bootstrap_all(
         on_done=lambda: bootstrapped.append(sim.now))

@@ -38,6 +38,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.requests import sample_window
 from repro.telemetry import RCT_BUCKETS
 
 ResponseCallback = Callable[[bool, int], None]
@@ -70,7 +71,7 @@ class BatchStats:
     callback_errors: int = 0
     #: Largest total in-flight population ever observed.
     in_flight_high_water: int = 0
-    samples: List[BatchSample] = field(default_factory=list)
+    samples: Deque[BatchSample] = field(default_factory=sample_window)
 
 
 @dataclass

@@ -23,6 +23,12 @@ from repro.runtime.plain import PlainController, PlainRegOpDataplane
 STACKS = ("P4Runtime", "DP-Reg-RW", "P4Auth")
 
 
+def k_seeds_from(base: int, switches: Sequence[str]) -> Dict[str, int]:
+    """The K_seed provisioning rule of every deployment built here:
+    ``base`` plus the switch's position in ``switches``."""
+    return {name: base + index for index, name in enumerate(switches)}
+
+
 def attach_stack(stack_name: str, net: Network, switches: Sequence[str],
                  registers: Optional[Sequence[str]],
                  k_seeds: Mapping[str, int],

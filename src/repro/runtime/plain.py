@@ -18,6 +18,7 @@ from repro.core.requests import (
     RequestLifecycle,
     ResponseCallback,
     RetryPolicy,
+    sample_window,
 )
 from repro.dataplane.headers import HeaderType
 from repro.dataplane.packet import Packet
@@ -108,7 +109,7 @@ class _RegisterStack:
             network, self.STACK,
             RetryPolicy(request_timeout_s, max_request_attempts),
             self._issue, self)
-        self.rct_samples = []  # (kind, rct_s, ok)
+        self.rct_samples = sample_window()  # (kind, rct_s, ok)
 
     def outstanding_count(self) -> int:
         """Requests issued whose outcome (completion, loss, abandonment)

@@ -36,7 +36,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.kmp import KMP_CONVERGENCE_BUCKETS
+from repro.core.kmp import observe_region_round
 from repro.store.journal import FSYNC_POLICIES
 from repro.runtime.comparison import STACKS
 from repro.service.auth import RequestAuthenticator, TOKEN_HEADER
@@ -221,14 +221,9 @@ class ControllerService:
         # when the last shard comes up; record that per region with the
         # same metric names the lockstep RegionalKeyAuthority emits.
         bootstrap_wall = self._started_monotonic - started
-        metrics = self.telemetry.metrics
         for region_id in self.config.region_ids:
-            metrics.counter("kmp_region_bootstrap_total",
-                            region=region_id).inc()
-            metrics.histogram("kmp_region_convergence_seconds",
-                              buckets=KMP_CONVERGENCE_BUCKETS,
-                              region=region_id,
-                              op="bootstrap").observe(bootstrap_wall)
+            observe_region_round(self.telemetry.metrics, region_id,
+                                 "bootstrap", bootstrap_wall)
 
     async def stop(self) -> None:
         """Graceful drain: refuse new work, finish what's queued."""
@@ -303,13 +298,8 @@ class ControllerService:
             wall = time.monotonic() - started
             self._region_rollovers[region_id] += 1
             self._region_last_rollover_s[region_id] = wall
-            metrics = self.telemetry.metrics
-            metrics.counter("kmp_region_rollover_total",
-                            region=region_id).inc()
-            metrics.histogram("kmp_region_convergence_seconds",
-                              buckets=KMP_CONVERGENCE_BUCKETS,
-                              region=region_id,
-                              op="rollover").observe(wall)
+            observe_region_round(self.telemetry.metrics, region_id,
+                                 "rollover", wall)
             return dict(zip(names, outcomes))
 
         settled = await asyncio.gather(

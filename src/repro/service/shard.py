@@ -40,11 +40,16 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.controller import P4AuthController
+from repro.core.requests import sample_window
 from repro.dataplane.switch import DataplaneSwitch
 from repro.net.network import Network
 from repro.net.simulator import EventSimulator
 from repro.runtime.batch import BatchController
-from repro.runtime.comparison import attach_stack, bootstrap_local_keys
+from repro.runtime.comparison import (
+    attach_stack,
+    bootstrap_local_keys,
+    k_seeds_from,
+)
 from repro.store.recovery import (
     restore_dataplane,
     store_exists,
@@ -99,7 +104,7 @@ class ShardStats:
     first_issue_at: Optional[float] = None
     last_done_at: Optional[float] = None
     #: Per-request busy-time latency samples (virtual seconds).
-    latency_samples: List[float] = field(default_factory=list)
+    latency_samples: Deque[float] = field(default_factory=sample_window)
 
     @property
     def busy_s(self) -> float:
@@ -135,8 +140,7 @@ def build_shard_stack(stack_name: str, switches: Sequence[str], seed: int,
             switch.registers.define(reg_name, width, size)
     stack, dataplanes = attach_stack(
         stack_name, net, switches, [reg for reg, _w, _s in registers],
-        {name: 0x1000 + seed + offset
-         for offset, name in enumerate(switches)},
+        k_seeds_from(0x1000 + seed, switches),
         BOOTSTRAP_DEADLINE_S if bootstrap else None,
         seed=0xC0FFEE ^ seed)
     # The shard's issue window must stay far below the DoS heuristic's

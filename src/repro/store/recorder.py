@@ -35,7 +35,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.store.journal import Journal
 from repro.store.snapshot import SnapshotStore
-from repro.store.state import SEQ_MASK, StoreState, apply_record
+from repro.store.state import KeyEntry, SEQ_MASK, StoreState, apply_record
 
 #: Sequence numbers reserved (journaled) ahead of use per switch.
 DEFAULT_SEQ_STRIDE = 64
@@ -225,12 +225,9 @@ class StateRecorder:
                 self._on_key(switch, "auth", auth, 0)
             if keys.has_local_key(switch):
                 slots, active = keys.local_key_slots(switch)
-                # Inactive slots first so replay ends on the active one.
-                for version, key in enumerate(slots):
-                    if key and version != active:
-                        self._on_key(switch, "local", key, version)
-                if slots[active]:
-                    self._on_key(switch, "local", slots[active], active)
+                entry = KeyEntry(local_slots=slots, local_active=active)
+                for version, key in entry.local_installs():
+                    self._on_key(switch, "local", key, version)
         for switch, next_seq in sorted(controller._seq.items()):
             already = self._reserved.get(switch, 0)
             unmasked = self._unmask(switch, next_seq)

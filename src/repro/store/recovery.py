@@ -125,12 +125,11 @@ def load_state(records: List[JournalRecord],
     base = snapshots.load_latest() if snapshots is not None else None
     snapshot_used = base is not None
     state = base if base is not None else StoreState()
-    replayed = 0
-    for record in records:
-        if record.lsn <= state.applied_lsn:
-            continue
-        replay_records([record], state)
-        replayed += 1
+    # LSNs are contiguous (Journal.open enforces it), so what the replay
+    # skips is exactly the prefix the snapshot already covers.
+    covered_lsn = state.applied_lsn
+    replay_records(records, state)
+    replayed = sum(record.lsn > covered_lsn for record in records)
     return state, snapshot_used, replayed
 
 
@@ -150,14 +149,8 @@ def restore_dataplane(dataplane, state: StoreState) -> None:
     if entry is not None:
         if entry.auth:
             registers.get("p4auth_kauth").write(0, entry.auth)
-        if entry.has_local:
-            for version, key in enumerate(entry.local_slots):
-                if key and version != entry.local_active:
-                    dataplane.keys.install_at(LOCAL_KEY_INDEX, key, version)
-            active_key = entry.local_slots[entry.local_active]
-            if active_key:
-                dataplane.keys.install_at(LOCAL_KEY_INDEX, active_key,
-                                          entry.local_active)
+        for version, key in entry.local_installs():
+            dataplane.keys.install_at(LOCAL_KEY_INDEX, key, version)
     horizon = state.seq_horizons.get(name)
     if horizon is not None:
         registers.get("p4auth_expected_seq").write(0, horizon & 0xFFFFFFFF)
@@ -206,14 +199,8 @@ def warm_restart(state_dir: str, controller, *, batch=None, authority=None,
             keys.set_seed(switch, entry.seed)
         if entry.auth:
             keys.set_auth_key(switch, entry.auth)
-        if entry.has_local:
-            for version, key in enumerate(entry.local_slots):
-                if key and version != entry.local_active:
-                    keys.install_local_key_at(switch, key, version)
-            active_key = entry.local_slots[entry.local_active]
-            if active_key:
-                keys.install_local_key_at(switch, active_key,
-                                          entry.local_active)
+        for version, key in entry.local_installs():
+            keys.install_local_key_at(switch, key, version)
         restored += 1
     for switch, horizon in state.seq_horizons.items():
         controller.restore_seq(switch, horizon)

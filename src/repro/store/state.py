@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.constants import KEY_VERSIONS
 
@@ -42,6 +42,15 @@ class KeyEntry:
         default_factory=lambda: [0] * KEY_VERSIONS)
     local_active: int = 0
     has_local: bool = False
+
+    def local_installs(self) -> Iterator[Tuple[int, int]]:
+        """``(version, key)`` for each occupied local-key slot, the active
+        one last: installing in this order ends on the active version."""
+        for version, key in enumerate(self.local_slots):
+            if key and version != self.local_active:
+                yield version, key
+        if self.local_slots[self.local_active]:
+            yield self.local_active, self.local_slots[self.local_active]
 
     def to_dict(self) -> Dict[str, object]:
         return {

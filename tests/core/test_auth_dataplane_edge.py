@@ -78,6 +78,44 @@ class TestKeyExchangeEdges:
         actions = switch.process(message, 0)
         assert any(isinstance(a, Drop) for a in actions)
 
+    @pytest.mark.parametrize("msg_type, port", [
+        (KeyExchType.ADHKD_MSG1, 200),  # past p4auth_keys_v0
+        (KeyExchType.ADHKD_MSG2, 5),    # past p4auth_pending_r1
+        (KeyExchType.ADHKD_MSG2, 255),
+    ])
+    def test_redirected_leg_for_a_port_the_switch_lacks(self, msg_type, port):
+        """``flags`` names the local port of a redirected port-key leg.
+        Only a K_local holder can sign one, but an out-of-range port
+        must still be an alert and a drop, not an IndexError out of the
+        pipeline (the shard-wedge class)."""
+        switch, dataplane = keyed_dataplane()
+        before = {name: list(switch.registers.get(name).snapshot())
+                  for name in switch.registers.names()}
+        message = build_adhkd_message(msg_type, 7, 9, seq_num=1)
+        message.get(P4AUTH)["flags"] = port
+        DigestEngine().sign(K_LOCAL, message)
+        actions = switch.process(message, DataplaneSwitch.CPU_PORT)
+        drops = [a for a in actions if isinstance(a, Drop)]
+        assert [d.reason for d in drops] == [
+            f"portKey message for invalid port {port}"]
+        (alert,) = alerts_of(actions)
+        assert alert.get("alert")["code"] == AlertCode.KEY_EXCHANGE_TAMPER
+        assert alert.get("alert")["detail"] == port
+        after = {name: list(switch.registers.get(name).snapshot())
+                 for name in switch.registers.names()
+                 if name not in ("p4auth_dp_seq", "p4auth_alert_count")}
+        for name, cells in after.items():
+            assert cells == before[name], name
+
+    def test_redirected_leg_for_the_last_port_is_served(self):
+        switch, dataplane = keyed_dataplane()
+        message = build_adhkd_message(KeyExchType.ADHKD_MSG1, 7, 9, seq_num=1)
+        message.get(P4AUTH)["flags"] = switch.num_ports
+        DigestEngine().sign(K_LOCAL, message)
+        actions = switch.process(message, DataplaneSwitch.CPU_PORT)
+        assert not any(isinstance(a, Drop) for a in actions)
+        assert dataplane.keys.has_port_key(switch.num_ports)
+
 
 class TestAlertSigningFallback:
     def test_alert_signed_with_seed_before_any_key(self):

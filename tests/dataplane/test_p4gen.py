@@ -1,5 +1,9 @@
 """P4-16 generator: structural fidelity to the running configuration."""
 
+import pathlib
+import re
+import runpy
+
 import pytest
 
 from repro.core.auth_dataplane import P4AuthDataplane
@@ -78,3 +82,51 @@ def test_braces_balance(dataplane):
 def test_loc_estimate_ignores_comments_and_blanks():
     source = "/* c */\n\n// line\nreal_line;\n/* multi\nline\ncomment */\n"
     assert loc_estimate(source) == 1
+
+
+# -- the parser and the header declarations read core/constants.py --------
+
+def _parser_text(source):
+    start = source.index("parser P4AuthParser")
+    return source[start:source.index("/* -------- verify-on-ingress")]
+
+
+def test_one_select_row_per_grammar_row(dataplane):
+    """Each ``select`` row of the emitted parser is a grammar row and
+    each grammar row with a payload is a ``select`` row: ``hdrType``
+    rows for the payloads any ``msgType`` carries, ``msgType`` rows for
+    Fig 14's eight key-exchange messages."""
+    from repro.core.constants import MESSAGE_GRAMMAR, HdrType
+
+    rows = re.findall(r"^\s+(\d+): parse_(\w+);$", _parser_text(
+        generate_p4(dataplane)), flags=re.MULTILINE)
+    expected = []
+    for (hdr_type, msg_type), payload in MESSAGE_GRAMMAR.items():
+        if payload is None:
+            continue
+        if msg_type is None:
+            expected.append((str(int(hdr_type)), payload.name))
+        else:
+            expected.append((str(int(msg_type)), payload.name))
+    expected.append((str(int(HdrType.KEY_EXCHANGE)), "key_exchange"))
+    assert sorted(rows) == sorted(expected)
+    assert len(rows) == 2 + 1 + 8
+
+
+def test_one_header_declaration_per_wire_header(dataplane):
+    from repro.core.constants import P4AUTH_HEADERS
+
+    declared = re.findall(r"^header (\w+)_t \{$", generate_p4(dataplane),
+                          flags=re.MULTILINE)
+    assert declared == ["ethernet"] + [h.name for h in P4AUTH_HEADERS]
+
+
+def test_export_example_matches_golden():
+    """``examples/export_p4.py``'s deployment, byte for byte as the
+    hand-typed parser emitted it before the grammar table existed."""
+    root = pathlib.Path(__file__).resolve().parents[2]
+    example = runpy.run_path(str(root / "examples" / "export_p4.py"))
+    source = generate_p4(example["build_dataplane"](),
+                         program_name="p4auth_routescout")
+    golden = pathlib.Path(__file__).parent / "golden" / "p4auth_routescout.p4"
+    assert source == golden.read_text()
