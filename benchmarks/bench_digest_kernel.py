@@ -12,8 +12,7 @@ material:
   2.0-2.1x; a ratio, so it holds across hosts where an absolute would not).
 """
 
-import time
-
+from benchmarks.conftest import best_seconds_per_call
 from repro.crypto.halfsiphash import HalfSipHash
 from tests.crypto.test_differential import _spec_digest
 
@@ -25,13 +24,7 @@ REPEATS, CALLS = 5, 2000
 
 
 def _best_us(fn) -> float:
-    best = float("inf")
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        for _ in range(CALLS):
-            fn()
-        best = min(best, time.perf_counter() - start)
-    return best / CALLS * 1e6
+    return best_seconds_per_call(fn, CALLS, REPEATS) * 1e6
 
 
 def test_digest_kernel_over_spec(report):

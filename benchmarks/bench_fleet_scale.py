@@ -19,10 +19,10 @@ Speedup is asserted two ways, because CI hosts vary:
   region phase.  Only asserted when the host actually has >= 4 cores;
   a 1-core container runs the pool but cannot go faster.
 
-The trial itself enforces the security invariants (zero forged
+The trial itself checks the security invariants (zero forged
 register end-states, controller/DP sequence agreement, zero boundary
-two-version violations) — a violation raises rather than shipping a
-worse number.
+two-version violations) — a violation is a failed check in the artifact,
+and fails this benchmark, rather than shipping a worse number.
 """
 
 import os
@@ -63,6 +63,8 @@ def partition_speedup(result, workers):
 def test_fleet_scale(benchmark, report):
     run = benchmark.pedantic(run_fleet_scale, rounds=1, iterations=1)
     cpu_count = os.cpu_count() or 1
+    # Security invariants at every scale point: the trials' own checks.
+    assert not run.failures(), run.failures()
 
     rows = []
     for m in M_POINTS:
@@ -75,7 +77,6 @@ def test_fleet_scale(benchmark, report):
             == {k: v for k, v in sharded.items() if k != "wall"}
 
         totals = serial["totals"]
-        boundary = serial["boundary"]
         part = partition_speedup(serial, workers=4)
         measured = (serial["wall"]["region_phase_s"]
                     / sharded["wall"]["region_phase_s"])
@@ -91,14 +92,7 @@ def test_fleet_scale(benchmark, report):
             f"{measured:.2f}x",
         ])
 
-        # Security invariants at every scale point.
-        assert totals["forged_writes"] == 0
-        assert totals["seq_divergence_min"] == 0
-        assert totals["seq_divergence_max"] == 0
-        assert boundary is not None
-        assert boundary["consistency"]["boundary_violations"] == 0
-        assert boundary["consistency"]["seq_divergence_min"] >= 0
-        assert boundary["writes_ok"] == boundary["writes_in_window"]
+        assert serial["boundary"] is not None
 
         # The acceptance floor: >= 3x bootstrap speedup at 4 workers.
         assert part >= 3.0

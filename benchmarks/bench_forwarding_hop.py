@@ -16,8 +16,7 @@ They guard the property, not the claim: what the memo buys end to end is
 ``fwd_plain``'s ``ops_per_s`` in ``bench/run.py``.
 """
 
-import time
-
+from benchmarks.conftest import best_seconds_per_call
 from repro.dataplane.headers import HeaderType
 from repro.dataplane.packet import Packet
 
@@ -29,13 +28,7 @@ WIDE = HeaderType("wide", [(f"f{index}", 16) for index in range(16)])
 
 
 def _best_ns(fn) -> float:
-    best = float("inf")
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        for _ in range(CALLS):
-            fn()
-        best = min(best, time.perf_counter() - start)
-    return best / CALLS * 1e9
+    return best_seconds_per_call(fn, CALLS, REPEATS) * 1e9
 
 
 def _packet(headers: int) -> Packet:

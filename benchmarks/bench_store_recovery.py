@@ -97,19 +97,9 @@ def test_store_recovery(benchmark, report):
         title=(f"Journal overhead vs no-journal baseline "
                f"(ceiling {OVERHEAD_CEILING_PCT:.0f}% at fsync=batch)")))
 
-    # Chaos invariants at production scale: the restarted controller
-    # must never trip the defenses it is supposed to be protected by.
-    for kill_on in ("seq_advance", "batch_open"):
-        r = crash.result_for(kill_on=kill_on, m=M_LARGE)
-        assert r["forged_writes"] == 0
-        assert r["replay_trips"] == 0
-        assert r["digest_fail_trips"] == 0
-        assert r["alert_trips"] == 0
-        assert not r["dos_suspected"]
-        assert r["seq_divergence_max"] == 0
-        assert r["seq_divergence_min"] == 0
-        assert r["phase2_failed"] == 0
-        assert r["phase2_completed"] > 0
+    # Every claim of every trial held (forged writes, defenses, DoS
+    # heuristic, sequence agreement, phase 2 — the trials' own checks).
+    assert not crash.failures(), crash.failures()
 
     # Recovery replays journal state for the whole fleet, and scales:
     # the m=100 restart must stay within interactive bounds.

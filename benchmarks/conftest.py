@@ -5,7 +5,21 @@
 rows/series next to the timing stats (even under fd-level capture).
 """
 
+import time
+
 import pytest
+
+
+def best_seconds_per_call(fn, calls: int, repeats: int) -> float:
+    """Seconds per ``fn()``: the fastest of ``repeats`` timed loops of
+    ``calls`` calls (the minimum is the run least disturbed by the host)."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for _ in range(calls):
+            fn()
+        best = min(best, time.perf_counter() - start)
+    return best / calls
 
 
 @pytest.fixture

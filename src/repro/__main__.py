@@ -14,8 +14,8 @@ paper-style tables from those artifacts.
     python -m repro run fig17 --trace-dir traces/  # instrumented run:
                                      # per-trial JSONL trace + .prom dump
     python -m repro run kmp-blackout --sweep seed=7 --trace-dir traces/
-                                     # chaos scenario; exit 1 if an
-                                     # invariant fails
+                                     # chaos scenario; exit 1 if a
+                                     # trial fails one of its checks
     python -m repro verify --all     # static analysis of every program
     python -m repro verify p4auth --format json
     python -m repro verify --selftest  # mutant battery
@@ -51,8 +51,8 @@ def print_experiment_listing(stream=None) -> None:
 def cmd_run(argv) -> int:
     """The generic engine front-end: run any registered spec.
 
-    Returns 1 when a trial reports ``passed: false`` (the chaos specs'
-    invariants), after naming the failed invariants on stderr.
+    Returns 1 when a trial failed one of its checks, after naming the
+    failed checks on stderr; the artifact is written either way.
     """
     from repro.engine import (
         ResultCache,
@@ -105,7 +105,12 @@ def cmd_run(argv) -> int:
         print(f"unknown experiment {args.name!r}\n", file=sys.stderr)
         print_experiment_listing(sys.stderr)
         raise SystemExit(2)
-    sweep = parse_sweep(spec, args.sweep) if args.sweep else None
+    try:
+        sweep = parse_sweep(spec, args.sweep) if args.sweep else None
+    except (KeyError, ValueError) as exc:
+        print(f"{exc.args[0]} (valid: {spec.param_names()})",
+              file=sys.stderr)
+        raise SystemExit(2)
     if args.trace_dir is not None and not spec.supports_telemetry:
         print(f"# {spec.name} does not emit telemetry; --trace-dir ignored")
 
@@ -132,14 +137,12 @@ def cmd_run(argv) -> int:
           f"{meta['elapsed_s']:.2f}s")
     if run.artifact_path:
         print(f"# wrote {run.artifact_path}")
-    failed = [trial for trial in run.trials
-              if trial.result.get("passed") is False]
-    for trial in failed:
-        print(f"{trial.id}: FAILED", file=sys.stderr)
-        for inv in trial.result.get("invariants", ()):
-            if not inv["passed"]:
-                detail = f" — {inv['detail']}" if inv["detail"] else ""
-                print(f"  [FAIL] {inv['name']}{detail}", file=sys.stderr)
+    failed = run.failures()
+    for index, (trial_id, name, detail) in enumerate(failed):
+        if index == 0 or failed[index - 1][0] != trial_id:
+            print(f"{trial_id}: FAILED", file=sys.stderr)
+        print(f"  [FAIL] {name}" + (f" — {detail}" if detail else ""),
+              file=sys.stderr)
     return 1 if failed else 0
 
 

@@ -84,7 +84,7 @@ def render_artifact_report(directory: str = ".") -> str:
     spec version, seeding policy, run metadata) plus a table of every
     trial's scalar result fields.  A result's ``regions_detail`` axis (a
     list of per-region row dicts, emitted by the region-sharded
-    experiments) is rendered as a sub-table per trial; other nested
+    experiments) and failed checks are rendered as sub-tables; other nested
     lists/dicts are elided — the JSON itself remains the full record.
 
     Files that fail to parse or validate against the artifact schema are
@@ -94,6 +94,7 @@ def render_artifact_report(directory: str = ".") -> str:
     import json
 
     from repro.engine.artifact import load_artifact
+    from repro.engine.runner import failures
 
     report = MarkdownReport("P4Auth reproduction — benchmark artifacts")
     paths = find_artifacts(directory)
@@ -135,6 +136,12 @@ def render_artifact_report(directory: str = ".") -> str:
                            else value)
             rows.append(row)
         report.table(["trial", "seed"] + scalar_keys, rows)
+        failed = failures(doc["trials"])
+        if failed:
+            report.paragraph("Failed checks:")
+            report.table(["trial", "check", "detail"],
+                         [[f"`{trial_id}`", name, detail]
+                          for trial_id, name, detail in failed])
         for trial in doc["trials"]:
             _render_regions_detail(report, trial)
     if skipped:

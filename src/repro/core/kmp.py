@@ -23,7 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, ClassVar, Dict, List, Optional, Tuple, Union
+from typing import (
+    Callable, ClassVar, Dict, Iterable, List, Optional, Tuple, Union,
+)
 
 from repro.core.constants import (
     ADHKD,
@@ -760,6 +762,42 @@ class RegionalKeyAuthority:
         issue(finish)
 
 
+def sum_indicators(readings: Iterable[Dict[str, int]]) -> Dict[str, int]:
+    """Several ``tamper_indicators()`` readings as one, key by key."""
+    totals: Dict[str, int] = {}
+    for reading in readings:
+        for key, value in reading.items():
+            totals[key] = totals.get(key, 0) + value
+    return totals
+
+
+def honest_load_audit(divergence: Dict[str, int], indicators: Dict[str, int],
+                      must_agree: Optional[Iterable[str]] = None,
+                      before: Optional[Dict[str, int]] = None,
+                      ) -> List[Tuple[str, bool, str]]:
+    """The paper's §VIII claim as three ``(name, ok, detail)`` checks over
+    ``seq_divergence()`` / ``tamper_indicators()`` readings: no forged write
+    (no ``expected_seq`` ahead of its controller), sequence agreement (0 on
+    ``must_agree``, default everywhere; KMP messages consume controller
+    seqs, so a caller names the switches a register op has realigned) and
+    defenses quiet (no indicator moved since ``before``, default zero)."""
+    before = before or {}
+    ahead = {sw: d for sw, d in divergence.items() if d < 0}
+    agree = divergence if must_agree is None else must_agree
+    apart = {sw: divergence[sw] for sw in agree if divergence[sw]}
+    moved = {key: value - before.get(key, 0)
+             for key, value in indicators.items()
+             if value != before.get(key, 0)}
+    return [
+        ("no_forged_write", not ahead,
+         f"data plane ahead of its controller on {ahead}"),
+        ("seq_agreement", not apart,
+         f"controller and data plane disagree on {apart}"),
+        ("defenses_quiet", not moved,
+         f"tamper indicators that moved under honest load: {moved}"),
+    ]
+
+
 class HierarchicalKMP:
     """Root coordinator over the per-region key authorities (ROADMAP 3).
 
@@ -880,13 +918,6 @@ class HierarchicalKMP:
             merged.update(authority.seq_divergence())
         return merged
 
-    def tamper_indicators(self) -> Dict[str, int]:
-        totals: Dict[str, int] = {}
-        for authority in self.authorities.values():
-            for key, value in authority.tamper_indicators().items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
-
     def consistency_report(self) -> Dict[str, object]:
         """The acceptance surface: forged-write and divergence evidence."""
         divergence = self.seq_divergence()
@@ -899,6 +930,8 @@ class HierarchicalKMP:
             # divergence (DP ahead) indicates forgery.
             "switches_with_kmp_seq_lag":
                 sum(1 for v in divergence.values() if v),
-            "tamper_indicators": self.tamper_indicators(),
+            "tamper_indicators": sum_indicators(
+                authority.tamper_indicators()
+                for authority in self.authorities.values()),
             "boundary_violations": len(self.boundary_violations),
         }

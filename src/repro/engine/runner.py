@@ -26,6 +26,15 @@ from repro.engine.registry import get_spec
 from repro.engine.spec import ExperimentSpec, TrialContext, TrialPlan
 
 
+def failures(trials: Sequence[Dict[str, Any]]) -> List[tuple]:
+    """``(trial id, check name, detail)`` per failed check of artifact-form
+    ``trials``: a live run and a ``BENCH_*.json`` are read the same way."""
+    return [(trial["id"], check["name"], check["detail"])
+            for trial in trials
+            for check in trial["result"].get("invariants", ())
+            if not check["passed"]]
+
+
 @dataclass
 class TrialRecord:
     """One executed (or cache-replayed) trial."""
@@ -73,6 +82,10 @@ class RunResult:
 
     def results(self) -> List[Dict[str, Any]]:
         return [t.result for t in self.trials]
+
+    def failures(self) -> List[tuple]:
+        """Every failed check of the run; empty means every claim held."""
+        return failures([t.as_artifact_entry() for t in self.trials])
 
 
 def execute_trial(spec: ExperimentSpec, plan: TrialPlan,
@@ -277,6 +290,7 @@ __all__ = [
     "TrialRecord",
     "assign_regions",
     "execute_trial",
+    "failures",
     "run_experiment",
     "run_region_tasks",
 ]

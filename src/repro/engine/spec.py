@@ -47,6 +47,19 @@ class TrialContext:
     telemetry: Any = None
     #: The spec's fault plan for these params (chaos specs), else None.
     fault_plan: Any = None
+    #: The named checks this trial has recorded so far, in order.
+    checks: List[Dict[str, Any]] = field(default_factory=list)
+
+    def check(self, name: str, ok: bool, detail: str = "") -> None:
+        """Record one named claim about the finished run: a failed claim
+        is a row of the artifact and an exit status, never an exception."""
+        self.checks.append({"name": name, "passed": bool(ok),
+                            "detail": detail})
+
+    def verdict(self) -> Dict[str, Any]:
+        """What a trial that judges itself merges into what it returns."""
+        return {"passed": all(c["passed"] for c in self.checks),
+                "invariants": list(self.checks)}
 
 
 TrialFn = Callable[[TrialContext], Mapping]
@@ -183,7 +196,9 @@ def parse_sweep(spec: ExperimentSpec,
     """Parse CLI ``--sweep k=v1,v2`` strings, coercing to the param type.
 
     The target type comes from the spec's default (or first grid value)
-    for that parameter; booleans accept true/false/1/0.
+    for that parameter; booleans accept true/false/1/0.  A repeated
+    value is refused here: it would expand into two trials with one id,
+    which the artifact writer rejects only after every trial has run.
     """
     sweep: Dict[str, List[Any]] = {}
     for item in items:
@@ -196,13 +211,17 @@ def parse_sweep(spec: ExperimentSpec,
         elif key in spec.grid and len(spec.grid[key]):
             template = spec.grid[key][0]
         else:
-            raise KeyError(
-                f"{spec.name!r} has no parameter {key!r} "
-                f"(valid: {spec.param_names()})")
-        sweep[key] = [_coerce(value.strip(), template)
+            raise KeyError(f"{spec.name!r} has no parameter {key!r}")
+        try:
+            values = [_coerce(value.strip(), template)
                       for value in raw.split(",") if value.strip()]
-        if not sweep[key]:
+        except ValueError as exc:
+            raise ValueError(f"--sweep {key}={raw}: {exc}") from None
+        if not values:
             raise ValueError(f"--sweep {key}= has no values")
+        if len(set(values)) < len(values):
+            raise ValueError(f"--sweep {key}={raw} repeats a value")
+        sweep[key] = values
     return sweep
 
 

@@ -247,15 +247,19 @@ def _trial(ctx: TrialContext) -> dict:
         requests_per_switch=p["requests_per_switch"],
         max_in_flight=p["max_in_flight"])
     result.update(stack=p["stack"], m=p["m"], loss_rate=p["loss_rate"])
+    return result
+
+
+def _lossy_trial(ctx: TrialContext) -> dict:
     # Conservation: with bounded retries every request reaches a terminal
     # outcome — a shortfall means a leaked window slot or lost callback.
-    if p["loss_rate"] and timeout is not None:
-        accounted = result["completed"] + result["failed"]
-        if accounted != result["submitted"]:
-            raise RuntimeError(
-                f"conservation violated: {accounted} terminal outcomes "
-                f"for {result['submitted']} requests")
-    return result
+    result = _trial(ctx)
+    accounted = result["completed"] + result["failed"]
+    ctx.check("every_request_reaches_a_terminal_outcome",
+              accounted == result["submitted"],
+              f"{accounted} terminal outcomes for "
+              f"{result['submitted']} requests")
+    return {**result, **ctx.verdict()}
 
 
 SPEC = register(ExperimentSpec(
@@ -280,13 +284,14 @@ LOSSY_SPEC = register(ExperimentSpec(
     name="cdp_batch_lossy",
     title="Batched C-DP path over a lossy control channel",
     source="chaos",
-    trial=_trial,
+    trial=_lossy_trial,
     grid={"loss_rate": [0.0, 0.02, 0.05]},
     defaults={"stack": "P4Auth", "mode": "batched", "m": 9, "degree": 4,
               "requests_per_switch": 4, "max_in_flight": 4, "kind": "write",
               "request_timeout_s": 0.05, "seed": 1},
     short={"loss_rate": [0.0, 0.05]},
     seed_param="seed",
+    spec_version=2,
     supports_telemetry=True,
     tags=("chaos", "batching", "runtime"),
 ))

@@ -12,19 +12,18 @@ requests over the *busiest shard's* busy virtual time — the honest
 scaling number: if sharding didn't help, the busiest shard would be
 doing all the work.
 
-Every trial self-checks the security invariants that concurrency could
-plausibly break (P4Auth stacks):
+Every trial checks the security invariants that concurrency could
+plausibly break:
 
-- zero C-DP digest failures and zero replay rejections — interleaved
-  clients never present out-of-order sequence numbers (the per-switch
-  FIFO guarantee);
-- no tamper events — nothing a defense flagged as forged;
+- the honest-load audit (:func:`repro.core.kmp.honest_load_audit`, P4Auth
+  stacks): no switch ahead of its controller, sequence state agreeing on
+  every switch, and no digest failure, replay rejection or tamper event —
+  interleaved clients never present out-of-order sequence numbers (the
+  per-switch FIFO guarantee);
 - every register slot ends at a value some client actually wrote —
-  no forged or corrupted write landed;
-- controller and data-plane sequence state agree on every switch —
-  no divergence that would poison the next request.
+  no forged or corrupted write landed.
 
-A violated invariant raises; it never degrades into a worse number.
+A violated invariant fails a check; it never degrades into a worse number.
 """
 
 from __future__ import annotations
@@ -33,9 +32,9 @@ import asyncio
 import math
 from typing import Dict, List, Set, Tuple
 
+from repro.core import kmp
 from repro.engine.registry import register
 from repro.engine.spec import ExperimentSpec, TrialContext
-from repro.runtime.comparison import STACKS
 
 #: Per-op retry budget when a shard answers 503 (backpressure is a
 #: contract: callers back off and retry, they don't lose the op).
@@ -112,45 +111,35 @@ async def _client_task(client_api, plans, written: Dict[Tuple[str, int],
             pending = retry
 
 
-def _check_invariants(service, written: Dict[Tuple[str, int], Set[int]]
-                      ) -> None:
-    """Raise if any security invariant was violated during the run."""
-    for worker in service.workers.values():
-        if worker.stack_name != "P4Auth":
-            continue
-        if worker.stack.tamper_events:
-            raise RuntimeError(
-                f"tamper events under honest load: "
-                f"{worker.stack.tamper_events}")
-        for name in worker.switches:
-            dataplane = worker.dataplanes[name]
-            if dataplane.stats.digest_fail_cdp:
-                raise RuntimeError(
-                    f"{name}: {dataplane.stats.digest_fail_cdp} C-DP "
-                    f"digest failures under honest load")
-            if dataplane.stats.replays_detected:
-                raise RuntimeError(
-                    f"{name}: {dataplane.stats.replays_detected} replay "
-                    f"rejections — per-switch FIFO ordering broke")
-            ctrl_seq = worker.stack._seq.get(name, 0)
-            dp_seq = dataplane._expected_seq.read(0)
-            if ctrl_seq != dp_seq:
-                raise RuntimeError(
-                    f"{name}: seq divergence controller={ctrl_seq} "
-                    f"dataplane={dp_seq}")
+def _judge(ctx: TrialContext, service,
+           written: Dict[Tuple[str, int], Set[int]]) -> None:
+    """State the run's security claims as named checks."""
+    ctx.check("service_drained", service.idle,
+              f"service idle after stop(): {service.idle}")
+    authorities = [kmp.RegionalKeyAuthority(shard_id, worker.stack)
+                   for shard_id, worker in service.workers.items()
+                   if worker.stack_name == "P4Auth"]
+    for check in kmp.honest_load_audit(
+            {switch: lag for authority in authorities
+             for switch, lag in authority.seq_divergence().items()},
+            kmp.sum_indicators(a.tamper_indicators() for a in authorities)):
+        ctx.check(*check)
+    unwritten = []
     for (switch, index), values in written.items():
         final = service.worker_for(switch).net.switch(switch) \
             .registers.get(REG_NAME).read(index)
         if final not in values:
-            raise RuntimeError(
-                f"{switch}[{index}] ended at {final:#x}, which no "
-                f"client wrote (forged or corrupted write)")
+            unwritten.append(f"{switch}[{index}] ended at {final:#x}")
+    ctx.check("end_state_written_by_a_client", not unwritten,
+              f"{len(unwritten)} slots hold a value no client wrote "
+              f"(forged or corrupted write): {unwritten[:3]}")
 
 
-async def _drive(p: Dict[str, object]) -> Dict[str, object]:
+async def _drive(ctx: TrialContext) -> Dict[str, object]:
     from repro.service.client import ServiceClient
     from repro.service.daemon import ControllerService, FleetConfig
 
+    p = ctx.params
     service = ControllerService(FleetConfig(
         stack=p["stack"], m=p["m"], shards=p["shards"],
         registers=((REG_NAME, 64, REG_SIZE),),
@@ -170,10 +159,7 @@ async def _drive(p: Dict[str, object]) -> Dict[str, object]:
                      written, tally)
         for c, api in enumerate(clients)))
     await service.stop()
-    if not service.idle:
-        raise RuntimeError("service did not drain cleanly")
-
-    _check_invariants(service, written)
+    _judge(ctx, service, written)
 
     shards = []
     samples: List[float] = []
@@ -208,14 +194,14 @@ async def _drive(p: Dict[str, object]) -> Dict[str, object]:
         "p50_s": pct(50),
         "p99_s": pct(99),
         "per_shard": shards,
+        **ctx.verdict(),
     }
 
 
 def _trial(ctx: TrialContext) -> dict:
-    params = dict(ctx.params)
     # The grid can ask for more shards than a short fleet has switches.
-    params["shards"] = min(params["shards"], params["m"])
-    return asyncio.run(_drive(params))
+    ctx.params["shards"] = min(ctx.params["shards"], ctx.params["m"])
+    return asyncio.run(_drive(ctx))
 
 
 SPEC = register(ExperimentSpec(
@@ -230,5 +216,6 @@ SPEC = register(ExperimentSpec(
     short={"m": 9, "clients": 3, "rounds": 2, "batch_size": 4,
            "shards": [1, 2]},
     seed_param="seed",
+    spec_version=2,
     tags=("service", "scalability", "runtime"),
 ))

@@ -24,9 +24,9 @@ a :class:`~repro.core.kmp.HierarchicalKMP` bootstraps all regions and
 runs one coordinated rollover while (a) boundary probes cross the
 inter-region mailbox and (b) authenticated writes land *during* the
 rollover window (the two-version key slots must keep them verifiable).
-The trial raises — rather than report a good-looking number — if the
-cross-region two-version invariant is violated, any forged-write
-indicator trips, or sequence counters diverge across a boundary.
+The trial fails a named check — rather than report a good-looking
+number — if the cross-region two-version invariant is violated, any
+forged-write indicator trips, or sequence counters diverge across a boundary.
 """
 
 from __future__ import annotations
@@ -35,10 +35,12 @@ import multiprocessing
 import os
 import time
 from functools import partial
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.controller import P4AuthController
-from repro.core.kmp import HierarchicalKMP, RegionalKeyAuthority
+from repro.core.kmp import (
+    HierarchicalKMP, RegionalKeyAuthority, honest_load_audit, sum_indicators,
+)
 from repro.dataplane.packet import Packet
 from repro.engine.registry import register
 from repro.engine.runner import run_region_tasks
@@ -175,26 +177,31 @@ def _region_task(region_id: str, m: int, regions: int, degree: int,
     }
 
 
-def _run_boundary_phase(p: Dict[str, object]) -> Dict[str, object]:
+def _run_boundary_phase(ctx: TrialContext) -> Dict[str, object]:
     """Phase B: lockstep world, coordinated rollover, invariants."""
+    p = ctx.params
     world, extras, hier, controllers = build_fleet_deployment(
         p["m"], p["regions"], degree=p["degree"], seed=p["seed"],
         max_in_flight=p["max_in_flight"])
     bootstrap = hier.bootstrap_fleet(deadline_s=BOOTSTRAP_DEADLINE_S)
-    if not bootstrap["converged"] or bootstrap["failed"]:
-        raise RuntimeError(f"fleet bootstrap failed: {bootstrap}")
+    keyed = bootstrap["converged"] and not bootstrap["failed"]
+    ctx.check("boundary.bootstrap_converged", keyed,
+              f"fleet bootstrap: converged={bootstrap['converged']}, "
+              f"{bootstrap['failed']} key operations failed")
+    if not keyed:  # the writes below sign with this round's keys
+        return {"bootstrap": bootstrap}
+
+    # Both ends of every boundary link, link by link.
+    ends = [end for link in world.boundary_links for end in (
+        (link.region_a, link.switch_a, link.port_a),
+        (link.region_b, link.switch_b, link.port_b))]
 
     # Push probe packets across every boundary link, both directions, to
     # exercise the inter-region mailbox under the rollover.
-    probes = 0
-    for link in world.boundary_links:
-        for region_id, switch, port in (
-                (link.region_a, link.switch_a, link.port_a),
-                (link.region_b, link.switch_b, link.port_b)):
-            net = world.region(region_id).net
-            for _ in range(BOUNDARY_PROBES):
-                net.transmit(switch, port, Packet())
-                probes += 1
+    for region_id, switch, port in ends:
+        for _ in range(BOUNDARY_PROBES):
+            world.region(region_id).net.transmit(switch, port, Packet())
+    probes = len(ends) * BOUNDARY_PROBES
 
     # Authenticated writes issued *into* the rollover window: the
     # two-version key slots must keep every one verifiable.
@@ -203,37 +210,26 @@ def _run_boundary_phase(p: Dict[str, object]) -> Dict[str, object]:
     def on_write(ok: bool, _value: int) -> None:
         write_state["ok" if ok else "failed"] += 1
 
-    writes = 0
-    for link in world.boundary_links:
-        for region_id, switch, _port in (
-                (link.region_a, link.switch_a, link.port_a),
-                (link.region_b, link.switch_b, link.port_b)):
-            controllers[region_id].write_register(switch, "target", 0,
-                                                  0xFEED, on_write)
-            writes += 1
+    for region_id, switch, _port in ends:
+        controllers[region_id].write_register(switch, "target", 0,
+                                              0xFEED, on_write)
+    writes = len(ends)
 
     rollover = hier.rollover_fleet(deadline_s=ROLLOVER_DEADLINE_S)
-    if not rollover["converged"] or rollover["failed"]:
-        raise RuntimeError(f"fleet rollover failed: {rollover}")
     world.run_until(lambda: world.pending() == 0,
                     deadline=world.now + 1.0)
 
     # Post-rollover probe writes on every boundary switch: the reg-op
-    # replay counters must agree exactly under the *new* keys — this is
-    # the "no permanent seq divergence across region boundaries" check
-    # (KMP control messages legitimately consume controller sequence
-    # numbers without touching the DP's reg-op replay register, so
-    # fleet-wide equality is asserted on the reg-op path, where the
-    # paper's §VIII replay defense lives).
+    # replay counters must agree exactly under the *new* keys — the "no
+    # permanent seq divergence across region boundaries" check, asserted
+    # where a register op has realigned the pair (``must_agree`` below).
     post_state = {"ok": 0, "failed": 0}
 
     def on_post(ok: bool, _value: int) -> None:
         post_state["ok" if ok else "failed"] += 1
 
-    boundary_switches = sorted({(link.region_a, link.switch_a)
-                                for link in world.boundary_links}
-                               | {(link.region_b, link.switch_b)
-                                  for link in world.boundary_links})
+    boundary_switches = sorted({(region_id, switch)
+                                for region_id, switch, _port in ends})
     for region_id, switch in boundary_switches:
         controllers[region_id].write_register(switch, "target", 1,
                                               0xD00D, on_post)
@@ -241,42 +237,35 @@ def _run_boundary_phase(p: Dict[str, object]) -> Dict[str, object]:
                     deadline=world.now + 1.0)
 
     report = hier.consistency_report()
-    divergence = hier.seq_divergence()
-    boundary_diverged = [switch for _region, switch in boundary_switches
-                         if divergence[switch] != 0]
-    epochs_ok = all(
-        hier.authorities[region.id].rollover_epoch(sw) == 1
-        for region in world.regions for sw in region.switches)
-    failures = []
-    if rollover["boundary_violations"]:
-        failures.append(
-            f"two-version invariant violated at "
-            f"{rollover['boundary_violations']} barriers: "
-            f"{hier.boundary_violations[:3]}")
-    if not epochs_ok:
-        failures.append("a switch did not advance exactly one rollover "
-                        "epoch")
-    if report["seq_divergence_min"] < 0:
-        failures.append(f"data plane ahead of controller (forged write): "
-                        f"{report}")
-    if boundary_diverged:
-        failures.append(f"permanent seq divergence across boundaries: "
-                        f"{boundary_diverged}")
-    if any(report["tamper_indicators"].values()):
-        failures.append(f"tamper indicators tripped: "
-                        f"{report['tamper_indicators']}")
-    if write_state["ok"] != writes or write_state["failed"]:
-        failures.append(f"writes during rollover window: {write_state} "
-                        f"of {writes}")
-    if post_state["ok"] != len(boundary_switches) or post_state["failed"]:
-        failures.append(f"post-rollover writes: {post_state} of "
-                        f"{len(boundary_switches)}")
-    if world.mailbox.delivered != world.mailbox.posted:
-        failures.append(f"mailbox leak: posted={world.mailbox.posted} "
-                        f"delivered={world.mailbox.delivered}")
-    if failures:
-        raise RuntimeError("boundary consistency failed: "
-                           + "; ".join(failures))
+    off_epoch = [sw for region in world.regions for sw in region.switches
+                 if hier.authorities[region.id].rollover_epoch(sw) != 1]
+    for name, ok, detail in [
+            ("rollover_converged",
+             rollover["converged"] and not rollover["failed"],
+             f"fleet rollover: converged={rollover['converged']}, "
+             f"{rollover['failed']} key operations failed"),
+            ("two_version_invariant", not rollover["boundary_violations"],
+             f"{rollover['boundary_violations']} barriers violated the "
+             f"two-version invariant: {hier.boundary_violations[:3]}"),
+            ("one_epoch_per_switch", not off_epoch,
+             f"{len(off_epoch)} switches did not advance exactly one "
+             f"rollover epoch: {off_epoch[:3]}"),
+            *honest_load_audit(
+                hier.seq_divergence(), report["tamper_indicators"],
+                must_agree=[switch for _region, switch in boundary_switches]),
+            ("writes_in_rollover_window",
+             write_state["ok"] == writes and not write_state["failed"],
+             f"writes during rollover window: {write_state} of {writes}"),
+            ("post_rollover_writes",
+             post_state["ok"] == len(boundary_switches)
+             and not post_state["failed"],
+             f"post-rollover writes: {post_state} of "
+             f"{len(boundary_switches)}"),
+            ("mailbox_conserved",
+             world.mailbox.delivered == world.mailbox.posted,
+             f"mailbox: posted={world.mailbox.posted} "
+             f"delivered={world.mailbox.delivered}")]:
+        ctx.check(f"boundary.{name}", ok, detail)
     return {
         "bootstrap": bootstrap,
         "rollover": rollover,
@@ -307,10 +296,6 @@ def _trial(ctx: TrialContext) -> dict:
         wall_by_region[region_id] = entry.pop("wall_s")
         detail.append(entry)
 
-    boundary: Optional[Dict[str, object]] = None
-    if p["regions"] > 1 and p["boundary"]:
-        boundary = _run_boundary_phase(p)
-
     totals = {
         "switches": sum(entry["switches"] for entry in detail),
         "links": sum(entry["links"] for entry in detail),
@@ -332,9 +317,20 @@ def _trial(ctx: TrialContext) -> dict:
         "seq_divergence_min": min(entry["seq_divergence_min"]
                                   for entry in detail),
     }
-    if totals["forged_writes"] or totals["seq_divergence_min"] < 0 \
-            or totals["seq_divergence_max"] > 0:
-        raise RuntimeError(f"region-phase consistency failed: {totals}")
+    # A region's worst divergence stands for its switches: the pool
+    # workers return the extremes, not the per-switch map.
+    for name, ok, note in [
+            ("end_state_is_last_write", not totals["forged_writes"],
+             f"{totals['forged_writes']} register cells do not hold the "
+             f"last value their controller wrote"),
+            *honest_load_audit(
+                {entry["region"]: entry["seq_divergence_min"]
+                 or entry["seq_divergence_max"] for entry in detail},
+                sum_indicators(e["tamper_indicators"] for e in detail))]:
+        ctx.check(f"regions.{name}", ok, note)
+
+    boundary = (_run_boundary_phase(ctx)
+                if p["regions"] > 1 and p["boundary"] else None)
 
     # Everything above is deterministic (identical at any worker count);
     # the wall block is the only measured-on-this-host part.
@@ -353,6 +349,7 @@ def _trial(ctx: TrialContext) -> dict:
             "cpu_count": os.cpu_count(),
             "by_region": wall_by_region,
         },
+        **ctx.verdict(),
     }
 
 
@@ -374,6 +371,6 @@ SPEC = register(ExperimentSpec(
               "boundary": True, "seed": 1},
     short={"m": 1000, "regions": 2, "workers": [1, 2]},
     seed_param="seed",
-    spec_version=1,
+    spec_version=2,
     tags=("fleet", "kmp", "scalability", "sharding"),
 ))

@@ -5,19 +5,14 @@ its durable state (``repro.store``), the controller process is
 SIGKILLed mid-burst at a chosen journal record type
 (:class:`~repro.faults.controller.ControllerKillSwitch`), and a fresh
 controller warm-restarts from snapshot + journal tail.  The trial then
-proves recovery **re-authenticated rather than bypassed** the paper's
-defenses:
-
-- *zero forged writes* — no switch's ``expected_seq`` ever ran ahead of
-  the controller's view (negative divergence would mean an unsigned
-  write advanced the data plane);
-- *zero self-inflicted replay/DoS flags* — the skip-ahead sequence rule
-  means the restarted controller's first messages are accepted, with no
-  replay alerts, digest failures, or DoS heuristics tripped by its own
-  recovery;
-- *sequence agreement* — after a post-recovery burst touches every
-  switch and quiesces, controller and data-plane counters agree
-  exactly (divergence 0 everywhere).
+checks that recovery **re-authenticated rather than bypassed** the
+paper's defenses — :func:`repro.core.kmp.honest_load_audit` over the
+restarted controller, counted from the restart: *zero forged writes*;
+*zero self-inflicted replay/DoS flags* (the skip-ahead sequence rule
+means the restarted controller's first messages are accepted, tripping
+no replay alert, digest failure or DoS heuristic of its own); and
+*sequence agreement* once a post-recovery burst has touched every
+switch and quiesced.
 
 Two specs: ``controller_crash_recovery`` (the chaos trial above,
 sweeping fleet size and kill point; wall-clock ``recovery_s`` is the
@@ -29,13 +24,12 @@ it).
 
 from __future__ import annotations
 
-import shutil
 import tempfile
 import time
 from typing import Dict, List
 
 from repro.core.controller import P4AuthController
-from repro.core.kmp import RegionalKeyAuthority
+from repro.core.kmp import RegionalKeyAuthority, honest_load_audit
 from repro.engine.registry import register
 from repro.engine.spec import ExperimentSpec, TrialContext
 from repro.experiments.cdp_batch import (
@@ -78,35 +72,32 @@ def _submit_rounds(batch, switches: List[str], rounds: int,
 
 def run_crash_trial(params: Dict[str, object],
                     telemetry=None) -> Dict[str, object]:
-    """One kill→recover cycle; returns the invariants and timings.
+    """One kill→recover cycle, importable directly (the crash-point
+    matrix test drives it per record type): the context the engine hands
+    the registered spec's trial, built by hand."""
+    return _crash_ctx_trial(TrialContext(
+        params=dict(params), seed=int(params.get("seed", 1)),
+        telemetry=telemetry))
 
-    Importable directly (the crash-point matrix test drives it per
-    record type) as well as through the registered spec.
-    """
+
+def _crash_ctx_trial(ctx: TrialContext) -> Dict[str, object]:
+    if ctx.params["kill_on"] not in KILL_POINTS:
+        raise ValueError(f"kill_on must be one of {KILL_POINTS}")
+    if ctx.params.get("state_dir") is not None:
+        return _crash_trial(ctx, str(ctx.params["state_dir"]))
+    with tempfile.TemporaryDirectory(prefix="repro-store-") as state_dir:
+        return _crash_trial(ctx, state_dir)
+
+
+def _crash_trial(ctx: TrialContext, state_dir: str) -> Dict[str, object]:
+    params, telemetry = ctx.params, ctx.telemetry
     m = int(params["m"])
     kill_on = str(params["kill_on"])
-    if kill_on not in KILL_POINTS:
-        raise ValueError(f"kill_on must be one of {KILL_POINTS}")
     fsync = str(params.get("fsync", "batch"))
     max_in_flight = int(params.get("max_in_flight", 8))
     rounds = int(params.get("requests_per_switch", 4))
     rollover = bool(params.get("rollover", kill_on in
                                ("key_rollover", "epoch_advance")))
-    state_dir = params.get("state_dir")
-    own_state_dir = state_dir is None
-    if own_state_dir:
-        state_dir = tempfile.mkdtemp(prefix="repro-store-")
-    try:
-        return _crash_trial(params, str(state_dir), m, kill_on, fsync,
-                            max_in_flight, rounds, rollover, telemetry)
-    finally:
-        if own_state_dir:
-            shutil.rmtree(state_dir, ignore_errors=True)
-
-
-def _crash_trial(params, state_dir: str, m: int, kill_on: str, fsync: str,
-                 max_in_flight: int, rounds: int, rollover: bool,
-                 telemetry) -> Dict[str, object]:
     sim, net, controller, switches = build_batch_deployment(
         "P4Auth", m=m, degree=int(params.get("degree", 4)),
         seed=int(params.get("seed", 1)), telemetry=telemetry,
@@ -223,28 +214,18 @@ def _crash_trial(params, state_dir: str, m: int, kill_on: str, fsync: str,
         "unsolicited_nacks": controller2.stats.unsolicited_nacks,
     }
     recorder2.detach()
-    # The acceptance invariants live in the trial so a regression fails
-    # loudly in any harness (bench, smoke CI, pytest) rather than
-    # shipping a green artifact with a broken recovery.
-    if result["forged_writes"]:
-        raise RuntimeError(f"forged writes detected: {divergence}")
-    if result["replay_trips"] or result["alert_trips"] \
-            or result["digest_fail_trips"]:
-        raise RuntimeError(
-            f"recovery tripped data-plane defenses: {defense_trips}")
-    if result["dos_suspected"]:
-        raise RuntimeError("recovery tripped the DoS heuristic")
-    if result["seq_divergence_max"] != 0 or result["seq_divergence_min"] != 0:
-        raise RuntimeError(
-            f"permanent seq divergence after recovery: {divergence}")
-    if result["phase2_completed"] != m * rounds:
-        raise RuntimeError(
-            f"post-recovery workload incomplete: {phase2['ok']}/{m * rounds}")
-    return result
+    for check in honest_load_audit(divergence, defenses_after,
+                                   before=defenses_before):
+        ctx.check(*check)
+    ctx.check("dos_heuristic_quiet", not result["dos_suspected"],
+              f"restarted controller: dos_suspected={result['dos_suspected']}")
+    ctx.check("post_recovery_workload_complete", phase2["ok"] == m * rounds,
+              f"post-recovery workload: {phase2['ok']}/{m * rounds} "
+              f"completed, {phase2['failed']} failed")
+    return {**result, **ctx.verdict()}
 
 
-def run_overhead_trial(params: Dict[str, object],
-                       telemetry=None) -> Dict[str, object]:
+def _overhead_trial(ctx: TrialContext) -> Dict[str, object]:
     """Journal-off vs journal-on wall clock over the same deployment.
 
     The two arms run interleaved bursts over one fleet (identical
@@ -253,6 +234,7 @@ def run_overhead_trial(params: Dict[str, object],
     cancels host noise the way the paired design in bench_cdp_batch
     does.
     """
+    params = ctx.params
     m = int(params["m"])
     fsync = str(params.get("fsync", "batch"))
     max_in_flight = int(params.get("max_in_flight", 8))
@@ -260,10 +242,9 @@ def run_overhead_trial(params: Dict[str, object],
     repeats = int(params.get("repeats", 3))
     sim, _net, controller, switches = build_batch_deployment(
         "P4Auth", m=m, degree=int(params.get("degree", 4)),
-        seed=int(params.get("seed", 1)), telemetry=telemetry,
+        seed=int(params.get("seed", 1)), telemetry=ctx.telemetry,
         max_in_flight=max_in_flight)
-    state_dir = tempfile.mkdtemp(prefix="repro-store-")
-    try:
+    with tempfile.TemporaryDirectory(prefix="repro-store-") as state_dir:
         journal, snapshots, _ = open_store(state_dir, fsync=fsync)
         recorder = StateRecorder(journal, snapshots)
 
@@ -275,6 +256,7 @@ def run_overhead_trial(params: Dict[str, object],
                 max_in_flight=max_in_flight)
             wall = time.perf_counter() - started
             if result["completed"] != result["submitted"]:
+                # Not a check: a cut-short burst has no wall time.
                 raise RuntimeError("overhead burst did not drain")
             return wall
 
@@ -298,16 +280,6 @@ def run_overhead_trial(params: Dict[str, object],
             "overhead_pct": ((on - off) / off * 100.0) if off > 0 else 0.0,
             "journal_records": journal.next_lsn,
         }
-    finally:
-        shutil.rmtree(state_dir, ignore_errors=True)
-
-
-def _crash_ctx_trial(ctx: TrialContext) -> dict:
-    return run_crash_trial(dict(ctx.params), telemetry=ctx.telemetry)
-
-
-def _overhead_ctx_trial(ctx: TrialContext) -> dict:
-    return run_overhead_trial(dict(ctx.params), telemetry=ctx.telemetry)
 
 
 SPEC = register(ExperimentSpec(
@@ -322,6 +294,7 @@ SPEC = register(ExperimentSpec(
               "snapshot_every": None, "seed": 1},
     short={"kill_on": ["seq_advance"], "m": [9]},
     seed_param="seed",
+    spec_version=2,
     supports_telemetry=True,
     tags=("chaos", "store", "recovery"),
 ))
@@ -330,7 +303,7 @@ OVERHEAD_SPEC = register(ExperimentSpec(
     name="store_journal_overhead",
     title="Steady-state journal overhead vs no-journal baseline",
     source="ROADMAP 4",
-    trial=_overhead_ctx_trial,
+    trial=_overhead_trial,
     grid={"fsync": ["batch", "always"]},
     defaults={"m": 25, "degree": 4, "requests_per_switch": 8,
               "max_in_flight": 8, "repeats": 3, "seed": 1},

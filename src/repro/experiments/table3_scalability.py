@@ -111,25 +111,27 @@ def run_table3_regional(m: int, regions: int, degree: int = 4,
     administrative domains and carry no port keys, so the paper's
     formulas apply per region with that region's (m, n).  The result
     carries a ``regions_detail`` axis (one Table III row per region)
-    plus fleet totals.
+    plus fleet totals and the verdict on both key rounds.
     """
     # Local import: the flat regions=1 path must not drag in the whole
     # fleet machinery.
     from repro.experiments.fleet_scale import build_fleet_deployment
 
+    ctx = TrialContext(params={}, seed=seed)
     world, extras, hier, controllers = build_fleet_deployment(
         m, regions, degree=degree, seed=seed)
     bootstrap = hier.bootstrap_fleet(deadline_s=30.0)
-    if not bootstrap["converged"] or bootstrap["failed"]:
-        raise RuntimeError(f"regional bootstrap failed: {bootstrap}")
     init_counts = {region.id: len(controllers[region.id].kmp.stats.records)
                    for region in world.regions}
     rollover = hier.rollover_fleet(deadline_s=30.0)
-    if not rollover["converged"] or rollover["failed"]:
-        raise RuntimeError(f"regional rollover failed: {rollover}")
-    if rollover["boundary_violations"]:
-        raise RuntimeError(
-            f"two-version invariant violated: {hier.boundary_violations}")
+    for name, outcome in (("bootstrap", bootstrap), ("rollover", rollover)):
+        ctx.check(f"{name}_converged",
+                  outcome["converged"] and not outcome["failed"],
+                  f"regional {name}: converged={outcome['converged']}, "
+                  f"{outcome['failed']} key operations failed")
+    ctx.check("two_version_invariant", not rollover["boundary_violations"],
+              f"{rollover['boundary_violations']} barriers violated the "
+              f"two-version invariant: {hier.boundary_violations[:3]}")
 
     detail = []
     for region in world.regions:
@@ -164,6 +166,7 @@ def run_table3_regional(m: int, regions: int, degree: int = 4,
         "bootstrap_convergence_s": bootstrap["duration_s"],
         "rollover_convergence_s": rollover["duration_s"],
         "boundary_violations": rollover["boundary_violations"],
+        **ctx.verdict(),
     }
 
 
@@ -183,6 +186,6 @@ SPEC = register(ExperimentSpec(
     defaults={"m": 25, "degree": 4, "seed": 1, "regions": 1},
     short={"m": 9},
     seed_param="seed",
-    spec_version=2,
+    spec_version=3,
     tags=("table", "kmp", "scalability"),
 ))

@@ -33,17 +33,14 @@ from repro.faults.plan import (
 )
 from repro.faults.controller import ControllerKillSwitch
 from repro.faults.injector import FaultInjector, InjectorStats
-from repro.faults.scenarios import ChaosReport, InvariantResult
 
 __all__ = [
     "ChannelBlackout",
-    "ChaosReport",
     "ClockSkewFault",
     "ControllerKillSwitch",
     "FaultInjector",
     "FaultPlan",
     "InjectorStats",
-    "InvariantResult",
     "LINK_FAULT_KINDS",
     "LinkFault",
     "NodeFault",

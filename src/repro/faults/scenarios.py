@@ -5,9 +5,9 @@ Each scenario is one registered :class:`~repro.engine.spec.ExperimentSpec`
 (``python -m repro run <name>``): its ``fault_plan`` hook derives the
 schedule from ``(params, seed)``, its trial function builds a deployment,
 arms a :class:`~repro.faults.injector.FaultInjector` with that plan,
-drives a workload, and returns a :class:`ChaosReport` whose invariants
-pin the behaviour the paper promises even under fault (a trial with
-``passed: false`` fails the run):
+drives a workload, and states each invariant through ``ctx.check`` — the
+behaviour the paper promises even under fault (a failed check fails the
+run):
 
 - ``kmp-blackout`` — KMP operations issued into a controller-channel
   blackout are *abandoned* (bounded retries, not a silent hang) and the
@@ -26,7 +26,6 @@ telemetry traces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.attacks.control_plane import RegisterRequestTamperer, ReplayAttacker
@@ -49,41 +48,10 @@ from repro.net.simulator import EventSimulator
 from repro.runtime.comparison import attach_stack, k_seeds_from
 
 
-@dataclass
-class InvariantResult:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-@dataclass
-class ChaosReport:
-    """Outcome of one chaos run: invariants plus headline numbers."""
-
-    scenario: str
-    seed: int
-    invariants: List[InvariantResult] = field(default_factory=list)
-    metrics: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return all(inv.passed for inv in self.invariants)
-
-    def check(self, name: str, passed: bool, detail: str = "") -> None:
-        self.invariants.append(InvariantResult(name, bool(passed), detail))
-
-    def as_trial_result(self) -> dict:
-        """Canonical trial form (includes the derived ``passed``)."""
-        return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "passed": self.passed,
-            "invariants": [
-                {"name": inv.name, "passed": inv.passed, "detail": inv.detail}
-                for inv in self.invariants
-            ],
-            "metrics": dict(self.metrics),
-        }
+def _chaos_result(ctx: TrialContext, metrics: Dict[str, float]) -> dict:
+    """A chaos trial's result: its verdict plus the headline numbers."""
+    return {"scenario": ctx.params["scenario"], "seed": ctx.seed,
+            **ctx.verdict(), "metrics": metrics}
 
 
 def _keyed_chain(count: int, reg_name: str, telemetry,
@@ -121,7 +89,6 @@ def _blackout_plan(params, seed: int) -> FaultPlan:
 def _kmp_blackout(ctx: TrialContext) -> dict:
     """Key rollover issued into a control-channel blackout."""
     duration = ctx.params["duration_s"]
-    report = ChaosReport(ctx.params["scenario"], ctx.seed)
     net, controller, bootstrapped = _keyed_chain(2, "demo", ctx.telemetry)
     sim, kmp = net.sim, controller.kmp
     injector = FaultInjector(net, ctx.fault_plan).arm()
@@ -143,28 +110,27 @@ def _kmp_blackout(ctx: TrialContext) -> dict:
             callback=lambda ok, _v: write_results.append(ok))
     sim.run(until=duration + 0.2, max_events=50_000)
 
-    report.check("bootstrap_completed", bool(bootstrapped))
-    report.check("blackout_injected",
-                 injector.stats.count("blackout") > 0,
-                 f"{injector.stats.count('blackout')} messages eaten")
-    report.check("ops_abandoned_not_hung",
-                 len(kmp.stats.failures) == 2,
-                 f"{len(kmp.stats.failures)} abandoned (expected 2)")
-    report.check("kmp_reconverged",
-                 kmp.stats.count("local_update") == 2,
-                 f"{kmp.stats.count('local_update')} rollovers completed")
-    report.check("no_dangling_exchanges",
-                 not kmp._by_seq and not kmp._by_port)
-    report.check("writes_ok_after_blackout",
-                 write_results == [True, True], f"{write_results}")
-    report.check("within_event_budget", sim.budget_exhaustions == 0)
-    report.metrics.update({
+    ctx.check("bootstrap_completed", bool(bootstrapped))
+    ctx.check("blackout_injected",
+              injector.stats.count("blackout") > 0,
+              f"{injector.stats.count('blackout')} messages eaten")
+    ctx.check("ops_abandoned_not_hung",
+              len(kmp.stats.failures) == 2,
+              f"{len(kmp.stats.failures)} abandoned (expected 2)")
+    ctx.check("kmp_reconverged",
+              kmp.stats.count("local_update") == 2,
+              f"{kmp.stats.count('local_update')} rollovers completed")
+    ctx.check("no_dangling_exchanges",
+              not kmp._by_seq and not kmp._by_port)
+    ctx.check("writes_ok_after_blackout",
+              write_results == [True, True], f"{write_results}")
+    ctx.check("within_event_budget", sim.budget_exhaustions == 0)
+    return _chaos_result(ctx, {
         "events_executed": sim.events_executed,
         "blackout_drops": injector.stats.count("blackout"),
         "kmp_failures": len(kmp.stats.failures),
         "kmp_retries": kmp.stats.retries,
     })
-    return report.as_trial_result()
 
 
 def _crash_plan(params, seed: int) -> FaultPlan:
@@ -177,7 +143,6 @@ def _crash_plan(params, seed: int) -> FaultPlan:
 def _crash_restart(ctx: TrialContext) -> dict:
     """Switch crash with register wipe, then restart and re-key."""
     duration = ctx.params["duration_s"]
-    report = ChaosReport(ctx.params["scenario"], ctx.seed)
     net, controller, bootstrapped = _keyed_chain(
         1, "chaos", ctx.telemetry, request_timeout_s=0.05)
     sim = net.sim
@@ -204,26 +169,25 @@ def _crash_restart(ctx: TrialContext) -> dict:
     injector.disarm()
 
     final_value = net.switch("s1").registers.get("chaos").read(0)
-    report.check("bootstrap_completed", bool(bootstrapped))
-    report.check("write_before_crash_ok", outcomes["before"] is True)
-    report.check("write_during_crash_fails_terminally",
-                 outcomes["during"] is False,
-                 f"outcome={outcomes['during']} (None = silent hang)")
-    report.check("rekeyed_after_restart", bool(rekeyed))
-    report.check("write_after_restart_ok", outcomes["after"] is True)
-    report.check("register_holds_post_restart_value",
-                 final_value == 0x3333, f"value={final_value:#x}")
-    report.check("abandonment_counted",
-                 controller.stats.requests_abandoned == 1,
-                 f"{controller.stats.requests_abandoned} abandoned")
-    report.check("within_event_budget", sim.budget_exhaustions == 0)
-    report.metrics.update({
+    ctx.check("bootstrap_completed", bool(bootstrapped))
+    ctx.check("write_before_crash_ok", outcomes["before"] is True)
+    ctx.check("write_during_crash_fails_terminally",
+              outcomes["during"] is False,
+              f"outcome={outcomes['during']} (None = silent hang)")
+    ctx.check("rekeyed_after_restart", bool(rekeyed))
+    ctx.check("write_after_restart_ok", outcomes["after"] is True)
+    ctx.check("register_holds_post_restart_value",
+              final_value == 0x3333, f"value={final_value:#x}")
+    ctx.check("abandonment_counted",
+              controller.stats.requests_abandoned == 1,
+              f"{controller.stats.requests_abandoned} abandoned")
+    ctx.check("within_event_budget", sim.budget_exhaustions == 0)
+    return _chaos_result(ctx, {
         "events_executed": sim.events_executed,
         "request_retries": controller.stats.request_retries,
         "requests_abandoned": controller.stats.requests_abandoned,
         "rekey_time_s": rekeyed[0] if rekeyed else -1.0,
     })
-    return report.as_trial_result()
 
 
 def _lossy_plan(params, seed: int) -> FaultPlan:
@@ -240,7 +204,6 @@ def _lossy_fig17(ctx: TrialContext) -> dict:
     """Fig 17 HULA workload under 5% loss + reorder with live adversaries."""
     duration = ctx.params["duration_s"]
     grace = 0.5
-    report = ChaosReport(ctx.params["scenario"], ctx.seed)
     net, extras, hulas = fig3_hula_world(ctx.telemetry)
     sim = extras["sim"]
     # The adversary's target register, defined before provisioning so
@@ -314,34 +277,34 @@ def _lossy_fig17(ctx: TrialContext) -> dict:
     forged = sampler.forged()
     kmp = controller.kmp
 
-    report.check("bootstrap_completed", bool(bootstrapped))
-    report.check("faults_injected", injector.stats.total() > 0,
-                 f"{injector.stats.total()} injections")
-    report.check("writes_tampered", write_tamperer.stats.modified > 0,
-                 f"{write_tamperer.stats.modified} rewritten in flight")
-    report.check("zero_forged_writes_landed", not forged,
-                 f"{len(forged)} forged values observed in "
-                 f"{len(samples)} samples")
-    report.check("tampered_writes_rejected",
-                 s4_stats.digest_fail_cdp > 0,
-                 f"{s4_stats.digest_fail_cdp} C-DP digest failures")
-    report.check("replays_rejected",
-                 replayer.stats.injected > 0
-                 and s4_stats.replays_detected > 0,
-                 f"{replayer.stats.injected} injected, "
-                 f"{s4_stats.replays_detected} detected")
-    report.check("compromised_path_not_attracted", s4_share < 0.34,
-                 f"s4 share {s4_share:.2f}")
-    report.check("delivery_within_envelope", delivered >= 0.75,
-                 f"{delivered:.2%} delivered under 5% loss + reorder")
-    report.check("kmp_reconverged",
-                 not kmp._by_seq and not kmp._by_port,
-                 f"{len(kmp._by_seq)}+{len(kmp._by_port)} dangling")
-    report.check("clean_write_after_chaos", clean_write == [True],
-                 f"{clean_write}")
-    report.check("within_event_budget", sim.budget_exhaustions == 0,
-                 f"{sim.events_executed} events")
-    report.metrics.update({
+    ctx.check("bootstrap_completed", bool(bootstrapped))
+    ctx.check("faults_injected", injector.stats.total() > 0,
+              f"{injector.stats.total()} injections")
+    ctx.check("writes_tampered", write_tamperer.stats.modified > 0,
+              f"{write_tamperer.stats.modified} rewritten in flight")
+    ctx.check("zero_forged_writes_landed", not forged,
+              f"{len(forged)} forged values observed in "
+              f"{len(samples)} samples")
+    ctx.check("tampered_writes_rejected",
+              s4_stats.digest_fail_cdp > 0,
+              f"{s4_stats.digest_fail_cdp} C-DP digest failures")
+    ctx.check("replays_rejected",
+              replayer.stats.injected > 0
+              and s4_stats.replays_detected > 0,
+              f"{replayer.stats.injected} injected, "
+              f"{s4_stats.replays_detected} detected")
+    ctx.check("compromised_path_not_attracted", s4_share < 0.34,
+              f"s4 share {s4_share:.2f}")
+    ctx.check("delivery_within_envelope", delivered >= 0.75,
+              f"{delivered:.2%} delivered under 5% loss + reorder")
+    ctx.check("kmp_reconverged",
+              not kmp._by_seq and not kmp._by_port,
+              f"{len(kmp._by_seq)}+{len(kmp._by_port)} dangling")
+    ctx.check("clean_write_after_chaos", clean_write == [True],
+              f"{clean_write}")
+    ctx.check("within_event_budget", sim.budget_exhaustions == 0,
+              f"{sim.events_executed} events")
+    return _chaos_result(ctx, {
         "events_executed": sim.events_executed,
         "fault_injections": injector.stats.total(),
         "drops_injected": injector.stats.count("drop"),
@@ -354,7 +317,6 @@ def _lossy_fig17(ctx: TrialContext) -> dict:
         "replays_detected": s4_stats.replays_detected,
         "requests_abandoned": controller.stats.requests_abandoned,
     })
-    return report.as_trial_result()
 
 
 def _register_chaos(name: str, title: str, trial, fault_plan,

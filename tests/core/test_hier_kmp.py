@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.core.kmp import HierarchicalKMP, RegionalKeyAuthority
+from repro.attacks.control_plane import RegisterRequestTamperer
+from repro.core.kmp import (
+    HierarchicalKMP,
+    RegionalKeyAuthority,
+    honest_load_audit,
+)
 from repro.experiments.cdp_batch import build_batch_deployment
 from repro.experiments.fleet_scale import build_fleet_deployment
 from repro.telemetry import Telemetry
@@ -81,6 +86,63 @@ class TestRegionalKeyAuthority:
         histogram = metrics.get("kmp_region_convergence_seconds",
                                 region="r0", op="rollover")
         assert histogram is not None and histogram.count == 1
+
+
+class TestHonestLoadAudit:
+    """The one wording of "no forged write, agreement, defenses quiet"."""
+
+    @staticmethod
+    def quiesced_pair():
+        """Two keyed switches, one verified write each (KMP messages
+        consume controller seqs; a register op realigns the pair)."""
+        sim, net, controller, switches = build_batch_deployment(
+            "P4Auth", m=2, degree=1)
+        for switch in switches:
+            controller.write_register(switch, "target", 0, 7)
+        sim.run(until=sim.now + 1.0)
+        return sim, net, controller, RegionalKeyAuthority("r0", controller)
+
+    @staticmethod
+    def audit(authority, **kwargs):
+        return honest_load_audit(authority.seq_divergence(),
+                                 authority.tamper_indicators(), **kwargs)
+
+    def test_honest_fleet_passes_all_three(self):
+        _sim, _net, _controller, authority = self.quiesced_pair()
+        assert [(name, ok) for name, ok, _detail in self.audit(authority)] \
+            == [("no_forged_write", True), ("seq_agreement", True),
+                ("defenses_quiet", True)]
+
+    def test_a_switch_ahead_of_its_controller_is_named(self):
+        _sim, net, controller, authority = self.quiesced_pair()
+        net.switch("sw1").registers.get("p4auth_expected_seq").write(
+            0, controller._seq["sw1"] + 1)
+        forged, agreement, quiet = self.audit(authority)
+        assert forged == ("no_forged_write", False,
+                          "data plane ahead of its controller on {'sw1': -1}")
+        assert agreement[:2] == ("seq_agreement", False)
+        assert quiet[1]
+        # Agreement is asserted only where the caller says it must hold.
+        assert self.audit(authority, must_agree=["sw0"])[1][1]
+
+    def test_before_reading_excludes_an_earlier_phase(self):
+        sim, net, controller, authority = self.quiesced_pair()
+        tamperer = RegisterRequestTamperer(
+            controller.register_id("sw0", "target"),
+            transform=lambda value: value ^ 1)
+        tamperer.attach(net.control_channels["sw0"])
+        controller.write_register("sw0", "target", 0, 9)
+        sim.run(until=sim.now + 1.0)
+        tamperer.detach_all()
+        before = authority.tamper_indicators()
+        assert before["digest_fail_cdp"] == 1
+        controller.write_register("sw0", "target", 0, 9)
+        sim.run(until=sim.now + 1.0)
+        assert all(ok for _name, ok, _detail
+                   in self.audit(authority, before=before))
+        name, ok, detail = self.audit(authority)[2]
+        assert (name, ok) == ("defenses_quiet", False)
+        assert "'digest_fail_cdp': 1" in detail
 
 
 class TestHierarchicalKMP:

@@ -109,6 +109,26 @@ class TestRun:
         assert main(["run", "kmp-blackout", "--out-dir", ""]) == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("sweep, names", [
+        (["hops=2,2", "num_probes=3"], "hops=2,2 repeats a value"),
+        (["nope=1"], "no parameter 'nope'"),
+        (["hops=x"], "--sweep hops=x"),
+    ])
+    def test_run_bad_sweep_is_one_line_and_exit_2_before_any_trial(
+            self, tmp_path, capsys, sweep, names):
+        args = ["run", "fig21", "--short", "--out-dir", str(tmp_path)]
+        for item in sweep:
+            args += ["--sweep", item]
+        with pytest.raises(SystemExit) as excinfo:
+            main(args)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no trial ran, no table printed
+        assert len(captured.err.splitlines()) == 1
+        assert names in captured.err
+        assert "with_p4auth" in captured.err  # the valid parameters
+        assert not os.listdir(tmp_path)
+
     def test_run_trace_dir_executes_despite_warm_cache(self, tmp_path,
                                                        capsys):
         cache_dir = str(tmp_path / "cache")

@@ -61,6 +61,66 @@ SLEEP_SPEC = register(ExperimentSpec(
 ))
 
 
+def _judged_trial(ctx: TrialContext) -> dict:
+    index = ctx.params["index"]
+    ctx.check("index_is_not_one", index != 1, f"index={index}")
+    ctx.check("index_is_small", index < 3)
+    return {"index": index, "square": index * index, **ctx.verdict()}
+
+
+JUDGED_SPEC = register(ExperimentSpec(
+    name="_test-judged",
+    title="synthetic trial whose middle point fails a check",
+    source="test",
+    trial=_judged_trial,
+    grid={"index": [0, 1, 2]},
+))
+
+
+def _raising_trial(ctx: TrialContext) -> dict:
+    if ctx.params["index"] == 1:
+        raise RuntimeError("no result to report")
+    return {"index": ctx.params["index"]}
+
+
+RAISING_SPEC = register(ExperimentSpec(
+    name="_test-raising",
+    title="synthetic trial whose middle point raises",
+    source="test",
+    trial=_raising_trial,
+    grid={"index": [0, 1, 2]},
+))
+
+
+class TestVerdicts:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_check_keeps_every_trial_and_the_artifact(
+            self, tmp_path, workers):
+        run = run_experiment("_test-judged", workers=workers,
+                             out_dir=str(tmp_path))
+        assert run.failures() == [
+            ("_test-judged[index=1]", "index_is_not_one", "index=1")]
+        doc = load_artifact(run.artifact_path)
+        assert [t["result"]["passed"] for t in doc["trials"]] \
+            == [True, False, True]
+        assert [(t["result"]["index"], t["result"]["square"])
+                for t in doc["trials"]] == [(0, 0), (1, 1), (2, 4)]
+        assert doc["trials"][0]["result"]["invariants"] == [
+            {"name": "index_is_not_one", "passed": True,
+             "detail": "index=0"},
+            {"name": "index_is_small", "passed": True, "detail": ""}]
+
+    def test_failures_is_empty_for_specs_that_record_no_check(self):
+        assert run_experiment("_test-prng").failures() == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_trial_that_raises_still_propagates(self, tmp_path, workers):
+        with pytest.raises(RuntimeError, match="no result to report"):
+            run_experiment("_test-raising", workers=workers,
+                           out_dir=str(tmp_path))
+        assert not os.listdir(tmp_path)
+
+
 class TestShardingIdentity:
     def test_parallel_matches_serial_bit_for_bit(self):
         serial = run_experiment("_test-prng", workers=1, base_seed=11)

@@ -145,6 +145,24 @@ class TestParseSweep:
                 spec.defaults else parse_sweep(spec, ["seed="])
 
 
+    def test_rejects_a_value_given_twice(self):
+        """Two equal values would expand into two trials with one id,
+        which the artifact writer refuses after running both."""
+        spec = make_spec(defaults={"duration_s": 10.0, "seed": 42})
+        with pytest.raises(ValueError, match="--sweep seed=9,9 repeats a value"):
+            parse_sweep(spec, ["seed=9,9"])
+        with pytest.raises(ValueError, match="duration_s"):
+            parse_sweep(spec, ["duration_s=1,2,1.0"])
+        assert parse_sweep(spec, ["seed=9,10"]) == {"seed": [9, 10]}
+
+    def test_errors_name_the_parameter(self):
+        spec = make_spec(defaults={"seed": 42})
+        with pytest.raises(ValueError, match="--sweep seed=x"):
+            parse_sweep(spec, ["seed=x"])
+        with pytest.raises(KeyError, match="no parameter 'bogus'"):
+            parse_sweep(spec, ["bogus=1"])
+
+
 @dataclass
 class _Point:
     x: int

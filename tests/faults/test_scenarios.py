@@ -3,8 +3,7 @@ stably."""
 
 import pytest
 
-from repro.engine import get_spec, run_experiment
-from repro.faults import ChaosReport
+from repro.engine import TrialContext, get_spec, run_experiment
 
 #: The two cheap scenarios (CI's chaos-smoke job).
 SMOKE_SCENARIOS = ("kmp-blackout", "crash-restart")
@@ -48,11 +47,10 @@ def test_same_seed_gives_identical_reports():
 
 
 def test_report_trial_result_names_the_failure():
-    report = ChaosReport(scenario="demo", seed=9)
-    report.check("holds", True, "fine")
-    report.check("breaks", False, "boom")
-    assert not report.passed
-    result = report.as_trial_result()
+    ctx = TrialContext(params={"scenario": "demo"}, seed=9)
+    ctx.check("holds", True, "fine")
+    ctx.check("breaks", False, "boom")
+    result = ctx.verdict()
     assert result["passed"] is False
     assert [(inv["name"], inv["detail"]) for inv in result["invariants"]
             if not inv["passed"]] == [("breaks", "boom")]

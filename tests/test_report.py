@@ -35,3 +35,21 @@ def test_save_roundtrip(tmp_path):
     path = tmp_path / "out.md"
     report.save(str(path))
     assert path.read_text() == report.render()
+
+
+def test_artifact_report_names_failed_checks(tmp_path):
+    """A failed trial is more than ``passed = False``: the check that
+    failed is named, and only on artifacts that have one."""
+    from repro.analysis.report import render_artifact_report
+    from repro.engine import run_experiment
+
+    run_experiment("kmp-blackout", sweep={"duration_s": [0.3, 1.5]},
+                   out_dir=str(tmp_path))
+    rendered = render_artifact_report(str(tmp_path))
+    assert "Failed checks:" in rendered
+    assert ("| `kmp-blackout[duration_s=0.3]` | ops_abandoned_not_hung | "
+            "0 abandoned (expected 2) |") in rendered
+    assert "bootstrap_completed" not in rendered  # passing checks
+
+    run_experiment("kmp-blackout", out_dir=str(tmp_path))
+    assert "Failed checks" not in render_artifact_report(str(tmp_path))
