@@ -114,11 +114,15 @@ def cmd_run(argv) -> int:
     if args.trace_dir is not None and not spec.supports_telemetry:
         print(f"# {spec.name} does not emit telemetry; --trace-dir ignored")
 
-    runner = Runner(
-        workers=args.workers,
-        cache=ResultCache(args.cache_dir) if args.cache else None,
-        out_dir=args.out_dir or None,
-        trace_dir=args.trace_dir)
+    try:
+        runner = Runner(
+            workers=args.workers,
+            cache=ResultCache(args.cache_dir) if args.cache else None,
+            out_dir=args.out_dir or None,
+            trace_dir=args.trace_dir)
+    except ValueError as exc:
+        print(f"--workers {args.workers}: {exc}", file=sys.stderr)
+        raise SystemExit(2)
     run = runner.run(spec, sweep=sweep, base_seed=args.seed,
                      short=args.short)
 

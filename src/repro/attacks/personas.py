@@ -2,9 +2,9 @@
 
 The attacks battery models each of the paper's point adversaries (§II-A,
 §VIII) as a hand-wired object inside one experiment.  This module lifts
-them into *personas*: frozen :class:`PersonaSpec` components — pure data,
-declared alongside :class:`~repro.faults.plan.FaultPlan` — that a runner
-turns into live adversaries with a uniform lifecycle::
+them into *personas*: frozen :class:`PersonaSpec` components — pure
+data — that a runner turns into live adversaries with a uniform
+lifecycle::
 
     persona = build_persona(PersonaSpec(kind="dos-flooder", rate_hz=400))
     persona.arm(world)       # install taps / timers against a live world
@@ -53,10 +53,9 @@ class PersonaSpec:
     """One attacker persona as pure data (frozen, JSONable).
 
     Declarative on purpose: a spec carries parameters, never callables,
-    so it can ride inside a :class:`~repro.faults.plan.FaultPlan`, a
-    sweep grid, or a cache key.  ``seed`` feeds every random decision the
-    persona makes; identical specs against identical worlds inject
-    byte-identical traffic.
+    so it can ride inside a sweep grid or a cache key.  ``seed`` feeds
+    every random decision the persona makes; identical specs against
+    identical worlds inject byte-identical traffic.
     """
 
     kind: str
@@ -374,7 +373,8 @@ class GroundTruthSampler:
 
 
 class WireRecorder:
-    """Records the serialized bytes of packets arriving at one switch.
+    """Records the serialized bytes of packets arriving at one switch's
+    CPU port.
 
     Wraps the switch node's ``receive`` so injected traffic — which
     enters via the CPU port and never crosses a tappable channel — is
@@ -382,14 +382,13 @@ class WireRecorder:
     ``frames`` lists (the persona byte-determinism contract).
     """
 
-    def __init__(self, net, switch_name: str, cpu_only: bool = True):
+    def __init__(self, net, switch_name: str):
         self._node = net.nodes[switch_name]
         self._original = self._node.receive
-        self.cpu_only = cpu_only
         self.frames: List[bytes] = []
 
         def recording(packet, ingress_port: int) -> None:
-            if not self.cpu_only or ingress_port == DataplaneSwitch.CPU_PORT:
+            if ingress_port == DataplaneSwitch.CPU_PORT:
                 self.frames.append(packet.serialize())
             self._original(packet, ingress_port)
 

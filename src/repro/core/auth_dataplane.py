@@ -73,9 +73,6 @@ _MALFORMED = {
 class P4AuthConfig:
     """Tunables for the data-plane module."""
 
-    #: Drop unauthenticated register operations arriving on the CPU port
-    #: (prevention, not just detection).
-    strict_cpu: bool = True
     #: Max alert messages the DP sends to the controller per window
     #: (the §VIII DoS mitigation); None disables rate limiting.
     alert_threshold: Optional[int] = 100
@@ -287,7 +284,9 @@ class P4AuthDataplane:
     def _handle_unauthenticated(self, ctx: PipelineContext) -> None:
         packet = ctx.packet
         if ctx.ingress_port == DataplaneSwitch.CPU_PORT:
-            if self.config.strict_cpu and packet.has(REG_OP):
+            # Prevention, not just detection: an unauthenticated register
+            # operation on the CPU port never reaches a register.
+            if packet.has(REG_OP):
                 self.stats.unauthenticated_dropped += 1
                 self._raise_alert(ctx, AlertCode.UNAUTHENTICATED_REG_OP)
                 ctx.drop("unauthenticated register operation")

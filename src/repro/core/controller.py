@@ -14,8 +14,8 @@ talks to data planes only through (possibly adversarial) control channels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.auth_dataplane import FLAG_ENCRYPTED, P4AuthDataplane
 from repro.core.confidentiality import derive_session_keys, encrypt_value
@@ -38,7 +38,6 @@ from repro.core.requests import (
     RequestLifecycle,
     ResponseCallback,
     RetryPolicy,
-    sample_window,
 )
 from repro.crypto.prng import XorShiftPrng
 from repro.dataplane.packet import Packet
@@ -69,16 +68,6 @@ class TamperRecord:
 
 
 @dataclass
-class RctSample:
-    """One completed request's timing, for Fig 18/19."""
-
-    kind: str  # "read" | "write"
-    switch: str
-    rct_s: float
-    ok: bool
-
-
-@dataclass
 class ControllerStats:
     requests_sent: int = 0
     acks_received: int = 0
@@ -92,10 +81,9 @@ class ControllerStats:
     dos_suspected: bool = False
     #: Requests re-issued after a response timeout (bounded-retry mode).
     request_retries: int = 0
-    #: Requests that exhausted ``max_request_attempts`` and surfaced a
-    #: terminal ``callback(False, 0)`` instead of hanging forever.
+    #: Requests that exhausted their attempts and surfaced a terminal
+    #: ``callback(False, 0)`` instead of hanging forever.
     requests_abandoned: int = 0
-    rct_samples: Deque[RctSample] = field(default_factory=sample_window)
 
 
 class P4AuthController:
@@ -105,7 +93,6 @@ class P4AuthController:
                  seed: int = 0xC0FFEE, outstanding_threshold: int = 1000,
                  encrypt_regops: bool = False,
                  request_timeout_s: Optional[float] = None,
-                 max_request_attempts: int = 3,
                  digest_lane: str = "auto"):
         self.network = network
         self.sim = network.sim
@@ -133,13 +120,13 @@ class P4AuthController:
         #: Sequence numbers, the pending table, FIFO departure and the
         #: opt-in bounded retries: with ``request_timeout_s`` set, a
         #: request unanswered after that long is re-issued (fresh seq)
-        #: up to ``max_request_attempts`` times, then abandoned with a
-        #: terminal ``callback(False, 0)``.  ``None`` (the default) keeps
+        #: up to the policy's ``max_attempts`` times, then abandoned with
+        #: a terminal ``callback(False, 0)``.  ``None`` (the default) keeps
         #: the fire-and-wait behaviour that the DoS heuristic
         #: (``outstanding_threshold``) is tuned for.
         self.requests = RequestLifecycle(
             network, "P4Auth",
-            RetryPolicy(request_timeout_s, max_request_attempts),
+            RetryPolicy(request_timeout_s),
             self._issue, self.stats)
         self._seq = self.requests.seq
         self._reg_ids: Dict[str, Dict[str, int]] = {}
@@ -414,9 +401,6 @@ class P4AuthController:
             self.stats.acks_received += 1
         else:
             self.stats.nacks_received += 1
-        self.stats.rct_samples.append(
-            RctSample(pending.kind, switch, pending.rct_s, ok)
-        )
         if pending.callback is not None:
             self.sim.schedule(self.costs.controller_digest_s,
                               pending.callback, ok, value)

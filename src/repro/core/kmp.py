@@ -142,7 +142,7 @@ def _issue_all(ops: List[Callable[[DoneCallback], None]],
 class KeyManagementProtocol:
     """Controller-resident KMP engine (owned by P4AuthController)."""
 
-    def __init__(self, controller, retry: Optional[RetryPolicy] = None):
+    def __init__(self, controller):
         self.c = controller
         self.stats = KmpStats()
         #: Give an exchange this long before declaring the attempt lost
@@ -150,7 +150,7 @@ class KeyManagementProtocol:
         #: Retries back off exponentially (capped) with seeded positive
         #: jitter, so a congested or blacked-out channel is not hammered
         #: on a fixed timer and racing exchanges decorrelate.
-        self.retry = retry or RetryPolicy(
+        self.retry = RetryPolicy(
             0.02, max_attempts=3, factor=2.0, cap_s=0.25, jitter=0.1,
             seed=0x5EED)
         self._by_seq: Dict[Tuple[str, int], _Exchange] = {}
@@ -584,16 +584,6 @@ KMP_CONVERGENCE_BUCKETS = (0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
                            0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0)
 
 
-def observe_region_round(metrics, region: str, op: str,
-                         duration_s: float) -> None:
-    """Record one region-wide key round (``op`` "bootstrap" | "rollover"):
-    the lockstep authority and the service daemon emit the same pair."""
-    metrics.counter(f"kmp_region_{op}_total", region=region).inc()
-    metrics.histogram("kmp_region_convergence_seconds",
-                      buckets=KMP_CONVERGENCE_BUCKETS, region=region,
-                      op=op).observe(duration_s)
-
-
 @dataclass
 class RegionConvergence:
     """One region-wide bootstrap or rollover round, timed in virtual time."""
@@ -754,8 +744,13 @@ class RegionalKeyAuthority:
             self.convergences.append(convergence)
             telemetry = self.telemetry
             if telemetry is not None and telemetry.enabled:
-                observe_region_round(telemetry.metrics, self.region_id, op,
-                                     convergence.duration_s)
+                metrics = telemetry.metrics
+                metrics.counter(f"kmp_region_{op}_total",
+                                region=self.region_id).inc()
+                metrics.histogram(
+                    "kmp_region_convergence_seconds",
+                    buckets=KMP_CONVERGENCE_BUCKETS, region=self.region_id,
+                    op=op).observe(convergence.duration_s)
             if on_done is not None:
                 on_done(convergence)
 

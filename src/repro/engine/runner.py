@@ -95,10 +95,8 @@ def execute_trial(spec: ExperimentSpec, plan: TrialPlan,
     if trace_dir is not None and spec.supports_telemetry:
         from repro.telemetry import Telemetry
         telemetry = Telemetry(enabled=True)
-    fault_plan = (spec.fault_plan(plan.params, plan.seed)
-                  if spec.fault_plan is not None else None)
     ctx = TrialContext(params=dict(plan.params), seed=plan.seed,
-                       telemetry=telemetry, fault_plan=fault_plan)
+                       telemetry=telemetry)
     result = to_jsonable(spec.trial(ctx))
     if not isinstance(result, dict):
         raise TypeError(f"trial for {spec.name!r} must return a mapping, "

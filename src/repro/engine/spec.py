@@ -45,8 +45,6 @@ class TrialContext:
     seed: int
     #: A live ``Telemetry`` when per-trial trace capture is on, else None.
     telemetry: Any = None
-    #: The spec's fault plan for these params (chaos specs), else None.
-    fault_plan: Any = None
     #: The named checks this trial has recorded so far, in order.
     checks: List[Dict[str, Any]] = field(default_factory=list)
 
@@ -91,8 +89,6 @@ class ExperimentSpec:
     spec_version: int = 1
     #: Whether the trial function threads ``ctx.telemetry`` through.
     supports_telemetry: bool = False
-    #: Optional hook deriving a FaultPlan from (params, seed).
-    fault_plan: Optional[Callable[[Mapping[str, Any], int], Any]] = None
     tags: Tuple[str, ...] = ()
 
     def param_names(self) -> List[str]:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.crypto.prng import XorShiftPrng
 from repro.dataplane.switch import DataplaneSwitch
@@ -40,6 +40,7 @@ from repro.engine.spec import ExperimentSpec, TrialContext
 from repro.net.topology import random_regular_fabric
 from repro.runtime.batch import BatchController
 from repro.runtime.comparison import STACKS, attach_stack
+from repro.runtime.harness import floor_percentile
 
 #: Virtual-time ceiling for one workload run; generous on purpose — the
 #: sequential m=400 point is thousands of serialized RTTs.
@@ -136,6 +137,17 @@ def write_schedule(switches: List[str], rounds: int
             for i, sw in enumerate(switches)]
 
 
+def tally() -> Tuple[Dict[str, int], Callable[[bool, int], None]]:
+    """``(counts, on_done)``: a request callback that counts its outcomes
+    into ``counts["ok"]`` / ``counts["failed"]``."""
+    counts = {"ok": 0, "failed": 0}
+
+    def on_done(ok: bool, _value: int) -> None:
+        counts["ok" if ok else "failed"] += 1
+
+    return counts, on_done
+
+
 def run_batch_workload(sim, stack, switches: List[str], mode: str = "batched",
                        kind: str = "write", requests_per_switch: int = 8,
                        max_in_flight: int = 8,
@@ -206,12 +218,6 @@ def run_batch_workload(sim, stack, switches: List[str], mode: str = "batched",
     completed = state["ok"]
     ordered = sorted(rcts)
 
-    def pct(p: float) -> float:
-        if not ordered:
-            return math.nan
-        return ordered[min(len(ordered) - 1,
-                           max(0, int(p / 100.0 * len(ordered))))]
-
     result = {
         "mode": mode,
         "kind": kind,
@@ -221,9 +227,9 @@ def run_batch_workload(sim, stack, switches: List[str], mode: str = "batched",
         "duration_s": duration,
         "throughput_rps": (completed / duration) if duration > 0 else 0.0,
         "mean_rct_s": (sum(ordered) / len(ordered)) if ordered else math.nan,
-        "p50_rct_s": pct(50),
-        "p95_rct_s": pct(95),
-        "p99_rct_s": pct(99),
+        "p50_rct_s": floor_percentile(ordered, 50),
+        "p95_rct_s": floor_percentile(ordered, 95),
+        "p99_rct_s": floor_percentile(ordered, 99),
     }
     result.update(extra)
     return result

@@ -29,12 +29,12 @@ A violated invariant fails a check; it never degrades into a worse number.
 from __future__ import annotations
 
 import asyncio
-import math
 from typing import Dict, List, Set, Tuple
 
 from repro.core import kmp
 from repro.engine.registry import register
 from repro.engine.spec import ExperimentSpec, TrialContext
+from repro.runtime.harness import floor_percentile
 
 #: Per-op retry budget when a shard answers 503 (backpressure is a
 #: contract: callers back off and retry, they don't lose the op).
@@ -140,8 +140,10 @@ async def _drive(ctx: TrialContext) -> Dict[str, object]:
     from repro.service.daemon import ControllerService, FleetConfig
 
     p = ctx.params
+    # The grid can ask for more shards than a short fleet has switches.
+    shard_count = min(p["shards"], p["m"])
     service = ControllerService(FleetConfig(
-        stack=p["stack"], m=p["m"], shards=p["shards"],
+        stack=p["stack"], m=p["m"], shards=shard_count,
         registers=((REG_NAME, 64, REG_SIZE),),
         max_in_flight=p["max_in_flight"],
         issue_window=p["issue_window"],
@@ -176,14 +178,8 @@ async def _drive(ctx: TrialContext) -> Dict[str, object]:
     busy_max = max((s["busy_virtual_s"] for s in shards), default=0.0)
     ordered = sorted(samples)
 
-    def pct(v: float) -> float:
-        if not ordered:
-            return math.nan
-        return ordered[min(len(ordered) - 1,
-                           max(0, int(v / 100.0 * len(ordered))))]
-
     return {
-        "stack": p["stack"], "m": p["m"], "shards": p["shards"],
+        "stack": p["stack"], "m": p["m"], "shards": shard_count,
         "clients": p["clients"],
         "submitted": p["clients"] * p["rounds"] * p["batch_size"],
         "completed": completed,
@@ -191,16 +187,14 @@ async def _drive(ctx: TrialContext) -> Dict[str, object]:
         "retries_503": tally["retries"],
         "busy_s_max": busy_max,
         "fleet_rps": (completed / busy_max) if busy_max > 0 else 0.0,
-        "p50_s": pct(50),
-        "p99_s": pct(99),
+        "p50_s": floor_percentile(ordered, 50),
+        "p99_s": floor_percentile(ordered, 99),
         "per_shard": shards,
         **ctx.verdict(),
     }
 
 
 def _trial(ctx: TrialContext) -> dict:
-    # The grid can ask for more shards than a short fleet has switches.
-    ctx.params["shards"] = min(ctx.params["shards"], ctx.params["m"])
     return asyncio.run(_drive(ctx))
 
 

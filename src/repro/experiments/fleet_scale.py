@@ -50,6 +50,7 @@ from repro.experiments.cdp_batch import (
     build_batch_deployment,
     fleet_switch_factory,
     run_batch_workload,
+    tally,
     write_schedule,
 )
 from repro.net.region import RegionalWorld
@@ -205,11 +206,7 @@ def _run_boundary_phase(ctx: TrialContext) -> Dict[str, object]:
 
     # Authenticated writes issued *into* the rollover window: the
     # two-version key slots must keep every one verifiable.
-    write_state = {"ok": 0, "failed": 0}
-
-    def on_write(ok: bool, _value: int) -> None:
-        write_state["ok" if ok else "failed"] += 1
-
+    write_state, on_write = tally()
     for region_id, switch, _port in ends:
         controllers[region_id].write_register(switch, "target", 0,
                                               0xFEED, on_write)
@@ -223,11 +220,7 @@ def _run_boundary_phase(ctx: TrialContext) -> Dict[str, object]:
     # replay counters must agree exactly under the *new* keys — the "no
     # permanent seq divergence across region boundaries" check, asserted
     # where a register op has realigned the pair (``must_agree`` below).
-    post_state = {"ok": 0, "failed": 0}
-
-    def on_post(ok: bool, _value: int) -> None:
-        post_state["ok" if ok else "failed"] += 1
-
+    post_state, on_post = tally()
     boundary_switches = sorted({(region_id, switch)
                                 for region_id, switch, _port in ends})
     for region_id, switch in boundary_switches:

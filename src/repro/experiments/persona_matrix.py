@@ -41,7 +41,6 @@ from repro.dataplane.packet import Packet
 from repro.dataplane.switch import DataplaneSwitch
 from repro.engine.registry import register
 from repro.engine.spec import ExperimentSpec, TrialContext
-from repro.faults.plan import FaultPlan
 from repro.net.network import Network
 from repro.net.simulator import EventSimulator
 from repro.net.trace import TraceGenerator
@@ -81,24 +80,14 @@ _POLL_S = 0.01
 _GRACE_S = 0.3
 
 
-def _fault_plan(params: Dict[str, Any], seed: int) -> FaultPlan:
-    """One persona per trial, declared as plan data next to the faults."""
-    return FaultPlan(seed=seed, personas=[PersonaSpec(
-        kind=params["persona"], rate_hz=float(params["attack_rate_hz"]),
-        seed=seed)])
-
-
 def run_persona_trial(persona_kind: str, system: str,
                       attack_rate_hz: float = 200.0,
                       duration_s: float = 3.0, load_hz: float = 120.0,
-                      seed: int = 7,
-                      spec: PersonaSpec = None) -> Dict[str, Any]:
+                      seed: int = 7) -> Dict[str, Any]:
     """One matrix cell: arm one persona against one system under load."""
     if system not in SYSTEMS:
         raise ValueError(f"system must be one of {SYSTEMS}")
-    if spec is None:
-        spec = PersonaSpec(kind=persona_kind, rate_hz=attack_rate_hz,
-                           seed=seed)
+    spec = PersonaSpec(kind=persona_kind, rate_hz=attack_rate_hz, seed=seed)
     sim = EventSimulator()
     net = Network(sim)
     s1 = DataplaneSwitch("s1", num_ports=4, seed=seed)
@@ -284,12 +273,10 @@ def run_persona_trial(persona_kind: str, system: str,
 
 def _trial(ctx: TrialContext) -> Dict[str, Any]:
     p = ctx.params
-    plan = ctx.fault_plan or _fault_plan(p, ctx.seed)
-    plan.validate()
     return run_persona_trial(
         p["persona"], p["system"],
         attack_rate_hz=p["attack_rate_hz"], duration_s=p["duration_s"],
-        load_hz=p["load_hz"], seed=p["seed"], spec=plan.personas[0])
+        load_hz=p["load_hz"], seed=p["seed"])
 
 
 SPEC = register(ExperimentSpec(
@@ -304,6 +291,5 @@ SPEC = register(ExperimentSpec(
     short={"attack_rate_hz": [40.0, 400.0], "duration_s": 1.2,
            "load_hz": 60.0},
     seed_param="seed",
-    fault_plan=_fault_plan,
     tags=("matrix", "attack", "defense"),
 ))

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import tempfile
 import time
-from typing import Dict, List
+from typing import Callable, Dict, List
 
 from repro.core.controller import P4AuthController
 from repro.core.kmp import RegionalKeyAuthority, honest_load_audit
@@ -36,6 +36,7 @@ from repro.experiments.cdp_batch import (
     build_batch_deployment,
     outstanding_budget,
     run_batch_workload,
+    tally,
     write_schedule,
 )
 from repro.faults.controller import ControllerKillSwitch
@@ -59,12 +60,9 @@ KILL_POINTS = RECORD_TYPES + ("time",)
 
 
 def _submit_rounds(batch, switches: List[str], rounds: int,
-                   counts: Dict[str, int]) -> None:
+                   on_done: Callable[[bool, int], None]) -> None:
     """The cdp_batch write schedule through an already-journaled batch
     facade (the caller runs the clock: the kill lands mid-burst)."""
-    def on_done(ok: bool, _value: int) -> None:
-        counts["ok" if ok else "failed"] += 1
-
     batch.submit_many([("write", sw, "target", index, value, on_done)
                        for sw, index, value in write_schedule(switches,
                                                               rounds)])
@@ -135,9 +133,9 @@ def _crash_trial(ctx: TrialContext, state_dir: str) -> Dict[str, object]:
                            occurrence=int(params.get("occurrence", 1)))
 
     # ---- phase 1: burst until the kill fires -------------------------
-    phase1 = {"ok": 0, "failed": 0}
+    phase1, on_phase1 = tally()
     if kill.kills == 0:
-        _submit_rounds(batch, switches, rounds, phase1)
+        _submit_rounds(batch, switches, rounds, on_phase1)
         if rollover and kill.kills == 0:
             authority.rollover()
         sim.run(until=sim.now + PHASE_DEADLINE_S)
@@ -175,8 +173,8 @@ def _crash_trial(ctx: TrialContext, state_dir: str) -> Dict[str, object]:
         bootstrap_local_keys(controller2, rebootstrapped, 10.0)
 
     # ---- phase 2: prove the fleet is fully usable --------------------
-    phase2 = {"ok": 0, "failed": 0}
-    _submit_rounds(batch2, switches, rounds, phase2)
+    phase2, on_phase2 = tally()
+    _submit_rounds(batch2, switches, rounds, on_phase2)
     sim.run(until=sim.now + PHASE_DEADLINE_S)
 
     recovered = RegionalKeyAuthority("r0", controller2)

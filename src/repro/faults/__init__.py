@@ -5,8 +5,8 @@ them:
 
 - :mod:`repro.faults.plan` — :class:`FaultPlan`, a declarative, seeded
   schedule of link faults (drop/corrupt/duplicate/reorder/jitter), node
-  faults (crash/restart with register wipe), control-channel blackouts,
-  and clock skew;
+  faults (crash/restart with register wipe) and control-channel
+  blackouts;
 - :mod:`repro.faults.injector` — :class:`FaultInjector`, which arms a
   plan against a live :class:`~repro.net.network.Network` (delivery
   shaper + scheduled events + channel taps) and tallies every injection
@@ -25,7 +25,6 @@ JSONL trace — is byte-identical across runs with the same seed.
 
 from repro.faults.plan import (
     ChannelBlackout,
-    ClockSkewFault,
     FaultPlan,
     LinkFault,
     LINK_FAULT_KINDS,
@@ -36,7 +35,6 @@ from repro.faults.injector import FaultInjector, InjectorStats
 
 __all__ = [
     "ChannelBlackout",
-    "ClockSkewFault",
     "ControllerKillSwitch",
     "FaultInjector",
     "FaultPlan",

@@ -107,10 +107,6 @@ class FaultInjector:
             if fault.restart_at_s is not None:
                 self.sim.schedule(max(0.0, fault.restart_at_s - self.sim.now),
                                   self._restart, fault, node)
-        for skew in self.plan.clock_skews:
-            node = self._switch_node(skew.switch)
-            self.sim.schedule(max(0.0, skew.at_s - self.sim.now),
-                              self._apply_skew, skew, node)
         if self.telemetry.enabled:
             self.telemetry.tracer.emit("fault.armed",
                                        faults=self.plan.fault_count(),
@@ -226,14 +222,6 @@ class FaultInjector:
                                        switch=fault.switch)
         for hook in list(self.on_node_restart):
             hook(fault.switch)
-
-    def _apply_skew(self, skew, node: SwitchNode) -> None:
-        node.clock_skew_s = skew.skew_s
-        self._record("clock_skew", skew.switch)
-        if self.telemetry.enabled:
-            self.telemetry.tracer.emit("fault.clock_skew",
-                                       switch=skew.switch,
-                                       skew_s=skew.skew_s)
 
     # ------------------------------------------------------------------
     # accounting

@@ -118,49 +118,18 @@ class ChannelBlackout:
 
 
 @dataclass
-class ClockSkewFault:
-    """Impose a fixed clock offset on a switch from ``at_s`` onward.
-
-    The skewed node processes packets with ``now + skew_s`` as its local
-    time — a KMP peer with a drifting oscillator, exercising any
-    time-window logic under disagreeing clocks.
-    """
-
-    switch: str
-    skew_s: float
-    at_s: float = 0.0
-
-    def validate(self) -> None:
-        if self.at_s < 0:
-            raise ValueError("at_s must be >= 0")
-
-
-@dataclass
 class FaultPlan:
-    """A complete, seeded fault + adversary schedule for one chaos run.
-
-    ``personas`` carries attacker persona specs
-    (:class:`~repro.attacks.personas.PersonaSpec`) alongside the
-    environmental faults: both are pure data, and a run is fully
-    specified by (plan, seed, workload).  The
-    :class:`~repro.faults.injector.FaultInjector` arms environmental
-    faults; the experiment/scenario runner arms personas, since only it
-    knows the world (target registers, feedback links) they act on.
-    """
+    """A complete, seeded fault schedule for one chaos run."""
 
     seed: int = 0xFA017
     link_faults: List[LinkFault] = field(default_factory=list)
     node_faults: List[NodeFault] = field(default_factory=list)
     blackouts: List[ChannelBlackout] = field(default_factory=list)
-    clock_skews: List[ClockSkewFault] = field(default_factory=list)
-    personas: List[object] = field(default_factory=list)
 
     def validate(self) -> None:
-        for fault in (self.link_faults + self.node_faults
-                      + self.blackouts + self.clock_skews + self.personas):
+        for fault in self.link_faults + self.node_faults + self.blackouts:
             fault.validate()
 
     def fault_count(self) -> int:
         return (len(self.link_faults) + len(self.node_faults)
-                + len(self.blackouts) + len(self.clock_skews)
-                + len(self.personas))
+                + len(self.blackouts))

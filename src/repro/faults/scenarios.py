@@ -2,10 +2,10 @@
 invariants checked at the end.
 
 Each scenario is one registered :class:`~repro.engine.spec.ExperimentSpec`
-(``python -m repro run <name>``): its ``fault_plan`` hook derives the
-schedule from ``(params, seed)``, its trial function builds a deployment,
-arms a :class:`~repro.faults.injector.FaultInjector` with that plan,
-drives a workload, and states each invariant through ``ctx.check`` — the
+(``python -m repro run <name>``): its trial function derives the
+schedule from ``(params, seed)``, builds a deployment, arms a
+:class:`~repro.faults.injector.FaultInjector` with that plan, drives a
+workload, and states each invariant through ``ctx.check`` — the
 behaviour the paper promises even under fault (a failed check fails the
 run):
 
@@ -91,7 +91,8 @@ def _kmp_blackout(ctx: TrialContext) -> dict:
     duration = ctx.params["duration_s"]
     net, controller, bootstrapped = _keyed_chain(2, "demo", ctx.telemetry)
     sim, kmp = net.sim, controller.kmp
-    injector = FaultInjector(net, ctx.fault_plan).arm()
+    injector = FaultInjector(
+        net, _blackout_plan(ctx.params, ctx.seed)).arm()
 
     # Roll both local keys mid-blackout: every message is eaten, so
     # the bounded-retry machinery must abandon, not hang.
@@ -146,7 +147,7 @@ def _crash_restart(ctx: TrialContext) -> dict:
     net, controller, bootstrapped = _keyed_chain(
         1, "chaos", ctx.telemetry, request_timeout_s=0.05)
     sim = net.sim
-    injector = FaultInjector(net, ctx.fault_plan).arm()
+    injector = FaultInjector(net, _crash_plan(ctx.params, ctx.seed)).arm()
     rekeyed: List[float] = []
     injector.on_node_restart.append(
         lambda switch: controller.kmp.local_key_init(
@@ -217,7 +218,7 @@ def _lossy_fig17(ctx: TrialContext) -> dict:
         on_done=lambda: bootstrapped.append(sim.now))
     sim.run(until=0.1)
 
-    injector = FaultInjector(net, ctx.fault_plan).arm()
+    injector = FaultInjector(net, _lossy_plan(ctx.params, ctx.seed)).arm()
 
     # --- adversaries: DP-DP probe tamper, C-DP write tamper + replay ---
     probe_tamperer = tamper_s4_probes(net)
@@ -319,8 +320,7 @@ def _lossy_fig17(ctx: TrialContext) -> dict:
     })
 
 
-def _register_chaos(name: str, title: str, trial, fault_plan,
-                    duration_s: float) -> None:
+def _register_chaos(name: str, title: str, trial, duration_s: float) -> None:
     register(ExperimentSpec(
         name=name,
         title="Chaos: " + title,
@@ -329,15 +329,14 @@ def _register_chaos(name: str, title: str, trial, fault_plan,
         defaults={"scenario": name, "seed": 1, "duration_s": duration_s},
         seed_param="seed",
         supports_telemetry=True,
-        fault_plan=fault_plan,
         tags=("chaos",),
     ))
 
 
 _register_chaos("kmp-blackout", "Blackout both control channels",
-                _kmp_blackout, _blackout_plan, 1.5)
+                _kmp_blackout, 1.5)
 _register_chaos("crash-restart",
                 "Crash a switch (wiping its key registers) mid-write",
-                _crash_restart, _crash_plan, 1.0)
+                _crash_restart, 1.0)
 _register_chaos("lossy-fig17", "HULA Fig 17 workload under 5% loss + reorder",
-                _lossy_fig17, _lossy_plan, 3.0)
+                _lossy_fig17, 3.0)

@@ -71,10 +71,6 @@ class SwitchNode:
         #: Crash state: a downed switch eats every arriving packet (with a
         #: named drop reason).  Flipped by node faults (repro.faults).
         self.up = True
-        #: Clock skew the node fault layer can impose: the switch's local
-        #: view of time is ``sim.now + clock_skew_s`` (a KMP peer with a
-        #: drifting oscillator).
-        self.clock_skew_s = 0.0
         metrics = network.telemetry.metrics
         self._packets_counter = metrics.counter(
             "net_switch_packets_total", switch=self.name)
@@ -92,8 +88,7 @@ class SwitchNode:
         switch = self.switch
         hash_extern = switch.hash
         hash_before = hash_extern.invocations
-        actions = switch.process(packet, ingress_port,
-                                 now=sim.now + self.clock_skew_s)
+        actions = switch.process(packet, ingress_port, now=sim.now)
         hash_ops = hash_extern.invocations - hash_before
         self._packets_counter.inc()
         if hash_ops:

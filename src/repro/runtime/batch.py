@@ -9,8 +9,7 @@ switches cannot afford one RTT of dead air per request.
 :class:`~repro.runtime.plain.PlainController`,
 :class:`~repro.runtime.p4runtime.P4RuntimeStack`) that keeps a
 configurable window of requests in flight per switch and lets requests
-to different switches proceed concurrently — windowed pipelining plus
-cross-switch coalescing.
+to different switches proceed concurrently.
 
 Crucially the facade changes *scheduling only*: every request still goes
 through the wrapped stack's own compose path (``request_many``), so the
@@ -192,31 +191,6 @@ class BatchController:
                 refused = refused or exc
         if refused is not None:
             raise refused
-
-    def broadcast_write(self, reg_name: str, index: int, value: int,
-                        switches: List[str],
-                        on_done: Optional[Callable[[Dict[str, bool]], None]]
-                        = None) -> None:
-        """Coalesce one logical write across many switches.
-
-        Queues the write on every named switch; all fan-out requests
-        share the window machinery (and therefore pipeline concurrently).
-        ``on_done(results)`` fires once every switch has a terminal
-        outcome, with ``results[switch] = ok``.
-        """
-        remaining = {"count": len(switches)}
-        results: Dict[str, bool] = {}
-        if not switches:
-            if on_done is not None:
-                on_done(results)
-            return
-        for switch in switches:
-            def finish(ok: bool, _value: int, sw: str = switch) -> None:
-                results[sw] = ok
-                remaining["count"] -= 1
-                if remaining["count"] == 0 and on_done is not None:
-                    on_done(results)
-            self.write_register(switch, reg_name, index, value, finish)
 
     # ------------------------------------------------------------------
     # introspection

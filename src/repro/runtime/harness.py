@@ -10,9 +10,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Sequence
 
 from repro.net.simulator import EventSimulator
+
+
+def floor_percentile(ordered: Sequence[float], pct: float) -> float:
+    """The ``pct``-th percentile of an ascending sequence at the floor
+    nearest rank, ``int(pct / 100 * n)`` clamped into range; NaN when
+    empty."""
+    if not ordered:
+        return math.nan
+    return ordered[min(len(ordered) - 1,
+                       max(0, int(pct / 100.0 * len(ordered))))]
 
 
 @dataclass
@@ -40,11 +50,7 @@ class RunStats:
         return sum(self.rcts_s) / len(self.rcts_s)
 
     def percentile_rct_s(self, pct: float) -> float:
-        if not self.rcts_s:
-            return math.nan
-        ordered = sorted(self.rcts_s)
-        rank = min(len(ordered) - 1, max(0, int(pct / 100.0 * len(ordered))))
-        return ordered[rank]
+        return floor_percentile(sorted(self.rcts_s), pct)
 
 
 def run_sequential(sim: EventSimulator, stack, kind: str, switch: str,

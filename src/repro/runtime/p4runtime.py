@@ -106,6 +106,5 @@ class P4RuntimeStack(_RegisterStack):
         request = self.requests.complete(switch, seq)
         ok = response.get("ctl")["msgType"] == RegOpType.ACK
         value = response.get(REG_OP)["value"]
-        self.rct_samples.append((request.kind, request.rct_s, ok))
         if request.callback is not None:
             request.callback(ok, value)

@@ -18,7 +18,6 @@ from repro.core.requests import (
     RequestLifecycle,
     ResponseCallback,
     RetryPolicy,
-    sample_window,
 )
 from repro.dataplane.headers import HeaderType
 from repro.dataplane.packet import Packet
@@ -93,8 +92,7 @@ class _RegisterStack:
     STACK = ""
 
     def __init__(self, network: Network,
-                 request_timeout_s: Optional[float] = None,
-                 max_request_attempts: int = 3):
+                 request_timeout_s: Optional[float] = None):
         self.network = network
         self.sim = network.sim
         self.costs = network.costs
@@ -102,14 +100,12 @@ class _RegisterStack:
         self.requests_abandoned = 0
         #: Opt-in bounded retries (same contract as P4AuthController):
         #: ``None`` keeps legacy fire-and-wait, otherwise unanswered
-        #: requests are re-issued after this delay up to
-        #: ``max_request_attempts`` times, then abandoned with
+        #: requests are re-issued after this delay up to the policy's
+        #: ``max_attempts`` times, then abandoned with
         #: ``callback(False, 0)``.
         self.requests = RequestLifecycle(
-            network, self.STACK,
-            RetryPolicy(request_timeout_s, max_request_attempts),
+            network, self.STACK, RetryPolicy(request_timeout_s),
             self._issue, self)
-        self.rct_samples = sample_window()  # (kind, rct_s, ok)
 
     def outstanding_count(self) -> int:
         """Requests issued whose outcome (completion, loss, abandonment)
@@ -151,9 +147,8 @@ class PlainController(_RegisterStack):
     STACK = "DP-Reg-RW"
 
     def __init__(self, network: Network,
-                 request_timeout_s: Optional[float] = None,
-                 max_request_attempts: int = 3):
-        super().__init__(network, request_timeout_s, max_request_attempts)
+                 request_timeout_s: Optional[float] = None):
+        super().__init__(network, request_timeout_s)
         self._seq = self.requests.seq
         self._reg_ids: Dict[str, Dict[str, int]] = {}
         self.acks = 0
@@ -202,6 +197,5 @@ class PlainController(_RegisterStack):
             self.acks += 1
         else:
             self.nacks += 1
-        self.rct_samples.append((pending.kind, pending.rct_s, ok))
         if pending.callback is not None:
             pending.callback(ok, value)

@@ -34,9 +34,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--m", type=int, default=25,
                         help="fleet size (switches sw0..sw<m-1>)")
     parser.add_argument("--shards", type=int, default=2)
-    parser.add_argument("--regions", type=int, default=1,
-                        help="administrative regions (contiguous switch "
-                             "blocks; per-region KMP telemetry)")
     parser.add_argument("--max-in-flight", type=int, default=8,
                         help="per-switch pipelining window")
     parser.add_argument("--issue-window", type=int, default=32,
@@ -73,7 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args) -> FleetConfig:
     kwargs = dict(stack=args.stack, m=args.m, shards=args.shards,
-                  regions=args.regions,
                   max_in_flight=args.max_in_flight,
                   issue_window=args.issue_window,
                   queue_depth=args.queue_depth, seed=args.seed,
@@ -84,15 +80,15 @@ def config_from_args(args) -> FleetConfig:
     return FleetConfig(**kwargs)
 
 
-async def _serve(args) -> int:
-    service = ControllerService(config_from_args(args))
+async def _serve(args, config: FleetConfig) -> int:
+    service = ControllerService(config)
     await service.start()
     server = HttpServer(service, host=args.host, port=args.port)
     port = await server.start()
     config = service.config
     print(f"# repro.service listening on http://{args.host}:{port}")
     print(f"# fleet: stack={config.stack} m={config.m} "
-          f"shards={config.shards} regions={config.regions} "
+          f"shards={config.shards} "
           f"issue_window={config.issue_window} "
           f"queue_depth={config.queue_depth}")
     if config.state_dir is not None:
@@ -125,11 +121,11 @@ async def _serve(args) -> int:
     return 0 if service.idle else 1
 
 
-async def _smoke(args) -> int:
+async def _smoke(config: FleetConfig) -> int:
     """Drive every endpoint in-process; assert a clean drain."""
     from repro.service.client import ServiceClient, ServiceError
 
-    service = ControllerService(config_from_args(args))
+    service = ControllerService(config)
     await service.start()
     client = ServiceClient(service)
     failures = []
@@ -164,14 +160,10 @@ async def _smoke(args) -> int:
     status = await client.status()
     check("status shard table",
           len(status["shards"]) == service.config.shards)
-    check("status region table",
-          len(status["regions"]) == service.config.regions)
     metrics = await client.metrics()
     check("metrics exposition",
           "service_requests_total" in metrics
           and "service_shard_in_flight" in metrics)
-    check("region KMP telemetry",
-          "kmp_region_bootstrap_total" in metrics)
     try:
         await client.read("not-a-switch")
         check("unknown switch -> 404", False)
@@ -196,10 +188,17 @@ async def _smoke(args) -> int:
 
 
 def cmd_serve(argv) -> int:
+    """Exits 2 with one stderr line, before any shard is built, on a
+    setting the fleet refuses."""
     args = build_parser().parse_args(argv)
+    try:
+        config = config_from_args(args)
+    except ValueError as exc:
+        print(f"repro serve: {exc}", file=sys.stderr)
+        return 2
     if args.smoke:
-        return asyncio.run(_smoke(args))
-    return asyncio.run(_serve(args))
+        return asyncio.run(_smoke(config))
+    return asyncio.run(_serve(args, config))
 
 
 __all__ = ["build_parser", "cmd_serve", "config_from_args"]

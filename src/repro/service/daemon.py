@@ -16,7 +16,7 @@ Endpoints (all JSON unless noted):
 ``POST /v1/write``     ``{switch, register, index, value}`` -> ``{ok}``
 ``POST /v1/batch``     ``{ops: [...]}`` -> ``{results: [...]}`` (FIFO order)
 ``POST /v1/rollover``  ``{switch?}`` -> per-switch key versions (P4Auth)
-``GET /fleet/status``  shard table + per-region telemetry + aggregates
+``GET /fleet/status``  shard table + fleet aggregates
 ``GET /metrics``       Prometheus text (unauthenticated scrape endpoint)
 ``GET /healthz``       liveness probe (unauthenticated)
 =====================  ======================================================
@@ -36,16 +36,11 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.kmp import observe_region_round
 from repro.store.journal import FSYNC_POLICIES
 from repro.runtime.comparison import STACKS
 from repro.service.auth import RequestAuthenticator, TOKEN_HEADER
 from repro.service.shard import ShardOp, ShardOverload, ShardWorker
-from repro.service.shardmap import (
-    DEFAULT_LOAD_FACTOR,
-    DEFAULT_REPLICAS,
-    ShardMap,
-)
+from repro.service.shardmap import ShardMap
 from repro.telemetry import Telemetry
 
 #: Development default; real deployments pass their own secret.
@@ -68,9 +63,6 @@ class FleetConfig:
     #: Fleet size; switches are named ``sw0 .. sw<m-1>``.
     m: int = 25
     shards: int = 2
-    #: Administrative regions (contiguous switch-index blocks ``r0 ..``);
-    #: purely an ownership/telemetry axis — shard routing is unchanged.
-    regions: int = 1
     registers: Tuple[Tuple[str, int, int], ...] = (("target", 64, 16),)
     #: Per-switch pipelining window inside each shard's issue engine.
     max_in_flight: int = 8
@@ -78,11 +70,7 @@ class FleetConfig:
     issue_window: int = 32
     #: Bounded intake queue per shard; beyond it -> 503.
     queue_depth: int = 1024
-    #: Virtual seconds each worker step advances a busy shard's clock.
-    step_s: float = 0.002
     seed: int = 1
-    replicas: int = DEFAULT_REPLICAS
-    load_factor: float = DEFAULT_LOAD_FACTOR
     auth_secret: str = DEFAULT_SECRET
     #: Root of the durable-state tree; each shard journals under
     #: ``<state_dir>/<shard_id>/``.  None: shards are in-memory only.
@@ -99,8 +87,11 @@ class FleetConfig:
             raise ValueError("fleet needs at least one switch")
         if not 1 <= self.shards <= self.m:
             raise ValueError("need 1 <= shards <= m")
-        if not 1 <= self.regions <= self.m:
-            raise ValueError("need 1 <= regions <= m")
+        for name in ("max_in_flight", "issue_window", "queue_depth"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.snapshot_every is not None and self.snapshot_every < 1:
+            raise ValueError("snapshot_every must be None or >= 1")
         if self.fsync not in FSYNC_POLICIES:
             raise ValueError(f"fsync must be one of {FSYNC_POLICIES}")
         if self.state_dir is not None and self.stack != "P4Auth":
@@ -121,22 +112,6 @@ class FleetConfig:
     def shard_ids(self) -> List[str]:
         return [f"shard-{i}" for i in range(self.shards)]
 
-    @property
-    def region_ids(self) -> List[str]:
-        return [f"r{i}" for i in range(self.regions)]
-
-    def region_of(self, switch: str) -> str:
-        """Region owning a switch: near-even contiguous index blocks,
-        the same split :func:`repro.net.topology.region_sizes` uses."""
-        index = int(switch[2:])
-        if not 0 <= index < self.m:
-            raise KeyError(switch)
-        base, remainder = divmod(self.m, self.regions)
-        big_block = remainder * (base + 1)
-        if index < big_block:
-            return f"r{index // (base + 1)}"
-        return f"r{remainder + (index - big_block) // base}"
-
 
 @dataclass
 class _Route:
@@ -155,10 +130,8 @@ class ControllerService:
         self.telemetry = telemetry if telemetry is not None \
             else Telemetry(enabled=True)
         self.auth = RequestAuthenticator(config.auth_secret)
-        self.shard_map = ShardMap(config.shard_ids,
-                                  replicas=config.replicas)
-        self.assignment = self.shard_map.assign(
-            config.switch_names, load_factor=config.load_factor)
+        self.shard_map = ShardMap(config.shard_ids)
+        self.assignment = self.shard_map.assign(config.switch_names)
         self._owner: Dict[str, str] = {
             switch: shard for shard, switches in self.assignment.items()
             for switch in switches
@@ -173,7 +146,6 @@ class ControllerService:
                 max_in_flight=config.max_in_flight,
                 issue_window=config.issue_window,
                 queue_depth=config.queue_depth,
-                step_s=config.step_s,
                 state_dir=config.shard_state_dir(shard_id),
                 fsync=config.fsync,
                 snapshot_every=config.snapshot_every,
@@ -183,14 +155,6 @@ class ControllerService:
         }
         self._registers = {name: (width, size)
                            for name, width, size in config.registers}
-        self._region_switches: Dict[str, List[str]] = {
-            region_id: [] for region_id in config.region_ids}
-        for switch in config.switch_names:
-            self._region_switches[config.region_of(switch)].append(switch)
-        self._region_rollovers: Dict[str, int] = {
-            region_id: 0 for region_id in config.region_ids}
-        self._region_last_rollover_s: Dict[str, Optional[float]] = {
-            region_id: None for region_id in config.region_ids}
         self._started_monotonic: Optional[float] = None
         self._stopping = False
         self._routes = {
@@ -211,19 +175,11 @@ class ControllerService:
 
     async def start(self) -> None:
         """Build and bootstrap every shard, then start their workers."""
-        started = time.monotonic()
         for worker in self.workers.values():
             await worker.start()
             # Let the loop breathe between (synchronous) shard builds.
             await asyncio.sleep(0)
         self._started_monotonic = time.monotonic()
-        # Regions share the shard pool, so every region's keys converge
-        # when the last shard comes up; record that per region with the
-        # same metric names the lockstep RegionalKeyAuthority emits.
-        bootstrap_wall = self._started_monotonic - started
-        for region_id in self.config.region_ids:
-            observe_region_round(self.telemetry.metrics, region_id,
-                                 "bootstrap", bootstrap_wall)
 
     async def stop(self) -> None:
         """Graceful drain: refuse new work, finish what's queued."""
@@ -282,35 +238,14 @@ class ControllerService:
                 f"stack {self.config.stack!r} has no key management")
         targets = [switch] if switch is not None \
             else list(self.config.switch_names)
-        # Submit everything first (per-shard FIFO order is the target
-        # order), then settle region by region so each region's rollover
-        # convergence can be timed and exported under its own label.
-        futures = {name: self._submit(ShardOp("rollover", name))
-                   for name in targets}
-        by_region: Dict[str, List[str]] = {}
-        for name in targets:
-            by_region.setdefault(self.config.region_of(name), []).append(name)
-
-        async def settle_region(region_id: str, names: List[str]):
-            started = time.monotonic()
-            outcomes = await asyncio.gather(*(futures[name]
-                                              for name in names))
-            wall = time.monotonic() - started
-            self._region_rollovers[region_id] += 1
-            self._region_last_rollover_s[region_id] = wall
-            observe_region_round(self.telemetry.metrics, region_id,
-                                 "rollover", wall)
-            return dict(zip(names, outcomes))
-
-        settled = await asyncio.gather(
-            *(settle_region(region_id, names)
-              for region_id, names in sorted(by_region.items())))
-        merged: Dict[str, Tuple[bool, int]] = {}
-        for group in settled:
-            merged.update(group)
+        # Submit everything first: per-shard FIFO order is the target
+        # order.
+        futures = [self._submit(ShardOp("rollover", name))
+                   for name in targets]
+        outcomes = await asyncio.gather(*futures)
         return {
-            name: {"ok": merged[name][0], "key_version": merged[name][1]}
-            for name in targets
+            name: {"ok": ok, "key_version": version}
+            for name, (ok, version) in zip(targets, outcomes)
         }
 
     def status(self) -> Dict[str, object]:
@@ -320,7 +255,6 @@ class ControllerService:
             "stack": self.config.stack,
             "switches": self.config.m,
             "shards": self.config.shards,
-            "regions": self.config.regions,
             "submitted": sum(s["submitted"] for s in shards),
             "completed": sum(s["completed"] for s in shards),
             "failed": sum(s["failed"] for s in shards),
@@ -332,13 +266,7 @@ class ControllerService:
             "uptime_s": (time.monotonic() - self._started_monotonic
                          if self._started_monotonic is not None else 0.0),
         }
-        regions = [{
-            "region": region_id,
-            "switches": len(self._region_switches[region_id]),
-            "rollovers": self._region_rollovers[region_id],
-            "last_rollover_wall_s": self._region_last_rollover_s[region_id],
-        } for region_id in self.config.region_ids]
-        return {"fleet": fleet, "shards": shards, "regions": regions}
+        return {"fleet": fleet, "shards": shards}
 
     def metrics_text(self) -> str:
         """The service registry in Prometheus text format."""

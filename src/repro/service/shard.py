@@ -65,6 +65,9 @@ SERVICE_LATENCY_BUCKETS: Tuple[float, ...] = (
 #: Virtual-time window for the parallel key bootstrap at build time.
 BOOTSTRAP_DEADLINE_S = 10.0
 
+#: Virtual seconds each worker step advances a busy shard's clock.
+STEP_S = 0.002
+
 OP_KINDS = ("read", "write", "rollover")
 
 
@@ -164,14 +167,10 @@ class ShardWorker:
                  registers: Sequence[Tuple[str, int, int]] =
                  (("target", 64, 16),),
                  max_in_flight: int = 8, issue_window: int = 32,
-                 queue_depth: int = 1024, step_s: float = 0.002,
+                 queue_depth: int = 1024,
                  state_dir: Optional[str] = None, fsync: str = "batch",
                  snapshot_every: Optional[int] = 256,
                  metrics=None):
-        if issue_window < 1:
-            raise ValueError("issue_window must be >= 1")
-        if queue_depth < 1:
-            raise ValueError("queue_depth must be >= 1")
         self.shard_id = shard_id
         self.switches = tuple(switches)
         self.stack_name = stack_name
@@ -180,7 +179,6 @@ class ShardWorker:
         self.max_in_flight = max_in_flight
         self.issue_window = issue_window
         self.queue_depth = queue_depth
-        self.step_s = step_s
         #: Durable-state directory (P4Auth only; None: in-memory shard).
         self.state_dir = state_dir
         self.fsync = fsync
@@ -373,7 +371,7 @@ class ShardWorker:
                     # Advance the shard's virtual clock one step;
                     # completion callbacks fire inside run() and refill
                     # the window.
-                    self.sim.run(until=self.sim.now + self.step_s)
+                    self.sim.run(until=self.sim.now + STEP_S)
                 # Yield so clients observe resolved futures and enqueue
                 # follow-up work before the next step.
                 await asyncio.sleep(0)
@@ -500,6 +498,7 @@ __all__ = [
     "BOOTSTRAP_DEADLINE_S",
     "OP_KINDS",
     "SERVICE_LATENCY_BUCKETS",
+    "STEP_S",
     "ShardOp",
     "ShardOverload",
     "ShardStats",

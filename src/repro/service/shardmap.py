@@ -29,7 +29,7 @@ from typing import Dict, List, Sequence
 
 #: Virtual nodes per shard on the ring.  More points = smoother raw
 #: distribution before the bounded-load pass.
-DEFAULT_REPLICAS = 160
+REPLICAS = 160
 
 #: Default bounded-load factor: no shard owns more than 1.15x its fair
 #: share of the fleet.
@@ -45,20 +45,16 @@ def _hash_token(token: str) -> int:
 class ShardMap:
     """Consistent-hash ring mapping switch names to shard ids."""
 
-    def __init__(self, shard_ids: Sequence[str],
-                 replicas: int = DEFAULT_REPLICAS):
+    def __init__(self, shard_ids: Sequence[str]):
         if not shard_ids:
             raise ValueError("need at least one shard")
         if len(set(shard_ids)) != len(shard_ids):
             raise ValueError(f"duplicate shard ids in {list(shard_ids)}")
-        if replicas < 1:
-            raise ValueError("replicas must be >= 1")
         self.shard_ids = tuple(shard_ids)
-        self.replicas = replicas
         ring = sorted(
             (_hash_token(f"{shard}#{replica}"), shard)
             for shard in shard_ids
-            for replica in range(replicas)
+            for replica in range(REPLICAS)
         )
         self._points: List[int] = [point for point, _ in ring]
         self._ring_owners: List[str] = [owner for _, owner in ring]
@@ -123,8 +119,7 @@ class ShardMap:
                    if owner_before.get(sw) != shard)
 
     def __repr__(self) -> str:
-        return (f"ShardMap(shards={len(self.shard_ids)}, "
-                f"replicas={self.replicas})")
+        return f"ShardMap(shards={len(self.shard_ids)})"
 
 
-__all__ = ["DEFAULT_LOAD_FACTOR", "DEFAULT_REPLICAS", "ShardMap"]
+__all__ = ["DEFAULT_LOAD_FACTOR", "REPLICAS", "ShardMap"]

@@ -25,7 +25,7 @@ Trace-event vocabulary (see DESIGN.md "Observability"):
 ``sim.budget_exhausted``, and the ``fault.*`` family emitted by
 :mod:`repro.faults` (``fault.armed``,
 ``fault.disarmed``, ``fault.injected``, ``fault.node_crash``,
-``fault.node_restart``, ``fault.blackout``, ``fault.clock_skew``).
+``fault.node_restart``, ``fault.blackout``).
 """
 
 from __future__ import annotations
@@ -70,12 +70,11 @@ class Telemetry:
 
     __slots__ = ("enabled", "metrics", "tracer")
 
-    def __init__(self, enabled: bool = True, trace_capacity: int = 65536,
+    def __init__(self, enabled: bool = True,
                  clock: Optional[Callable[[], float]] = None):
         self.enabled = enabled
         self.metrics = MetricRegistry(enabled=enabled)
-        self.tracer = (Tracer(clock=clock, capacity=trace_capacity)
-                       if enabled else NullTracer())
+        self.tracer = Tracer(clock=clock) if enabled else NullTracer()
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
         """Stamp future trace events with this time source."""

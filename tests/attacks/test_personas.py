@@ -19,7 +19,6 @@ from repro.attacks.personas import (
 from repro.core.auth_dataplane import P4AuthDataplane
 from repro.core.controller import P4AuthController
 from repro.dataplane.switch import DataplaneSwitch
-from repro.faults.plan import FaultPlan
 from repro.net.network import Network
 from repro.net.simulator import EventSimulator
 
@@ -198,16 +197,3 @@ class TestGroundTruth:
     def test_no_forged_write_ever_lands(self, kind):
         _frames, _outcome, forged = _recorded_run(kind, seed=11)
         assert forged == []
-
-
-class TestFaultPlanIntegration:
-    def test_plan_carries_and_validates_personas(self):
-        plan = FaultPlan(seed=3, personas=[
-            PersonaSpec(kind="dos-flooder", rate_hz=100.0)])
-        plan.validate()
-        assert plan.fault_count() == 1
-
-    def test_plan_rejects_bad_persona(self):
-        plan = FaultPlan(seed=3, personas=[PersonaSpec(kind="bogus")])
-        with pytest.raises(ValueError):
-            plan.validate()

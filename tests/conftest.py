@@ -21,8 +21,9 @@ class Deployment:
     """One controller + N switches, fully keyed and ready."""
 
     def __init__(self, num_switches=1, num_ports=4, connect_pairs=(),
-                 protected_headers=(), bootstrap=True, registers=()):
-        self.sim = EventSimulator()
+                 protected_headers=(), bootstrap=True, registers=(),
+                 telemetry=None):
+        self.sim = EventSimulator(telemetry=telemetry)
         self.net = Network(self.sim)
         self.dataplanes = {}
         for index in range(1, num_switches + 1):

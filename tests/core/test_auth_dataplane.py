@@ -163,7 +163,7 @@ class TestReplayDefense:
 
 class TestStrictCpu:
     def test_unauthenticated_reg_op_dropped(self):
-        switch, dataplane = make_dataplane(strict_cpu=True)
+        switch, dataplane = make_dataplane()
         from repro.core.constants import REG_OP_HEADER
         raw = Packet()
         raw.push("reg_op", REG_OP_HEADER.instantiate(
@@ -174,7 +174,7 @@ class TestStrictCpu:
         assert dataplane.stats.unauthenticated_dropped == 1
 
     def test_non_regop_cpu_traffic_passes(self):
-        switch, dataplane = make_dataplane(strict_cpu=True)
+        switch, dataplane = make_dataplane()
         actions = switch.process(Packet(), 0)
         assert not any(isinstance(a, Drop) for a in actions)
 

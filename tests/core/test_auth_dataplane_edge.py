@@ -140,19 +140,6 @@ class TestAlertSigningFallback:
         assert controller.stats.tampered_responses == 0
 
 
-class TestStrictCpuOff:
-    def test_raw_reg_op_passes_when_not_strict(self):
-        switch, dataplane = keyed_dataplane(strict_cpu=False)
-        from repro.core.constants import REG_OP_HEADER
-        raw = Packet()
-        raw.push("reg_op", REG_OP_HEADER.instantiate(regId=1, index=0,
-                                                     value=9))
-        actions = switch.process(raw, 0)
-        # Not dropped by P4Auth (though nothing serves it either).
-        assert not any(isinstance(a, Drop) for a in actions)
-        assert dataplane.stats.unauthenticated_dropped == 0
-
-
 class TestCrc32Flavor:
     """The Tofino deployment: CRC32 digests end to end."""
 

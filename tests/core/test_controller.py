@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.constants import AlertCode
+from repro.telemetry import Telemetry
 from tests.conftest import Deployment
 
 
@@ -19,14 +20,15 @@ def test_read_write_roundtrip(single_switch):
     assert dep.controller.stats.acks_received == 2
 
 
-def test_rct_samples_recorded(single_switch):
-    dep = single_switch
+def test_rct_samples_recorded():
+    dep = Deployment(num_switches=1, registers=[("demo", 64, 16)],
+                     telemetry=Telemetry())
     dep.controller.read_register("s1", "demo", 0)
     dep.run(1.0)
-    samples = dep.controller.stats.rct_samples
-    assert len(samples) == 1
-    assert samples[0].kind == "read"
-    assert 0 < samples[0].rct_s < 0.01
+    rct = dep.sim.telemetry.metrics.get("runtime_rct_seconds",
+                                        stack="P4Auth", kind="read")
+    assert rct.count == 1
+    assert 0 < rct.sum < 0.01
 
 
 def test_unknown_register_raises(single_switch):

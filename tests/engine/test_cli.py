@@ -129,6 +129,19 @@ class TestRun:
         assert "with_p4auth" in captured.err  # the valid parameters
         assert not os.listdir(tmp_path)
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_run_bad_workers_is_one_line_and_exit_2_before_any_trial(
+            self, tmp_path, capsys, workers):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "fig21", "--short", "--workers", workers,
+                  "--out-dir", str(tmp_path)])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"--workers {workers}: workers must be >= 1"]
+        assert not os.listdir(tmp_path)
+
     def test_run_trace_dir_executes_despite_warm_cache(self, tmp_path,
                                                        capsys):
         cache_dir = str(tmp_path / "cache")

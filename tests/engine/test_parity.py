@@ -7,7 +7,13 @@ Every comparison canonicalizes both sides through the same
 the headline numbers — fails loudly.
 """
 
-from repro.engine import canonical_json, run_experiment, to_jsonable
+from repro.engine import (
+    TrialContext,
+    canonical_json,
+    get_spec,
+    run_experiment,
+    to_jsonable,
+)
 
 
 def _canon(value) -> str:
@@ -68,19 +74,32 @@ class TestSpecLegacyParity:
             assert _canon(trial.result) == _canon(legacy)
 
     def test_chaos_spec_matches_scenario_runner(self):
-        """The engine hands a chaos trial exactly the spec's defaults and
-        the plan its ``fault_plan`` hook derives from them: calling the
-        trial function with those by hand gives the same report."""
-        from repro.engine import TrialContext, get_spec
-        spec = get_spec("kmp-blackout")
-        params = {"scenario": "kmp-blackout", "seed": 1, "duration_s": 1.5}
-        direct = spec.trial(TrialContext(
-            params=params, seed=1, fault_plan=spec.fault_plan(params, 1)))
-        run = run_experiment("kmp-blackout")
-        assert run.trials[0].params == params
-        assert _canon(run.only()) == _canon(direct)
-        assert sorted(direct) == ["invariants", "metrics", "passed",
-                                  "scenario", "seed"]
+        """The engine hands a chaos trial exactly the spec's defaults;
+        the trial derives its own fault plan from them, so calling the
+        trial function with ``TrialContext(params, seed)`` by hand gives
+        the same report."""
+        for name, duration_s in (("kmp-blackout", 1.5),
+                                 ("crash-restart", 1.0)):
+            params = {"scenario": name, "seed": 1,
+                      "duration_s": duration_s}
+            direct = get_spec(name).trial(TrialContext(dict(params), 1))
+            run = run_experiment(name)
+            assert run.trials[0].params == params
+            assert _canon(run.only()) == _canon(direct)
+            assert sorted(direct) == ["invariants", "metrics", "passed",
+                                      "scenario", "seed"]
+
+    def test_persona_matrix_cell_matches_a_hand_built_context(self):
+        """A persona cell builds its PersonaSpec from its own params."""
+        params = {"persona": "dos-flooder", "system": "routescout",
+                  "attack_rate_hz": 400.0}
+        run = run_experiment(
+            "persona_matrix", short=True,
+            sweep={key: [value] for key, value in params.items()})
+        (trial,) = run.trials
+        direct = get_spec("persona_matrix").trial(
+            TrialContext(dict(trial.params), trial.seed))
+        assert _canon(trial.result) == _canon(direct)
 
 
 class TestDeterminism:

@@ -50,15 +50,6 @@ class TestSpecRegistration:
         rates = {p.params["attack_rate_hz"] for p in plans}
         assert len(rates) == 2  # below and above the DoS alert threshold
 
-    def test_fault_plan_hook_declares_one_persona(self):
-        spec = get_spec("persona_matrix")
-        plan = spec.fault_plan(
-            {"persona": "dos-flooder", "attack_rate_hz": 100.0}, seed=3)
-        plan.validate()
-        assert len(plan.personas) == 1
-        assert plan.personas[0].kind == "dos-flooder"
-        assert plan.personas[0].seed == 3
-
 
 class TestTrialInvariants:
     @pytest.mark.parametrize("kind", PERSONA_KINDS)

@@ -7,7 +7,6 @@ from repro.dataplane.headers import HeaderType
 from repro.dataplane.packet import Packet
 from repro.faults import (
     ChannelBlackout,
-    ClockSkewFault,
     FaultInjector,
     FaultPlan,
     LinkFault,
@@ -216,17 +215,6 @@ class TestNodeFaults:
         assert dep.net.nodes["s1"].up
         assert restarted == ["s1"]
         assert injector.stats.count("restart") == 1
-
-    def test_clock_skew_applied_at_its_start_time(self):
-        dep = Deployment(num_switches=1, bootstrap=False)
-        plan = FaultPlan(clock_skews=[
-            ClockSkewFault("s1", skew_s=2e-3, at_s=0.5)])
-        injector = FaultInjector(dep.net, plan).arm()
-        dep.sim.run(until=0.4)
-        assert dep.net.nodes["s1"].clock_skew_s == 0.0
-        dep.sim.run(until=0.6)
-        assert dep.net.nodes["s1"].clock_skew_s == 2e-3
-        assert injector.stats.count("clock_skew") == 1
 
 
 class TestBlackout:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.faults import (
     ChannelBlackout,
-    ClockSkewFault,
     FaultPlan,
     LinkFault,
     NodeFault,
@@ -68,17 +67,12 @@ class TestOtherFaultValidation:
         with pytest.raises(ValueError, match="direction"):
             ChannelBlackout("s1", 0.0, 1.0, direction="a->b").validate()
 
-    def test_clock_skew_negative_start(self):
-        with pytest.raises(ValueError, match="at_s"):
-            ClockSkewFault("s1", skew_s=0.1, at_s=-1.0).validate()
-
     def test_plan_validates_all_members(self):
         plan = FaultPlan(link_faults=[LinkFault("drop", probability=0.1)],
                          node_faults=[NodeFault("s1", crash_at_s=0.5)],
-                         blackouts=[ChannelBlackout("s1", 0.1, 0.2)],
-                         clock_skews=[ClockSkewFault("s1", 1e-3)])
+                         blackouts=[ChannelBlackout("s1", 0.1, 0.2)])
         plan.validate()
-        assert plan.fault_count() == 4
+        assert plan.fault_count() == 3
         plan.link_faults.append(LinkFault("drop"))
         with pytest.raises(ValueError):
             plan.validate()

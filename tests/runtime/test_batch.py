@@ -212,28 +212,6 @@ class TestRefusedWork:
         self._follow_up_completes(sim, batch, switch)
 
 
-class TestCoalescing:
-    def test_broadcast_write_reaches_every_switch(self):
-        sim, net, stack, switches = build_batch_deployment(
-            "P4Auth", m=6, degree=3, seed=3)
-        batch = BatchController(stack, max_in_flight=4)
-        results = []
-        batch.broadcast_write("target", 2, 0x77, list(switches),
-                              on_done=results.append)
-        sim.run(until=sim.now + 5.0)
-        assert len(results) == 1
-        assert results[0] == {name: True for name in switches}
-        for name in switches:
-            assert net.switch(name).registers.get("target").read(2) == 0x77
-
-    def test_broadcast_on_empty_switch_list_completes_immediately(self):
-        dep = _single_switch()
-        batch = BatchController(dep.controller, max_in_flight=2)
-        results = []
-        batch.broadcast_write("demo", 0, 1, [], on_done=results.append)
-        assert results == [{}]
-
-
 class TestAcrossStacks:
     @pytest.mark.parametrize("stack_name", STACKS)
     def test_batched_run_completes_on_every_stack(self, stack_name):

@@ -105,14 +105,6 @@ def record_wire(sim, net):
     return wire
 
 
-def rcts(stack):
-    """``(kind, rct_s, ok)`` per completed request, on any stack."""
-    stats = getattr(stack, "stats", None)
-    if stats is None:
-        return list(stack.rct_samples)
-    return [(s.kind, s.rct_s, s.ok) for s in stats.rct_samples]
-
-
 class StackConformance:
     """The request-lifecycle contract; subclasses bind one stack."""
 
@@ -129,8 +121,7 @@ class StackConformance:
         return getattr(stack, "stats", stack)
 
     def test_lost_request_abandoned_terminally(self):
-        sim, net, stack = self.deploy(request_timeout_s=0.01,
-                                      max_request_attempts=3)
+        sim, net, stack = self.deploy(request_timeout_s=0.01)
         eaten = drop_requests(net)
         outcomes = []
         stack.write_register("s1", "target", 0, 0x42,
@@ -209,26 +200,34 @@ class StackConformance:
         ops = [("write", 1, 0xA1), ("read", 1, 0), ("write", 2, 0xB2),
                ("read", 2, 0)]
 
+        def completions(sim, log):
+            return lambda ok, value: log.append((sim.now, ok, value))
+
         sim_a, net_a, stack_a = self.deploy()
         wire_a = record_wire(sim_a, net_a)
+        done_a = []
         seqs_a = stack_a.request_many("s1", [
-            (kind, "target", index, value, None)
+            (kind, "target", index, value, completions(sim_a, done_a))
             for kind, index, value in ops])
         sim_a.run(until=sim_a.now + 2.0)
 
         sim_b, net_b, stack_b = self.deploy()
         wire_b = record_wire(sim_b, net_b)
+        done_b = []
         seqs_b = [
-            stack_b.read_register("s1", "target", index) if kind == "read"
-            else stack_b.write_register("s1", "target", index, value)
+            stack_b.read_register("s1", "target", index,
+                                  completions(sim_b, done_b))
+            if kind == "read"
+            else stack_b.write_register("s1", "target", index, value,
+                                        completions(sim_b, done_b))
             for kind, index, value in ops]
         sim_b.run(until=sim_b.now + 2.0)
 
         assert seqs_a == seqs_b
         assert len(wire_a) == 2 * len(ops)
         assert wire_a == wire_b
-        assert len(rcts(stack_a)) == len(ops)
-        assert rcts(stack_a) == rcts(stack_b)
+        assert len(done_a) == len(ops)
+        assert done_a == done_b
         assert stack_a.outstanding_count() == 0
 
 

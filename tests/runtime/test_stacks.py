@@ -8,10 +8,11 @@ from repro.net.simulator import EventSimulator
 from repro.runtime.harness import RunStats, run_sequential
 from repro.runtime.p4runtime import P4RuntimeStack
 from repro.runtime.plain import PlainController, PlainRegOpDataplane
+from repro.telemetry import Telemetry
 
 
-def plain_deployment():
-    sim = EventSimulator()
+def plain_deployment(telemetry=None):
+    sim = EventSimulator(telemetry=telemetry)
     net = Network(sim)
     switch = DataplaneSwitch("s1", num_ports=2)
     net.add_switch(switch)
@@ -57,11 +58,13 @@ class TestPlainStack:
         assert controller.nacks == 1
 
     def test_rct_samples(self):
-        sim, net, switch, controller = plain_deployment()
+        sim, net, switch, controller = plain_deployment(Telemetry())
         controller.read_register("s1", "target", 0)
         sim.run(until=1.0)
-        kind, rct, ok = controller.rct_samples[0]
-        assert kind == "read" and ok and 0 < rct < 0.01
+        rct = sim.telemetry.metrics.get("runtime_rct_seconds",
+                                        stack="DP-Reg-RW", kind="read")
+        assert controller.acks == 1
+        assert rct.count == 1 and 0 < rct.sum < 0.01
 
 
 class TestP4RuntimeStack:

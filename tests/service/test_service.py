@@ -284,8 +284,41 @@ class TestServeCli:
                           "--stack", "DP-Reg-RW"]) == 0
         assert "rollover" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags", [
+        ["--issue-window", "0"],
+        ["--max-in-flight", "0"],
+        ["--queue-depth", "0"],
+        ["--shards", "5", "--m", "3"],
+        ["--snapshot-every", "-5"],
+    ])
+    def test_bad_setting_is_one_line_and_exit_2_before_any_shard(
+            self, capsys, monkeypatch, flags):
+        from repro.service import cli
+
+        def no_service(*_args, **_kwargs):
+            raise AssertionError("a service was built")
+
+        monkeypatch.setattr(cli, "ControllerService", no_service)
+        assert cli.cmd_serve(["--smoke", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("repro serve: ")
+
 
 class TestConfigValidation:
+    @pytest.mark.parametrize("setting", [
+        {"max_in_flight": 0},
+        {"issue_window": 0},
+        {"queue_depth": -1},
+        {"snapshot_every": 0},
+        {"snapshot_every": -5},
+    ])
+    def test_rejects_windows_below_one(self, setting):
+        (name,) = setting
+        with pytest.raises(ValueError, match=name):
+            FleetConfig(**setting)
+
     def test_rejects_unknown_stack(self):
         with pytest.raises(ValueError):
             FleetConfig(stack="OpenFlow")

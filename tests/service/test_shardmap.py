@@ -84,10 +84,6 @@ class TestErrors:
         with pytest.raises(ValueError):
             ShardMap(["a", "a"])
 
-    def test_rejects_bad_replicas(self):
-        with pytest.raises(ValueError):
-            ShardMap(["a"], replicas=0)
-
     def test_rejects_load_factor_below_one(self):
         with pytest.raises(ValueError):
             ShardMap(["a", "b"]).assign(SWITCHES_100, load_factor=0.9)
