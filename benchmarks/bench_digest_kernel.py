@@ -10,6 +10,10 @@ material:
 - **bit-identity**: kernel and spec-assembled digest agree on the tag;
 - **speed**: the kernel is >= 1.6x the spec-assembled digest (measured
   2.0-2.1x; a ratio, so it holds across hosts where an absolute would not).
+
+Both sides run all 66 bytes from the key schedule: the kernel is timed
+through ``digest_from_state`` with the midstate cache bypassed, so a warm
+``(key, hdrType, msgType)`` prefix cannot inflate the ratio.
 """
 
 from benchmarks.conftest import best_seconds_per_call
@@ -37,7 +41,8 @@ def test_digest_kernel_over_spec(report):
     kernel_us = _best_us(lambda: hasher.digest_from_state(state, MATERIAL))
     speedup = spec_us / kernel_us
     report(f"HalfSipHash-2-4, 66 B: spec-assembled {spec_us:.1f} us, "
-           f"kernel {kernel_us:.1f} us, {speedup:.2f}x "
+           f"kernel {kernel_us:.1f} us (midstate cache bypassed), "
+           f"{speedup:.2f}x "
            f"(acceptance floor: {SPEEDUP_FLOOR}x)")
     assert speedup >= SPEEDUP_FLOOR, (
         f"scalar kernel only {speedup:.2f}x the call-per-op form "

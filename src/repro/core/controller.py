@@ -45,6 +45,7 @@ from repro.net.network import Network
 
 #: Buckets for the signed-burst size histogram (requests per sign call).
 SIGN_BATCH_BUCKETS: Tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256)
+OUTSTANDING_THRESHOLD = 1000  # the §IV DoS heuristic's default budget
 
 
 @dataclass
@@ -90,7 +91,8 @@ class P4AuthController:
     """The logically centralized controller of the P4Auth deployment."""
 
     def __init__(self, network: Network, algorithm: str = "halfsiphash",
-                 seed: int = 0xC0FFEE, outstanding_threshold: int = 1000,
+                 seed: int = 0xC0FFEE,
+                 outstanding_threshold: int = OUTSTANDING_THRESHOLD,
                  encrypt_regops: bool = False,
                  request_timeout_s: Optional[float] = None,
                  digest_lane: str = "auto"):

@@ -25,7 +25,7 @@ accounting is untouched.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.core.constants import P4AUTH
 from repro.core.messages import digest_material
@@ -57,13 +57,6 @@ class DigestEngine:
         :mod:`repro.crypto.vectorized`), or ``"scalar"`` (never).
     """
 
-    #: Per-key schedule cache bound: two live versions per switch means a
-    #: controller serving hundreds of switches stays far below this; the
-    #: bound only guards against pathological key churn.  The bound
-    #: covers *every* lane — the vector lane reuses the same cache, so a
-    #: rolled master key auto-misses there too.
-    KEY_CACHE_MAX = 1024
-
     #: The ``"auto"`` lane crossover, measured on 64-byte C-DP material:
     #: two messages in one int are 1.7x two scalar digests, and a group
     #: of one is the scalar kernel with packing on top.
@@ -85,20 +78,9 @@ class DigestEngine:
                 raise ValueError(f"unknown algorithm {algorithm!r}")
             self.algorithm = algorithm
         else:
-            self._software = None
+            self._software = extern.compute_digest_bytes
             self.algorithm = extern.algorithm
         self.lane = lane
-        # Software fast path: HalfSipHash's initial state depends only on
-        # the key, so a batch of messages signed/verified under one
-        # (switch, key_ver) key reuses a cached schedule instead of
-        # re-deriving it per message.  Purely a host-CPU optimization —
-        # the tag is bit-identical and extern (data-plane) digests are
-        # untouched, so modeled hash-unit charges do not change.  Both
-        # lanes share this one cache: eviction and rollover auto-miss
-        # (the cache is keyed by master-key *value*) apply uniformly.
-        self._key_states: dict = {}
-        self.key_state_hits = 0
-        self.key_state_misses = 0
         self.computed = 0
         self.verified_ok = 0
         self.verified_fail = 0
@@ -122,18 +104,14 @@ class DigestEngine:
             return "vector"
         return "scalar"
 
-    def _schedule(self, key: int) -> Tuple[int, int, int, int]:
-        """The cached HalfSipHash key schedule for ``key`` (all lanes)."""
-        state = self._key_states.get(key)
-        if state is None:
-            self.key_state_misses += 1
-            state = self._halfsiphash.key_schedule(key)
-            if len(self._key_states) >= self.KEY_CACHE_MAX:
-                self._key_states.clear()
-            self._key_states[key] = state
-        else:
-            self.key_state_hits += 1
-        return state
+    @property
+    def key_state_hits(self) -> int:
+        """Midstate cache hits of the software HalfSipHash (both lanes)."""
+        return self._halfsiphash.hits if self._halfsiphash else 0
+
+    @property
+    def key_state_misses(self) -> int:
+        return self._halfsiphash.misses if self._halfsiphash else 0
 
     # ------------------------------------------------------------------
     # single-message path (unchanged semantics)
@@ -141,19 +119,12 @@ class DigestEngine:
 
     def compute(self, key: int, packet: Packet) -> int:
         """The digest value for ``packet`` under ``key`` (does not sign)."""
-        material = digest_material(packet)
         self.computed += 1
-        if self._extern is not None:
-            return self._extern.compute_digest_bytes(key, material)
-        if self._halfsiphash is not None:
-            return self._halfsiphash.digest_from_state(
-                self._schedule(key), material)
-        return self._software(key, material)
+        return self._software(key, digest_material(packet))
 
     def sign(self, key: int, packet: Packet) -> Packet:
         """Fill the packet's digest field in place and return it."""
-        digest = self.compute(key, packet)
-        packet.get(P4AUTH)["digest"] = digest
+        packet.get(P4AUTH)["digest"] = self.compute(key, packet)
         return packet
 
     def verify(self, key: int, packet: Packet) -> bool:
@@ -175,31 +146,20 @@ class DigestEngine:
 
         Bit-identical to ``[self.compute(key, p) for p in packets]`` —
         the lane only changes how many Python-interpreter round trips
-        the batch costs.  Extern engines always compute per-packet so
-        hash-unit invocation counts stay exactly the per-packet model.
-        """
+        the batch costs."""
         count = len(packets)
         if count == 0:
             return []
         self.computed += count
-        if self._extern is not None:
-            extern = self._extern
-            return [extern.compute_digest_bytes(key, digest_material(p))
-                    for p in packets]
         materials = [digest_material(p) for p in packets]
-        if self.lane_for(count) == "vector":
+        lane = self.lane_for(count)
+        if lane == "vector":
             self.vector_batches += 1
             self.vector_messages += count
-            return vectorized.digest_many_from_state(
-                [self._schedule(key)] * count, materials,
-                self._halfsiphash.compression_rounds,
-                self._halfsiphash.finalization_rounds)
-        self.scalar_batches += 1
-        self.scalar_messages += count
-        if self._halfsiphash is not None:
-            state = self._schedule(key)
-            digest_from_state = self._halfsiphash.digest_from_state
-            return [digest_from_state(state, m) for m in materials]
+            return vectorized.digest_many(key, materials, self._halfsiphash)
+        if lane == "scalar":
+            self.scalar_batches += 1
+            self.scalar_messages += count
         software = self._software
         return [software(key, m) for m in materials]
 

@@ -12,23 +12,37 @@ the *specification*: one round written exclusively in terms of the
 restricted ALU helpers in :mod:`repro.crypto.ops`, which is what the
 data-plane feasibility claim rests on; nothing in ``src/`` executes it, and
 ``tests/crypto`` assembles a whole digest from it.
-:meth:`HalfSipHash.digest_from_state` is what the host *executes*: the same
-round inlined as masked integer expressions, because a Python call per
+:meth:`HalfSipHash._rounds` is what the host *executes*: the same round
+inlined as masked integer expressions, because a Python call per
 32-bit ALU op (~650 per C-DP digest) was most of this repo's host time.
 The differential tests pin the two bit-for-bit for every ``(c, d)``.
 Round counts ``c`` and ``d`` are constructor constants — on the switch they
 are unrolled across pipeline stages, never looped at packet time.
+
+**Midstate.**  Eqn 4 material opens with the ``hdrType`` and ``msgType``
+words, 8 bytes each, so its first :data:`PREFIX` bytes (four blocks, 8 of
+a 64-byte message's 38 SipRounds) take few values per key.  :meth:`digest`
+caches the state after them, keyed by the key and every prefix byte, and
+runs only the rest.  The cache holds a pure function of (key, prefix),
+never a tag: a verifier still recomputes Eqn 4 over every byte, and a
+flipped prefix bit is another entry.  It clears at
+:attr:`HalfSipHash.KEY_CACHE_MAX`; shorter messages start from the key.
 """
 
 from __future__ import annotations
 
 from struct import unpack_from
-from typing import Iterable, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.crypto.ops import MASK32, add32, rotl32, xor32
 
 _V2_INIT = 0x6C796765
 _V3_INIT = 0x74656462
+
+#: Bytes in a cached midstate: Eqn 4's ``hdrType`` and ``msgType``.
+PREFIX = 16
+
+State = Tuple[int, int, int, int]
 
 
 def pack_words(words: Iterable[int], word_bits: int = 32) -> bytes:
@@ -55,11 +69,16 @@ class HalfSipHash:
         Number of SipRounds in finalization (``d``; default 4).
     """
 
+    #: Midstate cache bound: a guard against key churn, cleared at the cap.
+    KEY_CACHE_MAX = 1024
+
     def __init__(self, compression_rounds: int = 2, finalization_rounds: int = 4):
         if compression_rounds < 1 or finalization_rounds < 1:
             raise ValueError("round counts must be positive")
         self.compression_rounds = compression_rounds
         self.finalization_rounds = finalization_rounds
+        self._midstates: Dict[Tuple[int, bytes], State] = {}
+        self.hits = self.misses = 0
 
     @staticmethod
     def _sip_round(v0: int, v1: int, v2: int, v3: int) -> Tuple[int, int, int, int]:
@@ -79,14 +98,8 @@ class HalfSipHash:
         v2 = rotl32(v2, 16)
         return v0, v1, v2, v3
 
-    def key_schedule(self, key: int) -> Tuple[int, int, int, int]:
-        """Precompute the initial state words ``(v0, v1, v2, v3)`` for a key.
-
-        The schedule depends only on the key, so callers signing or
-        verifying many messages under one key (a pipelined batch of C-DP
-        requests) can compute it once and reuse it via
-        :meth:`digest_from_state` — same tag, fewer per-message XORs.
-        """
+    def key_schedule(self, key: int) -> State:
+        """The initial state words ``(v0, v1, v2, v3)`` for a key."""
         if not 0 <= key < (1 << 64):
             raise ValueError("key must be a 64-bit unsigned integer")
         k0 = key & MASK32
@@ -99,24 +112,47 @@ class HalfSipHash:
         ``key`` is a 64-bit integer; its low 32 bits form k0 and high 32
         bits form k1, matching the little-endian reference layout.
         """
-        return self.digest_from_state(self.key_schedule(key), message)
+        if len(message) < PREFIX:
+            return self.digest_from_state(self.key_schedule(key), message)
+        return self.digest_from_state(self.midstate(key, message), message,
+                                      PREFIX)
 
-    def digest_from_state(self, state: Tuple[int, int, int, int],
-                          message: bytes) -> int:
-        """Tag ``message`` starting from a precomputed key schedule.
+    def midstate(self, key: int, message: bytes) -> State:
+        """The cached state after ``message[:PREFIX]`` under ``key``."""
+        entry = (key, bytes(message[:PREFIX]))
+        state = self._midstates.get(entry)
+        if state is None:
+            self.misses += 1
+            if len(self._midstates) >= self.KEY_CACHE_MAX:
+                self._midstates.clear()
+            state = self._midstates[entry] = self._rounds(
+                self.key_schedule(key), unpack_from("<4I", entry[1]))
+        else:
+            self.hits += 1
+        return state
 
-        The body is :meth:`_sip_round` inlined (see the module docstring);
-        ``message`` may be any bytes-like object.
-        """
-        v0, v1, v2, v3 = state
+    def digest_from_state(self, state: State, message: bytes,
+                          start: int = 0) -> int:
+        """Tag ``message`` (any bytes-like) from ``state``, which has
+        absorbed its first ``start`` bytes: the key schedule at 0, a
+        :meth:`midstate` at :data:`PREFIX`."""
         length = len(message)
         nblocks = length >> 2
         # Final block: remaining bytes plus the length byte in the top lane.
         last = (int.from_bytes(message[nblocks << 2:], "little")
                 | (length & 0xFF) << 24)
+        _v0, v1, _v2, v3 = self._rounds(state, (
+            *unpack_from("<%dI" % (nblocks - (start >> 2)), message, start),
+            last, None))
+        return v1 ^ v3
+
+    def _rounds(self, state: State, blocks: Sequence[Optional[int]]) -> State:
+        """Absorb ``blocks`` into ``state``: :meth:`_sip_round` inlined, the
+        one round body every path runs.  ``None`` stands for finalization:
+        no message word, ``d`` rounds."""
+        v0, v1, v2, v3 = state
         rounds = range(self.compression_rounds)
-        # ``None`` stands for finalization: no message word, ``d`` rounds.
-        for block in (*unpack_from("<%dI" % nblocks, message), last, None):
+        for block in blocks:
             if block is None:
                 block, rounds = 0, range(self.finalization_rounds)
                 v2 ^= 0xFF
@@ -132,7 +168,7 @@ class HalfSipHash:
                 v1 = (v1 << 13 & MASK32 | v1 >> 19) ^ v2
                 v2 = v2 << 16 & MASK32 | v2 >> 16
             v0 ^= block
-        return v1 ^ v3
+        return v0, v1, v2, v3
 
     def digest_words(self, key: int, words: Iterable[int], word_bits: int = 32) -> int:
         """Digest an iterable of fixed-width unsigned words.

@@ -24,62 +24,71 @@ CRC-32 has no lane: a table gather has no integer-lane form, and
 
 from __future__ import annotations
 
+from functools import lru_cache
 from struct import Struct, unpack_from
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.crypto.crc import Crc32
-from repro.crypto.halfsiphash import HalfSipHash
-
-State = Tuple[int, int, int, int]
+from repro.crypto.halfsiphash import PREFIX, HalfSipHash, State
 
 # Default CRC engine: IEEE reflected CRC-32, the Tofino hash-unit flavor.
 _CRC_DEFAULT = Crc32()
 
+#: One long-lived hasher per ``(c, d)``, so its midstates outlive a call.
+_hasher = lru_cache(maxsize=None)(HalfSipHash)
+
 
 def digest_many(key: int, messages: Sequence[bytes],
-                compression_rounds: int = 2,
-                finalization_rounds: int = 4) -> List[int]:
+                hasher: Optional[HalfSipHash] = None) -> List[int]:
     """HalfSipHash tags for every message under one 64-bit ``key``.
 
-    Bit-identical to ``[HalfSipHash(c, d).digest(key, m) for m in
-    messages]``, computed lane-parallel.
+    Bit-identical to ``[hasher.digest(key, m) for m in messages]``
+    (default: a shared HalfSipHash-2-4), computed lane-parallel from
+    ``hasher``'s cached midstates.
     """
-    state = HalfSipHash().key_schedule(key)
-    return digest_many_from_state([state] * len(messages), messages,
-                                  compression_rounds, finalization_rounds)
+    hasher = hasher or _hasher(2, 4)
+    states = [hasher.midstate(key, m) if len(m) >= PREFIX
+              else hasher.key_schedule(key) for m in messages]
+    return digest_many_from_state(states, messages, hasher.compression_rounds,
+                                  hasher.finalization_rounds, PREFIX)
 
 
 def digest_many_from_state(states: Sequence[State],
                            messages: Sequence[bytes],
                            compression_rounds: int = 2,
-                           finalization_rounds: int = 4) -> List[int]:
-    """Tag ``messages[i]`` starting from key schedule ``states[i]``.
+                           finalization_rounds: int = 4,
+                           start: int = 0) -> List[int]:
+    """Tag ``messages[i]`` from ``states[i]``, which has absorbed its first
+    ``start`` bytes (a multiple of 4) wherever it is that long: the key
+    schedule at 0, a :meth:`~HalfSipHash.midstate` at :data:`PREFIX`.
 
     One state per lane: four packed state columns cost the same whether
     the lanes share a key or not.
     """
     if len(states) != len(messages):
         raise ValueError("one state per message")
-    hasher = HalfSipHash(compression_rounds, finalization_rounds)
+    hasher = _hasher(compression_rounds, finalization_rounds)
     groups: Dict[int, List[int]] = {}
     for position, message in enumerate(messages):
         groups.setdefault(len(message), []).append(position)
     out: List[int] = [0] * len(messages)
-    for positions in groups.values():
+    for length, positions in groups.items():
         tags = _digest_lanes(hasher, [states[p] for p in positions],
-                             [messages[p] for p in positions])
+                             [messages[p] for p in positions],
+                             start if length >= start else 0)
         for position, tag in zip(positions, tags):
             out[position] = tag
     return out
 
 
 def _digest_lanes(hasher: HalfSipHash, states: Sequence[State],
-                  messages: Sequence[bytes]) -> Sequence[int]:
-    """``hasher.digest_from_state`` over equal-length messages, every
-    lane in one ``int`` (layout in the module docstring)."""
+                  messages: Sequence[bytes], start: int) -> Sequence[int]:
+    """``hasher.digest_from_state(state, message, start)`` over
+    equal-length messages, every lane in one ``int`` (layout in the
+    module docstring)."""
     n = len(messages)
     if n == 1:  # one lane is the scalar kernel with packing on top
-        return [hasher.digest_from_state(states[0], messages[0])]
+        return [hasher.digest_from_state(states[0], messages[0], start)]
     lanes = Struct("<%dQ" % n)
 
     def packed(column) -> int:
@@ -90,14 +99,14 @@ def _digest_lanes(hasher: HalfSipHash, states: Sequence[State],
     v0, v1, v2, v3 = map(packed, zip(*states))
     length = len(messages[0])
     nblocks = length >> 2
-    blocks = "<%dI" % nblocks
+    blocks = "<%dI" % (nblocks - (start >> 2))
     # Final block: remaining bytes plus the length byte in the top lane.
     tail, top = nblocks << 2, (length & 0xFF) << 24
     last = packed([int.from_bytes(m[tail:], "little") | top
                    for m in messages])
     rounds = range(hasher.compression_rounds)
     # ``None`` stands for finalization: no message word, ``d`` rounds.
-    for block in (*map(packed, zip(*[unpack_from(blocks, m)
+    for block in (*map(packed, zip(*[unpack_from(blocks, m, start)
                                      for m in messages])), last, None):
         if block is None:
             block, rounds = 0, range(hasher.finalization_rounds)

@@ -25,11 +25,9 @@ class HashExtern:
 
     def __init__(self, algorithm: str = "halfsiphash"):
         if algorithm == "halfsiphash":
-            self._engine = HalfSipHash()
-            self._compute = self._engine.digest
+            self._compute = HalfSipHash().digest
         elif algorithm == "crc32":
-            crc = Crc32()
-            self._compute = crc.compute_keyed
+            self._compute = Crc32().compute_keyed
         else:
             raise ValueError(f"unknown hash algorithm {algorithm!r}")
         self.algorithm = algorithm

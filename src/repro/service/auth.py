@@ -54,13 +54,12 @@ class RequestAuthenticator:
         seed = int.from_bytes(
             hashlib.sha256(secret.encode("utf-8")).digest()[:8], "big")
         self._hash = HalfSipHash()
-        self._key_state = self._hash.key_schedule(
-            Kdf(prf=halfsiphash_prf).derive(seed, TOKEN_KEY_SALT))
+        self._key = Kdf(prf=halfsiphash_prf).derive(seed, TOKEN_KEY_SALT)
 
     def token(self, method: str, path: str, body: bytes = b"") -> str:
         """The hex token a client attaches to one request."""
-        tag = self._hash.digest_from_state(self._key_state, canonical_request(
-            method, path, body))
+        tag = self._hash.digest(self._key,
+                                canonical_request(method, path, body))
         return f"{tag:08x}"
 
     def verify(self, method: str, path: str, body: bytes,

@@ -36,6 +36,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.controller import OUTSTANDING_THRESHOLD
 from repro.store.journal import FSYNC_POLICIES
 from repro.runtime.comparison import STACKS
 from repro.service.auth import RequestAuthenticator, TOKEN_HEADER
@@ -90,6 +91,12 @@ class FleetConfig:
         for name in ("max_in_flight", "issue_window", "queue_depth"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.stack == "P4Auth" \
+                and self.issue_window * 2 > OUTSTANDING_THRESHOLD:
+            raise ValueError(
+                f"issue_window={self.issue_window} would crowd the "
+                f"outstanding-request DoS budget ({OUTSTANDING_THRESHOLD}); "
+                "add shards instead")
         if self.snapshot_every is not None and self.snapshot_every < 1:
             raise ValueError("snapshot_every must be None or >= 1")
         if self.fsync not in FSYNC_POLICIES:

@@ -39,7 +39,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.controller import P4AuthController
 from repro.core.requests import sample_window
 from repro.dataplane.switch import DataplaneSwitch
 from repro.net.network import Network
@@ -119,7 +118,6 @@ class ShardStats:
 
 def build_shard_stack(stack_name: str, switches: Sequence[str], seed: int,
                       registers: Sequence[Tuple[str, int, int]],
-                      issue_window: int, telemetry=None,
                       bootstrap: bool = True):
     """A fresh deployment of ``stack_name`` over the shard's switches.
 
@@ -134,7 +132,7 @@ def build_shard_stack(stack_name: str, switches: Sequence[str], seed: int,
     key material into both the controller and the (hardware-stand-in)
     dataplanes instead of negotiating fresh keys.
     """
-    sim = EventSimulator(telemetry=telemetry)
+    sim = EventSimulator()
     net = Network(sim)
     for offset, name in enumerate(switches):
         switch = DataplaneSwitch(name, num_ports=2, seed=seed + offset)
@@ -146,16 +144,6 @@ def build_shard_stack(stack_name: str, switches: Sequence[str], seed: int,
         k_seeds_from(0x1000 + seed, switches),
         BOOTSTRAP_DEADLINE_S if bootstrap else None,
         seed=0xC0FFEE ^ seed)
-    # The shard's issue window must stay far below the DoS heuristic's
-    # budget — tripping our own defense would be a self-inflicted
-    # outage.  Keep the default threshold and assert the window fits
-    # under it with room for KMP chatter.
-    if isinstance(stack, P4AuthController) \
-            and issue_window * 2 > stack.outstanding_threshold:
-        raise ValueError(
-            f"issue_window={issue_window} would crowd the "
-            f"outstanding-request DoS budget "
-            f"({stack.outstanding_threshold}); add shards instead")
     return sim, net, stack, dataplanes
 
 
@@ -256,7 +244,7 @@ class ShardWorker:
         warm = durable and store_exists(self.state_dir)
         self.sim, self.net, self.stack, self.dataplanes = build_shard_stack(
             self.stack_name, self.switches, self.seed, self.registers,
-            self.issue_window, bootstrap=not warm)
+            bootstrap=not warm)
         self.batch = BatchController(self.stack,
                                      max_in_flight=self.max_in_flight)
         if durable:

@@ -140,16 +140,16 @@ class StateRecorder:
     # ------------------------------------------------------------------
 
     def _on_key(self, switch: str, kind: str, key: int,
-                version: int) -> None:
+                version: int, durable: bool = True) -> None:
         entry = self.state.keys.get(switch)
         if kind == "local" and entry is not None and entry.has_local:
             self._append("key_rollover",
                          {"switch": switch, "key": key,
-                          "version": version}, durable=True)
+                          "version": version}, durable)
         else:
             self._append("key_install",
                          {"switch": switch, "kind": kind, "key": key,
-                          "version": version}, durable=True)
+                          "version": version}, durable)
 
     def _on_seq(self, switch: str, seq: int) -> None:
         unmasked = self._unmask(switch, seq)
@@ -211,7 +211,8 @@ class StateRecorder:
 
     def _journal_existing(self, controller,
                           shard_id: Optional[str]) -> None:
-        """Bring the journal up to date with pre-attach controller state."""
+        """Journal pre-attach controller state in one group commit: nothing
+        acts on it before :meth:`attach` returns."""
         keys = controller.keys
         for switch in keys.known_switches():
             try:
@@ -219,29 +220,29 @@ class StateRecorder:
             except KeyError:
                 seed = 0
             if seed:
-                self._on_key(switch, "seed", seed, 0)
+                self._on_key(switch, "seed", seed, 0, False)
             auth = keys.auth_key_or_zero(switch)
             if auth:
-                self._on_key(switch, "auth", auth, 0)
+                self._on_key(switch, "auth", auth, 0, False)
             if keys.has_local_key(switch):
                 slots, active = keys.local_key_slots(switch)
                 entry = KeyEntry(local_slots=slots, local_active=active)
                 for version, key in entry.local_installs():
-                    self._on_key(switch, "local", key, version)
+                    self._on_key(switch, "local", key, version, False)
         for switch, next_seq in sorted(controller._seq.items()):
             already = self._reserved.get(switch, 0)
             unmasked = self._unmask(switch, next_seq)
             if unmasked >= already:
                 horizon = unmasked + self.seq_stride
                 self._append("seq_advance",
-                             {"switch": switch, "horizon": horizon},
-                             durable=True)
+                             {"switch": switch, "horizon": horizon})
                 self._reserved[switch] = horizon
         if shard_id is not None:
             self._append("shard_map",
                          {"shard": shard_id,
-                          "switches": sorted(controller.dataplanes)},
-                         durable=True)
+                          "switches": sorted(controller.dataplanes)})
+        if self.journal.lag:
+            self.journal.sync()
 
 
 __all__ = ["DEFAULT_SEQ_STRIDE", "StateRecorder"]

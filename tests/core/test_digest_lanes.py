@@ -3,9 +3,9 @@
 The batch API (`compute_many`/`sign_many`/`verify_many`) must be a pure
 host-CPU optimization: same tags as the per-message path on every lane,
 same hash-unit invocation accounting on the extern path, and the same
-key-schedule cache rules — :attr:`DigestEngine.KEY_CACHE_MAX` eviction
+midstate cache rules — :attr:`HalfSipHash.KEY_CACHE_MAX` eviction
 and rollover auto-miss apply to the vector lane because both lanes
-share the one ``_key_states`` cache (the regression this file pins).
+share the engine hasher's one cache (the regression this file pins).
 """
 
 import pytest
@@ -156,7 +156,7 @@ def test_lane_counters_track_batches_and_messages():
 
 
 # ---------------------------------------------------------------------------
-# key-schedule cache: shared across lanes, bounded, rollover-correct
+# midstate cache: shared across lanes, bounded, rollover-correct
 # ---------------------------------------------------------------------------
 
 def test_vector_lane_uses_shared_schedule_cache():
@@ -172,12 +172,12 @@ def test_vector_lane_uses_shared_schedule_cache():
 def test_key_cache_eviction_applies_to_vector_lane():
     """Regression: KEY_CACHE_MAX must bound the cache no matter which
     lane populated it — churning keys through sign_many must not grow
-    ``_key_states`` past the cap."""
+    the cache past the cap."""
     engine = DigestEngine(lane="vector")
-    engine.KEY_CACHE_MAX = 8
+    engine._halfsiphash.KEY_CACHE_MAX = 8
     for key in range(1, 30):
         engine.sign_many(key, batch(2))
-        assert len(engine._key_states) <= 8
+        assert len(engine._halfsiphash._midstates) <= 8
     assert engine.key_state_misses == 29
 
 

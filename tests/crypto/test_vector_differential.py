@@ -83,8 +83,7 @@ def test_kat_corpus_digest_many(_lane):
         for vec in vecs:
             key = int.from_bytes(bytes.fromhex(vec["key"]), "little")
             tags = vectorized.digest_many(
-                key, [bytes.fromhex(vec["msg"])],
-                compression_rounds=c, finalization_rounds=d)
+                key, [bytes.fromhex(vec["msg"])], HalfSipHash(c, d))
             assert tags == [vec["tag"]], \
                 f"KAT mismatch c={c} d={d} key={vec['key']} msg={vec['msg']}"
 
@@ -101,7 +100,7 @@ def test_kat_corpus_as_one_batch(_lane):
         key = int.from_bytes(bytes.fromhex(key0), "little")
         tags = vectorized.digest_many(
             key, [bytes.fromhex(v["msg"]) for v in same_key],
-            compression_rounds=c, finalization_rounds=d)
+            HalfSipHash(c, d))
         assert tags == [v["tag"] for v in same_key]
 
 
@@ -169,9 +168,7 @@ def test_nondefault_rounds_match_scalar_class(_lane):
     engine = HalfSipHash(compression_rounds=1, finalization_rounds=3)
     key = rng.getrandbits(64)
     messages = _messages(rng, 64)
-    tags = vectorized.digest_many(key, messages,
-                                  compression_rounds=1,
-                                  finalization_rounds=3)
+    tags = vectorized.digest_many(key, messages, HalfSipHash(1, 3))
     assert tags == [engine.digest(key, m) for m in messages]
 
 

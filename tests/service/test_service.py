@@ -286,6 +286,7 @@ class TestServeCli:
 
     @pytest.mark.parametrize("flags", [
         ["--issue-window", "0"],
+        ["--issue-window", "4096"],
         ["--max-in-flight", "0"],
         ["--queue-depth", "0"],
         ["--shards", "5", "--m", "3"],
@@ -330,3 +331,9 @@ class TestConfigValidation:
     def test_rejects_empty_fleet(self):
         with pytest.raises(ValueError):
             FleetConfig(m=0)
+
+    def test_rejects_window_crowding_the_dos_budget(self):
+        with pytest.raises(ValueError, match="issue_window=4096"):
+            FleetConfig(issue_window=4096)
+        FleetConfig(issue_window=500)
+        FleetConfig(stack="DP-Reg-RW", issue_window=4096)  # no DoS budget

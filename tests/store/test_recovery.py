@@ -58,6 +58,46 @@ class TestStoreExists:
         journal.close()
 
 
+class TestAttachGroupCommit:
+    """Attach journals pre-existing keys and horizons in one group commit:
+    at most one fsync per shard, and the same records as the per-record
+    (``fsync="always"``) path."""
+
+    def attach(self, state_dir, controller, fsync):
+        from repro.telemetry.metrics import MetricRegistry
+        metrics = MetricRegistry()
+        journal, snapshots, _ = open_store(state_dir, fsync=fsync,
+                                           metrics=metrics, shard="s")
+        recorder = StateRecorder(journal, snapshots)
+        before = self.fsyncs(metrics)
+        recorder.attach(controller, shard_id="shard-0")
+        fsyncs = self.fsyncs(metrics) - before
+        records = [(r.lsn, r.type, r.data) for r in journal.records()]
+        lag = journal.lag
+        recorder.detach()
+        journal.close()
+        return fsyncs, records, lag
+
+    @staticmethod
+    def fsyncs(metrics) -> int:
+        histogram = metrics.get("store_fsync_seconds", shard="s")
+        return histogram.count if histogram else 0
+
+    def test_one_fsync_and_identical_records(self, tmp_path):
+        dep = Deployment(num_switches=4, registers=REGISTERS)
+        for index, switch in enumerate(dep.dataplanes):
+            assert write_ok(dep, dep.controller, switch, index, 7 + index)
+        grouped, records, lag = self.attach(str(tmp_path / "batch"),
+                                            dep.controller, "batch")
+        per_record, expected, _ = self.attach(str(tmp_path / "always"),
+                                              dep.controller, "always")
+        assert len(records) > len(dep.dataplanes)
+        assert records == expected
+        assert per_record == len(expected)
+        assert grouped <= 1
+        assert lag == 0  # durable before attach returned
+
+
 class TestWarmRestart:
     def crash(self, tmp_path, dep, recorder):
         recorder.journal.simulate_crash()
