@@ -11,35 +11,19 @@ Usage (via ``python -m repro verify``)::
 
 Exit codes: 0 — clean (warnings allowed); 1 — at least one
 ERROR-severity finding (or a failed self-test); 2 — unknown program
-name or bad usage.
+name (one stderr line, nothing built, nothing on stdout) or bad usage.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import sys
 from typing import List
 
-from repro.verify.findings import Finding, Report
-from repro.verify.registry import VerifyEntry, get_entry, program_names
-
-
-def analyze_entry(entry: VerifyEntry) -> List[Finding]:
-    """Run every applicable analyzer over one registry entry."""
-    from repro.verify.invariants import analyze_invariants
-    from repro.verify.live import analyze_live
-    from repro.verify.resources_lint import analyze_resources
-    from repro.verify.surface import analyze_surface
-    from repro.verify.taint import analyze_taint
-
-    program = entry.program()
-    findings: List[Finding] = []
-    findings.extend(analyze_taint(program))
-    findings.extend(analyze_resources(program))
-    findings.extend(analyze_invariants(program))
-    findings.extend(analyze_surface(program))
-    findings.extend(analyze_live(program, program.switch))
-    return findings
+from repro.verify import analyze
+from repro.verify.findings import Report
+from repro.verify.registry import build, program_names
 
 
 def _run_selftest(fmt: str) -> int:
@@ -89,16 +73,17 @@ def cmd_verify(argv: List[str]) -> int:
     if args.selftest:
         return _run_selftest(args.format)
 
-    names = args.programs if (args.programs and not args.all) \
-        else program_names()
+    known = program_names()
+    names = args.programs if (args.programs and not args.all) else known
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        print(f"repro verify: unknown program(s) "
+              f"{', '.join(map(repr, unknown))}; known: {', '.join(known)}",
+              file=sys.stderr)
+        return 2
     report = Report()
     for name in names:
-        try:
-            entry = get_entry(name)
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}")
-            return 2
-        report.extend(analyze_entry(entry))
+        report.extend(analyze(build(name)))
 
     if args.format == "json":
         print(report.render_json())
@@ -110,4 +95,4 @@ def cmd_verify(argv: List[str]) -> int:
     return 0 if report.ok else 1
 
 
-__all__ = ["analyze_entry", "cmd_verify"]
+__all__ = ["cmd_verify"]

@@ -1,9 +1,11 @@
 """Findings model for the static-analysis subsystem.
 
-Every analyzer (taint engine, resource linter, invariant checker, live
-exposure check) reports :class:`Finding` records: a stable rule id, a
-severity, the program and (where applicable) the stage/op location, and
-a human-readable message.  The CLI renders findings as text or JSON and
+Every analyzer (the information-flow pass, resource linter, invariant
+checker, live exposure check) reports :class:`Finding` records: a stable
+rule id, a severity, the program and (where applicable) the stage/op
+location, and a human-readable message.  TAINT* and SURF001 come from
+one pass, :mod:`repro.verify.flow`: the secrecy and integrity sides of
+one lattice.  The CLI renders findings as text or JSON and
 exits nonzero iff any ERROR-severity finding is present.
 
 Rule catalogue

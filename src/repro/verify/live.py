@@ -23,13 +23,13 @@ from repro.verify.ir import Program
 MAPPING_TABLE = "reg_id_to_name_mapping"
 
 
-def analyze_live(program: Program, switch) -> List[Finding]:
-    """Report internal/secret registers the live mapping table exposes."""
+def analyze_live(program: Program) -> List[Finding]:
+    """Report internal/secret registers ``program.switch`` maps."""
     findings: List[Finding] = []
-    table = switch.tables.get(MAPPING_TABLE)
+    table = program.switch.tables.get(MAPPING_TABLE)
     if table is None:
         return findings
-    id_map = switch.registers.id_map()
+    id_map = program.switch.registers.id_map()
     secret_names = set(program.secret_registers())
     for entry in table.entries():
         reg_id = entry.key[0]

@@ -4,17 +4,18 @@ A static analyzer that never fires is indistinguishable from one that is
 broken.  This module takes the *real* P4Auth program declaration and
 applies one deliberate violation at a time — a key-to-header leak, a
 budget-busting table, a missing default action, an un-keyed verification
-digest, and a smuggled secret mapping-table entry — then asserts that
-the corresponding analyzer
-reports the expected rule id.  ``repro verify --selftest`` runs the
-battery and fails if any mutant slips through.
+digest, and a smuggled secret mapping-table entry — then runs
+:func:`repro.verify.analyze` over it and checks that the expected rule
+id fires.  ``repro verify --selftest`` runs the battery and fails if any
+mutant slips through.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, List, Set
+from typing import Callable, List, Set, Tuple
 
+from repro.verify import analyze
 from repro.verify.ir import (
     EmitPacket,
     FieldRef,
@@ -28,7 +29,6 @@ from repro.verify.ir import (
     StageDecl,
     TableDecl,
 )
-from repro.verify.findings import Finding
 
 
 def _p4auth_program() -> Program:
@@ -105,21 +105,23 @@ def mutant_stripped_digest() -> Program:
     return program
 
 
-def _smuggled_mapping_switch():
-    """Take p4auth's switch, then map a secret register behind the guard.
+def mutant_smuggled_mapping() -> Program:
+    """Map a secret register behind the install guard's back (LIVE002).
 
     ``map_register`` refuses ``p4auth_*`` names, so this installs the
-    mapping-table entry directly — exactly the back door LIVE002 exists
-    to catch.
+    mapping-table entry on the program's own switch directly — exactly
+    the back door LIVE002 exists to catch.
     """
     from repro.dataplane.tables import TableEntry
 
-    switch = _p4auth_program().switch
+    program = _p4auth_program()
+    program.name = "p4auth+smuggled_mapping"
+    switch = program.switch
     reg_id = switch.registers.id_of("p4auth_kauth")
     mapping = switch.tables["reg_id_to_name_mapping"]
     mapping.register_action("mut_kauth_read", lambda: None)
     mapping.insert(TableEntry(key=(reg_id, 1), action="mut_kauth_read"))
-    return switch
+    return program
 
 
 # --------------------------------------------------------------------------
@@ -135,44 +137,22 @@ class MutantResult:
     rules_fired: Set[str]
 
 
-def _static_rules(program: Program) -> Set[str]:
-    from repro.verify.invariants import analyze_invariants
-    from repro.verify.resources_lint import analyze_resources
-    from repro.verify.surface import analyze_surface
-    from repro.verify.taint import analyze_taint
-
-    findings: List[Finding] = []
-    findings.extend(analyze_taint(program))
-    findings.extend(analyze_resources(program))
-    findings.extend(analyze_invariants(program))
-    findings.extend(analyze_surface(program))
-    return {f.rule for f in findings}
-
-
-def _live_rules() -> Set[str]:
-    from repro.verify.live import analyze_live
-
-    switch = _smuggled_mapping_switch()
-    return {f.rule for f in analyze_live(_p4auth_program(), switch)}
-
-
-_STATIC_MUTANTS: List = [
+#: (name, the rule that must fire, factory)
+_MUTANTS: List[Tuple[str, str, Callable[[], Program]]] = [
     ("key_leak", "TAINT001", mutant_key_leak),
     ("budget_bust", "RES001", mutant_budget_bust),
     ("missing_default", "INV001", mutant_missing_default),
     ("stripped_digest", "SURF001", mutant_stripped_digest),
+    ("smuggled_mapping", "LIVE002", mutant_smuggled_mapping),
 ]
 
 
 def run_selftest() -> List[MutantResult]:
     """Run every mutant; each result records whether it was caught."""
     results: List[MutantResult] = []
-    for name, rule, factory in _STATIC_MUTANTS:
-        fired = _static_rules(factory())
+    for name, rule, factory in _MUTANTS:
+        fired = {f.rule for f in analyze(factory())}
         results.append(MutantResult(name, rule, rule in fired, fired))
-    live_fired = _live_rules()
-    results.append(MutantResult(
-        "smuggled_mapping", "LIVE002", "LIVE002" in live_fired, live_fired))
     return results
 
 
@@ -185,6 +165,7 @@ __all__ = [
     "mutant_budget_bust",
     "mutant_key_leak",
     "mutant_missing_default",
+    "mutant_smuggled_mapping",
     "mutant_stripped_digest",
     "run_selftest",
     "selftest_ok",

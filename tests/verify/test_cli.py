@@ -1,13 +1,17 @@
 """The ``repro verify`` CLI: exit codes, formats, registry coverage."""
 
 import json
+import pathlib
 
 import pytest
 
 import repro.verify.cli as cli
 from repro.__main__ import main
+from repro.verify import Program, analyze
 from repro.verify.findings import make_finding
-from repro.verify.registry import all_entries, get_entry, program_names
+from repro.verify.registry import build, program_names
+
+GOLDEN_ALL = pathlib.Path(__file__).parent / "golden" / "verify_all.json"
 
 EXPECTED_PROGRAMS = {
     "l3fwd", "hula", "routescout", "blink", "silkroad", "netcache",
@@ -40,32 +44,32 @@ class TestRegistry:
 
     def test_unknown_name_raises_keyerror(self):
         with pytest.raises(KeyError):
-            get_entry("bmv2")
+            build("bmv2")
 
     def test_every_entry_builds_a_program(self):
-        for entry in all_entries():
-            program = entry.program()
-            assert program.name == entry.name
-            assert program.stages, f"{entry.name} declares no stages"
+        for name in program_names():
+            program = build(name)
+            assert program.name == name
+            assert program.stages, f"{name} declares no stages"
 
 
 class TestVerifyAll:
     def test_every_registered_program_is_error_free(self):
-        for entry in all_entries():
-            findings = cli.analyze_entry(entry)
+        for name in program_names():
+            findings = analyze(build(name))
             errors = [f for f in findings if f.severity.name == "ERROR"]
             assert errors == [], (
-                f"{entry.name}: " + "; ".join(f.render() for f in errors))
+                f"{name}: " + "; ".join(f.render() for f in errors))
 
     def test_surface_findings_pin_the_persona_surface(self):
-        for entry in all_entries():
-            findings = cli.analyze_entry(entry)
+        for name in program_names():
+            findings = analyze(build(name))
             surface = {f.subject for f in findings if f.rule == "SURF001"}
-            assert surface == EXPECTED_SURFACE[entry.name], (
-                f"{entry.name}: persona surface changed")
+            assert surface == EXPECTED_SURFACE[name], (
+                f"{name}: persona surface changed")
             others = [f for f in findings if f.rule != "SURF001"]
             assert others == [], (
-                f"{entry.name}: " + "; ".join(f.render() for f in others))
+                f"{name}: " + "; ".join(f.render() for f in others))
 
     def test_cli_all_exits_zero(self, capsys):
         assert main(["verify", "--all"]) == 0
@@ -89,25 +93,44 @@ class TestVerifyAll:
         assert [f["rule"] for f in doc["findings"]] == ["SURF001"]
         assert doc["findings"][0]["subject"] == "flow_stats"
 
+    def test_cli_all_json_matches_golden(self, capsys):
+        assert main(["verify", "--all", "--format", "json"]) == 0
+        assert capsys.readouterr().out == GOLDEN_ALL.read_text()
+
 
 class TestExitCodes:
     def test_unknown_program_exits_2(self, capsys):
         assert main(["verify", "nosuch"]) == 2
-        assert "unknown program" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "unknown program" in captured.err
+        assert captured.out == ""
+
+    def test_unknown_program_builds_nothing_and_prints_no_json(
+            self, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "build", built.append)
+        assert main(["verify", "p4auth", "nosuch", "--format", "json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "'nosuch'" in captured.err and "p4auth" in captured.err
+        assert built == []
 
     def test_error_findings_exit_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "build", Program)
         monkeypatch.setattr(
-            cli, "analyze_entry",
-            lambda entry: [make_finding("TAINT001", entry.name, "leak")])
+            cli, "analyze",
+            lambda program: [make_finding("TAINT001", program.name, "leak")])
         assert cli.cmd_verify(["p4auth"]) == 1
         out = capsys.readouterr().out
         assert "TAINT001" in out
         assert "1 error(s)" in out
 
     def test_warning_findings_exit_0(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "build", Program)
         monkeypatch.setattr(
-            cli, "analyze_entry",
-            lambda entry: [make_finding("RES002", entry.name, "hot")])
+            cli, "analyze",
+            lambda program: [make_finding("RES002", program.name, "hot")])
         assert cli.cmd_verify(["p4auth"]) == 0
         assert "WARNING" in capsys.readouterr().out
 

@@ -30,7 +30,7 @@ class TestAgreement:
     def test_l3fwd_declaration_matches_its_switch(self):
         program = verify_program()
         assert_decls_are_the_switch(program)
-        assert analyze_live(program, program.switch) == []
+        assert analyze_live(program) == []
 
     def test_p4auth_declaration_matches_reference_switch(self):
         from repro.core.auth_ir import p4auth_program
@@ -39,12 +39,12 @@ class TestAgreement:
         assert set(program.secret_registers()) == {
             "p4auth_keys_v0", "p4auth_keys_v1", "p4auth_kauth",
             "p4auth_pending_r1", "p4auth_pending_s1"}
-        assert analyze_live(program, program.switch) == []
+        assert analyze_live(program) == []
 
     def test_every_registered_program_is_its_switch(self):
-        from repro.verify.registry import all_entries
-        for entry in all_entries():
-            assert_decls_are_the_switch(entry.program())
+        from repro.verify.registry import build, program_names
+        for name in program_names():
+            assert_decls_are_the_switch(build(name))
 
 
 class TestDerivation:
@@ -83,7 +83,7 @@ class TestDerivation:
             "p4auth_verify", "hula", "p4auth_sign"]
         assert program.register("hula_best_hop") is not None
         assert program.register("p4auth_kauth").secret
-        assert analyze_live(program, program.switch) == []
+        assert analyze_live(program) == []
 
 
 class TestStageDivergence:
@@ -116,10 +116,8 @@ class TestStageDivergence:
 
 class TestMappingExposure:
     def test_smuggled_secret_mapping_fires_live002(self):
-        from repro.core.auth_ir import p4auth_program
-        from repro.verify.mutants import _smuggled_mapping_switch
-        findings = analyze_live(p4auth_program(),
-                                _smuggled_mapping_switch())
+        from repro.verify.mutants import mutant_smuggled_mapping
+        findings = analyze_live(mutant_smuggled_mapping())
         assert rules(findings) == ["LIVE002"]
         assert findings[0].subject == "p4auth_kauth"
 

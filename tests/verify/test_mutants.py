@@ -1,11 +1,12 @@
 """Mutant battery: every seeded violation must be caught, by the right
 rule, and the unmutated program must stay warning-only clean."""
 
+from repro.verify import analyze
 from repro.verify.mutants import (
-    _static_rules,
     mutant_budget_bust,
     mutant_key_leak,
     mutant_missing_default,
+    mutant_smuggled_mapping,
     mutant_stripped_digest,
     run_selftest,
     selftest_ok,
@@ -16,26 +17,32 @@ from repro.verify.mutants import (
 BASELINE_RULES = {"SURF001"}
 
 
+def _rules(program):
+    return {f.rule for f in analyze(program)}
+
+
 class TestIndividualMutants:
     def test_key_leak_caught_by_taint001(self):
-        assert "TAINT001" in _static_rules(mutant_key_leak())
+        assert "TAINT001" in _rules(mutant_key_leak())
 
     def test_budget_bust_caught_by_res001(self):
-        assert "RES001" in _static_rules(mutant_budget_bust())
+        assert "RES001" in _rules(mutant_budget_bust())
 
     def test_missing_default_caught_by_inv001(self):
-        assert "INV001" in _static_rules(mutant_missing_default())
+        assert "INV001" in _rules(mutant_missing_default())
 
     def test_stripped_digest_caught_by_surf001(self):
-        assert "SURF001" in _static_rules(mutant_stripped_digest())
+        assert "SURF001" in _rules(mutant_stripped_digest())
 
     def test_mutants_do_not_cross_contaminate(self):
         # Each mutation is surgical: it must trip its own rule and no
         # other ERROR rule family (the baseline SURF001 warning rides
         # along on every p4auth-derived mutant that keeps flow_stats).
-        assert _static_rules(mutant_budget_bust()) == {"RES001"} | BASELINE_RULES
-        assert _static_rules(mutant_missing_default()) == {"INV001"} | BASELINE_RULES
-        assert _static_rules(mutant_key_leak()) == {"TAINT001"} | BASELINE_RULES
+        assert _rules(mutant_budget_bust()) == {"RES001"} | BASELINE_RULES
+        assert _rules(mutant_missing_default()) == {"INV001"} | BASELINE_RULES
+        assert _rules(mutant_key_leak()) == {"TAINT001"} | BASELINE_RULES
+        assert (_rules(mutant_smuggled_mapping())
+                == {"LIVE002"} | BASELINE_RULES)
 
 
 class TestBattery:
@@ -54,4 +61,4 @@ class TestBattery:
 
     def test_unmutated_p4auth_has_no_error_rules(self):
         from repro.core.auth_ir import p4auth_program
-        assert _static_rules(p4auth_program()) == BASELINE_RULES
+        assert _rules(p4auth_program()) == BASELINE_RULES

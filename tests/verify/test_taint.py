@@ -1,4 +1,4 @@
-"""Taint engine: lattice flows, the keyed-digest declassifier, sinks."""
+"""Secrecy side of the flow pass: lattice, keyed-digest declassifier, sinks."""
 
 from repro.verify.ir import (
     ApplyTable,
@@ -20,7 +20,7 @@ from repro.verify.ir import (
     SetMeta,
     StageDecl,
 )
-from repro.verify.taint import Label, TaintState, analyze_taint
+from repro.verify.flow import FlowState, Label, analyze_flow
 
 
 def make_program(*ops, secret_reg=True):
@@ -35,7 +35,7 @@ def make_program(*ops, secret_reg=True):
 
 
 def rules(program):
-    return [f.rule for f in analyze_taint(program)]
+    return [f.rule for f in analyze_flow(program)]
 
 
 class TestLattice:
@@ -45,15 +45,15 @@ class TestLattice:
 
     def test_eval_joins_through_alu_ops(self):
         program = make_program()
-        state = TaintState(program)
-        state.meta["k"] = Label.SECRET
+        state = FlowState(program)
+        state.meta["k"] = (Label.SECRET, False)
         expr = BinOp("xor", (Const(5), MetaRef("k")))
-        assert state.eval(expr) is Label.SECRET
+        assert state.eval(expr)[0] is Label.SECRET
 
     def test_unknown_names_default_public(self):
-        state = TaintState(make_program())
-        assert state.eval(MetaRef("never_set")) is Label.PUBLIC
-        assert state.eval(FieldRef("h", "f")) is Label.PUBLIC
+        state = FlowState(make_program())
+        assert state.eval(MetaRef("never_set"))[0] is Label.PUBLIC
+        assert state.eval(FieldRef("h", "f"))[0] is Label.PUBLIC
 
 
 class TestSinks:
@@ -84,7 +84,7 @@ class TestSinks:
             RegRead("keys", Const(0), "k"),
             ApplyTable("t", (MetaRef("k"),)),
         )
-        findings = analyze_taint(program)
+        findings = analyze_flow(program)
         assert [f.rule for f in findings] == ["TAINT003"]
         assert findings[0].severity.name == "WARNING"
 
