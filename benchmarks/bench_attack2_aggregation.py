@@ -8,7 +8,7 @@ sibling, silent result corruption when the fabric is trusted.
 
 from repro.analysis import format_table
 from repro.engine import run_experiment
-from repro.experiments.attack2_aggregation import MODES
+from repro.systems.tableone import MODES
 
 
 def run_all_modes():

@@ -8,7 +8,7 @@ of magnitude; P4Auth keeps latency at the baseline.
 
 from repro.analysis import format_table
 from repro.engine import run_experiment
-from repro.experiments.fct_inflation import MODES
+from repro.systems.tableone import MODES
 
 
 def run_all_modes():

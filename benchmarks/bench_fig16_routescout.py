@@ -7,7 +7,7 @@ original split is retained and alerts are raised.
 
 from repro.analysis import format_table
 from repro.engine import run_experiment
-from repro.experiments.fig16_routescout import MODES
+from repro.systems.tableone import MODES
 
 
 def run_all():

@@ -7,7 +7,7 @@ P4Auth (tampered probes dropped, alerts raised).
 
 from repro.analysis import format_table
 from repro.engine import run_experiment
-from repro.experiments.fig17_hula import MODES
+from repro.systems.tableone import MODES
 
 
 def run_all():

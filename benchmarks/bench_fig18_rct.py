@@ -9,11 +9,12 @@ import pytest
 
 from repro.analysis import format_table
 from repro.engine import run_experiment
-from repro.runtime.comparison import STACKS, measure
+from repro.runtime.comparison import STACKS
 
 
-def run_matrix():
-    run = run_experiment("fig18")
+def run_matrix(**sweep):
+    run = run_experiment("fig18",
+                         sweep={key: [value] for key, value in sweep.items()})
     return {(t.params["stack"], t.params["kind"]): t.result
             for t in run.trials}
 
@@ -44,26 +45,19 @@ def test_fig18_request_completion_time(benchmark, report):
 def test_fig18_rct_distribution(benchmark, report):
     """The paper plots RCT as a CDF; with transit jitter enabled the
     measurement yields a distribution whose ordering holds at every
-    percentile.  (Kept on the raw ``measure`` API: the distribution view
-    needs the full per-request sample arrays, not artifact summaries.)"""
-    from repro.net.costs import CostModel
+    percentile."""
     table = benchmark.pedantic(
-        measure, kwargs={"duration_s": 5.0,
-                         "costs": CostModel(jitter_fraction=0.15)},
+        run_matrix, kwargs={"duration_s": 5.0, "jitter_fraction": 0.15},
         rounds=1, iterations=1)
     rows = []
     for name in STACKS:
         stats = table[(name, "read")]
-        rows.append([
-            name,
-            f"{stats.percentile_rct_s(5) * 1e6:.0f}",
-            f"{stats.percentile_rct_s(50) * 1e6:.0f}",
-            f"{stats.percentile_rct_s(95) * 1e6:.0f}",
-        ])
+        rows.append([name] + [f"{stats[f'p{pct}_rct_s'] * 1e6:.0f}"
+                              for pct in (5, 50, 95)])
     report(format_table(
         ["stack", "read RCT p5 (us)", "p50 (us)", "p95 (us)"],
         rows, title="Fig 18 (CDF view): read RCT percentiles, 15% jitter"))
-    for pct in (5, 50, 95):
-        assert (table[("DP-Reg-RW", "read")].percentile_rct_s(pct)
-                <= table[("P4Auth", "read")].percentile_rct_s(pct)
-                <= table[("P4Runtime", "read")].percentile_rct_s(pct) * 1.05)
+    for key in ("p5_rct_s", "p50_rct_s", "p95_rct_s"):
+        assert (table[("DP-Reg-RW", "read")][key]
+                <= table[("P4Auth", "read")][key]
+                <= table[("P4Runtime", "read")][key] * 1.05)

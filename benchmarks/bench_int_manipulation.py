@@ -7,7 +7,7 @@ false; with P4Auth the tampered probes are dropped loudly.
 
 from repro.analysis import format_table
 from repro.engine import run_experiment
-from repro.experiments.int_manipulation import MODES
+from repro.systems.tableone import MODES
 
 
 def run_all_modes():

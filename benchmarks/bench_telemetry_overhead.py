@@ -21,23 +21,33 @@ import time
 import pytest
 
 from repro.analysis import format_table
-from repro.runtime.comparison import measure
+from repro.engine import TrialContext, get_spec
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
 #: The measured workload (sequential reads+writes on all three stacks).
 DURATION_S = 2.0
 
 
+def fig18(duration_s, telemetry=None):
+    """Every Fig 18 trial, each handed the one shared ``telemetry``."""
+    spec = get_spec("fig18")
+    plans = spec.expand(sweep={"duration_s": [duration_s],
+                               "include_samples": [True]})
+    return [spec.trial(TrialContext(plan.params, plan.seed,
+                                    telemetry=telemetry))
+            for plan in plans]
+
+
 def _run_disabled():
     start = time.perf_counter()
-    measure(duration_s=DURATION_S)
+    fig18(DURATION_S)
     return time.perf_counter() - start
 
 
 def _run_enabled():
     telemetry = Telemetry(enabled=True)
     start = time.perf_counter()
-    measure(duration_s=DURATION_S, telemetry=telemetry)
+    fig18(DURATION_S, telemetry)
     return time.perf_counter() - start, telemetry
 
 
@@ -99,7 +109,4 @@ def test_disabled_telemetry_overhead_under_two_percent(benchmark, report):
 
 def test_enabled_run_matches_disabled_results():
     """Instrumentation must not perturb simulation outcomes."""
-    plain = measure(duration_s=1.0)
-    traced = measure(duration_s=1.0, telemetry=Telemetry(enabled=True))
-    for key, stats in plain.items():
-        assert traced[key].rcts_s == stats.rcts_s
+    assert fig18(1.0, Telemetry(enabled=True)) == fig18(1.0)

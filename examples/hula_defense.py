@@ -10,23 +10,20 @@ Run:  python examples/hula_defense.py
 """
 
 from repro.analysis import format_table
-from repro.experiments.fig17_hula import MODES, run_hula
+from repro.engine import run_experiment
+from repro.systems.tableone import MODES
 
 
 def main() -> None:
     print("Running HULA scenarios (a few seconds of simulated traffic "
           "each)...\n")
+    run = run_experiment("fig17", sweep={"duration_s": [4.0]})
     rows = []
     for mode in MODES:
-        result = run_hula(mode, duration_s=4.0)
-        rows.append([
-            mode,
-            f"{result.shares['s2'] * 100:5.1f}%",
-            f"{result.shares['s3'] * 100:5.1f}%",
-            f"{result.shares['s4'] * 100:5.1f}%",
-            result.probes_tampered,
-            result.alerts,
-        ])
+        result = run.result_for(mode=mode)
+        rows.append([mode] + [f"{result['shares'][path] * 100:5.1f}%"
+                              for path in ("s2", "s3", "s4")]
+                    + [result["probes_tampered"], result["alerts"]])
     print(format_table(
         ["mode", "via S2", "via S3", "via S4", "tampered probes", "alerts"],
         rows, title="Traffic leaving S1, per uplink (post-warmup)"))

@@ -10,21 +10,23 @@ Run:  python examples/int_telemetry_defense.py
 """
 
 from repro.analysis import format_table
-from repro.experiments.int_manipulation import MODES, run_int_manipulation
+from repro.engine import run_experiment
+from repro.systems.tableone import MODES
 
 
 def main() -> None:
+    run = run_experiment("int")
     rows = []
     for mode in MODES:
-        result = run_int_manipulation(mode, num_probes=40)
+        result = run.result_for(mode=mode)
         rows.append([
             mode,
-            f"{result.probes_collected}/{result.probes_sent}",
-            f"{result.reported_max_hop_latency_us} us",
-            f"{result.true_max_hop_latency_us} us",
-            "yes" if result.congestion_visible else "no",
-            "yes" if result.detected else "NO — silent blind spot",
-            result.alerts,
+            f"{result['probes_collected']}/{result['probes_sent']}",
+            f"{result['reported_max_hop_latency_us']} us",
+            f"{result['true_max_hop_latency_us']} us",
+            "yes" if result["congestion_visible"] else "no",
+            "yes" if result["detected"] else "NO — silent blind spot",
+            result["alerts"],
         ])
     print(format_table(
         ["mode", "probes collected", "reported max hop", "true max hop",

@@ -9,22 +9,25 @@ Run:  python examples/routescout_defense.py
 """
 
 from repro.analysis import format_table
-from repro.experiments.fig16_routescout import MODES, run_routescout
+from repro.engine import run_experiment
+from repro.systems.tableone import MODES
 
 
 def main() -> None:
     print("Replaying a 30 s synthetic trace per scenario...\n")
+    run = run_experiment("fig16", sweep={"duration_s": [30.0],
+                                         "attack_start_s": [8.0]})
     rows = []
     histories = {}
     for mode in MODES:
-        result = run_routescout(mode, duration_s=30.0, attack_start_s=8.0)
-        histories[mode] = result.split_history
+        result = run.result_for(mode=mode)
+        histories[mode] = result["split_history"]
         rows.append([
             mode,
-            f"{result.share_path1 * 100:5.1f}%",
-            f"{result.share_path2 * 100:5.1f}%",
-            result.epochs_skipped,
-            result.tamper_events,
+            f"{result['share_path1'] * 100:5.1f}%",
+            f"{result['share_path2'] * 100:5.1f}%",
+            result["epochs_skipped"],
+            result["tamper_events"],
         ])
     print(format_table(
         ["mode", "path 1 share", "path 2 share", "epochs skipped",

@@ -136,7 +136,8 @@ def render_artifact_report(directory: str = ".") -> str:
                            else value)
             rows.append(row)
         report.table(["trial", "seed"] + scalar_keys, rows)
-        failed = failures(doc["trials"])
+        failed = failures((trial["id"], trial["result"])
+                          for trial in doc["trials"])
         if failed:
             report.paragraph("Failed checks:")
             report.table(["trial", "check", "detail"],

@@ -17,7 +17,7 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.engine.artifact import build_artifact, write_artifact
 from repro.engine.cache import ResultCache
@@ -26,12 +26,13 @@ from repro.engine.registry import get_spec
 from repro.engine.spec import ExperimentSpec, TrialContext, TrialPlan
 
 
-def failures(trials: Sequence[Dict[str, Any]]) -> List[tuple]:
-    """``(trial id, check name, detail)`` per failed check of artifact-form
-    ``trials``: a live run and a ``BENCH_*.json`` are read the same way."""
-    return [(trial["id"], check["name"], check["detail"])
-            for trial in trials
-            for check in trial["result"].get("invariants", ())
+def failures(trials: Iterable[Tuple[str, Dict[str, Any]]]) -> List[tuple]:
+    """``(trial id, check name, detail)`` per failed check, given
+    ``(trial id, result)`` pairs: a live run and a ``BENCH_*.json`` are
+    read the same way."""
+    return [(trial_id, check["name"], check["detail"])
+            for trial_id, result in trials
+            for check in result.get("invariants", ())
             if not check["passed"]]
 
 
@@ -85,7 +86,7 @@ class RunResult:
 
     def failures(self) -> List[tuple]:
         """Every failed check of the run; empty means every claim held."""
-        return failures([t.as_artifact_entry() for t in self.trials])
+        return failures((t.id, t.result) for t in self.trials)
 
 
 def execute_trial(spec: ExperimentSpec, plan: TrialPlan,

@@ -6,17 +6,21 @@ defaults, and a trial function that builds the scenario and returns a
 canonical result dict.  The :class:`~repro.engine.runner.Runner` expands
 the grid into a deterministic trial list, derives one seed per trial,
 and executes trials serially or across worker processes — the spec
-itself never knows how it is being run.
+itself never knows how it is being run.  The trial function is the
+experiment's only entry point: it reads every setting from
+``ctx.params``, each one a declared grid axis or default, so no second
+function with keyword defaults of its own can drift from the spec.
 
 Seed derivation
 ---------------
 Every experiment that consumes randomness exposes it through a single
 ``seed`` parameter (named by :attr:`ExperimentSpec.seed_param`).  With no
-base seed, each trial keeps the module's reference seed — the exact
-numbers the legacy per-module runners produce (the parity tests pin
-this).  With ``base_seed=N`` (CLI ``--seed N``), each trial's seed is
-re-derived as a pure function of ``(base_seed, spec name, the trial's
-other parameters)`` via :func:`derive_seed`, so
+base seed, each trial keeps the module's reference seed, so the trial
+function called by hand with a plan's params and seed returns exactly
+what the engine records (the parity tests pin this).  With
+``base_seed=N`` (CLI ``--seed N``), each trial's seed is re-derived as
+a pure function of ``(base_seed, spec name, the trial's other
+parameters)`` via :func:`derive_seed`, so
 
 - two trials of one sweep never share a seed by accident,
 - a trial's seed never depends on execution order or worker count

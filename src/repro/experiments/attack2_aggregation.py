@@ -33,22 +33,20 @@ from repro.runtime.comparison import attach_stack, k_seeds_from
 from repro.systems.inaggr import (
     AggregationConfig,
     AggregationDataplane,
-    AggregationJobResult,
     make_contribution,
 )
-
-MODES = ("baseline", "attack", "p4auth")
+from repro.systems.tableone import MODES, check_mode
 
 ROUND_TIMEOUT_S = 0.005
 CHUNK_SPACING_S = 0.02
 
 
-def run_aggregation(mode: str, chunks: int = 30, num_workers: int = 4,
-                    max_retries: int = 6, seed: int = 13,
-                    tamper_probability: float = 0.5) -> AggregationJobResult:
+def _trial(ctx: TrialContext) -> dict:
     """Run one aggregation job and report correctness + JCT rounds."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
+    p = ctx.params
+    mode, chunks, num_workers = p["mode"], p["chunks"], p["num_workers"]
+    max_retries = p["max_retries"]
+    check_mode(mode)
     sim = EventSimulator()
     net = Network(sim)
 
@@ -82,10 +80,10 @@ def run_aggregation(mode: str, chunks: int = 30, num_workers: int = 4,
 
     adversary = None
     if mode in ("attack", "p4auth"):
-        prng = XorShiftPrng(seed)
+        prng = XorShiftPrng(p["seed"])
 
         def perturb(value: int) -> int:
-            if prng.uniform() < tamper_probability:
+            if prng.uniform() < p["tamper_probability"]:
                 return (value + 1000) & 0xFFFFFFFF
             return value
 
@@ -153,26 +151,19 @@ def run_aggregation(mode: str, chunks: int = 30, num_workers: int = 4,
     total_rounds = sum(rounds_used.values())
     dropped = (dataplanes["agg"].stats.digest_fail_dpdp
                if mode == "p4auth" else 0)
-    return AggregationJobResult(
-        mode=mode,
-        chunks=chunks,
-        correct_chunks=correct,
-        rounds_used=total_rounds,
-        jct_rounds=total_rounds / chunks,
-        tampered=adversary.stats.modified if adversary else 0,
-        dropped_at_switch=dropped,
-        alerts=len(controller.alerts) if controller else 0,
-        failed_chunks=len(failed),
-        notes=f"received={len(received)}/{chunks}",
-    )
-
-
-def _trial(ctx: TrialContext) -> AggregationJobResult:
-    p = ctx.params
-    return run_aggregation(
-        p["mode"], chunks=p["chunks"], num_workers=p["num_workers"],
-        max_retries=p["max_retries"], seed=p["seed"],
-        tamper_probability=p["tamper_probability"])
+    return {
+        "mode": mode,
+        "chunks": chunks,
+        "correct_chunks": correct,
+        "rounds_used": total_rounds,
+        "jct_rounds": total_rounds / chunks,
+        "tampered": adversary.stats.modified if adversary else 0,
+        "dropped_at_switch": dropped,
+        "alerts": len(controller.alerts) if controller else 0,
+        # Chunks abandoned after exhausting retries (silent-failure bound).
+        "failed_chunks": len(failed),
+        "notes": f"received={len(received)}/{chunks}",
+    }
 
 
 SPEC = register(ExperimentSpec(

@@ -19,7 +19,6 @@ as real queueing delay:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.analysis import mean, percentile
@@ -32,8 +31,7 @@ from repro.experiments.fig17_hula import (
     tamper_s4_probes,
 )
 from repro.systems.hula import make_data_packet, make_probe
-
-MODES = ("baseline", "attack", "p4auth")
+from repro.systems.tableone import MODES, check_mode
 
 LINK_BANDWIDTH_BPS = 100e6
 PACKET_BYTES = 1408
@@ -47,23 +45,12 @@ FG_BURST = 8
 FG_BURST_PERIOD_S = FG_BURST * PACKET_BYTES * 8 / (0.55 * LINK_BANDWIDTH_BPS)
 
 
-@dataclass
-class FctResult:
-    mode: str
-    mean_latency_s: float
-    p95_latency_s: float
-    delivered: int
-    share_via_s4: float
-    alerts: int
-    samples: List[float] = field(default_factory=list, repr=False)
-
-
-def run_fct(mode: str, duration_s: float = 3.0,
-            probe_period_s: float = 0.005,
-            warmup_s: float = 0.5) -> FctResult:
+def _trial(ctx: TrialContext) -> dict:
     """Measure foreground delivery latency under one Fig 3 scenario."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
+    p = ctx.params
+    mode, probe_period_s, warmup_s = (p["mode"], p["probe_period_s"],
+                                      p["warmup_s"])
+    check_mode(mode)
     net, extras, hulas = fig3_hula_world()
     sim = extras["sim"]
     for link in net.links:
@@ -84,7 +71,7 @@ def run_fct(mode: str, duration_s: float = 3.0,
 
     h1, h5 = extras["h1"], extras["h5"]
     base = sim.now
-    end = base + duration_s
+    end = base + p["duration_s"]
 
     # Probes from H5, as in Fig 17.
     def probes(round_index: int = 0) -> None:
@@ -137,31 +124,15 @@ def run_fct(mode: str, duration_s: float = 3.0,
     shares = s1_share_meter(sim, hulas["s1"], extras["paths"], warmup_s)
     sim.run(until=end + 0.5)
 
-    return FctResult(
-        mode=mode,
-        mean_latency_s=mean(samples),
-        p95_latency_s=percentile(samples, 95),
-        delivered=len(samples),
-        share_via_s4=shares()["s4"],
-        alerts=len(controller.alerts) if controller else 0,
-        samples=samples,
-    )
-
-
-def _trial(ctx: TrialContext) -> dict:
-    p = ctx.params
-    result = run_fct(p["mode"], duration_s=p["duration_s"],
-                     probe_period_s=p["probe_period_s"],
-                     warmup_s=p["warmup_s"])
-    # The per-packet sample list is huge and fully determined by the
-    # summary stats' inputs; keep artifacts lean.
+    # The per-packet samples stay out of the result: the list is huge and
+    # fully determined by the summary stats' inputs; keep artifacts lean.
     return {
-        "mode": result.mode,
-        "mean_latency_s": result.mean_latency_s,
-        "p95_latency_s": result.p95_latency_s,
-        "delivered": result.delivered,
-        "share_via_s4": result.share_via_s4,
-        "alerts": result.alerts,
+        "mode": mode,
+        "mean_latency_s": mean(samples),
+        "p95_latency_s": percentile(samples, 95),
+        "delivered": len(samples),
+        "share_via_s4": shares()["s4"],
+        "alerts": len(controller.alerts) if controller else 0,
     }
 
 

@@ -14,9 +14,6 @@ Three runs over the same synthetic CAIDA-like trace:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List
-
 from repro.attacks.control_plane import RegisterResponseTamperer
 from repro.engine.registry import register
 from repro.engine.spec import ExperimentSpec, TrialContext
@@ -29,39 +26,17 @@ from repro.systems.routescout import (
     RouteScoutDataplane,
     make_rs_packet,
 )
-from repro.systems.tableone import build_deployment
-
-MODES = ("baseline", "attack", "p4auth")
+from repro.systems.tableone import MODES, build_deployment
 
 #: How much the adversary inflates the reported path-1 latency aggregate.
 TAMPER_FACTOR = 6
 
 
-@dataclass
-class RouteScoutResult:
-    mode: str
-    #: Traffic shares measured over the attack window
-    #: [attack_start_s, duration_s] — the steady state Fig 16 plots.
-    share_path1: float
-    share_path2: float
-    #: Shares over the whole run, including the pre-attack phase.
-    overall_share_path1: float = 0.0
-    overall_share_path2: float = 0.0
-    split_history: List[int] = field(default_factory=list)
-    epochs_skipped: int = 0
-    tamper_events: int = 0
-    alerts: int = 0
-    packets_forwarded: int = 0
-
-
-def run_routescout(mode: str, duration_s: float = 60.0, seed: int = 42,
-                   flow_rate_hz: float = 40.0,
-                   attack_start_s: float = 10.0,
-                   max_packets_per_flow: int = 60,
-                   packet_spacing_s: float = 0.002) -> RouteScoutResult:
+def _trial(ctx: TrialContext) -> dict:
     """Run one Fig 16 scenario and report the per-path traffic shares."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
+    p = ctx.params
+    mode, seed = p["mode"], p["seed"]
+    duration_s, attack_start_s = p["duration_s"], p["attack_start_s"]
     sim = EventSimulator()
     net = Network(sim)
     switch = DataplaneSwitch("edge", num_ports=3, seed=seed)
@@ -98,12 +73,12 @@ def run_routescout(mode: str, duration_s: float = 60.0, seed: int = 42,
                  lambda: snapshot.update(routescout.tx_per_path))
 
     # Synthetic CAIDA-like traffic: heavy-tailed flows, Poisson arrivals.
-    generator = TraceGenerator(seed=seed, arrival_rate_hz=flow_rate_hz)
+    generator = TraceGenerator(seed=seed, arrival_rate_hz=p["flow_rate_hz"])
     node = net.nodes["edge"]
     for flow in generator.flows(duration_s):
-        packets = min(flow.packet_count(), max_packets_per_flow)
+        packets = min(flow.packet_count(), p["max_packets_per_flow"])
         for index in range(packets):
-            at = flow.start_time + index * packet_spacing_s
+            at = flow.start_time + index * p["packet_spacing_s"]
             if at >= duration_s:
                 break
             sim.schedule_at(base + at, node.receive,
@@ -118,29 +93,22 @@ def run_routescout(mode: str, duration_s: float = 60.0, seed: int = 42,
         for path in (0, 1)
     }
     window_total = sum(window.values()) or 1
-    result = RouteScoutResult(
-        mode=mode,
-        share_path1=window[0] / window_total,
-        share_path2=window[1] / window_total,
-        overall_share_path1=routescout.tx_per_path[0] / total,
-        overall_share_path2=routescout.tx_per_path[1] / total,
-        split_history=list(controller.split_history),
-        epochs_skipped=controller.epochs_skipped,
-        packets_forwarded=routescout.forwarded,
-    )
-    if mode == "p4auth":
-        result.tamper_events = len(client.tamper_events)
-        result.alerts = len(client.alerts)
-    return result
-
-
-def _trial(ctx: TrialContext) -> RouteScoutResult:
-    p = ctx.params
-    return run_routescout(
-        p["mode"], duration_s=p["duration_s"], seed=p["seed"],
-        flow_rate_hz=p["flow_rate_hz"], attack_start_s=p["attack_start_s"],
-        max_packets_per_flow=p["max_packets_per_flow"],
-        packet_spacing_s=p["packet_spacing_s"])
+    authenticated = mode == "p4auth"
+    return {
+        "mode": mode,
+        # Shares over the attack window [attack_start_s, duration_s]:
+        # the steady state Fig 16 plots.
+        "share_path1": window[0] / window_total,
+        "share_path2": window[1] / window_total,
+        # Shares over the whole run, including the pre-attack phase.
+        "overall_share_path1": routescout.tx_per_path[0] / total,
+        "overall_share_path2": routescout.tx_per_path[1] / total,
+        "split_history": list(controller.split_history),
+        "epochs_skipped": controller.epochs_skipped,
+        "tamper_events": len(client.tamper_events) if authenticated else 0,
+        "alerts": len(client.alerts) if authenticated else 0,
+        "packets_forwarded": routescout.forwarded,
+    }
 
 
 SPEC = register(ExperimentSpec(

@@ -15,7 +15,6 @@ S5 -> {S2,S3,S4} -> S1; data flows S1 -> best hop -> S5.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.attacks.link import ProbeFieldTamperer
@@ -32,23 +31,10 @@ from repro.systems.hula import (
     make_data_packet,
     make_probe,
 )
-
-MODES = ("baseline", "attack", "p4auth")
+from repro.systems.tableone import MODES, check_mode
 
 #: ToR id of the destination (S5) in the Fig 3 scenario.
 DST_TOR = 5
-
-
-@dataclass
-class HulaResult:
-    mode: str
-    #: Traffic share of each S1 uplink: {"s2": f, "s3": f, "s4": f}.
-    shares: Dict[str, float] = field(default_factory=dict)
-    data_sent: int = 0
-    data_delivered: int = 0
-    probes_tampered: int = 0
-    probes_dropped_at_s1: int = 0
-    alerts: int = 0
 
 
 def fig3_hula_world(telemetry=None
@@ -124,13 +110,12 @@ def s1_share_meter(sim, s1: HulaDataplane, paths: Dict[str, int],
     return shares
 
 
-def run_hula(mode: str, duration_s: float = 5.0, seed: int = 7,
-             probe_period_s: float = 0.005, data_period_s: float = 0.0002,
-             warmup_s: float = 0.5, telemetry=None) -> HulaResult:
+def _trial(ctx: TrialContext) -> dict:
     """Run one Fig 17 scenario; shares measured after ``warmup_s``."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    net, extras, hulas = fig3_hula_world(telemetry)
+    p = ctx.params
+    mode, duration_s = p["mode"], p["duration_s"]
+    check_mode(mode)
+    net, extras, hulas = fig3_hula_world(ctx.telemetry)
     sim = extras["sim"]
 
     controller = None
@@ -141,31 +126,24 @@ def run_hula(mode: str, duration_s: float = 5.0, seed: int = 7,
     adversary = (tamper_s4_probes(net) if mode in ("attack", "p4auth")
                  else None)
 
-    start_fig3_traffic(sim, extras, duration_s, probe_period_s,
-                       data_period_s)
-    shares = s1_share_meter(sim, hulas["s1"], extras["paths"], warmup_s)
+    start_fig3_traffic(sim, extras, duration_s, p["probe_period_s"],
+                       p["data_period_s"])
+    shares = s1_share_meter(sim, hulas["s1"], extras["paths"],
+                            p["warmup_s"])
     sim.run(until=duration_s)
 
-    return HulaResult(
-        mode=mode,
-        shares=shares(),
-        data_sent=extras["h1"].sent_count,
-        data_delivered=len(extras["h5"].received),
-        probes_tampered=adversary.stats.modified if adversary else 0,
-        probes_dropped_at_s1=(
+    return {
+        "mode": mode,
+        # Traffic share of each S1 uplink: {"s2": f, "s3": f, "s4": f}.
+        "shares": shares(),
+        "data_sent": extras["h1"].sent_count,
+        "data_delivered": len(extras["h5"].received),
+        "probes_tampered": adversary.stats.modified if adversary else 0,
+        "probes_dropped_at_s1": (
             net.nodes["s1"].switch.packets_dropped if mode == "p4auth" else 0
         ),
-        alerts=len(controller.alerts) if controller is not None else 0,
-    )
-
-
-def _trial(ctx: TrialContext) -> HulaResult:
-    p = ctx.params
-    return run_hula(
-        p["mode"], duration_s=p["duration_s"], seed=p["seed"],
-        probe_period_s=p["probe_period_s"],
-        data_period_s=p["data_period_s"], warmup_s=p["warmup_s"],
-        telemetry=ctx.telemetry)
+        "alerts": len(controller.alerts) if controller is not None else 0,
+    }
 
 
 SPEC = register(ExperimentSpec(

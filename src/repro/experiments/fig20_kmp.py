@@ -11,7 +11,6 @@ hops are much faster than C-DP hops).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.dataplane.switch import DataplaneSwitch
@@ -24,26 +23,16 @@ from repro.runtime.comparison import attach_stack
 OPS = ("local_init", "local_update", "port_init", "port_update")
 
 
-@dataclass
-class KmpRttResult:
-    #: op -> list of RTT seconds.
-    rtts: Dict[str, List[float]] = field(default_factory=dict)
-    #: op -> (messages, bytes) per single operation (Table III columns).
-    footprint: Dict[str, tuple] = field(default_factory=dict)
-
-    def mean_ms(self, op: str) -> float:
-        samples = self.rtts[op]
-        return sum(samples) / len(samples) * 1e3
-
-
-def run_kmp_rtt(repeats: int = 20, seed: int = 3,
-                telemetry=None) -> KmpRttResult:
+def _trial(ctx: TrialContext) -> dict:
     """Collect RTT samples for all four KMP operations.
 
-    A shared ``telemetry`` instance aggregates ``kmp_rtt_seconds`` and
-    ``kmp.exchange`` trace events across every deployment in the sweep.
+    A traced run's ``ctx.telemetry`` aggregates ``kmp_rtt_seconds`` and
+    ``kmp.exchange`` trace events across every deployment built here.
     """
-    result = KmpRttResult()
+    repeats, seed = ctx.params["repeats"], ctx.params["seed"]
+    telemetry = ctx.telemetry
+    # op -> list of RTT seconds.
+    rtts: Dict[str, List[float]] = {}
 
     # local_init needs a fresh switch each time (K_local must be unset),
     # so it gets its own deployments.
@@ -58,7 +47,7 @@ def run_kmp_rtt(repeats: int = 20, seed: int = 3,
         controller.kmp.local_key_init("s1")
         sim.run(until=0.1)
         samples.extend(controller.kmp.stats.rtts("local_init"))
-    result.rtts["local_init"] = samples
+    rtts["local_init"] = samples
 
     # The other three run on one two-switch deployment.
     sim = EventSimulator(telemetry=telemetry)
@@ -81,28 +70,18 @@ def run_kmp_rtt(repeats: int = 20, seed: int = 3,
         sim.run(until=sim.now + 0.05)
 
     stats = controller.kmp.stats
-    result.rtts["local_update"] = stats.rtts("local_update")
-    result.rtts["port_update"] = stats.rtts("port_update")
+    rtts["local_update"] = stats.rtts("local_update")
+    rtts["port_update"] = stats.rtts("port_update")
     # Drop the bootstrap's port_init sample? Keep it — same cost shape.
-    result.rtts["port_init"] = stats.rtts("port_init")
+    rtts["port_init"] = stats.rtts("port_init")
 
-    for op in OPS:
-        if op == "local_init":
-            result.footprint[op] = (4, 104)
-        else:
-            result.footprint[op] = (stats.message_count(op),
-                                    stats.byte_count(op))
-    return result
-
-
-def _trial(ctx: TrialContext) -> dict:
-    p = ctx.params
-    result = run_kmp_rtt(repeats=p["repeats"], seed=p["seed"],
-                         telemetry=ctx.telemetry)
     return {
-        "rtts": result.rtts,
-        "footprint": result.footprint,
-        "mean_ms": {op: result.mean_ms(op) for op in OPS},
+        "rtts": rtts,
+        # op -> (messages, bytes) per single operation (Table III columns).
+        "footprint": {op: (4, 104) if op == "local_init"
+                      else (stats.message_count(op), stats.byte_count(op))
+                      for op in OPS},
+        "mean_ms": {op: sum(rtts[op]) / len(rtts[op]) * 1e3 for op in OPS},
     }
 
 

@@ -9,7 +9,6 @@ P4Auth: overhead grows near-linearly with hop count — +0.95% at 2 hops,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.core.auth_dataplane import P4AuthConfig
@@ -21,64 +20,6 @@ from repro.systems.hula import HulaDataplane, chain_hula_configs, make_probe
 
 #: ToR id used for chain probes (any value works; nothing routes on it).
 CHAIN_TOR = 9
-
-
-@dataclass
-class MultihopResult:
-    num_switches: int
-    with_p4auth: bool
-    traversal_times_s: List[float] = field(default_factory=list)
-
-    @property
-    def mean_traversal_s(self) -> float:
-        return sum(self.traversal_times_s) / len(self.traversal_times_s)
-
-
-def run_multihop(num_switches: int, with_p4auth: bool,
-                 num_probes: int = 50,
-                 spacing_s: float = 0.005) -> MultihopResult:
-    """Send probes down an ``num_switches``-hop chain; time each traversal."""
-    if num_switches < 2:
-        raise ValueError("the chain experiment needs at least 2 switches")
-    net, extras = linear_chain(num_switches)
-    sim = extras["sim"]
-    for name, config in chain_hula_configs(num_switches).items():
-        HulaDataplane(net.switch(name), config).install()
-
-    if with_p4auth:
-        controller, _dataplanes = attach_stack(
-            "P4Auth", net, extras["switches"], (),
-            k_seeds_from(0xC0DE00, extras["switches"]), None,
-            config=P4AuthConfig(protected_headers={"hula_probe"}))
-        controller.kmp.bootstrap_all()
-        sim.run(until=1.0)
-
-    src, dst = extras["src"], extras["dst"]
-    send_times: Dict[int, float] = {}
-    result = MultihopResult(num_switches, with_p4auth)
-
-    def on_arrival(packet, now: float) -> None:
-        if not packet.has("hula_probe"):
-            return
-        probe_id = packet.get("hula_probe")["probe_id"]
-        if probe_id in send_times:
-            result.traversal_times_s.append(now - send_times[probe_id])
-
-    dst.on_packet = on_arrival
-
-    start = sim.now
-    for index in range(num_probes):
-        at = start + index * spacing_s
-
-        def send(probe_id: int = index, when: float = at) -> None:
-            send_times[probe_id] = when
-            src.send(make_probe(CHAIN_TOR, probe_id))
-
-        sim.schedule_at(at, send)
-    sim.run(until=start + num_probes * spacing_s + 1.0)
-    if not result.traversal_times_s:
-        raise RuntimeError("no probes arrived — chain misconfigured")
-    return result
 
 
 def curve_from_trials(results) -> List[dict]:
@@ -101,15 +42,55 @@ def curve_from_trials(results) -> List[dict]:
 
 
 def _trial(ctx: TrialContext) -> dict:
+    """Send probes down a ``hops``-switch chain; time each traversal."""
     p = ctx.params
-    result = run_multihop(p["hops"], p["with_p4auth"],
-                          num_probes=p["num_probes"],
-                          spacing_s=p["spacing_s"])
+    num_switches, with_p4auth = p["hops"], p["with_p4auth"]
+    num_probes, spacing_s = p["num_probes"], p["spacing_s"]
+    if num_switches < 2:
+        raise ValueError("the chain experiment needs at least 2 switches")
+    net, extras = linear_chain(num_switches)
+    sim = extras["sim"]
+    for name, config in chain_hula_configs(num_switches).items():
+        HulaDataplane(net.switch(name), config).install()
+
+    if with_p4auth:
+        controller, _dataplanes = attach_stack(
+            "P4Auth", net, extras["switches"], (),
+            k_seeds_from(0xC0DE00, extras["switches"]), None,
+            config=P4AuthConfig(protected_headers={"hula_probe"}))
+        controller.kmp.bootstrap_all()
+        sim.run(until=1.0)
+
+    src, dst = extras["src"], extras["dst"]
+    send_times: Dict[int, float] = {}
+    traversal_times_s: List[float] = []
+
+    def on_arrival(packet, now: float) -> None:
+        if not packet.has("hula_probe"):
+            return
+        probe_id = packet.get("hula_probe")["probe_id"]
+        if probe_id in send_times:
+            traversal_times_s.append(now - send_times[probe_id])
+
+    dst.on_packet = on_arrival
+
+    start = sim.now
+    for index in range(num_probes):
+        at = start + index * spacing_s
+
+        def send(probe_id: int = index, when: float = at) -> None:
+            send_times[probe_id] = when
+            src.send(make_probe(CHAIN_TOR, probe_id))
+
+        sim.schedule_at(at, send)
+    sim.run(until=start + num_probes * spacing_s + 1.0)
+    if not traversal_times_s:
+        raise RuntimeError("no probes arrived — chain misconfigured")
     return {
-        "num_switches": result.num_switches,
-        "with_p4auth": result.with_p4auth,
-        "mean_traversal_s": result.mean_traversal_s,
-        "traversal_times_s": result.traversal_times_s,
+        "num_switches": num_switches,
+        "with_p4auth": with_p4auth,
+        "mean_traversal_s": sum(traversal_times_s) / len(traversal_times_s),
+        "traversal_times_s": traversal_times_s,
     }
 
 

@@ -14,7 +14,6 @@ to report a healthy path.  Modes:
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 from repro.attacks.base import Adversary
 from repro.core.auth_dataplane import P4AuthConfig
@@ -30,8 +29,7 @@ from repro.systems.int_telemetry import (
     IntTelemetryDataplane,
     make_int_probe,
 )
-
-MODES = ("baseline", "attack", "p4auth")
+from repro.systems.tableone import MODES, check_mode
 
 CONGESTED_HOP = 2
 CONGESTED_LATENCY_US = 200
@@ -63,26 +61,11 @@ class RecordRewriter(Adversary):
         return packet
 
 
-@dataclass
-class IntResult:
-    mode: str
-    probes_sent: int
-    probes_collected: int
-    reported_max_hop_latency_us: int
-    true_max_hop_latency_us: int
-    congestion_visible: bool
-    alerts: int
-    tampered: int
-    #: Did the operator learn anything is wrong (alerts or verified
-    #: congestion reports)?
-    detected: bool = False
-
-
-def run_int_manipulation(mode: str, num_switches: int = 4,
-                         num_probes: int = 40,
-                         spacing_s: float = 0.005) -> IntResult:
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
+def _trial(ctx: TrialContext) -> dict:
+    p = ctx.params
+    mode, num_switches = p["mode"], p["num_switches"]
+    num_probes, spacing_s = p["num_probes"], p["spacing_s"]
+    check_mode(mode)
     net, extras = linear_chain(num_switches)
     sim = extras["sim"]
 
@@ -134,24 +117,19 @@ def run_int_manipulation(mode: str, num_switches: int = 4,
     reported = collector.max_hop_latency_us()
     alerts = len(controller.alerts) if controller else 0
     visible = reported >= CONGESTED_LATENCY_US
-    return IntResult(
-        mode=mode,
-        probes_sent=num_probes,
-        probes_collected=len(collector.probes),
-        reported_max_hop_latency_us=reported,
-        true_max_hop_latency_us=CONGESTED_LATENCY_US,
-        congestion_visible=visible,
-        alerts=alerts,
-        tampered=adversary.stats.modified if adversary else 0,
-        detected=visible or alerts > 0,
-    )
-
-
-def _trial(ctx: TrialContext) -> IntResult:
-    p = ctx.params
-    return run_int_manipulation(
-        p["mode"], num_switches=p["num_switches"],
-        num_probes=p["num_probes"], spacing_s=p["spacing_s"])
+    return {
+        "mode": mode,
+        "probes_sent": num_probes,
+        "probes_collected": len(collector.probes),
+        "reported_max_hop_latency_us": reported,
+        "true_max_hop_latency_us": CONGESTED_LATENCY_US,
+        "congestion_visible": visible,
+        "alerts": alerts,
+        "tampered": adversary.stats.modified if adversary else 0,
+        # Did the operator learn anything is wrong (alerts or verified
+        # congestion reports)?
+        "detected": visible or alerts > 0,
+    }
 
 
 SPEC = register(ExperimentSpec(

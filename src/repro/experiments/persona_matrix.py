@@ -80,14 +80,14 @@ _POLL_S = 0.01
 _GRACE_S = 0.3
 
 
-def run_persona_trial(persona_kind: str, system: str,
-                      attack_rate_hz: float = 200.0,
-                      duration_s: float = 3.0, load_hz: float = 120.0,
-                      seed: int = 7) -> Dict[str, Any]:
+def _trial(ctx: TrialContext) -> Dict[str, Any]:
     """One matrix cell: arm one persona against one system under load."""
+    p = ctx.params
+    system, duration_s, seed = p["system"], p["duration_s"], p["seed"]
     if system not in SYSTEMS:
         raise ValueError(f"system must be one of {SYSTEMS}")
-    spec = PersonaSpec(kind=persona_kind, rate_hz=attack_rate_hz, seed=seed)
+    spec = PersonaSpec(kind=p["persona"], rate_hz=p["attack_rate_hz"],
+                       seed=seed)
     sim = EventSimulator()
     net = Network(sim)
     s1 = DataplaneSwitch("s1", num_ports=4, seed=seed)
@@ -152,7 +152,7 @@ def run_persona_trial(persona_kind: str, system: str,
     node1 = net.nodes["s1"]
     node2 = net.nodes["s2"]
     prng = XorShiftPrng(seed or 1)
-    generator = TraceGenerator(seed=seed, arrival_rate_hz=load_hz)
+    generator = TraceGenerator(seed=seed, arrival_rate_hz=p["load_hz"])
     injected = 0
     for flow in generator.flows(duration_s):
         packets = min(flow.packet_count(), 20)
@@ -269,14 +269,6 @@ def run_persona_trial(persona_kind: str, system: str,
         "workload_packets": injected,
         "persona_outcome": outcome.as_dict(),
     }
-
-
-def _trial(ctx: TrialContext) -> Dict[str, Any]:
-    p = ctx.params
-    return run_persona_trial(
-        p["persona"], p["system"],
-        attack_rate_hz=p["attack_rate_hz"], duration_s=p["duration_s"],
-        load_hz=p["load_hz"], seed=p["seed"])
 
 
 SPEC = register(ExperimentSpec(

@@ -57,6 +57,10 @@ PHASE_DEADLINE_S = 600.0
 #: Kill points the crash trial understands: any journal record type,
 #: or "time" (a virtual-time trigger mid-burst).
 KILL_POINTS = RECORD_TYPES + ("time",)
+#: The journal's sequence-horizon stride: small, so horizon crossings
+#: (seq_advance records) are frequent enough that a "seq_advance" kill
+#: lands mid-burst.
+SEQ_STRIDE = 2
 
 
 def _submit_rounds(batch, switches: List[str], rounds: int,
@@ -68,51 +72,37 @@ def _submit_rounds(batch, switches: List[str], rounds: int,
                                                               rounds)])
 
 
-def run_crash_trial(params: Dict[str, object],
-                    telemetry=None) -> Dict[str, object]:
-    """One kill→recover cycle, importable directly (the crash-point
-    matrix test drives it per record type): the context the engine hands
-    the registered spec's trial, built by hand."""
-    return _crash_ctx_trial(TrialContext(
-        params=dict(params), seed=int(params.get("seed", 1)),
-        telemetry=telemetry))
-
-
-def _crash_ctx_trial(ctx: TrialContext) -> Dict[str, object]:
+def _crash_trial(ctx: TrialContext) -> Dict[str, object]:
+    """One kill→recover cycle over a fresh temporary state directory."""
     if ctx.params["kill_on"] not in KILL_POINTS:
         raise ValueError(f"kill_on must be one of {KILL_POINTS}")
-    if ctx.params.get("state_dir") is not None:
-        return _crash_trial(ctx, str(ctx.params["state_dir"]))
     with tempfile.TemporaryDirectory(prefix="repro-store-") as state_dir:
-        return _crash_trial(ctx, state_dir)
+        return _kill_and_recover(ctx, state_dir)
 
 
-def _crash_trial(ctx: TrialContext, state_dir: str) -> Dict[str, object]:
+def _kill_and_recover(ctx: TrialContext,
+                      state_dir: str) -> Dict[str, object]:
     params, telemetry = ctx.params, ctx.telemetry
     m = int(params["m"])
     kill_on = str(params["kill_on"])
-    fsync = str(params.get("fsync", "batch"))
-    max_in_flight = int(params.get("max_in_flight", 8))
-    rounds = int(params.get("requests_per_switch", 4))
-    rollover = bool(params.get("rollover", kill_on in
-                               ("key_rollover", "epoch_advance")))
+    fsync = str(params["fsync"])
+    max_in_flight = int(params["max_in_flight"])
+    rounds = int(params["requests_per_switch"])
+    rollover = kill_on in ("key_rollover", "epoch_advance")
     sim, net, controller, switches = build_batch_deployment(
-        "P4Auth", m=m, degree=int(params.get("degree", 4)),
-        seed=int(params.get("seed", 1)), telemetry=telemetry,
+        "P4Auth", m=m, degree=int(params["degree"]),
+        seed=int(params["seed"]), telemetry=telemetry,
         max_in_flight=max_in_flight)
     metrics = telemetry.metrics if telemetry is not None \
         and telemetry.enabled else None
 
-    # Arm the durability layer on the bootstrapped controller.  A small
-    # sequence stride makes horizon crossings (seq_advance records)
-    # frequent enough that a "seq_advance" kill lands mid-burst.
+    # Arm the durability layer on the bootstrapped controller.
     journal, snapshots, _records = open_store(state_dir, fsync=fsync,
                                               metrics=metrics)
     batch = BatchController(controller, max_in_flight=max_in_flight)
     recorder = StateRecorder(
         journal, snapshots,
-        seq_stride=int(params.get("seq_stride", 2)),
-        snapshot_every=params.get("snapshot_every"))
+        seq_stride=SEQ_STRIDE, snapshot_every=params["snapshot_every"])
     authority = RegionalKeyAuthority("r0", controller)
 
     kill = ControllerKillSwitch(net, recorder)
@@ -122,15 +112,15 @@ def _crash_trial(ctx: TrialContext, state_dir: str) -> Dict[str, object]:
     # the kill lands mid-workload.
     if kill_on in ("key_install", "shard_map"):
         kill.arm_on_record(kill_on,
-                           occurrence=int(params.get("occurrence", 1)))
+                           occurrence=int(params["occurrence"]))
     recorder.attach(controller, batch=batch,
                     authority=authority if rollover else None,
                     shard_id="shard-0")
     if kill_on == "time":
-        kill.arm_at(float(params.get("kill_delay_s", 0.002)))
+        kill.arm_at(float(params["kill_delay_s"]))
     elif kill_on not in ("key_install", "shard_map"):
         kill.arm_on_record(kill_on,
-                           occurrence=int(params.get("occurrence", 1)))
+                           occurrence=int(params["occurrence"]))
 
     # ---- phase 1: burst until the kill fires -------------------------
     phase1, on_phase1 = tally()
@@ -158,7 +148,7 @@ def _crash_trial(ctx: TrialContext, state_dir: str) -> Dict[str, object]:
     batch2 = BatchController(controller2, max_in_flight=max_in_flight)
     recorder2, report = warm_restart(
         state_dir, controller2, batch=batch2, shard_id="shard-0",
-        fsync=fsync, seq_stride=int(params.get("seq_stride", 2)),
+        fsync=fsync, seq_stride=SEQ_STRIDE,
         metrics=metrics)
     recovery_s = time.perf_counter() - wall_start
     # Reconciliation reads complete in virtual time.
@@ -234,13 +224,13 @@ def _overhead_trial(ctx: TrialContext) -> Dict[str, object]:
     """
     params = ctx.params
     m = int(params["m"])
-    fsync = str(params.get("fsync", "batch"))
-    max_in_flight = int(params.get("max_in_flight", 8))
-    per_switch = int(params.get("requests_per_switch", 8))
-    repeats = int(params.get("repeats", 3))
+    fsync = str(params["fsync"])
+    max_in_flight = int(params["max_in_flight"])
+    per_switch = int(params["requests_per_switch"])
+    repeats = int(params["repeats"])
     sim, _net, controller, switches = build_batch_deployment(
-        "P4Auth", m=m, degree=int(params.get("degree", 4)),
-        seed=int(params.get("seed", 1)), telemetry=ctx.telemetry,
+        "P4Auth", m=m, degree=int(params["degree"]),
+        seed=int(params["seed"]), telemetry=ctx.telemetry,
         max_in_flight=max_in_flight)
     with tempfile.TemporaryDirectory(prefix="repro-store-") as state_dir:
         journal, snapshots, _ = open_store(state_dir, fsync=fsync)
@@ -284,7 +274,7 @@ SPEC = register(ExperimentSpec(
     name="controller_crash_recovery",
     title="Controller crash + warm restart from the write-ahead journal",
     source="ROADMAP 4",
-    trial=_crash_ctx_trial,
+    trial=_crash_trial,
     grid={"kill_on": ["seq_advance", "batch_open", "key_rollover"],
           "m": [25, 100]},
     defaults={"degree": 4, "requests_per_switch": 4, "max_in_flight": 8,

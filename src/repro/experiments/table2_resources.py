@@ -19,8 +19,9 @@ PROGRAMS = ("baseline", "p4auth")
 PROGRAM_LABELS = {"baseline": "Baseline", "p4auth": "With P4Auth"}
 
 
-def run_table2(program: str) -> ResourceReport:
+def _trial(ctx: TrialContext) -> ResourceReport:
     """Compile one program variant and report its resource usage."""
+    program = ctx.params["program"]
     if program not in PROGRAMS:
         raise ValueError(f"program must be one of {PROGRAMS}")
     # Imported here so that loading the experiment catalog stays cheap.
@@ -30,10 +31,6 @@ def run_table2(program: str) -> ResourceReport:
 
     ir = verify_program() if program == "baseline" else p4auth_program()
     return ResourceModel().report(spec_from_program(ir))
-
-
-def _trial(ctx: TrialContext) -> ResourceReport:
-    return run_table2(ctx.params["program"])
 
 
 SPEC = register(ExperimentSpec(

@@ -16,31 +16,12 @@ confirms 200 messages and 5.4 KB.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict
 
 from repro.engine.registry import register
 from repro.engine.spec import ExperimentSpec, TrialContext
 from repro.experiments.cdp_batch import build_batch_deployment
-
-
-@dataclass
-class ScalabilityResult:
-    m_switches: int
-    n_links: int
-    init_messages: int
-    init_bytes: int
-    update_messages: int
-    update_bytes: int
-    formula_init_messages: int
-    formula_init_bytes: int
-    formula_update_messages: int
-    formula_update_bytes: int
-    #: Wall(simulated)-clock the parallel bootstrap actually took, vs the
-    #: serial lower bound (sum of individual operation RTTs).  Quantifies
-    #: §XI's "150 ms ... improves significantly when done in parallel".
-    parallel_init_time_s: float = 0.0
-    serial_init_time_s: float = 0.0
+from repro.net.topology import region_sizes
 
 
 def formulas(m: int, n: int) -> Dict[str, int]:
@@ -53,8 +34,19 @@ def formulas(m: int, n: int) -> Dict[str, int]:
     }
 
 
-def run_table3(m: int = 25, degree: int = 4, seed: int = 1) -> ScalabilityResult:
-    """Bootstrap and roll every key on a live m-switch network; count."""
+def _trial(ctx: TrialContext) -> Dict[str, object]:
+    """Bootstrap and roll every key on a live m-switch network; count.
+
+    ``regions > 1`` counts on a region-sharded fleet instead
+    (:func:`_regional_trial`).
+    """
+    p = ctx.params
+    m, degree, seed = p["m"], p["degree"], p["seed"]
+    # Refuses regions < 1 (and more regions than switches) before
+    # anything is built.
+    region_sizes(m, p["regions"])
+    if p["regions"] > 1:
+        return _regional_trial(ctx)
     # The batch fleet (m=25, d=4 gives exactly the paper's n=50 links)
     # with no key established yet: the trial runs the KMP itself.
     sim, _net, controller, _switches = build_batch_deployment(
@@ -68,10 +60,7 @@ def run_table3(m: int = 25, degree: int = 4, seed: int = 1) -> ScalabilityResult
     sim.run(until=30.0)
     if not done:
         raise RuntimeError("bootstrap did not complete")
-    parallel_init_time = done[0] - bootstrap_started
     init_records = list(kmp.stats.records)
-    init_messages = sum(r.messages for r in init_records)
-    init_bytes = sum(r.bytes for r in init_records)
 
     # One full rollover: update every local key and every port key.
     before = len(kmp.stats.records)
@@ -82,28 +71,26 @@ def run_table3(m: int = 25, degree: int = 4, seed: int = 1) -> ScalabilityResult
         kmp.port_key_update(switch, port)
     sim.run(until=sim.now + 30.0)
     update_records = kmp.stats.records[before:]
-    update_messages = sum(r.messages for r in update_records)
-    update_bytes = sum(r.bytes for r in update_records)
 
     expected = formulas(m, n)
-    return ScalabilityResult(
-        m_switches=m,
-        n_links=n,
-        init_messages=init_messages,
-        init_bytes=init_bytes,
-        update_messages=update_messages,
-        update_bytes=update_bytes,
-        formula_init_messages=expected["init_messages"],
-        formula_init_bytes=expected["init_bytes"],
-        formula_update_messages=expected["update_messages"],
-        formula_update_bytes=expected["update_bytes"],
-        parallel_init_time_s=parallel_init_time,
-        serial_init_time_s=sum(r.rtt_s for r in init_records),
-    )
+    return {
+        "m_switches": m,
+        "n_links": n,
+        "init_messages": sum(r.messages for r in init_records),
+        "init_bytes": sum(r.bytes for r in init_records),
+        "update_messages": sum(r.messages for r in update_records),
+        "update_bytes": sum(r.bytes for r in update_records),
+        **{f"formula_{key}": value for key, value in expected.items()},
+        # Simulated time the parallel bootstrap actually took, vs the
+        # serial lower bound (sum of individual operation RTTs).
+        # Quantifies §XI's "150 ms ... improves significantly when done
+        # in parallel".
+        "parallel_init_time_s": done[0] - bootstrap_started,
+        "serial_init_time_s": sum(r.rtt_s for r in init_records),
+    }
 
 
-def run_table3_regional(m: int, regions: int, degree: int = 4,
-                        seed: int = 1) -> Dict[str, object]:
+def _regional_trial(ctx: TrialContext) -> Dict[str, object]:
     """Table III counts on a region-sharded fleet (the ROADMAP-3 shape).
 
     Each region is its own controller + KMP subtree under a
@@ -117,9 +104,10 @@ def run_table3_regional(m: int, regions: int, degree: int = 4,
     # fleet machinery.
     from repro.experiments.fleet_scale import build_fleet_deployment
 
-    ctx = TrialContext(params={}, seed=seed)
+    p = ctx.params
+    m, regions = p["m"], p["regions"]
     world, extras, hier, controllers = build_fleet_deployment(
-        m, regions, degree=degree, seed=seed)
+        m, regions, degree=p["degree"], seed=p["seed"])
     bootstrap = hier.bootstrap_fleet(deadline_s=30.0)
     init_counts = {region.id: len(controllers[region.id].kmp.stats.records)
                    for region in world.regions}
@@ -168,14 +156,6 @@ def run_table3_regional(m: int, regions: int, degree: int = 4,
         "boundary_violations": rollover["boundary_violations"],
         **ctx.verdict(),
     }
-
-
-def _trial(ctx: TrialContext):
-    p = ctx.params
-    if p.get("regions", 1) > 1:
-        return run_table3_regional(m=p["m"], regions=p["regions"],
-                                   degree=p["degree"], seed=p["seed"])
-    return run_table3(m=p["m"], degree=p["degree"], seed=p["seed"])
 
 
 SPEC = register(ExperimentSpec(

@@ -23,7 +23,7 @@ from repro.runtime.plain import (
 )
 from repro.runtime.p4runtime import P4RuntimeStack
 from repro.runtime.harness import RunStats, run_sequential
-from repro.runtime.comparison import STACKS, attach_stack, build_stack, measure
+from repro.runtime.comparison import STACKS, attach_stack, build_stack
 
 __all__ = [
     "CTL_HEADER",
@@ -35,5 +35,4 @@ __all__ = [
     "STACKS",
     "attach_stack",
     "build_stack",
-    "measure",
 ]

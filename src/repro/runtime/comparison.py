@@ -1,13 +1,14 @@
-"""The Fig 18/19 stack comparison, as a reusable measurement.
+"""The Fig 18/19 stack comparison.
 
-Builds each of the three register-access stacks (P4Runtime, DP-Reg-RW,
-P4Auth) on a fresh single-switch deployment and drives the paper's
-sequential read/write workload against it.
+Each trial builds one of the three register-access stacks (P4Runtime,
+DP-Reg-RW, P4Auth) on a fresh single-switch deployment and drives the
+paper's sequential read or write workload against it; the ``fig18``
+and ``fig19`` specs are that trial.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence
 
 from repro.core.auth_dataplane import P4AuthConfig, P4AuthDataplane
 from repro.core.controller import P4AuthController
@@ -107,24 +108,6 @@ def build_stack(name: str, costs=None, telemetry=None):
     stack, _dataplanes = attach_stack(name, net, ["s1"], ["target"],
                                       {"s1": 0x42}, 0.1)
     return sim, stack
-
-
-def measure(duration_s: float = 10.0, costs=None,
-            telemetry=None) -> Dict[Tuple[str, str], RunStats]:
-    """Sequential read and write runs on every stack.
-
-    Returns ``{(stack_name, "read"|"write"): RunStats}``.  Pass a
-    ``CostModel(jitter_fraction=...)`` to measure RCT *distributions*
-    (the paper's Fig 18 is a CDF).  A shared ``telemetry`` instance
-    aggregates ``runtime_rct_seconds`` across all six runs.
-    """
-    table: Dict[Tuple[str, str], RunStats] = {}
-    for name in STACKS:
-        for kind in ("read", "write"):
-            sim, stack = build_stack(name, costs, telemetry=telemetry)
-            table[(name, kind)] = run_sequential(
-                sim, stack, kind, "s1", "target", duration_s=duration_s)
-    return table
 
 
 def stats_to_dict(stats: RunStats, stack: str,

@@ -34,7 +34,6 @@ from repro.systems import blink, silkroad, netcache, flowradar, netwarden
 from repro.systems.inaggr import (
     AggregationConfig,
     AggregationDataplane,
-    AggregationJobResult,
 )
 from repro.systems.int_telemetry import (
     IntCollector,

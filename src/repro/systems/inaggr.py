@@ -25,8 +25,8 @@ out-of-band; a corrupted aggregate forces the whole chunk to be re-sent
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.dataplane.headers import HeaderType
 from repro.dataplane.packet import Packet
@@ -116,21 +116,6 @@ class AggregationDataplane:
         bitmap = self.agg_bitmap.read(chunk % self.config.max_chunks)
         return [worker for worker in range(self.config.num_workers)
                 if not bitmap & (1 << worker)]
-
-
-@dataclass
-class AggregationJobResult:
-    mode: str
-    chunks: int
-    correct_chunks: int
-    rounds_used: int
-    jct_rounds: float
-    tampered: int = 0
-    dropped_at_switch: int = 0
-    alerts: int = 0
-    #: Chunks abandoned after exhausting retries (silent-failure bound).
-    failed_chunks: int = 0
-    notes: str = ""
 
 
 # ---------------------------------------------------------------------------

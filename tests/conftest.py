@@ -13,6 +13,7 @@ import pytest
 from repro.core.auth_dataplane import P4AuthConfig, P4AuthDataplane
 from repro.core.controller import P4AuthController
 from repro.dataplane.switch import DataplaneSwitch
+from repro.engine import TrialContext, get_spec
 from repro.net.network import Network
 from repro.net.simulator import EventSimulator
 
@@ -58,6 +59,19 @@ class Deployment:
 
     def run(self, for_s: float) -> None:
         self.sim.run(until=self.sim.now + for_s)
+
+
+def run_trial(name: str, telemetry=None, **params):
+    """One trial of spec ``name``, as the engine would run it: the spec's
+    defaults with ``params`` swept in (name every grid axis, so exactly
+    one plan remains), handed to the spec's trial function with the
+    plan's seed and the caller's ``telemetry``.  Returns what the trial
+    returns."""
+    spec = get_spec(name)
+    (plan,) = spec.expand(sweep={key: [value]
+                                 for key, value in params.items()})
+    return spec.trial(TrialContext(dict(plan.params), plan.seed,
+                                   telemetry=telemetry))
 
 
 @pytest.fixture

@@ -88,9 +88,11 @@ class TestTableII:
                 report.phv_containers) == (24, 35, 37, 50)
 
     def test_table2_experiment_reports_the_same_rows(self):
-        from repro.experiments.table2_resources import run_table2
-        assert run_table2("baseline") == _report(l3fwd_program())
-        assert run_table2("p4auth") == _report(p4auth_program())
+        from tests.conftest import run_trial
+        assert run_trial("table2", program="baseline") == \
+            _report(l3fwd_program())
+        assert run_trial("table2", program="p4auth") == \
+            _report(p4auth_program())
 
     def test_hash_units_are_the_dominant_cost(self):
         base = _report(l3fwd_program())

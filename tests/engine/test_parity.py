@@ -1,6 +1,7 @@
-"""Differential tests: each spec reproduces its builder function
-exactly (same parameters + same seed => same numbers), and same-seed
-engine runs are deterministic.
+"""Differential tests: a spec's trial function is its experiment's one
+entry point (called by hand with a plan's params and seed it returns
+exactly what the engine records, reading only declared parameters), and
+same-seed engine runs are deterministic.
 
 Every comparison canonicalizes both sides through the same
 ``to_jsonable`` the runner applies, so a drift in any field — not just
@@ -20,58 +21,71 @@ def _canon(value) -> str:
     return canonical_json(to_jsonable(value))
 
 
+class _ReadRecorder(dict):
+    """Trial params that remember every key the trial reads."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+def assert_single_entry_point(name, wall_clock=()):
+    """The spec's first ``--short`` plan, run by hand, equals the
+    engine's trial byte for byte (``wall_clock`` keys aside), and every
+    parameter the trial reads is one the spec declares."""
+    spec = get_spec(name)
+    plan = spec.expand(short=True)[0]
+    params = _ReadRecorder(plan.params)
+    direct = to_jsonable(spec.trial(TrialContext(params, plan.seed)))
+    run = run_experiment(name, short=True, sweep={
+        axis: [plan.params[axis]] for axis in plan.varied})
+    engine = run.only()
+    for key in wall_clock:
+        del direct[key], engine[key]
+    assert _canon(direct) == _canon(engine)
+    assert params.read <= set(spec.param_names()), \
+        sorted(params.read - set(spec.param_names()))
+
+
 class TestSpecLegacyParity:
     def test_table2_matches_resource_model(self):
-        from repro.experiments.table2_resources import PROGRAMS, run_table2
-        run = run_experiment("table2")
-        for program in PROGRAMS:
-            assert _canon(run.result_for(program=program)) == \
-                _canon(run_table2(program))
+        assert_single_entry_point("table2")
 
     def test_table3_matches_legacy_runner(self):
-        from repro.experiments.table3_scalability import run_table3
-        run = run_experiment("table3", short=True)
-        assert _canon(run.only()) == _canon(run_table3(m=9, degree=4,
-                                                       seed=1))
+        assert_single_entry_point("table3")
 
     def test_fig20_matches_legacy_runner(self):
-        from repro.experiments.fig20_kmp import OPS, run_kmp_rtt
-        run = run_experiment("fig20", short=True)
-        legacy = run_kmp_rtt(repeats=3, seed=3)
-        expected = {"rtts": legacy.rtts, "footprint": legacy.footprint,
-                    "mean_ms": {op: legacy.mean_ms(op) for op in OPS}}
-        assert _canon(run.only()) == _canon(expected)
+        assert_single_entry_point("fig20")
 
     def test_fig21_matches_legacy_runner(self):
-        from repro.experiments.fig21_multihop import run_multihop
-        run = run_experiment("fig21", short=True)
-        assert len(run.trials) == 4
-        for trial in run.trials:
-            legacy = run_multihop(trial.params["hops"],
-                                  trial.params["with_p4auth"],
-                                  num_probes=10, spacing_s=0.005)
-            expected = {
-                "num_switches": legacy.num_switches,
-                "with_p4auth": legacy.with_p4auth,
-                "mean_traversal_s": legacy.mean_traversal_s,
-                "traversal_times_s": legacy.traversal_times_s,
-            }
-            assert _canon(trial.result) == _canon(expected)
+        assert_single_entry_point("fig21")
 
     def test_int_matches_legacy_runner(self):
-        from repro.experiments.int_manipulation import run_int_manipulation
-        run = run_experiment("int", short=True)
-        for trial in run.trials:
-            legacy = run_int_manipulation(trial.params["mode"],
-                                          num_probes=10)
-            assert _canon(trial.result) == _canon(legacy)
+        assert_single_entry_point("int")
 
     def test_aggregation_matches_legacy_runner(self):
-        from repro.experiments.attack2_aggregation import run_aggregation
-        run = run_experiment("aggregation", short=True)
-        for trial in run.trials:
-            legacy = run_aggregation(trial.params["mode"], chunks=8)
-            assert _canon(trial.result) == _canon(legacy)
+        assert_single_entry_point("aggregation")
+
+    def test_fig16_trial_is_the_entry_point(self):
+        assert_single_entry_point("fig16")
+
+    def test_fig17_trial_is_the_entry_point(self):
+        assert_single_entry_point("fig17")
+
+    def test_fct_trial_is_the_entry_point(self):
+        assert_single_entry_point("fct")
+
+    def test_controller_crash_recovery_trial_is_the_entry_point(self):
+        assert_single_entry_point("controller_crash_recovery",
+                                  wall_clock=("recovery_s",))
 
     def test_chaos_spec_matches_scenario_runner(self):
         """The engine hands a chaos trial exactly the spec's defaults;

@@ -7,16 +7,18 @@ import pytest
 from repro.attacks.personas import PERSONA_KINDS
 from repro.engine.canon import canonical_json
 from repro.engine.registry import get_spec
-from repro.experiments.persona_matrix import (
-    SYSTEMS,
-    WATCHED_SIGNALS,
-    run_persona_trial,
-)
+from repro.experiments.persona_matrix import SYSTEMS, WATCHED_SIGNALS
+from tests.conftest import run_trial
 
 _CELL = dict(attack_rate_hz=400.0, duration_s=1.0, load_hz=60.0, seed=7)
 
-#: sha256 of the canonical JSON of ``run_persona_trial(kind, "hula",
-#: **_CELL)``, captured on the commit before personas became a kind table
+
+def _cell(persona, system, **overrides):
+    return run_trial("persona_matrix", persona=persona, system=system,
+                     **{**_CELL, **overrides})
+
+#: sha256 of the canonical JSON of the (kind, "hula") cell at ``_CELL``,
+#: captured on the commit before personas became a kind table
 #: (the ``test_event_order_pin.py`` pattern).  Update only for a change
 #: that is *meant* to alter what a persona injects or when.
 PINNED_HULA_CELL_SHA256 = {
@@ -54,19 +56,19 @@ class TestSpecRegistration:
 class TestTrialInvariants:
     @pytest.mark.parametrize("kind", PERSONA_KINDS)
     def test_hula_cell_is_pinned(self, kind):
-        result = run_persona_trial(kind, "hula", **_CELL)
+        result = _cell(kind, "hula")
         digest = hashlib.sha256(canonical_json(result).encode()).hexdigest()
         assert digest == PINNED_HULA_CELL_SHA256[kind], (
             f"{kind} vs hula changed: {result['persona_outcome']}")
 
     def test_unknown_system_rejected(self):
         with pytest.raises(ValueError, match="system"):
-            run_persona_trial("dos-flooder", "bgp", **_CELL)
+            _cell("dos-flooder", "bgp")
 
     def test_cell_is_deterministic_and_safe(self):
         """Same cell twice: identical result, no forged write, detected."""
-        first = run_persona_trial("switch-os-injector", "hula", **_CELL)
-        second = run_persona_trial("switch-os-injector", "hula", **_CELL)
+        first = _cell("switch-os-injector", "hula")
+        second = _cell("switch-os-injector", "hula")
         assert first == second
         assert first["detected"] is True
         assert first["detection_signal"] in WATCHED_SIGNALS
@@ -78,9 +80,8 @@ class TestTrialInvariants:
 
     def test_dos_threshold_curve_brackets_the_limiter(self):
         """§VIII rate limiter: engaged at 400 Hz, quiet at 40 Hz."""
-        low = run_persona_trial("dos-flooder", "routescout",
-                                **{**_CELL, "attack_rate_hz": 40.0})
-        high = run_persona_trial("dos-flooder", "routescout", **_CELL)
+        low = _cell("dos-flooder", "routescout", attack_rate_hz=40.0)
+        high = _cell("dos-flooder", "routescout")
         assert low["detected"] and high["detected"]
         assert not low["mitigation_engaged"]
         assert high["mitigation_engaged"]
@@ -88,8 +89,8 @@ class TestTrialInvariants:
 
     def test_probe_mitm_surface_asymmetry(self):
         """DP-DP MitM reaches HULA's probe path but not NetCache."""
-        hula = run_persona_trial("probe-mitm", "hula", **_CELL)
-        netcache = run_persona_trial("probe-mitm", "netcache", **_CELL)
+        hula = _cell("probe-mitm", "hula")
+        netcache = _cell("probe-mitm", "netcache")
         assert hula["detected"] is True
         assert hula["detection_signal"] == "digest_fail_dpdp"
         assert hula["persona_outcome"]["surface_reachable"] == 1.0

@@ -5,34 +5,31 @@ ordering) is seeded, so a rerun must reproduce results exactly — the
 property that makes every number in EXPERIMENTS.md checkable.
 """
 
-from repro.experiments.fig16_routescout import run_routescout
-from repro.experiments.fig17_hula import run_hula
-from repro.experiments.fig20_kmp import run_kmp_rtt
 from repro.net.trace import TraceGenerator
 from repro.telemetry import Telemetry
+from tests.conftest import run_trial
 
 
 def test_routescout_bitwise_reproducible():
-    first = run_routescout("attack", duration_s=10.0, attack_start_s=3.0)
-    second = run_routescout("attack", duration_s=10.0, attack_start_s=3.0)
-    assert first.share_path1 == second.share_path1
-    assert first.split_history == second.split_history
-    assert first.packets_forwarded == second.packets_forwarded
+    first, second = (run_trial("fig16", mode="attack", duration_s=10.0,
+                               attack_start_s=3.0) for _ in range(2))
+    assert first["share_path1"] == second["share_path1"]
+    assert first["split_history"] == second["split_history"]
+    assert first["packets_forwarded"] == second["packets_forwarded"]
 
 
 def test_hula_bitwise_reproducible():
-    first = run_hula("p4auth", duration_s=1.5)
-    second = run_hula("p4auth", duration_s=1.5)
-    assert first.shares == second.shares
-    assert first.alerts == second.alerts
-    assert first.data_delivered == second.data_delivered
+    first, second = (run_trial("fig17", mode="p4auth", duration_s=1.5)
+                     for _ in range(2))
+    assert first["shares"] == second["shares"]
+    assert first["alerts"] == second["alerts"]
+    assert first["data_delivered"] == second["data_delivered"]
 
 
 def test_kmp_rtts_reproducible():
-    first = run_kmp_rtt(repeats=3)
-    second = run_kmp_rtt(repeats=3)
+    first, second = (run_trial("fig20", repeats=3) for _ in range(2))
     for op in ("local_init", "local_update", "port_init", "port_update"):
-        assert first.rtts[op] == second.rtts[op]
+        assert first["rtts"][op] == second["rtts"][op]
 
 
 def test_hula_telemetry_traces_byte_identical():
@@ -43,7 +40,7 @@ def test_hula_telemetry_traces_byte_identical():
     """
     def traced_run():
         telemetry = Telemetry(enabled=True)
-        run_hula("p4auth", duration_s=1.5, telemetry=telemetry)
+        run_trial("fig17", telemetry, mode="p4auth", duration_s=1.5)
         return telemetry
 
     first, second = traced_run(), traced_run()
@@ -63,16 +60,16 @@ def test_hula_telemetry_metrics_reproducible_modulo_wall_clock():
 
     def traced_run():
         telemetry = Telemetry(enabled=True)
-        run_hula("p4auth", duration_s=1.5, telemetry=telemetry)
+        run_trial("fig17", telemetry, mode="p4auth", duration_s=1.5)
         return telemetry
 
     assert virtual_lines(traced_run()) == virtual_lines(traced_run())
 
 
 def test_different_seeds_differ():
-    base = run_routescout("baseline", duration_s=10.0, seed=42)
-    other = run_routescout("baseline", duration_s=10.0, seed=43)
-    assert base.packets_forwarded != other.packets_forwarded
+    base, other = (run_trial("fig16", mode="baseline", duration_s=10.0,
+                             seed=seed) for seed in (42, 43))
+    assert base["packets_forwarded"] != other["packets_forwarded"]
 
 
 def test_trace_generator_is_the_randomness_root():

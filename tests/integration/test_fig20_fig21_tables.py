@@ -3,42 +3,44 @@ Table I impact matrix, and Table III scalability."""
 
 import pytest
 
-from repro.experiments.fig20_kmp import run_kmp_rtt
-from repro.experiments.fig21_multihop import run_multihop
 from repro.experiments.table1_impact import SYSTEMS
-from repro.experiments.table3_scalability import formulas, run_table3
+from repro.experiments.table3_scalability import formulas
 from repro.systems.tableone import MODES
+from tests.conftest import run_trial
 
 
 @pytest.fixture(scope="module")
 def kmp_rtt():
-    return run_kmp_rtt(repeats=5)
+    return run_trial("fig20", repeats=5)
 
 
 class TestFig20:
     def test_init_in_1_to_2ms_band(self, kmp_rtt):
-        assert 1.0 <= kmp_rtt.mean_ms("local_init") <= 2.0
-        assert 1.0 <= kmp_rtt.mean_ms("port_init") <= 2.5
+        mean_ms = kmp_rtt["mean_ms"]
+        assert 1.0 <= mean_ms["local_init"] <= 2.0
+        assert 1.0 <= mean_ms["port_init"] <= 2.5
 
     def test_updates_under_a_millisecond(self, kmp_rtt):
-        assert kmp_rtt.mean_ms("local_update") < 1.0
-        assert kmp_rtt.mean_ms("port_update") < 1.0
+        assert kmp_rtt["mean_ms"]["local_update"] < 1.0
+        assert kmp_rtt["mean_ms"]["port_update"] < 1.0
 
     def test_port_init_is_slowest(self, kmp_rtt):
+        mean_ms = kmp_rtt["mean_ms"]
         others = ("local_init", "local_update", "port_update")
-        assert all(kmp_rtt.mean_ms("port_init") > kmp_rtt.mean_ms(op)
-                   for op in others)
+        assert all(mean_ms["port_init"] > mean_ms[op] for op in others)
 
     def test_port_update_beats_local_update(self, kmp_rtt):
         """3 messages beat 2 because DP-DP hops are far faster than C-DP
         hops (the paper's 'worth noting' observation)."""
-        assert kmp_rtt.mean_ms("port_update") < kmp_rtt.mean_ms("local_update")
+        mean_ms = kmp_rtt["mean_ms"]
+        assert mean_ms["port_update"] < mean_ms["local_update"]
 
     def test_footprints_match_table3(self, kmp_rtt):
-        assert kmp_rtt.footprint["local_init"] == (4, 104)
-        assert kmp_rtt.footprint["port_init"] == (5, 138)
-        assert kmp_rtt.footprint["local_update"] == (2, 60)
-        assert kmp_rtt.footprint["port_update"] == (3, 78)
+        footprint = kmp_rtt["footprint"]
+        assert footprint["local_init"] == (4, 104)
+        assert footprint["port_init"] == (5, 138)
+        assert footprint["local_update"] == (2, 60)
+        assert footprint["port_update"] == (3, 78)
 
 
 class TestFig21:
@@ -46,10 +48,10 @@ class TestFig21:
     def curve(self):
         rows = {}
         for hops in (2, 6, 10):
-            base = run_multihop(hops, with_p4auth=False, num_probes=10)
-            auth = run_multihop(hops, with_p4auth=True, num_probes=10)
-            rows[hops] = (auth.mean_traversal_s / base.mean_traversal_s
-                          - 1.0) * 100
+            base, auth = (run_trial("fig21", hops=hops, with_p4auth=auth,
+                                    num_probes=10)["mean_traversal_s"]
+                          for auth in (False, True))
+            rows[hops] = (auth / base - 1.0) * 100
         return rows
 
     def test_two_hop_overhead_near_1pct(self, curve):
@@ -63,7 +65,7 @@ class TestFig21:
 
     def test_chain_requires_two_switches(self):
         with pytest.raises(ValueError):
-            run_multihop(1, with_p4auth=False)
+            run_trial("fig21", hops=1, with_p4auth=False)
 
 
 class TestTableI:
@@ -114,14 +116,13 @@ class TestTableIII:
         assert values["update_bytes"] == 5400
 
     def test_live_network_matches_formulas_small(self):
-        result = run_table3(m=6, degree=2, seed=3)
-        assert result.init_messages == result.formula_init_messages
-        assert result.init_bytes == result.formula_init_bytes
-        assert result.update_messages == result.formula_update_messages
-        assert result.update_bytes == result.formula_update_bytes
+        result = run_trial("table3", m=6, degree=2, seed=3)
+        for key in ("init_messages", "init_bytes", "update_messages",
+                    "update_bytes"):
+            assert result[key] == result[f"formula_{key}"], key
 
     def test_parallel_bootstrap_beats_serial(self):
         """§XI: simultaneous key initialization 'improves significantly
         when done in parallel' — the live bootstrap overlaps exchanges."""
-        result = run_table3(m=6, degree=2, seed=3)
-        assert result.parallel_init_time_s < result.serial_init_time_s
+        result = run_trial("table3", m=6, degree=2, seed=3)
+        assert result["parallel_init_time_s"] < result["serial_init_time_s"]

@@ -16,15 +16,12 @@ import os
 import pytest
 
 from repro.core.wire import serialize_message
-from repro.engine.runner import Runner
+from repro.engine.runner import Runner, run_experiment
 from repro.experiments.cdp_batch import (
     build_batch_deployment,
     run_batch_workload,
 )
-from repro.experiments.table3_scalability import (
-    run_table3,
-    run_table3_regional,
-)
+from tests.conftest import run_trial
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "golden",
                        "regions1_identity.json")
@@ -83,22 +80,29 @@ def test_per_switch_wire_streams_byte_identical():
 
 def test_table3_m25_live_counts_pinned():
     """The paper's Table III point, pinned against the refactor."""
-    result = run_table3(m=25)
-    assert (result.init_messages, result.init_bytes) == (350, 9500)
-    assert (result.update_messages, result.update_bytes) == (200, 5400)
+    result = run_trial("table3", m=25)
+    assert (result["init_messages"], result["init_bytes"]) == (350, 9500)
+    assert (result["update_messages"], result["update_bytes"]) == (200, 5400)
 
 
 def test_table3_regions_sweep_reproduces_m25_counts_per_region():
     """With the ``regions`` sweep param, every 25-switch region of a
     sharded fleet reports exactly the flat m=25/n=50 live counts."""
-    flat = run_table3(m=25)
-    regional = run_table3_regional(m=50, regions=2)
+    flat = run_trial("table3", m=25)
+    regional = run_trial("table3", m=50, regions=2)
     assert len(regional["regions_detail"]) == 2
     for row in regional["regions_detail"]:
         assert row["m_switches"] == 25 and row["n_links"] == 50
-        assert row["init_messages"] == flat.init_messages == 350
-        assert row["init_bytes"] == flat.init_bytes == 9500
-        assert row["update_messages"] == flat.update_messages == 200
-        assert row["update_bytes"] == flat.update_bytes == 5400
+        assert row["init_messages"] == flat["init_messages"] == 350
+        assert row["init_bytes"] == flat["init_bytes"] == 9500
+        assert row["update_messages"] == flat["update_messages"] == 200
+        assert row["update_bytes"] == flat["update_bytes"] == 5400
     assert regional["totals"]["init_messages"] == 700
     assert regional["boundary_violations"] == 0
+
+
+def test_table3_refuses_fewer_than_one_region():
+    """``--sweep regions=0`` is refused before anything is built, not run
+    as the flat fleet under a ``regions=0`` label."""
+    with pytest.raises(ValueError, match="need at least one region"):
+        run_experiment("table3", short=True, sweep={"regions": [0]})

@@ -2,8 +2,17 @@
 
 import pytest
 
-from repro.net.costs import CostModel
-from repro.runtime.comparison import STACKS, build_stack, measure
+from repro.engine import run_experiment
+from repro.runtime.comparison import STACKS, build_stack
+
+
+def fig18(duration_s, jitter_fraction=0.0):
+    """The Fig 18 matrix: ``{(stack, kind): trial result}``."""
+    run = run_experiment("fig18", sweep={
+        "duration_s": [duration_s], "jitter_fraction": [jitter_fraction],
+        "include_samples": [True]})
+    return {(t.params["stack"], t.params["kind"]): t.result
+            for t in run.trials}
 
 
 def test_unknown_stack_rejected():
@@ -22,29 +31,24 @@ def test_all_three_stacks_build_and_serve():
 
 
 def test_deterministic_costs_give_constant_rct():
-    table = measure(duration_s=1.0)
-    stats = table[("DP-Reg-RW", "read")]
-    assert stats.percentile_rct_s(5) == pytest.approx(
-        stats.percentile_rct_s(95))
+    stats = fig18(1.0)[("DP-Reg-RW", "read")]
+    assert stats["p5_rct_s"] == pytest.approx(stats["p95_rct_s"])
 
 
 def test_jitter_spreads_the_distribution():
-    table = measure(duration_s=1.0, costs=CostModel(jitter_fraction=0.2))
-    stats = table[("DP-Reg-RW", "read")]
-    spread = stats.percentile_rct_s(95) - stats.percentile_rct_s(5)
-    assert spread > 0.1 * stats.mean_rct_s
+    stats = fig18(1.0, jitter_fraction=0.2)[("DP-Reg-RW", "read")]
+    spread = stats["p95_rct_s"] - stats["p5_rct_s"]
+    assert spread > 0.1 * stats["mean_rct_s"]
 
 
 def test_jitter_preserves_ordering_of_means():
-    table = measure(duration_s=2.0, costs=CostModel(jitter_fraction=0.15))
-    assert (table[("DP-Reg-RW", "read")].mean_rct_s
-            < table[("P4Auth", "read")].mean_rct_s
-            < table[("P4Runtime", "read")].mean_rct_s * 1.02)
+    table = fig18(2.0, jitter_fraction=0.15)
+    assert (table[("DP-Reg-RW", "read")]["mean_rct_s"]
+            < table[("P4Auth", "read")]["mean_rct_s"]
+            < table[("P4Runtime", "read")]["mean_rct_s"] * 1.02)
 
 
 def test_jitter_is_seeded_and_reproducible():
-    costs = CostModel(jitter_fraction=0.15)
-    first = measure(duration_s=0.5, costs=costs)
-    second = measure(duration_s=0.5, costs=costs)
-    assert (first[("P4Auth", "read")].rcts_s
-            == second[("P4Auth", "read")].rcts_s)
+    first, second = (fig18(0.5, jitter_fraction=0.15)[("P4Auth", "read")]
+                     for _ in range(2))
+    assert first["rcts_s"] == second["rcts_s"]

@@ -2,7 +2,7 @@
 
 Each trial arms a :class:`~repro.faults.ControllerKillSwitch` on one
 record type, crashes the controller mid-burst, warm-restarts from the
-surviving journal, and finishes the workload.  ``run_crash_trial``
+surviving journal, and finishes the workload.  The crash trial
 states its invariants as named checks and returns the verdict with its
 numbers; a clean trial is one whose verdict passed:
 
@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.store_recovery import (
-    KILL_POINTS,
-    run_crash_trial,
-)
+from repro.experiments.store_recovery import KILL_POINTS
+from tests.conftest import run_trial
+
+
+def _crash(**params):
+    return run_trial("controller_crash_recovery", **params)
 
 
 def assert_clean(result):
@@ -32,10 +34,8 @@ def assert_clean(result):
 class TestKillPointMatrix:
     @pytest.mark.parametrize("kill_on", KILL_POINTS)
     def test_kill_at_record_type_recovers_clean(self, kill_on):
-        result = run_crash_trial({
-            "kill_on": kill_on, "m": 9, "degree": 2,
-            "requests_per_switch": 4, "seed": 3,
-        })
+        result = _crash(kill_on=kill_on, m=9, degree=2,
+                        requests_per_switch=4, seed=3)
         assert_clean(result)
         # The kill must actually have fired mid-run at the armed
         # record ("time" arms a timer instead of a record type).
@@ -44,18 +44,14 @@ class TestKillPointMatrix:
         assert result["phase2_completed"] == 9 * 4
 
     def test_fsync_always_matrix_point(self):
-        result = run_crash_trial({
-            "kill_on": "seq_advance", "m": 9, "degree": 2,
-            "requests_per_switch": 4, "fsync": "always", "seed": 3,
-        })
+        result = _crash(kill_on="seq_advance", m=9, degree=2,
+                        requests_per_switch=4, fsync="always", seed=3)
         assert_clean(result)
         assert result["killed_at_record"] == "seq_advance"
 
     def test_crash_with_snapshots_enabled(self):
-        result = run_crash_trial({
-            "kill_on": "batch_close", "m": 9, "degree": 2,
-            "requests_per_switch": 4, "snapshot_every": 8, "seed": 3,
-        })
+        result = _crash(kill_on="batch_close", m=9, degree=2,
+                        requests_per_switch=4, snapshot_every=8, seed=3)
         assert_clean(result)
         assert result["snapshot_used"]
 
@@ -64,10 +60,8 @@ class TestProductionScale:
     """The ISSUE acceptance point: a 100-switch fleet."""
 
     def test_m100_recovers_with_all_defenses_silent(self):
-        result = run_crash_trial({
-            "kill_on": "seq_advance", "m": 100, "degree": 4,
-            "requests_per_switch": 4, "seed": 1,
-        })
+        result = _crash(kill_on="seq_advance", m=100, degree=4,
+                        requests_per_switch=4, seed=1)
         assert_clean(result)
         assert result["switches_restored"] == 100
         assert result["phase2_completed"] == 100 * 4

@@ -4,7 +4,7 @@ import pytest
 
 from repro.dataplane.pipeline import Emit
 from repro.dataplane.switch import DataplaneSwitch
-from repro.experiments.attack2_aggregation import run_aggregation
+from repro.engine import run_experiment
 from repro.systems.inaggr import (
     AggregationConfig,
     AggregationDataplane,
@@ -74,24 +74,24 @@ class TestAggregationDataplane:
 class TestAttack2Scenario:
     @pytest.fixture(scope="class")
     def results(self):
-        return {mode: run_aggregation(mode, chunks=15)
-                for mode in ("baseline", "attack", "p4auth")}
+        run = run_experiment("aggregation", sweep={"chunks": [15]})
+        return {trial.params["mode"]: trial.result for trial in run.trials}
 
     def test_baseline_all_correct_one_round(self, results):
         baseline = results["baseline"]
-        assert baseline.correct_chunks == baseline.chunks
-        assert baseline.jct_rounds == 1.0
+        assert baseline["correct_chunks"] == baseline["chunks"]
+        assert baseline["jct_rounds"] == 1.0
 
     def test_attack_corrupts_silently(self, results):
         attack = results["attack"]
-        assert attack.correct_chunks < attack.chunks
-        assert attack.jct_rounds == 1.0  # nothing noticed anything
-        assert attack.alerts == 0
+        assert attack["correct_chunks"] < attack["chunks"]
+        assert attack["jct_rounds"] == 1.0  # nothing noticed anything
+        assert attack["alerts"] == 0
 
     def test_p4auth_correct_with_bounded_jct(self, results):
         p4auth = results["p4auth"]
-        assert p4auth.correct_chunks == p4auth.chunks
-        assert p4auth.failed_chunks == 0
-        assert 1.0 < p4auth.jct_rounds < 4.0
-        assert p4auth.alerts > 0
-        assert p4auth.dropped_at_switch > 0
+        assert p4auth["correct_chunks"] == p4auth["chunks"]
+        assert p4auth["failed_chunks"] == 0
+        assert 1.0 < p4auth["jct_rounds"] < 4.0
+        assert p4auth["alerts"] > 0
+        assert p4auth["dropped_at_switch"] > 0

@@ -4,7 +4,7 @@ import pytest
 
 from repro.dataplane.pipeline import Drop, Emit
 from repro.dataplane.switch import DataplaneSwitch
-from repro.experiments.int_manipulation import run_int_manipulation
+from repro.engine import run_experiment
 from repro.systems.int_telemetry import (
     IntCollector,
     IntConfig,
@@ -84,23 +84,23 @@ class TestCollector:
 class TestSecIntScenario:
     @pytest.fixture(scope="class")
     def results(self):
-        return {mode: run_int_manipulation(mode, num_probes=20)
-                for mode in ("baseline", "attack", "p4auth")}
+        run = run_experiment("int", sweep={"num_probes": [20]})
+        return {trial.params["mode"]: trial.result for trial in run.trials}
 
     def test_baseline_sees_congestion(self, results):
-        assert results["baseline"].congestion_visible
-        assert results["baseline"].probes_collected == 20
+        assert results["baseline"]["congestion_visible"]
+        assert results["baseline"]["probes_collected"] == 20
 
     def test_attack_hides_congestion_silently(self, results):
         attack = results["attack"]
-        assert not attack.congestion_visible
-        assert not attack.detected
-        assert attack.probes_collected == 20  # nothing looks wrong
+        assert not attack["congestion_visible"]
+        assert not attack["detected"]
+        assert attack["probes_collected"] == 20  # nothing looks wrong
 
     def test_p4auth_detects_suppression(self, results):
         p4auth = results["p4auth"]
-        assert p4auth.detected
-        assert p4auth.alerts > 0
+        assert p4auth["detected"]
+        assert p4auth["alerts"] > 0
         # Only tampered probes are lost; clean ones arrive truthful.
-        assert 0 < p4auth.probes_collected < p4auth.probes_sent
-        assert p4auth.reported_max_hop_latency_us < 100
+        assert 0 < p4auth["probes_collected"] < p4auth["probes_sent"]
+        assert p4auth["reported_max_hop_latency_us"] < 100

@@ -66,11 +66,11 @@ class TestTable2Agreement:
         """The linter's totals and the ``table2`` experiment's are one
         lowering of one program, pinned to the paper's row."""
         from repro.core.auth_ir import p4auth_program
-        from repro.experiments.table2_resources import run_table2
+        from tests.conftest import run_trial
         static = {
             resource: round(100.0 * used / CAPACITIES[resource], 1)
             for resource, used in static_usage(p4auth_program()).items()}
-        report = run_table2("p4auth")
+        report = run_trial("table2", program="p4auth")
         assert static == {
             "tcam_blocks": report.tcam_pct, "sram_blocks": report.sram_pct,
             "hash_units": report.hash_pct,
