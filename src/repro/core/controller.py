@@ -94,17 +94,12 @@ class P4AuthController:
                  seed: int = 0xC0FFEE,
                  outstanding_threshold: int = OUTSTANDING_THRESHOLD,
                  encrypt_regops: bool = False,
-                 request_timeout_s: Optional[float] = None,
-                 digest_lane: str = "auto"):
+                 request_timeout_s: Optional[float] = None):
         self.network = network
         self.sim = network.sim
         self.costs = network.costs
         self.telemetry = network.telemetry
-        #: ``digest_lane`` forces the software digest lane ("scalar" /
-        #: "vector") or leaves batch-size-based selection on ("auto").
-        #: Tags are bit-identical either way — the knob exists so the
-        #: lane-equivalence battery can pin that down.
-        self.digest = DigestEngine(algorithm=algorithm, lane=digest_lane)
+        self.digest = DigestEngine(algorithm=algorithm)
         self.keys = ControllerKeyStore()
         self.prng = XorShiftPrng(seed)
         self.stats = ControllerStats()

@@ -11,16 +11,15 @@ The controller-side software engine has two lanes:
 
 - the **scalar lane** — one message at a time, as the paper describes;
 - the **vector lane** (:mod:`repro.crypto.vectorized`) — a HalfSipHash
-  batch per call, selected transparently by :meth:`compute_many` when a
-  batch is at least :attr:`~DigestEngine.VECTOR_THRESHOLD` messages (or
-  forced via ``lane="vector"``/``lane="scalar"``).  CRC32 has one lane:
-  ``zlib`` per message.
+  batch per call, selected by :meth:`compute_many` when a batch is at
+  least :attr:`~DigestEngine.VECTOR_THRESHOLD` messages.  CRC32 has one
+  lane: ``zlib`` per message.
 
-Lane selection is a host-CPU scheduling decision only: tags are
-bit-identical across lanes (pinned by the differential battery), so which
-lane signed a message can never change observable wire behavior.  Extern
-(data-plane) digests always run per-packet so hash-unit invocation
-accounting is untouched.
+The batch size alone picks the lane.  Lane selection is a host-CPU
+scheduling decision only: tags are bit-identical across lanes (pinned by
+the differential battery), so which lane signed a message can never
+change observable wire behavior.  Extern (data-plane) digests always run
+per-packet so hash-unit invocation accounting is untouched.
 """
 
 from __future__ import annotations
@@ -35,9 +34,6 @@ from repro.crypto.halfsiphash import HalfSipHash
 from repro.dataplane.externs import HashExtern
 from repro.dataplane.packet import Packet
 
-#: Valid values for the engine's ``lane`` knob.
-LANES = ("auto", "scalar", "vector")
-
 
 class DigestEngine:
     """Signs and verifies P4Auth messages with a keyed 32-bit digest.
@@ -51,21 +47,15 @@ class DigestEngine:
     algorithm:
         Software-engine algorithm when ``extern`` is None:
         ``"halfsiphash"`` (BMv2 flavor) or ``"crc32"`` (Tofino flavor).
-    lane:
-        Software batch-lane policy: ``"auto"`` (vector at or above
-        :attr:`VECTOR_THRESHOLD`), ``"vector"`` (always batch through
-        :mod:`repro.crypto.vectorized`), or ``"scalar"`` (never).
     """
 
-    #: The ``"auto"`` lane crossover, measured on 64-byte C-DP material:
+    #: The vector-lane crossover, measured on 64-byte C-DP material:
     #: two messages in one int are 1.7x two scalar digests, and a group
     #: of one is the scalar kernel with packing on top.
     VECTOR_THRESHOLD = 2
 
     def __init__(self, extern: Optional[HashExtern] = None,
-                 algorithm: str = "halfsiphash", lane: str = "auto"):
-        if lane not in LANES:
-            raise ValueError(f"lane must be one of {LANES}")
+                 algorithm: str = "halfsiphash"):
         self._extern = extern
         self._halfsiphash: Optional[HalfSipHash] = None
         if extern is None:
@@ -80,7 +70,6 @@ class DigestEngine:
         else:
             self._software = extern.compute_digest_bytes
             self.algorithm = extern.algorithm
-        self.lane = lane
         self.computed = 0
         self.verified_ok = 0
         self.verified_fail = 0
@@ -98,11 +87,9 @@ class DigestEngine:
         """Which lane a ``batch_size``-message batch would take."""
         if self._extern is not None:
             return "extern"
-        if self._halfsiphash is None or self.lane == "scalar":
+        if self._halfsiphash is None or batch_size < self.VECTOR_THRESHOLD:
             return "scalar"
-        if self.lane == "vector" or batch_size >= self.VECTOR_THRESHOLD:
-            return "vector"
-        return "scalar"
+        return "vector"
 
     @property
     def key_state_hits(self) -> int:

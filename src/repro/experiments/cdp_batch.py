@@ -11,15 +11,12 @@ two ways over the *same* stack —
 - ``mode="sequential"`` — the paper's shape: one request in flight
   globally, next issued on completion (the per-request baseline);
 - ``mode="batched"`` — through :class:`repro.runtime.batch.BatchController`,
-  a window of requests in flight per switch and all switches concurrent;
-- ``mode="vectorized"`` — the batched schedule with the controller's
-  digest lane pinned to :mod:`repro.crypto.vectorized`, so whole issue
-  bursts are signed in one ``sign_many`` call.
+  a window of requests in flight per switch and all switches concurrent,
+  each switch's issue burst signed in one ``sign_many`` call.
 
-All modes emit byte-identical per-message traffic (same stack, same
-compose path, same Eqn 4 digests — the vector lane is bit-identical by
-the differential battery); only scheduling and host-CPU signing differ,
-so the throughput ratios isolate the pipelining and crypto wins.
+Both modes emit byte-identical per-message traffic (same stack, same
+compose path, same Eqn 4 digests); only scheduling differs, so the
+throughput ratio isolates the pipelining win.
 
 The ``cdp_batch_lossy`` variant is the chaos companion: a seeded
 Bernoulli drop tap on every control channel while the batched window is
@@ -95,7 +92,6 @@ def build_batch_deployment(stack_name: str, m: int = 25, degree: int = 4,
                            request_timeout_s: Optional[float] = None,
                            loss_rate: float = 0.0,
                            max_in_flight: int = 8,
-                           digest_lane: str = "auto",
                            k_seed_base: int = 0x1000,
                            bootstrap: bool = True) -> Tuple:
     """One stack deployed on the m-switch random-regular fabric.
@@ -114,7 +110,7 @@ def build_batch_deployment(stack_name: str, m: int = 25, degree: int = 4,
     stack = attach_fleet_stack(
         stack_name, net, switches, m, max_in_flight,
         k_seed_base=k_seed_base, bootstrap=bootstrap,
-        request_timeout_s=request_timeout_s, digest_lane=digest_lane)
+        request_timeout_s=request_timeout_s)
 
     if loss_rate > 0.0:
         prng = XorShiftPrng(seed ^ 0xBADC0FFE)
@@ -155,22 +151,18 @@ def run_batch_workload(sim, stack, switches: List[str], mode: str = "batched",
     """Drive the :func:`write_schedule` sequentially or batched; measure.
 
     Throughput is completed requests over the span from first issue to
-    last terminal outcome (virtual time).
-
-    ``mode="vectorized"`` schedules exactly like ``"batched"`` (the
-    deployment's forced digest lane is what differs); both submit
-    through :meth:`BatchController.submit_many` so whole windows issue
+    last terminal outcome (virtual time).  ``mode="batched"`` submits
+    through :meth:`BatchController.submit_many`, so whole windows issue
     as single signed bursts.
     """
-    if mode not in ("sequential", "batched", "vectorized"):
-        raise ValueError(
-            "mode must be 'sequential', 'batched', or 'vectorized'")
+    if mode not in ("sequential", "batched"):
+        raise ValueError("mode must be 'sequential' or 'batched'")
     requests = write_schedule(switches, requests_per_switch)
     start = sim.now
     state = {"ok": 0, "failed": 0, "last_done": start}
     rcts: List[float] = []
 
-    if mode in ("batched", "vectorized"):
+    if mode == "batched":
         batch = BatchController(stack, max_in_flight=max_in_flight)
 
         def on_done(ok: bool, _value: int) -> None:
@@ -238,16 +230,10 @@ def run_batch_workload(sim, stack, switches: List[str], mode: str = "batched",
 def _trial(ctx: TrialContext) -> dict:
     p = ctx.params
     timeout = p["request_timeout_s"] if p["loss_rate"] else None
-    # ``vectorized`` is ``batched`` with the digest lane pinned to the
-    # vector implementations; the result payload carries no lane fields,
-    # so the lane-equivalence battery can assert payload identity.
-    lane = "vector" if p["mode"] == "vectorized" else p.get("digest_lane",
-                                                           "auto")
     sim, _net, stack, switches = build_batch_deployment(
         p["stack"], m=p["m"], degree=p["degree"], seed=p["seed"],
         telemetry=ctx.telemetry, request_timeout_s=timeout,
-        loss_rate=p["loss_rate"], max_in_flight=p["max_in_flight"],
-        digest_lane=lane)
+        loss_rate=p["loss_rate"], max_in_flight=p["max_in_flight"])
     result = run_batch_workload(
         sim, stack, switches, mode=p["mode"], kind=p["kind"],
         requests_per_switch=p["requests_per_switch"],
@@ -274,11 +260,10 @@ SPEC = register(ExperimentSpec(
     source="§XI",
     trial=_trial,
     grid={"stack": list(STACKS),
-          "mode": ["sequential", "batched", "vectorized"]},
+          "mode": ["sequential", "batched"]},
     defaults={"m": 25, "degree": 4, "requests_per_switch": 8,
               "max_in_flight": 8, "kind": "write", "loss_rate": 0.0,
-              "request_timeout_s": 0.05, "seed": 1,
-              "digest_lane": "auto"},
+              "request_timeout_s": 0.05, "seed": 1},
     short={"m": 9, "requests_per_switch": 2},
     seed_param="seed",
     spec_version=2,

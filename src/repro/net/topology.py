@@ -24,7 +24,7 @@ the named nodes/ports a caller needs to run the experiment
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.crypto.prng import XorShiftPrng
 from repro.dataplane.switch import DataplaneSwitch
@@ -36,9 +36,6 @@ from repro.net.region import (
     RegionalWorld,
 )
 from repro.net.simulator import EventSimulator
-
-if TYPE_CHECKING:
-    import networkx
 
 SwitchFactory = Callable[[str, int], DataplaneSwitch]
 
@@ -376,27 +373,3 @@ def regional_fabric(m: int, regions: int = 1, degree: int = 4, seed: int = 1,
     }
     return world, extras
 
-
-def as_graph(net: Network) -> "networkx.Graph":
-    """Export the switch-level topology as a networkx graph, for users
-    who want to run graph algorithms on a fabric.
-
-    Nothing the package itself runs needs networkx, so it is imported
-    here and installed by the ``graph`` extra.
-    """
-    try:
-        import networkx as nx
-    except ImportError as error:
-        raise ImportError(
-            "as_graph() needs networkx: pip install 'repro[graph]'"
-        ) from error
-    graph = nx.Graph()
-    for name in net.switch_names():
-        graph.add_node(name)
-    seen = set()
-    for link in net.links:
-        a, b = link.end_a[0], link.end_b[0]
-        if a in graph and b in graph and (a, b) not in seen and (b, a) not in seen:
-            graph.add_edge(a, b)
-            seen.add((a, b))
-    return graph

@@ -79,13 +79,15 @@ class NetWardenDataplane:
         self.last_arrival.write(conn, now_us)
         ctx.emit(2)
 
-    def variance(self, conn: int) -> float:
-        """Offline helper used by tests (controller computes from reads)."""
-        count = self.ipd_count.read(conn)
-        if count < 2:
-            return float("inf")
-        mean = self.ipd_sum.read(conn) / count
-        return self.ipd_sq_sum.read(conn) / count - mean * mean
+
+def ipd_variance(count: int, total: int, sq_sum: int) -> float:
+    """A connection's inter-packet-delay variance from its three register
+    sums, as the controller's classifier computes it; ``inf`` under two
+    samples."""
+    if count < 2:
+        return float("inf")
+    mean = total / count
+    return sq_sum / count - mean * mean
 
 
 def run_scenario(mode: str, packets_per_conn: int = 40,
@@ -154,12 +156,8 @@ def run_scenario(mode: str, packets_per_conn: int = 40,
                 unverified.append(conn)
                 client.write_register("s1", "nw_blocked", conn, 1)
                 continue
-            count = fields["count"]
-            if count < 2:
-                continue
-            mean = fields["sum"] / count
-            variance = fields["sq_sum"] / count - mean * mean
-            if variance < VARIANCE_THRESHOLD:
+            if ipd_variance(fields["count"], fields["sum"],
+                            fields["sq_sum"]) < VARIANCE_THRESHOLD:
                 client.write_register("s1", "nw_blocked", conn, 1)
 
     end_of_traffic = base + 0.001 * (NUM_CONNECTIONS + 2) \

@@ -61,6 +61,14 @@ class Deployment:
         self.sim.run(until=self.sim.now + for_s)
 
 
+def pin_lane(engine, lane: str):
+    """Move a software :class:`DigestEngine`'s crossover so that every
+    batch takes ``lane`` ("scalar" or "vector"); returns the engine.  The
+    engine itself picks a lane by batch size only."""
+    engine.VECTOR_THRESHOLD = {"scalar": sys.maxsize, "vector": 1}[lane]
+    return engine
+
+
 def run_trial(name: str, telemetry=None, **params):
     """One trial of spec ``name``, as the engine would run it: the spec's
     defaults with ``params`` swept in (name every grid axis, so exactly

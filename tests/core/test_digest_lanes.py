@@ -1,6 +1,8 @@
 """DigestEngine batch lanes: selection, equivalence, cache discipline.
 
-The batch API (`compute_many`/`sign_many`/`verify_many`) must be a pure
+The batch size alone picks the lane.  Tests pin an engine to one lane
+with ``tests.conftest.pin_lane``, which moves its crossover.  The batch
+API (`compute_many`/`sign_many`/`verify_many`) must be a pure
 host-CPU optimization: same tags as the per-message path on every lane,
 same hash-unit invocation accounting on the extern path, and the same
 midstate cache rules — :attr:`HalfSipHash.KEY_CACHE_MAX` eviction
@@ -11,9 +13,10 @@ share the engine hasher's one cache (the regression this file pins).
 import pytest
 
 from repro.core.constants import P4AUTH
-from repro.core.digest import DigestEngine, LANES
+from repro.core.digest import DigestEngine
 from repro.core.messages import build_reg_write_request
 from repro.dataplane.externs import HashExtern
+from tests.conftest import pin_lane
 
 KEY = 0xA5A5A5A55A5A5A5A
 
@@ -28,13 +31,9 @@ def batch(count, start_seq=1):
 # ---------------------------------------------------------------------------
 
 def test_invalid_lane_rejected():
-    with pytest.raises(ValueError):
+    """No lane is a constructor argument: the batch size picks it."""
+    with pytest.raises(TypeError):
         DigestEngine(lane="turbo")
-
-
-def test_lanes_constant_covers_ctor():
-    for lane in LANES:
-        assert DigestEngine(lane=lane).lane == lane
 
 
 def test_auto_lane_crossover_at_threshold():
@@ -45,8 +44,9 @@ def test_auto_lane_crossover_at_threshold():
 
 
 def test_forced_lanes_ignore_threshold():
-    assert DigestEngine(lane="vector").lane_for(1) == "vector"
-    assert DigestEngine(lane="scalar").lane_for(4096) == "scalar"
+    """``pin_lane`` holds whatever the batch size."""
+    assert pin_lane(DigestEngine(), "vector").lane_for(1) == "vector"
+    assert pin_lane(DigestEngine(), "scalar").lane_for(4096) == "scalar"
 
 
 def test_custom_threshold_respected():
@@ -64,8 +64,8 @@ def test_custom_threshold_respected():
 
 def test_crc32_engine_has_one_lane():
     """No CRC lane exists (zlib per message beats a table gather), so a
-    crc32 engine reports and counts scalar whatever ``lane`` says."""
-    engine = DigestEngine(algorithm="crc32", lane="vector")
+    crc32 engine reports and counts scalar whatever the batch size."""
+    engine = pin_lane(DigestEngine(algorithm="crc32"), "vector")
     assert engine.lane_for(4096) == "scalar"
     engine.compute_many(KEY, batch(8))
     assert (engine.scalar_messages, engine.vector_messages) == (8, 0)
@@ -84,8 +84,8 @@ def test_extern_engine_reports_extern_lane():
 @pytest.mark.parametrize("lane", ["scalar", "vector"])
 @pytest.mark.parametrize("count", [1, 2, 31, 32, 33, 100])
 def test_compute_many_matches_compute(algorithm, lane, count):
-    reference = DigestEngine(algorithm=algorithm, lane="scalar")
-    engine = DigestEngine(algorithm=algorithm, lane=lane)
+    reference = DigestEngine(algorithm=algorithm)
+    engine = pin_lane(DigestEngine(algorithm=algorithm), lane)
     packets = batch(count)
     assert engine.compute_many(KEY, packets) \
         == [reference.compute(KEY, p) for p in packets]
@@ -93,16 +93,16 @@ def test_compute_many_matches_compute(algorithm, lane, count):
 
 @pytest.mark.parametrize("lane", ["scalar", "vector"])
 def test_sign_many_then_verify_each(lane):
-    signer = DigestEngine(lane=lane)
-    verifier = DigestEngine(lane="scalar")
+    signer = pin_lane(DigestEngine(), lane)
+    verifier = DigestEngine()
     packets = signer.sign_many(KEY, batch(40))
     assert all(verifier.verify(KEY, p) for p in packets)
 
 
 @pytest.mark.parametrize("lane", ["scalar", "vector"])
 def test_sign_each_then_verify_many(lane):
-    signer = DigestEngine(lane="scalar")
-    verifier = DigestEngine(lane=lane)
+    signer = DigestEngine()
+    verifier = pin_lane(DigestEngine(), lane)
     packets = batch(40)
     for packet in packets:
         signer.sign(KEY, packet)
@@ -111,7 +111,7 @@ def test_sign_each_then_verify_many(lane):
 
 
 def test_verify_many_flags_exactly_the_tampered_packets():
-    engine = DigestEngine(lane="vector")
+    engine = pin_lane(DigestEngine(), "vector")
     packets = engine.sign_many(KEY, batch(40))
     for index in (0, 7, 39):
         packets[index].get("reg_op")["value"] ^= 1
@@ -122,7 +122,7 @@ def test_verify_many_flags_exactly_the_tampered_packets():
 
 
 def test_empty_batch_noops():
-    engine = DigestEngine(lane="vector")
+    engine = pin_lane(DigestEngine(), "vector")
     assert engine.compute_many(KEY, []) == []
     assert engine.sign_many(KEY, []) == []
     assert engine.verify_many(KEY, []) == []
@@ -149,7 +149,7 @@ def test_lane_counters_track_batches_and_messages():
     assert engine.scalar_messages == engine.VECTOR_THRESHOLD - 1
     assert engine.vector_batches == 1
     assert engine.vector_messages == engine.VECTOR_THRESHOLD + 8
-    forced = DigestEngine(lane="vector")
+    forced = pin_lane(DigestEngine(), "vector")
     forced.compute_many(KEY, batch(3))
     assert forced.vector_batches == 1
     assert forced.vector_messages == 3
@@ -160,7 +160,7 @@ def test_lane_counters_track_batches_and_messages():
 # ---------------------------------------------------------------------------
 
 def test_vector_lane_uses_shared_schedule_cache():
-    engine = DigestEngine(lane="vector")
+    engine = pin_lane(DigestEngine(), "vector")
     engine.compute(KEY, batch(1)[0])
     assert engine.key_state_misses == 1
     engine.compute_many(KEY, batch(50))
@@ -173,7 +173,7 @@ def test_key_cache_eviction_applies_to_vector_lane():
     """Regression: KEY_CACHE_MAX must bound the cache no matter which
     lane populated it — churning keys through sign_many must not grow
     the cache past the cap."""
-    engine = DigestEngine(lane="vector")
+    engine = pin_lane(DigestEngine(), "vector")
     engine._halfsiphash.KEY_CACHE_MAX = 8
     for key in range(1, 30):
         engine.sign_many(key, batch(2))
@@ -184,7 +184,7 @@ def test_key_cache_eviction_applies_to_vector_lane():
 def test_key_rollover_between_batches_auto_misses():
     """A rolled master key must re-derive the schedule (the cache is
     keyed by key *value*) and old-key signatures must stop verifying."""
-    engine = DigestEngine(lane="vector")
+    engine = pin_lane(DigestEngine(), "vector")
     old_key, new_key = KEY, KEY ^ 0xFFFF
     packets = engine.sign_many(old_key, batch(40))
     misses_before = engine.key_state_misses
@@ -198,7 +198,7 @@ def test_key_rollover_between_batches_auto_misses():
 def test_rollover_mid_stream_signs_with_distinct_tags():
     """Same material under old vs new key must produce different tags —
     a stale cached schedule would silently reuse the old key."""
-    engine = DigestEngine(lane="vector")
+    engine = pin_lane(DigestEngine(), "vector")
     old = [p.get(P4AUTH)["digest"]
            for p in engine.sign_many(KEY, batch(40))]
     new = [p.get(P4AUTH)["digest"]

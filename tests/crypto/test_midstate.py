@@ -27,6 +27,7 @@ from repro.core.messages import (
 from repro.crypto import vectorized
 from repro.crypto.halfsiphash import PREFIX, HalfSipHash
 from repro.dataplane.externs import HashExtern
+from tests.conftest import pin_lane
 from tests.crypto.test_differential import _spec_digest
 
 KEY = 0x0123456789ABCDEF
@@ -86,7 +87,7 @@ def test_nondefault_rounds_take_the_midstate_too():
 
 @pytest.mark.parametrize("lane", ["scalar", "vector"])
 def test_engine_lanes_match_spec_on_cdp_material(lane):
-    engine = DigestEngine(lane=lane)
+    engine = pin_lane(DigestEngine(), lane)
     packets = [build_reg_write_request(1, i % 16, 0xBE00 + i, i + 1)
                for i in range(6)]
     packets += [build_reg_read_request(2, i, i + 100) for i in range(4)]

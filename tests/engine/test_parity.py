@@ -87,6 +87,12 @@ class TestSpecLegacyParity:
         assert_single_entry_point("controller_crash_recovery",
                                   wall_clock=("recovery_s",))
 
+    def test_cdp_batch_throughput_trial_is_the_entry_point(self):
+        assert_single_entry_point("cdp_batch_throughput")
+
+    def test_cdp_batch_lossy_trial_is_the_entry_point(self):
+        assert_single_entry_point("cdp_batch_lossy")
+
     def test_chaos_spec_matches_scenario_runner(self):
         """The engine hands a chaos trial exactly the spec's defaults;
         the trial derives its own fault plan from them, so calling the

@@ -1,6 +1,7 @@
 """Lane equivalence, end to end: the vector digest lane is invisible.
 
-Forcing the vector lane on or off must change *nothing observable* —
+The batch size picks the controller's digest lane.  Pinning it to one
+lane (``tests.conftest.pin_lane``) must change *nothing observable* —
 not the bytes on any control channel, not the sequence numbers, not the
 experiment result payloads.  If it did, a deployment's security behavior
 would depend on the controller's host batch size, which is exactly the
@@ -11,17 +12,21 @@ Three probes:
 - a wire tap on every control channel of a P4Auth fabric, diffing the
   full per-switch byte streams between a scalar-lane and a
   vector-lane deployment driving the identical workload;
-- the ``cdp_batch_throughput`` experiment's ``batched`` vs
-  ``vectorized`` trials, whose result payloads (virtual-time numbers;
-  deliberately lane-free) must be identical;
+- the ``cdp_batch_throughput`` experiment's ``batched`` trial, run as
+  is and with every engine pinned to the scalar lane, whose result
+  payloads (virtual-time numbers; deliberately lane-free) must be
+  identical;
 - per-switch bursts of 2-8 mixed reads and writes, the sizes ``auto``
   moved to the vector lane when the crossover fell from 32 to 2: tap
   bytes, sequence numbers and register end state against the scalar
   lane's.
 """
 
+import sys
+
 import pytest
 
+from repro.core.digest import DigestEngine
 from repro.core.wire import serialize_message
 from repro.engine import canonical_json, run_experiment, to_jsonable
 from repro.experiments.cdp_batch import (
@@ -29,15 +34,20 @@ from repro.experiments.cdp_batch import (
     run_batch_workload,
 )
 from repro.runtime.batch import BatchController
+from tests.conftest import pin_lane
 
 M, DEGREE, SEED = 5, 4, 3
 
 
 def _deploy(digest_lane: str):
-    """P4Auth on the small fabric with a tap on every control channel;
-    returns (sim, net, stack, switches, per-switch wire)."""
+    """P4Auth on the small fabric with a tap on every control channel and
+    the controller's engine pinned to ``digest_lane`` ("auto" leaves the
+    batch size to pick); returns (sim, net, stack, switches, per-switch
+    wire)."""
     sim, net, stack, switches = build_batch_deployment(
-        "P4Auth", m=M, degree=DEGREE, seed=SEED, digest_lane=digest_lane)
+        "P4Auth", m=M, degree=DEGREE, seed=SEED)
+    if digest_lane != "auto":
+        pin_lane(stack.digest, digest_lane)
     wires = {name: [] for name in switches}
 
     def tap_for(name):
@@ -52,22 +62,21 @@ def _deploy(digest_lane: str):
     return sim, net, stack, switches, wires
 
 
-def _drive(digest_lane: str, mode: str):
-    """Run the standard workload on a tapped deployment; returns
+def _drive(digest_lane: str):
+    """Run the standard batched workload on a tapped deployment; returns
     (per-switch wire, result, stack)."""
     sim, _net, stack, switches, wires = _deploy(digest_lane)
-    result = run_batch_workload(sim, stack, switches, mode=mode,
+    result = run_batch_workload(sim, stack, switches, mode="batched",
                                 requests_per_switch=4, max_in_flight=4)
     assert result["completed"] == result["submitted"] == M * 4
     return wires, result, stack
 
 
 def test_wire_streams_byte_identical_across_lanes():
-    """Scalar-lane batched vs vector-lane vectorized: every switch sees
-    the exact same control-channel bytes in the exact same order."""
-    scalar_wires, scalar_result, scalar_stack = _drive("scalar", "batched")
-    vector_wires, vector_result, vector_stack = _drive("vector",
-                                                       "vectorized")
+    """Scalar lane vs vector lane: every switch sees the exact same
+    control-channel bytes in the exact same order."""
+    scalar_wires, scalar_result, scalar_stack = _drive("scalar")
+    vector_wires, vector_result, vector_stack = _drive("vector")
     assert set(scalar_wires) == set(vector_wires)
     for name in scalar_wires:
         assert scalar_wires[name], f"no tapped traffic for {name}"
@@ -83,26 +92,25 @@ def test_wire_streams_byte_identical_across_lanes():
 
 
 def test_auto_lane_also_byte_identical():
-    """The default ``auto`` policy (whatever it picks at this window
-    size) sits on the same wire stream as the forced lanes."""
-    scalar_wires, _, _ = _drive("scalar", "batched")
-    auto_wires, _, _ = _drive("auto", "batched")
+    """The batch-size choice (whatever it picks at this window size)
+    sits on the same wire stream as the pinned lanes."""
+    scalar_wires, _, _ = _drive("scalar")
+    auto_wires, _, _ = _drive("auto")
     assert auto_wires == scalar_wires
 
 
-def test_experiment_payloads_identical_across_modes():
-    """``batched`` and ``vectorized`` trials of cdp_batch_throughput
-    report identical (virtual-time) payloads: same throughput, RCTs,
-    window high-water — everything except the ``mode`` label itself."""
-    run = run_experiment(
-        "cdp_batch_throughput", short=True, cache=False,
-        sweep={"stack": ["P4Auth"], "mode": ["batched", "vectorized"]})
-    batched = dict(run.result_for(mode="batched"))
-    vectorized = dict(run.result_for(mode="vectorized"))
-    assert batched.pop("mode") == "batched"
-    assert vectorized.pop("mode") == "vectorized"
-    assert canonical_json(to_jsonable(batched)) \
-        == canonical_json(to_jsonable(vectorized))
+def test_experiment_payloads_identical_across_modes(monkeypatch):
+    """The ``batched`` trial of cdp_batch_throughput reports the same
+    (virtual-time) payload with every digest engine pinned to the scalar
+    lane: same throughput, RCTs, window high-water."""
+    sweep = {"stack": ["P4Auth"], "mode": ["batched"]}
+    auto = run_experiment("cdp_batch_throughput", short=True, cache=False,
+                          sweep=sweep).only()
+    monkeypatch.setattr(DigestEngine, "VECTOR_THRESHOLD", sys.maxsize)
+    scalar = run_experiment("cdp_batch_throughput", short=True, cache=False,
+                            sweep=sweep).only()
+    assert canonical_json(to_jsonable(auto)) \
+        == canonical_json(to_jsonable(scalar))
 
 
 def _drive_bursts(digest_lane: str, burst: int):

@@ -64,7 +64,7 @@ def batch():
 def tags(engine):
     return [p.get(P4AUTH)["digest"] for p in engine.sign_many(0xA5A5, batch())]
 
-scalar = tags(DigestEngine(lane="scalar"))
+scalar = [DigestEngine().compute(0xA5A5, p) for p in batch()]
 engine = DigestEngine()
 assert tags(engine) == scalar and len(set(scalar)) == len(scalar)
 assert engine.vector_messages == DigestEngine.VECTOR_THRESHOLD
