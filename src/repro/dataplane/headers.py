@@ -125,7 +125,11 @@ class Header:
         return as_int.to_bytes(self.header_type.byte_width, "big")
 
     def copy(self) -> "Header":
-        return Header(self.header_type, dict(self._values))
+        # Every value was range-checked when it was set: no re-check.
+        clone = Header.__new__(Header)
+        clone.header_type = self.header_type
+        clone._values = self._values.copy()
+        return clone
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Header):

@@ -78,10 +78,10 @@ class Packet:
 
     def copy(self) -> "Packet":
         """Deep copy with fresh packet id (models packet duplication)."""
-        clone = Packet(
-            [(name, header.copy()) for name, header in self._stack],
-            self.payload,
-        )
+        clone = Packet(payload=self.payload)
+        # The stack's names were checked unique when pushed.
+        clone._stack = [(name, header.copy()) for name, header in self._stack]
+        clone._header_bytes = self._header_bytes
         clone.metadata = dict(self.metadata)
         return clone
 

@@ -23,9 +23,9 @@ package is that service front-end:
   :meth:`~ControllerService.dispatch` method is the single
   (authenticated) request surface shared by the HTTP codec and the
   in-process client.
-- :mod:`repro.service.auth` — keyed-token request authentication built
-  on the existing HalfSipHash/KDF primitives (no new crypto path; see
-  DESIGN.md "Controller service").
+- :mod:`repro.service.auth` — keyed-token request authentication:
+  stdlib HMAC-SHA256 over whole bodies, not the switch's HalfSipHash
+  (§VII's reasons are Tofino's; see DESIGN.md "Auth & API").
 - :mod:`repro.service.http` — a dependency-free asyncio HTTP/1.1 codec
   over ``dispatch`` (FastAPI is not available in the pinned
   environment, so the stdlib server is the default and only stack).

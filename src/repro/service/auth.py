@@ -3,17 +3,19 @@
 The service's endpoints mutate authenticated data-plane state, so the
 HTTP surface itself must not become the unauthenticated path around the
 paper's C-DP defenses.  Every request (except the liveness and metrics
-scrape endpoints) carries an ``X-P4Auth-Token`` header: a HalfSipHash
-tag over the canonical request bytes under a key derived from the
-deployment secret with the existing KDF.
+scrape endpoints) carries an ``X-P4Auth-Token`` header: the hex
+HMAC-SHA256 of the canonical request bytes under a key derived from the
+deployment secret.  The service key is handled like any derived key:
+never logged, never serialized into status/metrics responses.
 
-Deliberately *reuses* the repo's crypto primitives instead of opening a
-second crypto path (the P4BID/IFC motivation in ISSUE 6): the token key
-is produced by :func:`repro.crypto.kdf.kdf` with the HalfSipHash PRF,
-and the tag by :class:`repro.crypto.halfsiphash.HalfSipHash` — the same
-constructions the §VII digest rule trusts.  The service key is derived
-key material and is handled like one: never logged, never serialized
-into status/metrics responses.
+Why stdlib HMAC-SHA256 here and HalfSipHash on the switch: §VII picks
+HalfSipHash because Tofino can run it with AND/XOR/rotate/add and it is
+fast on the short C-DP messages it signs.  The host edge has neither
+constraint.  It hashes whole request bodies (up to ``MAX_BODY_BYTES``)
+before it can answer 401, where the pure-Python kernel costs
+milliseconds per batch body and ``hmac.digest`` runs in C.  The 256-bit
+tag also cannot be forged online, where a 32-bit one falls to ~2^31
+tries.
 
 This authenticates *clients to the service* (transport-level); the
 service-to-switch hop keeps the full per-message Eqn 4 digest +
@@ -23,11 +25,7 @@ or replaces it.
 
 from __future__ import annotations
 
-import hashlib
 import hmac
-
-from repro.crypto.halfsiphash import HalfSipHash
-from repro.crypto.kdf import Kdf, halfsiphash_prf
 
 #: Domain-separation salt for deriving the token key from the secret.
 TOKEN_KEY_SALT = 0x53765631  # "SvV1"
@@ -48,27 +46,25 @@ class RequestAuthenticator:
     def __init__(self, secret: str):
         if not secret:
             raise ValueError("service secret must be non-empty")
-        # Compress the free-form secret into the KDF's 64-bit key-in
-        # domain, then derive the per-purpose token key through the same
-        # keyed-PRF KDF the KMP uses for session keys.
-        seed = int.from_bytes(
-            hashlib.sha256(secret.encode("utf-8")).digest()[:8], "big")
-        self._hash = HalfSipHash()
-        self._key = Kdf(prf=halfsiphash_prf).derive(seed, TOKEN_KEY_SALT)
+        self._key = hmac.digest(secret.encode("utf-8"),
+                                TOKEN_KEY_SALT.to_bytes(4, "big"), "sha256")
 
     def token(self, method: str, path: str, body: bytes = b"") -> str:
-        """The hex token a client attaches to one request."""
-        tag = self._hash.digest(self._key,
-                                canonical_request(method, path, body))
-        return f"{tag:08x}"
+        """The 64-hex-char token a client attaches to one request."""
+        return hmac.digest(self._key, canonical_request(method, path, body),
+                           "sha256").hex()
 
     def verify(self, method: str, path: str, body: bytes,
                token: str) -> bool:
-        """Constant-time check of a presented token."""
-        if not token:
-            return False
-        expected = self.token(method, path, body)
-        return hmac.compare_digest(expected, token.strip().lower())
+        """Constant-time check of a presented token; total on any string.
+
+        The comparison is over bytes: a header decoded as latin-1 may
+        carry non-ASCII characters, which ``compare_digest`` refuses to
+        compare as ``str``.
+        """
+        presented = token.strip().lower().encode("utf-8", "replace")
+        expected = self.token(method, path, body).encode("ascii")
+        return hmac.compare_digest(expected, presented)
 
 
 __all__ = ["RequestAuthenticator", "TOKEN_HEADER", "TOKEN_KEY_SALT",

@@ -90,3 +90,20 @@ def test_copy_is_independent():
     clone = header.copy()
     clone["a"] = 2
     assert header["a"] == 1
+
+
+def test_copy_equals_the_original():
+    header = DEMO.instantiate(a=1, b=2, c=3)
+    clone = header.copy()
+    assert clone == header and clone is not header
+    assert clone.serialize() == header.serialize()
+    assert clone.header_type is header.header_type
+
+
+def test_copy_still_validates_later_stores():
+    clone = DEMO.instantiate(a=1).copy()
+    with pytest.raises(ValueError):
+        clone["a"] = 1 << DEMO.field_width("a")
+    with pytest.raises(KeyError):
+        clone["nosuch"] = 0
+    assert clone["a"] == 1

@@ -66,6 +66,24 @@ def test_copy_deep_copies_headers_and_metadata():
     assert packet.metadata["mark"] is True
 
 
+def test_copy_equals_the_original_and_stays_independent():
+    packet = Packet(payload=b"PAY")
+    packet.push("eth", ETH.instantiate(etype=0x800))
+    packet.push("v4", V4.instantiate(src=1, dst=2))
+    clone = packet.copy()
+    assert clone.serialize() == packet.serialize()
+    assert clone.size_bytes == packet.size_bytes
+    assert clone.header_names() == packet.header_names()
+    clone.remove("v4")
+    clone.push("v4", V4.instantiate(src=3))
+    assert packet.get("v4")["src"] == 1
+    assert packet.size_bytes == 14 + 8 + 3
+    with pytest.raises(ValueError):
+        clone.push("eth", ETH.instantiate())
+    with pytest.raises(ValueError):
+        clone.get("eth")["etype"] = 1 << 16
+
+
 def test_copy_gets_fresh_packet_id():
     packet = Packet()
     assert packet.copy().packet_id != packet.packet_id

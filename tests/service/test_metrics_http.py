@@ -189,6 +189,26 @@ class TestHttpSurface:
 
         run(scenario())
 
+    def test_non_ascii_token_is_401_over_http(self):
+        """A raw byte >= 0x80 in the token header is a 401, not a 500."""
+        async def scenario():
+            service, server, port = await serve()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", port)
+            body = b'{"switch": "sw0"}'
+            writer.write(
+                b"POST /v1/read HTTP/1.1\r\nHost: test\r\n"
+                + TOKEN_HEADER.encode() + b": \xe9\r\n"
+                + b"Content-Length: %d\r\n\r\n" % len(body) + body)
+            await writer.drain()
+            status_line = await reader.readline()
+            assert status_line.startswith(b"HTTP/1.1 401"), status_line
+            writer.close()
+            await writer.wait_closed()
+            await teardown(service, server)
+
+        run(scenario())
+
     def test_unknown_route_is_404_over_http(self):
         async def scenario():
             service, server, port = await serve()
