@@ -1,4 +1,5 @@
-"""Controller service — fleet req/s by shard count (ROADMAP item 1).
+"""Controller service — fleet req/s by shard count (DESIGN.md "Controller
+service").
 
 Drives the ``cdp_service_load`` experiment at m=100: concurrent
 authenticated clients push mixed read/write batches through the sharded

@@ -9,7 +9,7 @@ one lane) at batch sizes 1024 and 4096 and publishes the canonical
   report the same tag checksum — a vector lane that is fast but wrong
   would silently break the Eqn 4 integrity guarantee;
 - **speed**: the vector lane must deliver >= 5x the scalar lane's
-  tags/sec at batch >= 1024 (the ROADMAP item 2 acceptance floor;
+  tags/sec at batch >= 1024 (the vector lane's acceptance floor;
   measured 12-16x).
 """
 

@@ -1,4 +1,5 @@
-"""Fleet scale — region-sharded 10k-switch fabrics (ROADMAP item 3).
+"""Fleet scale — region-sharded 10k-switch fabrics (DESIGN.md
+"Region-sharded simulation & hierarchical KMP").
 
 Drives the ``fleet_scale`` experiment at m in {1k, 4k, 10k}: the fleet
 is split into regions, each with its own simulator/controller/key

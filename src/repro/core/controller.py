@@ -189,6 +189,37 @@ class P4AuthController:
         """
         self._seq[switch] = next_seq & 0xFFFFFFFF
 
+    def seq_divergence(self) -> Dict[str, int]:
+        """Per switch: controller next-seq minus the DP's expected seq.
+
+        Always >= 0 in an unforged fleet (the data plane only advances on
+        controller-signed messages) and exactly 0 once every issued
+        message has been delivered and verified — a negative value means
+        someone advanced the DP without the controller, i.e. a forged
+        write.
+        """
+        divergence: Dict[str, int] = {}
+        for switch in sorted(self.dataplanes):
+            expected = self.dataplanes[switch].switch.registers.get(
+                "p4auth_expected_seq").read(0)
+            divergence[switch] = self.requests.seq[switch] - expected
+        return divergence
+
+    def tamper_indicators(self) -> Dict[str, int]:
+        """Controller+DP counters that a forged write would have to trip."""
+        stats = self.stats
+        totals = {"tampered_responses": stats.tampered_responses,
+                  "unsolicited_responses": stats.unsolicited_responses,
+                  "unsolicited_nacks": stats.unsolicited_nacks,
+                  "digest_fail_cdp": 0, "digest_fail_dpdp": 0,
+                  "replays_detected": 0, "alerts_raised": 0}
+        for dataplane in self.dataplanes.values():
+            totals["digest_fail_cdp"] += dataplane.stats.digest_fail_cdp
+            totals["digest_fail_dpdp"] += dataplane.stats.digest_fail_dpdp
+            totals["replays_detected"] += dataplane.stats.replays_detected
+            totals["alerts_raised"] += dataplane.stats.alerts_raised
+        return totals
+
     def halt(self) -> None:
         """Kill this controller instance (crash modeling).
 

@@ -157,6 +157,10 @@ class KeyManagementProtocol:
         self._by_port: Dict[Tuple[str, int], _Exchange] = {}
         self._rollover_interval: Optional[float] = None
         self._automation_enabled = False
+        #: Observers ``hook(switch, epoch)`` of completed local-key
+        #: updates (the durability layer journals epoch advances here).
+        self.on_epoch: List[Callable[[str, int], None]] = []
+        self._epochs: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # dataplane instrumentation (called from controller.provision)
@@ -296,6 +300,31 @@ class KeyManagementProtocol:
                  and self.c.dataplanes[sw_a].keys.has_port_key(port_a)]
         return held, ports
 
+    def rollover(self, on_done: Optional[Callable[[], None]] = None) -> None:
+        """Update every held local key, then every held port key, behind
+        one :func:`_issue_all` barrier: ``on_done`` fires once every
+        update has resolved (completed or abandoned)."""
+        held, ports = self.rollover_due()
+        _issue_all([partial(self.local_key_update, switch) for switch in held]
+                   + [partial(self.port_key_update, switch, port)
+                      for switch, port in ports],
+                   on_done or (lambda: None))
+
+    def rollover_epoch(self, switch: str) -> int:
+        """Completed local-key updates for ``switch`` (monotonic).
+
+        Key versions are mod ``KEY_VERSIONS`` slots, so only this count
+        can order two switches' rollover progress.
+        """
+        return self._epochs.get(switch, 0)
+
+    def restore_epochs(self, epochs: Dict[str, int]) -> None:
+        """Warm-restart entry point: resume epoch counters from a
+        recovered snapshot (only ever moves counters forward)."""
+        for switch, epoch in epochs.items():
+            if epoch > self._epochs.get(switch, 0):
+                self._epochs[switch] = epoch
+
     def schedule_rollover(self, interval_s: float) -> None:
         """Periodically update every local and port key (§VIII key-size
         mitigation: roll keys well inside brute-force time)."""
@@ -310,11 +339,7 @@ class KeyManagementProtocol:
     def _rollover_tick(self) -> None:
         if self._rollover_interval is None or self.c.halted:
             return
-        held, ports = self.rollover_due()
-        for switch in held:
-            self.local_key_update(switch)
-        for switch, port in ports:
-            self.port_key_update(switch, port)
+        self.rollover()
         self.c.sim.schedule(self._rollover_interval, self._rollover_tick)
 
     def enable_topology_automation(self) -> None:
@@ -549,6 +574,11 @@ class KeyManagementProtocol:
                                   rtt_s=record.rtt_s,
                                   messages=record.messages,
                                   bytes=record.bytes)
+        if record.op == "local_update":
+            epoch = self._epochs.get(record.switch, 0) + 1
+            self._epochs[record.switch] = epoch
+            for hook in list(self.on_epoch):
+                hook(record.switch, epoch)
         if exchange.on_done is not None:
             exchange.on_done(record)
 
@@ -606,48 +636,21 @@ class RegionConvergence:
 
 
 class RegionalKeyAuthority:
-    """A region's key authority: owns bootstrap/rollover for its subtree.
+    """A region's key authority: times bootstrap/rollover for its subtree.
 
-    Thin coordination layer over the region controller's existing
-    :class:`KeyManagementProtocol` — the message flows (EAK, ADHKD,
-    redirected port exchanges) are untouched; the authority adds
-    region-scoped convergence tracking, per-region telemetry, and the
-    monotonic *rollover epoch* counter the cross-region two-version
-    invariant is stated over (key versions themselves are mod
-    ``KEY_VERSIONS`` slots, so only the completed-update count can order
-    two regions' progress).
+    Thin coordination layer over the region controller's
+    :class:`KeyManagementProtocol` — the message flows, the rollover and
+    its per-switch epoch are the KMP's; the authority adds what
+    :class:`HierarchicalKMP` coordinates: region-scoped convergence
+    tracking, per-region telemetry and an in-flight guard on rollover.
     """
 
-    def __init__(self, region_id: str, controller, telemetry=None):
+    def __init__(self, region_id: str, controller):
         self.region_id = region_id
         self.c = controller
         self.kmp: KeyManagementProtocol = controller.kmp
-        self.telemetry = telemetry if telemetry is not None \
-            else controller.telemetry
         self.convergences: List[RegionConvergence] = []
-        #: Observers ``hook(switch, epoch)`` of completed local-key
-        #: updates (the durability layer journals epoch advances here).
-        self.on_epoch: List[Callable[[str, int], None]] = []
-        self._update_counts: Dict[str, int] = {}
         self._rollover_active = False
-
-    # -- per-switch progress ----------------------------------------------
-
-    def rollover_epoch(self, switch: str) -> int:
-        """Completed local-key updates for ``switch`` (monotonic)."""
-        return self._update_counts.get(switch, 0)
-
-    def restore_epochs(self, epochs: Dict[str, int]) -> None:
-        """Warm-restart entry point: resume epoch counters from a
-        recovered snapshot (only ever moves counters forward)."""
-        for switch, epoch in epochs.items():
-            if epoch > self._update_counts.get(switch, 0):
-                self._update_counts[switch] = epoch
-
-    def switches(self) -> List[str]:
-        return sorted(self.c.dataplanes)
-
-    # -- operations --------------------------------------------------------
 
     def bootstrap(self, on_done: Optional[Callable[["RegionConvergence"],
                                                    None]] = None) -> None:
@@ -660,8 +663,7 @@ class RegionalKeyAuthority:
 
         Completion (or abandonment after the KMP's bounded retries) of
         every issued update fires ``on_done`` — a blacked-out switch
-        cannot hang the fleet rollover.  Each completed *local* update
-        bumps the switch's rollover epoch.
+        cannot hang the fleet rollover.
         """
         if self._rollover_active:
             raise RuntimeError(
@@ -673,56 +675,16 @@ class RegionalKeyAuthority:
             if on_done is not None:
                 on_done(convergence)
 
-        held, ports = self.kmp.rollover_due()
-        ops = ([partial(self._roll_local, switch) for switch in held]
-               + [partial(self.kmp.port_key_update, switch, port)
-                  for switch, port in ports])
-        self._timed("rollover", partial(_issue_all, ops), done)
+        self._timed("rollover", self.kmp.rollover, done)
 
-    def _roll_local(self, switch: str, on_done: DoneCallback) -> None:
-        def done(outcome) -> None:
-            if outcome.ok:
-                epoch = self._update_counts.get(switch, 0) + 1
-                self._update_counts[switch] = epoch
-                for hook in list(self.on_epoch):
-                    hook(switch, epoch)
-            on_done(outcome)
-
-        self.kmp.local_key_update(switch, done)
-
-    # -- consistency surfaces ----------------------------------------------
+    # The region controller's readings, for callers holding only the
+    # authority (``bench/counts.py``).
 
     def seq_divergence(self) -> Dict[str, int]:
-        """Per switch: controller next-seq minus the DP's expected seq.
-
-        Always >= 0 in an unforged fleet (the data plane only advances on
-        controller-signed messages) and exactly 0 once every issued
-        message has been delivered and verified — a negative value means
-        someone advanced the DP without the controller, i.e. a forged
-        write.
-        """
-        divergence: Dict[str, int] = {}
-        for switch in self.switches():
-            dataplane = self.c.dataplanes[switch]
-            expected = dataplane.switch.registers.get(
-                "p4auth_expected_seq").read(0)
-            divergence[switch] = self.c._seq[switch] - expected
-        return divergence
+        return self.c.seq_divergence()
 
     def tamper_indicators(self) -> Dict[str, int]:
-        """Controller+DP counters that a forged write would have to trip."""
-        stats = self.c.stats
-        totals = {"tampered_responses": stats.tampered_responses,
-                  "unsolicited_responses": stats.unsolicited_responses,
-                  "unsolicited_nacks": stats.unsolicited_nacks,
-                  "digest_fail_cdp": 0, "digest_fail_dpdp": 0,
-                  "replays_detected": 0, "alerts_raised": 0}
-        for dataplane in self.c.dataplanes.values():
-            totals["digest_fail_cdp"] += dataplane.stats.digest_fail_cdp
-            totals["digest_fail_dpdp"] += dataplane.stats.digest_fail_dpdp
-            totals["replays_detected"] += dataplane.stats.replays_detected
-            totals["alerts_raised"] += dataplane.stats.alerts_raised
-        return totals
+        return self.c.tamper_indicators()
 
     # -- internals ---------------------------------------------------------
 
@@ -742,8 +704,8 @@ class RegionalKeyAuthority:
                 completed=len(self.kmp.stats.records) - records_before,
                 failed=len(self.kmp.stats.failures) - failures_before)
             self.convergences.append(convergence)
-            telemetry = self.telemetry
-            if telemetry is not None and telemetry.enabled:
+            telemetry = self.c.telemetry
+            if telemetry.enabled:
                 metrics = telemetry.metrics
                 metrics.counter(f"kmp_region_{op}_total",
                                 region=self.region_id).inc()
@@ -794,7 +756,8 @@ def honest_load_audit(divergence: Dict[str, int], indicators: Dict[str, int],
 
 
 class HierarchicalKMP:
-    """Root coordinator over the per-region key authorities (ROADMAP 3).
+    """Root coordinator over the per-region key authorities (DESIGN.md
+    "Hierarchical KMP").
 
     Coordinates fleet-wide bootstrap and rollover across a
     :class:`~repro.net.region.RegionalWorld`, and states the cross-region
@@ -872,9 +835,9 @@ class HierarchicalKMP:
         """Rollover-epoch delta across every boundary link, right now."""
         gaps = []
         for link in self.world.boundary_links:
-            epoch_a = self.authorities[link.region_a].rollover_epoch(
+            epoch_a = self.authorities[link.region_a].kmp.rollover_epoch(
                 link.switch_a)
-            epoch_b = self.authorities[link.region_b].rollover_epoch(
+            epoch_b = self.authorities[link.region_b].kmp.rollover_epoch(
                 link.switch_b)
             gaps.append({
                 "link": f"{link.switch_a}<->{link.switch_b}",
@@ -910,7 +873,7 @@ class HierarchicalKMP:
     def seq_divergence(self) -> Dict[str, int]:
         merged: Dict[str, int] = {}
         for authority in self.authorities.values():
-            merged.update(authority.seq_divergence())
+            merged.update(authority.c.seq_divergence())
         return merged
 
     def consistency_report(self) -> Dict[str, object]:
@@ -926,7 +889,7 @@ class HierarchicalKMP:
             "switches_with_kmp_seq_lag":
                 sum(1 for v in divergence.values() if v),
             "tamper_indicators": sum_indicators(
-                authority.tamper_indicators()
+                authority.c.tamper_indicators()
                 for authority in self.authorities.values()),
             "boundary_violations": len(self.boundary_violations),
         }

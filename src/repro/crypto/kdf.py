@@ -18,24 +18,17 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.crypto.crc import Crc32
-from repro.crypto.halfsiphash import HalfSipHash
 from repro.crypto.ops import MASK64, concat32
 
 # A PRF maps arbitrary bytes to a 32-bit unsigned integer.
 Prf = Callable[[bytes], int]
 
 _crc_engine = Crc32()
-_hsh_engine = HalfSipHash()
 
 
 def crc32_prf(data: bytes) -> int:
     """The prototype PRF: one round of CRC32 (paper §VII)."""
     return _crc_engine.compute(data)
-
-
-def halfsiphash_prf(data: bytes) -> int:
-    """Stronger pluggable PRF built from HalfSipHash with a fixed key."""
-    return _hsh_engine.digest(0x5034417574685052, data)
 
 
 class Kdf:

@@ -9,7 +9,7 @@ byte counts in Table III) is computed.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 
 class HeaderType:
@@ -102,20 +102,6 @@ class Header:
     def fields(self) -> Dict[str, int]:
         """A copy of the field values."""
         return dict(self._values)
-
-    def field_words(self, exclude: Iterable[str] = ()) -> List[int]:
-        """Field values in declaration order, optionally excluding some.
-
-        The digest covers all P4Auth header fields *except* the digest
-        field itself (paper Eqn. 4); the field-by-field reference for
-        ``digest_material`` in ``tests/core`` is built from this.
-        """
-        skip = set(exclude)
-        return [
-            self._values[fname]
-            for fname, _ in self.header_type.fields
-            if fname not in skip
-        ]
 
     def serialize(self) -> bytes:
         """Pack the header to bytes, big-endian in declaration order."""

@@ -1,16 +1,16 @@
-"""Sharded controller-service load: req/s by shard count (ROADMAP item 1).
+"""Sharded controller-service load: req/s by shard count.
 
 ``cdp_batch_throughput`` showed windowed pipelining beats the paper's
 one-request-at-a-time shape inside *one* controller.  This experiment
 measures the next layer: the :mod:`repro.service` daemon sharding a
-fleet across N controller workers, each with its own deployment and its
-own share of the §IV outstanding-request DoS budget
-(``issue_window``).  Concurrent authenticated clients drive mixed
-read/write batches through the real dispatch surface (token auth,
-routing, backpressure included), and fleet throughput is completed
-requests over the *busiest shard's* busy virtual time — the honest
-scaling number: if sharding didn't help, the busiest shard would be
-doing all the work.
+fleet across N controller workers (DESIGN.md "Controller service"),
+each with its own deployment and its own share of the §IV
+outstanding-request DoS budget (``issue_window``).  Concurrent
+authenticated clients drive mixed read/write batches through the real
+dispatch surface (token auth, routing, backpressure included), and
+fleet throughput is completed requests over the *busiest shard's* busy
+virtual time — the honest scaling number: if sharding didn't help, the
+busiest shard would be doing all the work.
 
 Every trial checks the security invariants that concurrency could
 plausibly break:
@@ -116,13 +116,12 @@ def _judge(ctx: TrialContext, service,
     """State the run's security claims as named checks."""
     ctx.check("service_drained", service.idle,
               f"service idle after stop(): {service.idle}")
-    authorities = [kmp.RegionalKeyAuthority(shard_id, worker.stack)
-                   for shard_id, worker in service.workers.items()
-                   if worker.stack_name == "P4Auth"]
+    stacks = [worker.stack for worker in service.workers.values()
+              if worker.stack_name == "P4Auth"]
     for check in kmp.honest_load_audit(
-            {switch: lag for authority in authorities
-             for switch, lag in authority.seq_divergence().items()},
-            kmp.sum_indicators(a.tamper_indicators() for a in authorities)):
+            {switch: lag for stack in stacks
+             for switch, lag in stack.seq_divergence().items()},
+            kmp.sum_indicators(stack.tamper_indicators() for stack in stacks)):
         ctx.check(*check)
     unwritten = []
     for (switch, index), values in written.items():

@@ -1,9 +1,9 @@
 """Digest-lane microbenchmark: vectorized vs scalar tag throughput.
 
-PR 5's batched issue path made host-CPU crypto the C-DP bottleneck, so
+The batched issue path made host-CPU crypto the C-DP bottleneck, so
 this experiment tracks the raw HalfSipHash-2-4 digest rate of both
-software lanes on C-DP-sized material.  It is the perf-trajectory anchor
-for ROADMAP item 2: ``benchmarks/bench_digest_vector.py`` runs it and
+software lanes on C-DP-sized material (DESIGN.md "Vectorized digest
+lane").  ``benchmarks/bench_digest_vector.py`` runs it and
 gates on a >=5x vector-over-scalar floor at batch >= 1024, and CI
 publishes the ``BENCH_digest_vector.json`` artifact from the
 experiment-smoke matrix.  Keyed CRC32 (the Tofino flavor) has one lane,
@@ -96,7 +96,7 @@ def _trial(ctx: TrialContext) -> Dict[str, object]:
 SPEC = register(ExperimentSpec(
     name="digest_vector",
     title="Vectorized vs scalar digest-lane throughput",
-    source="ROADMAP 2",
+    source="DESIGN: Vectorized digest lane",
     trial=_trial,
     grid={"algorithm": list(ALGORITHMS), "lane": list(LANES)},
     defaults={"batch": 4096, "msg_len": DEFAULT_MSG_LEN, "repeats": 3,

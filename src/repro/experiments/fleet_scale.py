@@ -1,4 +1,5 @@
-"""Fleet scale: 10k-switch fabrics with hierarchical KMP (ROADMAP 3).
+"""Fleet scale: 10k-switch fabrics with hierarchical KMP (DESIGN.md
+"Region-sharded simulation & hierarchical KMP").
 
 Table III stops at m=400 because the whole fabric is one event heap and
 one flat KMP.  This experiment is the "production fleet" headline: the
@@ -159,8 +160,8 @@ def _region_task(region_id: str, m: int, regions: int, degree: int,
                                      requests_per_switch, max_in_flight)
     wall["workload_s"] = time.perf_counter() - wall_start
 
-    divergence = authority.seq_divergence()
-    tampering = authority.tamper_indicators()
+    divergence = controller.seq_divergence()
+    tampering = controller.tamper_indicators()
     return {
         "region": region_id,
         "switches": size,
@@ -169,7 +170,7 @@ def _region_task(region_id: str, m: int, regions: int, degree: int,
         "rollover": rollover.as_dict(),
         "workload": workload,
         "rollover_epochs_ok": all(
-            authority.rollover_epoch(sw) == 1 for sw in switches),
+            controller.kmp.rollover_epoch(sw) == 1 for sw in switches),
         "forged_writes": workload["bad_end_states"],
         "seq_divergence_max": max(divergence.values()),
         "seq_divergence_min": min(divergence.values()),
@@ -231,7 +232,7 @@ def _run_boundary_phase(ctx: TrialContext) -> Dict[str, object]:
 
     report = hier.consistency_report()
     off_epoch = [sw for region in world.regions for sw in region.switches
-                 if hier.authorities[region.id].rollover_epoch(sw) != 1]
+                 if controllers[region.id].kmp.rollover_epoch(sw) != 1]
     for name, ok, detail in [
             ("rollover_converged",
              rollover["converged"] and not rollover["failed"],
@@ -356,7 +357,7 @@ def _effective_workers(workers: int, num_regions: int) -> int:
 SPEC = register(ExperimentSpec(
     name="fleet_scale",
     title="Region-sharded fleet: bootstrap, rollover, batched C-DP",
-    source="ROADMAP 3",
+    source="DESIGN: Region-sharded simulation & hierarchical KMP",
     trial=_trial,
     grid={"workers": [1, 4]},
     defaults={"m": 1000, "regions": 4, "degree": 4,

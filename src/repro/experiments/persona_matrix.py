@@ -1,9 +1,9 @@
 """Persona × system × load matrix: every attacker against every system.
 
-ROADMAP item 5: sweep the first-class attacker personas
-(:mod:`repro.attacks.personas`) against each protected in-network
-control system under heavy-tailed trace load, and report two operating
-curves per (persona, system):
+The §II-A threat model against the §VIII defenses: sweep the attacker
+personas (:mod:`repro.attacks.personas`) against each protected
+in-network control system under heavy-tailed trace load, and report two
+operating curves per (persona, system):
 
 - **detection latency** — virtual seconds from persona arm to the first
   defense signal (C-DP/DP-DP digest failure, replay rejection, tampered

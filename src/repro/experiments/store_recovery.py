@@ -29,7 +29,7 @@ import time
 from typing import Callable, Dict, List
 
 from repro.core.controller import P4AuthController
-from repro.core.kmp import RegionalKeyAuthority, honest_load_audit
+from repro.core.kmp import honest_load_audit
 from repro.engine.registry import register
 from repro.engine.spec import ExperimentSpec, TrialContext
 from repro.experiments.cdp_batch import (
@@ -103,7 +103,6 @@ def _kill_and_recover(ctx: TrialContext,
     recorder = StateRecorder(
         journal, snapshots,
         seq_stride=SEQ_STRIDE, snapshot_every=params["snapshot_every"])
-    authority = RegionalKeyAuthority("r0", controller)
 
     kill = ControllerKillSwitch(net, recorder)
     # key_install and shard_map records only occur while attach()
@@ -113,9 +112,7 @@ def _kill_and_recover(ctx: TrialContext,
     if kill_on in ("key_install", "shard_map"):
         kill.arm_on_record(kill_on,
                            occurrence=int(params["occurrence"]))
-    recorder.attach(controller, batch=batch,
-                    authority=authority if rollover else None,
-                    shard_id="shard-0")
+    recorder.attach(controller, batch=batch, shard_id="shard-0")
     if kill_on == "time":
         kill.arm_at(float(params["kill_delay_s"]))
     elif kill_on not in ("key_install", "shard_map"):
@@ -127,7 +124,7 @@ def _kill_and_recover(ctx: TrialContext,
     if kill.kills == 0:
         _submit_rounds(batch, switches, rounds, on_phase1)
         if rollover and kill.kills == 0:
-            authority.rollover()
+            controller.kmp.rollover()
         sim.run(until=sim.now + PHASE_DEADLINE_S)
     if kill.kills == 0:
         # The workload drained before the trigger matched (e.g. a
@@ -136,7 +133,7 @@ def _kill_and_recover(ctx: TrialContext,
     # The restart gap: in-flight phase-1 packets land and drop.
     sim.run(until=sim.now + RESTART_GAP_S)
     lost_in_flight = batch.in_flight() + batch.queued()
-    defenses_before = authority.tamper_indicators()
+    defenses_before = controller.tamper_indicators()
 
     # ---- recovery ----------------------------------------------------
     dataplanes = list(controller.dataplanes.values())
@@ -167,9 +164,8 @@ def _kill_and_recover(ctx: TrialContext,
     _submit_rounds(batch2, switches, rounds, on_phase2)
     sim.run(until=sim.now + PHASE_DEADLINE_S)
 
-    recovered = RegionalKeyAuthority("r0", controller2)
-    divergence = recovered.seq_divergence()
-    defenses_after = recovered.tamper_indicators()
+    divergence = controller2.seq_divergence()
+    defenses_after = controller2.tamper_indicators()
     defense_trips = {key: defenses_after[key] - defenses_before[key]
                      for key in ("replays_detected", "digest_fail_cdp",
                                  "digest_fail_dpdp", "alerts_raised")}
@@ -273,7 +269,7 @@ def _overhead_trial(ctx: TrialContext) -> Dict[str, object]:
 SPEC = register(ExperimentSpec(
     name="controller_crash_recovery",
     title="Controller crash + warm restart from the write-ahead journal",
-    source="ROADMAP 4",
+    source="DESIGN: Durability & warm restart",
     trial=_crash_trial,
     grid={"kill_on": ["seq_advance", "batch_open", "key_rollover"],
           "m": [25, 100]},
@@ -290,7 +286,7 @@ SPEC = register(ExperimentSpec(
 OVERHEAD_SPEC = register(ExperimentSpec(
     name="store_journal_overhead",
     title="Steady-state journal overhead vs no-journal baseline",
-    source="ROADMAP 4",
+    source="DESIGN: Durability & warm restart",
     trial=_overhead_trial,
     grid={"fsync": ["batch", "always"]},
     defaults={"m": 25, "degree": 4, "requests_per_switch": 8,

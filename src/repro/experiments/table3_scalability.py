@@ -64,11 +64,7 @@ def _trial(ctx: TrialContext) -> Dict[str, object]:
 
     # One full rollover: update every local key and every port key.
     before = len(kmp.stats.records)
-    held, ports = kmp.rollover_due()
-    for switch in held:
-        kmp.local_key_update(switch)
-    for switch, port in ports:
-        kmp.port_key_update(switch, port)
+    kmp.rollover()
     sim.run(until=sim.now + 30.0)
     update_records = kmp.stats.records[before:]
 
@@ -91,7 +87,7 @@ def _trial(ctx: TrialContext) -> Dict[str, object]:
 
 
 def _regional_trial(ctx: TrialContext) -> Dict[str, object]:
-    """Table III counts on a region-sharded fleet (the ROADMAP-3 shape).
+    """Table III counts on a region-sharded fleet (the ``fleet_scale`` shape).
 
     Each region is its own controller + KMP subtree under a
     :class:`~repro.core.kmp.HierarchicalKMP`; boundary links cross

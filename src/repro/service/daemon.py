@@ -1,7 +1,7 @@
 """The controller service: shard routing, fleet ops, status, metrics.
 
-:class:`ControllerService` is the long-running daemon the ROADMAP's
-open item 1 calls for.  It owns a named switch fleet, partitions it
+:class:`ControllerService` is the long-running daemon (DESIGN.md
+"Controller service").  It owns a named switch fleet, partitions it
 across N :class:`~repro.service.shard.ShardWorker` instances with the
 bounded-load consistent-hash :class:`~repro.service.shardmap.ShardMap`,
 and exposes one request surface, :meth:`dispatch`, consumed by both the

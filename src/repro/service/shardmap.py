@@ -5,8 +5,8 @@ properties matter operationally:
 
 - **Stability** — re-sharding (adding/removing a worker) must move as
   few switches as possible, because a moved switch's controller-side
-  sequence counter and key state move with it (ROADMAP items 3/4 build
-  on this map for 10k-switch fleets and durable restart).
+  sequence counter and key state move with it (the region-sharded
+  fleets and the durable restart build on this map).
 - **Balance** — a shard's throughput is capped by its issue window (its
   share of the §IV outstanding-request DoS budget), so fleet throughput
   is set by the *most loaded* shard.  Plain consistent hashing leaves a

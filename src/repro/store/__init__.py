@@ -25,9 +25,10 @@ re-authenticate, never bypass, the defenses.
   by the live recorder and crash recovery so snapshot+tail replay is
   state-identical to full-journal replay *by construction*;
 - :mod:`repro.store.recorder` — hooks a live
-  :class:`~repro.core.controller.P4AuthController` (and optionally a
-  BatchController / RegionalKeyAuthority) and journals every durable
-  state change **before it is acted on** (write-ahead discipline);
+  :class:`~repro.core.controller.P4AuthController` (its KMP's rollover
+  epochs included, and optionally a BatchController) and journals every
+  durable state change **before it is acted on** (write-ahead
+  discipline);
 - :mod:`repro.store.recovery` — warm restart: rebuild controller state
   from snapshot + journal tail, re-derive session keys from journaled
   master-key versions, resume sequence numbers *past* the last durable

@@ -81,7 +81,8 @@ FSYNC_POLICIES = ("always", "batch", "never")
 #: number at or above ``horizon`` without journaling a new horizon
 #: first; ``batch_open``/``batch_close`` bracket a switch's in-flight
 #: issue window; ``shard_map`` records fleet ownership;
-#: ``epoch_advance`` tracks hierarchical-KMP rollover epochs.
+#: ``epoch_advance`` tracks the KMP's rollover epochs (one per completed
+#: local-key update, whoever issued it).
 RECORD_TYPES = (
     "key_install",
     "key_rollover",

@@ -4,10 +4,12 @@
 :attr:`ControllerKeyStore.listener`,
 :attr:`RequestLifecycle.seq_listener` (``controller.requests``),
 :attr:`BatchController.window_listener`,
-:attr:`RegionalKeyAuthority.on_epoch` — and appends a typed journal
-record for each change **before the controller acts on it** (all three
-hooks fire synchronously ahead of the action they cover; the journal
-append, and under strict fsync policies the fsync, happen inline).
+:attr:`KeyManagementProtocol.on_epoch` (``controller.kmp``: every
+completed local-key update, whoever issued it) — and appends a typed
+journal record for each change **before the controller acts on it**
+(the hooks fire synchronously ahead of the action they cover; the
+journal append, and under strict fsync policies the fsync, happen
+inline).
 
 Sequence numbers get the skip-ahead treatment: rather than journaling
 every ``next_seq`` (one fsync per request would erase the batching
@@ -67,16 +69,15 @@ class StateRecorder:
         self._since_snapshot = 0
         self._controller = None
         self._batch = None
-        self._authority = None
 
     # ------------------------------------------------------------------
     # attachment
     # ------------------------------------------------------------------
 
-    def attach(self, controller, batch=None, authority=None,
+    def attach(self, controller, batch=None,
                shard_id: Optional[str] = None) -> None:
-        """Hook a live controller (and optionally its batch facade and
-        regional key authority).
+        """Hook a live controller, its KMP's epoch advances and, given
+        one, its batch facade.
 
         Any key material and sequence state the controller *already*
         holds is journaled first, so attaching to a bootstrapped
@@ -90,12 +91,10 @@ class StateRecorder:
         self._journal_existing(controller, shard_id)
         controller.keys.listener = self._on_key
         controller.requests.seq_listener = self._on_seq
+        controller.kmp.on_epoch.append(self._on_epoch)
         if batch is not None:
             self._batch = batch
             batch.window_listener = self._on_window
-        if authority is not None:
-            self._authority = authority
-            authority.on_epoch.append(self._on_epoch)
 
     def detach(self) -> None:
         """Unhook all listeners (the recorder object stays queryable)."""
@@ -105,15 +104,13 @@ class StateRecorder:
                 controller.keys.listener = None
             if controller.requests.seq_listener is self._on_seq:
                 controller.requests.seq_listener = None
+            if self._on_epoch in controller.kmp.on_epoch:
+                controller.kmp.on_epoch.remove(self._on_epoch)
         if self._batch is not None \
                 and self._batch.window_listener is self._on_window:
             self._batch.window_listener = None
-        if self._authority is not None \
-                and self._on_epoch in self._authority.on_epoch:
-            self._authority.on_epoch.remove(self._on_epoch)
         self._controller = None
         self._batch = None
-        self._authority = None
 
     # ------------------------------------------------------------------
     # snapshots

@@ -156,7 +156,7 @@ def restore_dataplane(dataplane, state: StoreState) -> None:
         registers.get("p4auth_expected_seq").write(0, horizon & 0xFFFFFFFF)
 
 
-def warm_restart(state_dir: str, controller, *, batch=None, authority=None,
+def warm_restart(state_dir: str, controller, *, batch=None,
                  shard_id: Optional[str] = None, fsync: str = "always",
                  seq_stride: int = DEFAULT_SEQ_STRIDE,
                  snapshot_every: Optional[int] = None, keep: int = 2,
@@ -204,14 +204,12 @@ def warm_restart(state_dir: str, controller, *, batch=None, authority=None,
         restored += 1
     for switch, horizon in state.seq_horizons.items():
         controller.restore_seq(switch, horizon)
-    if authority is not None and state.epochs:
-        authority.restore_epochs(state.epochs)
+    controller.kmp.restore_epochs(state.epochs)
 
     recorder = StateRecorder(journal, snapshots, seq_stride=seq_stride,
                              snapshot_every=snapshot_every,
                              state=state)
-    recorder.attach(controller, batch=batch, authority=authority,
-                    shard_id=shard_id)
+    recorder.attach(controller, batch=batch, shard_id=shard_id)
 
     report = RecoveryReport(
         state=recovered_state, snapshot_used=snapshot_used,

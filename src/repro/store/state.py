@@ -83,7 +83,7 @@ class StoreState:
     #: switch -> head op of the batch window open at crash time
     #: (``{"reg": ..., "index": ...}``); absent means quiesced.
     open_windows: Dict[str, Dict[str, object]] = field(default_factory=dict)
-    #: switch -> hierarchical-KMP rollover epoch counter.
+    #: switch -> the KMP's rollover epoch (completed local updates).
     epochs: Dict[str, int] = field(default_factory=dict)
     #: shard name -> ordered switch list.
     shard_map: Dict[str, List[str]] = field(default_factory=dict)

@@ -15,8 +15,8 @@ from repro.telemetry import Telemetry
 
 def small_region(m=9, seed=1, telemetry=None):
     sim, _net, controller, _switches = build_batch_deployment(
-        "P4Auth", m=m, seed=seed, bootstrap=False)
-    authority = RegionalKeyAuthority("r0", controller, telemetry=telemetry)
+        "P4Auth", m=m, seed=seed, bootstrap=False, telemetry=telemetry)
+    authority = RegionalKeyAuthority("r0", controller)
     return sim, controller, len(controller.kmp.switch_links()), authority
 
 
@@ -40,14 +40,14 @@ class TestRegionalKeyAuthority:
         sim, controller, _links, authority = small_region()
         authority.bootstrap()
         sim.run(until=30.0)
-        assert all(authority.rollover_epoch(sw) == 0
-                   for sw in authority.switches())
+        assert all(controller.kmp.rollover_epoch(sw) == 0
+                   for sw in controller.dataplanes)
         done = []
         authority.rollover(on_done=done.append)
         sim.run(until=sim.now + 30.0)
         assert len(done) == 1 and done[0].failed == 0
-        assert all(authority.rollover_epoch(sw) == 1
-                   for sw in authority.switches())
+        assert all(controller.kmp.rollover_epoch(sw) == 1
+                   for sw in controller.dataplanes)
         assert [c.op for c in authority.convergences] == [
             "bootstrap", "rollover"]
 
@@ -100,33 +100,33 @@ class TestHonestLoadAudit:
         for switch in switches:
             controller.write_register(switch, "target", 0, 7)
         sim.run(until=sim.now + 1.0)
-        return sim, net, controller, RegionalKeyAuthority("r0", controller)
+        return sim, net, controller
 
     @staticmethod
-    def audit(authority, **kwargs):
-        return honest_load_audit(authority.seq_divergence(),
-                                 authority.tamper_indicators(), **kwargs)
+    def audit(controller, **kwargs):
+        return honest_load_audit(controller.seq_divergence(),
+                                 controller.tamper_indicators(), **kwargs)
 
     def test_honest_fleet_passes_all_three(self):
-        _sim, _net, _controller, authority = self.quiesced_pair()
-        assert [(name, ok) for name, ok, _detail in self.audit(authority)] \
+        _sim, _net, controller = self.quiesced_pair()
+        assert [(name, ok) for name, ok, _detail in self.audit(controller)] \
             == [("no_forged_write", True), ("seq_agreement", True),
                 ("defenses_quiet", True)]
 
     def test_a_switch_ahead_of_its_controller_is_named(self):
-        _sim, net, controller, authority = self.quiesced_pair()
+        _sim, net, controller = self.quiesced_pair()
         net.switch("sw1").registers.get("p4auth_expected_seq").write(
-            0, controller._seq["sw1"] + 1)
-        forged, agreement, quiet = self.audit(authority)
+            0, controller.requests.seq["sw1"] + 1)
+        forged, agreement, quiet = self.audit(controller)
         assert forged == ("no_forged_write", False,
                           "data plane ahead of its controller on {'sw1': -1}")
         assert agreement[:2] == ("seq_agreement", False)
         assert quiet[1]
         # Agreement is asserted only where the caller says it must hold.
-        assert self.audit(authority, must_agree=["sw0"])[1][1]
+        assert self.audit(controller, must_agree=["sw0"])[1][1]
 
     def test_before_reading_excludes_an_earlier_phase(self):
-        sim, net, controller, authority = self.quiesced_pair()
+        sim, net, controller = self.quiesced_pair()
         tamperer = RegisterRequestTamperer(
             controller.register_id("sw0", "target"),
             transform=lambda value: value ^ 1)
@@ -134,13 +134,13 @@ class TestHonestLoadAudit:
         controller.write_register("sw0", "target", 0, 9)
         sim.run(until=sim.now + 1.0)
         tamperer.detach_all()
-        before = authority.tamper_indicators()
+        before = controller.tamper_indicators()
         assert before["digest_fail_cdp"] == 1
         controller.write_register("sw0", "target", 0, 9)
         sim.run(until=sim.now + 1.0)
         assert all(ok for _name, ok, _detail
-                   in self.audit(authority, before=before))
-        name, ok, detail = self.audit(authority)[2]
+                   in self.audit(controller, before=before))
+        name, ok, detail = self.audit(controller)[2]
         assert (name, ok) == ("defenses_quiet", False)
         assert "'digest_fail_cdp': 1" in detail
 
@@ -162,9 +162,8 @@ class TestHierarchicalKMP:
         assert rollover["converged"] and not rollover["failed"]
         assert rollover["boundary_violations"] == 0
         for region in world.regions:
-            authority = hier.authorities[region.id]
-            assert all(authority.rollover_epoch(sw) == 1
-                       for sw in region.switches)
+            kmp = hier.authorities[region.id].kmp
+            assert all(kmp.rollover_epoch(sw) == 1 for sw in region.switches)
 
     def test_boundary_gaps_and_invariant(self):
         world, _extras, hier, _controllers = build_fleet_deployment(
@@ -177,7 +176,8 @@ class TestHierarchicalKMP:
         # Fabricate a region that raced two rollovers ahead: the
         # invariant check must flag every boundary link it touches.
         link = world.boundary_links[0]
-        hier.authorities[link.region_a]._update_counts[link.switch_a] = 2
+        hier.authorities[link.region_a].kmp.restore_epochs(
+            {link.switch_a: 2})
         violations = hier.check_two_version_invariant()
         assert violations and violations[0]["gap"] == 2
 

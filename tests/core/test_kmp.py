@@ -125,6 +125,19 @@ def test_rollover_refreshes_everything(switch_pair):
     dep.controller.kmp.cancel_rollover()
 
 
+def test_one_rollover_tick_bumps_every_held_epoch(switch_pair):
+    kmp = switch_pair.controller.kmp
+    advances = []
+    kmp.on_epoch.append(lambda switch, epoch: advances.append((switch,
+                                                               epoch)))
+    kmp.schedule_rollover(0.5)
+    switch_pair.run(0.8)  # one tick, at 0.5
+    kmp.cancel_rollover()
+    assert kmp.stats.count("local_update") == 2
+    assert [kmp.rollover_epoch(sw) for sw in ("s1", "s2")] == [1, 1]
+    assert sorted(advances) == [("s1", 1), ("s2", 1)]
+
+
 def test_rollover_repeats(switch_pair):
     dep = switch_pair
     dep.controller.kmp.schedule_rollover(0.2)

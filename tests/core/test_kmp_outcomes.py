@@ -142,8 +142,8 @@ class TestBarrier:
         # s1's local key and the s1->s2 port key roll (the port exchange
         # is DP-DP); s2's blacked-out local update is abandoned last.
         assert (done[0].completed, done[0].failed) == (2, 1)
-        assert authority.rollover_epoch("s1") == 1
-        assert authority.rollover_epoch("s2") == 0
+        assert dep.controller.kmp.rollover_epoch("s1") == 1
+        assert dep.controller.kmp.rollover_epoch("s2") == 0
         authority.rollover()  # the in-flight flag was released
 
 

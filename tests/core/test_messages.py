@@ -107,8 +107,11 @@ def _material_field_by_field(packet):
     bytes by name, then the payload.  ``digest_material`` packs the same
     bytes in one ``Struct`` call and one pass over the stack."""
     material = bytearray()
-    for value in packet.get("p4auth").field_words(exclude=("digest",)):
-        material += int(value).to_bytes(8, "little")
+    header = packet.get("p4auth")
+    values = header.fields()
+    for fname, _bits in header.header_type.fields:
+        if fname != "digest":
+            material += int(values[fname]).to_bytes(8, "little")
     for name in packet.header_names():
         if name != "p4auth":
             material += packet.get(name).serialize()

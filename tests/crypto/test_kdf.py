@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.crypto.kdf import Kdf, crc32_prf, halfsiphash_prf, kdf
+from repro.crypto.halfsiphash import HalfSipHash
+from repro.crypto.kdf import Kdf, crc32_prf, kdf
 
 U64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
 
@@ -27,6 +28,9 @@ def test_salt_sensitivity():
 
 
 def test_prf_choice_changes_output():
+    def halfsiphash_prf(data: bytes) -> int:
+        return HalfSipHash().digest(0x5034417574685052, data)
+
     crc_kdf = Kdf(prf=crc32_prf)
     hsh_kdf = Kdf(prf=halfsiphash_prf)
     assert crc_kdf.derive(7, 8) != hsh_kdf.derive(7, 8)

@@ -79,12 +79,6 @@ def test_empty_header_rejected():
         HeaderType("bad", [])
 
 
-def test_field_words_exclusion():
-    header = DEMO.instantiate(a=1, b=2, c=3)
-    assert header.field_words() == [1, 2, 3]
-    assert header.field_words(exclude=("b",)) == [1, 3]
-
-
 def test_copy_is_independent():
     header = DEMO.instantiate(a=1)
     clone = header.copy()

@@ -13,15 +13,16 @@ results discarded.)
 import pytest
 
 from repro.__main__ import main
-from repro.core.kmp import HierarchicalKMP, RegionalKeyAuthority
+from repro.core.controller import P4AuthController
+from repro.core.kmp import HierarchicalKMP
 from repro.engine import load_artifact, run_experiment
 from repro.experiments import cdp_batch
 
 
 def forge_one_switch(monkeypatch, when):
     """One switch reads as ahead of its controller (a forged write) in
-    every fleet whose size satisfies ``when``."""
-    real = RegionalKeyAuthority.seq_divergence
+    every controller's fleet whose size satisfies ``when``."""
+    real = P4AuthController.seq_divergence
 
     def forged(self):
         divergence = real(self)
@@ -29,7 +30,7 @@ def forge_one_switch(monkeypatch, when):
             divergence[min(divergence)] = -1
         return divergence
 
-    monkeypatch.setattr(RegionalKeyAuthority, "seq_divergence", forged)
+    monkeypatch.setattr(P4AuthController, "seq_divergence", forged)
 
 
 def assert_failed_claim(tmp_path, capsys, name, sweep, trials, forced,

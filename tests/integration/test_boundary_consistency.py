@@ -71,9 +71,9 @@ def test_rollover_survives_boundary_blackout(fleet):
     assert rollover["boundary_violations"] == 0
     assert hier.check_two_version_invariant() == []
     for switch in victims:
-        assert hier.authorities["r0"].rollover_epoch(switch) == 0
+        assert controllers["r0"].kmp.rollover_epoch(switch) == 0
     for switch in world.region("r1").switches:
-        assert hier.authorities["r1"].rollover_epoch(switch) == 1
+        assert controllers["r1"].kmp.rollover_epoch(switch) == 1
 
     # A blackout drops messages; it must not manufacture forgery
     # evidence.  (seq divergence may be positive — abandoned controller
@@ -95,7 +95,7 @@ def test_rollover_survives_boundary_blackout(fleet):
     assert done[0].failed == 0
     assert hier.check_two_version_invariant() == []
     for switch in victims:
-        assert hier.authorities["r0"].rollover_epoch(switch) == 1
+        assert controllers["r0"].kmp.rollover_epoch(switch) == 1
     assert all(gap["gap"] <= 1 for gap in hier.boundary_epoch_gaps())
 
     # Authenticated writes across the healed boundary, under the rolled

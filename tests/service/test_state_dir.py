@@ -127,6 +127,22 @@ class TestWarmRestart:
         run(lifetime(durable_config(tmp_path), first_life))
         run(lifetime(durable_config(tmp_path), second_life))
 
+    def test_rollover_epoch_survives_restart(self, tmp_path):
+        """A served rollover is journaled as an epoch advance and the
+        next life resumes counting from it."""
+        async def first_life(service, client):
+            assert (await service.rollover("sw0"))["sw0"]["ok"]
+
+        async def second_life(service, client):
+            worker = service.worker_for("sw0")
+            assert worker.recovery_report.state.epochs == {"sw0": 1}
+            assert worker.stack.kmp.rollover_epoch("sw0") == 1
+            assert (await service.rollover("sw0"))["sw0"]["ok"]
+            assert worker.stack.kmp.rollover_epoch("sw0") == 2
+
+        run(lifetime(durable_config(tmp_path), first_life))
+        run(lifetime(durable_config(tmp_path), second_life))
+
     def test_volatile_service_leaves_no_store(self, tmp_path):
         async def scenario(service, client):
             assert (await client.write("sw0", "target", 0, 7))["ok"]
