@@ -49,16 +49,8 @@ def _merged_artifact(crash_run, overhead_run):
     return document
 
 
-def test_store_recovery(benchmark, report):
-    runs = {}
-
-    def _run_all():
-        runs["crash"] = run_crash_sweep()
-        runs["overhead"] = run_overhead_sweep()
-        return runs
-
-    benchmark.pedantic(_run_all, rounds=1, iterations=1)
-    crash, overhead = runs["crash"], runs["overhead"]
+def test_store_recovery(report):
+    crash, overhead = run_crash_sweep(), run_overhead_sweep()
 
     rows = []
     for trial in crash.trials:

@@ -1,8 +1,8 @@
-"""Benchmark-suite helpers.
+"""Helpers for the host-time gates in ``benchmarks/``.
 
-``report`` prints paper-style result tables with capture disabled, so
-``pytest benchmarks/ --benchmark-only`` always shows the reproduced
-rows/series next to the timing stats (even under fd-level capture).
+``report`` prints a gate's measured numbers with capture disabled, so
+``pytest benchmarks/`` always shows them next to the verdict (even
+under fd-level capture).
 """
 
 import time

@@ -51,9 +51,10 @@ def print_experiment_listing(stream=None) -> None:
 def cmd_run(argv) -> int:
     """The generic engine front-end: run any registered spec.
 
-    Returns 1 when a trial failed one of its checks, after naming the
-    failed checks on stderr; the artifact is written either way.
+    Returns 1 when a trial failed a check or the run a paper claim,
+    after naming them on stderr; the artifact is written either way.
     """
+    from repro.analysis.report import claim_rows
     from repro.engine import (
         ResultCache,
         get_spec,
@@ -135,6 +136,10 @@ def cmd_run(argv) -> int:
                      preview if len(preview) <= 72 else preview[:69] + "..."])
     print(format_table(["trial", "seed", "result"], rows,
                        title=f"{spec.name}: {spec.title}"))
+    if run.claims:
+        print("\n" + format_table(
+            ["claim", "paper", "measured", "holds"], claim_rows(run.claims),
+            title=f"{spec.source}: paper claims"))
     meta = run.run_meta
     print(f"\n# {meta['trials']} trials, {meta['executed']} executed, "
           f"{meta['cache_hits']} cached, workers={meta['workers']}, "

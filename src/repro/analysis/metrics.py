@@ -1,4 +1,4 @@
-"""Small, dependency-light statistics helpers used by the benchmarks."""
+"""Dependency-light statistics and the ASCII tables of ``repro run``."""
 
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ def percentile(samples: Sequence[float], pct: float) -> float:
 
 def format_table(headers: List[str], rows: Iterable[Sequence[object]],
                  title: str = "") -> str:
-    """Render an ASCII table (the benches print paper-style tables)."""
+    """Render an ASCII table (trials, paper claims, example figures)."""
     materialized = [[str(cell) for cell in row] for row in rows]
     widths = [len(h) for h in headers]
     for row in materialized:

@@ -77,14 +77,25 @@ def _render_regions_detail(report: MarkdownReport, trial: Dict) -> None:
         for row in detail])
 
 
+#: How a claim's ``holds`` reads in a table.
+HOLDS = {True: "yes", False: "NO", None: "not evaluated"}
+
+
+def claim_rows(claims: List[Dict]) -> List[List[object]]:
+    """The "claim | paper | measured | holds" rows of judged claims."""
+    return [[claim["name"], claim["paper"],
+             "-" if claim["measured"] is None else claim["measured"],
+             HOLDS[claim["holds"]]] for claim in claims]
+
+
 def render_artifact_report(directory: str = ".") -> str:
     """Markdown summary of the ``BENCH_*.json`` artifacts in a directory.
 
     Each artifact becomes one section: provenance line (source, schema,
     spec version, seeding policy, run metadata) plus a table of every
-    trial's scalar result fields.  A result's ``regions_detail`` axis (a
-    list of per-region row dicts, emitted by the region-sharded
-    experiments) and failed checks are rendered as sub-tables; other nested
+    trial's scalar result fields.  The paper claims, a result's
+    ``regions_detail`` axis (per-region rows of the region-sharded
+    experiments) and failed checks are sub-tables; other nested
     lists/dicts are elided — the JSON itself remains the full record.
 
     Files that fail to parse or validate against the artifact schema are
@@ -136,8 +147,13 @@ def render_artifact_report(directory: str = ".") -> str:
                            else value)
             rows.append(row)
         report.table(["trial", "seed"] + scalar_keys, rows)
-        failed = failures((trial["id"], trial["result"])
-                          for trial in doc["trials"])
+        claims = doc.get("claims", [])
+        if claims:
+            report.paragraph("Paper claims:")
+            report.table(["claim", "paper", "measured", "holds"],
+                         claim_rows(claims))
+        failed = failures(((trial["id"], trial["result"])
+                           for trial in doc["trials"]), claims)
         if failed:
             report.paragraph("Failed checks:")
             report.table(["trial", "check", "detail"],

@@ -4,7 +4,8 @@ One artifact = one experiment run: the expanded trial matrix with every
 trial's parameters, seed, and canonical result, plus non-deterministic
 run metadata kept strictly apart (so two runs of the same matrix differ
 *only* inside ``run_meta`` — the bit-identity tests compare everything
-else).  ``analysis/report.py`` renders these back into paper-style
+else), and the spec's paper claims as judged over the trials under
+``claims``.  ``analysis/report.py`` renders these back into paper-style
 tables, and CI uploads them as build artifacts.
 """
 
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.engine.canon import SCHEMA, to_jsonable
 
@@ -21,11 +22,14 @@ REQUIRED_KEYS = ("schema", "experiment", "spec_version", "source",
                  "title", "base_seed", "trials")
 #: Keys every trial record must carry.
 TRIAL_KEYS = ("id", "params", "seed", "result")
+#: Keys every claim record must carry.
+CLAIM_KEYS = ("name", "paper", "measured", "holds")
 
 
 def build_artifact(spec, trials: List[Dict[str, Any]],
                    base_seed: Optional[int],
-                   run_meta: Optional[Dict[str, Any]] = None
+                   run_meta: Optional[Dict[str, Any]] = None,
+                   claims: Sequence[Dict[str, Any]] = ()
                    ) -> Dict[str, Any]:
     """Assemble the canonical artifact document for one run."""
     return to_jsonable({
@@ -36,6 +40,7 @@ def build_artifact(spec, trials: List[Dict[str, Any]],
         "title": spec.title,
         "base_seed": base_seed,
         "trials": trials,
+        "claims": list(claims),
         "run_meta": run_meta or {},
     })
 
@@ -87,6 +92,11 @@ def validate_artifact(document: Dict[str, Any]) -> None:
         if trial["id"] in seen:
             raise ValueError(f"duplicate trial id {trial['id']!r}")
         seen.add(trial["id"])
+    claims = document.get("claims", [])  # absent before claims existed
+    if not isinstance(claims, list) or not all(
+            isinstance(claim, dict) and set(CLAIM_KEYS) <= set(claim)
+            for claim in claims):
+        raise ValueError(f"claims must be objects with keys {CLAIM_KEYS}")
 
 
 __all__ = [

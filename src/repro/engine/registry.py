@@ -30,7 +30,6 @@ CATALOG_MODULES = (
     "repro.experiments.attack2_aggregation",
     "repro.experiments.cdp_batch",
     "repro.experiments.cdp_service_load",
-    "repro.experiments.digest_vector",
     "repro.experiments.fct_inflation",
     "repro.experiments.fleet_scale",
     "repro.experiments.int_manipulation",

@@ -3,12 +3,12 @@
 The :class:`Runner` expands a spec into its deterministic trial list,
 executes each trial (optionally under a content-hash result cache, or
 with per-trial telemetry capture: ``<trial>.jsonl`` trace plus
-``<trial>.prom`` metrics dump), and assembles the canonical artifact.
-Because every trial's seed and parameters are fixed *before* execution
-(:meth:`ExperimentSpec.expand`), and results are collected by trial
-index rather than completion order, ``workers=1`` and ``workers=N``
-produce byte-identical ``trials`` sections — parallelism is purely a
-wall-clock optimization.
+``<trial>.prom`` metrics dump), judges the spec's claims and assembles
+the canonical artifact.  Because every trial's seed and parameters are
+fixed *before* execution (:meth:`ExperimentSpec.expand`), and results
+are collected by trial index rather than completion order,
+``workers=1`` and ``workers=N`` produce byte-identical ``trials`` and
+``claims`` sections — parallelism is purely a wall-clock optimization.
 """
 
 from __future__ import annotations
@@ -26,14 +26,39 @@ from repro.engine.registry import get_spec
 from repro.engine.spec import ExperimentSpec, TrialContext, TrialPlan
 
 
-def failures(trials: Iterable[Tuple[str, Dict[str, Any]]]) -> List[tuple]:
+class MissingTrials(KeyError):
+    """No unique trial matches: the run does not cover that region."""
+
+
+def failures(trials: Iterable[Tuple[str, Dict[str, Any]]],
+             claims: Iterable[Dict[str, Any]] = ()) -> List[tuple]:
     """``(trial id, check name, detail)`` per failed check, given
-    ``(trial id, result)`` pairs: a live run and a ``BENCH_*.json`` are
-    read the same way."""
-    return [(trial_id, check["name"], check["detail"])
-            for trial_id, result in trials
-            for check in result.get("invariants", ())
-            if not check["passed"]]
+    ``(trial id, result)`` pairs, then ``("claims", name, detail)`` per
+    failed claim: a live run and a ``BENCH_*.json`` read the same."""
+    failed = [(trial_id, check["name"], check["detail"])
+              for trial_id, result in trials
+              for check in result.get("invariants", ())
+              if not check["passed"]]
+    return failed + [
+        ("claims", claim["name"],
+         f"measured {claim['measured']}, paper {claim['paper']}")
+        for claim in claims if claim["holds"] is False]
+
+
+def judge_claims(spec: ExperimentSpec, run: "RunResult"
+                 ) -> List[Dict[str, Any]]:
+    """One row per claim of ``spec``; ``holds`` is ``None`` when the run
+    lacks the trials the claim pins."""
+    rows = []
+    for name, paper, measure in spec.claims:
+        try:
+            measured, holds = measure(run)
+            holds = bool(holds)
+        except MissingTrials:
+            measured, holds = None, None
+        rows.append({"name": name, "paper": paper, "measured": measured,
+                     "holds": holds})
+    return rows
 
 
 @dataclass
@@ -57,36 +82,37 @@ class RunResult:
     spec: ExperimentSpec
     base_seed: Optional[int]
     trials: List[TrialRecord] = field(default_factory=list)
+    claims: List[Dict[str, Any]] = field(default_factory=list)
     run_meta: Dict[str, Any] = field(default_factory=dict)
     artifact_path: Optional[str] = None
 
     def document(self) -> Dict[str, Any]:
         return build_artifact(
             self.spec, [t.as_artifact_entry() for t in self.trials],
-            self.base_seed, self.run_meta)
-
-    def only(self) -> Dict[str, Any]:
-        """The single trial's result (errors if the matrix had several)."""
-        if len(self.trials) != 1:
-            raise ValueError(
-                f"expected exactly one trial, have {len(self.trials)}")
-        return self.trials[0].result
+            self.base_seed, self.run_meta, self.claims)
 
     def result_for(self, **params) -> Dict[str, Any]:
         """The unique trial whose params include every given item."""
         matches = [t for t in self.trials
                    if all(t.params.get(k) == v for k, v in params.items())]
         if len(matches) != 1:
-            raise KeyError(f"{len(matches)} trials match {params} "
-                           f"in {self.spec.name!r}")
+            raise MissingTrials(f"{len(matches)} trials match {params} "
+                                f"in {self.spec.name!r}")
         return matches[0].result
+
+    def by(self, axis: str, values: Sequence[Any],
+           **pins) -> Dict[Any, Dict[str, Any]]:
+        """``{value: result_for(**pins, axis=value)}`` for each value."""
+        return {value: self.result_for(**pins, **{axis: value})
+                for value in values}
 
     def results(self) -> List[Dict[str, Any]]:
         return [t.result for t in self.trials]
 
     def failures(self) -> List[tuple]:
-        """Every failed check of the run; empty means every claim held."""
-        return failures((t.id, t.result) for t in self.trials)
+        """Every failed check and claim of the run."""
+        return failures(((t.id, t.result) for t in self.trials),
+                        self.claims)
 
 
 def execute_trial(spec: ExperimentSpec, plan: TrialPlan,
@@ -179,6 +205,7 @@ class Runner:
             run.trials.append(TrialRecord(
                 id=plan.trial_id, params=to_jsonable(plan.params),
                 seed=plan.seed, result=result))
+        run.claims = judge_claims(spec, run)
         run.run_meta = {
             "workers": self.workers,
             "trials": len(plans),
@@ -277,19 +304,21 @@ def run_experiment(name: str, sweep: Optional[Dict[str, Sequence]] = None,
                    cache: Union[ResultCache, None, bool] = None,
                    out_dir: Optional[str] = None,
                    trace_dir: Optional[str] = None) -> RunResult:
-    """One-call convenience wrapper used by the CLI and benchmarks."""
+    """One-call convenience wrapper around :class:`Runner`."""
     runner = Runner(workers=workers, cache=cache, out_dir=out_dir,
                     trace_dir=trace_dir)
     return runner.run(name, sweep=sweep, base_seed=base_seed, short=short)
 
 
 __all__ = [
+    "MissingTrials",
     "RunResult",
     "Runner",
     "TrialRecord",
     "assign_regions",
     "execute_trial",
     "failures",
+    "judge_claims",
     "run_experiment",
     "run_region_tasks",
 ]

@@ -66,6 +66,20 @@ class TrialContext:
 
 TrialFn = Callable[[TrialContext], Mapping]
 
+#: ``(name, paper, measure)``: ``measure(run) -> (measured, ok)`` reads
+#: the trials it pins through ``run.result_for``; a run without them
+#: raises ``MissingTrials`` there and the claim reads "not evaluated".
+Claim = Tuple[str, str, Callable[[Any], Tuple[Any, bool]]]
+
+
+def claim(name: str, paper: str, value: Callable[[Any], Any],
+          test: Callable[[Any], bool], show: str = "{}") -> Claim:
+    """The :data:`Claim` judging ``value(run)`` by ``test``, as ``show``."""
+    def measure(run):
+        got = value(run)
+        return show.format(got), test(got)
+    return name, paper, measure
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -94,6 +108,8 @@ class ExperimentSpec:
     #: Whether the trial function threads ``ctx.telemetry`` through.
     supports_telemetry: bool = False
     tags: Tuple[str, ...] = ()
+    #: The paper's claims about this experiment, judged after the run.
+    claims: Tuple[Claim, ...] = ()
 
     def param_names(self) -> List[str]:
         return sorted(set(self.grid) | set(self.defaults))
@@ -248,6 +264,7 @@ __all__ = [
     "TrialContext",
     "TrialPlan",
     "canonical_json",
+    "claim",
     "derive_seed",
     "parse_sweep",
 ]

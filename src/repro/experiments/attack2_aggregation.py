@@ -25,7 +25,7 @@ from repro.attacks.link import ProbeFieldTamperer
 from repro.core.auth_dataplane import P4AuthConfig
 from repro.crypto.prng import XorShiftPrng
 from repro.engine.registry import register
-from repro.engine.spec import ExperimentSpec, TrialContext
+from repro.engine.spec import ExperimentSpec, TrialContext, claim
 from repro.dataplane.switch import DataplaneSwitch
 from repro.net.network import Network
 from repro.net.simulator import EventSimulator
@@ -177,4 +177,21 @@ SPEC = register(ExperimentSpec(
     short={"chunks": 8},
     seed_param="seed",
     tags=("attack", "aggregation"),
+    claims=(
+        # The corrupted share is a coin per chunk: judged over 30 chunks.
+        claim("silent_under_attack_loud_with_p4auth",
+              "attack: wrong sums at no JCT cost, no alert; P4Auth: every "
+              "sum correct, JCT inflated, alerts",
+              lambda run: run.by("mode", MODES, chunks=30,
+                                 tamper_probability=0.5),
+              lambda r: r["attack"]["correct_chunks"] < 30 * 0.75
+              and r["attack"]["jct_rounds"] == 1.0
+              and r["attack"]["alerts"] == 0
+              and r["baseline"]["correct_chunks"] == 30
+              and r["p4auth"]["correct_chunks"] == 30
+              and 1.0 < r["p4auth"]["jct_rounds"] < 4.0
+              and r["p4auth"]["alerts"] > 0,
+              "correct: {0[baseline][correct_chunks]} / {0[attack]"
+              "[correct_chunks]} / {0[p4auth][correct_chunks]} of 30"),
+    ),
 ))

@@ -33,7 +33,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.crypto.prng import XorShiftPrng
 from repro.dataplane.switch import DataplaneSwitch
 from repro.engine.registry import register
-from repro.engine.spec import ExperimentSpec, TrialContext
+from repro.engine.spec import ExperimentSpec, TrialContext, claim
 from repro.net.topology import random_regular_fabric
 from repro.runtime.batch import BatchController
 from repro.runtime.comparison import STACKS, attach_stack
@@ -269,6 +269,20 @@ SPEC = register(ExperimentSpec(
     spec_version=2,
     supports_telemetry=True,
     tags=("runtime", "batching", "scalability"),
+    claims=(
+        claim("pipelining_speedup_m100", "P4Auth, lossless m = 100: >= 3x "
+              "req/s over one in flight, p99 < 16x",
+              lambda run: run.by("mode", ("sequential", "batched"),
+                                 stack="P4Auth", m=100, loss_rate=0.0),
+              lambda r: r["batched"]["throughput_rps"]
+              >= 3 * r["sequential"]["throughput_rps"]
+              and r["batched"]["p99_rct_s"] < 16 * r["sequential"]["p99_rct_s"]
+              and all(t["completed"] == t["submitted"] for t in r.values())
+              and r["batched"]["leaked_in_flight"]
+              == r["batched"]["still_queued"] == 0,
+              "{0[batched][throughput_rps]:.0f} vs "
+              "{0[sequential][throughput_rps]:.0f} req/s"),
+    ),
 ))
 
 LOSSY_SPEC = register(ExperimentSpec(

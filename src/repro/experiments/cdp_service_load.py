@@ -33,7 +33,7 @@ from typing import Dict, List, Set, Tuple
 
 from repro.core import kmp
 from repro.engine.registry import register
-from repro.engine.spec import ExperimentSpec, TrialContext
+from repro.engine.spec import ExperimentSpec, TrialContext, claim
 from repro.runtime.harness import floor_percentile
 
 #: Per-op retry budget when a shard answers 503 (backpressure is a
@@ -211,4 +211,15 @@ SPEC = register(ExperimentSpec(
     seed_param="seed",
     spec_version=2,
     tags=("service", "scalability", "runtime"),
+    claims=(
+        claim("shard_scaling_m100", "m = 100, 24 clients x 6 x 32 ops: "
+              ">= 3x req/s at 4 shards, lower p99",
+              lambda run: run.by("shards", (1, 4), m=100, clients=24,
+                                 rounds=6, batch_size=32),
+              lambda r: r[4]["fleet_rps"] >= 3 * r[1]["fleet_rps"]
+              and r[4]["p99_s"] < r[1]["p99_s"]
+              and all(t["completed"] == t["submitted"] and t["failed"] == 0
+                      for t in r.values()),
+              "{0[4][fleet_rps]:.0f} vs {0[1][fleet_rps]:.0f} req/s"),
+    ),
 ))

@@ -23,7 +23,7 @@ from typing import Dict, List
 
 from repro.analysis import mean, percentile
 from repro.engine.registry import register
-from repro.engine.spec import ExperimentSpec, TrialContext
+from repro.engine.spec import ExperimentSpec, TrialContext, claim
 from repro.experiments.fig17_hula import (
     fig3_hula_world,
     protect_probes,
@@ -146,4 +146,18 @@ SPEC = register(ExperimentSpec(
               "warmup_s": 0.5},
     short={"duration_s": 1.5},
     tags=("attack", "latency"),
+    claims=(
+        claim("attack_inflates_fct_p4auth_restores",
+              "FCT inflated (here > 10x); P4Auth keeps the baseline",
+              lambda run: run.by("mode", MODES),
+              lambda r: r["attack"]["mean_latency_s"]
+              > 10 * r["baseline"]["mean_latency_s"]
+              and r["attack"]["share_via_s4"] > 0.9
+              and r["p4auth"]["mean_latency_s"]
+              < 1.5 * r["baseline"]["mean_latency_s"]
+              and r["p4auth"]["share_via_s4"] < 0.05
+              and r["p4auth"]["alerts"] > 0,
+              "{0[baseline][mean_latency_s]:.4f} / {0[attack][mean_latency_s]"
+              ":.4f} / {0[p4auth][mean_latency_s]:.4f} s"),
+    ),
 ))

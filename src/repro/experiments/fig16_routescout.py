@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from repro.attacks.control_plane import RegisterResponseTamperer
 from repro.engine.registry import register
-from repro.engine.spec import ExperimentSpec, TrialContext
+from repro.engine.spec import ExperimentSpec, TrialContext, claim
 from repro.dataplane.switch import DataplaneSwitch
 from repro.net.network import Network
 from repro.net.simulator import EventSimulator
@@ -123,4 +123,17 @@ SPEC = register(ExperimentSpec(
     short={"duration_s": 8.0, "attack_start_s": 2.0},
     seed_param="seed",
     tags=("figure", "defense"),
+    claims=(
+        claim("traffic_split", "delay-driven split; ~70 % on path 2 under "
+              "attack; with P4Auth the split is kept and tampering detected",
+              lambda run: run.by("mode", MODES, duration_s=60.0,
+                                 attack_start_s=10.0),
+              lambda r: r["baseline"]["share_path1"] > 0.55
+              and r["attack"]["share_path2"] > 0.6
+              and abs(r["p4auth"]["share_path1"]
+                      - r["baseline"]["share_path1"]) < 0.05
+              and r["p4auth"]["tamper_events"] > 0,
+              "path 2: {0[baseline][share_path2]:.1%} / {0[attack]"
+              "[share_path2]:.1%} / {0[p4auth][share_path2]:.1%}"),
+    ),
 ))

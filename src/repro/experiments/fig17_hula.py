@@ -19,7 +19,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro.attacks.link import ProbeFieldTamperer
 from repro.engine.registry import register
-from repro.engine.spec import ExperimentSpec, TrialContext
+from repro.engine.spec import ExperimentSpec, TrialContext, claim
 from repro.core.auth_dataplane import P4AuthConfig
 from repro.core.controller import P4AuthController
 from repro.net.network import Network
@@ -158,4 +158,16 @@ SPEC = register(ExperimentSpec(
     seed_param="seed",
     supports_telemetry=True,
     tags=("figure", "defense"),
+    claims=(
+        claim("traffic_shares", "≈ equal thirds; > 70 % via S4 under "
+              "attack; with P4Auth S4 is blocked and alerts raised",
+              lambda run: run.by("mode", MODES),
+              lambda r: all(0.2 < share < 0.5
+                            for share in r["baseline"]["shares"].values())
+              and r["attack"]["shares"]["s4"] > 0.7
+              and r["p4auth"]["shares"]["s4"] < 0.05
+              and r["p4auth"]["alerts"] > 0,
+              "via S4: {0[baseline][shares][s4]:.1%} / {0[attack][shares]"
+              "[s4]:.1%} / {0[p4auth][shares][s4]:.1%}"),
+    ),
 ))

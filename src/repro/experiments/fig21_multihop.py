@@ -3,8 +3,7 @@
 HULA probes traverse a linear chain of 2..10 switches; P4Auth verifies
 each probe on ingress and re-signs it on egress at every keyed hop.  The
 paper measures probe traversal time (host to host) with and without
-P4Auth: overhead grows near-linearly with hop count — +0.95% at 2 hops,
-+5.9% at 10.
+P4Auth: overhead grows near-linearly with hop count (the claims).
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from typing import Dict, List
 
 from repro.core.auth_dataplane import P4AuthConfig
 from repro.engine.registry import register
-from repro.engine.spec import ExperimentSpec, TrialContext
+from repro.engine.spec import ExperimentSpec, TrialContext, claim
 from repro.net.topology import linear_chain
 from repro.runtime.comparison import attach_stack, k_seeds_from
 from repro.systems.hula import HulaDataplane, chain_hula_configs, make_probe
@@ -22,23 +21,12 @@ from repro.systems.hula import HulaDataplane, chain_hula_configs, make_probe
 CHAIN_TOR = 9
 
 
-def curve_from_trials(results) -> List[dict]:
-    """The Fig 21 series (per-hop traversal times and P4Auth overhead %)
-    from per-(hops, with_p4auth) trial dicts."""
-    by_key = {(r["num_switches"], r["with_p4auth"]): r for r in results}
-    rows = []
-    for hops in sorted({k for k, _ in by_key}):
-        base = by_key[(hops, False)]
-        auth = by_key[(hops, True)]
-        overhead = (auth["mean_traversal_s"] / base["mean_traversal_s"]
-                    - 1.0) * 100
-        rows.append({
-            "hops": hops,
-            "base_us": base["mean_traversal_s"] * 1e6,
-            "p4auth_us": auth["mean_traversal_s"] * 1e6,
-            "overhead_pct": overhead,
-        })
-    return rows
+def curve_from_trials(run, hops) -> List[float]:
+    """The Fig 21 series: P4Auth's traversal-time overhead (%) at each
+    hop count, read off exactly those hops' trial pairs."""
+    return [(run.result_for(hops=count, with_p4auth=True)["mean_traversal_s"]
+             / run.result_for(hops=count, with_p4auth=False)[
+                 "mean_traversal_s"] - 1.0) * 100 for count in hops]
 
 
 def _trial(ctx: TrialContext) -> dict:
@@ -103,4 +91,13 @@ SPEC = register(ExperimentSpec(
     defaults={"num_probes": 50, "spacing_s": 0.005},
     short={"hops": [2, 4], "num_probes": 10},
     tags=("figure", "overhead"),
+    claims=(
+        claim("overhead_2_hops", "+0.95 %",
+              lambda run: curve_from_trials(run, [2]),
+              lambda pct: 0.5 < pct[0] < 1.5, "{0[0]:+.3f} %"),
+        claim("overhead_10_hops", "+5.9 %, near-linear from 2 hops",
+              lambda run: curve_from_trials(run, range(2, 11)),
+              lambda pct: 5.0 < pct[-1] < 7.0 and pct == sorted(pct),
+              "{0[8]:+.3f} % (2 to 10 hops: {0[0]:.2f} to {0[8]:.2f} %)"),
+    ),
 ))

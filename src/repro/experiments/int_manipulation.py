@@ -18,7 +18,7 @@ import struct
 from repro.attacks.base import Adversary
 from repro.core.auth_dataplane import P4AuthConfig
 from repro.engine.registry import register
-from repro.engine.spec import ExperimentSpec, TrialContext
+from repro.engine.spec import ExperimentSpec, TrialContext, claim
 from repro.net.topology import linear_chain
 from repro.runtime.comparison import attach_stack, k_seeds_from
 from repro.systems.int_telemetry import (
@@ -141,4 +141,15 @@ SPEC = register(ExperimentSpec(
     defaults={"num_switches": 4, "num_probes": 40, "spacing_s": 0.005},
     short={"num_probes": 10},
     tags=("attack", "telemetry"),
+    claims=(
+        claim("attack_blinds_p4auth_detects",
+              "congestion hidden silently; P4Auth drops and alerts",
+              lambda run: run.by("mode", MODES),
+              lambda r: r["baseline"]["congestion_visible"]
+              and not r["attack"]["congestion_visible"]
+              and not r["attack"]["detected"]
+              and r["p4auth"]["detected"] and r["p4auth"]["alerts"] > 0,
+              "{0[attack][reported_max_hop_latency_us]} us reported, "
+              "{0[p4auth][alerts]} alerts"),
+    ),
 ))

@@ -40,7 +40,8 @@ from repro.crypto.prng import XorShiftPrng
 from repro.dataplane.packet import Packet
 from repro.dataplane.switch import DataplaneSwitch
 from repro.engine.registry import register
-from repro.engine.spec import ExperimentSpec, TrialContext
+from repro.engine.runner import MissingTrials
+from repro.engine.spec import ExperimentSpec, TrialContext, claim
 from repro.net.network import Network
 from repro.net.simulator import EventSimulator
 from repro.net.trace import TraceGenerator
@@ -271,6 +272,18 @@ def _trial(ctx: TrialContext) -> Dict[str, Any]:
     }
 
 
+def _at_rate(run, persona: str, top: bool) -> List[Dict[str, Any]]:
+    """``persona``'s cells at the run's highest (``top``) or lowest rate,
+    which must straddle the §VIII alert limit to say anything."""
+    limit = P4AuthConfig.alert_threshold / P4AuthConfig.alert_window_s
+    rates = sorted({trial.params["attack_rate_hz"] for trial in run.trials})
+    if not rates[0] < limit < rates[-1]:
+        raise MissingTrials(f"rates {rates} do not straddle {limit:.0f}/s")
+    return [run.result_for(persona=persona, system=system,
+                           attack_rate_hz=rates[-1 if top else 0])
+            for system in SYSTEMS]
+
+
 SPEC = register(ExperimentSpec(
     name="persona_matrix",
     title="Attacker personas vs protected systems: operating curves",
@@ -284,4 +297,22 @@ SPEC = register(ExperimentSpec(
            "load_hz": 60.0},
     seed_param="seed",
     tags=("matrix", "attack", "defense"),
+    claims=(
+        claim("no_forged_write", "zero forged writes under every persona",
+              lambda run: [f"{r['persona']}/{r['system']}"
+                           for r in run.results() if r["forged_writes"]
+                           or not r["ground_truth_samples"]
+                           or not r["clean_write_ok"]],
+              lambda unclean: not unclean, "unclean cells: {}"),
+        claim("every_persona_detected", "each persona detected somewhere",
+              lambda run: [persona for persona in PERSONA_KINDS if not any(
+                  cell["detected"] for cell in _at_rate(run, persona, True))],
+              lambda missed: not missed, "undetected at the top rate: {}"),
+        claim("dos_limiter_threshold", "alert limiter engages above 100/s",
+              lambda run: [sum(cell["mitigation_engaged"] for cell in
+                               _at_rate(run, "dos-flooder", top))
+                           for top in (False, True)],
+              lambda engaged: engaged == [0, len(SYSTEMS)],
+              "engaged on {0[0]}, then {0[1]} systems"),
+    ),
 ))

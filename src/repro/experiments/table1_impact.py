@@ -10,7 +10,7 @@ whether the tamper was detected.
 from __future__ import annotations
 
 from repro.engine.registry import register
-from repro.engine.spec import ExperimentSpec, TrialContext
+from repro.engine.spec import ExperimentSpec, TrialContext, claim
 from repro.systems import blink, flowradar, netcache, netwarden, silkroad
 from repro.systems.tableone import MODES, TableIScenarioResult
 
@@ -34,4 +34,13 @@ SPEC = register(ExperimentSpec(
     trial=_trial,
     grid={"system": sorted(SYSTEMS), "mode": list(MODES)},
     tags=("table", "impact"),
+    claims=tuple(claim(
+        f"{system}_defended", "state poisoned by the attack; P4Auth detects",
+        lambda run, system=system: run.by("mode", MODES, system=system),
+        lambda r: r["attack"]["state_poisoned"] and r["p4auth"]["detected"]
+        and not r["p4auth"]["state_poisoned"]
+        and not r["baseline"]["state_poisoned"],
+        "{0[baseline][impact_metric]} {0[baseline][impact_value]:.3g} / "
+        "{0[attack][impact_value]:.3g} / {0[p4auth][impact_value]:.3g}")
+        for system in SYSTEMS),
 ))

@@ -3,18 +3,19 @@
 Each trial builds one of the three register-access stacks (P4Runtime,
 DP-Reg-RW, P4Auth) on a fresh single-switch deployment and drives the
 paper's sequential read or write workload against it; the ``fig18``
-and ``fig19`` specs are that trial.
+spec is that trial, and its claims read Fig 18 (request completion time)
+and Fig 19 (throughput) off the same trial matrix.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.core.auth_dataplane import P4AuthConfig, P4AuthDataplane
 from repro.core.controller import P4AuthController
 from repro.dataplane.switch import DataplaneSwitch
 from repro.engine.registry import register
-from repro.engine.spec import ExperimentSpec, TrialContext
+from repro.engine.spec import ExperimentSpec, TrialContext, claim
 from repro.net.network import Network
 from repro.net.simulator import EventSimulator
 from repro.runtime.harness import RunStats, run_sequential
@@ -143,25 +144,47 @@ def _trial(ctx: TrialContext) -> dict:
                          include_samples=p["include_samples"])
 
 
-def _comparison_spec(name: str, title: str, source: str) -> ExperimentSpec:
-    # Fig 18 (RCT) and Fig 19 (throughput) are two views of the same
-    # sequential workload; both are registered so each figure is
-    # independently addressable by ``repro run``.
-    return ExperimentSpec(
-        name=name,
-        title=title,
-        source=source,
-        trial=_trial,
-        grid={"stack": list(STACKS), "kind": ["read", "write"]},
-        defaults={"duration_s": 10.0, "jitter_fraction": 0.0,
-                  "include_samples": False},
-        short={"duration_s": 1.0},
-        supports_telemetry=True,
-        tags=("figure", "runtime"),
-    )
+def _per_stack(run, key: str, jitter: float = 0.0) -> List[List[float]]:
+    """``key`` of each stack's read, then write, trial at ``jitter``."""
+    return [[run.result_for(stack=stack, kind=kind, jitter_fraction=jitter)[
+        key] for stack in STACKS] for kind in ("read", "write")]
 
 
-FIG18_SPEC = register(_comparison_spec(
-    "fig18", "Register R/W request completion time", "Fig 18"))
-FIG19_SPEC = register(_comparison_spec(
-    "fig19", "Register R/W throughput", "Fig 19"))
+SPEC = register(ExperimentSpec(
+    name="fig18",
+    title="Register R/W request completion time and throughput",
+    source="Fig 18, Fig 19",
+    trial=_trial,
+    grid={"stack": list(STACKS), "kind": ["read", "write"]},
+    defaults={"duration_s": 10.0, "jitter_fraction": 0.0,
+              "include_samples": False},
+    short={"duration_s": 1.0},
+    supports_telemetry=True,
+    tags=("figure", "runtime"),
+    # Read off [read, write] x [P4Runtime, DP-Reg-RW, P4Auth].
+    claims=(
+        claim("fig18_rct", "P4Auth ≈ DP-Reg-RW; writes > reads, every stack",
+              lambda run: _per_stack(run, "mean_rct_s"),
+              lambda rct: all(w > r for r, w in zip(*rct)) and all(
+                  abs(kind[2] / kind[1] - 1) < 0.10 for kind in rct),
+              "P4Auth {0[0][2]:.3g} / {0[1][2]:.3g} s, "
+              "DP-Reg-RW {0[0][1]:.3g} / {0[1][1]:.3g} s"),
+        claim("fig18_rct_cdf_ordering", "DP-Reg-RW <= P4Auth <= P4Runtime "
+              "at p5/p50/p95 (15 % transit jitter)",
+              lambda run: [_per_stack(run, key, 0.15)[0]
+                           for key in ("p5_rct_s", "p50_rct_s", "p95_rct_s")],
+              lambda pcts: all(p[1] <= p[2] <= p[0] * 1.05 for p in pcts),
+              "p50 {0[1][1]:.3g} / {0[1][2]:.3g} / {0[1][0]:.3g} s"),
+        claim("fig19_p4runtime_read_write_ratio",
+              "1.7x; writes alike on every stack",
+              lambda run: _per_stack(run, "throughput_rps"),
+              lambda rps: 1.5 < rps[0][0] / rps[1][0] < 1.9
+              and max(rps[1]) / min(rps[1]) < 1.1,
+              "{0[0][0]:.0f} / {0[1][0]:.0f} req/s"),
+        claim("fig19_p4auth_drops", "-4.2 % read, -2.1 % write",
+              lambda run: [1 - rps[2] / rps[1]
+                           for rps in _per_stack(run, "throughput_rps")],
+              lambda drop: 0.02 < drop[0] < 0.07 and 0.01 < drop[1] < 0.05,
+              "-{0[0]:.1%} read, -{0[1]:.1%} write"),
+    ),
+))

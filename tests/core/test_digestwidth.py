@@ -52,5 +52,6 @@ def test_unsupported_width_rejected():
 def test_brute_force_scaling():
     assert brute_force_trials(32) == 1 << 31
     assert brute_force_trials(64) == 1 << 63
+    assert brute_force_trials(256) == 1 << 255
     for width in SUPPORTED_WIDTHS[:-1]:
         assert brute_force_trials(width * 2) > brute_force_trials(width) ** 1.5

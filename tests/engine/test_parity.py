@@ -47,7 +47,7 @@ def assert_single_entry_point(name, wall_clock=()):
     direct = to_jsonable(spec.trial(TrialContext(params, plan.seed)))
     run = run_experiment(name, short=True, sweep={
         axis: [plan.params[axis]] for axis in plan.varied})
-    engine = run.only()
+    engine = run.result_for()
     for key in wall_clock:
         del direct[key], engine[key]
     assert _canon(direct) == _canon(engine)
@@ -105,7 +105,7 @@ class TestSpecLegacyParity:
             direct = get_spec(name).trial(TrialContext(dict(params), 1))
             run = run_experiment(name)
             assert run.trials[0].params == params
-            assert _canon(run.only()) == _canon(direct)
+            assert _canon(run.result_for()) == _canon(direct)
             assert sorted(direct) == ["invariants", "metrics", "passed",
                                       "scenario", "seed"]
 

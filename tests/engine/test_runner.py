@@ -210,6 +210,9 @@ class TestArtifacts:
         bad = dict(doc, trials=[doc["trials"][0], doc["trials"][0]])
         with pytest.raises(ValueError):
             validate_artifact(bad)
+        for claims in ("yes", [{"name": "c", "holds": True}]):
+            with pytest.raises(ValueError):
+                validate_artifact(dict(doc, claims=claims))
 
 
 class TestRunnerMisc:
@@ -233,7 +236,7 @@ class TestRunnerMisc:
         spec = ExperimentSpec(name="_test-tel", title="tel", source="test",
                               trial=tel_trial, supports_telemetry=True)
         run = Runner(trace_dir=str(tmp_path)).run(spec)
-        assert run.only() == {"have_telemetry": True}
+        assert run.result_for() == {"have_telemetry": True}
         assert os.path.exists(tmp_path / "_test-tel.jsonl")
         assert os.path.exists(tmp_path / "_test-tel.prom")
 
@@ -241,7 +244,7 @@ class TestRunnerMisc:
 class TestRegistry:
     def test_catalog_contains_every_figure_table_and_scenario(self):
         names = set(spec_names())
-        assert {"fig16", "fig17", "fig18", "fig19", "fig20", "fig21",
+        assert {"fig16", "fig17", "fig18", "fig20", "fig21",
                 "table1", "table2", "table3", "aggregation", "fct", "int",
                 "kmp-blackout", "crash-restart", "lossy-fig17"} <= names
 

@@ -24,7 +24,7 @@ def test_smoke_scenarios_are_registered_and_cheap():
 
 @pytest.mark.parametrize("name", SMOKE_SCENARIOS)
 def test_smoke_scenario_passes(name):
-    result = run_experiment(name).only()
+    result = run_experiment(name).result_for()
     assert result["scenario"] == name
     assert result["seed"] == 1
     assert result["passed"], result["invariants"]
@@ -39,8 +39,8 @@ def test_unknown_scenario_raises():
 
 
 def test_same_seed_gives_identical_reports():
-    first = run_experiment("kmp-blackout", sweep={"seed": [3]}).only()
-    second = run_experiment("kmp-blackout", sweep={"seed": [3]}).only()
+    first = run_experiment("kmp-blackout", sweep={"seed": [3]}).result_for()
+    second = run_experiment("kmp-blackout", sweep={"seed": [3]}).result_for()
     assert first["seed"] == 3
     assert first["invariants"] == second["invariants"]
     assert first["metrics"] == second["metrics"]

@@ -19,7 +19,7 @@ def _traced_run(name: str, seed: int, trace_dir):
     run = run_experiment(name, sweep={"seed": [seed]},
                          trace_dir=str(trace_dir))
     stem = f"{name}.seed={seed}"
-    return (run.only(), (trace_dir / f"{stem}.jsonl").read_bytes(),
+    return (run.result_for(), (trace_dir / f"{stem}.jsonl").read_bytes(),
             (trace_dir / f"{stem}.prom").read_bytes())
 
 
@@ -63,7 +63,7 @@ def test_lossy_fig17_holds_all_invariants():
     """The acceptance run: Fig 17 under 5% loss + reorder + three live
     adversaries.  Zero unauthenticated mutations, KMP re-converges, and
     the run stays within its event budget."""
-    result = run_experiment("lossy-fig17").only()
+    result = run_experiment("lossy-fig17").result_for()
     assert result["passed"], result["invariants"]
     names = {inv["name"] for inv in result["invariants"]}
     assert {"zero_forged_writes_landed", "tampered_writes_rejected",
