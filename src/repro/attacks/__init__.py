@@ -31,7 +31,6 @@ from repro.attacks.personas import (
     PersonaOutcome,
     PersonaSpec,
     PersonaWorld,
-    WireRecorder,
     build_persona,
 )
 
@@ -42,7 +41,6 @@ __all__ = [
     "PersonaOutcome",
     "PersonaSpec",
     "PersonaWorld",
-    "WireRecorder",
     "build_persona",
     "Adversary",
     "Eavesdropper",

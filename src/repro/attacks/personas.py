@@ -45,7 +45,6 @@ from repro.attacks.control_plane import (
 )
 from repro.attacks.link import ProbeFieldTamperer
 from repro.core.constants import REG_OP, RegOpType
-from repro.dataplane.switch import DataplaneSwitch
 
 
 @dataclass(frozen=True)
@@ -372,32 +371,6 @@ class GroundTruthSampler:
                 if value not in self.allowed]
 
 
-class WireRecorder:
-    """Records the serialized bytes of packets arriving at one switch's
-    CPU port.
-
-    Wraps the switch node's ``receive`` so injected traffic — which
-    enters via the CPU port and never crosses a tappable channel — is
-    captured too.  Two runs with identical seeds must produce identical
-    ``frames`` lists (the persona byte-determinism contract).
-    """
-
-    def __init__(self, net, switch_name: str):
-        self._node = net.nodes[switch_name]
-        self._original = self._node.receive
-        self.frames: List[bytes] = []
-
-        def recording(packet, ingress_port: int) -> None:
-            if ingress_port == DataplaneSwitch.CPU_PORT:
-                self.frames.append(packet.serialize())
-            self._original(packet, ingress_port)
-
-        self._node.receive = recording
-
-    def restore(self) -> None:
-        self._node.receive = self._original
-
-
 __all__ = [
     "PERSONA_KINDS",
     "GroundTruthSampler",
@@ -405,6 +378,5 @@ __all__ = [
     "PersonaOutcome",
     "PersonaSpec",
     "PersonaWorld",
-    "WireRecorder",
     "build_persona",
 ]

@@ -13,8 +13,12 @@ restricted ALU helpers in :mod:`repro.crypto.ops`, which is what the
 data-plane feasibility claim rests on; nothing in ``src/`` executes it, and
 ``tests/crypto`` assembles a whole digest from it.
 :meth:`HalfSipHash._rounds` is what the host *executes*: the same round
-inlined as masked integer expressions, because a Python call per
-32-bit ALU op (~650 per C-DP digest) was most of this repo's host time.
+inlined as integer expressions, because a Python call per 32-bit ALU op
+(~650 per C-DP digest) was most of this repo's host time.  It rests on two
+exact identities: high bits above 31 are harmless until a right shift, so
+a word is masked only before a rotate (lazy masks); and a masked ``x``
+times ``0x1_0000_0001`` holds ``x`` twice, so one shift of it is a rotate
+(doubled word).
 The differential tests pin the two bit-for-bit for every ``(c, d)``.
 Round counts ``c`` and ``d`` are constructor constants — on the switch they
 are unrolled across pipeline stages, never looped at packet time.
@@ -38,6 +42,7 @@ from repro.crypto.ops import MASK32, add32, rotl32, xor32
 
 _V2_INIT = 0x6C796765
 _V3_INIT = 0x74656462
+_DOUBLE = 0x1_0000_0001
 
 #: Bytes in a cached midstate: Eqn 4's ``hdrType`` and ``msgType``.
 PREFIX = 16
@@ -118,10 +123,13 @@ class HalfSipHash:
                                       PREFIX)
 
     def midstate(self, key: int, message: bytes) -> State:
-        """The cached state after ``message[:PREFIX]`` under ``key``."""
+        """The cached state after ``message[:PREFIX]`` under ``key``
+        (``ValueError`` for a message shorter than :data:`PREFIX`)."""
         entry = (key, bytes(message[:PREFIX]))
         state = self._midstates.get(entry)
         if state is None:
+            if len(entry[1]) < PREFIX:
+                raise ValueError(f"a midstate needs {PREFIX} message bytes")
             self.misses += 1
             if len(self._midstates) >= self.KEY_CACHE_MAX:
                 self._midstates.clear()
@@ -149,7 +157,19 @@ class HalfSipHash:
     def _rounds(self, state: State, blocks: Sequence[Optional[int]]) -> State:
         """Absorb ``blocks`` into ``state``: :meth:`_sip_round` inlined, the
         one round body every path runs.  ``None`` stands for finalization:
-        no message word, ``d`` rounds."""
+        no message word, ``d`` rounds.
+
+        Adds and xors run unmasked: bits above 31 reach bits 0-31 only
+        through a right shift, so a word is masked right before it is
+        rotated and all four once at return.  ``v1`` and ``v3`` keep that
+        mask, taken just before the add that reads them, so no word's high
+        bits flow back into itself.  A rotate is ``x * _DOUBLE >> 32 - r``
+        on a masked ``x``: ``x * _DOUBLE`` is ``x`` twice side by side, its
+        low 32 bits after the shift are ``rotl32(x, r)``, and the next mask
+        drops the rest.  So a round is 26 int operations, and nothing grows
+        across rounds: every product is below 2**64, every word below 2**52
+        (50 bits measured, 4 KiB messages included), given a ``state`` of
+        four words below 2**32, which every state returned here is."""
         v0, v1, v2, v3 = state
         rounds = range(self.compression_rounds)
         for block in blocks:
@@ -158,17 +178,19 @@ class HalfSipHash:
                 v2 ^= 0xFF
             v3 ^= block
             for _ in rounds:
-                v0 = (v0 + v1) & MASK32
-                v1 = (v1 << 5 & MASK32 | v1 >> 27) ^ v0
-                v2 = (v2 + v3) & MASK32
-                v3 = (v3 << 8 & MASK32 | v3 >> 24) ^ v2
-                v0 = ((v0 << 16 & MASK32 | v0 >> 16) + v3) & MASK32
-                v3 = (v3 << 7 & MASK32 | v3 >> 25) ^ v0
-                v2 = (v2 + v1) & MASK32
-                v1 = (v1 << 13 & MASK32 | v1 >> 19) ^ v2
-                v2 = v2 << 16 & MASK32 | v2 >> 16
+                v1 &= MASK32
+                v0 += v1
+                v1 = (v1 * _DOUBLE >> 27) ^ v0
+                v3 &= MASK32
+                v2 += v3
+                v3 = (v3 * _DOUBLE >> 24) ^ v2
+                v0 = ((v0 & MASK32) * _DOUBLE >> 16) + v3
+                v3 = ((v3 & MASK32) * _DOUBLE >> 25) ^ v0
+                v2 += v1
+                v1 = ((v1 & MASK32) * _DOUBLE >> 19) ^ v2
+                v2 = (v2 & MASK32) * _DOUBLE >> 16
             v0 ^= block
-        return v0, v1, v2, v3
+        return v0 & MASK32, v1 & MASK32, v2 & MASK32, v3 & MASK32
 
     def digest_words(self, key: int, words: Iterable[int], word_bits: int = 32) -> int:
         """Digest an iterable of fixed-width unsigned words.

@@ -13,7 +13,6 @@ from repro.attacks.personas import (
     GroundTruthSampler,
     PersonaSpec,
     PersonaWorld,
-    WireRecorder,
     build_persona,
 )
 from repro.core.auth_dataplane import P4AuthDataplane
@@ -21,6 +20,32 @@ from repro.core.controller import P4AuthController
 from repro.dataplane.switch import DataplaneSwitch
 from repro.net.network import Network
 from repro.net.simulator import EventSimulator
+
+class WireRecorder:
+    """Records the serialized bytes of packets arriving at one switch's
+    CPU port.
+
+    Wraps the switch node's ``receive`` so injected traffic, which enters
+    via the CPU port and never crosses a tappable channel, is captured
+    too.  Two runs with identical seeds must produce identical ``frames``
+    lists (the persona byte-determinism contract).
+    """
+
+    def __init__(self, net, switch_name):
+        self._node = net.nodes[switch_name]
+        self._original = self._node.receive
+        self.frames = []
+
+        def recording(packet, ingress_port):
+            if ingress_port == DataplaneSwitch.CPU_PORT:
+                self.frames.append(packet.serialize())
+            self._original(packet, ingress_port)
+
+        self._node.receive = recording
+
+    def restore(self):
+        self._node.receive = self._original
+
 
 #: Personas that actively inject packets (vs. tamper in-path only).
 INJECTING_KINDS = ("replay-flooder", "digest-bruteforcer", "dos-flooder")

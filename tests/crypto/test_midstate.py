@@ -96,6 +96,37 @@ def test_engine_lanes_match_spec_on_cdp_material(lane):
         == [_spec_digest(spec, KEY, digest_material(p)) for p in packets]
 
 
+@pytest.mark.parametrize("key", [0, KEY, (1 << 64) - 1],
+                         ids=["key0", "key", "key_max"])
+@pytest.mark.parametrize("rounds", [(1, 1), (2, 4), (4, 8)],
+                         ids=["1-1", "2-4", "4-8"])
+def test_every_returned_state_is_four_32_bit_words(key, rounds):
+    """``_rounds`` masks lazily and the vector lane packs cached states
+    under 32 guard bits, so every state a hasher hands out must be four
+    words below 2**32 (a tag, ``v1 ^ v3``, can be right while ``v0`` or
+    ``v2`` carry high bits).  All-``0xFF`` material carries out of every
+    add; every length 0-258 covers every tail and the wrapped length
+    byte."""
+    hasher = HalfSipHash(*rounds)
+
+    def words(state):
+        assert len(state) == 4 and all(0 <= v <= 0xFFFFFFFF for v in state)
+        return state
+
+    start = words(hasher.key_schedule(key))
+    for length in range(259):
+        material = b"\xff" * length
+        last = (int.from_bytes(material[length & ~3:], "little")
+                | (length & 0xFF) << 24)
+        blocks = (*[0xFFFFFFFF] * (length >> 2), last, None)
+        words(hasher._rounds(start, blocks))
+        words(hasher._rounds((0xFFFFFFFF,) * 4, blocks))
+        if length >= PREFIX:
+            cached = words(hasher.midstate(key, material))
+            assert hasher.digest_from_state(cached, material, PREFIX) \
+                == _spec_digest(hasher, key, material)
+
+
 # ---------------------------------------------------------------------------
 # cache rules
 # ---------------------------------------------------------------------------
@@ -106,7 +137,10 @@ def test_short_messages_bypass_the_cache():
         message = bytes(range(length))
         assert hasher.digest(KEY, message) \
             == _spec_digest(hasher, KEY, message)
-    assert hasher.hits == hasher.misses == 0
+        # No midstate exists for it: a typed refusal, never struct.error.
+        with pytest.raises(ValueError, match="midstate"):
+            hasher.midstate(KEY, message)
+    assert hasher.hits == hasher.misses == 0 and not hasher._midstates
 
 
 def test_one_prefix_under_two_keys_is_two_entries():
