@@ -55,12 +55,7 @@ def cmd_run(argv) -> int:
     after naming them on stderr; the artifact is written either way.
     """
     from repro.analysis.report import claim_rows
-    from repro.engine import (
-        ResultCache,
-        get_spec,
-        parse_sweep,
-        Runner,
-    )
+    from repro.engine import get_spec, parse_sweep, Runner
 
     parser = argparse.ArgumentParser(
         prog="python -m repro run",
@@ -82,17 +77,13 @@ def cmd_run(argv) -> int:
                              "reference seeds)")
     parser.add_argument("--short", action="store_true",
                         help="use the spec's reduced CI-smoke parameters")
-    parser.add_argument("--cache", action="store_true",
-                        help="reuse/populate the content-hash result cache")
-    parser.add_argument("--cache-dir", default=".bench_cache",
-                        help="cache directory (with --cache)")
     parser.add_argument("--out-dir", default=".",
                         help="where BENCH_<name>.json is written "
                              "('' to skip the artifact)")
     parser.add_argument("--trace-dir", default=None,
                         help="write a per-trial telemetry JSONL trace and "
                              "Prometheus dump here (specs that support "
-                             "telemetry only; trials always execute)")
+                             "telemetry only)")
     args = parser.parse_args(argv)
 
     if args.name is None:
@@ -116,11 +107,8 @@ def cmd_run(argv) -> int:
         print(f"# {spec.name} does not emit telemetry; --trace-dir ignored")
 
     try:
-        runner = Runner(
-            workers=args.workers,
-            cache=ResultCache(args.cache_dir) if args.cache else None,
-            out_dir=args.out_dir or None,
-            trace_dir=args.trace_dir)
+        runner = Runner(workers=args.workers, out_dir=args.out_dir or None,
+                        trace_dir=args.trace_dir)
     except ValueError as exc:
         print(f"--workers {args.workers}: {exc}", file=sys.stderr)
         raise SystemExit(2)
@@ -141,8 +129,7 @@ def cmd_run(argv) -> int:
             ["claim", "paper", "measured", "holds"], claim_rows(run.claims),
             title=f"{spec.source}: paper claims"))
     meta = run.run_meta
-    print(f"\n# {meta['trials']} trials, {meta['executed']} executed, "
-          f"{meta['cache_hits']} cached, workers={meta['workers']}, "
+    print(f"\n# {meta['trials']} trials, workers={meta['workers']}, "
           f"{meta['elapsed_s']:.2f}s")
     if run.artifact_path:
         print(f"# wrote {run.artifact_path}")

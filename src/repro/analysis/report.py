@@ -132,7 +132,6 @@ def render_artifact_report(directory: str = ".") -> str:
             f"spec v{doc['spec_version']} · {seeding} · "
             f"{len(doc['trials'])} trials · "
             f"workers={meta.get('workers', 1)} · "
-            f"cache hits {meta.get('cache_hits', 0)} · "
             f"{meta.get('elapsed_s', 0.0)}s")
         scalar_keys = sorted({
             key for trial in doc["trials"]

@@ -4,9 +4,9 @@ Every paper figure/table and chaos scenario is described once as an
 :class:`~repro.engine.spec.ExperimentSpec` (parameter grid, per-trial
 seed derivation, trial function) registered in a single catalog
 (:mod:`repro.engine.registry`).  The :class:`~repro.engine.runner.Runner`
-expands a spec into a deterministic trial matrix and executes it —
-serially or sharded across worker processes — under an optional
-content-hash result cache, emitting one canonical, schema-versioned
+expands a spec into a deterministic trial matrix and executes every
+trial — serially or sharded across worker processes — emitting one
+canonical, schema-versioned
 ``BENCH_<name>.json`` artifact per run (:mod:`repro.engine.artifact`).
 
 Entry points: ``python -m repro run <name> [--sweep k=v1,v2] [--workers
@@ -37,7 +37,6 @@ from repro.engine.registry import (
     spec_names,
     unregister,
 )
-from repro.engine.cache import DEFAULT_CACHE_DIR, ResultCache
 from repro.engine.artifact import (
     artifact_path,
     build_artifact,
@@ -55,9 +54,7 @@ from repro.engine.runner import (
 
 __all__ = [
     "CATALOG_MODULES",
-    "DEFAULT_CACHE_DIR",
     "ExperimentSpec",
-    "ResultCache",
     "RunResult",
     "Runner",
     "SCHEMA",

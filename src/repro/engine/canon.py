@@ -1,6 +1,6 @@
 """Canonical JSON: the common currency of the experiment engine.
 
-Every trial result, cache key, and ``BENCH_*.json`` artifact flows
+Every trial result, derived seed, and ``BENCH_*.json`` artifact flows
 through :func:`to_jsonable` and :func:`canonical_json`, so that
 
 - serial and parallel runs of the same trial matrix are *bit-identical*
@@ -10,8 +10,8 @@ through :func:`to_jsonable` and :func:`canonical_json`, so that
 
 The conversion is deliberately strict: anything that is not obviously
 representable (an open socket, a simulator...) raises ``TypeError``
-instead of being repr()-stringified, because a lossy cache key is worse
-than no cache at all.
+instead of being repr()-stringified, because a lossy artifact is worse
+than a failed run.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import json
 import math
 from typing import Any
 
-#: Schema tag stamped into artifacts and mixed into every cache key.
+#: Schema tag stamped into every artifact.
 SCHEMA = "repro-bench/1"
 
 

@@ -1,14 +1,15 @@
 """Trial-matrix execution: serial or sharded across worker processes.
 
 The :class:`Runner` expands a spec into its deterministic trial list,
-executes each trial (optionally under a content-hash result cache, or
-with per-trial telemetry capture: ``<trial>.jsonl`` trace plus
-``<trial>.prom`` metrics dump), judges the spec's claims and assembles
-the canonical artifact.  Because every trial's seed and parameters are
-fixed *before* execution (:meth:`ExperimentSpec.expand`), and results
-are collected by trial index rather than completion order,
-``workers=1`` and ``workers=N`` produce byte-identical ``trials`` and
-``claims`` sections — parallelism is purely a wall-clock optimization.
+executes every trial (optionally with per-trial telemetry capture:
+``<trial>.jsonl`` trace plus ``<trial>.prom`` metrics dump), judges the
+spec's claims and assembles the canonical artifact.  Trials and
+``fleet_scale``'s regions go through the one process-pool map,
+:func:`_pool_map`.  Because every trial's seed and parameters are fixed
+*before* execution (:meth:`ExperimentSpec.expand`), and results are
+collected by index rather than completion order, ``workers=1`` and
+``workers=N`` produce byte-identical ``trials`` and ``claims`` sections
+— parallelism is purely a wall-clock optimization.
 """
 
 from __future__ import annotations
@@ -17,10 +18,12 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import (
+    Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.engine.artifact import build_artifact, write_artifact
-from repro.engine.cache import ResultCache
 from repro.engine.canon import to_jsonable
 from repro.engine.registry import get_spec
 from repro.engine.spec import ExperimentSpec, TrialContext, TrialPlan
@@ -63,7 +66,7 @@ def judge_claims(spec: ExperimentSpec, run: "RunResult"
 
 @dataclass
 class TrialRecord:
-    """One executed (or cache-replayed) trial."""
+    """One executed trial."""
 
     id: str
     params: Dict[str, Any]
@@ -138,25 +141,43 @@ def execute_trial(spec: ExperimentSpec, plan: TrialPlan,
     return result
 
 
-def _worker_job(job) -> Dict[str, Any]:
-    """Top-level pool target: look the spec up in this process and run."""
-    spec_name, plan, trace_dir = job
-    return execute_trial(get_spec(spec_name), plan, trace_dir)
+def pool_size(workers: int, items: int) -> int:
+    """Processes :func:`_pool_map` runs ``items`` jobs on; 1 is inline.
+
+    Inline when there is one worker or one item, or inside a daemonic
+    process (a trial already running in a pool worker, which may not
+    fork again); otherwise one process per item up to ``workers``.
+    """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    if multiprocessing.current_process().daemon:
+        return 1
+    return max(1, min(workers, items))
+
+
+def _pool_map(fn: Callable, items: Sequence[Any], workers: int) -> List[Any]:
+    """``[fn(item) for item in items]``, sharded over :func:`pool_size`
+    processes; results come back in item order."""
+    processes = pool_size(workers, len(items))
+    if processes == 1:
+        return [fn(item) for item in items]
+    # fork shares the in-process registry (including test-registered
+    # specs); under spawn the worker re-imports the catalog instead.
+    methods = multiprocessing.get_all_start_methods()
+    ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
+    with ctx.Pool(processes=processes) as pool:
+        # map (not imap_unordered), one item per task: results come back
+        # in item order, so sharding cannot perturb the artifact.
+        return pool.map(fn, items, chunksize=1)
 
 
 class Runner:
-    """Expands, shards, caches, and records experiment runs."""
+    """Expands, shards and records experiment runs."""
 
-    def __init__(self, workers: int = 1,
-                 cache: Union[ResultCache, None, bool] = None,
-                 out_dir: Optional[str] = None,
+    def __init__(self, workers: int = 1, out_dir: Optional[str] = None,
                  trace_dir: Optional[str] = None):
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
+        pool_size(workers, 0)  # rejects workers < 1 before any trial
         self.workers = workers
-        if cache is True:
-            cache = ResultCache()
-        self.cache = cache or None
         self.out_dir = out_dir
         self.trace_dir = trace_dir
 
@@ -168,37 +189,9 @@ class Runner:
                 else spec_or_name)
         plans = spec.expand(sweep=sweep, short=short, base_seed=base_seed)
         started = time.perf_counter()
-
-        results: List[Optional[Dict[str, Any]]] = [None] * len(plans)
-        pending: List[int] = []
-        cache_hits = 0
-        # A traced run executes every trial: a replayed cache hit would
-        # leave the requested trace unwritten.
-        tracing = self.trace_dir is not None and spec.supports_telemetry
-        for index, plan in enumerate(plans):
-            if self.cache is not None and not tracing:
-                hit = self.cache.get(plan.cache_key(spec))
-                if hit is not None:
-                    results[index] = hit
-                    cache_hits += 1
-                    continue
-            pending.append(index)
-
-        executed = len(pending)
-        if pending:
-            if self.workers == 1 or len(pending) == 1:
-                for index in pending:
-                    results[index] = execute_trial(spec, plans[index],
-                                                   self.trace_dir)
-            else:
-                results_in_order = self._run_pool(
-                    spec, [plans[index] for index in pending])
-                for index, result in zip(pending, results_in_order):
-                    results[index] = result
-            if self.cache is not None:
-                for index in pending:
-                    self.cache.put(plans[index].cache_key(spec),
-                                   results[index])
+        results = _pool_map(
+            partial(execute_trial, spec, trace_dir=self.trace_dir),
+            plans, self.workers)
 
         run = RunResult(spec=spec, base_seed=base_seed)
         for plan, result in zip(plans, results):
@@ -209,8 +202,6 @@ class Runner:
         run.run_meta = {
             "workers": self.workers,
             "trials": len(plans),
-            "executed": executed,
-            "cache_hits": cache_hits,
             "elapsed_s": round(time.perf_counter() - started, 6),
             "short": short,
         }
@@ -218,95 +209,29 @@ class Runner:
             run.artifact_path = write_artifact(run.document(), self.out_dir)
         return run
 
-    def _run_pool(self, spec: ExperimentSpec,
-                  plans: List[TrialPlan]) -> List[Dict[str, Any]]:
-        # fork shares the in-process registry (including test-registered
-        # specs); under spawn the worker re-imports the catalog instead.
-        methods = multiprocessing.get_all_start_methods()
-        ctx = multiprocessing.get_context(
-            "fork" if "fork" in methods else None)
-        jobs = [(spec.name, plan, self.trace_dir) for plan in plans]
-        workers = min(self.workers, len(jobs))
-        with ctx.Pool(processes=workers) as pool:
-            # map (not imap_unordered): results come back in job order,
-            # so sharding cannot perturb the artifact.
-            return pool.map(_worker_job, jobs)
-
-
-def assign_regions(region_ids: Sequence[str],
-                   workers: int) -> Dict[str, List[str]]:
-    """Region -> worker ownership via the bounded-load consistent ring.
-
-    The same :class:`~repro.service.shardmap.ShardMap` that shards the
-    service fleet assigns whole regions to engine workers, so adding a
-    worker re-homes few regions and no worker owns more than its
-    bounded-load share.  Pure function of ``(region_ids, workers)``.
-
-    Unlike switch sharding (many items per shard, where 1.15x slack
-    smooths the ring), regions are few and heavy: the load factor is
-    pinned to 1.0 so the cap equals the fair share and no worker idles
-    while another owns two regions — the wall-clock speedup of the
-    region phase is set by the most loaded worker.
-    """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    # Imported here, not at module level: repro.service pulls in the
-    # daemon (and through it the runtime stacks), which import the
-    # engine registry — a top-level import would close that cycle.
-    from repro.service.shardmap import ShardMap
-    ring = ShardMap([f"worker-{index}" for index in range(workers)])
-    return ring.assign(sorted(region_ids), load_factor=1.0)
-
-
-def _region_group_job(job) -> List[Any]:
-    """Pool target: run one worker's whole region group in-process."""
-    task, region_ids = job
-    return [task(region_id) for region_id in region_ids]
-
 
 def run_region_tasks(task, region_ids: Sequence[str],
                      workers: int = 1) -> Dict[str, Any]:
     """Run ``task(region_id)`` for every region, sharded across workers.
 
-    Each worker owns *whole* regions (never half a region), results come
-    back keyed by region id in sorted order, and the returned mapping is
-    byte-identical for any worker count — parallelism is purely a
-    wall-clock optimization, exactly like the trial runner.
-
-    Nested inside a daemonic pool worker (an engine trial already running
-    under ``workers > 1``) multiprocessing cannot fork again; the call
-    transparently degrades to inline execution with identical results.
+    Each process runs *whole* regions (never half a region), results
+    come back keyed by region id in sorted order, and the returned
+    mapping is byte-identical for any worker count — parallelism is
+    purely a wall-clock optimization, exactly like the trial runner.
     """
     ordered = sorted(region_ids)
     if len(set(ordered)) != len(ordered):
         raise ValueError("duplicate region ids")
-    inline = (workers <= 1 or len(ordered) <= 1
-              or multiprocessing.current_process().daemon)
-    if inline:
-        return {region_id: task(region_id) for region_id in ordered}
-    assignment = assign_regions(ordered, workers)
-    groups = [group for _worker, group in sorted(assignment.items())
-              if group]
-    methods = multiprocessing.get_all_start_methods()
-    ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
-    with ctx.Pool(processes=len(groups)) as pool:
-        outputs = pool.map(_region_group_job,
-                           [(task, group) for group in groups])
-    merged: Dict[str, Any] = {}
-    for group, results in zip(groups, outputs):
-        merged.update(zip(group, results))
-    return {region_id: merged[region_id] for region_id in ordered}
+    return dict(zip(ordered, _pool_map(task, ordered, workers)))
 
 
 def run_experiment(name: str, sweep: Optional[Dict[str, Sequence]] = None,
                    workers: int = 1, base_seed: Optional[int] = None,
                    short: bool = False,
-                   cache: Union[ResultCache, None, bool] = None,
                    out_dir: Optional[str] = None,
                    trace_dir: Optional[str] = None) -> RunResult:
     """One-call convenience wrapper around :class:`Runner`."""
-    runner = Runner(workers=workers, cache=cache, out_dir=out_dir,
-                    trace_dir=trace_dir)
+    runner = Runner(workers=workers, out_dir=out_dir, trace_dir=trace_dir)
     return runner.run(name, sweep=sweep, base_seed=base_seed, short=short)
 
 
@@ -315,10 +240,10 @@ __all__ = [
     "RunResult",
     "Runner",
     "TrialRecord",
-    "assign_regions",
     "execute_trial",
     "failures",
     "judge_claims",
+    "pool_size",
     "run_experiment",
     "run_region_tasks",
 ]

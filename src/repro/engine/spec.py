@@ -102,14 +102,21 @@ class ExperimentSpec:
     #: Name of the parameter carrying the trial seed, or None for
     #: experiments that are deterministic by construction.
     seed_param: Optional[str] = None
-    #: Bumped whenever the trial's result semantics change; part of the
-    #: result-cache key, so stale cache entries can never be replayed.
+    #: Bumped whenever the trial's result semantics change (artifact
+    #: metadata).
     spec_version: int = 1
     #: Whether the trial function threads ``ctx.telemetry`` through.
     supports_telemetry: bool = False
     tags: Tuple[str, ...] = ()
     #: The paper's claims about this experiment, judged after the run.
     claims: Tuple[Claim, ...] = ()
+
+    def __reduce__(self):
+        # A spec crosses into a pool worker as its registered name (its
+        # claims are closures, which do not pickle): the worker looks it
+        # up in its own registry.
+        from repro.engine.registry import get_spec
+        return get_spec, (self.name,)
 
     def param_names(self) -> List[str]:
         return sorted(set(self.grid) | set(self.defaults))
@@ -183,15 +190,6 @@ class TrialPlan:
         parts = [f"{name}={self.params[name]}" for name in self.varied]
         safe = ",".join(parts).replace("/", "_").replace(" ", "")
         return f"{self.spec_name}[{safe}]"
-
-    def cache_key(self, spec: ExperimentSpec) -> str:
-        """Content hash identifying this trial's result exactly."""
-        return content_hash({
-            "spec": self.spec_name,
-            "spec_version": spec.spec_version,
-            "params": self.params,
-            "seed": self.seed,
-        })
 
 
 def derive_seed(base_seed: int, spec_name: str,

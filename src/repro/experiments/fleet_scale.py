@@ -32,7 +32,6 @@ forged-write indicator trips, or sequence counters diverge across a boundary.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 from functools import partial
@@ -44,7 +43,7 @@ from repro.core.kmp import (
 )
 from repro.dataplane.packet import Packet
 from repro.engine.registry import register
-from repro.engine.runner import run_region_tasks
+from repro.engine.runner import pool_size, run_region_tasks
 from repro.engine.spec import ExperimentSpec, TrialContext
 from repro.experiments.cdp_batch import (
     attach_fleet_stack,
@@ -336,8 +335,7 @@ def _trial(ctx: TrialContext) -> dict:
         "boundary": boundary,
         "wall": {
             "region_phase_s": round(region_phase_wall_s, 6),
-            "workers_effective": _effective_workers(p["workers"],
-                                                    len(region_ids)),
+            "workers_effective": pool_size(p["workers"], len(region_ids)),
             # Honest context for the wall numbers: a 1-core host runs
             # the worker pool but cannot show a measured speedup.
             "cpu_count": os.cpu_count(),
@@ -345,13 +343,6 @@ def _trial(ctx: TrialContext) -> dict:
         },
         **ctx.verdict(),
     }
-
-
-def _effective_workers(workers: int, num_regions: int) -> int:
-    if (workers <= 1 or num_regions <= 1
-            or multiprocessing.current_process().daemon):
-        return 1
-    return min(workers, num_regions)
 
 
 SPEC = register(ExperimentSpec(

@@ -11,8 +11,7 @@ re-authenticate, never bypass, the defenses.
 ``repro.store`` is the durability layer:
 
 - :mod:`repro.store.atomic` — the atomic-write / orphan-``*.tmp`` sweep
-  idiom, extracted from the engine's ResultCache and shared by every
-  on-disk writer in the repo;
+  idiom;
 - :mod:`repro.store.journal` — an append-only, CRC32-framed write-ahead
   journal with typed records and segment rotation; a torn final record
   (crash mid-append) truncates to the last valid frame with a warning
@@ -42,7 +41,6 @@ fsync discipline, and the skip-ahead sequence rule.
 from repro.store.atomic import (
     TMP_SUFFIX,
     atomic_write_bytes,
-    atomic_write_text,
     fsync_dir,
     sweep_orphan_tmp,
 )
@@ -79,7 +77,6 @@ __all__ = [
     "TMP_SUFFIX",
     "apply_record",
     "atomic_write_bytes",
-    "atomic_write_text",
     "fsync_dir",
     "load_state",
     "open_store",

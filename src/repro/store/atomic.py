@@ -1,16 +1,12 @@
 """The atomic-write / orphan-sweep idiom, shared by every disk writer.
 
-The engine's ResultCache pioneered the pattern in this repo: write to a
-per-process ``*.tmp`` created with ``mkstemp`` in the destination
-directory, then ``os.replace`` onto the final name — readers see either
-the old file or the complete new one, never a torn write, and
-concurrent writers (worker shards) cannot clobber each other's
+Write to a per-process ``*.tmp`` created with ``mkstemp`` in the
+destination directory, fsync it, then ``os.replace`` onto the final
+name — readers see either the old file or the complete new one, never
+a torn write, and concurrent writers cannot clobber each other's
 temporaries.  A SIGKILL between ``mkstemp`` and ``replace`` leaves an
 orphaned temp file behind; :func:`sweep_orphan_tmp` reclaims those at
-open/clear time.
-
-Extracted here so the journal/snapshot store and the result cache share
-one audited implementation instead of three divergent copies.
+open time.
 """
 
 from __future__ import annotations
@@ -46,13 +42,13 @@ def fsync_dir(path: str) -> None:
         os.close(fd)
 
 
-def atomic_write_bytes(path: str, data: bytes, fsync: bool = False) -> None:
-    """Atomically create/replace ``path`` with ``data``.
+def atomic_write_bytes(path: str, data: bytes) -> None:
+    """Atomically and durably create/replace ``path`` with ``data``.
 
     The temp file lives in ``path``'s directory so the final
-    ``os.replace`` is a same-filesystem rename (atomic on POSIX).  With
-    ``fsync=True`` the payload is flushed to stable storage before the
-    rename and the containing directory is fsynced after it, so a power
+    ``os.replace`` is a same-filesystem rename (atomic on POSIX).  The
+    payload is flushed to stable storage before the rename and the
+    containing directory is fsynced after it, so a power
     failure can neither surface a torn committed file nor silently lose
     the rename.  On any failure the temp file is removed and the
     original ``path`` (if it existed) is untouched.
@@ -62,23 +58,16 @@ def atomic_write_bytes(path: str, data: bytes, fsync: bool = False) -> None:
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
-            if fsync:
-                handle.flush()
-                os.fsync(handle.fileno())
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp, path)
-        if fsync:
-            fsync_dir(directory)
+        fsync_dir(directory)
     except BaseException:
         try:
             os.unlink(tmp)
         except OSError:
             pass
         raise
-
-
-def atomic_write_text(path: str, text: str, fsync: bool = False) -> None:
-    """Text-mode convenience over :func:`atomic_write_bytes` (UTF-8)."""
-    atomic_write_bytes(path, text.encode("utf-8"), fsync=fsync)
 
 
 def sweep_orphan_tmp(root: str) -> int:
@@ -107,7 +96,6 @@ def sweep_orphan_tmp(root: str) -> int:
 __all__ = [
     "TMP_SUFFIX",
     "atomic_write_bytes",
-    "atomic_write_text",
     "fsync_dir",
     "sweep_orphan_tmp",
 ]

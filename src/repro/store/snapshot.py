@@ -3,7 +3,7 @@
 A snapshot is one JSON document — schema tag, the serialized
 :class:`~repro.store.state.StoreState`, and an embedded CRC-32 over the
 canonical body — written with the atomic-write idiom
-(:func:`~repro.store.atomic.atomic_write_bytes`, ``fsync=True``) so a
+(:func:`~repro.store.atomic.atomic_write_bytes`, which fsyncs) so a
 crash mid-snapshot can never surface a torn file under the committed
 name.  File names carry the covered LSN (``snapshot-<lsn>.json``):
 recovery loads the newest one whose checksum verifies and replays only
@@ -57,8 +57,7 @@ class SnapshotStore:
             and getattr(metrics, "enabled", False) else None
         self._labels = metric_labels
         os.makedirs(self.root, exist_ok=True)
-        # A killed writer's mkstemp leftovers (satellite: same sweep
-        # discipline as ResultCache.clear()).
+        # A killed writer's mkstemp leftovers.
         sweep_orphan_tmp(self.root)
 
     # ------------------------------------------------------------------
@@ -79,9 +78,7 @@ class SnapshotStore:
             self.root, _SNAPSHOT_FMT % (state.applied_lsn + 1))
         atomic_write_bytes(
             path,
-            json.dumps(document, sort_keys=True, indent=1).encode("utf-8"),
-            fsync=True,
-        )
+            json.dumps(document, sort_keys=True, indent=1).encode("utf-8"))
         if self._metrics is not None:
             self._metrics.counter("store_snapshots_total",
                                   **self._labels).inc()

@@ -82,17 +82,6 @@ class TestRun:
         assert doc["run_meta"]["workers"] == 2
         assert capsys.readouterr().out  # table printed
 
-    def test_run_cache_round_trip(self, tmp_path, capsys):
-        cache_dir = str(tmp_path / "cache")
-        args = ["run", "table2", "--cache", "--cache-dir", cache_dir,
-                "--out-dir", ""]
-        assert main(args) == 0
-        first = capsys.readouterr().out
-        assert "2 executed, 0 cached" in first
-        assert main(args) == 0
-        second = capsys.readouterr().out
-        assert "0 executed, 2 cached" in second
-
     def test_run_exits_1_when_a_trial_reports_failed_invariants(
             self, capsys):
         # Cut short, the run ends before the blacked-out rollovers
@@ -141,22 +130,6 @@ class TestRun:
         assert captured.err.splitlines() == [
             f"--workers {workers}: workers must be >= 1"]
         assert not os.listdir(tmp_path)
-
-    def test_run_trace_dir_executes_despite_warm_cache(self, tmp_path,
-                                                       capsys):
-        cache_dir = str(tmp_path / "cache")
-        base = ["run", "kmp-blackout", "--cache", "--cache-dir", cache_dir,
-                "--out-dir", ""]
-        assert main(base) == 0
-        assert "1 executed, 0 cached" in capsys.readouterr().out
-        traces = tmp_path / "traces"
-        assert main(base + ["--trace-dir", str(traces)]) == 0
-        assert "1 executed, 0 cached" in capsys.readouterr().out
-        assert (traces / "kmp-blackout.jsonl").stat().st_size > 0
-        assert (traces / "kmp-blackout.prom").stat().st_size > 0
-        # The traced run still populated the cache for untraced reruns.
-        assert main(base) == 0
-        assert "0 executed, 1 cached" in capsys.readouterr().out
 
     def test_run_trace_dir_on_spec_without_telemetry_says_so(
             self, tmp_path, capsys):

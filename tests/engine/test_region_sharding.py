@@ -1,8 +1,10 @@
-"""Region -> worker sharding: ring assignment and the process pool."""
+"""Region -> worker sharding on the engine's one process pool."""
 
 import pytest
 
-from repro.engine.runner import assign_regions, run_region_tasks
+import repro.engine.runner as runner_module
+from repro.engine import ExperimentSpec, Runner
+from repro.engine.runner import pool_size, run_region_tasks
 
 
 def describe(region_id):
@@ -14,31 +16,31 @@ def explode(region_id):
     raise RuntimeError(f"boom in {region_id}")
 
 
-class TestAssignRegions:
-    def test_no_worker_idles_at_equal_counts(self):
-        assignment = assign_regions([f"r{i}" for i in range(4)], workers=4)
-        assert sorted(len(g) for g in assignment.values()) == [1, 1, 1, 1]
+def _describe_trial(ctx):
+    return describe(f"r{ctx.params['index']}")
 
-    def test_bounded_load_at_two_to_one(self):
-        assignment = assign_regions([f"r{i}" for i in range(8)], workers=4)
-        assert sorted(len(g) for g in assignment.values()) == [2, 2, 2, 2]
 
-    def test_partition_covers_every_region_once(self):
-        regions = [f"r{i}" for i in range(7)]
-        assignment = assign_regions(regions, workers=3)
-        owned = sorted(r for group in assignment.values() for r in group)
-        assert owned == sorted(regions)
+DESCRIBE_SPEC = ExperimentSpec(name="_test-describe", title="region-like",
+                               source="test", trial=_describe_trial,
+                               grid={"index": [0, 1, 2]})
 
-    def test_deterministic(self):
-        regions = [f"r{i}" for i in range(5)]
-        assert assign_regions(regions, 3) == assign_regions(regions, 3)
-        # Input order must not matter.
-        assert assign_regions(list(reversed(regions)), 3) \
-            == assign_regions(regions, 3)
 
-    def test_rejects_bad_worker_count(self):
-        with pytest.raises(ValueError):
-            assign_regions(["r0"], workers=0)
+def _spy_pool(monkeypatch):
+    """Record the process count of every pool the runner opens."""
+    opened = []
+    get_context = runner_module.multiprocessing.get_context
+
+    class Spy:
+        def __init__(self, ctx):
+            self.ctx = ctx
+
+        def Pool(self, processes):
+            opened.append(processes)
+            return self.ctx.Pool(processes=processes)
+
+    monkeypatch.setattr(runner_module.multiprocessing, "get_context",
+                        lambda *a: Spy(get_context(*a)))
+    return opened
 
 
 class TestRunRegionTasks:
@@ -47,16 +49,27 @@ class TestRunRegionTasks:
         assert list(out) == ["r0", "r1", "r2"]
         assert out["r1"] == {"region": "r1", "tag": "R1"}
 
-    def test_parallel_results_identical_to_inline(self):
-        regions = [f"r{i}" for i in range(6)]
-        inline = run_region_tasks(describe, regions, workers=1)
-        pooled = run_region_tasks(describe, regions, workers=3)
-        assert pooled == inline
+    def test_parallel_results_identical_to_inline(self, monkeypatch):
+        opened = _spy_pool(monkeypatch)
+        for regions, workers in [(6, 3), (4, 3)]:
+            region_ids = [f"r{i}" for i in range(regions)]
+            inline = run_region_tasks(describe, region_ids, workers=1)
+            pooled = run_region_tasks(describe, region_ids, workers=workers)
+            assert pooled == inline
+            # Every worker runs: the pool is min(workers, regions) wide,
+            # and pool_size (fleet_scale's wall.workers_effective) says so.
+            assert opened.pop() == min(workers, regions) \
+                == pool_size(workers, regions)
+        assert opened == []
 
     def test_more_workers_than_regions(self):
         regions = ["r0", "r1"]
         assert run_region_tasks(describe, regions, workers=8) \
             == run_region_tasks(describe, regions, workers=1)
+
+    def test_rejects_bad_worker_count(self):
+        with pytest.raises(ValueError):
+            run_region_tasks(describe, ["r0"], workers=0)
 
     def test_duplicate_region_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -71,7 +84,13 @@ class TestRunRegionTasks:
     def test_daemonic_process_degrades_to_inline(self, monkeypatch):
         """Inside an engine pool worker (daemonic) forking again is
         illegal; the call must fall back to inline execution."""
-        import repro.engine.runner as runner_module
+        runs = [
+            lambda workers: run_region_tasks(describe, ["r0", "r1", "r2"],
+                                             workers=workers),
+            lambda workers: [trial.as_artifact_entry() for trial in
+                             Runner(workers).run(DESCRIBE_SPEC).trials],
+        ]
+        expected = [run(1) for run in runs]
 
         class FakeProcess:
             daemon = True
@@ -82,6 +101,6 @@ class TestRunRegionTasks:
         monkeypatch.setattr(
             runner_module.multiprocessing, "get_context",
             lambda *a, **k: forbidden_calls.append(a) or None)
-        out = run_region_tasks(describe, ["r0", "r1", "r2"], workers=4)
-        assert list(out) == ["r0", "r1", "r2"]
+        assert [run(2) for run in runs] == expected
+        assert list(expected[0]) == ["r0", "r1", "r2"]
         assert forbidden_calls == []

@@ -1,4 +1,4 @@
-"""Runner tests: sharding identity, speedup, caching, artifacts, registry.
+"""Runner tests: sharding identity, speedup, artifacts, registry.
 
 The synthetic specs used here are registered at import time so that
 forked worker processes (which inherit this module) can look them up.
@@ -13,7 +13,6 @@ import pytest
 from repro.crypto.prng import XorShiftPrng
 from repro.engine import (
     ExperimentSpec,
-    ResultCache,
     Runner,
     TrialContext,
     get_spec,
@@ -25,11 +24,8 @@ from repro.engine import (
     validate_artifact,
 )
 
-_EXECUTIONS = []  # in-process only: counts serial executions
-
 
 def _prng_trial(ctx: TrialContext) -> dict:
-    _EXECUTIONS.append(ctx.params["index"])
     prng = XorShiftPrng(ctx.seed + ctx.params["index"])
     return {"index": ctx.params["index"],
             "draws": [prng.uniform() for _ in range(4)]}
@@ -151,39 +147,6 @@ class TestShardingIdentity:
         assert serial_s >= 8 * 0.3
         assert serial_s > 2 * parallel_s, (
             f"serial {serial_s:.2f}s vs 4-worker {parallel_s:.2f}s")
-
-
-class TestCache:
-    def test_second_run_replays_from_cache(self, tmp_path):
-        cache = ResultCache(str(tmp_path / "cache"))
-        _EXECUTIONS.clear()
-        first = run_experiment("_test-prng", cache=cache)
-        assert len(_EXECUTIONS) == 8
-        assert first.run_meta["executed"] == 8
-
-        second = run_experiment("_test-prng", cache=cache)
-        assert len(_EXECUTIONS) == 8  # nothing re-executed
-        assert second.run_meta["executed"] == 0
-        assert second.run_meta["cache_hits"] == 8
-        assert second.results() == first.results()
-
-    def test_different_seed_misses_cache(self, tmp_path):
-        cache = ResultCache(str(tmp_path / "cache"))
-        run_experiment("_test-prng", cache=cache)
-        rerun = run_experiment("_test-prng", cache=cache, base_seed=2)
-        assert rerun.run_meta["cache_hits"] == 0
-
-    def test_spec_version_invalidates_cache(self, tmp_path):
-        cache = ResultCache(str(tmp_path / "cache"))
-        run_experiment("_test-prng", cache=cache)
-        bumped = ExperimentSpec(
-            name=PRNG_SPEC.name, title=PRNG_SPEC.title,
-            source=PRNG_SPEC.source, trial=PRNG_SPEC.trial,
-            grid=PRNG_SPEC.grid, defaults=PRNG_SPEC.defaults,
-            seed_param=PRNG_SPEC.seed_param, spec_version=2)
-        runner = Runner(cache=cache)
-        rerun = runner.run(bumped)
-        assert rerun.run_meta["cache_hits"] == 0
 
 
 class TestArtifacts:

@@ -109,18 +109,6 @@ class TestSeeds:
         assert [p.seed for p in a] == [p.seed for p in b]
 
 
-class TestCacheKey:
-    def test_key_covers_params_seed_and_version(self):
-        spec = make_spec()
-        plan = spec.expand()[0]
-        key = plan.cache_key(spec)
-        assert key == plan.cache_key(spec)
-        bumped = make_spec(spec_version=2)
-        assert plan.cache_key(bumped) != key
-        other = spec.expand(base_seed=5)[0]
-        assert other.cache_key(spec) != key
-
-
 class TestParseSweep:
     def test_coerces_to_template_types(self):
         spec = make_spec(defaults={"duration_s": 10.0, "seed": 42,

@@ -104,10 +104,10 @@ def test_experiment_payloads_identical_across_modes(monkeypatch):
     (virtual-time) payload with every digest engine pinned to the scalar
     lane: same throughput, RCTs, window high-water."""
     sweep = {"stack": ["P4Auth"], "mode": ["batched"]}
-    auto = run_experiment("cdp_batch_throughput", short=True, cache=False,
+    auto = run_experiment("cdp_batch_throughput", short=True,
                           sweep=sweep).result_for()
     monkeypatch.setattr(DigestEngine, "VECTOR_THRESHOLD", sys.maxsize)
-    scalar = run_experiment("cdp_batch_throughput", short=True, cache=False,
+    scalar = run_experiment("cdp_batch_throughput", short=True,
                             sweep=sweep).result_for()
     assert canonical_json(to_jsonable(auto)) \
         == canonical_json(to_jsonable(scalar))

@@ -6,11 +6,9 @@ import os
 
 import pytest
 
-from repro.engine.cache import ResultCache
 from repro.store.atomic import (
     TMP_SUFFIX,
     atomic_write_bytes,
-    atomic_write_text,
     fsync_dir,
     sweep_orphan_tmp,
 )
@@ -21,13 +19,8 @@ class TestAtomicWrite:
         path = str(tmp_path / "doc.json")
         atomic_write_bytes(path, b"one")
         assert open(path, "rb").read() == b"one"
-        atomic_write_bytes(path, b"two", fsync=True)
+        atomic_write_bytes(path, b"two")
         assert open(path, "rb").read() == b"two"
-
-    def test_text_convenience_is_utf8(self, tmp_path):
-        path = str(tmp_path / "t.txt")
-        atomic_write_text(path, "héllo")
-        assert open(path, "rb").read() == "héllo".encode("utf-8")
 
     def test_no_tmp_residue_after_success(self, tmp_path):
         atomic_write_bytes(str(tmp_path / "a"), b"x")
@@ -53,13 +46,13 @@ class TestAtomicWrite:
 
 class TestFsyncDir:
     def test_fsyncs_committed_rename_durably(self, tmp_path, monkeypatch):
-        """``fsync=True`` must fsync the *directory* after the replace —
+        """The write must fsync the *directory* after the replace —
         file-content fsync alone does not persist the rename."""
         synced = []
         real_fsync = os.fsync
         monkeypatch.setattr(
             os, "fsync", lambda fd: (synced.append(fd), real_fsync(fd)))
-        atomic_write_bytes(str(tmp_path / "doc.json"), b"x", fsync=True)
+        atomic_write_bytes(str(tmp_path / "doc.json"), b"x")
         # One fsync for the payload, one for the directory entry.
         assert len(synced) == 2
 
@@ -84,21 +77,3 @@ class TestOrphanSweep:
     def test_missing_directory_is_zero(self, tmp_path):
         assert sweep_orphan_tmp(str(tmp_path / "nope")) == 0
 
-
-class TestResultCacheUsesIdiom:
-    """Satellite: the engine cache rides the extracted helpers."""
-
-    def test_put_get_roundtrip(self, tmp_path):
-        cache = ResultCache(root=str(tmp_path))
-        cache.put("k1", {"value": 7})
-        assert cache.get("k1") == {"value": 7}
-        assert not [name for name in os.listdir(tmp_path)
-                    if name.endswith(TMP_SUFFIX)]
-
-    def test_clear_sweeps_orphans(self, tmp_path):
-        cache = ResultCache(root=str(tmp_path))
-        cache.put("k1", {"value": 7})
-        (tmp_path / "orphan.tmp").write_bytes(b"half-written")
-        cache.clear()
-        assert not (tmp_path / "orphan.tmp").exists()
-        assert cache.get("k1") is None
