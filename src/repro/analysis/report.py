@@ -51,32 +51,6 @@ def find_artifacts(directory: str = ".") -> List[str]:
         if name.startswith("BENCH_") and name.endswith(".json"))
 
 
-def _render_regions_detail(report: MarkdownReport, trial: Dict) -> None:
-    """Sub-table for one trial's per-region rows, if it carries any.
-
-    Region-sharded results (``fleet_scale``, regional ``table3``) put a
-    list of per-region dicts under ``regions_detail``; the top-level
-    scalar table cannot show a list, so each such trial gets its own
-    region-by-region breakdown instead of a silent elision.
-    """
-    detail = trial["result"].get("regions_detail")
-    if not isinstance(detail, list) or not detail:
-        return
-    if not all(isinstance(row, dict) for row in detail):
-        return
-    keys = sorted({key for row in detail for key, value in row.items()
-                   if isinstance(value, (int, float, str, bool))})
-    # Lead with the region id when present.
-    if "region" in keys:
-        keys.remove("region")
-        keys.insert(0, "region")
-    report.paragraph(f"Per-region breakdown for `{trial['id']}`:")
-    report.table(keys, [
-        [f"{row.get(key, ''):.4g}" if isinstance(row.get(key), float)
-         else row.get(key, "") for key in keys]
-        for row in detail])
-
-
 #: How a claim's ``holds`` reads in a table.
 HOLDS = {True: "yes", False: "NO", None: "not evaluated"}
 
@@ -93,10 +67,9 @@ def render_artifact_report(directory: str = ".") -> str:
 
     Each artifact becomes one section: provenance line (source, schema,
     spec version, seeding policy, run metadata) plus a table of every
-    trial's scalar result fields.  The paper claims, a result's
-    ``regions_detail`` axis (per-region rows of the region-sharded
-    experiments) and failed checks are sub-tables; other nested
-    lists/dicts are elided — the JSON itself remains the full record.
+    trial's scalar result fields.  The paper claims and failed checks are
+    sub-tables; nested lists/dicts are elided — the JSON itself remains
+    the full record.
 
     Files that fail to parse or validate against the artifact schema are
     skipped and listed in a trailing "Skipped artifacts" section — one
@@ -158,8 +131,6 @@ def render_artifact_report(directory: str = ".") -> str:
             report.table(["trial", "check", "detail"],
                          [[f"`{trial_id}`", name, detail]
                           for trial_id, name, detail in failed])
-        for trial in doc["trials"]:
-            _render_regions_detail(report, trial)
     if skipped:
         report.section(
             "Skipped artifacts",

@@ -604,12 +604,12 @@ class KeyManagementProtocol:
 
 
 # ----------------------------------------------------------------------
-# hierarchical key management (region-sharded fleets)
+# regional key authorities (one per fleet domain)
 # ----------------------------------------------------------------------
 
-#: Convergence-time histogram buckets (virtual seconds): a regional
-#: bootstrap is a couple of C-DP round trips, a 10k-switch fleet rollover
-#: a few hundred milliseconds of virtual time.
+#: Convergence-time histogram buckets (virtual seconds): a region's
+#: bootstrap or rollover is a few C-DP round trips, a few milliseconds
+#: of virtual time at any region size.
 KMP_CONVERGENCE_BUCKETS = (0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
                            0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0)
 
@@ -638,11 +638,13 @@ class RegionConvergence:
 class RegionalKeyAuthority:
     """A region's key authority: times bootstrap/rollover for its subtree.
 
-    Thin coordination layer over the region controller's
+    Thin layer over the region controller's
     :class:`KeyManagementProtocol` — the message flows, the rollover and
-    its per-switch epoch are the KMP's; the authority adds what
-    :class:`HierarchicalKMP` coordinates: region-scoped convergence
-    tracking, per-region telemetry and an in-flight guard on rollover.
+    its per-switch epoch are the KMP's; the authority adds region-scoped
+    convergence timing (:class:`RegionConvergence`), per-region
+    telemetry and an in-flight guard on rollover.  A region is an
+    independent domain (``fleet_scale`` runs one per trial): no key is
+    shared across regions, so no authority coordinates with another.
     """
 
     def __init__(self, region_id: str, controller):
@@ -753,143 +755,3 @@ def honest_load_audit(divergence: Dict[str, int], indicators: Dict[str, int],
         ("defenses_quiet", not moved,
          f"tamper indicators that moved under honest load: {moved}"),
     ]
-
-
-class HierarchicalKMP:
-    """Root coordinator over the per-region key authorities (DESIGN.md
-    "Hierarchical KMP").
-
-    Coordinates fleet-wide bootstrap and rollover across a
-    :class:`~repro.net.region.RegionalWorld`, and states the cross-region
-    **two-version-update invariant**: while a coordinated rollover is in
-    flight, the rollover epochs of the two endpoints of any boundary
-    link may differ by at most one — i.e. any key a boundary peer could
-    reasonably hold is either the old or the new version, never older
-    (the paper's §VI-C two-slot window, lifted from one switch to the
-    region graph).  The invariant is sampled at lockstep epoch barriers,
-    where every region agrees on the clock.
-    """
-
-    def __init__(self, world, authorities: Dict[str, RegionalKeyAuthority]):
-        self.world = world
-        missing = [region.id for region in world.regions
-                   if region.id not in authorities]
-        if missing:
-            raise ValueError(f"regions without a key authority: {missing}")
-        self.authorities = {region.id: authorities[region.id]
-                            for region in world.regions}
-        self.boundary_violations: List[Dict[str, object]] = []
-        self._monitor_hook: Optional[Callable[[float], None]] = None
-
-    # -- fleet operations --------------------------------------------------
-
-    def bootstrap_fleet(self, deadline_s: float = 30.0) -> Dict[str, object]:
-        """Bootstrap every region concurrently; barrier on full resolution."""
-        return self._fleet_round("bootstrap", deadline_s, monitor=False)
-
-    def rollover_fleet(self, deadline_s: float = 30.0,
-                       monitor: bool = True) -> Dict[str, object]:
-        """One coordinated rollover round across all regions.
-
-        With ``monitor=True`` the two-version invariant is checked at
-        every lockstep barrier for the duration of the round; violations
-        accumulate in :attr:`boundary_violations` and the returned
-        summary.
-        """
-        return self._fleet_round("rollover", deadline_s, monitor=monitor)
-
-    def _fleet_round(self, op: str, deadline_s: float,
-                     monitor: bool) -> Dict[str, object]:
-        done: Dict[str, RegionConvergence] = {}
-        violations_before = len(self.boundary_violations)
-        if monitor:
-            self._arm_monitor()
-        try:
-            for region_id, authority in self.authorities.items():
-                start = (authority.bootstrap if op == "bootstrap"
-                         else authority.rollover)
-                start(on_done=lambda conv, rid=region_id:
-                      done.__setitem__(rid, conv))
-            converged = self.world.run_until(
-                lambda: len(done) == len(self.authorities),
-                deadline=self.world.now + deadline_s)
-        finally:
-            if monitor:
-                self._disarm_monitor()
-        regions = {region_id: done[region_id].as_dict()
-                   for region_id in sorted(done)}
-        return {
-            "op": op,
-            "converged": converged,
-            "regions": regions,
-            "duration_s": (max((c["duration_s"] for c in regions.values()),
-                               default=0.0)),
-            "failed": sum(c["failed"] for c in regions.values()),
-            "boundary_violations":
-                len(self.boundary_violations) - violations_before,
-        }
-
-    # -- two-version invariant ---------------------------------------------
-
-    def boundary_epoch_gaps(self) -> List[Dict[str, object]]:
-        """Rollover-epoch delta across every boundary link, right now."""
-        gaps = []
-        for link in self.world.boundary_links:
-            epoch_a = self.authorities[link.region_a].kmp.rollover_epoch(
-                link.switch_a)
-            epoch_b = self.authorities[link.region_b].kmp.rollover_epoch(
-                link.switch_b)
-            gaps.append({
-                "link": f"{link.switch_a}<->{link.switch_b}",
-                "epoch_a": epoch_a, "epoch_b": epoch_b,
-                "gap": abs(epoch_a - epoch_b),
-            })
-        return gaps
-
-    def check_two_version_invariant(self) -> List[Dict[str, object]]:
-        """Boundary links whose endpoints are more than one rollover apart."""
-        return [gap for gap in self.boundary_epoch_gaps() if gap["gap"] > 1]
-
-    def _arm_monitor(self) -> None:
-        if self._monitor_hook is not None:
-            return
-
-        def check(barrier_s: float) -> None:
-            for gap in self.check_two_version_invariant():
-                violation = dict(gap)
-                violation["at_s"] = barrier_s
-                self.boundary_violations.append(violation)
-
-        self._monitor_hook = check
-        self.world.on_epoch.append(check)
-
-    def _disarm_monitor(self) -> None:
-        if self._monitor_hook is not None:
-            self.world.on_epoch.remove(self._monitor_hook)
-            self._monitor_hook = None
-
-    # -- fleet consistency surfaces ----------------------------------------
-
-    def seq_divergence(self) -> Dict[str, int]:
-        merged: Dict[str, int] = {}
-        for authority in self.authorities.values():
-            merged.update(authority.c.seq_divergence())
-        return merged
-
-    def consistency_report(self) -> Dict[str, object]:
-        """The acceptance surface: forged-write and divergence evidence."""
-        divergence = self.seq_divergence()
-        return {
-            "seq_divergence_max": max(divergence.values(), default=0),
-            "seq_divergence_min": min(divergence.values(), default=0),
-            # KMP control messages consume controller seqs without
-            # touching the DP's reg-op replay register, so a positive lag
-            # here is normal after key operations; only a *negative*
-            # divergence (DP ahead) indicates forgery.
-            "switches_with_kmp_seq_lag":
-                sum(1 for v in divergence.values() if v),
-            "tamper_indicators": sum_indicators(
-                authority.c.tamper_indicators()
-                for authority in self.authorities.values()),
-            "boundary_violations": len(self.boundary_violations),
-        }

@@ -3,9 +3,9 @@
 The :class:`Runner` expands a spec into its deterministic trial list,
 executes every trial (optionally with per-trial telemetry capture:
 ``<trial>.jsonl`` trace plus ``<trial>.prom`` metrics dump), judges the
-spec's claims and assembles the canonical artifact.  Trials and
-``fleet_scale``'s regions go through the one process-pool map,
-:func:`_pool_map`.  Because every trial's seed and parameters are fixed
+spec's claims and assembles the canonical artifact.  Trials go through
+one process-pool map, :func:`_pool_map`; no trial opens a pool of its
+own.  Because every trial's seed and parameters are fixed
 *before* execution (:meth:`ExperimentSpec.expand`), and results are
 collected by index rather than completion order, ``workers=1`` and
 ``workers=N`` produce byte-identical ``trials`` and ``claims`` sections
@@ -142,16 +142,10 @@ def execute_trial(spec: ExperimentSpec, plan: TrialPlan,
 
 
 def pool_size(workers: int, items: int) -> int:
-    """Processes :func:`_pool_map` runs ``items`` jobs on; 1 is inline.
-
-    Inline when there is one worker or one item, or inside a daemonic
-    process (a trial already running in a pool worker, which may not
-    fork again); otherwise one process per item up to ``workers``.
-    """
+    """Processes :func:`_pool_map` runs ``items`` jobs on; 1 is inline:
+    one process per item, up to ``workers``."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if multiprocessing.current_process().daemon:
-        return 1
     return max(1, min(workers, items))
 
 
@@ -210,21 +204,6 @@ class Runner:
         return run
 
 
-def run_region_tasks(task, region_ids: Sequence[str],
-                     workers: int = 1) -> Dict[str, Any]:
-    """Run ``task(region_id)`` for every region, sharded across workers.
-
-    Each process runs *whole* regions (never half a region), results
-    come back keyed by region id in sorted order, and the returned
-    mapping is byte-identical for any worker count — parallelism is
-    purely a wall-clock optimization, exactly like the trial runner.
-    """
-    ordered = sorted(region_ids)
-    if len(set(ordered)) != len(ordered):
-        raise ValueError("duplicate region ids")
-    return dict(zip(ordered, _pool_map(task, ordered, workers)))
-
-
 def run_experiment(name: str, sweep: Optional[Dict[str, Sequence]] = None,
                    workers: int = 1, base_seed: Optional[int] = None,
                    short: bool = False,
@@ -245,5 +224,4 @@ __all__ = [
     "judge_claims",
     "pool_size",
     "run_experiment",
-    "run_region_tasks",
 ]

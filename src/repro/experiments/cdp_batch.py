@@ -47,8 +47,8 @@ BOOTSTRAP_DEADLINE_S = 10.0
 
 
 def switch_index(name: str) -> int:
-    """Node index from ``sw<i>`` or ``r<k>sw<i>``."""
-    return int(name.rsplit("sw", 1)[1])
+    """Node index of fabric switch ``sw<i>``."""
+    return int(name[2:])
 
 
 def fleet_switch_factory(seed: int):
@@ -71,22 +71,6 @@ def outstanding_budget(m: int, max_in_flight: int) -> int:
     return max(1000, 2 * m * max_in_flight)
 
 
-def attach_fleet_stack(stack_name: str, net, switches: List[str], m: int,
-                       max_in_flight: int = 8, k_seed_base: int = 0x1000,
-                       bootstrap: bool = True, **stack_kwargs):
-    """One stack over :func:`fleet_switch_factory` switches: ``target``
-    mapped, switch ``i`` seeded ``k_seed_base + i``, the DoS threshold
-    budgeted for an ``m``-switch fleet, local keys established unless
-    ``bootstrap`` is false (the caller runs the KMP itself)."""
-    stack, _dataplanes = attach_stack(
-        stack_name, net, switches, ["target"],
-        {name: k_seed_base + switch_index(name) for name in switches},
-        BOOTSTRAP_DEADLINE_S if bootstrap else None,
-        outstanding_threshold=outstanding_budget(m, max_in_flight),
-        **stack_kwargs)
-    return stack
-
-
 def build_batch_deployment(stack_name: str, m: int = 25, degree: int = 4,
                            seed: int = 1, telemetry=None,
                            request_timeout_s: Optional[float] = None,
@@ -96,20 +80,25 @@ def build_batch_deployment(stack_name: str, m: int = 25, degree: int = 4,
                            bootstrap: bool = True) -> Tuple:
     """One stack deployed on the m-switch random-regular fabric.
 
-    Returns ``(sim, net, stack, switch_names)`` with every switch
-    carrying a 16-slot 64-bit ``target`` register, keys established
-    (P4Auth, see :func:`attach_fleet_stack`), and — when ``loss_rate``
-    > 0 — a seeded Bernoulli drop tap on every control channel.  The tap
-    is installed *after* key bootstrap so setup is loss-free and
-    deterministic; loss applies only to the measured workload.
+    Returns ``(sim, net, stack, switch_names)`` with every switch a
+    :func:`fleet_switch_factory` switch whose ``target`` register is
+    mapped, switch ``i`` seeded ``k_seed_base + i``, the DoS threshold
+    budgeted for an ``m``-switch fleet, local keys established unless
+    ``bootstrap`` is false (the caller runs the KMP itself), and — when
+    ``loss_rate`` > 0 — a seeded Bernoulli drop tap on every control
+    channel.  The tap is installed *after* key bootstrap so setup is
+    loss-free and deterministic; loss applies only to the measured
+    workload.
     """
     net, extras = random_regular_fabric(
         m, degree, seed, factory=fleet_switch_factory(seed),
         telemetry=telemetry)
     sim, switches = extras["sim"], extras["switches"]
-    stack = attach_fleet_stack(
-        stack_name, net, switches, m, max_in_flight,
-        k_seed_base=k_seed_base, bootstrap=bootstrap,
+    stack, _dataplanes = attach_stack(
+        stack_name, net, switches, ["target"],
+        {name: k_seed_base + switch_index(name) for name in switches},
+        BOOTSTRAP_DEADLINE_S if bootstrap else None,
+        outstanding_threshold=outstanding_budget(m, max_in_flight),
         request_timeout_s=request_timeout_s)
 
     if loss_rate > 0.0:

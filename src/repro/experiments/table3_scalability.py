@@ -19,7 +19,6 @@ from typing import Dict
 from repro.engine.registry import register
 from repro.engine.spec import ExperimentSpec, TrialContext, claim
 from repro.experiments.cdp_batch import build_batch_deployment
-from repro.net.topology import region_sizes
 
 
 def formulas(m: int, n: int) -> Dict[str, int]:
@@ -33,18 +32,9 @@ def formulas(m: int, n: int) -> Dict[str, int]:
 
 
 def _trial(ctx: TrialContext) -> Dict[str, object]:
-    """Bootstrap and roll every key on a live m-switch network; count.
-
-    ``regions > 1`` counts on a region-sharded fleet instead
-    (:func:`_regional_trial`).
-    """
+    """Bootstrap and roll every key on a live m-switch network; count."""
     p = ctx.params
     m, degree, seed = p["m"], p["degree"], p["seed"]
-    # Refuses regions < 1 (and more regions than switches) before
-    # anything is built.
-    region_sizes(m, p["regions"])
-    if p["regions"] > 1:
-        return _regional_trial(ctx)
     # The batch fleet (m=25, d=4 gives exactly the paper's n=50 links)
     # with no key established yet: the trial runs the KMP itself.
     sim, _net, controller, _switches = build_batch_deployment(
@@ -84,95 +74,27 @@ def _trial(ctx: TrialContext) -> Dict[str, object]:
     }
 
 
-def _regional_trial(ctx: TrialContext) -> Dict[str, object]:
-    """Table III counts on a region-sharded fleet (the ``fleet_scale`` shape).
-
-    Each region is its own controller + KMP subtree under a
-    :class:`~repro.core.kmp.HierarchicalKMP`; boundary links cross
-    administrative domains and carry no port keys, so the paper's
-    formulas apply per region with that region's (m, n).  The result
-    carries a ``regions_detail`` axis (one Table III row per region)
-    plus fleet totals and the verdict on both key rounds.
-    """
-    # Local import: the flat regions=1 path must not drag in the whole
-    # fleet machinery.
-    from repro.experiments.fleet_scale import build_fleet_deployment
-
-    p = ctx.params
-    m, regions = p["m"], p["regions"]
-    world, extras, hier, controllers = build_fleet_deployment(
-        m, regions, degree=p["degree"], seed=p["seed"])
-    bootstrap = hier.bootstrap_fleet(deadline_s=30.0)
-    init_counts = {region.id: len(controllers[region.id].kmp.stats.records)
-                   for region in world.regions}
-    rollover = hier.rollover_fleet(deadline_s=30.0)
-    for name, outcome in (("bootstrap", bootstrap), ("rollover", rollover)):
-        ctx.check(f"{name}_converged",
-                  outcome["converged"] and not outcome["failed"],
-                  f"regional {name}: converged={outcome['converged']}, "
-                  f"{outcome['failed']} key operations failed")
-    ctx.check("two_version_invariant", not rollover["boundary_violations"],
-              f"{rollover['boundary_violations']} barriers violated the "
-              f"two-version invariant: {hier.boundary_violations[:3]}")
-
-    detail = []
-    for region in world.regions:
-        kmp = controllers[region.id].kmp
-        init_records = kmp.stats.records[:init_counts[region.id]]
-        update_records = kmp.stats.records[init_counts[region.id]:]
-        n = len(extras["graphs"][region.id])
-        expected = formulas(len(region.switches), n)
-        detail.append({
-            "region": region.id,
-            "m_switches": len(region.switches),
-            "n_links": n,
-            "init_messages": sum(r.messages for r in init_records),
-            "init_bytes": sum(r.bytes for r in init_records),
-            "update_messages": sum(r.messages for r in update_records),
-            "update_bytes": sum(r.bytes for r in update_records),
-            "formula_init_messages": expected["init_messages"],
-            "formula_update_messages": expected["update_messages"],
-        })
-    totals = {
-        key: sum(row[key] for row in detail)
-        for key in ("m_switches", "n_links", "init_messages", "init_bytes",
-                    "update_messages", "update_bytes",
-                    "formula_init_messages", "formula_update_messages")
-    }
-    return {
-        "m_switches": m,
-        "regions": regions,
-        "boundary_links": len(world.boundary_links),
-        "regions_detail": detail,
-        "totals": totals,
-        "bootstrap_convergence_s": bootstrap["duration_s"],
-        "rollover_convergence_s": rollover["duration_s"],
-        "boundary_violations": rollover["boundary_violations"],
-        **ctx.verdict(),
-    }
-
-
 SPEC = register(ExperimentSpec(
     name="table3",
     title="KMP scalability on a live network",
     source="Table III",
     trial=_trial,
-    defaults={"m": 25, "degree": 4, "seed": 1, "regions": 1},
+    defaults={"m": 25, "degree": 4, "seed": 1},
     short={"m": 9},
     seed_param="seed",
-    spec_version=3,
+    spec_version=4,
     tags=("table", "kmp", "scalability"),
     claims=(
         claim("load_formulas", "4m+5n = 350 msgs / 9.5 KB to initialize, "
               "2m+3n = 200 (printed: 125) / 5.4 KB to update",
-              lambda run: run.result_for(m=25, degree=4, regions=1),
+              lambda run: run.result_for(m=25, degree=4),
               lambda r: r["n_links"] == 50 and (
                   r["init_messages"], r["init_bytes"], r["update_messages"],
                   r["update_bytes"]) == (350, 9500, 200, 5400),
               "{0[init_messages]} msgs / {0[init_bytes]} B, "
               "{0[update_messages]} msgs / {0[update_bytes]} B"),
         claim("bootstrap_in_parallel", "~150 ms serially; parallel is faster",
-              lambda run: run.result_for(m=25, degree=4, regions=1),
+              lambda run: run.result_for(m=25, degree=4),
               lambda r: 0.1 < r["serial_init_time_s"] < 0.2
               and r["parallel_init_time_s"] < r["serial_init_time_s"] / 10,
               "serial {0[serial_init_time_s]:.3f} s, "

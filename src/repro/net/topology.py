@@ -8,17 +8,10 @@
   scenarios beyond the paper's minimal topology.
 - :func:`random_regular_fabric` — an m-switch random d-regular graph, the
   Table III fabric shape, scalable to the §XI production sizes
-  (m=100, m=400).
-- :func:`regional_fabric` — the fleet-scale shape: ``regions`` random
-  d-regular fabrics, each in its own :class:`~repro.net.region.Region`,
-  joined by seeded boundary links into a
-  :class:`~repro.net.region.RegionalWorld`.  With ``regions=1`` it builds
-  byte-for-byte the same world as :func:`random_regular_fabric` (which is
-  now a thin wrapper over it).
+  (m=100, m=400) and to one ``fleet_scale`` domain.
 
 All builders return ``(network, extras)`` where ``extras`` is a dict of
-the named nodes/ports a caller needs to run the experiment
-(:func:`regional_fabric` returns ``(world, extras)``).
+the named nodes/ports a caller needs to run the experiment.
 """
 
 from __future__ import annotations
@@ -26,15 +19,9 @@ from __future__ import annotations
 import random
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.crypto.prng import XorShiftPrng
 from repro.dataplane.switch import DataplaneSwitch
 from repro.net.costs import CostModel
 from repro.net.network import Network
-from repro.net.region import (
-    DEFAULT_BOUNDARY_LATENCY_S,
-    Region,
-    RegionalWorld,
-)
 from repro.net.simulator import EventSimulator
 
 SwitchFactory = Callable[[str, int], DataplaneSwitch]
@@ -153,58 +140,36 @@ def random_regular_fabric(m: int, degree: int = 4, seed: int = 1,
     pure function of ``(m, degree, seed)``; ``extras["graph"]`` is that
     sorted ``(lo, hi)`` edge list.
 
-    Since the region refactor this delegates to :func:`regional_fabric`
-    with ``regions=1`` — same construction order, same event schedule,
-    byte-identical payloads and wire streams (pinned by the
-    regions-identity integration test).
+    Raises ``ValueError``, before any switch is built, when no
+    ``degree``-regular graph on ``m`` nodes exists (``m`` not above the
+    degree, or an odd ``m * degree``).
     """
-    world, extras = regional_fabric(m, regions=1, degree=degree, seed=seed,
-                                    factory=factory, costs=costs,
-                                    telemetry=telemetry)
-    region = world.regions[0]
-    return region.net, {"sim": region.sim, "graph": extras["graph"],
-                        "switches": list(region.switches), "world": world}
-
-
-def region_sizes(m: int, regions: int) -> List[int]:
-    """Deterministic near-even split of m switches across regions."""
-    if regions < 1:
-        raise ValueError("need at least one region")
-    if m < regions:
-        raise ValueError(f"cannot split {m} switches into {regions} regions")
-    base, remainder = divmod(m, regions)
-    return [base + (1 if index < remainder else 0)
-            for index in range(regions)]
+    if degree < 1:
+        raise ValueError(f"need degree >= 1, got {degree}")
+    if m <= degree or (m * degree) % 2:
+        raise ValueError(
+            f"no {degree}-regular graph on {m} switches (need m > degree "
+            f"and m * degree even)")
+    factory = factory or _default_factory
+    graph = _random_regular_edges(degree, m, seed)
+    sim = EventSimulator(telemetry=telemetry)
+    net = Network(sim, costs)
+    names = [f"sw{node}" for node in range(m)]
+    for name in names:
+        net.add_switch(factory(name, degree))
+    next_port = dict.fromkeys(names, 1)
+    for a, b in graph:
+        name_a, name_b = names[a], names[b]
+        net.connect(name_a, next_port[name_a], name_b, next_port[name_b])
+        next_port[name_a] += 1
+        next_port[name_b] += 1
+    return net, {"sim": sim, "graph": graph, "switches": names}
 
 
 def region_seed(seed: int, index: int) -> int:
-    """Per-region graph seed; region 0 keeps the caller's seed so the
-    regions=1 world is the flat world."""
+    """Graph seed of fleet region ``index`` (a ``fleet_scale`` trial);
+    region 0 keeps the caller's seed, so it is the flat fabric."""
     return seed + 7919 * index
-
-
-def _boundary_plan(regions: int, sizes: List[int], seed: int,
-                   links_per_pair: int
-                   ) -> List[Tuple[int, int, int, int]]:
-    """Seeded boundary attachment: (region_a, sw_a, region_b, sw_b) rows.
-
-    Adjacent regions are joined in a ring (a chain for two regions); the
-    attachment switches are drawn from a dedicated PRNG so the plan is a
-    pure function of ``(regions, sizes, seed, links_per_pair)`` and stays
-    independent of the per-region graph draws.
-    """
-    if regions < 2:
-        return []
-    pairs = [(index, index + 1) for index in range(regions - 1)]
-    if regions > 2:
-        pairs.append((regions - 1, 0))
-    prng = XorShiftPrng((seed << 8) ^ 0xB0D7)
-    plan: List[Tuple[int, int, int, int]] = []
-    for region_a, region_b in pairs:
-        for _ in range(links_per_pair):
-            plan.append((region_a, prng.next64() % sizes[region_a],
-                         region_b, prng.next64() % sizes[region_b]))
-    return plan
 
 
 def _pairable(edges, leftover) -> bool:
@@ -266,110 +231,3 @@ def _random_regular_edges(degree: int, size: int,
                      for _ in range(count)]
         else:
             return sorted(edges)
-
-
-def regional_fabric(m: int, regions: int = 1, degree: int = 4, seed: int = 1,
-                    factory: Optional[SwitchFactory] = None,
-                    costs: Optional[CostModel] = None,
-                    telemetry=None,
-                    boundary_links_per_pair: int = 2,
-                    boundary_latency_s: float = DEFAULT_BOUNDARY_LATENCY_S
-                    ) -> Tuple[RegionalWorld, Dict[str, object]]:
-    """m switches split across ``regions`` random d-regular fabrics.
-
-    Every region gets its own simulator + network (its partition of the
-    event load) and a near-even share of the switches, wired exactly like
-    :func:`random_regular_fabric` within the region.  Adjacent regions
-    are joined by ``boundary_links_per_pair`` seeded boundary links
-    through region gateways (see :mod:`repro.net.region`); boundary
-    ports are extra ports above ``degree`` and are invisible to KMP port
-    keying.
-
-    Switch names are ``sw<i>`` when ``regions == 1`` (the legacy flat
-    namespace) and ``r<k>sw<i>`` otherwise.  ``telemetry`` is attached to
-    region 0's simulator (for ``regions == 1`` that is the whole world).
-    ``extras["graphs"]`` maps each region id to its sorted ``(lo, hi)``
-    edge list over switch indices.
-
-    Raises ``ValueError``, before any switch is built, when some region
-    admits no ``degree``-regular graph (size not above the degree, or an
-    odd ``size * degree``).
-    """
-    if regions == 1:
-        boundary_plan: List[Tuple[int, int, int, int]] = []
-        sizes = [m]
-    else:
-        sizes = region_sizes(m, regions)
-        boundary_plan = _boundary_plan(regions, sizes, seed,
-                                       boundary_links_per_pair)
-    if degree < 1:
-        raise ValueError(f"need degree >= 1, got {degree}")
-    for index, size in enumerate(sizes):
-        if size <= degree or (size * degree) % 2:
-            raise ValueError(
-                f"region r{index}: no {degree}-regular graph on {size} "
-                f"switches (need size > degree and size * degree even; "
-                f"sizes={sizes})")
-    factory = factory or _default_factory
-    # Boundary ports are planned before any switch exists so the factory
-    # is called with the final port count.
-    extra_ports: Dict[Tuple[int, int], int] = {}
-    for region_a, sw_a, region_b, sw_b in boundary_plan:
-        extra_ports[(region_a, sw_a)] = extra_ports.get((region_a, sw_a),
-                                                        0) + 1
-        extra_ports[(region_b, sw_b)] = extra_ports.get((region_b, sw_b),
-                                                        0) + 1
-
-    region_objs: List[Region] = []
-    graphs: Dict[str, List[Tuple[int, int]]] = {}
-    switches_by_region: Dict[str, List[str]] = {}
-    for index, size in enumerate(sizes):
-        region_id = f"r{index}"
-        prefix = "" if regions == 1 else region_id
-        graph = _random_regular_edges(degree, size, region_seed(seed, index))
-        sim = EventSimulator(telemetry=telemetry if index == 0 else None)
-        net = Network(sim, costs)
-        names: List[str] = []
-        next_port: Dict[str, int] = {}
-        for node in range(size):
-            name = f"{prefix}sw{node}"
-            ports = degree + extra_ports.get((index, node), 0)
-            net.add_switch(factory(name, ports))
-            names.append(name)
-            next_port[name] = 1
-        for a, b in graph:
-            name_a, name_b = f"{prefix}sw{a}", f"{prefix}sw{b}"
-            net.connect(name_a, next_port[name_a], name_b, next_port[name_b])
-            next_port[name_a] += 1
-            next_port[name_b] += 1
-        region_objs.append(Region(region_id, index, sim, net, names))
-        graphs[region_id] = graph
-        switches_by_region[region_id] = names
-
-    world = RegionalWorld(region_objs)
-    used_ports: Dict[Tuple[int, int], int] = {}
-    for region_a, sw_a, region_b, sw_b in boundary_plan:
-        port_a = degree + 1 + used_ports.get((region_a, sw_a), 0)
-        port_b = degree + 1 + used_ports.get((region_b, sw_b), 0)
-        used_ports[(region_a, sw_a)] = used_ports.get((region_a, sw_a),
-                                                      0) + 1
-        used_ports[(region_b, sw_b)] = used_ports.get((region_b, sw_b),
-                                                      0) + 1
-        world.add_boundary_link(f"r{region_a}", f"r{region_a}sw{sw_a}",
-                                port_a,
-                                f"r{region_b}", f"r{region_b}sw{sw_b}",
-                                port_b, latency_s=boundary_latency_s)
-
-    extras: Dict[str, object] = {
-        "world": world,
-        "regions": [region.id for region in world.regions],
-        "switches": [name for region in world.regions
-                     for name in region.switches],
-        "switches_by_region": switches_by_region,
-        "graphs": graphs,
-        "boundary_links": list(world.boundary_links),
-        "graph": graphs["r0"],
-        "sim": world.regions[0].sim,
-    }
-    return world, extras
-

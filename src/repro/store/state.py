@@ -3,7 +3,7 @@
 :class:`StoreState` is the controller state worth surviving a crash:
 per-switch key material by version, per-switch sequence *horizons*
 (reservations, not last-used values — see the skip-ahead rule in
-DESIGN.md), in-flight batch windows, hierarchical-KMP epochs, and the
+DESIGN.md), in-flight batch windows, per-switch rollover epochs, and the
 fleet shard map.
 
 :func:`apply_record` is a **pure** fold of one journal record into a

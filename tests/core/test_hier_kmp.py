@@ -1,15 +1,10 @@
-"""Hierarchical KMP: regional authorities and the two-version invariant."""
+"""Regional key authorities and the honest-load audit."""
 
 import pytest
 
 from repro.attacks.control_plane import RegisterRequestTamperer
-from repro.core.kmp import (
-    HierarchicalKMP,
-    RegionalKeyAuthority,
-    honest_load_audit,
-)
+from repro.core.kmp import RegionalKeyAuthority, honest_load_audit
 from repro.experiments.cdp_batch import build_batch_deployment
-from repro.experiments.fleet_scale import build_fleet_deployment
 from repro.telemetry import Telemetry
 
 
@@ -143,52 +138,3 @@ class TestHonestLoadAudit:
         name, ok, detail = self.audit(controller)[2]
         assert (name, ok) == ("defenses_quiet", False)
         assert "'digest_fail_cdp': 1" in detail
-
-
-class TestHierarchicalKMP:
-    def test_every_region_needs_an_authority(self):
-        world, _extras, hier, controllers = build_fleet_deployment(
-            12, 2, degree=4, seed=1)
-        with pytest.raises(ValueError, match="without a key authority"):
-            HierarchicalKMP(world, {"r0": hier.authorities["r0"]})
-
-    def test_fleet_bootstrap_and_rollover_converge(self):
-        world, _extras, hier, _controllers = build_fleet_deployment(
-            12, 2, degree=4, seed=1)
-        bootstrap = hier.bootstrap_fleet(deadline_s=30.0)
-        assert bootstrap["converged"] and not bootstrap["failed"]
-        assert sorted(bootstrap["regions"]) == ["r0", "r1"]
-        rollover = hier.rollover_fleet(deadline_s=30.0)
-        assert rollover["converged"] and not rollover["failed"]
-        assert rollover["boundary_violations"] == 0
-        for region in world.regions:
-            kmp = hier.authorities[region.id].kmp
-            assert all(kmp.rollover_epoch(sw) == 1 for sw in region.switches)
-
-    def test_boundary_gaps_and_invariant(self):
-        world, _extras, hier, _controllers = build_fleet_deployment(
-            12, 2, degree=4, seed=1)
-        hier.bootstrap_fleet(deadline_s=30.0)
-        gaps = hier.boundary_epoch_gaps()
-        assert len(gaps) == len(world.boundary_links)
-        assert all(gap["gap"] == 0 for gap in gaps)
-        assert hier.check_two_version_invariant() == []
-        # Fabricate a region that raced two rollovers ahead: the
-        # invariant check must flag every boundary link it touches.
-        link = world.boundary_links[0]
-        hier.authorities[link.region_a].kmp.restore_epochs(
-            {link.switch_a: 2})
-        violations = hier.check_two_version_invariant()
-        assert violations and violations[0]["gap"] == 2
-
-    def test_consistency_report_is_clean_after_rollover(self):
-        world, _extras, hier, _controllers = build_fleet_deployment(
-            12, 2, degree=4, seed=1)
-        hier.bootstrap_fleet(deadline_s=30.0)
-        hier.rollover_fleet(deadline_s=30.0)
-        world.run_until(lambda: world.pending() == 0,
-                        deadline=world.now + 1.0)
-        report = hier.consistency_report()
-        assert report["seq_divergence_min"] >= 0
-        assert report["boundary_violations"] == 0
-        assert not any(report["tamper_indicators"].values())

@@ -29,10 +29,10 @@ def eat_everything(_packet, _direction):
     return None
 
 
-def pair(op):
+def pair(op, registers=()):
     """s1 -- s2, keyed unless the op under test is the first key."""
     return Deployment(num_switches=2, connect_pairs=[("s1", 1, "s2", 1)],
-                      bootstrap=op != "local_init")
+                      bootstrap=op != "local_init", registers=registers)
 
 
 def completes(dep, op):
@@ -132,7 +132,7 @@ class TestBarrier:
         assert order == list(range(5))
 
     def test_rollover_resolves_when_its_last_op_is_abandoned(self):
-        dep = pair("local_update")
+        dep = pair("local_update", registers=[("demo", 64, 16)])
         dep.net.control_channels["s2"].add_tap(eat_everything)
         authority = RegionalKeyAuthority("r0", dep.controller)
         done = []
@@ -144,7 +144,22 @@ class TestBarrier:
         assert (done[0].completed, done[0].failed) == (2, 1)
         assert dep.controller.kmp.rollover_epoch("s1") == 1
         assert dep.controller.kmp.rollover_epoch("s2") == 0
-        authority.rollover()  # the in-flight flag was released
+
+        # The channel heals; a re-roll (legal: the in-flight flag was
+        # released) catches s2 up, and a write then verifies with the
+        # controller and data plane in exact sequence agreement.
+        dep.net.control_channels["s2"].remove_tap(eat_everything)
+        authority.rollover(on_done=done.append)
+        dep.run(5.0)
+        assert len(done) == 2 and done[1].failed == 0
+        assert dep.controller.kmp.rollover_epoch("s2") == 1
+        written = []
+        dep.controller.write_register("s2", "demo", 0, 7,
+                                      lambda ok, _value: written.append(ok))
+        dep.run(1.0)
+        assert written == [True]
+        assert dep.switch("s2").registers.get("demo").read(0) == 7
+        assert dep.controller.seq_divergence()["s2"] == 0
 
 
 def test_bootstrap_local_keys_names_the_dead_switch():

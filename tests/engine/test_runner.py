@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+import repro.engine.runner as runner_module
 from repro.crypto.prng import XorShiftPrng
 from repro.engine import (
     ExperimentSpec,
@@ -117,7 +118,35 @@ class TestVerdicts:
         assert not os.listdir(tmp_path)
 
 
+def _spy_pool(monkeypatch):
+    """Record the process count of every pool the runner opens."""
+    opened = []
+    get_context = runner_module.multiprocessing.get_context
+
+    class Spy:
+        def __init__(self, ctx):
+            self.ctx = ctx
+
+        def Pool(self, processes):
+            opened.append(processes)
+            return self.ctx.Pool(processes=processes)
+
+    monkeypatch.setattr(runner_module.multiprocessing, "get_context",
+                        lambda *a: Spy(get_context(*a)))
+    return opened
+
+
 class TestShardingIdentity:
+    def test_pool_width_is_min_of_workers_and_trials(self, monkeypatch):
+        opened = _spy_pool(monkeypatch)
+        inline = Runner(1).run(JUDGED_SPEC).document()["trials"]
+        assert opened == []
+        for workers in (2, 8):
+            pooled = Runner(workers).run(JUDGED_SPEC).document()["trials"]
+            assert pooled == inline
+            assert opened.pop() == min(workers, 3)
+        assert opened == []
+
     def test_parallel_matches_serial_bit_for_bit(self):
         serial = run_experiment("_test-prng", workers=1, base_seed=11)
         parallel = run_experiment("_test-prng", workers=4, base_seed=11)

@@ -14,9 +14,13 @@ import pytest
 
 from repro.__main__ import main
 from repro.core.controller import P4AuthController
-from repro.core.kmp import HierarchicalKMP
+from repro.core.kmp import RegionalKeyAuthority
 from repro.engine import load_artifact, run_experiment
-from repro.experiments import cdp_batch
+from repro.experiments import cdp_batch, fleet_scale
+
+
+def eat_everything(_packet, _direction):
+    return None
 
 
 def forge_one_switch(monkeypatch, when):
@@ -75,44 +79,56 @@ def test_crash_recovery_forged_write_is_a_failed_check(
         detail="data plane ahead of its controller on {'sw0': -1}")
 
 
-def test_fleet_scale_region_and_boundary_phase_both_name_the_forgery(
+def test_fleet_scale_forged_write_names_the_switch(
         tmp_path, capsys, monkeypatch):
-    # Regions of the m=48 fleet hold 24 switches, of the m=40 fleet 20.
     forge_one_switch(monkeypatch, lambda size: size == 24)
     assert_failed_claim(
         tmp_path, capsys, "fleet_scale",
-        {"m": [40, 48], "regions": [2], "workers": [1]}, trials=2,
-        forced="fleet_scale[m=48,regions=2,workers=1]",
-        # The forged switches sit on no boundary link, so the boundary
-        # phase (agreement asserted on boundary switches) names them once.
-        checks=["regions.no_forged_write", "regions.seq_agreement",
-                "boundary.no_forged_write"],
-        detail="data plane ahead of its controller on {'r0': -1, 'r1': -1}")
+        {"m": [20, 24], "region": [0]}, trials=2,
+        forced="fleet_scale[m=24,region=0]",
+        checks=["no_forged_write", "seq_agreement"],
+        detail="data plane ahead of its controller on {'sw0': -1}")
 
 
-def test_fleet_scale_unkeyed_boundary_phase_keeps_the_region_results(
+def test_fleet_scale_abandoned_rollover_op_fails_its_region(
         tmp_path, capsys, monkeypatch):
-    """The in-window writes cannot be signed without the bootstrap's keys,
-    so the phase stops there — as a failed check, not an exception that
-    would discard the region phase's numbers."""
-    real = HierarchicalKMP.bootstrap_fleet
+    """Region 1's sw0 loses its control channel for the rollover, longer
+    than the KMP's retry budget: its key updates are abandoned, the round
+    still resolves, and the region's checks say so; once the channel is
+    back the writes go through, so nothing else fails."""
+    real = RegionalKeyAuthority.rollover
 
-    def one_op_abandoned(self, deadline_s=30.0):
-        summary = real(self, deadline_s=deadline_s)
-        if len(self.world.regions[0].switches) == 24:
-            summary["failed"] = 1
-        return summary
+    def black_out_sw0(self, on_done=None):
+        if self.region_id == "r1":
+            channel = self.c.network.control_channels["sw0"]
+            channel.add_tap(eat_everything)
+            self.c.sim.schedule(2.0, channel.remove_tap, eat_everything)
+        real(self, on_done=on_done)
 
-    monkeypatch.setattr(HierarchicalKMP, "bootstrap_fleet", one_op_abandoned)
-    sweep = {"m": [40, 48], "regions": [2], "workers": [1]}
+    monkeypatch.setattr(RegionalKeyAuthority, "rollover", black_out_sw0)
+    sweep = {"m": [24], "region": [0, 1]}
     assert_failed_claim(
         tmp_path, capsys, "fleet_scale", sweep, trials=2,
-        forced="fleet_scale[m=48,regions=2,workers=1]",
-        checks=["boundary.bootstrap_converged"],
-        detail="converged=True, 1 key operations failed")
-    failed = run_experiment("fleet_scale", sweep=sweep).result_for(m=48)
-    assert failed["totals"]["workload_completed"] == 48 * 2
-    assert set(failed["boundary"]) == {"bootstrap"}
+        forced="fleet_scale[m=24,region=1]",
+        checks=["rollover_converged", "one_epoch_per_switch"],
+        detail="rollover: 5 of 72 key operations failed")
+    failed = run_experiment("fleet_scale", sweep=sweep).result_for(region=1)
+    assert failed["rollover"]["failed"] == 5
+    assert failed["workload"]["completed"] == 24 * 2
+
+
+def test_fleet_scale_unresolved_bootstrap_is_a_row_not_an_exception(
+        monkeypatch):
+    """A bootstrap that never resolves leaves nothing to sign the writes
+    with: the trial stops there and reports what it has."""
+    monkeypatch.setattr(RegionalKeyAuthority, "bootstrap",
+                        lambda self, on_done=None: None)
+    run = run_experiment("fleet_scale", sweep={"m": [24], "region": [0]})
+    result = run.result_for(region=0)
+    assert run.failures() == [(
+        "fleet_scale[m=24,region=0]", "bootstrap_converged",
+        "bootstrap did not resolve within 30 s")]
+    assert result["bootstrap"] is None and "workload" not in result
 
 
 def test_service_load_forged_write_is_a_failed_check(
@@ -153,3 +169,14 @@ def test_a_bad_parameter_still_raises():
     with pytest.raises(ValueError, match="kill_on must be one of"):
         run_experiment("controller_crash_recovery",
                        sweep={"kill_on": ["no-such-record"], "m": [9]})
+
+
+def test_a_negative_fleet_region_is_refused(monkeypatch):
+    """Refused before anything is built, not left to fail deep in the
+    crypto on a negative K_seed."""
+    def build(*_args, **_kwargs):
+        raise AssertionError("a fleet was built for region -1")
+
+    monkeypatch.setattr(fleet_scale, "build_batch_deployment", build)
+    with pytest.raises(ValueError, match="region must be >= 0, got -1"):
+        run_experiment("fleet_scale", sweep={"region": [-1], "m": [24]})

@@ -1,12 +1,11 @@
-"""The regions=1 world is the *same* world, byte for byte.
+"""The random-regular fabric builds the same world, byte for byte.
 
-The golden fixture was captured at the pre-region-refactor HEAD: full
-experiment payloads (table3 full run, fig20 and cdp_batch_throughput
-short runs) plus a sha256 digest of every switch's serialized C-DP
-P4Auth wire stream from a batched m=9 workload.  All experiments now
-construct their worlds through the region layer with ``regions=1`` —
-these tests prove that path reproduces the flat world's payloads and
-per-switch wire bytes exactly.
+The golden fixture pins full experiment payloads (table3 full run, fig20
+and cdp_batch_throughput short runs) plus a sha256 digest of every
+switch's serialized C-DP P4Auth wire stream from a batched m=9
+workload.  Any change to how :func:`repro.net.topology.random_regular_fabric`
+orders its construction, or to what the stacks put on the wire, shows up
+here as a diverged payload or digest.
 """
 
 import hashlib
@@ -16,7 +15,7 @@ import os
 import pytest
 
 from repro.core.wire import serialize_message
-from repro.engine.runner import Runner, run_experiment
+from repro.engine.runner import Runner
 from repro.experiments.cdp_batch import (
     build_batch_deployment,
     run_batch_workload,
@@ -47,8 +46,8 @@ def test_experiment_payloads_byte_identical(name):
         # Results must match byte for byte (canonical JSON).
         assert canon(trial.result) == canon(golden["result"]), \
             f"{golden['id']}: result diverged from pre-refactor golden"
-        # Params may have gained new axes (e.g. table3's ``regions``)
-        # but every pre-existing value must be unchanged.
+        # Params may have gained new axes since the fixture was
+        # captured, but every pinned value must be unchanged.
         for key, value in golden["params"].items():
             assert trial.params[key] == value
 
@@ -79,30 +78,7 @@ def test_per_switch_wire_streams_byte_identical():
 
 
 def test_table3_m25_live_counts_pinned():
-    """The paper's Table III point, pinned against the refactor."""
+    """The paper's Table III point, pinned."""
     result = run_trial("table3", m=25)
     assert (result["init_messages"], result["init_bytes"]) == (350, 9500)
     assert (result["update_messages"], result["update_bytes"]) == (200, 5400)
-
-
-def test_table3_regions_sweep_reproduces_m25_counts_per_region():
-    """With the ``regions`` sweep param, every 25-switch region of a
-    sharded fleet reports exactly the flat m=25/n=50 live counts."""
-    flat = run_trial("table3", m=25)
-    regional = run_trial("table3", m=50, regions=2)
-    assert len(regional["regions_detail"]) == 2
-    for row in regional["regions_detail"]:
-        assert row["m_switches"] == 25 and row["n_links"] == 50
-        assert row["init_messages"] == flat["init_messages"] == 350
-        assert row["init_bytes"] == flat["init_bytes"] == 9500
-        assert row["update_messages"] == flat["update_messages"] == 200
-        assert row["update_bytes"] == flat["update_bytes"] == 5400
-    assert regional["totals"]["init_messages"] == 700
-    assert regional["boundary_violations"] == 0
-
-
-def test_table3_refuses_fewer_than_one_region():
-    """``--sweep regions=0`` is refused before anything is built, not run
-    as the flat fleet under a ``regions=0`` label."""
-    with pytest.raises(ValueError, match="need at least one region"):
-        run_experiment("table3", short=True, sweep={"regions": [0]})

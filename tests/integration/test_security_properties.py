@@ -3,6 +3,12 @@
 import pytest
 
 from repro.core.constants import P4AUTH
+from repro.core.kmp import honest_load_audit
+from repro.experiments.cdp_batch import (
+    build_batch_deployment,
+    tally,
+    write_schedule,
+)
 from repro.systems.hula import make_probe
 from tests.conftest import Deployment
 
@@ -95,6 +101,37 @@ class TestR3SecureKeyManagement:
         # the two-version scheme never leaves a window without a key.
         assert len(results) == 30
         assert all(results)
+
+    def test_writes_issued_into_a_rollover_window_all_verify(self):
+        """Authenticated writes go out while a fleet ``kmp.rollover()`` is
+        in flight: the two key slots keep every one verifiable, every
+        cell ends at the value written last, and the honest-load audit
+        (exact sequence agreement included) holds afterwards."""
+        sim, net, controller, switches = build_batch_deployment(
+            "P4Auth", m=12, seed=1, bootstrap=False)
+        kmp = controller.kmp
+        kmp.bootstrap_all()
+        sim.run(until=sim.now + 30.0)
+        rolled = []
+        kmp.rollover(lambda: rolled.append(sim.now))
+        state, on_write = tally()
+        schedule = write_schedule(switches, 2)
+        for switch, index, value in schedule:
+            controller.write_register(switch, "target", index, value,
+                                      on_write)
+        assert not rolled  # the writes went out inside the window
+        sim.run(until=sim.now + 30.0)
+        assert rolled
+        assert state == {"ok": len(schedule), "failed": 0}
+        assert all(kmp.rollover_epoch(switch) == 1 for switch in switches)
+        last = {(switch, index): value
+                for switch, index, value in schedule}
+        assert all(net.switch(switch).registers.get("target").read(index)
+                   == value for (switch, index), value in last.items())
+        assert [(name, ok) for name, ok, _detail in honest_load_audit(
+            controller.seq_divergence(), controller.tamper_indicators())] \
+            == [("no_forged_write", True), ("seq_agreement", True),
+                ("defenses_quiet", True)]
 
     def test_dpdp_probes_survive_port_key_rollover(self):
         dep = Deployment(num_switches=2,

@@ -3,7 +3,8 @@
 Every fabric, port number and pinned fingerprint behind ``cdp_rw``,
 ``table3``, ``fleet_scale`` and ``cdp_batch`` was recorded on
 ``nx.random_regular_graph``; ``_random_regular_edges`` replaced the
-call, not the graphs.  This file holds the two side by side wherever
+call, not the graphs.  A ``fleet_scale`` region draws its graph at
+``region_seed(seed, region)``.  This file holds the two side by side wherever
 networkx is installed (the ``test`` extra).
 """
 
@@ -11,11 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.net.topology import (
-    _random_regular_edges,
-    region_seed,
-    region_sizes,
-)
+from repro.net.topology import _random_regular_edges, region_seed
 
 nx = pytest.importorskip("networkx")
 
@@ -39,13 +36,14 @@ def test_paper_and_bench_shapes(size, seed):
 
 
 def test_regional_slices():
-    """The per-region graphs of ``regional_fabric(30, regions=3, seed=7)``
-    and of the ``table3 --sweep m=200 --sweep regions=8`` fleet."""
-    for m, regions, seed in ((30, 3, 7), (200, 8, 1)):
-        for index, size in enumerate(region_sizes(m, regions)):
-            slice_seed = region_seed(seed, index)
-            assert (_random_regular_edges(4, size, slice_seed)
-                    == reference(4, size, slice_seed))
+    """The region graphs of ``fleet_scale`` (regions 0-3 at its default
+    m=250) and of eight §XI domains of 25 switches (Table III's m=25 at
+    ``region_seed(1, 0..7)``)."""
+    for size, regions in ((250, 4), (25, 8)):
+        for region in range(regions):
+            seed = region_seed(1, region)
+            assert (_random_regular_edges(4, size, seed)
+                    == reference(4, size, seed))
 
 
 @pytest.mark.parametrize("degree", [2, 3, 4, 6, 8])
