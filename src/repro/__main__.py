@@ -2,8 +2,8 @@
 
 Every paper figure, table, and chaos scenario is a registered
 :class:`~repro.engine.spec.ExperimentSpec`; the generic ``run``
-subcommand executes any of them (with sweeps, worker sharding, caching,
-and ``BENCH_<name>.json`` artifacts) and ``report`` renders the
+subcommand executes any of them (with sweeps, worker sharding and
+``BENCH_<name>.json`` artifacts) and ``report`` renders the
 paper-style tables from those artifacts.
 
     python -m repro                  # list every registered experiment

@@ -4,6 +4,7 @@ from repro.analysis.metrics import (
     mean,
     percentile,
     format_table,
+    total,
 )
 
-__all__ = ["mean", "percentile", "format_table"]
+__all__ = ["mean", "percentile", "format_table", "total"]

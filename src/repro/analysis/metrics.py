@@ -6,11 +6,20 @@ import math
 from typing import Iterable, List, Sequence
 
 
+def total(samples: Iterable[float]) -> float:
+    """The left-to-right sum: the same bits on every interpreter (the
+    built-in ``sum`` compensates float rounding from CPython 3.12 on)."""
+    result = 0
+    for sample in samples:
+        result += sample
+    return result
+
+
 def mean(samples: Sequence[float]) -> float:
     """Arithmetic mean; NaN for empty input."""
     if not samples:
         return math.nan
-    return sum(samples) / len(samples)
+    return total(samples) / len(samples)
 
 
 def percentile(samples: Sequence[float], pct: float) -> float:

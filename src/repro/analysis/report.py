@@ -67,9 +67,10 @@ def render_artifact_report(directory: str = ".") -> str:
 
     Each artifact becomes one section: provenance line (source, schema,
     spec version, seeding policy, run metadata) plus a table of every
-    trial's scalar result fields.  The paper claims and failed checks are
-    sub-tables; nested lists/dicts are elided — the JSON itself remains
-    the full record.
+    trial's scalar result fields, then its host-clock readings
+    (``run_meta["host"]``), each a column marked "(host)".  The paper
+    claims and failed checks are sub-tables; nested lists/dicts are
+    elided — the JSON itself remains the full record.
 
     Files that fail to parse or validate against the artifact schema are
     skipped and listed in a trailing "Skipped artifacts" section — one
@@ -110,15 +111,21 @@ def render_artifact_report(directory: str = ".") -> str:
             key for trial in doc["trials"]
             for key, value in trial["result"].items()
             if isinstance(value, (int, float, str, bool))})
+        host = meta.get("host", {})
+        host_keys = sorted({key for readings in host.values()
+                            for key in readings})
         rows = []
         for trial in doc["trials"]:
             row: List[object] = [f"`{trial['id']}`", trial["seed"]]
-            for key in scalar_keys:
-                value = trial["result"].get(key, "")
+            values = [trial["result"].get(key, "") for key in scalar_keys]
+            values += [host.get(trial["id"], {}).get(key, "")
+                       for key in host_keys]
+            for value in values:
                 row.append(f"{value:.4g}" if isinstance(value, float)
                            else value)
             rows.append(row)
-        report.table(["trial", "seed"] + scalar_keys, rows)
+        report.table(["trial", "seed"] + scalar_keys
+                     + [f"{key} (host)" for key in host_keys], rows)
         claims = doc.get("claims", [])
         if claims:
             report.paragraph("Paper claims:")

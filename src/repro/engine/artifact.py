@@ -1,12 +1,15 @@
 """Canonical ``BENCH_<name>.json`` result artifacts.
 
 One artifact = one experiment run: the expanded trial matrix with every
-trial's parameters, seed, and canonical result, plus non-deterministic
-run metadata kept strictly apart (so two runs of the same matrix differ
-*only* inside ``run_meta`` — the bit-identity tests compare everything
-else), and the spec's paper claims as judged over the trials under
-``claims``.  ``analysis/report.py`` renders these back into paper-style
-tables, and CI uploads them as build artifacts.
+trial's parameters, seed, and canonical result, the spec's paper claims
+as judged over the trials under ``claims``, and every host-clock fact
+kept strictly apart in ``run_meta``: the run's elapsed time and worker
+count, and under ``run_meta["host"][<trial id>]`` each trial's own
+wall-clock readings.  Two runs of the same matrix therefore differ
+*only* inside ``run_meta``; ``tests/engine/test_catalog_digest.py``
+pins a digest of everything else for every spec.  ``analysis/report.py``
+renders these back into paper-style tables, and CI uploads them as
+build artifacts.
 """
 
 from __future__ import annotations

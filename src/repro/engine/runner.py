@@ -9,7 +9,10 @@ own.  Because every trial's seed and parameters are fixed
 *before* execution (:meth:`ExperimentSpec.expand`), and results are
 collected by index rather than completion order, ``workers=1`` and
 ``workers=N`` produce byte-identical ``trials`` and ``claims`` sections
-— parallelism is purely a wall-clock optimization.
+— parallelism is purely a wall-clock optimization.  Host time never
+enters a trial's result: the runner's own elapsed time and every
+trial's ``ctx.host`` readings are filed under ``run_meta``, so two runs
+differ only there.
 """
 
 from __future__ import annotations
@@ -94,14 +97,23 @@ class RunResult:
             self.spec, [t.as_artifact_entry() for t in self.trials],
             self.base_seed, self.run_meta, self.claims)
 
-    def result_for(self, **params) -> Dict[str, Any]:
-        """The unique trial whose params include every given item."""
+    def _trial_for(self, **params) -> TrialRecord:
         matches = [t for t in self.trials
                    if all(t.params.get(k) == v for k, v in params.items())]
         if len(matches) != 1:
             raise MissingTrials(f"{len(matches)} trials match {params} "
                                 f"in {self.spec.name!r}")
-        return matches[0].result
+        return matches[0]
+
+    def result_for(self, **params) -> Dict[str, Any]:
+        """The result of the unique trial whose params include every
+        given item."""
+        return self._trial_for(**params).result
+
+    def host_for(self, **params) -> Dict[str, float]:
+        """That trial's host-clock readings (``run_meta["host"]``)."""
+        return self.run_meta.get("host", {}).get(
+            self._trial_for(**params).id, {})
 
     def by(self, axis: str, values: Sequence[Any],
            **pins) -> Dict[Any, Dict[str, Any]]:
@@ -119,8 +131,10 @@ class RunResult:
 
 
 def execute_trial(spec: ExperimentSpec, plan: TrialPlan,
-                  trace_dir: Optional[str] = None) -> Dict[str, Any]:
-    """Run one trial in-process and return its canonical result."""
+                  trace_dir: Optional[str] = None
+                  ) -> Tuple[Dict[str, Any], Dict[str, float]]:
+    """Run one trial in-process: its canonical result and the host-clock
+    readings it took (``ctx.host``)."""
     telemetry = None
     if trace_dir is not None and spec.supports_telemetry:
         from repro.telemetry import Telemetry
@@ -138,7 +152,7 @@ def execute_trial(spec: ExperimentSpec, plan: TrialPlan,
         stem = os.path.join(trace_dir, safe)
         telemetry.tracer.dump(f"{stem}.jsonl")
         write_prometheus(telemetry.metrics, f"{stem}.prom")
-    return result
+    return result, ctx.host
 
 
 def pool_size(workers: int, items: int) -> int:
@@ -188,10 +202,13 @@ class Runner:
             plans, self.workers)
 
         run = RunResult(spec=spec, base_seed=base_seed)
-        for plan, result in zip(plans, results):
+        host = {}
+        for plan, (result, readings) in zip(plans, results):
             run.trials.append(TrialRecord(
                 id=plan.trial_id, params=to_jsonable(plan.params),
                 seed=plan.seed, result=result))
+            if readings:
+                host[plan.trial_id] = readings
         run.claims = judge_claims(spec, run)
         run.run_meta = {
             "workers": self.workers,
@@ -199,6 +216,8 @@ class Runner:
             "elapsed_s": round(time.perf_counter() - started, 6),
             "short": short,
         }
+        if host:
+            run.run_meta["host"] = host
         if self.out_dir is not None:
             run.artifact_path = write_artifact(run.document(), self.out_dir)
         return run

@@ -51,6 +51,10 @@ class TrialContext:
     telemetry: Any = None
     #: The named checks this trial has recorded so far, in order.
     checks: List[Dict[str, Any]] = field(default_factory=list)
+    #: Host-clock readings (wall seconds and what is derived from them).
+    #: The runner files them under ``run_meta``, never in the result, so
+    #: the result is a pure function of spec, params and code.
+    host: Dict[str, float] = field(default_factory=dict)
 
     def check(self, name: str, ok: bool, detail: str = "") -> None:
         """Record one named claim about the finished run: a failed claim
@@ -210,7 +214,8 @@ def parse_sweep(spec: ExperimentSpec,
     """Parse CLI ``--sweep k=v1,v2`` strings, coercing to the param type.
 
     The target type comes from the spec's default (or first grid value)
-    for that parameter; booleans accept true/false/1/0.  A repeated
+    for that parameter; booleans accept true/false/1/0, and a ``None``
+    default (an optional count) accepts ``none`` or an int.  A repeated
     value is refused here: it would expand into two trials with one id,
     which the artifact writer rejects only after every trial has run.
     """
@@ -251,7 +256,15 @@ def _coerce(text: str, template: Any) -> Any:
         return int(text)
     if isinstance(template, float):
         return float(text)
-    if template is None or isinstance(template, str):
+    if template is None:
+        if text.lower() == "none":
+            return None
+        try:
+            return int(text)
+        except ValueError:
+            raise ValueError(f"expected none or an int, got {text!r}") \
+                from None
+    if isinstance(template, str):
         return text
     raise ValueError(
         f"cannot sweep parameter of type {type(template).__name__}")

@@ -26,10 +26,10 @@ outcome (no window slot leaks, conservation holds).
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.analysis import mean
 from repro.crypto.prng import XorShiftPrng
 from repro.dataplane.switch import DataplaneSwitch
 from repro.engine.registry import register
@@ -207,7 +207,7 @@ def run_batch_workload(sim, stack, switches: List[str], mode: str = "batched",
         "failed": state["failed"],
         "duration_s": duration,
         "throughput_rps": (completed / duration) if duration > 0 else 0.0,
-        "mean_rct_s": (sum(ordered) / len(ordered)) if ordered else math.nan,
+        "mean_rct_s": mean(ordered),
         "p50_rct_s": floor_percentile(ordered, 50),
         "p95_rct_s": floor_percentile(ordered, 95),
         "p99_rct_s": floor_percentile(ordered, 99),

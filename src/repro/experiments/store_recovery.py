@@ -15,11 +15,12 @@ no replay alert, digest failure or DoS heuristic of its own); and
 switch and quiesced.
 
 Two specs: ``controller_crash_recovery`` (the chaos trial above,
-sweeping fleet size and kill point; wall-clock ``recovery_s`` is the
-BENCH number) and ``store_journal_overhead`` (paired same-deployment
-bursts with the recorder detached vs attached, host wall-clock — the
-journal adds no *virtual* time, so only a wall measurement can price
-it).
+sweeping fleet size and kill point) and ``store_journal_overhead``
+(paired same-deployment bursts with the recorder detached vs attached —
+the journal adds no *virtual* time, so only a wall measurement can
+price it).  Their wall-clock numbers (``recovery_s``; ``wall_off_s``,
+``wall_on_s``, ``overhead_pct``) are host readings: they go to
+``ctx.host``, which the engine files under ``run_meta``.
 """
 
 from __future__ import annotations
@@ -147,7 +148,7 @@ def _kill_and_recover(ctx: TrialContext,
         state_dir, controller2, batch=batch2, shard_id="shard-0",
         fsync=fsync, seq_stride=SEQ_STRIDE,
         metrics=metrics)
-    recovery_s = time.perf_counter() - wall_start
+    ctx.host["recovery_s"] = time.perf_counter() - wall_start
     # Reconciliation reads complete in virtual time.
     sim.run(until=sim.now + RESTART_GAP_S)
 
@@ -177,7 +178,6 @@ def _kill_and_recover(ctx: TrialContext,
                              if kill.kill_record is not None else None),
         "phase1_completed": phase1["ok"],
         "lost_in_flight": lost_in_flight,
-        "recovery_s": recovery_s,
         "snapshot_used": report.snapshot_used,
         "replayed_records": report.replayed_records,
         "torn_records": report.torn_records,
@@ -255,13 +255,13 @@ def _overhead_trial(ctx: TrialContext) -> Dict[str, object]:
         journal.close()
         off = min(off_walls)
         on = min(on_walls)
+        ctx.host.update(
+            wall_off_s=off, wall_on_s=on,
+            overhead_pct=((on - off) / off * 100.0) if off > 0 else 0.0)
         return {
             "m": m,
             "fsync": fsync,
             "requests": m * per_switch,
-            "wall_off_s": off,
-            "wall_on_s": on,
-            "overhead_pct": ((on - off) / off * 100.0) if off > 0 else 0.0,
             "journal_records": journal.next_lsn,
         }
 
@@ -278,7 +278,7 @@ SPEC = register(ExperimentSpec(
               "snapshot_every": None, "seed": 1},
     short={"kill_on": ["seq_advance"], "m": [9]},
     seed_param="seed",
-    spec_version=2,
+    spec_version=3,
     supports_telemetry=True,
     tags=("chaos", "store", "recovery"),
 ))
@@ -293,6 +293,7 @@ OVERHEAD_SPEC = register(ExperimentSpec(
               "max_in_flight": 8, "repeats": 3, "seed": 1},
     short={"fsync": ["batch"], "m": 9, "repeats": 2},
     seed_param="seed",
+    spec_version=2,
     supports_telemetry=True,
     tags=("store", "perf"),
 ))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Dict
 
+from repro.analysis import total
 from repro.engine.registry import register
 from repro.engine.spec import ExperimentSpec, TrialContext, claim
 from repro.experiments.cdp_batch import build_batch_deployment
@@ -70,7 +71,7 @@ def _trial(ctx: TrialContext) -> Dict[str, object]:
         # Quantifies §XI's "150 ms ... improves significantly when done
         # in parallel".
         "parallel_init_time_s": done[0] - bootstrap_started,
-        "serial_init_time_s": sum(r.rtt_s for r in init_records),
+        "serial_init_time_s": total(r.rtt_s for r in init_records),
     }
 
 

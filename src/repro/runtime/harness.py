@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Sequence
 
+from repro.analysis import mean
 from repro.net.simulator import EventSimulator
 
 
@@ -45,9 +46,7 @@ class RunStats:
 
     @property
     def mean_rct_s(self) -> float:
-        if not self.rcts_s:
-            return math.nan
-        return sum(self.rcts_s) / len(self.rcts_s)
+        return mean(self.rcts_s)
 
     def percentile_rct_s(self, pct: float) -> float:
         return floor_percentile(sorted(self.rcts_s), pct)
@@ -84,8 +83,7 @@ def run_sequential(sim: EventSimulator, stack, kind: str, switch: str,
         issue()
 
     issue()
-    with sim.telemetry.span("runtime.run_sequential"):
-        sim.run(until=deadline)
+    sim.run(until=deadline)
     # Trim duration to what actually elapsed (sim may stop early if idle).
     stats.duration_s = min(duration_s, sim.now - start) or duration_s
     return stats

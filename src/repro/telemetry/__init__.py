@@ -1,14 +1,12 @@
-"""Structured tracing, metrics, and profiling for the whole reproduction.
+"""Structured tracing and metrics for the whole reproduction.
 
-One :class:`Telemetry` object bundles the three observability surfaces:
+One :class:`Telemetry` object bundles the two observability surfaces:
 
 - :attr:`Telemetry.metrics` — a :class:`~repro.telemetry.metrics.MetricRegistry`
   of counters/gauges/histograms (Prometheus-style text export);
 - :attr:`Telemetry.tracer` — a :class:`~repro.telemetry.tracer.Tracer` of
   virtual-time-stamped structured events (JSONL export, ring-buffer
-  retention);
-- :meth:`Telemetry.span` — wall-clock profiling into the
-  ``profile_seconds`` histogram.
+  retention).
 
 Pass a ``Telemetry(enabled=True)`` instance into
 :class:`~repro.net.simulator.EventSimulator` (directly or through the
@@ -39,19 +37,8 @@ from repro.telemetry.metrics import (
     Histogram,
     MetricRegistry,
 )
-from repro.telemetry.tracer import (
-    NULL_SPAN,
-    NullTracer,
-    Span,
-    TraceEvent,
-    Tracer,
-)
+from repro.telemetry.tracer import NullTracer, TraceEvent, Tracer
 from repro.telemetry.exporters import render_prometheus, write_jsonl
-
-#: Buckets for wall-clock profiling spans (seconds of host time).
-PROFILE_BUCKETS: Tuple[float, ...] = (
-    1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0,
-)
 
 #: Buckets for per-request completion times (virtual seconds) — the
 #: Fig 18/19 RCT scale: C-DP round trips land around a millisecond.
@@ -80,13 +67,6 @@ class Telemetry:
         """Stamp future trace events with this time source."""
         self.tracer.bind_clock(clock)
 
-    def span(self, name: str):
-        """Wall-clock profile a code region into ``profile_seconds``."""
-        if not self.enabled:
-            return NULL_SPAN
-        return Span(self.metrics.histogram(
-            "profile_seconds", buckets=PROFILE_BUCKETS, span=name))
-
     def render_prometheus(self) -> str:
         return render_prometheus(self.metrics)
 
@@ -108,8 +88,6 @@ __all__ = [
     "NULL_TELEMETRY",
     "RCT_BUCKETS",
     "NullTracer",
-    "PROFILE_BUCKETS",
-    "Span",
     "Telemetry",
     "TraceEvent",
     "Tracer",

@@ -37,7 +37,8 @@ def _format_number(value: float) -> str:
 
 
 #: Metrics that read the host clock; everything else is virtual-time.
-WALL_CLOCK_METRICS = frozenset({"sim_wall_seconds_total", "profile_seconds"})
+WALL_CLOCK_METRICS = frozenset({"sim_wall_seconds_total", "store_fsync_seconds",
+                                "store_recovery_seconds"})
 
 
 def render_prometheus(registry: MetricRegistry,

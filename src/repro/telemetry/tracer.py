@@ -4,15 +4,12 @@ The tracer is the accountability record SDNsec argues for: every
 observable the data plane or controller acts on (drops, tamper events,
 key exchanges, alerts) becomes a :class:`TraceEvent` stamped with the
 *simulator's virtual clock*, so two seeded runs of the same experiment
-produce byte-identical JSONL dumps.  Wall-clock profiling deliberately
-lives in the metric registry (``profile_seconds``) and never enters the
-trace, precisely to preserve that determinism.
+produce byte-identical JSONL dumps.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from collections import deque
 from typing import Callable, Dict, List, Optional
 
@@ -123,38 +120,3 @@ class NullTracer:
 
     def __len__(self) -> int:
         return 0
-
-
-class Span:
-    """Context manager timing a code region (wall clock) into a histogram.
-
-    Spans profile *host* execution cost — how long the simulator spent
-    inside a component — so they use ``time.perf_counter`` and feed the
-    ``profile_seconds`` histogram rather than the deterministic trace.
-    """
-
-    __slots__ = ("_histogram", "_start")
-
-    def __init__(self, histogram):
-        self._histogram = histogram
-        self._start = 0.0
-
-    def __enter__(self) -> "Span":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._histogram.observe(time.perf_counter() - self._start)
-
-
-class _NullSpan:
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        pass
-
-
-NULL_SPAN = _NullSpan()

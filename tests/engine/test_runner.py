@@ -89,6 +89,41 @@ RAISING_SPEC = register(ExperimentSpec(
 ))
 
 
+def _host_trial(ctx: TrialContext) -> dict:
+    if ctx.params["index"] == 1:
+        ctx.host["wall_s"] = 0.5
+    return {"index": ctx.params["index"]}
+
+
+HOST_SPEC = register(ExperimentSpec(
+    name="_test-host",
+    title="synthetic trial whose middle point reads the host clock",
+    source="test",
+    trial=_host_trial,
+    grid={"index": [0, 1, 2]},
+))
+
+
+class TestHostReadings:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_readings_are_filed_under_run_meta_by_trial_id(self, workers):
+        """``ctx.host`` reaches ``run_meta["host"]`` only for the trials
+        that wrote to it, and never enters a trial record."""
+        run = run_experiment("_test-host", workers=workers)
+        assert run.run_meta["host"] == {"_test-host[index=1]":
+                                        {"wall_s": 0.5}}
+        assert run.host_for(index=1) == {"wall_s": 0.5}
+        assert run.host_for(index=0) == {}
+        document = run.document()
+        assert [trial["result"] for trial in document["trials"]] == [
+            {"index": 0}, {"index": 1}, {"index": 2}]
+        assert all(set(trial) == {"id", "params", "seed", "result"}
+                   for trial in document["trials"])
+
+    def test_a_run_without_readings_has_no_host_block(self):
+        assert "host" not in run_experiment("_test-judged").run_meta
+
+
 class TestVerdicts:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failed_check_keeps_every_trial_and_the_artifact(

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from repro.engine import get_spec, run_experiment
 from repro.engine.canon import canonical_json, content_hash, to_jsonable
 from repro.engine.spec import (
     ExperimentSpec,
@@ -142,6 +143,21 @@ class TestParseSweep:
         with pytest.raises(ValueError, match="duration_s"):
             parse_sweep(spec, ["duration_s=1,2,1.0"])
         assert parse_sweep(spec, ["seed=9,10"]) == {"seed": [9, 10]}
+
+    def test_none_default_takes_none_or_an_int(self):
+        """A ``None`` default is an optional count: ``none`` (any case,
+        as the trial id spells it) or an int, never a string the trial
+        would compare against an int."""
+        spec = get_spec("controller_crash_recovery")
+        sweep = parse_sweep(spec, ["snapshot_every=5,NONE"])
+        assert sweep == {"snapshot_every": [5, None]}
+        with pytest.raises(ValueError, match="--sweep snapshot_every=x"):
+            parse_sweep(spec, ["snapshot_every=x"])
+        run = run_experiment("controller_crash_recovery", short=True,
+                             sweep=sweep)
+        assert not run.failures(), run.failures()
+        assert [trial.result["snapshot_used"] for trial in run.trials] \
+            == [True, False]
 
     def test_errors_name_the_parameter(self):
         spec = make_spec(defaults={"seed": 42})

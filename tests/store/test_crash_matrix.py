@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.engine import execute_trial, get_spec
 from repro.experiments.store_recovery import KILL_POINTS
 from tests.conftest import run_trial
 
@@ -60,9 +61,11 @@ class TestProductionScale:
     """The ISSUE acceptance point: a 100-switch fleet."""
 
     def test_m100_recovers_with_all_defenses_silent(self):
-        result = _crash(kill_on="seq_advance", m=100, degree=4,
-                        requests_per_switch=4, seed=1)
+        spec = get_spec("controller_crash_recovery")
+        (plan,) = spec.expand(sweep={"kill_on": ["seq_advance"],
+                                     "m": [100], "seed": [1]})
+        result, host = execute_trial(spec, plan)
         assert_clean(result)
         assert result["switches_restored"] == 100
         assert result["phase2_completed"] == 100 * 4
-        assert result["recovery_s"] < 5.0
+        assert host["recovery_s"] < 5.0

@@ -133,6 +133,21 @@ def test_cli_prometheus_dump_is_byte_deterministic(tmp_path):
         assert first and first == (tmp_path / "b" / name).read_bytes()
 
 
+def test_store_host_timings_stay_out_of_the_prometheus_dump(tmp_path):
+    """The journal's fsync and warm-restart histograms read the host
+    clock; the per-trial dump leaves them out like the simulator's."""
+    from repro.engine import Runner
+
+    for name in ("a", "b"):
+        Runner(trace_dir=str(tmp_path / name)).run(
+            "controller_crash_recovery", short=True)
+    (prom,) = [path.name for path in (tmp_path / "a").glob("*.prom")]
+    first = (tmp_path / "a" / prom).read_text()
+    assert "repro_store_journal_records_total" in first
+    assert "store_fsync_seconds" not in first
+    assert first == (tmp_path / "b" / prom).read_text()
+
+
 def test_cli_telemetry_rejects_unknown_target(tmp_path, capsys):
     from repro.__main__ import main
 

@@ -1,11 +1,10 @@
-"""Unit tests for the tracer, spans, and the Telemetry bundle."""
+"""Unit tests for the tracer and the Telemetry bundle."""
 
 import json
 
 import pytest
 
 from repro.telemetry import NULL_TELEMETRY, Telemetry
-from repro.telemetry.metrics import MetricRegistry
 from repro.telemetry.tracer import NullTracer, Tracer
 
 
@@ -64,25 +63,6 @@ class TestTracer:
         path = tmp_path / "empty.jsonl"
         assert tracer.dump(str(path)) == 0
         assert path.read_text() == ""
-
-
-class TestSpan:
-    def test_span_observes_wall_time(self):
-        registry = MetricRegistry()
-        telemetry = Telemetry(enabled=True)
-        with telemetry.span("analysis"):
-            pass
-        histogram = telemetry.metrics.get("profile_seconds", span="analysis")
-        assert histogram.count == 1
-        assert histogram.sum >= 0.0
-        # Unused registry stays empty (span went to the bundle's registry).
-        assert len(registry) == 0
-
-    def test_disabled_span_records_nothing(self):
-        telemetry = Telemetry(enabled=False)
-        with telemetry.span("analysis"):
-            pass
-        assert len(telemetry.metrics) == 0
 
 
 class TestTelemetryBundle:

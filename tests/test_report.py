@@ -53,3 +53,21 @@ def test_artifact_report_names_failed_checks(tmp_path):
 
     run_experiment("kmp-blackout", out_dir=str(tmp_path))
     assert "Failed checks" not in render_artifact_report(str(tmp_path))
+
+
+def test_artifact_report_shows_host_readings_as_marked_columns(tmp_path):
+    """A trial's host-clock readings live in ``run_meta``, not in its
+    result; the report still gives each its own column, marked."""
+    from repro.analysis.report import render_artifact_report
+    from repro.engine import ExperimentSpec, Runner
+
+    def timed(ctx):
+        ctx.host["wall_s"] = 0.25
+        return {"ops": 3}
+
+    spec = ExperimentSpec(name="_test-timed", title="timed", source="test",
+                          trial=timed)
+    Runner(out_dir=str(tmp_path)).run(spec)
+    rendered = render_artifact_report(str(tmp_path))
+    assert "| trial | seed | ops | wall_s (host) |" in rendered
+    assert "| `_test-timed` | 0 | 3 | 0.25 |" in rendered
