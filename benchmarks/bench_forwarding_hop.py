@@ -1,14 +1,18 @@
-"""Per-hop constants — ``Packet.size_bytes`` and ``Header.__setitem__``.
+"""Per-hop constants — ``Packet.size_bytes``, header lookup and
+``Header.__setitem__``.
 
-The forwarding walk reads a packet's size and sets header fields several
-times per hop.  Both are O(1) — a running byte total kept by
-``push``/``remove``, and width tables built when the header type is
-declared — and this gate keeps them from quietly going back to a walk
-over the header stack / the field list.  Two ratios, same process (a
-ratio holds across hosts where an absolute would not):
+The forwarding walk reads a packet's size, looks headers up by name and
+sets header fields several times per hop.  All are O(1) — a running byte
+total kept by ``push``/``remove``, headers keyed by name, and width
+tables built when the header type is declared — and this gate keeps them
+from quietly going back to a walk over the header stack / the field
+list.  Three ratios, same process (a ratio holds across hosts where an
+absolute would not):
 
 - ``size_bytes`` on an 8-header packet costs <= 1.5x a 1-header packet
   (the stack walk measured 2.5x);
+- ``has`` / ``get`` of the innermost of 8 headers costs <= 1.5x the
+  1-header case (the stack walk measured 2.4-2.8x);
 - ``Header.__setitem__`` on the last field of a 16-field type costs
   <= 1.5x the first field (the field scan measured 2.1x).
 
@@ -49,6 +53,27 @@ def test_size_bytes_does_not_grow_with_the_header_stack(report):
     assert ratio <= RATIO_CEILING, (
         f"size_bytes costs {ratio:.2f}x on 8 headers vs 1 "
         f"(ceiling {RATIO_CEILING}x): it walks the stack again")
+
+
+def test_header_lookup_does_not_grow_with_the_header_stack(report):
+    shallow, deep = _packet(1), _packet(8)
+    assert deep.header_names()[-1] == "h7"
+
+    def lookup_shallow():
+        shallow.has("h0")
+        shallow.get("h0")
+
+    def lookup_deep():
+        deep.has("h7")
+        deep.get("h7")
+
+    shallow_ns, deep_ns = _best_ns(lookup_shallow), _best_ns(lookup_deep)
+    ratio = deep_ns / shallow_ns
+    report(f"Packet.has + get: 1 header {shallow_ns:.0f} ns, innermost of 8 "
+           f"{deep_ns:.0f} ns, {ratio:.2f}x (ceiling: {RATIO_CEILING}x)")
+    assert ratio <= RATIO_CEILING, (
+        f"looking up the innermost of 8 headers costs {ratio:.2f}x the "
+        f"1-header case (ceiling {RATIO_CEILING}x): it walks the stack again")
 
 
 def test_field_store_does_not_grow_with_field_position(report):

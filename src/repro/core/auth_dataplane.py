@@ -21,8 +21,8 @@ hash units (Table II) and to per-packet processing time (Figs 18/19/21).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set
+from dataclasses import dataclass
+from typing import Callable, Dict, FrozenSet, List, Optional
 
 from repro.core.constants import (
     ADHKD,
@@ -78,7 +78,7 @@ class P4AuthConfig:
     alert_threshold: Optional[int] = 100
     alert_window_s: float = 1.0
     #: Header names this switch authenticates DP-DP (e.g. {"hula_probe"}).
-    protected_headers: Set[str] = field(default_factory=set)
+    protected_headers: FrozenSet[str] = frozenset()
     #: Accept and produce encrypted register-op values (the §XI
     #: confidentiality extension; encrypt-then-MAC with session keys
     #: derived from the local key).
@@ -87,6 +87,9 @@ class P4AuthConfig:
     #: messages (e.g. INT records): each link re-encrypts under its own
     #: port-key-derived session key.  Must be enabled fabric-wide.
     encrypt_feedback: bool = False
+
+    def __post_init__(self) -> None:
+        self.protected_headers = frozenset(self.protected_headers)
 
 
 @dataclass
@@ -116,6 +119,8 @@ class P4AuthDataplane:
         self.switch = switch
         self.k_seed = k_seed
         self.config = config or P4AuthConfig()
+        # What either stage acts on; a frame with none of it skips both.
+        self._watched = self.config.protected_headers | {P4AUTH}
         self.keys = DataplaneKeyStore(switch.registers, switch.num_ports)
         self.digest = DigestEngine(extern=switch.hash)
         self.stats = P4AuthStats()
@@ -212,11 +217,13 @@ class P4AuthDataplane:
         # must not suppress re-signing here (in-network messages mutate
         # hop by hop, e.g. INT records, HULA utilization).
         packet.metadata.pop("p4auth_signed", None)
+        from_cpu = ctx.ingress_port == DataplaneSwitch.CPU_PORT
+        if not from_cpu and self._watched.isdisjoint(packet.header_names()):
+            return
         if not packet.has(P4AUTH):
             self._handle_unauthenticated(ctx)
             return
         hdr = packet.get(P4AUTH)
-        from_cpu = ctx.ingress_port == DataplaneSwitch.CPU_PORT
         key = self._select_key(hdr, ctx.ingress_port)
         if key is None or key == 0 or not self.digest.verify(key, packet):
             self._on_digest_fail(ctx, hdr, from_cpu)
@@ -285,14 +292,19 @@ class P4AuthDataplane:
         packet = ctx.packet
         if ctx.ingress_port == DataplaneSwitch.CPU_PORT:
             # Prevention, not just detection: an unauthenticated register
-            # operation on the CPU port never reaches a register.
+            # operation or protected feedback message on the CPU port (the
+            # untrusted switch-OS channel) never reaches the program.
             if packet.has(REG_OP):
                 self.stats.unauthenticated_dropped += 1
                 self._raise_alert(ctx, AlertCode.UNAUTHENTICATED_REG_OP)
                 ctx.drop("unauthenticated register operation")
+            elif not self._watched.isdisjoint(packet.header_names()):
+                self.stats.unauthenticated_dropped += 1
+                self._raise_alert(ctx, AlertCode.DIGEST_MISMATCH_CDP)
+                ctx.drop("unauthenticated protected message on the CPU port")
             return
-        if (self._carries_protected(packet)
-                and self.keys.has_port_key(ctx.ingress_port)):
+        # Off the CPU port, only a frame with a protected header gets here.
+        if self.keys.has_port_key(ctx.ingress_port):
             # A protected feedback message arrived on a keyed link without
             # a P4Auth header: a MitM stripped or never had the digest.
             self.stats.digest_fail_dpdp += 1
@@ -636,7 +648,8 @@ class P4AuthDataplane:
             if not isinstance(action, Emit):
                 continue
             packet = action.packet
-            if packet.metadata.get("p4auth_signed"):
+            if (packet.metadata.get("p4auth_signed")
+                    or self._watched.isdisjoint(packet.header_names())):
                 continue
             keyed = self.keys.has_port_key(action.port)
             if packet.has(P4AUTH):
@@ -645,7 +658,7 @@ class P4AuthDataplane:
                 else:
                     # Leaving the protected domain through an edge port.
                     packet.remove(P4AUTH)
-            elif keyed and self._carries_protected(packet):
+            elif keyed:  # a protected header without a P4Auth one
                 auth = P4AUTH_HEADER.instantiate(
                     hdrType=int(HdrType.DP_FEEDBACK), msgType=0,
                     seqNum=self._next_dp_seq(), keyVer=0, flags=0,
@@ -685,9 +698,6 @@ class P4AuthDataplane:
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-
-    def _carries_protected(self, packet: Packet) -> bool:
-        return any(packet.has(name) for name in self.config.protected_headers)
 
     def _sign_local(self, packet: Packet) -> None:
         packet.get(P4AUTH)["keyVer"] = self.keys.active_version(LOCAL_KEY_INDEX)

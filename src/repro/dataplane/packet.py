@@ -19,8 +19,8 @@ class Packet:
 
     def __init__(self, headers: Optional[List[Tuple[str, Header]]] = None,
                  payload: bytes = b""):
-        # Header stack in outer-to-inner order, each entry (name, header).
-        self._stack: List[Tuple[str, Header]] = []
+        # Header stack by name, in insertion (outer-to-inner) order.
+        self._stack: Dict[str, Header] = {}
         # Running sum of the stack's byte widths; push/remove are the only
         # places the stack changes, so they keep it current.
         self._header_bytes = 0
@@ -34,37 +34,33 @@ class Packet:
 
     def push(self, name: str, header: Header) -> None:
         """Append a header as the innermost layer."""
-        if self.has(name):
+        if name in self._stack:
             raise ValueError(f"packet already carries header {name!r}")
-        self._stack.append((name, header))
+        self._stack[name] = header
         self._header_bytes += header.header_type.byte_width
 
     def has(self, name: str) -> bool:
-        for hname, _ in self._stack:
-            if hname == name:
-                return True
-        return False
+        return name in self._stack
 
     def get(self, name: str) -> Header:
-        for hname, header in self._stack:
-            if hname == name:
-                return header
-        raise KeyError(f"packet has no header {name!r}")
+        try:
+            return self._stack[name]
+        except KeyError:
+            raise KeyError(f"packet has no header {name!r}") from None
 
     def remove(self, name: str) -> Header:
-        for index, (hname, header) in enumerate(self._stack):
-            if hname == name:
-                del self._stack[index]
-                self._header_bytes -= header.header_type.byte_width
-                return header
-        raise KeyError(f"packet has no header {name!r}")
+        header = self._stack.pop(name, None)
+        if header is None:
+            raise KeyError(f"packet has no header {name!r}")
+        self._header_bytes -= header.header_type.byte_width
+        return header
 
     def header_names(self) -> List[str]:
-        return [hname for hname, _ in self._stack]
+        return list(self._stack)
 
     def headers(self) -> Iterator[Tuple[str, Header]]:
         """``(name, header)`` pairs in outer-to-inner order."""
-        return iter(self._stack)
+        return iter(self._stack.items())
 
     # -- size & serialization ---------------------------------------------
 
@@ -74,13 +70,13 @@ class Packet:
         return self._header_bytes + len(self.payload)
 
     def serialize(self) -> bytes:
-        return b"".join(h.serialize() for _, h in self._stack) + self.payload
+        return (b"".join(h.serialize() for h in self._stack.values())
+                + self.payload)
 
     def copy(self) -> "Packet":
         """Deep copy with fresh packet id (models packet duplication)."""
         clone = Packet(payload=self.payload)
-        # The stack's names were checked unique when pushed.
-        clone._stack = [(name, header.copy()) for name, header in self._stack]
+        clone._stack = {name: h.copy() for name, h in self._stack.items()}
         clone._header_bytes = self._header_bytes
         clone.metadata = dict(self.metadata)
         return clone

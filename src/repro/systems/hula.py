@@ -183,7 +183,6 @@ class HulaDataplane:
         out_ports = self.config.probe_routes.get(ctx.ingress_port, [])
         for port in out_ports:
             clone = ctx.packet.copy()
-            clone.metadata.pop("p4auth_signed", None)
             clone.get("hula_probe")["path_util"] = max(
                 util, self.port_util(port, ctx.now))
             ctx.emit(port, clone)

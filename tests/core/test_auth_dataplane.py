@@ -178,6 +178,65 @@ class TestStrictCpu:
         actions = switch.process(Packet(), 0)
         assert not any(isinstance(a, Drop) for a in actions)
 
+    def test_unauthenticated_probe_on_cpu_port_dropped(self):
+        """The CPU port is the untrusted switch-OS channel: a protected
+        feedback message arriving there without a digest is refused like
+        an unauthenticated register op, with a rate-limited alert."""
+        from repro.systems.hula import make_probe
+        switch, dataplane = make_dataplane(
+            protected_headers={"hula_probe"}, alert_threshold=2,
+            alert_window_s=10.0)
+        reached = []
+        switch.pipeline.add_stage("app", reached.append)
+        for probe_id in range(5):
+            actions = switch.process(make_probe(5, probe_id), 0)
+            assert any(isinstance(a, Drop) for a in actions)
+        assert not reached
+        assert dataplane.stats.unauthenticated_dropped == 5
+        assert dataplane.stats.alerts_raised == 2
+        assert dataplane.stats.alerts_suppressed == 3
+
+    def test_cpu_injected_probe_does_not_steer_hula(self):
+        from repro.attacks.base import inject_cpu
+        from repro.core.controller import P4AuthController
+        from repro.net.topology import hula_fig3_topology
+        from repro.systems.hula import (
+            HulaDataplane, fig3_hula_configs, make_data_packet, make_probe)
+
+        net, extras = hula_fig3_topology()
+        sim, h1, h5 = extras["sim"], extras["h1"], extras["h5"]
+        hulas = {name: HulaDataplane(net.switch(name), config).install()
+                 for name, config in fig3_hula_configs().items()}
+        dataplanes = {
+            name: P4AuthDataplane(
+                net.switch(name), k_seed=0xAB00 + index,
+                config=P4AuthConfig(protected_headers={"hula_probe"}),
+            ).install()
+            for index, name in enumerate(sorted(hulas))}
+        controller = P4AuthController(net)
+        for dataplane in dataplanes.values():
+            controller.provision(dataplane)
+        controller.kmp.bootstrap_all()
+        sim.run(until=0.1)
+        # Warm up: probes set the best hop, data traffic loads the paths.
+        for index in range(20):
+            sim.schedule(index * 0.005, h5.send, make_probe(5, index))
+        for index in range(500):
+            sim.schedule(index * 0.0002, h1.send,
+                         make_data_packet(5, flow_id=index, seq=index))
+        sim.run(until=0.2)
+        s1 = hulas["s1"]
+        best_hop, min_util = s1.best_hop.read(5), s1.min_util.read(5)
+        assert best_hop == 3 and min_util > 0
+
+        inject_cpu(net, "s1", make_probe(5, 999, path_util=0))
+        sim.run(until=0.21)
+        assert (s1.best_hop.read(5), s1.min_util.read(5)) == (best_hop,
+                                                              min_util)
+        assert dataplanes["s1"].stats.unauthenticated_dropped == 1
+        assert [(alert.switch, alert.code) for alert in controller.alerts] == [
+            ("s1", AlertCode.DIGEST_MISMATCH_CDP)]
+
 
 class TestAlertRateLimit:
     def test_alert_budget_enforced(self):
@@ -309,3 +368,59 @@ class TestDpDpProtection:
         actions = switch.process(probe, 1)
         emits = [a for a in actions if isinstance(a, Emit)]
         assert emits and not emits[0].packet.has(P4AUTH)
+
+
+class TestUnwatchedBypass:
+    """A frame with neither a P4Auth nor a protected header crosses both
+    stages untouched; protected traffic on the same path is not."""
+
+    def switch_pair(self):
+        def forward(ctx):
+            ctx.emit(2)
+
+        plain = DataplaneSwitch("plain", num_ports=4)
+        plain.pipeline.add_stage("app", forward)
+        switch = DataplaneSwitch("s1", num_ports=4)
+        switch.pipeline.add_stage("app", forward)
+        dataplane = P4AuthDataplane(
+            switch, K_SEED,
+            config=P4AuthConfig(protected_headers={"hula_probe"})).install()
+        dataplane.keys.install_at(1, 0x1111, 0)
+        dataplane.keys.install_at(2, 0x2222, 0)
+        return plain, switch, dataplane
+
+    def test_data_frame_leaves_as_from_a_plain_switch(self):
+        from repro.systems.hula import make_data_packet
+        plain, switch, dataplane = self.switch_pair()
+        invocations = switch.hash.invocations
+        [out] = switch.process(make_data_packet(5, flow_id=7, seq=1), 1)
+        [expected] = plain.process(make_data_packet(5, flow_id=7, seq=1), 1)
+        assert isinstance(out, Emit) and out.port == 2
+        assert switch.hash.invocations == invocations
+        assert not out.packet.has(P4AUTH)
+        assert "p4auth_signed" not in out.packet.metadata
+        assert out.packet.serialize() == expected.packet.serialize()
+        assert dataplane.stats.feedback_signed == 0
+
+    def test_probe_on_the_same_path_is_verified_and_signed(self):
+        from repro.core.constants import P4AUTH_HEADER
+        from repro.systems.hula import make_probe
+        _plain, switch, dataplane = self.switch_pair()
+        probe = make_probe(5, 1, path_util=10)
+        probe.push(P4AUTH, P4AUTH_HEADER.instantiate(
+            hdrType=int(HdrType.DP_FEEDBACK),
+            keyVer=dataplane.keys.active_version(1)))
+        DigestEngine().sign(0x1111, probe)
+        invocations = switch.hash.invocations
+        [out] = switch.process(probe, 1)
+        assert isinstance(out, Emit) and out.port == 2
+        assert switch.hash.invocations > invocations
+        assert DigestEngine().verify(0x2222, out.packet)
+        assert dataplane.stats.feedback_verified == 1
+        assert dataplane.stats.feedback_signed == 1
+
+    def test_protected_headers_are_frozen_at_construction(self):
+        config = P4AuthConfig(protected_headers={"x"})
+        assert config.protected_headers == frozenset({"x"})
+        assert isinstance(config.protected_headers, frozenset)
+        assert isinstance(P4AuthConfig().protected_headers, frozenset)

@@ -38,6 +38,19 @@ def test_get_missing_raises():
         Packet().get("eth")
 
 
+def test_lookup_errors_keep_their_messages():
+    packet = Packet()
+    packet.push("eth", ETH.instantiate())
+    with pytest.raises(ValueError,
+                       match=r"^packet already carries header 'eth'$"):
+        packet.push("eth", ETH.instantiate())
+    for lookup in (packet.get, packet.remove):
+        with pytest.raises(KeyError) as raised:
+            lookup("v4")
+        assert raised.value.args == ("packet has no header 'v4'",)
+    assert packet.header_names() == ["eth"]
+
+
 def test_size_counts_headers_and_payload():
     packet = Packet(payload=b"x" * 100)
     packet.push("eth", ETH.instantiate())

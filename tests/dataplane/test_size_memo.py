@@ -57,6 +57,37 @@ def test_size_bytes_is_the_serialized_length(initial, payload, steps):
         assert packet.size_bytes == len(packet.serialize())
 
 
+@given(st.lists(st.sampled_from(sorted(TYPES)), unique=True, max_size=3),
+       st.lists(STEPS, max_size=24))
+@settings(max_examples=200, deadline=None)
+def test_header_map_behaves_as_a_stack(initial, steps):
+    """Headers keyed by name still read back as an outer-to-inner stack:
+    checked step by step against a list of ``(name, header)`` pairs."""
+    model = [(name, TYPES[name].instantiate()) for name in initial]
+    packet = Packet(list(model))
+    for operation, argument in steps:
+        names = [name for name, _ in model]
+        if operation == "push" and argument not in names:
+            header = TYPES[argument].instantiate()
+            packet.push(argument, header)
+            model.append((argument, header))
+        elif operation == "remove" and argument in names:
+            removed = packet.remove(argument)
+            assert removed is model.pop(names.index(argument))[1]
+        elif operation == "payload":
+            packet.payload = argument
+        elif operation == "copy":
+            packet = packet.copy()
+            model = list(packet.headers())
+        assert packet.header_names() == [name for name, _ in model]
+        assert list(packet.headers()) == model
+        assert all(packet.has(name) and packet.get(name) is header
+                   for name, header in model)
+        wire = b"".join(header.serialize() for _, header in model)
+        assert packet.serialize() == wire + packet.payload
+        assert packet.size_bytes == len(wire) + len(packet.payload)
+
+
 def test_constructor_rejects_a_duplicate_header_like_push():
     header = TYPES["v4"].instantiate()
     with pytest.raises(ValueError,
