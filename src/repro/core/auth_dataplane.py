@@ -432,23 +432,23 @@ class P4AuthDataplane:
         return cached
 
     def _respond_reg(self, ctx: PipelineContext, ok: bool, payload, seq: int,
-                     value: int, encrypted: bool = False,
-                     key_ver: Optional[int] = None) -> None:
+                     value: int, encrypted: bool, key_ver: int) -> None:
         # Respond under the same key version that authenticated the
         # request: during a rollover the controller may not have
         # installed the DP's newest key yet (§VI-C consistent updates).
-        if key_ver is None:
-            key_ver = self.keys.active_version(LOCAL_KEY_INDEX)
-        if encrypted and self.config.encrypt_regops:
+        encrypt = encrypted and self.config.encrypt_regops
+        if encrypt:
             session = self._session_keys(key_ver)
             value = encrypt_value(session, seq, value, response=True)
-        response = build_reg_response(
-            ok=ok, reg_id=payload["regId"], index=payload["index"],
-            value=value, seq_num=seq, key_ver=key_ver,
-        )
-        if encrypted and self.config.encrypt_regops:
-            response.get(P4AUTH)["flags"] = FLAG_ENCRYPTED
-        response.get(P4AUTH)["keyVer"] = key_ver
+        # Only a verified request gets here: p4auth + reg_op as the
+        # controller built them.  Rewrite it (a P4 program cannot allocate
+        # a packet); seqNum, regId, index, hdrType and length already fit.
+        response = ctx.packet
+        hdr = response.get(P4AUTH)
+        hdr["msgType"] = int(RegOpType.ACK if ok else RegOpType.NACK)
+        hdr["flags"] = FLAG_ENCRYPTED if encrypt else 0
+        hdr["keyVer"] = key_ver
+        payload["value"] = value
         self.digest.sign(self.keys.local_key(key_ver), response)
         ctx.to_controller(response, reason="reg-op response")
 

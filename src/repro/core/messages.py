@@ -133,7 +133,8 @@ def digest_material(packet: Packet) -> bytes:
     fields intact.  The p4auth words come first wherever the header sits
     on the stack.
     """
-    parts = [_COVERED_WORDS.pack(*_COVERED(packet.get(P4AUTH).fields()))]
+    # Read in place: ``fields()`` would copy the dict on every digest.
+    parts = [_COVERED_WORDS.pack(*_COVERED(packet.get(P4AUTH)._values))]
     for name, header in packet.headers():
         if name != P4AUTH:
             parts.append(header.serialize())

@@ -9,7 +9,7 @@ byte counts in Table III) is computed.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict, NoReturn, Sequence, Tuple
 
 
 class HeaderType:
@@ -42,6 +42,8 @@ class HeaderType:
         # field -> first value that no longer fits (1 << width).
         self._limits: Dict[str, int] = {
             fname: 1 << bits for fname, bits in self.fields}
+        # Every field at zero, in declaration order: an instance's start.
+        self._zeros: Dict[str, int] = dict.fromkeys(self._widths, 0)
 
     def field_width(self, field: str) -> int:
         try:
@@ -49,6 +51,12 @@ class HeaderType:
         except KeyError:
             raise KeyError(
                 f"header {self.name!r} has no field {field!r}") from None
+
+    def _reject(self, field: str, value: int) -> NoReturn:
+        """KeyError for an unknown field, else ValueError: it does not fit."""
+        bits = self.field_width(field)
+        raise ValueError(
+            f"value {value:#x} does not fit field {field!r} ({bits} bits)")
 
     def instantiate(self, **values: int) -> "Header":
         """Create a header instance; unset fields default to zero."""
@@ -76,10 +84,13 @@ class Header:
     """A concrete header instance with field values."""
 
     def __init__(self, header_type: HeaderType, values: Dict[str, int]):
-        self.header_type = header_type
-        self._values: Dict[str, int] = dict.fromkeys(header_type._widths, 0)
+        limits = header_type._limits
         for fname, value in values.items():
-            self[fname] = value
+            limit = limits.get(fname)
+            if limit is None or not 0 <= value < limit:
+                header_type._reject(fname, value)
+        self.header_type = header_type
+        self._values: Dict[str, int] = {**header_type._zeros, **values}
 
     def __getitem__(self, field: str) -> int:
         try:
@@ -90,13 +101,9 @@ class Header:
             ) from None
 
     def __setitem__(self, field: str, value: int) -> None:
-        header_type = self.header_type
-        limit = header_type._limits.get(field)
+        limit = self.header_type._limits.get(field)
         if limit is None or not 0 <= value < limit:
-            bits = header_type.field_width(field)  # KeyError if unknown
-            raise ValueError(
-                f"value {value:#x} does not fit field {field!r} ({bits} bits)"
-            )
+            self.header_type._reject(field, value)
         self._values[field] = value
 
     def fields(self) -> Dict[str, int]:

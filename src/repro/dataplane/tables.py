@@ -85,7 +85,20 @@ class MatchActionTable:
         self.name = name
         self.match_fields = list(match_fields)
         self.max_entries = max_entries
+        self._kinds = [(kind, bits) for _, kind, bits in self.match_fields]
+        kinds = {kind for kind, _ in self._kinds}
+        self._has_ternary = MatchKind.TERNARY in kinds
+        self._has_lpm = MatchKind.LPM in kinds
+        # Among the entries that match, the winner ranks highest: priority
+        # with a ternary field, else the longest prefix, then priority.
+        self._rank: Callable[[TableEntry], object] = (
+            (lambda e: e.priority) if self._has_ternary
+            else (lambda e: (e.lpm_length(), e.priority)))
         self._entries: List[TableEntry] = []
+        # An exact-only table is hashed (SRAM): key tuple -> the first
+        # entry inserted under it.  Ternary / LPM scan the entries.
+        self._exact: Optional[Dict[Tuple, TableEntry]] = (
+            None if self.uses_tcam else {})
         self._actions: Dict[str, Callable] = {}
         self._default_action: Optional[str] = None
         self._default_params: Dict[str, int] = {}
@@ -118,15 +131,8 @@ class MatchActionTable:
         if len(self._entries) >= self.max_entries:
             raise RuntimeError(f"table {self.name!r} is full ({self.max_entries})")
         self._entries.append(entry)
-
-    def remove_where(self, predicate: Callable[[TableEntry], bool]) -> int:
-        """Remove entries matching a predicate; returns how many."""
-        before = len(self._entries)
-        self._entries = [e for e in self._entries if not predicate(e)]
-        return before - len(self._entries)
-
-    def clear(self) -> None:
-        self._entries = []
+        if self._exact is not None:
+            self._exact.setdefault(tuple(entry.key), entry)
 
     def entries(self) -> List[TableEntry]:
         return list(self._entries)
@@ -139,17 +145,14 @@ class MatchActionTable:
         Returns whatever the action callable returns (often None; actions
         typically mutate the pipeline context passed via closure or params).
         """
-        kinds = [(kind, bits) for _, kind, bits in self.match_fields]
-        candidates = [e for e in self._entries if e.matches(kinds, lookup_key)]
-        if candidates:
-            has_ternary = any(kind is MatchKind.TERNARY for kind, _ in kinds)
-            has_lpm = any(kind is MatchKind.LPM for kind, _ in kinds)
-            if has_ternary:
-                winner = max(candidates, key=lambda e: e.priority)
-            elif has_lpm:
-                winner = max(candidates, key=lambda e: (e.lpm_length(), e.priority))
-            else:
-                winner = candidates[0]
+        if self._exact is not None:
+            winner = self._exact.get(lookup_key)
+        else:
+            kinds = self._kinds
+            winner = max((e for e in self._entries
+                          if e.matches(kinds, lookup_key)),
+                         key=self._rank, default=None)
+        if winner is not None:
             self.hit_count += 1
             return self._actions[winner.action](**winner.params)
         self.miss_count += 1
@@ -160,10 +163,7 @@ class MatchActionTable:
     @property
     def uses_tcam(self) -> bool:
         """Ternary/LPM keys consume TCAM; exact-only tables live in SRAM."""
-        return any(
-            kind in (MatchKind.TERNARY, MatchKind.LPM)
-            for _, kind, _ in self.match_fields
-        )
+        return self._has_ternary or self._has_lpm
 
     @property
     def has_default(self) -> bool:
@@ -173,10 +173,9 @@ class MatchActionTable:
     @property
     def match_kind(self) -> str:
         """Dominant match kind: ternary > lpm > exact (TCAM precedence)."""
-        kinds = {kind for _, kind, _ in self.match_fields}
-        if MatchKind.TERNARY in kinds:
+        if self._has_ternary:
             return "ternary"
-        if MatchKind.LPM in kinds:
+        if self._has_lpm:
             return "lpm"
         return "exact"
 

@@ -101,3 +101,34 @@ def test_copy_still_validates_later_stores():
     with pytest.raises(KeyError):
         clone["nosuch"] = 0
     assert clone["a"] == 1
+
+
+def test_instantiate_error_texts():
+    with pytest.raises(KeyError, match=r"header 'demo' has no field 'nope'"):
+        DEMO.instantiate(nope=1)
+    with pytest.raises(ValueError,
+                       match=r"value 0x100 does not fit field 'a' \(8 bits\)"):
+        DEMO.instantiate(a=0x100)
+    with pytest.raises(ValueError,
+                       match=r"value -0x1 does not fit field 'b' \(16 bits\)"):
+        DEMO.instantiate(b=-1)
+
+
+def test_store_error_texts_match_instantiate():
+    header = DEMO.instantiate()
+    with pytest.raises(KeyError, match=r"header 'demo' has no field 'nope'"):
+        header["nope"] = 1
+    with pytest.raises(ValueError,
+                       match=r"value 0x100 does not fit field 'c' \(8 bits\)"):
+        header["c"] = 0x100
+    assert header == DEMO.instantiate()
+
+
+def test_header_does_not_share_the_values_it_was_built_from():
+    values = {"a": 1, "b": 2}
+    header = Header(DEMO, values)
+    values["a"] = 0xFF
+    values["c"] = 7
+    assert (header["a"], header["b"], header["c"]) == (1, 2, 0)
+    assert header.serialize() == bytes([1, 0, 2, 0])
+    assert list(DEMO.instantiate(c=1, a=2).fields()) == ["a", "b", "c"]

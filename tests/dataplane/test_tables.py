@@ -1,6 +1,7 @@
 """Match-action tables: exact/ternary/LPM semantics and configuration."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.dataplane.tables import MatchActionTable, MatchKind, TableEntry
 
@@ -95,15 +96,6 @@ def test_duplicate_action_name_rejected():
         table.register_action("record", lambda: None)
 
 
-def test_remove_where():
-    table, _ = make_table(MatchKind.EXACT)
-    table.insert(TableEntry(key=(1,), action="record"))
-    table.insert(TableEntry(key=(2,), action="record"))
-    removed = table.remove_where(lambda e: e.key == (1,))
-    assert removed == 1
-    assert len(table) == 1
-
-
 def test_uses_tcam_flag():
     exact, _ = make_table(MatchKind.EXACT)
     ternary, _ = make_table(MatchKind.TERNARY)
@@ -127,3 +119,57 @@ def test_multi_field_key():
 def test_table_needs_match_fields():
     with pytest.raises(ValueError):
         MatchActionTable("empty", [])
+
+
+def _linear_exact(entries, key):
+    """The exact-match reference: the first inserted entry whose key is
+    equal, field by field."""
+    for entry in entries:
+        if tuple(entry.key) == key:
+            return entry
+    return None
+
+
+# Small value ranges so repeated keys and present lookups are common.
+_EXACT_VALUE = st.integers(min_value=0, max_value=3)
+
+
+@st.composite
+def _exact_script(draw):
+    arity = draw(st.sampled_from([1, 2]))
+    key = st.tuples(*[_EXACT_VALUE] * arity)
+    inserts = draw(st.lists(key, max_size=12))
+    lookups = draw(st.lists(key, max_size=12))
+    return arity, inserts, lookups, draw(st.booleans())
+
+
+@given(_exact_script())
+def test_exact_lookup_matches_a_linear_scan(script):
+    """Hashed exact lookup: same value, winner and counters as a scan
+    over the entries in insertion order (first inserted key wins)."""
+    arity, inserts, lookups, with_default = script
+    table = MatchActionTable(
+        "t", [(f"f{i}", MatchKind.EXACT, 8) for i in range(arity)])
+    table.register_action("record", lambda tag: tag)
+    if with_default:
+        table.set_default("record", tag=-1)
+    entries = []
+    for position, key in enumerate(inserts):
+        # Each entry's tag is its insertion position: the winner is named.
+        entry = TableEntry(key=key, action="record",
+                           params={"tag": position})
+        table.insert(entry)
+        entries.append(entry)
+    hits = misses = 0
+    for key in lookups:
+        expected = _linear_exact(entries, key)
+        got = table.lookup(*key)
+        if expected is not None:
+            hits += 1
+            assert got == expected.params["tag"]
+        else:
+            misses += 1
+            assert got == (-1 if with_default else None)
+        assert (table.hit_count, table.miss_count) == (hits, misses)
+    assert len(table) == len(entries)
+    assert table.entries() == entries
