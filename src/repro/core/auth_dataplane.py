@@ -38,7 +38,6 @@ from repro.core.constants import (
     payload_of,
 )
 from repro.core.confidentiality import derive_session_keys, encrypt_value
-from repro.crypto.stream import xor_crypt
 from repro.core.digest import DigestEngine
 from repro.core.exchange import AdhkdEndpoint, EakEndpoint
 from repro.core.keys import LOCAL_KEY_INDEX, DataplaneKeyStore
@@ -83,10 +82,6 @@ class P4AuthConfig:
     #: confidentiality extension; encrypt-then-MAC with session keys
     #: derived from the local key).
     encrypt_regops: bool = False
-    #: Hop-by-hop payload encryption for protected DP-DP feedback
-    #: messages (e.g. INT records): each link re-encrypts under its own
-    #: port-key-derived session key.  Must be enabled fabric-wide.
-    encrypt_feedback: bool = False
 
     def __post_init__(self) -> None:
         self.protected_headers = frozenset(self.protected_headers)
@@ -116,6 +111,10 @@ class P4AuthDataplane:
     def __init__(self, switch: DataplaneSwitch, k_seed: int,
                  config: Optional[P4AuthConfig] = None,
                  kdf: Optional[Kdf] = None):
+        if k_seed == 0:
+            # A zero key is "no key material" everywhere else
+            # (``_select_key``), so K_seed must be a real one.
+            raise ValueError(f"switch {switch.name!r}: K_seed must be non-zero")
         self.switch = switch
         self.k_seed = k_seed
         self.config = config or P4AuthConfig()
@@ -225,7 +224,7 @@ class P4AuthDataplane:
             return
         hdr = packet.get(P4AUTH)
         key = self._select_key(hdr, ctx.ingress_port)
-        if key is None or key == 0 or not self.digest.verify(key, packet):
+        if key is None or not self.digest.verify(key, packet):
             self._on_digest_fail(ctx, hdr, from_cpu)
             return
         telemetry = self.telemetry
@@ -249,11 +248,6 @@ class P4AuthDataplane:
         elif hdr_type == HdrType.DP_FEEDBACK:
             # Authenticated in-network feedback: let the host system's
             # stages process it.
-            if (self.config.encrypt_feedback and packet.payload
-                    and hdr["flags"] & FLAG_ENCRYPTED):
-                self._crypt_feedback_payload(packet, ctx.ingress_port,
-                                             hdr, sender_side=False)
-                hdr["flags"] &= ~FLAG_ENCRYPTED & 0xFF
             packet.metadata["p4auth_verified"] = True
             self.stats.feedback_verified += 1
         else:
@@ -272,8 +266,8 @@ class P4AuthDataplane:
         """Which key authenticates this message (None = no key material)."""
         key_ver = hdr["keyVer"]
         if ingress_port != DataplaneSwitch.CPU_PORT:
-            if not 1 <= ingress_port <= self.switch.num_ports:
-                return None
+            # ``DataplaneSwitch.process`` refuses a port it does not have
+            # before any stage runs, so this one is in 1..num_ports.
             return self.keys.port_key(ingress_port, key_ver) or None
         if hdr["hdrType"] == HdrType.KEY_EXCHANGE:
             msg_type = hdr["msgType"]
@@ -483,16 +477,15 @@ class P4AuthDataplane:
                 ctx.drop(f"unexpected key-exchange msgType {msg_type} on link")
 
     def _install_key(self, index: int, master: int, version: int,
-                     now: float, direction: int = 0) -> None:
-        """Install a derived key (a port key with its exchange
-        ``direction``) and notify the hooks — the one place they are
-        called from, and it tells them the slot, never ``master``."""
+                     now: float) -> None:
+        """Install a derived key and notify the hooks — the one place
+        they are called from, and it tells them the slot, never
+        ``master``."""
         slot = self.keys.install_at(index, master, version)
         if index == LOCAL_KEY_INDEX:
             for hook in self.on_local_key_installed:
                 hook(slot, now)
             return
-        self.keys.set_port_direction(index, direction)
         for hook in self.on_port_key_installed:
             hook(index, slot, now)
 
@@ -529,7 +522,7 @@ class P4AuthDataplane:
             reply.get(P4AUTH)["flags"] = context_port
             self._sign_local(reply)
             ctx.to_controller(reply, reason="ADHKD msg2 (port key, redirected)")
-            self._install_key(context_port, master, 0, ctx.now, direction=1)
+            self._install_key(context_port, master, 0, ctx.now)
 
     def _upd_respond_cpu(self, ctx: PipelineContext, hdr) -> None:
         """updKeyExch leg 1 (Fig 14b): roll the local key.
@@ -580,7 +573,7 @@ class P4AuthDataplane:
         reply.metadata["p4auth_signed"] = True
         self._count_dpdp(port, reply)
         ctx.emit(port, reply)
-        self._install_key(port, master, request_ver + 1, ctx.now, direction=1)
+        self._install_key(port, master, request_ver + 1, ctx.now)
 
     def _adhkd_finish_link(self, ctx: PipelineContext, hdr) -> None:
         """ADHKD_MSG2 over a link: completes a direct port-key update."""
@@ -614,7 +607,7 @@ class P4AuthDataplane:
         self._charge_kdf()
         self._pending_r1.write(port, 0)
         self._pending_s1.write(port, 0)
-        self._install_key(port, master, version, ctx.now, direction=0)
+        self._install_key(port, master, version, ctx.now)
 
     def _port_key_start(self, ctx: PipelineContext, hdr,
                         via_controller: bool) -> None:
@@ -669,31 +662,9 @@ class P4AuthDataplane:
             packet.metadata["p4auth_signed"] = True
 
     def _sign_for_port(self, packet: Packet, port: int) -> None:
-        hdr = packet.get(P4AUTH)
-        hdr["keyVer"] = self.keys.active_version(port)
-        if (self.config.encrypt_feedback and packet.payload
-                and hdr["hdrType"] == HdrType.DP_FEEDBACK):
-            self._crypt_feedback_payload(packet, port, hdr, sender_side=True)
-            hdr["flags"] |= FLAG_ENCRYPTED
+        packet.get(P4AUTH)["keyVer"] = self.keys.active_version(port)
         self.digest.sign(self.keys.port_key(port), packet)
         self.stats.feedback_signed += 1
-
-    def _crypt_feedback_payload(self, packet: Packet, port: int, hdr,
-                                sender_side: bool) -> None:
-        """Encrypt/decrypt a feedback payload under this link's session
-        key (encrypt-then-MAC order is preserved by the callers).
-
-        The nonce folds in the message sequence number and the sender's
-        exchange-direction bit, so the two directions of a link never
-        reuse a (key, nonce) pair.
-        """
-        session = derive_session_keys(
-            self.keys.port_key(port, hdr["keyVer"]))
-        own_dir = self.keys.port_direction(port)
-        sender_dir = own_dir if sender_side else 1 - own_dir
-        nonce = ((hdr["seqNum"] << 1) | sender_dir) & ((1 << 64) - 1)
-        packet.payload = xor_crypt(session.encryption, nonce, packet.payload)
-        self._charge_kdf()
 
     # ------------------------------------------------------------------
     # helpers

@@ -1,6 +1,6 @@
 """Session-key derivation and payload encryption (the §XI extension).
 
-From one master secret (K_local or K_port) the KDF derives a family of
+From one master secret (K_local) the KDF derives a family of
 "cryptographically unrelated" keys, exactly as §XI suggests: an
 authentication key, an encryption key, and a nonce base.  Distinct
 fixed labels feed the KDF's salt input, so the derived keys differ even

@@ -90,8 +90,7 @@ class ControllerStats:
 class P4AuthController:
     """The logically centralized controller of the P4Auth deployment."""
 
-    def __init__(self, network: Network, algorithm: str = "halfsiphash",
-                 seed: int = 0xC0FFEE,
+    def __init__(self, network: Network, seed: int = 0xC0FFEE,
                  outstanding_threshold: int = OUTSTANDING_THRESHOLD,
                  encrypt_regops: bool = False,
                  request_timeout_s: Optional[float] = None):
@@ -99,7 +98,7 @@ class P4AuthController:
         self.sim = network.sim
         self.costs = network.costs
         self.telemetry = network.telemetry
-        self.digest = DigestEngine(algorithm=algorithm)
+        self.digest = DigestEngine()
         self.keys = ControllerKeyStore()
         self.prng = XorShiftPrng(seed)
         self.stats = ControllerStats()
@@ -193,10 +192,15 @@ class P4AuthController:
         """Per switch: controller next-seq minus the DP's expected seq.
 
         Always >= 0 in an unforged fleet (the data plane only advances on
-        controller-signed messages) and exactly 0 once every issued
-        message has been delivered and verified — a negative value means
-        someone advanced the DP without the controller, i.e. a forged
-        write.
+        controller-signed register ops) — a negative value means someone
+        advanced the DP without the controller, i.e. a forged write.  It
+        is not 0 at rest: key-management messages draw seqs from the
+        same per-switch counter and ``p4auth_expected_seq`` never sees
+        them, so a freshly keyed switch reads the KMP messages it was
+        sent (3 each after an m=8, degree-2 bootstrap).  The next
+        verified register op realigns the pair to 0, which is why
+        :func:`~repro.core.kmp.honest_load_audit` demands agreement only
+        on ``must_agree``.
         """
         divergence: Dict[str, int] = {}
         for switch in sorted(self.dataplanes):

@@ -12,8 +12,7 @@ The controller-side software engine has two lanes:
 - the **scalar lane** — one message at a time, as the paper describes;
 - the **vector lane** (:mod:`repro.crypto.vectorized`) — a HalfSipHash
   batch per call, selected by :meth:`compute_many` when a batch is at
-  least :attr:`~DigestEngine.VECTOR_THRESHOLD` messages.  CRC32 has one
-  lane: ``zlib`` per message.
+  least :attr:`~DigestEngine.VECTOR_THRESHOLD` messages.
 
 The batch size alone picks the lane.  Lane selection is a host-CPU
 scheduling decision only: tags are bit-identical across lanes (pinned by
@@ -29,14 +28,13 @@ from typing import List, Optional, Sequence
 from repro.core.constants import P4AUTH
 from repro.core.messages import digest_material
 from repro.crypto import vectorized
-from repro.crypto.crc import Crc32
 from repro.crypto.halfsiphash import HalfSipHash
 from repro.dataplane.externs import HashExtern
 from repro.dataplane.packet import Packet
 
 
 class DigestEngine:
-    """Signs and verifies P4Auth messages with a keyed 32-bit digest.
+    """Signs and verifies P4Auth messages with a keyed 32-bit HalfSipHash.
 
     Parameters
     ----------
@@ -44,9 +42,6 @@ class DigestEngine:
         A switch's :class:`HashExtern`.  When given, digests run through
         it (counting invocations for the resource/timing models).  When
         None, a software engine is used (the controller side).
-    algorithm:
-        Software-engine algorithm when ``extern`` is None:
-        ``"halfsiphash"`` (BMv2 flavor) or ``"crc32"`` (Tofino flavor).
     """
 
     #: The vector-lane crossover, measured on 64-byte C-DP material:
@@ -54,22 +49,14 @@ class DigestEngine:
     #: of one is the scalar kernel with packing on top.
     VECTOR_THRESHOLD = 2
 
-    def __init__(self, extern: Optional[HashExtern] = None,
-                 algorithm: str = "halfsiphash"):
+    def __init__(self, extern: Optional[HashExtern] = None):
         self._extern = extern
         self._halfsiphash: Optional[HalfSipHash] = None
         if extern is None:
-            if algorithm == "halfsiphash":
-                self._halfsiphash = HalfSipHash()
-                self._software = self._halfsiphash.digest
-            elif algorithm == "crc32":
-                self._software = Crc32().compute_keyed
-            else:
-                raise ValueError(f"unknown algorithm {algorithm!r}")
-            self.algorithm = algorithm
+            self._halfsiphash = HalfSipHash()
+            self._software = self._halfsiphash.digest
         else:
             self._software = extern.compute_digest_bytes
-            self.algorithm = extern.algorithm
         self.computed = 0
         self.verified_ok = 0
         self.verified_fail = 0
@@ -87,7 +74,7 @@ class DigestEngine:
         """Which lane a ``batch_size``-message batch would take."""
         if self._extern is not None:
             return "extern"
-        if self._halfsiphash is None or batch_size < self.VECTOR_THRESHOLD:
+        if batch_size < self.VECTOR_THRESHOLD:
             return "scalar"
         return "vector"
 

@@ -55,15 +55,9 @@ class DataplaneKeyStore:
     """The switch-resident key registers.
 
     Two 64-bit register arrays of N+1 entries (one per key version); the
-    local key lives at index 0 and each port key at its port index.
+    local key lives at index 0 and each port key at its port index.  The
+    ``p4auth_key_version`` register holds each index's active version.
     """
-
-    #: Bit layout of the ``p4auth_key_version`` register: bit 0 holds the
-    #: active version pointer; bit 1 holds the port's exchange-direction
-    #: bit (0 = this side initiated, 1 = responded) used to disambiguate
-    #: stream-cipher nonces across a link's two directions.
-    _VERSION_BIT = 0x1
-    _DIRECTION_BIT = 0x2
 
     def __init__(self, registers: RegisterFile, num_ports: int):
         self.num_ports = num_ports
@@ -87,30 +81,11 @@ class DataplaneKeyStore:
         (see :meth:`VersionedKey.install_at`)."""
         version %= KEY_VERSIONS
         self._key_regs[version].write(index, key)
-        self._write_version(index, version)
+        self._active.write(index, version)
         return version
 
     def active_version(self, index: int) -> int:
-        return self._active.read(index) & self._VERSION_BIT
-
-    def _write_version(self, index: int, version: int) -> None:
-        word = self._active.read(index)
-        self._active.write(index,
-                           (word & ~self._VERSION_BIT & 0xFF) | version)
-
-    # -- exchange-direction bit (packed into the version register) ----------
-
-    def port_direction(self, port: int) -> int:
-        """0 = this side initiated the port-key exchange, 1 = responded."""
-        return 1 if self._active.read(port) & self._DIRECTION_BIT else 0
-
-    def set_port_direction(self, port: int, direction: int) -> None:
-        word = self._active.read(port)
-        if direction:
-            word |= self._DIRECTION_BIT
-        else:
-            word &= ~self._DIRECTION_BIT & 0xFF
-        self._active.write(port, word)
+        return self._active.read(index)
 
     # -- semantic accessors ----------------------------------------------------
 

@@ -603,122 +603,24 @@ class KeyManagementProtocol:
         return neighbors[port]
 
 
-# ----------------------------------------------------------------------
-# regional key authorities (one per fleet domain)
-# ----------------------------------------------------------------------
-
-#: Convergence-time histogram buckets (virtual seconds): a region's
-#: bootstrap or rollover is a few C-DP round trips, a few milliseconds
-#: of virtual time at any region size.
-KMP_CONVERGENCE_BUCKETS = (0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
-                           0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0)
-
-
-@dataclass
-class RegionConvergence:
-    """One region-wide bootstrap or rollover round, timed in virtual time."""
-
-    region: str
-    op: str  # "bootstrap" | "rollover"
-    started_s: float
-    converged_s: float
-    completed: int
-    failed: int
-
-    @property
-    def duration_s(self) -> float:
-        return self.converged_s - self.started_s
-
-    def as_dict(self) -> Dict[str, object]:
-        return {"region": self.region, "op": self.op,
-                "duration_s": self.duration_s,
-                "completed": self.completed, "failed": self.failed}
-
-
 class RegionalKeyAuthority:
-    """A region's key authority: times bootstrap/rollover for its subtree.
+    """A region controller's two honest-load readings, under one name.
 
-    Thin layer over the region controller's
-    :class:`KeyManagementProtocol` — the message flows, the rollover and
-    its per-switch epoch are the KMP's; the authority adds region-scoped
-    convergence timing (:class:`RegionConvergence`), per-region
-    telemetry and an in-flight guard on rollover.  A region is an
-    independent domain (``fleet_scale`` runs one per trial): no key is
-    shared across regions, so no authority coordinates with another.
+    Only ``bench/counts.py`` builds one: the constructor and the two
+    readings it calls are all that is left.  ``fleet_scale`` times its
+    key rounds itself, and a caller holding the controller reads it
+    directly.
     """
 
     def __init__(self, region_id: str, controller):
         self.region_id = region_id
         self.c = controller
-        self.kmp: KeyManagementProtocol = controller.kmp
-        self.convergences: List[RegionConvergence] = []
-        self._rollover_active = False
-
-    def bootstrap(self, on_done: Optional[Callable[["RegionConvergence"],
-                                                   None]] = None) -> None:
-        """Bootstrap the whole subtree (locals then ports) and time it."""
-        self._timed("bootstrap", self.kmp.bootstrap_all, on_done)
-
-    def rollover(self, on_done: Optional[Callable[["RegionConvergence"],
-                                                  None]] = None) -> None:
-        """Roll every local and port key in the subtree; resolve fully.
-
-        Completion (or abandonment after the KMP's bounded retries) of
-        every issued update fires ``on_done`` — a blacked-out switch
-        cannot hang the fleet rollover.
-        """
-        if self._rollover_active:
-            raise RuntimeError(
-                f"region {self.region_id!r}: rollover already in flight")
-        self._rollover_active = True
-
-        def done(convergence: RegionConvergence) -> None:
-            self._rollover_active = False
-            if on_done is not None:
-                on_done(convergence)
-
-        self._timed("rollover", self.kmp.rollover, done)
-
-    # The region controller's readings, for callers holding only the
-    # authority (``bench/counts.py``).
 
     def seq_divergence(self) -> Dict[str, int]:
         return self.c.seq_divergence()
 
     def tamper_indicators(self) -> Dict[str, int]:
         return self.c.tamper_indicators()
-
-    # -- internals ---------------------------------------------------------
-
-    def _timed(self, op: str, issue: Callable[[Callable[[], None]], None],
-               on_done: Optional[Callable[[RegionConvergence], None]]
-               ) -> None:
-        """Run one region-wide round through ``issue(on_resolved)`` and
-        record its :class:`RegionConvergence`."""
-        started = self.c.sim.now
-        records_before = len(self.kmp.stats.records)
-        failures_before = len(self.kmp.stats.failures)
-
-        def finish() -> None:
-            convergence = RegionConvergence(
-                region=self.region_id, op=op, started_s=started,
-                converged_s=self.c.sim.now,
-                completed=len(self.kmp.stats.records) - records_before,
-                failed=len(self.kmp.stats.failures) - failures_before)
-            self.convergences.append(convergence)
-            telemetry = self.c.telemetry
-            if telemetry.enabled:
-                metrics = telemetry.metrics
-                metrics.counter(f"kmp_region_{op}_total",
-                                region=self.region_id).inc()
-                metrics.histogram(
-                    "kmp_region_convergence_seconds",
-                    buckets=KMP_CONVERGENCE_BUCKETS, region=self.region_id,
-                    op=op).observe(convergence.duration_s)
-            if on_done is not None:
-                on_done(convergence)
-
-        issue(finish)
 
 
 def sum_indicators(readings: Iterable[Dict[str, int]]) -> Dict[str, int]:

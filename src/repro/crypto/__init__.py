@@ -10,8 +10,9 @@ stages.
 Exports:
 
 - :func:`halfsiphash` / :class:`HalfSipHash` — keyed short-input PRF used
-  as the HMAC algorithm on the BMv2 target (paper §VII).
-- :func:`crc32` — the PRF used on the Tofino target and inside the KDF.
+  as the HMAC algorithm on the BMv2 target (paper §VII), and the one
+  P4Auth digest here.
+- :func:`crc32` — the PRF inside the KDF.
 - :func:`dh_public`, :func:`dh_shared` — the modified Diffie-Hellman
   (DH' / DH'') that replaces exponentiation with AND and XOR (paper Fig 10).
 - :func:`kdf` — TLS1.3-style Extract-and-Expand key derivation (Fig 13).

@@ -5,7 +5,9 @@ target (§VII) and as the PRF inside the KDF ("We implement our KDF with
 CRC32 as PRF and set the rounds to one").  Tofino exposes CRC through its
 hash distribution units, so using it costs hash units, not ALU stages —
 which is why Table II shows hash-unit utilization jumping from 1.4% to
-51.4% with P4Auth.
+51.4% with P4Auth.  This reproduction signs with HalfSipHash only (the
+BMv2 flavour); CRC32 serves as the KDF's PRF, the journal and snapshot
+framing checksum, and RouteScout's bucket hash.
 
 This is the standard reflected CRC-32 (polynomial 0xEDB88320), bit-exact
 with ``zlib.crc32`` / IEEE 802.3.  Two forms live here, as in
@@ -67,7 +69,8 @@ class Crc32:
         return crc ^ self.xor_out
 
     def compute_keyed(self, key: int, data: bytes) -> int:
-        """Keyed CRC as used for P4Auth digests on the Tofino target.
+        """Keyed CRC, the paper's Tofino digest (P4Auth here signs with
+        HalfSipHash; this form is the reference for ``crc32_many_keyed``).
 
         CRC itself is unkeyed; the prototype prepends the 64-bit secret key
         to the hashed material, which is how the P4 program feeds the key

@@ -9,8 +9,9 @@ plaintext is XORed with the keystream — only hash-unit and XOR
 operations, so the construction fits the same switch constraints as the
 digest path.
 
-Nonce discipline is the caller's job (P4Auth uses the message sequence
-number plus a direction bit, unique per key epoch); reusing a
+Nonce discipline is the caller's job (P4Auth's register-op values use
+the message sequence number plus a request/response bit, unique per key
+epoch); reusing a
 (key, nonce) pair leaks the XOR of the two plaintexts, like any stream
 cipher.
 """

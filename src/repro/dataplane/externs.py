@@ -1,36 +1,25 @@
-"""Target externs: hash engines and the random() primitive.
+"""Target externs: the digest hash engine and the random() primitive.
 
 The paper's prototype exposes digest computation as a BMv2 extern
-(``compute_digest``) and uses the native CRC unit on Tofino.  This module
-provides both as :class:`HashExtern` flavors, each counting its
-invocations so the resource/timing models can account for hash-unit usage
-(Table II) and per-digest latency (Fig 18/19/21).
+(``compute_digest``).  :class:`HashExtern` is that extern over
+HalfSipHash, counting its invocations so the resource/timing models can
+account for hash-unit usage (Table II) and per-digest latency (Fig
+18/19/21).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterable
 
-from repro.crypto.crc import Crc32
 from repro.crypto.halfsiphash import HalfSipHash, pack_words
 from repro.crypto.prng import XorShiftPrng
 
 
 class HashExtern:
-    """A keyed-digest extern with invocation counting.
+    """The keyed HalfSipHash digest extern, with invocation counting."""
 
-    ``algorithm`` selects the underlying keyed hash: ``"halfsiphash"``
-    (BMv2 target) or ``"crc32"`` (Tofino target).
-    """
-
-    def __init__(self, algorithm: str = "halfsiphash"):
-        if algorithm == "halfsiphash":
-            self._compute = HalfSipHash().digest
-        elif algorithm == "crc32":
-            self._compute = Crc32().compute_keyed
-        else:
-            raise ValueError(f"unknown hash algorithm {algorithm!r}")
-        self.algorithm = algorithm
+    def __init__(self):
+        self._compute = HalfSipHash().digest
         self.invocations = 0
 
     def compute_digest(self, key: int, words: Iterable[int],

@@ -14,7 +14,7 @@ only iteration mechanism, and it is explicit and costed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple, Union
 
 from repro.dataplane.packet import Packet
@@ -95,10 +95,6 @@ class PipelineContext:
         """Short-circuit the remaining stages (like P4's exit)."""
         self._stopped = True
 
-    @property
-    def stopped(self) -> bool:
-        return self._stopped
-
 
 Stage = Callable[[PipelineContext], None]
 
@@ -126,10 +122,6 @@ class Pipeline:
 
     def stage_names(self) -> List[str]:
         return [name for name, _ in self._stages]
-
-    def describe(self) -> dict:
-        """Static-analysis introspection record (consumed by repro.verify)."""
-        return {"name": self.name, "stages": self.stage_names()}
 
     def run(self, ctx: PipelineContext) -> List[PipelineAction]:
         """Execute the stages in order until done or stopped."""

@@ -9,7 +9,7 @@ processing-time costs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.dataplane.externs import HashExtern, RandomExtern
 from repro.dataplane.packet import Packet
@@ -43,17 +43,13 @@ class DataplaneSwitch:
     num_ports:
         Number of front-panel ports, numbered ``1..num_ports``.
         Port 0 is reserved as the CPU/controller port.
-    hash_algorithm:
-        Digest extern flavor: ``"halfsiphash"`` (BMv2) or ``"crc32"``
-        (Tofino).
     seed:
         Seed for the switch's ``random()`` extern.
     """
 
     CPU_PORT = 0
 
-    def __init__(self, name: str, num_ports: int = 8,
-                 hash_algorithm: str = "halfsiphash", seed: int = 1):
+    def __init__(self, name: str, num_ports: int = 8, seed: int = 1):
         if num_ports < 1:
             raise ValueError("switch needs at least one port")
         self.name = name
@@ -61,7 +57,7 @@ class DataplaneSwitch:
         self.registers = RegisterFile()
         self.tables: Dict[str, MatchActionTable] = {}
         self.pipeline = Pipeline(f"{name}-ingress")
-        self.hash = HashExtern(hash_algorithm)
+        self.hash = HashExtern()
         self.random = RandomExtern(seed)
         self.packets_processed = 0
         self.packets_dropped = 0

@@ -6,7 +6,7 @@ domains").
 of them, so no digest depends on another domain's key epochs.  A trial
 is therefore one region of the fleet: its own ``m``-switch fabric (graph
 seed :func:`~repro.net.topology.region_seed`), its own controller and
-:class:`~repro.core.kmp.RegionalKeyAuthority`, its own block of K_seeds.
+KMP, its own block of K_seeds.
 It runs the production lifecycle — key bootstrap, one rollover, and a
 batched C-DP write workload with ground-truth verification (every
 register cell must end at the last value its controller wrote: the
@@ -24,7 +24,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, List
 
-from repro.core.kmp import RegionalKeyAuthority, honest_load_audit
+from repro.core.kmp import honest_load_audit
 from repro.engine.registry import register
 from repro.engine.spec import ExperimentSpec, TrialContext
 from repro.experiments.cdp_batch import (
@@ -68,20 +68,31 @@ def _drive_batched_writes(sim, controller, switches: List[str],
     return workload
 
 
-def _key_round(ctx: TrialContext, sim, name: str, start: Callable,
-               deadline_s: float):
-    """One region-wide key round, checked as ``<name>_converged``:
-    ``(convergence dict or None if it never resolved, check passed)``."""
-    done: List[object] = []
+def _key_round(ctx: TrialContext, sim, kmp, region: str, name: str,
+               start: Callable, deadline_s: float):
+    """One region-wide key round, ``start(on_done)``, timed in virtual
+    time from the KMP's record and failure counts and checked as
+    ``<name>_converged``: ``(outcome dict or None if it never resolved,
+    check passed)``."""
+    done: List[Dict[str, object]] = []
+    started = sim.now
+    records, failures = len(kmp.stats.records), len(kmp.stats.failures)
+
+    def resolved() -> None:
+        done.append({"region": region, "op": name,
+                     "duration_s": sim.now - started,
+                     "completed": len(kmp.stats.records) - records,
+                     "failed": len(kmp.stats.failures) - failures})
+
     wall_start = time.perf_counter()
-    start(on_done=done.append)
+    start(resolved)
     sim.run(until=sim.now + deadline_s)
     ctx.host[f"{name}_s"] = time.perf_counter() - wall_start
     if not done:
         ctx.check(f"{name}_converged", False,
                   f"{name} did not resolve within {deadline_s:g} s")
         return None, False
-    outcome = done[0].as_dict()
+    outcome = done[0]
     ctx.check(f"{name}_converged", not outcome["failed"],
               f"{name}: {outcome['failed']} of "
               f"{outcome['completed'] + outcome['failed']} key operations "
@@ -98,17 +109,18 @@ def _trial(ctx: TrialContext) -> dict:
         "P4Auth", m=m, degree=degree, seed=region_seed(p["seed"], region),
         max_in_flight=p["max_in_flight"], k_seed_base=_k_seed_base(region),
         bootstrap=False)
-    authority = RegionalKeyAuthority(f"r{region}", controller)
+    kmp = controller.kmp
     result: Dict[str, object] = {"switches": m, "links": m * degree // 2}
 
     result["bootstrap"], keyed = _key_round(
-        ctx, sim, "bootstrap", authority.bootstrap, BOOTSTRAP_DEADLINE_S)
+        ctx, sim, kmp, f"r{region}", "bootstrap", kmp.bootstrap_all,
+        BOOTSTRAP_DEADLINE_S)
     if not keyed:  # the writes below sign with this round's keys
         return {**result, **ctx.verdict()}
     result["rollover"], _ok = _key_round(
-        ctx, sim, "rollover", authority.rollover, ROLLOVER_DEADLINE_S)
-    off_epoch = [sw for sw in switches
-                 if controller.kmp.rollover_epoch(sw) != 1]
+        ctx, sim, kmp, f"r{region}", "rollover", kmp.rollover,
+        ROLLOVER_DEADLINE_S)
+    off_epoch = [sw for sw in switches if kmp.rollover_epoch(sw) != 1]
     ctx.check("one_epoch_per_switch", not off_epoch,
               f"{len(off_epoch)} switches did not advance exactly one "
               f"rollover epoch: {off_epoch[:3]}")

@@ -175,18 +175,6 @@ class Network:
         )
         return node
 
-    def add_node(self, name: str, node) -> object:
-        """Register a custom node (anything exposing ``receive(packet,
-        ingress_port)``).  Region gateways use this: they take part in the
-        fabric wiring without being switches, so switch-only surfaces
-        (``neighbor_ports``, ``switch_names``, KMP keying) ignore them."""
-        if name in self.nodes:
-            raise ValueError(f"node {name!r} already exists")
-        if not callable(getattr(node, "receive", None)):
-            raise TypeError(f"node {name!r} must expose receive()")
-        self.nodes[name] = node
-        return node
-
     def add_host(self, name: str,
                  on_packet: Optional[Callable[[Packet, float], None]] = None
                  ) -> HostNode:

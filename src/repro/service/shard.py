@@ -301,10 +301,6 @@ class ShardWorker:
             self.recorder.journal.close()
 
     @property
-    def draining(self) -> bool:
-        return self._draining
-
-    @property
     def idle(self) -> bool:
         return not self._pending and not self._in_flight
 

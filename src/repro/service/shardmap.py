@@ -107,17 +107,6 @@ class ShardMap:
                 raise RuntimeError("no shard with spare capacity")
         return owned
 
-    @staticmethod
-    def moved(before: Dict[str, List[str]],
-              after: Dict[str, List[str]]) -> int:
-        """How many switches changed owner between two assignments."""
-        owner_before = {sw: shard for shard, sws in before.items()
-                        for sw in sws}
-        owner_after = {sw: shard for shard, sws in after.items()
-                       for sw in sws}
-        return sum(1 for sw, shard in owner_after.items()
-                   if owner_before.get(sw) != shard)
-
     def __repr__(self) -> str:
         return f"ShardMap(shards={len(self.shard_ids)})"
 

@@ -1,8 +1,12 @@
-"""Edge branches of the data-plane module and cross-flavor deployments."""
+"""Edge branches of the data-plane module."""
 
 import pytest
 
-from repro.core.auth_dataplane import P4AuthConfig, P4AuthDataplane
+from repro.core.auth_dataplane import (
+    P4AuthConfig,
+    P4AuthDataplane,
+    P4AuthStats,
+)
 from repro.core.constants import (
     AlertCode,
     HdrType,
@@ -15,6 +19,7 @@ from repro.core.keys import LOCAL_KEY_INDEX
 from repro.core.messages import (
     build_adhkd_message,
     build_keyctl_message,
+    build_reg_write_request,
 )
 from repro.dataplane.packet import Packet
 from repro.dataplane.pipeline import Drop, ToController
@@ -140,63 +145,28 @@ class TestAlertSigningFallback:
         assert controller.stats.tampered_responses == 0
 
 
-class TestCrc32Flavor:
-    """The Tofino deployment: CRC32 digests end to end."""
+class TestGuards:
+    """Guards whose removal no other test notices."""
 
-    def build(self):
-        sim = EventSimulator()
-        net = Network(sim)
-        switch = DataplaneSwitch("s1", num_ports=2,
-                                 hash_algorithm="crc32")
-        net.add_switch(switch)
-        switch.registers.define("demo", 64, 8)
-        dataplane = P4AuthDataplane(switch, K_SEED).install()
-        dataplane.map_register("demo")
-        controller = P4AuthController(net, algorithm="crc32")
-        controller.provision(dataplane)
-        controller.kmp.local_key_init("s1")
-        sim.run(until=0.5)
-        return sim, net, switch, dataplane, controller
+    def test_zero_k_seed_is_refused_at_construction(self):
+        """Zero means "no key material" to ``_select_key``; a switch
+        provisioned with it would verify EAK under a zero key."""
+        with pytest.raises(ValueError, match="K_seed must be non-zero"):
+            P4AuthDataplane(DataplaneSwitch("s1", num_ports=2), 0)
 
-    def test_kmp_and_reg_ops_work(self):
-        sim, net, switch, dataplane, controller = self.build()
-        assert controller.keys.has_local_key("s1")
-        results = []
-        controller.write_register("s1", "demo", 1, 0x42,
-                                  lambda ok, v: results.append((ok, v)))
-        sim.run(until=1.0)
-        assert results == [(True, 0x42)]
-
-    def test_tamper_still_detected(self):
-        sim, net, switch, dataplane, controller = self.build()
-
-        def tamper(packet, direction):
-            if direction == "c->dp" and packet.has("reg_op"):
-                packet.get("reg_op")["value"] ^= 1
-            return packet
-
-        net.control_channels["s1"].add_tap(tamper)
-        results = []
-        controller.write_register("s1", "demo", 1, 0x42,
-                                  lambda ok, v: results.append(ok))
-        sim.run(until=1.0)
-        assert results == [False]
-
-    def test_mixed_flavors_cannot_interoperate(self):
-        """A halfsiphash controller against a crc32 switch never
-        verifies — catching deployment misconfiguration loudly."""
-        sim = EventSimulator()
-        net = Network(sim)
-        switch = DataplaneSwitch("s1", num_ports=2,
-                                 hash_algorithm="crc32")
-        net.add_switch(switch)
-        dataplane = P4AuthDataplane(switch, K_SEED).install()
-        controller = P4AuthController(net, algorithm="halfsiphash")
-        controller.provision(dataplane)
-        controller.kmp.local_key_init("s1")
-        sim.run(until=1.0)
-        assert not controller.keys.has_local_key("s1")
-        assert dataplane.stats.digest_fail_cdp > 0
+    def test_out_of_range_ingress_port_never_reaches_the_overlay(self):
+        """A P4Auth frame on a port the switch lacks is refused by the
+        switch before any stage runs: a ``ValueError`` naming the port,
+        not an ``IndexError`` out of the key registers, and nothing
+        counted by the overlay."""
+        switch, dataplane = keyed_dataplane()
+        message = DigestEngine().sign(
+            K_LOCAL, build_reg_write_request(1, 0, 0x42, 1))
+        port = switch.num_ports + 1
+        with pytest.raises(ValueError, match=f"invalid ingress port {port}"):
+            switch.process(message, port)
+        assert dataplane.stats == P4AuthStats()
+        assert switch.packets_processed == 0
 
 
 class TestSignStageEdges:

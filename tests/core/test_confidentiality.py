@@ -1,7 +1,7 @@
-"""The §XI confidentiality extension: session keys + encrypted reg-ops."""
+"""The §XI confidentiality extension: session keys + encrypted reg-ops
+(and DP-DP feedback, which is authenticated but never encrypted)."""
 
-import pytest
-
+from repro.attacks.base import Eavesdropper
 from repro.core.auth_dataplane import P4AuthConfig, P4AuthDataplane
 from repro.core.confidentiality import (
     derive_session_keys,
@@ -13,6 +13,14 @@ from repro.core.controller import P4AuthController
 from repro.dataplane.switch import DataplaneSwitch
 from repro.net.network import Network
 from repro.net.simulator import EventSimulator
+from repro.net.topology import linear_chain
+from repro.systems.int_telemetry import (
+    IntCollector,
+    IntConfig,
+    IntTelemetryDataplane,
+    make_int_probe,
+    parse_records,
+)
 
 
 class TestSessionKeyDerivation:
@@ -145,3 +153,41 @@ class TestEncryptedRegOps:
                                       lambda ok, v: results.append(v))
         dep.run(1.0)
         assert results == [0x9]
+
+
+def test_dpdp_feedback_payload_crosses_links_in_plaintext():
+    """Only C-DP register values can be encrypted: DP-DP feedback (here
+    INT records) is authenticated hop by hop, and a link eavesdropper
+    reads its payload as sent."""
+    hops = 3
+    net, extras = linear_chain(hops)
+    sim = extras["sim"]
+    for index, name in enumerate(extras["switches"], start=1):
+        IntTelemetryDataplane(net.switch(name), IntConfig(
+            switch_id=index,
+            routes={1: 2 if index < hops else None},
+            collector_port=2,
+            latency_us=lambda now, flow: 33,
+        )).install()
+    controller = P4AuthController(net)
+    for index, name in enumerate(extras["switches"]):
+        controller.provision(P4AuthDataplane(
+            net.switch(name), k_seed=0x3E7 + index,
+            config=P4AuthConfig(protected_headers={"int_probe"})).install())
+    controller.kmp.bootstrap_all()
+    sim.run(until=1.0)
+
+    spy = Eavesdropper(lambda p: p.has("int_probe"))
+    spy.attach(net.link_between("s1", "s2"))
+    collector = IntCollector()
+    extras["dst"].on_packet = collector.ingest
+    start = sim.now
+    for index in range(3):
+        sim.schedule_at(start + index * 0.005, extras["src"].send,
+                        make_int_probe(index))
+    sim.run(until=start + 1.0)
+    assert spy.stats.recorded == 3
+    for packet in spy.recordings:
+        assert any(r.switch_id == 1 and r.latency_us == 33
+                   for r in parse_records(packet))
+    assert len(collector.probes) == 3

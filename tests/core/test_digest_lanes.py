@@ -62,30 +62,23 @@ def test_custom_threshold_respected():
         DigestEngine(vector_threshold=4)
 
 
-def test_crc32_engine_has_one_lane():
-    """No CRC lane exists (zlib per message beats a table gather), so a
-    crc32 engine reports and counts scalar whatever the batch size."""
-    engine = pin_lane(DigestEngine(algorithm="crc32"), "vector")
-    assert engine.lane_for(4096) == "scalar"
-    engine.compute_many(KEY, batch(8))
-    assert (engine.scalar_messages, engine.vector_messages) == (8, 0)
-
-
 def test_extern_engine_reports_extern_lane():
     engine = DigestEngine(extern=HashExtern())
     assert engine.lane_for(4096) == "extern"
 
 
 # ---------------------------------------------------------------------------
-# batch/scalar equivalence (every lane, both algorithms)
+# batch/scalar equivalence (every lane)
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("algorithm", ["halfsiphash", "crc32"])
+# One digest, one parameter value: the engine had a crc32 flavour when
+# this test was written, and the ``halfsiphash`` suffix keeps its node ids.
+@pytest.mark.parametrize("_algorithm", ["halfsiphash"])
 @pytest.mark.parametrize("lane", ["scalar", "vector"])
 @pytest.mark.parametrize("count", [1, 2, 31, 32, 33, 100])
-def test_compute_many_matches_compute(algorithm, lane, count):
-    reference = DigestEngine(algorithm=algorithm)
-    engine = pin_lane(DigestEngine(algorithm=algorithm), lane)
+def test_compute_many_matches_compute(_algorithm, lane, count):
+    reference = DigestEngine()
+    engine = pin_lane(DigestEngine(), lane)
     packets = batch(count)
     assert engine.compute_many(KEY, packets) \
         == [reference.compute(KEY, p) for p in packets]

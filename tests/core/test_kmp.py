@@ -3,6 +3,9 @@
 import pytest
 
 from repro.analysis import mean
+from repro.attacks.control_plane import RegisterRequestTamperer
+from repro.core.kmp import honest_load_audit
+from repro.experiments.cdp_batch import build_batch_deployment
 from tests.conftest import Deployment
 
 
@@ -189,3 +192,60 @@ def test_bootstrap_empty_network_completes():
     done = []
     dep.controller.kmp.bootstrap_all(on_done=lambda: done.append(1))
     assert done == [1]
+
+
+class TestHonestLoadAudit:
+    """The one wording of "no forged write, agreement, defenses quiet"."""
+
+    @staticmethod
+    def quiesced_pair():
+        """Two keyed switches, one verified write each (KMP messages
+        consume controller seqs; a register op realigns the pair)."""
+        sim, net, controller, switches = build_batch_deployment(
+            "P4Auth", m=2, degree=1)
+        for switch in switches:
+            controller.write_register(switch, "target", 0, 7)
+        sim.run(until=sim.now + 1.0)
+        return sim, net, controller
+
+    @staticmethod
+    def audit(controller, **kwargs):
+        return honest_load_audit(controller.seq_divergence(),
+                                 controller.tamper_indicators(), **kwargs)
+
+    def test_honest_fleet_passes_all_three(self):
+        _sim, _net, controller = self.quiesced_pair()
+        assert [(name, ok) for name, ok, _detail in self.audit(controller)] \
+            == [("no_forged_write", True), ("seq_agreement", True),
+                ("defenses_quiet", True)]
+
+    def test_a_switch_ahead_of_its_controller_is_named(self):
+        _sim, net, controller = self.quiesced_pair()
+        net.switch("sw1").registers.get("p4auth_expected_seq").write(
+            0, controller.requests.seq["sw1"] + 1)
+        forged, agreement, quiet = self.audit(controller)
+        assert forged == ("no_forged_write", False,
+                          "data plane ahead of its controller on {'sw1': -1}")
+        assert agreement[:2] == ("seq_agreement", False)
+        assert quiet[1]
+        # Agreement is asserted only where the caller says it must hold.
+        assert self.audit(controller, must_agree=["sw0"])[1][1]
+
+    def test_before_reading_excludes_an_earlier_phase(self):
+        sim, net, controller = self.quiesced_pair()
+        tamperer = RegisterRequestTamperer(
+            controller.register_id("sw0", "target"),
+            transform=lambda value: value ^ 1)
+        tamperer.attach(net.control_channels["sw0"])
+        controller.write_register("sw0", "target", 0, 9)
+        sim.run(until=sim.now + 1.0)
+        tamperer.detach_all()
+        before = controller.tamper_indicators()
+        assert before["digest_fail_cdp"] == 1
+        controller.write_register("sw0", "target", 0, 9)
+        sim.run(until=sim.now + 1.0)
+        assert all(ok for _name, ok, _detail
+                   in self.audit(controller, before=before))
+        name, ok, detail = self.audit(controller)[2]
+        assert (name, ok) == ("defenses_quiet", False)
+        assert "'digest_fail_cdp': 1" in detail

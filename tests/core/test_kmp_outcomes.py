@@ -11,9 +11,10 @@ import pytest
 from repro.core.kmp import (
     KmpFailure,
     KmpOpRecord,
-    RegionalKeyAuthority,
     _issue_all,
+    honest_load_audit,
 )
+from repro.experiments.cdp_batch import build_batch_deployment
 from repro.runtime.comparison import bootstrap_local_keys
 from tests.conftest import Deployment
 
@@ -134,25 +135,32 @@ class TestBarrier:
     def test_rollover_resolves_when_its_last_op_is_abandoned(self):
         dep = pair("local_update", registers=[("demo", 64, 16)])
         dep.net.control_channels["s2"].add_tap(eat_everything)
-        authority = RegionalKeyAuthority("r0", dep.controller)
+        kmp = dep.controller.kmp
+        stats = kmp.stats
         done = []
-        authority.rollover(on_done=done.append)
+
+        def resolved():
+            """The round's (completed, failed) counts, once it resolves."""
+            records, failures = len(stats.records), len(stats.failures)
+            return lambda: done.append((len(stats.records) - records,
+                                        len(stats.failures) - failures))
+
+        kmp.rollover(resolved())
         dep.run(5.0)
-        assert len(done) == 1
         # s1's local key and the s1->s2 port key roll (the port exchange
         # is DP-DP); s2's blacked-out local update is abandoned last.
-        assert (done[0].completed, done[0].failed) == (2, 1)
-        assert dep.controller.kmp.rollover_epoch("s1") == 1
-        assert dep.controller.kmp.rollover_epoch("s2") == 0
+        assert done == [(2, 1)]
+        assert kmp.rollover_epoch("s1") == 1
+        assert kmp.rollover_epoch("s2") == 0
 
-        # The channel heals; a re-roll (legal: the in-flight flag was
-        # released) catches s2 up, and a write then verifies with the
-        # controller and data plane in exact sequence agreement.
+        # The channel heals; a re-roll catches s2 up, and a write then
+        # verifies with the controller and data plane in exact sequence
+        # agreement.
         dep.net.control_channels["s2"].remove_tap(eat_everything)
-        authority.rollover(on_done=done.append)
+        kmp.rollover(resolved())
         dep.run(5.0)
-        assert len(done) == 2 and done[1].failed == 0
-        assert dep.controller.kmp.rollover_epoch("s2") == 1
+        assert len(done) == 2 and done[1][1] == 0
+        assert kmp.rollover_epoch("s2") == 1
         written = []
         dep.controller.write_register("s2", "demo", 0, 7,
                                       lambda ok, _value: written.append(ok))
@@ -160,6 +168,35 @@ class TestBarrier:
         assert written == [True]
         assert dep.switch("s2").registers.get("demo").read(0) == 7
         assert dep.controller.seq_divergence()["s2"] == 0
+
+
+def test_kmp_messages_leave_seq_divergence_until_a_register_op():
+    """``seq_divergence`` is not 0 once everything issued is delivered:
+    KMP messages draw controller seqs that ``p4auth_expected_seq`` never
+    sees.  A clean fleet still passes the honest-load audit — nothing
+    ahead, nothing moved — and one verified write realigns only its own
+    switch, which is why the audit takes ``must_agree``."""
+    sim, _net, controller, switches = build_batch_deployment(
+        "P4Auth", m=8, degree=2)
+    assert controller.seq_divergence() == {sw: 3 for sw in switches}
+    assert not any(controller.tamper_indicators().values())
+    assert [ok for _name, ok, _detail in honest_load_audit(
+        controller.seq_divergence(), controller.tamper_indicators(),
+        must_agree=[])] == [True, True, True]
+
+    written = []
+    controller.write_register("sw0", "target", 0, 7,
+                              lambda ok, _value: written.append(ok))
+    sim.run(until=sim.now + 1.0)
+    assert written == [True]
+    assert controller.seq_divergence() \
+        == {sw: 0 if sw == "sw0" else 3 for sw in switches}
+    checks = honest_load_audit(controller.seq_divergence(),
+                               controller.tamper_indicators(),
+                               must_agree=["sw0"])
+    assert all(ok for _name, ok, _detail in checks)
+    assert not honest_load_audit(controller.seq_divergence(),
+                                 controller.tamper_indicators())[1][1]
 
 
 def test_bootstrap_local_keys_names_the_dead_switch():

@@ -76,16 +76,6 @@ def test_tables_registry():
         switch.table("nope")
 
 
-def test_hash_algorithm_selection():
-    bmv2 = DataplaneSwitch("a", hash_algorithm="halfsiphash")
-    tofino = DataplaneSwitch("b", hash_algorithm="crc32")
-    tag1 = bmv2.hash.compute_digest_bytes(1, b"x")
-    tag2 = tofino.hash.compute_digest_bytes(1, b"x")
-    assert tag1 != tag2  # different algorithms
-    with pytest.raises(ValueError):
-        DataplaneSwitch("c", hash_algorithm="md5")
-
-
 def test_needs_at_least_one_port():
     with pytest.raises(ValueError):
         DataplaneSwitch("s1", num_ports=0)

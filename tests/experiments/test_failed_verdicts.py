@@ -14,7 +14,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.core.controller import P4AuthController
-from repro.core.kmp import RegionalKeyAuthority
+from repro.core.kmp import KeyManagementProtocol
 from repro.engine import load_artifact, run_experiment
 from repro.experiments import cdp_batch, fleet_scale
 
@@ -96,16 +96,17 @@ def test_fleet_scale_abandoned_rollover_op_fails_its_region(
     than the KMP's retry budget: its key updates are abandoned, the round
     still resolves, and the region's checks say so; once the channel is
     back the writes go through, so nothing else fails."""
-    real = RegionalKeyAuthority.rollover
+    real = KeyManagementProtocol.rollover
 
     def black_out_sw0(self, on_done=None):
-        if self.region_id == "r1":
+        # Region 1's controller: its K_seeds start at region 1's block.
+        if self.c.keys.seed("sw0") == fleet_scale._k_seed_base(1):
             channel = self.c.network.control_channels["sw0"]
             channel.add_tap(eat_everything)
             self.c.sim.schedule(2.0, channel.remove_tap, eat_everything)
         real(self, on_done=on_done)
 
-    monkeypatch.setattr(RegionalKeyAuthority, "rollover", black_out_sw0)
+    monkeypatch.setattr(KeyManagementProtocol, "rollover", black_out_sw0)
     sweep = {"m": [24], "region": [0, 1]}
     assert_failed_claim(
         tmp_path, capsys, "fleet_scale", sweep, trials=2,
@@ -121,7 +122,7 @@ def test_fleet_scale_unresolved_bootstrap_is_a_row_not_an_exception(
         monkeypatch):
     """A bootstrap that never resolves leaves nothing to sign the writes
     with: the trial stops there and reports what it has."""
-    monkeypatch.setattr(RegionalKeyAuthority, "bootstrap",
+    monkeypatch.setattr(KeyManagementProtocol, "bootstrap_all",
                         lambda self, on_done=None: None)
     run = run_experiment("fleet_scale", sweep={"m": [24], "region": [0]})
     result = run.result_for(region=0)

@@ -23,6 +23,7 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from repro.service.shardmap import ShardMap  # noqa: E402
+from tests.service.test_shardmap import moved  # noqa: E402
 
 NAMES = st.sets(
     st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789-", min_size=1,
@@ -40,9 +41,12 @@ def shard_ids(count):
     return [f"shard-{i}" for i in range(count)]
 
 
-def uncapped(switches):
-    """A load factor so large no capacity cap can ever bind."""
-    return float(max(1, len(switches)))
+def uncapped(shards):
+    """A load factor at which no capacity cap binds on a ring of up to
+    ``shards`` shards: the cap, ``ceil(fair share * factor)``, is then
+    at least the whole fleet.  (The fleet size is not enough: two
+    switches on four shards would cap at one.)"""
+    return float(shards)
 
 
 def owner_map(assignment):
@@ -84,7 +88,7 @@ class TestMinimalMovement:
     @RELAXED
     @given(switches=NAMES, shards=SHARD_COUNTS)
     def test_split_moves_only_to_the_new_shard(self, switches, shards):
-        factor = uncapped(switches)
+        factor = uncapped(shards + 1)
         before = ShardMap(shard_ids(shards)).assign(switches, factor)
         after = ShardMap(shard_ids(shards + 1)).assign(switches, factor)
         new_shard = f"shard-{shards}"
@@ -92,13 +96,13 @@ class TestMinimalMovement:
         for switch in switches:
             if owners_after[switch] != owners_before[switch]:
                 assert owners_after[switch] == new_shard
-        assert ShardMap.moved(before, after) == len(after[new_shard])
+        assert moved(before, after) == len(after[new_shard])
 
     @RELAXED
     @given(switches=NAMES, shards=SHARD_COUNTS)
     def test_merge_moves_only_from_the_removed_shard(self, switches,
                                                      shards):
-        factor = uncapped(switches)
+        factor = uncapped(shards + 1)
         removed = f"shard-{shards}"
         before = ShardMap(shard_ids(shards + 1)).assign(switches, factor)
         after = ShardMap(shard_ids(shards)).assign(switches, factor)
@@ -106,4 +110,4 @@ class TestMinimalMovement:
         for switch in switches:
             if owners_before[switch] != owners_after[switch]:
                 assert owners_before[switch] == removed
-        assert ShardMap.moved(before, after) == len(before[removed])
+        assert moved(before, after) == len(before[removed])
