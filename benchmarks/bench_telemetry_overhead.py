@@ -28,7 +28,7 @@ from repro.telemetry import NULL_TELEMETRY, Telemetry
 DURATION_S = 2.0
 
 
-def fig18(duration_s, telemetry=None):
+def fig18(duration_s, telemetry=NULL_TELEMETRY):
     """Every Fig 18 trial, each handed the one shared ``telemetry``."""
     spec = get_spec("fig18")
     plans = spec.expand(sweep={"duration_s": [duration_s],

@@ -82,8 +82,7 @@ def cmd_run(argv) -> int:
                              "('' to skip the artifact)")
     parser.add_argument("--trace-dir", default=None,
                         help="write a per-trial telemetry JSONL trace and "
-                             "Prometheus dump here (specs that support "
-                             "telemetry only)")
+                             "Prometheus dump here")
     args = parser.parse_args(argv)
 
     if args.name is None:
@@ -103,8 +102,6 @@ def cmd_run(argv) -> int:
         print(f"{exc.args[0]} (valid: {spec.param_names()})",
               file=sys.stderr)
         raise SystemExit(2)
-    if args.trace_dir is not None and not spec.supports_telemetry:
-        print(f"# {spec.name} does not emit telemetry; --trace-dir ignored")
 
     try:
         runner = Runner(workers=args.workers, out_dir=args.out_dir or None,

@@ -30,6 +30,8 @@ from repro.engine.artifact import build_artifact, write_artifact
 from repro.engine.canon import to_jsonable
 from repro.engine.registry import get_spec
 from repro.engine.spec import ExperimentSpec, TrialContext, TrialPlan
+from repro.telemetry import NULL_TELEMETRY, Telemetry
+from repro.telemetry.exporters import write_prometheus
 
 
 class MissingTrials(KeyError):
@@ -135,18 +137,15 @@ def execute_trial(spec: ExperimentSpec, plan: TrialPlan,
                   ) -> Tuple[Dict[str, Any], Dict[str, float]]:
     """Run one trial in-process: its canonical result and the host-clock
     readings it took (``ctx.host``)."""
-    telemetry = None
-    if trace_dir is not None and spec.supports_telemetry:
-        from repro.telemetry import Telemetry
-        telemetry = Telemetry(enabled=True)
+    telemetry = (NULL_TELEMETRY if trace_dir is None
+                 else Telemetry(enabled=True))
     ctx = TrialContext(params=dict(plan.params), seed=plan.seed,
                        telemetry=telemetry)
     result = to_jsonable(spec.trial(ctx))
     if not isinstance(result, dict):
         raise TypeError(f"trial for {spec.name!r} must return a mapping, "
                         f"got {type(result).__name__}")
-    if telemetry is not None:
-        from repro.telemetry.exporters import write_prometheus
+    if telemetry.enabled:
         os.makedirs(trace_dir, exist_ok=True)
         safe = plan.trial_id.replace("[", ".").replace("]", "")
         stem = os.path.join(trace_dir, safe)

@@ -37,6 +37,7 @@ from typing import (
 )
 
 from repro.engine.canon import canonical_json, content_hash
+from repro.telemetry import NULL_TELEMETRY
 
 
 @dataclass
@@ -47,8 +48,9 @@ class TrialContext:
     params: Dict[str, Any]
     #: The trial's seed (also present in ``params`` for seeded specs).
     seed: int
-    #: A live ``Telemetry`` when per-trial trace capture is on, else None.
-    telemetry: Any = None
+    #: The ``Telemetry`` every simulator the trial builds carries: live
+    #: when per-trial trace capture is on, else :data:`NULL_TELEMETRY`.
+    telemetry: Any = NULL_TELEMETRY
     #: The named checks this trial has recorded so far, in order.
     checks: List[Dict[str, Any]] = field(default_factory=list)
     #: Host-clock readings (wall seconds and what is derived from them).
@@ -109,8 +111,6 @@ class ExperimentSpec:
     #: Bumped whenever the trial's result semantics change (artifact
     #: metadata).
     spec_version: int = 1
-    #: Whether the trial function threads ``ctx.telemetry`` through.
-    supports_telemetry: bool = False
     tags: Tuple[str, ...] = ()
     #: The paper's claims about this experiment, judged after the run.
     claims: Tuple[Claim, ...] = ()

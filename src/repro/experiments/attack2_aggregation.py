@@ -47,7 +47,7 @@ def _trial(ctx: TrialContext) -> dict:
     mode, chunks, num_workers = p["mode"], p["chunks"], p["num_workers"]
     max_retries = p["max_retries"]
     check_mode(mode)
-    sim = EventSimulator()
+    sim = EventSimulator(telemetry=ctx.telemetry)
     net = Network(sim)
 
     agg_switch = DataplaneSwitch("agg", num_ports=num_workers + 1)

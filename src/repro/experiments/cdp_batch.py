@@ -256,7 +256,6 @@ SPEC = register(ExperimentSpec(
     short={"m": 9, "requests_per_switch": 2},
     seed_param="seed",
     spec_version=2,
-    supports_telemetry=True,
     tags=("runtime", "batching", "scalability"),
     claims=(
         claim("pipelining_speedup_m100", "P4Auth, lossless m = 100: >= 3x "
@@ -286,6 +285,5 @@ LOSSY_SPEC = register(ExperimentSpec(
     short={"loss_rate": [0.0, 0.05]},
     seed_param="seed",
     spec_version=2,
-    supports_telemetry=True,
     tags=("chaos", "batching", "runtime"),
 ))

@@ -147,7 +147,7 @@ async def _drive(ctx: TrialContext) -> Dict[str, object]:
         max_in_flight=p["max_in_flight"],
         issue_window=p["issue_window"],
         queue_depth=p["queue_depth"],
-        seed=p["seed"]))
+        seed=p["seed"]), telemetry=ctx.telemetry)
     await service.start()
     switches = service.config.switch_names
     written: Dict[Tuple[str, int], Set[int]] = {}

@@ -51,7 +51,7 @@ def _trial(ctx: TrialContext) -> dict:
     mode, probe_period_s, warmup_s = (p["mode"], p["probe_period_s"],
                                       p["warmup_s"])
     check_mode(mode)
-    net, extras, hulas = fig3_hula_world()
+    net, extras, hulas = fig3_hula_world(ctx.telemetry)
     sim = extras["sim"]
     for link in net.links:
         link.bandwidth_bps = LINK_BANDWIDTH_BPS

@@ -37,7 +37,7 @@ def _trial(ctx: TrialContext) -> dict:
     p = ctx.params
     mode, seed = p["mode"], p["seed"]
     duration_s, attack_start_s = p["duration_s"], p["attack_start_s"]
-    sim = EventSimulator()
+    sim = EventSimulator(telemetry=ctx.telemetry)
     net = Network(sim)
     switch = DataplaneSwitch("edge", num_ports=3, seed=seed)
     net.add_switch(switch)

@@ -156,7 +156,6 @@ SPEC = register(ExperimentSpec(
               "data_period_s": 0.0002, "warmup_s": 0.5},
     short={"duration_s": 1.5},
     seed_param="seed",
-    supports_telemetry=True,
     tags=("figure", "defense"),
     claims=(
         claim("traffic_shares", "≈ equal thirds; > 70 % via S4 under "

@@ -91,7 +91,6 @@ SPEC = register(ExperimentSpec(
     defaults={"repeats": 20, "seed": 3},
     short={"repeats": 3},
     seed_param="seed",
-    supports_telemetry=True,
     tags=("figure", "kmp"),
     claims=(
         claim("rtt_ordering", "init 1-2 ms, port-key init the longest; "

@@ -36,7 +36,7 @@ def _trial(ctx: TrialContext) -> dict:
     num_probes, spacing_s = p["num_probes"], p["spacing_s"]
     if num_switches < 2:
         raise ValueError("the chain experiment needs at least 2 switches")
-    net, extras = linear_chain(num_switches)
+    net, extras = linear_chain(num_switches, telemetry=ctx.telemetry)
     sim = extras["sim"]
     for name, config in chain_hula_configs(num_switches).items():
         HulaDataplane(net.switch(name), config).install()

@@ -108,7 +108,7 @@ def _trial(ctx: TrialContext) -> dict:
     sim, _net, controller, switches = build_batch_deployment(
         "P4Auth", m=m, degree=degree, seed=region_seed(p["seed"], region),
         max_in_flight=p["max_in_flight"], k_seed_base=_k_seed_base(region),
-        bootstrap=False)
+        bootstrap=False, telemetry=ctx.telemetry)
     kmp = controller.kmp
     result: Dict[str, object] = {"switches": m, "links": m * degree // 2}
 

@@ -66,7 +66,7 @@ def _trial(ctx: TrialContext) -> dict:
     mode, num_switches = p["mode"], p["num_switches"]
     num_probes, spacing_s = p["num_probes"], p["spacing_s"]
     check_mode(mode)
-    net, extras = linear_chain(num_switches)
+    net, extras = linear_chain(num_switches, telemetry=ctx.telemetry)
     sim = extras["sim"]
 
     # Hop 2 is congested for even flow ids (bursty congestion), healthy

@@ -89,7 +89,7 @@ def _trial(ctx: TrialContext) -> Dict[str, Any]:
         raise ValueError(f"system must be one of {SYSTEMS}")
     spec = PersonaSpec(kind=p["persona"], rate_hz=p["attack_rate_hz"],
                        seed=seed)
-    sim = EventSimulator()
+    sim = EventSimulator(telemetry=ctx.telemetry)
     net = Network(sim)
     s1 = DataplaneSwitch("s1", num_ports=4, seed=seed)
     s2 = DataplaneSwitch("s2", num_ports=4, seed=seed + 1)

@@ -94,8 +94,7 @@ def _kill_and_recover(ctx: TrialContext,
         "P4Auth", m=m, degree=int(params["degree"]),
         seed=int(params["seed"]), telemetry=telemetry,
         max_in_flight=max_in_flight)
-    metrics = telemetry.metrics if telemetry is not None \
-        and telemetry.enabled else None
+    metrics = telemetry.metrics if telemetry.enabled else None
 
     # Arm the durability layer on the bootstrapped controller.
     journal, snapshots, _records = open_store(state_dir, fsync=fsync,
@@ -279,7 +278,6 @@ SPEC = register(ExperimentSpec(
     short={"kill_on": ["seq_advance"], "m": [9]},
     seed_param="seed",
     spec_version=3,
-    supports_telemetry=True,
     tags=("chaos", "store", "recovery"),
 ))
 
@@ -294,6 +292,5 @@ OVERHEAD_SPEC = register(ExperimentSpec(
     short={"fsync": ["batch"], "m": 9, "repeats": 2},
     seed_param="seed",
     spec_version=2,
-    supports_telemetry=True,
     tags=("store", "perf"),
 ))

@@ -24,7 +24,8 @@ SYSTEMS = {
 
 
 def _trial(ctx: TrialContext) -> TableIScenarioResult:
-    return SYSTEMS[ctx.params["system"]](ctx.params["mode"])
+    return SYSTEMS[ctx.params["system"]](ctx.params["mode"],
+                                         telemetry=ctx.telemetry)
 
 
 SPEC = register(ExperimentSpec(

@@ -39,7 +39,8 @@ def _trial(ctx: TrialContext) -> Dict[str, object]:
     # The batch fleet (m=25, d=4 gives exactly the paper's n=50 links)
     # with no key established yet: the trial runs the KMP itself.
     sim, _net, controller, _switches = build_batch_deployment(
-        "P4Auth", m=m, degree=degree, seed=seed, bootstrap=False)
+        "P4Auth", m=m, degree=degree, seed=seed, bootstrap=False,
+        telemetry=ctx.telemetry)
     kmp = controller.kmp
     n = len(kmp.switch_links())
 

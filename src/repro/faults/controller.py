@@ -99,8 +99,8 @@ class ControllerKillSwitch:
         controller.halt()
         self.kills += 1
         self.killed_at = controller.sim.now
-        telemetry = getattr(self.network, "telemetry", None)
-        if telemetry is not None and telemetry.enabled:
+        telemetry = self.network.telemetry
+        if telemetry.enabled:
             telemetry.metrics.counter("fault_controller_kills_total").inc()
             telemetry.tracer.emit(
                 "fault.controller_kill",

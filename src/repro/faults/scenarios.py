@@ -328,7 +328,6 @@ def _register_chaos(name: str, title: str, trial, duration_s: float) -> None:
         trial=trial,
         defaults={"scenario": name, "seed": 1, "duration_s": duration_s},
         seed_param="seed",
-        supports_telemetry=True,
         tags=("chaos",),
     ))
 

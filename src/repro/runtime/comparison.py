@@ -159,7 +159,6 @@ SPEC = register(ExperimentSpec(
     defaults={"duration_s": 10.0, "jitter_fraction": 0.0,
               "include_samples": False},
     short={"duration_s": 1.0},
-    supports_telemetry=True,
     tags=("figure", "runtime"),
     # Read off [read, write] x [P4Runtime, DP-Reg-RW, P4Auth].
     claims=(

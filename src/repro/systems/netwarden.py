@@ -91,10 +91,11 @@ def ipd_variance(count: int, total: int, sq_sum: int) -> float:
 
 
 def run_scenario(mode: str, packets_per_conn: int = 40,
-                 seed: int = 9) -> TableIScenarioResult:
+                 seed: int = 9, *,
+                 telemetry=None) -> TableIScenarioResult:
     """Table I row "IDS-IPS / NetWarden": evasion of detection."""
     check_mode(mode)
-    sim = EventSimulator()
+    sim = EventSimulator(telemetry=telemetry)
     net = Network(sim)
     switch = DataplaneSwitch("s1", num_ports=2)
     net.add_switch(switch)

@@ -11,19 +11,24 @@ One :class:`Telemetry` object bundles the two observability surfaces:
 Pass a ``Telemetry(enabled=True)`` instance into
 :class:`~repro.net.simulator.EventSimulator` (directly or through the
 topology builders / experiment drivers); the network, switches,
-controller, KMP, and runtime stacks all discover it from there.  When no
-instance is supplied, everything shares :data:`NULL_TELEMETRY`, whose
-mutators are no-ops — the fast path the overhead benchmark bounds.
+controller, KMP, and runtime stacks all discover it from there.  The
+engine hands every trial one (``TrialContext.telemetry``): live under
+``--trace-dir``, else :data:`NULL_TELEMETRY`, whose mutators are no-ops
+— the fast path the overhead benchmark bounds.
 
-Trace-event vocabulary (see DESIGN.md "Observability"):
-``packet.drop``, ``link.up``, ``link.down``, ``digest.verify_fail``,
-``replay.reject``, ``alert.raised``, ``kmp.exchange``,
-``kmp.exchange_abandoned``, ``controller.packet_in``,
-``controller.tamper``, ``runtime.request_abandoned``,
-``sim.budget_exhausted``, and the ``fault.*`` family emitted by
-:mod:`repro.faults` (``fault.armed``,
-``fault.disarmed``, ``fault.injected``, ``fault.node_crash``,
-``fault.node_restart``, ``fault.blackout``).
+Trace-event vocabulary, the one list of the names :mod:`repro` passes
+to ``Tracer.emit`` (a test holds the two equal):
+
+- forwarding: ``packet.drop``, ``link.up``, ``link.down``,
+  ``sim.budget_exhausted``;
+- P4Auth: ``digest.verify_fail``, ``replay.reject``, ``alert.raised``,
+  ``controller.packet_in``, ``controller.tamper``;
+- key management: ``kmp.exchange``, ``kmp.exchange_abandoned``;
+- runtime stacks: ``runtime.request_abandoned``,
+  ``batch.callback_error``;
+- faults (:mod:`repro.faults`): ``fault.armed``, ``fault.disarmed``,
+  ``fault.injected``, ``fault.node_crash``, ``fault.node_restart``,
+  ``fault.controller_kill``.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ from repro.dataplane.switch import DataplaneSwitch
 from repro.engine import TrialContext, get_spec
 from repro.net.network import Network
 from repro.net.simulator import EventSimulator
+from repro.telemetry import NULL_TELEMETRY
 
 
 class Deployment:
@@ -69,7 +70,7 @@ def pin_lane(engine, lane: str):
     return engine
 
 
-def run_trial(name: str, telemetry=None, **params):
+def run_trial(name: str, telemetry=NULL_TELEMETRY, **params):
     """One trial of spec ``name``, as the engine would run it: the spec's
     defaults with ``params`` swept in (name every grid axis, so exactly
     one plan remains), handed to the spec's trial function with the

@@ -6,12 +6,14 @@ from its ``--short`` run.  Host time never enters either (the engine
 files it under ``run_meta``), so a digest moves only when a result
 does, and the failing case names the spec.
 
-The writer below records with one worker and this interpreter's
-built-in ``sum``; each case recomputes with two workers under CPython
-3.12's compensated float ``sum`` (gh-100425), patched in.  So every
-case also proves that the worker count does not touch the result, and
-that no result depends on how the interpreter sums floats: results sum
-them left to right (``repro.analysis.total``).
+The writer below records untraced, with one worker and this
+interpreter's built-in ``sum``; each case recomputes traced (every
+trial writes its ``<trial>.jsonl`` and ``<trial>.prom``), with two
+workers, under CPython 3.12's compensated float ``sum`` (gh-100425),
+patched in.  So every case also proves that neither tracing nor the
+worker count touches the result, and that no result depends on how the
+interpreter sums floats: results sum them left to right
+(``repro.analysis.total``).
 
 A change that moves a result rewrites the golden and says which specs
 moved and why:
@@ -30,6 +32,7 @@ from repro.engine import (
     CATALOG_MODULES,
     all_specs,
     content_hash,
+    get_spec,
     run_experiment,
 )
 
@@ -45,8 +48,9 @@ def catalog():
                   if spec.trial.__module__ in CATALOG_MODULES)
 
 
-def digest(name, workers):
-    document = run_experiment(name, short=True, workers=workers).document()
+def digest(name, workers, trace_dir=None):
+    document = run_experiment(name, short=True, workers=workers,
+                              trace_dir=trace_dir).document()
     return content_hash({"trials": document["trials"],
                          "claims": document["claims"]})
 
@@ -87,12 +91,19 @@ def test_golden_covers_the_catalog():
 
 
 @pytest.mark.parametrize("name", sorted(load_golden()))
-def test_short_run_matches_its_digest(name, monkeypatch):
+def test_short_run_matches_its_digest(name, monkeypatch, tmp_path):
     # The engine's pool forks, so its workers inherit the patch.
     monkeypatch.setattr(builtins, "sum", compensated_sum)
-    assert digest(name, workers=2) == load_golden()[name], \
+    assert digest(name, workers=2, trace_dir=str(tmp_path)) \
+        == load_golden()[name], \
         f"{name}: --short trials or claims moved; see this module's " \
         f"docstring to re-record"
+    written = {suffix: sorted(file[:-len(suffix)]
+                              for file in os.listdir(tmp_path)
+                              if file.endswith(suffix))
+               for suffix in (".jsonl", ".prom")}
+    assert written[".jsonl"] == written[".prom"]
+    assert len(written[".jsonl"]) == len(get_spec(name).expand(short=True))
 
 
 if __name__ == "__main__":

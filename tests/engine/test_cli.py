@@ -131,14 +131,17 @@ class TestRun:
             f"--workers {workers}: workers must be >= 1"]
         assert not os.listdir(tmp_path)
 
-    def test_run_trace_dir_on_spec_without_telemetry_says_so(
-            self, tmp_path, capsys):
+    def test_run_trace_dir_on_spec_without_simulator_writes_empty_files(
+            self, tmp_path):
         traces = tmp_path / "traces"
         assert main(["run", "table2", "--out-dir", "",
                      "--trace-dir", str(traces)]) == 0
-        assert ("# table2 does not emit telemetry; --trace-dir ignored"
-                in capsys.readouterr().out)
-        assert not traces.exists()
+        assert sorted(os.listdir(traces)) == [
+            f"table2.program={program}.{ext}"
+            for program in ("baseline", "p4auth")
+            for ext in ("jsonl", "prom")]
+        assert all((traces / name).stat().st_size == 0
+                   for name in os.listdir(traces))
 
     def test_run_base_seed_recorded_in_artifact(self, tmp_path):
         assert main(["run", "table3", "--short", "--seed", "9",

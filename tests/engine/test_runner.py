@@ -258,12 +258,13 @@ class TestRunnerMisc:
 
     def test_trace_dir_writes_per_trial_jsonl(self, tmp_path):
         def tel_trial(ctx):
-            return {"have_telemetry": ctx.telemetry is not None}
+            return {"traced": ctx.telemetry.enabled}
 
         spec = ExperimentSpec(name="_test-tel", title="tel", source="test",
-                              trial=tel_trial, supports_telemetry=True)
+                              trial=tel_trial)
+        assert Runner().run(spec).result_for() == {"traced": False}
         run = Runner(trace_dir=str(tmp_path)).run(spec)
-        assert run.result_for() == {"have_telemetry": True}
+        assert run.result_for() == {"traced": True}
         assert os.path.exists(tmp_path / "_test-tel.jsonl")
         assert os.path.exists(tmp_path / "_test-tel.prom")
 

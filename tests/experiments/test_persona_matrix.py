@@ -1,10 +1,12 @@
 """The persona_matrix experiment: registration, determinism, invariants."""
 
 import hashlib
+import json
 
 import pytest
 
 from repro.attacks.personas import PERSONA_KINDS
+from repro.engine import run_experiment
 from repro.engine.canon import canonical_json
 from repro.engine.registry import get_spec
 from repro.experiments.persona_matrix import SYSTEMS, WATCHED_SIGNALS
@@ -97,3 +99,39 @@ class TestTrialInvariants:
         assert netcache["detected"] is False
         assert netcache["persona_outcome"]["surface_reachable"] == 0.0
         assert netcache["forged_writes"] == 0
+
+
+#: detection signal -> (trace event, its ``channel``; None: any).
+SIGNAL_EVENTS = {
+    "replays_detected": ("replay.reject", None),
+    "digest_fail_cdp": ("digest.verify_fail", "cdp"),
+    "digest_fail_dpdp": ("digest.verify_fail", "dpdp"),
+}
+
+
+class TestTrace:
+    def test_each_detection_is_in_the_trial_trace(self, tmp_path):
+        """The polled detector's first signal has its trace event between
+        the persona's arming and the reported detection time."""
+        run = run_experiment(
+            "persona_matrix", short=True, trace_dir=str(tmp_path), workers=2,
+            sweep={"system": ["hula"], "attack_rate_hz": [400.0],
+                   "persona": ["replay-flooder", "probe-mitm",
+                               "switch-os-injector"]})
+        signals = set()
+        for trial in run.trials:
+            result = trial.result
+            assert result["detected"], trial.id
+            signals.add(result["detection_signal"])
+            name, channel = SIGNAL_EVENTS[result["detection_signal"]]
+            armed = result["persona_outcome"]["armed_at_s"]
+            detected = armed + result["detection_latency_s"]
+            stem = trial.id.replace("[", ".").replace("]", "")
+            with open(tmp_path / f"{stem}.jsonl") as trace:
+                events = [json.loads(line) for line in trace]
+            assert any(
+                event["event"] == name
+                and channel in (None, event.get("channel"))
+                and armed <= event["t"] <= detected + 1e-9
+                for event in events), (trial.id, name, channel)
+        assert signals == set(SIGNAL_EVENTS)

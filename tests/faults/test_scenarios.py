@@ -14,7 +14,6 @@ def test_smoke_scenarios_are_registered_and_cheap():
              for name in SMOKE_SCENARIOS + ("lossy-fig17",)}
     for name, spec in specs.items():
         assert spec.source == "chaos" and "chaos" in spec.tags
-        assert spec.supports_telemetry
         assert spec.defaults["scenario"] == name
     # The expensive one stays out of smoke.
     assert all(specs[name].defaults["duration_s"]
