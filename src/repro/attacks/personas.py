@@ -26,7 +26,7 @@ reach, detection, and DoS behaviour across the whole matrix.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from itertools import count
 from typing import Callable, Dict, List, Optional, Set
 
@@ -76,9 +76,6 @@ class PersonaSpec:
             raise ValueError("rate_hz must be positive")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-
-    def as_dict(self) -> Dict[str, object]:
-        return asdict(self)
 
 
 @dataclass
@@ -345,12 +342,13 @@ class GroundTruthSampler:
     after sampling starts.
     """
 
-    def __init__(self, sim, switch, reg_name: str, allowed: Set[int],
-                 index: int = 0, period_s: float = 0.05):
+    #: The register slot sampled, and the virtual seconds between samples.
+    INDEX = 0
+    PERIOD_S = 0.05
+
+    def __init__(self, sim, switch, reg_name: str, allowed: Set[int]):
         self.sim = sim
         self.allowed = allowed
-        self.index = index
-        self.period_s = period_s
         self.samples: List[int] = []
         self._register = switch.registers.get(reg_name)
         self._until_s = 0.0
@@ -361,9 +359,9 @@ class GroundTruthSampler:
         self._sample()
 
     def _sample(self) -> None:
-        self.samples.append(self._register.read(self.index))
+        self.samples.append(self._register.read(self.INDEX))
         if self.sim.now < self._until_s:
-            self.sim.schedule(self.period_s, self._sample)
+            self.sim.schedule(self.PERIOD_S, self._sample)
 
     def forged(self) -> List[int]:
         """Every sampled value outside the allowed set."""

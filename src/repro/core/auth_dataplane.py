@@ -49,7 +49,6 @@ from repro.core.messages import (
 )
 from repro.core.regops import RegOpTable
 from repro.core.secrets import is_internal_register
-from repro.crypto.kdf import Kdf
 from repro.crypto.prng import XorShiftPrng
 from repro.dataplane.packet import Packet
 from repro.dataplane.pipeline import Emit, PipelineContext
@@ -109,8 +108,7 @@ class P4AuthDataplane:
     """The P4Auth program fragment resident in one switch data plane."""
 
     def __init__(self, switch: DataplaneSwitch, k_seed: int,
-                 config: Optional[P4AuthConfig] = None,
-                 kdf: Optional[Kdf] = None):
+                 config: Optional[P4AuthConfig] = None):
         if k_seed == 0:
             # A zero key is "no key material" everywhere else
             # (``_select_key``), so K_seed must be a real one.
@@ -123,7 +121,6 @@ class P4AuthDataplane:
         self.keys = DataplaneKeyStore(switch.registers, switch.num_ports)
         self.digest = DigestEngine(extern=switch.hash)
         self.stats = P4AuthStats()
-        self._kdf = kdf or Kdf()
         # The switch's random() extern backs all protocol randomness.
         self._prng = XorShiftPrng(switch.random.random(64))
 
@@ -491,7 +488,7 @@ class P4AuthDataplane:
 
     def _eak_respond(self, ctx: PipelineContext, hdr) -> None:
         salt1 = ctx.packet.get(EAK)["salt"]
-        endpoint = EakEndpoint(self.k_seed, self._prng, self._kdf)
+        endpoint = EakEndpoint(self.k_seed, self._prng)
         salt2, k_auth = endpoint.respond(salt1)
         self._charge_kdf()
         self._kauth.write(0, k_auth)
@@ -506,7 +503,7 @@ class P4AuthDataplane:
         context_port = hdr["flags"]
         if context_port and self._leg_port(ctx, context_port) is None:
             return
-        endpoint = AdhkdEndpoint(self._prng, kdf=self._kdf)
+        endpoint = AdhkdEndpoint(self._prng)
         pk2, salt2, master = endpoint.respond(payload["pk"], payload["salt"])
         self._charge_kdf()
         reply = build_adhkd_message(KeyExchType.ADHKD_MSG2, pk2, salt2,
@@ -533,7 +530,7 @@ class P4AuthDataplane:
         a lost reply re-synchronizes instead of drifting.
         """
         payload = ctx.packet.get(ADHKD)
-        endpoint = AdhkdEndpoint(self._prng, kdf=self._kdf)
+        endpoint = AdhkdEndpoint(self._prng)
         pk2, salt2, master = endpoint.respond(payload["pk"], payload["salt"])
         self._charge_kdf()
         request_ver = hdr["keyVer"]
@@ -563,7 +560,7 @@ class P4AuthDataplane:
             return
         self._port_seq.write(port, seq)
         payload = ctx.packet.get(ADHKD)
-        endpoint = AdhkdEndpoint(self._prng, kdf=self._kdf)
+        endpoint = AdhkdEndpoint(self._prng)
         pk2, salt2, master = endpoint.respond(payload["pk"], payload["salt"])
         self._charge_kdf()
         request_ver = hdr["keyVer"]
@@ -601,7 +598,7 @@ class P4AuthDataplane:
             ctx.drop("ADHKD msg2 without a pending exchange")
             return
         payload = ctx.packet.get(ADHKD)
-        endpoint = AdhkdEndpoint(self._prng, kdf=self._kdf)
+        endpoint = AdhkdEndpoint(self._prng)
         endpoint.resume(self._pending_r1.read(port), self._pending_s1.read(port))
         master = endpoint.finish(payload["pk"], payload["salt"])
         self._charge_kdf()
@@ -614,7 +611,7 @@ class P4AuthDataplane:
         port = self._leg_port(ctx, ctx.packet.get(KEYCTL)["port"])
         if port is None:
             return
-        endpoint = AdhkdEndpoint(self._prng, kdf=self._kdf)
+        endpoint = AdhkdEndpoint(self._prng)
         pk1, salt1 = endpoint.start()
         r1, s1 = endpoint.pending_state()
         self._pending_r1.write(port, r1)

@@ -21,15 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto.kdf import Kdf
+from repro.crypto.kdf import kdf
 from repro.crypto.stream import crypt_word
 
 # Fixed, public derivation labels (the KDF salt for each derived key).
 LABEL_AUTH = 0x5034417574684155   # "P4Auth" || "AU"
 LABEL_ENC = 0x50344175746845_4E   # "P4Auth" || "EN"
 LABEL_NONCE = 0x503441757468_4E4F  # "P4Auth" || "NO"
-
-_default_kdf = Kdf()
 
 
 @dataclass(frozen=True)
@@ -41,16 +39,16 @@ class SessionKeys:
     nonce_base: int
 
 
-def derive_session_keys(master: int, kdf: Kdf = _default_kdf) -> SessionKeys:
+def derive_session_keys(master: int) -> SessionKeys:
     """Derive {auth, encryption, nonce-base} from a master secret.
 
     Both endpoints call this on the same master, so both hold the same
     family without any additional message exchange.
     """
     return SessionKeys(
-        auth=kdf.derive(master, LABEL_AUTH),
-        encryption=kdf.derive(master, LABEL_ENC),
-        nonce_base=kdf.derive(master, LABEL_NONCE),
+        auth=kdf(master, LABEL_AUTH),
+        encryption=kdf(master, LABEL_ENC),
+        nonce_base=kdf(master, LABEL_NONCE),
     )
 
 

@@ -30,10 +30,13 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.crypto.kdf import Kdf
+from repro.crypto.kdf import kdf
 from repro.crypto.modified_dh import DhParameters, dh_public, dh_shared
 from repro.crypto.ops import concat32, lo32
 from repro.crypto.prng import XorShiftPrng
+
+#: The group (P, G) both endpoints are compiled with.
+DH_PARAMS = DhParameters()
 
 
 def combine_salts(salt1: int, salt2: int) -> int:
@@ -44,10 +47,9 @@ def combine_salts(salt1: int, salt2: int) -> int:
 class EakEndpoint:
     """Either side of the EAK exchange."""
 
-    def __init__(self, k_seed: int, prng: XorShiftPrng, kdf: Optional[Kdf] = None):
+    def __init__(self, k_seed: int, prng: XorShiftPrng):
         self.k_seed = k_seed
         self._prng = prng
-        self._kdf = kdf or Kdf()
         self._salt1: Optional[int] = None
 
     # initiator (controller) side -------------------------------------------
@@ -61,7 +63,7 @@ class EakEndpoint:
         """Derive K_auth from the responder's S2."""
         if self._salt1 is None:
             raise RuntimeError("EAK finish() before start()")
-        k_auth = self._kdf.derive(self.k_seed, combine_salts(self._salt1, salt2))
+        k_auth = kdf(self.k_seed, combine_salts(self._salt1, salt2))
         self._salt1 = None
         return k_auth
 
@@ -70,7 +72,7 @@ class EakEndpoint:
     def respond(self, salt1: int) -> Tuple[int, int]:
         """Generate S2 and derive K_auth; returns (S2, K_auth)."""
         salt2 = self._prng.next64()
-        k_auth = self._kdf.derive(self.k_seed, combine_salts(salt1, salt2))
+        k_auth = kdf(self.k_seed, combine_salts(salt1, salt2))
         return salt2, k_auth
 
 
@@ -82,11 +84,8 @@ class AdhkdEndpoint:
     stateless and may be reused.
     """
 
-    def __init__(self, prng: XorShiftPrng, params: Optional[DhParameters] = None,
-                 kdf: Optional[Kdf] = None):
+    def __init__(self, prng: XorShiftPrng):
         self._prng = prng
-        self.params = params or DhParameters()
-        self._kdf = kdf or Kdf()
         self._r1: Optional[int] = None
         self._salt1: Optional[int] = None
 
@@ -96,7 +95,7 @@ class AdhkdEndpoint:
         """Generate (PK1, S1) and remember the private state."""
         self._r1 = self._prng.next64()
         self._salt1 = self._prng.next64()
-        pk1 = dh_public(self.params, self._r1)
+        pk1 = dh_public(DH_PARAMS, self._r1)
         return pk1, self._salt1
 
     def pending_state(self) -> Tuple[int, int]:
@@ -114,8 +113,8 @@ class AdhkdEndpoint:
         """Derive the master secret from the responder's reply."""
         if self._r1 is None or self._salt1 is None:
             raise RuntimeError("ADHKD finish() before start()")
-        k_pms = dh_shared(self.params, self._r1, pk2)
-        master = self._kdf.derive(k_pms, combine_salts(self._salt1, salt2))
+        k_pms = dh_shared(DH_PARAMS, self._r1, pk2)
+        master = kdf(k_pms, combine_salts(self._salt1, salt2))
         self._r1 = None
         self._salt1 = None
         return master
@@ -126,7 +125,7 @@ class AdhkdEndpoint:
         """Process (PK1, S1); returns (PK2, S2, master secret)."""
         r2 = self._prng.next64()
         salt2 = self._prng.next64()
-        pk2 = dh_public(self.params, r2)
-        k_pms = dh_shared(self.params, r2, pk1)
-        master = self._kdf.derive(k_pms, combine_salts(salt1, salt2))
+        pk2 = dh_public(DH_PARAMS, r2)
+        k_pms = dh_shared(DH_PARAMS, r2, pk1)
+        master = kdf(k_pms, combine_salts(salt1, salt2))
         return pk2, salt2, master

@@ -84,11 +84,13 @@ def build_reg_response(ok: bool, reg_id: int, index: int, value: int,
                         regId=reg_id, index=index, value=value)
 
 
-def build_eak_message(msg_type: KeyExchType, salt: int, seq_num: int,
-                      key_ver: int = 0) -> Packet:
-    """EAK salt exchange message (Fig 11); total wire size 22 bytes."""
+def build_eak_message(msg_type: KeyExchType, salt: int, seq_num: int
+                      ) -> Packet:
+    """EAK salt exchange message (Fig 11); total wire size 22 bytes.
+
+    EAK precedes every local key, so its key version is always 0."""
     return _key_exchange_packet(msg_type, EAK_HEADER, "an EAK", seq_num,
-                                key_ver, salt=salt)
+                                0, salt=salt)
 
 
 def build_adhkd_message(msg_type: KeyExchType, pk: int, salt: int,
@@ -105,10 +107,10 @@ def build_keyctl_message(msg_type: KeyExchType, port: int, seq_num: int,
                                 seq_num, key_ver, port=port)
 
 
-def build_alert(code: AlertCode, detail: int, seq_num: int,
-                key_ver: int = 0) -> Packet:
-    """Alert from the data plane toward the controller (§VIII)."""
-    return _base_packet(HdrType.ALERT, 0, seq_num, key_ver,
+def build_alert(code: AlertCode, detail: int, seq_num: int) -> Packet:
+    """Alert from the data plane toward the controller (§VIII), at key
+    version 0."""
+    return _base_packet(HdrType.ALERT, 0, seq_num, 0,
                         code=int(code), detail=detail)
 
 

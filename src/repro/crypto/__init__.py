@@ -21,7 +21,7 @@ Exports:
 
 from repro.crypto.crc import crc32, Crc32
 from repro.crypto.halfsiphash import HalfSipHash, halfsiphash
-from repro.crypto.kdf import Kdf, kdf, crc32_prf
+from repro.crypto.kdf import Kdf, kdf
 from repro.crypto.modified_dh import dh_public, dh_shared, DhParameters
 from repro.crypto.prng import XorShiftPrng
 
@@ -32,7 +32,6 @@ __all__ = [
     "halfsiphash",
     "Kdf",
     "kdf",
-    "crc32_prf",
     "dh_public",
     "dh_shared",
     "DhParameters",

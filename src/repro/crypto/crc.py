@@ -13,8 +13,7 @@ This is the standard reflected CRC-32 (polynomial 0xEDB88320), bit-exact
 with ``zlib.crc32`` / IEEE 802.3.  Two forms live here, as in
 :mod:`repro.crypto.halfsiphash`: :meth:`Crc32._walk` is the
 *specification*, table-driven the way a switch's hash unit realizes it in
-fixed hardware, and what a custom polynomial runs; with the IEEE
-parameters :meth:`Crc32.compute` *executes* ``zlib.crc32``.
+fixed hardware; :meth:`Crc32.compute` *executes* ``zlib.crc32``.
 ``tests/crypto/test_crc.py`` pins walk == zlib == compute.
 """
 
@@ -23,7 +22,7 @@ from __future__ import annotations
 import zlib
 
 _POLY_REFLECTED = 0xEDB88320
-_IEEE = (_POLY_REFLECTED, 0xFFFFFFFF, 0xFFFFFFFF)
+_ALL_ONES = 0xFFFFFFFF
 
 
 def _build_table(poly: int) -> tuple:
@@ -39,34 +38,22 @@ def _build_table(poly: int) -> tuple:
     return tuple(table)
 
 
+_TABLE = _build_table(_POLY_REFLECTED)
+
+
 class Crc32:
-    """Parameterizable reflected CRC-32 engine.
-
-    The default parameters match IEEE CRC-32 (zlib).  Switch targets let
-    programs pick custom polynomials; the parameter exists so tests can
-    exercise that path.
-    """
-
-    def __init__(self, polynomial: int = _POLY_REFLECTED, init: int = 0xFFFFFFFF,
-                 xor_out: int = 0xFFFFFFFF):
-        self.polynomial = polynomial
-        self.init = init
-        self.xor_out = xor_out
-        self._table = _build_table(polynomial)
-        self._ieee = (polynomial, init, xor_out) == _IEEE
+    """The IEEE CRC-32 engine (zlib's): all-ones init and output XOR."""
 
     def compute(self, data: bytes) -> int:
         """CRC of ``data`` as a 32-bit unsigned integer."""
-        if self._ieee:
-            return zlib.crc32(data)
-        return self._walk(data)
+        return zlib.crc32(data)
 
     def _walk(self, data: bytes) -> int:
-        """The table walk: one lookup per byte, any parameters."""
-        crc = self.init
+        """The table walk: one lookup per byte."""
+        crc = _ALL_ONES
         for byte in data:
-            crc = (crc >> 8) ^ self._table[(crc ^ byte) & 0xFF]
-        return crc ^ self.xor_out
+            crc = (crc >> 8) ^ _TABLE[(crc ^ byte) & 0xFF]
+        return crc ^ _ALL_ONES
 
     def compute_keyed(self, key: int, data: bytes) -> int:
         """Keyed CRC, the paper's Tofino digest (P4Auth here signs with

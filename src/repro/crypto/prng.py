@@ -35,10 +35,6 @@ class XorShiftPrng:
         self._state = x
         return (x * self._MULT) & MASK64
 
-    def next32(self) -> int:
-        """Next 32-bit pseudo-random value."""
-        return self.next64() >> 32
-
     def next_bits(self, bits: int) -> int:
         """Next pseudo-random value of the requested width (1..64 bits)."""
         if not 1 <= bits <= 64:

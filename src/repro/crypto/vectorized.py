@@ -31,8 +31,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.crypto.crc import Crc32
 from repro.crypto.halfsiphash import PREFIX, HalfSipHash, State
 
-# Default CRC engine: IEEE reflected CRC-32, the Tofino hash-unit flavor.
-_CRC_DEFAULT = Crc32()
+_CRC = Crc32()
 
 #: One long-lived hasher per ``(c, d)``, so its midstates outlive a call.
 _hasher = lru_cache(maxsize=None)(HalfSipHash)
@@ -126,17 +125,15 @@ def _digest_lanes(hasher: HalfSipHash, states: Sequence[State],
     return lanes.unpack((v1 ^ v3).to_bytes(8 * n, "little"))
 
 
-def crc32_many(datas: Sequence[bytes],
-               engine: Optional[Crc32] = None) -> List[int]:
+def crc32_many(datas: Sequence[bytes]) -> List[int]:
     """Unkeyed CRC-32 of every message (``Crc32.compute`` each)."""
-    compute = (engine or _CRC_DEFAULT).compute
+    compute = _CRC.compute
     return [compute(data) for data in datas]
 
 
-def crc32_many_keyed(key: int, datas: Sequence[bytes],
-                     engine: Optional[Crc32] = None) -> List[int]:
+def crc32_many_keyed(key: int, datas: Sequence[bytes]) -> List[int]:
     """Keyed CRC-32 of every message (``Crc32.compute_keyed`` each)."""
-    compute_keyed = (engine or _CRC_DEFAULT).compute_keyed
+    compute_keyed = _CRC.compute_keyed
     return [compute_keyed(key, data) for data in datas]
 
 

@@ -19,7 +19,6 @@ from repro.dataplane.pipeline import (
     Emit,
     ToController,
     Drop,
-    Recirculate,
 )
 from repro.dataplane.switch import DataplaneSwitch
 from repro.dataplane.resources import ResourceModel, ProgramSpec, ResourceReport
@@ -38,7 +37,6 @@ __all__ = [
     "Emit",
     "ToController",
     "Drop",
-    "Recirculate",
     "DataplaneSwitch",
     "ResourceModel",
     "ProgramSpec",

@@ -4,12 +4,12 @@ A pipeline is an ordered list of named stages, each a callable over a
 :class:`PipelineContext`.  Stages correspond to P4 control blocks; they
 may consult tables, read/write registers, and record verdicts.  The
 context collects the packet's fate as a list of actions (:class:`Emit`,
-:class:`ToController`, :class:`Drop`, :class:`Recirculate`) that the
-network layer turns into scheduled events.
+:class:`ToController`, :class:`Drop`) that the network layer turns into
+scheduled events.
 
 There is deliberately no way for a stage to loop over the packet — the
-structure mirrors PISA's feed-forward constraint.  Recirculation is the
-only iteration mechanism, and it is explicit and costed.
+structure mirrors PISA's feed-forward constraint: a packet makes one
+pass.
 """
 
 from __future__ import annotations
@@ -44,17 +44,10 @@ class Drop:
     reason: str = ""
 
 
-@dataclass
-class Recirculate:
-    """Re-inject the packet at the top of the pipeline (costs a pass)."""
-
-    packet: Packet
-
-
 #: Everything a stage can do with a packet.  The network layer
 #: dispatches on the concrete type; keeping the union closed here means
 #: a new verdict class must also teach the dispatcher about itself.
-PipelineAction = Union[Emit, ToController, Drop, Recirculate]
+PipelineAction = Union[Emit, ToController, Drop]
 
 
 class PipelineContext:
@@ -85,11 +78,6 @@ class PipelineContext:
         """Discard the packet and stop further stages."""
         self.actions.append(Drop(self.packet, reason))
         self._stopped = True
-
-    def recirculate(self, packet: Optional[Packet] = None) -> None:
-        self.actions.append(
-            Recirculate(packet if packet is not None else self.packet)
-        )
 
     def stop(self) -> None:
         """Short-circuit the remaining stages (like P4's exit)."""
@@ -125,12 +113,11 @@ class Pipeline:
 
     def run(self, ctx: PipelineContext) -> List[PipelineAction]:
         """Execute the stages in order until done or stopped."""
-        # Per-stage occupancy counters; ctx.switch may be a bare stub in
-        # unit tests, hence the defensive getattr.
-        telemetry = getattr(ctx.switch, "telemetry", None)
-        if telemetry is not None and telemetry.enabled:
+        # Per-stage occupancy counters.
+        telemetry = ctx.switch.telemetry
+        if telemetry.enabled:
             metrics = telemetry.metrics
-            switch_name = getattr(ctx.switch, "name", "?")
+            switch_name = ctx.switch.name
         else:
             metrics = None
             switch_name = ""

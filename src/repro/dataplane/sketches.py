@@ -4,10 +4,11 @@ The Table I systems keep their state in exactly these structures:
 SilkRoad's transit table is a bloom filter, NetCache's query statistics
 live in a count-min sketch, and FlowRadar's encoded flowset is an
 invertible bloom lookup table (IBLT).  All three are implemented over
-:class:`~repro.dataplane.registers.Register` arrays with CRC32-derived
-hash functions, the way the real P4 programs realize them — so they are
-readable (and attackable) through the same C-DP register interface as any
-other switch state.
+:class:`~repro.dataplane.registers.Register` arrays with a keyed
+HalfSipHash family as their hash functions (the comment at ``_hsh`` says
+why not CRC32), the way the real P4 programs realize them — so they are
+readable (and attackable) through the same C-DP register interface as
+any other switch state.
 """
 
 from __future__ import annotations
@@ -57,21 +58,21 @@ class BloomFilter:
         """The controller-triggered reset SilkRoad's attack targets."""
         self._cells.clear()
 
-    def fill_ratio(self) -> float:
-        return sum(self._cells.snapshot()) / self.bits
-
 
 class CountMinSketch:
     """A d x w count-min sketch over d register rows."""
 
+    #: Width of every counter.
+    COUNTER_BITS = 32
+
     def __init__(self, registers: RegisterFile, name: str, width: int = 1024,
-                 depth: int = 3, counter_bits: int = 32):
+                 depth: int = 3):
         if width <= 0 or depth <= 0:
             raise ValueError("width and depth must be positive")
         self.width = width
         self.depth = depth
         self._rows = [
-            registers.define(f"{name}_row{row}", counter_bits, width)
+            registers.define(f"{name}_row{row}", self.COUNTER_BITS, width)
             for row in range(depth)
         ]
 
@@ -90,9 +91,17 @@ class CountMinSketch:
         for row in self._rows:
             row.clear()
 
-    def row_register(self, row: int):
-        """Access a row's register (the C-DP read surface)."""
-        return self._rows[row]
+
+#: Cells each IBLT item maps to (before de-duplication).
+IBLT_HASHES = 3
+
+
+def iblt_positions(flow_id: int, cells: int) -> List[int]:
+    """The sorted, distinct cells ``flow_id`` occupies in a ``cells``-cell
+    IBLT: what an insert touches and what a peel checks a pure cell
+    against."""
+    return sorted({_hash(flow_id, 0x200 + salt) % cells
+                   for salt in range(IBLT_HASHES)})
 
 
 class Iblt:
@@ -104,30 +113,19 @@ class Iblt:
     loaded below capacity.
     """
 
-    def __init__(self, registers: RegisterFile, name: str, cells: int = 256,
-                 num_hashes: int = 3):
-        if cells <= 0 or num_hashes <= 0:
-            raise ValueError("cells and num_hashes must be positive")
+    def __init__(self, registers: RegisterFile, name: str, cells: int = 256):
+        if cells <= 0:
+            raise ValueError("cells must be positive")
         self.cells = cells
-        self.num_hashes = num_hashes
         self.count = registers.define(f"{name}_count", 32, cells)
         self.id_xor = registers.define(f"{name}_idxor", 64, cells)
         self.value_sum = registers.define(f"{name}_valsum", 64, cells)
 
-    def _positions(self, flow_id: int) -> List[int]:
-        return sorted({_hash(flow_id, 0x200 + salt) % self.cells
-                       for salt in range(self.num_hashes)})
-
     def insert(self, flow_id: int, value: int = 1) -> None:
-        for position in self._positions(flow_id):
+        for position in iblt_positions(flow_id, self.cells):
             self.count.read_modify_write(position, lambda v: v + 1)
             self.id_xor.read_modify_write(position, lambda v: v ^ flow_id)
             self.value_sum.read_modify_write(position, lambda v: v + value)
-
-    def clear(self) -> None:
-        self.count.clear()
-        self.id_xor.clear()
-        self.value_sum.clear()
 
     def export(self) -> List[Tuple[int, int, int]]:
         """Snapshot all cells as (count, id_xor, value_sum) triples."""
@@ -135,8 +133,7 @@ class Iblt:
                         self.value_sum.snapshot()))
 
     @staticmethod
-    def decode(cells: List[Tuple[int, int, int]],
-               num_hashes: int = 3) -> Optional[Dict[int, int]]:
+    def decode(cells: List[Tuple[int, int, int]]) -> Optional[Dict[int, int]]:
         """Peel an exported cell list back into {flow_id: value}.
 
         Returns None if decoding fails (cells corrupted or overloaded) —
@@ -144,10 +141,6 @@ class Iblt:
         """
         table = [list(cell) for cell in cells]
         size = len(table)
-
-        def positions(flow_id: int) -> List[int]:
-            return sorted({_hash(flow_id, 0x200 + salt) % size
-                           for salt in range(num_hashes)})
 
         decoded: Dict[int, int] = {}
         progress = True
@@ -158,7 +151,7 @@ class Iblt:
                 if count != 1:
                     continue
                 flow_id, value = id_xor, value_sum
-                expected = positions(flow_id)
+                expected = iblt_positions(flow_id, size)
                 if index not in expected:
                     # A "pure" cell whose id doesn't hash back here:
                     # corruption detected.

@@ -18,15 +18,10 @@ from repro.dataplane.pipeline import (
     Pipeline,
     PipelineAction,
     PipelineContext,
-    Recirculate,
 )
 from repro.dataplane.registers import RegisterFile
 from repro.dataplane.tables import MatchActionTable
 from repro.telemetry import NULL_TELEMETRY
-
-# Safety valve: a P4 program can recirculate, but hardware bounds the
-# number of passes a packet can take.  This mirrors that bound.
-MAX_RECIRCULATIONS = 8
 
 #: Buckets for the batch-execution size histogram (packets per
 #: :meth:`DataplaneSwitch.process_many` call).
@@ -103,18 +98,15 @@ class DataplaneSwitch:
 
     def process(self, packet: Packet, ingress_port: int,
                 now: float = 0.0) -> List[PipelineAction]:
-        """Run one packet through the pipeline, resolving recirculations.
+        """Run one packet through the pipeline: one pass.
 
-        Returns the final list of externally visible actions (Emit,
-        ToController, Drop).  Recirculations are resolved internally, each
-        consuming one additional pipeline pass (visible to the timing
-        model via :attr:`pipeline_passes`).
+        Returns the externally visible actions (Emit, ToController, Drop).
         """
         telemetry = self.telemetry
-        final, passes = self._run_one(packet, ingress_port, now, telemetry)
+        final = self._run_one(packet, ingress_port, now, telemetry)
         if telemetry.enabled:
             telemetry.metrics.counter("dataplane_pipeline_passes_total",
-                                      switch=self.name).inc(passes)
+                                      switch=self.name).inc()
         return final
 
     def process_many(self, batch: List[Tuple[Packet, int]],
@@ -128,20 +120,16 @@ class DataplaneSwitch:
         lookups, telemetry dispatch) is paid once per batch, which is
         what makes large trace replays affordable.  The resource and
         timing models are unchanged: every packet still consumes its own
-        pipeline passes and extern invocations.
+        pipeline pass and extern invocations.
         """
         telemetry = self.telemetry
         run_one = self._run_one
-        results: List[List[PipelineAction]] = []
-        total_passes = 0
-        for packet, ingress_port in batch:
-            final, passes = run_one(packet, ingress_port, now, telemetry)
-            total_passes += passes
-            results.append(final)
+        results = [run_one(packet, ingress_port, now, telemetry)
+                   for packet, ingress_port in batch]
         if telemetry.enabled:
-            if total_passes:
+            if batch:
                 telemetry.metrics.counter("dataplane_pipeline_passes_total",
-                                          switch=self.name).inc(total_passes)
+                                          switch=self.name).inc(len(batch))
             telemetry.metrics.counter("dataplane_process_batches_total",
                                       switch=self.name).inc()
             telemetry.metrics.histogram(
@@ -151,38 +139,21 @@ class DataplaneSwitch:
         return results
 
     def _run_one(self, packet: Packet, ingress_port: int, now: float,
-                 telemetry) -> Tuple[List[PipelineAction], int]:
-        """One packet's pipeline run: (final actions, passes consumed)."""
+                 telemetry) -> List[PipelineAction]:
+        """One packet's pipeline pass: its actions."""
         if not self.valid_port(ingress_port):
             raise ValueError(
                 f"invalid ingress port {ingress_port} on switch {self.name!r}"
             )
         self.packets_processed += 1
-        # Grows while it is walked: a recirculation appends its next pass.
-        pending = [(packet, ingress_port)]
-        final: List[PipelineAction] = []
-        passes = 0
-        drops = 0
-        for current, port in pending:
-            passes += 1
-            if passes > MAX_RECIRCULATIONS + 1:
-                raise RuntimeError(
-                    f"packet exceeded {MAX_RECIRCULATIONS} recirculations "
-                    f"on switch {self.name!r}"
-                )
-            ctx = PipelineContext(self, current, port, now)
-            for action in self.pipeline.run(ctx):
-                kind = type(action)
-                if kind is Recirculate:
-                    pending.append((action.packet, port))
-                else:
-                    final.append(action)
-                    if kind is Drop:
-                        drops += 1
-                        self._count_drop(action, ctx, telemetry)
-        self.pipeline_passes += passes
-        self.packets_dropped += drops
-        return final, passes
+        ctx = PipelineContext(self, packet, ingress_port, now)
+        actions = self.pipeline.run(ctx)
+        self.pipeline_passes += 1
+        for action in actions:
+            if type(action) is Drop:
+                self.packets_dropped += 1
+                self._count_drop(action, ctx, telemetry)
+        return actions
 
     def _count_drop(self, action: Drop, ctx: PipelineContext,
                     telemetry) -> None:

@@ -44,6 +44,8 @@ from repro.runtime.harness import floor_percentile
 RUN_DEADLINE_S = 600.0
 #: Bootstrap window for the parallel local-key handshakes.
 BOOTSTRAP_DEADLINE_S = 10.0
+#: The fleet register every workload request reads or writes.
+TARGET_REGISTER = "target"
 
 
 def switch_index(name: str) -> int:
@@ -57,7 +59,7 @@ def fleet_switch_factory(seed: int):
     def factory(name: str, num_ports: int) -> DataplaneSwitch:
         switch = DataplaneSwitch(name, num_ports=num_ports,
                                  seed=seed + switch_index(name))
-        switch.registers.define("target", 64, 16)
+        switch.registers.define(TARGET_REGISTER, 64, 16)
         return switch
 
     return factory
@@ -95,7 +97,7 @@ def build_batch_deployment(stack_name: str, m: int = 25, degree: int = 4,
         telemetry=telemetry)
     sim, switches = extras["sim"], extras["switches"]
     stack, _dataplanes = attach_stack(
-        stack_name, net, switches, ["target"],
+        stack_name, net, switches, [TARGET_REGISTER],
         {name: k_seed_base + switch_index(name) for name in switches},
         BOOTSTRAP_DEADLINE_S if bootstrap else None,
         outstanding_threshold=outstanding_budget(m, max_in_flight),
@@ -135,8 +137,7 @@ def tally() -> Tuple[Dict[str, int], Callable[[bool, int], None]]:
 
 def run_batch_workload(sim, stack, switches: List[str], mode: str = "batched",
                        kind: str = "write", requests_per_switch: int = 8,
-                       max_in_flight: int = 8,
-                       reg_name: str = "target") -> Dict[str, object]:
+                       max_in_flight: int = 8) -> Dict[str, object]:
     """Drive the :func:`write_schedule` sequentially or batched; measure.
 
     Throughput is completed requests over the span from first issue to
@@ -159,7 +160,7 @@ def run_batch_workload(sim, stack, switches: List[str], mode: str = "batched",
             state["last_done"] = sim.now
 
         batch.submit_many([
-            (kind if kind == "read" else "write", sw, reg_name, index,
+            (kind if kind == "read" else "write", sw, TARGET_REGISTER, index,
              value, on_done)
             for sw, index, value in requests])
         sim.run(until=start + RUN_DEADLINE_S)
@@ -179,9 +180,10 @@ def run_batch_workload(sim, stack, switches: List[str], mode: str = "batched",
             sw, index, value = pending.popleft()
             sent["at"] = sim.now
             if kind == "read":
-                stack.read_register(sw, reg_name, index, on_done)
+                stack.read_register(sw, TARGET_REGISTER, index, on_done)
             else:
-                stack.write_register(sw, reg_name, index, value, on_done)
+                stack.write_register(sw, TARGET_REGISTER, index, value,
+                                     on_done)
 
         def on_done(ok: bool, _value: int) -> None:
             state["ok" if ok else "failed"] += 1

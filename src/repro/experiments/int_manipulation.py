@@ -39,8 +39,8 @@ HEALTHY_LATENCY_US = 20
 class RecordRewriter(Adversary):
     """Rewrites congested INT records to look healthy (hides hotspots)."""
 
-    def __init__(self, direction_filter=None):
-        super().__init__("int-rewriter", direction_filter)
+    def __init__(self):
+        super().__init__("int-rewriter")
 
     def process(self, packet, direction):
         if not packet.has("int_probe"):

@@ -94,11 +94,10 @@ def _kill_and_recover(ctx: TrialContext,
         "P4Auth", m=m, degree=int(params["degree"]),
         seed=int(params["seed"]), telemetry=telemetry,
         max_in_flight=max_in_flight)
-    metrics = telemetry.metrics if telemetry.enabled else None
 
     # Arm the durability layer on the bootstrapped controller.
     journal, snapshots, _records = open_store(state_dir, fsync=fsync,
-                                              metrics=metrics)
+                                              metrics=telemetry.metrics)
     batch = BatchController(controller, max_in_flight=max_in_flight)
     recorder = StateRecorder(
         journal, snapshots,
@@ -146,7 +145,7 @@ def _kill_and_recover(ctx: TrialContext,
     recorder2, report = warm_restart(
         state_dir, controller2, batch=batch2, shard_id="shard-0",
         fsync=fsync, seq_stride=SEQ_STRIDE,
-        metrics=metrics)
+        metrics=telemetry.metrics)
     ctx.host["recovery_s"] = time.perf_counter() - wall_start
     # Reconciliation reads complete in virtual time.
     sim.run(until=sim.now + RESTART_GAP_S)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.dataplane.packet import Packet
-from repro.dataplane.pipeline import Drop, Emit, ToController
+from repro.dataplane.pipeline import Emit, ToController
 from repro.dataplane.switch import DataplaneSwitch
 from repro.crypto.prng import XorShiftPrng
 from repro.net.costs import CostModel
@@ -33,6 +33,9 @@ DROP_CONTROL_TAP = "control_tamper_tap"
 DROP_NO_CONTROLLER = "no_controller"
 DROP_NODE_DOWN = "node_down"
 DROP_FAULT_INJECTED = "fault_injected"
+
+#: Seed of the control-channel jitter stream (:meth:`Network.jittered`).
+JITTER_SEED = 0x7177E4
 
 #: A delivery shaper decides how a packet that survived the tap chain
 #: actually arrives: it returns a list of ``(packet, delay_s)`` deliveries
@@ -67,7 +70,6 @@ class SwitchNode:
         self.network = network
         self.switch = switch
         self.name = switch.name
-        self.drops: List[Tuple[float, str]] = []
         #: Crash state: a downed switch eats every arriving packet (with a
         #: named drop reason).  Flipped by node faults (repro.faults).
         self.up = True
@@ -106,18 +108,16 @@ class SwitchNode:
                     proc_delay, network.send_packet_in,
                     self.name, action.packet,
                 )
-            elif kind is Drop:
-                self.drops.append((sim.now, action.reason))
 
 
 class HostNode:
     """An end host: generates and sinks packets on a single access port."""
 
-    def __init__(self, network: "Network", name: str,
-                 on_packet: Optional[Callable[[Packet, float], None]] = None):
+    def __init__(self, network: "Network", name: str):
         self.network = network
         self.name = name
-        self.on_packet = on_packet
+        #: Called with ``(packet, now)`` on every arrival when set.
+        self.on_packet: Optional[Callable[[Packet, float], None]] = None
         self.received: List[Tuple[float, Packet]] = []
         self.sent_count = 0
 
@@ -139,12 +139,11 @@ class HostNode:
 class Network:
     """Nodes + links + control channels, bound to an event simulator."""
 
-    def __init__(self, sim: EventSimulator, costs: Optional[CostModel] = None,
-                 jitter_seed: int = 0x7177E4):
+    def __init__(self, sim: EventSimulator, costs: Optional[CostModel] = None):
         self.sim = sim
         self.telemetry = sim.telemetry
         self.costs = costs or CostModel()
-        self._jitter_prng = XorShiftPrng(jitter_seed)
+        self._jitter_prng = XorShiftPrng(JITTER_SEED)
         self.nodes: Dict[str, object] = {}
         #: (node, port) -> its plan; the one table of what is wired where.
         self._ports: Dict[Tuple[str, int], PortPlan] = {}
@@ -175,29 +174,24 @@ class Network:
         )
         return node
 
-    def add_host(self, name: str,
-                 on_packet: Optional[Callable[[Packet, float], None]] = None
-                 ) -> HostNode:
+    def add_host(self, name: str) -> HostNode:
         if name in self.nodes:
             raise ValueError(f"node {name!r} already exists")
-        node = HostNode(self, name, on_packet)
+        node = HostNode(self, name)
         self.nodes[name] = node
         return node
 
-    def connect(self, name_a: str, port_a: int, name_b: str, port_b: int,
-                latency_s: Optional[float] = None,
-                bandwidth_bps: float = 10e9) -> Link:
-        """Wire two node ports together with a link."""
+    def connect(self, name_a: str, port_a: int, name_b: str, port_b: int
+                ) -> Link:
+        """Wire two node ports together with a link at the cost model's
+        latency and :class:`Link`'s default line rate."""
         for name, port in ((name_a, port_a), (name_b, port_b)):
             if name not in self.nodes:
                 raise KeyError(f"unknown node {name!r}")
             if (name, port) in self._ports:
                 raise ValueError(f"port {port} on {name!r} is already wired")
-        link = Link(
-            (name_a, port_a), (name_b, port_b),
-            latency_s if latency_s is not None else self.costs.link_latency_s,
-            bandwidth_bps,
-        )
+        link = Link((name_a, port_a), (name_b, port_b),
+                    self.costs.link_latency_s)
         self.links.append(link)
         metrics = self.telemetry.metrics
         for name, port in (link.end_a, link.end_b):

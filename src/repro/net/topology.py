@@ -20,21 +20,13 @@ import random
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.dataplane.switch import DataplaneSwitch
-from repro.net.costs import CostModel
 from repro.net.network import Network
 from repro.net.simulator import EventSimulator
 
 SwitchFactory = Callable[[str, int], DataplaneSwitch]
 
 
-def _default_factory(name: str, num_ports: int) -> DataplaneSwitch:
-    return DataplaneSwitch(name, num_ports=num_ports)
-
-
-def linear_chain(num_switches: int,
-                 factory: Optional[SwitchFactory] = None,
-                 costs: Optional[CostModel] = None,
-                 telemetry=None
+def linear_chain(num_switches: int, telemetry=None
                  ) -> Tuple[Network, Dict[str, object]]:
     """``h_src - s1 - s2 - ... - sN - h_dst``.
 
@@ -43,12 +35,11 @@ def linear_chain(num_switches: int,
     """
     if num_switches < 1:
         raise ValueError("need at least one switch")
-    factory = factory or _default_factory
     sim = EventSimulator(telemetry=telemetry)
-    net = Network(sim, costs)
+    net = Network(sim)
     names = [f"s{i}" for i in range(1, num_switches + 1)]
     for name in names:
-        net.add_switch(factory(name, 2))
+        net.add_switch(DataplaneSwitch(name, num_ports=2))
     src = net.add_host("h_src")
     dst = net.add_host("h_dst")
     net.connect("h_src", 1, names[0], 1)
@@ -58,21 +49,17 @@ def linear_chain(num_switches: int,
     return net, {"sim": sim, "switches": names, "src": src, "dst": dst}
 
 
-def hula_fig3_topology(factory: Optional[SwitchFactory] = None,
-                       costs: Optional[CostModel] = None,
-                       telemetry=None
-                       ) -> Tuple[Network, Dict[str, object]]:
+def hula_fig3_topology(telemetry=None) -> Tuple[Network, Dict[str, object]]:
     """The Fig 3 topology: S1 -> {S2, S3, S4} -> S5, hosts at both ends.
 
     Port map on S1: port 2 -> S2, port 3 -> S3, port 4 -> S4, port 1 ->
     host.  Port map on S5 mirrors it.  Middle switches use port 1 toward
     S1 and port 2 toward S5.
     """
-    factory = factory or _default_factory
     sim = EventSimulator(telemetry=telemetry)
-    net = Network(sim, costs)
+    net = Network(sim)
     for name, ports in (("s1", 4), ("s2", 2), ("s3", 2), ("s4", 2), ("s5", 4)):
-        net.add_switch(factory(name, ports))
+        net.add_switch(DataplaneSwitch(name, num_ports=ports))
     h1 = net.add_host("h1")
     h5 = net.add_host("h5")
     net.connect("h1", 1, "s1", 1)
@@ -88,10 +75,7 @@ def hula_fig3_topology(factory: Optional[SwitchFactory] = None,
     }
 
 
-def leaf_spine(num_leaves: int = 4, num_spines: int = 2,
-               factory: Optional[SwitchFactory] = None,
-               costs: Optional[CostModel] = None,
-               telemetry=None
+def leaf_spine(num_leaves: int = 4, num_spines: int = 2, telemetry=None
                ) -> Tuple[Network, Dict[str, object]]:
     """A leaf-spine fabric with one host per leaf.
 
@@ -100,15 +84,14 @@ def leaf_spine(num_leaves: int = 4, num_spines: int = 2,
     """
     if num_leaves < 2 or num_spines < 1:
         raise ValueError("need >= 2 leaves and >= 1 spine")
-    factory = factory or _default_factory
     sim = EventSimulator(telemetry=telemetry)
-    net = Network(sim, costs)
+    net = Network(sim)
     leaves = [f"leaf{i}" for i in range(1, num_leaves + 1)]
     spines = [f"spine{i}" for i in range(1, num_spines + 1)]
     for name in leaves:
-        net.add_switch(factory(name, 1 + num_spines))
+        net.add_switch(DataplaneSwitch(name, num_ports=1 + num_spines))
     for name in spines:
-        net.add_switch(factory(name, num_leaves))
+        net.add_switch(DataplaneSwitch(name, num_ports=num_leaves))
     hosts = {}
     for index, leaf in enumerate(leaves, start=1):
         host = net.add_host(f"h{index}")
@@ -127,7 +110,6 @@ def leaf_spine(num_leaves: int = 4, num_spines: int = 2,
 
 def random_regular_fabric(m: int, degree: int = 4, seed: int = 1,
                           factory: Optional[SwitchFactory] = None,
-                          costs: Optional[CostModel] = None,
                           telemetry=None
                           ) -> Tuple[Network, Dict[str, object]]:
     """An m-switch fabric wired as a random d-regular graph.
@@ -150,10 +132,10 @@ def random_regular_fabric(m: int, degree: int = 4, seed: int = 1,
         raise ValueError(
             f"no {degree}-regular graph on {m} switches (need m > degree "
             f"and m * degree even)")
-    factory = factory or _default_factory
+    factory = factory or DataplaneSwitch
     graph = _random_regular_edges(degree, m, seed)
     sim = EventSimulator(telemetry=telemetry)
-    net = Network(sim, costs)
+    net = Network(sim)
     names = [f"sw{node}" for node in range(m)]
     for name in names:
         net.add_switch(factory(name, degree))

@@ -11,9 +11,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import Iterator
 
 from repro.crypto.prng import XorShiftPrng
+
+#: Flow-size distribution: Pareto with shape (alpha) PARETO_SHAPE and
+#: scale MIN_FLOW_BYTES, capped at MAX_FLOW_BYTES — the canonical
+#: heavy-tailed internet traffic model.  Shape 1.2 gives the
+#: mice-and-elephants mix RouteScout's paths see.
+PARETO_SHAPE = 1.2
+MIN_FLOW_BYTES = 1200
+MAX_FLOW_BYTES = 50_000_000
+#: Bytes per packet when a flow is cut into packets.
+MTU_BYTES = 1500
 
 
 @dataclass
@@ -29,13 +39,8 @@ class Flow:
     dst_port: int
     protocol: int = 6  # TCP
 
-    @property
-    def five_tuple(self) -> tuple:
-        return (self.src_ip, self.dst_ip, self.src_port, self.dst_port,
-                self.protocol)
-
-    def packet_count(self, mtu: int = 1500) -> int:
-        return max(1, math.ceil(self.size_bytes / mtu))
+    def packet_count(self) -> int:
+        return max(1, math.ceil(self.size_bytes / MTU_BYTES))
 
 
 class TraceGenerator:
@@ -47,24 +52,16 @@ class TraceGenerator:
         PRNG seed; identical seeds generate identical traces.
     arrival_rate_hz:
         Mean flow arrival rate (Poisson).
-    pareto_shape / min_flow_bytes:
-        Flow-size distribution: Pareto with the given shape (alpha), the
-        canonical heavy-tailed internet traffic model.  Shape 1.2 gives
-        the mice-and-elephants mix RouteScout's paths see.
+
+    Flow sizes follow :data:`PARETO_SHAPE` / :data:`MIN_FLOW_BYTES` /
+    :data:`MAX_FLOW_BYTES`.
     """
 
-    def __init__(self, seed: int = 42, arrival_rate_hz: float = 200.0,
-                 pareto_shape: float = 1.2, min_flow_bytes: int = 1200,
-                 max_flow_bytes: int = 50_000_000):
+    def __init__(self, seed: int = 42, arrival_rate_hz: float = 200.0):
         if arrival_rate_hz <= 0:
             raise ValueError("arrival_rate_hz must be positive")
-        if pareto_shape <= 0:
-            raise ValueError("pareto_shape must be positive")
         self._prng = XorShiftPrng(seed)
         self.arrival_rate_hz = arrival_rate_hz
-        self.pareto_shape = pareto_shape
-        self.min_flow_bytes = min_flow_bytes
-        self.max_flow_bytes = max_flow_bytes
 
     def _exponential(self, rate: float) -> float:
         u = max(self._prng.uniform(), 1e-12)
@@ -72,8 +69,8 @@ class TraceGenerator:
 
     def _pareto_size(self) -> int:
         u = max(self._prng.uniform(), 1e-12)
-        size = self.min_flow_bytes / (u ** (1.0 / self.pareto_shape))
-        return int(min(size, self.max_flow_bytes))
+        size = MIN_FLOW_BYTES / (u ** (1.0 / PARETO_SHAPE))
+        return int(min(size, MAX_FLOW_BYTES))
 
     def flows(self, duration_s: float) -> Iterator[Flow]:
         """Yield flows with start times in [0, duration_s), in time order."""
@@ -93,7 +90,3 @@ class TraceGenerator:
                 src_port=1024 + self._prng.next_bits(14),
                 dst_port=(80, 443, 8080, 53)[self._prng.next_bits(2)],
             )
-
-    def flow_list(self, duration_s: float) -> List[Flow]:
-        """Materialized, time-ordered flow list for a window."""
-        return list(self.flows(duration_s))

@@ -52,9 +52,14 @@ class RunStats:
         return floor_percentile(sorted(self.rcts_s), pct)
 
 
+#: The register slot every sequential request targets, and what a write
+#: stores there.
+SEQUENTIAL_INDEX = 0
+SEQUENTIAL_VALUE = 0xABCD
+
+
 def run_sequential(sim: EventSimulator, stack, kind: str, switch: str,
-                   reg_name: str, duration_s: float = 30.0,
-                   index: int = 0, value: int = 0xABCD) -> RunStats:
+                   reg_name: str, duration_s: float = 30.0) -> RunStats:
     """Issue back-to-back requests of one kind for ``duration_s``.
 
     ``stack`` is any object with ``read_register(switch, reg, index, cb)``
@@ -74,9 +79,11 @@ def run_sequential(sim: EventSimulator, stack, kind: str, switch: str,
             return
         state["sent_at"] = sim.now
         if kind == "read":
-            stack.read_register(switch, reg_name, index, on_complete)
+            stack.read_register(switch, reg_name, SEQUENTIAL_INDEX,
+                                on_complete)
         else:
-            stack.write_register(switch, reg_name, index, value, on_complete)
+            stack.write_register(switch, reg_name, SEQUENTIAL_INDEX,
+                                 SEQUENTIAL_VALUE, on_complete)
 
     def on_complete(_ok: bool, _value: int) -> None:
         stats.rcts_s.append(sim.now - state["sent_at"])

@@ -54,6 +54,7 @@ from repro.store.recovery import (
     store_exists,
     warm_restart,
 )
+from repro.telemetry import NULL_TELEMETRY, MetricRegistry
 
 #: Buckets for per-request service latency (virtual seconds): window
 #: queueing stacks a few RTTs on top of the Fig 18 ~1 ms round trip.
@@ -158,7 +159,7 @@ class ShardWorker:
                  queue_depth: int = 1024,
                  state_dir: Optional[str] = None, fsync: str = "batch",
                  snapshot_every: Optional[int] = 256,
-                 metrics=None):
+                 metrics: MetricRegistry = NULL_TELEMETRY.metrics):
         self.shard_id = shard_id
         self.switches = tuple(switches)
         self.stack_name = stack_name
@@ -194,9 +195,8 @@ class ShardWorker:
         # clocks never fight over one tracer).  The journal/snapshot
         # stores share that registry: their metrics are wall-clock
         # host-side observations, not simulated time.
-        self._metrics = metrics if metrics is not None and metrics.enabled \
-            else None
-        if metrics is not None and metrics.enabled:
+        self._metrics = metrics
+        if metrics.enabled:
             self._gauge_in_flight = metrics.gauge(
                 "service_shard_in_flight", shard=shard_id)
             self._gauge_queue = metrics.gauge(
@@ -219,8 +219,6 @@ class ShardWorker:
                     shard=shard_id, op=kind)
                 for kind in OP_KINDS
             }
-        else:
-            self._gauge_in_flight = None
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -256,7 +254,7 @@ class ShardWorker:
             self.recovered = warm
             if warm:
                 self._settle_recovery()
-        if self._gauge_in_flight is not None:
+        if self._metrics.enabled:
             self._gauge_switches.set(len(self.switches))
         self._wake = asyncio.Event()
         self._task = asyncio.get_running_loop().create_task(
@@ -324,14 +322,14 @@ class ShardWorker:
             reason = f"queue full ({self.queue_depth} ops)"
         if reason is not None:
             self.stats.rejected += 1
-            if self._gauge_in_flight is not None:
+            if self._metrics.enabled:
                 self._counter_rejected.inc()
             raise ShardOverload(self.shard_id, reason)
         op.future = asyncio.get_running_loop().create_future()
         op.submitted_at = self.sim.now
         self.stats.submitted += 1
         self._pending.append(op)
-        if self._gauge_in_flight is not None:
+        if self._metrics.enabled:
             self._counters[op.kind].inc()
             self._gauge_queue.set(len(self._pending))
         self._wake.set()
@@ -370,7 +368,7 @@ class ShardWorker:
             self._pending.clear()
             for op in list(self._in_flight.values()):
                 self._op_done(op, False, 0)
-        if self._gauge_in_flight is not None:
+        if self._metrics.enabled:
             self._gauge_in_flight.set(0)
             self._gauge_queue.set(0)
 
@@ -397,7 +395,7 @@ class ShardWorker:
             else:
                 reg_ops.append(op)
         self._flush_reg_ops(reg_ops)
-        if self._gauge_in_flight is not None:
+        if self._metrics.enabled:
             self._gauge_in_flight.set(len(self._in_flight))
             self._gauge_queue.set(len(self._pending))
 
@@ -428,7 +426,7 @@ class ShardWorker:
         self.stats.last_done_at = self.sim.now
         latency = self.sim.now - op.submitted_at
         self.stats.latency_samples.append(latency)
-        if self._gauge_in_flight is not None:
+        if self._metrics.enabled:
             self._hists[op.kind].observe(latency)
             self._gauge_in_flight.set(len(self._in_flight))
             if not ok:

@@ -60,15 +60,6 @@ class ShardMap:
         self._ring_owners: List[str] = [owner for _, owner in ring]
 
     # ------------------------------------------------------------------
-    # raw ring lookup
-    # ------------------------------------------------------------------
-
-    def ring_owner(self, switch: str) -> str:
-        """The unbounded consistent-hash owner (ignores load caps)."""
-        position = bisect_right(self._points, _hash_token(switch))
-        return self._ring_owners[position % len(self._ring_owners)]
-
-    # ------------------------------------------------------------------
     # bounded-load assignment
     # ------------------------------------------------------------------
 

@@ -59,6 +59,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.crypto.crc import Crc32
 from repro.store.atomic import fsync_dir, sweep_orphan_tmp
+from repro.telemetry import NULL_TELEMETRY, MetricRegistry
 
 #: Frame header: payload length, payload CRC-32 (both u32 LE).
 _FRAME = struct.Struct("<II")
@@ -131,7 +132,8 @@ class Journal:
 
     def __init__(self, root: str, *, fsync: str = "always",
                  segment_max_bytes: int = 4 << 20,
-                 metrics=None, **metric_labels):
+                 metrics: MetricRegistry = NULL_TELEMETRY.metrics,
+                 **metric_labels):
         if fsync not in FSYNC_POLICIES:
             raise ValueError(
                 f"fsync must be one of {FSYNC_POLICIES}, got {fsync!r}")
@@ -156,8 +158,7 @@ class Journal:
         #: known fsynced (simulate_crash truncates to this).
         self._synced_bytes = 0
         self._written_bytes = 0
-        self._metrics = metrics if metrics is not None \
-            and getattr(metrics, "enabled", False) else None
+        self._metrics = metrics
         self._labels = metric_labels
         self._opened = False
 
@@ -246,7 +247,7 @@ class Journal:
         if self.fsync_policy == "always" or \
                 (durable and self.fsync_policy == "batch"):
             self.sync()
-        if self._metrics is not None:
+        if self._metrics.enabled:
             self._metrics.counter("store_journal_records_total",
                                   type=rec_type, **self._labels).inc()
             self._metrics.counter("store_journal_bytes_total",
@@ -265,13 +266,13 @@ class Journal:
         if self.fsync_policy != "never":
             started = time.perf_counter()
             os.fsync(self._handle.fileno())
-            if self._metrics is not None:
+            if self._metrics.enabled:
                 self._metrics.histogram(
                     "store_fsync_seconds", buckets=FSYNC_BUCKETS,
                     **self._labels).observe(time.perf_counter() - started)
         self._synced_bytes = self._written_bytes
         self.durable_lsn = self.next_lsn - 1
-        if self._metrics is not None:
+        if self._metrics.enabled:
             self._metrics.gauge("store_journal_lag_records",
                                 **self._labels).set(0)
 
@@ -443,7 +444,7 @@ class Journal:
                     f"({trailing} trailing bytes) in a sealed segment")
             if count_torn:
                 self.torn_records += 1
-                if self._metrics is not None:
+                if self._metrics.enabled:
                     self._metrics.counter(
                         "store_journal_torn_records_total",
                         **self._labels).inc()

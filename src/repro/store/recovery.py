@@ -41,6 +41,7 @@ from repro.store.journal import FSYNC_POLICIES, Journal, JournalRecord
 from repro.store.recorder import DEFAULT_SEQ_STRIDE, StateRecorder
 from repro.store.snapshot import SnapshotStore
 from repro.store.state import StoreState, replay_records
+from repro.telemetry import NULL_TELEMETRY, MetricRegistry
 
 #: Buckets for the wall-clock recovery-duration histogram (seconds).
 RECOVERY_BUCKETS: Tuple[float, ...] = (
@@ -98,7 +99,8 @@ def store_exists(state_dir: str) -> bool:
 
 def open_store(state_dir: str, *, fsync: str = "always",
                segment_max_bytes: int = 4 << 20, keep: int = 2,
-               metrics=None, **metric_labels
+               metrics: MetricRegistry = NULL_TELEMETRY.metrics,
+               **metric_labels
                ) -> Tuple[Journal, SnapshotStore, List[JournalRecord]]:
     """Open (creating if needed) the journal + snapshot store under one
     state directory; returns the journal's surviving records."""
@@ -160,7 +162,9 @@ def warm_restart(state_dir: str, controller, *, batch=None,
                  shard_id: Optional[str] = None, fsync: str = "always",
                  seq_stride: int = DEFAULT_SEQ_STRIDE,
                  snapshot_every: Optional[int] = None, keep: int = 2,
-                 reconcile: bool = True, metrics=None, **metric_labels
+                 reconcile: bool = True,
+                 metrics: MetricRegistry = NULL_TELEMETRY.metrics,
+                 **metric_labels
                  ) -> Tuple[StateRecorder, RecoveryReport]:
     """Rebuild a freshly constructed controller from its state directory.
 
@@ -220,7 +224,7 @@ def warm_restart(state_dir: str, controller, *, batch=None,
                  for switch in sorted(recovered_state.open_windows)},
     )
     report.duration_s = time.perf_counter() - started
-    if metrics is not None and getattr(metrics, "enabled", False):
+    if metrics.enabled:
         metrics.histogram("store_recovery_seconds",
                           buckets=RECOVERY_BUCKETS,
                           **metric_labels).observe(report.duration_s)

@@ -23,6 +23,7 @@ import os
 from typing import List, Optional, Tuple
 
 from repro.crypto.crc import Crc32
+from repro.telemetry import NULL_TELEMETRY, MetricRegistry
 from repro.store.atomic import (
     atomic_write_bytes,
     fsync_dir,
@@ -47,14 +48,14 @@ def _canonical_body(state_doc: dict) -> bytes:
 class SnapshotStore:
     """Atomic, checksummed snapshot files under one directory."""
 
-    def __init__(self, root: str, *, keep: int = 2, metrics=None,
+    def __init__(self, root: str, *, keep: int = 2,
+                 metrics: MetricRegistry = NULL_TELEMETRY.metrics,
                  **metric_labels):
         if keep < 1:
             raise ValueError("keep must be >= 1")
         self.root = root
         self.keep = keep
-        self._metrics = metrics if metrics is not None \
-            and getattr(metrics, "enabled", False) else None
+        self._metrics = metrics
         self._labels = metric_labels
         os.makedirs(self.root, exist_ok=True)
         # A killed writer's mkstemp leftovers.
@@ -79,7 +80,7 @@ class SnapshotStore:
         atomic_write_bytes(
             path,
             json.dumps(document, sort_keys=True, indent=1).encode("utf-8"))
-        if self._metrics is not None:
+        if self._metrics.enabled:
             self._metrics.counter("store_snapshots_total",
                                   **self._labels).inc()
         self._prune()
@@ -110,7 +111,7 @@ class SnapshotStore:
                 raise ValueError("snapshot checksum mismatch")
             return StoreState.from_dict(body)
         except (OSError, ValueError, KeyError, TypeError):
-            if self._metrics is not None:
+            if self._metrics.enabled:
                 self._metrics.counter("store_snapshot_corrupt_total",
                                       **self._labels).inc()
             return None

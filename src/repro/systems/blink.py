@@ -81,11 +81,16 @@ class BlinkDataplane:
         ctx.emit(port)
 
 
-def run_scenario(mode: str, duration_s: float = 10.0,
-                 packet_period_s: float = 0.01,
-                 fail_at_s: float = 2.0,
-                 controller_update_at_s: float = 4.0, *,
-                 telemetry=None) -> TableIScenarioResult:
+#: The scenario's timeline: traffic for DURATION_S at one packet per
+#: PACKET_PERIOD_S; the active next hop dies at FAIL_AT_S; the controller
+#: re-asserts its refinement every second from CONTROLLER_UPDATE_AT_S.
+DURATION_S = 10.0
+PACKET_PERIOD_S = 0.01
+FAIL_AT_S = 2.0
+CONTROLLER_UPDATE_AT_S = 4.0
+
+
+def run_scenario(mode: str, *, telemetry=None) -> TableIScenarioResult:
     """Table I row "FRR / Blink": poisoning of fast rerouting decisions."""
     check_mode(mode)
     sim = EventSimulator(telemetry=telemetry)
@@ -105,35 +110,35 @@ def run_scenario(mode: str, duration_s: float = 10.0,
         )
         adversary.attach(net.control_channels["s1"])
 
-    sim.schedule(fail_at_s, blink.dead_ports.add, 2)
+    sim.schedule(FAIL_AT_S, blink.dead_ports.add, 2)
 
     # The controller's refinement write (best next hop for prefix 0 is
     # port 3), re-asserted every second as controllers do when syncing
     # state.  Each tampered re-assertion re-poisons the fast-reroute
     # decision until the DP's failure detector swaps away again.
     def refine() -> None:
-        if sim.now - base >= duration_s:
+        if sim.now - base >= DURATION_S:
             return
         client.write_register("s1", "blink_active_nh", 0, 3)
         sim.schedule(1.0, refine)
 
-    sim.schedule(controller_update_at_s, refine)
+    sim.schedule(CONTROLLER_UPDATE_AT_S, refine)
 
     # Steady packet stream toward prefix 0.
     node = net.nodes["s1"]
-    count = int(duration_s / packet_period_s)
+    count = int(DURATION_S / PACKET_PERIOD_S)
     from repro.dataplane.packet import Packet
     for index in range(count):
         packet = Packet()
         packet.push("blink_data", BLINK_DATA_HEADER.instantiate(
             prefix_id=0, seq=index))
-        sim.schedule_at(base + index * packet_period_s, node.receive,
+        sim.schedule_at(base + index * PACKET_PERIOD_S, node.receive,
                         packet, 1)
-    sim.run(until=base + duration_s)
+    sim.run(until=base + DURATION_S)
 
     # Delivery rate over the post-failure window.
-    post_failure_packets = int((duration_s - fail_at_s) / packet_period_s)
-    post_failure_delivered = blink.delivered - int(fail_at_s / packet_period_s)
+    post_failure_packets = int((DURATION_S - FAIL_AT_S) / PACKET_PERIOD_S)
+    post_failure_delivered = blink.delivered - int(FAIL_AT_S / PACKET_PERIOD_S)
     delivery = max(0.0, post_failure_delivered / post_failure_packets)
     poisoned = blink.active_nh.read(0) == 2 or blink.failovers > 1
     detected = (mode == "p4auth"

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.attacks.control_plane import RegisterResponseTamperer
-from repro.dataplane.sketches import Iblt
+from repro.dataplane.sketches import Iblt, iblt_positions
 from repro.dataplane.switch import DataplaneSwitch
 from repro.net.network import Network
 from repro.net.simulator import EventSimulator
@@ -71,8 +71,7 @@ def _collect_cells(client, sim, switch_name: str,
     return filled, failed
 
 
-def run_scenario(mode: str, seed: int = 5, *,
-                 telemetry=None) -> TableIScenarioResult:
+def run_scenario(mode: str, *, telemetry=None) -> TableIScenarioResult:
     """Table I row "Measurement / FlowRadar": poison loss analysis."""
     check_mode(mode)
     sim = EventSimulator(telemetry=telemetry)
@@ -97,7 +96,7 @@ def run_scenario(mode: str, seed: int = 5, *,
         # IBLT hash functions are public, so the attacker can compute the
         # target cells.)
         target_flow = 0x1005
-        cells_of_target = flowradar.iblt._positions(target_flow)
+        cells_of_target = iblt_positions(target_flow, IBLT_CELLS)
         adversary = RegisterResponseTamperer(
             targets=[(valsum_id, index) for index in cells_of_target],
             transform=lambda value: value + 25,

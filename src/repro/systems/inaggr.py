@@ -26,7 +26,7 @@ out-of-band; a corrupted aggregate forces the whole chunk to be re-sent
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from repro.dataplane.headers import HeaderType
 from repro.dataplane.packet import Packet
@@ -110,12 +110,6 @@ class AggregationDataplane:
         self.agg_sum.write(chunk, 0)
         self.agg_count.write(chunk, 0)
         self.agg_bitmap.write(chunk, 0)
-
-    def missing_workers(self, chunk: int) -> List[int]:
-        """Which workers' contributions are outstanding for a chunk."""
-        bitmap = self.agg_bitmap.read(chunk % self.config.max_chunks)
-        return [worker for worker in range(self.config.num_workers)
-                if not bitmap & (1 << worker)]
 
 
 # ---------------------------------------------------------------------------

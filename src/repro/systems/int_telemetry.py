@@ -138,18 +138,6 @@ class IntCollector:
                     for records in self.probes for record in records),
                    default=0)
 
-    def path_of_last_probe(self) -> List[int]:
-        if not self.probes:
-            return []
-        return [record.switch_id for record in self.probes[-1]]
-
-    def mean_path_latency_us(self) -> float:
-        if not self.probes:
-            return 0.0
-        totals = [sum(r.latency_us for r in records)
-                  for records in self.probes]
-        return sum(totals) / len(totals)
-
 
 # ---------------------------------------------------------------------------
 # static-verification metadata (consumed by repro.verify)

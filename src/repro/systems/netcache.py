@@ -74,18 +74,25 @@ class NetCacheDataplane:
         return self.latency_total_s / total if total else 0.0
 
 
-def zipf_key(prng: XorShiftPrng, key_space: int = KEY_SPACE,
-             skew: float = 1.2) -> int:
+#: Exponent of the query popularity law :func:`zipf_key` draws from.
+ZIPF_SKEW = 1.2
+
+
+def zipf_key(prng: XorShiftPrng) -> int:
     """Draw a key from a Zipf-like distribution (small ids are hot)."""
     u = max(prng.uniform(), 1e-9)
-    rank = int(u ** (-1.0 / skew))
-    return min(key_space - 1, max(0, rank - 1))
+    rank = int(u ** (-1.0 / ZIPF_SKEW))
+    return min(KEY_SPACE - 1, max(0, rank - 1))
 
 
-def run_scenario(mode: str, queries: int = 4000,
-                 query_period_s: float = 0.001,
-                 epochs: int = 4, *,
-                 telemetry=None) -> TableIScenarioResult:
+#: The query workload (one query per QUERY_PERIOD_S) and the number of
+#: controller epochs it is split into.
+QUERIES = 4000
+QUERY_PERIOD_S = 0.001
+EPOCHS = 4
+
+
+def run_scenario(mode: str, *, telemetry=None) -> TableIScenarioResult:
     """Table I row "In-network cache / NetCache"."""
     check_mode(mode)
     sim = EventSimulator(telemetry=telemetry)
@@ -101,7 +108,7 @@ def run_scenario(mode: str, queries: int = 4000,
     # cache: the attack then poisons every later hot-key refresh.  With
     # P4Auth the poisoned writes are rejected and the cache retains the
     # last good hot set.
-    epoch_s = queries * query_period_s / epochs
+    epoch_s = QUERIES * QUERY_PERIOD_S / EPOCHS
     if mode in ("attack", "p4auth"):
         adversary = RegisterRequestTamperer(
             reg_id=switch.registers.id_of("nc_cache_keys"),
@@ -113,11 +120,11 @@ def run_scenario(mode: str, queries: int = 4000,
     # Query workload.
     prng = XorShiftPrng(11)
     from repro.dataplane.packet import Packet
-    for index in range(queries):
+    for index in range(QUERIES):
         packet = Packet()
         packet.push("nc_query", NC_QUERY_HEADER.instantiate(
             key=zipf_key(prng)))
-        sim.schedule_at(base + index * query_period_s, node.receive,
+        sim.schedule_at(base + index * QUERY_PERIOD_S, node.receive,
                         packet, 1)
 
     # Controller epochs: read sketch estimates for every key, install the
@@ -152,9 +159,9 @@ def run_scenario(mode: str, queries: int = 4000,
                 client.read_register("s1", f"nc_sketch_row{row}", position,
                                      reader(key, row))
 
-    for epoch in range(1, epochs):
+    for epoch in range(1, EPOCHS):
         sim.schedule(epoch * epoch_s, run_epoch)
-    sim.run(until=base + queries * query_period_s + 1.0)
+    sim.run(until=base + QUERIES * QUERY_PERIOD_S + 1.0)
 
     hit_rate = netcache.hits / max(1, netcache.hits + netcache.misses)
     cache_now = [netcache.cache_keys.read(s) for s in range(CACHE_SLOTS)]

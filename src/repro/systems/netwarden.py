@@ -44,17 +44,16 @@ VARIANCE_THRESHOLD = 400
 class NetWardenDataplane:
     """Per-connection IPD statistics + block bitmap."""
 
-    def __init__(self, switch: DataplaneSwitch,
-                 num_connections: int = NUM_CONNECTIONS):
+    def __init__(self, switch: DataplaneSwitch):
         self.switch = switch
         registers = switch.registers
         self.last_arrival = registers.define("nw_last_arrival_us", 64,
-                                             num_connections)
-        self.ipd_count = registers.define("nw_ipd_count", 32, num_connections)
-        self.ipd_sum = registers.define("nw_ipd_sum", 64, num_connections)
+                                             NUM_CONNECTIONS)
+        self.ipd_count = registers.define("nw_ipd_count", 32, NUM_CONNECTIONS)
+        self.ipd_sum = registers.define("nw_ipd_sum", 64, NUM_CONNECTIONS)
         self.ipd_sq_sum = registers.define("nw_ipd_sq_sum", 64,
-                                           num_connections)
-        self.blocked = registers.define("nw_blocked", 8, num_connections)
+                                           NUM_CONNECTIONS)
+        self.blocked = registers.define("nw_blocked", 8, NUM_CONNECTIONS)
         self.dropped_blocked = 0
 
     def install(self) -> "NetWardenDataplane":
@@ -90,9 +89,12 @@ def ipd_variance(count: int, total: int, sq_sum: int) -> float:
     return sq_sum / count - mean * mean
 
 
-def run_scenario(mode: str, packets_per_conn: int = 40,
-                 seed: int = 9, *,
-                 telemetry=None) -> TableIScenarioResult:
+#: Packets each connection sends, and the seed of the benign jitter.
+PACKETS_PER_CONN = 40
+TRAFFIC_SEED = 9
+
+
+def run_scenario(mode: str, *, telemetry=None) -> TableIScenarioResult:
     """Table I row "IDS-IPS / NetWarden": evasion of detection."""
     check_mode(mode)
     sim = EventSimulator(telemetry=telemetry)
@@ -103,7 +105,7 @@ def run_scenario(mode: str, packets_per_conn: int = 40,
     client, dataplane = build_deployment(mode, switch, net, sim)
     base = sim.now
     node = net.nodes["s1"]
-    prng = XorShiftPrng(seed)
+    prng = XorShiftPrng(TRAFFIC_SEED)
 
     if mode in ("attack", "p4auth"):
         sq_sum_id = switch.registers.id_of("nw_ipd_sq_sum")
@@ -120,7 +122,7 @@ def run_scenario(mode: str, packets_per_conn: int = 40,
     from repro.dataplane.packet import Packet
     for conn in range(NUM_CONNECTIONS):
         at = 0.001 * (conn + 1)
-        for seq in range(packets_per_conn):
+        for seq in range(PACKETS_PER_CONN):
             if conn in COVERT_CONNECTIONS:
                 at += 0.001
             else:
@@ -162,7 +164,7 @@ def run_scenario(mode: str, packets_per_conn: int = 40,
                 client.write_register("s1", "nw_blocked", conn, 1)
 
     end_of_traffic = base + 0.001 * (NUM_CONNECTIONS + 2) \
-        + packets_per_conn * 0.002
+        + PACKETS_PER_CONN * 0.002
     sim.schedule_at(end_of_traffic, sweep)
     sim.schedule_at(end_of_traffic + 1.0, classify)
     sim.run(until=end_of_traffic + 3.0)

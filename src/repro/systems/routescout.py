@@ -35,14 +35,14 @@ RS_DATA_HEADER = HeaderType("rs_data", [
     ("flow_id", 32),
 ])
 
-_PAYLOAD = bytes(1400)
+#: Every data frame's size on the wire: header plus zero padding.
+RS_FRAME_BYTES = 1408
+_PAYLOAD = bytes(RS_FRAME_BYTES - RS_DATA_HEADER.byte_width)
 
 
-def make_rs_packet(dst: int, flow_id: int, size_bytes: int = 1408) -> Packet:
-    header_bytes = RS_DATA_HEADER.byte_width
-    pad = max(0, size_bytes - header_bytes)
-    packet = Packet(payload=_PAYLOAD[:pad] if pad <= len(_PAYLOAD)
-                    else bytes(pad))
+def make_rs_packet(dst: int, flow_id: int) -> Packet:
+    """One RouteScout data frame of :data:`RS_FRAME_BYTES`."""
+    packet = Packet(payload=_PAYLOAD)
     packet.push("rs_data", RS_DATA_HEADER.instantiate(
         dst=dst & 0xFFFFFFFF, flow_id=flow_id & 0xFFFFFFFF))
     return packet

@@ -92,9 +92,13 @@ class SilkRoadDataplane:
         self.transit.insert(flow_id)
 
 
-def run_scenario(mode: str, pending_flows: int = 40,
-                 packets_per_flow: int = 5, *,
-                 telemetry=None) -> TableIScenarioResult:
+#: Connections pending when migration starts, and their handshake
+#: packets each.
+PENDING_FLOWS = 40
+PACKETS_PER_FLOW = 5
+
+
+def run_scenario(mode: str, *, telemetry=None) -> TableIScenarioResult:
     """Table I row "LB / SilkRoad": wrong DIP during load balancing."""
     check_mode(mode)
     sim = EventSimulator(telemetry=telemetry)
@@ -108,7 +112,7 @@ def run_scenario(mode: str, pending_flows: int = 40,
 
     # Migration begins; pending connections arrive and are tracked.
     silk.begin_migration()
-    for flow in range(pending_flows):
+    for flow in range(PENDING_FLOWS):
         silk.note_pending(flow)
 
     from repro.dataplane.packet import Packet
@@ -120,8 +124,8 @@ def run_scenario(mode: str, pending_flows: int = 40,
         sim.schedule_at(base + at, node.receive, packet, 1)
 
     # Each pending flow sends its handshake packets over ~2 seconds.
-    for flow in range(pending_flows):
-        for seq in range(packets_per_flow):
+    for flow in range(PENDING_FLOWS):
+        for seq in range(PACKETS_PER_FLOW):
             send(flow, seq, 0.01 + flow * 0.01 + seq * 0.4)
 
     # The adversary injects a forged "clear the transit table" at 0.2 s —
@@ -138,14 +142,14 @@ def run_scenario(mode: str, pending_flows: int = 40,
 
     # The legitimate clear, after all pending connections committed.
     def commit_and_clear() -> None:
-        for flow in range(pending_flows):
+        for flow in range(PENDING_FLOWS):
             silk.connections.setdefault(flow, OLD_DIP)
         client.write_register("s1", "silk_clear_trigger", 0, 1)
 
     sim.schedule(3.0, commit_and_clear)
     sim.run(until=base + 5.0)
 
-    broken_fraction = len(silk.broken_flows) / max(1, pending_flows)
+    broken_fraction = len(silk.broken_flows) / max(1, PENDING_FLOWS)
     detected = False
     if mode == "p4auth":
         detected = (dataplane.stats.digest_fail_cdp > 0
@@ -157,7 +161,7 @@ def run_scenario(mode: str, pending_flows: int = 40,
         impact_value=broken_fraction,
         state_poisoned=len(silk.broken_flows) > 0,
         detected=detected,
-        notes=f"broken={len(silk.broken_flows)}/{pending_flows}",
+        notes=f"broken={len(silk.broken_flows)}/{PENDING_FLOWS}",
     )
 
 

@@ -33,7 +33,7 @@ to ``Tracer.emit`` (a test holds the two equal):
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 from repro.telemetry.metrics import (
     Counter,
@@ -62,11 +62,10 @@ class Telemetry:
 
     __slots__ = ("enabled", "metrics", "tracer")
 
-    def __init__(self, enabled: bool = True,
-                 clock: Optional[Callable[[], float]] = None):
+    def __init__(self, enabled: bool = True):
         self.enabled = enabled
         self.metrics = MetricRegistry(enabled=enabled)
-        self.tracer = Tracer(clock=clock) if enabled else NullTracer()
+        self.tracer = Tracer() if enabled else NullTracer()
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
         """Stamp future trace events with this time source."""

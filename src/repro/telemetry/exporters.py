@@ -42,7 +42,6 @@ WALL_CLOCK_METRICS = frozenset({"sim_wall_seconds_total", "store_fsync_seconds",
 
 
 def render_prometheus(registry: MetricRegistry,
-                      prefix: str = METRIC_PREFIX,
                       skip: Collection[str] = ()) -> str:
     """The registry in Prometheus text exposition format.
 
@@ -56,7 +55,7 @@ def render_prometheus(registry: MetricRegistry,
     for metric in registry.snapshot():
         if metric.name in skip:
             continue
-        full = f"{prefix}_{metric.name}" if prefix else metric.name
+        full = f"{METRIC_PREFIX}_{metric.name}"
         if full not in typed:
             lines.append(f"# TYPE {full} {metric.kind}")
             typed.add(full)
@@ -74,13 +73,11 @@ def render_prometheus(registry: MetricRegistry,
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def write_prometheus(registry: MetricRegistry, path: str,
-                     prefix: str = METRIC_PREFIX) -> None:
+def write_prometheus(registry: MetricRegistry, path: str) -> None:
     """The per-trial metrics dump: everything but the wall-clock metrics,
     so same-seed runs write byte-identical files."""
     with open(path, "w") as handle:
-        handle.write(render_prometheus(registry, prefix,
-                                       skip=WALL_CLOCK_METRICS))
+        handle.write(render_prometheus(registry, skip=WALL_CLOCK_METRICS))
 
 
 def write_jsonl(tracer, path: str) -> int:

@@ -6,6 +6,8 @@ inject byte-identical wire traffic; and no persona ever lands a forged
 write in the target register.
 """
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.attacks.personas import (
@@ -91,7 +93,7 @@ class TestSpecValidation:
         spec = PersonaSpec(kind="probe-mitm")
         with pytest.raises(Exception):
             spec.rate_hz = 9.0
-        assert set(spec.as_dict()) == {
+        assert set(asdict(spec)) == {
             "kind", "rate_hz", "seed", "xor_mask", "probe_value"}
 
     def test_build_persona_rejects_bad_spec(self):

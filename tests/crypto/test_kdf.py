@@ -1,12 +1,39 @@
-"""KDF: extract-and-expand behavior, pluggable PRFs, input validation."""
+"""KDF: extract-and-expand behavior, known answers, input validation."""
+
+import zlib
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.crypto.halfsiphash import HalfSipHash
-from repro.crypto.kdf import Kdf, crc32_prf, kdf
+from repro.crypto.kdf import Kdf, kdf
 
 U64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
+
+
+def _fig13_oracle(key_in: int, salt: int) -> int:
+    """Fig 13 written out from ``zlib.crc32``: PRK = PRF(salt || K_in),
+    T1 = PRF(PRK || 1), T2 = PRF(PRK || T1 || 2), key = T1 || T2, all
+    little-endian, one round."""
+    prk = zlib.crc32(salt.to_bytes(8, "little") + key_in.to_bytes(8, "little"))
+    prk_bytes = prk.to_bytes(4, "little")
+    t1 = zlib.crc32(prk_bytes + bytes([1]))
+    t2 = zlib.crc32(prk_bytes + t1.to_bytes(4, "little") + bytes([2]))
+    return (t1 << 32) | t2
+
+
+@pytest.mark.parametrize("key_in, salt, expected", [
+    (0, 0, 0x3603F51DA553F529),
+    (1, 99, 0xF3A2C6524A11D197),
+    ((1 << 64) - 1, (1 << 64) - 1, 0x579593077A66304A),
+])
+def test_known_answers(key_in, salt, expected):
+    assert kdf(key_in, salt) == expected
+    assert Kdf().derive(key_in, salt) == expected
+
+
+@given(U64, U64)
+def test_matches_fig13_oracle(key_in, salt):
+    assert kdf(key_in, salt) == _fig13_oracle(key_in, salt)
 
 
 @given(U64, U64)
@@ -25,24 +52,6 @@ def test_key_sensitivity():
 
 def test_salt_sensitivity():
     assert kdf(99, 1) != kdf(99, 2)
-
-
-def test_prf_choice_changes_output():
-    def halfsiphash_prf(data: bytes) -> int:
-        return HalfSipHash().digest(0x5034417574685052, data)
-
-    crc_kdf = Kdf(prf=crc32_prf)
-    hsh_kdf = Kdf(prf=halfsiphash_prf)
-    assert crc_kdf.derive(7, 8) != hsh_kdf.derive(7, 8)
-
-
-def test_extra_rounds_change_output():
-    assert Kdf(rounds=1).derive(7, 8) != Kdf(rounds=2).derive(7, 8)
-
-
-def test_rounds_must_be_positive():
-    with pytest.raises(ValueError):
-        Kdf(rounds=0)
 
 
 def test_rejects_oversized_inputs():

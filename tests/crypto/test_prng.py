@@ -25,7 +25,7 @@ def test_zero_seed_is_remapped():
 def test_next32_range():
     prng = XorShiftPrng(7)
     for _ in range(100):
-        assert 0 <= prng.next32() < (1 << 32)
+        assert 0 <= prng.next_bits(32) < (1 << 32)
 
 
 def test_next_bits_ranges():

@@ -147,7 +147,7 @@ def test_crc32_many_keyed_matches_scalar_class(batch, _lane):
     engine = Crc32()
     key = rng.getrandbits(64)
     datas = _messages(rng, batch)
-    tags = vectorized.crc32_many_keyed(key, datas, engine=engine)
+    tags = vectorized.crc32_many_keyed(key, datas)
     assert tags == [engine.compute_keyed(key, d) for d in datas]
 
 
@@ -157,7 +157,7 @@ def test_crc32_many_matches_scalar_class(batch, _lane):
     rng = random.Random(0x32 + batch)
     engine = Crc32()
     datas = _messages(rng, batch)
-    tags = vectorized.crc32_many(datas, engine=engine)
+    tags = vectorized.crc32_many(datas)
     assert tags == [engine.compute(d) for d in datas]
 
 
@@ -190,7 +190,7 @@ def test_all_edge_lengths_in_one_batch(_lane):
     messages = [rng.randbytes(length) for length in EDGE_LENGTHS]
     assert vectorized.digest_many(key, messages) \
         == [engine.digest(key, m) for m in messages]
-    assert vectorized.crc32_many_keyed(key, messages, engine=crc) \
+    assert vectorized.crc32_many_keyed(key, messages) \
         == [crc.compute_keyed(key, m) for m in messages]
 
 
@@ -262,7 +262,7 @@ def test_property_digest_many_matches_reference(_lane, key,
 @given(key=_keys, datas=_message_lists)
 def test_property_crc32_many_keyed_bit_identical(_lane, key, datas):
     engine = Crc32()
-    assert vectorized.crc32_many_keyed(key, datas, engine=engine) \
+    assert vectorized.crc32_many_keyed(key, datas) \
         == [engine.compute_keyed(key, d) for d in datas]
 
 

@@ -8,13 +8,14 @@ from repro.dataplane.pipeline import (
     Emit,
     Pipeline,
     PipelineContext,
-    Recirculate,
     ToController,
 )
+from repro.dataplane.switch import DataplaneSwitch
 
 
 def run(pipeline, packet=None, port=1):
-    ctx = PipelineContext(switch=None, packet=packet or Packet(),
+    ctx = PipelineContext(switch=DataplaneSwitch("s1"),
+                          packet=packet or Packet(),
                           ingress_port=port)
     return pipeline.run(ctx), ctx
 
@@ -86,14 +87,12 @@ def test_emit_alternate_packet():
     assert actions[0].packet is other
 
 
-def test_to_controller_and_recirculate():
+def test_to_controller():
     pipeline = Pipeline()
     pipeline.add_stage("a", lambda ctx: ctx.to_controller(reason="r"))
-    pipeline.add_stage("b", lambda ctx: ctx.recirculate())
     actions, _ = run(pipeline)
     assert isinstance(actions[0], ToController)
     assert actions[0].reason == "r"
-    assert isinstance(actions[1], Recirculate)
 
 
 def test_stage_trace_recorded():

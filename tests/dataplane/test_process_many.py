@@ -14,13 +14,13 @@ import pytest
 
 from repro.dataplane.packet import Packet
 from repro.dataplane.pipeline import Drop, Emit
-from repro.dataplane.switch import DataplaneSwitch, MAX_RECIRCULATIONS
+from repro.dataplane.switch import DataplaneSwitch
 from repro.telemetry import Telemetry
 
 
 def build_switch(name="s1", telemetry=None):
-    """A pipeline exercising registers, the hash extern, drops, and one
-    recirculation — every per-packet side effect the batch must preserve."""
+    """A pipeline exercising registers, the hash extern and drops — every
+    per-packet side effect the batch must preserve."""
     switch = DataplaneSwitch(name, num_ports=4, seed=7)
     switch.registers.define("hits", 64, 8)
 
@@ -30,10 +30,6 @@ def build_switch(name="s1", telemetry=None):
         tag = ctx.switch.hash.compute_digest_bytes(0xA5, payload)
         ctx.switch.registers.get("hits").read_modify_write(
             lead % 8, lambda v: (v + 1 + (tag & 1)))
-        if lead == 0xFE and "looped" not in ctx.packet.metadata:
-            ctx.packet.metadata["looped"] = True
-            ctx.recirculate()
-            return
         if lead % 3 == 0:
             ctx.drop("mod3")
             return
@@ -134,17 +130,9 @@ def test_process_many_invalid_port_raises_like_process():
         switch.process_many([(Packet(payload=b"\x01"), 9)])
 
 
-def test_process_many_runaway_recirculation_still_bounded():
-    switch = DataplaneSwitch("s1", num_ports=2)
-    switch.pipeline.add_stage("loop", lambda ctx: ctx.recirculate())
-    with pytest.raises(RuntimeError):
-        switch.process_many([(Packet(), 1)])
-    assert MAX_RECIRCULATIONS >= 1
-
-
 def test_process_many_mixed_verdict_ordering():
     """Results stay aligned with submission order even when verdicts
-    interleave drops, emits, and recirculated packets."""
+    interleave drops and emits."""
     switch = build_switch()
     batch = [(Packet(payload=bytes([value])), 1)
              for value in (0x00, 0x01, 0xFE, 0x03, 0x04)]
@@ -152,7 +140,6 @@ def test_process_many_mixed_verdict_ordering():
     assert len(results) == 5
     assert isinstance(results[0][0], Drop)          # 0x00 % 3 == 0
     assert isinstance(results[1][0], (Emit, Drop))  # hash-dependent port
-    # 0xFE recirculates once, then 0xFE % 3 != 0 so it emits.
-    assert isinstance(results[2][0], Emit)
+    assert isinstance(results[2][0], Emit)          # 0xFE % 3 != 0
     assert isinstance(results[3][0], Drop)          # 0x03 % 3 == 0
-    assert switch.pipeline_passes == 6              # 5 packets + 1 recirc
+    assert switch.pipeline_passes == 5              # one per packet

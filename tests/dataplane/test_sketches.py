@@ -4,11 +4,24 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.dataplane.registers import RegisterFile
-from repro.dataplane.sketches import BloomFilter, CountMinSketch, Iblt, _hash
+from repro.dataplane.sketches import (
+    BloomFilter,
+    CountMinSketch,
+    Iblt,
+    iblt_positions,
+)
 
 
-def fresh_bloom(bits=512, hashes=3):
-    return BloomFilter(RegisterFile(), "bf", bits=bits, num_hashes=hashes)
+def fresh_bloom(bits=512, hashes=3, registers=None):
+    if registers is None:
+        registers = RegisterFile()
+    return BloomFilter(registers, "bf", bits=bits, num_hashes=hashes)
+
+
+def bits_set(registers):
+    """Set bits of ``fresh_bloom``'s register, read by name (the C-DP
+    read surface)."""
+    return sum(registers.get("bf").snapshot())
 
 
 class TestBloomFilter:
@@ -23,18 +36,20 @@ class TestBloomFilter:
         assert 123 not in fresh_bloom()
 
     def test_clear_resets(self):
-        bloom = fresh_bloom()
+        registers = RegisterFile()
+        bloom = fresh_bloom(registers=registers)
         bloom.insert(1)
         bloom.clear()
         assert 1 not in bloom
-        assert bloom.fill_ratio() == 0.0
+        assert bits_set(registers) == 0
 
     def test_fill_ratio_grows(self):
-        bloom = fresh_bloom()
-        before = bloom.fill_ratio()
+        registers = RegisterFile()
+        bloom = fresh_bloom(registers=registers)
+        before = bits_set(registers)
         for item in range(50):
             bloom.insert(item)
-        assert bloom.fill_ratio() > before
+        assert bits_set(registers) > before
 
     def test_false_positive_rate_reasonable(self):
         bloom = fresh_bloom(bits=8192)
@@ -82,10 +97,10 @@ class TestCountMinSketch:
         assert sketch.estimate(1) == 0
 
     def test_row_register_exposed_for_cdp_reads(self):
-        sketch = CountMinSketch(RegisterFile(), "cms", width=64, depth=2)
+        registers = RegisterFile()
+        sketch = CountMinSketch(registers, "cms", width=64, depth=2)
         sketch.update(1, 3)
-        row = sketch.row_register(0)
-        assert sum(row.snapshot()) == 3
+        assert sum(registers.get("cms_row0").snapshot()) == 3
 
     @given(st.dictionaries(st.integers(min_value=0, max_value=1000),
                            st.integers(min_value=1, max_value=50),
@@ -134,7 +149,8 @@ class TestIblt:
     def test_clear(self):
         iblt = Iblt(RegisterFile(), "i", cells=16)
         iblt.insert(1, 1)
-        iblt.clear()
+        for register in (iblt.count, iblt.id_xor, iblt.value_sum):
+            register.clear()
         assert Iblt.decode(iblt.export()) == {}
 
     @given(st.dictionaries(
@@ -149,8 +165,7 @@ class TestIblt:
         # IBLT with a flow filter for that case.  Exclude those inputs.
         position_sets = {}
         for flow in truth:
-            positions = tuple(sorted({_hash(flow, 0x200 + salt) % 128
-                                      for salt in range(3)}))
+            positions = tuple(iblt_positions(flow, 128))
             assume(positions not in position_sets.values())
             position_sets[flow] = positions
         for flow, value in truth.items():

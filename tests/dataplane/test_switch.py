@@ -1,10 +1,10 @@
-"""DataplaneSwitch: processing, recirculation bounds, port validation."""
+"""DataplaneSwitch: processing, pass counting, port validation."""
 
 import pytest
 
 from repro.dataplane.packet import Packet
 from repro.dataplane.pipeline import Drop, Emit
-from repro.dataplane.switch import MAX_RECIRCULATIONS, DataplaneSwitch
+from repro.dataplane.switch import DataplaneSwitch
 from repro.dataplane.tables import MatchActionTable, MatchKind
 
 
@@ -31,30 +31,19 @@ def test_cpu_port_always_valid():
     assert switch.process(Packet(), DataplaneSwitch.CPU_PORT) == []
 
 
-def test_recirculation_runs_extra_pass():
+def test_each_packet_takes_one_pass():
     switch = DataplaneSwitch("s1", num_ports=2)
-    state = {"passes": 0}
+    runs = []
 
     def stage(ctx):
-        state["passes"] += 1
-        if state["passes"] == 1:
-            ctx.recirculate()
-        else:
-            ctx.emit(1)
+        runs.append(ctx.ingress_port)
+        ctx.emit(1)
 
-    switch.pipeline.add_stage("loop", stage)
-    actions = switch.process(Packet(), 1)
-    assert state["passes"] == 2
-    assert isinstance(actions[0], Emit)
+    switch.pipeline.add_stage("fwd", stage)
+    switch.process(Packet(), 1)
+    switch.process(Packet(), 2)
+    assert runs == [1, 2]
     assert switch.pipeline_passes == 2
-
-
-def test_runaway_recirculation_bounded():
-    switch = DataplaneSwitch("s1", num_ports=2)
-    switch.pipeline.add_stage("loop", lambda ctx: ctx.recirculate())
-    with pytest.raises(RuntimeError):
-        switch.process(Packet(), 1)
-    assert MAX_RECIRCULATIONS >= 1
 
 
 def test_drop_counted():

@@ -37,5 +37,5 @@ def test_different_seeds_differ():
 
 
 def test_trace_generator_is_the_randomness_root():
-    assert (TraceGenerator(seed=1).flow_list(2.0)[0].five_tuple
-            == TraceGenerator(seed=1).flow_list(2.0)[0].five_tuple)
+    assert (next(TraceGenerator(seed=1).flows(2.0))
+            == next(TraceGenerator(seed=1).flows(2.0)))

@@ -42,9 +42,9 @@ def test_randomized_ops_with_loss_never_desync(seed):
 
     # Random loss on every channel and link (10%).
     for channel in dep.net.control_channels.values():
-        channel.add_tap(SeededLoss(0.10, prng.next32()))
+        channel.add_tap(SeededLoss(0.10, prng.next_bits(32)))
     for link in dep.net.links:
-        link.add_tap(SeededLoss(0.10, prng.next32()))
+        link.add_tap(SeededLoss(0.10, prng.next_bits(32)))
 
     switches = list(dep.dataplanes)
     links = kmp.switch_links()

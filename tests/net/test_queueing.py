@@ -66,7 +66,7 @@ class TestEndToEndQueueing:
         switch.pipeline.add_stage("fwd", lambda ctx: ctx.emit(2))
         net.add_switch(switch)
         host = net.add_host("h")
-        net.connect("s1", 2, "h", 1, bandwidth_bps=1e6)  # slow egress
+        net.connect("s1", 2, "h", 1).bandwidth_bps = 1e6  # slow egress
         node = net.nodes["s1"]
         for _ in range(5):
             sim.schedule(0.0, node.receive, Packet(payload=bytes(1250)), 1)

@@ -30,10 +30,14 @@ class TestDeterminism:
         assert forward == backward
 
     def test_ring_owner_is_stable(self):
-        ring = ShardMap(SHARDS_4)
-        owners = {sw: ring.ring_owner(sw) for sw in SWITCHES_100}
-        assert owners == {sw: ShardMap(SHARDS_4).ring_owner(sw)
-                          for sw in SWITCHES_100}
+        # A load factor equal to the shard count lets one shard hold the
+        # whole fleet, so no cap binds and every switch lands on its raw
+        # consistent-hash owner.
+        uncapped = float(len(SHARDS_4))
+        owners = ShardMap(SHARDS_4).assign(SWITCHES_100, uncapped)
+        assert owners == ShardMap(SHARDS_4).assign(SWITCHES_100, uncapped)
+        assert ShardMap(SHARDS_4).capacity(len(SWITCHES_100), uncapped) \
+            == len(SWITCHES_100)
 
 
 class TestCoverageAndBalance:

@@ -61,13 +61,14 @@ class TestAggregationDataplane:
     def test_missing_workers(self):
         switch, aggregation = make_agg(num_workers=3)
         switch.process(make_contribution(1, 0, 1, 5), 3)
-        assert aggregation.missing_workers(0) == [0, 2]
+        # Worker 1 is in; workers 0 and 2 are outstanding.
+        assert aggregation.agg_bitmap.read(0) == 0b010
 
     def test_reset_chunk(self):
         switch, aggregation = make_agg(num_workers=3)
         switch.process(make_contribution(1, 0, 1, 5), 3)
         aggregation.reset_chunk(0)
-        assert aggregation.missing_workers(0) == [0, 1, 2]
+        assert aggregation.agg_bitmap.read(0) == 0  # all outstanding
         assert aggregation.agg_sum.read(0) == 0
 
 

@@ -77,8 +77,9 @@ class TestCollector:
         collector = IntCollector()
         collector.ingest(out2, 0.0)
         assert collector.max_hop_latency_us() == 90
-        assert collector.path_of_last_probe() == [1, 2]
-        assert collector.mean_path_latency_us() == 100.0
+        [records] = collector.probes
+        assert [r.switch_id for r in records] == [1, 2]
+        assert sum(r.latency_us for r in records) == 100
 
 
 class TestSecIntScenario:
