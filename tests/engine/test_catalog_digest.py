@@ -15,16 +15,25 @@ worker count touches the result, and that no result depends on how the
 interpreter sums floats: results sum them left to right
 (``repro.analysis.total``).
 
-A change that moves a result rewrites the golden and says which specs
-moved and why:
+``golden/trace_digest.json`` pins the bytes of those trace dumps: per
+spec, the sha256 of every ``.jsonl`` and ``.prom`` a traced ``--short``
+run writes.  The writer takes them from one more run per spec, traced
+with one worker; each case hashes the files its own two-worker run
+wrote, so the pin costs no extra trial.  A change to what a layer
+counts or traces moves these and not the result digests.
+
+A change that moves a result or a dump rewrites both goldens and says
+which specs moved and why:
 
     PYTHONPATH=src python -m tests.engine.test_catalog_digest
 """
 
 import builtins
+import hashlib
 import json
 import math
 import os
+import tempfile
 
 import pytest
 
@@ -38,6 +47,8 @@ from repro.engine import (
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
                       "catalog_digest.json")
+TRACE_GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
+                            "trace_digest.json")
 
 _END = object()
 
@@ -55,8 +66,17 @@ def digest(name, workers, trace_dir=None):
                          "claims": document["claims"]})
 
 
-def load_golden():
-    with open(GOLDEN) as handle:
+def dump_hashes(trace_dir):
+    """``{file: sha256 of its bytes}`` for every dump in ``trace_dir``."""
+    hashes = {}
+    for file in sorted(os.listdir(trace_dir)):
+        with open(os.path.join(trace_dir, file), "rb") as handle:
+            hashes[file] = hashlib.sha256(handle.read()).hexdigest()
+    return hashes
+
+
+def load_golden(path=GOLDEN):
+    with open(path) as handle:
         return json.load(handle)
 
 
@@ -88,6 +108,7 @@ def compensated_sum(iterable, start=0):
 
 def test_golden_covers_the_catalog():
     assert sorted(load_golden()) == catalog()
+    assert sorted(load_golden(TRACE_GOLDEN)) == catalog()
 
 
 @pytest.mark.parametrize("name", sorted(load_golden()))
@@ -104,11 +125,27 @@ def test_short_run_matches_its_digest(name, monkeypatch, tmp_path):
                for suffix in (".jsonl", ".prom")}
     assert written[".jsonl"] == written[".prom"]
     assert len(written[".jsonl"]) == len(get_spec(name).expand(short=True))
+    want = load_golden(TRACE_GOLDEN)[name]
+    got = dump_hashes(tmp_path)
+    moved = sorted(file for file in want.keys() | got.keys()
+                   if want.get(file) != got.get(file))
+    assert not moved, f"{name}: trace dumps moved: {moved}"
+
+
+def write_golden(path, document):
+    with open(path, "w") as handle:
+        json.dump(document, handle, indent=2, sort_keys=True)
+        handle.write("\n")
 
 
 if __name__ == "__main__":
-    digests = {name: digest(name, workers=1) for name in catalog()}
-    with open(GOLDEN, "w") as handle:
-        json.dump(digests, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"wrote {len(digests)} digests to {GOLDEN}")
+    digests, traces = {}, {}
+    for name in catalog():
+        digests[name] = digest(name, workers=1)
+        with tempfile.TemporaryDirectory() as trace_dir:
+            digest(name, workers=1, trace_dir=trace_dir)
+            traces[name] = dump_hashes(trace_dir)
+    write_golden(GOLDEN, digests)
+    write_golden(TRACE_GOLDEN, traces)
+    print(f"wrote {len(digests)} digests to {GOLDEN} and "
+          f"{sum(map(len, traces.values()))} dump hashes to {TRACE_GOLDEN}")
