@@ -1,15 +1,17 @@
 """Telemetry overhead — the disabled fast path must stay under 2%.
 
-Every instrumented hot path guards its telemetry work behind an
-``enabled`` check (or a shared null object whose mutators are no-ops),
-so a run without telemetry should pay essentially nothing.  Timing two
-full runs against each other is hopelessly noisy at the ~1% level on a
-shared CI box, so the bound is computed structurally instead:
+Without telemetry, every hot path calls handles bound to the disabled
+registry's shared null metric (no-op mutators) and every per-event
+lookup sits behind an ``enabled`` check, so a run without telemetry
+should pay essentially nothing.  Timing two full runs against each
+other is hopelessly noisy at the ~1% level on a shared CI box, so the
+bound is computed structurally instead:
 
 1. run the Fig 18 RCT workload once *with* telemetry and count how many
    metric/trace touchpoints the workload actually hits;
-2. microbenchmark the disabled-path cost of one touchpoint (an
-   ``enabled`` check plus a null-object method call);
+2. microbenchmark the disabled-path cost of one touchpoint: the mean of
+   an ``enabled`` check, a null lookup plus its no-op update (dearer
+   than the bound handle a hot path updates), and a no-op trace event;
 3. assert touchpoints x per-touchpoint-cost < 2% of the *disabled*
    run's wall time.
 

@@ -164,6 +164,22 @@ class P4AuthDataplane:
         self.on_dpdp_exchange_sent: List[Callable[[int, Packet], None]] = []
 
         self._installed = False
+        switch.on_telemetry_bound.append(self._bind_telemetry)
+        self._bind_telemetry(switch.telemetry)
+
+    def _bind_telemetry(self, telemetry) -> None:
+        """Resolve the handles counted per verified message or replay."""
+        metrics = telemetry.metrics
+        name = self.switch.name
+        self._verified = {
+            (result, channel): metrics.bind_counter(
+                "p4auth_digest_verify_total", switch=name, result=result,
+                channel=channel)
+            for result in ("pass", "fail") for channel in ("cdp", "dpdp")}
+        self._replays = {
+            channel: metrics.bind_counter("p4auth_replay_rejected_total",
+                                          switch=name, channel=channel)
+            for channel in ("cdp", "dpdp")}
 
     @property
     def telemetry(self):
@@ -224,12 +240,7 @@ class P4AuthDataplane:
         if key is None or not self.digest.verify(key, packet):
             self._on_digest_fail(ctx, hdr, from_cpu)
             return
-        telemetry = self.telemetry
-        if telemetry.enabled:
-            telemetry.metrics.counter(
-                "p4auth_digest_verify_total", switch=self.switch.name,
-                result="pass", channel="cdp" if from_cpu else "dpdp",
-            ).inc()
+        self._verified["pass", "cdp" if from_cpu else "dpdp"].inc()
 
         hdr_type = hdr["hdrType"]
         malformed = _MALFORMED.get(hdr_type)
@@ -306,26 +317,17 @@ class P4AuthDataplane:
 
     def _note_verify_fail(self, ctx: PipelineContext, channel: str,
                           cause: str) -> None:
-        telemetry = self.telemetry
-        if telemetry.enabled:
-            telemetry.metrics.counter(
-                "p4auth_digest_verify_total", switch=self.switch.name,
-                result="fail", channel=channel,
-            ).inc()
-            telemetry.tracer.emit("digest.verify_fail",
-                                  switch=self.switch.name, channel=channel,
-                                  cause=cause, port=ctx.ingress_port)
+        self._verified["fail", channel].inc()
+        self.telemetry.tracer.emit("digest.verify_fail",
+                                   switch=self.switch.name, channel=channel,
+                                   cause=cause, port=ctx.ingress_port)
 
     def _note_replay(self, ctx: PipelineContext, seq: int,
                      channel: str) -> None:
         self.stats.replays_detected += 1
-        telemetry = self.telemetry
-        if telemetry.enabled:
-            telemetry.metrics.counter("p4auth_replay_rejected_total",
-                                      switch=self.switch.name,
-                                      channel=channel).inc()
-            telemetry.tracer.emit("replay.reject", switch=self.switch.name,
-                                  channel=channel, seq=seq)
+        self._replays[channel].inc()
+        self.telemetry.tracer.emit("replay.reject", switch=self.switch.name,
+                                   channel=channel, seq=seq)
 
     def _on_digest_fail(self, ctx: PipelineContext, hdr, from_cpu: bool) -> None:
         msg_type = hdr["msgType"]

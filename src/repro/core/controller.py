@@ -99,6 +99,13 @@ class P4AuthController:
         self.costs = network.costs
         self.telemetry = network.telemetry
         self.digest = DigestEngine()
+        metrics = self.telemetry.metrics
+        self._sign_batches = {
+            lane: metrics.bind_counter("controller_sign_batches_total",
+                                       lane=lane)
+            for lane in ("scalar", "vector")}
+        self._sign_batch_size = metrics.bind_histogram(
+            "controller_sign_batch_size", buckets=SIGN_BATCH_BUCKETS)
         self.keys = ControllerKeyStore()
         self.prng = XorShiftPrng(seed)
         self.stats = ControllerStats()
@@ -293,13 +300,9 @@ class P4AuthController:
             for kind, reg_name, index, value, callback in ops]
         composed = [self._compose(request) for request in requests]
         self.digest.sign_many(key, [packet for _seq, packet in composed])
-        if self.telemetry.enabled and composed:
-            self.telemetry.metrics.counter(
-                "controller_sign_batches_total",
-                lane=self.digest.lane_for(len(composed))).inc()
-            self.telemetry.metrics.histogram(
-                "controller_sign_batch_size",
-                buckets=SIGN_BATCH_BUCKETS).observe(len(composed))
+        if composed:
+            self._sign_batches[self.digest.lane_for(len(composed))].inc()
+            self._sign_batch_size.observe(len(composed))
         for request, (seq, packet) in zip(requests, composed):
             self._dispatch(seq, packet, request)
         return [seq for seq, _packet in composed]

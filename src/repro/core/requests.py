@@ -35,6 +35,9 @@ ResponseCallback = Callable[[bool, int], None]
 #: for days keeps the newest window and exports the rest as histograms.
 SAMPLE_WINDOW = 1 << 16
 
+#: The two request kinds every register-access stack issues.
+REQUEST_KINDS = ("read", "write")
+
 
 def sample_window() -> Deque:
     """An empty per-request sample container (newest ``SAMPLE_WINDOW``)."""
@@ -91,7 +94,7 @@ class PendingRequest:
     retry can be composed from this record alone.
     """
 
-    kind: str  # "read" | "write"
+    kind: str  # one of REQUEST_KINDS
     switch: str
     reg_name: str
     index: int
@@ -119,6 +122,16 @@ class RequestLifecycle:
         self.sim = network.sim
         self.telemetry = network.telemetry
         self.stack = stack
+        metrics = self.telemetry.metrics
+        self._rct = {kind: metrics.bind_histogram(
+            "runtime_rct_seconds", buckets=RCT_BUCKETS, stack=stack,
+            kind=kind) for kind in REQUEST_KINDS}
+        self._retries = {kind: metrics.bind_counter(
+            "runtime_request_retries_total", stack=stack, kind=kind)
+            for kind in REQUEST_KINDS}
+        self._abandoned = {kind: metrics.bind_counter(
+            "runtime_requests_abandoned_total", stack=stack, kind=kind)
+            for kind in REQUEST_KINDS}
         self.policy = policy
         self.reissue = reissue
         self.counters = counters
@@ -191,10 +204,7 @@ class RequestLifecycle:
         if request.timeout_handle is not None:
             request.timeout_handle.cancel()
         request.rct_s = (self.sim.now + verify_s) - request.sent_at
-        if self.telemetry.enabled:
-            self.telemetry.metrics.histogram(
-                "runtime_rct_seconds", buckets=RCT_BUCKETS,
-                stack=self.stack, kind=request.kind).observe(request.rct_s)
+        self._rct[request.kind].observe(request.rct_s)
         return request
 
     def lost(self, switch: str, seq: int) -> None:
@@ -218,22 +228,16 @@ class RequestLifecycle:
             return  # answered in the meantime (handle raced cancellation)
         if self.policy.exhausted(request.attempt):
             self.counters.requests_abandoned += 1
-            if self.telemetry.enabled:
-                self.telemetry.metrics.counter(
-                    "runtime_requests_abandoned_total",
-                    stack=self.stack, kind=request.kind).inc()
-                self.telemetry.tracer.emit(
-                    "runtime.request_abandoned", stack=self.stack,
-                    switch=switch, kind=request.kind, reg=request.reg_name,
-                    seq=seq, attempts=request.attempt)
+            self._abandoned[request.kind].inc()
+            self.telemetry.tracer.emit(
+                "runtime.request_abandoned", stack=self.stack,
+                switch=switch, kind=request.kind, reg=request.reg_name,
+                seq=seq, attempts=request.attempt)
             if request.callback is not None:
                 request.callback(False, 0)
             return
         self.counters.request_retries += 1
-        if self.telemetry.enabled:
-            self.telemetry.metrics.counter(
-                "runtime_request_retries_total",
-                stack=self.stack, kind=request.kind).inc()
+        self._retries[request.kind].inc()
         self.reissue(request.kind, switch, request.reg_name, request.index,
                      request.value, request.callback, request.attempt + 1)
 

@@ -20,29 +20,21 @@ pipes the pre-master secret through the KDF and rolls keys periodically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.crypto.ops import MASK64, and64, xor64
 
-# Default group parameters.  On the switch these are compile-time constants
+# The group parameters.  On the switch these are compile-time constants
 # baked into the P4 binary; any odd-ish 64-bit constants work because the
 # algebra is bitwise.  These values are arbitrary published nothing-up-my-
 # sleeve digits (from pi and e).
-DEFAULT_PRIME = 0x243F6A8885A308D3
-DEFAULT_GENERATOR = 0xB7E151628AED2A6A
+PRIME = 0x243F6A8885A308D3
+GENERATOR = 0xB7E151628AED2A6A
 
 
-@dataclass(frozen=True)
 class DhParameters:
     """Group parameters (P, G) shared by both endpoints at compile time."""
 
-    prime: int = DEFAULT_PRIME
-    generator: int = DEFAULT_GENERATOR
-
-    def __post_init__(self) -> None:
-        for name, value in (("prime", self.prime), ("generator", self.generator)):
-            if not 0 < value <= MASK64:
-                raise ValueError(f"{name} must be a nonzero 64-bit unsigned integer")
+    prime = PRIME
+    generator = GENERATOR
 
 
 def dh_public(params: DhParameters, private_random: int) -> int:

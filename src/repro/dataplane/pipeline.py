@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple, Union
 
 from repro.dataplane.packet import Packet
+from repro.telemetry import NULL_TELEMETRY, Counter, MetricRegistry
 
 
 @dataclass
@@ -60,7 +61,8 @@ class PipelineContext:
         self.now = now
         self.actions: List[PipelineAction] = []
         self._stopped = False
-        self.stage_trace: List[str] = []
+        #: The stage running (or, once stopped, the one that stopped it).
+        self.stage = "unstaged"
 
     # -- verdicts -----------------------------------------------------------
 
@@ -92,43 +94,47 @@ class Pipeline:
 
     def __init__(self, name: str = "ingress"):
         self.name = name
-        self._stages: List[Tuple[str, Stage]] = []
+        self._stages: List[Tuple[str, Stage, Counter]] = []
+        self._metrics: MetricRegistry = NULL_TELEMETRY.metrics
+        self._switch_name = ""
+
+    def bind(self, metrics: MetricRegistry, switch_name: str) -> None:
+        """Re-resolve each stage's ``dataplane_stage_packets_total``
+        handle (a stage added later resolves its own) in ``metrics``."""
+        self._metrics = metrics
+        self._switch_name = switch_name
+        self._stages = [(name, fn, self._packets(name))
+                        for name, fn, _ in self._stages]
+
+    def _packets(self, stage: str) -> Counter:
+        return self._metrics.bind_counter(
+            "dataplane_stage_packets_total", switch=self._switch_name,
+            stage=stage)
 
     def add_stage(self, name: str, fn: Stage) -> "Pipeline":
         """Append a stage; returns self for chaining."""
-        if any(existing == name for existing, _ in self._stages):
-            raise ValueError(f"pipeline already has a stage named {name!r}")
-        self._stages.append((name, fn))
-        return self
+        return self._insert(len(self._stages), name, fn)
 
     def insert_stage(self, index: int, name: str, fn: Stage) -> "Pipeline":
         """Insert a stage at a position (P4Auth installs itself first)."""
-        if any(existing == name for existing, _ in self._stages):
+        return self._insert(index, name, fn)
+
+    def _insert(self, index: int, name: str, fn: Stage) -> "Pipeline":
+        if name in self.stage_names():
             raise ValueError(f"pipeline already has a stage named {name!r}")
-        self._stages.insert(index, (name, fn))
+        self._stages.insert(index, (name, fn, self._packets(name)))
         return self
 
     def stage_names(self) -> List[str]:
-        return [name for name, _ in self._stages]
+        return [name for name, _, _ in self._stages]
 
     def run(self, ctx: PipelineContext) -> List[PipelineAction]:
         """Execute the stages in order until done or stopped."""
-        # Per-stage occupancy counters.
-        telemetry = ctx.switch.telemetry
-        if telemetry.enabled:
-            metrics = telemetry.metrics
-            switch_name = ctx.switch.name
-        else:
-            metrics = None
-            switch_name = ""
-        trace = ctx.stage_trace
-        for name, fn in self._stages:
+        for name, fn, packets in self._stages:
             if ctx._stopped:
                 break
-            trace.append(name)
-            if metrics is not None:
-                metrics.counter("dataplane_stage_packets_total",
-                                switch=switch_name, stage=name).inc()
+            ctx.stage = name
+            packets.inc()
             fn(ctx)
         return ctx.actions
 

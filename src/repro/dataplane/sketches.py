@@ -32,20 +32,22 @@ def _hash(value: int, salt: int) -> int:
     return _hsh.digest(key, value.to_bytes(8, "little"))
 
 
+#: Hash functions (k) per bloom filter item.
+BLOOM_HASHES = 3
+
+
 class BloomFilter:
     """A k-hash bloom filter over a 1-bit register array."""
 
-    def __init__(self, registers: RegisterFile, name: str, bits: int = 4096,
-                 num_hashes: int = 3):
-        if bits <= 0 or num_hashes <= 0:
-            raise ValueError("bits and num_hashes must be positive")
+    def __init__(self, registers: RegisterFile, name: str, bits: int = 4096):
+        if bits <= 0:
+            raise ValueError("bits must be positive")
         self.bits = bits
-        self.num_hashes = num_hashes
         self._cells = registers.define(name, 1, bits)
 
     def _positions(self, item: int) -> List[int]:
         return [_hash(item, salt) % self.bits
-                for salt in range(self.num_hashes)]
+                for salt in range(BLOOM_HASHES)]
 
     def insert(self, item: int) -> None:
         for position in self._positions(item):

@@ -9,7 +9,7 @@ processing-time costs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.dataplane.externs import HashExtern, RandomExtern
 from repro.dataplane.packet import Packet
@@ -21,7 +21,7 @@ from repro.dataplane.pipeline import (
 )
 from repro.dataplane.registers import RegisterFile
 from repro.dataplane.tables import MatchActionTable
-from repro.telemetry import NULL_TELEMETRY
+from repro.telemetry import NULL_TELEMETRY, Telemetry
 
 #: Buckets for the batch-execution size histogram (packets per
 #: :meth:`DataplaneSwitch.process_many` call).
@@ -59,9 +59,32 @@ class DataplaneSwitch:
         self.pipeline_passes = 0
         #: Drop tally by reason string (always on; a dict increment).
         self.drop_reasons: Dict[str, int] = {}
-        #: Observability sink; :meth:`repro.net.network.Network.add_switch`
-        #: rebinds this to the fabric's instance when one is enabled.
+        #: Called with the telemetry each time it is bound, so a program
+        #: fragment (P4Auth) rebinds its handles with the switch's.
+        self.on_telemetry_bound: List[Callable[[Telemetry], None]] = []
         self.telemetry = NULL_TELEMETRY
+
+    @property
+    def telemetry(self) -> Telemetry:
+        """Observability sink; :meth:`repro.net.network.Network.add_switch`
+        rebinds this to the fabric's instance when one is enabled."""
+        return self._telemetry
+
+    @telemetry.setter
+    def telemetry(self, telemetry: Telemetry) -> None:
+        """Bind the sink and every handle counted per packet through it."""
+        self._telemetry = telemetry
+        metrics = telemetry.metrics
+        self._passes = metrics.bind_counter(
+            "dataplane_pipeline_passes_total", switch=self.name)
+        self._batches = metrics.bind_counter(
+            "dataplane_process_batches_total", switch=self.name)
+        self._batch_size = metrics.bind_histogram(
+            "dataplane_process_batch_size", buckets=PROCESS_BATCH_BUCKETS,
+            switch=self.name)
+        self.pipeline.bind(metrics, self.name)
+        for hook in self.on_telemetry_bound:
+            hook(telemetry)
 
     # -- program construction ------------------------------------------------
 
@@ -102,12 +125,9 @@ class DataplaneSwitch:
 
         Returns the externally visible actions (Emit, ToController, Drop).
         """
-        telemetry = self.telemetry
-        final = self._run_one(packet, ingress_port, now, telemetry)
-        if telemetry.enabled:
-            telemetry.metrics.counter("dataplane_pipeline_passes_total",
-                                      switch=self.name).inc()
-        return final
+        actions = self._run_one(packet, ingress_port, now)
+        self._passes.inc()
+        return actions
 
     def process_many(self, batch: List[Tuple[Packet, int]],
                      now: float = 0.0) -> List[List[PipelineAction]]:
@@ -122,24 +142,17 @@ class DataplaneSwitch:
         timing models are unchanged: every packet still consumes its own
         pipeline pass and extern invocations.
         """
-        telemetry = self.telemetry
         run_one = self._run_one
-        results = [run_one(packet, ingress_port, now, telemetry)
+        results = [run_one(packet, ingress_port, now)
                    for packet, ingress_port in batch]
-        if telemetry.enabled:
-            if batch:
-                telemetry.metrics.counter("dataplane_pipeline_passes_total",
-                                          switch=self.name).inc(len(batch))
-            telemetry.metrics.counter("dataplane_process_batches_total",
-                                      switch=self.name).inc()
-            telemetry.metrics.histogram(
-                "dataplane_process_batch_size",
-                buckets=PROCESS_BATCH_BUCKETS,
-                switch=self.name).observe(len(results))
+        if batch:
+            self._passes.inc(len(batch))
+        self._batches.inc()
+        self._batch_size.observe(len(results))
         return results
 
-    def _run_one(self, packet: Packet, ingress_port: int, now: float,
-                 telemetry) -> List[PipelineAction]:
+    def _run_one(self, packet: Packet, ingress_port: int,
+                 now: float) -> List[PipelineAction]:
         """One packet's pipeline pass: its actions."""
         if not self.valid_port(ingress_port):
             raise ValueError(
@@ -152,16 +165,15 @@ class DataplaneSwitch:
         for action in actions:
             if type(action) is Drop:
                 self.packets_dropped += 1
-                self._count_drop(action, ctx, telemetry)
+                self._count_drop(action, ctx.stage)
         return actions
 
-    def _count_drop(self, action: Drop, ctx: PipelineContext,
-                    telemetry) -> None:
+    def _count_drop(self, action: Drop, stage: str) -> None:
         """Attribute a pipeline drop to its reason and deciding stage."""
         reason = action.reason or "unspecified"
         self.drop_reasons[reason] = self.drop_reasons.get(reason, 0) + 1
+        telemetry = self._telemetry
         if telemetry.enabled:
-            stage = ctx.stage_trace[-1] if ctx.stage_trace else "unstaged"
             telemetry.metrics.counter(
                 "dataplane_drop_total", switch=self.name, stage=stage,
                 reason=reason,

@@ -126,13 +126,12 @@ class HostNode:
         if self.on_packet is not None:
             self.on_packet(packet, self.network.sim.now)
 
-    def send(self, packet: Packet, port: int = 1,
-             charge_host_cost: bool = True) -> None:
+    def send(self, packet: Packet, port: int = 1) -> None:
         """Transmit a packet out of the host's access port."""
-        delay = self.network.costs.host_fixed_s if charge_host_cost else 0.0
         self.sent_count += 1
         self.network.sim.schedule(
-            delay, self.network.transmit, self.name, port, packet
+            self.network.costs.host_fixed_s, self.network.transmit,
+            self.name, port, packet
         )
 
 

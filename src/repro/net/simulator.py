@@ -79,8 +79,18 @@ class EventSimulator:
         #: Deepest the event heap has ever been.
         self.heap_depth_high_water = 0
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        if self.telemetry.enabled:
-            self.telemetry.bind_clock(lambda: self._now)
+        self.telemetry.bind_clock(lambda: self._now)
+        metrics = self.telemetry.metrics
+        self._executed_total = metrics.bind_counter(
+            "sim_events_executed_total")
+        self._wall_total = metrics.bind_counter("sim_wall_seconds_total")
+        self._virtual_seconds = metrics.bind_gauge("sim_virtual_seconds")
+        self._heap_high_water = metrics.bind_gauge("sim_heap_depth_high_water")
+        self._pending_gauge = metrics.bind_gauge("sim_events_pending")
+        self._deferred_total = metrics.bind_counter(
+            "sim_events_deferred_total")
+        self._exhausted_total = metrics.bind_counter(
+            "sim_budget_exhausted_total")
 
     @property
     def now(self) -> float:
@@ -154,21 +164,16 @@ class EventSimulator:
         elif until is not None:
             self._now = max(self._now, until)
         self.events_executed += executed
-        telemetry = self.telemetry
-        if telemetry.enabled:
-            metrics = telemetry.metrics
-            metrics.counter("sim_events_executed_total").inc(executed)
-            metrics.counter("sim_wall_seconds_total").inc(
-                time.perf_counter() - wall_start)
-            metrics.gauge("sim_virtual_seconds").set(self._now)
-            metrics.gauge("sim_heap_depth_high_water").set_max(
-                self.heap_depth_high_water)
-            metrics.gauge("sim_events_pending").set(len(self._queue))
-            if budget_exhausted:
-                metrics.counter("sim_events_deferred_total").inc(deferred)
-                metrics.counter("sim_budget_exhausted_total").inc()
-                telemetry.tracer.emit("sim.budget_exhausted",
-                                      deferred=deferred, executed=executed)
+        self._executed_total.inc(executed)
+        self._wall_total.inc(time.perf_counter() - wall_start)
+        self._virtual_seconds.set(self._now)
+        self._heap_high_water.set_max(self.heap_depth_high_water)
+        self._pending_gauge.set(len(self._queue))
+        if budget_exhausted:
+            self._deferred_total.inc(deferred)
+            self._exhausted_total.inc()
+            self.telemetry.tracer.emit("sim.budget_exhausted",
+                                       deferred=deferred, executed=executed)
         return executed
 
     def pending(self) -> int:

@@ -37,7 +37,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.requests import sample_window
+from repro.core.requests import REQUEST_KINDS, sample_window
 from repro.telemetry import RCT_BUCKETS
 
 ResponseCallback = Callable[[bool, int], None]
@@ -119,21 +119,17 @@ class BatchController:
         self._queues: Dict[str, Deque[_QueuedRequest]] = {}
         self._in_flight: Dict[str, int] = {}
         self._in_flight_total = 0
-        telemetry = stack.network.telemetry
-        self.telemetry = telemetry
-        if telemetry.enabled:
-            self._gauge_in_flight = telemetry.metrics.gauge(
-                "batch_in_flight_requests")
-            self._gauge_queued = telemetry.metrics.gauge(
-                "batch_queued_requests")
-            self._hist_burst = telemetry.metrics.histogram(
-                "batch_burst_size", buckets=BURST_BUCKETS)
-            self._hist_rct = telemetry.metrics.histogram(
-                "batch_rct_seconds", buckets=RCT_BUCKETS)
-            self._counter_submitted = telemetry.metrics.counter(
-                "batch_requests_total")
-        else:
-            self._gauge_in_flight = None
+        self.telemetry = stack.network.telemetry
+        metrics = self.telemetry.metrics
+        self._gauge_in_flight = metrics.gauge("batch_in_flight_requests")
+        self._gauge_queued = metrics.gauge("batch_queued_requests")
+        self._hist_burst = metrics.histogram("batch_burst_size",
+                                             buckets=BURST_BUCKETS)
+        self._hist_rct = metrics.histogram("batch_rct_seconds",
+                                           buckets=RCT_BUCKETS)
+        self._counter_submitted = metrics.counter("batch_requests_total")
+        self._counter_callback_errors = metrics.bind_counter(
+            "batch_callback_errors_total")
 
     # ------------------------------------------------------------------
     # submission API (stack-compatible signatures)
@@ -171,14 +167,13 @@ class BatchController:
         re-raised once every touched switch has been pumped.
         """
         for op in ops:
-            if op[0] not in ("read", "write"):
+            if op[0] not in REQUEST_KINDS:
                 raise ValueError(f"unknown request kind {op[0]!r}")
         now = self.sim.now
         touched: Dict[str, None] = {}
         for kind, switch, reg_name, index, value, callback in ops:
             self.stats.submitted += 1
-            if self.telemetry.enabled:
-                self._counter_submitted.inc()
+            self._counter_submitted.inc()
             self._queues.setdefault(switch, deque()).append(
                 _QueuedRequest(kind, switch, reg_name, index, value,
                                callback, now))
@@ -231,9 +226,9 @@ class BatchController:
                 self._issue_burst(switch, burst)
             except Exception as exc:  # noqa: BLE001 - re-raised below
                 refused = refused or exc
-            if self.telemetry.enabled:
-                self._hist_burst.observe(len(burst))
-                self._gauge_in_flight.set(self._in_flight_total)
+            self._hist_burst.observe(len(burst))
+            self._gauge_in_flight.set(self._in_flight_total)
+            if self.telemetry.enabled:  # spares the untraced queue walk
                 self._gauge_queued.set(self.queued())
         if refused is not None:
             raise refused
@@ -302,9 +297,8 @@ class BatchController:
             request.kind, switch, rct,
             request.issued_at - request.submitted_at, ok,
         ))
-        if self.telemetry.enabled:
-            self._hist_rct.observe(rct)
-            self._gauge_in_flight.set(self._in_flight_total)
+        self._hist_rct.observe(rct)
+        self._gauge_in_flight.set(self._in_flight_total)
         # User callbacks run outside the window accounting: one raising
         # callback must not leak the exception into the simulator event
         # loop or skip the pump below, which would strand every request
@@ -314,12 +308,10 @@ class BatchController:
                 request.callback(ok, value)
             except Exception as exc:  # noqa: BLE001 - user-code boundary
                 self.stats.callback_errors += 1
-                if self.telemetry.enabled:
-                    self.telemetry.metrics.counter(
-                        "batch_callback_errors_total").inc()
-                    self.telemetry.tracer.emit(
-                        "batch.callback_error", switch=switch,
-                        kind=request.kind, error=type(exc).__name__)
+                self._counter_callback_errors.inc()
+                self.telemetry.tracer.emit(
+                    "batch.callback_error", switch=switch,
+                    kind=request.kind, error=type(exc).__name__)
 
 
 __all__ = ["BURST_BUCKETS", "BatchController", "BatchSample", "BatchStats"]

@@ -10,7 +10,7 @@ package is that service front-end:
 - :mod:`repro.service.shardmap` — a consistent-hash ownership map with
   bounded loads: every switch is owned by exactly one shard, adding a
   shard moves few switches, and no shard is assigned more than
-  ``load_factor`` times its fair share of the fleet.
+  ``LOAD_FACTOR`` times its fair share of the fleet.
 - :mod:`repro.service.shard` — a :class:`ShardWorker` per shard: one
   deterministic simulator + network + register-access stack for the
   owned switches, a bounded FIFO intake queue, and a

@@ -11,8 +11,9 @@ properties matter operationally:
   share of the §IV outstanding-request DoS budget), so fleet throughput
   is set by the *most loaded* shard.  Plain consistent hashing leaves a
   statistical imbalance; the assignment therefore applies the
-  bounded-load refinement: no shard may own more than ``load_factor``
-  times its fair share, overflow walks to the next shard on the ring.
+  bounded-load refinement: no shard may own more than
+  :data:`LOAD_FACTOR` times its fair share, overflow walks to the next
+  shard on the ring.
 
 Hashing is ``sha256`` over the token string — stable across processes
 and Python versions (``hash()`` is salted per process), and explicitly
@@ -31,9 +32,9 @@ from typing import Dict, List, Sequence
 #: distribution before the bounded-load pass.
 REPLICAS = 160
 
-#: Default bounded-load factor: no shard owns more than 1.15x its fair
-#: share of the fleet.
-DEFAULT_LOAD_FACTOR = 1.15
+#: Bounded-load factor: no shard owns more than 1.15x its fair share of
+#: the fleet.
+LOAD_FACTOR = 1.15
 
 
 def _hash_token(token: str) -> int:
@@ -63,17 +64,12 @@ class ShardMap:
     # bounded-load assignment
     # ------------------------------------------------------------------
 
-    def capacity(self, num_switches: int,
-                 load_factor: float = DEFAULT_LOAD_FACTOR) -> int:
+    def capacity(self, num_switches: int) -> int:
         """Per-shard ownership cap for a fleet of ``num_switches``."""
-        if load_factor < 1.0:
-            raise ValueError("load_factor must be >= 1.0")
         fair = num_switches / len(self.shard_ids)
-        return max(1, ceil(fair * load_factor))
+        return max(1, ceil(fair * LOAD_FACTOR))
 
-    def assign(self, switches: Sequence[str],
-               load_factor: float = DEFAULT_LOAD_FACTOR
-               ) -> Dict[str, List[str]]:
+    def assign(self, switches: Sequence[str]) -> Dict[str, List[str]]:
         """Deterministic bounded-load assignment of the whole fleet.
 
         Switches are placed in sorted-name order (a pure function of the
@@ -84,7 +80,7 @@ class ShardMap:
         """
         if len(set(switches)) != len(switches):
             raise ValueError("duplicate switch names")
-        cap = self.capacity(len(switches), load_factor)
+        cap = self.capacity(len(switches))
         owned: Dict[str, List[str]] = {shard: [] for shard in self.shard_ids}
         size = len(self._points)
         for switch in sorted(switches):
@@ -102,4 +98,4 @@ class ShardMap:
         return f"ShardMap(shards={len(self.shard_ids)})"
 
 
-__all__ = ["DEFAULT_LOAD_FACTOR", "REPLICAS", "ShardMap"]
+__all__ = ["LOAD_FACTOR", "REPLICAS", "ShardMap"]

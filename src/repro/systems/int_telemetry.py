@@ -42,10 +42,14 @@ RECORD_FORMAT = "<HHHH"
 RECORD_BYTES = struct.calcsize(RECORD_FORMAT)
 
 
-def make_int_probe(flow_id: int, max_hops: int = 16) -> Packet:
+#: Hops a probe may record before a switch drops it.
+MAX_HOPS = 16
+
+
+def make_int_probe(flow_id: int) -> Packet:
     packet = Packet()
     packet.push("int_probe", INT_HEADER.instantiate(
-        flow_id=flow_id, hop_count=0, max_hops=max_hops))
+        flow_id=flow_id, hop_count=0, max_hops=MAX_HOPS))
     return packet
 
 

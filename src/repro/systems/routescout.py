@@ -39,6 +39,12 @@ RS_DATA_HEADER = HeaderType("rs_data", [
 RS_FRAME_BYTES = 1408
 _PAYLOAD = bytes(RS_FRAME_BYTES - RS_DATA_HEADER.byte_width)
 
+#: The controller's split update: weight of the epoch's target against
+#: the current split, and the clamp on the result (percent on path 0).
+SPLIT_SMOOTHING = 0.5
+MIN_SPLIT = 5
+MAX_SPLIT = 95
+
 
 def make_rs_packet(dst: int, flow_id: int) -> Packet:
     """One RouteScout data frame of :data:`RS_FRAME_BYTES`."""
@@ -172,16 +178,11 @@ class RouteScoutController:
     the paper demonstrates.
     """
 
-    def __init__(self, client, sim, switch_name: str, epoch_s: float = 1.0,
-                 smoothing: float = 0.5, min_split: int = 5,
-                 max_split: int = 95):
+    def __init__(self, client, sim, switch_name: str, epoch_s: float = 1.0):
         self.client = client
         self.sim = sim
         self.switch_name = switch_name
         self.epoch_s = epoch_s
-        self.smoothing = smoothing
-        self.min_split = min_split
-        self.max_split = max_split
         self.current_split = 50
         self.epochs_run = 0
         self.epochs_skipped = 0
@@ -230,10 +231,10 @@ class RouteScoutController:
         weight0 = 1.0 / max(avg0, 1.0)
         weight1 = 1.0 / max(avg1, 1.0)
         target = 100.0 * weight0 / (weight0 + weight1)
-        blended = (self.smoothing * target
-                   + (1.0 - self.smoothing) * self.current_split)
+        blended = (SPLIT_SMOOTHING * target
+                   + (1.0 - SPLIT_SMOOTHING) * self.current_split)
         self.current_split = int(
-            min(self.max_split, max(self.min_split, round(blended))))
+            min(MAX_SPLIT, max(MIN_SPLIT, round(blended))))
         self.split_history.append(self.current_split)
         self.client.write_register(self.switch_name, "rs_split", 0,
                                    self.current_split)

@@ -13,8 +13,17 @@ Pass a ``Telemetry(enabled=True)`` instance into
 topology builders / experiment drivers); the network, switches,
 controller, KMP, and runtime stacks all discover it from there.  The
 engine hands every trial one (``TrialContext.telemetry``): live under
-``--trace-dir``, else :data:`NULL_TELEMETRY`, whose mutators are no-ops
-— the fast path the overhead benchmark bounds.
+``--trace-dir``, else :data:`NULL_TELEMETRY`.
+
+One rule for metrics: a layer binds its handles once, when its
+telemetry is bound (a switch's when ``Network.add_switch`` rebinds it),
+and updates them directly per packet or request; a disabled registry
+hands out null singletons whose mutators are no-ops, so no hot path
+tests ``enabled``.  A labelled lookup stays per event only where a
+label exists only at the event — a drop reason, an alert code, a
+PacketIn's sender and header type, a link transition, a fault kind —
+or on a per-exchange or per-record path outside the packet path (KMP,
+the store).
 
 Trace-event vocabulary, the one list of the names :mod:`repro` passes
 to ``Tracer.emit`` (a test holds the two equal):
@@ -43,7 +52,7 @@ from repro.telemetry.metrics import (
     MetricRegistry,
 )
 from repro.telemetry.tracer import NullTracer, TraceEvent, Tracer
-from repro.telemetry.exporters import render_prometheus, write_jsonl
+from repro.telemetry.exporters import render_prometheus
 
 #: Buckets for per-request completion times (virtual seconds) — the
 #: Fig 18/19 RCT scale: C-DP round trips land around a millisecond.
@@ -96,5 +105,4 @@ __all__ = [
     "TraceEvent",
     "Tracer",
     "render_prometheus",
-    "write_jsonl",
 ]

@@ -1,9 +1,8 @@
-"""Exporters: Prometheus-style text rendering and JSONL trace dumps.
+"""Exporters: Prometheus-style text rendering of a metric registry.
 
 ``render_prometheus`` emits the ubiquitous text exposition format so the
 registry can be scraped/diffed/grepped with standard tooling; the JSONL
-side lives on :meth:`repro.telemetry.tracer.Tracer.to_jsonl` and is
-re-exported here for symmetry.
+trace dump is :meth:`repro.telemetry.tracer.Tracer.dump`.
 """
 
 from __future__ import annotations
@@ -78,8 +77,3 @@ def write_prometheus(registry: MetricRegistry, path: str) -> None:
     so same-seed runs write byte-identical files."""
     with open(path, "w") as handle:
         handle.write(render_prometheus(registry, skip=WALL_CLOCK_METRICS))
-
-
-def write_jsonl(tracer, path: str) -> int:
-    """Dump a tracer's retained events as JSON Lines; returns the count."""
-    return tracer.dump(path)

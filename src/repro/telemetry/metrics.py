@@ -1,16 +1,15 @@
 """Always-on metric primitives: counters, gauges, fixed-bucket histograms.
 
 A :class:`MetricRegistry` hands out metric instances keyed by (name,
-labels).  Everything is dict-plus-float arithmetic — no locks (the event
-simulator is single-threaded) and no background machinery — so the
-instrumented hot paths stay cheap enough to leave enabled during
-experiments.  A *disabled* registry returns shared null singletons whose
-mutators are no-ops, which is the fast path the overhead benchmark
-(:mod:`benchmarks.bench_telemetry_overhead`) bounds.
-
-Metric names use ``snake_case`` (Prometheus-compatible); label values are
-free-form strings.  Callers on per-packet paths should hold onto the
-returned metric object instead of re-resolving it per event.
+labels): plain dict-plus-float arithmetic, no locks (the event simulator
+is single-threaded).  ``counter`` / ``gauge`` / ``histogram`` put the
+metric in the dump at once, at zero until updated.  A layer's hot-path
+handles come from ``bind_counter`` / ``bind_gauge`` / ``bind_histogram``
+when its telemetry is bound, and enter the dump on their first update,
+as a metric first resolved at that update would.  A *disabled* registry
+hands out one shared null metric whose mutators are no-ops, the fast
+path :mod:`benchmarks.bench_telemetry_overhead` bounds; the
+:mod:`repro.telemetry` docstring says which lookups stay per event.
 """
 
 from __future__ import annotations
@@ -31,17 +30,20 @@ class Counter:
     """A monotonically increasing float."""
 
     kind = "counter"
-    __slots__ = ("name", "labels", "value")
+    __slots__ = ("name", "labels", "value", "listed")
 
     def __init__(self, name: str, labels: LabelItems = ()):
         self.name = name
         self.labels = labels
         self.value = 0.0
+        #: In its registry's dump (see :meth:`MetricRegistry.bind_counter`).
+        self.listed = False
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
             raise ValueError("counters only go up")
         self.value += amount
+        self.listed = True
 
     def __repr__(self) -> str:
         return f"Counter({self.name!r}, {dict(self.labels)}, {self.value})"
@@ -51,26 +53,31 @@ class Gauge:
     """A value that can go up and down (heap depth, virtual clock, ...)."""
 
     kind = "gauge"
-    __slots__ = ("name", "labels", "value")
+    __slots__ = ("name", "labels", "value", "listed")
 
     def __init__(self, name: str, labels: LabelItems = ()):
         self.name = name
         self.labels = labels
         self.value = 0.0
+        self.listed = False
 
     def set(self, value: float) -> None:
         self.value = value
+        self.listed = True
 
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
+        self.listed = True
 
     def dec(self, amount: float = 1.0) -> None:
         self.value -= amount
+        self.listed = True
 
     def set_max(self, value: float) -> None:
         """High-water-mark update: keep the larger of old and new."""
         if value > self.value:
             self.value = value
+        self.listed = True
 
     def __repr__(self) -> str:
         return f"Gauge({self.name!r}, {dict(self.labels)}, {self.value})"
@@ -80,7 +87,8 @@ class Histogram:
     """Fixed-bucket histogram (cumulative rendering happens at export)."""
 
     kind = "histogram"
-    __slots__ = ("name", "labels", "bounds", "bucket_counts", "sum", "count")
+    __slots__ = ("name", "labels", "bounds", "bucket_counts", "sum", "count",
+                 "listed")
 
     def __init__(self, name: str, labels: LabelItems = (),
                  buckets: Tuple[float, ...] = DEFAULT_BUCKETS):
@@ -93,11 +101,13 @@ class Histogram:
         self.bucket_counts = [0] * (len(self.bounds) + 1)
         self.sum = 0.0
         self.count = 0
+        self.listed = False
 
     def observe(self, value: float) -> None:
         self.bucket_counts[bisect_left(self.bounds, value)] += 1
         self.sum += value
         self.count += 1
+        self.listed = True
 
     @property
     def mean(self) -> float:
@@ -118,59 +128,22 @@ class Histogram:
                 f"count={self.count}, sum={self.sum})")
 
 
-class _NullCounter:
-    """Shared no-op counter handed out by disabled registries."""
+class _NullMetric:
+    """The no-op counter, gauge and histogram of disabled registries."""
 
-    kind = "counter"
     __slots__ = ()
     name = ""
     labels: LabelItems = ()
-    value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-
-class _NullGauge:
-    kind = "gauge"
-    __slots__ = ()
-    name = ""
-    labels: LabelItems = ()
-    value = 0.0
-
-    def set(self, value: float) -> None:
-        pass
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
-    def set_max(self, value: float) -> None:
-        pass
-
-
-class _NullHistogram:
-    kind = "histogram"
-    __slots__ = ()
-    name = ""
-    labels: LabelItems = ()
-    bounds: Tuple[float, ...] = ()
-    sum = 0.0
+    value = sum = mean = 0.0
     count = 0
-    mean = 0.0
 
-    def observe(self, value: float) -> None:
+    def inc(self, amount: float = 1.0) -> None:
         pass
 
-    def cumulative_buckets(self) -> List[Tuple[float, int]]:
-        return []
+    set = dec = set_max = observe = inc
 
 
-NULL_COUNTER = _NullCounter()
-NULL_GAUGE = _NullGauge()
-NULL_HISTOGRAM = _NullHistogram()
+NULL_COUNTER = NULL_GAUGE = NULL_HISTOGRAM = _NullMetric()
 
 
 class MetricRegistry:
@@ -184,8 +157,8 @@ class MetricRegistry:
     def _key(name: str, labels: Dict[str, object]) -> Tuple[str, LabelItems]:
         return name, tuple(sorted((k, str(v)) for k, v in labels.items()))
 
-    def _get_or_create(self, cls, name: str, labels: Dict[str, object],
-                       **kwargs):
+    def _resolve(self, cls, name: str, labels: Dict[str, object],
+                 listed: bool, **kwargs):
         key = self._key(name, labels)
         metric = self._metrics.get(key)
         if metric is None:
@@ -195,31 +168,49 @@ class MetricRegistry:
             raise TypeError(
                 f"metric {name!r} already registered as a {metric.kind}"
             )
+        if listed:
+            metric.listed = True
         return metric
 
     def counter(self, name: str, **labels) -> Counter:
-        if not self.enabled:
-            return NULL_COUNTER
-        return self._get_or_create(Counter, name, labels)
+        """The counter, in the dump from now on (at zero until updated)."""
+        return (self._resolve(Counter, name, labels, True) if self.enabled
+                else NULL_COUNTER)
 
     def gauge(self, name: str, **labels) -> Gauge:
-        if not self.enabled:
-            return NULL_GAUGE
-        return self._get_or_create(Gauge, name, labels)
+        return (self._resolve(Gauge, name, labels, True) if self.enabled
+                else NULL_GAUGE)
 
     def histogram(self, name: str,
                   buckets: Optional[Tuple[float, ...]] = None,
                   **labels) -> Histogram:
-        if not self.enabled:
-            return NULL_HISTOGRAM
-        return self._get_or_create(Histogram, name, labels,
-                                   buckets=buckets or DEFAULT_BUCKETS)
+        return (self._resolve(Histogram, name, labels, True,
+                              buckets=buckets or DEFAULT_BUCKETS)
+                if self.enabled else NULL_HISTOGRAM)
 
-    # -- inspection ---------------------------------------------------------
+    def bind_counter(self, name: str, **labels) -> Counter:
+        """A handle to hold and update per event: resolved now, in the
+        dump from its first update (a never-updated handle adds nothing)."""
+        return (self._resolve(Counter, name, labels, False) if self.enabled
+                else NULL_COUNTER)
+
+    def bind_gauge(self, name: str, **labels) -> Gauge:
+        return (self._resolve(Gauge, name, labels, False) if self.enabled
+                else NULL_GAUGE)
+
+    def bind_histogram(self, name: str,
+                       buckets: Optional[Tuple[float, ...]] = None,
+                       **labels) -> Histogram:
+        return (self._resolve(Histogram, name, labels, False,
+                              buckets=buckets or DEFAULT_BUCKETS)
+                if self.enabled else NULL_HISTOGRAM)
+
+    # -- inspection: the dump's metrics only --------------------------------
 
     def get(self, name: str, **labels):
-        """The registered metric, or None if never touched."""
-        return self._metrics.get(self._key(name, labels))
+        """The metric, or None if it is not in the dump."""
+        metric = self._metrics.get(self._key(name, labels))
+        return metric if metric is not None and metric.listed else None
 
     def value(self, name: str, **labels) -> float:
         """Counter/gauge value (0.0 if absent) — test convenience."""
@@ -227,20 +218,15 @@ class MetricRegistry:
         return metric.value if metric is not None else 0.0
 
     def snapshot(self) -> List[object]:
-        """All metrics, deterministically ordered by (name, labels)."""
-        return [self._metrics[key] for key in sorted(self._metrics)]
-
-    def names(self) -> List[str]:
-        return sorted({name for name, _ in self._metrics})
+        """All metrics in the dump, ordered by (name, labels)."""
+        return [metric for _key, metric in sorted(self._metrics.items())
+                if metric.listed]
 
     def with_name(self, name: str) -> List[object]:
         return [m for m in self.snapshot() if m.name == name]
 
-    def clear(self) -> None:
-        self._metrics.clear()
-
     def __len__(self) -> int:
-        return len(self._metrics)
+        return len(self.snapshot())
 
     def __iter__(self) -> Iterable[object]:
         return iter(self.snapshot())

@@ -43,11 +43,11 @@ class Tracer:
 
     enabled = True
 
-    def __init__(self, clock: Optional[Callable[[], float]] = None,
-                 capacity: int = 65536):
+    def __init__(self, capacity: int = 65536):
         if capacity < 1:
             raise ValueError("trace capacity must be positive")
-        self._clock = clock or (lambda: 0.0)
+        #: Events are stamped 0.0 until :meth:`bind_clock`.
+        self._clock: Callable[[], float] = lambda: 0.0
         self._events: deque = deque(maxlen=capacity)
         self.capacity = capacity
         self.emitted = 0
@@ -82,10 +82,6 @@ class Tracer:
             handle.write(self.to_jsonl())
         return len(self._events)
 
-    def clear(self) -> None:
-        self._events.clear()
-        self.emitted = 0
-
     def __len__(self) -> int:
         return len(self._events)
 
@@ -114,9 +110,6 @@ class NullTracer:
         with open(path, "w") as handle:
             handle.write("")
         return 0
-
-    def clear(self) -> None:
-        pass
 
     def __len__(self) -> int:
         return 0

@@ -1,4 +1,6 @@
-"""Modified DH: the shared-secret property and parameter validation."""
+"""Modified DH: the shared-secret property and input validation."""
+
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,7 +21,8 @@ def test_both_sides_derive_same_secret(r1, r2):
 
 @given(NONZERO64, NONZERO64, U64, U64)
 def test_shared_secret_property_holds_for_any_group(prime, generator, r1, r2):
-    params = DhParameters(prime=prime, generator=generator)
+    # The algebra holds for any (P, G), not only the compiled-in pair.
+    params = SimpleNamespace(prime=prime, generator=generator)
     assert (dh_shared(params, r1, dh_public(params, r2))
             == dh_shared(params, r2, dh_public(params, r1)))
 
@@ -31,16 +34,9 @@ def test_public_key_is_64_bit(r):
 
 def test_public_key_hides_private_random():
     # PK = (G AND R) XOR (P AND R): bits of R outside G|P never appear.
-    params = DhParameters(prime=0x0F, generator=0xF0)
+    params = SimpleNamespace(prime=0x0F, generator=0xF0)
     r = 0xFFFFFFFFFFFFFF00
     assert dh_public(params, r) == ((0xF0 & r) ^ (0x0F & r))
-
-
-def test_invalid_parameters_rejected():
-    with pytest.raises(ValueError):
-        DhParameters(prime=0)
-    with pytest.raises(ValueError):
-        DhParameters(generator=1 << 64)
 
 
 def test_invalid_private_random_rejected():

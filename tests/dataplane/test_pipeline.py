@@ -11,6 +11,7 @@ from repro.dataplane.pipeline import (
     ToController,
 )
 from repro.dataplane.switch import DataplaneSwitch
+from repro.telemetry import Telemetry
 
 
 def run(pipeline, packet=None, port=1):
@@ -95,12 +96,19 @@ def test_to_controller():
     assert actions[0].reason == "r"
 
 
-def test_stage_trace_recorded():
-    pipeline = Pipeline()
-    pipeline.add_stage("a", lambda ctx: None)
-    pipeline.add_stage("b", lambda ctx: None)
-    _, ctx = run(pipeline)
-    assert ctx.stage_trace == ["a", "b"]
+def test_drop_attributed_to_its_stage():
+    switch = DataplaneSwitch("s1")
+    switch.telemetry = Telemetry()
+    switch.pipeline.add_stage("a", lambda ctx: None)
+    switch.pipeline.add_stage("b", lambda ctx: ctx.drop("bad"))
+    switch.pipeline.add_stage("c", lambda ctx: None)
+    switch.process(Packet(), 1)
+    assert [(m.labels, m.value) for m in
+            switch.telemetry.metrics.with_name("dataplane_drop_total")] \
+        == [((("reason", "bad"), ("stage", "b"), ("switch", "s1")), 1)]
+    # Before any stage runs, a drop belongs to no stage.
+    _, ctx = run(Pipeline())
+    assert ctx.stage == "unstaged"
 
 
 def test_multiple_emits_for_multicast():

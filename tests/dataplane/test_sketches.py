@@ -12,10 +12,10 @@ from repro.dataplane.sketches import (
 )
 
 
-def fresh_bloom(bits=512, hashes=3, registers=None):
+def fresh_bloom(bits=512, registers=None):
     if registers is None:
         registers = RegisterFile()
-    return BloomFilter(registers, "bf", bits=bits, num_hashes=hashes)
+    return BloomFilter(registers, "bf", bits=bits)
 
 
 def bits_set(registers):
@@ -63,8 +63,6 @@ class TestBloomFilter:
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             fresh_bloom(bits=0)
-        with pytest.raises(ValueError):
-            fresh_bloom(hashes=0)
 
     @given(st.sets(st.integers(min_value=0, max_value=(1 << 48) - 1),
                    max_size=30))

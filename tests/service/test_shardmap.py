@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.service.shardmap import DEFAULT_LOAD_FACTOR, ShardMap
+from repro.service import shardmap
+from repro.service.shardmap import LOAD_FACTOR, ShardMap
 
 SWITCHES_100 = [f"sw{i}" for i in range(100)]
 SHARDS_4 = [f"shard-{i}" for i in range(4)]
@@ -29,14 +30,14 @@ class TestDeterminism:
         backward = ShardMap(SHARDS_4).assign(list(reversed(SWITCHES_100)))
         assert forward == backward
 
-    def test_ring_owner_is_stable(self):
+    def test_ring_owner_is_stable(self, monkeypatch):
         # A load factor equal to the shard count lets one shard hold the
         # whole fleet, so no cap binds and every switch lands on its raw
         # consistent-hash owner.
-        uncapped = float(len(SHARDS_4))
-        owners = ShardMap(SHARDS_4).assign(SWITCHES_100, uncapped)
-        assert owners == ShardMap(SHARDS_4).assign(SWITCHES_100, uncapped)
-        assert ShardMap(SHARDS_4).capacity(len(SWITCHES_100), uncapped) \
+        monkeypatch.setattr(shardmap, "LOAD_FACTOR", float(len(SHARDS_4)))
+        owners = ShardMap(SHARDS_4).assign(SWITCHES_100)
+        assert owners == ShardMap(SHARDS_4).assign(SWITCHES_100)
+        assert ShardMap(SHARDS_4).capacity(len(SWITCHES_100)) \
             == len(SWITCHES_100)
 
 
@@ -56,13 +57,13 @@ class TestCoverageAndBalance:
 
     def test_bounded_load_beats_raw_ring_imbalance(self):
         """The cap is the point: the most loaded shard under bounded-load
-        assignment never exceeds fair_share * load_factor, which is what
+        assignment never exceeds fair_share * LOAD_FACTOR, which is what
         makes the >=3x shard-scaling acceptance criterion achievable."""
         ring = ShardMap(SHARDS_4)
         owned = ring.assign(SWITCHES_100)
         fair = len(SWITCHES_100) / len(SHARDS_4)
         assert max(len(sws) for sws in owned.values()) \
-            <= fair * DEFAULT_LOAD_FACTOR + 1
+            <= fair * LOAD_FACTOR + 1
 
     def test_single_shard_owns_everything(self):
         owned = ShardMap(["only"]).assign(SWITCHES_100)
@@ -94,10 +95,6 @@ class TestErrors:
     def test_rejects_duplicate_shard_ids(self):
         with pytest.raises(ValueError):
             ShardMap(["a", "a"])
-
-    def test_rejects_load_factor_below_one(self):
-        with pytest.raises(ValueError):
-            ShardMap(["a", "b"]).assign(SWITCHES_100, load_factor=0.9)
 
     def test_rejects_duplicate_switches(self):
         with pytest.raises(ValueError):

@@ -15,6 +15,9 @@ lean on, over arbitrary fleets:
   cap binds.
 """
 
+from contextlib import contextmanager
+from unittest import mock
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -22,6 +25,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from repro.service import shardmap  # noqa: E402
 from repro.service.shardmap import ShardMap  # noqa: E402
 from tests.service.test_shardmap import moved  # noqa: E402
 
@@ -41,12 +45,14 @@ def shard_ids(count):
     return [f"shard-{i}" for i in range(count)]
 
 
+@contextmanager
 def uncapped(shards):
-    """A load factor at which no capacity cap binds on a ring of up to
-    ``shards`` shards: the cap, ``ceil(fair share * factor)``, is then
-    at least the whole fleet.  (The fleet size is not enough: two
-    switches on four shards would cap at one.)"""
-    return float(shards)
+    """Assign at a load factor at which no capacity cap binds on a ring
+    of up to ``shards`` shards: the cap, ``ceil(fair share * factor)``,
+    is then at least the whole fleet.  (The fleet size is not enough:
+    two switches on four shards would cap at one.)"""
+    with mock.patch.object(shardmap, "LOAD_FACTOR", float(shards)):
+        yield
 
 
 def owner_map(assignment):
@@ -88,9 +94,9 @@ class TestMinimalMovement:
     @RELAXED
     @given(switches=NAMES, shards=SHARD_COUNTS)
     def test_split_moves_only_to_the_new_shard(self, switches, shards):
-        factor = uncapped(shards + 1)
-        before = ShardMap(shard_ids(shards)).assign(switches, factor)
-        after = ShardMap(shard_ids(shards + 1)).assign(switches, factor)
+        with uncapped(shards + 1):
+            before = ShardMap(shard_ids(shards)).assign(switches)
+            after = ShardMap(shard_ids(shards + 1)).assign(switches)
         new_shard = f"shard-{shards}"
         owners_before, owners_after = owner_map(before), owner_map(after)
         for switch in switches:
@@ -102,10 +108,10 @@ class TestMinimalMovement:
     @given(switches=NAMES, shards=SHARD_COUNTS)
     def test_merge_moves_only_from_the_removed_shard(self, switches,
                                                      shards):
-        factor = uncapped(shards + 1)
         removed = f"shard-{shards}"
-        before = ShardMap(shard_ids(shards + 1)).assign(switches, factor)
-        after = ShardMap(shard_ids(shards)).assign(switches, factor)
+        with uncapped(shards + 1):
+            before = ShardMap(shard_ids(shards + 1)).assign(switches)
+            after = ShardMap(shard_ids(shards)).assign(switches)
         owners_before, owners_after = owner_map(before), owner_map(after)
         for switch in switches:
             if owners_before[switch] != owners_after[switch]:

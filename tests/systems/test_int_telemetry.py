@@ -9,6 +9,7 @@ from repro.systems.int_telemetry import (
     IntCollector,
     IntConfig,
     IntTelemetryDataplane,
+    MAX_HOPS,
     make_int_probe,
     parse_records,
 )
@@ -47,8 +48,8 @@ class TestIntHop:
 
     def test_hop_limit_enforced(self):
         switch, hop = make_hop()
-        probe = make_int_probe(7, max_hops=1)
-        probe.get("int_probe")["hop_count"] = 1
+        probe = make_int_probe(7)
+        probe.get("int_probe")["hop_count"] = MAX_HOPS
         actions = switch.process(probe, 1)
         assert any(isinstance(a, Drop) for a in actions)
 

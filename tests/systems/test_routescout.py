@@ -8,6 +8,8 @@ from repro.net.network import Network
 from repro.net.simulator import EventSimulator
 from repro.runtime.plain import PlainController, PlainRegOpDataplane
 from repro.systems.routescout import (
+    MAX_SPLIT,
+    MIN_SPLIT,
     PathModel,
     RouteScoutConfig,
     RouteScoutController,
@@ -137,10 +139,15 @@ class TestController:
 
     def test_split_clamped(self):
         sim, net, switch, rs, client = self.build()
-        controller = RouteScoutController(client, sim, "edge", epoch_s=0.5,
-                                          smoothing=1.0, min_split=10,
-                                          max_split=90)
-        # Force absurd inputs by writing aggregates directly.
-        controller._finish_epoch({"sum0": 1, "cnt0": 1,
-                                  "sum1": 10_000_000, "cnt1": 1})
-        assert controller.current_split == 90
+        controller = RouteScoutController(client, sim, "edge", epoch_s=0.5)
+        # Force absurd inputs by writing aggregates directly: the smoothed
+        # split climbs toward 100 % and stops at the clamp, then falls
+        # toward 0 % and stops at the other one.
+        for _ in range(10):
+            controller._finish_epoch({"sum0": 1, "cnt0": 1,
+                                      "sum1": 10_000_000, "cnt1": 1})
+        assert controller.current_split == MAX_SPLIT
+        for _ in range(10):
+            controller._finish_epoch({"sum0": 10_000_000, "cnt0": 1,
+                                      "sum1": 1, "cnt1": 1})
+        assert controller.current_split == MIN_SPLIT

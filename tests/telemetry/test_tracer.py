@@ -11,7 +11,8 @@ from repro.telemetry.tracer import NullTracer, Tracer
 class TestTracer:
     def test_emit_stamps_the_bound_clock(self):
         clock = {"now": 0.0}
-        tracer = Tracer(clock=lambda: clock["now"])
+        tracer = Tracer()
+        tracer.bind_clock(lambda: clock["now"])
         tracer.emit("packet.drop", reason="link_down")
         clock["now"] = 1.5
         tracer.emit("link.up", link="s1:1-s2:1")
@@ -36,7 +37,8 @@ class TestTracer:
         assert len(tracer.events("a")) == 2
 
     def test_jsonl_is_canonical_and_parseable(self):
-        tracer = Tracer(clock=lambda: 0.25)
+        tracer = Tracer()
+        tracer.bind_clock(lambda: 0.25)
         tracer.emit("digest.verify_fail", switch="s1", cause="mismatch")
         line = tracer.to_jsonl().strip()
         assert line == ('{"cause":"mismatch","event":"digest.verify_fail",'
