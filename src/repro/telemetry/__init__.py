@@ -18,8 +18,8 @@ engine hands every trial one (``TrialContext.telemetry``): live under
 One rule for metrics: a layer binds its handles once, when its
 telemetry is bound (a switch's when ``Network.add_switch`` rebinds it),
 and updates them directly per packet or request; a disabled registry
-hands out null singletons whose mutators are no-ops, so no hot path
-tests ``enabled``.  A labelled lookup stays per event only where a
+hands out a shared null metric whose mutators are no-ops, so no hot
+path tests ``enabled``.  A labelled lookup stays per event only where a
 label exists only at the event — a drop reason, an alert code, a
 PacketIn's sender and header type, a link transition, a fault kind —
 or on a per-exchange or per-record path outside the packet path (KMP,

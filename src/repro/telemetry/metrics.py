@@ -1,12 +1,13 @@
 """Always-on metric primitives: counters, gauges, fixed-bucket histograms.
 
-A :class:`MetricRegistry` hands out metric instances keyed by (name,
-labels): plain dict-plus-float arithmetic, no locks (the event simulator
-is single-threaded).  ``counter`` / ``gauge`` / ``histogram`` put the
-metric in the dump at once, at zero until updated.  A layer's hot-path
-handles come from ``bind_counter`` / ``bind_gauge`` / ``bind_histogram``
-when its telemetry is bound, and enter the dump on their first update,
-as a metric first resolved at that update would.  A *disabled* registry
+A :class:`MetricRegistry` hands out metrics keyed by (name, labels):
+``snake_case`` (Prometheus) names, free-form label values, plain
+dict-plus-float arithmetic and no locks (the simulator is one thread).
+``counter`` / ``gauge`` / ``histogram`` put the metric in the dump at
+once, at zero until updated.  A layer's hot-path handles come from
+``bind_counter`` / ``bind_gauge`` / ``bind_histogram`` when its
+telemetry is bound and enter the dump on their first update, as a
+metric first resolved at that update would.  A *disabled* registry
 hands out one shared null metric whose mutators are no-ops, the fast
 path :mod:`benchmarks.bench_telemetry_overhead` bounds; the
 :mod:`repro.telemetry` docstring says which lookups stay per event.

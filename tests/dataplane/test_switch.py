@@ -6,6 +6,7 @@ from repro.dataplane.packet import Packet
 from repro.dataplane.pipeline import Drop, Emit
 from repro.dataplane.switch import DataplaneSwitch
 from repro.dataplane.tables import MatchActionTable, MatchKind
+from repro.telemetry import Telemetry
 
 
 def test_process_returns_final_actions():
@@ -76,3 +77,23 @@ def test_packet_counters():
     switch.process(Packet(), 1)
     switch.process(Packet(), 2)
     assert switch.packets_processed == 2
+
+
+def test_rebinding_telemetry_rebinds_every_handle():
+    switch = DataplaneSwitch("s1")
+    bound = []
+    switch.on_telemetry_bound.append(bound.append)
+    switch.pipeline.add_stage("a", lambda ctx: None)
+    switch.process(Packet(), 1)  # counted into the null registry
+    telemetry = Telemetry()
+    switch.telemetry = telemetry
+    switch.pipeline.add_stage("b", lambda ctx: None)
+    switch.process(Packet(), 1)
+    metrics = telemetry.metrics
+    assert bound == [telemetry]
+    assert metrics.value("dataplane_pipeline_passes_total",
+                         switch="s1") == 1
+    assert [(m.labels, m.value) for m in
+            metrics.with_name("dataplane_stage_packets_total")] == [
+        ((("stage", "a"), ("switch", "s1")), 1),
+        ((("stage", "b"), ("switch", "s1")), 1)]

@@ -121,6 +121,55 @@ class TestRegistry:
         assert len(registry.with_name("a_total")) == 2
 
 
+class TestBoundHandles:
+    """A handle bound at wiring enters the dump on its first update, as a
+    metric first resolved at that update would."""
+
+    def test_unused_handle_adds_nothing(self):
+        registry = MetricRegistry()
+        registry.bind_counter("x_total", k="1")
+        registry.bind_gauge("g")
+        registry.bind_histogram("h_seconds")
+        assert len(registry) == 0
+        assert registry.get("x_total", k="1") is None
+        assert render_prometheus(registry) == ""
+
+    @pytest.mark.parametrize("update", [
+        lambda registry: registry.bind_counter("m").inc(0),
+        lambda registry: registry.bind_gauge("m").set(0),
+        lambda registry: registry.bind_gauge("m").inc(0),
+        lambda registry: registry.bind_gauge("m").dec(0),
+        lambda registry: registry.bind_gauge("m").set_max(-1),
+        lambda registry: registry.bind_histogram("m").observe(0.5),
+    ])
+    def test_any_update_lists_the_handle(self, update):
+        registry = MetricRegistry()
+        update(registry)
+        assert [m.name for m in registry] == ["m"]
+
+    def test_resolving_a_bound_handle_lists_it_at_once(self):
+        registry = MetricRegistry()
+        handle = registry.bind_counter("x_total", k="1")
+        assert registry.counter("x_total", k="1") is handle
+        assert render_prometheus(registry) == (
+            '# TYPE repro_x_total counter\nrepro_x_total{k="1"} 0\n')
+
+    def test_handle_and_lookup_share_one_series(self):
+        registry = MetricRegistry()
+        handle = registry.bind_counter("x_total", k="1")
+        handle.inc(2)
+        registry.counter("x_total", k="1").inc()
+        assert registry.value("x_total", k="1") == 3
+        with pytest.raises(TypeError):
+            registry.bind_gauge("x_total", k="1")
+
+    def test_disabled_registry_binds_the_null_metric(self):
+        registry = MetricRegistry(enabled=False)
+        assert registry.bind_counter("a_total") is NULL_COUNTER
+        assert registry.bind_gauge("b") is NULL_GAUGE
+        assert registry.bind_histogram("c_seconds") is NULL_HISTOGRAM
+
+
 class TestPrometheusRendering:
     def test_counter_and_gauge_lines(self):
         registry = MetricRegistry()

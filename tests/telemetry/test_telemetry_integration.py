@@ -11,6 +11,11 @@ import json
 
 import pytest
 
+from repro.core.auth_dataplane import P4AuthDataplane
+from repro.core.controller import P4AuthController
+from repro.dataplane.switch import DataplaneSwitch
+from repro.net.network import Network
+from repro.net.simulator import EventSimulator
 from repro.telemetry import Telemetry
 from tests.conftest import run_trial
 
@@ -87,6 +92,24 @@ def test_simulator_counters(instrumented_run):
     assert telemetry.metrics.value("sim_events_executed_total") > 0
     heap_gauge = telemetry.metrics.get("sim_heap_depth_high_water")
     assert heap_gauge is not None and heap_gauge.value >= 1
+
+
+def test_p4auth_built_before_the_fabric_counts_into_it():
+    """``Network.add_switch`` rebinds a standalone switch's telemetry
+    after its P4Auth fragment bound the null one: the fragment's
+    handles follow through the switch's ``on_telemetry_bound`` hook."""
+    telemetry = Telemetry()
+    network = Network(EventSimulator(telemetry=telemetry))
+    switch = DataplaneSwitch("s1", num_ports=2)
+    dataplane = P4AuthDataplane(switch, k_seed=0xBEE1).install()
+    network.add_switch(switch)
+    controller = P4AuthController(network)
+    controller.provision(dataplane)
+    controller.kmp.bootstrap_all()
+    network.sim.run(until=1.0)
+    assert telemetry.metrics.value(
+        "p4auth_digest_verify_total", switch="s1", result="pass",
+        channel="cdp") > 0
 
 
 def test_disabled_run_records_nothing():
