@@ -96,8 +96,8 @@ def _kill_and_recover(ctx: TrialContext,
         max_in_flight=max_in_flight)
 
     # Arm the durability layer on the bootstrapped controller.
-    journal, snapshots, _records = open_store(state_dir, fsync=fsync,
-                                              metrics=telemetry.metrics)
+    journal, snapshots, _, _ = open_store(state_dir, fsync=fsync,
+                                          metrics=telemetry.metrics)
     batch = BatchController(controller, max_in_flight=max_in_flight)
     recorder = StateRecorder(
         journal, snapshots,
@@ -227,7 +227,7 @@ def _overhead_trial(ctx: TrialContext) -> Dict[str, object]:
         seed=int(params["seed"]), telemetry=ctx.telemetry,
         max_in_flight=max_in_flight)
     with tempfile.TemporaryDirectory(prefix="repro-store-") as state_dir:
-        journal, snapshots, _ = open_store(state_dir, fsync=fsync)
+        journal, snapshots, _, _ = open_store(state_dir, fsync=fsync)
         recorder = StateRecorder(journal, snapshots)
 
         def burst() -> float:

@@ -18,6 +18,18 @@ after a snapshot at LSN *L* every fully-covered segment can be deleted
 (:meth:`Journal.rotate`) fsyncs and closes the active segment, then
 creates the next one — a reader always sees whole segments.
 
+Opening past a snapshot
+-----------------------
+:meth:`Journal.open` takes the LSN a snapshot already covers and
+decodes only the records past it: recovery replays nothing else, so a
+warm restart's decode cost is the tail the snapshot leaves, not the
+journal's whole history.  Covered frames are still walked and length-
+and CRC-checked under the rules below.  One consequence: a covered
+frame whose CRC verifies but whose payload is not valid JSON is
+accepted, where a full :meth:`Journal.open` refuses it (sealed segment)
+or truncates it (final segment); the CRC proves those bytes are the
+writer's, and the snapshot holds their effect.
+
 Torn final records
 ------------------
 A crash mid-append leaves a torn frame at the tail of the active
@@ -55,7 +67,7 @@ import os
 import struct
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.crypto.crc import Crc32
 from repro.store.atomic import fsync_dir, sweep_orphan_tmp
@@ -158,37 +170,41 @@ class Journal:
         #: known fsynced (simulate_crash truncates to this).
         self._synced_bytes = 0
         self._written_bytes = 0
-        self._metrics = metrics
-        self._labels = metric_labels
+        self._records_total = {
+            rec_type: metrics.bind_counter("store_journal_records_total",
+                                           type=rec_type, **metric_labels)
+            for rec_type in RECORD_TYPES}
+        self._bytes_total = metrics.bind_counter(
+            "store_journal_bytes_total", **metric_labels)
+        self._lag_records = metrics.bind_gauge(
+            "store_journal_lag_records", **metric_labels)
+        self._fsync_seconds = metrics.bind_histogram(
+            "store_fsync_seconds", buckets=FSYNC_BUCKETS, **metric_labels)
+        self._torn_total = metrics.bind_counter(
+            "store_journal_torn_records_total", **metric_labels)
         self._opened = False
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
 
-    def open(self) -> List[JournalRecord]:
+    def open(self, after_lsn: int = -1) -> List[JournalRecord]:
         """Scan all segments, heal a torn tail, and arm for appends.
 
-        Returns every valid record in LSN order (recovery replays them;
-        a fresh journal returns ``[]``).  Also sweeps orphaned ``*.tmp``
-        files that a killed snapshot writer may have left in the state
-        directory.
+        Returns the valid records past ``after_lsn`` in LSN order: all
+        of them by default; recovery passes the ``applied_lsn`` of the
+        snapshot it replays onto, and a fresh journal returns ``[]``.
+        Every frame is checked, but only the returned ones are decoded.
+        Also sweeps orphaned ``*.tmp`` files that a killed snapshot
+        writer may have left in the state directory.
         """
         if self._opened:
             raise RuntimeError("journal is already open")
         os.makedirs(self.root, exist_ok=True)
         sweep_orphan_tmp(self.root)
-        records: List[JournalRecord] = []
         segments = self._segments()
-        for index, (base, path) in enumerate(segments):
-            final = index == len(segments) - 1
-            seg_records = self._scan_segment(base, path, heal_tail=final)
-            if seg_records and records \
-                    and seg_records[0].lsn != records[-1].lsn + 1:
-                raise JournalCorruption(
-                    f"{self.root}: segment LSNs are not contiguous")
-            records.extend(seg_records)
-        self.next_lsn = records[-1].lsn + 1 if records else 0
+        records, self.next_lsn = self._read(segments, after_lsn,
+                                            heal_tail=True)
         # An empty active segment *ahead* of the record stream is the
         # durable mark of :meth:`skip_to` — recovery clamped the LSN
         # space past a snapshot that covers records this journal never
@@ -247,13 +263,9 @@ class Journal:
         if self.fsync_policy == "always" or \
                 (durable and self.fsync_policy == "batch"):
             self.sync()
-        if self._metrics.enabled:
-            self._metrics.counter("store_journal_records_total",
-                                  type=rec_type, **self._labels).inc()
-            self._metrics.counter("store_journal_bytes_total",
-                                  **self._labels).inc(len(frame))
-            self._metrics.gauge("store_journal_lag_records",
-                                **self._labels).set(self.lag)
+        self._records_total[rec_type].inc()
+        self._bytes_total.inc(len(frame))
+        self._lag_records.set(self.lag)
         for hook in list(self.on_append):
             hook(record)
         return record
@@ -266,15 +278,10 @@ class Journal:
         if self.fsync_policy != "never":
             started = time.perf_counter()
             os.fsync(self._handle.fileno())
-            if self._metrics.enabled:
-                self._metrics.histogram(
-                    "store_fsync_seconds", buckets=FSYNC_BUCKETS,
-                    **self._labels).observe(time.perf_counter() - started)
+            self._fsync_seconds.observe(time.perf_counter() - started)
         self._synced_bytes = self._written_bytes
         self.durable_lsn = self.next_lsn - 1
-        if self._metrics.enabled:
-            self._metrics.gauge("store_journal_lag_records",
-                                **self._labels).set(0)
+        self._lag_records.set(0)
 
     @property
     def lag(self) -> int:
@@ -369,15 +376,12 @@ class Journal:
     # reads
     # ------------------------------------------------------------------
 
-    def records(self, start_lsn: int = 0) -> Iterator[JournalRecord]:
-        """Replay records with ``lsn >= start_lsn`` from disk."""
+    def records(self, start_lsn: int = 0) -> List[JournalRecord]:
+        """Read records with ``lsn >= start_lsn`` back from disk."""
         if self._handle is not None:
             self._handle.flush()
-        for index, (base, path) in enumerate(self._segments()):
-            for record in self._scan_segment(base, path, heal_tail=False,
-                                             count_torn=False):
-                if record.lsn >= start_lsn:
-                    yield record
+        return self._read(self._segments(), start_lsn - 1,
+                          heal_tail=False)[0]
 
     # ------------------------------------------------------------------
     # internals
@@ -400,57 +404,70 @@ class Journal:
         entries.sort()
         return entries
 
-    def _scan_segment(self, base: int, path: str, heal_tail: bool,
-                      count_torn: bool = True) -> List[JournalRecord]:
-        """Decode one segment; optionally truncate a torn final frame.
+    def _read(self, segments: List[Tuple[int, str]], after_lsn: int,
+              heal_tail: bool) -> Tuple[List[JournalRecord], int]:
+        """Scan ``segments`` in order; returns the records past
+        ``after_lsn`` and the LSN after the last valid frame (0: none).
 
-        Corruption anywhere but the final frame of the final segment is
-        a :class:`JournalCorruption` — healing there would silently
-        drop acknowledged records.
+        ``heal_tail`` lets the final segment heal a torn tail.  The
+        chain is checked by frame counts: a non-empty segment must start
+        where the previous non-empty one ended.
         """
         records: List[JournalRecord] = []
+        end = 0
+        for index, (base, path) in enumerate(segments):
+            final = heal_tail and index == len(segments) - 1
+            frames = self._scan_segment(base, path, after_lsn, final,
+                                        records)
+            if frames:
+                if end and base != end:
+                    raise JournalCorruption(
+                        f"{self.root}: segment LSNs are not contiguous")
+                end = base + frames
+        return records, end
+
+    def _scan_segment(self, base: int, path: str, after_lsn: int,
+                      heal_tail: bool, records: List[JournalRecord]) -> int:
+        """Check one segment's frames, appending the ones past
+        ``after_lsn`` to ``records`` decoded; returns the valid frames.
+
+        Every frame is length- and CRC-checked; a covered one is not
+        decoded.  Corruption anywhere but the final frame of the final
+        segment (``heal_tail``) is a :class:`JournalCorruption` —
+        healing there would silently drop acknowledged records.
+        """
         with open(path, "rb") as handle:
             blob = handle.read()
         offset = 0
         lsn = base
-        valid_end = 0
-        torn = False
         while offset < len(blob):
             header = blob[offset:offset + _FRAME.size]
             if len(header) < _FRAME.size:
-                torn = True
                 break
             length, crc = _FRAME.unpack(header)
             if length > MAX_PAYLOAD_BYTES:
-                torn = True
                 break
             payload = blob[offset + _FRAME.size:offset + _FRAME.size + length]
             if len(payload) < length or _CRC.compute(payload) != crc:
-                torn = True
                 break
-            try:
-                records.append(_decode_payload(payload, lsn))
-            except (ValueError, KeyError):
-                torn = True
-                break
+            if lsn > after_lsn:
+                try:
+                    records.append(_decode_payload(payload, lsn))
+                except (ValueError, KeyError):
+                    break
             lsn += 1
             offset += _FRAME.size + length
-            valid_end = offset
-        if torn:
-            trailing = len(blob) - valid_end
+        if offset < len(blob):
             if not heal_tail:
                 raise JournalCorruption(
-                    f"{path}: corrupt frame at offset {valid_end} "
-                    f"({trailing} trailing bytes) in a sealed segment")
-            if count_torn:
-                self.torn_records += 1
-                if self._metrics.enabled:
-                    self._metrics.counter(
-                        "store_journal_torn_records_total",
-                        **self._labels).inc()
+                    f"{path}: corrupt frame at offset {offset} "
+                    f"({len(blob) - offset} trailing bytes) in a sealed "
+                    f"segment")
+            self.torn_records += 1
+            self._torn_total.inc()
             with open(path, "ab") as handle:
-                handle.truncate(valid_end)
-        return records
+                handle.truncate(offset)
+        return lsn - base
 
 
 __all__ = [

@@ -101,38 +101,39 @@ def open_store(state_dir: str, *, fsync: str = "always",
                segment_max_bytes: int = 4 << 20, keep: int = 2,
                metrics: MetricRegistry = NULL_TELEMETRY.metrics,
                **metric_labels
-               ) -> Tuple[Journal, SnapshotStore, List[JournalRecord]]:
-    """Open (creating if needed) the journal + snapshot store under one
-    state directory; returns the journal's surviving records."""
+               ) -> Tuple[Journal, SnapshotStore, Optional[StoreState],
+                          List[JournalRecord]]:
+    """Open (creating if needed) the snapshot store + journal under one
+    state directory, snapshot first.
+
+    Returns both, the newest valid snapshot (``None``: none) and the
+    journal records past its ``applied_lsn`` — the only ones the journal
+    decodes, so the cost of opening follows the tail, not the uptime.
+    """
     if fsync not in FSYNC_POLICIES:
         raise ValueError(f"fsync must be one of {FSYNC_POLICIES}")
+    snapshots = SnapshotStore(os.path.join(state_dir, SNAPSHOT_SUBDIR),
+                              keep=keep, metrics=metrics, **metric_labels)
+    base = snapshots.load_latest()
     journal = Journal(os.path.join(state_dir, JOURNAL_SUBDIR),
                       fsync=fsync, segment_max_bytes=segment_max_bytes,
                       metrics=metrics, **metric_labels)
-    records = journal.open()
-    snapshots = SnapshotStore(os.path.join(state_dir, SNAPSHOT_SUBDIR),
-                              keep=keep, metrics=metrics, **metric_labels)
-    return journal, snapshots, records
+    tail = journal.open(base.applied_lsn if base is not None else -1)
+    return journal, snapshots, base, tail
 
 
-def load_state(records: List[JournalRecord],
-               snapshots: Optional[SnapshotStore] = None
+def load_state(tail: List[JournalRecord], base: Optional[StoreState] = None
                ) -> Tuple[StoreState, bool, int]:
-    """Snapshot + tail replay; returns (state, snapshot_used, replayed).
+    """Fold the journal tail into the snapshot ``base`` (mutated);
+    returns (state, snapshot_used, replayed).
 
-    With no (valid) snapshot this degrades to a full-journal replay —
-    the property test in ``tests/store`` pins the two paths to
-    identical states.
+    With no snapshot this is a full-journal replay — the property test
+    in ``tests/store`` pins the two paths to identical states.
     """
-    base = snapshots.load_latest() if snapshots is not None else None
-    snapshot_used = base is not None
-    state = base if base is not None else StoreState()
-    # LSNs are contiguous (Journal.open enforces it), so what the replay
-    # skips is exactly the prefix the snapshot already covers.
-    covered_lsn = state.applied_lsn
-    replay_records(records, state)
-    replayed = sum(record.lsn > covered_lsn for record in records)
-    return state, snapshot_used, replayed
+    covered_lsn = base.applied_lsn if base is not None else -1
+    state = replay_records(tail, base)
+    replayed = sum(record.lsn > covered_lsn for record in tail)
+    return state, base is not None, replayed
 
 
 def restore_dataplane(dataplane, state: StoreState) -> None:
@@ -176,9 +177,9 @@ def warm_restart(state_dir: str, controller, *, batch=None,
     directory (cold start: nothing to replay, recorder just attaches).
     """
     started = time.perf_counter()
-    journal, snapshots, records = open_store(
+    journal, snapshots, base, tail = open_store(
         state_dir, fsync=fsync, keep=keep, metrics=metrics, **metric_labels)
-    state, snapshot_used, replayed = load_state(records, snapshots)
+    state, snapshot_used, replayed = load_state(tail, base)
     # A surviving snapshot can cover LSNs the journal itself lost (a
     # state dir written under fsync='batch' by a build that snapshotted
     # without syncing first).  Clamp the LSN space forward so fresh
@@ -224,12 +225,10 @@ def warm_restart(state_dir: str, controller, *, batch=None,
                  for switch in sorted(recovered_state.open_windows)},
     )
     report.duration_s = time.perf_counter() - started
-    if metrics.enabled:
-        metrics.histogram("store_recovery_seconds",
-                          buckets=RECOVERY_BUCKETS,
-                          **metric_labels).observe(report.duration_s)
-        metrics.gauge("store_recovery_replayed_records",
-                      **metric_labels).set(replayed)
+    metrics.histogram("store_recovery_seconds", buckets=RECOVERY_BUCKETS,
+                      **metric_labels).observe(report.duration_s)
+    metrics.gauge("store_recovery_replayed_records",
+                  **metric_labels).set(replayed)
 
     if reconcile:
         for switch, window in sorted(recovered_state.open_windows.items()):

@@ -55,8 +55,10 @@ class SnapshotStore:
             raise ValueError("keep must be >= 1")
         self.root = root
         self.keep = keep
-        self._metrics = metrics
-        self._labels = metric_labels
+        self._saved_total = metrics.bind_counter("store_snapshots_total",
+                                                 **metric_labels)
+        self._corrupt_total = metrics.bind_counter(
+            "store_snapshot_corrupt_total", **metric_labels)
         os.makedirs(self.root, exist_ok=True)
         # A killed writer's mkstemp leftovers.
         sweep_orphan_tmp(self.root)
@@ -80,9 +82,7 @@ class SnapshotStore:
         atomic_write_bytes(
             path,
             json.dumps(document, sort_keys=True, indent=1).encode("utf-8"))
-        if self._metrics.enabled:
-            self._metrics.counter("store_snapshots_total",
-                                  **self._labels).inc()
+        self._saved_total.inc()
         self._prune()
         return path
 
@@ -111,9 +111,7 @@ class SnapshotStore:
                 raise ValueError("snapshot checksum mismatch")
             return StoreState.from_dict(body)
         except (OSError, ValueError, KeyError, TypeError):
-            if self._metrics.enabled:
-                self._metrics.counter("store_snapshot_corrupt_total",
-                                      **self._labels).inc()
+            self._corrupt_total.inc()
             return None
 
     def _snapshots(self) -> List[Tuple[int, str]]:

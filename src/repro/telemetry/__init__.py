@@ -22,8 +22,9 @@ hands out a shared null metric whose mutators are no-ops, so no hot
 path tests ``enabled``.  A labelled lookup stays per event only where a
 label exists only at the event — a drop reason, an alert code, a
 PacketIn's sender and header type, a link transition, a fault kind —
-or on a per-exchange or per-record path outside the packet path (KMP,
-the store).
+or on a per-exchange path outside the packet path (KMP).  The store
+binds its per-record handles when its journal and snapshot store are
+built.
 
 Trace-event vocabulary, the one list of the names :mod:`repro` passes
 to ``Tracer.emit`` (a test holds the two equal):

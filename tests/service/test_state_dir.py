@@ -19,6 +19,7 @@ from repro.service import (
     FleetConfig,
     ServiceClient,
 )
+from repro.telemetry.metrics import MetricRegistry
 
 
 def run(coro):
@@ -150,3 +151,33 @@ class TestWarmRestart:
 
         run(lifetime(FleetConfig(stack="P4Auth", m=4, shards=2), scenario))
         assert os.listdir(tmp_path) == []
+
+
+class TestStoreMetricHandles:
+    def test_durable_writes_resolve_no_metric(self, tmp_path, monkeypatch):
+        """The journal and snapshot store update handles bound when they
+        were built: once the fleet is up, writes (and the snapshots they
+        trigger) resolve no labelled metric."""
+        resolved = []
+        real_resolve = MetricRegistry._resolve
+
+        def counting(self, cls, name, labels, listed, **kwargs):
+            resolved.append(name)
+            return real_resolve(self, cls, name, labels, listed, **kwargs)
+
+        async def scenario(service, client):
+            metrics = service.telemetry.metrics
+            shard = service.worker_for("sw0").shard_id
+            before = metrics.value("store_journal_bytes_total", shard=shard)
+            monkeypatch.setattr(MetricRegistry, "_resolve", counting)
+            for index in range(48):
+                result = await client.write("sw%d" % (index % 4), "target",
+                                            index % 16, index)
+                assert result["ok"]
+            monkeypatch.undo()
+            assert metrics.value("store_journal_bytes_total",
+                                 shard=shard) > before
+            assert metrics.value("store_snapshots_total", shard=shard) > 0
+
+        run(lifetime(durable_config(tmp_path, snapshot_every=16), scenario))
+        assert resolved == []

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import struct
+import zlib
 
 import pytest
 
@@ -14,6 +15,7 @@ from repro.store.journal import (
     MAX_PAYLOAD_BYTES,
     RECORD_TYPES,
 )
+from repro.telemetry.metrics import MetricRegistry
 
 
 def fresh(tmp_path, **kwargs) -> Journal:
@@ -296,3 +298,83 @@ class TestSkipTo:
         journal.skip_to(0)
         assert journal.next_lsn == 1
         assert len(journal._segments()) == segments
+
+
+class TestOpenAfter:
+    """``open(after_lsn)``: every frame checked, only the tail decoded."""
+
+    def write(self, tmp_path, n=20):
+        journal = fresh(tmp_path, segment_max_bytes=160)
+        for horizon in range(1, n + 1):
+            journal.append("seq_advance",
+                           {"switch": "s1", "horizon": horizon},
+                           durable=True)
+        segments = journal._segments()
+        journal.close()
+        return segments
+
+    def reopen(self, tmp_path, after_lsn=None, **kwargs):
+        """Open and close; returns the journal, its LSNs as opened and
+        the records ``open`` returned."""
+        journal = Journal(str(tmp_path / "wal"), segment_max_bytes=160,
+                          **kwargs)
+        records = journal.open() if after_lsn is None \
+            else journal.open(after_lsn)
+        lsns = (journal.next_lsn, journal.durable_lsn)
+        journal.close()
+        return journal, lsns, records
+
+    @staticmethod
+    def flip_last_byte(path):
+        blob = bytearray(open(path, "rb").read())
+        blob[-1] ^= 0xFF
+        with open(path, "wb") as handle:
+            handle.write(blob)
+
+    @pytest.mark.parametrize("after_lsn", [-1, 0, 7, 18, 19, 25])
+    def test_returns_exactly_the_tail(self, tmp_path, after_lsn):
+        assert len(self.write(tmp_path)) > 2
+        _, full_lsns, records = self.reopen(tmp_path)
+        _, tail_lsns, tail = self.reopen(tmp_path, after_lsn)
+        assert tail == [r for r in records if r.lsn > after_lsn]
+        assert tail_lsns == full_lsns == (20, 19)
+
+    def test_covered_crc_flip_in_sealed_segment_refuses(self, tmp_path):
+        segments = self.write(tmp_path)
+        self.flip_last_byte(segments[0][1])
+        with pytest.raises(JournalCorruption, match="sealed segment"):
+            self.reopen(tmp_path, after_lsn=19)
+
+    def test_covered_torn_tail_heals_and_counts_once(self, tmp_path):
+        segments = self.write(tmp_path)
+        with open(segments[-1][1], "ab") as handle:
+            handle.write(b"\x05\x00")  # half a frame header
+        metrics = MetricRegistry()
+        healed, _, tail = self.reopen(tmp_path, after_lsn=19,
+                                      metrics=metrics, shard="s")
+        assert tail == []
+        assert healed.torn_records == 1
+        assert metrics.value("store_journal_torn_records_total",
+                             shard="s") == 1
+        again, lsns, _ = self.reopen(tmp_path, after_lsn=19)
+        assert again.torn_records == 0
+        assert lsns == (20, 19)
+
+    def test_covered_undecodable_frame_with_valid_crc_is_accepted(
+            self, tmp_path):
+        """The CRC proves a covered frame is the writer's bytes, so its
+        payload is not parsed: only a full open refuses it."""
+        journal = fresh(tmp_path)
+        journal.append("epoch_advance", {"switch": "s1", "epoch": 1})
+        sealed = active_segment(journal)
+        journal.rotate()
+        journal.append("epoch_advance", {"switch": "s1", "epoch": 2})
+        journal.close()
+        payload = b"not json"
+        with open(sealed, "wb") as handle:
+            handle.write(struct.pack("<II", len(payload),
+                                     zlib.crc32(payload)) + payload)
+        with pytest.raises(JournalCorruption, match="sealed segment"):
+            Journal(str(tmp_path / "wal")).open()
+        tail = Journal(str(tmp_path / "wal")).open(0)
+        assert [(r.lsn, r.data["epoch"]) for r in tail] == [(1, 2)]

@@ -49,8 +49,8 @@ class TestStoreExists:
 
     def test_true_after_first_journal_record(self, tmp_path):
         dep = deployment()
-        journal, snapshots, records = open_store(str(tmp_path))
-        assert records == []
+        journal, snapshots, base, records = open_store(str(tmp_path))
+        assert base is None and records == []
         recorder = StateRecorder(journal, snapshots)
         recorder.attach(dep.controller)
         assert store_exists(str(tmp_path))
@@ -66,8 +66,8 @@ class TestAttachGroupCommit:
     def attach(self, state_dir, controller, fsync):
         from repro.telemetry.metrics import MetricRegistry
         metrics = MetricRegistry()
-        journal, snapshots, _ = open_store(state_dir, fsync=fsync,
-                                           metrics=metrics, shard="s")
+        journal, snapshots, _, _ = open_store(state_dir, fsync=fsync,
+                                              metrics=metrics, shard="s")
         recorder = StateRecorder(journal, snapshots)
         before = self.fsyncs(metrics)
         recorder.attach(controller, shard_id="shard-0")
@@ -114,7 +114,7 @@ class TestWarmRestart:
 
     def test_keys_and_horizons_survive(self, tmp_path):
         dep = deployment()
-        journal, snapshots, _ = open_store(str(tmp_path), fsync="batch")
+        journal, snapshots, _, _ = open_store(str(tmp_path), fsync="batch")
         recorder = StateRecorder(journal, snapshots, seq_stride=8)
         recorder.attach(dep.controller)
         assert write_ok(dep, dep.controller, "s1", 0, 111)
@@ -144,7 +144,7 @@ class TestWarmRestart:
         """The skip-ahead rule: every post-restart sequence number is
         strictly above anything the dead controller could have used."""
         dep = deployment()
-        journal, snapshots, _ = open_store(str(tmp_path), fsync="batch")
+        journal, snapshots, _, _ = open_store(str(tmp_path), fsync="batch")
         recorder = StateRecorder(journal, snapshots, seq_stride=4)
         recorder.attach(dep.controller)
         for index in range(6):
@@ -162,7 +162,7 @@ class TestWarmRestart:
 
     def test_snapshot_plus_tail_recovery(self, tmp_path):
         dep = deployment()
-        journal, snapshots, _ = open_store(str(tmp_path), fsync="batch")
+        journal, snapshots, _, _ = open_store(str(tmp_path), fsync="batch")
         # stride=1: every next_seq journals a horizon, so the writes
         # after the snapshot are guaranteed to leave a journal tail.
         recorder = StateRecorder(journal, snapshots, seq_stride=1)
@@ -185,9 +185,44 @@ class TestWarmRestart:
         recorder2.detach()
         recorder2.journal.close()
 
+    def test_decodes_only_the_tail_past_the_snapshot(self, tmp_path,
+                                                     monkeypatch):
+        """A snapshot covering the journal's prefix leaves only the tail
+        to decode: warm restart parses exactly those records."""
+        from repro.store import journal as journal_module
+
+        journal, snapshots, _, _ = open_store(str(tmp_path), fsync="batch")
+        recorder = StateRecorder(journal, snapshots)
+        for epoch in range(1, 41):
+            recorder._append("epoch_advance", {"switch": "s1", "epoch": epoch})
+        recorder.snapshot()
+        for horizon in (64, 128, 192):
+            recorder._append("seq_advance", {"switch": "s1",
+                                             "horizon": horizon})
+        journal.close()
+
+        decoded = []
+        real_decode = journal_module._decode_payload
+
+        def counting(payload, lsn):
+            decoded.append(lsn)
+            return real_decode(payload, lsn)
+
+        monkeypatch.setattr(journal_module, "_decode_payload", counting)
+        dep = deployment()
+        recorder2, report = warm_restart(str(tmp_path), dep.controller,
+                                         reconcile=False)
+        assert report.snapshot_used
+        assert report.replayed_records == 3
+        assert decoded == [40, 41, 42]
+        assert report.state.epochs == {"s1": 40}
+        assert report.seq_horizons["s1"] == 192
+        recorder2.detach()
+        recorder2.journal.close()
+
     def test_open_window_reconciled_by_authenticated_read(self, tmp_path):
         dep = deployment()
-        journal, snapshots, _ = open_store(str(tmp_path), fsync="batch")
+        journal, snapshots, _, _ = open_store(str(tmp_path), fsync="batch")
         recorder = StateRecorder(journal, snapshots, seq_stride=4)
         batch = BatchController(dep.controller, max_in_flight=4)
         recorder.attach(dep.controller, batch=batch)
@@ -224,7 +259,7 @@ class TestSnapshotDurability:
     """A snapshot must never cover LSNs the journal could still lose."""
 
     def test_snapshot_syncs_batched_journal_first(self, tmp_path):
-        journal, snapshots, _ = open_store(str(tmp_path), fsync="batch")
+        journal, snapshots, _, _ = open_store(str(tmp_path), fsync="batch")
         recorder = StateRecorder(journal, snapshots, snapshot_every=2)
         # Two non-durable records trigger the auto-snapshot; nothing
         # else would have forced a group commit for them.
@@ -235,9 +270,8 @@ class TestSnapshotDurability:
 
         # Recovery resumes at the snapshot's coverage, not below it —
         # so this fresh acknowledged-durable record gets LSN 2, not 0.
-        journal2, snapshots2, records = open_store(str(tmp_path),
-                                                   fsync="batch")
-        state, snapshot_used, _ = load_state(records, snapshots2)
+        journal2, _, base, tail = open_store(str(tmp_path), fsync="batch")
+        state, snapshot_used, _ = load_state(tail, base)
         assert snapshot_used
         assert journal2.next_lsn == state.applied_lsn + 1 == 2
         journal2.append("seq_advance", {"switch": "s1", "horizon": 64},
@@ -245,9 +279,8 @@ class TestSnapshotDurability:
         journal2.simulate_crash()
 
         # The record is NOT shadowed by the snapshot on the next replay.
-        journal3, snapshots3, records3 = open_store(str(tmp_path),
-                                                    fsync="batch")
-        state3, _, replayed3 = load_state(records3, snapshots3)
+        journal3, _, base3, tail3 = open_store(str(tmp_path), fsync="batch")
+        state3, _, replayed3 = load_state(tail3, base3)
         assert replayed3 == 1
         assert state3.seq_horizons == {"s1": 64}
         assert state3.epochs == {"s1": 2}
@@ -293,7 +326,7 @@ class TestSequenceWrap:
     """Journaled horizons stay monotone across the 32-bit seq wrap."""
 
     def test_horizon_advances_past_the_wrap(self, tmp_path):
-        journal, snapshots, _ = open_store(str(tmp_path))
+        journal, snapshots, _, _ = open_store(str(tmp_path))
         seeded = StoreState()
         seeded.seq_horizons["s1"] = SEQ_MASK - 7  # reservation near top
         recorder = StateRecorder(journal, snapshots, seq_stride=8,
@@ -308,8 +341,8 @@ class TestSequenceWrap:
 
         # Replay agrees: the post-wrap horizon is forward movement, not
         # a stale reservation to be rejected.
-        journal2, snapshots2, records = open_store(str(tmp_path))
-        state, _, _ = load_state(records, snapshots2)
+        journal2, _, base, tail = open_store(str(tmp_path))
+        state, _, _ = load_state(tail, base)
         assert state.seq_horizons["s1"] == horizon
         # Masked back down only at the 32-bit register boundary.
         assert horizon & SEQ_MASK == 8
@@ -340,13 +373,13 @@ class TestRestoreDataplane:
 
 class TestLoadState:
     def test_full_journal_replay_without_snapshots(self, tmp_path):
-        journal, snapshots, _ = open_store(str(tmp_path))
+        journal, snapshots, _, _ = open_store(str(tmp_path))
         journal.append("seq_advance", {"switch": "s1", "horizon": 32},
                        durable=True)
         journal.append("epoch_advance", {"switch": "s1", "epoch": 2})
         journal.close()
-        journal2, snapshots2, records = open_store(str(tmp_path))
-        state, snapshot_used, replayed = load_state(records, snapshots2)
+        journal2, _, base, tail = open_store(str(tmp_path))
+        state, snapshot_used, replayed = load_state(tail, base)
         assert not snapshot_used
         assert replayed == 2
         assert state.seq_horizons == {"s1": 32}

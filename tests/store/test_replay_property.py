@@ -5,7 +5,8 @@ The recorder maintains its snapshot source through the same pure
 construction — what these properties pin is the **disk round-trip**:
 encode → CRC-frame → segment files → scan → decode → fold, with a
 snapshot cut at an arbitrary point, equals folding every record, for
-arbitrary operation sequences.  Plus: replay is idempotent from any
+arbitrary operation sequences, also when the journal decodes only the
+tail past the snapshot.  Plus: replay is idempotent from any
 snapshot base, and a simulated crash only ever truncates (records that
 survive are a strict prefix).
 """
@@ -97,6 +98,28 @@ def test_snapshot_plus_tail_equals_full_replay(ops, cut):
         resumed = replay_records(records, loaded)
 
         assert resumed.to_dict() == full.to_dict()
+
+
+@given(ops=OPS, cut=st.integers(min_value=0, max_value=40))
+@RELAXED
+def test_snapshot_plus_opened_tail_equals_full_open(ops, cut):
+    """Recovery's own path: the tail ``open(after_lsn)`` decodes, folded
+    onto the snapshot, equals replaying everything a full ``open()``
+    returns."""
+    cut = min(cut, len(ops))
+    with tempfile.TemporaryDirectory() as root:
+        records = journal_to_disk(root, ops)
+        full = replay_records(records)
+
+        snapshots = SnapshotStore(os.path.join(root, "snaps"))
+        snapshots.save(replay_records(records[:cut]))
+        loaded = snapshots.load_latest()
+        journal = Journal(os.path.join(root, "wal"), segment_max_bytes=512)
+        tail = journal.open(loaded.applied_lsn)
+        journal.close()
+
+        assert [r.lsn for r in tail] == list(range(cut, len(ops)))
+        assert replay_records(tail, loaded).to_dict() == full.to_dict()
 
 
 @given(ops=OPS)
