@@ -6,13 +6,15 @@ name — readers see either the old file or the complete new one, never
 a torn write, and concurrent writers cannot clobber each other's
 temporaries.  A SIGKILL between ``mkstemp`` and ``replace`` leaves an
 orphaned temp file behind; :func:`sweep_orphan_tmp` reclaims those at
-open time.
+open time.  :func:`numbered_files` lists the LSN-named files both
+writers leave.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
+from typing import List, Tuple
 
 #: Suffix every atomic writer's temporaries carry (and the sweep hunts).
 TMP_SUFFIX = ".tmp"
@@ -93,9 +95,27 @@ def sweep_orphan_tmp(root: str) -> int:
     return removed
 
 
+def numbered_files(root: str, prefix: str,
+                   suffix: str) -> List[Tuple[int, str]]:
+    """``(number, path)`` of every ``<prefix><number><suffix>`` file in
+    ``root``, ascending; a missing directory has none."""
+    entries: List[Tuple[int, str]] = []
+    if not os.path.isdir(root):
+        return entries
+    for name in os.listdir(root):
+        if name.startswith(prefix) and name.endswith(suffix):
+            try:
+                number = int(name[len(prefix):-len(suffix)])
+            except ValueError:
+                continue
+            entries.append((number, os.path.join(root, name)))
+    return sorted(entries)
+
+
 __all__ = [
     "TMP_SUFFIX",
     "atomic_write_bytes",
     "fsync_dir",
+    "numbered_files",
     "sweep_orphan_tmp",
 ]

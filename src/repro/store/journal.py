@@ -20,15 +20,11 @@ creates the next one — a reader always sees whole segments.
 
 Opening past a snapshot
 -----------------------
-:meth:`Journal.open` takes the LSN a snapshot already covers and
-decodes only the records past it: recovery replays nothing else, so a
-warm restart's decode cost is the tail the snapshot leaves, not the
-journal's whole history.  Covered frames are still walked and length-
-and CRC-checked under the rules below.  One consequence: a covered
-frame whose CRC verifies but whose payload is not valid JSON is
-accepted, where a full :meth:`Journal.open` refuses it (sealed segment)
-or truncates it (final segment); the CRC proves those bytes are the
-writer's, and the snapshot holds their effect.
+``open(after_lsn)`` decodes only the records past a snapshot's
+``applied_lsn``; covered frames are still length- and CRC-checked under
+the rules below.  So a covered frame whose CRC verifies but whose JSON
+does not parse is accepted (the CRC proves it is the writer's bytes),
+where a full ``open()`` refuses or truncates it.
 
 Torn final records
 ------------------
@@ -70,7 +66,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.crypto.crc import Crc32
-from repro.store.atomic import fsync_dir, sweep_orphan_tmp
+from repro.store.atomic import fsync_dir, numbered_files, sweep_orphan_tmp
 from repro.telemetry import NULL_TELEMETRY, MetricRegistry
 
 #: Frame header: payload length, payload CRC-32 (both u32 LE).
@@ -388,31 +384,13 @@ class Journal:
     # ------------------------------------------------------------------
 
     def _segments(self) -> List[Tuple[int, str]]:
-        entries: List[Tuple[int, str]] = []
-        if not os.path.isdir(self.root):
-            return entries
-        for name in os.listdir(self.root):
-            if not (name.startswith(_SEGMENT_PREFIX)
-                    and name.endswith(_SEGMENT_SUFFIX)):
-                continue
-            digits = name[len(_SEGMENT_PREFIX):-len(_SEGMENT_SUFFIX)]
-            try:
-                base = int(digits)
-            except ValueError:
-                continue
-            entries.append((base, os.path.join(self.root, name)))
-        entries.sort()
-        return entries
+        return numbered_files(self.root, _SEGMENT_PREFIX, _SEGMENT_SUFFIX)
 
     def _read(self, segments: List[Tuple[int, str]], after_lsn: int,
               heal_tail: bool) -> Tuple[List[JournalRecord], int]:
-        """Scan ``segments`` in order; returns the records past
-        ``after_lsn`` and the LSN after the last valid frame (0: none).
-
-        ``heal_tail`` lets the final segment heal a torn tail.  The
-        chain is checked by frame counts: a non-empty segment must start
-        where the previous non-empty one ended.
-        """
+        """Scan ``segments`` in order (``heal_tail``: the final one may
+        heal); returns the records past ``after_lsn`` and the LSN after
+        the last valid frame (0: none).  Frame counts check the chain."""
         records: List[JournalRecord] = []
         end = 0
         for index, (base, path) in enumerate(segments):

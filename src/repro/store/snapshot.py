@@ -27,6 +27,7 @@ from repro.telemetry import NULL_TELEMETRY, MetricRegistry
 from repro.store.atomic import (
     atomic_write_bytes,
     fsync_dir,
+    numbered_files,
     sweep_orphan_tmp,
 )
 from repro.store.state import StoreState
@@ -115,21 +116,7 @@ class SnapshotStore:
             return None
 
     def _snapshots(self) -> List[Tuple[int, str]]:
-        entries: List[Tuple[int, str]] = []
-        if not os.path.isdir(self.root):
-            return entries
-        for name in os.listdir(self.root):
-            if not (name.startswith(_SNAPSHOT_PREFIX)
-                    and name.endswith(_SNAPSHOT_SUFFIX)):
-                continue
-            digits = name[len(_SNAPSHOT_PREFIX):-len(_SNAPSHOT_SUFFIX)]
-            try:
-                lsn = int(digits)
-            except ValueError:
-                continue
-            entries.append((lsn, os.path.join(self.root, name)))
-        entries.sort()
-        return entries
+        return numbered_files(self.root, _SNAPSHOT_PREFIX, _SNAPSHOT_SUFFIX)
 
     def _prune(self) -> None:
         snapshots = self._snapshots()
