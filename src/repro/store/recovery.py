@@ -106,9 +106,9 @@ def open_store(state_dir: str, *, fsync: str = "always",
     """Open (creating if needed) the snapshot store + journal under one
     state directory, snapshot first.
 
-    Returns both, the newest valid snapshot (``None``: none) and the
-    journal records past its ``applied_lsn`` — the only ones the journal
-    decodes, so the cost of opening follows the tail, not the uptime.
+    Returns the two stores, the newest valid snapshot (``None``: none)
+    and the journal records past its ``applied_lsn`` — the only ones the
+    journal decodes, so opening decodes the tail, not the whole history.
     """
     if fsync not in FSYNC_POLICIES:
         raise ValueError(f"fsync must be one of {FSYNC_POLICIES}")
