@@ -8,31 +8,16 @@ controller that forgets where it was immediately trips the monotonic
 ``expected_seq`` replay defense it deployed (§IV/§VIII).  Recovery must
 re-authenticate, never bypass, the defenses.
 
-``repro.store`` is the durability layer:
-
-- :mod:`repro.store.atomic` — the atomic-write / orphan-``*.tmp`` sweep
-  idiom;
-- :mod:`repro.store.journal` — an append-only, CRC32-framed write-ahead
-  journal with typed records and segment rotation; a torn final record
-  (crash mid-append) truncates to the last valid frame with a warning
-  metric instead of refusing to open;
-- :mod:`repro.store.snapshot` — periodic compacted snapshots of the
-  controller's durable state, atomically written, checksummed, with
-  fallback to the previous generation on corruption;
-- :mod:`repro.store.state` — the replay semantics: a pure
-  ``apply_record`` over :class:`~repro.store.state.StoreState`, shared
-  by the live recorder and crash recovery so snapshot+tail replay is
-  state-identical to full-journal replay *by construction*;
-- :mod:`repro.store.recorder` — hooks a live
-  :class:`~repro.core.controller.P4AuthController` (its KMP's rollover
-  epochs included, and optionally a BatchController) and journals every
-  durable state change **before it is acted on** (write-ahead
-  discipline);
-- :mod:`repro.store.recovery` — warm restart: rebuild controller state
-  from snapshot + journal tail, re-derive session keys from journaled
-  master-key versions, resume sequence numbers *past* the last durable
-  horizon (skip-ahead, never reuse), and reconcile in-flight windows
-  via authenticated register reads.
+``repro.store`` is the durability layer: :mod:`~repro.store.recorder`
+journals every durable change of a live controller **before it is acted
+on** into :mod:`~repro.store.journal` (CRC32-framed, typed records);
+:mod:`~repro.store.snapshot` checkpoints the state and lets the journal
+drop what it covers; :mod:`~repro.store.state` holds the one pure
+``apply_record`` that the recorder's mirror and recovery both fold
+through; :mod:`~repro.store.recovery` rebuilds a controller from
+snapshot + journal tail, resuming sequence numbers at the last durable
+horizon and reconciling in-flight windows by authenticated reads;
+:mod:`~repro.store.atomic` is the atomic-write idiom.
 
 See DESIGN.md "Durability & warm restart" for record formats, the
 fsync discipline, and the skip-ahead sequence rule.

@@ -12,11 +12,14 @@ own :class:`repro.crypto.crc.Crc32` engine (bit-exact with ``zlib``) —
 the same primitive the P4Auth data plane uses for its digests.
 
 Records live in numbered segment files ``journal-<base-lsn>.wal``; the
-file name carries the LSN (log sequence number) of its first record, so
-after a snapshot at LSN *L* every fully-covered segment can be deleted
-(:meth:`Journal.compact`) without renumbering anything.  Rotation
-(:meth:`Journal.rotate`) fsyncs and closes the active segment, then
-creates the next one — a reader always sees whole segments.
+file name carries the LSN (log sequence number) of its first record.
+:meth:`Journal.rotate` fsyncs and closes the active segment, then
+creates the next one, so a reader always sees whole segments.  The
+recorder rotates at every snapshot (a no-op on an empty segment) and
+then deletes every sealed segment the *oldest* kept snapshot covers
+(:meth:`Journal.compact`): the newest snapshot's fallback always finds
+its tail, and the journal holds about two snapshot intervals.  Without
+snapshots a segment rotates at :data:`SEGMENT_MAX_BYTES`.
 
 Opening past a snapshot
 -----------------------
@@ -24,19 +27,21 @@ Opening past a snapshot
 ``applied_lsn``; covered frames are still length- and CRC-checked under
 the rules below.  So a covered frame whose CRC verifies but whose JSON
 does not parse is accepted (the CRC proves it is the writer's bytes),
-where a full ``open()`` refuses or truncates it.
+where a full ``open()`` refuses or truncates it.  A first segment that
+starts past ``after_lsn + 1`` is a gap, :class:`JournalCorruption`: the
+records between were compacted or lost, and the reader needs them.
 
-Torn final records
-------------------
+Healing a torn tail
+-------------------
 A crash mid-append leaves a torn frame at the tail of the active
-segment: a truncated header, a payload shorter than its length field,
-or a payload whose CRC disagrees.  :meth:`Journal.open` does **not**
-refuse to start — it truncates the segment back to the last valid
+segment.  :meth:`Journal.open` truncates it back to the last valid
 frame, counts the loss in ``torn_records`` (and the
-``store_journal_torn_records_total`` metric), and appends from there.
-A torn record was by definition never acknowledged as durable, so
-dropping it is correct; crashing the controller *again* over it would
-not be.
+``store_journal_torn_records_total`` metric), and appends from there,
+when the frame has a short header or payload, a length that runs past
+the end of the file, or is the last frame and fails its CRC or decode
+check.  A frame that fails its CRC or decode check with bytes after it,
+or any bad frame in a sealed segment, is :class:`JournalCorruption`:
+truncating there would drop records already acknowledged as durable.
 
 Fsync discipline
 ----------------
@@ -81,6 +86,10 @@ _SEGMENT_SUFFIX = ".wal"
 #: treated as corruption, not an allocation request.
 MAX_PAYLOAD_BYTES = 1 << 24
 
+#: An active segment rotates before it grows past this: it bounds one
+#: segment's read when no snapshot seals the journal sooner.
+SEGMENT_MAX_BYTES = 4 << 20
+
 FSYNC_POLICIES = ("always", "batch", "never")
 
 #: The typed records the controller journals.  ``key_install`` covers
@@ -111,8 +120,9 @@ _CRC = Crc32()
 
 
 class JournalCorruption(RuntimeError):
-    """Corruption *before* the final record — the journal cannot tell
-    which tail is trustworthy, so it refuses rather than guesses."""
+    """Corruption *before* the final record, or a gap before the first
+    — the journal cannot tell which records are trustworthy, so it
+    refuses rather than guesses."""
 
 
 @dataclass(frozen=True)
@@ -139,17 +149,13 @@ class Journal:
     """The write-ahead journal over one state directory."""
 
     def __init__(self, root: str, *, fsync: str = "always",
-                 segment_max_bytes: int = 4 << 20,
                  metrics: MetricRegistry = NULL_TELEMETRY.metrics,
                  **metric_labels):
         if fsync not in FSYNC_POLICIES:
             raise ValueError(
                 f"fsync must be one of {FSYNC_POLICIES}, got {fsync!r}")
-        if segment_max_bytes < len(_FRAME.pack(0, 0)) + 2:
-            raise ValueError("segment_max_bytes is too small for any record")
         self.root = root
         self.fsync_policy = fsync
-        self.segment_max_bytes = segment_max_bytes
         #: LSN the next appended record will get.
         self.next_lsn = 0
         #: Highest LSN known to be on stable storage (-1: none yet).
@@ -190,9 +196,10 @@ class Journal:
         Returns the valid records past ``after_lsn`` in LSN order: all
         of them by default; recovery passes the ``applied_lsn`` of the
         snapshot it replays onto, and a fresh journal returns ``[]``.
-        Every frame is checked, but only the returned ones are decoded.
-        Also sweeps orphaned ``*.tmp`` files that a killed snapshot
-        writer may have left in the state directory.
+        Every frame is checked, but only the returned ones are decoded;
+        a gap or corruption the tail rule does not heal raises
+        :class:`JournalCorruption`.  Also sweeps orphaned ``*.tmp``
+        files that a killed snapshot writer may have left.
         """
         if self._opened:
             raise RuntimeError("journal is already open")
@@ -248,7 +255,7 @@ class Journal:
             raise ValueError(f"unknown record type {rec_type!r} "
                              f"(expected one of {RECORD_TYPES})")
         frame = _encode(rec_type, data)
-        if self._written_bytes + len(frame) > self.segment_max_bytes \
+        if self._written_bytes + len(frame) > SEGMENT_MAX_BYTES \
                 and self._written_bytes > 0:
             self.rotate()
         record = JournalRecord(lsn=self.next_lsn, type=rec_type,
@@ -296,10 +303,13 @@ class Journal:
         """Seal the active segment and start the next; returns its path.
 
         The old segment is fsynced before the new one opens, so a
-        reader never observes a sealed segment with a torn tail.
+        reader never observes a sealed segment with a torn tail.  An
+        active segment that holds no record stays active.
         """
         if not self._opened:
             raise RuntimeError("journal is not open")
+        if self._active_base == self.next_lsn:
+            return self._active_path
         self.sync()
         self._handle.close()
         self._active_base = self.next_lsn
@@ -316,12 +326,9 @@ class Journal:
         """Clamp ``next_lsn`` forward to ``lsn`` (no-op when not ahead).
 
         Recovery calls this when a surviving snapshot covers LSNs the
-        journal itself lost (e.g. a crash under ``fsync='batch'`` on a
-        state dir written before snapshots forced a sync): fresh records
-        must never be assigned LSNs the snapshot already covers, or the
-        *next* recovery's tail replay would silently skip them.  The
-        skip is made durable by sealing the active segment and opening a
-        new one whose file name carries the clamped base LSN.
+        journal lost, so no fresh record reuses one (the next recovery's
+        tail replay would skip it).  Sealing the active segment makes the
+        skip durable: the new one's file name carries the clamped LSN.
         """
         if not self._opened:
             raise RuntimeError("journal is not open")
@@ -329,15 +336,11 @@ class Journal:
             return
         self.next_lsn = lsn
         self.rotate()
-        # Everything below the clamp is covered by the snapshot that
-        # forced it; compacting immediately keeps the on-disk segment
-        # chain contiguous (a gap before a *non-empty* segment reads as
-        # corruption on the next open).
-        self.compact(lsn)
+        self.compact(lsn)  # below the clamp only the snapshot counts
 
     def compact(self, upto_lsn: int) -> int:
-        """Delete sealed segments fully covered by a snapshot at
-        ``upto_lsn`` (exclusive); returns how many files went away."""
+        """Delete sealed segments holding only LSNs below ``upto_lsn``;
+        returns how many files went away."""
         removed = 0
         segments = self._segments()
         for index, (base, path) in enumerate(segments):
@@ -390,9 +393,14 @@ class Journal:
               heal_tail: bool) -> Tuple[List[JournalRecord], int]:
         """Scan ``segments`` in order (``heal_tail``: the final one may
         heal); returns the records past ``after_lsn`` and the LSN after
-        the last valid frame (0: none).  Frame counts check the chain."""
+        the last valid frame (0: none).  Frame counts check the chain,
+        which must start at or below ``after_lsn + 1``."""
         records: List[JournalRecord] = []
         end = 0
+        if segments and segments[0][0] > after_lsn + 1:
+            raise JournalCorruption(
+                f"{segments[0][1]}: the journal starts past LSN "
+                f"{after_lsn + 1}, which the reader needs")
         for index, (base, path) in enumerate(segments):
             final = heal_tail and index == len(segments) - 1
             frames = self._scan_segment(base, path, after_lsn, final,
@@ -410,31 +418,33 @@ class Journal:
         ``after_lsn`` to ``records`` decoded; returns the valid frames.
 
         Every frame is length- and CRC-checked; a covered one is not
-        decoded.  Corruption anywhere but the final frame of the final
-        segment (``heal_tail``) is a :class:`JournalCorruption` —
-        healing there would silently drop acknowledged records.
+        decoded.  Only the final segment (``heal_tail``) heals, and only
+        a frame that is cut short or is its last; any other bad frame is
+        a :class:`JournalCorruption`.
         """
         with open(path, "rb") as handle:
             blob = handle.read()
         offset = 0
         lsn = base
-        while offset < len(blob):
-            header = blob[offset:offset + _FRAME.size]
-            if len(header) < _FRAME.size:
+        while offset + _FRAME.size <= len(blob):
+            length, crc = _FRAME.unpack_from(blob, offset)
+            end = offset + _FRAME.size + length
+            if end > len(blob):
                 break
-            length, crc = _FRAME.unpack(header)
-            if length > MAX_PAYLOAD_BYTES:
-                break
-            payload = blob[offset + _FRAME.size:offset + _FRAME.size + length]
-            if len(payload) < length or _CRC.compute(payload) != crc:
-                break
-            if lsn > after_lsn:
-                try:
+            payload = blob[offset + _FRAME.size:end]
+            try:
+                if length > MAX_PAYLOAD_BYTES or _CRC.compute(payload) != crc:
+                    raise ValueError("bad frame")
+                if lsn > after_lsn:
                     records.append(_decode_payload(payload, lsn))
-                except (ValueError, KeyError):
-                    break
+            except (ValueError, KeyError, TypeError):  # TypeError: not a dict
+                if heal_tail and end < len(blob):
+                    raise JournalCorruption(
+                        f"{path}: corrupt frame at offset {offset} has "
+                        f"{len(blob) - end} bytes after it")
+                break
             lsn += 1
-            offset += _FRAME.size + length
+            offset = end
         if offset < len(blob):
             if not heal_tail:
                 raise JournalCorruption(
@@ -456,4 +466,5 @@ __all__ = [
     "JournalRecord",
     "MAX_PAYLOAD_BYTES",
     "RECORD_TYPES",
+    "SEGMENT_MAX_BYTES",
 ]

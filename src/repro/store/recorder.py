@@ -79,11 +79,12 @@ class StateRecorder:
         """Hook a live controller, its KMP's epoch advances and, given
         one, its batch facade.
 
-        Any key material and sequence state the controller *already*
-        holds is journaled first, so attaching to a bootstrapped
-        controller — or one rebuilt by recovery — leaves the journal
-        self-contained.  With ``shard_id`` set, the controller's switch
-        ownership is journaled as a ``shard_map`` record.
+        What the controller *already* holds and the mirror lacks is
+        journaled first: a switch's keys unless they equal the mirror's
+        entry, a sequence horizon the controller has passed, and with
+        ``shard_id`` set its switch ownership as a changed ``shard_map``.
+        A cold attach journals all of it; a warm restart, whose
+        controller was poured from the mirror, appends nothing.
         """
         if self._controller is not None:
             raise RuntimeError("recorder is already attached")
@@ -117,18 +118,18 @@ class StateRecorder:
     # ------------------------------------------------------------------
 
     def snapshot(self) -> Optional[str]:
-        """Write a snapshot of the mirror and compact covered segments."""
+        """Write a snapshot of the mirror, seal the journal segment it
+        ends and compact the segments the oldest kept snapshot covers."""
         if self.snapshots is None:
             return None
-        # The mirror may run ahead of stable storage under the "batch"
-        # fsync policy (non-durable records buffer until the next group
-        # commit).  A snapshot must never cover LSNs the journal could
-        # still lose in a crash — recovery would resume below the
-        # snapshot's coverage and silently skip every new record whose
-        # LSN the stale snapshot shadows.  Sync first, then snapshot.
+        # Sync first: under "batch" the mirror runs ahead of stable
+        # storage, and a snapshot covering LSNs a crash can still lose
+        # makes recovery skip the fresh records that reuse them.
         self.journal.sync()
         path = self.snapshots.save(self.state)
-        self.journal.compact(self.state.applied_lsn + 1)
+        if self.journal.is_open:  # else a kill switch crashed it
+            self.journal.rotate()
+            self.journal.compact(self.snapshots.oldest_lsn())
         self._since_snapshot = 0
         return path
 
@@ -213,31 +214,35 @@ class StateRecorder:
         keys = controller.keys
         for switch in keys.known_switches():
             try:
-                seed = keys.seed(switch)
+                entry = KeyEntry(seed=keys.seed(switch))
             except KeyError:
-                seed = 0
-            if seed:
-                self._on_key(switch, "seed", seed, 0, False)
-            auth = keys.auth_key_or_zero(switch)
-            if auth:
-                self._on_key(switch, "auth", auth, 0, False)
+                entry = KeyEntry()
+            entry.auth = keys.auth_key_or_zero(switch)
             if keys.has_local_key(switch):
-                slots, active = keys.local_key_slots(switch)
-                entry = KeyEntry(local_slots=slots, local_active=active)
-                for version, key in entry.local_installs():
-                    self._on_key(switch, "local", key, version, False)
+                entry.local_slots, entry.local_active = \
+                    keys.local_key_slots(switch)
+                entry.has_local = True
+            if entry == self.state.keys.get(switch):
+                continue
+            if entry.seed:
+                self._on_key(switch, "seed", entry.seed, 0, False)
+            if entry.auth:
+                self._on_key(switch, "auth", entry.auth, 0, False)
+            for version, key in entry.local_installs():
+                self._on_key(switch, "local", key, version, False)
         for switch, next_seq in sorted(controller._seq.items()):
             already = self._reserved.get(switch, 0)
             unmasked = self._unmask(switch, next_seq)
-            if unmasked >= already:
+            if unmasked > already:
                 horizon = unmasked + self.seq_stride
                 self._append("seq_advance",
                              {"switch": switch, "horizon": horizon})
                 self._reserved[switch] = horizon
-        if shard_id is not None:
-            self._append("shard_map",
-                         {"shard": shard_id,
-                          "switches": sorted(controller.dataplanes)})
+        switches = sorted(controller.dataplanes)
+        if shard_id is not None \
+                and self.state.shard_map.get(shard_id) != switches:
+            self._append("shard_map", {"shard": shard_id,
+                                       "switches": switches})
         if self.journal.lag:
             self.journal.sync()
 

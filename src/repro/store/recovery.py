@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.keys import LOCAL_KEY_INDEX
-from repro.store.journal import FSYNC_POLICIES, Journal, JournalRecord
+from repro.store.journal import Journal, JournalRecord
 from repro.store.recorder import DEFAULT_SEQ_STRIDE, StateRecorder
 from repro.store.snapshot import SnapshotStore
 from repro.store.state import StoreState, replay_records
@@ -98,7 +98,6 @@ def store_exists(state_dir: str) -> bool:
 
 
 def open_store(state_dir: str, *, fsync: str = "always",
-               segment_max_bytes: int = 4 << 20, keep: int = 2,
                metrics: MetricRegistry = NULL_TELEMETRY.metrics,
                **metric_labels
                ) -> Tuple[Journal, SnapshotStore, Optional[StoreState],
@@ -110,14 +109,11 @@ def open_store(state_dir: str, *, fsync: str = "always",
     and the journal records past its ``applied_lsn`` — the only ones the
     journal decodes, so opening decodes the tail, not the whole history.
     """
-    if fsync not in FSYNC_POLICIES:
-        raise ValueError(f"fsync must be one of {FSYNC_POLICIES}")
-    snapshots = SnapshotStore(os.path.join(state_dir, SNAPSHOT_SUBDIR),
-                              keep=keep, metrics=metrics, **metric_labels)
-    base = snapshots.load_latest()
     journal = Journal(os.path.join(state_dir, JOURNAL_SUBDIR),
-                      fsync=fsync, segment_max_bytes=segment_max_bytes,
-                      metrics=metrics, **metric_labels)
+                      fsync=fsync, metrics=metrics, **metric_labels)
+    snapshots = SnapshotStore(os.path.join(state_dir, SNAPSHOT_SUBDIR),
+                              metrics=metrics, **metric_labels)
+    base = snapshots.load_latest()
     tail = journal.open(base.applied_lsn if base is not None else -1)
     return journal, snapshots, base, tail
 
@@ -162,7 +158,7 @@ def restore_dataplane(dataplane, state: StoreState) -> None:
 def warm_restart(state_dir: str, controller, *, batch=None,
                  shard_id: Optional[str] = None, fsync: str = "always",
                  seq_stride: int = DEFAULT_SEQ_STRIDE,
-                 snapshot_every: Optional[int] = None, keep: int = 2,
+                 snapshot_every: Optional[int] = None,
                  reconcile: bool = True,
                  metrics: MetricRegistry = NULL_TELEMETRY.metrics,
                  **metric_labels
@@ -178,35 +174,27 @@ def warm_restart(state_dir: str, controller, *, batch=None,
     """
     started = time.perf_counter()
     journal, snapshots, base, tail = open_store(
-        state_dir, fsync=fsync, keep=keep, metrics=metrics, **metric_labels)
+        state_dir, fsync=fsync, metrics=metrics, **metric_labels)
     state, snapshot_used, replayed = load_state(tail, base)
-    # A surviving snapshot can cover LSNs the journal itself lost (a
-    # state dir written under fsync='batch' by a build that snapshotted
-    # without syncing first).  Clamp the LSN space forward so fresh
-    # records are never assigned LSNs the snapshot already covers —
-    # tail replay skips everything at or below ``applied_lsn``, so a
-    # collision would silently erase acknowledged durable records on
-    # the *next* recovery.  Everything below the clamp is inside the
-    # snapshot (``skip_to`` compacts the covered segments away).
+    # A snapshot can cover LSNs the journal lost (one written without
+    # syncing first, by an older build): clamp the LSN space past it, or
+    # the next recovery's tail replay skips fresh records reusing them.
     if state.applied_lsn + 1 > journal.next_lsn:
         journal.skip_to(state.applied_lsn + 1)
     # The recovery-time truth, frozen before the new recorder starts
-    # mutating `state` (attach immediately reserves fresh seq horizons
+    # mutating `state` (the first op at a horizon reserves a fresh one
     # — the *report* must keep the horizons the controller resumes at,
     # which is what ``restore_dataplane`` installs as ``expected_seq``).
     recovered_state = state.copy()
 
     keys = controller.keys
-    restored = 0
-    for switch in sorted(state.keys):
-        entry = state.keys[switch]
+    for switch, entry in sorted(state.keys.items()):
         if entry.seed:
             keys.set_seed(switch, entry.seed)
         if entry.auth:
             keys.set_auth_key(switch, entry.auth)
         for version, key in entry.local_installs():
             keys.install_local_key_at(switch, key, version)
-        restored += 1
     for switch, horizon in state.seq_horizons.items():
         controller.restore_seq(switch, horizon)
     controller.kmp.restore_epochs(state.epochs)
@@ -219,7 +207,7 @@ def warm_restart(state_dir: str, controller, *, batch=None,
     report = RecoveryReport(
         state=recovered_state, snapshot_used=snapshot_used,
         replayed_records=replayed, torn_records=journal.torn_records,
-        switches_restored=restored,
+        switches_restored=len(recovered_state.keys),
         seq_horizons=dict(recovered_state.seq_horizons),
         windows={switch: None
                  for switch in sorted(recovered_state.open_windows)},

@@ -12,8 +12,9 @@ the journal tail past its ``applied_lsn``.
 Corruption handling mirrors the journal's philosophy: a snapshot that
 fails its checksum (disk fault, partial ancient write) is *skipped with
 a warning metric*, falling back to the previous generation — recovery
-prefers replaying a longer tail over refusing to start.  ``keep``
-generations are retained precisely so that fallback exists.
+prefers replaying a longer tail over refusing to start.
+:data:`GENERATIONS` are kept precisely so that fallback exists, and the
+journal keeps the tail of the oldest (:meth:`SnapshotStore.oldest_lsn`).
 """
 
 from __future__ import annotations
@@ -38,6 +39,9 @@ _SNAPSHOT_FMT = "snapshot-%012d.json"
 _SNAPSHOT_PREFIX = "snapshot-"
 _SNAPSHOT_SUFFIX = ".json"
 
+#: Snapshot files kept: the newest and the one it falls back to.
+GENERATIONS = 2
+
 _CRC = Crc32()
 
 
@@ -49,13 +53,10 @@ def _canonical_body(state_doc: dict) -> bytes:
 class SnapshotStore:
     """Atomic, checksummed snapshot files under one directory."""
 
-    def __init__(self, root: str, *, keep: int = 2,
+    def __init__(self, root: str, *,
                  metrics: MetricRegistry = NULL_TELEMETRY.metrics,
                  **metric_labels):
-        if keep < 1:
-            raise ValueError("keep must be >= 1")
         self.root = root
-        self.keep = keep
         self._saved_total = metrics.bind_counter("store_snapshots_total",
                                                  **metric_labels)
         self._corrupt_total = metrics.bind_counter(
@@ -69,8 +70,8 @@ class SnapshotStore:
     def save(self, state: StoreState) -> str:
         """Write a snapshot covering ``state.applied_lsn``; returns path.
 
-        Prunes generations beyond ``keep`` afterwards — never before
-        the new one is durably committed.
+        Prunes generations beyond :data:`GENERATIONS` afterwards — never
+        before the new one is durably committed.
         """
         body = state.to_dict()
         document = {
@@ -99,6 +100,14 @@ class SnapshotStore:
                 return state
         return None
 
+    def oldest_lsn(self) -> int:
+        """The first LSN the oldest kept generation does not cover, once
+        :data:`GENERATIONS` exist (0 before): the journal below it is
+        never replayed again."""
+        snapshots = self._snapshots()
+        return snapshots[-GENERATIONS][0] if len(snapshots) >= GENERATIONS \
+            else 0
+
     # ------------------------------------------------------------------
 
     def _load(self, path: str) -> Optional[StoreState]:
@@ -121,7 +130,7 @@ class SnapshotStore:
     def _prune(self) -> None:
         snapshots = self._snapshots()
         removed = 0
-        for _lsn, path in snapshots[:-self.keep]:
+        for _lsn, path in snapshots[:-GENERATIONS]:
             try:
                 os.unlink(path)
                 removed += 1
@@ -131,4 +140,4 @@ class SnapshotStore:
             fsync_dir(self.root)
 
 
-__all__ = ["SNAPSHOT_SCHEMA", "SnapshotStore"]
+__all__ = ["GENERATIONS", "SNAPSHOT_SCHEMA", "SnapshotStore"]

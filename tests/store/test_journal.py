@@ -8,6 +8,7 @@ import zlib
 
 import pytest
 
+from repro.store import journal as journal_module
 from repro.store.journal import (
     FSYNC_POLICIES,
     Journal,
@@ -26,6 +27,12 @@ def fresh(tmp_path, **kwargs) -> Journal:
 
 def active_segment(journal: Journal) -> str:
     return journal._active_path
+
+
+@pytest.fixture
+def small_segments(monkeypatch):
+    """Segments of two or three frames, so size rotation is exercised."""
+    monkeypatch.setattr(journal_module, "SEGMENT_MAX_BYTES", 160)
 
 
 class TestAppendReplay:
@@ -141,7 +148,7 @@ class TestTornTail:
         assert [r.lsn for r in records] == [0, 1, 2, 3]
 
     def test_sealed_segment_corruption_refuses(self, tmp_path):
-        journal = fresh(tmp_path, segment_max_bytes=1 << 20)
+        journal = fresh(tmp_path)
         journal.append("seq_advance", {"switch": "s1", "horizon": 1},
                        durable=True)
         sealed = active_segment(journal)
@@ -155,6 +162,102 @@ class TestTornTail:
             handle.write(blob)
         with pytest.raises(JournalCorruption, match="sealed segment"):
             Journal(str(tmp_path / "wal")).open()
+
+
+class TestBadFrames:
+    """Healing stops at the last frame: a bad frame with frames after it
+    would drop acknowledged records, so it is corruption."""
+
+    def write(self, tmp_path, n=10):
+        journal = fresh(tmp_path)
+        for _ in range(n):
+            journal.append("batch_close", {"switch": "s1"}, durable=True)
+        path = active_segment(journal)
+        journal.close()
+        return path
+
+    @staticmethod
+    def frame(payload: bytes) -> bytes:
+        return struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
+
+    def test_crc_flip_mid_active_segment_refuses(self, tmp_path):
+        path = self.write(tmp_path)
+        blob = bytearray(open(path, "rb").read())
+        frame_size = len(blob) // 10
+        blob[3 * frame_size + frame_size - 1] ^= 0xFF  # record 3's payload
+        with open(path, "wb") as handle:
+            handle.write(blob)
+        with pytest.raises(JournalCorruption, match="bytes after it"):
+            Journal(str(tmp_path / "wal")).open()
+        # Nothing was truncated: the acknowledged records are still there.
+        assert open(path, "rb").read() == bytes(blob)
+
+    @pytest.mark.parametrize("payload", [b"[]", b"7", b'"t"', b"null",
+                                         b'{"t": "batch_close"}'])
+    def test_crc_valid_non_record_as_last_frame_heals(self, tmp_path,
+                                                      payload):
+        path = self.write(tmp_path, n=3)
+        with open(path, "ab") as handle:
+            handle.write(self.frame(payload))
+        reopened = Journal(str(tmp_path / "wal"))
+        assert len(reopened.open()) == 3
+        assert reopened.torn_records == 1
+
+    def test_crc_valid_non_object_mid_segment_refuses(self, tmp_path):
+        journal = fresh(tmp_path)
+        journal.append("batch_close", {"switch": "s1"}, durable=True)
+        path = active_segment(journal)
+        journal.close()
+        with open(path, "ab") as handle:
+            handle.write(self.frame(b"[]"))
+        journal = Journal(str(tmp_path / "wal"))
+        journal.open(1)  # covered: the CRC vouches for it, not decoded
+        journal.append("batch_close", {"switch": "s2"}, durable=True)
+        journal.close()
+        with pytest.raises(JournalCorruption, match="bytes after it"):
+            Journal(str(tmp_path / "wal")).open()
+
+
+class TestGapRefusal:
+    """A journal that starts past the first LSN the reader needs has
+    lost records; opening it refuses rather than replaying around them."""
+
+    def compacted(self, tmp_path):
+        journal = fresh(tmp_path)
+        for epoch in range(1, 5):
+            journal.append("epoch_advance", {"switch": "s1", "epoch": epoch})
+            journal.rotate()
+        journal.append("epoch_advance", {"switch": "s1", "epoch": 5})
+        assert journal.compact(3) == 3
+        journal.close()
+
+    @pytest.mark.parametrize("after_lsn", [-1, 0, 1])
+    def test_open_below_the_first_segment_refuses(self, tmp_path,
+                                                  after_lsn):
+        self.compacted(tmp_path)
+        with pytest.raises(JournalCorruption, match="starts past LSN"):
+            Journal(str(tmp_path / "wal")).open(after_lsn)
+
+    @pytest.mark.parametrize("after_lsn", [2, 3, 4])
+    def test_open_at_or_past_the_first_segment_reads_the_tail(
+            self, tmp_path, after_lsn):
+        self.compacted(tmp_path)
+        journal = Journal(str(tmp_path / "wal"))
+        tail = journal.open(after_lsn)
+        assert [r.lsn for r in tail] == list(range(after_lsn + 1, 5))
+        assert journal.next_lsn == 5
+
+    def test_rotate_keeps_an_empty_active_segment(self, tmp_path):
+        """A snapshot with nothing new to seal costs no file and no
+        fsync."""
+        metrics = MetricRegistry()
+        journal = fresh(tmp_path, metrics=metrics, shard="s")
+        journal.append("epoch_advance", {"switch": "s1", "epoch": 1})
+        sealed = journal.rotate()
+        fsyncs = metrics.get("store_fsync_seconds", shard="s").count
+        assert journal.rotate() == sealed == active_segment(journal)
+        assert metrics.get("store_fsync_seconds", shard="s").count == fsyncs
+        assert [base for base, _ in journal._segments()] == [0, 1]
 
 
 class TestFsyncDiscipline:
@@ -203,9 +306,10 @@ class TestFsyncDiscipline:
         assert Journal(str(tmp_path / "wal")).open() == []
 
 
+@pytest.mark.usefixtures("small_segments")
 class TestSegments:
     def small(self, tmp_path, n=20):
-        journal = fresh(tmp_path, segment_max_bytes=160)
+        journal = fresh(tmp_path)
         for horizon in range(1, n + 1):
             journal.append("seq_advance",
                            {"switch": "s1", "horizon": horizon},
@@ -217,8 +321,7 @@ class TestSegments:
         segment_count = len(journal._segments())
         assert segment_count > 1
         journal.close()
-        records = Journal(str(tmp_path / "wal"),
-                          segment_max_bytes=160).open()
+        records = Journal(str(tmp_path / "wal")).open()
         assert [r.lsn for r in records] == list(range(20))
 
     def test_compact_removes_only_covered_sealed_segments(self, tmp_path):
@@ -228,10 +331,12 @@ class TestSegments:
         # Every sealed segment is covered; the active one survives.
         assert removed == before - 1
         assert len(journal._segments()) == 1
+        surviving_base = journal._segments()[0][0]
         journal.close()
-        # Replay after compaction starts at the surviving base LSN.
-        reopened = Journal(str(tmp_path / "wal"), segment_max_bytes=160)
-        records = reopened.open()
+        # Replay after compaction starts at the surviving base LSN (a
+        # reader that needs LSNs below it is refused: TestGapRefusal).
+        reopened = Journal(str(tmp_path / "wal"))
+        records = reopened.open(surviving_base - 1)
         assert records[0].lsn > 0
         assert records[-1].lsn == 19
 
@@ -275,7 +380,7 @@ class TestSkipTo:
         journal.close()
 
         reopened = Journal(str(tmp_path / "wal"))
-        records = reopened.open()
+        records = reopened.open(99)  # the snapshot that forced the clamp
         assert [r.lsn for r in records] == [100]
         assert reopened.next_lsn == 101
 
@@ -287,7 +392,7 @@ class TestSkipTo:
         journal.skip_to(64)
         journal.simulate_crash()
         reopened = Journal(str(tmp_path / "wal"))
-        assert reopened.open() == []
+        assert reopened.open(63) == []
         assert reopened.next_lsn == 64
 
     def test_not_ahead_is_a_noop(self, tmp_path):
@@ -300,11 +405,12 @@ class TestSkipTo:
         assert len(journal._segments()) == segments
 
 
+@pytest.mark.usefixtures("small_segments")
 class TestOpenAfter:
     """``open(after_lsn)``: every frame checked, only the tail decoded."""
 
     def write(self, tmp_path, n=20):
-        journal = fresh(tmp_path, segment_max_bytes=160)
+        journal = fresh(tmp_path)
         for horizon in range(1, n + 1):
             journal.append("seq_advance",
                            {"switch": "s1", "horizon": horizon},
@@ -316,8 +422,7 @@ class TestOpenAfter:
     def reopen(self, tmp_path, after_lsn=None, **kwargs):
         """Open and close; returns the journal, its LSNs as opened and
         the records ``open`` returned."""
-        journal = Journal(str(tmp_path / "wal"), segment_max_bytes=160,
-                          **kwargs)
+        journal = Journal(str(tmp_path / "wal"), **kwargs)
         records = journal.open() if after_lsn is None \
             else journal.open(after_lsn)
         lsns = (journal.next_lsn, journal.durable_lsn)

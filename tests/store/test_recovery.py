@@ -9,6 +9,8 @@ like real hardware, survived the controller process dying.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from tests.conftest import Deployment
@@ -16,6 +18,7 @@ from tests.conftest import Deployment
 from repro.core.controller import P4AuthController
 from repro.runtime.batch import BatchController
 from repro.store import (
+    JournalCorruption,
     SnapshotStore,
     StateRecorder,
     load_state,
@@ -24,8 +27,11 @@ from repro.store import (
     store_exists,
     warm_restart,
 )
-from repro.store.recovery import SNAPSHOT_SUBDIR
-from repro.store.state import SEQ_MASK, KeyEntry, StoreState
+from repro.store import journal as journal_module
+from repro.store.atomic import numbered_files
+from repro.store.recovery import JOURNAL_SUBDIR, SNAPSHOT_SUBDIR
+from repro.store.state import SEQ_MASK, KeyEntry, StoreState, replay_records
+from repro.telemetry.metrics import MetricRegistry
 
 REGISTERS = [("demo", 64, 16)]
 
@@ -64,7 +70,6 @@ class TestAttachGroupCommit:
     (``fsync="always"``) path."""
 
     def attach(self, state_dir, controller, fsync):
-        from repro.telemetry.metrics import MetricRegistry
         metrics = MetricRegistry()
         journal, snapshots, _, _ = open_store(state_dir, fsync=fsync,
                                               metrics=metrics, shard="s")
@@ -253,6 +258,129 @@ class TestWarmRestart:
         assert write_ok(dep, dep.controller, "s1", 0, 5)
         recorder.detach()
         recorder.journal.close()
+
+
+class TestQuietWarmRestart:
+    """Attach journals only what the mirror lacks, so a warm restart —
+    whose controller was poured from the mirror — appends nothing."""
+
+    crash = TestWarmRestart.crash
+    recover = TestWarmRestart.recover
+
+    def first_life(self, tmp_path, dep):
+        journal, snapshots, _, _ = open_store(str(tmp_path), fsync="batch")
+        recorder = StateRecorder(journal, snapshots, seq_stride=4)
+        recorder.attach(dep.controller, shard_id="shard-0")
+        for index in range(5):
+            assert write_ok(dep, dep.controller, "s1", index, index)
+        assert write_ok(dep, dep.controller, "s2", 0, 9)
+        return recorder
+
+    def restart(self, tmp_path, dep, metrics=None):
+        return self.recover(tmp_path, dep, fsync="batch", seq_stride=4,
+                            shard_id="shard-0",
+                            metrics=metrics or MetricRegistry(), shard="s")
+
+    def test_restart_appends_nothing_and_pays_no_fsync(self, tmp_path):
+        dep = deployment()
+        self.crash(tmp_path, dep, self.first_life(tmp_path, dep))
+        metrics = MetricRegistry()
+        _c, recorder, report = self.restart(tmp_path, dep, metrics)
+        assert recorder.journal.next_lsn == report.state.applied_lsn + 1
+        assert TestAttachGroupCommit.fsyncs(metrics) == 0
+        recorder.detach()
+        recorder.journal.close()
+
+    def test_idle_restarts_keep_keys_and_horizons(self, tmp_path):
+        dep = deployment()
+        recorder = self.first_life(tmp_path, dep)
+        first_life = recorder.state.copy()
+        self.crash(tmp_path, dep, recorder)
+        for _ in range(2):  # restart, no op, crash
+            controller, recorder, _ = self.restart(tmp_path, dep)
+            self.crash(tmp_path, dep, recorder)
+        controller, recorder, report = self.restart(tmp_path, dep)
+        assert report.state.keys == first_life.keys
+        assert report.seq_horizons == first_life.seq_horizons
+        assert write_ok(dep, controller, "s1", 7, 70)
+        assert write_ok(dep, controller, "s2", 7, 71)
+        for dataplane in dep.dataplanes.values():
+            assert dataplane.stats.replays_detected == 0
+            assert dataplane.stats.digest_fail_cdp == 0
+        recorder.detach()
+        recorder.journal.close()
+
+
+class TestSnapshotCheckpoint:
+    """A snapshot seals the active segment and compacts every sealed
+    segment the oldest kept generation covers, so the fallback to that
+    generation always finds its tail."""
+
+    S9_LSN = 30
+
+    def history(self, tmp_path, records):
+        """``records`` appends under a recorder snapshotting every 30;
+        a K_auth install for ``s9`` lands at :attr:`S9_LSN`.  Returns
+        every record appended."""
+        journal, snapshots, _, _ = open_store(str(tmp_path), fsync="batch")
+        recorder = StateRecorder(journal, snapshots, snapshot_every=30)
+        appended = []
+        journal.on_append.append(appended.append)
+        for lsn in range(records):
+            if lsn == self.S9_LSN:
+                recorder._append("key_install",
+                                 {"switch": "s9", "kind": "auth",
+                                  "key": 0xA9, "version": 0}, durable=True)
+            else:
+                recorder._append("epoch_advance",
+                                 {"switch": "s1", "epoch": lsn + 1})
+        journal.close()
+        return appended
+
+    @staticmethod
+    def files(tmp_path, subdir, prefix, suffix):
+        return [lsn for lsn, _ in numbered_files(
+            os.path.join(str(tmp_path), subdir), prefix, suffix)]
+
+    def corrupt_snapshots(self, tmp_path, count):
+        for lsn in self.files(tmp_path, SNAPSHOT_SUBDIR, "snapshot-",
+                              ".json")[-count:]:
+            path = os.path.join(str(tmp_path), SNAPSHOT_SUBDIR,
+                                "snapshot-%012d.json" % lsn)
+            with open(path, "wb") as handle:
+                handle.write(b"garbage")
+
+    def test_segments_below_the_oldest_generation_go(self, tmp_path):
+        self.history(tmp_path, 200)
+        assert self.files(tmp_path, SNAPSHOT_SUBDIR, "snapshot-",
+                          ".json") == [150, 180]
+        # The LSN-0 segment is gone; what is left is one sealed
+        # interval and the active segment.
+        assert self.files(tmp_path, JOURNAL_SUBDIR, "journal-",
+                          ".wal") == [150, 180]
+
+    def test_newest_corrupt_replays_the_whole_history(self, tmp_path,
+                                                      monkeypatch):
+        # Size rotation too: segments end at sizes as well as snapshots.
+        monkeypatch.setattr(journal_module, "SEGMENT_MAX_BYTES", 400)
+        appended = self.history(tmp_path, 65)
+        self.corrupt_snapshots(tmp_path, 1)
+        dep = deployment()
+        recorder, report = warm_restart(str(tmp_path), dep.controller)
+        assert report.snapshot_used
+        assert report.state.to_dict() == replay_records(appended).to_dict()
+        assert report.state.keys["s9"].auth == 0xA9
+        recorder.detach()
+        recorder.journal.close()
+
+    def test_both_generations_corrupt_over_a_compacted_journal_refuses(
+            self, tmp_path):
+        self.history(tmp_path, 65)
+        assert 0 not in self.files(tmp_path, JOURNAL_SUBDIR, "journal-",
+                                   ".wal")
+        self.corrupt_snapshots(tmp_path, 2)
+        with pytest.raises(JournalCorruption, match="starts past LSN 0"):
+            open_store(str(tmp_path))
 
 
 class TestSnapshotDurability:

@@ -57,33 +57,37 @@ RECORDS = st.one_of(
 )
 
 OPS = st.lists(RECORDS, min_size=1, max_size=40)
+#: Indices of the ops after which the journal rotates (seals a segment),
+#: so multi-segment scans get exercised.
+ROTATIONS = st.sets(st.integers(min_value=0, max_value=40), max_size=8)
 
 RELAXED = settings(max_examples=50, deadline=None, derandomize=True,
                    suppress_health_check=[HealthCheck.too_slow])
 
 
-def journal_to_disk(root, ops, segment_max_bytes=512):
-    """Write every op through a real journal (forcing small segments so
-    multi-segment scans get exercised), returning the replayed records."""
-    journal = Journal(os.path.join(root, "wal"),
-                      segment_max_bytes=segment_max_bytes)
+def journal_to_disk(root, ops, rotations):
+    """Write every op through a real journal, rotating after the ops
+    ``rotations`` names, returning the replayed records."""
+    journal = Journal(os.path.join(root, "wal"))
     journal.open()
-    for rec_type, data in ops:
+    for index, (rec_type, data) in enumerate(ops):
         journal.append(rec_type, data, durable=True)
+        if index in rotations:
+            journal.rotate()
     journal.close()
-    reopened = Journal(os.path.join(root, "wal"),
-                       segment_max_bytes=segment_max_bytes)
+    reopened = Journal(os.path.join(root, "wal"))
     records = reopened.open()
     reopened.close()
     return records
 
 
-@given(ops=OPS, cut=st.integers(min_value=0, max_value=40))
+@given(ops=OPS, cut=st.integers(min_value=0, max_value=40),
+       rotations=ROTATIONS)
 @RELAXED
-def test_snapshot_plus_tail_equals_full_replay(ops, cut):
+def test_snapshot_plus_tail_equals_full_replay(ops, cut, rotations):
     cut = min(cut, len(ops))
     with tempfile.TemporaryDirectory() as root:
-        records = journal_to_disk(root, ops)
+        records = journal_to_disk(root, ops, rotations)
         assert len(records) == len(ops)
 
         full = replay_records(records)
@@ -100,21 +104,22 @@ def test_snapshot_plus_tail_equals_full_replay(ops, cut):
         assert resumed.to_dict() == full.to_dict()
 
 
-@given(ops=OPS, cut=st.integers(min_value=0, max_value=40))
+@given(ops=OPS, cut=st.integers(min_value=0, max_value=40),
+       rotations=ROTATIONS)
 @RELAXED
-def test_snapshot_plus_opened_tail_equals_full_open(ops, cut):
+def test_snapshot_plus_opened_tail_equals_full_open(ops, cut, rotations):
     """Recovery's own path: the tail ``open(after_lsn)`` decodes, folded
     onto the snapshot, equals replaying everything a full ``open()``
     returns."""
     cut = min(cut, len(ops))
     with tempfile.TemporaryDirectory() as root:
-        records = journal_to_disk(root, ops)
+        records = journal_to_disk(root, ops, rotations)
         full = replay_records(records)
 
         snapshots = SnapshotStore(os.path.join(root, "snaps"))
         snapshots.save(replay_records(records[:cut]))
         loaded = snapshots.load_latest()
-        journal = Journal(os.path.join(root, "wal"), segment_max_bytes=512)
+        journal = Journal(os.path.join(root, "wal"))
         tail = journal.open(loaded.applied_lsn)
         journal.close()
 
@@ -122,34 +127,35 @@ def test_snapshot_plus_opened_tail_equals_full_open(ops, cut):
         assert replay_records(tail, loaded).to_dict() == full.to_dict()
 
 
-@given(ops=OPS)
+@given(ops=OPS, rotations=ROTATIONS)
 @RELAXED
-def test_replay_is_idempotent_over_the_snapshot_prefix(ops):
+def test_replay_is_idempotent_over_the_snapshot_prefix(ops, rotations):
     """Handing the *whole* journal to a snapshot-seeded replay must not
     double-apply the prefix (records at or below applied_lsn skip)."""
     with tempfile.TemporaryDirectory() as root:
-        records = journal_to_disk(root, ops)
+        records = journal_to_disk(root, ops, rotations)
         full = replay_records(records)
         again = replay_records(records, full.copy())
         assert again.to_dict() == full.to_dict()
 
 
-@given(ops=OPS, synced=st.integers(min_value=0, max_value=40))
+@given(ops=OPS, synced=st.integers(min_value=0, max_value=40),
+       rotations=ROTATIONS)
 @RELAXED
-def test_crash_survivors_are_a_strict_prefix(ops, synced):
+def test_crash_survivors_are_a_strict_prefix(ops, synced, rotations):
     """simulate_crash never reorders or corrupts — whatever survives is
     exactly the records the fsync policy had made durable."""
     synced = min(synced, len(ops))
     with tempfile.TemporaryDirectory() as root:
-        journal = Journal(os.path.join(root, "wal"), fsync="batch",
-                          segment_max_bytes=512)
+        journal = Journal(os.path.join(root, "wal"), fsync="batch")
         journal.open()
         for index, (rec_type, data) in enumerate(ops):
             journal.append(rec_type, data, durable=index < synced)
+            if index in rotations:
+                journal.rotate()
         journal.simulate_crash()
 
-        survivors = Journal(os.path.join(root, "wal"),
-                            segment_max_bytes=512).open()
+        survivors = Journal(os.path.join(root, "wal")).open()
         assert len(survivors) >= synced
         for record, (rec_type, data) in zip(survivors, ops):
             assert record.type == rec_type

@@ -5,9 +5,7 @@ from __future__ import annotations
 import json
 import os
 
-import pytest
-
-from repro.store.snapshot import SNAPSHOT_SCHEMA, SnapshotStore
+from repro.store.snapshot import GENERATIONS, SNAPSHOT_SCHEMA, SnapshotStore
 from repro.store.state import KeyEntry, StoreState
 
 
@@ -49,7 +47,7 @@ class TestRoundtrip:
 
 class TestCorruptionFallback:
     def test_corrupt_latest_falls_back_to_previous(self, tmp_path):
-        store = SnapshotStore(str(tmp_path), keep=2)
+        store = SnapshotStore(str(tmp_path))
         store.save(sample_state(lsn=10))
         newest = store.save(sample_state(lsn=20))
         blob = bytearray(open(newest, "rb").read())
@@ -61,7 +59,7 @@ class TestCorruptionFallback:
         assert loaded.applied_lsn == 10
 
     def test_all_corrupt_loads_none(self, tmp_path):
-        store = SnapshotStore(str(tmp_path), keep=1)
+        store = SnapshotStore(str(tmp_path))
         path = store.save(sample_state())
         with open(path, "wb") as handle:
             handle.write(b"not json at all")
@@ -79,16 +77,23 @@ class TestCorruptionFallback:
 
 class TestHousekeeping:
     def test_prunes_to_keep_generations(self, tmp_path):
-        store = SnapshotStore(str(tmp_path), keep=2)
+        store = SnapshotStore(str(tmp_path))
         for lsn in (10, 20, 30):
             store.save(sample_state(lsn=lsn))
         names = sorted(os.listdir(tmp_path))
-        assert len(names) == 2
+        assert len(names) == 2 == GENERATIONS
         assert store.load_latest().applied_lsn == 30
 
-    def test_keep_must_be_positive(self, tmp_path):
-        with pytest.raises(ValueError):
-            SnapshotStore(str(tmp_path), keep=0)
+    def test_oldest_lsn_is_the_oldest_kept_generations_coverage(
+            self, tmp_path):
+        store = SnapshotStore(str(tmp_path))
+        assert store.oldest_lsn() == 0
+        store.save(sample_state(lsn=10))
+        assert store.oldest_lsn() == 0  # no fallback yet: keep it all
+        store.save(sample_state(lsn=20))
+        assert store.oldest_lsn() == 11
+        store.save(sample_state(lsn=30))
+        assert store.oldest_lsn() == 21
 
     def test_init_sweeps_orphan_tmp(self, tmp_path):
         tmp_path.joinpath("half-write.tmp").write_bytes(b"dead writer")
