@@ -6,7 +6,7 @@ couple of hash-unit passes per message, so the drop should be of the same
 order as P4Auth's own digest overhead.
 """
 
-from repro.analysis import format_table
+from repro.analysis.metrics import format_table
 from repro.core.auth_dataplane import P4AuthConfig, P4AuthDataplane
 from repro.core.controller import P4AuthController
 from repro.dataplane.switch import DataplaneSwitch

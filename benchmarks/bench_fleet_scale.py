@@ -29,8 +29,9 @@ worse number.
 
 import os
 
-from repro.analysis import format_table
-from repro.engine import load_artifact, run_experiment
+from repro.analysis.metrics import format_table
+from repro.engine.artifact import load_artifact
+from repro.engine.runner import run_experiment
 
 M_POINTS = [250, 1000, 2500]
 REGIONS = [0, 1, 2, 3]

@@ -14,8 +14,9 @@ Two engine runs merged into one ``BENCH_store_recovery.json`` artifact:
 
 import os
 
-from repro.analysis import format_table
-from repro.engine import run_experiment, write_artifact
+from repro.analysis.metrics import format_table
+from repro.engine.artifact import write_artifact
+from repro.engine.runner import run_experiment
 
 #: Production-scale point for the chaos invariants (ISSUE acceptance).
 M_LARGE = 100

@@ -22,8 +22,9 @@ import time
 
 import pytest
 
-from repro.analysis import format_table
-from repro.engine import TrialContext, get_spec
+from repro.analysis.metrics import format_table
+from repro.engine.registry import get_spec
+from repro.engine.spec import TrialContext
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
 #: The measured workload (sequential reads+writes on all three stacks).

@@ -12,10 +12,13 @@ Three short demonstrations against a single protected switch:
 Run:  python examples/dos_replay_defense.py
 """
 
-from repro.attacks import DigestBruteForcer, DosFlooder, ReplayAttacker
-from repro.core import P4AuthController, P4AuthDataplane
-from repro.dataplane import DataplaneSwitch
-from repro.net import EventSimulator, Network
+from repro.attacks.bruteforce import DigestBruteForcer
+from repro.attacks.control_plane import DosFlooder, ReplayAttacker
+from repro.core.auth_dataplane import P4AuthDataplane
+from repro.core.controller import P4AuthController
+from repro.dataplane.switch import DataplaneSwitch
+from repro.net.network import Network
+from repro.net.simulator import EventSimulator
 
 
 def build():

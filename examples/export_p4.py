@@ -12,9 +12,9 @@ Run:  python examples/export_p4.py [output.p4]
 
 import sys
 
-from repro.core import P4AuthDataplane
-from repro.dataplane import DataplaneSwitch
+from repro.core.auth_dataplane import P4AuthDataplane
 from repro.dataplane.p4gen import generate_p4, loc_estimate
+from repro.dataplane.switch import DataplaneSwitch
 
 
 def build_dataplane() -> P4AuthDataplane:

@@ -9,8 +9,8 @@ three uplinks in each case.
 Run:  python examples/hula_defense.py
 """
 
-from repro.analysis import format_table
-from repro.engine import run_experiment
+from repro.analysis.metrics import format_table
+from repro.engine.runner import run_experiment
 from repro.systems.tableone import MODES
 
 

@@ -9,9 +9,11 @@ Builds a three-switch triangle, lets the KMP bootstrap every key, then:
 Run:  python examples/key_rollover.py
 """
 
-from repro.core import P4AuthController, P4AuthDataplane
-from repro.dataplane import DataplaneSwitch
-from repro.net import EventSimulator, Network
+from repro.core.auth_dataplane import P4AuthDataplane
+from repro.core.controller import P4AuthController
+from repro.dataplane.switch import DataplaneSwitch
+from repro.net.network import Network
+from repro.net.simulator import EventSimulator
 
 
 def main() -> None:

@@ -10,9 +10,9 @@ first honest switch drops the tampered probes.
 Run:  python examples/leaf_spine_hula.py
 """
 
-from repro.attacks import ProbeFieldTamperer
-from repro.core import P4AuthController, P4AuthDataplane
-from repro.core.auth_dataplane import P4AuthConfig
+from repro.attacks.link import ProbeFieldTamperer
+from repro.core.auth_dataplane import P4AuthDataplane, P4AuthConfig
+from repro.core.controller import P4AuthController
 from repro.net.topology import leaf_spine
 from repro.systems.hula import (
     HulaDataplane,

@@ -9,9 +9,11 @@ when a compromised switch OS tampers with the messages.
 Run:  python examples/quickstart.py
 """
 
-from repro.core import P4AuthController, P4AuthDataplane
-from repro.dataplane import DataplaneSwitch
-from repro.net import EventSimulator, Network
+from repro.core.auth_dataplane import P4AuthDataplane
+from repro.core.controller import P4AuthController
+from repro.dataplane.switch import DataplaneSwitch
+from repro.net.network import Network
+from repro.net.simulator import EventSimulator
 
 
 def main() -> None:

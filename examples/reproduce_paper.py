@@ -14,7 +14,8 @@ import sys
 import tempfile
 
 from repro.analysis.report import render_artifact_report
-from repro.engine import all_specs, run_experiment
+from repro.engine.registry import all_specs
+from repro.engine.runner import run_experiment
 
 
 def main() -> None:

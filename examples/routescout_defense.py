@@ -8,8 +8,8 @@ the controller's split decision is manipulated — and how P4Auth stops it.
 Run:  python examples/routescout_defense.py
 """
 
-from repro.analysis import format_table
-from repro.engine import run_experiment
+from repro.analysis.metrics import format_table
+from repro.engine.runner import run_experiment
 from repro.systems.tableone import MODES
 
 

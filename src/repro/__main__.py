@@ -28,12 +28,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.analysis import format_table
+from repro.analysis.metrics import format_table
 
 
 def print_experiment_listing(stream=None) -> None:
     """The registry, as a table: what ``repro run <name>`` accepts."""
-    from repro.engine import all_specs
+    from repro.engine.registry import all_specs
     stream = stream or sys.stdout
     rows = []
     for spec in sorted(all_specs(), key=lambda s: s.name):
@@ -55,7 +55,9 @@ def cmd_run(argv) -> int:
     after naming them on stderr; the artifact is written either way.
     """
     from repro.analysis.report import claim_rows
-    from repro.engine import get_spec, parse_sweep, Runner
+    from repro.engine.registry import get_spec
+    from repro.engine.runner import Runner
+    from repro.engine.spec import parse_sweep
 
     parser = argparse.ArgumentParser(
         prog="python -m repro run",

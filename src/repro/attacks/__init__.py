@@ -12,44 +12,5 @@ Two attachment points mirror Fig 1:
 
 Every adversary here *modifies, drops, records, or injects*; none of them
 hold any P4Auth key, so against P4Auth their best move is guessing a
-32-bit digest (see :class:`DigestBruteForcer`).
+32-bit digest (see :mod:`repro.attacks.bruteforce`).
 """
-
-from repro.attacks.base import Adversary, Eavesdropper, MessageDropper
-from repro.attacks.control_plane import (
-    RegisterResponseTamperer,
-    RegisterRequestTamperer,
-    ReplayAttacker,
-    DosFlooder,
-)
-from repro.attacks.link import ProbeFieldTamperer, KeyExchangeTamperer
-from repro.attacks.bruteforce import DigestBruteForcer
-from repro.attacks.personas import (
-    PERSONA_KINDS,
-    GroundTruthSampler,
-    Persona,
-    PersonaOutcome,
-    PersonaSpec,
-    PersonaWorld,
-    build_persona,
-)
-
-__all__ = [
-    "PERSONA_KINDS",
-    "GroundTruthSampler",
-    "Persona",
-    "PersonaOutcome",
-    "PersonaSpec",
-    "PersonaWorld",
-    "build_persona",
-    "Adversary",
-    "Eavesdropper",
-    "MessageDropper",
-    "RegisterResponseTamperer",
-    "RegisterRequestTamperer",
-    "ReplayAttacker",
-    "DosFlooder",
-    "ProbeFieldTamperer",
-    "KeyExchangeTamperer",
-    "DigestBruteForcer",
-]

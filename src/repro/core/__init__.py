@@ -11,62 +11,3 @@ Two cooperating protocol suites (paper §V, §VI):
   and per-port keys (switch <-> switch) without ever trusting the switch
   OS or the network links the messages cross.
 """
-
-from repro.core.constants import (
-    HdrType,
-    RegOpType,
-    KeyExchType,
-    AlertCode,
-    P4AUTH_HEADER,
-    REG_OP_HEADER,
-    EAK_HEADER,
-    ADHKD_HEADER,
-    KEYCTL_HEADER,
-    ALERT_HEADER,
-)
-from repro.core.messages import (
-    P4AUTH,
-    build_reg_read_request,
-    build_reg_write_request,
-    build_reg_response,
-    build_eak_message,
-    build_adhkd_message,
-    build_keyctl_message,
-    build_alert,
-    digest_material,
-)
-from repro.core.digest import DigestEngine
-from repro.core.keys import DataplaneKeyStore, ControllerKeyStore, VersionedKey
-from repro.core.auth_dataplane import P4AuthDataplane
-from repro.core.controller import P4AuthController
-from repro.core.kmp import KeyManagementProtocol, KmpStats
-
-__all__ = [
-    "HdrType",
-    "RegOpType",
-    "KeyExchType",
-    "AlertCode",
-    "P4AUTH_HEADER",
-    "REG_OP_HEADER",
-    "EAK_HEADER",
-    "ADHKD_HEADER",
-    "KEYCTL_HEADER",
-    "ALERT_HEADER",
-    "P4AUTH",
-    "build_reg_read_request",
-    "build_reg_write_request",
-    "build_reg_response",
-    "build_eak_message",
-    "build_adhkd_message",
-    "build_keyctl_message",
-    "build_alert",
-    "digest_material",
-    "DigestEngine",
-    "DataplaneKeyStore",
-    "ControllerKeyStore",
-    "VersionedKey",
-    "P4AuthDataplane",
-    "P4AuthController",
-    "KeyManagementProtocol",
-    "KmpStats",
-]

@@ -7,33 +7,16 @@ loops over secret data at "packet time" — round counts are compile-time
 constants, mirroring how the P4 prototype unrolls them across pipeline
 stages.
 
-Exports:
+Modules:
 
-- :func:`halfsiphash` / :class:`HalfSipHash` — keyed short-input PRF used
-  as the HMAC algorithm on the BMv2 target (paper §VII), and the one
-  P4Auth digest here.
-- :func:`crc32` — the PRF inside the KDF.
-- :func:`dh_public`, :func:`dh_shared` — the modified Diffie-Hellman
+- :mod:`repro.crypto.halfsiphash` — keyed short-input PRF used as the
+  HMAC algorithm on the BMv2 target (paper §VII), and the one P4Auth
+  digest here.
+- :mod:`repro.crypto.crc` — CRC-32, the PRF inside the KDF.
+- :mod:`repro.crypto.modified_dh` — the modified Diffie-Hellman
   (DH' / DH'') that replaces exponentiation with AND and XOR (paper Fig 10).
-- :func:`kdf` — TLS1.3-style Extract-and-Expand key derivation (Fig 13).
-- :class:`XorShiftPrng` — deterministic PRNG modeling P4's ``random()``.
+- :mod:`repro.crypto.kdf` — TLS1.3-style Extract-and-Expand key
+  derivation (Fig 13).
+- :mod:`repro.crypto.prng` — deterministic PRNG modeling P4's
+  ``random()``.
 """
-
-from repro.crypto.crc import crc32, Crc32
-from repro.crypto.halfsiphash import HalfSipHash, halfsiphash
-from repro.crypto.kdf import Kdf, kdf
-from repro.crypto.modified_dh import dh_public, dh_shared, DhParameters
-from repro.crypto.prng import XorShiftPrng
-
-__all__ = [
-    "crc32",
-    "Crc32",
-    "HalfSipHash",
-    "halfsiphash",
-    "Kdf",
-    "kdf",
-    "dh_public",
-    "dh_shared",
-    "DhParameters",
-    "XorShiftPrng",
-]

@@ -35,7 +35,7 @@ CATALOG_MODULES = (
     "repro.experiments.int_manipulation",
     "repro.experiments.persona_matrix",
     "repro.experiments.store_recovery",
-    "repro.runtime.comparison",
+    "repro.experiments.fig18_rct",
     "repro.faults.scenarios",
 )
 

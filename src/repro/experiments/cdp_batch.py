@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.analysis import mean
+from repro.analysis.metrics import mean
 from repro.crypto.prng import XorShiftPrng
 from repro.dataplane.switch import DataplaneSwitch
 from repro.engine.registry import register

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.analysis import mean, percentile
+from repro.analysis.metrics import mean, percentile
 from repro.engine.registry import register
 from repro.engine.spec import ExperimentSpec, TrialContext, claim
 from repro.experiments.fig17_hula import (

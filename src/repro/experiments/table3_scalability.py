@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.analysis import total
+from repro.analysis.metrics import total
 from repro.engine.registry import register
 from repro.engine.spec import ExperimentSpec, TrialContext, claim
 from repro.experiments.cdp_batch import build_batch_deployment

@@ -22,24 +22,3 @@ Determinism contract: all randomness flows from ``FaultPlan.seed``
 through per-fault forked PRNGs, so a chaos run — including its telemetry
 JSONL trace — is byte-identical across runs with the same seed.
 """
-
-from repro.faults.plan import (
-    ChannelBlackout,
-    FaultPlan,
-    LinkFault,
-    LINK_FAULT_KINDS,
-    NodeFault,
-)
-from repro.faults.controller import ControllerKillSwitch
-from repro.faults.injector import FaultInjector, InjectorStats
-
-__all__ = [
-    "ChannelBlackout",
-    "ControllerKillSwitch",
-    "FaultInjector",
-    "FaultPlan",
-    "InjectorStats",
-    "LINK_FAULT_KINDS",
-    "LinkFault",
-    "NodeFault",
-]

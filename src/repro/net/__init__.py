@@ -6,29 +6,3 @@ with propagation latency and taps (where on-link MitM adversaries attach),
 switch/host/controller nodes, and a calibrated cost model whose constants
 are documented in DESIGN.md.
 """
-
-from repro.net.simulator import EventSimulator
-from repro.net.costs import CostModel
-from repro.net.links import Link, ControlChannel
-from repro.net.network import Network, SwitchNode, HostNode
-from repro.net.topology import (
-    linear_chain,
-    hula_fig3_topology,
-    leaf_spine,
-)
-from repro.net.trace import TraceGenerator, Flow
-
-__all__ = [
-    "EventSimulator",
-    "CostModel",
-    "Link",
-    "ControlChannel",
-    "Network",
-    "SwitchNode",
-    "HostNode",
-    "linear_chain",
-    "hula_fig3_topology",
-    "leaf_spine",
-    "TraceGenerator",
-    "Flow",
-]

@@ -40,8 +40,8 @@ JITTER_SEED = 0x7177E4
 #: A delivery shaper decides how a packet that survived the tap chain
 #: actually arrives: it returns a list of ``(packet, delay_s)`` deliveries
 #: (empty = injected loss, two entries = duplication, inflated delay =
-#: reorder/jitter).  ``repro.faults.FaultInjector`` installs one; the
-#: default ``None`` keeps the exact pre-fault behavior.
+#: reorder/jitter).  ``repro.faults.injector.FaultInjector`` installs
+#: one; the default ``None`` keeps the exact pre-fault behavior.
 DeliveryShaper = Callable[["Link", str, Packet, float],
                           List[Tuple[Packet, float]]]
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Sequence
 
-from repro.analysis import mean
+from repro.analysis.metrics import mean
 from repro.net.simulator import EventSimulator
 
 

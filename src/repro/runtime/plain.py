@@ -84,9 +84,10 @@ class PlainRegOpDataplane:
 
 class _RegisterStack:
     """What the two unauthenticated stacks share: the request lifecycle
-    and the register API :class:`repro.core.P4AuthController` also
-    speaks.  A subclass names its ``STACK``, resolves names in
-    ``register_id`` and composes in ``_issue``."""
+    and the register API
+    :class:`repro.core.controller.P4AuthController` also speaks.  A
+    subclass names its ``STACK``, resolves names in ``register_id`` and
+    composes in ``_issue``."""
 
     #: Label on the shared ``runtime_*`` metrics.
     STACK = ""
@@ -139,9 +140,9 @@ class _RegisterStack:
 class PlainController(_RegisterStack):
     """Controller for the DP-Reg-RW stack (no authentication).
 
-    API-compatible with :class:`repro.core.P4AuthController` for register
-    operations, so in-network system controllers (e.g., RouteScout's) can
-    run over either stack.
+    API-compatible with :class:`repro.core.controller.P4AuthController`
+    for register operations, so in-network system controllers (e.g.,
+    RouteScout's) can run over either stack.
     """
 
     STACK = "DP-Reg-RW"

@@ -274,15 +274,18 @@ class Journal:
         return record
 
     def sync(self) -> None:
-        """Flush + fsync the active segment; advances ``durable_lsn``."""
+        """Flush + fsync the active segment; advances ``durable_lsn``.
+        With nothing written since the last sync there is nothing to
+        flush or fsync."""
         if self._handle is None:
             return
-        self._handle.flush()
-        if self.fsync_policy != "never":
-            started = time.perf_counter()
-            os.fsync(self._handle.fileno())
-            self._fsync_seconds.observe(time.perf_counter() - started)
-        self._synced_bytes = self._written_bytes
+        if self._written_bytes != self._synced_bytes:
+            self._handle.flush()
+            if self.fsync_policy != "never":
+                started = time.perf_counter()
+                os.fsync(self._handle.fileno())
+                self._fsync_seconds.observe(time.perf_counter() - started)
+            self._synced_bytes = self._written_bytes
         self.durable_lsn = self.next_lsn - 1
         self._lag_records.set(0)
 

@@ -23,6 +23,9 @@ Horizons are journaled *unmasked*: the controller's counter wraps at 32
 bits, but the journal lifts each reported value onto a monotone counter
 (serial-number arithmetic), so a post-wrap horizon still reads as
 forward movement on replay instead of being rejected as stale.
+After a warm restart the controller sits exactly at every restored
+horizon, so the first op past any of them reserves them all in one
+group commit rather than one fsync per switch.
 
 The recorder also folds every record it writes into an in-memory
 :class:`~repro.store.state.StoreState` mirror through the same pure
@@ -33,7 +36,7 @@ construction.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.store.journal import Journal
 from repro.store.snapshot import SnapshotStore
@@ -66,6 +69,10 @@ class StateRecorder:
         #: controller reports masked 32-bit values; the journal keeps
         #: horizons unmasked so they stay monotone across a wrap.
         self._unmasked: Dict[str, int] = dict(self.state.seq_horizons)
+        #: Switches whose restored horizon is not yet re-reserved; a
+        #: warm restart resumes the controller exactly at each of them,
+        #: so the first op past any of them reserves them all.
+        self._restored: Set[str] = set(self.state.seq_horizons)
         self._since_snapshot = 0
         self._controller = None
         self._batch = None
@@ -153,10 +160,26 @@ class StateRecorder:
         unmasked = self._unmask(switch, seq)
         if unmasked < self._reserved.get(switch, 0):
             return
+        if switch in self._restored:
+            self._reserve_restored(switch, unmasked)
+            return
         horizon = unmasked + self.seq_stride
         self._append("seq_advance", {"switch": switch, "horizon": horizon},
                      durable=True)
         self._reserved[switch] = horizon
+
+    def _reserve_restored(self, switch: str, unmasked: int) -> None:
+        """The first crossing after a warm restart.  The controller
+        resumed every restored switch exactly at its horizon, so each
+        one's first op would journal a durable ``seq_advance`` of its
+        own; reserve them all now in one group commit instead."""
+        restored, self._restored = self._restored, set()
+        for other in sorted(restored):
+            base = unmasked if other == switch else self._reserved[other]
+            self._append("seq_advance", {"switch": other,
+                                         "horizon": base + self.seq_stride})
+            self._reserved[other] = base + self.seq_stride
+        self.journal.sync()
 
     def _on_window(self, edge: str, switch: str,
                    head: Optional[Tuple[str, int]]) -> None:

@@ -73,17 +73,14 @@ class SnapshotStore:
         Prunes generations beyond :data:`GENERATIONS` afterwards — never
         before the new one is durably committed.
         """
-        body = state.to_dict()
-        document = {
-            "schema": SNAPSHOT_SCHEMA,
-            "crc32": _CRC.compute(_canonical_body(body)),
-            "state": body,
-        }
+        body = _canonical_body(state.to_dict())
+        # The document is written around the checksummed body, so the
+        # state is serialized once.
+        document = b'{"crc32": %d, "schema": "%s", "state": %s}' % (
+            _CRC.compute(body), SNAPSHOT_SCHEMA.encode("ascii"), body)
         path = os.path.join(
             self.root, _SNAPSHOT_FMT % (state.applied_lsn + 1))
-        atomic_write_bytes(
-            path,
-            json.dumps(document, sort_keys=True, indent=1).encode("utf-8"))
+        atomic_write_bytes(path, document)
         self._saved_total.inc()
         self._prune()
         return path

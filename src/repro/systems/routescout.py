@@ -168,11 +168,11 @@ class RouteScoutController:
 
     ``client`` is any object exposing ``read_register(switch, reg, index,
     cb)`` / ``write_register(switch, reg, index, value, cb)`` — the
-    authenticated :class:`~repro.core.P4AuthController` or the vulnerable
-    :class:`~repro.runtime.PlainController`.  Each epoch the controller
-    reads the four latency aggregates, recomputes the split (inverse-
-    latency weighting, exponentially smoothed), writes it back, and clears
-    the aggregates.  If any read of the epoch went missing or failed
+    authenticated :class:`~repro.core.controller.P4AuthController` or the
+    vulnerable :class:`~repro.runtime.plain.PlainController`.  Each epoch
+    the controller reads the four latency aggregates, recomputes the split
+    (inverse-latency weighting, exponentially smoothed), writes it back,
+    and clears the aggregates.  If any read of the epoch went missing or failed
     verification, the epoch is skipped: the current split is retained and
     the event is counted — the "refrains from changing the ratio" defense
     the paper demonstrates.

@@ -13,14 +13,14 @@ table exposes (LIVE002), and :mod:`repro.verify.mutants`, the
 seeded-violation self-test.  :func:`analyze` is the one list of them;
 ``python -m repro verify`` is the CLI.
 
-Only the findings model, the IR and :func:`analyze` live here; the
-analyzers are imported in its body so that ``import repro.verify``
-stays cheap and free of cycles with :mod:`repro.systems`.
+Only :func:`analyze` lives here; the analyzers are imported in its
+body so that ``import repro.verify`` stays cheap and free of cycles
+with :mod:`repro.systems`.
 """
 
 from typing import List
 
-from repro.verify.findings import Finding, Report, Severity, make_finding
+from repro.verify.findings import Finding
 from repro.verify.ir import Program
 
 
@@ -38,6 +38,3 @@ def analyze(program: Program) -> List[Finding]:
         findings += analyze_live(program)
     return findings
 
-
-__all__ = ["Finding", "Program", "Report", "Severity", "analyze",
-           "make_finding"]

@@ -7,10 +7,12 @@ a single entry).
 """
 
 import dataclasses
+import importlib
+import pkgutil
 
 import pytest
 
-import repro.attacks  # noqa: F401  (defines every Adversary subclass)
+import repro.attacks
 from repro.attacks.base import Adversary, Eavesdropper, MessageDropper
 from repro.attacks.bruteforce import DigestBruteForcer
 from repro.attacks.control_plane import (
@@ -136,6 +138,9 @@ def _all_subclasses(cls):
 
 
 def test_lifecycle_table_covers_every_adversary_in_the_package():
+    for module in pkgutil.iter_modules(repro.attacks.__path__,
+                                       "repro.attacks."):
+        importlib.import_module(module.name)
     defined = {cls for cls in _all_subclasses(Adversary)
                if cls.__module__.startswith("repro.attacks")}
     assert defined == set(ADVERSARIES)

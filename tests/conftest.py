@@ -13,7 +13,8 @@ import pytest
 from repro.core.auth_dataplane import P4AuthConfig, P4AuthDataplane
 from repro.core.controller import P4AuthController
 from repro.dataplane.switch import DataplaneSwitch
-from repro.engine import TrialContext, get_spec
+from repro.engine.registry import get_spec
+from repro.engine.spec import TrialContext
 from repro.net.network import Network
 from repro.net.simulator import EventSimulator
 from repro.telemetry import NULL_TELEMETRY

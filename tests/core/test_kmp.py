@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import mean
+from repro.analysis.metrics import mean
 from repro.attacks.control_plane import RegisterRequestTamperer
 from repro.core.kmp import honest_load_audit
 from repro.experiments.cdp_batch import build_batch_deployment

@@ -13,7 +13,7 @@ workers, under CPython 3.12's compensated float ``sum`` (gh-100425),
 patched in.  So every case also proves that neither tracing nor the
 worker count touches the result, and that no result depends on how the
 interpreter sums floats: results sum them left to right
-(``repro.analysis.total``).
+(``repro.analysis.metrics.total``).
 
 ``golden/trace_digest.json`` pins the bytes of those trace dumps: per
 spec, the sha256 of every ``.jsonl`` and ``.prom`` a traced ``--short``
@@ -37,13 +37,9 @@ import tempfile
 
 import pytest
 
-from repro.engine import (
-    CATALOG_MODULES,
-    all_specs,
-    content_hash,
-    get_spec,
-    run_experiment,
-)
+from repro.engine.canon import content_hash
+from repro.engine.registry import CATALOG_MODULES, all_specs, get_spec
+from repro.engine.runner import run_experiment
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
                       "catalog_digest.json")

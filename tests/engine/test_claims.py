@@ -8,7 +8,9 @@ import pytest
 
 from repro.__main__ import main
 from repro.analysis.report import render_artifact_report
-from repro.engine import ExperimentSpec, load_artifact, run_experiment
+from repro.engine.artifact import load_artifact
+from repro.engine.runner import run_experiment
+from repro.engine.spec import ExperimentSpec
 from repro.net.costs import CostModel
 
 

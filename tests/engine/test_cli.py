@@ -6,7 +6,7 @@ import os
 import pytest
 
 from repro.__main__ import main
-from repro.engine import load_artifact, validate_artifact
+from repro.engine.artifact import load_artifact, validate_artifact
 
 
 class TestListing:

@@ -8,13 +8,10 @@ Every comparison canonicalizes both sides through the same
 the headline numbers — fails loudly.
 """
 
-from repro.engine import (
-    TrialContext,
-    canonical_json,
-    get_spec,
-    run_experiment,
-    to_jsonable,
-)
+from repro.engine.canon import canonical_json, to_jsonable
+from repro.engine.registry import get_spec
+from repro.engine.runner import run_experiment
+from repro.engine.spec import TrialContext
 
 
 def _canon(value) -> str:

@@ -12,18 +12,10 @@ import pytest
 
 import repro.engine.runner as runner_module
 from repro.crypto.prng import XorShiftPrng
-from repro.engine import (
-    ExperimentSpec,
-    Runner,
-    TrialContext,
-    get_spec,
-    load_artifact,
-    register,
-    run_experiment,
-    spec_names,
-    unregister,
-    validate_artifact,
-)
+from repro.engine.artifact import load_artifact, validate_artifact
+from repro.engine.registry import get_spec, register, spec_names, unregister
+from repro.engine.runner import Runner, run_experiment
+from repro.engine.spec import ExperimentSpec, TrialContext
 
 
 def _prng_trial(ctx: TrialContext) -> dict:

@@ -6,8 +6,9 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.engine import get_spec, run_experiment
 from repro.engine.canon import canonical_json, content_hash, to_jsonable
+from repro.engine.registry import get_spec
+from repro.engine.runner import run_experiment
 from repro.engine.spec import (
     ExperimentSpec,
     TrialContext,

@@ -15,7 +15,8 @@ import pytest
 from repro.__main__ import main
 from repro.core.controller import P4AuthController
 from repro.core.kmp import KeyManagementProtocol
-from repro.engine import load_artifact, run_experiment
+from repro.engine.artifact import load_artifact
+from repro.engine.runner import run_experiment
 from repro.experiments import cdp_batch, fleet_scale
 
 

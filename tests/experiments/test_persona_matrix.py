@@ -6,9 +6,9 @@ import json
 import pytest
 
 from repro.attacks.personas import PERSONA_KINDS
-from repro.engine import run_experiment
 from repro.engine.canon import canonical_json
 from repro.engine.registry import get_spec
+from repro.engine.runner import run_experiment
 from repro.experiments.persona_matrix import SYSTEMS, WATCHED_SIGNALS
 from tests.conftest import run_trial
 

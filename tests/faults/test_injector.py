@@ -5,18 +5,9 @@ import pytest
 
 from repro.dataplane.headers import HeaderType
 from repro.dataplane.packet import Packet
-from repro.faults import (
-    ChannelBlackout,
-    FaultInjector,
-    FaultPlan,
-    LinkFault,
-    NodeFault,
-)
-from repro.net.network import (
-    DROP_FAULT_INJECTED,
-    DROP_NODE_DOWN,
-    Network,
-)
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import ChannelBlackout, FaultPlan, LinkFault, NodeFault
+from repro.net.network import DROP_FAULT_INJECTED, DROP_NODE_DOWN, Network
 from repro.net.simulator import EventSimulator
 from tests.conftest import Deployment
 

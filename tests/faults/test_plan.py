@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.faults import (
-    ChannelBlackout,
-    FaultPlan,
-    LinkFault,
-    NodeFault,
-)
+from repro.faults.plan import ChannelBlackout, FaultPlan, LinkFault, NodeFault
 
 
 class TestLinkFaultValidation:

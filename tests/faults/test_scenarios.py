@@ -3,7 +3,9 @@ stably."""
 
 import pytest
 
-from repro.engine import TrialContext, get_spec, run_experiment
+from repro.engine.registry import get_spec
+from repro.engine.runner import run_experiment
+from repro.engine.spec import TrialContext
 
 #: The two cheap scenarios (CI's chaos-smoke job).
 SMOKE_SCENARIOS = ("kmp-blackout", "crash-restart")

@@ -12,7 +12,8 @@ is phrased over the packets that actually arrived.
 from repro.attacks.control_plane import RegisterRequestTamperer, ReplayAttacker
 from repro.attacks.link import ProbeFieldTamperer
 from repro.core.constants import REG_OP
-from repro.faults import ChannelBlackout, FaultInjector, FaultPlan, LinkFault
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import ChannelBlackout, FaultPlan, LinkFault
 from repro.systems.hula import make_probe
 from tests.conftest import Deployment
 

@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from repro.engine import run_experiment
+from repro.engine.runner import run_experiment
 
 
 def _traced_run(name: str, seed: int, trace_dir):

@@ -11,7 +11,7 @@ or the trace vocabulary.
 
 import hashlib
 
-from repro.engine import run_experiment
+from repro.engine.runner import run_experiment
 
 PINNED_SHA256 = {
     "jsonl": "ea01d63e7e7ddd46718a1704f855235ca75754f90b3aedd81ac1ba47464378db",

@@ -6,7 +6,7 @@ paper's qualitative shapes.
 
 import pytest
 
-from repro.engine import run_experiment
+from repro.engine.runner import run_experiment
 
 
 @pytest.fixture(scope="module")

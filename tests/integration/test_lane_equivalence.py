@@ -28,7 +28,8 @@ import pytest
 
 from repro.core.digest import DigestEngine
 from repro.core.wire import serialize_message
-from repro.engine import canonical_json, run_experiment, to_jsonable
+from repro.engine.canon import canonical_json, to_jsonable
+from repro.engine.runner import run_experiment
 from repro.experiments.cdp_batch import (
     build_batch_deployment,
     run_batch_workload,

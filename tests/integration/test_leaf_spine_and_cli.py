@@ -94,7 +94,7 @@ class TestCli:
 
     def test_fig20(self, capsys, tmp_path):
         from repro.__main__ import main
-        from repro.engine import load_artifact
+        from repro.engine.artifact import load_artifact
         assert main(["run", "fig20", "--out-dir", str(tmp_path)]) == 0
         assert "fig20" in capsys.readouterr().out
         result = load_artifact(tmp_path / "BENCH_fig20.json")[

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine import run_experiment
+from repro.engine.runner import run_experiment
 from repro.runtime.comparison import STACKS, build_stack
 
 

@@ -1,8 +1,8 @@
 """Chaos matrix: SIGKILL the controller at every journal record type.
 
-Each trial arms a :class:`~repro.faults.ControllerKillSwitch` on one
-record type, crashes the controller mid-burst, warm-restarts from the
-surviving journal, and finishes the workload.  The crash trial
+Each trial arms a :class:`~repro.faults.controller.ControllerKillSwitch`
+on one record type, crashes the controller mid-burst, warm-restarts from
+the surviving journal, and finishes the workload.  The crash trial
 states its invariants as named checks and returns the verdict with its
 numbers; a clean trial is one whose verdict passed:
 
@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import execute_trial, get_spec
+from repro.engine.registry import get_spec
+from repro.engine.runner import execute_trial
 from repro.experiments.store_recovery import KILL_POINTS
 from tests.conftest import run_trial
 

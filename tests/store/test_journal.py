@@ -286,6 +286,20 @@ class TestFsyncDiscipline:
         assert journal.lag == 0
         assert journal.durable_lsn == 2
 
+    def test_sync_with_nothing_new_costs_no_fsync(self, tmp_path):
+        """A sync after a sync, like the ``rotate()`` right after a
+        snapshot's sync, flushes and fsyncs nothing but still marks
+        everything durable."""
+        metrics = MetricRegistry()
+        journal = fresh(tmp_path, fsync="batch", metrics=metrics, shard="s")
+        journal.append("batch_close", {"switch": "s1"})
+        journal.sync()
+        journal.sync()
+        journal.rotate()
+        assert metrics.get("store_fsync_seconds", shard="s").count == 1
+        journal.skip_to(10)
+        assert (journal.lag, journal.durable_lsn) == (0, 9)
+
     def test_simulate_crash_drops_exactly_the_unsynced_tail(self, tmp_path):
         journal = fresh(tmp_path, fsync="batch")
         journal.append("seq_advance", {"switch": "s1", "horizon": 5},

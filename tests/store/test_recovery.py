@@ -279,7 +279,8 @@ class TestQuietWarmRestart:
     def restart(self, tmp_path, dep, metrics=None):
         return self.recover(tmp_path, dep, fsync="batch", seq_stride=4,
                             shard_id="shard-0",
-                            metrics=metrics or MetricRegistry(), shard="s")
+                            metrics=metrics if metrics is not None
+                            else MetricRegistry(), shard="s")
 
     def test_restart_appends_nothing_and_pays_no_fsync(self, tmp_path):
         dep = deployment()
@@ -288,6 +289,37 @@ class TestQuietWarmRestart:
         _c, recorder, report = self.restart(tmp_path, dep, metrics)
         assert recorder.journal.next_lsn == report.state.applied_lsn + 1
         assert TestAttachGroupCommit.fsyncs(metrics) == 0
+        recorder.detach()
+        recorder.journal.close()
+
+    def test_first_batch_after_restart_is_one_group_commit(self, tmp_path):
+        """Every switch resumes exactly at its restored horizon, so the
+        batch's first op reserves all of them under one fsync (one per
+        switch before), and the rest of the batch journals nothing."""
+        dep = Deployment(num_switches=4, registers=REGISTERS)
+        recorder = self.first_life(tmp_path, dep)
+        for switch in ("s3", "s4"):
+            assert write_ok(dep, dep.controller, switch, 0, 5)
+        self.crash(tmp_path, dep, recorder)
+        metrics = MetricRegistry()
+        controller, recorder, report = self.restart(tmp_path, dep, metrics)
+        first_lsn = recorder.journal.next_lsn
+        outcomes = []
+        for switch in sorted(dep.dataplanes):
+            for index in range(2):
+                controller.write_register(
+                    switch, "demo", index, 40 + index,
+                    lambda ok, _v: outcomes.append(ok))
+        dep.run(2.0)
+        assert outcomes == [True] * 8
+        assert TestAttachGroupCommit.fsyncs(metrics) == 1
+        appended = [(r.type, r.data["switch"], r.data["horizon"])
+                    for r in recorder.journal.records(first_lsn)]
+        assert appended == [
+            ("seq_advance", switch, horizon + 4)
+            for switch, horizon in sorted(report.seq_horizons.items())]
+        for dataplane in dep.dataplanes.values():
+            assert dataplane.stats.replays_detected == 0
         recorder.detach()
         recorder.journal.close()
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 
+from repro.crypto.crc import Crc32
 from repro.store.snapshot import GENERATIONS, SNAPSHOT_SCHEMA, SnapshotStore
 from repro.store.state import KeyEntry, StoreState
 
@@ -19,6 +20,11 @@ def sample_state(lsn=41) -> StoreState:
     state.epochs["s1"] = 2
     state.shard_map["shard-0"] = ["s1"]
     return state
+
+
+def canonical_body(state: StoreState) -> bytes:
+    return json.dumps(state.to_dict(), sort_keys=True,
+                      separators=(",", ":")).encode("utf-8")
 
 
 class TestRoundtrip:
@@ -43,6 +49,27 @@ class TestRoundtrip:
         document = json.load(open(path))
         assert document["schema"] == SNAPSHOT_SCHEMA
         assert "crc32" in document
+
+    def test_document_embeds_the_checksummed_body(self, tmp_path):
+        """The state is serialized once: the file carries the canonical
+        body the CRC covers, byte for byte."""
+        path = SnapshotStore(str(tmp_path)).save(sample_state())
+        blob = open(path, "rb").read()
+        body = canonical_body(sample_state())
+        assert body in blob
+        assert json.loads(blob)["crc32"] == Crc32().compute(body)
+
+    def test_loads_the_indented_format(self, tmp_path):
+        """A snapshot whose whole document was re-encoded with
+        ``indent=1`` (the earlier writer) still loads."""
+        document = {"schema": SNAPSHOT_SCHEMA,
+                    "crc32": Crc32().compute(canonical_body(sample_state())),
+                    "state": sample_state().to_dict()}
+        (tmp_path / ("snapshot-%012d.json" % 42)).write_bytes(
+            json.dumps(document, sort_keys=True, indent=1).encode("utf-8"))
+        loaded = SnapshotStore(str(tmp_path)).load_latest()
+        assert loaded is not None
+        assert loaded.to_dict() == sample_state().to_dict()
 
 
 class TestCorruptionFallback:

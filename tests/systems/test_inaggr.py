@@ -4,7 +4,7 @@ import pytest
 
 from repro.dataplane.pipeline import Emit
 from repro.dataplane.switch import DataplaneSwitch
-from repro.engine import run_experiment
+from repro.engine.runner import run_experiment
 from repro.systems.inaggr import (
     AggregationConfig,
     AggregationDataplane,

@@ -159,7 +159,7 @@ def test_cli_prometheus_dump_is_byte_deterministic(tmp_path):
 def test_store_host_timings_stay_out_of_the_prometheus_dump(tmp_path):
     """The journal's fsync and warm-restart histograms read the host
     clock; the per-trial dump leaves them out like the simulator's."""
-    from repro.engine import Runner
+    from repro.engine.runner import Runner
 
     for name in ("a", "b"):
         Runner(trace_dir=str(tmp_path / name)).run(

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.analysis import format_table, mean, percentile
+from repro.analysis.metrics import format_table, mean, percentile
 
 
 class TestMean:

@@ -41,7 +41,7 @@ def test_artifact_report_names_failed_checks(tmp_path):
     """A failed trial is more than ``passed = False``: the check that
     failed is named, and only on artifacts that have one."""
     from repro.analysis.report import render_artifact_report
-    from repro.engine import run_experiment
+    from repro.engine.runner import run_experiment
 
     run_experiment("kmp-blackout", sweep={"duration_s": [0.3, 1.5]},
                    out_dir=str(tmp_path))
@@ -59,7 +59,8 @@ def test_artifact_report_shows_host_readings_as_marked_columns(tmp_path):
     """A trial's host-clock readings live in ``run_meta``, not in its
     result; the report still gives each its own column, marked."""
     from repro.analysis.report import render_artifact_report
-    from repro.engine import ExperimentSpec, Runner
+    from repro.engine.runner import Runner
+    from repro.engine.spec import ExperimentSpec
 
     def timed(ctx):
         ctx.host["wall_s"] = 0.25

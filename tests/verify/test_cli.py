@@ -7,8 +7,9 @@ import pytest
 
 import repro.verify.cli as cli
 from repro.__main__ import main
-from repro.verify import Program, analyze
+from repro.verify import analyze
 from repro.verify.findings import make_finding
+from repro.verify.ir import Program
 from repro.verify.registry import build, program_names
 
 GOLDEN_ALL = pathlib.Path(__file__).parent / "golden" / "verify_all.json"
