@@ -114,29 +114,26 @@ def build_alert(code: AlertCode, detail: int, seq_num: int) -> Packet:
                         code=int(code), detail=detail)
 
 
-#: The p4auth fields the digest covers: all but ``digest``, in
-#: declaration order.  Fields have mixed widths; each is serialized at
-#: 8 bytes little-endian for a fixed, unambiguous layout (this mirrors
-#: PHV container granularity).
-_COVERED_FIELDS = [name for name, _bits in P4AUTH_HEADER.fields
-                   if name != "digest"]
-_COVERED = itemgetter(*_COVERED_FIELDS)
-_COVERED_WORDS = Struct("<%dQ" % len(_COVERED_FIELDS))
+#: The p4auth fields the digest covers, at their wire widths: the
+#: header's own big-endian bytes up to the trailing ``digest``.
+_COVERED_FIELDS = P4AUTH_HEADER.fields[:-1]
+_COVERED = itemgetter(*[name for name, _bits in _COVERED_FIELDS])
+_COVERED_BYTES = Struct(">" + "".join(
+    {8: "B", 16: "H", 32: "I"}[bits] for _name, bits in _COVERED_FIELDS))
 
 
 def digest_material(packet: Packet) -> bytes:
     """The byte string the digest is computed over (Eqn. 4).
 
-    All p4auth header fields except ``digest``, serialized in declaration
-    order, followed by the serialized payload header and any residual
-    payload bytes.  Protected non-P4Auth headers riding on the same packet
-    (e.g., a HULA probe being authenticated DP-DP) are also covered, so a
-    MitM cannot tamper with the probe body while leaving the P4Auth
-    fields intact.  The p4auth words come first wherever the header sits
-    on the stack.
+    The p4auth header's wire bytes without its ``digest``, followed by
+    the serialized payload header and any residual payload bytes.
+    Protected non-P4Auth headers riding on the same packet (e.g., a HULA
+    probe being authenticated DP-DP) are also covered, so a MitM cannot
+    tamper with the probe body while leaving the P4Auth fields intact.
+    The p4auth bytes come first wherever the header sits on the stack.
     """
     # Read in place: ``fields()`` would copy the dict on every digest.
-    parts = [_COVERED_WORDS.pack(*_COVERED(packet.get(P4AUTH)._values))]
+    parts = [_COVERED_BYTES.pack(*_COVERED(packet.get(P4AUTH)._values))]
     for name, header in packet.headers():
         if name != P4AUTH:
             parts.append(header.serialize())

@@ -23,14 +23,14 @@ The differential tests pin the two bit-for-bit for every ``(c, d)``.
 Round counts ``c`` and ``d`` are constructor constants — on the switch they
 are unrolled across pipeline stages, never looped at packet time.
 
-**Midstate.**  Eqn 4 material opens with the ``hdrType`` and ``msgType``
-words, 8 bytes each, so its first :data:`PREFIX` bytes (four blocks, 8 of
-a 64-byte message's 38 SipRounds) take few values per key.  :meth:`digest`
-caches the state after them, keyed by the key and every prefix byte, and
-runs only the rest.  The cache holds a pure function of (key, prefix),
-never a tag: a verifier still recomputes Eqn 4 over every byte, and a
-flipped prefix bit is another entry.  It clears at
-:attr:`HalfSipHash.KEY_CACHE_MAX`; shorter messages start from the key.
+**Midstate.**  Eqn 4 material is the p4auth header's wire bytes, so its
+first :data:`PREFIX` bytes (``hdrType``, ``msgType``, the high half of
+``seqNum``) stay fixed per key and message type while ``seqNum`` is
+below 2**16.  :meth:`digest` caches the state after them, keyed by the
+key and every prefix byte: a pure function of (key, prefix), never a
+tag, so a verifier still hashes every byte.  It clears at
+:attr:`HalfSipHash.KEY_CACHE_MAX`.  It is for Eqn 4 material only: the
+sketches and the stream cipher hash from :meth:`key_schedule`.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ _V2_INIT = 0x6C796765
 _V3_INIT = 0x74656462
 _DOUBLE = 0x1_0000_0001
 
-#: Bytes in a cached midstate: Eqn 4's ``hdrType`` and ``msgType``.
-PREFIX = 16
+#: Bytes in a cached midstate: Eqn 4's first block.
+PREFIX = 4
 
 State = Tuple[int, int, int, int]
 
@@ -134,7 +134,7 @@ class HalfSipHash:
             if len(self._midstates) >= self.KEY_CACHE_MAX:
                 self._midstates.clear()
             state = self._midstates[entry] = self._rounds(
-                self.key_schedule(key), unpack_from("<4I", entry[1]))
+                self.key_schedule(key), unpack_from("<I", entry[1]))
         else:
             self.hits += 1
         return state

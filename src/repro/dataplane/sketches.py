@@ -29,7 +29,8 @@ _hsh = HalfSipHash(compression_rounds=1, finalization_rounds=2)
 def _hash(value: int, salt: int) -> int:
     """One member of the keyed (per-salt) hash family."""
     key = (0x9E3779B97F4A7C15 ^ (salt * 0x100000001B3)) & ((1 << 64) - 1)
-    return _hsh.digest(key, value.to_bytes(8, "little"))
+    return _hsh.digest_from_state(_hsh.key_schedule(key),
+                                  value.to_bytes(8, "little"))
 
 
 #: Hash functions (k) per bloom filter item.

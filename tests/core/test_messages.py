@@ -1,8 +1,13 @@
 """Wire formats: builders, digest material, Table III message sizes."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.constants import (
+    ADHKD_HEADER,
+    EAK_HEADER,
+    KEYCTL_HEADER,
+    MESSAGE_GRAMMAR,
     AlertCode,
     HdrType,
     KeyExchType,
@@ -101,21 +106,15 @@ def test_length_field_matches_payload():
     assert message.get("p4auth")["length"] == 16
 
 
-def _material_field_by_field(packet):
-    """Eqn 4's byte string the way it was first written: every covered
-    p4auth field at 8 bytes little-endian, then every other header's
-    bytes by name, then the payload.  ``digest_material`` packs the same
-    bytes in one ``Struct`` call and one pass over the stack."""
-    material = bytearray()
-    header = packet.get("p4auth")
-    values = header.fields()
-    for fname, _bits in header.header_type.fields:
-        if fname != "digest":
-            material += int(values[fname]).to_bytes(8, "little")
-    for name in packet.header_names():
-        if name != "p4auth":
-            material += packet.get(name).serialize()
-    return bytes(material + packet.payload)
+def _material_from_wire(packet):
+    """Eqn 4's byte string read off the wire: the p4auth header's first
+    10 bytes (all but its trailing 4-byte ``digest``), then every other
+    byte of the packet in wire order."""
+    wire = packet.serialize()
+    names = packet.header_names()
+    at = sum(packet.get(name).header_type.byte_width
+             for name in names[:names.index("p4auth")])
+    return wire[at:at + 10] + wire[:at] + wire[at + 14:]
 
 
 def _dpdp_probe():
@@ -151,11 +150,45 @@ def _with_residual_payload():
 def test_digest_material_bytes_match_the_field_by_field_form(build):
     packet = build()
     material = digest_material(packet)
-    assert material == _material_field_by_field(packet)
-    # The six covered p4auth words come first, wherever the header sits.
-    assert material[:48] == b"".join(
-        packet.get("p4auth")[name].to_bytes(8, "little") for name in
-        ("hdrType", "msgType", "seqNum", "keyVer", "flags", "length"))
+    assert material == _material_from_wire(packet)
+    # The ten covered p4auth bytes come first, wherever the header sits.
+    assert material[:10] == packet.get("p4auth").serialize()[:10]
+    if packet.header_names()[0] == "p4auth":
+        wire = packet.serialize()
+        assert material == wire[:10] + wire[14:]
+
+
+_U8, _U32, _U56, _U64 = (st.integers(0, (1 << bits) - 1)
+                         for bits in (8, 32, 56, 64))
+_EAK, _ADHKD, _KEYCTL = ([t for t in KeyExchType if MESSAGE_GRAMMAR.get(
+                          (HdrType.KEY_EXCHANGE, t)) is header]
+                         for header in (EAK_HEADER, ADHKD_HEADER,
+                                        KEYCTL_HEADER))
+_ANY_MESSAGE = st.one_of(
+    st.builds(build_reg_read_request, _U32, _U32, _U32, _U8),
+    st.builds(build_reg_write_request, _U32, _U32, _U64, _U32, _U8),
+    st.builds(build_reg_response, st.booleans(), _U32, _U32, _U64, _U32,
+              _U8),
+    st.builds(build_eak_message, st.sampled_from(_EAK), _U64, _U32),
+    st.builds(build_adhkd_message, st.sampled_from(_ADHKD), _U64, _U64,
+              _U32, _U8),
+    st.builds(build_keyctl_message, st.sampled_from(_KEYCTL), _U32, _U32,
+              _U8),
+    st.builds(build_alert, st.sampled_from(list(AlertCode)), _U56, _U32),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(packet=_ANY_MESSAGE, flags=_U8, digest=_U32)
+def test_digest_material_is_the_wire_bytes_but_the_digest(packet, flags,
+                                                          digest):
+    """Every builder, any in-range fields: the material is the message's
+    wire bytes with the p4auth ``digest`` cut out, whatever it holds."""
+    header = packet.get("p4auth")
+    header["flags"], header["digest"] = flags, digest
+    wire = packet.serialize()
+    assert digest_material(packet) == wire[:10] + wire[14:]
+    assert len(digest_material(packet)) == packet.size_bytes - 4
 
 
 def test_digest_material_needs_a_p4auth_header():

@@ -31,8 +31,8 @@ from tests.conftest import pin_lane
 from tests.crypto.test_differential import _spec_digest
 
 KEY = 0x0123456789ABCDEF
-#: 0..80 bytes: below, at and above the 16-byte prefix (15, 16, 17),
-#: every tail residue mod 4, and 64-byte C-DP material.
+#: 0..80 bytes: below, at and above the 4-byte prefix (3, 4, 5), every
+#: tail residue mod 4, 26-byte register-op material and 64 bytes.
 LENGTHS = range(81)
 
 
@@ -190,6 +190,18 @@ def test_cache_clears_at_the_cap():
     assert hasher.digest(KEY, messages[0]) \
         == _spec_digest(hasher, KEY, messages[0])
     assert hasher.misses == 6  # evicted, so recomputed
+
+
+def test_sketch_hashes_bypass_the_cache():
+    """The sketches hash 8-byte items under per-salt keys: through the
+    cache they would fill it with entries no Eqn 4 digest reads."""
+    from repro.dataplane import sketches
+    hasher = sketches._hsh
+    before = (hasher.hits, hasher.misses, len(hasher._midstates))
+    for value in range(50):
+        for salt in range(3):
+            sketches._hash(value, salt)
+    assert (hasher.hits, hasher.misses, len(hasher._midstates)) == before
 
 
 def test_vector_lane_shares_the_scalar_cache():
