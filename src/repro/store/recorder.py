@@ -224,6 +224,8 @@ class StateRecorder:
             # caller does next is lost, exactly as on a real SIGKILL.
             return
         record = self.journal.append(rec_type, data, durable=durable)
+        if not self.journal.is_open:  # killed inside this append
+            return
         apply_record(self.state, record)
         self._since_snapshot += 1
         if self.snapshot_every is not None \

@@ -16,6 +16,7 @@ import pytest
 from tests.conftest import Deployment
 
 from repro.core.controller import P4AuthController
+from repro.faults.controller import ControllerKillSwitch
 from repro.runtime.batch import BatchController
 from repro.store import (
     JournalCorruption,
@@ -480,6 +481,31 @@ class TestSnapshotDurability:
         assert report2.seq_horizons["s1"] > 40
         recorder2.detach()
         recorder2.journal.close()
+
+
+    def test_a_process_killed_inside_an_append_writes_no_snapshot(
+            self, tmp_path):
+        """The kill fires inside ``Journal.append`` on the third record,
+        the one that also makes the snapshot due.  A dead process
+        writes nothing: no snapshot may cover an LSN the reopened
+        journal does not hold."""
+        dep = deployment()
+        journal, snapshots, _, _ = open_store(str(tmp_path), fsync="batch")
+        recorder = StateRecorder(journal, snapshots, snapshot_every=3)
+        kill = ControllerKillSwitch(dep.net, recorder)
+        kill.arm_on_record("epoch_advance", occurrence=3)
+        for epoch in (1, 2, 3):
+            recorder._append("epoch_advance", {"switch": "s1",
+                                               "epoch": epoch})
+        assert kill.kills == 1 and not journal.is_open
+
+        reopened, _, _, _ = open_store(str(tmp_path), fsync="batch")
+        covered = [lsn - 1 for lsn, _ in numbered_files(
+            os.path.join(str(tmp_path), SNAPSHOT_SUBDIR), "snapshot-",
+            ".json")]
+        assert all(applied < reopened.next_lsn for applied in covered), \
+            (covered, reopened.next_lsn)
+        reopened.close()
 
 
 class TestSequenceWrap:
