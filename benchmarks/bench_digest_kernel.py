@@ -4,8 +4,8 @@
 expressions; ``HalfSipHash._sip_round`` is the same round in switch ALU
 ops (``repro.crypto.ops``), one Python call per op.  Every per-packet
 digest on the host takes the first, so this gate keeps it from quietly
-regressing to call-per-op.  Two checks, same process, 66-byte C-DP
-material:
+regressing to call-per-op.  Two checks, same process, on one synthetic
+66-byte message (a register op signs 26 bytes):
 
 - **bit-identity**: kernel and spec-assembled digest agree on the tag;
 - **speed**: the kernel is >= 1.6x the spec-assembled digest (a ratio,
@@ -16,7 +16,7 @@ material:
 
 Both sides run all 66 bytes from the key schedule: the kernel is timed
 through ``digest_from_state`` with the midstate cache bypassed, so a warm
-``(key, hdrType, msgType)`` prefix cannot inflate the ratio.
+first block cannot inflate the ratio.
 """
 
 from benchmarks.conftest import best_seconds_per_call

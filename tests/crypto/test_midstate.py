@@ -26,6 +26,7 @@ from repro.core.messages import (
 )
 from repro.crypto import vectorized
 from repro.crypto.halfsiphash import PREFIX, HalfSipHash
+from repro.dataplane import sketches
 from repro.dataplane.externs import HashExtern
 from tests.conftest import pin_lane
 from tests.crypto.test_differential import _spec_digest
@@ -195,7 +196,6 @@ def test_cache_clears_at_the_cap():
 def test_sketch_hashes_bypass_the_cache():
     """The sketches hash 8-byte items under per-salt keys: through the
     cache they would fill it with entries no Eqn 4 digest reads."""
-    from repro.dataplane import sketches
     hasher = sketches._hsh
     before = (hasher.hits, hasher.misses, len(hasher._midstates))
     for value in range(50):
