@@ -39,10 +39,6 @@ class MarkdownReport:
     def render(self) -> str:
         return self._buffer.getvalue()
 
-    def save(self, path: str) -> None:
-        with open(path, "w") as handle:
-            handle.write(self.render())
-
 
 def find_artifacts(directory: str = ".") -> List[str]:
     """Paths of every engine artifact in ``directory``, sorted by name."""

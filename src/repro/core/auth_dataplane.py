@@ -77,10 +77,6 @@ class P4AuthConfig:
     alert_window_s: float = 1.0
     #: Header names this switch authenticates DP-DP (e.g. {"hula_probe"}).
     protected_headers: FrozenSet[str] = frozenset()
-    #: Accept and produce encrypted register-op values (the §XI
-    #: confidentiality extension; encrypt-then-MAC with session keys
-    #: derived from the local key).
-    encrypt_regops: bool = False
 
     def __post_init__(self) -> None:
         self.protected_headers = frozenset(self.protected_headers)
@@ -146,10 +142,6 @@ class P4AuthDataplane:
         # every-table-has-a-default invariant (verify rule INV001).
         self.mapping_table.register_action("reg_op_miss", lambda: None)
         self.mapping_table.set_default("reg_op_miss")
-
-        # Host-CPU memo for derived session-key families (see
-        # :meth:`_session_keys`; modeled hash-unit charges unchanged).
-        self._session_cache: Dict[int, object] = {}
 
         #: Out-of-band instrumentation hooks (measurement only, no wire
         #: traffic): fired when a key install completes, as ``hook(slot,
@@ -386,7 +378,7 @@ class P4AuthDataplane:
         if encrypted:
             # Encrypt-then-MAC order: the digest already verified over the
             # ciphertext; decrypt only now (costs hash units).
-            session = self._session_keys(hdr["keyVer"])
+            session = derive_session_keys(self.keys.local_key(hdr["keyVer"]))
             value = encrypt_value(session, seq, value)
             self._charge_kdf()
         result = self.regops.apply(payload["regId"], hdr["msgType"],
@@ -406,32 +398,15 @@ class P4AuthDataplane:
                           value=result, encrypted=encrypted,
                           key_ver=hdr["keyVer"])
 
-    def _session_keys(self, key_ver: int):
-        """Session-key family for the local key at a given version.
-
-        Memoized by master-key value (a rolled key misses and re-derives).
-        This saves host CPU only: callers still charge the KDF to the
-        hash extern per packet, because the modeled PISA pipeline runs
-        every stage for every packet — batched ingress stays per-packet
-        and the wire format is untouched.
-        """
-        master = self.keys.local_key(key_ver)
-        cached = self._session_cache.get(master)
-        if cached is None:
-            cached = derive_session_keys(master)
-            if len(self._session_cache) >= 16:
-                self._session_cache.clear()
-            self._session_cache[master] = cached
-        return cached
-
     def _respond_reg(self, ctx: PipelineContext, ok: bool, payload, seq: int,
                      value: int, encrypted: bool, key_ver: int) -> None:
         # Respond under the same key version that authenticated the
         # request: during a rollover the controller may not have
         # installed the DP's newest key yet (§VI-C consistent updates).
-        encrypt = encrypted and self.config.encrypt_regops
-        if encrypt:
-            session = self._session_keys(key_ver)
+        # An encrypted request gets an encrypted reply: the flag is under
+        # the digest, so the controller asked for it.
+        if encrypted:
+            session = derive_session_keys(self.keys.local_key(key_ver))
             value = encrypt_value(session, seq, value, response=True)
         # Only a verified request gets here: p4auth + reg_op as the
         # controller built them.  Rewrite it (a P4 program cannot allocate
@@ -439,7 +414,7 @@ class P4AuthDataplane:
         response = ctx.packet
         hdr = response.get(P4AUTH)
         hdr["msgType"] = int(RegOpType.ACK if ok else RegOpType.NACK)
-        hdr["flags"] = FLAG_ENCRYPTED if encrypt else 0
+        hdr["flags"] = FLAG_ENCRYPTED if encrypted else 0
         hdr["keyVer"] = key_ver
         payload["value"] = value
         self.digest.sign(self.keys.local_key(key_ver), response)

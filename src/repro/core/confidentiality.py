@@ -20,6 +20,7 @@ epoch because the key rolls long before the 32-bit counter wraps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.crypto.kdf import kdf
 from repro.crypto.stream import crypt_word
@@ -39,11 +40,15 @@ class SessionKeys:
     nonce_base: int
 
 
+@lru_cache(maxsize=1024)
 def derive_session_keys(master: int) -> SessionKeys:
     """Derive {auth, encryption, nonce-base} from a master secret.
 
     Both endpoints call this on the same master, so both hold the same
-    family without any additional message exchange.
+    family without any additional message exchange.  Memoized by master
+    value, which saves host CPU only: a rolled key misses and derives
+    afresh, and a data plane still charges the KDF's hash units to its
+    extern on every packet (``P4AuthDataplane._charge_kdf``).
     """
     return SessionKeys(
         auth=kdf(master, LABEL_AUTH),

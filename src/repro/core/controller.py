@@ -112,8 +112,9 @@ class P4AuthController:
         self.alerts: List[AlertRecord] = []
         self.tamper_events: List[TamperRecord] = []
         self.outstanding_threshold = outstanding_threshold
-        #: Encrypt register-op values end to end (the §XI extension);
-        #: the matching switches must set P4AuthConfig.encrypt_regops.
+        #: Encrypt register-op values end to end (the §XI extension):
+        #: requests carry ``FLAG_ENCRYPTED``, and a switch answers a
+        #: flagged request in ciphertext.
         self.encrypt_regops = encrypt_regops
         self.on_tamper: List[Callable[[TamperRecord], None]] = []
         self.on_alert: List[Callable[[AlertRecord], None]] = []
@@ -133,12 +134,6 @@ class P4AuthController:
             self._issue, self.stats)
         self._seq = self.requests.seq
         self._reg_ids: Dict[str, Dict[str, int]] = {}
-        # Session-key fast path: ``derive_session_keys`` is a pure
-        # function of the master key, so one derivation per live
-        # (switch, key_ver) key serves a whole batch of encrypted
-        # requests.  Keyed by master-key *value*: a rolled key gets a
-        # fresh entry automatically and a stale one can never be reused.
-        self._session_cache: Dict[int, object] = {}
         self.dataplanes: Dict[str, P4AuthDataplane] = {}
         network.attach_controller(self)
         # Constructed here to avoid exposing two objects users must wire up.
@@ -241,21 +236,8 @@ class P4AuthController:
         """
         self.halted = True
         self.requests.clear()
-        self._session_cache.clear()
         if self.network.controller is self:
             self.network.controller = None
-
-    def _session_keys(self, switch: str, key_ver: int):
-        """Session-key family for a switch's local key at ``key_ver``,
-        memoized across a batch (see ``_session_cache``)."""
-        master = self.keys.local_key(switch, key_ver)
-        cached = self._session_cache.get(master)
-        if cached is None:
-            cached = derive_session_keys(master)
-            if len(self._session_cache) >= 1024:
-                self._session_cache.clear()
-            self._session_cache[master] = cached
-        return cached
 
     # ------------------------------------------------------------------
     # authenticated register operations (Fig 8)
@@ -334,8 +316,9 @@ class P4AuthController:
         elif request.kind == "write":
             value = request.value
             if self.encrypt_regops:
-                value = encrypt_value(self._session_keys(switch, key_ver),
-                                      seq, value)
+                session = derive_session_keys(
+                    self.keys.local_key(switch, key_ver))
+                value = encrypt_value(session, seq, value)
             packet = build_reg_write_request(reg_id, request.index, value,
                                              seq, key_ver=key_ver)
         else:
@@ -361,9 +344,6 @@ class P4AuthController:
         self.stats.requests_sent += 1
         if self.requests.outstanding_count() > self.outstanding_threshold:
             self.stats.dos_suspected = True
-
-    def outstanding_count(self) -> int:
-        return self.requests.outstanding_count()
 
     # ------------------------------------------------------------------
     # PacketIn handling
@@ -430,7 +410,8 @@ class P4AuthController:
         ok = hdr["msgType"] == RegOpType.ACK
         value = packet.get(REG_OP)["value"]
         if hdr["flags"] & FLAG_ENCRYPTED:
-            session = self._session_keys(switch, hdr["keyVer"])
+            session = derive_session_keys(
+                self.keys.local_key(switch, hdr["keyVer"]))
             value = encrypt_value(session, seq, value, response=True)
         if ok:
             self.stats.acks_received += 1

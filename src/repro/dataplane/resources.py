@@ -20,6 +20,12 @@ Capacity abstraction (documented calibration, see DESIGN.md):
   wired into the pipeline claims units proportional to its input width.
 - **PHV**: 216 32-bit containers; each header/metadata field claims
   ``ceil(bits/32)`` containers.
+
+:func:`digest_width_cost` prices the §XI trade of a wider digest
+against the 32-bit one: "compared to a 32-bit digest, the hash
+distribution units and the pipeline stages required for a 256-bit
+digest are increased by 560% and 100%, respectively", and each extra
+recirculation costs "100s of ns".
 """
 
 from __future__ import annotations
@@ -72,6 +78,57 @@ class ResourceReport:
     sram_blocks: int
     hash_units: int
     phv_containers: int
+
+
+#: Hash-unit lanes one stage group can feed for one digest op.
+LANES_PER_STAGE_GROUP = 4
+#: Digest stages available before the packet must recirculate.
+BASE_DIGEST_STAGES = 2
+#: Cost of one recirculation pass (the paper: "100s of ns").
+RECIRCULATION_NS = 300.0
+#: Per-lane compute cost at 32 bits (ns); only the relative growth
+#: matters.
+BASE_LANE_NS = 20.0
+DIGEST_WIDTHS = (32, 64, 128, 256)
+
+
+@dataclass(frozen=True)
+class DigestWidthCost:
+    """Resource and latency consequences of one digest width."""
+
+    width_bits: int
+    lanes: int
+    hash_units: int
+    stages: int
+    recirculations: int
+    extra_latency_ns: float
+
+
+def digest_width_cost(width_bits: int, base_units: int) -> DigestWidthCost:
+    """Price a ``width_bits`` digest op whose 32-bit form claims
+    ``base_units`` hash units.
+
+    Tofino computes 32 bits per hash-unit pass, so a w-bit digest chains
+    ``w/32`` lanes and each doubling doubles the compute.  Hash units
+    grow 1.88x per doubling (the crossbar amortizes some input wiring),
+    which lands 256 bits at the paper's +560 %.  Lanes beyond one stage
+    group spill into more stages, and stages beyond the digest's budget
+    recirculate the packet.
+    """
+    if width_bits not in DIGEST_WIDTHS:
+        raise ValueError(f"width must be one of {DIGEST_WIDTHS}")
+    lanes = width_bits // 32
+    stage_groups = math.ceil(lanes / LANES_PER_STAGE_GROUP)
+    recirculations = stage_groups - 1
+    return DigestWidthCost(
+        width_bits=width_bits,
+        lanes=lanes,
+        hash_units=round(base_units * 1.88 ** int(math.log2(lanes))),
+        stages=BASE_DIGEST_STAGES * stage_groups,
+        recirculations=recirculations,
+        extra_latency_ns=(lanes * BASE_LANE_NS
+                          + recirculations * RECIRCULATION_NS),
+    )
 
 
 class ProgramSpec:

@@ -4,7 +4,9 @@ Each trial builds one of the three register-access stacks (P4Runtime,
 DP-Reg-RW, P4Auth) on a fresh single-switch deployment and drives the
 paper's sequential read or write workload against it; the ``fig18``
 spec is that trial, and its claims read Fig 18 (request completion time)
-and Fig 19 (throughput) off the same trial matrix.
+and Fig 19 (throughput) off the same trial matrix.  A fourth row,
+``P4Auth+enc``, is P4Auth with the §XI payload encryption on
+(``P4AuthController(encrypt_regops=True)``), and prices it.
 """
 
 from __future__ import annotations
@@ -38,12 +40,18 @@ def stats_to_dict(stats: RunStats, stack: str,
     return out
 
 
+#: The grid's encryption-on P4Auth row (not one of ``STACKS``).
+ENCRYPTED = "P4Auth+enc"
+
+
 def _trial(ctx: TrialContext) -> dict:
     p = ctx.params
     costs = None
     if p["jitter_fraction"]:
         costs = CostModel(jitter_fraction=p["jitter_fraction"])
-    sim, stack = build_stack(p["stack"], costs, telemetry=ctx.telemetry)
+    encrypted = p["stack"] == ENCRYPTED
+    sim, stack = build_stack("P4Auth" if encrypted else p["stack"], costs,
+                             telemetry=ctx.telemetry, encrypt_regops=encrypted)
     stats = run_sequential(sim, stack, p["kind"], "s1", "target",
                            duration_s=p["duration_s"])
     return stats_to_dict(stats, p["stack"],
@@ -56,12 +64,18 @@ def _per_stack(run, key: str, jitter: float = 0.0) -> List[List[float]]:
         key] for stack in STACKS] for kind in ("read", "write")]
 
 
+def _throughput(run, stack: str) -> List[float]:
+    """``stack``'s read, then write, throughput at zero jitter."""
+    return [run.result_for(stack=stack, kind=kind, jitter_fraction=0.0)[
+        "throughput_rps"] for kind in ("read", "write")]
+
+
 SPEC = register(ExperimentSpec(
     name="fig18",
     title="Register R/W request completion time and throughput",
     source="Fig 18, Fig 19",
     trial=_trial,
-    grid={"stack": list(STACKS), "kind": ["read", "write"]},
+    grid={"stack": [*STACKS, ENCRYPTED], "kind": ["read", "write"]},
     defaults={"duration_s": 10.0, "jitter_fraction": 0.0,
               "include_samples": False},
     short={"duration_s": 1.0},
@@ -90,6 +104,12 @@ SPEC = register(ExperimentSpec(
               lambda run: [1 - rps[2] / rps[1]
                            for rps in _per_stack(run, "throughput_rps")],
               lambda drop: 0.02 < drop[0] < 0.07 and 0.01 < drop[1] < 0.05,
+              "-{0[0]:.1%} read, -{0[1]:.1%} write"),
+        claim("xi_encryption_drop", "< 5 % read and write (§XI: a couple "
+              "of hash-unit passes per message)",
+              lambda run: [1 - encrypted / plain for encrypted, plain in zip(
+                  _throughput(run, ENCRYPTED), _throughput(run, "P4Auth"))],
+              lambda drop: all(0 <= d < 0.05 for d in drop),
               "-{0[0]:.1%} read, -{0[1]:.1%} write"),
     ),
 ))

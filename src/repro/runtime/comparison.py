@@ -97,13 +97,15 @@ def bootstrap_local_keys(controller: P4AuthController,
             f"switches, no local key on {unkeyed}")
 
 
-def build_stack(name: str, costs=None, telemetry=None):
-    """A fresh deployment of one stack; returns (sim, stack)."""
+def build_stack(name: str, costs=None, telemetry=None, **p4auth_kwargs):
+    """A fresh deployment of one stack; returns (sim, stack).
+    ``p4auth_kwargs`` go to the P4Auth controller, as in
+    :func:`attach_stack`."""
     sim = EventSimulator(telemetry=telemetry)
     net = Network(sim, costs)
     switch = DataplaneSwitch("s1", num_ports=2)
     net.add_switch(switch)
     switch.registers.define("target", 64, 16)
     stack, _dataplanes = attach_stack(name, net, ["s1"], ["target"],
-                                      {"s1": 0x42}, 0.1)
+                                      {"s1": 0x42}, 0.1, **p4auth_kwargs)
     return sim, stack

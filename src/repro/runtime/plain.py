@@ -108,12 +108,6 @@ class _RegisterStack:
             network, self.STACK, RetryPolicy(request_timeout_s),
             self._issue, self)
 
-    def outstanding_count(self) -> int:
-        """Requests issued whose outcome (completion, loss, abandonment)
-        has not yet been decided — uniform across stacks, so batching
-        facades can gauge true in-flight load."""
-        return self.requests.outstanding_count()
-
     def read_register(self, switch: str, reg_name: str, index: int,
                       callback: Optional[ResponseCallback] = None) -> int:
         return self._issue("read", switch, reg_name, index, 0, callback)

@@ -50,14 +50,13 @@ class TestSessionKeyDerivation:
 
 
 def encrypted_deployment():
+    """One switch on its default config; only the controller encrypts."""
     sim = EventSimulator()
     net = Network(sim)
     switch = DataplaneSwitch("s1", num_ports=2)
     net.add_switch(switch)
     switch.registers.define("secret_state", 64, 8)
-    dataplane = P4AuthDataplane(
-        switch, k_seed=0xE2C,
-        config=P4AuthConfig(encrypt_regops=True)).install()
+    dataplane = P4AuthDataplane(switch, k_seed=0xE2C).install()
     dataplane.map_register("secret_state")
     controller = P4AuthController(net, encrypt_regops=True)
     controller.provision(dataplane)
@@ -81,21 +80,30 @@ class TestEncryptedRegOps:
         assert switch.registers.get("secret_state").read(2) == 0xCAFE
 
     def test_eavesdropper_sees_only_ciphertext(self):
+        """The controller knob alone hides both directions: a switch on
+        its default config answers a flagged request in ciphertext, so
+        neither the write's ACK nor the read's reply carries the stored
+        value up the channel."""
         sim, net, switch, dataplane, controller = encrypted_deployment()
-        observed = []
+        crossed = []
 
         def spy(packet, direction):
             if packet.has("reg_op"):
-                observed.append(packet.get("reg_op")["value"])
+                crossed.append((direction, packet.get("reg_op")["value"]))
             return packet
 
         net.control_channels["s1"].add_tap(spy)
-        controller.write_register("s1", "secret_state", 0, 0x5EC12E7)
+        results = []
+        controller.write_register("s1", "secret_state", 0, 0x5EC12E7,
+                                  lambda ok, v: results.append((ok, v)))
         sim.run(until=1.0)
-        controller.read_register("s1", "secret_state", 0)
+        controller.read_register("s1", "secret_state", 0,
+                                 lambda ok, v: results.append((ok, v)))
         sim.run(until=2.0)
-        assert observed  # request + responses crossed the channel
-        assert 0x5EC12E7 not in observed
+        assert results == [(True, 0x5EC12E7), (True, 0x5EC12E7)]
+        assert sorted({direction for direction, _ in crossed}) == [
+            "c->dp", "dp->c"]
+        assert 0x5EC12E7 not in [value for _, value in crossed]
 
     def test_request_and_response_ciphertexts_differ(self):
         """Direction-tweaked nonces: even echoing the same value, the
@@ -146,7 +154,7 @@ class TestEncryptedRegOps:
         assert switch.registers.get("secret_state").read(3) == 0x1111
 
     def test_plaintext_mode_unaffected(self, single_switch):
-        """Default deployments (encrypt_regops off) behave as before."""
+        """Default deployments (no encryption) behave as before."""
         dep = single_switch
         results = []
         dep.controller.write_register("s1", "demo", 0, 0x9,

@@ -112,11 +112,11 @@ def test_alert_received_and_hook_fires(single_switch):
 def test_outstanding_tracking(single_switch):
     dep = single_switch
     dep.controller.read_register("s1", "demo", 0)
-    assert dep.controller.outstanding_count() == 1
+    assert dep.controller.requests.outstanding_count() == 1
     assert [switch for switch, _seq in dep.controller.requests.pending] \
         == ["s1"]
     dep.run(1.0)
-    assert dep.controller.outstanding_count() == 0
+    assert dep.controller.requests.outstanding_count() == 0
 
 
 def test_dos_suspected_when_outstanding_explodes(single_switch):
@@ -127,7 +127,7 @@ def test_dos_suspected_when_outstanding_explodes(single_switch):
     for _ in range(10):
         dep.controller.read_register("s1", "demo", 0)
     assert dep.controller.stats.dos_suspected
-    assert dep.controller.outstanding_count() == 10
+    assert dep.controller.requests.outstanding_count() == 10
 
 
 def test_unsolicited_response_ignored(single_switch):

@@ -10,11 +10,7 @@ authenticated the exchange.
 import pytest
 
 from repro.attacks.control_plane import ReplayAttacker
-from repro.core.auth_dataplane import (
-    FLAG_ENCRYPTED,
-    P4AuthConfig,
-    P4AuthDataplane,
-)
+from repro.core.auth_dataplane import FLAG_ENCRYPTED, P4AuthDataplane
 from repro.core.confidentiality import derive_session_keys, encrypt_value
 from repro.core.constants import P4AUTH, REG_OP, HdrType, RegOpType
 from repro.core.digest import DigestEngine
@@ -35,12 +31,10 @@ STORED = 0x1234_5678_9ABC
 WRITTEN = 0xBEEF_F00D
 
 
-def make_dataplane(encrypt_regops: bool):
+def make_dataplane():
     switch = DataplaneSwitch("s1", num_ports=2)
     switch.registers.define("demo", 64, 8)
-    dataplane = P4AuthDataplane(
-        switch, K_SEED,
-        config=P4AuthConfig(encrypt_regops=encrypt_regops)).install()
+    dataplane = P4AuthDataplane(switch, K_SEED).install()
     dataplane.map_register("demo")
     for version, key in KEYS.items():
         dataplane.keys.install_at(LOCAL_KEY_INDEX, key, version)
@@ -91,30 +85,28 @@ def assert_same_reply(got, expected):
 
 
 CASES = pytest.mark.parametrize(
-    "kind, key_ver, encrypt_regops, flagged",
-    [(kind, key_ver, encrypt_regops, flagged)
+    "kind, key_ver, flagged",
+    [(kind, key_ver, flagged)
      for kind in ("read", "write")
      for key_ver in (0, 1)
-     for encrypt_regops in (False, True)
-     # The reply is encrypted only when both are set.
+     # The reply is encrypted iff the request was.
      for flagged in (False, True)])
 
 
 @CASES
-def test_ack_equals_the_fresh_reply(kind, key_ver, encrypt_regops, flagged):
-    switch, _dataplane = make_dataplane(encrypt_regops)
+def test_ack_equals_the_fresh_reply(kind, key_ver, flagged):
+    switch, _dataplane = make_dataplane()
     reg_id = switch.registers.id_of("demo")
     (reply,) = reg_replies(switch.process(
         request(kind, reg_id, 7, key_ver, flagged), DataplaneSwitch.CPU_PORT))
     result = STORED if kind == "read" else WRITTEN
     assert_same_reply(reply, fresh_reply(
-        True, reg_id, 7, key_ver, result, flagged and encrypt_regops))
+        True, reg_id, 7, key_ver, result, flagged))
 
 
 @CASES
-def test_replay_nack_equals_the_fresh_reply(kind, key_ver, encrypt_regops,
-                                            flagged):
-    switch, dataplane = make_dataplane(encrypt_regops)
+def test_replay_nack_equals_the_fresh_reply(kind, key_ver, flagged):
+    switch, dataplane = make_dataplane()
     reg_id = switch.registers.id_of("demo")
     switch.process(request(kind, reg_id, 9, key_ver, flagged),
                    DataplaneSwitch.CPU_PORT)
@@ -122,18 +114,17 @@ def test_replay_nack_equals_the_fresh_reply(kind, key_ver, encrypt_regops,
         request(kind, reg_id, 8, key_ver, flagged), DataplaneSwitch.CPU_PORT))
     assert dataplane.stats.replays_detected == 1
     assert_same_reply(reply, fresh_reply(
-        False, reg_id, 8, key_ver, 0, flagged and encrypt_regops))
+        False, reg_id, 8, key_ver, 0, flagged))
 
 
 @CASES
-def test_unknown_register_nack_equals_the_fresh_reply(kind, key_ver,
-                                                      encrypt_regops, flagged):
-    switch, dataplane = make_dataplane(encrypt_regops)
+def test_unknown_register_nack_equals_the_fresh_reply(kind, key_ver, flagged):
+    switch, dataplane = make_dataplane()
     (reply,) = reg_replies(switch.process(
         request(kind, 999, 7, key_ver, flagged), DataplaneSwitch.CPU_PORT))
     assert dataplane.stats.unknown_register == 1
     assert_same_reply(reply, fresh_reply(
-        False, 999, 7, key_ver, 0, flagged and encrypt_regops))
+        False, 999, 7, key_ver, 0, flagged))
 
 
 EXTRA = HeaderType("extra", [("x", 32)])
@@ -142,7 +133,7 @@ EXTRA = HeaderType("extra", [("x", 32)])
 def test_digest_failure_nack_is_a_fresh_packet():
     """A request that failed verification is attacker-shaped: its nAck
     carries none of its extra headers, payload bytes, flags or length."""
-    switch, dataplane = make_dataplane(encrypt_regops=True)
+    switch, dataplane = make_dataplane()
     reg_id = switch.registers.id_of("demo")
     tampered = request("write", reg_id, 7, 1, encrypted=False)
     tampered.get(P4AUTH)["flags"] = 0xFF

@@ -10,6 +10,7 @@ from repro.dataplane.resources import (
     TCAM_BLOCKS,
     ProgramSpec,
     ResourceModel,
+    digest_width_cost,
 )
 from repro.systems.l3fwd import verify_program as l3fwd_program
 from repro.verify.resources_lint import spec_from_program
@@ -128,3 +129,8 @@ class TestTableII:
                 > spec_from_program(small).sram_blocks())
         key_array = huge.register("p4auth_keys_v0")
         assert (key_array.width_bits, key_array.size) == (64, 10001)
+
+
+def test_digest_width_outside_the_model_is_rejected():
+    with pytest.raises(ValueError):
+        digest_width_cost(48, base_units=14)

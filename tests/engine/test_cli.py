@@ -8,6 +8,9 @@ import pytest
 from repro.__main__ import main
 from repro.engine.artifact import load_artifact, validate_artifact
 
+#: ``table2``'s §XI digest-width trials, after its two programs.
+TABLE2_WIDTHS = ("digest32", "digest64", "digest128", "digest256")
+
 
 class TestListing:
     def test_no_arguments_lists_registry(self, capsys):
@@ -69,7 +72,7 @@ class TestRun:
         doc = load_artifact(str(path))
         validate_artifact(doc)
         assert [t["params"]["program"] for t in doc["trials"]] == \
-            ["baseline", "p4auth"]
+            ["baseline", "p4auth", *TABLE2_WIDTHS]
 
     def test_run_sweep_short_and_workers(self, tmp_path, capsys):
         assert main(["run", "fig21", "--sweep", "hops=2,3",
@@ -138,7 +141,7 @@ class TestRun:
                      "--trace-dir", str(traces)]) == 0
         assert sorted(os.listdir(traces)) == [
             f"table2.program={program}.{ext}"
-            for program in ("baseline", "p4auth")
+            for program in sorted(("baseline", "p4auth", *TABLE2_WIDTHS))
             for ext in ("jsonl", "prom")]
         assert all((traces / name).stat().st_size == 0
                    for name in os.listdir(traces))

@@ -227,7 +227,7 @@ class TestBlackout:
         # no callback at all); the post-window one completed.
         assert outcomes == [("after", True)]
         assert injector.stats.count("blackout") == 1
-        assert dep.controller.outstanding_count() == 1
+        assert dep.controller.requests.outstanding_count() == 1
 
     def test_blackout_direction_filter_passes_other_direction(self):
         dep = Deployment(num_switches=1, registers=[("demo", 64, 16)])

@@ -177,7 +177,7 @@ class TestRefusedWork:
             stack.request_many(switches[0], [
                 ("write", "target", 0, 7, lambda ok, v: fired.append(ok)),
                 ("write", "nope", 0, 7, lambda ok, v: fired.append(ok))])
-        assert stack.outstanding_count() == 0
+        assert stack.requests.outstanding_count() == 0
         sim.run()
         assert fired == []
 

@@ -16,7 +16,7 @@ retries with a terminal ``callback(False, 0)``.
 
 import math
 
-from repro.core.auth_dataplane import P4AuthConfig, P4AuthDataplane
+from repro.core.auth_dataplane import P4AuthDataplane
 from repro.core.constants import P4AUTH, REG_OP
 from repro.core.controller import P4AuthController
 from repro.core.requests import RetryPolicy
@@ -51,14 +51,11 @@ def p4runtime_deployment(**stack_kwargs):
     return sim, net, stack
 
 
-def p4auth_deployment(encrypt_regops=False, **controller_kwargs):
+def p4auth_deployment(**controller_kwargs):
     sim, net, switch = one_switch()
-    dataplane = P4AuthDataplane(
-        switch, k_seed=0x42,
-        config=P4AuthConfig(encrypt_regops=encrypt_regops)).install()
+    dataplane = P4AuthDataplane(switch, k_seed=0x42).install()
     dataplane.map_register("target")
-    controller = P4AuthController(net, encrypt_regops=encrypt_regops,
-                                  **controller_kwargs)
+    controller = P4AuthController(net, **controller_kwargs)
     controller.provision(dataplane)
     controller.kmp.local_key_init("s1")
     sim.run(until=0.1)
@@ -130,7 +127,7 @@ class StackConformance:
         assert outcomes == [(False, 0)]  # exactly once
         assert self.counters(stack).request_retries == 2
         assert self.counters(stack).requests_abandoned == 1
-        assert stack.outstanding_count() == 0
+        assert stack.requests.outstanding_count() == 0
         # Each resend went out under a fresh sequence number.
         assert len(eaten["seqs"]) == 3 and len(set(eaten["seqs"])) == 3
 
@@ -178,7 +175,8 @@ class StackConformance:
         sim.run(until=sim.now + 2.0)
         assert outcomes == []  # the old contract: loss means no callback
         assert self.counters(stack).requests_abandoned == 0
-        assert stack.outstanding_count() == self.outstanding_after_silent_loss
+        assert (stack.requests.outstanding_count()
+                == self.outstanding_after_silent_loss)
 
     def test_read_issued_after_a_write_never_departs_first(self):
         """A read is ~6x cheaper to compose than a write; without the
@@ -228,7 +226,7 @@ class StackConformance:
         assert wire_a == wire_b
         assert len(done_a) == len(ops)
         assert done_a == done_b
-        assert stack_a.outstanding_count() == 0
+        assert stack_a.requests.outstanding_count() == 0
 
 
 class TestPlainStackRetry(StackConformance):

@@ -29,14 +29,6 @@ def test_paragraph():
     assert "some prose" in report.render()
 
 
-def test_save_roundtrip(tmp_path):
-    report = MarkdownReport("T")
-    report.section("S", "content")
-    path = tmp_path / "out.md"
-    report.save(str(path))
-    assert path.read_text() == report.render()
-
-
 def test_artifact_report_names_failed_checks(tmp_path):
     """A failed trial is more than ``passed = False``: the check that
     failed is named, and only on artifacts that have one."""
