@@ -85,17 +85,34 @@ def assert_same_reply(got, expected):
 
 
 CASES = pytest.mark.parametrize(
-    "kind, key_ver, flagged",
-    [(kind, key_ver, flagged)
+    "kind, key_ver, after_other_mode, flagged",
+    [(kind, key_ver, after_other_mode, flagged)
      for kind in ("read", "write")
      for key_ver in (0, 1)
-     # The reply is encrypted iff the request was.
+     # Encryption is per request, not switch state: the reply is encrypted
+     # iff the request was, also right after the switch answered a request
+     # in the other mode.
+     for after_other_mode in (False, True)
      for flagged in (False, True)])
 
 
+def make_dataplane_for(key_ver: int, after_other_mode: bool, flagged: bool):
+    """``make_dataplane``, after one read at seq 5 in the other mode when
+    ``after_other_mode`` is set."""
+    switch, dataplane = make_dataplane()
+    if after_other_mode:
+        reg_id = switch.registers.id_of("demo")
+        (prior,) = reg_replies(switch.process(
+            request("read", reg_id, 5, key_ver, not flagged),
+            DataplaneSwitch.CPU_PORT))
+        assert_same_reply(prior, fresh_reply(
+            True, reg_id, 5, key_ver, STORED, not flagged))
+    return switch, dataplane
+
+
 @CASES
-def test_ack_equals_the_fresh_reply(kind, key_ver, flagged):
-    switch, _dataplane = make_dataplane()
+def test_ack_equals_the_fresh_reply(kind, key_ver, after_other_mode, flagged):
+    switch, _dataplane = make_dataplane_for(key_ver, after_other_mode, flagged)
     reg_id = switch.registers.id_of("demo")
     (reply,) = reg_replies(switch.process(
         request(kind, reg_id, 7, key_ver, flagged), DataplaneSwitch.CPU_PORT))
@@ -105,8 +122,9 @@ def test_ack_equals_the_fresh_reply(kind, key_ver, flagged):
 
 
 @CASES
-def test_replay_nack_equals_the_fresh_reply(kind, key_ver, flagged):
-    switch, dataplane = make_dataplane()
+def test_replay_nack_equals_the_fresh_reply(kind, key_ver, after_other_mode,
+                                            flagged):
+    switch, dataplane = make_dataplane_for(key_ver, after_other_mode, flagged)
     reg_id = switch.registers.id_of("demo")
     switch.process(request(kind, reg_id, 9, key_ver, flagged),
                    DataplaneSwitch.CPU_PORT)
@@ -118,8 +136,10 @@ def test_replay_nack_equals_the_fresh_reply(kind, key_ver, flagged):
 
 
 @CASES
-def test_unknown_register_nack_equals_the_fresh_reply(kind, key_ver, flagged):
-    switch, dataplane = make_dataplane()
+def test_unknown_register_nack_equals_the_fresh_reply(kind, key_ver,
+                                                      after_other_mode,
+                                                      flagged):
+    switch, dataplane = make_dataplane_for(key_ver, after_other_mode, flagged)
     (reply,) = reg_replies(switch.process(
         request(kind, 999, 7, key_ver, flagged), DataplaneSwitch.CPU_PORT))
     assert dataplane.stats.unknown_register == 1
