@@ -17,6 +17,9 @@ random register cells):
   readings 6.0x), down from 10-13x before the scalar kernel took lazy
   masks; at 26 bytes 5.6-10.0x over sixteen readings, both batch
   sizes (median 8.2x).
+
+The gate pins the Python kernel: where the C kernel loaded, both lanes
+are one native call per message (``bench_digest_native.py`` gates that).
 """
 
 import random
@@ -47,7 +50,7 @@ def _write_requests(rng, batch):
 @pytest.mark.parametrize("material", [_random_64, _write_requests],
                          ids=["random_64", "write_request_26"])
 @pytest.mark.parametrize("batch", [1024, 4096])
-def test_vector_lane_over_scalar(batch, material, report):
+def test_vector_lane_over_scalar(batch, material, report, python_kernel):
     rng = random.Random(batch)
     key = rng.getrandbits(64)
     messages = material(rng, batch)

@@ -2,12 +2,15 @@
 
 ``report`` prints a gate's measured numbers with capture disabled, so
 ``pytest benchmarks/`` always shows them next to the verdict (even
-under fd-level capture).
+under fd-level capture).  ``python_kernel`` pins the pure-Python
+HalfSipHash kernel for the gates written for it.
 """
 
 import time
 
 import pytest
+
+from tests.conftest import python_kernel  # noqa: F401 - a shared fixture
 
 
 def best_seconds_per_call(fn, calls: int, repeats: int) -> float:

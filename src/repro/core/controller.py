@@ -60,7 +60,7 @@ class AlertRecord:
 
 @dataclass
 class TamperRecord:
-    """A response whose digest failed verification at the controller."""
+    """A response the controller refused: bad digest or encryption mode."""
 
     time: float
     switch: str
@@ -396,6 +396,14 @@ class P4AuthController:
                                "register response digest mismatch")
             return
         seq = hdr["seqNum"]
+        ok = hdr["msgType"] == RegOpType.ACK
+        encrypted = bool(hdr["flags"] & FLAG_ENCRYPTED)
+        if encrypted != self.encrypt_regops and (encrypted or ok):
+            # A switch answers in its request's mode (the knob's), but for
+            # a failed digest's nAck: built fresh, unflagged, value 0.
+            self._record_tamper(switch, seq, "register response in the "
+                                "wrong encryption mode")
+            return
         # Response verification costs one controller-side digest.
         pending = self.requests.complete(switch, seq,
                                          self.costs.controller_digest_s)
@@ -407,9 +415,8 @@ class P4AuthController:
             if hdr["msgType"] == RegOpType.NACK:
                 self.stats.unsolicited_nacks += 1
             return
-        ok = hdr["msgType"] == RegOpType.ACK
         value = packet.get(REG_OP)["value"]
-        if hdr["flags"] & FLAG_ENCRYPTED:
+        if encrypted:
             session = derive_session_keys(
                 self.keys.local_key(switch, hdr["keyVer"]))
             value = encrypt_value(session, seq, value, response=True)

@@ -17,8 +17,11 @@ The controller-side software engine has two lanes:
 The batch size alone picks the lane.  Lane selection is a host-CPU
 scheduling decision only: tags are bit-identical across lanes (pinned by
 the differential battery), so which lane signed a message can never
-change observable wire behavior.  Extern (data-plane) digests always run
-per-packet so hash-unit invocation accounting is untouched.
+change observable wire behavior.  So is the kernel: where the C
+HalfSipHash loaded, both lanes are one native call per message, and the
+lane is still chosen and counted by batch size alone.  Extern
+(data-plane) digests always run per-packet so hash-unit invocation
+accounting is untouched.
 """
 
 from __future__ import annotations
@@ -80,7 +83,8 @@ class DigestEngine:
 
     @property
     def key_state_hits(self) -> int:
-        """Midstate cache hits of the software HalfSipHash (both lanes)."""
+        """Midstate cache hits of the software HalfSipHash (both lanes; the
+        C kernel has no cache, so 0 where it loaded)."""
         return self._halfsiphash.hits if self._halfsiphash else 0
 
     @property

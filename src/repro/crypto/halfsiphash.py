@@ -7,34 +7,35 @@ implements HalfSipHash-c-d exactly as specified by Aumasson & Bernstein's
 reference (the 32-bit-word variant of SipHash): a 64-bit key, 32-bit state
 words, and a 32-bit tag.
 
-Two forms of the SipRound live here.  :meth:`HalfSipHash._sip_round` is
+Three forms of the SipRound exist.  :meth:`HalfSipHash._sip_round` is
 the *specification*: one round written exclusively in terms of the
 restricted ALU helpers in :mod:`repro.crypto.ops`, which is what the
 data-plane feasibility claim rests on; nothing in ``src/`` executes it, and
-``tests/crypto`` assembles a whole digest from it.
-:meth:`HalfSipHash._rounds` is what the host *executes*: the same round
-inlined as integer expressions, because a Python call per 32-bit ALU op
-(~650 per C-DP digest) was most of this repo's host time.  It rests on two
-exact identities: high bits above 31 are harmless until a right shift, so
-a word is masked only before a rotate (lazy masks); and a masked ``x``
-times ``0x1_0000_0001`` holds ``x`` twice, so one shift of it is a rotate
-(doubled word).
-The differential tests pin the two bit-for-bit for every ``(c, d)``.
+``tests/crypto`` assembles a whole digest from it.  The host *executes*
+``halfsiphash.c``, one ctypes call per digest, built at import into a
+per-user cache; where it cannot be, the round inlined as integer
+expressions in :meth:`HalfSipHash._rounds`.  Which kernel ran is host CPU
+only: the differential tests pin all three bit-for-bit for every
+``(c, d)``.
 Round counts ``c`` and ``d`` are constructor constants — on the switch they
 are unrolled across pipeline stages, never looped at packet time.
 
 **Midstate.**  Eqn 4 material is the p4auth header's wire bytes, so its
 first :data:`PREFIX` bytes (``hdrType``, ``msgType``, the high half of
 ``seqNum``) stay fixed per key and message type while ``seqNum`` is
-below 2**16.  :meth:`digest` caches the state after them, keyed by the
-key and every prefix byte: a pure function of (key, prefix), never a
-tag, so a verifier still hashes every byte.  It clears at
-:attr:`HalfSipHash.KEY_CACHE_MAX`.  It is for Eqn 4 material only: the
+below 2**16.  The Python kernel's :meth:`digest` caches the state after
+them, keyed by the key and every prefix byte: a pure function of (key,
+prefix), never a tag, so a verifier still hashes every byte.  It clears
+at :attr:`HalfSipHash.KEY_CACHE_MAX`.  It is for Eqn 4 material only: the
 sketches and the stream cipher hash from :meth:`key_schedule`.
 """
 
 from __future__ import annotations
 
+import os
+import sysconfig
+import zlib
+from ctypes import CDLL, c_char_p, c_int, c_uint32, c_uint64
 from struct import unpack_from
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
@@ -48,6 +49,49 @@ _DOUBLE = 0x1_0000_0001
 PREFIX = 4
 
 State = Tuple[int, int, int, int]
+
+
+def _load_native(cache: str, cc: str):
+    """``halfsiphash.c`` through ctypes, built once into ``cache`` under a
+    name keyed by the source, ``cc`` and the machine; None where it cannot
+    be built or loaded, or misses a published tag."""
+    source = os.path.join(os.path.dirname(__file__), "halfsiphash.c")
+    try:
+        with open(source, "rb") as handle:
+            path = os.path.join(cache, "halfsiphash-%08x.so" % zlib.crc32(
+                b"\0".join((handle.read(), cc.encode(),
+                            os.uname().machine.encode()))))
+        os.makedirs(cache, 0o700, exist_ok=True)
+        built = b""
+        if os.path.exists(path):
+            with open(path, "rb") as handle:
+                built = handle.read()
+        # A build ends in the CRC-32 of what precedes it: a truncated or
+        # corrupt one is rebuilt, never mapped (that can SIGBUS).
+        if built[-4:] != zlib.crc32(built[:-4]).to_bytes(4, "little"):
+            import subprocess
+            temp = f"{path}.{os.getpid()}"  # private, then renamed atomically
+            subprocess.run([*cc.split(), "-O2", "-shared", "-fPIC", "-o",
+                            temp, source], check=True, capture_output=True,
+                           timeout=60)
+            with open(temp, "rb+") as handle:
+                handle.write(zlib.crc32(handle.read()).to_bytes(4, "little"))
+            os.replace(temp, path)
+        lib = CDLL(path)
+        lib.hsh_key.argtypes = c_uint64, c_char_p, c_uint64, c_int, c_int
+        lib.hsh_state.argtypes = (c_uint32,) * 4 + (c_char_p, c_uint64,
+                                                    c_uint64, c_int, c_int)
+        lib.hsh_key.restype = lib.hsh_state.restype = c_uint32
+        tag = lib.hsh_key(0x0706050403020100, bytes(range(8)), 8, 2, 4)
+        return lib if tag == 0x8F84B8D0 else None
+    except Exception:  # noqa: BLE001 - any failure means the Python kernel
+        return None
+
+
+_CACHE = os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")
+#: The C kernel, or None: then the Python kernel runs, with equal tags.
+_NATIVE = _load_native(os.path.join(_CACHE, "repro"),
+                       sysconfig.get_config_var("CC") or "cc")
 
 
 def pack_words(words: Iterable[int], word_bits: int = 32) -> bytes:
@@ -117,6 +161,10 @@ class HalfSipHash:
         ``key`` is a 64-bit integer; its low 32 bits form k0 and high 32
         bits form k1, matching the little-endian reference layout.
         """
+        if _NATIVE is not None and 0 <= key < 1 << 64:  # else Python raises
+            return _NATIVE.hsh_key(key, bytes(message), len(message),
+                                   self.compression_rounds,
+                                   self.finalization_rounds)
         if len(message) < PREFIX:
             return self.digest_from_state(self.key_schedule(key), message)
         return self.digest_from_state(self.midstate(key, message), message,
@@ -144,6 +192,10 @@ class HalfSipHash:
         """Tag ``message`` (any bytes-like) from ``state``, which has
         absorbed its first ``start`` bytes: the key schedule at 0, a
         :meth:`midstate` at :data:`PREFIX`."""
+        if _NATIVE is not None:
+            return _NATIVE.hsh_state(*state, bytes(message), len(message),
+                                     start, self.compression_rounds,
+                                     self.finalization_rounds)
         length = len(message)
         nblocks = length >> 2
         # Final block: remaining bytes plus the length byte in the top lane.

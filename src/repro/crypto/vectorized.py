@@ -28,6 +28,7 @@ from functools import lru_cache
 from struct import Struct, unpack_from
 from typing import Dict, List, Optional, Sequence
 
+from repro.crypto import halfsiphash
 from repro.crypto.crc import Crc32
 from repro.crypto.halfsiphash import PREFIX, HalfSipHash, State
 
@@ -42,10 +43,13 @@ def digest_many(key: int, messages: Sequence[bytes],
     """HalfSipHash tags for every message under one 64-bit ``key``.
 
     Bit-identical to ``[hasher.digest(key, m) for m in messages]``
-    (default: a shared HalfSipHash-2-4), computed lane-parallel from
-    ``hasher``'s cached midstates.
+    (default: a shared HalfSipHash-2-4): one native call per message where
+    the C kernel loaded (a lane is slower at every batch size), else
+    lane-parallel from ``hasher``'s cached midstates.
     """
     hasher = hasher or _hasher(2, 4)
+    if halfsiphash._NATIVE is not None:
+        return [hasher.digest(key, m) for m in messages]
     states = [hasher.midstate(key, m) if len(m) >= PREFIX
               else hasher.key_schedule(key) for m in messages]
     return digest_many_from_state(states, messages, hasher.compression_rounds,

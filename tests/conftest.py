@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.auth_dataplane import P4AuthConfig, P4AuthDataplane
 from repro.core.controller import P4AuthController
+from repro.crypto import halfsiphash
 from repro.dataplane.switch import DataplaneSwitch
 from repro.engine.registry import get_spec
 from repro.engine.spec import TrialContext
@@ -69,6 +70,13 @@ def pin_lane(engine, lane: str):
     engine itself picks a lane by batch size only."""
     engine.VECTOR_THRESHOLD = {"scalar": sys.maxsize, "vector": 1}[lane]
     return engine
+
+
+@pytest.fixture
+def python_kernel(monkeypatch):
+    """Run the test on the pure-Python HalfSipHash kernel, the one with a
+    midstate cache: the C kernel, where it loaded, hashes from the key."""
+    monkeypatch.setattr(halfsiphash, "_NATIVE", None)
 
 
 def run_trial(name: str, telemetry=NULL_TELEMETRY, **params):

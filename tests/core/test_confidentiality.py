@@ -105,6 +105,24 @@ class TestEncryptedRegOps:
             "c->dp", "dp->c"]
         assert 0x5EC12E7 not in [value for _, value in crossed]
 
+    def test_plaintext_reply_to_an_encrypted_read_is_a_tamper(self):
+        """A faulty switch answers a flagged read in plaintext under a
+        valid digest: the controller asked for ciphertext, so it records
+        a tamper and the caller hears nothing."""
+        sim, net, switch, dataplane, controller = encrypted_deployment()
+        switch.registers.get("secret_state").write(1, 0x5EC12E7)
+        honest = dataplane._respond_reg
+        dataplane._respond_reg = lambda ctx, **reply: honest(
+            ctx, **{**reply, "encrypted": False})
+        results = []
+        controller.read_register("s1", "secret_state", 1,
+                                 lambda ok, v: results.append((ok, v)))
+        sim.run(until=1.0)
+        assert results == []
+        assert [(t.switch, t.reason) for t in controller.tamper_events] == [
+            ("s1", "register response in the wrong encryption mode")]
+        assert controller.stats.acks_received == 0
+
     def test_request_and_response_ciphertexts_differ(self):
         """Direction-tweaked nonces: even echoing the same value, the
         response ciphertext differs from the request ciphertext."""

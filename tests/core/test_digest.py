@@ -1,5 +1,6 @@
 """DigestEngine: sign/verify symmetry, tamper sensitivity, accounting."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.digest import DigestEngine
@@ -73,6 +74,7 @@ def test_verify_counters():
     assert engine.computed == 3  # sign + 2 verifies
 
 
+@pytest.mark.usefixtures("python_kernel")
 class TestKeyStateFastPath:
     """The batch fast path: one schedule derivation per key, bit-identical
     tags, and no effect on the extern (data-plane) digest path."""

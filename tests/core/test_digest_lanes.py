@@ -8,6 +8,7 @@ same hash-unit invocation accounting on the extern path, and the same
 midstate cache rules — :attr:`HalfSipHash.KEY_CACHE_MAX` eviction
 and rollover auto-miss apply to the vector lane because both lanes
 share the engine hasher's one cache (the regression this file pins).
+The cache tests pin the Python kernel, the one with a cache.
 """
 
 import pytest
@@ -152,6 +153,7 @@ def test_lane_counters_track_batches_and_messages():
 # midstate cache: shared across lanes, bounded, rollover-correct
 # ---------------------------------------------------------------------------
 
+@pytest.mark.usefixtures("python_kernel")
 def test_vector_lane_uses_shared_schedule_cache():
     engine = pin_lane(DigestEngine(), "vector")
     engine.compute(KEY, batch(1)[0])
@@ -162,6 +164,7 @@ def test_vector_lane_uses_shared_schedule_cache():
     assert engine.key_state_hits >= 1
 
 
+@pytest.mark.usefixtures("python_kernel")
 def test_key_cache_eviction_applies_to_vector_lane():
     """Regression: KEY_CACHE_MAX must bound the cache no matter which
     lane populated it — churning keys through sign_many must not grow
@@ -174,6 +177,7 @@ def test_key_cache_eviction_applies_to_vector_lane():
     assert engine.key_state_misses == 29
 
 
+@pytest.mark.usefixtures("python_kernel")
 def test_key_rollover_between_batches_auto_misses():
     """A rolled master key must re-derive the schedule (the cache is
     keyed by key *value*) and old-key signatures must stop verifying."""

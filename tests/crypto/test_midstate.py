@@ -8,9 +8,11 @@ every test here compares both lanes with ``_spec_digest`` (a digest
 assembled from ``HalfSipHash._sip_round`` in switch ALU ops, starting
 from the key schedule every time) and checks the cache rules: every
 prefix byte and the key are part of the cache key, a rolled key
-misses, and the bound clears the cache.  The last section flips one bit
-of ``hdrType`` / ``msgType`` in a signed C-DP message: the controller
-and the switch must both refuse it.
+misses, and the bound clears the cache.  The cache belongs to the
+Python kernel (the C kernel, where it loaded, hashes from the key), so
+the tests that read its counters pin that kernel (``python_kernel``).
+The last section flips one bit of ``hdrType`` / ``msgType`` in a signed
+C-DP message: the controller and the switch must both refuse it.
 """
 
 import random
@@ -132,6 +134,7 @@ def test_every_returned_state_is_four_32_bit_words(key, rounds):
 # cache rules
 # ---------------------------------------------------------------------------
 
+@pytest.mark.usefixtures("python_kernel")
 def test_short_messages_bypass_the_cache():
     hasher = HalfSipHash()
     for length in range(PREFIX):
@@ -144,6 +147,7 @@ def test_short_messages_bypass_the_cache():
     assert hasher.hits == hasher.misses == 0 and not hasher._midstates
 
 
+@pytest.mark.usefixtures("python_kernel")
 def test_one_prefix_under_two_keys_is_two_entries():
     hasher = HalfSipHash()
     message = bytes(range(64))
@@ -154,6 +158,7 @@ def test_one_prefix_under_two_keys_is_two_entries():
     assert hasher.misses == 2 and hasher.hits == 0
 
 
+@pytest.mark.usefixtures("python_kernel")
 def test_one_key_under_two_prefixes_is_two_entries():
     hasher = HalfSipHash()
     first = bytes(range(64))
@@ -166,6 +171,7 @@ def test_one_key_under_two_prefixes_is_two_entries():
     assert hasher.misses == 2 and hasher.hits == 2
 
 
+@pytest.mark.usefixtures("python_kernel")
 def test_key_rollover_misses_the_cache():
     hasher = HalfSipHash()
     message = bytes(range(64))
@@ -178,6 +184,7 @@ def test_key_rollover_misses_the_cache():
     assert new == _spec_digest(hasher, KEY ^ 0xFFFF, message)
 
 
+@pytest.mark.usefixtures("python_kernel")
 def test_cache_clears_at_the_cap():
     hasher = HalfSipHash()
     hasher.KEY_CACHE_MAX = 4
@@ -193,6 +200,7 @@ def test_cache_clears_at_the_cap():
     assert hasher.misses == 6  # evicted, so recomputed
 
 
+@pytest.mark.usefixtures("python_kernel")
 def test_sketch_hashes_bypass_the_cache():
     """The sketches hash 8-byte items under per-salt keys: through the
     cache they would fill it with entries no Eqn 4 digest reads."""
@@ -204,6 +212,7 @@ def test_sketch_hashes_bypass_the_cache():
     assert (hasher.hits, hasher.misses, len(hasher._midstates)) == before
 
 
+@pytest.mark.usefixtures("python_kernel")
 def test_vector_lane_shares_the_scalar_cache():
     hasher = HalfSipHash()
     messages = [bytes(16) + bytes([i]) * 48 for i in range(8)]
@@ -212,6 +221,7 @@ def test_vector_lane_shares_the_scalar_cache():
     assert hasher.misses == 1 and hasher.hits == 8
 
 
+@pytest.mark.usefixtures("python_kernel")
 def test_default_vector_hasher_outlives_a_call():
     messages = [bytes(range(32))] * 2
     vectorized.digest_many(KEY, messages)

@@ -1,0 +1,159 @@
+"""The C HalfSipHash kernel (``crypto/halfsiphash.c``) against the Python one.
+
+Where the C kernel loaded, :meth:`HalfSipHash.digest` is one ``hsh_key``
+call and :meth:`HalfSipHash.digest_from_state` one ``hsh_state`` call;
+elsewhere the inlined Python kernel runs.  Eqn 4 holds only if both give
+every tag bit alike, so the property below pins both entry points to the
+Python kernel and to a digest assembled from ``_sip_round``, and the KAT
+corpus runs through the native path.  The loader tests cover a failed
+build, a warm cache and a corrupt cached build: none may raise.
+"""
+
+import json
+import os
+import random
+import subprocess
+import sysconfig
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.crypto import halfsiphash
+from repro.crypto.halfsiphash import PREFIX, HalfSipHash
+from tests.crypto.test_differential import _spec_digest
+
+native = pytest.mark.skipif(halfsiphash._NATIVE is None,
+                            reason="the C kernel did not load (no compiler)")
+CC = sysconfig.get_config_var("CC") or "cc"
+ROUNDS = ((1, 2), (2, 4))
+MAX_KEY = (1 << 64) - 1
+SATURATED = (0xFFFFFFFF,) * 4
+
+
+def _python_tags(hasher, key, message, start, state=None):
+    """``digest`` and ``digest_from_state`` on the Python kernel, and the
+    state the second started from (the key schedule or a midstate)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(halfsiphash, "_NATIVE", None)
+        if state is None:
+            state = (hasher.midstate(key, message) if start
+                     else hasher.key_schedule(key))
+        return (hasher.digest(key, message),
+                hasher.digest_from_state(state, message, start), state)
+
+
+def _check(c, d, key, message, start):
+    lib, hasher = halfsiphash._NATIVE, HalfSipHash(c, d)
+    start = start if len(message) >= start else 0
+    spec = _spec_digest(hasher, key, message)
+    from_key, from_state, state = _python_tags(hasher, key, message, start)
+    where = f"c={c} d={d} key={key:#x} len={len(message)} start={start}"
+    assert from_key == from_state == spec, where
+    assert lib.hsh_key(key, message, len(message), c, d) == spec, where
+    assert lib.hsh_state(*state, message, len(message), start, c, d) \
+        == spec, where
+    assert hasher.digest(key, message) == spec, where
+    assert hasher.digest_from_state(state, message, start) == spec, where
+
+
+@native
+@settings(max_examples=300, deadline=None)
+@given(rounds=st.sampled_from(ROUNDS),
+       key=st.one_of(st.just(MAX_KEY), st.integers(0, MAX_KEY)),
+       message=st.one_of(st.binary(max_size=300),
+                         st.integers(0, 300).map(lambda n: b"\xff" * n)),
+       start=st.sampled_from((0, PREFIX)))
+def test_native_matches_python_kernel_and_spec(rounds, key, message, start):
+    _check(*rounds, key, message, start)
+
+
+@native
+@pytest.mark.parametrize("start", (0, PREFIX))
+@pytest.mark.parametrize("c,d", ROUNDS)
+def test_native_matches_on_every_length_and_4_kib(c, d, start):
+    rng = random.Random(0xC0DE ^ c << 4 ^ d)
+    for length in (*range(301), 4096):
+        _check(c, d, rng.getrandbits(64), rng.randbytes(length), start)
+    _check(c, d, MAX_KEY, b"\xff" * 4096, start)
+
+
+@native
+@pytest.mark.parametrize("c,d", ROUNDS)
+def test_native_matches_from_a_saturated_state(c, d):
+    """Every word ``0xFFFFFFFF``, message bytes included: every add
+    carries out of bit 31."""
+    hasher = HalfSipHash(c, d)
+    for length in range(301):
+        message = b"\xff" * length
+        for start in {0, PREFIX if length >= PREFIX else 0}:
+            _, python, _ = _python_tags(hasher, 0, message, start, SATURATED)
+            assert halfsiphash._NATIVE.hsh_state(
+                *SATURATED, message, length, start, c, d) == python
+
+
+@native
+def test_native_matches_kat_corpus():
+    with (Path(__file__).parent / "vectors_halfsiphash.json").open() as fh:
+        vectors = json.load(fh)["vectors"]
+    lib = halfsiphash._NATIVE
+    for vec in vectors:
+        c, d = vec["c"], vec["d"]
+        key = int.from_bytes(bytes.fromhex(vec["key"]), "little")
+        message = bytes.fromhex(vec["msg"])
+        state = HalfSipHash(c, d).key_schedule(key)
+        assert lib.hsh_key(key, message, len(message), c, d) == vec["tag"]
+        assert lib.hsh_state(*state, message, len(message), 0, c, d) \
+            == vec["tag"]
+
+
+# ---------------------------------------------------------------------------
+# the loader: every failure falls back, nothing raises
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("cc", ["/nonexistent/cc", "false"])
+def test_failed_build_falls_back_with_equal_tags(tmp_path, cc, monkeypatch):
+    assert halfsiphash._load_native(str(tmp_path), cc) is None
+    (tmp_path / "file").write_bytes(b"")  # a cache that cannot be a dir
+    assert halfsiphash._load_native(str(tmp_path / "file" / "repro"),
+                                    CC) is None
+    message = bytes(range(26))
+    tags = [HalfSipHash().digest(key, message) for key in (0, 1, MAX_KEY)]
+    monkeypatch.setattr(halfsiphash, "_NATIVE", None)
+    assert [HalfSipHash().digest(key, message)
+            for key in (0, 1, MAX_KEY)] == tags
+
+
+@native
+def test_warm_cache_compiles_nothing(tmp_path, monkeypatch):
+    assert halfsiphash._load_native(str(tmp_path), CC) is not None
+    built = sorted(os.listdir(tmp_path))
+    assert len(built) == 1 and built[0].endswith(".so")
+
+    def no_compiler(*args, **kwargs):
+        raise AssertionError("a warm cache ran the compiler")
+
+    monkeypatch.setattr(subprocess, "run", no_compiler)
+    lib = halfsiphash._load_native(str(tmp_path), CC)
+    assert lib.hsh_key(1, b"abc", 3, 2, 4) == HalfSipHash().digest(1, b"abc")
+    assert sorted(os.listdir(tmp_path)) == built
+
+
+@native
+@pytest.mark.parametrize("damage", ["truncated", "garbage"])
+def test_corrupt_cached_build_is_rebuilt(tmp_path, damage, fresh_interpreter):
+    # Built by another process: this one never maps the file it damages.
+    (name,) = fresh_interpreter(
+        "import json, os, sys\n"
+        "from repro.crypto.halfsiphash import _load_native\n"
+        "assert _load_native(sys.argv[1], sys.argv[2]) is not None\n"
+        "print(json.dumps(os.listdir(sys.argv[1])))\n", str(tmp_path), CC)
+    path = tmp_path / name
+    good = path.read_bytes()
+    path.write_bytes(good[:len(good) // 3] if damage == "truncated"
+                     else os.urandom(len(good)))
+    lib = halfsiphash._load_native(str(tmp_path), CC)
+    assert lib is not None
+    assert lib.hsh_key(7, b"p4auth", 6, 2, 4) == \
+        HalfSipHash().digest(7, b"p4auth")
+    assert os.listdir(tmp_path) == [name]
