@@ -1,8 +1,9 @@
 """Native digest kernel — throughput floor over the Python kernel.
 
 Where ``crypto/halfsiphash.c`` loaded, ``HalfSipHash.digest`` is one
-ctypes call into it; elsewhere the Python kernel runs from its midstate
-cache.  Two checks, same process, on what the C-DP stacks sign: the
+call into that extension module; elsewhere the Python kernel runs from
+its midstate cache.  Two checks, same process, on what the C-DP stacks
+sign: the
 26-byte ``digest_material`` of write requests (consecutive sequence
 numbers, random register cells):
 
@@ -29,7 +30,7 @@ BATCH, REPEATS = 256, 5
 
 
 def test_native_digest_over_python(report):
-    assert halfsiphash._NATIVE is not None, "the C kernel did not load"
+    assert halfsiphash._resolve() is not None, "the C kernel did not load"
     rng = random.Random(26)
     key = rng.getrandbits(64)
     messages = [digest_material(build_reg_write_request(

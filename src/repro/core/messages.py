@@ -9,13 +9,14 @@ field except ``digest`` itself, concatenated with the serialized payload:
 
 Builders return packets with ``digest = 0``; callers sign them with a
 :class:`repro.core.digest.DigestEngine` (the data plane's sign stage, the
-controller's compose path, or the KMP).
+controller's compose path, or the KMP).  A build copies a cached
+p4auth header per ``(hdrType, msgType)`` and stores only ``seqNum`` and
+``keyVer`` into it, through the same range checks as a fresh header.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
-from struct import Struct
+from typing import Dict, Tuple
 
 from repro.core.constants import (
     ADHKD_HEADER,
@@ -30,26 +31,31 @@ from repro.core.constants import (
     RegOpType,
     payload_of,
 )
-from repro.dataplane.headers import HeaderType
+from repro.dataplane.headers import Header, HeaderType
 from repro.dataplane.packet import Packet
+
+
+#: The p4auth header per ``(hdrType, msgType)`` with ``seqNum``, ``keyVer``,
+#: ``flags`` and ``digest`` at 0: a build copies it, never hands it out.
+_TEMPLATES: Dict[Tuple[int, int], Header] = {}
 
 
 def _base_packet(hdr_type: HdrType, msg_type: int, seq_num: int,
                  key_ver: int, **payload_fields: int) -> Packet:
-    """The P4Auth header plus the payload the grammar names for it."""
+    """The P4Auth header plus the payload the grammar names for it; every
+    field range-checked, as :meth:`HeaderType.instantiate` would."""
     payload_type = payload_of(hdr_type, msg_type)
+    template = _TEMPLATES.get((hdr_type, msg_type))
+    if template is None:
+        template = _TEMPLATES[hdr_type, msg_type] = P4AUTH_HEADER.instantiate(
+            hdrType=int(hdr_type), msgType=int(msg_type),
+            length=payload_type.byte_width)
+    p4auth = template.copy()
+    p4auth["seqNum"] = seq_num
+    p4auth["keyVer"] = key_ver
     packet = Packet()
-    p4auth = P4AUTH_HEADER.instantiate(
-        hdrType=int(hdr_type),
-        msgType=int(msg_type),
-        seqNum=seq_num,
-        keyVer=key_ver,
-        flags=0,
-        length=payload_type.byte_width,
-        digest=0,
-    )
     packet.push(P4AUTH, p4auth)
-    packet.push(payload_type.name, payload_type.instantiate(**payload_fields))
+    packet.push(payload_type.name, Header(payload_type, payload_fields))
     return packet
 
 
@@ -115,11 +121,9 @@ def build_alert(code: AlertCode, detail: int, seq_num: int) -> Packet:
 
 
 #: The p4auth fields the digest covers, at their wire widths: the
-#: header's own big-endian bytes up to the trailing ``digest``.
-_COVERED_FIELDS = P4AUTH_HEADER.fields[:-1]
-_COVERED = itemgetter(*[name for name, _bits in _COVERED_FIELDS])
-_COVERED_BYTES = Struct(">" + "".join(
-    {8: "B", 16: "H", 32: "I"}[bits] for _name, bits in _COVERED_FIELDS))
+#: header's own big-endian bytes up to the trailing ``digest``, packed by
+#: name from a whole p4auth header's values.
+_COVERED = HeaderType("p4auth_covered", P4AUTH_HEADER.fields[:-1])
 
 
 def digest_material(packet: Packet) -> bytes:
@@ -133,7 +137,8 @@ def digest_material(packet: Packet) -> bytes:
     The p4auth bytes come first wherever the header sits on the stack.
     """
     # Read in place: ``fields()`` would copy the dict on every digest.
-    parts = [_COVERED_BYTES.pack(*_COVERED(packet.get(P4AUTH)._values))]
+    parts = [_COVERED._struct.pack(*_COVERED._getter(
+        packet.get(P4AUTH)._values))]
     for name, header in packet.headers():
         if name != P4AUTH:
             parts.append(header.serialize())

@@ -1,10 +1,14 @@
-/* HalfSipHash-c-d, HalfSipHash._sip_round on uint32_t: C99, no Python.h.
- * halfsiphash.py builds it once and calls it through ctypes. */
+/* HalfSipHash-c-d, HalfSipHash._sip_round on uint32_t, as a CPython
+ * extension module that halfsiphash.py builds once and loads on the first
+ * digest: digest(key, msg, c, d) and digest_from_state(v0, v1, v2, v3, msg,
+ * start, c, d), METH_FASTCALL, msg read through the buffer protocol. */
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 #include <stdint.h>
 
 #define ROTL(x, r) ((uint32_t)((x) << (r) | (x) >> (32 - (r))))
 
-static void rounds(uint32_t v[4], int n)
+static void rounds(uint32_t v[4], unsigned long long n)
 {
     for (; n > 0; n--) {
         v[0] += v[1]; v[1] = ROTL(v[1], 5) ^ v[0]; v[0] = ROTL(v[0], 16);
@@ -14,28 +18,56 @@ static void rounds(uint32_t v[4], int n)
     }
 }
 
-/* The tag of msg[0:len] from a state that has absorbed its first `start`
- * bytes; the last word holds the tail bytes and the length byte on top. */
-uint32_t hsh_state(uint32_t v0, uint32_t v1, uint32_t v2, uint32_t v3,
-                   const unsigned char *msg, uint64_t len, uint64_t start,
-                   int c, int d)
+/* `want` arguments, msg at `at` and unsigned ints around it; where msg is
+ * second the state is the key's schedule and `start` (a[5]) stays 0.  The
+ * tag absorbs msg from `start` (halfsiphash.py checks that it is a block
+ * boundary), the last word the tail bytes and the length byte on top. */
+static PyObject *tag(PyObject *const *args, Py_ssize_t nargs,
+                     Py_ssize_t want, Py_ssize_t at)
 {
-    uint32_t v[4] = {v0, v1, v2, v3}, m;
-    uint64_t i, j, tail = len & ~(uint64_t)3;
-    for (i = start; i <= tail; i += 4) {
+    unsigned long long a[8] = {0}, c, d;
+    uint32_t v[4], m;
+    size_t i, j, len, tail;
+    Py_buffer msg;
+    if (nargs != want)
+        return PyErr_Format(PyExc_TypeError, "expected %zd arguments", want);
+    for (i = 0; i < (size_t)want; i++)
+        if (i != (size_t)at && (a[i] = PyLong_AsUnsignedLongLong(args[i]))
+                == (unsigned long long)-1 && PyErr_Occurred())
+            return NULL;
+    if (PyObject_GetBuffer(args[at], &msg, PyBUF_SIMPLE) < 0)
+        return NULL;
+    len = (size_t)msg.len, tail = len & ~(size_t)3;
+    c = a[want - 2], d = a[want - 1];  /* before a key's schedule fills a */
+    if (at == 1)
+        a[1] = a[0] >> 32, a[2] = a[0] ^ 0x6C796765, a[3] = a[1] ^ 0x74656462;
+    for (i = 0; i < 4; i++)
+        v[i] = (uint32_t)a[i];
+    for (i = a[5]; i <= tail; i += 4) {
         m = i < tail ? 0 : (uint32_t)(len & 0xFF) << 24;
         for (j = i; j < i + 4 && j < len; j++)
-            m |= (uint32_t)msg[j] << 8 * (j - i);
+            m |= (uint32_t)((const unsigned char *)msg.buf)[j] << 8 * (j - i);
         v[3] ^= m; rounds(v, c); v[0] ^= m;
     }
+    PyBuffer_Release(&msg);
     v[2] ^= 0xFF; rounds(v, d);
-    return v[1] ^ v[3];
+    return PyLong_FromUnsignedLong(v[1] ^ v[3]);
 }
 
-uint32_t hsh_key(uint64_t key, const unsigned char *msg, uint64_t len,
-                 int c, int d)
-{
-    uint32_t k0 = (uint32_t)key, k1 = (uint32_t)(key >> 32);
-    return hsh_state(k0, k1, k0 ^ 0x6C796765, k1 ^ 0x74656462,
-                     msg, len, 0, c, d);
-}
+/* The two METH_FASTCALL entry points: argument count, msg position. */
+#define ENTRY(name, want, at)                                               \
+    static PyObject *name(PyObject *self, PyObject *const *args,            \
+                          Py_ssize_t n) { return tag(args, n, want, at); }
+ENTRY(digest, 4, 1)
+ENTRY(digest_from_state, 8, 4)
+
+static PyMethodDef methods[] = {
+    {"digest", (PyCFunction)(void (*)(void))digest, METH_FASTCALL, NULL},
+    {"digest_from_state", (PyCFunction)(void (*)(void))digest_from_state,
+     METH_FASTCALL, NULL},
+    {NULL, NULL, 0, NULL}};
+
+static struct PyModuleDef module = {
+    PyModuleDef_HEAD_INIT, "_halfsiphash", NULL, 0, methods};
+
+PyMODINIT_FUNC PyInit__halfsiphash(void) { return PyModuleDef_Init(&module); }

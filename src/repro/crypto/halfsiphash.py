@@ -12,11 +12,12 @@ the *specification*: one round written exclusively in terms of the
 restricted ALU helpers in :mod:`repro.crypto.ops`, which is what the
 data-plane feasibility claim rests on; nothing in ``src/`` executes it, and
 ``tests/crypto`` assembles a whole digest from it.  The host *executes*
-``halfsiphash.c``, one ctypes call per digest, built at import into a
-per-user cache; where it cannot be, the round inlined as integer
-expressions in :meth:`HalfSipHash._rounds`.  Which kernel ran is host CPU
-only: the differential tests pin all three bit-for-bit for every
-``(c, d)``.
+``halfsiphash.c``, a CPython extension (one ``METH_FASTCALL`` call per
+digest) built into a per-user cache and loaded on the first digest;
+where it cannot be (no compiler, no ``Python.h``), the round inlined as
+integer expressions in :meth:`HalfSipHash._rounds`.  Which kernel ran is
+host CPU only: the differential tests pin all three bit-for-bit for
+every ``(c, d)``.
 Round counts ``c`` and ``d`` are constructor constants — on the switch they
 are unrolled across pipeline stages, never looped at packet time.
 
@@ -33,9 +34,7 @@ sketches and the stream cipher hash from :meth:`key_schedule`.
 from __future__ import annotations
 
 import os
-import sysconfig
 import zlib
-from ctypes import CDLL, c_char_p, c_int, c_uint32, c_uint64
 from struct import unpack_from
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
@@ -51,16 +50,17 @@ PREFIX = 4
 State = Tuple[int, int, int, int]
 
 
-def _load_native(cache: str, cc: str):
-    """``halfsiphash.c`` through ctypes, built once into ``cache`` under a
-    name keyed by the source, ``cc`` and the machine; None where it cannot
-    be built or loaded, or misses a published tag."""
+def _load_native(cache: str, cc: str, include: str, abi: str):
+    """The ``halfsiphash.c`` extension module, built once into ``cache``
+    under a name keyed by the source, ``cc``, the machine, the interpreter
+    ``abi`` and the ``include`` directory holding ``Python.h``; None where
+    it cannot be built or loaded, or misses a published tag."""
     source = os.path.join(os.path.dirname(__file__), "halfsiphash.c")
     try:
         with open(source, "rb") as handle:
             path = os.path.join(cache, "halfsiphash-%08x.so" % zlib.crc32(
-                b"\0".join((handle.read(), cc.encode(),
-                            os.uname().machine.encode()))))
+                b"\0".join((handle.read(), cc.encode(), abi.encode(),
+                            include.encode(), os.uname().machine.encode()))))
         os.makedirs(cache, 0o700, exist_ok=True)
         built = b""
         if os.path.exists(path):
@@ -71,27 +71,43 @@ def _load_native(cache: str, cc: str):
         if built[-4:] != zlib.crc32(built[:-4]).to_bytes(4, "little"):
             import subprocess
             temp = f"{path}.{os.getpid()}"  # private, then renamed atomically
-            subprocess.run([*cc.split(), "-O2", "-shared", "-fPIC", "-o",
-                            temp, source], check=True, capture_output=True,
-                           timeout=60)
+            subprocess.run([*cc.split(), "-O2", "-shared", "-fPIC",
+                            "-I" + include, "-o", temp, source], check=True,
+                           capture_output=True, timeout=60)
             with open(temp, "rb+") as handle:
                 handle.write(zlib.crc32(handle.read()).to_bytes(4, "little"))
             os.replace(temp, path)
-        lib = CDLL(path)
-        lib.hsh_key.argtypes = c_uint64, c_char_p, c_uint64, c_int, c_int
-        lib.hsh_state.argtypes = (c_uint32,) * 4 + (c_char_p, c_uint64,
-                                                    c_uint64, c_int, c_int)
-        lib.hsh_key.restype = lib.hsh_state.restype = c_uint32
-        tag = lib.hsh_key(0x0706050403020100, bytes(range(8)), 8, 2, 4)
-        return lib if tag == 0x8F84B8D0 else None
+        from importlib.machinery import ExtensionFileLoader
+        from importlib.util import module_from_spec, spec_from_loader
+        loader = ExtensionFileLoader("repro.crypto._halfsiphash", path)
+        module = module_from_spec(spec_from_loader(loader.name, loader))
+        loader.exec_module(module)
+        tag = module.digest(0x0706050403020100, bytes(range(8)), 2, 4)
+        return module if tag == 0x8F84B8D0 else None
     except Exception:  # noqa: BLE001 - any failure means the Python kernel
         return None
 
 
-_CACHE = os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")
-#: The C kernel, or None: then the Python kernel runs, with equal tags.
-_NATIVE = _load_native(os.path.join(_CACHE, "repro"),
-                       sysconfig.get_config_var("CC") or "cc")
+#: The C kernel once loaded, or None: then the Python kernel runs, with
+#: equal tags.  Nothing is built or mapped before the first digest.
+_NATIVE = None
+_PENDING = True
+
+
+def _resolve():
+    """Load the C kernel on first use (once) and return ``_NATIVE``; a
+    kernel pinned before that (``_PENDING`` cleared) stays pinned."""
+    global _NATIVE, _PENDING
+    if _PENDING:
+        import sysconfig
+        _PENDING = False
+        cache = (os.environ.get("XDG_CACHE_HOME")
+                 or os.path.expanduser("~/.cache"))
+        _NATIVE = _load_native(os.path.join(cache, "repro"),
+                               sysconfig.get_config_var("CC") or "cc",
+                               sysconfig.get_paths()["include"],
+                               sysconfig.get_config_var("SOABI") or "")
+    return _NATIVE
 
 
 def pack_words(words: Iterable[int], word_bits: int = 32) -> bytes:
@@ -162,9 +178,10 @@ class HalfSipHash:
         bits form k1, matching the little-endian reference layout.
         """
         if _NATIVE is not None and 0 <= key < 1 << 64:  # else Python raises
-            return _NATIVE.hsh_key(key, bytes(message), len(message),
-                                   self.compression_rounds,
-                                   self.finalization_rounds)
+            return _NATIVE.digest(key, message, self.compression_rounds,
+                                  self.finalization_rounds)
+        if _PENDING and _resolve() is not None:
+            return self.digest(key, message)
         if len(message) < PREFIX:
             return self.digest_from_state(self.key_schedule(key), message)
         return self.digest_from_state(self.midstate(key, message), message,
@@ -191,12 +208,18 @@ class HalfSipHash:
                           start: int = 0) -> int:
         """Tag ``message`` (any bytes-like) from ``state``, which has
         absorbed its first ``start`` bytes: the key schedule at 0, a
-        :meth:`midstate` at :data:`PREFIX`."""
-        if _NATIVE is not None:
-            return _NATIVE.hsh_state(*state, bytes(message), len(message),
-                                     start, self.compression_rounds,
-                                     self.finalization_rounds)
+        :meth:`midstate` at :data:`PREFIX`.  ``ValueError`` for a
+        ``start`` that is not a multiple of 4 or lies past the message."""
         length = len(message)
+        if start & 3 or not 0 <= start <= length:
+            raise ValueError(f"start {start} is not a block boundary of a "
+                             f"{length}-byte message")
+        if _NATIVE is not None:
+            return _NATIVE.digest_from_state(*state, message, start,
+                                             self.compression_rounds,
+                                             self.finalization_rounds)
+        if _PENDING and _resolve() is not None:
+            return self.digest_from_state(state, message, start)
         nblocks = length >> 2
         # Final block: remaining bytes plus the length byte in the top lane.
         last = (int.from_bytes(message[nblocks << 2:], "little")

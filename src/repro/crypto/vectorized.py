@@ -48,7 +48,7 @@ def digest_many(key: int, messages: Sequence[bytes],
     lane-parallel from ``hasher``'s cached midstates.
     """
     hasher = hasher or _hasher(2, 4)
-    if halfsiphash._NATIVE is not None:
+    if halfsiphash._resolve() is not None:
         return [hasher.digest(key, m) for m in messages]
     states = [hasher.midstate(key, m) if len(m) >= PREFIX
               else hasher.key_schedule(key) for m in messages]

@@ -4,12 +4,19 @@ A :class:`HeaderType` declares an ordered list of (field, bit-width) pairs,
 like a P4 ``header`` type.  A :class:`Header` is an instance with concrete
 field values; it serializes to bytes by packing fields big-endian in
 declaration order, which is how the wire format (and therefore message
-byte counts in Table III) is computed.
+byte counts in Table III) is computed.  A type whose fields are all 8,
+16, 32 or 64 bits (every P4Auth header but ``alert``) packs in C through
+one precomputed ``Struct``; any other layout shifts field by field.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
+from struct import Struct
 from typing import Dict, NoReturn, Sequence, Tuple
+
+#: ``struct`` codes of the field widths one big-endian ``Struct`` packs.
+_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
 class HeaderType:
@@ -44,6 +51,15 @@ class HeaderType:
             fname: 1 << bits for fname, bits in self.fields}
         # Every field at zero, in declaration order: an instance's start.
         self._zeros: Dict[str, int] = dict.fromkeys(self._widths, 0)
+        # One Struct and a getter of the values by name in declaration
+        # order, or None: shift field by field.
+        self._struct = self._getter = None
+        if all(bits in _CODES for _fname, bits in self.fields):
+            self._struct = Struct(">" + "".join(
+                _CODES[bits] for _fname, bits in self.fields))
+            names = tuple(self._widths)
+            self._getter = (itemgetter(*names) if len(names) > 1  # else an int
+                            else lambda values: (values[names[0]],))
 
     def field_width(self, field: str) -> int:
         try:
@@ -112,10 +128,13 @@ class Header:
 
     def serialize(self) -> bytes:
         """Pack the header to bytes, big-endian in declaration order."""
+        header_type = self.header_type
+        if header_type._struct is not None:
+            return header_type._struct.pack(*header_type._getter(self._values))
         as_int = 0
-        for fname, bits in self.header_type.fields:
+        for fname, bits in header_type.fields:
             as_int = (as_int << bits) | self._values[fname]
-        return as_int.to_bytes(self.header_type.byte_width, "big")
+        return as_int.to_bytes(header_type.byte_width, "big")
 
     def copy(self) -> "Header":
         # Every value was range-checked when it was set: no re-check.

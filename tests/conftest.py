@@ -75,8 +75,10 @@ def pin_lane(engine, lane: str):
 @pytest.fixture
 def python_kernel(monkeypatch):
     """Run the test on the pure-Python HalfSipHash kernel, the one with a
-    midstate cache: the C kernel, where it loaded, hashes from the key."""
+    midstate cache: the C kernel, where it loaded, hashes from the key.
+    Pinned before the first digest, it stays pinned: no lazy load runs."""
     monkeypatch.setattr(halfsiphash, "_NATIVE", None)
+    monkeypatch.setattr(halfsiphash, "_PENDING", False)
 
 
 def run_trial(name: str, telemetry=NULL_TELEMETRY, **params):

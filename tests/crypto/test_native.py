@@ -1,12 +1,14 @@
 """The C HalfSipHash kernel (``crypto/halfsiphash.c``) against the Python one.
 
-Where the C kernel loaded, :meth:`HalfSipHash.digest` is one ``hsh_key``
-call and :meth:`HalfSipHash.digest_from_state` one ``hsh_state`` call;
-elsewhere the inlined Python kernel runs.  Eqn 4 holds only if both give
-every tag bit alike, so the property below pins both entry points to the
-Python kernel and to a digest assembled from ``_sip_round``, and the KAT
-corpus runs through the native path.  The loader tests cover a failed
-build, a warm cache and a corrupt cached build: none may raise.
+Where the C extension loaded, :meth:`HalfSipHash.digest` is one call of
+its ``digest`` and :meth:`HalfSipHash.digest_from_state` one call of its
+``digest_from_state``; elsewhere the inlined Python kernel runs.  Eqn 4
+holds only if both give every tag bit alike, so the property below pins
+both entry points to the Python kernel and to a digest assembled from
+``_sip_round``, and the KAT corpus runs through the native path.  The
+loader tests cover a failed build, a missing ``Python.h``, a warm cache,
+a corrupt cached build and the interpreter ABI in the cache key: none
+may raise.  The kernel loads on the first digest, never at import.
 """
 
 import json
@@ -23,9 +25,11 @@ from repro.crypto import halfsiphash
 from repro.crypto.halfsiphash import PREFIX, HalfSipHash
 from tests.crypto.test_differential import _spec_digest
 
-native = pytest.mark.skipif(halfsiphash._NATIVE is None,
+native = pytest.mark.skipif(halfsiphash._resolve() is None,
                             reason="the C kernel did not load (no compiler)")
 CC = sysconfig.get_config_var("CC") or "cc"
+#: ``Python.h``'s directory and the ABI: the rest of the loader's key.
+BUILD = sysconfig.get_paths()["include"], sysconfig.get_config_var("SOABI")
 ROUNDS = ((1, 2), (2, 4))
 MAX_KEY = (1 << 64) - 1
 SATURATED = (0xFFFFFFFF,) * 4
@@ -50,9 +54,8 @@ def _check(c, d, key, message, start):
     from_key, from_state, state = _python_tags(hasher, key, message, start)
     where = f"c={c} d={d} key={key:#x} len={len(message)} start={start}"
     assert from_key == from_state == spec, where
-    assert lib.hsh_key(key, message, len(message), c, d) == spec, where
-    assert lib.hsh_state(*state, message, len(message), start, c, d) \
-        == spec, where
+    assert lib.digest(key, message, c, d) == spec, where
+    assert lib.digest_from_state(*state, message, start, c, d) == spec, where
     assert hasher.digest(key, message) == spec, where
     assert hasher.digest_from_state(state, message, start) == spec, where
 
@@ -88,8 +91,8 @@ def test_native_matches_from_a_saturated_state(c, d):
         message = b"\xff" * length
         for start in {0, PREFIX if length >= PREFIX else 0}:
             _, python, _ = _python_tags(hasher, 0, message, start, SATURATED)
-            assert halfsiphash._NATIVE.hsh_state(
-                *SATURATED, message, length, start, c, d) == python
+            assert halfsiphash._NATIVE.digest_from_state(
+                *SATURATED, memoryview(message), start, c, d) == python
 
 
 @native
@@ -102,8 +105,8 @@ def test_native_matches_kat_corpus():
         key = int.from_bytes(bytes.fromhex(vec["key"]), "little")
         message = bytes.fromhex(vec["msg"])
         state = HalfSipHash(c, d).key_schedule(key)
-        assert lib.hsh_key(key, message, len(message), c, d) == vec["tag"]
-        assert lib.hsh_state(*state, message, len(message), 0, c, d) \
+        assert lib.digest(key, message, c, d) == vec["tag"]
+        assert lib.digest_from_state(*state, bytearray(message), 0, c, d) \
             == vec["tag"]
 
 
@@ -113,10 +116,10 @@ def test_native_matches_kat_corpus():
 
 @pytest.mark.parametrize("cc", ["/nonexistent/cc", "false"])
 def test_failed_build_falls_back_with_equal_tags(tmp_path, cc, monkeypatch):
-    assert halfsiphash._load_native(str(tmp_path), cc) is None
+    assert halfsiphash._load_native(str(tmp_path), cc, *BUILD) is None
     (tmp_path / "file").write_bytes(b"")  # a cache that cannot be a dir
     assert halfsiphash._load_native(str(tmp_path / "file" / "repro"),
-                                    CC) is None
+                                    CC, *BUILD) is None
     message = bytes(range(26))
     tags = [HalfSipHash().digest(key, message) for key in (0, 1, MAX_KEY)]
     monkeypatch.setattr(halfsiphash, "_NATIVE", None)
@@ -126,7 +129,7 @@ def test_failed_build_falls_back_with_equal_tags(tmp_path, cc, monkeypatch):
 
 @native
 def test_warm_cache_compiles_nothing(tmp_path, monkeypatch):
-    assert halfsiphash._load_native(str(tmp_path), CC) is not None
+    assert halfsiphash._load_native(str(tmp_path), CC, *BUILD) is not None
     built = sorted(os.listdir(tmp_path))
     assert len(built) == 1 and built[0].endswith(".so")
 
@@ -134,8 +137,8 @@ def test_warm_cache_compiles_nothing(tmp_path, monkeypatch):
         raise AssertionError("a warm cache ran the compiler")
 
     monkeypatch.setattr(subprocess, "run", no_compiler)
-    lib = halfsiphash._load_native(str(tmp_path), CC)
-    assert lib.hsh_key(1, b"abc", 3, 2, 4) == HalfSipHash().digest(1, b"abc")
+    lib = halfsiphash._load_native(str(tmp_path), CC, *BUILD)
+    assert lib.digest(1, b"abc", 2, 4) == HalfSipHash().digest(1, b"abc")
     assert sorted(os.listdir(tmp_path)) == built
 
 
@@ -146,14 +149,81 @@ def test_corrupt_cached_build_is_rebuilt(tmp_path, damage, fresh_interpreter):
     (name,) = fresh_interpreter(
         "import json, os, sys\n"
         "from repro.crypto.halfsiphash import _load_native\n"
-        "assert _load_native(sys.argv[1], sys.argv[2]) is not None\n"
-        "print(json.dumps(os.listdir(sys.argv[1])))\n", str(tmp_path), CC)
+        "assert _load_native(*sys.argv[1:]) is not None\n"
+        "print(json.dumps(os.listdir(sys.argv[1])))\n", str(tmp_path), CC,
+        *BUILD)
     path = tmp_path / name
     good = path.read_bytes()
     path.write_bytes(good[:len(good) // 3] if damage == "truncated"
                      else os.urandom(len(good)))
-    lib = halfsiphash._load_native(str(tmp_path), CC)
+    lib = halfsiphash._load_native(str(tmp_path), CC, *BUILD)
     assert lib is not None
-    assert lib.hsh_key(7, b"p4auth", 6, 2, 4) == \
-        HalfSipHash().digest(7, b"p4auth")
+    assert lib.digest(7, b"p4auth", 2, 4) == HalfSipHash().digest(7, b"p4auth")
     assert os.listdir(tmp_path) == [name]
+
+
+def test_include_without_python_h_falls_back_with_equal_tags(tmp_path):
+    (tmp_path / "include").mkdir()
+    assert halfsiphash._load_native(str(tmp_path / "cache"), CC,
+                                    str(tmp_path / "include"),
+                                    BUILD[1]) is None
+    hasher, message = HalfSipHash(), bytes(range(26))
+    tags = [hasher.digest(key, message) for key in (0, 1, MAX_KEY)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(halfsiphash, "_NATIVE", None)
+        assert [hasher.digest(key, message)
+                for key in (0, 1, MAX_KEY)] == tags
+
+
+@native
+def test_abi_keys_the_cache_file_name(tmp_path):
+    """A build for another interpreter sits under another name, so this
+    one never maps it."""
+    for abi in ("cpython-311-x86_64-linux-gnu",
+                "cpython-312-x86_64-linux-gnu"):
+        assert halfsiphash._load_native(str(tmp_path), CC, BUILD[0],
+                                        abi) is not None
+    assert len(set(os.listdir(tmp_path))) == 2
+
+
+@pytest.mark.parametrize("kernel", ["python", "native"])
+def test_start_off_a_block_boundary_raises(kernel, request):
+    """``start`` 2 is inside a block, 12 past a 10-byte message: the C
+    kernel used to return a tag for both, the Python one a different tag
+    and a ``struct.error``."""
+    if kernel == "python":
+        request.getfixturevalue("python_kernel")
+    elif halfsiphash._resolve() is None:
+        pytest.skip("the C kernel did not load (no compiler)")
+    hasher, message = HalfSipHash(), bytes(range(10))
+    state = hasher.key_schedule(0x0123456789ABCDEF)
+    for start in (1, 2, 3, 12, -4):
+        with pytest.raises(ValueError, match="not a block boundary"):
+            hasher.digest_from_state(state, message, start)
+    assert hasher.digest_from_state(state, message, 0) == \
+        _spec_digest(hasher, 0x0123456789ABCDEF, message)
+
+
+def test_kernel_loads_on_the_first_digest(tmp_path, fresh_interpreter):
+    """Import and construction build and map nothing; the first digest
+    does, where a compiler is reachable."""
+    done = fresh_interpreter(
+        "import json, os, sys\n"
+        "os.environ['XDG_CACHE_HOME'] = sys.argv[1]\n"
+        "from repro.crypto import halfsiphash\n"
+        "hasher = halfsiphash.HalfSipHash()\n"
+        "before = [halfsiphash._NATIVE is None, os.path.exists(sys.argv[2])]\n"
+        "hasher.digest(1, b'p4auth')\n"
+        "print(json.dumps(before + [halfsiphash._NATIVE is None,\n"
+        "                           halfsiphash._PENDING]))\n",
+        str(tmp_path), str(tmp_path / "repro"))
+    assert done == [True, False, halfsiphash._resolve() is None, False]
+
+
+def test_python_kernel_pin_outlasts_a_lazy_load(monkeypatch, request):
+    monkeypatch.setattr(halfsiphash, "_NATIVE", None)  # a process before
+    monkeypatch.setattr(halfsiphash, "_PENDING", True)  # its first digest
+    request.getfixturevalue("python_kernel")
+    hasher = HalfSipHash()
+    hasher.digest(1, bytes(26))
+    assert halfsiphash._NATIVE is None and hasher.misses == 1
