@@ -16,6 +16,8 @@ p4auth header per ``(hdrType, msgType)`` and stores only ``seqNum`` and
 
 from __future__ import annotations
 
+from operator import itemgetter
+from struct import Struct
 from typing import Dict, Tuple
 
 from repro.core.constants import (
@@ -121,9 +123,11 @@ def build_alert(code: AlertCode, detail: int, seq_num: int) -> Packet:
 
 
 #: The p4auth fields the digest covers, at their wire widths: the
-#: header's own big-endian bytes up to the trailing ``digest``, packed by
-#: name from a whole p4auth header's values.
-_COVERED = HeaderType("p4auth_covered", P4AUTH_HEADER.fields[:-1])
+#: header's own big-endian bytes up to the trailing ``digest``.
+_COVERED_FIELDS = P4AUTH_HEADER.fields[:-1]
+_COVERED = itemgetter(*[name for name, _bits in _COVERED_FIELDS])
+_COVERED_BYTES = Struct(">" + "".join(
+    {8: "B", 16: "H", 32: "I"}[bits] for _name, bits in _COVERED_FIELDS))
 
 
 def digest_material(packet: Packet) -> bytes:
@@ -137,8 +141,7 @@ def digest_material(packet: Packet) -> bytes:
     The p4auth bytes come first wherever the header sits on the stack.
     """
     # Read in place: ``fields()`` would copy the dict on every digest.
-    parts = [_COVERED._struct.pack(*_COVERED._getter(
-        packet.get(P4AUTH)._values))]
+    parts = [_COVERED_BYTES.pack(*_COVERED(packet.get(P4AUTH)._values))]
     for name, header in packet.headers():
         if name != P4AUTH:
             parts.append(header.serialize())

@@ -177,11 +177,10 @@ class HalfSipHash:
         ``key`` is a 64-bit integer; its low 32 bits form k0 and high 32
         bits form k1, matching the little-endian reference layout.
         """
-        if _NATIVE is not None and 0 <= key < 1 << 64:  # else Python raises
+        if ((_NATIVE is not None or _PENDING and _resolve() is not None)
+                and 0 <= key < 1 << 64):  # else the Python kernel raises
             return _NATIVE.digest(key, message, self.compression_rounds,
                                   self.finalization_rounds)
-        if _PENDING and _resolve() is not None:
-            return self.digest(key, message)
         if len(message) < PREFIX:
             return self.digest_from_state(self.key_schedule(key), message)
         return self.digest_from_state(self.midstate(key, message), message,
@@ -214,12 +213,10 @@ class HalfSipHash:
         if start & 3 or not 0 <= start <= length:
             raise ValueError(f"start {start} is not a block boundary of a "
                              f"{length}-byte message")
-        if _NATIVE is not None:
+        if _NATIVE is not None or _PENDING and _resolve() is not None:
             return _NATIVE.digest_from_state(*state, message, start,
                                              self.compression_rounds,
                                              self.finalization_rounds)
-        if _PENDING and _resolve() is not None:
-            return self.digest_from_state(state, message, start)
         nblocks = length >> 2
         # Final block: remaining bytes plus the length byte in the top lane.
         last = (int.from_bytes(message[nblocks << 2:], "little")

@@ -220,6 +220,30 @@ def test_kernel_loads_on_the_first_digest(tmp_path, fresh_interpreter):
     assert done == [True, False, halfsiphash._resolve() is None, False]
 
 
+def test_first_digest_enters_each_method_once(tmp_path, fresh_interpreter):
+    """The load on a process's first digest calls the kernel directly, so
+    a wrapper on the class (a traced span) sees one call, not two."""
+    calls = fresh_interpreter(
+        "import json, os, sys\n"
+        "os.environ['XDG_CACHE_HOME'] = sys.argv[1]\n"
+        "from repro.crypto import halfsiphash\n"
+        "cls, calls = halfsiphash.HalfSipHash, []\n"
+        "for name in ('digest', 'digest_from_state'):\n"
+        "    def wrap(*args, _name=name, _real=cls.__dict__[name]):\n"
+        "        calls.append(_name)\n"
+        "        return _real(*args)\n"
+        "    setattr(cls, name, wrap)\n"
+        "cls().digest(1, b'p4auth')\n"
+        "halfsiphash._NATIVE, halfsiphash._PENDING = None, True\n"
+        "cls().digest_from_state((0, 0, 0, 0), b'p4auth')\n"
+        "print(json.dumps(calls))\n",
+        str(tmp_path))
+    if halfsiphash._resolve() is None:  # the Python kernel nests calls
+        assert calls[0] == "digest" and calls[-1] == "digest_from_state"
+    else:
+        assert calls == ["digest", "digest_from_state"]
+
+
 def test_python_kernel_pin_outlasts_a_lazy_load(monkeypatch, request):
     monkeypatch.setattr(halfsiphash, "_NATIVE", None)  # a process before
     monkeypatch.setattr(halfsiphash, "_PENDING", True)  # its first digest
