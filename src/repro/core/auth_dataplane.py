@@ -113,6 +113,7 @@ class P4AuthDataplane:
         self.k_seed = k_seed
         self.config = config or P4AuthConfig()
         # What either stage acts on; a frame with none of it skips both.
+        # Tested against the packet's name-keyed header dict: no list.
         self._watched = self.config.protected_headers | {P4AUTH}
         self.keys = DataplaneKeyStore(switch.registers, switch.num_ports)
         self.digest = DigestEngine(extern=switch.hash)
@@ -222,7 +223,7 @@ class P4AuthDataplane:
         # hop by hop, e.g. INT records, HULA utilization).
         packet.metadata.pop("p4auth_signed", None)
         from_cpu = ctx.ingress_port == DataplaneSwitch.CPU_PORT
-        if not from_cpu and self._watched.isdisjoint(packet.header_names()):
+        if not from_cpu and self._watched.isdisjoint(packet._stack):
             return
         if not packet.has(P4AUTH):
             self._handle_unauthenticated(ctx)
@@ -292,7 +293,7 @@ class P4AuthDataplane:
                 self.stats.unauthenticated_dropped += 1
                 self._raise_alert(ctx, AlertCode.UNAUTHENTICATED_REG_OP)
                 ctx.drop("unauthenticated register operation")
-            elif not self._watched.isdisjoint(packet.header_names()):
+            elif not self._watched.isdisjoint(packet._stack):
                 self.stats.unauthenticated_dropped += 1
                 self._raise_alert(ctx, AlertCode.DIGEST_MISMATCH_CDP)
                 ctx.drop("unauthenticated protected message on the CPU port")
@@ -615,8 +616,8 @@ class P4AuthDataplane:
             if not isinstance(action, Emit):
                 continue
             packet = action.packet
-            if (packet.metadata.get("p4auth_signed")
-                    or self._watched.isdisjoint(packet.header_names())):
+            if (self._watched.isdisjoint(packet._stack)
+                    or packet.metadata.get("p4auth_signed")):
                 continue
             keyed = self.keys.has_port_key(action.port)
             if packet.has(P4AUTH):

@@ -207,14 +207,18 @@ class HalfSipHash:
                           start: int = 0) -> int:
         """Tag ``message`` (any bytes-like) from ``state``, which has
         absorbed its first ``start`` bytes: the key schedule at 0, a
-        :meth:`midstate` at :data:`PREFIX`.  ``ValueError`` for a
-        ``start`` that is not a multiple of 4 or lies past the message."""
+        :meth:`midstate` at :data:`PREFIX`.  ``ValueError`` for a state
+        word outside ``[0, 2**32)``, or a ``start`` that is not a multiple
+        of 4 or lies past the message."""
+        v0, v1, v2, v3 = state
+        if (v0 | v1 | v2 | v3) >> 32:  # a negative word shifts to -1
+            raise ValueError(f"state {state} has a word outside [0, 2**32)")
         length = len(message)
         if start & 3 or not 0 <= start <= length:
             raise ValueError(f"start {start} is not a block boundary of a "
                              f"{length}-byte message")
         if _NATIVE is not None or _PENDING and _resolve() is not None:
-            return _NATIVE.digest_from_state(*state, message, start,
+            return _NATIVE.digest_from_state(v0, v1, v2, v3, message, start,
                                              self.compression_rounds,
                                              self.finalization_rounds)
         nblocks = length >> 2

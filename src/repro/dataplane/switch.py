@@ -99,9 +99,6 @@ class DataplaneSwitch:
             raise KeyError(f"switch {self.name!r} has no table {name!r}")
         return self.tables[name]
 
-    def valid_port(self, port: int) -> bool:
-        return port == self.CPU_PORT or 1 <= port <= self.num_ports
-
     def introspect(self) -> Dict[str, object]:
         """Full static view of the installed program, for repro.verify.
 
@@ -123,38 +120,10 @@ class DataplaneSwitch:
                 now: float = 0.0) -> List[PipelineAction]:
         """Run one packet through the pipeline: one pass.
 
-        Returns the externally visible actions (Emit, ToController, Drop).
+        Returns the externally visible actions (Emit, ToController, Drop);
+        an ingress port outside ``0..num_ports`` raises before any stage.
         """
-        actions = self._run_one(packet, ingress_port, now)
-        self._passes.inc()
-        return actions
-
-    def process_many(self, batch: List[Tuple[Packet, int]],
-                     now: float = 0.0) -> List[List[PipelineAction]]:
-        """Run a batch of ``(packet, ingress_port)`` pairs; one result each.
-
-        Semantically identical to ``[self.process(p, port, now) for
-        (p, port) in batch]`` — same actions, same register mutations,
-        same drop attribution, same hash-extern invocation counts, same
-        telemetry totals — but per-packet Python overhead (attribute
-        lookups, telemetry dispatch) is paid once per batch, which is
-        what makes large trace replays affordable.  The resource and
-        timing models are unchanged: every packet still consumes its own
-        pipeline pass and extern invocations.
-        """
-        run_one = self._run_one
-        results = [run_one(packet, ingress_port, now)
-                   for packet, ingress_port in batch]
-        if batch:
-            self._passes.inc(len(batch))
-        self._batches.inc()
-        self._batch_size.observe(len(results))
-        return results
-
-    def _run_one(self, packet: Packet, ingress_port: int,
-                 now: float) -> List[PipelineAction]:
-        """One packet's pipeline pass: its actions."""
-        if not self.valid_port(ingress_port):
+        if ingress_port not in range(self.num_ports + 1):
             raise ValueError(
                 f"invalid ingress port {ingress_port} on switch {self.name!r}"
             )
@@ -162,11 +131,30 @@ class DataplaneSwitch:
         ctx = PipelineContext(self, packet, ingress_port, now)
         actions = self.pipeline.run(ctx)
         self.pipeline_passes += 1
-        for action in actions:
-            if type(action) is Drop:
-                self.packets_dropped += 1
-                self._count_drop(action, ctx.stage)
+        self._passes.inc()
+        # Only ``ctx.drop`` makes a Drop, and it stops the context.
+        if ctx._stopped:
+            for action in actions:
+                if type(action) is Drop:
+                    self.packets_dropped += 1
+                    self._count_drop(action, ctx.stage)
         return actions
+
+    def process_many(self, batch: List[Tuple[Packet, int]],
+                     now: float = 0.0) -> List[List[PipelineAction]]:
+        """Run a batch of ``(packet, ingress_port)`` pairs; one result each.
+
+        Exactly ``[self.process(p, port, now) for (p, port) in batch]``
+        — same actions, register mutations, drop attribution, extern
+        invocations and telemetry totals — plus one batch count and one
+        batch-size observation.
+        """
+        process = self.process
+        results = [process(packet, ingress_port, now)
+                   for packet, ingress_port in batch]
+        self._batches.inc()
+        self._batch_size.observe(len(results))
+        return results
 
     def _count_drop(self, action: Drop, stage: str) -> None:
         """Attribute a pipeline drop to its reason and deciding stage."""

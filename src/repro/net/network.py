@@ -90,7 +90,7 @@ class SwitchNode:
         switch = self.switch
         hash_extern = switch.hash
         hash_before = hash_extern.invocations
-        actions = switch.process(packet, ingress_port, now=sim.now)
+        actions = switch.process(packet, ingress_port, sim.now)
         hash_ops = hash_extern.invocations - hash_before
         self._packets_counter.inc()
         if hash_ops:
@@ -122,9 +122,10 @@ class HostNode:
         self.sent_count = 0
 
     def receive(self, packet: Packet, ingress_port: int) -> None:
-        self.received.append((self.network.sim.now, packet))
+        now = self.network.sim.now
+        self.received.append((now, packet))
         if self.on_packet is not None:
-            self.on_packet(packet, self.network.sim.now)
+            self.on_packet(packet, now)
 
     def send(self, packet: Packet, port: int = 1) -> None:
         """Transmit a packet out of the host's access port."""
@@ -257,11 +258,16 @@ class Network:
         if not link.up:
             self.count_drop(DROP_LINK_DOWN, from_name, port)
             return
-        survivor = link.transit(packet, direction)
-        if survivor is None:
-            self.count_drop(DROP_TAP, from_name, port)
-            return
-        size_bytes = survivor.size_bytes
+        if link.taps:
+            packet = link.transit(packet, direction)
+            if packet is None:
+                self.count_drop(DROP_TAP, from_name, port)
+                return
+            size_bytes = packet.size_bytes
+        else:  # Link.transit's count, without a walk over no taps
+            size_bytes = packet.size_bytes
+            link.packets_carried += 1
+            link.bytes_carried += size_bytes
         packets_counter.inc()
         bytes_counter.inc(size_bytes)
         sim = self.sim
@@ -269,9 +275,9 @@ class Network:
         peer = self.nodes[peer_name]
         shaper = self.delivery_shaper
         if shaper is None:
-            sim.schedule(delay, peer.receive, survivor, peer_port)
+            sim.schedule(delay, peer.receive, packet, peer_port)
             return
-        deliveries = shaper(link, direction, survivor, delay)
+        deliveries = shaper(link, direction, packet, delay)
         if not deliveries:
             self.count_drop(DROP_FAULT_INJECTED, from_name, port)
             return

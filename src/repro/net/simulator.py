@@ -58,7 +58,8 @@ class EventSimulator:
     def __init__(self, telemetry: Optional[Telemetry] = None):
         self._queue: List[Tuple[float, int, Callable, tuple]] = []
         self._sequence = itertools.count()
-        self._now = 0.0
+        #: Current virtual time in seconds; only :meth:`run` moves it.
+        self.now = 0.0
         self.events_executed = 0
         #: Cancelled events that reached their fire time and were discarded.
         self.events_cancelled = 0
@@ -79,7 +80,7 @@ class EventSimulator:
         #: Deepest the event heap has ever been.
         self.heap_depth_high_water = 0
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self.telemetry.bind_clock(lambda: self._now)
+        self.telemetry.bind_clock(lambda: self.now)
         metrics = self.telemetry.metrics
         self._executed_total = metrics.bind_counter(
             "sim_events_executed_total")
@@ -92,11 +93,6 @@ class EventSimulator:
         self._exhausted_total = metrics.bind_counter(
             "sim_budget_exhausted_total")
 
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
-
     def schedule(self, delay: float, fn: Callable, *args) -> None:
         """Run ``fn(*args)`` after ``delay`` seconds of virtual time."""
         # ``not >=`` rather than ``<``: NaN fails every comparison, and a
@@ -104,9 +100,10 @@ class EventSimulator:
         if not delay >= 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         queue = self._queue
-        heappush(queue, (self._now + delay, next(self._sequence), fn, args))
-        if len(queue) > self.heap_depth_high_water:
-            self.heap_depth_high_water = len(queue)
+        heappush(queue, (self.now + delay, next(self._sequence), fn, args))
+        depth = len(queue)
+        if depth > self.heap_depth_high_water:
+            self.heap_depth_high_water = depth
 
     def schedule_cancellable(self, delay: float, fn: Callable,
                              *args) -> EventHandle:
@@ -117,12 +114,13 @@ class EventSimulator:
 
     def schedule_at(self, at: float, fn: Callable, *args) -> None:
         """Run ``fn(*args)`` at absolute virtual time ``at``."""
-        if not at >= self._now:
-            raise ValueError(f"cannot schedule into the past (at={at}, now={self._now})")
+        if not at >= self.now:
+            raise ValueError(f"cannot schedule into the past (at={at}, now={self.now})")
         queue = self._queue
         heappush(queue, (at, next(self._sequence), fn, args))
-        if len(queue) > self.heap_depth_high_water:
-            self.heap_depth_high_water = len(queue)
+        depth = len(queue)
+        if depth > self.heap_depth_high_water:
+            self.heap_depth_high_water = depth
 
     def run(self, until: Optional[float] = None, max_events: int = 10_000_000) -> int:
         """Drain events (optionally only up to time ``until``).
@@ -146,7 +144,7 @@ class EventSimulator:
             at, seq, fn, args = heappop(queue)
             if deferred_seen:
                 deferred_seen.discard(seq)
-            self._now = at
+            self.now = at
             fn(*args)
             executed += 1
         budget_exhausted = (
@@ -162,11 +160,11 @@ class EventSimulator:
             self.events_dropped += deferred
             self.budget_exhaustions += 1
         elif until is not None:
-            self._now = max(self._now, until)
+            self.now = max(self.now, until)
         self.events_executed += executed
         self._executed_total.inc(executed)
         self._wall_total.inc(time.perf_counter() - wall_start)
-        self._virtual_seconds.set(self._now)
+        self._virtual_seconds.set(self.now)
         self._heap_high_water.set_max(self.heap_depth_high_water)
         self._pending_gauge.set(len(self._queue))
         if budget_exhausted:

@@ -204,6 +204,25 @@ def test_start_off_a_block_boundary_raises(kernel, request):
         _spec_digest(hasher, 0x0123456789ABCDEF, message)
 
 
+@pytest.mark.parametrize("kernel", ["python", "native"])
+def test_state_word_out_of_range_raises(kernel, request):
+    """A state word below 0 or at 2**32 and above is refused before either
+    kernel runs: from ``(-1, 0, 0, 0)`` the C kernel used to raise
+    ``OverflowError`` and the Python one to return a tag."""
+    if kernel == "python":
+        request.getfixturevalue("python_kernel")
+    elif halfsiphash._resolve() is None:
+        pytest.skip("the C kernel did not load (no compiler)")
+    hasher, message = HalfSipHash(), b"abcdefgh"
+    for state in ((-1, 0, 0, 0), (0, 0, 0, 1 << 32), (0, -(1 << 40), 0, 0),
+                  (0, 0, 1 << 63, 0)):
+        with pytest.raises(ValueError, match="outside"):
+            hasher.digest_from_state(state, message)
+    # MAX_KEY's schedule has words of all ones: the largest in range.
+    assert hasher.digest_from_state(hasher.key_schedule(MAX_KEY), message) \
+        == _spec_digest(hasher, MAX_KEY, message)
+
+
 def test_kernel_loads_on_the_first_digest(tmp_path, fresh_interpreter):
     """Import and construction build and map nothing; the first digest
     does, where a compiler is reachable."""
