@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple, Union
 
 from repro.dataplane.packet import Packet
-from repro.telemetry import NULL_TELEMETRY, Counter, MetricRegistry
+from repro.telemetry import NULL_TELEMETRY, MetricRegistry
 
 
 @dataclass
@@ -53,6 +53,9 @@ PipelineAction = Union[Emit, ToController, Drop]
 
 class PipelineContext:
     """Mutable per-packet state threaded through the pipeline stages."""
+
+    __slots__ = ("switch", "packet", "ingress_port", "now", "actions",
+                 "_stopped", "stage")
 
     def __init__(self, switch, packet: Packet, ingress_port: int, now: float = 0.0):
         self.switch = switch
@@ -94,22 +97,30 @@ class Pipeline:
 
     def __init__(self, name: str = "ingress"):
         self.name = name
-        self._stages: List[Tuple[str, Stage, Counter]] = []
+        self._stages: List[Tuple[str, Stage, Stage]] = []
         self._metrics: MetricRegistry = NULL_TELEMETRY.metrics
         self._switch_name = ""
 
     def bind(self, metrics: MetricRegistry, switch_name: str) -> None:
-        """Re-resolve each stage's ``dataplane_stage_packets_total``
-        handle (a stage added later resolves its own) in ``metrics``."""
+        """Rebuild what ``run`` calls for each stage from the stage itself
+        (a stage added later builds its own) against ``metrics``."""
         self._metrics = metrics
         self._switch_name = switch_name
-        self._stages = [(name, fn, self._packets(name))
+        self._stages = [(name, fn, self._counted(name, fn))
                         for name, fn, _ in self._stages]
 
-    def _packets(self, stage: str) -> Counter:
-        return self._metrics.bind_counter(
+    def _counted(self, stage: str, fn: Stage) -> Stage:
+        """What ``run`` calls: ``fn``, or a closure that counts it first."""
+        if not self._metrics.enabled:
+            return fn
+        packets = self._metrics.bind_counter(
             "dataplane_stage_packets_total", switch=self._switch_name,
             stage=stage)
+
+        def counted(ctx: PipelineContext) -> None:
+            packets.inc()
+            fn(ctx)
+        return counted
 
     def add_stage(self, name: str, fn: Stage) -> "Pipeline":
         """Append a stage; returns self for chaining."""
@@ -122,7 +133,7 @@ class Pipeline:
     def _insert(self, index: int, name: str, fn: Stage) -> "Pipeline":
         if name in self.stage_names():
             raise ValueError(f"pipeline already has a stage named {name!r}")
-        self._stages.insert(index, (name, fn, self._packets(name)))
+        self._stages.insert(index, (name, fn, self._counted(name, fn)))
         return self
 
     def stage_names(self) -> List[str]:
@@ -130,13 +141,9 @@ class Pipeline:
 
     def run(self, ctx: PipelineContext) -> List[PipelineAction]:
         """Execute the stages in order until done or stopped."""
-        for name, fn, packets in self._stages:
+        for name, _, call in self._stages:
             if ctx._stopped:
                 break
             ctx.stage = name
-            packets.inc()
-            fn(ctx)
+            call(ctx)
         return ctx.actions
-
-    def __len__(self) -> int:
-        return len(self._stages)

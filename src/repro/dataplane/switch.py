@@ -76,7 +76,8 @@ class DataplaneSwitch:
         self._telemetry = telemetry
         metrics = telemetry.metrics
         self._passes = metrics.bind_counter(
-            "dataplane_pipeline_passes_total", switch=self.name)
+            "dataplane_pipeline_passes_total", switch=self.name
+        ) if metrics.enabled else None
         self._batches = metrics.bind_counter(
             "dataplane_process_batches_total", switch=self.name)
         self._batch_size = metrics.bind_histogram(
@@ -131,7 +132,9 @@ class DataplaneSwitch:
         ctx = PipelineContext(self, packet, ingress_port, now)
         actions = self.pipeline.run(ctx)
         self.pipeline_passes += 1
-        self._passes.inc()
+        passes = self._passes
+        if passes is not None:
+            passes.inc()
         # Only ``ctx.drop`` makes a Drop, and it stops the context.
         if ctx._stopped:
             for action in actions:

@@ -74,10 +74,12 @@ class SwitchNode:
         #: named drop reason).  Flipped by node faults (repro.faults).
         self.up = True
         metrics = network.telemetry.metrics
-        self._packets_counter = metrics.counter(
-            "net_switch_packets_total", switch=self.name)
-        self._hash_counter = metrics.counter(
-            "dataplane_hash_ops_total", switch=self.name)
+        self._packets_counter = self._hash_counter = None
+        if metrics.enabled:
+            self._packets_counter = metrics.counter(
+                "net_switch_packets_total", switch=self.name)
+            self._hash_counter = metrics.counter(
+                "dataplane_hash_ops_total", switch=self.name)
 
     def receive(self, packet: Packet, ingress_port: int) -> None:
         """Handle an arriving packet: run the pipeline, schedule outcomes."""
@@ -92,9 +94,11 @@ class SwitchNode:
         hash_before = hash_extern.invocations
         actions = switch.process(packet, ingress_port, sim.now)
         hash_ops = hash_extern.invocations - hash_before
-        self._packets_counter.inc()
-        if hash_ops:
-            self._hash_counter.inc(hash_ops)
+        packets_counter = self._packets_counter
+        if packets_counter is not None:
+            packets_counter.inc()
+            if hash_ops:
+                self._hash_counter.inc(hash_ops)
         proc_delay = costs.switch_fwd_s + hash_ops * costs.digest_op_s
         for action in actions:
             kind = type(action)
@@ -197,13 +201,14 @@ class Network:
         for name, port in (link.end_a, link.end_b):
             direction = link.direction_from(name, port)
             peer_name, peer_port = link.peer_of(name, port)
+            counters = (None, None)
+            if metrics.enabled:
+                counters = [metrics.counter(series, link=link.label,
+                                            direction=direction)
+                            for series in ("net_link_packets_total",
+                                           "net_link_bytes_total")]
             self._ports[(name, port)] = PortPlan(
-                link, direction, peer_name, peer_port,
-                metrics.counter("net_link_packets_total", link=link.label,
-                                direction=direction),
-                metrics.counter("net_link_bytes_total", link=link.label,
-                                direction=direction),
-            )
+                link, direction, peer_name, peer_port, *counters)
         return link
 
     def link_between(self, name_a: str, name_b: str) -> Link:
@@ -268,8 +273,9 @@ class Network:
             size_bytes = packet.size_bytes
             link.packets_carried += 1
             link.bytes_carried += size_bytes
-        packets_counter.inc()
-        bytes_counter.inc(size_bytes)
+        if packets_counter is not None:
+            packets_counter.inc()
+            bytes_counter.inc(size_bytes)
         sim = self.sim
         delay = link.transmit_delay(size_bytes, direction, sim.now)
         peer = self.nodes[peer_name]

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.dataplane.headers import HeaderType
+from repro.dataplane.headers import Header, HeaderType
 from repro.dataplane.packet import Packet
 from repro.dataplane.pipeline import PipelineContext
 from repro.dataplane.switch import DataplaneSwitch
@@ -139,7 +139,11 @@ class HulaDataplane:
 
     def _account_rx(self, port: int, size_bytes: int, now: float) -> None:
         """HULA estimator update: U = U * (1 - dt/tau) + size."""
-        self._rx_util.write(port, self._decayed(port, now) + size_bytes)
+        tau_us = self.config.util_tau_s * 1e6
+        dt_us = now * 1e6 - self._rx_last.read(port)
+        if dt_us < tau_us:
+            size_bytes += int(self._rx_util.read(port) * (1.0 - dt_us / tau_us))
+        self._rx_util.write(port, size_bytes)
         self._rx_last.write(port, int(now * 1e6))
 
     def port_util(self, port: int, now: float) -> int:
@@ -154,13 +158,15 @@ class HulaDataplane:
     def _stage(self, ctx: PipelineContext) -> None:
         # No ctx.stop(): later stages (e.g. P4Auth's egress signing) must
         # still see the emitted packets.
-        if ctx.packet.has("hula_probe"):
-            self._process_probe(ctx)
-        elif ctx.packet.has("hula_data"):
-            self._process_data(ctx)
+        stack = ctx.packet._stack
+        probe = stack.get("hula_probe")
+        data = stack.get("hula_data")
+        if probe is not None:
+            self._process_probe(ctx, probe)
+        elif data is not None:
+            self._process_data(ctx, data)
 
-    def _process_probe(self, ctx: PipelineContext) -> None:
-        probe = ctx.packet.get("hula_probe")
+    def _process_probe(self, ctx: PipelineContext, probe: Header) -> None:
         dst = probe["dst_tor"] % self.config.max_tors
         util = probe["path_util"]
         now_us = int(ctx.now * 1e6)
@@ -187,17 +193,16 @@ class HulaDataplane:
                 util, self.port_util(port, ctx.now))
             ctx.emit(port, clone)
 
-    def _process_data(self, ctx: PipelineContext) -> None:
-        data = ctx.packet.get("hula_data")
-        dst = data["dst_tor"] % self.config.max_tors
+    def _process_data(self, ctx: PipelineContext, data: Header) -> None:
+        dst_tor = data["dst_tor"]
+        dst = dst_tor % self.config.max_tors
         now_us = int(ctx.now * 1e6)
         # The bytes crossed the ingress link regardless of this packet's
         # fate, so the estimator accounts them up front.
         self._account_rx(ctx.ingress_port, ctx.packet.size_bytes, ctx.now)
 
-        if data["dst_tor"] in self.config.edge_delivery:
-            port = self.config.edge_delivery[data["dst_tor"]]
-        else:
+        port = self.config.edge_delivery.get(dst_tor)
+        if port is None:
             port = self.best_hop.read(dst)
             fresh = (now_us - self.last_update.read(dst)
                      <= self.config.aging_s * 1e6)

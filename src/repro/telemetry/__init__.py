@@ -17,14 +17,15 @@ engine hands every trial one (``TrialContext.telemetry``): live under
 
 One rule for metrics: a layer binds its handles once, when its
 telemetry is bound (a switch's when ``Network.add_switch`` rebinds it),
-and updates them directly per packet or request; a disabled registry
-hands out a shared null metric whose mutators are no-ops, so no hot
-path tests ``enabled``.  A labelled lookup stays per event only where a
-label exists only at the event — a drop reason, an alert code, a
-PacketIn's sender and header type, a link transition, a fault kind —
-or on a per-exchange path outside the packet path (KMP).  The store
-binds its per-record handles when its journal and snapshot store are
-built.
+and updates them directly per packet or request.  Under a disabled
+registry the forwarding hop holds no handle at all (``None``, tested
+once per event; a pipeline calls each stage bare), and any other layer
+a shared null metric whose mutators are no-ops.  A labelled lookup
+stays per event only where a label exists only at the event — a drop
+reason, an alert code, a PacketIn's sender and header type, a link
+transition, a fault kind — or on a per-exchange path outside the packet
+path (KMP).  The store binds its per-record handles when its journal
+and snapshot store are built.
 
 Trace-event vocabulary, the one list of the names :mod:`repro` passes
 to ``Tracer.emit`` (a test holds the two equal):

@@ -11,7 +11,7 @@ from repro.dataplane.pipeline import (
     ToController,
 )
 from repro.dataplane.switch import DataplaneSwitch
-from repro.telemetry import Telemetry
+from repro.telemetry import NULL_TELEMETRY, Telemetry
 
 
 def run(pipeline, packet=None, port=1):
@@ -123,3 +123,31 @@ def test_multiple_emits_for_multicast():
     assert [a.port for a in actions] == [1, 2, 3]
     ids = {a.packet.packet_id for a in actions}
     assert len(ids) == 3
+
+
+def test_stage_counters_bind_once_per_stage_whenever_added():
+    def before(ctx):
+        pass
+
+    def after(ctx):
+        pass
+
+    def runs(switch):
+        return [call for _name, _fn, call in switch.pipeline._stages]
+
+    switch = DataplaneSwitch("s1")
+    switch.pipeline.add_stage("before", before)
+    # Telemetry off: the pipeline calls the stage itself, no wrapper
+    # (a function equals only itself).
+    assert runs(switch) == [before]
+    telemetry = Telemetry()
+    switch.telemetry = telemetry
+    switch.telemetry = telemetry  # a rebind rebuilds, never re-wraps
+    switch.pipeline.add_stage("after", after)
+    for _ in range(3):
+        switch.process(Packet(), 1)
+    assert {dict(metric.labels)["stage"]: metric.value for metric in
+            telemetry.metrics.with_name("dataplane_stage_packets_total")} \
+        == {"before": 3, "after": 3}
+    switch.telemetry = NULL_TELEMETRY
+    assert runs(switch) == [before, after]
